@@ -17,13 +17,12 @@
 //! Everything here is deterministic: the search consumes no RNG, so an
 //! adaptive run stays bit-reproducible from the seed.
 
-use serde::{Deserialize, Serialize};
 
 use crate::model_poison::ModelAttack;
 
 /// An adaptive attack family: which base attack to tune, its starting
 /// magnitude, and the largest magnitude the search may probe.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum AdaptiveAttack {
     /// Tune ALIE's `z` (honest standard deviations of shift).
     Alie {
@@ -254,7 +253,7 @@ impl AdaptiveAdversary {
 
 /// Protocol-level misbehavior of malicious devices *in their hierarchy
 /// role*, orthogonal to how updates are crafted.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ProtocolAttack {
     /// A malicious bottom-cluster leader sends a corrupted partial
     /// aggregate upward while echoing the true partial to its cluster —

@@ -7,10 +7,9 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// How malicious clients are positioned among client ids.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Placement {
     /// Clients `0..k` are malicious (the paper's simulation setting —
     /// clients are "ordered by client id from 0 to 63"). Concentrates

@@ -5,12 +5,11 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use hfl_ml::Dataset;
 
 /// A data-poisoning attack applied to a client's local dataset.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum DataAttack {
     /// Paper's **Type I**: set every training label to a fixed class
     /// (the evaluation uses 9).

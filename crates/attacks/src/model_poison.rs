@@ -4,13 +4,12 @@
 //! literature).
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use hfl_tensor::{ops, stats};
 
 /// A model-update attack. Given the honest updates of the current round,
 /// produces the vector every colluding Byzantine client submits.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ModelAttack {
     /// Sign flip: submit `−scale · mean(honest)`.
     SignFlip {

@@ -13,7 +13,7 @@
 //! cargo run --release -p hfl-bench --bin repro_scale -- --smoke --out DIR
 //! ```
 //!
-//! Both modes emit `BENCH_9.json` (`schema: 3, kind: "scale"`) with
+//! Both modes emit `scale.json` (`schema: 3, kind: "scale"`) with
 //! `rounds_per_sec`, `updates_per_sec`, `peak_round_bytes` and
 //! `prepared_bytes` per population; smoke mode additionally writes
 //! `scale.manifests.jsonl`, which `scripts/ci.sh` diffs across two
@@ -130,7 +130,7 @@ fn bench_doc(seed: u64, rounds: usize, points: &[Point]) -> Json {
 fn write_bench(out_dir: &str, doc: &Json) {
     let dir = Path::new(out_dir);
     std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
-    let path = dir.join("BENCH_9.json");
+    let path = dir.join("scale.json");
     std::fs::write(&path, doc.to_string() + "\n")
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
     eprintln!("wrote {}", path.display());

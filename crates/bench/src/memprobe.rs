@@ -12,8 +12,8 @@
 //!
 //! `repro_scale` uses [`probe_rounds`] to prove the per-round working
 //! set depends on the sampled cohort size m, not the population n
-//! (DESIGN.md §14); `perf_baseline` reuses it for the
-//! `peak_round_bytes` field of `BENCH_9.json`.
+//! (DESIGN.md §14); the ledger (`ledger/`) wraps [`CountingAlloc`] for
+//! its `peak_heap_mb` and per-round allocation metrics.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,10 +119,6 @@ pub struct RoundProbe {
     pub elapsed_secs: f64,
     /// Messages charged by the probed rounds.
     pub messages: u64,
-    /// Worst over the probed rounds of the round's allocation-event
-    /// count (0 for every steady-state round on the single-threaded
-    /// synchronous BRA path once the workspace arena has warmed up).
-    pub max_round_allocs: u64,
 }
 
 /// Drives `rounds` engine rounds by hand (no eval, telemetry disabled)
@@ -130,15 +126,6 @@ pub struct RoundProbe {
 /// meaningful when the binary installs [`CountingAlloc`]; the timing is
 /// meaningful regardless.
 pub fn probe_rounds(exp: &Experiment, rounds: usize) -> RoundProbe {
-    probe_rounds_with_warmup(exp, 0, rounds)
-}
-
-/// [`probe_rounds`] preceded by `warmup` unrecorded rounds: the peaks
-/// and allocation counts cover only rounds `warmup..warmup + rounds`,
-/// after the engine's workspace arena has reached its high-water
-/// capacity. The steady-state zero-allocation gate measures through
-/// here.
-pub fn probe_rounds_with_warmup(exp: &Experiment, warmup: usize, rounds: usize) -> RoundProbe {
     assert!(rounds > 0, "cannot probe zero rounds");
     let telem = Telemetry::disabled();
     let mut engine = RoundEngine::for_experiment(exp);
@@ -148,12 +135,10 @@ pub fn probe_rounds_with_warmup(exp: &Experiment, warmup: usize, rounds: usize) 
     let mut fault_log = Vec::new();
     let mut susp_log = Vec::new();
     let mut peak_round_bytes = 0u64;
-    let mut max_round_allocs = 0u64;
     let start = Instant::now();
-    for round in 0..warmup + rounds {
+    for round in 0..rounds {
         fault_log.clear();
         let baseline = reset_peak();
-        let allocs_before = alloc_count();
         engine.run_round_into(
             &global,
             round,
@@ -164,16 +149,12 @@ pub fn probe_rounds_with_warmup(exp: &Experiment, warmup: usize, rounds: usize) 
             &mut next_global,
         );
         std::mem::swap(&mut global, &mut next_global);
-        if round >= warmup {
-            peak_round_bytes = peak_round_bytes.max(peak_since(baseline));
-            max_round_allocs = max_round_allocs.max(alloc_count() - allocs_before);
-        }
+        peak_round_bytes = peak_round_bytes.max(peak_since(baseline));
     }
     RoundProbe {
         peak_round_bytes,
         elapsed_secs: start.elapsed().as_secs_f64(),
         messages: cost.messages,
-        max_round_allocs,
     }
 }
 

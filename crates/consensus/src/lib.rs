@@ -52,7 +52,6 @@ pub mod telemetry;
 pub mod vote;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 pub use approx_agreement::ApproxAgreement;
 pub use committee::CommitteeConsensus;
@@ -105,7 +104,7 @@ pub trait Consensus: Send + Sync {
 }
 
 /// Serializable mechanism selector for experiment configs.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ConsensusKind {
     /// Validation voting with majority survival — the paper's top-level
     /// mechanism ("fewest positive votes are considered malicious").

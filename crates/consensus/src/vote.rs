@@ -22,13 +22,12 @@
 //! majority and an honest one still passes it.
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use crate::eval::ProposalEvaluator;
 use crate::{model_bytes, validate, Consensus, ConsensusOutcome};
 
 /// Which proposals the vote excludes.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ExcludePolicy {
     /// Exclude every proposal that fails a strict voter majority — the
     /// paper's "fewest positive votes are considered malicious" read with

@@ -3,7 +3,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use hfl_attacks::{AdaptiveAttack, DataAttack, ModelAttack, Placement, ProtocolAttack};
 use hfl_consensus::ConsensusKind;
@@ -16,7 +15,7 @@ use hfl_simnet::{DelayModel, Hierarchy};
 use crate::correction::CorrectionPolicy;
 
 /// Which hierarchy to build.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum TopologyCfg {
     /// Equal Cluster Size Model: `total_levels` levels, cluster size `m`,
     /// `n_top` top nodes (the paper's evaluation: 3 / 4 / 4 → 64 clients).
@@ -70,7 +69,7 @@ impl TopologyCfg {
 }
 
 /// Model architecture.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ModelCfg {
     /// Multinomial logistic regression.
     Linear,
@@ -95,7 +94,7 @@ impl ModelCfg {
 }
 
 /// Client data distribution (paper Appendix D).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum DataDistribution {
     /// IID: label-shuffled equal shards.
     Iid,
@@ -125,7 +124,7 @@ pub enum DataDistribution {
 /// multiplicatively with fault-plan straggler windows. The synchronous
 /// barrier waits for everyone, so profiles change nothing there (and
 /// absent profiles change nothing anywhere).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HeterogeneityCfg {
     /// Largest compute slowdown, ≥ 1 (1 = homogeneous compute).
     pub compute_spread: f64,
@@ -145,7 +144,7 @@ impl HeterogeneityCfg {
 }
 
 /// How a round's cohort is drawn from the client population.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SamplingScheme {
     /// Uniform without replacement over the whole population.
     Uniform,
@@ -167,7 +166,7 @@ pub enum SamplingScheme {
 /// stays on cohort slots. `None` (the default) binds slot `i` to client
 /// `i` every round and keeps runs byte-identical to configs predating
 /// this field.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SamplingCfg {
     /// Total client population n, ≥ `cohort_size`.
     pub population: usize,
@@ -199,7 +198,7 @@ impl SamplingCfg {
 }
 
 /// Byzantine attack configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum AttackCfg {
     /// All clients honest.
     None,
@@ -267,7 +266,7 @@ impl AttackCfg {
 /// bit-reproducible; `HflConfig::async_rounds = None` is the
 /// synchronous barrier (deadline = ∞), byte-identical to configs
 /// predating this field.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AsyncRoundCfg {
     /// Collection deadline per aggregation buffer, in simulated µs
     /// from buffer open. The buffer closes at
@@ -283,7 +282,6 @@ pub struct AsyncRoundCfg {
     pub link_delay: DelayModel,
     /// Per-tier deadline overrides as `(level, deadline_us)` pairs
     /// (level 0 = top). Levels not listed use `deadline_us`.
-    #[serde(default)]
     pub tier_deadlines: Vec<(usize, u64)>,
 }
 
@@ -311,7 +309,7 @@ impl AsyncRoundCfg {
 }
 
 /// Per-level aggregation choice (Algorithm 3's `BRA` / `CBA` switch).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum LevelAgg {
     /// Byzantine-robust aggregation: the cluster leader collects and
     /// aggregates.
@@ -322,7 +320,7 @@ pub enum LevelAgg {
 }
 
 /// Full experiment configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HflConfig {
     /// Hierarchy shape.
     pub topology: TopologyCfg,
@@ -360,32 +358,27 @@ pub struct HflConfig {
     /// Explicit malicious mask overriding `attack`'s proportion/placement
     /// (used by the Theorem 2 / Definition 4 experiments, which place
     /// adversaries structurally). Length must equal the client count.
-    #[serde(default)]
     pub malicious_override: Option<Vec<bool>>,
     /// Client churn (Assumption 3: nodes join/leave clusters, clusters
     /// never split or merge): per round, each non-leader bottom client is
     /// absent with this probability — its update never reaches its
     /// leader. Leaders stay (they are the cluster's infrastructure role).
-    #[serde(default)]
     pub churn_leave_prob: f64,
     /// Scheduled fault injection (`hfl-faults`): crashes, leader kills,
     /// stragglers, loss bursts, partitions, churn overrides. `None`
     /// (the default) runs fault-free and leaves the aggregation path
     /// byte-identical to configs predating this field.
-    #[serde(default)]
     pub faults: Option<FaultPlan>,
     /// Defense-side suspicion layer (`hfl_robust::suspicion`): per-client
     /// decayed scores fed by aggregator evidence, quarantine above a
     /// threshold. `None` (the default) keeps the memoryless defense and
     /// the aggregation path byte-identical to configs predating this
     /// field.
-    #[serde(default)]
     pub suspicion: Option<SuspicionConfig>,
     /// Protocol-level Byzantine behavior of malicious nodes (leader
     /// equivocation, selective withholding) on top of whatever `attack`
     /// does to updates. `None` (the default) keeps malicious nodes
     /// protocol-honest.
-    #[serde(default)]
     pub protocol_attack: Option<ProtocolAttack>,
     /// When true, a Krum/Multi-Krum level whose smallest cluster violates
     /// the `n ≥ 2f + 3` guarantee bound is a [`ConfigError::KrumUnsound`]
@@ -393,26 +386,22 @@ pub struct HflConfig {
     /// evaluation (f = 1 on clusters of 4) violates the strict bound —
     /// default mode records the degradation as a telemetry anomaly
     /// instead.
-    #[serde(default)]
     pub strict_guarantees: bool,
     /// Deadline-driven asynchronous collection buffers (DESIGN.md §12).
     /// `None` (the default) keeps the synchronous barrier — the
     /// `deadline = ∞` special case — and the aggregation path
     /// byte-identical to configs predating this field.
-    #[serde(default)]
     pub async_rounds: Option<AsyncRoundCfg>,
     /// Per-client compute/bandwidth heterogeneity profiles feeding the
     /// deadline-buffer arrival synthesis. `None` (the default) keeps
     /// every client homogeneous and the run byte-identical to configs
     /// predating this field.
-    #[serde(default)]
     pub heterogeneity: Option<HeterogeneityCfg>,
     /// Per-round client sampling over a population larger than the
     /// hierarchy (DESIGN.md §14). `None` (the default) binds cohort slot
     /// `i` to client `i` every round — the `population == cohort` special
     /// case — and keeps the run byte-identical to configs predating this
     /// field.
-    #[serde(default)]
     pub sampling: Option<SamplingCfg>,
 }
 

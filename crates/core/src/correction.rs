@@ -10,10 +10,9 @@
 //!   the flag model already represents, the less new information θ_G
 //!   carries, so the smaller α.
 
-use serde::{Deserialize, Serialize};
 
 /// Policy computing α from the two paper-specified signals.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CorrectionPolicy {
     /// α when the global model is perfectly fresh and the flag model
     /// carried no information (the ceiling), in `(0, 1]`.

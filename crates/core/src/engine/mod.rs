@@ -109,18 +109,6 @@ impl<'e> RoundEngine<'e> {
         }
     }
 
-    /// Fault layer only — the semantics of the legacy
-    /// `aggregate_round*` entry points, which predate the arms race.
-    pub(crate) fn fault_only(exp: &'e Experiment) -> Self {
-        Self {
-            exp,
-            fault: FaultLayer::for_experiment(exp),
-            defense: None,
-            adversary: None,
-            workspace: RoundWorkspace::default(),
-        }
-    }
-
     fn layers(&self) -> impl Iterator<Item = &(dyn RoundLayer + 'e)> + '_ {
         let f = self.fault.as_ref().map(|l| l as &(dyn RoundLayer + 'e));
         let d = self.defense.as_ref().map(|l| l as &(dyn RoundLayer + 'e));
@@ -219,26 +207,11 @@ impl<'e> RoundEngine<'e> {
 
     /// Executes one full round: round-open hooks (scheduled faults),
     /// local training with the current crafted attack, then bottom-up
-    /// aggregation. Returns the new global model.
-    pub fn run_round(
-        &mut self,
-        global: &[f32],
-        round: usize,
-        cost: &mut CostCounters,
-        telem: &Telemetry,
-        fault_log: &mut Vec<FaultRecord>,
-        susp_log: &mut Vec<SuspicionRecord>,
-    ) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.run_round_into(global, round, cost, telem, fault_log, susp_log, &mut out);
-        out
-    }
-
-    /// [`Self::run_round`] writing the new global model into a
-    /// caller-owned buffer. Training and aggregation both draw every
-    /// buffer they need from the engine's [`RoundWorkspace`]; with one
-    /// worker thread a steady-state round performs zero heap allocation
-    /// (the invariant `crates/bench/tests/alloc_regression.rs` pins).
+    /// aggregation, writing the new global model into a caller-owned
+    /// buffer. Training and aggregation both draw every buffer they
+    /// need from the engine's [`RoundWorkspace`]; with one worker
+    /// thread a steady-state round performs zero heap allocation (the
+    /// invariant `crates/bench/tests/alloc_regression.rs` pins).
     #[allow(clippy::too_many_arguments)]
     pub fn run_round_into(
         &mut self,

@@ -66,7 +66,5 @@ pub use runner::{
     base_config_hash, resume_prepared_with, run_prepared_snapshotting, InstrumentedRun,
     ResumeError, RunResult,
 };
-#[allow(deprecated)]
-pub use runner::{run_abd_hfl, run_abd_hfl_with};
 pub use scheme::Scheme;
 pub use vanilla::{run_vanilla, run_vanilla_with};

@@ -510,25 +510,6 @@ impl Actor<Msg> for DeviceActor {
     }
 }
 
-/// Runs the asynchronous pipeline workflow and extracts the timing
-/// decomposition from the trace.
-#[deprecated(note = "use `crate::run::RunOptions::pipeline`")]
-pub fn run_pipeline(cfg: &HflConfig, pcfg: &PipelineConfig) -> PipelineResult {
-    pipeline_run(cfg, pcfg, &Telemetry::disabled()).0
-}
-
-/// [`run_pipeline`] with telemetry: returns the timing decomposition
-/// together with the run's [`RunManifest`].
-#[deprecated(note = "use `crate::run::RunOptions::pipeline` with \
-                     `RunOptions::telemetry`")]
-pub fn run_pipeline_with(
-    cfg: &HflConfig,
-    pcfg: &PipelineConfig,
-    telem: &Telemetry,
-) -> (PipelineResult, RunManifest) {
-    pipeline_run(cfg, pcfg, telem)
-}
-
 /// The pipeline driver: bridges the simulator's trace stream into the
 /// recorder (as `Event::Sim`), records network/timing metrics (`sim_*`
 /// counters, `pipeline_*` histograms, trace anomaly count) and returns
@@ -782,18 +763,8 @@ mod tests {
     use super::*;
     use crate::config::{AttackCfg, HflConfig};
 
-    // Shadow the deprecated shims with the real driver so the tests
-    // exercise it directly.
     fn run_pipeline(cfg: &HflConfig, pcfg: &PipelineConfig) -> PipelineResult {
         pipeline_run(cfg, pcfg, &Telemetry::disabled()).0
-    }
-
-    fn run_pipeline_with(
-        cfg: &HflConfig,
-        pcfg: &PipelineConfig,
-        telem: &Telemetry,
-    ) -> (PipelineResult, RunManifest) {
-        pipeline_run(cfg, pcfg, telem)
     }
 
     fn quick_cfg(seed: u64) -> HflConfig {
@@ -953,7 +924,7 @@ mod tests {
         use hfl_telemetry::{Event, Telemetry};
         let cfg = quick_cfg(20);
         let (telem, rec) = Telemetry::recording();
-        let (res, manifest) = run_pipeline_with(&cfg, &quick_pipeline(2), &telem);
+        let (res, manifest) = pipeline_run(&cfg, &quick_pipeline(2), &telem);
         assert_eq!(manifest.label, "pipeline");
         assert_eq!(manifest.totals.messages, res.messages);
         assert_eq!(manifest.final_accuracy, res.final_accuracy);
@@ -979,8 +950,8 @@ mod tests {
     fn pipeline_manifest_is_deterministic() {
         use hfl_telemetry::Telemetry;
         let cfg = quick_cfg(21);
-        let (_, a) = run_pipeline_with(&cfg, &quick_pipeline(2), &Telemetry::disabled());
-        let (_, b) = run_pipeline_with(&cfg, &quick_pipeline(2), &Telemetry::disabled());
+        let (_, a) = pipeline_run(&cfg, &quick_pipeline(2), &Telemetry::disabled());
+        let (_, b) = pipeline_run(&cfg, &quick_pipeline(2), &Telemetry::disabled());
         assert_eq!(a.to_json(), b.to_json());
     }
 

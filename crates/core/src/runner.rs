@@ -364,34 +364,31 @@ impl Experiment {
     /// model-poisoning attackers). Without sampling the cohort is every
     /// client.
     pub fn train_round(&self, global: &[f32], round: usize) -> Vec<Vec<f32>> {
-        self.train_round_with(global, round, None, &Telemetry::disabled())
+        let mut updates = Vec::new();
+        let mut ws = TrainWorkspace::default();
+        self.train_round_into(
+            global,
+            round,
+            None,
+            &Telemetry::disabled(),
+            &mut updates,
+            &mut ws,
+        );
+        updates
     }
 
-    /// [`Self::train_round`] with an optional adaptive-attack override
-    /// (the arms race's current crafted attack replaces the configured
-    /// static one) and telemetry for anomalies.
+    /// [`Self::train_round`] into caller-owned buffers, with an optional
+    /// adaptive-attack override (the arms race's current crafted attack
+    /// replaces the configured static one) and telemetry for anomalies.
+    /// Numerically identical (same RNG streams, same arithmetic); with
+    /// one worker thread the reusable model + SGD scratch in `ws` make
+    /// the whole training step allocation-free once capacities have
+    /// grown.
     ///
     /// With no honest updates to estimate from (malicious proportion
     /// 1.0), crafting degrades to re-sending the round's starting global
     /// model instead of panicking, and the degradation is recorded as an
     /// `attack_no_honest_updates` anomaly event.
-    pub fn train_round_with(
-        &self,
-        global: &[f32],
-        round: usize,
-        adaptive: Option<&ModelAttack>,
-        telem: &Telemetry,
-    ) -> Vec<Vec<f32>> {
-        let mut updates = Vec::new();
-        let mut ws = TrainWorkspace::default();
-        self.train_round_into(global, round, adaptive, telem, &mut updates, &mut ws);
-        updates
-    }
-
-    /// [`Self::train_round_with`] into caller-owned buffers. Numerically
-    /// identical (same RNG streams, same arithmetic); with one worker
-    /// thread the reusable model + SGD scratch in `ws` make the whole
-    /// training step allocation-free once capacities have grown.
     pub fn train_round_into(
         &self,
         global: &[f32],
@@ -564,83 +561,6 @@ impl Experiment {
         out.extend((0..n).map(|c| leaders.contains(&c) || !rand::Rng::gen_bool(&mut rng, p)));
     }
 
-    /// Runs one round of bottom-up aggregation given per-client updates;
-    /// returns the new global model and accumulates cost counters.
-    #[deprecated(note = "build a `crate::engine::RoundEngine` (or use the \
-                         `crate::run` entry points) instead")]
-    pub fn aggregate_round(
-        &self,
-        updates: &[Vec<f32>],
-        round: usize,
-        cost: &mut CostCounters,
-    ) -> Vec<f32> {
-        let mut fault_log = Vec::new();
-        let mut susp_log = Vec::new();
-        RoundEngine::fault_only(self).aggregate_round(
-            updates,
-            round,
-            cost,
-            &Telemetry::disabled(),
-            &mut fault_log,
-            &mut susp_log,
-        )
-    }
-
-    /// [`Self::aggregate_round`] with telemetry: emits structured events
-    /// (cluster aggregations, exclusions, churn absences, message
-    /// transfers) when the recorder is enabled and records per-mechanism
-    /// consensus metrics into the registry. Identical numerics and RNG
-    /// stream — instrumentation only observes.
-    #[deprecated(note = "build a `crate::engine::RoundEngine` (or use the \
-                         `crate::run` entry points) instead")]
-    pub fn aggregate_round_with(
-        &self,
-        updates: &[Vec<f32>],
-        round: usize,
-        cost: &mut CostCounters,
-        telem: &Telemetry,
-    ) -> Vec<f32> {
-        let mut fault_log = Vec::new();
-        let mut susp_log = Vec::new();
-        RoundEngine::fault_only(self).aggregate_round(
-            updates,
-            round,
-            cost,
-            telem,
-            &mut fault_log,
-            &mut susp_log,
-        )
-    }
-
-    /// [`Self::aggregate_round_with`] that also appends failover and
-    /// degraded-quorum [`FaultRecord`]s to `fault_log` (the manifest's
-    /// fault log is filled even when the recorder is disabled, like the
-    /// per-round time series).
-    ///
-    /// These legacy entry points predate the arms race, so they run a
-    /// fault-only [`RoundEngine`] stack regardless of the config's
-    /// attack/suspicion settings.
-    #[deprecated(note = "build a `crate::engine::RoundEngine` (or use the \
-                         `crate::run` entry points) instead")]
-    pub fn aggregate_round_logged(
-        &self,
-        updates: &[Vec<f32>],
-        round: usize,
-        cost: &mut CostCounters,
-        telem: &Telemetry,
-        fault_log: &mut Vec<FaultRecord>,
-    ) -> Vec<f32> {
-        let mut susp_log = Vec::new();
-        RoundEngine::fault_only(self).aggregate_round(
-            updates,
-            round,
-            cost,
-            telem,
-            fault_log,
-            &mut susp_log,
-        )
-    }
-
     /// Test accuracy of a parameter vector.
     pub fn evaluate(&self, params: &[f32]) -> f64 {
         let mut model = self.template.clone_box();
@@ -653,22 +573,6 @@ impl Experiment {
     }
 }
 
-/// Runs the full ABD-HFL training loop described by `cfg`.
-#[deprecated(note = "use `crate::run::run` (or `crate::run::RunOptions` \
-                     for telemetry and driver selection)")]
-pub fn run_abd_hfl(cfg: &HflConfig) -> RunResult {
-    run_prepared(&Experiment::prepare(cfg))
-}
-
-/// [`run_abd_hfl`] with telemetry: returns the result together with the
-/// run's [`RunManifest`].
-#[deprecated(note = "use `crate::run::RunOptions` with \
-                     `RunOptions::telemetry`")]
-pub fn run_abd_hfl_with(cfg: &HflConfig, telem: &Telemetry) -> InstrumentedRun {
-    let exp = Experiment::prepare(cfg);
-    run_prepared_with(&exp, telem)
-}
-
 /// Runs a prepared experiment (exposed so harnesses can reuse the
 /// preparation across repetitions).
 pub fn run_prepared(exp: &Experiment) -> RunResult {
@@ -679,9 +583,8 @@ pub fn run_prepared(exp: &Experiment) -> RunResult {
 /// the `hfl_*` counters, and assembles the run's [`RunManifest`]
 /// (per-round time series, totals, final registry snapshot).
 ///
-/// Determinism: in default (no `wall-clock`) builds the manifest is a
-/// pure function of the config — identical seeds give byte-identical
-/// `manifest.to_json()` output.
+/// Determinism: the manifest is a pure function of the config —
+/// identical seeds give byte-identical `manifest.to_json()` output.
 pub fn run_prepared_with(exp: &Experiment, telem: &Telemetry) -> InstrumentedRun {
     let (run, _) = run_loop(exp, telem, None, None).expect("a fresh run cannot fail to start");
     run
@@ -1127,32 +1030,14 @@ fn run_loop(
     ))
 }
 
-/// Convenience for the repeated-runs protocol of the paper (5 runs,
-/// seeds `seed + k`): returns the per-run results.
-pub fn run_repeated(cfg: &HflConfig, repetitions: usize) -> Vec<RunResult> {
-    assert!(repetitions > 0, "need at least one repetition");
-    (0..repetitions)
-        .map(|k| {
-            let mut c = cfg.clone();
-            c.seed = hfl_ml::rng::derive_seed(cfg.seed, 0x2E9 + k as u64);
-            run_prepared(&Experiment::prepare(&c))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::HflConfig;
+    use crate::run::run;
     use hfl_attacks::{DataAttack, Placement};
 
-    // Shadow the deprecated shims with the unified entry point so the
-    // tests exercise the current API.
-    fn run_abd_hfl(cfg: &HflConfig) -> RunResult {
-        crate::run::run(cfg)
-    }
-
-    fn run_abd_hfl_with(cfg: &HflConfig, telem: &Telemetry) -> InstrumentedRun {
+    fn run_with(cfg: &HflConfig, telem: &Telemetry) -> InstrumentedRun {
         run_prepared_with(&Experiment::prepare(cfg), telem)
     }
 
@@ -1165,7 +1050,7 @@ mod tests {
 
     #[test]
     fn honest_run_learns() {
-        let r = run_abd_hfl(&quick(AttackCfg::None, 1));
+        let r = run(&quick(AttackCfg::None, 1));
         assert!(
             r.final_accuracy > 0.75,
             "clean accuracy only {}",
@@ -1176,8 +1061,8 @@ mod tests {
 
     #[test]
     fn deterministic_in_seed() {
-        let a = run_abd_hfl(&quick(AttackCfg::None, 7));
-        let b = run_abd_hfl(&quick(AttackCfg::None, 7));
+        let a = run(&quick(AttackCfg::None, 7));
+        let b = run(&quick(AttackCfg::None, 7));
         assert_eq!(a.final_accuracy, b.final_accuracy);
         assert_eq!(a.messages, b.messages);
     }
@@ -1189,7 +1074,7 @@ mod tests {
             proportion: 0.3,
             placement: Placement::Prefix,
         };
-        let r = run_abd_hfl(&quick(attack, 2));
+        let r = run(&quick(attack, 2));
         assert!(
             r.final_accuracy > 0.7,
             "ABD-HFL collapsed at 30 %: {}",
@@ -1204,7 +1089,7 @@ mod tests {
             proportion: 0.25,
             placement: Placement::Prefix,
         };
-        let r = run_abd_hfl(&quick(attack, 3));
+        let r = run(&quick(attack, 3));
         // One proposal excluded per round by the vote.
         assert!(r.excluded_total > 0);
     }
@@ -1213,13 +1098,17 @@ mod tests {
     fn quorum_below_one_still_converges() {
         let mut cfg = quick(AttackCfg::None, 4);
         cfg.quorum = 0.75;
-        let r = run_abd_hfl(&cfg);
+        let r = run(&cfg);
         assert!(r.final_accuracy > 0.7, "quorum run: {}", r.final_accuracy);
     }
 
     #[test]
     fn repeated_runs_vary_but_agree_roughly() {
-        let runs = run_repeated(&quick(AttackCfg::None, 5), 2);
+        // The paper's repeated-runs protocol: one config, derived seeds.
+        let runs: Vec<RunResult> = (0..2)
+            .map(|k| hfl_ml::rng::derive_seed(5, 0x2E9 + k))
+            .map(|seed| run(&quick(AttackCfg::None, seed)))
+            .collect();
         assert_eq!(runs.len(), 2);
         assert_ne!(runs[0].final_accuracy, runs[1].final_accuracy);
         assert!((runs[0].final_accuracy - runs[1].final_accuracy).abs() < 0.15);
@@ -1231,7 +1120,7 @@ mod tests {
         // learning still converges and absences are counted.
         let mut cfg = quick(AttackCfg::None, 11);
         cfg.churn_leave_prob = 0.2;
-        let r = run_abd_hfl(&cfg);
+        let r = run(&cfg);
         assert!(r.final_accuracy > 0.7, "churn run: {}", r.final_accuracy);
         // ≈ 0.2 × 48 non-leaders × 25 rounds = 240 expected absences.
         assert!(
@@ -1243,7 +1132,7 @@ mod tests {
 
     #[test]
     fn zero_churn_has_zero_absences() {
-        let r = run_abd_hfl(&quick(AttackCfg::None, 12));
+        let r = run(&quick(AttackCfg::None, 12));
         assert_eq!(r.absent_total, 0);
     }
 
@@ -1266,7 +1155,7 @@ mod tests {
         let mut cfg = quick(AttackCfg::None, 6);
         cfg.rounds = 10;
         cfg.eval_every = 2;
-        let r = run_abd_hfl(&cfg);
+        let r = run(&cfg);
         assert_eq!(r.accuracy.len(), 5);
         assert_eq!(r.accuracy.last().unwrap().0, 10);
     }
@@ -1281,20 +1170,20 @@ mod tests {
     #[test]
     fn manifest_is_byte_identical_across_equal_seeds() {
         let cfg = tiny(21);
-        let a = run_abd_hfl_with(&cfg, &Telemetry::disabled());
-        let b = run_abd_hfl_with(&cfg, &Telemetry::disabled());
+        let a = run_with(&cfg, &Telemetry::disabled());
+        let b = run_with(&cfg, &Telemetry::disabled());
         assert_eq!(a.manifest.to_json(), b.manifest.to_json());
         // And a different seed is visible in the manifest.
         let mut other = cfg.clone();
         other.seed = 22;
-        let c = run_abd_hfl_with(&other, &Telemetry::disabled());
+        let c = run_with(&other, &Telemetry::disabled());
         assert_ne!(a.manifest.to_json(), c.manifest.to_json());
         assert_ne!(a.manifest.config_hash, c.manifest.config_hash);
     }
 
     #[test]
     fn manifest_roundtrips_and_matches_result() {
-        let run = run_abd_hfl_with(&tiny(23), &Telemetry::disabled());
+        let run = run_with(&tiny(23), &Telemetry::disabled());
         let m = &run.manifest;
         assert_eq!(m.label, "abd-hfl");
         assert_eq!(m.seed, 23);
@@ -1316,9 +1205,9 @@ mod tests {
     #[test]
     fn instrumented_run_matches_uninstrumented() {
         let cfg = tiny(24);
-        let plain = run_abd_hfl(&cfg);
+        let plain = run(&cfg);
         let (telem, _rec) = Telemetry::recording();
-        let inst = run_abd_hfl_with(&cfg, &telem);
+        let inst = run_with(&cfg, &telem);
         assert_eq!(plain.final_accuracy, inst.result.final_accuracy);
         assert_eq!(plain.messages, inst.result.messages);
         assert_eq!(plain.bytes, inst.result.bytes);
@@ -1328,7 +1217,7 @@ mod tests {
     fn events_cover_the_round_lifecycle() {
         let cfg = tiny(25);
         let (telem, rec) = Telemetry::recording();
-        let inst = run_abd_hfl_with(&cfg, &telem);
+        let inst = run_with(&cfg, &telem);
         let events = rec.events();
         let starts = events
             .iter()

@@ -1,7 +1,6 @@
 //! The four Byzantine-setting combinations of Table III, with the
 //! applicability guidance of Table IV.
 
-use serde::{Deserialize, Serialize};
 
 use hfl_consensus::ConsensusKind;
 use hfl_robust::AggregatorKind;
@@ -10,7 +9,7 @@ use crate::config::LevelAgg;
 
 /// Table III: which family (BRA / CBA) runs at the partial- and
 /// global-aggregation phases.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scheme {
     /// BRA partials + consensus global — "suitable for FL with mass
     /// devices" (the paper's evaluated configuration).

@@ -28,21 +28,6 @@ pub fn run_vanilla_with(
     telem: &Telemetry,
 ) -> InstrumentedRun {
     let exp = Experiment::prepare(cfg);
-    run_vanilla_prepared_with(&exp, aggregator, telem)
-}
-
-/// Vanilla run over an already-prepared experiment.
-pub fn run_vanilla_prepared(exp: &Experiment, aggregator: AggregatorKind) -> RunResult {
-    run_vanilla_prepared_with(exp, aggregator, &Telemetry::disabled()).result
-}
-
-/// [`run_vanilla_prepared`] with telemetry.
-pub fn run_vanilla_prepared_with(
-    exp: &Experiment,
-    aggregator: AggregatorKind,
-    telem: &Telemetry,
-) -> InstrumentedRun {
-    let cfg = exp.config();
     let agg = aggregator.build();
     let n = exp.hierarchy.num_clients();
     let mut global = exp.template.params().to_vec();

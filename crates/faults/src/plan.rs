@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] is an ordered list of [`FaultSpec`]s — each names a
 //! round at which a [`FaultKind`] activates. Plans are plain data
-//! (serde-serializable, embeddable in `HflConfig`), are validated
+//! (embeddable in `HflConfig`), are validated
 //! against a concrete [`Hierarchy`] before use, and carry no
 //! randomness themselves: all stochastic choices (burst-loss draws,
 //! churn draws) happen in the compiled
@@ -10,11 +10,10 @@
 //! so the same plan + seed always injects the same faults.
 
 use hfl_simnet::topology::Hierarchy;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One class of injected fault.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FaultKind {
     /// Node halts permanently (crash-stop): it trains nothing, sends
     /// nothing, and receives nothing from its activation round on.
@@ -93,7 +92,7 @@ impl FaultKind {
 }
 
 /// A fault plus its activation round.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultSpec {
     /// Round (0-based) at which the fault activates.
     pub at_round: usize,
@@ -113,7 +112,7 @@ pub struct FaultSpec {
 ///     .partition(4, vec![vec![0, 1, 2, 3]], 8);
 /// assert_eq!(plan.specs.len(), 3);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// The schedule, in insertion order.
     pub specs: Vec<FaultSpec>,

@@ -1,6 +1,5 @@
 //! In-memory labelled datasets with row-major features.
 
-use serde::{Deserialize, Serialize};
 
 /// A labelled classification dataset.
 ///
@@ -8,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// labels as `u8` class ids in `0..num_classes`. Client shards produced by
 /// the partitioners are owned `Dataset`s, so local training never touches
 /// shared memory.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Dataset {
     dim: usize,
     num_classes: usize,

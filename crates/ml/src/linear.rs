@@ -5,7 +5,6 @@
 //! aggregation over 64 clients runs in microseconds.
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::loss::{argmax, ce_grad_in_place, cross_entropy, softmax_in_place};
@@ -13,7 +12,7 @@ use crate::model::{BatchScratch, Model};
 
 /// Softmax regression with weights `W (k×d)` and bias `b (k)`, stored
 /// flat as `[W row 0, W row 1, ..., b]`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LinearSoftmax {
     dim: usize,
     classes: usize,

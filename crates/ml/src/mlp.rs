@@ -2,7 +2,6 @@
 //! evaluation, sized for a synthetic-digits workload.
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use hfl_tensor::init;
 
@@ -13,7 +12,7 @@ use crate::model::{BatchScratch, Model};
 /// MLP `dim → hidden (ReLU) → classes (softmax)`.
 ///
 /// Flat parameter layout: `[W1 (h×d) | b1 (h) | W2 (k×h) | b2 (k)]`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Mlp {
     dim: usize,
     hidden: usize,

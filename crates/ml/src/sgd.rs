@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::model::{BatchScratch, Model};
@@ -19,7 +18,7 @@ pub struct TrainScratch {
 }
 
 /// Learning-rate schedule across global rounds.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum LrSchedule {
     /// η constant across rounds (the paper's setting).
     #[default]
@@ -36,14 +35,13 @@ pub enum LrSchedule {
 }
 
 /// SGD hyper-parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SgdConfig {
     /// Base learning rate η.
     pub lr: f32,
     /// Mini-batch size (clamped to the dataset size).
     pub batch_size: usize,
     /// Round-indexed decay of η.
-    #[serde(default)]
     pub schedule: LrSchedule,
 }
 

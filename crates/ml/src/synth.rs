@@ -11,7 +11,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use hfl_tensor::init;
 
@@ -19,7 +18,7 @@ use crate::dataset::Dataset;
 use crate::rng::derive_seed;
 
 /// Configuration for the synthetic digits generator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SynthConfig {
     /// Feature dimension (MNIST is 784; 64 keeps experiments fast with the
     /// same qualitative behaviour).

@@ -102,12 +102,12 @@ where
     let mut out: Vec<Option<U>> = (0..n).map(|_| None).collect();
     let cursor = AtomicUsize::new(0);
     let slots = SendPtr(out.as_mut_ptr());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..threads.min(blocks) {
             let f = &f;
             let cursor = &cursor;
             let slots = &slots;
-            s.spawn(move |_| loop {
+            s.spawn(move || loop {
                 let b = cursor.fetch_add(1, Ordering::Relaxed);
                 if b >= blocks {
                     return;
@@ -124,8 +124,7 @@ where
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
     out.into_iter()
         .map(|o| o.expect("par_map_indexed slot unfilled"))
         .collect()
@@ -165,12 +164,12 @@ where
     let chunks = n.div_ceil(chunk_len);
     let cursor = AtomicUsize::new(0);
     let base_ptr = SendPtr(data.as_mut_ptr());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..threads.min(chunks) {
             let f = &f;
             let cursor = &cursor;
             let base_ptr = &base_ptr;
-            s.spawn(move |_| loop {
+            s.spawn(move || loop {
                 let c = cursor.fetch_add(1, Ordering::Relaxed);
                 if c >= chunks {
                     return;
@@ -186,8 +185,7 @@ where
                 f(lo, chunk);
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
 }
 
 /// Parallel fold-then-reduce: maps every index through `f`, then combines
@@ -219,13 +217,12 @@ where
     RA: Send,
     RB: Send,
 {
-    crossbeam::thread::scope(|s| {
-        let hb = s.spawn(|_| b());
+    std::thread::scope(|s| {
+        let hb = s.spawn(b);
         let ra = a();
         let rb = hb.join().expect("join arm panicked");
         (ra, rb)
     })
-    .expect("join scope panicked")
 }
 
 #[cfg(test)]

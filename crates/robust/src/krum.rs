@@ -252,7 +252,7 @@ impl Aggregator for MultiKrum {
 }
 
 /// The original, unoptimized scoring loop, retained verbatim so the
-/// differential suite and `perf_baseline --naive` can pin the
+/// differential suite (`tests/kernel_equivalence.rs`) can pin the
 /// symmetry-halved/blocked kernel bitwise against it. Not part of the
 /// supported API.
 #[doc(hidden)]

@@ -50,7 +50,6 @@ pub mod streaming;
 pub mod suspicion;
 pub mod trimmed_mean;
 
-use serde::{Deserialize, Serialize};
 
 pub use autogm::AutoGm;
 pub use clipping::CenteredClip;
@@ -126,7 +125,7 @@ pub trait Aggregator: Send + Sync {
 }
 
 /// Serializable aggregator selector for experiment configuration files.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum AggregatorKind {
     /// Plain (weighted) averaging — the FedAvg baseline.
     FedAvg,

@@ -23,10 +23,9 @@
 //! state 2.5) within 7, while a client struck occasionally stays below
 //! threshold forever.
 
-use serde::{Deserialize, Serialize};
 
 /// Suspicion layer parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SuspicionConfig {
     /// Multiplicative per-round score decay, in `(0, 1)`.
     pub decay: f64,

@@ -2,12 +2,11 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
 
 /// A stochastic message-delay distribution.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum DelayModel {
     /// Fixed delay (synchronous network).
     Constant {

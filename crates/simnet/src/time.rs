@@ -3,14 +3,11 @@
 //! Integer time makes the event queue total order exact (no float
 //! comparison hazards) and keeps runs bit-reproducible.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in simulated time (microseconds since simulation start).
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

@@ -14,14 +14,13 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Physical device identifier (a bottom-level client id).
 pub type DeviceId = usize;
 
 /// A cluster: an ordered member list; the leader is `members[0]`
 /// ("the leader of each cluster is assigned virtually" — Appendix D).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cluster {
     /// Device ids of the members; `members[0]` is the leader `A_{ℓ,i}`.
     pub members: Vec<DeviceId>,
@@ -46,7 +45,7 @@ impl Cluster {
 }
 
 /// One hierarchy level: its clusters in index order.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Level {
     /// Clusters `C_{ℓ,0} .. C_{ℓ,|C_ℓ|-1}`.
     pub clusters: Vec<Cluster>,
@@ -66,7 +65,7 @@ impl Level {
 
 /// The full ABD-HFL structure. `levels[0]` is the top `L_0`,
 /// `levels[L]` the bottom `L_L`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Hierarchy {
     levels: Vec<Level>,
 }

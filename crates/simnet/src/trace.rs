@@ -17,12 +17,11 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
 
 /// A labelled point on the simulation timeline.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Global training round.
     pub round: usize,
@@ -35,7 +34,7 @@ pub struct TraceEvent {
 }
 
 /// Event labels, matching the paper's timing decomposition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TraceKind {
     /// A leader received the first model of the round from its cluster.
     FirstModelReceived,
@@ -77,13 +76,11 @@ impl TraceIndex {
 }
 
 /// An append-only timeline of `(time, event)` pairs.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     entries: Vec<(SimTime, TraceEvent)>,
     /// Out-of-order records tolerated (clamped) instead of dropped.
-    #[serde(default)]
     anomalies: u64,
-    #[serde(skip)]
     cache: RefCell<Option<TraceIndex>>,
 }
 

@@ -3,12 +3,11 @@
 //! events for observable actions" — if a system mutates world state, an
 //! event lets a replay log assert behavior).
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One observable action. Times are simulated microseconds where
 /// present; wall time never appears here (determinism contract).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Event {
     /// A global training round began.
     RoundStarted {
@@ -279,30 +278,37 @@ impl MemoryRecorder {
         Self::default()
     }
 
+    /// The event log. A worker that panics while holding it poisons
+    /// the mutex, but the `Vec` behind it is still whole — recover the
+    /// guard so one failed worker cannot take the recorder down too.
+    fn log(&self) -> MutexGuard<'_, Vec<Event>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// A copy of everything recorded so far.
     pub fn events(&self) -> Vec<Event> {
-        self.events.lock().clone()
+        self.log().clone()
     }
 
     /// Number of events recorded.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.log().len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.log().is_empty()
     }
 
     /// Drains the recorded events.
     pub fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.events.lock())
+        std::mem::take(&mut *self.log())
     }
 }
 
 impl Recorder for MemoryRecorder {
     fn record(&self, event: &Event) {
-        self.events.lock().push(event.clone());
+        self.log().push(event.clone());
     }
 }
 

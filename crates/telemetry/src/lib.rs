@@ -9,13 +9,11 @@
 //!
 //! Design rules:
 //!
-//! * **Deterministic by default.** Nothing in the default feature set
-//!   reads host time or any other ambient state: spans measure simulated
-//!   time ([`SimSpan`]), manifests serialize in a fixed field order with
-//!   sorted metric snapshots, and identical seeds therefore produce
-//!   byte-identical manifests. Wall-clock timing exists but is gated
-//!   behind the `wall-clock` feature so replay determinism is untouched
-//!   unless explicitly requested.
+//! * **Deterministic.** Nothing in this crate reads host time or any
+//!   other ambient state: spans measure simulated time ([`SimSpan`]),
+//!   manifests serialize in a fixed field order with sorted metric
+//!   snapshots, and identical seeds therefore produce byte-identical
+//!   manifests.
 //! * **Free when disabled.** The [`NullRecorder`] reports
 //!   `enabled() == false`, letting instrumented code skip event
 //!   construction entirely on hot paths.
@@ -27,7 +25,7 @@
 //! |---|---|
 //! | [`event`] | [`Event`], the [`Recorder`] trait, [`NullRecorder`], [`MemoryRecorder`] |
 //! | [`metrics`] | [`Registry`], [`Counter`], [`Gauge`], [`Histogram`], snapshots |
-//! | [`span`] | [`SimSpan`] (sim-time), `WallSpan` (feature `wall-clock`) |
+//! | [`span`] | [`SimSpan`] (sim-time) |
 //! | [`manifest`] | [`RunManifest`] and its JSON round-trip |
 //! | [`json`] | the minimal self-contained JSON emitter/parser |
 //! | [`export`] | JSONL/CSV writers shared by the `repro_*` binaries |
@@ -49,8 +47,6 @@ pub use manifest::{
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramStats, MetricSample, MetricValue, Registry};
 pub use span::SimSpan;
-#[cfg(feature = "wall-clock")]
-pub use span::WallSpan;
 
 /// The bundle instrumented code threads around: one event recorder plus
 /// one metrics registry. Cloning is cheap (two `Arc` bumps) and clones

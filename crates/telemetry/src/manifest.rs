@@ -4,9 +4,9 @@
 //! registry snapshot).
 //!
 //! Determinism contract: `to_json` emits fields in a fixed order with
-//! sorted metrics, contains no timestamps or host identifiers, and in
-//! default (no `wall-clock`) builds every input is derived from the seed
-//! — so identical seeds produce byte-identical manifests.
+//! sorted metrics, contains no timestamps or host identifiers, and
+//! every input is derived from the seed — so identical seeds produce
+//! byte-identical manifests.
 
 use crate::json::{Json, JsonError};
 use crate::metrics::{HistogramStats, MetricSample, MetricValue};
@@ -35,7 +35,7 @@ pub fn fnv1a_hex(bytes: &[u8]) -> String {
 /// Compile-time build identity. Deliberately contains nothing sampled at
 /// run time: versions come from Cargo, the describe string from the
 /// `ABD_HFL_GIT_DESCRIBE` env var at *compile* time (set by CI;
-/// `"untracked"` otherwise), features from `cfg!`.
+/// `"untracked"` otherwise).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BuildInfo {
     /// Package that produced the manifest.
@@ -45,24 +45,21 @@ pub struct BuildInfo {
     /// `git describe`-style string baked in at compile time, or
     /// `"untracked"`.
     pub describe: String,
-    /// Compiled-in telemetry features.
+    /// Compiled-in telemetry features. The crate has none, so this is
+    /// empty; the key stays because it is part of the manifest schema.
     pub features: Vec<String>,
 }
 
 impl BuildInfo {
     /// The build info of this compilation.
     pub fn current() -> Self {
-        let mut features = Vec::new();
-        if cfg!(feature = "wall-clock") {
-            features.push("wall-clock".to_string());
-        }
         Self {
             pkg: env!("CARGO_PKG_NAME").to_string(),
             version: env!("CARGO_PKG_VERSION").to_string(),
             describe: option_env!("ABD_HFL_GIT_DESCRIBE")
                 .unwrap_or("untracked")
                 .to_string(),
-            features,
+            features: Vec::new(),
         }
     }
 

@@ -14,9 +14,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Number of independently locked registry shards.
 const SHARDS: usize = 16;
@@ -90,21 +88,29 @@ struct HistogramInner {
 pub struct Histogram(Arc<Mutex<HistogramInner>>);
 
 impl Histogram {
+    /// The sample store. Like every lock in this module it recovers a
+    /// poisoned guard: the data behind it is only ever pushed to or
+    /// read, so a worker that panicked while holding the lock leaves it
+    /// valid, and must not take the registry down with it.
+    fn inner(&self) -> MutexGuard<'_, HistogramInner> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records one observation (NaN is rejected: it would poison every
     /// percentile silently).
     pub fn observe(&self, v: f64) {
         assert!(!v.is_nan(), "histogram observation must not be NaN");
-        self.0.lock().samples.push(v);
+        self.inner().samples.push(v);
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.0.lock().samples.len() as u64
+        self.inner().samples.len() as u64
     }
 
     /// Sum of observations (0 when empty).
     pub fn sum(&self) -> f64 {
-        self.0.lock().samples.iter().sum()
+        self.inner().samples.iter().sum()
     }
 
     /// The `p`-th percentile (nearest-rank over the sorted samples), or
@@ -114,7 +120,7 @@ impl Histogram {
     /// If `p` is outside `[0, 100]`.
     pub fn percentile(&self, p: f64) -> Option<f64> {
         assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-        let inner = self.0.lock();
+        let inner = self.inner();
         if inner.samples.is_empty() {
             return None;
         }
@@ -130,7 +136,7 @@ impl Histogram {
     /// `(count, sum, min, max, p50, p90, p99)` in one lock acquisition —
     /// the snapshot shape exported to manifests.
     pub fn stats(&self) -> HistogramStats {
-        let inner = self.0.lock();
+        let inner = self.inner();
         if inner.samples.is_empty() {
             return HistogramStats::default();
         }
@@ -232,10 +238,14 @@ impl Registry {
 
     fn get_or_insert(&self, key: MetricKey, make: impl FnOnce() -> Slot) -> Slot {
         let shard = self.shard(&key);
-        if let Some(slot) = shard.read().get(&key) {
+        if let Some(slot) = shard
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             return slot.clone();
         }
-        let mut map = shard.write();
+        let mut map = shard.write().unwrap_or_else(PoisonError::into_inner);
         map.entry(key).or_insert_with(make).clone()
     }
 
@@ -288,7 +298,7 @@ impl Registry {
     pub fn snapshot(&self) -> Vec<MetricSample> {
         let mut rows: Vec<(MetricKey, Slot)> = Vec::new();
         for shard in &self.shards {
-            for (key, slot) in shard.read().iter() {
+            for (key, slot) in shard.read().unwrap_or_else(PoisonError::into_inner).iter() {
                 rows.push((key.clone(), slot.clone()));
             }
         }

@@ -1,15 +1,10 @@
 //! Scoped span timers.
 //!
-//! Two clocks exist in this stack and they must never be confused:
-//!
-//! * **Sim-time** ([`SimSpan`]) — measured in simulated microseconds
-//!   supplied by the caller (the discrete-event engine's `SimTime`).
-//!   Fully deterministic; this is the default and the only clock
-//!   available in default builds.
-//! * **Wall-time** (`WallSpan`) — measured with `std::time::Instant`,
-//!   compiled in only under the `wall-clock` feature. Wall readings are
-//!   inherently non-reproducible, so nothing that feeds a manifest in a
-//!   default build may come from here.
+//! The only clock in this crate is **sim-time** ([`SimSpan`]): simulated
+//! microseconds supplied by the caller (the discrete-event engine's
+//! `SimTime`), fully deterministic. Host time is inherently
+//! non-reproducible, so nothing here reads it; wall timings are taken
+//! from outside the library, by the benchmark in `ledger/`.
 
 use crate::metrics::Histogram;
 
@@ -36,33 +31,6 @@ impl SimSpan {
     }
 }
 
-/// A wall-clock span recording elapsed seconds on drop. Only exists with
-/// the `wall-clock` feature; default builds cannot observe host time.
-#[cfg(feature = "wall-clock")]
-#[derive(Debug)]
-pub struct WallSpan {
-    hist: Histogram,
-    start: std::time::Instant,
-}
-
-#[cfg(feature = "wall-clock")]
-impl WallSpan {
-    /// Opens a span now.
-    pub fn begin(hist: Histogram) -> Self {
-        Self {
-            hist,
-            start: std::time::Instant::now(),
-        }
-    }
-}
-
-#[cfg(feature = "wall-clock")]
-impl Drop for WallSpan {
-    fn drop(&mut self) {
-        self.hist.observe(self.start.elapsed().as_secs_f64());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,14 +52,5 @@ mod tests {
         let h = r.histogram("phase_us", &[]);
         SimSpan::begin(h.clone(), 500).finish(100);
         assert_eq!(h.percentile(50.0), Some(0.0));
-    }
-
-    #[cfg(feature = "wall-clock")]
-    #[test]
-    fn wall_span_records_on_drop() {
-        let r = Registry::new();
-        let h = r.histogram("wall_s", &[]);
-        drop(WallSpan::begin(h.clone()));
-        assert_eq!(h.count(), 1);
     }
 }

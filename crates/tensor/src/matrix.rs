@@ -1,7 +1,6 @@
 //! Row-major dense matrix, sized for the small models and per-cluster
 //! update stacks used in the reproduction.
 
-use serde::{Deserialize, Serialize};
 
 use crate::ops;
 
@@ -10,7 +9,7 @@ use crate::ops;
 /// Rows are contiguous, which makes `matvec` a sequence of dot products
 /// over cache-resident rows, and lets callers hand out disjoint row chunks
 /// to worker threads with `chunks_mut`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

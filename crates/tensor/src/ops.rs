@@ -327,9 +327,9 @@ pub fn mean_of_indexed(rows: &[&[f32]], idx: &[usize], out: &mut [f32]) {
     scale(1.0 / idx.len() as f32, out);
 }
 
-/// Naive reference kernels, retained verbatim so differential tests
-/// (`tests/kernel_equivalence.rs`) and `perf_baseline --naive` can pin
-/// the fused/blocked kernels above bitwise against the original loops.
+/// Naive reference kernels, retained verbatim so the differential
+/// tests (`tests/kernel_equivalence.rs`) can pin the fused/blocked
+/// kernels above bitwise against the original loops.
 /// Not part of the supported API.
 #[doc(hidden)]
 pub mod reference {

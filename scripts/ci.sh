@@ -5,81 +5,50 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
-cargo test -q
 
-# Kernel-equivalence gate: every optimized hot kernel (blocked
-# distances, fused reductions, work-stealing parallel paths) must be
-# byte-identical to its retained naive reference across thread counts
-# 1/2/4/8 and adversarial values. Runs inside `cargo test -q` too; the
-# explicit invocation keeps the gate visible and independently
-# runnable.
-cargo test -q -p abd-hfl --test kernel_equivalence
-echo "kernel equivalence gate passed"
+# `--workspace`, because the root package is only the facade: every
+# crate's unit tests, proptests and integration suites are members'.
+# Two gates inside this one line are worth naming:
+# - Kernel equivalence (tests/kernel_equivalence.rs): every optimized
+#   hot kernel (blocked distances, fused reductions, work-stealing
+#   parallel paths) must be byte-identical to its retained naive
+#   reference across thread counts 1/2/4/8 and adversarial values.
+# - Allocation regression (crates/bench/tests/alloc_regression.rs):
+#   after a 5-round warmup, synchronous BRA rounds perform exactly zero
+#   heap allocations on both the clean and the faulted fixture. A
+#   single new Vec on the round path fails this.
+cargo test --workspace -q
 
-# Allocation-regression gate: after a 5-round warmup, synchronous BRA
-# rounds perform exactly zero heap allocations on both the clean and
-# the faulted fixture (the workspace arena absorbs every per-round
-# need). A single new Vec on the round path fails this.
-cargo test -q -p hfl-bench --test alloc_regression
-echo "allocation regression gate passed"
-
-# Fault-injection smoke + determinism gate: two same-seed sweeps must
-# produce byte-identical manifest logs.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-cargo run --release -p hfl-bench --bin repro_faults -- \
-    --quick --seed 42 --out "$tmp/a" >/dev/null
-cargo run --release -p hfl-bench --bin repro_faults -- \
-    --quick --seed 42 --out "$tmp/b" >/dev/null
-diff "$tmp/a/faults.manifests.jsonl" "$tmp/b/faults.manifests.jsonl" \
-    || { echo "repro_faults manifests differ across same-seed runs"; exit 1; }
-echo "repro_faults determinism gate passed"
 
-# Arms-race smoke + determinism gate: the adaptive adversary, suspicion
-# layer and protocol attacks are stateful across rounds — two same-seed
-# sweeps must still produce byte-identical manifest logs.
-cargo run --release -p hfl-bench --bin repro_adaptive -- \
-    --quick --seed 42 --out "$tmp/c" >/dev/null
-cargo run --release -p hfl-bench --bin repro_adaptive -- \
-    --quick --seed 42 --out "$tmp/d" >/dev/null
-diff "$tmp/c/adaptive.manifests.jsonl" "$tmp/d/adaptive.manifests.jsonl" \
-    || { echo "repro_adaptive manifests differ across same-seed runs"; exit 1; }
-echo "repro_adaptive determinism gate passed"
-
-# Combined-stress smoke + determinism gate: faults and the arms race in
-# the same run exercise every layer of the round engine at once — two
-# same-seed sweeps must still produce byte-identical manifest logs.
-cargo run --release -p hfl-bench --bin repro_combined -- \
-    --quick --seed 42 --out "$tmp/e" >/dev/null
-cargo run --release -p hfl-bench --bin repro_combined -- \
-    --quick --seed 42 --out "$tmp/f" >/dev/null
-diff "$tmp/e/combined.manifests.jsonl" "$tmp/f/combined.manifests.jsonl" \
-    || { echo "repro_combined manifests differ across same-seed runs"; exit 1; }
-echo "repro_combined determinism gate passed"
-
-# Deadline-buffer smoke + determinism gate: the async round engine's
-# quorum-or-deadline grid (DESIGN.md §12) synthesizes arrivals from a
-# dedicated RNG stream — two same-seed sweeps must still produce
-# byte-identical manifest logs.
-cargo run --release -p hfl-bench --bin repro_async -- \
-    --quick --seed 42 --filter deadline --out "$tmp/g" >/dev/null
-cargo run --release -p hfl-bench --bin repro_async -- \
-    --quick --seed 42 --filter deadline --out "$tmp/h" >/dev/null
-diff "$tmp/g/async.manifests.jsonl" "$tmp/h/async.manifests.jsonl" \
-    || { echo "repro_async manifests differ across same-seed runs"; exit 1; }
-echo "repro_async determinism gate passed"
-
-# Attack–defense gallery smoke + determinism gate: the full static
-# attack × composed defense × distribution grid (DESIGN.md §13) — two
-# same-seed sweeps must produce byte-identical manifest logs (the
-# Dirichlet partition re-draw loop and AGR bisections are seeded).
-cargo run --release -p hfl-bench --bin repro_gallery -- \
-    --quick --seed 42 --out "$tmp/i" >/dev/null
-cargo run --release -p hfl-bench --bin repro_gallery -- \
-    --quick --seed 42 --out "$tmp/j" >/dev/null
-diff "$tmp/i/gallery.manifests.jsonl" "$tmp/j/gallery.manifests.jsonl" \
-    || { echo "repro_gallery manifests differ across same-seed runs"; exit 1; }
-echo "repro_gallery determinism gate passed"
+# Smoke + determinism gate: two same-seed runs of <bin> must produce a
+# byte-identical <manifest-file>.
+same_seed_gate() {
+    local bin="$1" manifests="$2"
+    shift 2
+    for side in a b; do
+        cargo run --release -p hfl-bench --bin "$bin" -- \
+            "$@" --seed 42 --out "$tmp/$bin.$side" >/dev/null
+    done
+    diff "$tmp/$bin.a/$manifests" "$tmp/$bin.b/$manifests" \
+        || { echo "$bin manifests differ across same-seed runs"; exit 1; }
+    echo "$bin determinism gate passed"
+}
+# Injected faults, failovers and degraded quorums land in the manifest's fault log.
+same_seed_gate repro_faults faults.manifests.jsonl --quick
+# The adaptive adversary, suspicion layer and protocol attacks keep state across rounds.
+same_seed_gate repro_adaptive adaptive.manifests.jsonl --quick
+# Faults and the arms race in one run exercise every engine layer at once.
+same_seed_gate repro_combined combined.manifests.jsonl --quick
+# Deadline buffers (DESIGN.md §12) synthesize arrivals from a dedicated RNG stream.
+same_seed_gate repro_async async.manifests.jsonl --quick --filter deadline
+# The gallery grid (§13) has a seeded Dirichlet re-draw loop and AGR bisections.
+same_seed_gate repro_gallery gallery.manifests.jsonl --quick
+# Per-round cohort sampling and lazy shard derivation (§14) at 10⁴ clients.
+same_seed_gate repro_scale scale.manifests.jsonl --smoke
+test -s "$tmp/repro_scale.a/scale.json" \
+    || { echo "repro_scale produced no scale.json"; exit 1; }
 
 # Snapshot-resume determinism gate: for every fixture class, 20 rounds
 # straight through must equal 10 rounds + resume(10 more) from the
@@ -96,39 +65,14 @@ for config in clean faulted armed withhold; do
 done
 echo "snapshot resume determinism gate passed"
 
-# Population-scale smoke + determinism gate: a 10⁴-client population
-# sampled down to a 64-slot cohort each round over the streaming
-# kernels (DESIGN.md §14) — two same-seed runs must produce
-# byte-identical manifest logs, proving the per-round sampling stream
-# and the lazy shard derivation are pure functions of the seed.
-cargo run --release -p hfl-bench --bin repro_scale -- \
-    --smoke --seed 42 --out "$tmp/k" >/dev/null
-cargo run --release -p hfl-bench --bin repro_scale -- \
-    --smoke --seed 42 --out "$tmp/l" >/dev/null
-diff "$tmp/k/scale.manifests.jsonl" "$tmp/l/scale.manifests.jsonl" \
-    || { echo "repro_scale manifests differ across same-seed runs"; exit 1; }
-test -s "$tmp/k/BENCH_9.json" \
-    || { echo "repro_scale produced no BENCH_9.json"; exit 1; }
-echo "repro_scale determinism gate passed"
-
-# Performance baseline: sync + async rounds/sec, updates/sec, kernel
-# ns/op, bytes/round and the per-round allocation peak. One run writes
-# BENCH_9.json (the *before* view — hot kernels timed through their
-# retained naive references) and BENCH_10.json (the *after* view —
-# optimized hot paths with embedded speedups and the steady-state
-# allocation count, self-validated to be exactly zero). bench_compare
-# joins the two and hard-fails on a >25% regression of any shared
-# kernel.
-cargo run --release -p hfl-bench --bin perf_baseline -- \
-    --quick --out "$tmp/perf" >/dev/null
-test -s "$tmp/perf/BENCH_9.json" \
-    || { echo "perf_baseline produced no BENCH_9.json"; exit 1; }
-test -s "$tmp/perf/BENCH_10.json" \
-    || { echo "perf_baseline produced no BENCH_10.json"; exit 1; }
-cargo run --release -p hfl-bench --bin bench_compare -- \
-    "$tmp/perf/BENCH_9.json" "$tmp/perf/BENCH_10.json" \
-    || { echo "hot-path kernels regressed past the 25% budget"; exit 1; }
-echo "perf baseline + hot-path no-regression gate passed"
+# Benchmark gate: the ledger (ledger/, the repository's benchmark — see
+# BENCHMARK.json) is frozen and times the library through its public
+# surface only, so its own tests are the guard that this surface still
+# compiles for it; they also smoke-run all six workloads on two seeds.
+# (Cargo may prune ledger/Cargo.lock while building; leave that out of
+# a commit.)
+cargo test --offline --manifest-path ledger/Cargo.toml
+echo "ledger gate passed"
 
 # Oracle fuzz gate: a fixed-seed scenario-fuzzing budget (override the
 # iteration count with FUZZ_ITERS), then the five mutation self-checks

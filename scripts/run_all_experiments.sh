@@ -28,7 +28,6 @@ run repro_adaptive --out "$OUT"
 run repro_combined --out "$OUT"
 run repro_gallery --out "$OUT"
 run snapshot_resume --out "$OUT/snapshot"
-run perf_baseline --out "$OUT"
 # fuzz_oracle and bisect_divergence take no --quick flag; run them bare.
 echo "=== fuzz_oracle ==="
 iters=200; [ "$EXTRA" = "--quick" ] && iters=50
