@@ -168,8 +168,14 @@ mod tests {
     #[global_allocator]
     static ALLOC: CountingAlloc = CountingAlloc;
 
+    /// Both tests below move the process-wide peak counter; holding
+    /// this keeps one's `reset_peak` out of the other's measuring
+    /// window. A poisoned guard is still a held lock.
+    static PEAK_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn counters_track_a_visible_allocation() {
+        let _serial = PEAK_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
         let baseline = reset_peak();
         let v: Vec<u8> = vec![7; 1 << 20];
         assert!(
@@ -185,6 +191,7 @@ mod tests {
 
     #[test]
     fn peak_resets_to_the_current_live_count() {
+        let _serial = PEAK_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
         let _big: Vec<u8> = vec![1; 1 << 16];
         let baseline = reset_peak();
         assert_eq!(peak_since(baseline), 0, "fresh baseline has no peak yet");

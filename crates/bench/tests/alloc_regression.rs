@@ -1,11 +1,13 @@
 //! The steady-state allocation gate: after a short warmup, a
 //! synchronous BRA round performs **zero heap allocations** — the
 //! engine's workspace arena, the aggregator scratch, and the training
-//! loop's reusable model/SGD buffers absorb every per-round need.
+//! loop's reusable model/SGD buffers absorb every per-round need — and
+//! a round closed by the validation vote performs at most
+//! [`CBA_CEILING`].
 //!
 //! The gate drives [`RoundEngine::run_round_into`] directly (the
 //! harness loop in `run_prepared` allocates for manifests and metrics
-//! by design) under the counting allocator, on two fixtures:
+//! by design) under the counting allocator, on three fixtures:
 //!
 //! * **clean** — the fault-free synchronous path;
 //! * **faulted** — a crash (with recovery), a leader kill, a healing
@@ -13,15 +15,20 @@
 //!   warmup rounds. Steady-state rounds then run the fault layer's
 //!   queries (crash masks, partition checks, straggle factors) without
 //!   any fault *activity*, which must stay allocation-free too.
+//! * **cba** — the paper's shape (`paper_iid`: validation vote on top
+//!   of two Multi-Krum levels). The vote builds its mechanism, its
+//!   evaluator and the `ConsensusOutcome` per decision by design, a
+//!   few dozen small vectors; what the ceiling keeps out is anything
+//!   per *sample* — 16 scorings of 200 samples each would add 3 200.
 //!
 //! Threads are pinned to 1: spawning workers allocates stacks, so the
 //! zero-allocation invariant is a property of the sequential execution
 //! form (results are byte-identical at any thread count — the
 //! work-stealing determinism contract, DESIGN.md §15).
 //!
-//! Both fixtures run inside ONE `#[test]`: the allocation counter is
-//! process-global, so a concurrently running test would bleed its
-//! allocations into the steady-state window.
+//! The allocation counter is process-global, so a concurrently running
+//! test would bleed its allocations into the steady-state window: the
+//! two `#[test]`s serialize on [`COUNTER`].
 
 use abd_hfl_core::config::{AttackCfg, HflConfig, LevelAgg};
 use abd_hfl_core::engine::cost::CostCounters;
@@ -32,6 +39,7 @@ use hfl_faults::FaultPlan;
 use hfl_ml::synth::SynthConfig;
 use hfl_robust::AggregatorKind;
 use hfl_telemetry::Telemetry;
+use std::sync::Mutex;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -57,6 +65,26 @@ fn bra_fixture(seed: u64) -> HflConfig {
     cfg
 }
 
+/// Most allocations a steady-state round of [`cba_fixture`] may make.
+/// Measured: 70 (mechanism box, evaluator, per voter one model and
+/// per scoring its widened weights and logits, score rows, vote matrix,
+/// the outcome's vectors).
+const CBA_CEILING: u64 = 80;
+
+/// `paper_iid` on a small task: the top level stays the validation
+/// vote over four proposals, so every round scores 16 (voter, proposal)
+/// pairs on 200-sample shards.
+fn cba_fixture(seed: u64) -> HflConfig {
+    let mut cfg = HflConfig::paper_iid(AttackCfg::None, seed);
+    cfg.rounds = WARMUP + STEADY;
+    cfg.data = SynthConfig {
+        train_samples: 3_200,
+        test_samples: 800,
+        ..SynthConfig::default()
+    };
+    cfg
+}
+
 /// The clean fixture plus a fault schedule whose every window opens
 /// *and heals* inside warmup, leaving steady-state rounds with a quiet
 /// (but active and querying) fault layer.
@@ -75,8 +103,8 @@ fn faulted_fixture(seed: u64) -> HflConfig {
 }
 
 /// Runs the fixture round by round and asserts every post-warmup round
-/// allocates exactly zero times.
-fn assert_steady_rounds_alloc_free(name: &str, cfg: &HflConfig) {
+/// allocates at most `ceiling` times.
+fn assert_steady_rounds_alloc_at_most(name: &str, cfg: &HflConfig, ceiling: u64) {
     let exp = Experiment::prepare(cfg);
     let telem = Telemetry::disabled();
     let mut engine = RoundEngine::for_experiment(&exp);
@@ -100,19 +128,39 @@ fn assert_steady_rounds_alloc_free(name: &str, cfg: &HflConfig) {
         std::mem::swap(&mut global, &mut next_global);
         let allocs = alloc_count() - before;
         if round >= WARMUP {
-            assert_eq!(
-                allocs, 0,
+            assert!(
+                allocs <= ceiling,
                 "{name}: steady-state round {round} performed {allocs} heap \
-                 allocations (warmup = {WARMUP} rounds)"
+                 allocations, ceiling {ceiling} (warmup = {WARMUP} rounds)"
             );
         }
     }
 }
 
+/// Held by each test for its whole run (see the module docs).
+static COUNTER: Mutex<()> = Mutex::new(());
+
+/// Runs `fixtures` one after the other at one thread, alone on the
+/// allocation counter.
+fn gate(fixtures: &[(&str, HflConfig, u64)]) {
+    // A failed sibling poisons the lock but leaves nothing half-done.
+    let _alone = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    hfl_parallel::set_default_threads(1);
+    for (name, cfg, ceiling) in fixtures {
+        assert_steady_rounds_alloc_at_most(name, cfg, *ceiling);
+    }
+    hfl_parallel::set_default_threads(0);
+}
+
 #[test]
 fn steady_state_rounds_allocate_nothing() {
-    hfl_parallel::set_default_threads(1);
-    assert_steady_rounds_alloc_free("clean", &bra_fixture(11));
-    assert_steady_rounds_alloc_free("faulted", &faulted_fixture(12));
-    hfl_parallel::set_default_threads(0);
+    gate(&[
+        ("clean", bra_fixture(11), 0),
+        ("faulted", faulted_fixture(12), 0),
+    ]);
+}
+
+#[test]
+fn vote_rounds_stay_under_the_allocation_ceiling() {
+    gate(&[("cba", cba_fixture(13), CBA_CEILING)]);
 }

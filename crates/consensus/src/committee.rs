@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
-use crate::eval::ProposalEvaluator;
+use crate::eval::{score_rows, ProposalEvaluator};
 use crate::{model_bytes, validate, Consensus, ConsensusOutcome};
 
 /// Committee consensus with `size` members excluding `exclude` proposals.
@@ -54,18 +54,13 @@ impl Consensus for CommitteeConsensus {
 
         // Median committee score per proposal; Byzantine members report
         // inverted (negated) scores — the strongest in-protocol lie.
+        let rows = score_rows(committee, proposals, eval);
         let mut med_scores: Vec<(f64, usize)> = (0..n)
             .map(|p| {
                 let mut scores: Vec<f64> = committee
                     .iter()
-                    .map(|&m| {
-                        let s = eval.score(m, proposals[p]);
-                        if byzantine[m] {
-                            -s
-                        } else {
-                            s
-                        }
-                    })
+                    .zip(&rows)
+                    .map(|(&m, row)| if byzantine[m] { -row[p] } else { row[p] })
                     .collect();
                 scores.sort_by(|a, b| a.partial_cmp(b).expect("NaN score"));
                 (scores[scores.len() / 2], p)

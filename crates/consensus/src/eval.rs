@@ -1,29 +1,80 @@
 //! Proposal evaluators: how an honest node scores a proposed model.
 
+use std::borrow::Cow;
+use std::ops::Range;
+
 use hfl_ml::{Dataset, Model};
 
 /// Scores a proposal from one node's local perspective (higher = better).
 pub trait ProposalEvaluator: Sync {
     /// Score of `params` as judged by node `voter`.
     fn score(&self, voter: usize, params: &[f32]) -> f64;
+
+    /// One voter's scores for a whole ballot: `out[p]` becomes
+    /// `score(voter, proposals[p])`. Evaluators with per-voter set-up
+    /// override this to pay it once per ballot instead of per proposal.
+    fn score_all(&self, voter: usize, proposals: &[&[f32]], out: &mut [f64]) {
+        assert_eq!(proposals.len(), out.len(), "proposals/out length mismatch");
+        for (o, p) in out.iter_mut().zip(proposals) {
+            *o = self.score(voter, p);
+        }
+    }
+}
+
+/// `rows[k][p] = eval.score(voters[k], proposals[p])`, voters scored in
+/// parallel. Slot `k` is filled by exactly one worker and each score is
+/// a pure function of `(voter, proposal)`, so the matrix is identical
+/// at every thread count (DESIGN.md §15).
+pub(crate) fn score_rows(
+    voters: &[usize],
+    proposals: &[&[f32]],
+    eval: &dyn ProposalEvaluator,
+) -> Vec<Vec<f64>> {
+    hfl_parallel::par_map_indexed(voters.len(), hfl_parallel::default_threads(), |k| {
+        let mut row = vec![0.0f64; proposals.len()];
+        eval.score_all(voters[k], proposals, &mut row);
+        row
+    })
 }
 
 /// Accuracy-based evaluator (the paper's top-level mechanism): node `i`
 /// evaluates a proposal by loading it into a model and measuring accuracy
 /// on its private validation shard — the 10 000 MNIST test images split
 /// evenly over the top-level nodes (Appendix D.B).
-pub struct AccuracyEvaluator {
+pub struct AccuracyEvaluator<'a> {
     template: Box<dyn Model>,
-    shards: Vec<Dataset>,
+    /// One shard per voter: a row range of an owned or borrowed dataset.
+    shards: Vec<(Cow<'a, Dataset>, Range<usize>)>,
 }
 
-impl AccuracyEvaluator {
+impl<'a> AccuracyEvaluator<'a> {
     /// Builds the evaluator from a model template (architecture donor)
-    /// and one validation shard per voter.
+    /// and one owned validation shard per voter.
     pub fn new(template: Box<dyn Model>, shards: Vec<Dataset>) -> Self {
+        let shards = shards
+            .into_iter()
+            .map(|s| {
+                let rows = 0..s.len();
+                (Cow::Owned(s), rows)
+            })
+            .collect();
+        Self::over(template, shards)
+    }
+
+    /// The evaluator [`Self::new`] builds over `data.split_even(voters)`,
+    /// borrowing each voter's rows of `data` instead of copying them.
+    pub fn split_rows(template: Box<dyn Model>, data: &'a Dataset, voters: usize) -> Self {
+        let shards = data
+            .even_ranges(voters)
+            .map(|rows| (Cow::Borrowed(data), rows))
+            .collect();
+        Self::over(template, shards)
+    }
+
+    fn over(template: Box<dyn Model>, shards: Vec<(Cow<'a, Dataset>, Range<usize>)>) -> Self {
         assert!(!shards.is_empty(), "need at least one validation shard");
         assert!(
-            shards.iter().all(|s| !s.is_empty()),
+            shards.iter().all(|(_, rows)| !rows.is_empty()),
             "validation shards must be non-empty"
         );
         Self { template, shards }
@@ -35,12 +86,24 @@ impl AccuracyEvaluator {
     }
 }
 
-impl ProposalEvaluator for AccuracyEvaluator {
+impl ProposalEvaluator for AccuracyEvaluator<'_> {
     fn score(&self, voter: usize, params: &[f32]) -> f64 {
+        let mut out = [0.0];
+        self.score_all(voter, &[params], &mut out);
+        out[0]
+    }
+
+    /// One model instance serves the whole ballot (`set_params`
+    /// overwrites every parameter, so reuse equals a fresh clone).
+    fn score_all(&self, voter: usize, proposals: &[&[f32]], out: &mut [f64]) {
         assert!(voter < self.shards.len(), "voter index out of range");
+        assert_eq!(proposals.len(), out.len(), "proposals/out length mismatch");
+        let (data, rows) = &self.shards[voter];
         let mut model = self.template.clone_box();
-        model.set_params(params);
-        hfl_ml::metrics::accuracy(model.as_ref(), &self.shards[voter])
+        for (o, p) in out.iter_mut().zip(proposals) {
+            model.set_params(p);
+            *o = model.count_correct(data, rows.clone()) as f64 / rows.len() as f64;
+        }
     }
 }
 

@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 
-use crate::eval::ProposalEvaluator;
+use crate::eval::{score_rows, ProposalEvaluator};
 use crate::{model_bytes, validate, Consensus, ConsensusOutcome};
 
 /// Stake-weighted majority voting.
@@ -75,8 +75,9 @@ impl Consensus for StakeVote {
 
         // Stake-weighted positive vote mass per proposal.
         let mut mass = vec![0.0f64; n];
-        for (v, &bad) in byzantine.iter().enumerate().take(n) {
-            let scores: Vec<f64> = proposals.iter().map(|p| eval.score(v, p)).collect();
+        let voters: Vec<usize> = (0..n).collect();
+        let rows = score_rows(&voters, proposals, eval);
+        for ((v, &bad), scores) in byzantine.iter().enumerate().zip(&rows) {
             let best = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             let worst = scores.iter().cloned().fold(f64::INFINITY, f64::min);
             let cut = best - self.rel_tol * (best - worst);

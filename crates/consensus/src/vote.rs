@@ -23,7 +23,7 @@
 
 use rand::rngs::StdRng;
 
-use crate::eval::ProposalEvaluator;
+use crate::eval::{score_rows, ProposalEvaluator};
 use crate::{model_bytes, validate, Consensus, ConsensusOutcome};
 
 /// Which proposals the vote excludes.
@@ -75,11 +75,11 @@ impl VoteConsensus {
         byzantine: &[bool],
         eval: &dyn ProposalEvaluator,
     ) -> Vec<Vec<bool>> {
-        let n = proposals.len();
-        (0..n)
-            .map(|v| {
-                let scores: Vec<f64> =
-                    proposals.iter().map(|p| eval.score(v, p)).collect();
+        let voters: Vec<usize> = (0..proposals.len()).collect();
+        score_rows(&voters, proposals, eval)
+            .iter()
+            .enumerate()
+            .map(|(v, scores)| {
                 let best = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                 let worst = scores.iter().cloned().fold(f64::INFINITY, f64::min);
                 let cut = best - self.rel_tol * (best - worst);

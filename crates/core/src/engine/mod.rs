@@ -666,8 +666,11 @@ impl<'e> RoundEngine<'e> {
             }
             LevelAgg::Cba(kind) => {
                 // Validation voting over the test shards (Appendix D.B).
-                let shards = exp.task.test.split_even(n_proposals.max(1));
-                let eval = AccuracyEvaluator::new(exp.template.clone_box(), shards);
+                let eval = AccuracyEvaluator::split_rows(
+                    exp.template.clone_box(),
+                    &exp.task.test,
+                    n_proposals.max(1),
+                );
                 let byz: Vec<bool> = ws
                     .final_slots
                     .iter()

@@ -1,5 +1,6 @@
 //! In-memory labelled datasets with row-major features.
 
+use std::ops::Range;
 
 /// A labelled classification dataset.
 ///
@@ -120,23 +121,28 @@ impl Dataset {
         out
     }
 
-    /// Splits into `k` near-equal contiguous shards (sizes differ by at
-    /// most 1). Used to give each top-level node a slice of the test set
-    /// for validation voting (paper Appendix D.B).
-    pub fn split_even(&self, k: usize) -> Vec<Self> {
+    /// Row ranges of `k` near-equal contiguous shards (sizes differ by
+    /// at most 1, the longer ones first).
+    pub fn even_ranges(&self, k: usize) -> impl Iterator<Item = Range<usize>> {
         assert!(k > 0, "cannot split into zero shards");
-        let n = self.len();
-        let base = n / k;
-        let extra = n % k;
-        let mut out = Vec::with_capacity(k);
-        let mut start = 0;
-        for s in 0..k {
-            let size = base + usize::from(s < extra);
-            let idx: Vec<usize> = (start..start + size).collect();
-            out.push(self.subset(&idx));
-            start += size;
-        }
-        out
+        let (base, extra) = (self.len() / k, self.len() % k);
+        (0..k).map(move |s| {
+            let start = s * base + s.min(extra);
+            start..start + base + usize::from(s < extra)
+        })
+    }
+
+    /// Splits into `k` near-equal contiguous shards, copying the rows
+    /// of each [`Self::even_ranges`] range into an owned dataset.
+    pub fn split_even(&self, k: usize) -> Vec<Self> {
+        self.even_ranges(k)
+            .map(|rows| Self {
+                dim: self.dim,
+                num_classes: self.num_classes,
+                xs: self.xs[rows.start * self.dim..rows.end * self.dim].to_vec(),
+                ys: self.ys[rows].to_vec(),
+            })
+            .collect()
     }
 
     /// Per-class sample counts.

@@ -4,6 +4,8 @@
 //! clean, and small enough (`(dim+1) × classes` parameters) that robust
 //! aggregation over 64 clients runs in microseconds.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 
 use crate::dataset::Dataset;
@@ -42,19 +44,18 @@ impl LinearSoftmax {
         self.classes
     }
 
-    #[inline]
-    fn w_row(&self, c: usize) -> &[f32] {
-        &self.theta[c * self.dim..(c + 1) * self.dim]
-    }
-
     /// Writes class probabilities for `x` into `probs`.
     pub fn forward(&self, x: &[f32], probs: &mut [f32]) {
+        self.forward_through(&self.theta[..self.classes * self.dim], x, probs);
+    }
+
+    /// The forward pass over the weight matrix `w` — the parameters'
+    /// own, or its widened copy (see [`hfl_tensor::ops::affine_rows`]);
+    /// the bias comes from `theta`.
+    fn forward_through<T: Copy + Into<f64>>(&self, w: &[T], x: &[f32], probs: &mut [f32]) {
         assert_eq!(x.len(), self.dim);
         assert_eq!(probs.len(), self.classes);
-        let bias = self.classes * self.dim;
-        for (c, p) in probs.iter_mut().enumerate() {
-            *p = hfl_tensor::ops::dot(self.w_row(c), x) as f32 + self.theta[bias + c];
-        }
+        hfl_tensor::ops::affine_rows(w, &self.theta[self.classes * self.dim..], x, probs);
         softmax_in_place(probs);
     }
 }
@@ -73,10 +74,23 @@ impl Model for LinearSoftmax {
         self.theta.copy_from_slice(p);
     }
 
-    fn predict(&self, x: &[f32]) -> u8 {
+    fn predict(&self, x: &[f32], scratch: &mut BatchScratch) -> u8 {
+        let probs = &mut scratch.probs;
+        probs.resize(self.classes, 0.0);
+        self.forward(x, probs);
+        argmax(probs) as u8
+    }
+
+    /// One weight matrix scores every row, so it is widened to `f64`
+    /// once here instead of once per sample inside the kernel.
+    fn count_correct(&self, data: &Dataset, rows: Range<usize>) -> usize {
+        let w = hfl_tensor::ops::widen(&self.theta[..self.classes * self.dim]);
         let mut probs = vec![0.0f32; self.classes];
-        self.forward(x, &mut probs);
-        argmax(&probs) as u8
+        rows.filter(|&i| {
+            self.forward_through(&w, data.x(i), &mut probs);
+            argmax(&probs) as u8 == data.y(i)
+        })
+        .count()
     }
 
     fn loss_grad_batch(&self, data: &Dataset, indices: &[usize], grad: &mut [f32]) -> f64 {

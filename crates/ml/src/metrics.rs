@@ -1,30 +1,25 @@
 //! Evaluation metrics: accuracy and confusion matrices.
 
 use crate::dataset::Dataset;
-use crate::model::Model;
+use crate::model::{BatchScratch, Model};
 
 /// Fraction of test samples the model classifies correctly.
 pub fn accuracy(model: &dyn Model, data: &Dataset) -> f64 {
     assert!(!data.is_empty(), "accuracy over empty dataset");
-    let mut hit = 0usize;
-    for i in 0..data.len() {
-        if model.predict(data.x(i)) == data.y(i) {
-            hit += 1;
-        }
-    }
-    hit as f64 / data.len() as f64
+    model.count_correct(data, 0..data.len()) as f64 / data.len() as f64
 }
 
-/// Accuracy computed in parallel over sample chunks; identical result to
-/// [`accuracy`] (integer sum, no float reordering).
+/// Accuracy computed in parallel, one contiguous row range per thread;
+/// identical result to [`accuracy`] (integer sum, no float reordering).
 pub fn accuracy_parallel(model: &dyn Model, data: &Dataset, threads: usize) -> f64 {
     assert!(!data.is_empty(), "accuracy over empty dataset");
     let n = data.len();
+    let chunks = threads.clamp(1, n);
     let hits = hfl_parallel::par_reduce(
-        n,
-        threads,
+        chunks,
+        chunks,
         || 0usize,
-        |i| usize::from(model.predict(data.x(i)) == data.y(i)),
+        |c| model.count_correct(data, c * n / chunks..(c + 1) * n / chunks),
         |a, b| a + b,
     );
     hits as f64 / n as f64
@@ -35,9 +30,10 @@ pub fn accuracy_parallel(model: &dyn Model, data: &Dataset, threads: usize) -> f
 pub fn confusion_matrix(model: &dyn Model, data: &Dataset) -> Vec<Vec<usize>> {
     let k = data.num_classes();
     let mut m = vec![vec![0usize; k]; k];
+    let mut scratch = BatchScratch::default();
     for i in 0..data.len() {
         let t = data.y(i) as usize;
-        let p = model.predict(data.x(i)) as usize;
+        let p = model.predict(data.x(i), &mut scratch) as usize;
         m[t][p] += 1;
     }
     m
@@ -59,6 +55,7 @@ pub fn backdoor_success_rate(
     assert!(offset + width <= data.dim(), "trigger exceeds dimension");
     assert!((target as usize) < data.num_classes(), "target out of range");
     let mut x = vec![0.0f32; data.dim()];
+    let mut scratch = BatchScratch::default();
     let mut attacked = 0usize;
     let mut hits = 0usize;
     for i in 0..data.len() {
@@ -70,7 +67,7 @@ pub fn backdoor_success_rate(
         for v in &mut x[offset..offset + width] {
             *v = value;
         }
-        if model.predict(&x) == target {
+        if model.predict(&x, &mut scratch) == target {
             hits += 1;
         }
     }

@@ -1,6 +1,8 @@
 //! One-hidden-layer perceptron with ReLU — the "DNN model" of the paper's
 //! evaluation, sized for a synthetic-digits workload.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 
 use hfl_tensor::init;
@@ -66,22 +68,35 @@ impl Mlp {
     /// Forward pass. Writes hidden activations (post-ReLU) and class
     /// probabilities into the provided buffers.
     fn forward_into(&self, x: &[f32], h: &mut [f32], probs: &mut [f32]) {
-        debug_assert_eq!(x.len(), self.dim);
-        debug_assert_eq!(h.len(), self.hidden);
-        debug_assert_eq!(probs.len(), self.classes);
+        let t = &self.theta;
+        self.forward_through(
+            &t[..self.off_b1()],
+            &t[self.off_w2()..self.off_b2()],
+            x,
+            h,
+            probs,
+        );
+    }
+
+    /// The forward pass over the weight matrices `w1`/`w2` — the
+    /// parameters' own, or their widened copies (see
+    /// [`hfl_tensor::ops::affine_rows`]); biases come from `theta`.
+    fn forward_through<T: Copy + Into<f64>>(
+        &self,
+        w1: &[T],
+        w2: &[T],
+        x: &[f32],
+        h: &mut [f32],
+        probs: &mut [f32],
+    ) {
         let t = &self.theta;
         // h = relu(W1 x + b1)
-        for j in 0..self.hidden {
-            let row = &t[j * self.dim..(j + 1) * self.dim];
-            let z = hfl_tensor::ops::dot(row, x) as f32 + t[self.off_b1() + j];
-            h[j] = z.max(0.0);
+        hfl_tensor::ops::affine_rows(w1, &t[self.off_b1()..self.off_w2()], x, h);
+        for z in h.iter_mut() {
+            *z = z.max(0.0);
         }
         // logits = W2 h + b2
-        let w2 = self.off_w2();
-        for c in 0..self.classes {
-            let row = &t[w2 + c * self.hidden..w2 + (c + 1) * self.hidden];
-            probs[c] = hfl_tensor::ops::dot(row, h) as f32 + t[self.off_b2() + c];
-        }
+        hfl_tensor::ops::affine_rows(w2, &t[self.off_b2()..], h, probs);
         softmax_in_place(probs);
     }
 }
@@ -100,11 +115,26 @@ impl Model for Mlp {
         self.theta.copy_from_slice(p);
     }
 
-    fn predict(&self, x: &[f32]) -> u8 {
+    fn predict(&self, x: &[f32], scratch: &mut BatchScratch) -> u8 {
+        let BatchScratch { probs, hidden, .. } = scratch;
+        hidden.resize(self.hidden, 0.0);
+        probs.resize(self.classes, 0.0);
+        self.forward_into(x, hidden, probs);
+        argmax(probs) as u8
+    }
+
+    /// Two weight matrices score every row, so they are widened to
+    /// `f64` once here instead of once per sample inside the kernel.
+    fn count_correct(&self, data: &Dataset, rows: Range<usize>) -> usize {
+        let w1 = hfl_tensor::ops::widen(&self.theta[..self.off_b1()]);
+        let w2 = hfl_tensor::ops::widen(&self.theta[self.off_w2()..self.off_b2()]);
         let mut h = vec![0.0f32; self.hidden];
         let mut probs = vec![0.0f32; self.classes];
-        self.forward_into(x, &mut h, &mut probs);
-        argmax(&probs) as u8
+        rows.filter(|&i| {
+            self.forward_through(&w1, &w2, data.x(i), &mut h, &mut probs);
+            argmax(&probs) as u8 == data.y(i)
+        })
+        .count()
     }
 
     fn loss_grad_batch(&self, data: &Dataset, indices: &[usize], grad: &mut [f32]) -> f64 {

@@ -1,12 +1,14 @@
 //! The flat-parameter model abstraction every FL component works against.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 
 use crate::dataset::Dataset;
 
-/// Reusable per-batch forward/backward buffers, so steady-state training
-/// rounds perform no heap allocation. Implementations resize what they
-/// need (`clear` + `resize`), which is free once capacity has grown.
+/// Reusable forward/backward buffers, so steady-state training rounds
+/// and per-sample scoring perform no heap allocation. Implementations
+/// resize what they need, which is free once capacity has grown.
 #[derive(Clone, Debug, Default)]
 pub struct BatchScratch {
     /// Class-probability / logit buffer (`classes` long).
@@ -35,8 +37,20 @@ pub trait Model: Send + Sync {
     /// [`Model::param_len`] elements.
     fn set_params(&mut self, p: &[f32]);
 
-    /// Predicted class for one feature row.
-    fn predict(&self, x: &[f32]) -> u8;
+    /// Predicted class for one feature row. The forward pass runs in
+    /// `scratch`, so scoring many rows through one scratch allocates
+    /// only while its buffers grow.
+    fn predict(&self, x: &[f32], scratch: &mut BatchScratch) -> u8;
+
+    /// Number of samples in `data[rows]` the model classifies correctly
+    /// — the scoring entry point of the accuracy metrics and the
+    /// validation vote: one virtual call and one scratch per row range,
+    /// not per sample.
+    fn count_correct(&self, data: &Dataset, rows: Range<usize>) -> usize {
+        let mut scratch = BatchScratch::default();
+        rows.filter(|&i| self.predict(data.x(i), &mut scratch) == data.y(i))
+            .count()
+    }
 
     /// Computes the mean cross-entropy loss over the batch `indices` of
     /// `data` and *accumulates* the mean gradient into `grad` (callers
@@ -77,7 +91,14 @@ impl Clone for Box<dyn Model> {
 /// loss instead of accuracy.
 pub fn mean_loss(model: &dyn Model, data: &Dataset) -> f64 {
     assert!(!data.is_empty(), "mean_loss over empty dataset");
-    let indices: Vec<usize> = (0..data.len()).collect();
-    let mut scratch = vec![0.0f32; model.param_len()];
-    model.loss_grad_batch(data, &indices, &mut scratch)
+    let mut grad = vec![0.0f32; model.param_len()];
+    let mut scratch = BatchScratch::default();
+    // One-sample batches return each sample's loss exactly (a mean over
+    // one), so this is the same left-to-right f64 sum a single batch
+    // over every index would take.
+    let mut total = 0.0f64;
+    for i in 0..data.len() {
+        total += model.loss_grad_batch_with(data, &[i], &mut grad, &mut scratch);
+    }
+    total / data.len() as f64
 }

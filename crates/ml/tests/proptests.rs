@@ -181,8 +181,9 @@ proptest! {
         let task = small_task(200);
         let mut rng = StdRng::seed_from_u64(seed);
         let m = Mlp::new(task.train.dim(), 8, task.train.num_classes(), &mut rng);
+        let mut scratch = hfl_ml::model::BatchScratch::default();
         for i in 0..20.min(task.test.len()) {
-            let y = m.predict(task.test.x(i));
+            let y = m.predict(task.test.x(i), &mut scratch);
             prop_assert!((y as usize) < task.test.num_classes());
         }
     }

@@ -63,6 +63,90 @@ pub fn dot(a: &[f32], b: &[f32]) -> f64 {
     acc
 }
 
+/// Most rows [`affine_rows`] runs in lockstep: eight `f64` accumulators
+/// plus the shared `x` operand stay in registers, and eight independent
+/// add chains are enough to hide the add latency a single `dot` chain
+/// waits on.
+const AFFINE_LANES: usize = 8;
+
+/// Dense layer `out[r] = dot(w_r, x) as f32 + bias[r]`, `w` row-major
+/// with one `x.len()`-long row per output.
+///
+/// Rows are processed in lockstep blocks: every row keeps its own `f64`
+/// accumulator and visits coordinates in index order exactly as [`dot`]
+/// does, so each `out[r]` is bitwise what the per-row `dot` loop
+/// produces — the blocks only let independent add chains overlap
+/// instead of running one latency-bound chain at a time. Blocks are
+/// sized evenly (10 rows run as 5 + 5, not 8 + 2) so no block is left
+/// with too few chains to overlap.
+///
+/// `w` holds the `f32` parameters as stored, or the same values
+/// [`widen`]ed to `f64` by a caller that applies one matrix to many
+/// inputs and would otherwise pay the conversion again per input.
+/// Widening is exact, so both element types produce the same bits.
+pub fn affine_rows<T: Copy + Into<f64>>(w: &[T], bias: &[f32], x: &[f32], out: &mut [f32]) {
+    let rows = out.len();
+    assert_eq!(bias.len(), rows, "affine_rows: bias/out length mismatch");
+    assert_eq!(
+        w.len(),
+        rows * x.len(),
+        "affine_rows: weight shape mismatch"
+    );
+    let d = x.len();
+    let mut r = 0;
+    let mut blocks = rows.div_ceil(AFFINE_LANES);
+    while blocks > 0 {
+        let lanes = (rows - r).div_ceil(blocks);
+        let (w, bias, out) = (
+            &w[r * d..(r + lanes) * d],
+            &bias[r..r + lanes],
+            &mut out[r..r + lanes],
+        );
+        match lanes {
+            1 => affine_block::<T, 1>(w, bias, x, out),
+            2 => affine_block::<T, 2>(w, bias, x, out),
+            3 => affine_block::<T, 3>(w, bias, x, out),
+            4 => affine_block::<T, 4>(w, bias, x, out),
+            5 => affine_block::<T, 5>(w, bias, x, out),
+            6 => affine_block::<T, 6>(w, bias, x, out),
+            7 => affine_block::<T, 7>(w, bias, x, out),
+            _ => affine_block::<T, AFFINE_LANES>(w, bias, x, out),
+        }
+        r += lanes;
+        blocks -= 1;
+    }
+}
+
+/// `w` widened to `f64`, for [`affine_rows`] callers that apply one
+/// matrix to many inputs.
+pub fn widen(w: &[f32]) -> Vec<f64> {
+    w.iter().map(|&v| v.into()).collect()
+}
+
+/// One lockstep block of [`affine_rows`]: `L` rows, `L` accumulators.
+#[inline]
+fn affine_block<T: Copy + Into<f64>, const L: usize>(
+    w: &[T],
+    bias: &[f32],
+    x: &[f32],
+    out: &mut [f32],
+) {
+    let d = x.len();
+    // `[..d]` pins every row's length to `x.len()`, so `row[c]` below
+    // needs no bounds check.
+    let rows: [&[T]; L] = std::array::from_fn(|l| &w[l * d..][..d]);
+    let mut acc = [0.0f64; L];
+    for (c, xc) in x.iter().enumerate() {
+        let xc = *xc as f64;
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            *a += row[c].into() * xc;
+        }
+    }
+    for ((o, a), b) in out.iter_mut().zip(acc).zip(bias) {
+        *o = a as f32 + *b;
+    }
+}
+
 /// Squared Euclidean norm (f64 accumulator).
 #[inline]
 pub fn norm_sq(a: &[f32]) -> f64 {

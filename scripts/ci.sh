@@ -8,15 +8,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # `--workspace`, because the root package is only the facade: every
 # crate's unit tests, proptests and integration suites are members'.
-# Two gates inside this one line are worth naming:
+# Three gates inside this one line are worth naming:
 # - Kernel equivalence (tests/kernel_equivalence.rs): every optimized
-#   hot kernel (blocked distances, fused reductions, work-stealing
-#   parallel paths) must be byte-identical to its retained naive
+#   hot kernel (blocked distances, fused reductions, the lockstep dense
+#   layer and the scoring paths over it, work-stealing parallel paths,
+#   the voter-parallel vote) must be byte-identical to its naive
 #   reference across thread counts 1/2/4/8 and adversarial values.
-# - Allocation regression (crates/bench/tests/alloc_regression.rs):
-#   after a 5-round warmup, synchronous BRA rounds perform exactly zero
-#   heap allocations on both the clean and the faulted fixture. A
-#   single new Vec on the round path fails this.
+# - Allocation regression (crates/bench/tests/alloc_regression.rs,
+#   steady_state_rounds_allocate_nothing): after a 5-round warmup,
+#   synchronous BRA rounds perform exactly zero heap allocations on
+#   both the clean and the faulted fixture. A single new Vec on the
+#   round path fails this.
+# - Vote allocation ceiling (same file,
+#   vote_rounds_stay_under_the_allocation_ceiling): a paper_iid round,
+#   validation vote on top, performs at most 80 allocations. A Vec per
+#   scored sample (3 200 of them on this fixture) fails this.
 cargo test --workspace -q
 
 tmp="$(mktemp -d)"

@@ -16,15 +16,31 @@
 //! Thread-count invariance is the work-stealing determinism contract
 //! (DESIGN.md §15): stealing only moves *which worker* computes a
 //! chunk, never what is computed or where it lands.
+//!
+//! The scoring path under the validation vote is pinned the same way:
+//! the lockstep `affine_rows` kernel against `dot` + bias per row, the
+//! models' forward passes against the per-row loops they replaced
+//! (kept here as executable references), `score_all` against
+//! per-proposal `score`, and the voter-parallel mechanisms against
+//! their own single-threaded outcome.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
+use abd_hfl::consensus::eval::AccuracyEvaluator;
+use abd_hfl::consensus::{
+    CommitteeConsensus, Consensus, DistanceEvaluator, ProposalEvaluator, StakeVote, VoteConsensus,
+};
+use abd_hfl::ml::loss::{argmax, softmax_in_place};
+use abd_hfl::ml::model::BatchScratch;
+use abd_hfl::ml::{Dataset, LinearSoftmax, Mlp, Model};
 use abd_hfl::robust::geomed::GeoMed;
 use abd_hfl::robust::krum::{self, reference as krum_reference};
 use abd_hfl::robust::{median, trimmed_mean, AggScratch};
 use abd_hfl::tensor::ops::{self, reference};
 use abd_hfl::tensor::stats;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -83,6 +99,76 @@ fn ord_elem() -> BoxedStrategy<f32> {
 
 fn as_refs(rows: &[Vec<f32>]) -> Vec<&[f32]> {
     rows.iter().map(|r| r.as_slice()).collect()
+}
+
+/// The dense layer as the models computed it before `affine_rows`: one
+/// sequential `dot` per output row, then the bias.
+fn affine_naive(w: &[f32], bias: &[f32], x: &[f32]) -> Vec<f32> {
+    bias.iter()
+        .enumerate()
+        .map(|(r, b)| ops::dot(&w[r * x.len()..(r + 1) * x.len()], x) as f32 + *b)
+        .collect()
+}
+
+/// Softmax-then-argmax over naive logits — `LinearSoftmax::predict`'s
+/// retired per-row loop. `theta` is `[W (k×d) | b (k)]`.
+fn linear_predict_naive(theta: &[f32], classes: usize, x: &[f32]) -> u8 {
+    let (w, b) = theta.split_at(classes * x.len());
+    let mut probs = affine_naive(w, b, x);
+    softmax_in_place(&mut probs);
+    argmax(&probs) as u8
+}
+
+/// `Mlp::predict`'s retired per-row loops. `theta` is
+/// `[W1 (h×d) | b1 (h) | W2 (k×h) | b2 (k)]`.
+fn mlp_predict_naive(theta: &[f32], hidden: usize, classes: usize, x: &[f32]) -> u8 {
+    let (w1, rest) = theta.split_at(hidden * x.len());
+    let (b1, rest) = rest.split_at(hidden);
+    let (w2, b2) = rest.split_at(classes * hidden);
+    let mut h = affine_naive(w1, b1, x);
+    h.iter_mut().for_each(|z| *z = z.max(0.0));
+    let mut probs = affine_naive(w2, b2, &h);
+    softmax_in_place(&mut probs);
+    argmax(&probs) as u8
+}
+
+/// `n` samples of dimension `d` over `classes` labels, flat features
+/// drawn from `xs` (cycled) so one strategy sizes every shape.
+fn dataset_from(xs: &[f32], labels: &[u8], n: usize, d: usize, classes: usize) -> Dataset {
+    let feats: Vec<f32> = xs.iter().cycle().take(n * d).copied().collect();
+    let ys: Vec<u8> = labels
+        .iter()
+        .cycle()
+        .take(n)
+        .map(|y| y % classes as u8)
+        .collect();
+    Dataset::from_parts(d, classes, feats, ys)
+}
+
+/// Checks `count_correct` on the whole set and on `rows` against the
+/// naive per-sample predictions.
+fn count_correct_matches(
+    model: &dyn Model,
+    data: &Dataset,
+    naive: &[u8],
+    rows: std::ops::Range<usize>,
+) -> Result<(), TestCaseError> {
+    let mut scratch = BatchScratch::default();
+    for (i, want) in naive.iter().enumerate() {
+        prop_assert_eq!(
+            model.predict(data.x(i), &mut scratch),
+            *want,
+            "sample {}",
+            i
+        );
+    }
+    let hits = |r: std::ops::Range<usize>| r.filter(|&i| naive[i] == data.y(i)).count();
+    prop_assert_eq!(
+        model.count_correct(data, 0..data.len()),
+        hits(0..data.len())
+    );
+    prop_assert_eq!(model.count_correct(data, rows.clone()), hits(rows));
+    Ok(())
 }
 
 proptest! {
@@ -263,4 +349,182 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Lockstep dense layer, over stored and over widened weights, ==
+    /// one `dot` + bias per row, for every row count 1..=13 (each block
+    /// width and each uneven split) and d ≥ 0.
+    #[test]
+    fn affine_rows_matches_dot_per_row(
+        rows in 1usize..=13,
+        d in 0usize..=48,
+        w in pvec(adversarial_f32(), 13 * 48),
+        bias in pvec(adversarial_f32(), 13),
+        x in pvec(adversarial_f32(), 48),
+    ) {
+        let (w, bias, x) = (&w[..rows * d], &bias[..rows], &x[..d]);
+        let naive = affine_naive(w, bias, x);
+        let mut lockstep = vec![0.0f32; rows];
+        ops::affine_rows(w, bias, x, &mut lockstep);
+        let widened: Vec<f64> = w.iter().map(|&v| v.into()).collect();
+        let mut over_widened = vec![0.0f32; rows];
+        ops::affine_rows(&widened, bias, x, &mut over_widened);
+        for (r, ((a, w), b)) in lockstep.iter().zip(&over_widened).zip(&naive).enumerate() {
+            prop_assert!(bits_eq_f32(*a, *b), "row {} of {}: lockstep {} vs dot {}", r, rows, a, b);
+            prop_assert!(bits_eq_f32(*w, *b), "row {} of {}: widened {} vs dot {}", r, rows, w, b);
+        }
+    }
+
+    /// `LinearSoftmax` predicts (lockstep kernel) and counts hits
+    /// (widened weights) exactly as its retired per-row loop did — NaN
+    /// logits included.
+    #[test]
+    fn linear_scoring_matches_per_row_reference(
+        classes in 2usize..=13,
+        d in 1usize..=24,
+        theta in pvec(adversarial_f32(), 13 * 24 + 13),
+        xs in pvec(adversarial_f32(), 64),
+        labels in pvec(any::<u8>(), 16),
+        n in 1usize..=40,
+        cut in (0usize..=40, 0usize..=40),
+    ) {
+        let mut model = LinearSoftmax::new(d, classes);
+        let theta = &theta[..model.param_len()];
+        model.set_params(theta);
+        let data = dataset_from(&xs, &labels, n, d, classes);
+        let naive: Vec<u8> = (0..n).map(|i| linear_predict_naive(theta, classes, data.x(i))).collect();
+        let (lo, hi) = (cut.0.min(cut.1).min(n), cut.0.max(cut.1).min(n));
+        count_correct_matches(&model, &data, &naive, lo..hi)?;
+    }
+
+    /// Same for both layers of `Mlp`.
+    #[test]
+    fn mlp_scoring_matches_per_row_reference(
+        classes in 2usize..=11,
+        hidden in 1usize..=13,
+        d in 1usize..=16,
+        theta in pvec(adversarial_f32(), 13 * 16 + 13 + 11 * 13 + 11),
+        xs in pvec(adversarial_f32(), 64),
+        labels in pvec(any::<u8>(), 16),
+        n in 1usize..=24,
+        cut in (0usize..=24, 0usize..=24),
+    ) {
+        let mut model = Mlp::new(d, hidden, classes, &mut StdRng::seed_from_u64(0));
+        let theta = &theta[..model.param_len()];
+        model.set_params(theta);
+        let data = dataset_from(&xs, &labels, n, d, classes);
+        let naive: Vec<u8> = (0..n).map(|i| mlp_predict_naive(theta, hidden, classes, data.x(i))).collect();
+        let (lo, hi) = (cut.0.min(cut.1).min(n), cut.0.max(cut.1).min(n));
+        count_correct_matches(&model, &data, &naive, lo..hi)?;
+    }
+
+    /// Batched ballot scoring == one `score` per proposal, for the
+    /// overriding `AccuracyEvaluator` (over owned shards and over
+    /// borrowed row ranges, which must also agree with each other) and
+    /// for the trait default.
+    #[test]
+    fn score_all_matches_per_proposal_score(
+        voters in 1usize..=5,
+        proposals in pvec(pvec(ordered_f32(), 3 * 4 + 3), 1..7),
+        xs in pvec(-10.0f32..10.0, 64),
+        labels in pvec(any::<u8>(), 16),
+        n in 5usize..=40,
+    ) {
+        let data = dataset_from(&xs, &labels, n, 4, 3);
+        let template = || -> Box<dyn Model> { Box::new(LinearSoftmax::new(4, 3)) };
+        let owned = AccuracyEvaluator::new(template(), data.split_even(voters));
+        let borrowed = AccuracyEvaluator::split_rows(template(), &data, voters);
+        let own: Vec<Vec<f32>> = proposals.iter().cycle().take(voters).cloned().collect();
+        let distance = DistanceEvaluator::new(&own);
+        let refs = as_refs(&proposals);
+        for v in 0..voters {
+            let singly: Vec<f64> = refs.iter().map(|p| owned.score(v, p)).collect();
+            for eval in [&owned as &dyn ProposalEvaluator, &borrowed] {
+                let mut batched = vec![f64::NAN; refs.len()];
+                eval.score_all(v, &refs, &mut batched);
+                prop_assert_eq!(&batched, &singly, "voter {}", v);
+            }
+            let mut batched = vec![0.0f64; refs.len()];
+            distance.score_all(v, &refs, &mut batched);
+            for (b, p) in batched.iter().zip(&refs) {
+                prop_assert_eq!(b.to_bits(), distance.score(v, p).to_bits());
+            }
+        }
+    }
+}
+
+/// Every voter-parallel mechanism decides the identical
+/// `ConsensusOutcome` at 1/2/4/8 threads, under the accuracy evaluator
+/// (integer hit counts) and the distance evaluator alike. One `#[test]`
+/// owns the process-wide thread override; nothing else in this binary
+/// reads it.
+#[test]
+fn vote_outcomes_identical_at_all_thread_counts() {
+    // Deterministic pseudo-random values in [-3, 3).
+    let value = |i: usize, j: usize| {
+        let mut x = ((i as u64) << 32 | j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^= x >> 29;
+        (x % 6_000) as f32 / 1_000.0 - 3.0
+    };
+    let (d, classes, samples) = (6usize, 4usize, 203usize);
+    let mut data = Dataset::empty(d, classes);
+    for i in 0..samples {
+        let x: Vec<f32> = (0..d).map(|j| value(i, j)).collect();
+        data.push(&x, (i % classes) as u8);
+    }
+    let template = LinearSoftmax::new(d, classes);
+    for n in [1usize, 2, 4, 5, 7] {
+        let proposals: Vec<Vec<f32>> = (0..n)
+            .map(|p| {
+                (0..template.param_len())
+                    .map(|j| value(1_000 + p, j))
+                    .collect()
+            })
+            .collect();
+        let refs = as_refs(&proposals);
+        let byz: Vec<bool> = (0..n).map(|v| v % 3 == 1).collect();
+        let accuracy = AccuracyEvaluator::split_rows(Box::new(template.clone()), &data, n);
+        let distance = DistanceEvaluator::new(&proposals);
+        let mechanisms: Vec<Box<dyn Consensus>> = vec![
+            Box::new(VoteConsensus::paper_default()),
+            Box::new(VoteConsensus::new(1)),
+            Box::new(CommitteeConsensus::new(3, 1)),
+            Box::new(StakeVote::new(
+                (0..n).map(|v| 1.0 + (v % 3) as f64).collect(),
+            )),
+        ];
+        for eval in [&accuracy as &dyn ProposalEvaluator, &distance] {
+            for mech in &mechanisms {
+                let decide = |threads: usize| {
+                    abd_hfl::parallel::set_default_threads(threads);
+                    mech.decide(&refs, &byz, eval, &mut StdRng::seed_from_u64(9))
+                };
+                let base = decide(1);
+                for &t in &THREADS[1..] {
+                    assert_eq!(
+                        decide(t),
+                        base,
+                        "{} over {n} proposals at {t} threads",
+                        mech.name()
+                    );
+                }
+            }
+            let votes = |threads: usize| {
+                abd_hfl::parallel::set_default_threads(threads);
+                VoteConsensus::paper_default().vote_matrix(&refs, &byz, eval)
+            };
+            let base = votes(1);
+            for &t in &THREADS[1..] {
+                assert_eq!(
+                    votes(t),
+                    base,
+                    "vote matrix over {n} proposals at {t} threads"
+                );
+            }
+        }
+    }
+    abd_hfl::parallel::set_default_threads(0);
 }
