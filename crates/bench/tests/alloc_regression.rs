@@ -7,9 +7,14 @@
 //!
 //! The gate drives [`RoundEngine::run_round_into`] directly (the
 //! harness loop in `run_prepared` allocates for manifests and metrics
-//! by design) under the counting allocator, on three fixtures:
+//! by design) under the counting allocator, on four fixtures:
 //!
 //! * **clean** — the fault-free synchronous path;
+//! * **deadline** — the clean fixture under `AsyncRoundCfg::lan()`:
+//!   every cluster closes a deadline buffer (arrival synthesis, close
+//!   time, τ-window admission, weighted aggregation) out of the
+//!   engine's workspace. Fault-free, so no deadline fires and no
+//!   `degraded_quorum` record is formed;
 //! * **faulted** — a crash (with recovery), a leader kill, a healing
 //!   partition and a bounded straggler window, all confined to the
 //!   warmup rounds. Steady-state rounds then run the fault layer's
@@ -30,7 +35,7 @@
 //! test would bleed its allocations into the steady-state window: the
 //! two `#[test]`s serialize on [`COUNTER`].
 
-use abd_hfl_core::config::{AttackCfg, HflConfig, LevelAgg};
+use abd_hfl_core::config::{AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg};
 use abd_hfl_core::engine::cost::CostCounters;
 use abd_hfl_core::engine::RoundEngine;
 use abd_hfl_core::runner::Experiment;
@@ -82,6 +87,13 @@ fn cba_fixture(seed: u64) -> HflConfig {
         test_samples: 800,
         ..SynthConfig::default()
     };
+    cfg
+}
+
+/// The clean fixture with every barrier replaced by a deadline buffer.
+fn deadline_fixture(seed: u64) -> HflConfig {
+    let mut cfg = bra_fixture(seed);
+    cfg.async_rounds = Some(AsyncRoundCfg::lan());
     cfg
 }
 
@@ -157,6 +169,7 @@ fn steady_state_rounds_allocate_nothing() {
     gate(&[
         ("clean", bra_fixture(11), 0),
         ("faulted", faulted_fixture(12), 0),
+        ("deadline", deadline_fixture(14), 0),
     ]);
 }
 

@@ -109,24 +109,26 @@ impl ProposalEvaluator for AccuracyEvaluator<'_> {
 
 /// Distance-based evaluator for tests and for deployments without local
 /// validation data: node `i` scores a proposal by proximity to its own
-/// proposal (negated distance).
-pub struct DistanceEvaluator {
-    own: Vec<Vec<f32>>,
+/// proposal (negated distance). Borrows the reference rows — owned
+/// (`&[Vec<f32>]`) or already-borrowed (`&[&[f32]]`, a round's inputs)
+/// alike — so building one per decision copies nothing.
+pub struct DistanceEvaluator<'a, R = Vec<f32>> {
+    own: &'a [R],
 }
 
-impl DistanceEvaluator {
+impl<'a, R: AsRef<[f32]>> DistanceEvaluator<'a, R> {
     /// One reference vector per voter (typically each node's own
     /// proposal).
-    pub fn new(own: &[Vec<f32>]) -> Self {
+    pub fn new(own: &'a [R]) -> Self {
         assert!(!own.is_empty(), "need at least one reference vector");
-        Self { own: own.to_vec() }
+        Self { own }
     }
 }
 
-impl ProposalEvaluator for DistanceEvaluator {
+impl<R: AsRef<[f32]> + Sync> ProposalEvaluator for DistanceEvaluator<'_, R> {
     fn score(&self, voter: usize, params: &[f32]) -> f64 {
         assert!(voter < self.own.len(), "voter index out of range");
-        -hfl_tensor::ops::dist(&self.own[voter], params)
+        -hfl_tensor::ops::dist(self.own[voter].as_ref(), params)
     }
 }
 
@@ -162,7 +164,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_voter_panics() {
-        let ev = DistanceEvaluator::new(&[vec![0.0f32]]);
-        ev.score(3, &[0.0]);
+        let own = [vec![0.0f32]];
+        DistanceEvaluator::new(&own).score(3, &[0.0]);
     }
 }

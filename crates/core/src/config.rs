@@ -940,6 +940,11 @@ pub enum ConfigError {
         /// Smallest cluster size at that level.
         n_min: usize,
     },
+    /// Pipeline driver: `loss_prob > 0` with neither a collection
+    /// timeout nor a quorum below 1 — a collection would never close.
+    PipelineLossNeedsTimeout,
+    /// Pipeline driver: a fault plan that loses deliveries, likewise.
+    PipelineFaultsNeedTimeout,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -985,6 +990,15 @@ impl std::fmt::Display for ConfigError {
             ConfigError::AsyncTierOutOfRange { level, levels } => write!(
                 f,
                 "async tier deadline names level {level}, hierarchy has {levels} levels"
+            ),
+            ConfigError::PipelineLossNeedsTimeout => write!(
+                f,
+                "a lossy network needs a collection timeout or a quorum < 1 to progress"
+            ),
+            ConfigError::PipelineFaultsNeedTimeout => write!(
+                f,
+                "injected delivery faults (crashes, partitions, loss bursts) need a \
+                 collection timeout or a quorum < 1 to progress"
             ),
             ConfigError::StalenessExploitNeedsAsync => write!(
                 f,

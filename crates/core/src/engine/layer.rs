@@ -51,14 +51,6 @@ pub struct RoundCtx<'r> {
     /// written by the defense layer's audit, consumed by layers later
     /// in the stack (the adversary repairs convicted equivocators).
     pub convicted: Vec<usize>,
-    /// The round's base collection deadline, µs from buffer open —
-    /// `None` is the synchronous barrier (deadline = ∞). Per-tier
-    /// overrides refine this per cluster via
-    /// [`RoundLayer::collector_policy`] / the config fallback.
-    pub deadline_us: Option<u64>,
-    /// The round's staleness bound τ, µs past buffer close (0 when
-    /// synchronous).
-    pub staleness_bound_us: u64,
 }
 
 /// One cluster aggregation site, as the hooks see it.

@@ -1,52 +1,29 @@
 //! Round-scoped buffer arena: every model-vector and index buffer the
 //! canonical round needs, owned once by the engine and recycled across
-//! rounds so the synchronous BRA hot path performs **zero heap
-//! allocation in steady state** (the invariant
+//! rounds so a BRA round — synchronous or deadline-buffered — performs
+//! **zero heap allocation in steady state** (the invariant
 //! `crates/bench/tests/alloc_regression.rs` pins with the counting
 //! allocator).
 //!
 //! Three pieces:
 //!
-//! * [`BufferPool`] — an arena of `Vec<f32>` model vectors. `get` hands
-//!   out an empty vector with recycled capacity, `put` returns one.
-//!   Used for buffers whose ownership genuinely moves (a CBA decision
-//!   vector displacing a carried partial, an equivocated upward value).
 //! * [`RefPool`] — recycles the *capacity* of `Vec<&[f32]>` input-ref
 //!   vectors across rounds. The borrow lifetime changes every round, so
 //!   the pool stores the vector with an erased (`'static`) lifetime
 //!   while it is empty; handing it out re-binds the lifetime. Sound
 //!   because an empty `Vec` owns only capacity — it contains no
 //!   references to anything.
+//! * [`StepScratch`] — what one cluster step (`super::step`) works in:
+//!   the kept slots with their weights and lateness, the deadline
+//!   buffer's arrival tables, the aggregation inputs and the shared
+//!   [`AggScratch`].
 //! * [`RoundWorkspace`] — the engine's per-round state: carried/next
-//!   model rows, churn and cohort bindings, member-index scratch,
-//!   prebuilt per-level BRA aggregators (so `AggregatorKind::build`'s
-//!   box allocation happens once, not per cluster per round), the
-//!   shared [`AggScratch`], and the training-loop workspace.
+//!   model rows, churn and cohort bindings, member-index scratch, the
+//!   step scratch, and the training-loop workspace.
 
-use hfl_robust::{AggScratch, Aggregator};
+use hfl_robust::AggScratch;
 
-use crate::config::{HflConfig, LevelAgg};
 use crate::runner::TrainWorkspace;
-
-/// Arena of reusable `Vec<f32>` model vectors.
-#[derive(Debug, Default)]
-pub struct BufferPool {
-    free: Vec<Vec<f32>>,
-}
-
-impl BufferPool {
-    /// An empty vector, reusing pooled capacity when available.
-    pub fn get(&mut self) -> Vec<f32> {
-        let mut v = self.free.pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    /// Returns a vector to the arena for reuse.
-    pub fn put(&mut self, v: Vec<f32>) {
-        self.free.push(v);
-    }
-}
 
 /// Recycles the capacity of `Vec<&[f32]>` across borrow lifetimes.
 #[derive(Debug, Default)]
@@ -75,6 +52,31 @@ impl RefPool {
     }
 }
 
+/// The buffers of one cluster step, reused by every cluster of every
+/// round. `kept` / `weights` / `lateness` are the collect step's result;
+/// the rest is working memory.
+#[derive(Default)]
+pub struct StepScratch {
+    /// The admitted slots, ascending.
+    pub kept: Vec<usize>,
+    /// Deadline policy: the aggregation weight of `kept[i]` (1.0
+    /// on-time, staleness-discounted for τ-late arrivals).
+    pub weights: Vec<f32>,
+    /// Deadline policy: the lateness of `kept[i]` as a fraction of τ
+    /// (0 on-time) — staleness evidence for the defense.
+    pub lateness: Vec<f64>,
+    /// Deadline buffer: `(arrival µs, candidate position)`.
+    pub(super) times: Vec<(u64, usize)>,
+    /// Deadline buffer: which candidates stall until just inside τ.
+    pub(super) stalled: Vec<bool>,
+    /// Deadline buffer: `(slot, weight, lateness fraction)` admitted.
+    pub(super) admitted: Vec<(usize, f32, f64)>,
+    /// Input-ref recycler for aggregation calls.
+    pub(super) refs: RefPool,
+    /// Shared aggregator scratch (distance matrix, rows, columns...).
+    pub(super) agg: AggScratch,
+}
+
 /// All reusable state of one [`super::RoundEngine`]'s round execution.
 ///
 /// The engine `std::mem::take`s the workspace at the top of an
@@ -90,68 +92,24 @@ pub struct RoundWorkspace {
     pub carried: Vec<Vec<f32>>,
     /// The next level's carried rows (swapped with `carried` per level).
     pub next: Vec<Vec<f32>>,
-    /// Member-index scratch: the present/arrival-order buffer.
+    /// The present members of a cluster in arrival order: member
+    /// indices while the layers filter and reorder, slots from there on.
     pub order: Vec<usize>,
-    /// Member-index scratch: the quorum's kept members.
-    pub kept: Vec<usize>,
-    /// Global client ids behind the kept members.
+    /// Global client ids behind the kept slots.
     pub kept_devices: Vec<usize>,
     /// Surviving top-cluster slots for the global aggregation.
     pub final_slots: Vec<usize>,
-    /// Input-ref recycler for aggregation calls.
-    pub refs: RefPool,
-    /// Shared aggregator scratch (distance matrix, rows, columns...).
-    pub agg: AggScratch,
-    /// Model-vector arena for ownership-moving buffers.
-    pub pool: BufferPool,
+    /// The cluster step's buffers.
+    pub step: StepScratch,
     /// This round's training outputs, one per cohort slot.
     pub updates: Vec<Vec<f32>>,
-    /// The local-training loop's reusable model + SGD buffers.
+    /// The local-training loop's per-worker models + SGD buffers.
     pub train: TrainWorkspace,
-    /// `level_aggs[l]`: prebuilt aggregator for BRA level `l` (`None`
-    /// for CBA levels, which build their mechanism per decision).
-    /// Accessed by field in the engine so its borrow stays disjoint
-    /// from the carried/next/scratch borrows of the same workspace.
-    pub(super) level_aggs: Vec<Option<Box<dyn Aggregator>>>,
-    aggs_built: bool,
-}
-
-impl RoundWorkspace {
-    /// Builds the per-level BRA aggregators once per engine lifetime.
-    /// Levels are config-constant, so the boxes never rebuild.
-    pub fn ensure_aggregators(&mut self, cfg: &HflConfig) {
-        if self.aggs_built {
-            return;
-        }
-        self.level_aggs = cfg
-            .levels
-            .iter()
-            .map(|l| match l {
-                LevelAgg::Bra(kind) => Some(kind.build()),
-                LevelAgg::Cba(_) => None,
-            })
-            .collect();
-        self.aggs_built = true;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buffer_pool_recycles_capacity() {
-        let mut pool = BufferPool::default();
-        let mut v = pool.get();
-        v.extend_from_slice(&[1.0, 2.0, 3.0]);
-        let cap = v.capacity();
-        let ptr = v.as_ptr();
-        pool.put(v);
-        let w = pool.get();
-        assert!(w.is_empty());
-        assert_eq!(w.capacity(), cap);
-        assert_eq!(w.as_ptr(), ptr, "expected the same allocation back");
-    }
 
     #[test]
     fn ref_pool_recycles_capacity_across_borrows() {

@@ -31,12 +31,14 @@ use hfl_consensus::quorum_size;
 use hfl_faults::TimelineFaults;
 use hfl_ml::rng::derive_seed;
 use hfl_ml::sgd::train_local;
+use hfl_robust::AggScratch;
 use hfl_simnet::engine::{Actor, Ctx, NodeId, Simulation};
 use hfl_simnet::trace::{TraceEvent, TraceKind};
 use hfl_simnet::{DelayModel, SimTime};
 use hfl_telemetry::{fnv1a_hex, RunManifest, RunTotals, Telemetry};
 
-use crate::config::{HflConfig, LevelAgg};
+use crate::config::{ConfigError, HflConfig};
+use crate::engine::{aggregate, LevelRule, Scoring};
 use crate::runner::Experiment;
 
 /// Timing knobs for the pipeline simulation.
@@ -166,6 +168,9 @@ struct DeviceActor {
     id: usize,
     exp: Arc<Experiment>,
     pcfg: Arc<PipelineConfig>,
+    /// Every level's aggregation rule, built once and shared by all
+    /// devices.
+    rules: Arc<Vec<LevelRule>>,
     /// Clusters this device leads: `(level, cluster index)`.
     led: Vec<(usize, usize)>,
     /// Bottom cluster this device belongs to (cluster index, leader id).
@@ -292,14 +297,19 @@ impl DeviceActor {
                 cluster,
                 kind: TraceKind::QuorumReached,
             });
-            let base = self.pcfg.agg_delay.sample(&mut self.rng);
-            let dur = match &self.exp.config().levels[level] {
-                LevelAgg::Bra(_) => base,
-                LevelAgg::Cba(_) => SimTime::from_micros(
-                    (base.as_micros() as f64 * self.pcfg.cba_delay_factor) as u64,
-                ),
-            };
+            let dur = self.agg_duration(level);
             ctx.set_timer(dur, pack_timer(TIMER_AGG, level, round));
+        }
+    }
+
+    /// How long this leader takes to aggregate at `level`, however the
+    /// collection closed: one `agg_delay` draw, stretched by
+    /// `cba_delay_factor` where the level runs a consensus mechanism.
+    fn agg_duration(&mut self, level: usize) -> SimTime {
+        let base = self.pcfg.agg_delay.sample(&mut self.rng);
+        match self.rules[level] {
+            LevelRule::Bra(..) => base,
+            LevelRule::Cba(_) => base.saturating_scale(self.pcfg.cba_delay_factor),
         }
     }
 
@@ -309,7 +319,7 @@ impl DeviceActor {
         if let Some(entry) = self.collectors.get_mut(&(level, round)) {
             if !entry.quorum_hit && !entry.inputs.is_empty() {
                 entry.quorum_hit = true;
-                let dur = self.pcfg.agg_delay.sample(&mut self.rng);
+                let dur = self.agg_duration(level);
                 ctx.set_timer(dur, pack_timer(TIMER_AGG, level, round));
             }
         }
@@ -322,17 +332,19 @@ impl DeviceActor {
         self.aggregated.insert((level, round));
         let refs: Vec<&[f32]> = collector.inputs.iter().map(|(_, p)| p.as_slice()).collect();
         let cfg = self.exp.config();
-        let aggregated = match &cfg.levels[level] {
-            LevelAgg::Bra(kind) => kind.build().aggregate(&refs, None),
-            LevelAgg::Cba(kind) => {
-                let own: Vec<Vec<f32>> = refs.iter().map(|r| r.to_vec()).collect();
-                let eval = hfl_consensus::DistanceEvaluator::new(&own);
-                let byz = vec![false; refs.len()];
-                kind.build()
-                    .decide(&refs, &byz, &eval, &mut self.rng)
-                    .decided
-            }
-        };
+        // The engine's aggregate step, with every node honest inside
+        // the protocol and distance scoring at every level.
+        let mut aggregated = Vec::new();
+        aggregate(
+            &self.rules[level],
+            &refs,
+            None,
+            |_| false,
+            Scoring::Distance,
+            &mut self.rng,
+            &mut aggregated,
+            &mut AggScratch::default(),
+        );
         let cluster = if level == 0 {
             0
         } else {
@@ -522,12 +534,27 @@ impl Actor<Msg> for DeviceActor {
 /// still accepted — the fields are ignored here and an
 /// `Event::Anomaly { kind: "arms_race_ignored" }` is emitted once so
 /// the omission is visible in the trace.
+///
+/// Errors before anything runs when the timing model cannot progress:
+/// no rounds, or lost deliveries (network loss, injected faults) with
+/// neither a collection timeout nor a quorum below 1.
 pub(crate) fn pipeline_run(
     cfg: &HflConfig,
     pcfg: &PipelineConfig,
     telem: &Telemetry,
-) -> (PipelineResult, RunManifest) {
-    assert!(pcfg.rounds > 0, "pipeline needs at least one round");
+) -> Result<(PipelineResult, RunManifest), ConfigError> {
+    if pcfg.rounds == 0 {
+        return Err(ConfigError::ZeroRounds);
+    }
+    let exp = Arc::new(Experiment::try_prepare(cfg)?);
+    let can_close_short = pcfg.collect_timeout.is_some() || cfg.quorum < 1.0;
+    if pcfg.loss_prob > 0.0 && !can_close_short {
+        return Err(ConfigError::PipelineLossNeedsTimeout);
+    }
+    let delivery_faults = exp.injector().is_some_and(|inj| inj.has_delivery_faults());
+    if delivery_faults && !can_close_short {
+        return Err(ConfigError::PipelineFaultsNeedTimeout);
+    }
     if telem.enabled() && cfg.arms_race() {
         telem.emit(hfl_telemetry::Event::Anomaly {
             kind: "arms_race_ignored".into(),
@@ -537,8 +564,8 @@ pub(crate) fn pipeline_run(
                 .into(),
         });
     }
-    let exp = Arc::new(Experiment::prepare(cfg));
     let pcfg = Arc::new(pcfg.clone());
+    let rules = Arc::new(LevelRule::build_all(&cfg.levels));
     let h = &exp.hierarchy;
     let bottom = h.bottom_level();
     let n = h.num_clients();
@@ -583,6 +610,7 @@ pub(crate) fn pipeline_run(
                 id,
                 exp: Arc::clone(&exp),
                 pcfg: Arc::clone(&pcfg),
+                rules: Arc::clone(&rules),
                 led,
                 bottom_cluster,
                 bottom_leader,
@@ -610,20 +638,9 @@ pub(crate) fn pipeline_run(
         sim.set_recorder(Arc::clone(telem.recorder()));
     }
     if pcfg.loss_prob > 0.0 {
-        assert!(
-            pcfg.collect_timeout.is_some() || cfg.quorum < 1.0,
-            "a lossy network needs a collection timeout or a quorum < 1 to progress"
-        );
-        sim.set_loss(pcfg.loss_prob);
+        sim.set_drop_probability(pcfg.loss_prob);
     }
     if let Some(inj) = exp.injector() {
-        if inj.has_delivery_faults() {
-            assert!(
-                pcfg.collect_timeout.is_some() || cfg.quorum < 1.0,
-                "injected delivery faults (crashes, partitions, loss bursts) need a \
-                 collection timeout or a quorum < 1 to progress"
-            );
-        }
         // Nominal round period for mapping sim time onto fault-plan
         // rounds: one training phase plus a per-level collect + aggregate
         // exchange. The mapping is approximate (slow rounds drift) but
@@ -743,7 +760,7 @@ pub(crate) fn pipeline_run(
     manifest.final_accuracy = final_accuracy;
     manifest.metrics = registry.snapshot();
 
-    (
+    Ok((
         PipelineResult {
             rounds,
             sim_time_secs: sim.now().as_secs_f64(),
@@ -755,7 +772,7 @@ pub(crate) fn pipeline_run(
             mean_period,
         },
         manifest,
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -764,7 +781,7 @@ mod tests {
     use crate::config::{AttackCfg, HflConfig};
 
     fn run_pipeline(cfg: &HflConfig, pcfg: &PipelineConfig) -> PipelineResult {
-        pipeline_run(cfg, pcfg, &Telemetry::disabled()).0
+        pipeline_run(cfg, pcfg, &Telemetry::disabled()).unwrap().0
     }
 
     fn quick_cfg(seed: u64) -> HflConfig {
@@ -851,18 +868,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lossy network needs a collection timeout")]
-    fn lossy_network_without_timeout_is_rejected() {
-        let cfg = quick_cfg(9);
-        let pcfg = PipelineConfig {
-            rounds: 2,
-            loss_prob: 0.10,
-            ..PipelineConfig::default()
-        };
-        run_pipeline(&cfg, &pcfg);
-    }
-
-    #[test]
     fn timeout_shortens_straggler_rounds() {
         // Heavy straggler tail: without a timeout the leader waits for
         // the slowest trainer; with one it proceeds at the timeout.
@@ -895,6 +900,43 @@ mod tests {
     }
 
     #[test]
+    fn timeout_closed_cba_level_takes_the_cba_duration() {
+        // A crashed top member keeps the (CBA) top collection below its
+        // full quorum for ever, so every round's top aggregation is
+        // started by the collection timeout — and must take exactly
+        // `cba_delay_factor × agg_delay`, as a quorum-closed one does.
+        use hfl_faults::FaultPlan;
+        use hfl_telemetry::Event;
+        let mut cfg = quick_cfg(12);
+        cfg.faults = Some(FaultPlan::new().crash_stop(0, 16));
+        let timeout = SimTime::from_millis(120);
+        let pcfg = PipelineConfig {
+            rounds: 2,
+            agg_delay: DelayModel::Constant { micros: 2_000 },
+            cba_delay_factor: 4.0,
+            collect_timeout: Some(timeout),
+            ..PipelineConfig::default()
+        };
+        let (telem, rec) = Telemetry::recording();
+        pipeline_run(&cfg, &pcfg, &telem).unwrap();
+        let top_time = |want: &str| {
+            rec.events().into_iter().find_map(|e| match e {
+                Event::Sim {
+                    time_us,
+                    round: 0,
+                    level: 0,
+                    kind,
+                    ..
+                } if kind == want => Some(time_us),
+                _ => None,
+            })
+        };
+        assert_eq!(top_time("QuorumReached"), None, "the timeout must fire");
+        let expiry = top_time("FirstModelReceived").unwrap() + timeout.as_micros();
+        assert_eq!(top_time("AggregateFormed").unwrap() - expiry, 4 * 2_000);
+    }
+
+    #[test]
     fn slow_leaf_uplinks_inflate_collection_time() {
         // Appendix E: leaf bandwidth dominates τ_L (the bottom leaders'
         // collection phase), stretching σ.
@@ -924,7 +966,7 @@ mod tests {
         use hfl_telemetry::{Event, Telemetry};
         let cfg = quick_cfg(20);
         let (telem, rec) = Telemetry::recording();
-        let (res, manifest) = pipeline_run(&cfg, &quick_pipeline(2), &telem);
+        let (res, manifest) = pipeline_run(&cfg, &quick_pipeline(2), &telem).unwrap();
         assert_eq!(manifest.label, "pipeline");
         assert_eq!(manifest.totals.messages, res.messages);
         assert_eq!(manifest.final_accuracy, res.final_accuracy);
@@ -950,8 +992,8 @@ mod tests {
     fn pipeline_manifest_is_deterministic() {
         use hfl_telemetry::Telemetry;
         let cfg = quick_cfg(21);
-        let (_, a) = pipeline_run(&cfg, &quick_pipeline(2), &Telemetry::disabled());
-        let (_, b) = pipeline_run(&cfg, &quick_pipeline(2), &Telemetry::disabled());
+        let (_, a) = pipeline_run(&cfg, &quick_pipeline(2), &Telemetry::disabled()).unwrap();
+        let (_, b) = pipeline_run(&cfg, &quick_pipeline(2), &Telemetry::disabled()).unwrap();
         assert_eq!(a.to_json(), b.to_json());
     }
 
@@ -976,15 +1018,6 @@ mod tests {
             faulted.messages,
             clean.messages
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "injected delivery faults")]
-    fn delivery_faults_without_timeout_are_rejected() {
-        use hfl_faults::FaultPlan;
-        let mut cfg = quick_cfg(31);
-        cfg.faults = Some(FaultPlan::new().crash_stop(1, 0));
-        run_pipeline(&cfg, &quick_pipeline(2));
     }
 
     #[test]

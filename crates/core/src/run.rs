@@ -159,13 +159,7 @@ impl<'r> RunOptions<'r> {
                 Ok(RunOutput::Sync(run_prepared_with(&exp, telem)))
             }
             Driver::Pipeline(pcfg) => {
-                // Surface config errors the same way the sync driver
-                // does; preparation inside the pipeline then re-checks.
-                cfg.try_validate(&cfg.topology.build(cfg.seed))?;
-                if pcfg.rounds == 0 {
-                    return Err(ConfigError::ZeroRounds);
-                }
-                let (result, manifest) = crate::pipeline::pipeline_run(cfg, pcfg, telem);
+                let (result, manifest) = crate::pipeline::pipeline_run(cfg, pcfg, telem)?;
                 Ok(RunOutput::Pipeline { result, manifest })
             }
         }
@@ -241,6 +235,23 @@ mod tests {
         };
         let err = RunOptions::pipeline(&pcfg).try_run(&tiny(33)).unwrap_err();
         assert_eq!(err, ConfigError::ZeroRounds);
+        // Lost deliveries with neither a collection timeout nor φ < 1
+        // can never close a collection: reported, not asserted on.
+        let lossy = PipelineConfig {
+            rounds: 2,
+            loss_prob: 0.10,
+            ..PipelineConfig::default()
+        };
+        let err = RunOptions::pipeline(&lossy).try_run(&tiny(33)).unwrap_err();
+        assert_eq!(err, ConfigError::PipelineLossNeedsTimeout);
+        let mut crashing = tiny(33);
+        crashing.faults = Some(hfl_faults::FaultPlan::new().crash_stop(1, 0));
+        let pcfg = PipelineConfig {
+            rounds: 2,
+            ..PipelineConfig::default()
+        };
+        let err = RunOptions::pipeline(&pcfg).try_run(&crashing).unwrap_err();
+        assert_eq!(err, ConfigError::PipelineFaultsNeedTimeout);
     }
 
     #[test]

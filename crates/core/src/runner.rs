@@ -22,10 +22,12 @@
 //! round with pluggable layers; this module owns experiment
 //! preparation, the training step and the run loop around it.
 
+use std::sync::Mutex;
+
 use hfl_attacks::{malicious_mask, ModelAttack};
 use hfl_faults::FaultInjector;
 use hfl_ml::rng::rng_for_n;
-use hfl_ml::sgd::{train_local, train_local_scratch, TrainScratch};
+use hfl_ml::sgd::{train_local_scratch, TrainScratch};
 use hfl_ml::synth::SyntheticDigits;
 use hfl_ml::{ClientPopulation, Dataset, Model};
 use hfl_robust::{AggregatorKind, Krum};
@@ -69,19 +71,20 @@ pub struct RunResult {
 }
 
 /// Reusable buffers for the per-round training step, owned by the
-/// engine's round workspace. On the single-threaded hot path one model
-/// instance and one SGD scratch serve every cohort slot in turn
-/// (`set_params` overwrites all parameters, so reuse is
-/// indistinguishable from a fresh `clone_box`), making steady-state
-/// training allocation-free.
+/// engine's round workspace. Each worker thread checks one trainee out
+/// of `parked` per cohort slot and parks it again afterwards, so a run
+/// creates as many trainees as it has workers and steady-state training
+/// allocates nothing. Which trainee serves a slot cannot show in the
+/// result: `set_params` overwrites every parameter and the SGD scratch
+/// is fully rewritten before it is read, so reuse is indistinguishable
+/// from a fresh `clone_box` (DESIGN.md §15).
 #[derive(Default)]
 pub struct TrainWorkspace {
     /// This round's cohort binding (global client per slot).
     cohort: Vec<usize>,
-    /// The reusable trainee model (lazily cloned from the template).
-    model: Option<Box<dyn Model>>,
-    /// SGD gradient/index/staging buffers.
-    scratch: TrainScratch,
+    /// Idle trainees: a model (cloned from the template on first use)
+    /// with its SGD gradient/index/staging buffers.
+    parked: Mutex<Vec<(Box<dyn Model>, TrainScratch)>>,
 }
 
 /// A run's result plus its [`RunManifest`] — what the instrumented entry
@@ -380,10 +383,10 @@ impl Experiment {
     /// [`Self::train_round`] into caller-owned buffers, with an optional
     /// adaptive-attack override (the arms race's current crafted attack
     /// replaces the configured static one) and telemetry for anomalies.
-    /// Numerically identical (same RNG streams, same arithmetic); with
-    /// one worker thread the reusable model + SGD scratch in `ws` make
-    /// the whole training step allocation-free once capacities have
-    /// grown.
+    /// Numerically identical (same RNG streams, same arithmetic) at any
+    /// thread count; the trainees parked in `ws` make the training step
+    /// allocation-free once capacities have grown (spawning worker
+    /// threads allocates, so exactly zero needs one thread).
     ///
     /// With no honest updates to estimate from (malicious proportion
     /// 1.0), crafting degrades to re-sending the round's starting global
@@ -400,22 +403,20 @@ impl Experiment {
     ) {
         let cfg = &self.config;
         self.cohort_into(round, &mut ws.cohort);
-        let TrainWorkspace {
-            cohort,
-            model: trainee,
-            scratch,
-        } = ws;
-        let n = cohort.len();
-        let threads = hfl_parallel::default_threads();
-        updates.resize_with(n, Vec::new);
-        if threads == 1 {
-            // Sequential hot path: one reusable model instance serves
-            // every slot in turn (`set_params` overwrites all
-            // parameters, so reuse equals a fresh clone), and the SGD
-            // scratch recycles its gradient/index/staging buffers.
-            let model = trainee.get_or_insert_with(|| self.template.clone_box());
-            for slot in 0..n {
+        let TrainWorkspace { cohort, parked } = &*ws;
+        let lock = || parked.lock().expect("a training worker panicked");
+        updates.resize_with(cohort.len(), Vec::new);
+        // One slot per claim: shard sizes differ per client, so workers
+        // steal at the finest grain; one thread is simply one worker.
+        hfl_parallel::par_chunks_mut(
+            updates,
+            1,
+            hfl_parallel::default_threads(),
+            |slot, update| {
                 let c = cohort[slot];
+                let (mut model, mut scratch) = lock()
+                    .pop()
+                    .unwrap_or_else(|| (self.template.clone_box(), TrainScratch::default()));
                 model.set_params(global);
                 // Borrow the materialized shard when cached (identity
                 // cohort); derive just this client's otherwise —
@@ -439,41 +440,14 @@ impl Experiment {
                         &cfg.sgd.at_round(round),
                         cfg.local_iters,
                         &mut rng,
-                        scratch,
+                        &mut scratch,
                     );
                 }
-                updates[slot].clear();
-                updates[slot].extend_from_slice(model.params());
-            }
-        } else {
-            let computed = hfl_parallel::par_map_indexed(n, threads, |slot| {
-                let c = cohort[slot];
-                let mut model = self.template.clone_box();
-                model.set_params(global);
-                let derived;
-                let shard = match &self.shard_cache {
-                    Some(cache) => &cache[c],
-                    None => {
-                        derived = self.derive_shard(c);
-                        &derived
-                    }
-                };
-                if !shard.is_empty() {
-                    let mut rng = rng_for_n(cfg.seed, &[round as u64, c as u64, 0x7247]);
-                    train_local(
-                        model.as_mut(),
-                        shard,
-                        &cfg.sgd.at_round(round),
-                        cfg.local_iters,
-                        &mut rng,
-                    );
-                }
-                model.params().to_vec()
-            });
-            for (dst, src) in updates.iter_mut().zip(computed) {
-                *dst = src;
-            }
-        }
+                update[0].clear();
+                update[0].extend_from_slice(model.params());
+                lock().push((model, scratch));
+            },
+        );
 
         let crafting = adaptive.or(match &cfg.attack {
             AttackCfg::Model { attack, .. } => Some(attack),

@@ -34,9 +34,8 @@
 //! | Median / GeoMed / others | residual ≤ 1.5 × median residual | worst residual 1.0, runner-up 0.5 (when > 2 × median) |
 //! | FedAvg | everything | none (no robustness signal) |
 
-use crate::krum::krum_scores;
 use crate::trimmed_mean::TrimmedMean;
-use crate::{AggregatorKind, MultiKrum};
+use crate::{AggScratch, AggregatorKind};
 
 /// Strike weight for the single most suspicious input of a round.
 pub const STRIKE_WORST: f64 = 1.0;
@@ -68,32 +67,41 @@ impl Acceptance {
     }
 }
 
-/// Judges one cluster's `updates` under the given rule. With fewer than
-/// three inputs there is no meaningful outlier structure: everything is
-/// accepted and nothing is struck.
-pub fn judge(kind: &AggregatorKind, updates: &[&[f32]]) -> Acceptance {
+/// Judges one cluster's `updates` from the aggregation that just ran
+/// over them: `aggregate` is what `kind`'s rule produced for exactly
+/// these inputs and `scratch` the [`AggScratch`] it ran in. Nothing is
+/// recomputed — Krum and Multi-Krum read the scores (and the selection)
+/// the rule left in `scratch`, the residual family measures against
+/// `aggregate`; trimmed mean and NNM, whose evidence is not a
+/// by-product of the aggregate, run their own transforms. With fewer
+/// than three inputs there is no meaningful outlier structure:
+/// everything is accepted and nothing is struck.
+pub fn judge_aggregated(
+    kind: &AggregatorKind,
+    updates: &[&[f32]],
+    aggregate: &[f32],
+    scratch: &AggScratch,
+) -> Acceptance {
     let n = updates.len();
     if n < 3 {
         return Acceptance::all_accepted(n);
     }
     match kind {
         AggregatorKind::FedAvg => Acceptance::all_accepted(n),
-        AggregatorKind::Krum { f } => {
-            let scores = krum_scores(updates, *f);
-            let mut acc = judge_by_scores(&scores, 1);
-            gate_krum_strikes(&mut acc, &scores);
-            acc
-        }
-        AggregatorKind::MultiKrum { f, m } => {
-            let scores = krum_scores(updates, *f);
-            let selected = MultiKrum::new(*f, (*m).max(1)).select(updates);
-            let mut acc = judge_by_scores(&scores, selected.len());
-            gate_krum_strikes(&mut acc, &scores);
-            // Membership of the actual selection is the ground truth for
-            // acceptance (scores only order; `m` decides the cut).
-            acc.accepted = vec![false; n];
-            for &i in &selected {
-                acc.accepted[i] = true;
+        AggregatorKind::Krum { .. } | AggregatorKind::MultiKrum { .. } => {
+            let scores = &scratch.scores;
+            assert_eq!(scores.len(), n, "scratch is not this aggregation's");
+            let multi = matches!(kind, AggregatorKind::MultiKrum { .. });
+            let keep = if multi { scratch.idx.len() } else { 1 };
+            let mut acc = judge_by_scores(scores, keep);
+            gate_krum_strikes(&mut acc, scores);
+            if multi {
+                // Membership of the actual selection is the ground truth
+                // for acceptance (scores only order; `m` decides the cut).
+                acc.accepted = vec![false; n];
+                for &i in &scratch.idx {
+                    acc.accepted[i] = true;
+                }
             }
             acc
         }
@@ -111,7 +119,7 @@ pub fn judge(kind: &AggregatorKind, updates: &[&[f32]]) -> Acceptance {
             // (found by the honest-quarantine oracle). Keep a strike
             // only when the input also separates in the unmixed cohort:
             // a real outlier does, an honest client does not.
-            let raw = judge_by_residual(kind, updates);
+            let raw = judge_by_residual(updates, aggregate);
             for (s, r) in acc.strikes.iter_mut().zip(&raw.strikes) {
                 if *r == 0.0 {
                     *s = 0.0;
@@ -122,8 +130,21 @@ pub fn judge(kind: &AggregatorKind, updates: &[&[f32]]) -> Acceptance {
         // Bucketing destroys index correspondence (n inputs → ⌈n/s⌉
         // bucket means); fall back to residuals of the *original* inputs
         // against the composed aggregate.
-        _ => judge_by_residual(kind, updates),
+        _ => judge_by_residual(updates, aggregate),
     }
+}
+
+/// [`judge_aggregated`] for callers holding only the inputs: runs
+/// `kind`'s rule over them once, then judges from that aggregation.
+pub fn judge(kind: &AggregatorKind, updates: &[&[f32]]) -> Acceptance {
+    if updates.len() < 3 {
+        return Acceptance::all_accepted(updates.len());
+    }
+    let mut scratch = AggScratch::default();
+    let mut aggregate = Vec::new();
+    kind.build()
+        .aggregate_into(updates, None, &mut aggregate, &mut scratch);
+    judge_aggregated(kind, updates, &aggregate, &scratch)
 }
 
 /// Strike weight added per unit of staleness (lateness / τ): a
@@ -235,12 +256,11 @@ fn judge_trimmed(updates: &[&[f32]], ratio: f64) -> Acceptance {
 /// clipping, clustering, AutoGM. Inputs far from the robust aggregate
 /// relative to the cohort's median residual were effectively down-
 /// weighted or ignored.
-fn judge_by_residual(kind: &AggregatorKind, updates: &[&[f32]]) -> Acceptance {
+fn judge_by_residual(updates: &[&[f32]], aggregate: &[f32]) -> Acceptance {
     let n = updates.len();
-    let agg = kind.build().aggregate(updates, None);
     let res: Vec<f64> = updates
         .iter()
-        .map(|u| hfl_tensor::ops::dist(u, &agg))
+        .map(|u| hfl_tensor::ops::dist(u, aggregate))
         .collect();
     let mut sorted = res.clone();
     sorted.sort_by(f64::total_cmp);

@@ -254,12 +254,6 @@ impl<P, A: Actor<P>> Simulation<P, A> {
         self.loss_prob = p;
     }
 
-    /// Alias for [`Simulation::set_drop_probability`], kept for callers
-    /// written against the original name.
-    pub fn set_loss(&mut self, p: f64) {
-        self.set_drop_probability(p);
-    }
-
     /// Installs a fault hook consulted on every send, before the base
     /// drop probability. See [`LinkFault`].
     pub fn set_link_fault(&mut self, fault: Box<dyn LinkFault>) {
@@ -653,7 +647,7 @@ mod tests {
             3,
             |_| 1,
         );
-        sim.set_loss(0.3);
+        sim.set_drop_probability(0.3);
         let stats = sim.run(10_000);
         let delivered = sim.actors()[1].received as u64;
         assert_eq!(delivered + stats.dropped, 1000);
@@ -668,7 +662,7 @@ mod tests {
     #[test]
     fn zero_loss_delivers_everything() {
         let mut sim = pingpong_sim(6);
-        sim.set_loss(0.0);
+        sim.set_drop_probability(0.0);
         let stats = sim.run(10_000);
         assert_eq!(stats.dropped, 0);
         assert_eq!(stats.messages, 22);
@@ -725,13 +719,6 @@ mod tests {
             .restore_clock(SimTime::ZERO, 0, NetStats::default())
             .unwrap_err();
         assert!(err.contains("in flight"), "{err}");
-    }
-
-    #[test]
-    fn set_loss_alias_still_works() {
-        let mut sim = pingpong_sim(8);
-        sim.set_loss(0.0);
-        assert_eq!(sim.run(10_000).dropped, 0);
     }
 
     /// A hard-coded fault: drops everything toward node 1 as a crash,

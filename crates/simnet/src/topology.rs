@@ -164,7 +164,10 @@ impl Hierarchy {
     /// 2. the top level is a single cluster,
     /// 3. for `ℓ ≥ 1`, the leaders of level `ℓ` are exactly the nodes of
     ///    level `ℓ−1` (the defining ABD-HFL property),
-    /// 4. within a level, no device appears twice.
+    /// 4. within a level, no device appears twice,
+    /// 5. a cluster lists its members in ascending id order, so member
+    ///    order and slot order are one canonical order (the round
+    ///    engine sorts kept slots and relies on it).
     ///
     /// # Panics
     /// On any violation.
@@ -180,6 +183,10 @@ impl Hierarchy {
             let mut seen = std::collections::HashSet::new();
             for c in &level.clusters {
                 assert!(!c.is_empty(), "empty cluster at level {l}");
+                assert!(
+                    c.members.windows(2).all(|w| w[0] < w[1]),
+                    "cluster members out of id order at level {l}"
+                );
                 for m in &c.members {
                     assert!(seen.insert(*m), "device {m} duplicated at level {l}");
                 }

@@ -13,12 +13,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 #   hot kernel (blocked distances, fused reductions, the lockstep dense
 #   layer and the scoring paths over it, work-stealing parallel paths,
 #   the voter-parallel vote) must be byte-identical to its naive
-#   reference across thread counts 1/2/4/8 and adversarial values.
+#   reference across thread counts 1/2/4/8 and adversarial values;
+#   evidence read from the aggregation must equal the stand-alone
+#   recompute; whole runs must be identical at 1/2/4/8 threads.
 # - Allocation regression (crates/bench/tests/alloc_regression.rs,
 #   steady_state_rounds_allocate_nothing): after a 5-round warmup,
-#   synchronous BRA rounds perform exactly zero heap allocations on
-#   both the clean and the faulted fixture. A single new Vec on the
-#   round path fails this.
+#   BRA rounds perform exactly zero heap allocations on the clean, the
+#   faulted and the deadline fixture (every cluster closing a deadline
+#   buffer). A single new Vec on the round path — or per buffer — fails
+#   this.
 # - Vote allocation ceiling (same file,
 #   vote_rounds_stay_under_the_allocation_ceiling): a paper_iid round,
 #   validation vote on top, performs at most 80 allocations. A Vec per
@@ -51,6 +54,8 @@ same_seed_gate repro_combined combined.manifests.jsonl --quick
 same_seed_gate repro_async async.manifests.jsonl --quick --filter deadline
 # The gallery grid (§13) has a seeded Dirichlet re-draw loop and AGR bisections.
 same_seed_gate repro_gallery gallery.manifests.jsonl --quick
+# The pipeline driver: actors on the event simulator, timers and link delays from seeded streams.
+same_seed_gate repro_efficiency efficiency.manifests.jsonl --quick
 # Per-round cohort sampling and lazy shard derivation (§14) at 10⁴ clients.
 same_seed_gate repro_scale scale.manifests.jsonl --smoke
 test -s "$tmp/repro_scale.a/scale.json" \

@@ -23,26 +23,47 @@
 //! (kept here as executable references), `score_all` against
 //! per-proposal `score`, and the voter-parallel mechanisms against
 //! their own single-threaded outcome.
+//!
+//! The cluster step's evidence is pinned the same way: verdicts read
+//! from the aggregation that just ran (`judge_aggregated`) against the
+//! stand-alone recompute it replaced (kept here as the reference), and
+//! whole runs against themselves across thread counts — the training
+//! step has one body at any worker count.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
+use abd_hfl::attacks::{AdaptiveAttack, ModelAttack, Placement, ProtocolAttack};
 use abd_hfl::consensus::eval::AccuracyEvaluator;
 use abd_hfl::consensus::{
     CommitteeConsensus, Consensus, DistanceEvaluator, ProposalEvaluator, StakeVote, VoteConsensus,
 };
+use abd_hfl::core::config::{AsyncRoundCfg, AttackCfg, HflConfig, SamplingCfg};
+use abd_hfl::core::runner::{run_prepared_with, Experiment};
 use abd_hfl::ml::loss::{argmax, softmax_in_place};
 use abd_hfl::ml::model::BatchScratch;
+use abd_hfl::ml::synth::SynthConfig;
 use abd_hfl::ml::{Dataset, LinearSoftmax, Mlp, Model};
+use abd_hfl::robust::evidence::{
+    self, Acceptance, KRUM_STRIKE_GATE, STRIKE_RUNNER_UP, STRIKE_WORST,
+};
 use abd_hfl::robust::geomed::GeoMed;
 use abd_hfl::robust::krum::{self, reference as krum_reference};
-use abd_hfl::robust::{median, trimmed_mean, AggScratch};
+use abd_hfl::robust::{
+    median, trimmed_mean, AggScratch, AggregatorKind, MultiKrum, PreAggregation, SuspicionConfig,
+    TrimmedMean,
+};
+use abd_hfl::telemetry::Telemetry;
 use abd_hfl::tensor::ops::{self, reference};
 use abd_hfl::tensor::stats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Held by each test that sweeps the process-wide thread override.
+static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
 
 fn bits_eq_f32(a: f32, b: f32) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
@@ -458,11 +479,10 @@ proptest! {
 
 /// Every voter-parallel mechanism decides the identical
 /// `ConsensusOutcome` at 1/2/4/8 threads, under the accuracy evaluator
-/// (integer hit counts) and the distance evaluator alike. One `#[test]`
-/// owns the process-wide thread override; nothing else in this binary
-/// reads it.
+/// (integer hit counts) and the distance evaluator alike.
 #[test]
 fn vote_outcomes_identical_at_all_thread_counts() {
+    let _sweep = THREAD_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
     // Deterministic pseudo-random values in [-3, 3).
     let value = |i: usize, j: usize| {
         let mut x = ((i as u64) << 32 | j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -524,6 +544,320 @@ fn vote_outcomes_identical_at_all_thread_counts() {
                     "vote matrix over {n} proposals at {t} threads"
                 );
             }
+        }
+    }
+    abd_hfl::parallel::set_default_threads(0);
+}
+
+/// Wide-ranged but finite values, for rules whose distances must stay
+/// ordered (`inf − inf` is NaN, which AutoGM's and the coordinate
+/// kernels' comparators reject by contract) and whose inverse-distance
+/// weights must not overflow (Weiszfeld's `1/d` at `d = 1e-12`).
+fn finite_f32() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        -100.0f32..100.0,
+        -1.0e15f32..1.0e15,
+        Just(0.0f32),
+        Just(-0.0f32),
+        Just(1.0e-40f32),
+        Just(-4.7e-42f32),
+        Just(f32::MIN_POSITIVE),
+    ]
+}
+
+fn fin_elem() -> BoxedStrategy<f32> {
+    finite_f32().boxed()
+}
+
+/// `evidence::judge` as it stood before verdicts were read from the
+/// aggregation: every family recomputes what it needs from the inputs
+/// alone — Krum scores and the Multi-Krum selection a second time, the
+/// residual family's aggregate through a fresh `build().aggregate`.
+mod judge_reference {
+    use super::*;
+
+    fn all_accepted(n: usize) -> Acceptance {
+        Acceptance {
+            accepted: vec![true; n],
+            strikes: vec![0.0; n],
+        }
+    }
+
+    pub fn judge(kind: &AggregatorKind, updates: &[&[f32]]) -> Acceptance {
+        let n = updates.len();
+        if n < 3 {
+            return all_accepted(n);
+        }
+        match kind {
+            AggregatorKind::FedAvg => all_accepted(n),
+            AggregatorKind::Krum { f } => {
+                let scores = krum::krum_scores(updates, *f);
+                let mut acc = by_scores(&scores, 1);
+                gate_krum(&mut acc, &scores);
+                acc
+            }
+            AggregatorKind::MultiKrum { f, m } => {
+                let scores = krum::krum_scores(updates, *f);
+                let selected = MultiKrum::new(*f, (*m).max(1)).select(updates);
+                let mut acc = by_scores(&scores, selected.len());
+                gate_krum(&mut acc, &scores);
+                acc.accepted = vec![false; n];
+                for &i in &selected {
+                    acc.accepted[i] = true;
+                }
+                acc
+            }
+            AggregatorKind::TrimmedMean { ratio } => trimmed(updates, *ratio),
+            AggregatorKind::Nnm { k, inner } => {
+                let mixed = PreAggregation::Nnm { k: *k }.transform(updates);
+                let mut acc = judge(inner, &as_refs(&mixed));
+                let raw = by_residual(kind, updates);
+                for (s, r) in acc.strikes.iter_mut().zip(&raw.strikes) {
+                    if *r == 0.0 {
+                        *s = 0.0;
+                    }
+                }
+                acc
+            }
+            _ => by_residual(kind, updates),
+        }
+    }
+
+    fn by_scores(scores: &[f64], keep: usize) -> Acceptance {
+        let n = scores.len();
+        let mut idx: Vec<usize> = (0..n).collect();
+        idx.sort_by(|a, b| scores[*a].total_cmp(&scores[*b]));
+        let mut acc = Acceptance {
+            accepted: vec![false; n],
+            strikes: vec![0.0; n],
+        };
+        for &i in idx.iter().take(keep.max(1).min(n)) {
+            acc.accepted[i] = true;
+        }
+        acc.strikes[idx[n - 1]] = STRIKE_WORST;
+        if n >= 4 {
+            acc.strikes[idx[n - 2]] = STRIKE_RUNNER_UP;
+        }
+        acc
+    }
+
+    fn gate_krum(acc: &mut Acceptance, scores: &[f64]) {
+        if scores.len() < 4 {
+            acc.strikes.iter_mut().for_each(|s| *s = 0.0);
+            return;
+        }
+        let mut sorted = scores.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let med = sorted[scores.len() / 2].max(1e-12);
+        for (s, sc) in acc.strikes.iter_mut().zip(scores) {
+            if *sc <= KRUM_STRIKE_GATE * med {
+                *s = 0.0;
+            }
+        }
+    }
+
+    fn trimmed(updates: &[&[f32]], ratio: f64) -> Acceptance {
+        let n = updates.len();
+        let d = updates[0].len();
+        let t = TrimmedMean::new(ratio).trim_count(n);
+        if t == 0 || d == 0 {
+            return all_accepted(n);
+        }
+        let mut clipped = vec![0usize; n];
+        for j in 0..d {
+            let mut col: Vec<(f32, usize)> =
+                updates.iter().enumerate().map(|(i, u)| (u[j], i)).collect();
+            col.sort_by(|a, b| a.0.total_cmp(&b.0));
+            for &(_, i) in col.iter().take(t).chain(col.iter().rev().take(t)) {
+                clipped[i] += 1;
+            }
+        }
+        let frac: Vec<f64> = clipped.iter().map(|&c| c as f64 / d as f64).collect();
+        let baseline = (2.0 * t as f64 / n as f64).min(0.99);
+        let mut acc = by_scores(&frac, n);
+        acc.accepted = frac.iter().map(|&fr| fr < 0.75).collect();
+        for (s, fr) in acc.strikes.iter_mut().zip(&frac) {
+            if *fr <= 1.5 * baseline {
+                *s = 0.0;
+            }
+        }
+        acc
+    }
+
+    fn by_residual(kind: &AggregatorKind, updates: &[&[f32]]) -> Acceptance {
+        let n = updates.len();
+        let agg = kind.build().aggregate(updates, None);
+        let res: Vec<f64> = updates.iter().map(|u| ops::dist(u, &agg)).collect();
+        let mut sorted = res.clone();
+        sorted.sort_by(f64::total_cmp);
+        let med = sorted[n / 2].max(1e-12);
+        let mut acc = by_scores(&res, n);
+        acc.accepted = res.iter().map(|&r| r <= 1.5 * med + 1e-9).collect();
+        for (s, r) in acc.strikes.iter_mut().zip(&res) {
+            if *r <= 2.0 * med {
+                *s = 0.0;
+            }
+        }
+        acc
+    }
+}
+
+/// For every kind: aggregate `rows` the way the engine does (prebuilt
+/// rule, `aggregate_into`, with and without deadline weights, in a
+/// scratch a larger aggregation has already dirtied), judge from that
+/// aggregation, and demand the reference's verdict bit for bit.
+fn evidence_matches_reference(
+    kinds: &[AggregatorKind],
+    rows: &[Vec<f32>],
+    weights: &[f32],
+) -> Result<(), TestCaseError> {
+    let refs = as_refs(rows);
+    let doubled: Vec<&[f32]> = refs.iter().chain(&refs).copied().collect();
+    for kind in kinds {
+        let want = judge_reference::judge(kind, &refs);
+        let rule = kind.build();
+        let mut scratch = AggScratch::default();
+        let mut out = Vec::new();
+        rule.aggregate_into(&doubled, None, &mut out, &mut scratch);
+        for w in [None, Some(&weights[..refs.len()])] {
+            rule.aggregate_into(&refs, w, &mut out, &mut scratch);
+            let got = evidence::judge_aggregated(kind, &refs, &out, &scratch);
+            prop_assert_eq!(&got.accepted, &want.accepted, "{:?} weights {:?}", kind, w);
+            let bits = |a: &Acceptance| a.strikes.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want), "{:?} weights {:?}", kind, w);
+        }
+        prop_assert_eq!(
+            evidence::judge(kind, &refs),
+            want,
+            "{:?} (convenience)",
+            kind
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The Krum family reads its scores and selection out of the
+    /// scratch; NaN and ±∞ inputs included (NaN scores order last).
+    #[test]
+    fn krum_family_evidence_reads_the_aggregation(
+        rows in rows_of(adv_elem, 13, 6),
+        weights in pvec(0.05f32..=1.0, 13),
+        f in 0usize..4,
+        m in 1usize..14,
+        k in 1usize..5,
+        s in 1usize..4,
+    ) {
+        let multi = AggregatorKind::MultiKrum { f, m };
+        let kinds = [
+            AggregatorKind::FedAvg,
+            AggregatorKind::Krum { f },
+            multi.clone(),
+            AggregatorKind::SampledKrum { f, m },
+            AggregatorKind::Nnm { k, inner: Box::new(multi) },
+            AggregatorKind::Nnm { k, inner: Box::new(AggregatorKind::Krum { f }) },
+            AggregatorKind::Bucketing { s, inner: Box::new(AggregatorKind::Krum { f }) },
+        ];
+        evidence_matches_reference(&kinds, &rows, &weights)?;
+    }
+
+    /// The coordinate-wise rules (±∞ inputs included) measure residuals
+    /// against the partial the aggregation produced.
+    #[test]
+    fn coordinate_rule_evidence_reads_the_aggregation(
+        rows in rows_of(ord_elem, 13, 6),
+        weights in pvec(0.05f32..=1.0, 13),
+        ratio in 0.0f64..0.45,
+    ) {
+        let kinds = [
+            AggregatorKind::Median,
+            AggregatorKind::TrimmedMean { ratio },
+            AggregatorKind::StreamingMedian { exact_threshold: 4 },
+            AggregatorKind::StreamingTrimmedMean { ratio, exact_threshold: 4 },
+        ];
+        evidence_matches_reference(&kinds, &rows, &weights)?;
+    }
+
+    /// The iterative rules and the wrappers around coordinate rules,
+    /// over extreme finite values.
+    #[test]
+    fn residual_rule_evidence_reads_the_aggregation(
+        rows in rows_of(fin_elem, 13, 6),
+        weights in pvec(0.05f32..=1.0, 13),
+        ratio in 0.0f64..0.45,
+        k in 1usize..5,
+        s in 1usize..4,
+    ) {
+        let kinds = [
+            AggregatorKind::GeoMed,
+            AggregatorKind::CenteredClip { tau: 1.0, iters: 3 },
+            AggregatorKind::CosineClustering { threshold: 0.5 },
+            AggregatorKind::AutoGm { kappa: 3.0 },
+            AggregatorKind::Bucketing { s, inner: Box::new(AggregatorKind::Median) },
+            AggregatorKind::Nnm { k, inner: Box::new(AggregatorKind::TrimmedMean { ratio }) },
+            AggregatorKind::Nnm { k, inner: Box::new(AggregatorKind::GeoMed) },
+        ];
+        evidence_matches_reference(&kinds, &rows, &weights)?;
+    }
+}
+
+/// Whole runs — clean, armed under deadline buffers, sampled — produce
+/// the identical manifest JSON and event log at 1/2/4/8 threads: the
+/// training step hands cohort slots to however many workers there are,
+/// and which worker (and which parked trainee) served a slot cannot
+/// show in its update.
+#[test]
+fn whole_runs_identical_at_all_thread_counts() {
+    let _sweep = THREAD_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
+    let small = |attack: AttackCfg, seed: u64| {
+        let mut cfg = HflConfig::quick(attack, seed);
+        cfg.rounds = 3;
+        cfg.eval_every = 3;
+        cfg.data = SynthConfig {
+            train_samples: 3_200,
+            test_samples: 800,
+            ..SynthConfig::default()
+        };
+        cfg
+    };
+    let mut armed = small(
+        AttackCfg::Adaptive {
+            attack: AdaptiveAttack::alie_default(),
+            proportion: 0.25,
+            placement: Placement::Prefix,
+        },
+        71,
+    );
+    armed.suspicion = Some(SuspicionConfig::default());
+    armed.protocol_attack = Some(ProtocolAttack::Equivocate { flip_scale: 1.0 });
+    armed.async_rounds = Some(AsyncRoundCfg::lan());
+    let mut sampled = small(
+        AttackCfg::Model {
+            attack: ModelAttack::SignFlip { scale: 2.0 },
+            proportion: 0.25,
+            placement: Placement::Random,
+        },
+        72,
+    );
+    sampled.sampling = Some(SamplingCfg::uniform(256, 64));
+
+    for (name, cfg) in [
+        ("clean", small(AttackCfg::None, 70)),
+        ("armed + async", armed),
+        ("sampled", sampled),
+    ] {
+        let exp = Experiment::prepare(&cfg);
+        let run = |threads: usize| {
+            abd_hfl::parallel::set_default_threads(threads);
+            let (telem, rec) = Telemetry::recording();
+            let manifest = run_prepared_with(&exp, &telem).manifest.to_json();
+            (manifest, rec.events())
+        };
+        let base = run(1);
+        for &t in &THREADS[1..] {
+            assert!(run(t) == base, "{name} run differs at {t} threads");
         }
     }
     abd_hfl::parallel::set_default_threads(0);
