@@ -26,10 +26,12 @@
 //!   few dozen small vectors; what the ceiling keeps out is anything
 //!   per *sample* — 16 scorings of 200 samples each would add 3 200.
 //!
-//! Threads are pinned to 1: spawning workers allocates stacks, so the
-//! zero-allocation invariant is a property of the sequential execution
-//! form (results are byte-identical at any thread count — the
-//! work-stealing determinism contract, DESIGN.md §15).
+//! Every fixture runs at 1 thread and at 2: a fork-join on
+//! `hfl-parallel`'s parked worker set allocates nothing (its helper is
+//! created once, during warmup), so the invariant holds for the
+//! parallel execution form as well as the sequential one (results are
+//! byte-identical at any thread count — the work-stealing determinism
+//! contract, DESIGN.md §15).
 //!
 //! The allocation counter is process-global, so a concurrently running
 //! test would bleed its allocations into the steady-state window: the
@@ -152,14 +154,17 @@ fn assert_steady_rounds_alloc_at_most(name: &str, cfg: &HflConfig, ceiling: u64)
 /// Held by each test for its whole run (see the module docs).
 static COUNTER: Mutex<()> = Mutex::new(());
 
-/// Runs `fixtures` one after the other at one thread, alone on the
-/// allocation counter.
+/// Runs `fixtures` one after the other at one thread and at two, alone
+/// on the allocation counter.
 fn gate(fixtures: &[(&str, HflConfig, u64)]) {
     // A failed sibling poisons the lock but leaves nothing half-done.
     let _alone = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
-    hfl_parallel::set_default_threads(1);
-    for (name, cfg, ceiling) in fixtures {
-        assert_steady_rounds_alloc_at_most(name, cfg, *ceiling);
+    for threads in [1, 2] {
+        hfl_parallel::set_default_threads(threads);
+        for (name, cfg, ceiling) in fixtures {
+            let name = format!("{name} at {threads} thread(s)");
+            assert_steady_rounds_alloc_at_most(&name, cfg, *ceiling);
+        }
     }
     hfl_parallel::set_default_threads(0);
 }

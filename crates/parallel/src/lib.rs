@@ -10,20 +10,26 @@
 //! halving), run Weiszfeld iterations over row chunks. Static chunking
 //! starves under that skew — one worker draws the heavy rows while the
 //! rest idle — so every entry point here schedules **work-stealing
-//! blocks**: workers claim fixed-size index blocks off a shared atomic
-//! cursor and write results only into the output slots of the blocks
-//! they claimed.
+//! blocks**: threads claim fixed index blocks off one shared iterator
+//! and write results only into the output slots of the blocks they
+//! claimed.
+//!
+//! A fork-join runs on the calling thread plus a process-wide set of
+//! helper threads that are created on first need and parked in between
+//! (see [`par_chunks_mut`] and DESIGN.md §15), so a call costs one
+//! wake, not the creation of two OS threads.
 //!
 //! ## Determinism contract (DESIGN.md §15)
 //!
-//! *Which worker* executes a block is scheduling-dependent and varies
+//! *Which thread* executes a block is scheduling-dependent and varies
 //! run to run; *what gets written where* is not:
 //!
 //! * **Output-slot ownership** — block `b` covers a fixed index range
 //!   `[b·B, min((b+1)·B, n))` determined by integer arithmetic alone.
-//!   The worker that claims `b` (one `fetch_add` winner) writes exactly
-//!   those output slots and no others, so the final output is a pure
-//!   function of the per-index closure, independent of the claim order.
+//!   The thread that claims `b` (the one that drew it from the iterator)
+//!   holds the only `&mut` to exactly those output slots, so the final
+//!   output is a pure function of the per-index closure, independent of
+//!   the claim order.
 //! * **No wall-clock ordering** — nothing here reads time, and no entry
 //!   point exposes claim order, worker identity, or completion order to
 //!   the caller. Reductions combine partials in index order.
@@ -33,96 +39,220 @@
 //! CI behave identically to parallel runs — and the sequential paths
 //! perform no heap allocation beyond the output the caller asked for.
 
+use std::any::Any;
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
+/// Most threads any entry point runs a call on, whatever it is asked
+/// for: our largest fan-out, a 64-client round, saturates well before
+/// that and oversubscription only adds noise to benchmarks.
+const MAX_THREADS: usize = 16;
 
 /// Process-wide override for `default_threads()`; 0 means "no override".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Forces `default_threads()` to return `n` process-wide; pass 0 to
 /// restore autodetection. Intended for harnesses that must pin the
-/// execution mode — e.g. the allocation-regression gate pins 1 thread
-/// so every hot path takes its allocation-free sequential form (thread
-/// spawning itself allocates). Results are byte-identical at any
-/// thread count (see the determinism contract above); only the
-/// execution strategy changes.
+/// execution mode — e.g. the allocation-regression gate runs every
+/// fixture at 1 and at 2 threads (a fork-join on the parked worker set
+/// allocates nothing, so the gate holds at both). Results are
+/// byte-identical at any thread count (see the determinism contract
+/// above); only the execution strategy changes.
 pub fn set_default_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
-/// Number of worker threads to use by default: the available parallelism,
-/// capped at 16 (our largest fan-out, a 64-client round, saturates well
-/// before that and oversubscription only adds noise to benchmarks), or
-/// the value pinned via [`set_default_threads`].
+/// Number of worker threads to use by default: the available
+/// parallelism, or the value pinned via [`set_default_threads`], capped
+/// at 16 either way — the cap every entry point applies to its
+/// `threads` argument.
 pub fn default_threads() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
-    if forced > 0 {
-        return forced;
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(16)
+    let threads = if forced > 0 {
+        forced
+    } else {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    };
+    threads.min(MAX_THREADS)
 }
 
 /// Blocks handed out per worker on average. More blocks per worker means
 /// finer-grained stealing (better load balance under skew) at the price
-/// of more cursor traffic; 4 is a comfortable middle for our fan-outs.
+/// of more claim traffic; 4 is a comfortable middle for our fan-outs.
 const STEAL_GRAIN: usize = 4;
 
-/// Work-stealing block size for `n` items across `threads` workers.
+/// Work-stealing block size for `n` items across `threads` workers
+/// (`threads` already capped at [`MAX_THREADS`]).
 fn block_size(n: usize, threads: usize) -> usize {
     n.div_ceil(threads * STEAL_GRAIN).max(1)
 }
 
-/// A raw pointer that may cross thread boundaries. Safety is argued at
-/// each use site: workers write through it only at indices inside blocks
-/// they claimed, and blocks partition the index range disjointly.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
+/// What a fork-join runs on every participating thread: the claiming
+/// loop of one `par_chunks_mut` call.
+type Job<'a> = &'a (dyn Fn() + Sync + 'a);
+
+/// The process-wide worker set: helper threads created on demand and
+/// parked on `work` between jobs (DESIGN.md §15). At most one job is in
+/// flight; a caller that finds the set busy runs its job alone.
+struct WorkerSet {
+    state: Mutex<SetState>,
+    /// Helpers park here; signalled once per invited helper.
+    work: Condvar,
+    /// The job's caller waits here for the last helper to leave.
+    done: Condvar,
+}
+
+struct SetState {
+    /// The job in flight, its lifetime erased; `Some` exactly while a
+    /// caller is between posting and [`WorkerSet::retire`].
+    job: Option<Job<'static>>,
+    /// Helpers still invited into the job.
+    invited: usize,
+    /// Helpers inside the job right now.
+    inside: usize,
+    /// Helper threads created so far.
+    helpers: usize,
+    /// First panic a helper caught in the job in flight.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+static SET: WorkerSet = WorkerSet {
+    state: Mutex::new(SetState {
+        job: None,
+        invited: 0,
+        inside: 0,
+        helpers: 0,
+        panic: None,
+    }),
+    work: Condvar::new(),
+    done: Condvar::new(),
+};
+
+impl WorkerSet {
+    /// No code panics while holding the state lock (jobs run outside
+    /// it, under `catch_unwind`), and every update leaves the counters
+    /// consistent, so a poisoned lock is taken over rather than left to
+    /// wedge every later call.
+    fn lock(&self) -> MutexGuard<'_, SetState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `job` on the calling thread and on up to `threads − 1`
+    /// helpers; returns once every thread that entered it has left.
+    /// The caller claims from the first instant, so a job it exhausts
+    /// before a helper wakes costs one wake and no wait.
+    fn fork_join(&'static self, threads: usize, job: Job<'_>) {
+        if threads <= 1 {
+            return job();
+        }
+        let mut st = self.lock();
+        if st.job.is_some() {
+            // Busy — another thread's job, or the job this call is
+            // nested in. Never queue behind it: run alone.
+            drop(st);
+            return job();
+        }
+        while st.helpers < threads - 1 {
+            let name = format!("hfl-parallel-{}", st.helpers);
+            // The handle is dropped on purpose: a helper lives, parked,
+            // until the process exits, and cannot panic (jobs run under
+            // `catch_unwind`). If the OS refuses a thread the job runs
+            // on the helpers there are.
+            if std::thread::Builder::new()
+                .name(name)
+                .spawn(move || self.help())
+                .is_err()
+            {
+                break;
+            }
+            st.helpers += 1;
+        }
+        let invited = st.helpers.min(threads - 1);
+        // SAFETY: only the lifetime changes. The reference is reachable
+        // through `st.job` alone, and a helper copies it out only while
+        // it raises `inside` under the lock. This function does not
+        // return, and does not unwind, past the job while any helper is
+        // inside it: its own share runs under `catch_unwind`, and
+        // `retire` then withdraws the invitations, waits for `inside`
+        // to reach zero and clears `st.job`, all under that lock —
+        // before the borrow `job` came from can end. Pinned by
+        // `tests/worker_set.rs::caller_outlives_every_helper`.
+        st.job = Some(unsafe { std::mem::transmute::<Job<'_>, Job<'static>>(job) });
+        st.invited = invited;
+        drop(st);
+        for _ in 0..invited {
+            self.work.notify_one();
+        }
+        let mine = catch_unwind(AssertUnwindSafe(job));
+        let theirs = self.retire();
+        if let Some(payload) = mine.err().or(theirs) {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Ends the job in flight: no helper may enter any more, and every
+    /// helper that did has left when this returns. Hands back what a
+    /// helper's share panicked with.
+    fn retire(&self) -> Option<Box<dyn Any + Send>> {
+        let mut st = self.lock();
+        st.invited = 0;
+        while st.inside > 0 {
+            st = self.done.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        st.job = None;
+        st.panic.take()
+    }
+
+    /// A helper thread's whole life: park until invited, run the job's
+    /// claiming loop, report, park again. A helper that wakes after the
+    /// caller retired the job finds no invitation and parks at once.
+    fn help(&self) {
+        let mut st = self.lock();
+        loop {
+            let Some(job) = st.job.filter(|_| st.invited > 0) else {
+                st = self.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            st.invited -= 1;
+            st.inside += 1;
+            drop(st);
+            let outcome = catch_unwind(AssertUnwindSafe(job));
+            st = self.lock();
+            if let Err(payload) = outcome {
+                st.panic.get_or_insert(payload);
+            }
+            st.inside -= 1;
+            if st.inside == 0 {
+                self.done.notify_one();
+            }
+        }
+    }
+}
 
 /// Runs `f` on `0..n` in parallel, collecting results in index order.
 ///
 /// `f` is called exactly once per index. Scheduling is work-stealing
-/// (workers claim blocks of indices off an atomic cursor), but results
-/// land in input order regardless of which worker computed them, so
-/// callers can rely on positional mapping (client `i` → result `i`).
+/// (threads claim blocks of indices), but results land in input order
+/// regardless of which thread computed them, so callers can rely on
+/// positional mapping (client `i` → result `i`). `threads` is capped at
+/// 16; 0 means 1.
 pub fn par_map_indexed<U, F>(n: usize, threads: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    let threads = threads.max(1);
+    let threads = threads.clamp(1, MAX_THREADS);
     if threads == 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
-    let block = block_size(n, threads);
-    let blocks = n.div_ceil(block);
     let mut out: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    let cursor = AtomicUsize::new(0);
-    let slots = SendPtr(out.as_mut_ptr());
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(blocks) {
-            let f = &f;
-            let cursor = &cursor;
-            let slots = &slots;
-            s.spawn(move || loop {
-                let b = cursor.fetch_add(1, Ordering::Relaxed);
-                if b >= blocks {
-                    return;
-                }
-                let lo = b * block;
-                let hi = (lo + block).min(n);
-                for i in lo..hi {
-                    let v = f(i);
-                    // SAFETY: this worker won block `b` via the
-                    // fetch_add above, blocks partition `0..n`
-                    // disjointly, and `out` outlives the scope — so
-                    // slot `i` is written exactly once, by this thread.
-                    unsafe { *slots.0.add(i) = Some(v) };
-                }
-            });
+    par_chunks_mut(&mut out, block_size(n, threads), threads, |base, slots| {
+        for (off, slot) in slots.iter_mut().enumerate() {
+            *slot = Some(f(base + off));
         }
     });
     out.into_iter()
@@ -130,61 +260,36 @@ where
         .collect()
 }
 
-/// Parallel map over a slice, preserving order.
-pub fn par_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_indexed(items.len(), threads, |i| f(&items[i]))
-}
-
 /// Applies `f` to disjoint mutable chunks of `data` in parallel. Each call
 /// receives the chunk and the index of its first element.
 ///
-/// Chunks are claimed off a shared atomic cursor (work stealing at chunk
-/// granularity), so long chunks don't serialize behind one worker; each
-/// chunk is still processed exactly once and writes stay inside it. The
-/// sequential path (threads = 1, or a single chunk) allocates nothing.
+/// This is the crate's one claiming loop: the calling thread and the
+/// worker set's helpers each take the next unclaimed chunk off a shared
+/// iterator (work stealing at chunk granularity), so long chunks don't
+/// serialize behind one thread; each chunk is processed exactly once
+/// and writes stay inside it. A panic in `f` fails the whole call with
+/// that panic's payload once every thread has left the loop. Nothing
+/// here allocates at any thread count. `threads` is capped at 16; 0
+/// means 1. A call made while another is in flight (nested in a
+/// closure, or from another OS thread) runs on the calling thread
+/// alone — same bytes, by the determinism contract.
 pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, threads: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "chunk_len must be positive");
-    let threads = threads.max(1);
-    if threads == 1 || data.len() <= chunk_len {
-        for (i, c) in data.chunks_mut(chunk_len).enumerate() {
-            f(i * chunk_len, c);
-        }
-        return;
-    }
-    let n = data.len();
-    let chunks = n.div_ceil(chunk_len);
-    let cursor = AtomicUsize::new(0);
-    let base_ptr = SendPtr(data.as_mut_ptr());
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(chunks) {
-            let f = &f;
-            let cursor = &cursor;
-            let base_ptr = &base_ptr;
-            s.spawn(move || loop {
-                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                if c >= chunks {
-                    return;
-                }
-                let lo = c * chunk_len;
-                let hi = (lo + chunk_len).min(n);
-                // SAFETY: chunk `c` was claimed by exactly this worker,
-                // chunk ranges partition `0..n` disjointly, and `data`
-                // outlives the scope — the reborrow below aliases no
-                // other worker's slice.
-                let chunk =
-                    unsafe { std::slice::from_raw_parts_mut(base_ptr.0.add(lo), hi - lo) };
-                f(lo, chunk);
-            });
-        }
+    let chunks = data.len().div_ceil(chunk_len);
+    let unclaimed = Mutex::new(data.chunks_mut(chunk_len).enumerate());
+    SET.fork_join(threads.min(MAX_THREADS).min(chunks), &|| loop {
+        // The guard is dropped before `f` runs, so a panic in `f`
+        // cannot poison the iterator for the other threads.
+        let claim = unclaimed
+            .lock()
+            .expect("never held across a closure call")
+            .next();
+        let Some((c, chunk)) = claim else { return };
+        f(c * chunk_len, chunk);
     });
 }
 
@@ -208,42 +313,10 @@ where
     partials.into_iter().fold(identity(), combine)
 }
 
-/// Fork-join: runs the two closures potentially in parallel and returns
-/// both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = hb.join().expect("join arm panicked");
-        (ra, rb)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn par_map_preserves_order() {
-        let xs: Vec<usize> = (0..100).collect();
-        let ys = par_map(&xs, 4, |x| x * 2);
-        assert_eq!(ys, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_sequential_fallback_matches() {
-        let xs: Vec<usize> = (0..37).collect();
-        let seq = par_map(&xs, 1, |x| x + 1);
-        let par = par_map(&xs, 8, |x| x + 1);
-        assert_eq!(seq, par);
-    }
 
     #[test]
     fn par_map_indexed_calls_each_once() {
@@ -322,13 +395,6 @@ mod tests {
     fn par_reduce_empty_is_identity() {
         let total = par_reduce(0, 4, || 42usize, |i| i, |a, b| a + b);
         assert_eq!(total, 42);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 1 + 1, || "x".to_string() + "y");
-        assert_eq!(a, 2);
-        assert_eq!(b, "xy");
     }
 
     #[test]

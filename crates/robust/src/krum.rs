@@ -39,7 +39,7 @@ pub fn krum_scores_with_threads(updates: &[&[f32]], f: usize, threads: usize) ->
 /// Allocation-free scoring core: fills `scores`, reusing the caller's
 /// `dists` (flat n×n, upper triangle) and `row` buffers. Once the
 /// buffers reach their high-water mark, steady-state calls perform no
-/// heap allocation at `threads == 1` (thread spawning itself allocates).
+/// heap allocation at any thread count.
 pub fn krum_scores_into(
     updates: &[&[f32]],
     f: usize,

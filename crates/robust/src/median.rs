@@ -3,9 +3,18 @@
 
 use crate::{validate_updates, AggScratch, Aggregator};
 
-/// Dimension above which the coordinate loop is split across threads.
-/// Below this, thread-spawn overhead exceeds the selection work.
-const PARALLEL_THRESHOLD: usize = 16_384;
+/// Input size, `n · d` elements, from which the coordinate loops of the
+/// median and the trimmed mean are split across threads. Measured on
+/// the parked worker set (2 cores, 2 threads, sequential ÷ parallel
+/// time): n × d = 4 × 650 → 0.3, 8 × 650 → 0.6–0.8 (25 µs of selection
+/// against one helper wake), 16 × 650 → 1.4, 8 × 1 300 → 1.6; 4 × 4 810
+/// read 0.8 and 2.2 in two sweeps (a wake takes 10 µs or 60 µs
+/// depending on how deeply the other core sleeps); from 32 × 1 024 up
+/// — 8 × 4 810, 128 × 650, 4 × 16 384, 128 × 16 384 — every cell read
+/// 1.5–2.0. The cut-off is the smallest size that won every time. `d`
+/// alone, the old criterion, is the wrong variable: 128 × 4 810 halves
+/// (7.9 → 4.2 ms). Results are identical on both sides of it.
+pub(crate) const PARALLEL_MIN_ELEMENTS: usize = 32_768;
 
 /// Coordinate-wise median over `rows`, parallelized over coordinate
 /// chunks: each worker owns a disjoint slice of `out` plus a private
@@ -43,7 +52,7 @@ impl Aggregator for CoordMedian {
     fn aggregate(&self, updates: &[&[f32]], _weights: Option<&[f32]>) -> Vec<f32> {
         let d = validate_updates(updates);
         let mut out = vec![0.0f32; d];
-        if d >= PARALLEL_THRESHOLD {
+        if updates.len() * d >= PARALLEL_MIN_ELEMENTS {
             coordinate_median_parallel(updates, &mut out, hfl_parallel::default_threads());
         } else {
             hfl_tensor::stats::coordinate_median(updates, &mut out);
@@ -61,7 +70,7 @@ impl Aggregator for CoordMedian {
         let d = validate_updates(updates);
         out.clear();
         out.resize(d, 0.0);
-        if d >= PARALLEL_THRESHOLD {
+        if updates.len() * d >= PARALLEL_MIN_ELEMENTS {
             coordinate_median_parallel(updates, out, hfl_parallel::default_threads());
         } else {
             hfl_tensor::stats::coordinate_median_into(updates, out, &mut scratch.col);
@@ -125,9 +134,9 @@ mod tests {
 
     #[test]
     fn large_dimension_routes_through_parallel_path() {
-        // Exercise the d >= threshold branch end to end.
+        // Exercise the parallel branch end to end.
         let rows: Vec<Vec<f32>> = (0..5)
-            .map(|i| vec![i as f32; super::PARALLEL_THRESHOLD + 3])
+            .map(|i| vec![i as f32; super::PARALLEL_MIN_ELEMENTS / 5 + 3])
             .collect();
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
         let out = CoordMedian.aggregate(&refs, None);

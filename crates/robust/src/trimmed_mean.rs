@@ -1,10 +1,7 @@
 //! Coordinate-wise trimmed mean (Yin et al., ICML 2018).
 
+use crate::median::PARALLEL_MIN_ELEMENTS;
 use crate::{validate_updates, AggScratch, Aggregator};
-
-/// Dimension above which the coordinate loop is split across threads —
-/// the same crossover the median kernel uses.
-const PARALLEL_THRESHOLD: usize = 16_384;
 
 /// Coordinate-wise trimmed mean over `rows`, parallelized over
 /// coordinate chunks claimed off the work-stealing scheduler: each
@@ -82,7 +79,7 @@ impl Aggregator for TrimmedMean {
         let d = validate_updates(updates);
         let trim = self.trim_count(updates.len());
         let mut out = vec![0.0f32; d];
-        if d >= PARALLEL_THRESHOLD {
+        if updates.len() * d >= PARALLEL_MIN_ELEMENTS {
             coordinate_trimmed_mean_parallel(updates, trim, &mut out, hfl_parallel::default_threads());
         } else {
             hfl_tensor::stats::coordinate_trimmed_mean(updates, trim, &mut out);
@@ -101,7 +98,7 @@ impl Aggregator for TrimmedMean {
         let trim = self.trim_count(updates.len());
         out.clear();
         out.resize(d, 0.0);
-        if d >= PARALLEL_THRESHOLD {
+        if updates.len() * d >= PARALLEL_MIN_ELEMENTS {
             coordinate_trimmed_mean_parallel(updates, trim, out, hfl_parallel::default_threads());
         } else {
             hfl_tensor::stats::coordinate_trimmed_mean_into(updates, trim, out, &mut scratch.col);
@@ -171,7 +168,7 @@ mod tests {
     #[test]
     fn large_dimension_routes_through_parallel_path() {
         let rows: Vec<Vec<f32>> = (0..5)
-            .map(|i| vec![i as f32; super::PARALLEL_THRESHOLD + 3])
+            .map(|i| vec![i as f32; super::PARALLEL_MIN_ELEMENTS / 5 + 3])
             .collect();
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
         let out = TrimmedMean::new(0.2).aggregate(&refs, None);

@@ -6,6 +6,11 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Worker-set gate. It alone runs under a timeout: every suite below
+# fork-joins on hfl-parallel's parked worker set, and a wedged set hangs
+# instead of failing, so its lifecycle tests go first and get to say so.
+timeout 300 cargo test -p hfl-parallel --release -q
+
 # `--workspace`, because the root package is only the facade: every
 # crate's unit tests, proptests and integration suites are members'.
 # Three gates inside this one line are worth naming:
@@ -20,12 +25,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 #   steady_state_rounds_allocate_nothing): after a 5-round warmup,
 #   BRA rounds perform exactly zero heap allocations on the clean, the
 #   faulted and the deadline fixture (every cluster closing a deadline
-#   buffer). A single new Vec on the round path — or per buffer — fails
-#   this.
+#   buffer), at 1 thread and at 2. A single new Vec on the round path
+#   — or per buffer, or per fork-join — fails this.
 # - Vote allocation ceiling (same file,
 #   vote_rounds_stay_under_the_allocation_ceiling): a paper_iid round,
-#   validation vote on top, performs at most 80 allocations. A Vec per
-#   scored sample (3 200 of them on this fixture) fails this.
+#   validation vote on top, performs at most 80 allocations, at 1
+#   thread and at 2. A Vec per scored sample (3 200 of them on this
+#   fixture) fails this.
 cargo test --workspace -q
 
 tmp="$(mktemp -d)"
