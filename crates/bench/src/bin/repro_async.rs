@@ -1,8 +1,10 @@
-//! Asynchrony stress experiments on the event-driven pipeline driver:
+//! Asynchrony stress experiments — 1–3 on the pipelined schedule of the
+//! round engine, 4 on the lockstep one:
 //!
 //! 1. **Straggler mitigation** — heavy-tailed training times with and
-//!    without Algorithm 4's collection timeout.
-//! 2. **Unreliable channels** — message loss with timeout-based progress.
+//!    without a collection deadline (Algorithm 4's "or Timeout").
+//! 2. **Unreliable channels** — a loss burst of the fault plan over the
+//!    whole run, under an 80 ms deadline.
 //! 3. **Correction factor** — Eq. (1) ablation: merging the late global
 //!    model with the policy α vs ignoring it (α→α_min) vs adopting it
 //!    outright (α = α_max ceiling raised), measured by final accuracy.
@@ -22,7 +24,7 @@ use hfl_bench::report::{markdown_table, pct, write_csv_or_exit, write_manifests_
 use hfl_bench::Args;
 use hfl_faults::FaultPlan;
 use hfl_ml::synth::SynthConfig;
-use hfl_simnet::{DelayModel, SimTime};
+use hfl_simnet::DelayModel;
 use hfl_telemetry::{MetricValue, RunManifest, Telemetry};
 
 /// Reads one counter out of a manifest's metric export (0 when the
@@ -36,6 +38,16 @@ fn counter(manifest: &RunManifest, name: &str) -> u64 {
             _ => None,
         })
         .unwrap_or(0)
+}
+
+/// LAN links under a collection deadline; late arrivals are dropped.
+fn lan_deadline(deadline_us: u64) -> AsyncRoundCfg {
+    AsyncRoundCfg {
+        deadline_us,
+        staleness_bound_us: 0,
+        link_delay: DelayModel::lan(),
+        tier_deadlines: Vec::new(),
+    }
 }
 
 fn base_cfg(seed: u64) -> HflConfig {
@@ -55,7 +67,7 @@ fn main() {
 
     // ----- 1. Stragglers --------------------------------------------------
     if args.matches("straggler") {
-        println!("## Stragglers — collection timeout vs waiting (10 % × 20× tail)\n");
+        println!("## Stragglers — collection deadline vs waiting (10 % × 20× tail)\n");
         let straggler_train = DelayModel::Straggler {
             base: Box::new(DelayModel::Uniform {
                 lo: 20_000,
@@ -65,21 +77,19 @@ fn main() {
             factor: 20.0,
         };
         let mut rows = Vec::new();
-        for (name, timeout) in [
+        for (name, deadline_us) in [
             ("wait for all", None),
-            ("timeout 60 ms", Some(SimTime::from_millis(60))),
-            ("timeout 30 ms", Some(SimTime::from_millis(30))),
+            ("deadline 60 ms", Some(60_000)),
+            ("deadline 30 ms", Some(30_000)),
         ] {
             let pcfg = PipelineConfig {
                 rounds,
                 train_delay: straggler_train.clone(),
-                collect_timeout: timeout,
                 ..PipelineConfig::default()
             };
-            let res = RunOptions::pipeline(&pcfg)
-                .run(&base_cfg(args.seed))
-                .into_pipeline()
-                .0;
+            let mut cfg = base_cfg(args.seed);
+            cfg.async_rounds = deadline_us.map(lan_deadline);
+            let res = RunOptions::pipeline(&pcfg).run(&cfg).into_pipeline().0;
             rows.push(vec![
                 name.to_string(),
                 format!("{:.1} ms", res.mean_period * 1e3),
@@ -99,19 +109,19 @@ fn main() {
 
     // ----- 2. Message loss -------------------------------------------------
     if args.matches("loss") {
-        println!("\n## Unreliable channels — loss with 80 ms timeout\n");
+        println!("\n## Unreliable channels — loss with 80 ms deadline\n");
         let mut rows = Vec::new();
         for loss in [0.0, 0.05, 0.15, 0.30] {
             let pcfg = PipelineConfig {
                 rounds,
-                loss_prob: loss,
-                collect_timeout: Some(SimTime::from_millis(80)),
                 ..PipelineConfig::default()
             };
-            let res = RunOptions::pipeline(&pcfg)
-                .run(&base_cfg(args.seed + 1))
-                .into_pipeline()
-                .0;
+            let mut cfg = base_cfg(args.seed + 1);
+            cfg.async_rounds = Some(lan_deadline(80_000));
+            if loss > 0.0 {
+                cfg.faults = Some(FaultPlan::new().loss_burst(0, loss, rounds));
+            }
+            let res = RunOptions::pipeline(&pcfg).run(&cfg).into_pipeline().0;
             rows.push(vec![
                 format!("{:.0}%", loss * 100.0),
                 format!("{:.1} ms", res.mean_period * 1e3),

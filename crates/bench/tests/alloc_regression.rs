@@ -7,7 +7,7 @@
 //!
 //! The gate drives [`RoundEngine::run_round_into`] directly (the
 //! harness loop in `run_prepared` allocates for manifests and metrics
-//! by design) under the counting allocator, on four fixtures:
+//! by design) under the counting allocator, on five fixtures:
 //!
 //! * **clean** — the fault-free synchronous path;
 //! * **deadline** — the clean fixture under `AsyncRoundCfg::lan()`:
@@ -15,6 +15,9 @@
 //!   time, τ-window admission, weighted aggregation) out of the
 //!   engine's workspace. Fault-free, so no deadline fires and no
 //!   `degraded_quorum` record is formed;
+//! * **pipelined** — the deadline fixture on the pipelined schedule:
+//!   the round clock's per-slot start models, arrival stamps, landing
+//!   queue and timing record are all sized during warmup;
 //! * **faulted** — a crash (with recovery), a leader kill, a healing
 //!   partition and a bounded straggler window, all confined to the
 //!   warmup rounds. Steady-state rounds then run the fault layer's
@@ -40,6 +43,7 @@
 use abd_hfl_core::config::{AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg};
 use abd_hfl_core::engine::cost::CostCounters;
 use abd_hfl_core::engine::RoundEngine;
+use abd_hfl_core::pipeline::PipelineConfig;
 use abd_hfl_core::runner::Experiment;
 use hfl_bench::memprobe::{alloc_count, CountingAlloc};
 use hfl_faults::FaultPlan;
@@ -116,12 +120,28 @@ fn faulted_fixture(seed: u64) -> HflConfig {
     cfg
 }
 
+/// The pipelined schedule's default timing model over a fixture's
+/// horizon.
+fn pipelined() -> Option<PipelineConfig> {
+    Some(PipelineConfig {
+        rounds: WARMUP + STEADY,
+        ..PipelineConfig::default()
+    })
+}
+
+/// One fixture: its name, config, schedule (`None` is lockstep) and
+/// per-round allocation ceiling.
+type Fixture = (&'static str, HflConfig, Option<PipelineConfig>, u64);
+
 /// Runs the fixture round by round and asserts every post-warmup round
 /// allocates at most `ceiling` times.
-fn assert_steady_rounds_alloc_at_most(name: &str, cfg: &HflConfig, ceiling: u64) {
+fn assert_steady_rounds_alloc_at_most(name: &str, (_, cfg, timing, ceiling): &Fixture) {
     let exp = Experiment::prepare(cfg);
     let telem = Telemetry::disabled();
-    let mut engine = RoundEngine::for_experiment(&exp);
+    let mut engine = match timing {
+        Some(pcfg) => RoundEngine::pipelined(&exp, pcfg),
+        None => RoundEngine::for_experiment(&exp),
+    };
     let mut global = exp.template.params().to_vec();
     let mut next_global = Vec::with_capacity(global.len());
     let mut cost = CostCounters::default();
@@ -143,7 +163,7 @@ fn assert_steady_rounds_alloc_at_most(name: &str, cfg: &HflConfig, ceiling: u64)
         let allocs = alloc_count() - before;
         if round >= WARMUP {
             assert!(
-                allocs <= ceiling,
+                allocs <= *ceiling,
                 "{name}: steady-state round {round} performed {allocs} heap \
                  allocations, ceiling {ceiling} (warmup = {WARMUP} rounds)"
             );
@@ -156,14 +176,14 @@ static COUNTER: Mutex<()> = Mutex::new(());
 
 /// Runs `fixtures` one after the other at one thread and at two, alone
 /// on the allocation counter.
-fn gate(fixtures: &[(&str, HflConfig, u64)]) {
+fn gate(fixtures: &[Fixture]) {
     // A failed sibling poisons the lock but leaves nothing half-done.
     let _alone = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     for threads in [1, 2] {
         hfl_parallel::set_default_threads(threads);
-        for (name, cfg, ceiling) in fixtures {
-            let name = format!("{name} at {threads} thread(s)");
-            assert_steady_rounds_alloc_at_most(&name, cfg, *ceiling);
+        for fixture in fixtures {
+            let name = format!("{} at {threads} thread(s)", fixture.0);
+            assert_steady_rounds_alloc_at_most(&name, fixture);
         }
     }
     hfl_parallel::set_default_threads(0);
@@ -172,13 +192,14 @@ fn gate(fixtures: &[(&str, HflConfig, u64)]) {
 #[test]
 fn steady_state_rounds_allocate_nothing() {
     gate(&[
-        ("clean", bra_fixture(11), 0),
-        ("faulted", faulted_fixture(12), 0),
-        ("deadline", deadline_fixture(14), 0),
+        ("clean", bra_fixture(11), None, 0),
+        ("faulted", faulted_fixture(12), None, 0),
+        ("deadline", deadline_fixture(14), None, 0),
+        ("pipelined", deadline_fixture(15), pipelined(), 0),
     ]);
 }
 
 #[test]
 fn vote_rounds_stay_under_the_allocation_ceiling() {
-    gate(&[("cba", cba_fixture(13), CBA_CEILING)]);
+    gate(&[("cba", cba_fixture(13), None, CBA_CEILING)]);
 }

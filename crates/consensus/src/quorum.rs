@@ -4,9 +4,8 @@
 //! `present` potential contributors at quorum fraction `φ` is
 //! `⌈φ·present⌉`, clamped to at least one contributor (an aggregation
 //! of zero inputs is meaningless) and at most everyone present. The
-//! synchronous runner, the pipelined driver and the fault-degraded
-//! paths all call this one function so their numerics can never drift
-//! apart.
+//! round engine's collect step — under either schedule, fault-degraded
+//! or not — calls this one function, so its numerics cannot drift apart.
 
 /// `⌈phi·present⌉`, clamped to `[1, present]` (and to 1 when nobody is
 /// present, leaving the degenerate case to the caller).

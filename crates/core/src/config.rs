@@ -340,16 +340,16 @@ pub struct HflConfig {
     /// must equal the hierarchy's level count.
     pub levels: Vec<LevelAgg>,
     /// Collection quorum φ: the fraction of a cluster's models a leader
-    /// waits for before aggregating (Algorithm 4). The synchronous driver
-    /// uses all models when φ = 1.
+    /// waits for before aggregating (Algorithm 4); all of them when
+    /// φ = 1.
     pub quorum: f64,
     /// Byzantine attack.
     pub attack: AttackCfg,
-    /// Correction-factor policy (used by the asynchronous driver).
+    /// Correction-factor policy: Eq. (1)'s merge under the pipelined
+    /// schedule, and the staleness discount of deadline buffers.
     pub correction: CorrectionPolicy,
-    /// Flag level ℓ_F (used by the asynchronous driver; must be in
-    /// `1..=L−1`, or `1` for the paper's 3-level structure... any
-    /// intermediate level).
+    /// Flag level ℓ_F (read by the pipelined schedule): any aggregation
+    /// level below the top, `1..=L`.
     pub flag_level: usize,
     /// Evaluate test accuracy every this many rounds (1 = every round).
     pub eval_every: usize,
@@ -656,14 +656,13 @@ impl HflConfig {
                     });
                 }
             }
-            if let DelayModel::Uniform { lo, hi } = &a.link_delay {
-                if lo > hi {
-                    return Err(ConfigError::AsyncOutOfRange {
-                        what: "link_delay bounds (lo > hi)",
-                        value: *lo as f64,
-                    });
-                }
-            }
+            a.link_delay
+                .validate()
+                .map_err(|(what, value)| ConfigError::DelayOutOfRange {
+                    which: "link_delay",
+                    what,
+                    value,
+                })?;
             if matches!(self.protocol_attack, Some(ProtocolAttack::StalenessExploit))
                 && a.staleness_bound_us == 0
             {
@@ -940,11 +939,16 @@ pub enum ConfigError {
         /// Smallest cluster size at that level.
         n_min: usize,
     },
-    /// Pipeline driver: `loss_prob > 0` with neither a collection
-    /// timeout nor a quorum below 1 — a collection would never close.
-    PipelineLossNeedsTimeout,
-    /// Pipeline driver: a fault plan that loses deliveries, likewise.
-    PipelineFaultsNeedTimeout,
+    /// A delay model (a link, or a pipelined run's training or
+    /// aggregation duration) carries an unusable parameter.
+    DelayOutOfRange {
+        /// Which delay model is bad.
+        which: &'static str,
+        /// Which of its parameters.
+        what: &'static str,
+        /// The offending value.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -991,15 +995,9 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "async tier deadline names level {level}, hierarchy has {levels} levels"
             ),
-            ConfigError::PipelineLossNeedsTimeout => write!(
-                f,
-                "a lossy network needs a collection timeout or a quorum < 1 to progress"
-            ),
-            ConfigError::PipelineFaultsNeedTimeout => write!(
-                f,
-                "injected delivery faults (crashes, partitions, loss bursts) need a \
-                 collection timeout or a quorum < 1 to progress"
-            ),
+            ConfigError::DelayOutOfRange { which, what, value } => {
+                write!(f, "{which} {what} out of range ({value})")
+            }
             ConfigError::StalenessExploitNeedsAsync => write!(
                 f,
                 "StalenessExploit requires async_rounds (it stalls relative to a buffer close)"

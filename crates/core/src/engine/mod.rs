@@ -29,6 +29,7 @@
 //! same event sequence (pinned by `tests/golden_manifests.rs`).
 
 pub mod adversary;
+mod clock;
 pub mod cost;
 pub mod defense;
 pub mod fault;
@@ -52,8 +53,10 @@ use hfl_ml::rng::rng_for_n;
 use hfl_robust::SuspicionTracker;
 use hfl_telemetry::{FaultRecord, SuspicionRecord, Telemetry};
 
-use crate::runner::Experiment;
-pub(crate) use step::{aggregate, LevelRule, Scoring};
+use crate::pipeline::{PipelineConfig, PipelineResult, RoundTiming};
+use crate::runner::{Experiment, RunResult};
+use clock::Clock;
+use step::LevelRule;
 
 /// Executes canonical rounds for one experiment through a stack of
 /// [`RoundLayer`]s. The engine owns no RNG state of its own — every
@@ -67,6 +70,9 @@ pub struct RoundEngine<'e> {
     /// `rules[l]`: level `l`'s BRA rule or CBA mechanism. Levels are
     /// config-constant, so the boxes are built once per engine.
     rules: Vec<LevelRule>,
+    /// The round clock of the pipelined schedule ([`clock`]); `None` is
+    /// the lockstep schedule, where nothing is ever stamped.
+    clock: Option<Clock<'e>>,
     /// Round-scoped buffer arena ([`pool`]): carried/next model rows,
     /// index scratch, the cluster step's buffers, training buffers.
     /// Taken out for the duration of each aggregation and restored at
@@ -86,8 +92,37 @@ impl<'e> RoundEngine<'e> {
             defense: DefenseLayer::for_experiment(exp),
             adversary: AdversaryLayer::for_experiment(exp),
             rules: LevelRule::build_all(&exp.config().levels),
+            clock: None,
             workspace: RoundWorkspace::default(),
         }
+    }
+
+    /// [`Self::for_experiment`] on the pipelined schedule (paper §III-D)
+    /// under `pcfg`'s timing model: the same layer stack, cluster step,
+    /// training body and cost ledger, with the round clock deciding
+    /// when — and from which model — every slot starts a round.
+    pub fn pipelined(exp: &'e Experiment, pcfg: &PipelineConfig) -> Self {
+        Self {
+            clock: Some(Clock::new(exp, pcfg)),
+            ..Self::for_experiment(exp)
+        }
+    }
+
+    /// The experiment this engine executes.
+    pub(crate) fn experiment(&self) -> &'e Experiment {
+        self.exp
+    }
+
+    /// The pipelined schedule's per-round timing record so far (`None`
+    /// under lockstep).
+    pub fn round_timings(&self) -> Option<&[RoundTiming]> {
+        self.clock.as_ref().map(Clock::rounds)
+    }
+
+    /// What the pipelined schedule measured, folded with the run's
+    /// outcome (`None` under lockstep).
+    pub(crate) fn pipeline_result(&self, run: &RunResult) -> Option<PipelineResult> {
+        self.clock.as_ref().map(|c| c.result(run))
     }
 
     fn layers(&self) -> impl Iterator<Item = &(dyn RoundLayer + 'e)> + '_ {
@@ -225,6 +260,9 @@ impl<'e> RoundEngine<'e> {
         // the borrow of `self` must stay free for it.
         let mut updates = std::mem::take(&mut self.workspace.updates);
         let mut train = std::mem::take(&mut self.workspace.train);
+        if let Some(clock) = &mut self.clock {
+            clock.start_round(global, round, &mut train.starts);
+        }
         exp.train_round_into(global, round, attack.as_ref(), telem, &mut updates, &mut train);
         self.workspace.train = train;
         self.aggregate_round_into(&updates, round, cost, telem, fault_log, susp_log, out);
@@ -280,6 +318,12 @@ impl<'e> RoundEngine<'e> {
         // (identity without sampling). All topological work below stays
         // on slots; identity-bound lookups map through this binding.
         exp.cohort_into(round, &mut ws.cohort);
+        // Every update is ready at t = 0 under lockstep; the clock knows
+        // when each training ends, and who is still at the last one.
+        match &self.clock {
+            Some(clock) => clock.open_buffers(&mut ws.ready_at, &mut ws.active),
+            None => ws.ready_at.resize(updates.len(), 0),
+        }
 
         let mut ctx = RoundCtx {
             round,
@@ -379,11 +423,16 @@ impl<'e> RoundEngine<'e> {
                     &cl,
                     &ws.order,
                     &ws.carried,
+                    &ws.ready_at,
                     &mut rng,
                     wants_verdicts && l == bottom,
                     &mut ws.step,
                     &mut partial,
                 );
+                if let Some(clock) = &mut self.clock {
+                    ws.ready_at[leader] =
+                        clock.cluster_closed(round, (l, ci), &self.rules[l], &ws.step, &partial);
+                }
                 ws.next[leader] = partial;
                 // Acceptance verdicts attach to *identities*: the global
                 // client ids behind the kept slots.
@@ -451,6 +500,7 @@ impl<'e> RoundEngine<'e> {
             &top_cl,
             &ws.final_slots,
             &ws.carried,
+            &ws.ready_at,
             &mut rng,
             false,
             &mut ws.step,
@@ -458,6 +508,10 @@ impl<'e> RoundEngine<'e> {
         );
         ctx.telem
             .cluster_aggregated(round, 0, 0, ws.step.kept.len(), top_quorum);
+        if let Some(clock) = &mut self.clock {
+            let formed = clock.cluster_closed(round, (0, 0), &self.rules[0], &ws.step, out);
+            clock.round_closed(round, formed, out);
+        }
 
         // Dissemination: the global model travels one model-transfer
         // per reachable node per level on its way down (Algorithm 5).

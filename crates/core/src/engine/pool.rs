@@ -9,10 +9,9 @@
 //!
 //! * [`RefPool`] — recycles the *capacity* of `Vec<&[f32]>` input-ref
 //!   vectors across rounds. The borrow lifetime changes every round, so
-//!   the pool stores the vector with an erased (`'static`) lifetime
-//!   while it is empty; handing it out re-binds the lifetime. Sound
-//!   because an empty `Vec` owns only capacity — it contains no
-//!   references to anything.
+//!   an emptied vector is re-collected into one of the new lifetime:
+//!   collecting a `vec::IntoIter` through `map` reuses the allocation
+//!   in place, and an empty vector has no element for the map to touch.
 //! * [`StepScratch`] — what one cluster step (`super::step`) works in:
 //!   the kept slots with their weights and lateness, the deadline
 //!   buffer's arrival tables, the aggregation inputs and the shared
@@ -28,27 +27,28 @@ use crate::runner::TrainWorkspace;
 /// Recycles the capacity of `Vec<&[f32]>` across borrow lifetimes.
 #[derive(Debug, Default)]
 pub struct RefPool {
-    /// Stored empty, so the `'static` here is never inhabited.
+    /// Always empty: only its capacity is kept.
     parked: Vec<&'static [f32]>,
+}
+
+/// An empty vector's allocation under another element lifetime.
+fn rebind<'a>(mut v: Vec<&[f32]>) -> Vec<&'a [f32]> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector was emptied"))
+        .collect()
 }
 
 impl RefPool {
     /// An empty ref-vector with recycled capacity, usable for any
     /// borrow lifetime.
     pub fn take<'a>(&mut self) -> Vec<&'a [f32]> {
-        let mut v = std::mem::take(&mut self.parked);
-        v.clear();
-        // SAFETY: `v` is empty — it holds no references, only capacity.
-        // `Vec<&'a [f32]>` and `Vec<&'static [f32]>` differ only in
-        // lifetime and share one layout.
-        unsafe { std::mem::transmute::<Vec<&'static [f32]>, Vec<&'a [f32]>>(v) }
+        rebind(std::mem::take(&mut self.parked))
     }
 
     /// Parks a ref-vector's capacity for the next round.
-    pub fn put<'a>(&mut self, mut v: Vec<&'a [f32]>) {
-        v.clear();
-        // SAFETY: emptied above; see `take`.
-        self.parked = unsafe { std::mem::transmute::<Vec<&'a [f32]>, Vec<&'static [f32]>>(v) };
+    pub fn put(&mut self, v: Vec<&[f32]>) {
+        self.parked = rebind(v);
     }
 }
 
@@ -65,7 +65,11 @@ pub struct StepScratch {
     /// Deadline policy: the lateness of `kept[i]` as a fraction of τ
     /// (0 on-time) — staleness evidence for the defense.
     pub lateness: Vec<f64>,
-    /// Deadline buffer: `(arrival µs, candidate position)`.
+    /// When the collection closed, absolute µs on the round clock.
+    pub closed_at: u64,
+    /// When its first kept candidate arrived, absolute µs.
+    pub first_at: u64,
+    /// Deadline buffer: `(arrival µs after opening, candidate position)`.
     pub(super) times: Vec<(u64, usize)>,
     /// Deadline buffer: which candidates stall until just inside τ.
     pub(super) stalled: Vec<bool>,
@@ -90,6 +94,9 @@ pub struct RoundWorkspace {
     pub cohort: Vec<usize>,
     /// `carried[slot]`: the model each node carries upward.
     pub carried: Vec<Vec<f32>>,
+    /// `ready_at[slot]`: when that model is ready to send, absolute µs
+    /// on the round clock — all zero under the lockstep schedule.
+    pub ready_at: Vec<u64>,
     /// The next level's carried rows (swapped with `carried` per level).
     pub next: Vec<Vec<f32>>,
     /// The present members of a cluster in arrival order: member

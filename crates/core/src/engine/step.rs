@@ -3,9 +3,10 @@
 //! as [`RoundEngine::cluster_step`]: **collect** until quorum φ *or
 //! timeout*, **aggregate** by the level's BRA rule or CBA mechanism
 //! ([`aggregate`] — the one place a round calls
-//! `Aggregator::aggregate_into` or `Consensus::decide`, shared with the
-//! pipeline driver's leaders), **judge** the inputs from that
-//! aggregation, never beside it.
+//! `Aggregator::aggregate_into` or `Consensus::decide`), **judge** the
+//! inputs from that aggregation, never beside it. Both schedules run it:
+//! the candidates' `ready_at` stamps are all zero under lockstep and
+//! carry the round clock ([`super::clock`]) under the pipelined one.
 
 use rand::rngs::StdRng;
 
@@ -22,7 +23,7 @@ use hfl_telemetry::FaultRecord;
 
 use super::pool::StepScratch;
 use super::{ClusterCtx, CollectorPolicy, RoundCtx, RoundEngine};
-use crate::config::LevelAgg;
+use crate::config::{HflConfig, LevelAgg};
 
 /// RNG stream tag for async arrival synthesis. Distinct from the
 /// arrival-shuffle tag (`0xA221`) so the synchronous path consumes
@@ -30,13 +31,16 @@ use crate::config::LevelAgg;
 /// only under a finite-deadline policy.
 const ARRIVAL_STREAM: u64 = 0xA57C;
 
-/// Link delay of a deadline policy chosen by a layer hook under a
-/// config without `async_rounds`: arrivals are instantaneous.
-static NO_LINK_DELAY: DelayModel = DelayModel::Constant { micros: 0 };
+/// The link-delay model of every model transfer, up or down the tree:
+/// the config's `async_rounds.link_delay`; instantaneous without one.
+pub(super) fn link_delay(cfg: &HflConfig) -> &DelayModel {
+    static NONE: DelayModel = DelayModel::Constant { micros: 0 };
+    cfg.async_rounds.as_ref().map_or(&NONE, |a| &a.link_delay)
+}
 
 /// One level's aggregation rule, boxed once per run from its
 /// [`LevelAgg`] rather than per cluster per round.
-pub(crate) enum LevelRule {
+pub(super) enum LevelRule {
     /// A BRA rule, with the selector the judge step dispatches on.
     Bra(AggregatorKind, Box<dyn Aggregator>),
     /// A CBA mechanism.
@@ -44,7 +48,7 @@ pub(crate) enum LevelRule {
 }
 
 /// What [`aggregate`] ran, for the caller's accounting and evidence.
-pub(crate) enum Aggregated<'r> {
+enum Aggregated<'r> {
     /// The BRA rule of this kind; its by-products are in the scratch.
     Bra(&'r AggregatorKind),
     /// The named CBA mechanism, with its outcome.
@@ -53,7 +57,7 @@ pub(crate) enum Aggregated<'r> {
 
 impl LevelRule {
     /// The rules of every level, top first.
-    pub(crate) fn build_all(levels: &[LevelAgg]) -> Vec<Self> {
+    pub(super) fn build_all(levels: &[LevelAgg]) -> Vec<Self> {
         levels
             .iter()
             .map(|l| match l {
@@ -65,9 +69,8 @@ impl LevelRule {
 }
 
 /// How the honest nodes of a CBA instance score proposals.
-pub(crate) enum Scoring<'a> {
-    /// By proximity to their own proposal — below the top, and at every
-    /// level of the pipeline driver (its documented simplification).
+enum Scoring<'a> {
+    /// By proximity to their own proposal — below the top.
     Distance,
     /// By a model of this architecture's accuracy on their even share
     /// of this data's rows — the paper's top-level validation vote over
@@ -81,7 +84,7 @@ pub(crate) enum Scoring<'a> {
 /// once. `byzantine(i)` says whether input `i`'s node misbehaves inside
 /// the consensus protocol.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn aggregate<'r>(
+fn aggregate<'r>(
     rule: &'r LevelRule,
     inputs: &[&[f32]],
     weights: Option<&[f32]>,
@@ -121,10 +124,12 @@ pub(crate) fn aggregate<'r>(
 impl<'e> RoundEngine<'e> {
     /// One cluster's collect → aggregate → judge. `arrivals` holds the
     /// candidate slots in arrival order, `carried` every slot's current
-    /// model; the aggregate lands in `out`, the kept slots (ascending)
-    /// stay in `ws.kept`. Returns the quorum the close was held to and,
-    /// when `want_verdict`, the per-input acceptance verdict (aligned
-    /// with `ws.kept`).
+    /// model and `ready_at` when it is ready to send; the aggregate
+    /// lands in `out`, the kept slots (ascending) stay in `ws.kept`, the
+    /// close and first-arrival times in `ws.closed_at` / `ws.first_at`.
+    /// Returns the quorum the close was held to and, when
+    /// `want_verdict`, the per-input acceptance verdict (aligned with
+    /// `ws.kept`).
     ///
     /// Algorithm 6 differs from Algorithms 3–4 in three places, all
     /// keyed on `cl.level == 0` here and in [`Self::collect`]: the
@@ -138,13 +143,14 @@ impl<'e> RoundEngine<'e> {
         cl: &ClusterCtx<'_>,
         arrivals: &[usize],
         carried: &[Vec<f32>],
+        ready_at: &[u64],
         rng: &mut StdRng,
         want_verdict: bool,
         ws: &mut StepScratch,
         out: &mut Vec<f32>,
     ) -> (usize, Option<Acceptance>) {
         let exp = self.exp;
-        let (quorum, deadline) = self.collect(ctx, cl, arrivals, ws);
+        let (quorum, deadline) = self.collect(ctx, cl, arrivals, ready_at, ws);
         let StepScratch {
             kept,
             weights,
@@ -224,14 +230,18 @@ impl<'e> RoundEngine<'e> {
     ///
     /// `WaitForQuorum` keeps the first ⌈φ·n⌉ of the arrival order
     /// (Algorithm 4's wait-until-quorum); it opens no arrival stream
-    /// and emits no buffer telemetry.
+    /// and emits no buffer telemetry, and closes when the last kept
+    /// slot is ready.
     ///
-    /// `Deadline` (DESIGN.md §12) draws one arrival time per candidate
-    /// from the [`ARRIVAL_STREAM`] RNG — unconditionally, so adversary
-    /// decisions never shift another candidate's sample — scaled by the
-    /// [`super::RoundLayer::arrival_delay_factor`] hook and the client's
-    /// heterogeneity profile, in integer µs. The buffer closes at
-    /// first-of `{quorum-th non-stalled arrival, deadline}`;
+    /// `Deadline` (DESIGN.md §12) opens its buffer when the first
+    /// candidate is ready to send and draws one link delay per
+    /// candidate from the [`ARRIVAL_STREAM`] RNG — unconditionally, so
+    /// adversary decisions never shift another candidate's sample —
+    /// scaled by the [`super::RoundLayer::arrival_delay_factor`] hook
+    /// and the client's heterogeneity profile, in integer µs.
+    /// Candidates are ordered by `(ready_at + link delay, arrival
+    /// position)`, times counted from the buffer's opening. The buffer
+    /// closes at first-of `{quorum-th non-stalled arrival, deadline}`;
     /// [`super::RoundLayer::stalls_until_stale`] candidates land at
     /// `close + τ`, arrivals within τ of the close are admitted at a
     /// discounted weight, later ones dropped. Liveness floor: when
@@ -243,6 +253,7 @@ impl<'e> RoundEngine<'e> {
         ctx: &mut RoundCtx<'_>,
         cl: &ClusterCtx<'_>,
         arrivals: &[usize],
+        ready_at: &[u64],
         ws: &mut StepScratch,
     ) -> (usize, bool) {
         let cfg = self.exp.config();
@@ -271,14 +282,19 @@ impl<'e> RoundEngine<'e> {
             };
             ws.kept.extend_from_slice(&arrivals[..quorum.min(n)]);
             ws.kept.sort_unstable();
+            let ready = ws.kept.iter().map(|&slot| ready_at[slot]);
+            ws.first_at = ready.clone().min().unwrap_or(0);
+            ws.closed_at = ready.max().unwrap_or(0);
             return (quorum, false);
         };
         let quorum = quorum_size(cfg.quorum, n);
 
-        let delay = cfg
-            .async_rounds
-            .as_ref()
-            .map_or(&NO_LINK_DELAY, |a| &a.link_delay);
+        let delay = link_delay(cfg);
+        let open = arrivals
+            .iter()
+            .map(|&slot| ready_at[slot])
+            .min()
+            .unwrap_or(0);
         let site = [
             round as u64,
             cl.level as u64,
@@ -301,8 +317,9 @@ impl<'e> RoundEngine<'e> {
             // Straggler windows are topological (slot); the profile is
             // identity-bound (the global client behind the slot).
             let factor = factor * self.exp.arrival_profile(cl.global(slot));
-            ws.times
-                .push((raw.saturating_scale(factor).as_micros(), pos));
+            let sent = ready_at[slot] - open;
+            let link = raw.saturating_scale(factor).as_micros();
+            ws.times.push((sent.saturating_add(link), pos));
             ws.stalled.push(
                 self.layers()
                     .any(|ly| ly.stalls_until_stale(round, cl, slot)),
@@ -330,6 +347,10 @@ impl<'e> RoundEngine<'e> {
             a.0 = close_us.saturating_add(tau);
         }
         ws.times.sort_unstable();
+        // Absolute times: what the clock stamps from, and what the
+        // close event reports (under lockstep every buffer opens at 0).
+        ws.first_at = open.saturating_add(ws.times.first().map_or(0, |a| a.0));
+        ws.closed_at = open.saturating_add(close_us);
 
         let on_time = ws.times.partition_point(|a| a.0 <= close_us);
         ctx.telem.buffer_closed(
@@ -337,7 +358,7 @@ impl<'e> RoundEngine<'e> {
             cl.level,
             cl.index,
             deadline_fired,
-            close_us,
+            ws.closed_at,
             on_time,
             n,
         );

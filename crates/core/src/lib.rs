@@ -10,15 +10,16 @@
 //! * [`theory`] — Theorems 1–2, Corollaries 1–3 (ECSM) and Theorem 3
 //!   (ACSM) as checked analytic functions.
 //! * [`correction`] — the correction factor of Eq. (1).
-//! * [`runner`] — experiment preparation and the synchronous-round
-//!   reference driver (the paper's own evaluation mode) for ABD-HFL.
+//! * [`runner`] — experiment preparation, the training step and the
+//!   run loop (the paper's own evaluation mode) for ABD-HFL.
 //! * [`engine`] — the round engine: one canonical round as explicit
-//!   phases, with fault/defense/adversary semantics as pluggable layers.
-//! * [`run`] — the unified entry point ([`run::RunOptions`]) in front of
-//!   both drivers, with optional telemetry.
+//!   phases, with fault/defense/adversary semantics as pluggable layers
+//!   and a round clock for the pipelined schedule.
+//! * [`run`] — the unified entry point ([`run::RunOptions`]): one
+//!   engine, two schedules, optional telemetry.
 //! * [`vanilla`] — the star-topology vanilla-FL baseline.
-//! * [`pipeline`] — the asynchronous pipeline learning workflow on the
-//!   discrete-event simulator, measuring the efficiency indicator ν.
+//! * [`pipeline`] — the pipeline learning workflow's timing model and
+//!   the efficiency indicator ν it measures.
 //!
 //! Attaching an [`hfl_telemetry::Telemetry`] bundle to a run yields
 //! structured events, `hfl_*` metrics and a deterministic
@@ -61,7 +62,7 @@ pub use config::{
     TopologyCfg,
 };
 pub use correction::CorrectionPolicy;
-pub use run::{Driver, RunOptions, RunOutput};
+pub use run::{RunOptions, RunOutput};
 pub use runner::{
     base_config_hash, resume_prepared_with, run_prepared_snapshotting, InstrumentedRun,
     ResumeError, RunResult,

@@ -1,5 +1,6 @@
-//! The unified run entry point: one options builder in front of both
-//! drivers — the only way to start a run from a config.
+//! The unified run entry point: one options builder in front of the one
+//! round engine, on either schedule — the only way to start a run from
+//! a config.
 //!
 //! ```no_run
 //! use abd_hfl_core::config::{AttackCfg, HflConfig};
@@ -7,129 +8,95 @@
 //! use hfl_telemetry::Telemetry;
 //!
 //! let cfg = HflConfig::quick(AttackCfg::None, 42);
-//! // The common case: synchronous driver, no telemetry.
+//! // The common case: lockstep schedule, no telemetry.
 //! let result = run(&cfg);
 //!
-//! // Instrumented: same driver, recording events and a manifest.
+//! // Instrumented: same schedule, recording events and a manifest.
 //! let (telem, _rec) = Telemetry::recording();
 //! let out = RunOptions::new().telemetry(&telem).run(&cfg);
 //! assert_eq!(out.manifest().final_accuracy, result.final_accuracy);
 //! ```
 
+use hfl_simnet::DelayModel;
 use hfl_snapshot::EngineSnapshot;
 use hfl_telemetry::{RunManifest, Telemetry};
 
-use crate::config::{ConfigError, HflConfig};
+use crate::config::{AsyncRoundCfg, ConfigError, HflConfig};
+use crate::engine::RoundEngine;
 use crate::pipeline::{PipelineConfig, PipelineResult};
 use crate::runner::{
-    resume_prepared_with, run_prepared_with, Experiment, InstrumentedRun, ResumeError, RunResult,
+    resume_prepared_with, run_engine, run_prepared_with, Experiment, InstrumentedRun, ResumeError,
+    RunResult,
 };
 
-/// Which driver executes the run.
-#[derive(Clone, Debug, Default)]
-pub enum Driver {
-    /// The synchronous-round reference driver ([`crate::runner`]) —
-    /// the paper's own evaluation mode, and the only driver with the
-    /// full fault/defense/adversary layer stack.
-    #[default]
-    Sync,
-    /// The asynchronous pipeline driver ([`crate::pipeline`]) under
-    /// this timing model — measures the efficiency indicator ν;
-    /// arms-race configs degrade to static attacks there.
-    Pipeline(PipelineConfig),
-}
-
-/// Options for one training run: driver choice plus optional telemetry.
+/// Options for one training run: the schedule plus optional telemetry.
 #[derive(Clone, Default)]
 pub struct RunOptions<'r> {
-    driver: Driver,
+    /// The pipelined schedule's timing model; `None` is lockstep.
+    pipeline: Option<PipelineConfig>,
     telem: Option<&'r Telemetry>,
 }
 
-/// What a run produced: always a [`RunManifest`], plus the
-/// driver-specific outcome shape.
+/// What a run produced: the training outcome and its [`RunManifest`],
+/// plus the timing decomposition when the schedule was pipelined.
 #[derive(Clone, Debug)]
-pub enum RunOutput {
-    /// Outcome of the synchronous driver.
-    Sync(InstrumentedRun),
-    /// Outcome of the pipeline driver.
-    Pipeline {
-        /// Timing decomposition and final accuracy.
-        result: PipelineResult,
-        /// The run's manifest (label `"pipeline"`).
-        manifest: RunManifest,
-    },
+pub struct RunOutput {
+    run: InstrumentedRun,
+    timing: Option<PipelineResult>,
 }
 
 impl RunOutput {
-    /// The run's manifest, whichever driver produced it.
+    /// The run's manifest.
     pub fn manifest(&self) -> &RunManifest {
-        match self {
-            RunOutput::Sync(run) => &run.manifest,
-            RunOutput::Pipeline { manifest, .. } => manifest,
-        }
+        &self.run.manifest
     }
 
     /// Test accuracy of the final global model.
     pub fn final_accuracy(&self) -> f64 {
-        match self {
-            RunOutput::Sync(run) => run.result.final_accuracy,
-            RunOutput::Pipeline { result, .. } => result.final_accuracy,
-        }
+        self.run.result.final_accuracy
     }
 
-    /// The synchronous outcome.
-    ///
-    /// # Panics
-    /// When the run used [`Driver::Pipeline`].
+    /// The training outcome and manifest, on either schedule.
     pub fn into_sync(self) -> InstrumentedRun {
-        match self {
-            RunOutput::Sync(run) => run,
-            RunOutput::Pipeline { .. } => {
-                panic!("run used the pipeline driver; use into_pipeline()")
-            }
-        }
+        self.run
     }
 
-    /// The pipeline outcome.
+    /// The pipelined schedule's timing decomposition, with the manifest
+    /// (label `"pipeline"`).
     ///
     /// # Panics
-    /// When the run used [`Driver::Sync`].
+    /// When the run was lockstep: there is no timing to decompose.
     pub fn into_pipeline(self) -> (PipelineResult, RunManifest) {
-        match self {
-            RunOutput::Pipeline { result, manifest } => (result, manifest),
-            RunOutput::Sync(_) => {
-                panic!("run used the synchronous driver; use into_sync()")
-            }
+        match self.timing {
+            Some(timing) => (timing, self.run.manifest),
+            None => panic!("run used the lockstep schedule; use into_sync()"),
         }
     }
 }
 
 impl<'r> RunOptions<'r> {
-    /// Synchronous driver, telemetry disabled.
+    /// Lockstep schedule, telemetry disabled.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Pipeline driver under `pcfg`, telemetry disabled.
+    /// Pipelined schedule (paper §III-D) under `pcfg`'s timing model,
+    /// for `pcfg.rounds` rounds, telemetry disabled. Links, deadlines,
+    /// loss and device heterogeneity are the config's own
+    /// (`async_rounds`, `faults`, `heterogeneity`); a config without
+    /// `async_rounds` waits for every quorum on LAN links. The run
+    /// executes on the calling thread (see [`RunOptions::try_run`]).
     #[must_use]
     pub fn pipeline(pcfg: &PipelineConfig) -> Self {
         Self {
-            driver: Driver::Pipeline(pcfg.clone()),
+            pipeline: Some(pcfg.clone()),
             telem: None,
         }
     }
 
-    /// Selects the driver.
-    #[must_use]
-    pub fn driver(mut self, driver: Driver) -> Self {
-        self.driver = driver;
-        self
-    }
-
-    /// Attaches a telemetry bundle: structured events, `hfl_*`/`sim_*`
-    /// metrics, and a fuller manifest.
+    /// Attaches a telemetry bundle: structured events, `hfl_*` metrics,
+    /// and a fuller manifest.
     #[must_use]
     pub fn telemetry(mut self, telem: &'r Telemetry) -> Self {
         self.telem = Some(telem);
@@ -153,20 +120,39 @@ impl<'r> RunOptions<'r> {
     pub fn try_run(&self, cfg: &HflConfig) -> Result<RunOutput, ConfigError> {
         let disabled = Telemetry::disabled();
         let telem = self.telem.unwrap_or(&disabled);
-        match &self.driver {
-            Driver::Sync => {
-                let exp = Experiment::try_prepare(cfg)?;
-                Ok(RunOutput::Sync(run_prepared_with(&exp, telem)))
-            }
-            Driver::Pipeline(pcfg) => {
-                let (result, manifest) = crate::pipeline::pipeline_run(cfg, pcfg, telem)?;
-                Ok(RunOutput::Pipeline { result, manifest })
-            }
+        let Some(pcfg) = &self.pipeline else {
+            let run = run_prepared_with(&Experiment::try_prepare(cfg)?, telem);
+            return Ok(RunOutput { run, timing: None });
+        };
+        pcfg.try_validate()?;
+        if cfg.rounds == 0 {
+            return Err(ConfigError::ZeroRounds);
         }
+        let mut cfg = cfg.clone();
+        cfg.rounds = pcfg.rounds;
+        cfg.async_rounds.get_or_insert_with(|| AsyncRoundCfg {
+            deadline_us: u64::MAX,
+            staleness_bound_us: 0,
+            link_delay: DelayModel::lan(),
+            tier_deadlines: Vec::new(),
+        });
+        // On the calling thread alone: a pipelined round is a few
+        // milliseconds of host work, and a fork-join that short is as
+        // fast as its slower thread — with a second core that is only
+        // sometimes free, the same run read anywhere between one
+        // thread's speed and 1.7× it. The engine itself is indifferent
+        // (`RoundEngine::pipelined` at any thread count, same bytes).
+        hfl_parallel::with_threads(1, || {
+            let exp = Experiment::try_prepare(&cfg)?;
+            let mut engine = RoundEngine::pipelined(&exp, pcfg);
+            let run = run_engine(&mut engine, telem);
+            let timing = engine.pipeline_result(&run.result);
+            Ok(RunOutput { run, timing })
+        })
     }
 }
 
-/// The common case in one call: synchronous driver, telemetry disabled.
+/// The common case in one call: lockstep schedule, telemetry disabled.
 ///
 /// # Panics
 /// On an inconsistent config; see [`try_run`].
@@ -181,7 +167,7 @@ pub fn try_run(cfg: &HflConfig) -> Result<RunResult, ConfigError> {
 }
 
 /// Continues a checkpointed run through rounds
-/// `snapshot.round..cfg.rounds` on the synchronous driver,
+/// `snapshot.round..cfg.rounds` on the lockstep schedule,
 /// byte-identically to straight-through execution of `cfg`. The config
 /// must be a horizon-extension of the one the snapshot was captured
 /// under (same [`crate::runner::base_config_hash`]; only `rounds` and
@@ -227,31 +213,14 @@ mod tests {
         };
         let err = RunOptions::pipeline(&pcfg).try_run(&cfg).unwrap_err();
         assert_eq!(err, ConfigError::ZeroRounds);
-        // A zero-round pipeline horizon under a valid config is reported
-        // the same way, not asserted on inside the driver.
+        // A zero-round pipelined horizon under a valid config is reported
+        // the same way.
         let pcfg = PipelineConfig {
             rounds: 0,
             ..PipelineConfig::default()
         };
         let err = RunOptions::pipeline(&pcfg).try_run(&tiny(33)).unwrap_err();
         assert_eq!(err, ConfigError::ZeroRounds);
-        // Lost deliveries with neither a collection timeout nor φ < 1
-        // can never close a collection: reported, not asserted on.
-        let lossy = PipelineConfig {
-            rounds: 2,
-            loss_prob: 0.10,
-            ..PipelineConfig::default()
-        };
-        let err = RunOptions::pipeline(&lossy).try_run(&tiny(33)).unwrap_err();
-        assert_eq!(err, ConfigError::PipelineLossNeedsTimeout);
-        let mut crashing = tiny(33);
-        crashing.faults = Some(hfl_faults::FaultPlan::new().crash_stop(1, 0));
-        let pcfg = PipelineConfig {
-            rounds: 2,
-            ..PipelineConfig::default()
-        };
-        let err = RunOptions::pipeline(&pcfg).try_run(&crashing).unwrap_err();
-        assert_eq!(err, ConfigError::PipelineFaultsNeedTimeout);
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! The synchronous-round reference driver — the evaluation mode of the
-//! paper's own simulation (Algorithms 1–6 executed phase-by-phase each
-//! global round; the pipeline/asynchrony aspects are studied separately
-//! by [`crate::pipeline`], which measures timing on the event simulator).
+//! Experiment preparation, the training step and the run loop — the
+//! evaluation mode of the paper's own simulation (Algorithms 1–6
+//! executed phase-by-phase each global round). The loop is the same
+//! under both schedules: lockstep, or pipelined ([`crate::pipeline`]),
+//! where the engine's round clock decides when and from which model
+//! each device starts a round.
 //!
 //! Per round:
 //! 1. **LocalModelTraining** (Algorithm 2): every bottom device trains the
@@ -85,6 +87,11 @@ pub struct TrainWorkspace {
     /// Idle trainees: a model (cloned from the template on first use)
     /// with its SGD gradient/index/staging buffers.
     parked: Mutex<Vec<(Box<dyn Model>, TrainScratch)>>,
+    /// Pipelined schedule: `starts[slot]` is the model the slot trains
+    /// from this round, written by the engine's round clock; an empty
+    /// row sits the round out. Empty under lockstep, where every slot
+    /// starts from the global model.
+    pub(crate) starts: Vec<Vec<f32>>,
 }
 
 /// A run's result plus its [`RunManifest`] — what the instrumented entry
@@ -383,6 +390,8 @@ impl Experiment {
     /// [`Self::train_round`] into caller-owned buffers, with an optional
     /// adaptive-attack override (the arms race's current crafted attack
     /// replaces the configured static one) and telemetry for anomalies.
+    /// Every slot trains from `global` unless `ws` carries per-slot
+    /// start models (the pipelined schedule's round clock writes them).
     /// Numerically identical (same RNG streams, same arithmetic) at any
     /// thread count; the trainees parked in `ws` make the training step
     /// allocation-free once capacities have grown (spawning worker
@@ -403,7 +412,12 @@ impl Experiment {
     ) {
         let cfg = &self.config;
         self.cohort_into(round, &mut ws.cohort);
-        let TrainWorkspace { cohort, parked } = &*ws;
+        let TrainWorkspace {
+            cohort,
+            parked,
+            starts,
+        } = &*ws;
+        let start_of = |slot: usize| starts.get(slot).map_or(global, Vec::as_slice);
         let lock = || parked.lock().expect("a training worker panicked");
         updates.resize_with(cohort.len(), Vec::new);
         // One slot per claim: shard sizes differ per client, so workers
@@ -414,10 +428,18 @@ impl Experiment {
             hfl_parallel::default_threads(),
             |slot, update| {
                 let c = cohort[slot];
+                let start = start_of(slot);
+                update[0].clear();
+                if start.is_empty() {
+                    // Sitting the round out: the slot is absent from the
+                    // aggregation and carries the global model unchanged.
+                    update[0].extend_from_slice(global);
+                    return;
+                }
                 let (mut model, mut scratch) = lock()
                     .pop()
                     .unwrap_or_else(|| (self.template.clone_box(), TrainScratch::default()));
-                model.set_params(global);
+                model.set_params(start);
                 // Borrow the materialized shard when cached (identity
                 // cohort); derive just this client's otherwise —
                 // per-round work stays O(cohort), not O(population).
@@ -443,7 +465,6 @@ impl Experiment {
                         &mut scratch,
                     );
                 }
-                update[0].clear();
                 update[0].extend_from_slice(model.params());
                 lock().push((model, scratch));
             },
@@ -457,8 +478,9 @@ impl Experiment {
             let honest: Vec<&[f32]> = updates
                 .iter()
                 .zip(cohort.iter())
-                .filter(|(_, &c)| !self.malicious[c])
-                .map(|(u, _)| u.as_slice())
+                .enumerate()
+                .filter(|&(slot, (_, &c))| !self.malicious[c] && !start_of(slot).is_empty())
+                .map(|(_, (u, _))| u.as_slice())
                 .collect();
             let mut rng = rng_for_n(cfg.seed, &[round as u64, 0xE71]);
             let crafted = match attack.try_craft(&honest, &mut rng) {
@@ -560,7 +582,16 @@ pub fn run_prepared(exp: &Experiment) -> RunResult {
 /// Determinism: the manifest is a pure function of the config —
 /// identical seeds give byte-identical `manifest.to_json()` output.
 pub fn run_prepared_with(exp: &Experiment, telem: &Telemetry) -> InstrumentedRun {
-    let (run, _) = run_loop(exp, telem, None, None).expect("a fresh run cannot fail to start");
+    run_engine(&mut RoundEngine::for_experiment(exp), telem)
+}
+
+/// Runs `engine`'s experiment from round 0 on the engine's schedule —
+/// lockstep for [`RoundEngine::for_experiment`], pipelined for
+/// [`RoundEngine::pipelined`] — leaving the engine's end state (the
+/// suspicion scores, the pipelined timing record) for the caller to
+/// read.
+pub fn run_engine(engine: &mut RoundEngine<'_>, telem: &Telemetry) -> InstrumentedRun {
+    let (run, _) = run_loop(engine, telem, None, None).expect("a fresh run cannot fail to start");
     run
 }
 
@@ -628,7 +659,13 @@ pub fn run_prepared_snapshotting(
     capture_every: usize,
 ) -> (InstrumentedRun, Vec<EngineSnapshot>) {
     assert!(capture_every > 0, "capture_every must be positive");
-    run_loop(exp, telem, None, Some(capture_every)).expect("a fresh run cannot fail to start")
+    run_loop(
+        &mut RoundEngine::for_experiment(exp),
+        telem,
+        None,
+        Some(capture_every),
+    )
+    .expect("a fresh run cannot fail to start")
 }
 
 /// Continues a run from `snapshot` through rounds
@@ -645,7 +682,8 @@ pub fn resume_prepared_with(
     telem: &Telemetry,
     snapshot: &EngineSnapshot,
 ) -> Result<InstrumentedRun, ResumeError> {
-    Ok(run_loop(exp, telem, Some(snapshot), None)?.0)
+    let mut engine = RoundEngine::for_experiment(exp);
+    Ok(run_loop(&mut engine, telem, Some(snapshot), None)?.0)
 }
 
 fn cost_to_snapshot(c: &CostCounters) -> CostSnapshot {
@@ -745,30 +783,30 @@ fn restore_registry(reg: &Registry, samples: &[MetricSample]) -> Result<(), Stri
     Ok(())
 }
 
-/// The one synchronous-driver loop behind [`run_prepared_with`],
-/// [`run_prepared_snapshotting`] and [`resume_prepared_with`]: start
-/// state comes from round 0 or a snapshot, and checkpoints are captured
-/// on the way when asked.
+/// The one run loop behind [`run_engine`], [`run_prepared_snapshotting`]
+/// and [`resume_prepared_with`]: start state comes from round 0 or a
+/// snapshot, checkpoints are captured on the way when asked, and the
+/// schedule is the engine's.
 fn run_loop(
-    exp: &Experiment,
+    engine: &mut RoundEngine<'_>,
     telem: &Telemetry,
     start: Option<&EngineSnapshot>,
     capture_every: Option<usize>,
 ) -> Result<(InstrumentedRun, Vec<EngineSnapshot>), ResumeError> {
+    let exp = engine.experiment();
     let cfg = exp.config();
     let config_hash = fnv1a_hex(format!("{cfg:?}").as_bytes());
     let base_hash = base_config_hash(cfg);
     let mut global = exp.template.params().to_vec();
     let mut cost = CostCounters::default();
     let mut accuracy = Vec::new();
-    let mut manifest = RunManifest::new("abd-hfl", cfg.seed, config_hash.clone());
+    let label = match engine.round_timings() {
+        Some(_) => "pipeline",
+        None => "abd-hfl",
+    };
+    let mut manifest = RunManifest::new(label, cfg.seed, config_hash.clone());
     let mut susp_records: Vec<SuspicionRecord> = Vec::new();
     let mut snapshots: Vec<EngineSnapshot> = Vec::new();
-
-    // The round engine with the config's layer stack: faults when a
-    // plan is compiled, defense + adversary when the arms race is
-    // engaged, empty for plain configs.
-    let mut engine = RoundEngine::for_experiment(exp);
 
     let first_round = match start {
         None => 0,
@@ -982,6 +1020,18 @@ fn run_loop(
             events: susp_records,
             final_scores,
         });
+    }
+    // The pipelined schedule's timing decomposition travels in the
+    // manifest as three histograms.
+    if let Some(timings) = engine.round_timings() {
+        let sigma_w = telem.registry().histogram("pipeline_sigma_w_seconds", &[]);
+        let sigma = telem.registry().histogram("pipeline_sigma_seconds", &[]);
+        let nu = telem.registry().histogram("pipeline_nu", &[]);
+        for rt in timings {
+            sigma_w.observe(rt.sigma_w);
+            sigma.observe(rt.sigma);
+            nu.observe(rt.nu);
+        }
     }
     manifest.metrics = telem.registry().snapshot();
 

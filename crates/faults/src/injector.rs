@@ -307,15 +307,6 @@ impl FaultInjector {
             ]) < p
     }
 
-    /// True when the plan injects any fault that suppresses message
-    /// delivery (crashes, partitions, loss bursts) — drivers that need
-    /// a timeout to survive missing messages check this.
-    pub fn has_delivery_faults(&self) -> bool {
-        self.crash_from.iter().any(Option::is_some)
-            || !self.partitions.is_empty()
-            || !self.bursts.is_empty()
-    }
-
     /// Fault and recovery occurrences scheduled exactly at `round`, in
     /// plan order — the manifest's per-round fault log.
     pub fn faults_at(&self, round: usize) -> &[FaultEvent] {
@@ -468,14 +459,5 @@ mod tests {
         assert_eq!(kinds(8), vec!["partition_heal"]);
         assert_eq!(kinds(9), vec!["recover"]);
         assert!(inj.faults_at(0).is_empty());
-    }
-
-    #[test]
-    fn delivery_fault_detection() {
-        assert!(!compile(FaultPlan::new().churn(0, 0.2, None)).has_delivery_faults());
-        assert!(!compile(FaultPlan::new().straggler(0, 0, 2.0, None)).has_delivery_faults());
-        assert!(compile(FaultPlan::new().crash_stop(0, 0)).has_delivery_faults());
-        assert!(compile(FaultPlan::new().loss_burst(0, 0.1, 2)).has_delivery_faults());
-        assert!(compile(FaultPlan::new().partition(0, vec![vec![0]], 2)).has_delivery_faults());
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's availability claims (Algorithm 4 collects "until quorum
 //! *or Timeout*"; §III-D's pipeline exists because leaders and clients
 //! fail or straggle) need a systematic way to make things go wrong —
-//! reproducibly. This crate provides it in three layers:
+//! reproducibly. This crate provides it in two layers:
 //!
 //! 1. [`FaultPlan`] — a declarative schedule of faults as plain data:
 //!    crash-stop and crash-recover nodes, leader kills, straggler delay
@@ -12,30 +12,23 @@
 //!    hierarchy before use.
 //! 2. [`FaultInjector`] — the compiled form: per-round queries
 //!    (`crashed`, `partitioned`, `burst_loss`, `straggle_factor`,
-//!    `churn_leave_prob`, `drop_upload`) that the synchronous runner
-//!    consults every round, plus [`FaultInjector::faults_at`] feeding
+//!    `churn_leave_prob`, `drop_upload`) that the round engine's fault
+//!    layer consults every round — by round index, under either
+//!    schedule — plus [`FaultInjector::faults_at`] feeding
 //!    the run manifest's fault log.
-//! 3. [`TimelineFaults`] — an adapter implementing the simulator's
-//!    `LinkFault` hook so the same plan also governs the discrete-event
-//!    pipeline: sends from/to crashed nodes are dropped, cross-partition
-//!    links are cut, bursts drop stochastically (under the simulation's
-//!    seeded RNG), and stragglers' uplink delays inflate.
 //!
 //! ## Determinism
 //!
 //! Everything is a pure function of `(plan, hierarchy, seed, round)`.
 //! The injector never touches a wall clock or global RNG: burst draws
-//! in the synchronous runner use a SplitMix64 hash of the seed and the
-//! message coordinates, and the simulator adapter draws from the
-//! simulation's own seeded RNG stream. Two runs with identical seeds
-//! and plans produce byte-identical manifests.
+//! use a SplitMix64 hash of the seed and the message coordinates. Two
+//! runs with identical seeds and plans produce byte-identical
+//! manifests.
 
 #![warn(missing_docs)]
 
 pub mod injector;
-pub mod netview;
 pub mod plan;
 
 pub use injector::{FaultEvent, FaultInjector};
-pub use netview::TimelineFaults;
 pub use plan::{FaultKind, FaultPlan, FaultPlanError, FaultSpec};

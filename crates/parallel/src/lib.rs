@@ -40,6 +40,7 @@
 //! perform no heap allocation beyond the output the caller asked for.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,12 +65,42 @@ pub fn set_default_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
+thread_local! {
+    /// [`with_threads`]' count on this thread; 0 means "none in force".
+    static SCOPED_THREADS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Runs `f` with `default_threads()` returning `n` on the calling
+/// thread, whatever [`set_default_threads`] pinned process-wide, and
+/// puts back what was in force before when `f` returns or unwinds
+/// (0 lifts an enclosing scope for the length of `f`).
+/// `with_threads(1, f)` keeps every fork-join `f` makes on the calling
+/// thread: no helper is woken and nothing is waited for, so how long
+/// `f` takes does not depend on whether a second core is free. Same
+/// bytes, by the determinism contract.
+pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED_THREADS.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(SCOPED_THREADS.with(|s| s.replace(n)));
+    f()
+}
+
 /// Number of worker threads to use by default: the available
-/// parallelism, or the value pinned via [`set_default_threads`], capped
-/// at 16 either way — the cap every entry point applies to its
-/// `threads` argument.
+/// parallelism, or the value pinned via [`set_default_threads`], or —
+/// ahead of both — the count of an enclosing [`with_threads`] on this
+/// thread, capped at 16 in every case — the cap every entry point
+/// applies to its `threads` argument.
 pub fn default_threads() -> usize {
-    let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
+    let scoped = SCOPED_THREADS.with(Cell::get);
+    let forced = if scoped > 0 {
+        scoped
+    } else {
+        THREAD_OVERRIDE.load(Ordering::SeqCst)
+    };
     let threads = if forced > 0 {
         forced
     } else {
@@ -400,5 +431,22 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
+    }
+
+    #[test]
+    fn with_threads_is_scoped_to_the_call_and_the_thread() {
+        let outside = default_threads();
+        let seen = with_threads(3, || {
+            let inner = with_threads(1, default_threads);
+            let elsewhere = std::thread::scope(|s| s.spawn(default_threads).join().unwrap());
+            (default_threads(), inner, elsewhere)
+        });
+        assert_eq!(seen, (3, 1, outside));
+        assert_eq!(default_threads(), outside);
+
+        // Put back on unwind too.
+        let unwound = catch_unwind(|| with_threads(5, || panic!("inside the scope")));
+        assert!(unwound.is_err());
+        assert_eq!(default_threads(), outside);
     }
 }

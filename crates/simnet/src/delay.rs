@@ -46,7 +46,41 @@ pub enum DelayModel {
 }
 
 impl DelayModel {
-    /// Draws one delay.
+    /// Checks every parameter [`DelayModel::sample`] asserts on, nested
+    /// base models included: `Err((which parameter, its value))` for
+    /// the first that would make a draw panic.
+    pub fn validate(&self) -> Result<(), (&'static str, f64)> {
+        let usable = |ok: bool, what, value| if ok { Ok(()) } else { Err((what, value)) };
+        match self {
+            DelayModel::Constant { .. } => Ok(()),
+            DelayModel::Uniform { lo, hi } => {
+                usable(lo <= hi, "uniform bounds (lo > hi)", *lo as f64)
+            }
+            DelayModel::Exponential { mean } => {
+                usable(mean.is_finite() && *mean > 0.0, "exponential mean", *mean)
+            }
+            DelayModel::LogNormal { mu, sigma } => {
+                usable(mu.is_finite(), "lognormal mu", *mu)?;
+                usable(
+                    sigma.is_finite() && *sigma >= 0.0,
+                    "lognormal sigma",
+                    *sigma,
+                )
+            }
+            DelayModel::Straggler { base, p, factor } => {
+                usable((0.0..=1.0).contains(p), "straggler probability", *p)?;
+                usable(
+                    factor.is_finite() && *factor >= 1.0,
+                    "straggler factor",
+                    *factor,
+                )?;
+                base.validate()
+            }
+        }
+    }
+
+    /// Draws one delay. Panics on parameters [`DelayModel::validate`]
+    /// rejects.
     pub fn sample(&self, rng: &mut StdRng) -> SimTime {
         match self {
             DelayModel::Constant { micros } => SimTime::from_micros(*micros),
@@ -142,6 +176,53 @@ mod tests {
             .map(|_| m.sample(&mut rng).as_micros() as f64)
             .sum::<f64>()
             / n as f64
+    }
+
+    #[test]
+    fn validate_names_the_parameter_a_draw_would_panic_on() {
+        let lan = || Box::new(DelayModel::lan());
+        assert_eq!(DelayModel::lan().validate(), Ok(()));
+        assert_eq!(DelayModel::wan().validate(), Ok(()));
+        for (bad, what) in [
+            (
+                DelayModel::Uniform { lo: 2, hi: 1 },
+                "uniform bounds (lo > hi)",
+            ),
+            (DelayModel::Exponential { mean: 0.0 }, "exponential mean"),
+            (
+                DelayModel::LogNormal {
+                    mu: 0.0,
+                    sigma: -1.0,
+                },
+                "lognormal sigma",
+            ),
+            (
+                DelayModel::Straggler {
+                    base: lan(),
+                    p: f64::NAN,
+                    factor: 2.0,
+                },
+                "straggler probability",
+            ),
+            (
+                DelayModel::Straggler {
+                    base: lan(),
+                    p: 0.1,
+                    factor: 0.9,
+                },
+                "straggler factor",
+            ),
+            (
+                DelayModel::Straggler {
+                    base: Box::new(DelayModel::Uniform { lo: 2, hi: 1 }),
+                    p: 0.1,
+                    factor: 2.0,
+                },
+                "uniform bounds (lo > hi)",
+            ),
+        ] {
+            assert_eq!(bad.validate().unwrap_err().0, what, "{bad:?}");
+        }
     }
 
     #[test]

@@ -6,9 +6,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
-use hfl_telemetry::{Event, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -125,46 +123,6 @@ pub struct NetStats {
     pub bytes: u64,
     /// Events processed (messages + timers).
     pub events: u64,
-    /// Messages dropped for any reason (never delivered); the sum of
-    /// base-channel loss plus every fault class below.
-    pub dropped: u64,
-    /// Of `dropped`: dropped by an injected loss burst.
-    pub dropped_burst: u64,
-    /// Of `dropped`: dropped because the link crossed a partition.
-    pub dropped_partition: u64,
-    /// Of `dropped`: dropped because an endpoint was crashed.
-    pub dropped_crash: u64,
-}
-
-/// How an injected fault treats one message send.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkFate {
-    /// The message proceeds normally (base channel loss still applies).
-    Deliver,
-    /// Dropped: an endpoint is crashed.
-    DropCrash,
-    /// Dropped: source and destination are in different partition groups.
-    DropPartition,
-    /// Dropped: an active loss burst claimed it.
-    DropBurst,
-}
-
-/// A fault hook the engine consults on every send, before the base
-/// channel loss. Implementations map `(src, dst, now)` onto an injected
-/// fault timeline (see `hfl-faults`); stochastic choices must draw from
-/// the provided engine RNG so runs stay seed-deterministic.
-pub trait LinkFault {
-    /// Decides the fate of a message sent `src → dst` at time `now`.
-    fn classify(&mut self, src: NodeId, dst: NodeId, now: SimTime, rng: &mut StdRng) -> LinkFate;
-
-    /// Multiplier applied to the sampled network delay of messages sent
-    /// by `src` at `now` (straggler modelling). Must be ≥ 1; the
-    /// default is no inflation. Not applied to explicit
-    /// [`Ctx::send_after`] delays (those model local computation).
-    fn delay_factor(&mut self, src: NodeId, now: SimTime) -> f64 {
-        let _ = (src, now);
-        1.0
-    }
 }
 
 /// The simulation: a set of actors, a delay model, an event queue.
@@ -178,19 +136,6 @@ pub struct Simulation<P, A: Actor<P>> {
     stats: NetStats,
     trace: Trace,
     payload_bytes: Box<dyn Fn(&P) -> u64>,
-    /// Per-message drop probability — the "unreliable communication
-    /// channels" of the paper's efficiency discussion. 0 by default.
-    loss_prob: f64,
-    /// Per-node uplink delay overrides (Appendix E: "bandwidth
-    /// difference of each level"). A message from node `src` samples
-    /// `uplink[src]` when present, the shared model otherwise.
-    uplink: std::collections::HashMap<NodeId, DelayModel>,
-    /// Optional telemetry bridge: every trace event is forwarded here as
-    /// an [`Event::Sim`] as it is recorded.
-    recorder: Option<Arc<dyn Recorder>>,
-    /// Optional fault hook consulted on every send (crashes, partitions,
-    /// bursts, stragglers), ahead of `loss_prob`.
-    link_fault: Option<Box<dyn LinkFault>>,
 }
 
 impl<P, A: Actor<P>> Simulation<P, A> {
@@ -215,49 +160,7 @@ impl<P, A: Actor<P>> Simulation<P, A> {
             stats: NetStats::default(),
             trace: Trace::new(),
             payload_bytes: Box::new(payload_bytes),
-            loss_prob: 0.0,
-            uplink: std::collections::HashMap::new(),
-            recorder: None,
-            link_fault: None,
         }
-    }
-
-    /// Bridges the simulator's trace stream into a telemetry recorder:
-    /// from now on every [`Ctx::trace`] event is also forwarded as an
-    /// [`Event::Sim`] (with the simulated time in microseconds). The
-    /// forwarding is skipped entirely when the recorder is disabled.
-    pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Overrides the delay model for every message *sent by* `node` —
-    /// the per-level bandwidth knob of the paper's Appendix E (give all
-    /// bottom devices a slow uplink, leaders a fast one, ...).
-    pub fn set_uplink_delay(&mut self, node: NodeId, model: DelayModel) {
-        assert!(node < self.actors.len(), "unknown node {node}");
-        self.uplink.insert(node, model);
-    }
-
-    /// Sets the per-message drop probability (in `[0, 1)`). Dropped
-    /// messages are counted in [`NetStats::dropped`] and never delivered;
-    /// timers are never dropped.
-    ///
-    /// # Panics
-    /// If `p` is not a finite value in `[0, 1)` — a lossless or lossy
-    /// channel, never a dead one (a protocol on a channel that drops
-    /// everything cannot terminate).
-    pub fn set_drop_probability(&mut self, p: f64) {
-        assert!(
-            p.is_finite() && (0.0..1.0).contains(&p),
-            "drop probability must be in [0, 1), got {p}"
-        );
-        self.loss_prob = p;
-    }
-
-    /// Installs a fault hook consulted on every send, before the base
-    /// drop probability. See [`LinkFault`].
-    pub fn set_link_fault(&mut self, fault: Box<dyn LinkFault>) {
-        self.link_fault = Some(fault);
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind<P>) {
@@ -274,49 +177,7 @@ impl<P, A: Actor<P>> Simulation<P, A> {
     ) {
         for (dst, msg, explicit) in outbox {
             assert!(dst < self.actors.len(), "send to unknown node {dst}");
-            if let Some(fault) = self.link_fault.as_mut() {
-                match fault.classify(node, dst, self.now, &mut self.rng) {
-                    LinkFate::Deliver => {}
-                    LinkFate::DropCrash => {
-                        self.stats.dropped += 1;
-                        self.stats.dropped_crash += 1;
-                        continue;
-                    }
-                    LinkFate::DropPartition => {
-                        self.stats.dropped += 1;
-                        self.stats.dropped_partition += 1;
-                        continue;
-                    }
-                    LinkFate::DropBurst => {
-                        self.stats.dropped += 1;
-                        self.stats.dropped_burst += 1;
-                        continue;
-                    }
-                }
-            }
-            if self.loss_prob > 0.0 && rand::Rng::gen_bool(&mut self.rng, self.loss_prob) {
-                self.stats.dropped += 1;
-                continue;
-            }
-            let delay = match explicit {
-                Some(d) => d,
-                None => {
-                    let base = self
-                        .uplink
-                        .get(&node)
-                        .unwrap_or(&self.delay)
-                        .sample(&mut self.rng);
-                    let factor = self
-                        .link_fault
-                        .as_mut()
-                        .map_or(1.0, |f| f.delay_factor(node, self.now));
-                    if factor != 1.0 {
-                        SimTime::from_micros((base.as_micros() as f64 * factor).round() as u64)
-                    } else {
-                        base
-                    }
-                }
-            };
+            let delay = explicit.unwrap_or_else(|| self.delay.sample(&mut self.rng));
             let at = self.now + delay;
             self.push(
                 at,
@@ -350,17 +211,6 @@ impl<P, A: Actor<P>> Simulation<P, A> {
             ..
         } = ctx;
         for (at, event) in trace_buf {
-            if let Some(rec) = self.recorder.as_deref() {
-                if rec.enabled() {
-                    rec.record(&Event::Sim {
-                        time_us: at.as_micros(),
-                        round: event.round,
-                        level: event.level,
-                        cluster: event.cluster,
-                        kind: format!("{:?}", event.kind),
-                    });
-                }
-            }
             self.trace.record(at, event);
         }
         self.flush_ctx_effects(node, outbox, timers);
@@ -592,104 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn uplink_override_slows_one_sender() {
-        /// Node 0 and node 1 each send one message to node 2 at start.
-        struct OneShot {
-            got: Vec<(NodeId, SimTime)>,
-        }
-        impl Actor<()> for OneShot {
-            fn on_start(&mut self, ctx: &mut Ctx<()>) {
-                if ctx.me() < 2 {
-                    ctx.send(2, ());
-                }
-            }
-            fn on_message(&mut self, ctx: &mut Ctx<()>, src: NodeId, _msg: ()) {
-                self.got.push((src, ctx.now()));
-            }
-        }
-        let mut sim = Simulation::new(
-            (0..3).map(|_| OneShot { got: vec![] }).collect(),
-            DelayModel::Constant { micros: 10 },
-            0,
-            |_| 0,
-        );
-        sim.set_uplink_delay(1, DelayModel::Constant { micros: 5_000 });
-        sim.run(100);
-        let got = &sim.actors()[2].got;
-        assert_eq!(got.len(), 2);
-        let t0 = got.iter().find(|(s, _)| *s == 0).unwrap().1;
-        let t1 = got.iter().find(|(s, _)| *s == 1).unwrap().1;
-        assert_eq!(t0, SimTime::from_micros(10));
-        assert_eq!(t1, SimTime::from_micros(5_000));
-    }
-
-    #[test]
-    fn lossy_channel_drops_messages() {
-        /// Node 0 fires 1000 one-way messages to node 1.
-        struct Spray {
-            received: u32,
-        }
-        impl Actor<()> for Spray {
-            fn on_start(&mut self, ctx: &mut Ctx<()>) {
-                if ctx.me() == 0 {
-                    for _ in 0..1000 {
-                        ctx.send(1, ());
-                    }
-                }
-            }
-            fn on_message(&mut self, _ctx: &mut Ctx<()>, _src: NodeId, _msg: ()) {
-                self.received += 1;
-            }
-        }
-        let mut sim = Simulation::new(
-            vec![Spray { received: 0 }, Spray { received: 0 }],
-            DelayModel::Constant { micros: 1 },
-            3,
-            |_| 1,
-        );
-        sim.set_drop_probability(0.3);
-        let stats = sim.run(10_000);
-        let delivered = sim.actors()[1].received as u64;
-        assert_eq!(delivered + stats.dropped, 1000);
-        assert!(
-            stats.dropped > 200 && stats.dropped < 400,
-            "dropped {}",
-            stats.dropped
-        );
-        assert_eq!(stats.messages, delivered);
-    }
-
-    #[test]
-    fn zero_loss_delivers_everything() {
-        let mut sim = pingpong_sim(6);
-        sim.set_drop_probability(0.0);
-        let stats = sim.run(10_000);
-        assert_eq!(stats.dropped, 0);
-        assert_eq!(stats.messages, 22);
-    }
-
-    #[test]
-    #[should_panic(expected = "drop probability must be in [0, 1), got 1")]
-    fn full_loss_rejected() {
-        let mut sim = pingpong_sim(7);
-        sim.set_drop_probability(1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "drop probability must be in [0, 1), got -0.1")]
-    fn negative_loss_rejected() {
-        let mut sim = pingpong_sim(7);
-        sim.set_drop_probability(-0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "drop probability must be in [0, 1), got NaN")]
-    fn nan_loss_rejected() {
-        let mut sim = pingpong_sim(7);
-        sim.set_drop_probability(f64::NAN);
-    }
-
-    #[test]
     fn clock_snapshot_round_trips_on_a_fresh_sim() {
         let mut sim = pingpong_sim(9);
         sim.run(10_000);
@@ -719,133 +471,6 @@ mod tests {
             .restore_clock(SimTime::ZERO, 0, NetStats::default())
             .unwrap_err();
         assert!(err.contains("in flight"), "{err}");
-    }
-
-    /// A hard-coded fault: drops everything toward node 1 as a crash,
-    /// everything toward node 2 as a partition, everything toward node 3
-    /// as a burst, and slows node 4's sends 10×.
-    struct ScriptedFault;
-    impl LinkFault for ScriptedFault {
-        fn classify(
-            &mut self,
-            _src: NodeId,
-            dst: NodeId,
-            _now: SimTime,
-            _rng: &mut StdRng,
-        ) -> LinkFate {
-            match dst {
-                1 => LinkFate::DropCrash,
-                2 => LinkFate::DropPartition,
-                3 => LinkFate::DropBurst,
-                _ => LinkFate::Deliver,
-            }
-        }
-        fn delay_factor(&mut self, src: NodeId, _now: SimTime) -> f64 {
-            if src == 4 {
-                10.0
-            } else {
-                1.0
-            }
-        }
-    }
-
-    /// Node 0 sends one message to every other node at start; node 4
-    /// sends one message to node 5.
-    struct FanOut {
-        got_at: Option<SimTime>,
-    }
-    impl Actor<()> for FanOut {
-        fn on_start(&mut self, ctx: &mut Ctx<()>) {
-            match ctx.me() {
-                0 => {
-                    for dst in 1..=5 {
-                        ctx.send(dst, ());
-                    }
-                }
-                4 => ctx.send(5, ()),
-                _ => {}
-            }
-        }
-        fn on_message(&mut self, ctx: &mut Ctx<()>, _src: NodeId, _msg: ()) {
-            self.got_at = Some(ctx.now());
-        }
-    }
-
-    #[test]
-    fn link_fault_classifies_and_counts_drops() {
-        let mut sim = Simulation::new(
-            (0..6).map(|_| FanOut { got_at: None }).collect(),
-            DelayModel::Constant { micros: 10 },
-            0,
-            |_| 1,
-        );
-        sim.set_link_fault(Box::new(ScriptedFault));
-        let stats = sim.run(1_000);
-        assert_eq!(stats.dropped, 3);
-        assert_eq!(stats.dropped_crash, 1);
-        assert_eq!(stats.dropped_partition, 1);
-        assert_eq!(stats.dropped_burst, 1);
-        // 0→4, 0→5, 4→5 delivered.
-        assert_eq!(stats.messages, 3);
-        assert!(sim.actors()[1].got_at.is_none());
-        assert!(sim.actors()[2].got_at.is_none());
-        assert!(sim.actors()[3].got_at.is_none());
-        assert!(sim.actors()[4].got_at.is_some());
-    }
-
-    #[test]
-    fn link_fault_delay_factor_inflates_sampled_delay() {
-        let mut sim = Simulation::new(
-            (0..6).map(|_| FanOut { got_at: None }).collect(),
-            DelayModel::Constant { micros: 10 },
-            0,
-            |_| 1,
-        );
-        sim.set_link_fault(Box::new(ScriptedFault));
-        sim.run(1_000);
-        // Node 5 hears from both 0 (10µs) and 4 (100µs): last write wins,
-        // so its got_at is the straggler's arrival.
-        assert_eq!(sim.actors()[5].got_at, Some(SimTime::from_micros(100)));
-        assert_eq!(sim.actors()[4].got_at, Some(SimTime::from_micros(10)));
-    }
-
-    #[test]
-    fn trace_events_are_bridged_to_recorder() {
-        use crate::trace::{TraceEvent, TraceKind};
-        use hfl_telemetry::MemoryRecorder;
-
-        /// Records one trace event at start, then stops.
-        struct Tracer;
-        impl Actor<()> for Tracer {
-            fn on_start(&mut self, ctx: &mut Ctx<()>) {
-                ctx.trace(TraceEvent {
-                    round: 2,
-                    level: 1,
-                    cluster: 4,
-                    kind: TraceKind::QuorumReached,
-                });
-                ctx.stop();
-            }
-            fn on_message(&mut self, _ctx: &mut Ctx<()>, _src: NodeId, _msg: ()) {}
-        }
-        let mut sim = Simulation::new(vec![Tracer], DelayModel::Constant { micros: 1 }, 0, |_| 0);
-        let rec = Arc::new(MemoryRecorder::new());
-        sim.set_recorder(Arc::clone(&rec) as Arc<dyn Recorder>);
-        sim.run(100);
-        let events = rec.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(
-            events[0],
-            Event::Sim {
-                time_us: 0,
-                round: 2,
-                level: 1,
-                cluster: 4,
-                kind: "QuorumReached".to_string(),
-            }
-        );
-        // The trace itself still has the event too.
-        assert_eq!(sim.trace().len(), 1);
     }
 
     #[test]

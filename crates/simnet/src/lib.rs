@@ -9,10 +9,12 @@
 //! deterministic given a seed: events at equal timestamps are delivered in
 //! schedule order.
 //!
-//! Two layers:
+//! Three layers:
+//! * [`delay`] and [`time`] — the delay models and integer sim-time the
+//!   round engine's clock draws and counts in (the pipeline quantities
+//!   τℓ, τ′ℓ, σw, σp, σg, ν of paper §III-D are measured there).
 //! * [`engine`] — generic actors, timers, messages, byte/message
-//!   accounting and a [`trace`] timeline used to *measure* the pipeline
-//!   quantities (τℓ, τ′ℓ, σw, σp, σg, ν of paper §III-D).
+//!   accounting and a [`trace`] timeline.
 //! * [`topology`] — ECSM (equal-cluster-size, complete m-ary trees from
 //!   Nt roots) and ACSM (arbitrary cluster sizes) hierarchy builders, the
 //!   structures the tolerance theory of §IV-B quantifies over.

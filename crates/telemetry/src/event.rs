@@ -79,24 +79,11 @@ pub enum Event {
         /// Payload bytes.
         bytes: u64,
     },
-    /// A timeline event bridged from the discrete-event simulator's
-    /// trace (`hfl-simnet`).
-    Sim {
-        /// Simulated time in microseconds.
-        time_us: u64,
-        /// Round index (0-based).
-        round: usize,
-        /// Hierarchy level (0 = top).
-        level: usize,
-        /// Cluster index within the level.
-        cluster: usize,
-        /// The trace label (e.g. `QuorumReached`).
-        kind: String,
-    },
     /// Something violated an internal invariant but was tolerated and
-    /// counted instead of crashing (e.g. an out-of-order trace record).
+    /// counted instead of crashing (e.g. an attack with no honest update
+    /// to craft from).
     Anomaly {
-        /// Anomaly class (e.g. `trace_out_of_order`).
+        /// Anomaly class (e.g. `attack_no_honest_updates`).
         kind: String,
         /// Human-readable detail.
         detail: String,
@@ -201,7 +188,9 @@ pub enum Event {
         /// `"quorum"` when the ⌈φ·n⌉-th arrival closed the buffer,
         /// `"deadline"` when the timer fired first.
         cause: String,
-        /// Simulated close time, µs from buffer open.
+        /// Simulated close time, µs on the round clock: absolute under
+        /// the pipelined schedule; from buffer open under lockstep,
+        /// where every buffer opens at 0.
         close_us: u64,
         /// Updates in the buffer at close (on-time arrivals).
         occupancy: usize,

@@ -4,8 +4,8 @@
 //! a metrics registry, and run manifests — every measured quantity of
 //! the paper's evaluation (accuracy trajectories, message/byte costs,
 //! exclusion counts, the timing decomposition τℓ/τ′ℓ/σ/ν) flows through
-//! this crate so that the runner, the pipeline driver, the simulator and
-//! the bench harness all report through one layer.
+//! this crate so that the round engine, on either schedule, and the
+//! bench harness report through one layer.
 //!
 //! Design rules:
 //!

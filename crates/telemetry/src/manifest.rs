@@ -333,8 +333,7 @@ pub struct RunManifest {
     pub config_hash: String,
     /// Compile-time build identity.
     pub build: BuildInfo,
-    /// Per-round time series (may be empty for drivers without a
-    /// synchronous round loop, e.g. the async pipeline).
+    /// Per-round time series.
     pub rounds: Vec<RoundRecord>,
     /// Whole-run cost totals.
     pub totals: RunTotals,

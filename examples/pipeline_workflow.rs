@@ -1,5 +1,5 @@
 //! The asynchronous pipeline learning workflow: run ABD-HFL on the
-//! discrete-event network simulator and print the per-round timing
+//! round engine's pipelined schedule and print the per-round timing
 //! decomposition (σw, σ, ν) for two flag-level choices — the trade-off
 //! of paper §III-D2.
 //!

@@ -24,8 +24,9 @@ timeout 300 cargo test -p hfl-parallel --release -q
 # - Allocation regression (crates/bench/tests/alloc_regression.rs,
 #   steady_state_rounds_allocate_nothing): after a 5-round warmup,
 #   BRA rounds perform exactly zero heap allocations on the clean, the
-#   faulted and the deadline fixture (every cluster closing a deadline
-#   buffer), at 1 thread and at 2. A single new Vec on the round path
+#   faulted, the deadline (every cluster closing a deadline buffer) and
+#   the pipelined fixture (the same, on the round clock), at 1 thread
+#   and at 2. A single new Vec on the round path
 #   — or per buffer, or per fork-join — fails this.
 # - Vote allocation ceiling (same file,
 #   vote_rounds_stay_under_the_allocation_ceiling): a paper_iid round,
@@ -60,12 +61,21 @@ same_seed_gate repro_combined combined.manifests.jsonl --quick
 same_seed_gate repro_async async.manifests.jsonl --quick --filter deadline
 # The gallery grid (§13) has a seeded Dirichlet re-draw loop and AGR bisections.
 same_seed_gate repro_gallery gallery.manifests.jsonl --quick
-# The pipeline driver: actors on the event simulator, timers and link delays from seeded streams.
+# The pipelined schedule: the engine's round clock draws training, aggregation and link
+# delays from seeded streams; the last sweep runs it under faults, suspicion and an adversary.
 same_seed_gate repro_efficiency efficiency.manifests.jsonl --quick
 # Per-round cohort sampling and lazy shard derivation (§14) at 10⁴ clients.
 same_seed_gate repro_scale scale.manifests.jsonl --smoke
 test -s "$tmp/repro_scale.a/scale.json" \
     || { echo "repro_scale produced no scale.json"; exit 1; }
+
+# One scheduler: the pipeline is a schedule of the round engine, not a
+# second driver on the event simulator, and what is left of pipeline.rs
+# is a timing config plus the ν arithmetic.
+! grep -rq 'hfl_simnet::engine\|hfl_simnet::trace' crates/core/src crates/faults/src \
+    || { echo "crates/core or crates/faults drives the event simulator again"; exit 1; }
+test "$(wc -l < crates/core/src/pipeline.rs)" -lt 300 \
+    || { echo "crates/core/src/pipeline.rs grew past 300 lines"; exit 1; }
 
 # Snapshot-resume determinism gate: for every fixture class, 20 rounds
 # straight through must equal 10 rounds + resume(10 more) from the

@@ -3,8 +3,10 @@
 //! attacks (leader equivocation, selective withholding).
 
 use abd_hfl::attacks::{AdaptiveAttack, ModelAttack, Placement, ProtocolAttack};
-use abd_hfl::core::config::{AttackCfg, HflConfig, LevelAgg};
+use abd_hfl::core::config::{AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg};
+use abd_hfl::core::pipeline::PipelineConfig;
 use abd_hfl::core::run::RunOptions;
+use abd_hfl::faults::FaultPlan;
 use abd_hfl::robust::{AggregatorKind, SuspicionConfig};
 use abd_hfl::telemetry::{Event, Telemetry};
 
@@ -292,4 +294,74 @@ fn suspicion_off_keeps_the_manifest_schema_lean() {
     );
     assert_eq!(run.result.quarantined_total, 0);
     assert_eq!(run.result.withheld_total, 0);
+}
+
+#[test]
+fn the_full_stack_runs_on_the_pipelined_schedule() {
+    // The `async_armed` shape — deadline buffers at φ = 0.75, a crash /
+    // leader-kill / partition / churn plan, the adaptive ALIE coalition
+    // with equivocating leaders, the suspicion layer — on the pipelined
+    // schedule: the one place ν could not be measured while the
+    // pipeline was a driver of its own.
+    let build = || {
+        let mut cfg = arms_cfg(
+            AttackCfg::Adaptive {
+                attack: AdaptiveAttack::alie_default(),
+                proportion: 0.25,
+                placement: Placement::Prefix,
+            },
+            308,
+            30,
+        );
+        cfg.async_rounds = Some(AsyncRoundCfg::lan());
+        cfg.quorum = 0.75;
+        cfg.protocol_attack = Some(ProtocolAttack::Equivocate { flip_scale: 1.0 });
+        cfg.suspicion = Some(SuspicionConfig::default());
+        let h = cfg.topology.build(cfg.seed);
+        let clusters = &h.level(h.bottom_level()).clusters;
+        let last = clusters.len() - 1;
+        let crashes = clusters.iter().fold(FaultPlan::new(), |plan, c| {
+            plan.crash_recover(5, c.members[1], 15)
+        });
+        cfg.faults = Some(
+            crashes
+                .kill_leader(8, h.bottom_level(), last, None)
+                .partition(10, vec![clusters[last].members.clone()], 14)
+                .churn(20, 0.1, None),
+        );
+        cfg
+    };
+    let pcfg = PipelineConfig {
+        rounds: 30,
+        ..PipelineConfig::default()
+    };
+    let run = || RunOptions::pipeline(&pcfg).run(&build()).into_pipeline();
+    let (res, manifest) = run();
+    assert_eq!(res.rounds.len(), 30, "a round never closed");
+    for rt in &res.rounds {
+        assert!(
+            rt.nu > 0.0 && rt.nu < 1.0,
+            "round {}: ν = {}",
+            rt.round,
+            rt.nu
+        );
+    }
+    let suspicion = manifest.suspicion.as_ref().expect("the layer ran");
+    let quarantined: Vec<usize> = suspicion
+        .events
+        .iter()
+        .filter(|e| e.kind == "quarantined")
+        .map(|e| e.client)
+        .collect();
+    // Prefix placement at 25 % of 64: the coalition is clients 0..16.
+    assert!(
+        quarantined.iter().any(|&c| c < 16),
+        "no malicious client was quarantined: {quarantined:?}"
+    );
+    assert!(manifest.faults.iter().any(|f| f.kind == "leader_failover"));
+    assert_eq!(
+        manifest.to_json(),
+        run().1.to_json(),
+        "same seed, same bytes"
+    );
 }

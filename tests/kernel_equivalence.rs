@@ -39,7 +39,10 @@ use abd_hfl::consensus::{
     CommitteeConsensus, Consensus, DistanceEvaluator, ProposalEvaluator, StakeVote, VoteConsensus,
 };
 use abd_hfl::core::config::{AsyncRoundCfg, AttackCfg, HflConfig, SamplingCfg};
-use abd_hfl::core::runner::{run_prepared_with, Experiment};
+use abd_hfl::core::engine::RoundEngine;
+use abd_hfl::core::pipeline::PipelineConfig;
+use abd_hfl::core::runner::{run_engine, run_prepared_with, Experiment};
+use abd_hfl::faults::FaultPlan;
 use abd_hfl::ml::loss::{argmax, softmax_in_place};
 use abd_hfl::ml::model::BatchScratch;
 use abd_hfl::ml::synth::SynthConfig;
@@ -803,7 +806,8 @@ proptest! {
     }
 }
 
-/// Whole runs — clean, armed under deadline buffers, sampled — produce
+/// Whole runs — clean, armed under deadline buffers, sampled, and the
+/// armed one again with a fault plan on the pipelined schedule — produce
 /// the identical manifest JSON and event log at 1/2/4/8 threads: the
 /// training step hands cohort slots to however many workers there are,
 /// and which worker (and which parked trainee) served a slot cannot
@@ -842,18 +846,35 @@ fn whole_runs_identical_at_all_thread_counts() {
         72,
     );
     sampled.sampling = Some(SamplingCfg::uniform(256, 64));
+    let mut pipelined = armed.clone();
+    pipelined.rounds = 5;
+    pipelined.quorum = 0.75;
+    pipelined.faults = Some(
+        FaultPlan::new()
+            .crash_recover(1, 5, 3)
+            .kill_leader(2, 2, 15, None)
+            .partition(1, vec![(60..64).collect()], 3),
+    );
+    let timing = PipelineConfig {
+        rounds: 5,
+        ..PipelineConfig::default()
+    };
 
-    for (name, cfg) in [
-        ("clean", small(AttackCfg::None, 70)),
-        ("armed + async", armed),
-        ("sampled", sampled),
+    for (name, cfg, timing) in [
+        ("clean", small(AttackCfg::None, 70), None),
+        ("armed + async", armed, None),
+        ("sampled", sampled, None),
+        ("armed + faulted, pipelined", pipelined, Some(&timing)),
     ] {
         let exp = Experiment::prepare(&cfg);
         let run = |threads: usize| {
             abd_hfl::parallel::set_default_threads(threads);
             let (telem, rec) = Telemetry::recording();
-            let manifest = run_prepared_with(&exp, &telem).manifest.to_json();
-            (manifest, rec.events())
+            let run = match timing {
+                Some(pcfg) => run_engine(&mut RoundEngine::pipelined(&exp, pcfg), &telem),
+                None => run_prepared_with(&exp, &telem),
+            };
+            (run.manifest.to_json(), rec.events())
         };
         let base = run(1);
         for &t in &THREADS[1..] {
