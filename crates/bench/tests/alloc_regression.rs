@@ -78,7 +78,7 @@ fn bra_fixture(seed: u64) -> HflConfig {
 
 /// Most allocations a steady-state round of [`cba_fixture`] may make.
 /// Measured: 70 (mechanism box, evaluator, per voter one model and
-/// per scoring its widened weights and logits, score rows, vote matrix,
+/// per scoring its weight panel and logits, score rows, vote matrix,
 /// the outcome's vectors).
 const CBA_CEILING: u64 = 80;
 

@@ -6,11 +6,12 @@
 
 use std::ops::Range;
 
+use hfl_tensor::ops::Panel;
 use rand::rngs::StdRng;
 
 use crate::dataset::Dataset;
 use crate::loss::{argmax, ce_grad_in_place, cross_entropy, softmax_in_place};
-use crate::model::{BatchScratch, Model};
+use crate::model::{dense, BatchScratch, Model};
 
 /// Softmax regression with weights `W (k×d)` and bias `b (k)`, stored
 /// flat as `[W row 0, W row 1, ..., b]`.
@@ -46,16 +47,29 @@ impl LinearSoftmax {
 
     /// Writes class probabilities for `x` into `probs`.
     pub fn forward(&self, x: &[f32], probs: &mut [f32]) {
-        self.forward_through(&self.theta[..self.classes * self.dim], x, probs);
+        self.forward_through(None, x, probs);
     }
 
-    /// The forward pass over the weight matrix `w` — the parameters'
-    /// own, or its widened copy (see [`hfl_tensor::ops::affine_rows`]);
-    /// the bias comes from `theta`.
-    fn forward_through<T: Copy + Into<f64>>(&self, w: &[T], x: &[f32], probs: &mut [f32]) {
+    /// `panel` filled from this model's weights when a call applies
+    /// them to more than one input, `None` for a single input: a refill
+    /// costs more than the one forward pass it would speed up.
+    fn panel_for<'a>(&self, inputs: usize, panel: &'a mut Panel) -> Option<&'a Panel> {
+        (inputs > 1).then(|| {
+            panel.fill(
+                &self.theta[..self.classes * self.dim],
+                self.classes,
+                self.dim,
+            );
+            &*panel
+        })
+    }
+
+    /// The forward pass through [`Self::panel_for`]'s choice of kernel.
+    fn forward_through(&self, panel: Option<&Panel>, x: &[f32], probs: &mut [f32]) {
         assert_eq!(x.len(), self.dim);
         assert_eq!(probs.len(), self.classes);
-        hfl_tensor::ops::affine_rows(w, &self.theta[self.classes * self.dim..], x, probs);
+        let (w, bias) = self.theta.split_at(self.classes * self.dim);
+        dense(panel, w, bias, x, probs);
         softmax_in_place(probs);
     }
 }
@@ -81,20 +95,15 @@ impl Model for LinearSoftmax {
         argmax(probs) as u8
     }
 
-    /// One weight matrix scores every row, so it is widened to `f64`
-    /// once here instead of once per sample inside the kernel.
     fn count_correct(&self, data: &Dataset, rows: Range<usize>) -> usize {
-        let w = hfl_tensor::ops::widen(&self.theta[..self.classes * self.dim]);
+        let mut panel = Panel::default();
+        let panel = self.panel_for(rows.len(), &mut panel);
         let mut probs = vec![0.0f32; self.classes];
         rows.filter(|&i| {
-            self.forward_through(&w, data.x(i), &mut probs);
+            self.forward_through(panel, data.x(i), &mut probs);
             argmax(&probs) as u8 == data.y(i)
         })
         .count()
-    }
-
-    fn loss_grad_batch(&self, data: &Dataset, indices: &[usize], grad: &mut [f32]) -> f64 {
-        self.loss_grad_batch_with(data, indices, grad, &mut BatchScratch::default())
     }
 
     fn loss_grad_batch_with(
@@ -109,14 +118,15 @@ impl Model for LinearSoftmax {
         assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
         let inv_n = 1.0 / indices.len() as f32;
         let bias_off = self.classes * self.dim;
-        let probs = &mut scratch.probs;
+        let BatchScratch { probs, panels, .. } = scratch;
         probs.clear();
         probs.resize(self.classes, 0.0);
+        let panel = self.panel_for(indices.len(), &mut panels[0]);
         let mut loss = 0.0f64;
         for &i in indices {
             let x = data.x(i);
             let y = data.y(i);
-            self.forward(x, probs);
+            self.forward_through(panel, x, probs);
             loss += cross_entropy(probs, y);
             ce_grad_in_place(probs, y);
             // dL/dW_c = err_c * x ; dL/db_c = err_c
@@ -179,7 +189,8 @@ mod tests {
 
         let idx = [0usize, 1];
         let mut grad = vec![0.0f32; m.param_len()];
-        let loss0 = m.loss_grad_batch(&ds, &idx, &mut grad);
+        let mut scratch = BatchScratch::default();
+        let loss0 = m.loss_grad_batch_with(&ds, &idx, &mut grad, &mut scratch);
 
         let eps = 1e-3f32;
         for j in [0usize, 4, 9, m.param_len() - 1] {
@@ -187,8 +198,8 @@ mod tests {
             p[j] += eps;
             let mut mp = LinearSoftmax::new(3, 3);
             mp.set_params(&p);
-            let mut scratch = vec![0.0f32; m.param_len()];
-            let loss1 = mp.loss_grad_batch(&ds, &idx, &mut scratch);
+            let mut unused = vec![0.0f32; m.param_len()];
+            let loss1 = mp.loss_grad_batch_with(&ds, &idx, &mut unused, &mut scratch);
             let fd = (loss1 - loss0) / eps as f64;
             assert!(
                 (fd - grad[j] as f64).abs() < 2e-3,

@@ -6,10 +6,11 @@ use std::ops::Range;
 use rand::rngs::StdRng;
 
 use hfl_tensor::init;
+use hfl_tensor::ops::Panel;
 
 use crate::dataset::Dataset;
 use crate::loss::{argmax, ce_grad_in_place, cross_entropy, softmax_in_place};
-use crate::model::{BatchScratch, Model};
+use crate::model::{dense, BatchScratch, Model};
 
 /// MLP `dim → hidden (ReLU) → classes (softmax)`.
 ///
@@ -65,38 +66,39 @@ impl Mlp {
         self.off_w2() + self.classes * self.hidden
     }
 
-    /// Forward pass. Writes hidden activations (post-ReLU) and class
-    /// probabilities into the provided buffers.
-    fn forward_into(&self, x: &[f32], h: &mut [f32], probs: &mut [f32]) {
-        let t = &self.theta;
-        self.forward_through(
-            &t[..self.off_b1()],
-            &t[self.off_w2()..self.off_b2()],
-            x,
-            h,
-            probs,
-        );
+    /// `panels` filled from this model's two weight matrices when a
+    /// call applies them to more than one input, `None` for a single
+    /// input: a refill costs more than the one forward pass it would
+    /// speed up.
+    fn panels_for<'a>(&self, inputs: usize, panels: &'a mut [Panel; 2]) -> Option<&'a [Panel; 2]> {
+        (inputs > 1).then(|| {
+            let t = &self.theta;
+            panels[0].fill(&t[..self.off_b1()], self.hidden, self.dim);
+            panels[1].fill(&t[self.off_w2()..self.off_b2()], self.classes, self.hidden);
+            &*panels
+        })
     }
 
-    /// The forward pass over the weight matrices `w1`/`w2` — the
-    /// parameters' own, or their widened copies (see
-    /// [`hfl_tensor::ops::affine_rows`]); biases come from `theta`.
-    fn forward_through<T: Copy + Into<f64>>(
+    /// Forward pass through [`Self::panels_for`]'s choice of kernel.
+    /// Writes hidden activations (post-ReLU) and class probabilities
+    /// into the provided buffers.
+    fn forward_through(
         &self,
-        w1: &[T],
-        w2: &[T],
+        panels: Option<&[Panel; 2]>,
         x: &[f32],
         h: &mut [f32],
         probs: &mut [f32],
     ) {
-        let t = &self.theta;
+        let (w1, rest) = self.theta.split_at(self.off_b1());
+        let (b1, rest) = rest.split_at(self.hidden);
+        let (w2, b2) = rest.split_at(self.classes * self.hidden);
         // h = relu(W1 x + b1)
-        hfl_tensor::ops::affine_rows(w1, &t[self.off_b1()..self.off_w2()], x, h);
+        dense(panels.map(|p| &p[0]), w1, b1, x, h);
         for z in h.iter_mut() {
             *z = z.max(0.0);
         }
         // logits = W2 h + b2
-        hfl_tensor::ops::affine_rows(w2, &t[self.off_b2()..], h, probs);
+        dense(panels.map(|p| &p[1]), w2, b2, h, probs);
         softmax_in_place(probs);
     }
 }
@@ -119,26 +121,20 @@ impl Model for Mlp {
         let BatchScratch { probs, hidden, .. } = scratch;
         hidden.resize(self.hidden, 0.0);
         probs.resize(self.classes, 0.0);
-        self.forward_into(x, hidden, probs);
+        self.forward_through(None, x, hidden, probs);
         argmax(probs) as u8
     }
 
-    /// Two weight matrices score every row, so they are widened to
-    /// `f64` once here instead of once per sample inside the kernel.
     fn count_correct(&self, data: &Dataset, rows: Range<usize>) -> usize {
-        let w1 = hfl_tensor::ops::widen(&self.theta[..self.off_b1()]);
-        let w2 = hfl_tensor::ops::widen(&self.theta[self.off_w2()..self.off_b2()]);
+        let mut panels = <[Panel; 2]>::default();
+        let panels = self.panels_for(rows.len(), &mut panels);
         let mut h = vec![0.0f32; self.hidden];
         let mut probs = vec![0.0f32; self.classes];
         rows.filter(|&i| {
-            self.forward_through(&w1, &w2, data.x(i), &mut h, &mut probs);
+            self.forward_through(panels, data.x(i), &mut h, &mut probs);
             argmax(&probs) as u8 == data.y(i)
         })
         .count()
-    }
-
-    fn loss_grad_batch(&self, data: &Dataset, indices: &[usize], grad: &mut [f32]) -> f64 {
-        self.loss_grad_batch_with(data, indices, grad, &mut BatchScratch::default())
     }
 
     fn loss_grad_batch_with(
@@ -153,7 +149,12 @@ impl Model for Mlp {
         assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
         let inv_n = 1.0 / indices.len() as f32;
         let (off_b1, off_w2, off_b2) = (self.off_b1(), self.off_w2(), self.off_b2());
-        let BatchScratch { probs, hidden, dhidden } = scratch;
+        let BatchScratch {
+            probs,
+            hidden,
+            dhidden,
+            panels,
+        } = scratch;
         let (h, dh) = (hidden, dhidden);
         h.clear();
         h.resize(self.hidden, 0.0);
@@ -161,11 +162,12 @@ impl Model for Mlp {
         probs.resize(self.classes, 0.0);
         dh.clear();
         dh.resize(self.hidden, 0.0);
+        let panels = self.panels_for(indices.len(), panels);
         let mut loss = 0.0f64;
         for &i in indices {
             let x = data.x(i);
             let y = data.y(i);
-            self.forward_into(x, h, probs);
+            self.forward_through(panels, x, h, probs);
             loss += cross_entropy(probs, y);
             ce_grad_in_place(probs, y); // probs now holds dL/dlogits
 
@@ -258,7 +260,8 @@ mod tests {
         let idx = [0usize, 1, 2];
         let p0 = m.params().to_vec();
         let mut grad = vec![0.0f32; m.param_len()];
-        let loss0 = m.loss_grad_batch(&ds, &idx, &mut grad);
+        let mut scratch = BatchScratch::default();
+        let loss0 = m.loss_grad_batch_with(&ds, &idx, &mut grad, &mut scratch);
 
         let eps = 1e-3f32;
         // Sample coordinates across all four parameter blocks.
@@ -267,8 +270,8 @@ mod tests {
             p[j] += eps;
             let mut mp = small_mlp(2);
             mp.set_params(&p);
-            let mut scratch = vec![0.0f32; m.param_len()];
-            let loss1 = mp.loss_grad_batch(&ds, &idx, &mut scratch);
+            let mut unused = vec![0.0f32; m.param_len()];
+            let loss1 = mp.loss_grad_batch_with(&ds, &idx, &mut unused, &mut scratch);
             let fd = (loss1 - loss0) / eps as f64;
             assert!(
                 (fd - grad[j] as f64).abs() < 5e-3,

@@ -2,6 +2,7 @@
 
 use std::ops::Range;
 
+use hfl_tensor::ops::{self, Panel};
 use rand::rngs::StdRng;
 
 use crate::dataset::Dataset;
@@ -17,6 +18,23 @@ pub struct BatchScratch {
     pub hidden: Vec<f32>,
     /// Hidden-layer gradient (MLP only).
     pub dhidden: Vec<f32>,
+    /// The model's weight matrices as [`Panel`]s, first layer first (the
+    /// second is the MLP's output layer). Refilled by every call that
+    /// applies one θ to more than one input and never read across
+    /// calls, so whatever an earlier call — or another model — left
+    /// here is never seen.
+    pub(crate) panels: [Panel; 2],
+}
+
+/// One dense layer of a forward pass, `out = W x + bias`: through
+/// `panel` when the call filled one from `w` (several inputs share the
+/// weights), else over the stored rows `w` themselves. Both kernels
+/// produce the same bits.
+pub(crate) fn dense(panel: Option<&Panel>, w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
+    match panel {
+        Some(panel) => ops::affine_panel(panel, bias, x, out),
+        None => ops::affine_rows(w, bias, x, out),
+    }
 }
 
 /// A classification model whose parameters live in one contiguous buffer.
@@ -54,23 +72,16 @@ pub trait Model: Send + Sync {
 
     /// Computes the mean cross-entropy loss over the batch `indices` of
     /// `data` and *accumulates* the mean gradient into `grad` (callers
-    /// zero `grad` first). Returns the mean loss.
-    fn loss_grad_batch(&self, data: &Dataset, indices: &[usize], grad: &mut [f32]) -> f64;
-
-    /// [`Model::loss_grad_batch`] with caller-owned scratch buffers —
-    /// the allocation-free entry point the hot training loop uses.
-    /// Numerically identical to `loss_grad_batch`; the default ignores
-    /// the scratch and delegates.
+    /// zero `grad` first). Returns the mean loss. The forward and
+    /// backward passes run in `scratch`, so the hot training loop
+    /// allocates nothing once its buffers have grown.
     fn loss_grad_batch_with(
         &self,
         data: &Dataset,
         indices: &[usize],
         grad: &mut [f32],
         scratch: &mut BatchScratch,
-    ) -> f64 {
-        let _ = scratch;
-        self.loss_grad_batch(data, indices, grad)
-    }
+    ) -> f64;
 
     /// Re-initializes the parameters from an RNG (fresh model, same
     /// architecture).
@@ -86,19 +97,234 @@ impl Clone for Box<dyn Model> {
     }
 }
 
-/// Mean loss of a model over an entire dataset (no gradient) — used for
-/// monitoring and by validation-vote consensus variants that score by
-/// loss instead of accuracy.
-pub fn mean_loss(model: &dyn Model, data: &Dataset) -> f64 {
-    assert!(!data.is_empty(), "mean_loss over empty dataset");
-    let mut grad = vec![0.0f32; model.param_len()];
-    let mut scratch = BatchScratch::default();
-    // One-sample batches return each sample's loss exactly (a mean over
-    // one), so this is the same left-to-right f64 sum a single batch
-    // over every index would take.
-    let mut total = 0.0f64;
-    for i in 0..data.len() {
-        total += model.loss_grad_batch_with(data, &[i], &mut grad, &mut scratch);
+#[cfg(test)]
+mod tests {
+    //! The panel path of both models pinned, bit for bit, against a
+    //! per-sample reference that computes every dense layer as one
+    //! sequential `dot` per output row — seeded loops, so the pin runs
+    //! wherever `cargo test` does.
+
+    use super::*;
+    use crate::linear::LinearSoftmax;
+    use crate::loss::{argmax, ce_grad_in_place, cross_entropy, softmax_in_place};
+    use crate::mlp::Mlp;
+    use hfl_tensor::ops::reference::affine_naive;
+
+    /// Batch sizes on both sides of the kernel selection: 1 takes the
+    /// single-input kernel, the rest refill a panel.
+    const BATCHES: [usize; 4] = [1, 2, 8, 32];
+
+    /// `n` deterministic values in `[-3, 3.67)`; with `adversarial`,
+    /// about one in twelve is NaN, ±∞, a subnormal or a signed zero.
+    fn values(seed: u64, n: usize, adversarial: bool) -> Vec<f32> {
+        (0..n as u64)
+            .map(|j| {
+                let mut x = (seed << 32 | j).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                x ^= x >> 31;
+                match x % 73 {
+                    0 if adversarial => f32::NAN,
+                    1 if adversarial => f32::INFINITY,
+                    2 if adversarial => f32::NEG_INFINITY,
+                    3 if adversarial => f32::MIN_POSITIVE / 2.0,
+                    4 if adversarial => -0.0,
+                    5 if adversarial => 0.0,
+                    _ => ((x % 2_000) as f32 / 300.0) - 3.0,
+                }
+            })
+            .collect()
     }
-    total / data.len() as f64
+
+    fn dataset(seed: u64, n: usize, d: usize, classes: usize, adversarial: bool) -> Dataset {
+        let ys = (0..n)
+            .map(|i| ((i * 7 + seed as usize) % classes) as u8)
+            .collect();
+        Dataset::from_parts(d, classes, values(seed, n * d, adversarial), ys)
+    }
+
+    /// A model recomputed over naive dense layers: `[W (k×d) | b]`
+    /// without a hidden width, `[W1 (h×d) | b1 | W2 (k×h) | b2]` with.
+    struct Naive<'a> {
+        theta: &'a [f32],
+        hidden: Option<usize>,
+        classes: usize,
+    }
+
+    impl Naive<'_> {
+        /// `(hidden activations, class probabilities)` for one input;
+        /// the linear model has no hidden activations.
+        fn forward(&self, x: &[f32]) -> (Vec<f32>, Vec<f32>) {
+            let (h, mut probs) = match self.hidden {
+                None => {
+                    let (w, b) = self.theta.split_at(self.classes * x.len());
+                    (Vec::new(), affine_naive(w, b, x))
+                }
+                Some(hidden) => {
+                    let (w1, rest) = self.theta.split_at(hidden * x.len());
+                    let (b1, rest) = rest.split_at(hidden);
+                    let (w2, b2) = rest.split_at(self.classes * hidden);
+                    let mut h = affine_naive(w1, b1, x);
+                    h.iter_mut().for_each(|z| *z = z.max(0.0));
+                    let probs = affine_naive(w2, b2, &h);
+                    (h, probs)
+                }
+            };
+            softmax_in_place(&mut probs);
+            (h, probs)
+        }
+
+        fn predict(&self, x: &[f32]) -> u8 {
+            argmax(&self.forward(x).1) as u8
+        }
+
+        /// Mean loss and mean gradient of the batch: the models' own
+        /// backward arithmetic over the naive forward.
+        fn loss_grad(&self, data: &Dataset, indices: &[usize]) -> (f64, Vec<f32>) {
+            let (d, k) = (data.dim(), self.classes);
+            let inv_n = 1.0 / indices.len() as f32;
+            let axpy = |a: f32, x: &[f32], y: &mut [f32]| {
+                y.iter_mut().zip(x).for_each(|(yi, xi)| *yi += a * *xi);
+            };
+            let mut loss = 0.0f64;
+            let mut grad = vec![0.0f32; self.theta.len()];
+            for &i in indices {
+                let (x, y) = (data.x(i), data.y(i));
+                let (h, mut err) = self.forward(x);
+                loss += cross_entropy(&err, y);
+                ce_grad_in_place(&mut err, y);
+                let Some(hidden) = self.hidden else {
+                    for (c, e) in err.iter().enumerate() {
+                        let coeff = inv_n * *e;
+                        if coeff != 0.0 {
+                            axpy(coeff, x, &mut grad[c * d..(c + 1) * d]);
+                        }
+                        grad[k * d + c] += coeff;
+                    }
+                    continue;
+                };
+                let (off_b1, off_w2) = (hidden * d, hidden * d + hidden);
+                let off_b2 = off_w2 + k * hidden;
+                let mut dh = vec![0.0f32; hidden];
+                for (c, e) in err.iter().enumerate() {
+                    let row = off_w2 + c * hidden..off_w2 + (c + 1) * hidden;
+                    let coeff = inv_n * *e;
+                    axpy(coeff, &h, &mut grad[row.clone()]);
+                    grad[off_b2 + c] += coeff;
+                    axpy(*e, &self.theta[row], &mut dh);
+                }
+                for (j, (dj, hj)) in dh.iter().zip(&h).enumerate() {
+                    let coeff = inv_n * if *hj <= 0.0 { 0.0 } else { *dj };
+                    if coeff != 0.0 {
+                        axpy(coeff, x, &mut grad[j * d..(j + 1) * d]);
+                    }
+                    grad[off_b1 + j] += coeff;
+                }
+            }
+            (loss / indices.len() as f64, grad)
+        }
+    }
+
+    /// A linear model at the paper's output width and an MLP whose
+    /// hidden layer spans two uneven panel tiles, with seeded parameters.
+    fn models(seed: u64, d: usize) -> (LinearSoftmax, Mlp) {
+        use rand::SeedableRng;
+        let mut linear = LinearSoftmax::new(d, 10);
+        linear.set_params(&values(seed, linear.param_len(), false));
+        let mut mlp = Mlp::new(d, 19, 10, &mut StdRng::seed_from_u64(seed));
+        let theta: Vec<f32> = values(seed + 1, mlp.param_len(), false)
+            .iter()
+            .map(|v| v * 0.25)
+            .collect();
+        mlp.set_params(&theta);
+        (linear, mlp)
+    }
+
+    fn naive_of<'a>(linear: &'a LinearSoftmax, mlp: &'a Mlp) -> [(&'a dyn Model, Naive<'a>); 2] {
+        let naive = |theta, hidden, classes| Naive {
+            theta,
+            hidden,
+            classes,
+        };
+        [
+            (linear, naive(linear.params(), None, linear.classes())),
+            (mlp, naive(mlp.params(), Some(mlp.hidden()), mlp.classes())),
+        ]
+    }
+
+    fn grad_of(
+        model: &dyn Model,
+        data: &Dataset,
+        indices: &[usize],
+        scratch: &mut BatchScratch,
+    ) -> (u64, Vec<u32>) {
+        let mut grad = vec![0.0f32; model.param_len()];
+        let loss = model.loss_grad_batch_with(data, indices, &mut grad, scratch);
+        (loss.to_bits(), grad.iter().map(|g| g.to_bits()).collect())
+    }
+
+    #[test]
+    fn loss_and_gradient_bits_match_the_per_row_reference_at_every_batch_size() {
+        for (seed, d) in [(1u64, 7usize), (2, 64)] {
+            let (linear, mlp) = models(seed, d);
+            let data = dataset(seed, 48, d, 10, false);
+            let mut scratch = BatchScratch::default();
+            for (model, naive) in naive_of(&linear, &mlp) {
+                for batch in BATCHES {
+                    // Repeats included: a batch is a sample with replacement.
+                    let indices: Vec<usize> = (0..batch).map(|k| (k * 5 + batch) % 37).collect();
+                    let (loss, grad) = naive.loss_grad(&data, &indices);
+                    let want = (loss.to_bits(), grad.iter().map(|g| g.to_bits()).collect());
+                    let got = grad_of(model, &data, &indices, &mut scratch);
+                    assert!(got == want, "seed {seed} d {d} batch {batch}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn count_correct_matches_per_sample_predict_on_the_set_and_on_sub_ranges() {
+        for (seed, d) in [(3u64, 5usize), (4, 64)] {
+            let (linear, mlp) = models(seed, d);
+            let data = dataset(seed, 41, d, 10, true);
+            let mut scratch = BatchScratch::default();
+            for (model, naive) in naive_of(&linear, &mlp) {
+                let want: Vec<u8> = (0..data.len()).map(|i| naive.predict(data.x(i))).collect();
+                for (i, w) in want.iter().enumerate() {
+                    assert_eq!(model.predict(data.x(i), &mut scratch), *w, "sample {i}");
+                }
+                // Whole set, empty, one row (single-input kernel), and
+                // ranges that start and end mid-set.
+                for rows in [0..41, 0..0, 9..9, 9..10, 40..41, 3..29, 17..41] {
+                    let hits = rows.clone().filter(|&i| want[i] == data.y(i)).count();
+                    assert_eq!(
+                        model.count_correct(&data, rows.clone()),
+                        hits,
+                        "rows {rows:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A panel is refilled by every call that reads one, so a scratch
+    /// carries nothing from one θ — or one model — to the next.
+    #[test]
+    fn a_reused_scratch_never_serves_a_stale_or_foreign_panel() {
+        let (mut linear, mlp) = models(5, 12);
+        let data = dataset(5, 16, 12, 10, false);
+        let indices: Vec<usize> = (0..8).collect();
+        let fresh = |m: &dyn Model| grad_of(m, &data, &indices, &mut BatchScratch::default());
+        let mut scratch = BatchScratch::default();
+
+        // Two steps of one model with its parameters replaced in between.
+        assert!(grad_of(&linear, &data, &indices, &mut scratch) == fresh(&linear));
+        let moved: Vec<f32> = linear.params().iter().map(|p| 0.5 - p).collect();
+        linear.set_params(&moved);
+        assert!(grad_of(&linear, &data, &indices, &mut scratch) == fresh(&linear));
+
+        // Two models of different shapes through the same scratch.
+        for _ in 0..2 {
+            assert!(grad_of(&mlp, &data, &indices, &mut scratch) == fresh(&mlp));
+            assert!(grad_of(&linear, &data, &indices, &mut scratch) == fresh(&linear));
+        }
+    }
 }

@@ -150,7 +150,6 @@ pub fn train_local_scratch(
 mod tests {
     use super::*;
     use crate::linear::LinearSoftmax;
-    use crate::model::mean_loss;
     use rand::SeedableRng;
 
     fn two_blob_data() -> Dataset {
@@ -221,6 +220,14 @@ mod tests {
             ..SgdConfig::default()
         }
         .lr_at(1);
+    }
+
+    /// Mean loss of `model` over all of `data`: one whole-set batch
+    /// through the gradient entry point, gradient discarded.
+    fn mean_loss(model: &dyn Model, data: &Dataset) -> f64 {
+        let indices: Vec<usize> = (0..data.len()).collect();
+        let mut grad = vec![0.0f32; model.param_len()];
+        model.loss_grad_batch_with(data, &indices, &mut grad, &mut BatchScratch::default())
     }
 
     #[test]

@@ -202,12 +202,13 @@ proptest! {
         m.set_params(&p0);
         let idx: Vec<usize> = (0..task.train.len()).collect();
         let mut grad = vec![0.0f32; m.param_len()];
-        let loss0 = m.loss_grad_batch(&task.train, &idx, &mut grad);
+        let mut scratch = hfl_ml::model::BatchScratch::default();
+        let loss0 = m.loss_grad_batch_with(&task.train, &idx, &mut grad, &mut scratch);
         let mut p1 = p0.clone();
         hfl_tensor::ops::axpy(-0.01, &grad, &mut p1);
         m.set_params(&p1);
-        let mut scratch = vec![0.0f32; m.param_len()];
-        let loss1 = m.loss_grad_batch(&task.train, &idx, &mut scratch);
+        let mut unused = vec![0.0f32; m.param_len()];
+        let loss1 = m.loss_grad_batch_with(&task.train, &idx, &mut unused, &mut scratch);
         prop_assert!(loss1 <= loss0 + 1e-6, "loss rose: {loss0} -> {loss1}");
     }
 }

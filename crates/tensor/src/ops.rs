@@ -69,8 +69,11 @@ pub fn dot(a: &[f32], b: &[f32]) -> f64 {
 /// waits on.
 const AFFINE_LANES: usize = 8;
 
-/// Dense layer `out[r] = dot(w_r, x) as f32 + bias[r]`, `w` row-major
-/// with one `x.len()`-long row per output.
+/// Dense layer `out[r] = dot(w_r, x) as f32 + bias[r]` for a single
+/// input, `w` row-major as the parameters are stored, one
+/// `x.len()`-long row per output. Several inputs under one `w` go
+/// through a [`Panel`] instead ([`affine_panel`]); one input has
+/// nothing to amortise a panel refill over.
 ///
 /// Rows are processed in lockstep blocks: every row keeps its own `f64`
 /// accumulator and visits coordinates in index order exactly as [`dot`]
@@ -79,12 +82,7 @@ const AFFINE_LANES: usize = 8;
 /// instead of running one latency-bound chain at a time. Blocks are
 /// sized evenly (10 rows run as 5 + 5, not 8 + 2) so no block is left
 /// with too few chains to overlap.
-///
-/// `w` holds the `f32` parameters as stored, or the same values
-/// [`widen`]ed to `f64` by a caller that applies one matrix to many
-/// inputs and would otherwise pay the conversion again per input.
-/// Widening is exact, so both element types produce the same bits.
-pub fn affine_rows<T: Copy + Into<f64>>(w: &[T], bias: &[f32], x: &[f32], out: &mut [f32]) {
+pub fn affine_rows(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
     let rows = out.len();
     assert_eq!(bias.len(), rows, "affine_rows: bias/out length mismatch");
     assert_eq!(
@@ -93,53 +91,162 @@ pub fn affine_rows<T: Copy + Into<f64>>(w: &[T], bias: &[f32], x: &[f32], out: &
         "affine_rows: weight shape mismatch"
     );
     let d = x.len();
-    let mut r = 0;
-    let mut blocks = rows.div_ceil(AFFINE_LANES);
-    while blocks > 0 {
-        let lanes = (rows - r).div_ceil(blocks);
+    for (r, lanes) in even_blocks(rows, AFFINE_LANES) {
         let (w, bias, out) = (
             &w[r * d..(r + lanes) * d],
             &bias[r..r + lanes],
             &mut out[r..r + lanes],
         );
         match lanes {
-            1 => affine_block::<T, 1>(w, bias, x, out),
-            2 => affine_block::<T, 2>(w, bias, x, out),
-            3 => affine_block::<T, 3>(w, bias, x, out),
-            4 => affine_block::<T, 4>(w, bias, x, out),
-            5 => affine_block::<T, 5>(w, bias, x, out),
-            6 => affine_block::<T, 6>(w, bias, x, out),
-            7 => affine_block::<T, 7>(w, bias, x, out),
-            _ => affine_block::<T, AFFINE_LANES>(w, bias, x, out),
+            1 => affine_block::<1>(w, bias, x, out),
+            2 => affine_block::<2>(w, bias, x, out),
+            3 => affine_block::<3>(w, bias, x, out),
+            4 => affine_block::<4>(w, bias, x, out),
+            5 => affine_block::<5>(w, bias, x, out),
+            6 => affine_block::<6>(w, bias, x, out),
+            7 => affine_block::<7>(w, bias, x, out),
+            _ => affine_block::<AFFINE_LANES>(w, bias, x, out),
         }
-        r += lanes;
-        blocks -= 1;
     }
 }
 
-/// `w` widened to `f64`, for [`affine_rows`] callers that apply one
-/// matrix to many inputs.
-pub fn widen(w: &[f32]) -> Vec<f64> {
-    w.iter().map(|&v| v.into()).collect()
+/// `rows` split into the fewest blocks of at most `max` rows, sized
+/// evenly: `(first row, row count)` per block, in row order.
+fn even_blocks(rows: usize, max: usize) -> impl Iterator<Item = (usize, usize)> {
+    let blocks = rows.div_ceil(max);
+    let mut r = 0;
+    (0..blocks).map(move |b| {
+        let lanes = (rows - r).div_ceil(blocks - b);
+        r += lanes;
+        (r - lanes, lanes)
+    })
 }
 
 /// One lockstep block of [`affine_rows`]: `L` rows, `L` accumulators.
 #[inline]
-fn affine_block<T: Copy + Into<f64>, const L: usize>(
-    w: &[T],
-    bias: &[f32],
-    x: &[f32],
-    out: &mut [f32],
-) {
+fn affine_block<const L: usize>(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
     let d = x.len();
     // `[..d]` pins every row's length to `x.len()`, so `row[c]` below
     // needs no bounds check.
-    let rows: [&[T]; L] = std::array::from_fn(|l| &w[l * d..][..d]);
+    let rows: [&[f32]; L] = std::array::from_fn(|l| &w[l * d..][..d]);
     let mut acc = [0.0f64; L];
     for (c, xc) in x.iter().enumerate() {
         let xc = *xc as f64;
         for (a, row) in acc.iter_mut().zip(&rows) {
-            *a += row[c].into() * xc;
+            *a += row[c] as f64 * xc;
+        }
+    }
+    for ((o, a), b) in out.iter_mut().zip(acc).zip(bias) {
+        *o = a as f32 + *b;
+    }
+}
+
+/// Most output rows one [`Panel`] tile holds: sixteen `f64`
+/// accumulators are eight SSE2 registers (four under AVX2), which
+/// leaves room for the broadcast `x` operand and the column load.
+const PANEL_LANES: usize = 16;
+
+/// A dense layer's weights prepared for [`affine_panel`]: widened to
+/// `f64` once and stored feature-major, so the operands of one
+/// coordinate step — the same coordinate of every output row — are
+/// adjacent in memory instead of one row length apart.
+///
+/// Rows are split evenly into tiles of at most [`PANEL_LANES`] (10 rows
+/// → one tile of 10, 64 → 4 × 16, 33 → 3 × 11); the buffer is laid out
+/// `[tile][coordinate][lane]`, i.e. a tile of `L` rows starting at row
+/// `r` occupies `data[r * cols..(r + L) * cols]` as `cols` groups of
+/// `L` lanes. Widening is exact, so a panel holds the very values the
+/// `f32` rows do.
+///
+/// A panel is a pure function of the weights it was last
+/// [`fill`](Panel::fill)ed from; refilling reuses the buffer, so a
+/// panel that has grown to its layer's size allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct Panel {
+    rows: usize,
+    cols: usize,
+    data: Vec<f64>,
+}
+
+impl Panel {
+    /// Overwrites the panel with the row-major `rows × cols` matrix `w`.
+    pub fn fill(&mut self, w: &[f32], rows: usize, cols: usize) {
+        assert_eq!(w.len(), rows * cols, "Panel::fill: weight shape mismatch");
+        self.rows = rows;
+        self.cols = cols;
+        // No `clear`: every element is overwritten below, so only a
+        // growing panel pays for a zero-fill, and only of its new tail.
+        self.data.resize(rows * cols, 0.0);
+        for (r, lanes) in even_blocks(rows, PANEL_LANES) {
+            let tile = &mut self.data[r * cols..(r + lanes) * cols];
+            for l in 0..lanes {
+                let row = &w[(r + l) * cols..][..cols];
+                for (group, v) in tile.chunks_exact_mut(lanes).zip(row) {
+                    group[l] = *v as f64;
+                }
+            }
+        }
+    }
+}
+
+/// Dense layer `out[r] = dot(w_r, x) as f32 + bias[r]` over a filled
+/// [`Panel`] — the kernel for callers that apply one weight matrix to
+/// several inputs.
+///
+/// Per tile the inner loop is `acc[l] += col[l] * x_c` over one
+/// contiguous group of `L` lanes: every output row keeps its own `f64`
+/// accumulator and visits coordinates in index order exactly as [`dot`]
+/// does (a multiply, then an add — nothing fused or reassociated), so
+/// each `out[r]` is bitwise what the per-row `dot` loop produces. What
+/// the layout changes is that the lanes of one SIMD register are
+/// *rows*: the compiler vectorises the group with packed multiplies and
+/// adds, where the row-major kernel needs one scalar convert, multiply
+/// and add per (row, coordinate).
+pub fn affine_panel(panel: &Panel, bias: &[f32], x: &[f32], out: &mut [f32]) {
+    assert_eq!(x.len(), panel.cols, "affine_panel: input length mismatch");
+    assert_eq!(bias.len(), panel.rows, "affine_panel: bias length mismatch");
+    assert_eq!(
+        out.len(),
+        panel.rows,
+        "affine_panel: output length mismatch"
+    );
+    let d = panel.cols;
+    for (r, lanes) in even_blocks(panel.rows, PANEL_LANES) {
+        let (tile, bias, out) = (
+            &panel.data[r * d..(r + lanes) * d],
+            &bias[r..r + lanes],
+            &mut out[r..r + lanes],
+        );
+        match lanes {
+            1 => panel_tile::<1>(tile, bias, x, out),
+            2 => panel_tile::<2>(tile, bias, x, out),
+            3 => panel_tile::<3>(tile, bias, x, out),
+            4 => panel_tile::<4>(tile, bias, x, out),
+            5 => panel_tile::<5>(tile, bias, x, out),
+            6 => panel_tile::<6>(tile, bias, x, out),
+            7 => panel_tile::<7>(tile, bias, x, out),
+            8 => panel_tile::<8>(tile, bias, x, out),
+            9 => panel_tile::<9>(tile, bias, x, out),
+            10 => panel_tile::<10>(tile, bias, x, out),
+            11 => panel_tile::<11>(tile, bias, x, out),
+            12 => panel_tile::<12>(tile, bias, x, out),
+            13 => panel_tile::<13>(tile, bias, x, out),
+            14 => panel_tile::<14>(tile, bias, x, out),
+            15 => panel_tile::<15>(tile, bias, x, out),
+            _ => panel_tile::<PANEL_LANES>(tile, bias, x, out),
+        }
+    }
+}
+
+/// One tile of [`affine_panel`]: `L` rows, `L` accumulators, one
+/// `[f64; L]` column group per coordinate.
+#[inline]
+fn panel_tile<const L: usize>(tile: &[f64], bias: &[f32], x: &[f32], out: &mut [f32]) {
+    let mut acc = [0.0f64; L];
+    for (col, xc) in tile.chunks_exact(L).zip(x) {
+        let xc = *xc as f64;
+        for (a, w) in acc.iter_mut().zip(col) {
+            *a += *w * xc;
         }
     }
     for ((o, a), b) in out.iter_mut().zip(acc).zip(bias) {
@@ -445,6 +552,17 @@ pub mod reference {
         scale((1.0 / total) as f32, out);
     }
 
+    /// The dense layer as one sequential `dot` per output row, then the
+    /// bias — what [`affine_rows`] and [`affine_panel`] must reproduce
+    /// bit for bit.
+    pub fn affine_naive(w: &[f32], bias: &[f32], x: &[f32]) -> Vec<f32> {
+        assert_eq!(w.len(), bias.len() * x.len(), "weight shape mismatch");
+        bias.iter()
+            .enumerate()
+            .map(|(r, b)| dot(&w[r * x.len()..(r + 1) * x.len()], x) as f32 + *b)
+            .collect()
+    }
+
     /// Unblocked distance row: one full `dist_sq` pass per row.
     pub fn dist_sq_rows_naive(a: &[f32], rows: &[&[f32]], out: &mut [f64]) {
         assert_eq!(rows.len(), out.len(), "rows/out length mismatch");
@@ -572,6 +690,8 @@ mod tests {
                             1 => f32::INFINITY,
                             2 => f32::NEG_INFINITY,
                             3 => f32::MIN_POSITIVE / 2.0, // denormal
+                            4 => -0.0,
+                            5 => 0.0,
                             _ => ((x % 2_000) as f32 / 300.0) - 3.0,
                         }
                     })
@@ -624,6 +744,85 @@ mod tests {
                 assert!(bits_eq_f32(*a, *b), "wmean n={n} d={d}: {a:?} vs {b:?}");
             }
         }
+    }
+
+    #[test]
+    fn even_blocks_split_evenly_and_cover_every_row() {
+        let split = |rows, max| even_blocks(rows, max).collect::<Vec<_>>();
+        assert_eq!(split(10, AFFINE_LANES), [(0, 5), (5, 5)]);
+        assert_eq!(split(10, PANEL_LANES), [(0, 10)]);
+        assert_eq!(
+            split(64, PANEL_LANES),
+            [(0, 16), (16, 16), (32, 16), (48, 16)]
+        );
+        assert_eq!(split(33, PANEL_LANES), [(0, 11), (11, 11), (22, 11)]);
+        assert_eq!(split(17, PANEL_LANES), [(0, 9), (9, 8)]);
+        assert!(split(0, PANEL_LANES).is_empty());
+    }
+
+    /// Both dense kernels against `dot` + bias per row: every row count
+    /// 1–33 (every tile width, every uneven split) at short, odd, paper
+    /// and long row lengths, over NaN, ±∞, subnormals and signed zeros.
+    /// One `Panel` is refilled across all shapes, larger and smaller.
+    #[test]
+    fn dense_kernels_bitwise_match_dot_per_row() {
+        let mut panel = Panel::default();
+        for d in [1usize, 7, 64, 129] {
+            for rows in 1usize..=33 {
+                let data = synth_rows(rows + 2, d.max(rows));
+                let w: Vec<f32> = data[..rows].iter().flat_map(|r| &r[..d]).copied().collect();
+                let (bias, x) = (&data[rows][..rows], &data[rows + 1][..d]);
+                let naive = reference::affine_naive(&w, bias, x);
+                let mut single = vec![0.0f32; rows];
+                affine_rows(&w, bias, x, &mut single);
+                panel.fill(&w, rows, d);
+                let mut paneled = vec![0.0f32; rows];
+                affine_panel(&panel, bias, x, &mut paneled);
+                for (r, want) in naive.iter().enumerate() {
+                    assert!(
+                        bits_eq_f32(single[r], *want),
+                        "rows={rows} d={d} row {r}: {} vs {want}",
+                        single[r]
+                    );
+                    assert!(
+                        bits_eq_f32(paneled[r], *want),
+                        "rows={rows} d={d} row {r}: {} vs {want}",
+                        paneled[r]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_rows_yield_the_bias() {
+        let mut panel = Panel::default();
+        panel.fill(&[], 3, 0);
+        let mut out = [9.0f32; 3];
+        affine_panel(&panel, &[1.0, -2.0, 0.5], &[], &mut out);
+        assert_eq!(out, [1.0, -2.0, 0.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight shape mismatch")]
+    fn panel_fill_rejects_a_mis_shaped_matrix() {
+        Panel::default().fill(&[0.0; 7], 2, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "input length mismatch")]
+    fn affine_panel_rejects_an_input_of_another_width() {
+        let mut panel = Panel::default();
+        panel.fill(&[0.0; 8], 2, 4);
+        affine_panel(&panel, &[0.0; 2], &[0.0; 3], &mut [0.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "output length mismatch")]
+    fn affine_panel_rejects_an_output_of_another_height() {
+        let mut panel = Panel::default();
+        panel.fill(&[0.0; 8], 2, 4);
+        affine_panel(&panel, &[0.0; 2], &[0.0; 4], &mut [0.0; 3]);
     }
 
     #[test]

@@ -15,9 +15,10 @@ timeout 300 cargo test -p hfl-parallel --release -q
 # crate's unit tests, proptests and integration suites are members'.
 # Three gates inside this one line are worth naming:
 # - Kernel equivalence (tests/kernel_equivalence.rs): every optimized
-#   hot kernel (blocked distances, fused reductions, the lockstep dense
-#   layer and the scoring paths over it, work-stealing parallel paths,
-#   the voter-parallel vote) must be byte-identical to its naive
+#   hot kernel (blocked distances, fused reductions, the feature-major
+#   panel kernel under the dense layer and the training and scoring
+#   paths over it, work-stealing parallel paths, the voter-parallel
+#   vote) must be byte-identical to its naive
 #   reference across thread counts 1/2/4/8 and adversarial values;
 #   evidence read from the aggregation must equal the stand-alone
 #   recompute; whole runs must be identical at 1/2/4/8 threads.
@@ -76,6 +77,13 @@ test -s "$tmp/repro_scale.a/scale.json" \
     || { echo "crates/core or crates/faults drives the event simulator again"; exit 1; }
 test "$(wc -l < crates/core/src/pipeline.rs)" -lt 300 \
     || { echo "crates/core/src/pipeline.rs grew past 300 lines"; exit 1; }
+
+# One dense layer for shared weights: several inputs under one θ go
+# through hfl_tensor::ops::Panel, a single input over the stored f32
+# rows; there is no widened row-major copy and no kernel generic over
+# the element type to keep in step with either.
+! grep -rqE 'fn widen|ops::widen|Into<f64>' crates/*/src \
+    || { echo "a widened-copy dense path is back beside the panel"; exit 1; }
 
 # Snapshot-resume determinism gate: for every fixture class, 20 rounds
 # straight through must equal 10 rounds + resume(10 more) from the

@@ -18,9 +18,10 @@
 //! chunk, never what is computed or where it lands.
 //!
 //! The scoring path under the validation vote is pinned the same way:
-//! the lockstep `affine_rows` kernel against `dot` + bias per row, the
-//! models' forward passes against the per-row loops they replaced
-//! (kept here as executable references), `score_all` against
+//! the panel kernel (`affine_panel`) and the single-input `affine_rows`
+//! against `dot` + bias per row, the models' forward passes against
+//! the per-row loops they replaced (kept here as executable
+//! references), `score_all` against
 //! per-proposal `score`, and the voter-parallel mechanisms against
 //! their own single-threaded outcome.
 //!
@@ -125,20 +126,11 @@ fn as_refs(rows: &[Vec<f32>]) -> Vec<&[f32]> {
     rows.iter().map(|r| r.as_slice()).collect()
 }
 
-/// The dense layer as the models computed it before `affine_rows`: one
-/// sequential `dot` per output row, then the bias.
-fn affine_naive(w: &[f32], bias: &[f32], x: &[f32]) -> Vec<f32> {
-    bias.iter()
-        .enumerate()
-        .map(|(r, b)| ops::dot(&w[r * x.len()..(r + 1) * x.len()], x) as f32 + *b)
-        .collect()
-}
-
 /// Softmax-then-argmax over naive logits — `LinearSoftmax::predict`'s
 /// retired per-row loop. `theta` is `[W (k×d) | b (k)]`.
 fn linear_predict_naive(theta: &[f32], classes: usize, x: &[f32]) -> u8 {
     let (w, b) = theta.split_at(classes * x.len());
-    let mut probs = affine_naive(w, b, x);
+    let mut probs = reference::affine_naive(w, b, x);
     softmax_in_place(&mut probs);
     argmax(&probs) as u8
 }
@@ -149,9 +141,9 @@ fn mlp_predict_naive(theta: &[f32], hidden: usize, classes: usize, x: &[f32]) ->
     let (w1, rest) = theta.split_at(hidden * x.len());
     let (b1, rest) = rest.split_at(hidden);
     let (w2, b2) = rest.split_at(classes * hidden);
-    let mut h = affine_naive(w1, b1, x);
+    let mut h = reference::affine_naive(w1, b1, x);
     h.iter_mut().for_each(|z| *z = z.max(0.0));
-    let mut probs = affine_naive(w2, b2, &h);
+    let mut probs = reference::affine_naive(w2, b2, &h);
     softmax_in_place(&mut probs);
     argmax(&probs) as u8
 }
@@ -378,38 +370,42 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Lockstep dense layer, over stored and over widened weights, ==
-    /// one `dot` + bias per row, for every row count 1..=13 (each block
-    /// width and each uneven split) and d ≥ 0.
+    /// The panel kernel and the single-input kernel == one `dot` + bias
+    /// per row, for every row count 1..=35 (each tile width and each
+    /// uneven split, up to three tiles) and d ≥ 0. One `Panel` serves
+    /// two shapes in a row, so a refill is shown to leave nothing of
+    /// the previous matrix behind.
     #[test]
     fn affine_rows_matches_dot_per_row(
-        rows in 1usize..=13,
+        rows in 1usize..=35,
         d in 0usize..=48,
-        w in pvec(adversarial_f32(), 13 * 48),
-        bias in pvec(adversarial_f32(), 13),
+        w in pvec(adversarial_f32(), 35 * 48),
+        bias in pvec(adversarial_f32(), 35),
         x in pvec(adversarial_f32(), 48),
     ) {
+        let mut panel = ops::Panel::default();
+        panel.fill(&w, 35, 48);
         let (w, bias, x) = (&w[..rows * d], &bias[..rows], &x[..d]);
-        let naive = affine_naive(w, bias, x);
+        let naive = reference::affine_naive(w, bias, x);
         let mut lockstep = vec![0.0f32; rows];
         ops::affine_rows(w, bias, x, &mut lockstep);
-        let widened: Vec<f64> = w.iter().map(|&v| v.into()).collect();
-        let mut over_widened = vec![0.0f32; rows];
-        ops::affine_rows(&widened, bias, x, &mut over_widened);
-        for (r, ((a, w), b)) in lockstep.iter().zip(&over_widened).zip(&naive).enumerate() {
+        panel.fill(w, rows, d);
+        let mut paneled = vec![0.0f32; rows];
+        ops::affine_panel(&panel, bias, x, &mut paneled);
+        for (r, ((a, p), b)) in lockstep.iter().zip(&paneled).zip(&naive).enumerate() {
             prop_assert!(bits_eq_f32(*a, *b), "row {} of {}: lockstep {} vs dot {}", r, rows, a, b);
-            prop_assert!(bits_eq_f32(*w, *b), "row {} of {}: widened {} vs dot {}", r, rows, w, b);
+            prop_assert!(bits_eq_f32(*p, *b), "row {} of {}: panel {} vs dot {}", r, rows, p, b);
         }
     }
 
-    /// `LinearSoftmax` predicts (lockstep kernel) and counts hits
-    /// (widened weights) exactly as its retired per-row loop did — NaN
-    /// logits included.
+    /// `LinearSoftmax` predicts (single-input kernel) and counts hits
+    /// (panel kernel, or the single-input one on a one-row range)
+    /// exactly as its retired per-row loop did — NaN logits included.
     #[test]
     fn linear_scoring_matches_per_row_reference(
-        classes in 2usize..=13,
+        classes in 2usize..=19,
         d in 1usize..=24,
-        theta in pvec(adversarial_f32(), 13 * 24 + 13),
+        theta in pvec(adversarial_f32(), 19 * 24 + 19),
         xs in pvec(adversarial_f32(), 64),
         labels in pvec(any::<u8>(), 16),
         n in 1usize..=40,
@@ -424,13 +420,14 @@ proptest! {
         count_correct_matches(&model, &data, &naive, lo..hi)?;
     }
 
-    /// Same for both layers of `Mlp`.
+    /// Same for both layers of `Mlp`; widths past 16 split a layer
+    /// into two panel tiles.
     #[test]
     fn mlp_scoring_matches_per_row_reference(
         classes in 2usize..=11,
-        hidden in 1usize..=13,
+        hidden in 1usize..=19,
         d in 1usize..=16,
-        theta in pvec(adversarial_f32(), 13 * 16 + 13 + 11 * 13 + 11),
+        theta in pvec(adversarial_f32(), 19 * 16 + 19 + 11 * 19 + 11),
         xs in pvec(adversarial_f32(), 64),
         labels in pvec(any::<u8>(), 16),
         n in 1usize..=24,
