@@ -36,9 +36,16 @@
 //! byte-identical at any thread count — the work-stealing determinism
 //! contract, DESIGN.md §15).
 //!
+//! One kernel is gated on its own, at the shape the fixtures are too
+//! small to reach: `MultiKrum::aggregate_into` over 128 rows of 4,810
+//! coordinates (`agg_wide`'s cluster — sixteen partner blocks, nineteen
+//! panel tiles) allocates nothing once its scratch has grown, at 1
+//! thread and at 2: the distance kernel's panel is on the stack and its
+//! accumulators are `scratch.dists`.
+//!
 //! The allocation counter is process-global, so a concurrently running
 //! test would bleed its allocations into the steady-state window: the
-//! two `#[test]`s serialize on [`COUNTER`].
+//! `#[test]`s serialize on [`COUNTER`].
 
 use abd_hfl_core::config::{AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg};
 use abd_hfl_core::engine::cost::CostCounters;
@@ -48,7 +55,7 @@ use abd_hfl_core::runner::Experiment;
 use hfl_bench::memprobe::{alloc_count, CountingAlloc};
 use hfl_faults::FaultPlan;
 use hfl_ml::synth::SynthConfig;
-use hfl_robust::AggregatorKind;
+use hfl_robust::{AggScratch, Aggregator, AggregatorKind, MultiKrum};
 use hfl_telemetry::Telemetry;
 use std::sync::Mutex;
 
@@ -202,4 +209,30 @@ fn steady_state_rounds_allocate_nothing() {
 #[test]
 fn vote_rounds_stay_under_the_allocation_ceiling() {
     gate(&[("cba", cba_fixture(13), None, CBA_CEILING)]);
+}
+
+#[test]
+fn wide_multikrum_allocates_nothing_once_warm() {
+    let _alone = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let (n, d) = (128usize, 4_810usize);
+    let rows: Vec<Vec<f32>> = (0..n)
+        .map(|i| {
+            (0..d)
+                .map(|c| ((i * 31 + c * 7) % 101) as f32 * 0.01)
+                .collect()
+        })
+        .collect();
+    let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+    let rule = MultiKrum::new(31, 64);
+    let mut scratch = AggScratch::default();
+    let mut out = Vec::new();
+    for threads in [1, 2] {
+        let allocs = hfl_parallel::with_threads(threads, || {
+            rule.aggregate_into(&refs, None, &mut out, &mut scratch);
+            let before = alloc_count();
+            rule.aggregate_into(&refs, None, &mut out, &mut scratch);
+            alloc_count() - before
+        });
+        assert_eq!(allocs, 0, "warm Multi-Krum at {threads} thread(s)");
+    }
 }

@@ -8,14 +8,23 @@
 //! **symmetry-halved** (only the upper triangle, since `dist_sq(a, b)` is
 //! bitwise-equal to `dist_sq(b, a)`: `(x−y) = −(y−x)` exactly in IEEE
 //! arithmetic, so the squared per-coordinate terms — and their ordered sum
-//! — agree), **register-blocked** via [`hfl_tensor::ops::dist_sq_block`]
-//! (one pass over row `i` serves four partners), and **work-stealing
-//! parallel** over matrix rows (row `i` holds `n − i − 1` pairs, a
-//! triangular skew that static chunking starves on). The original
-//! full-matrix loop is retained verbatim in [`reference`] and the
-//! differential suite pins the two bitwise-equal.
+//! — agree), by one **partner-major panel kernel**,
+//! [`hfl_tensor::ops::dist_sq_pairs`]: a block of eight partner rows is
+//! transposed tile by tile into a feature-major panel, every later row
+//! streams past it, and the SIMD lanes are the eight *pairs* — each with
+//! its own accumulator, visiting coordinates in index order, so every
+//! distance is bitwise `dist_sq`'s at whatever vector width the CPU has
+//! (DESIGN.md §15). It is **parallel over partner blocks**, claimed in
+//! ascending order: block `b` pairs its rows with every row after them,
+//! so the first block is the heaviest and the claim order is
+//! heaviest-first; a cluster of up to eight rows is one block and never
+//! forks. [`pairwise_dist_sq`] is that fill, shared with NNM
+//! pre-aggregation. The original full-matrix loop is retained verbatim
+//! in [`reference`] and the differential suite pins the two
+//! bitwise-equal.
 
 use crate::{validate_updates, AggScratch, Aggregator};
+use hfl_tensor::ops::{dist_sq_pairs, PAIR_LANES};
 
 /// Computes the Krum score of every update: score(i) = Σ of the
 /// `n − f − 2` smallest squared distances from update `i` to the others.
@@ -34,6 +43,27 @@ pub fn krum_scores_with_threads(updates: &[&[f32]], f: usize, threads: usize) ->
     let mut scores = Vec::new();
     krum_scores_into(updates, f, threads, &mut dists, &mut row, &mut scores);
     scores
+}
+
+/// Upper-triangle pairwise squared distances, `dists[lo * n + hi] =
+/// dist_sq(updates[lo], updates[hi])` for `lo < hi`, in a flat n×n
+/// buffer (the rest is zero) — the crate's one O(n²·d) fill. Parallel
+/// over blocks of [`PAIR_LANES`] partner rows: a block pairs its rows
+/// with every row after them, so block 0 is the heaviest and ascending
+/// claim order is heaviest-first; up to [`PAIR_LANES`] rows is a single
+/// block and forks nothing.
+///
+/// # Panics
+/// With "length mismatch" if the rows are not all one length.
+pub(crate) fn pairwise_dist_sq(updates: &[&[f32]], threads: usize, dists: &mut Vec<f64>) {
+    let n = updates.len();
+    // No `clear`: the kernel overwrites every element of its chunk.
+    dists.resize(n * n, 0.0);
+    if n > 0 {
+        hfl_parallel::par_chunks_mut(dists, PAIR_LANES * n, threads, |base, chunk| {
+            dist_sq_pairs(updates, base / n, chunk);
+        });
+    }
 }
 
 /// Allocation-free scoring core: fills `scores`, reusing the caller's
@@ -56,18 +86,7 @@ pub fn krum_scores_into(
     // scoring supports rather than rejected: small clusters degrade toward
     // nearest-neighbour scoring.
     let f = f.min(n.saturating_sub(3));
-    // Upper-triangle pairwise squared distances in a flat n×n buffer,
-    // work-stealing parallel over rows (row i carries n−i−1 pairs).
-    dists.clear();
-    dists.resize(n * n, 0.0);
-    if n > 1 {
-        hfl_parallel::par_chunks_mut(dists, n, threads, |base, mrow| {
-            let i = base / n;
-            if i + 1 < n {
-                hfl_tensor::ops::dist_sq_block(updates[i], &updates[i + 1..], &mut mrow[i + 1..]);
-            }
-        });
-    }
+    pairwise_dist_sq(updates, threads, dists);
     // n ≥ 3 keeps n−f−2 ≥ 1 distances; degenerate n ∈ {1, 2} keeps all.
     let keep = if n >= 3 { n - f - 2 } else { n.saturating_sub(1) };
     scores.clear();
@@ -195,9 +214,9 @@ impl MultiKrum {
     }
 
     /// [`MultiKrum::select`] into caller-owned buffers (allocation-free
-    /// at steady state for the cohort sizes the engine runs; the stable
-    /// index sort falls back to an allocating merge only above 20
-    /// elements).
+    /// at steady state for the cohort sizes the engine runs: the stable
+    /// index sort's scratch is a 4 KiB stack buffer, 512 indices, and
+    /// only a larger cohort sends it to the heap).
     pub fn select_into(&self, updates: &[&[f32]], scratch: &mut AggScratch, idx: &mut Vec<usize>) {
         let AggScratch {
             dists, row, scores, ..
@@ -405,8 +424,8 @@ mod tests {
     #[test]
     fn optimized_scores_bitwise_match_naive_reference() {
         // The in-crate smoke version of tests/kernel_equivalence.rs:
-        // symmetry-halved + blocked + work-stealing scores must equal
-        // the original loop bit for bit, NaN tail included.
+        // scores over the symmetry-halved, block-parallel panel fill
+        // must equal the original loop bit for bit, NaN tail included.
         let mut updates = cluster_with_outliers(&[1.0, -2.0, 0.5], 0.3, 9, &[40.0, -40.0, 7.0], 2);
         updates.push(vec![f32::NAN, f32::INFINITY, -0.0]);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();

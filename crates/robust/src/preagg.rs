@@ -22,6 +22,7 @@
 //! `aggregate` therefore stays bit-reproducible with no RNG plumbed
 //! through the [`Aggregator`] trait.
 
+use crate::krum::pairwise_dist_sq;
 use crate::{validate_updates, Aggregator};
 
 /// Which pre-aggregation transform to apply. See the module docs.
@@ -75,16 +76,26 @@ impl PreAggregation {
                 let n = updates.len();
                 let k = k.min(n);
                 let mut out = Vec::with_capacity(n);
-                let mut dvals = vec![0.0f64; n];
+                // The shared triangle fill; each value is bitwise the
+                // per-pair `dist_sq` the original scan computed, in
+                // either argument order.
+                let mut matrix = Vec::new();
+                pairwise_dist_sq(updates, hfl_parallel::default_threads(), &mut matrix);
                 let mut dists: Vec<(f64, usize)> = Vec::with_capacity(n);
                 let mut idx: Vec<usize> = Vec::with_capacity(k);
-                for u in updates {
-                    // One blocked pass fills the whole distance row;
-                    // each value is bitwise-equal to the per-pair
-                    // `dist_sq` the original scan computed.
-                    hfl_tensor::ops::dist_sq_block(u, updates, &mut dvals);
+                for (i, u) in updates.iter().enumerate() {
                     dists.clear();
-                    dists.extend(dvals.iter().copied().enumerate().map(|(j, dv)| (dv, j)));
+                    dists.extend((0..n).map(|j| {
+                        // A row's distance to itself is 0, or NaN when it
+                        // holds a non-finite coordinate — a poisoned row
+                        // sorts itself last.
+                        let dv = if i == j {
+                            hfl_tensor::ops::dist_sq(u, u)
+                        } else {
+                            matrix[i.min(j) * n + i.max(j)]
+                        };
+                        (dv, j)
+                    }));
                     // Ties (equal distances) resolve by index — total
                     // order, deterministic across platforms.
                     dists.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));

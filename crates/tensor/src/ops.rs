@@ -385,6 +385,192 @@ pub fn dist_sq_block(a: &[f32], rows: &[&[f32]], out: &mut [f64]) {
     }
 }
 
+/// Partner rows per block of [`dist_sq_pairs`] — the SIMD lanes. Eight
+/// `f64` accumulators are one AVX-512 register, two AVX2 registers or
+/// four SSE2 registers per streamed row.
+pub const PAIR_LANES: usize = 8;
+
+/// Coordinates per panel tile of [`dist_sq_pairs`]: `256 × 8` `f32` is
+/// 8 KB, small enough for the stack and to stay in L1 while every later
+/// row streams past it.
+const PAIR_TILE: usize = 256;
+
+/// One block of the pairwise squared-distance matrix: for the partner
+/// rows `first..first + w` (`w = min(PAIR_LANES, n − first)`) and every
+/// row `j` after each of them, `chunk[k * n + j] = dist_sq(rows[first +
+/// k], rows[j])` — `chunk` is rows `first..first + w` of the flat
+/// `n × n` matrix, so the blocks together fill its upper triangle. The
+/// rest of `chunk` (diagonal and lower triangle) is zeroed.
+///
+/// The partners are transposed, one [`PAIR_TILE`]-coordinate tile at a
+/// time, into a feature-major panel on the stack; later rows stream
+/// past it two at a time with `acc[k] += ((p[c][k] − x[c]) as f64)²`,
+/// and the accumulators rest in `chunk` between tiles. Every pair keeps
+/// its own accumulator and visits coordinates in index order with a
+/// multiply then an add, exactly as [`dist_sq`] does (same NaN
+/// canonicalization), so each value is bitwise `dist_sq`'s — what the
+/// layout changes is that the lanes of one SIMD register are *pairs*.
+///
+/// The body is compiled at three vector widths and the widest one the
+/// running CPU has is used; lane `k` performs the same IEEE operations
+/// at any width, so the choice cannot change a bit.
+///
+/// # Panics
+/// If a row's length differs from the first's, or `chunk.len() != w * n`.
+pub fn dist_sq_pairs(rows: &[&[f32]], first: usize, chunk: &mut [f64]) {
+    let n = rows.len();
+    assert!(first < n, "dist_sq_pairs: block starts past the last row");
+    assert_eq!(
+        chunk.len(),
+        PAIR_LANES.min(n - first) * n,
+        "dist_sq_pairs: chunk is not the block's rows of the n×n matrix"
+    );
+    for r in rows {
+        check_same_len(rows[0], r);
+    }
+    let ran = DIST_SQ_PAIRS_ARMS
+        .iter()
+        .any(|(_, arm)| arm(rows, first, chunk));
+    assert!(ran, "the plain arm runs anywhere");
+}
+
+/// One compiled width of [`dist_sq_pairs`]: runs the block and returns
+/// `true`, or returns `false` untouched when the CPU lacks the width.
+#[doc(hidden)]
+pub type DistSqPairsArm = fn(&[&[f32]], usize, &mut [f64]) -> bool;
+
+/// Every compiled width of [`dist_sq_pairs`], widest first; the last
+/// runs anywhere (and is the only one off x86). Public so the
+/// differential tests reach the arms the dispatch passes over on the
+/// host.
+#[doc(hidden)]
+pub const DIST_SQ_PAIRS_ARMS: &[(&str, DistSqPairsArm)] = &[
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    ("avx512", pairs_avx512),
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    ("avx2", pairs_avx2),
+    ("plain", pairs_plain),
+];
+
+fn pairs_plain(rows: &[&[f32]], first: usize, chunk: &mut [f64]) -> bool {
+    pairs_body(rows, first, chunk);
+    true
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+fn pairs_avx2(rows: &[&[f32]], first: usize, chunk: &mut [f64]) -> bool {
+    #[target_feature(enable = "avx2")]
+    fn wide(rows: &[&[f32]], first: usize, chunk: &mut [f64]) {
+        pairs_body(rows, first, chunk);
+    }
+    if !is_x86_feature_detected!("avx2") {
+        return false;
+    }
+    // SAFETY: the line above returned unless `avx2` was detected.
+    unsafe { wide(rows, first, chunk) };
+    true
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+fn pairs_avx512(rows: &[&[f32]], first: usize, chunk: &mut [f64]) -> bool {
+    #[target_feature(enable = "avx512f,avx512vl")]
+    fn wide(rows: &[&[f32]], first: usize, chunk: &mut [f64]) {
+        pairs_body(rows, first, chunk);
+    }
+    if !(is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl")) {
+        return false;
+    }
+    // SAFETY: the line above returned unless both features were detected.
+    unsafe { wide(rows, first, chunk) };
+    true
+}
+
+/// The one body of [`dist_sq_pairs`], inlined into each width's arm.
+#[inline(always)]
+fn pairs_body(rows: &[&[f32]], first: usize, chunk: &mut [f64]) {
+    let n = rows.len();
+    let partners = &rows[first..(first + PAIR_LANES).min(n)];
+    // `later[s]` is row `first + 1 + s`; the partners before it are
+    // lanes `0..=s`, which is every lane once `s + 1 ≥ w`.
+    let later = &rows[first + 1..];
+    let lanes = |s: usize| partners.len().min(s + 1);
+    chunk.fill(0.0);
+    if later.is_empty() {
+        return;
+    }
+    let d = partners[0].len();
+    let mut panel = [[0.0f32; PAIR_LANES]; PAIR_TILE];
+    for c0 in (0..d).step_by(PAIR_TILE) {
+        let t = PAIR_TILE.min(d - c0);
+        for (k, p) in partners.iter().enumerate() {
+            for (col, v) in panel.iter_mut().zip(&p[c0..c0 + t]) {
+                col[k] = *v;
+            }
+        }
+        let panel = &panel[..t];
+        let mut s = 0;
+        while s + 2 <= later.len() {
+            let xs = [&later[s][c0..c0 + t], &later[s + 1][c0..c0 + t]];
+            stream_rows(panel, xs, [lanes(s), lanes(s + 1)], first + 1 + s, n, chunk);
+            s += 2;
+        }
+        if s < later.len() {
+            let xs = [&later[s][c0..c0 + t]];
+            stream_rows(panel, xs, [lanes(s)], first + 1 + s, n, chunk);
+        }
+    }
+    // NaN canonicalization, matching `dist_sq` (see its docs).
+    for v in chunk.iter_mut() {
+        if v.is_nan() {
+            *v = f64::NAN;
+        }
+    }
+}
+
+/// `R` consecutive rows (matrix columns `j..j + R`) past one panel
+/// tile: loads row `r`'s first `lanes[r]` accumulators from `chunk`,
+/// adds the tile's coordinates in index order, stores them back. The
+/// remaining lanes (a partner at or after the row itself, or past a
+/// short last block) compute on whatever the panel holds and are
+/// dropped.
+#[inline(always)]
+fn stream_rows<const R: usize>(
+    panel: &[[f32; PAIR_LANES]],
+    xs: [&[f32]; R],
+    lanes: [usize; R],
+    j: usize,
+    n: usize,
+    chunk: &mut [f64],
+) {
+    // `[..panel.len()]` pins every row's length to the tile's, so
+    // `x[c]` below needs no bounds check.
+    let xs = xs.map(|x| &x[..panel.len()]);
+    // Every lane loads, a dropped one from the last stored lane's slot:
+    // eight loads of one shape keep the accumulators a vector.
+    let mut acc = [[0.0f64; PAIR_LANES]; R];
+    for r in 0..R {
+        for k in 0..PAIR_LANES {
+            acc[r][k] = chunk[k.min(lanes[r] - 1) * n + j + r];
+        }
+    }
+    for (c, col) in panel.iter().enumerate() {
+        for (a, x) in acc.iter_mut().zip(&xs) {
+            let xc = x[c];
+            for (ak, pk) in a.iter_mut().zip(col) {
+                let diff = (*pk - xc) as f64;
+                *ak += diff * diff;
+            }
+        }
+    }
+    for r in 0..R {
+        for k in 0..PAIR_LANES {
+            if k < lanes[r] {
+                chunk[k * n + j + r] = acc[r][k];
+            }
+        }
+    }
+}
+
 /// Fused multi-row accumulate: `out += r₀ + r₁ + …` in row order.
 ///
 /// Equivalent to calling [`add_assign`] once per row, but rows are
@@ -714,6 +900,124 @@ mod tests {
                 assert_eq!(b.to_bits(), v.to_bits(), "n={n} d={d}");
             }
         }
+    }
+
+    /// Rows for the pairwise kernel: full-mantissa values across twenty
+    /// binades (so a sum of squares rounds at nearly every step and any
+    /// reordering or fusing shows in the last bits), subnormals and
+    /// signed zeros everywhere, and every fourth row poisoned — `+∞`
+    /// alone (its distances are `+∞`, to itself NaN) or NaN and `±∞`
+    /// mixed.
+    fn pair_rows(n: usize, d: usize) -> Vec<Vec<f32>> {
+        (0..n)
+            .map(|i| {
+                (0..d)
+                    .map(|c| {
+                        let mut x = ((i as u64) << 32 | c as u64)
+                            .wrapping_add(1)
+                            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                        x ^= x >> 29;
+                        let finite = f32::from_bits(
+                            ((x >> 20) as u32 & 0x807f_ffff) | (117 + (x % 21) as u32) << 23,
+                        );
+                        match (i % 8, x % 16) {
+                            (3, 0) => f32::INFINITY,
+                            (7, 0) => [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][c % 3],
+                            (_, 1) => f32::MIN_POSITIVE / 2.0, // denormal
+                            (_, 2) => -0.0,
+                            (_, 3) => 0.0,
+                            _ => finite,
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every compiled width the host can run — the dispatch's choice and
+    /// the arms it passes over — against one `dist_sq` per pair, exact
+    /// bits: blocks short, full and several (n), tiles short, exact and
+    /// several (d). The buffer starts dirty, so a stale accumulator
+    /// would show.
+    #[test]
+    fn dist_sq_pairs_bitwise_matches_dist_sq_on_every_arm() {
+        let dispatch: DistSqPairsArm = |rows, first, chunk| {
+            dist_sq_pairs(rows, first, chunk);
+            true
+        };
+        let mut ran = Vec::new();
+        for n in [1usize, 2, 3, 4, 7, 8, 9, 17, 33, 128] {
+            for d in [1usize, 7, 255, 256, 257, 650, 1031] {
+                let rows = pair_rows(n, d);
+                let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+                let mut want = vec![0.0f64; n * n];
+                for i in 0..n {
+                    for j in i + 1..n {
+                        want[i * n + j] = dist_sq(refs[i], refs[j]);
+                    }
+                }
+                if (n, d) == (128, 1031) {
+                    // The data is worth the comparison: most pairs are
+                    // finite, and both poisoned outcomes occur.
+                    let count = |p: fn(&f64) -> bool| want.iter().filter(|v| p(v)).count();
+                    assert!(count(|v| v.is_finite() && *v > 0.0) > n * n / 4);
+                    assert!(count(|v| v.is_nan()) > 0 && count(|v| v.is_infinite()) > 0);
+                }
+                for (name, arm) in DIST_SQ_PAIRS_ARMS
+                    .iter()
+                    .copied()
+                    .chain([("dispatch", dispatch)])
+                {
+                    let mut got = vec![f64::NAN; n * n];
+                    let supported = got
+                        .chunks_mut(PAIR_LANES * n)
+                        .enumerate()
+                        .all(|(b, chunk)| arm(&refs, b * PAIR_LANES, chunk));
+                    if !supported {
+                        continue;
+                    }
+                    if !ran.contains(&name) {
+                        ran.push(name);
+                    }
+                    for (at, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "{name} n={n} d={d} pair ({}, {}): {g} vs {w}",
+                            at / n,
+                            at % n
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            ran.contains(&"plain") && ran.contains(&"dispatch"),
+            "{ran:?}"
+        );
+        println!("dist_sq_pairs arms run on this host: {ran:?}");
+    }
+
+    #[test]
+    fn dist_sq_pairs_of_empty_rows_is_zero() {
+        let rows: [&[f32]; 3] = [&[], &[], &[]];
+        let mut chunk = [7.0f64; 9];
+        dist_sq_pairs(&rows, 0, &mut chunk);
+        assert_eq!(chunk, [0.0; 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn dist_sq_pairs_rejects_a_ragged_row() {
+        let rows: [&[f32]; 3] = [&[0.0; 4], &[0.0; 4], &[0.0; 3]];
+        dist_sq_pairs(&rows, 0, &mut [0.0; 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk is not the block's rows")]
+    fn dist_sq_pairs_rejects_a_mis_sized_chunk() {
+        let rows: [&[f32]; 3] = [&[0.0; 4], &[0.0; 4], &[0.0; 4]];
+        dist_sq_pairs(&rows, 0, &mut [0.0; 6]);
     }
 
     /// Bitwise equality, except that any two NaNs compare equal: IEEE

@@ -15,7 +15,12 @@ timeout 300 cargo test -p hfl-parallel --release -q
 # crate's unit tests, proptests and integration suites are members'.
 # Three gates inside this one line are worth naming:
 # - Kernel equivalence (tests/kernel_equivalence.rs): every optimized
-#   hot kernel (blocked distances, fused reductions, the feature-major
+#   hot kernel (the partner-major distance panel under the Krum family
+#   and NNM — krum_scores_match_naive_across_blocks_and_tiles and
+#   nnm_matches_the_per_row_scan_it_replaced, over every block and tile
+#   shape; hfl-tensor's own
+#   dist_sq_pairs_bitwise_matches_dist_sq_on_every_arm runs each vector
+#   width the host has — fused reductions, the feature-major
 #   panel kernel under the dense layer and the training and scoring
 #   paths over it, work-stealing parallel paths, the voter-parallel
 #   vote) must be byte-identical to its naive
@@ -28,7 +33,8 @@ timeout 300 cargo test -p hfl-parallel --release -q
 #   faulted, the deadline (every cluster closing a deadline buffer) and
 #   the pipelined fixture (the same, on the round clock), at 1 thread
 #   and at 2. A single new Vec on the round path
-#   — or per buffer, or per fork-join — fails this.
+#   — or per buffer, or per fork-join — fails this. So does one in a
+#   warm 128 × 4,810 Multi-Krum (wide_multikrum_allocates_nothing_once_warm).
 # - Vote allocation ceiling (same file,
 #   vote_rounds_stay_under_the_allocation_ceiling): a paper_iid round,
 #   validation vote on top, performs at most 80 allocations, at 1
@@ -84,6 +90,17 @@ test "$(wc -l < crates/core/src/pipeline.rs)" -lt 300 \
 # the element type to keep in step with either.
 ! grep -rqE 'fn widen|ops::widen|Into<f64>' crates/*/src \
     || { echo "a widened-copy dense path is back beside the panel"; exit 1; }
+
+# One pairwise-distance fill: the Krum family and NNM read the upper
+# triangle hfl_tensor::ops::dist_sq_pairs fills (dist_sq_block stays
+# only because the frozen ledger times it), and the kernel's two width
+# arms are the tensor crate's only `unsafe`, each a call made right
+# under the feature detection its SAFETY line cites.
+! grep -rq 'dist_sq_block' crates/robust/src \
+    || { echo "crates/robust calls dist_sq_block beside the pairwise panel kernel again"; exit 1; }
+test "$(cat crates/tensor/src/*.rs | grep -c 'unsafe')" -eq 2 \
+    && test "$(grep -h -B1 'unsafe' crates/tensor/src/*.rs | grep -c '// SAFETY:')" -eq 2 \
+    || { echo "crates/tensor/src must hold exactly two unsafe tokens, each under a // SAFETY: line"; exit 1; }
 
 # Snapshot-resume determinism gate: for every fixture class, 20 rounds
 # straight through must equal 10 rounds + resume(10 more) from the

@@ -1,12 +1,15 @@
 //! Differential kernel-equivalence suite — the hot-path overhaul's
-//! safety net. Every optimized kernel (blocked/tiled pairwise
-//! distances, fused axpy/mean reductions, work-stealing parallel
-//! aggregation paths) is pinned **byte-identical** to a retained naive
-//! reference over random shapes, thread counts ∈ {1, 2, 4, 8}, and
-//! adversarial values (NaN, ±∞, subnormals, signed zeros).
+//! safety net. Every optimized kernel (the partner-major pairwise
+//! distance panel under Krum scoring and NNM, fused axpy/mean
+//! reductions, work-stealing parallel aggregation paths) is pinned
+//! **byte-identical** to a retained naive reference over random shapes
+//! — and, for the distance panel, a seeded grid of every block and tile
+//! shape — thread counts ∈ {1, 2, 4, 8}, and adversarial values (NaN,
+//! ±∞, subnormals, signed zeros).
 //!
 //! "Byte-identical" is literal. f64 distances compare on `to_bits`
-//! even for NaN: `dist_sq`/`dist_sq_block` canonicalize any NaN
+//! even for NaN: `dist_sq` and the kernels pinned to it
+//! (`dist_sq_pairs`, `dist_sq_block`) canonicalize any NaN
 //! accumulator to the positive quiet NaN, so payloads match exactly.
 //! f32 mean kernels compare exact bits for non-NaN and accept
 //! any-NaN-vs-any-NaN (the fused and naive summation trees can reach
@@ -362,6 +365,126 @@ proptest! {
                     bits_eq_f32(*a, *b),
                     "coord {} at {} threads: {} vs single-threaded {}", i, t, a, b
                 );
+            }
+        }
+    }
+}
+
+/// Row counts around the distance kernel's partner block (8: under
+/// one, exactly one, one and a bit, several, `agg_wide`'s sixteen) and
+/// row lengths around its panel tile (256: under, exact, one over,
+/// paper-sized, several) — shapes the random strategies above, capped
+/// at 12 rows × 48 coordinates, never reach.
+const PAIR_GRID_N: [usize; 10] = [1, 2, 3, 4, 7, 8, 9, 17, 33, 128];
+const PAIR_GRID_D: [usize; 7] = [1, 7, 255, 256, 257, 650, 1031];
+
+/// Deterministic rows for the grid (the generator of `hfl-tensor`'s
+/// own arm-by-arm test): full-mantissa values across twenty binades,
+/// so a sum of squares rounds at nearly every step and any reordering
+/// shows in the last bits; subnormals and signed zeros everywhere;
+/// every fourth row poisoned — `+∞` alone, or NaN and `±∞` mixed.
+fn grid_rows(n: usize, d: usize) -> Vec<Vec<f32>> {
+    (0..n)
+        .map(|i| {
+            (0..d)
+                .map(|c| {
+                    let mut x = ((i as u64) << 32 | c as u64)
+                        .wrapping_add(1)
+                        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    x ^= x >> 29;
+                    let finite = f32::from_bits(
+                        ((x >> 20) as u32 & 0x807f_ffff) | (117 + (x % 21) as u32) << 23,
+                    );
+                    match (i % 8, x % 16) {
+                        (3, 0) => f32::INFINITY,
+                        (7, 0) => [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][c % 3],
+                        (_, 1) => 1.0e-40,
+                        (_, 2) => -0.0,
+                        (_, 3) => 0.0,
+                        _ => finite,
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Krum scoring over the partner-major distance panel — every block
+/// and tile shape of the grid, at thread counts under, at and over the
+/// block count — == the retained full-matrix `dist_sq`-per-pair scorer,
+/// exact bits.
+#[test]
+fn krum_scores_match_naive_across_blocks_and_tiles() {
+    for n in PAIR_GRID_N {
+        for d in PAIR_GRID_D {
+            let rows = grid_rows(n, d);
+            let refs = as_refs(&rows);
+            let f = n / 4;
+            let naive = krum_reference::krum_scores_naive(&refs, f, 1);
+            for threads in [1, 2, 3, 8] {
+                let fast = krum::krum_scores_with_threads(&refs, f, threads);
+                assert_eq!(fast.len(), naive.len());
+                for (i, (a, b)) in fast.iter().zip(&naive).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "n={n} d={d} score {i} at {threads} threads: {a} vs naive {b}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `PreAggregation::Nnm`'s retired distance scan: one blocked row of
+/// all `n` distances per input, diagonal included, then the k nearest
+/// by `(distance, index)`.
+fn nnm_naive(updates: &[&[f32]], k: usize) -> Vec<Vec<f32>> {
+    let n = updates.len();
+    let k = k.min(n);
+    let mut dvals = vec![0.0f64; n];
+    updates
+        .iter()
+        .map(|u| {
+            ops::dist_sq_block(u, updates, &mut dvals);
+            let mut dists: Vec<(f64, usize)> = dvals
+                .iter()
+                .copied()
+                .enumerate()
+                .map(|(j, dv)| (dv, j))
+                .collect();
+            dists.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let idx: Vec<usize> = dists.iter().take(k).map(|&(_, j)| j).collect();
+            let mut mean = vec![0.0f32; u.len()];
+            ops::mean_of_indexed(updates, &idx, &mut mean);
+            mean
+        })
+        .collect()
+}
+
+/// NNM reading the shared upper-triangle fill == the per-row scan it
+/// replaced, poisoned rows (whose distance to themselves is NaN, so
+/// they are their own last neighbour) included, at any thread count.
+#[test]
+fn nnm_matches_the_per_row_scan_it_replaced() {
+    for n in PAIR_GRID_N {
+        for d in [1usize, 7, 257, 650] {
+            let rows = grid_rows(n, d);
+            let refs = as_refs(&rows);
+            for k in [1, 2, n.div_ceil(2), n] {
+                let want = nnm_naive(&refs, k);
+                for threads in [1, 2, 8] {
+                    let got = abd_hfl::parallel::with_threads(threads, || {
+                        PreAggregation::Nnm { k }.transform(&refs)
+                    });
+                    assert_eq!(got.len(), want.len());
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            g.len() == w.len() && g.iter().zip(w).all(|(a, b)| bits_eq_f32(*a, *b)),
+                            "n={n} d={d} k={k} row {i} at {threads} threads"
+                        );
+                    }
+                }
             }
         }
     }
