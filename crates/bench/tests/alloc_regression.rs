@@ -43,16 +43,22 @@
 //! thread and at 2: the distance kernel's panel is on the stack and its
 //! accumulators are `scratch.dists`.
 //!
+//! Set-up memory is gated on the same counters
+//! (`prepare_holds_the_plan_not_the_training_set`): a sampled
+//! population prepares in O(1 label + 1 deal-order entry) bytes per
+//! training sample — no feature is drawn before a client trains — and
+//! the identity cohort holds its training rows once, in the shards.
+//!
 //! The allocation counter is process-global, so a concurrently running
 //! test would bleed its allocations into the steady-state window: the
 //! `#[test]`s serialize on [`COUNTER`].
 
-use abd_hfl_core::config::{AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg};
+use abd_hfl_core::config::{AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg, SamplingCfg};
 use abd_hfl_core::engine::cost::CostCounters;
 use abd_hfl_core::engine::RoundEngine;
 use abd_hfl_core::pipeline::PipelineConfig;
 use abd_hfl_core::runner::Experiment;
-use hfl_bench::memprobe::{alloc_count, CountingAlloc};
+use hfl_bench::memprobe::{alloc_count, peak_since, reset_peak, CountingAlloc};
 use hfl_faults::FaultPlan;
 use hfl_ml::synth::SynthConfig;
 use hfl_robust::{AggScratch, Aggregator, AggregatorKind, MultiKrum};
@@ -234,5 +240,59 @@ fn wide_multikrum_allocates_nothing_once_warm() {
             alloc_count() - before
         });
         assert_eq!(allocs, 0, "warm Multi-Krum at {threads} thread(s)");
+    }
+}
+
+/// Heap high-water mark of `Experiment::try_prepare(cfg)` above what
+/// was live before it, in bytes.
+fn prepare_peak_bytes(cfg: &HflConfig) -> u64 {
+    let base = reset_peak();
+    let exp = Experiment::try_prepare(cfg).expect("valid fixture");
+    let peak = peak_since(base);
+    drop(exp);
+    peak
+}
+
+/// Most set-up bytes per training sample a sampled population may peak
+/// at. Measured: 23.1 at 200,000 samples (1 B label, 1 B malicious
+/// flag, 4 B deal-order entry, and while the deal order is built its
+/// `usize` form and the per-label index groups). One feature row is
+/// 256 B.
+const PLAN_BYTES_PER_SAMPLE: u64 = 32;
+
+#[test]
+fn prepare_holds_the_plan_not_the_training_set() {
+    let _alone = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+
+    // Sampled: population = training samples, so a client holds one.
+    let samples = 200_000usize;
+    let mut sampled = bra_fixture(16);
+    sampled.data.train_samples = samples;
+    sampled.sampling = Some(SamplingCfg::uniform(samples, 64));
+    let test_rows = (sampled.data.test_samples * sampled.data.dim * 4) as u64;
+    let peak = prepare_peak_bytes(&sampled);
+    assert!(
+        peak <= test_rows + PLAN_BYTES_PER_SAMPLE * samples as u64,
+        "sampled prepare peaked at {peak} B = {:.1} B per training sample beside the test \
+         split, ceiling {PLAN_BYTES_PER_SAMPLE}",
+        (peak - test_rows) as f64 / samples as f64
+    );
+
+    // Identity cohort: every training row lives in its client's shard
+    // and nowhere else.
+    let dense = bra_fixture(17);
+    let rows = |n: usize| (n * dense.data.dim * 4) as u64;
+    let (train, test) = (
+        rows(dense.data.train_samples),
+        rows(dense.data.test_samples),
+    );
+    let plan = PLAN_BYTES_PER_SAMPLE * dense.data.train_samples as u64;
+    for threads in [1, 2] {
+        let peak = hfl_parallel::with_threads(threads, || prepare_peak_bytes(&dense));
+        assert!(
+            peak <= train + test + plan,
+            "dense prepare at {threads} thread(s) peaked at {peak} B: more than one copy of \
+             the training rows ({train} B) beside the test split ({test} B) and the plan"
+        );
     }
 }

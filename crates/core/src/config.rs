@@ -490,6 +490,9 @@ impl HflConfig {
         if self.eval_every == 0 {
             return Err(ConfigError::ZeroEvalEvery);
         }
+        if let Some((what, value)) = invalid_data_param(&self.data) {
+            return Err(ConfigError::DataOutOfRange { what, value });
+        }
         if !(self.quorum > 0.0 && self.quorum <= 1.0) {
             return Err(ConfigError::QuorumOutOfRange {
                 quorum: self.quorum,
@@ -705,6 +708,35 @@ impl HflConfig {
     }
 }
 
+/// Validation-time check of the task generator's configuration,
+/// mirroring the assertions `SynthTask::plan` makes (sizes, class count
+/// within `u8` labels) and adding what it cannot notice: a non-finite
+/// spread trains on NaN without a word.
+fn invalid_data_param(data: &SynthConfig) -> Option<(&'static str, f64)> {
+    for (what, size) in [
+        ("train_samples", data.train_samples),
+        ("test_samples", data.test_samples),
+        ("dim", data.dim),
+    ] {
+        if size == 0 {
+            return Some((what, 0.0));
+        }
+    }
+    if !(2..=256).contains(&data.num_classes) {
+        return Some((
+            "num_classes (labels are u8: 2..=256)",
+            data.num_classes as f64,
+        ));
+    }
+    if !(data.noise_std.is_finite() && data.noise_std >= 0.0) {
+        return Some(("noise_std", f64::from(data.noise_std)));
+    }
+    if !data.separation.is_finite() {
+        return Some(("separation", f64::from(data.separation)));
+    }
+    None
+}
+
 /// Validation-time parameter check for static model attacks, mirroring
 /// the assertions `ModelAttack::craft` makes at run time so a bad knob
 /// fails a sweep cell instead of panicking mid-run.
@@ -835,6 +867,13 @@ pub enum ConfigError {
         got: usize,
         /// Client count.
         expected: usize,
+    },
+    /// A task-generator parameter (`data`) is unusable.
+    DataOutOfRange {
+        /// Which parameter is bad.
+        what: &'static str,
+        /// The offending value.
+        value: f64,
     },
     /// Churn leave probability outside `[0, 1)`.
     ChurnOutOfRange {
@@ -975,6 +1014,9 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "malicious override mask length must equal client count (mask has {got}, hierarchy has {expected})"
             ),
+            ConfigError::DataOutOfRange { what, value } => {
+                write!(f, "data {what} out of range ({value})")
+            }
             ConfigError::ChurnOutOfRange { prob } => {
                 write!(f, "churn leave probability must be in [0, 1), got {prob}")
             }

@@ -30,8 +30,8 @@ use hfl_attacks::{malicious_mask, ModelAttack};
 use hfl_faults::FaultInjector;
 use hfl_ml::rng::rng_for_n;
 use hfl_ml::sgd::{train_local_scratch, TrainScratch};
-use hfl_ml::synth::SyntheticDigits;
-use hfl_ml::{ClientPopulation, Dataset, Model};
+use hfl_ml::synth::SynthTask;
+use hfl_ml::{ClientPopulation, Dataset, Labelled, Model};
 use hfl_robust::{AggregatorKind, Krum};
 use hfl_simnet::Hierarchy;
 use hfl_snapshot::{CostSnapshot, EngineSnapshot, SNAPSHOT_VERSION};
@@ -77,21 +77,32 @@ pub struct RunResult {
 /// of `parked` per cohort slot and parks it again afterwards, so a run
 /// creates as many trainees as it has workers and steady-state training
 /// allocates nothing. Which trainee serves a slot cannot show in the
-/// result: `set_params` overwrites every parameter and the SGD scratch
-/// is fully rewritten before it is read, so reuse is indistinguishable
-/// from a fresh `clone_box` (DESIGN.md §15).
+/// result: `set_params` overwrites every parameter, the SGD scratch
+/// is fully rewritten before it is read and the shard buffer is
+/// cleared before it is refilled, so reuse is indistinguishable from a
+/// fresh `clone_box` (DESIGN.md §15).
 #[derive(Default)]
 pub struct TrainWorkspace {
     /// This round's cohort binding (global client per slot).
     cohort: Vec<usize>,
-    /// Idle trainees: a model (cloned from the template on first use)
-    /// with its SGD gradient/index/staging buffers.
-    parked: Mutex<Vec<(Box<dyn Model>, TrainScratch)>>,
+    /// Idle trainees.
+    parked: Mutex<Vec<Trainee>>,
     /// Pipelined schedule: `starts[slot]` is the model the slot trains
     /// from this round, written by the engine's round clock; an empty
     /// row sits the round out. Empty under lockstep, where every slot
     /// starts from the global model.
     pub(crate) starts: Vec<Vec<f32>>,
+}
+
+/// What one worker trains a cohort slot with.
+struct Trainee {
+    /// Cloned from the template on first use.
+    model: Box<dyn Model>,
+    /// SGD gradient/index/staging buffers.
+    scratch: TrainScratch,
+    /// Sampled runs: the buffer the slot's client's shard is drawn into
+    /// each round. Empty and unused when shards are cached.
+    drawn: Dataset,
 }
 
 /// A run's result plus its [`RunManifest`] — what the instrumented entry
@@ -105,14 +116,17 @@ pub struct InstrumentedRun {
     pub manifest: RunManifest,
 }
 
-/// Pre-built, reusable experiment state (task generation and partitioning
-/// are the expensive, attack-independent steps — the Table V harness
-/// reuses them across the malicious-proportion sweep where possible).
+/// Pre-built, reusable experiment state: the hierarchy, the task, the
+/// partition plan, the model template and — without sampling — every
+/// client's shard, drawn once. Drawing those shards is the expensive
+/// step; under sampling nothing is drawn here and set-up is the label
+/// shuffle and the deal order.
 pub struct Experiment {
     /// The hierarchy.
     pub hierarchy: Hierarchy,
-    /// The synthetic task.
-    pub task: SyntheticDigits,
+    /// The synthetic task: the test split dense, the training split a
+    /// plan whose samples are drawn where a shard needs them.
+    pub task: SynthTask,
     /// The lazy per-client shard plan over the whole population: client
     /// `i`'s partition is a pure function of `(seed, i, distribution)`,
     /// derived on demand by [`Experiment::client_shard`]. O(dataset)
@@ -133,10 +147,10 @@ pub struct Experiment {
     /// is derived lazily per global client instead.
     arrival_profiles: Option<Vec<f64>>,
     /// Materialized post-poisoning shards in the identity-cohort case
-    /// (`sampling: None`) — the eager layout this refactor replaced,
-    /// kept so the dense small-n path pays no per-round derivation.
-    /// `None` under sampling: per-round cost then touches only the
-    /// cohort's shards.
+    /// (`sampling: None`): the only copy of the training rows, each
+    /// sample drawn once, straight into its client's shard, so the
+    /// dense small-n path pays no per-round derivation. `None` under
+    /// sampling: a round then draws only its cohort's shards.
     shard_cache: Option<Vec<Dataset>>,
 }
 
@@ -173,7 +187,7 @@ impl Experiment {
 
         let mut data_cfg = cfg.data.clone();
         data_cfg.seed = hfl_ml::rng::derive_seed(cfg.seed, 0xDA7A);
-        let task = SyntheticDigits::generate(&data_cfg);
+        let task = SynthTask::plan(&data_cfg);
 
         let malicious = match &cfg.malicious_override {
             Some(mask) => mask.clone(),
@@ -244,12 +258,16 @@ impl Experiment {
             arrival_profiles,
             shard_cache: None,
         };
-        // Identity cohort: materialize every shard once (the pre-refactor
-        // eager layout — data poisoning happens up front and poisoned
-        // devices then train "honestly" on poisoned data for the whole
-        // run). Sampled runs instead derive shards per round, cohort-only.
+        // Identity cohort: materialize every shard once (data poisoning
+        // happens up front and poisoned devices then train "honestly" on
+        // poisoned data for the whole run). Sampled runs instead derive
+        // shards per round, cohort-only.
         if cfg.sampling.is_none() {
-            exp.shard_cache = Some((0..population_n).map(|c| exp.derive_shard(c)).collect());
+            exp.shard_cache = Some(hfl_parallel::par_map_indexed(
+                population_n,
+                hfl_parallel::default_threads(),
+                |c| exp.derive_shard(c),
+            ));
         }
         Ok(exp)
     }
@@ -355,18 +373,34 @@ impl Experiment {
         }
     }
 
-    /// Derives the post-poisoning shard of global client `client` from
-    /// scratch: a pure function of `(seed, client, distribution,
-    /// attack)`, byte-identical to the eager preparation it replaced.
+    /// [`Self::derive_shard_into`] a fresh buffer.
     fn derive_shard(&self, client: usize) -> Dataset {
-        let mut shard = self.population.shard(&self.task.train, client);
+        let mut shard = self.empty_shard();
+        self.derive_shard_into(client, &mut shard);
+        shard
+    }
+
+    /// A shard of the task's shape holding nothing (and no heap).
+    fn empty_shard(&self) -> Dataset {
+        Dataset::empty(self.task.train.dim(), self.task.train.num_classes())
+    }
+
+    /// Refills `shard` with the post-poisoning shard of global client
+    /// `client`, drawn from scratch: a pure function of `(seed, client,
+    /// distribution, attack)`. Allocates only if `shard` has never held
+    /// as many samples.
+    fn derive_shard_into(&self, client: usize, shard: &mut Dataset) {
+        shard.clear();
+        shard.reserve(self.population.shard_len(client));
+        for i in self.population.shard_indices(client) {
+            self.task.train.push_sample(i, shard);
+        }
         if self.malicious[client] && !shard.is_empty() {
             if let AttackCfg::Data { attack, .. } = &self.config.attack {
                 let mut rng = rng_for_n(self.config.seed, &[0x1207, client as u64]);
-                attack.apply(&mut shard, &mut rng);
+                attack.apply(shard, &mut rng);
             }
         }
-        shard
     }
 
     /// Trains this round's cohort from `global`, in parallel. Returns
@@ -436,19 +470,26 @@ impl Experiment {
                     update[0].extend_from_slice(global);
                     return;
                 }
-                let (mut model, mut scratch) = lock()
-                    .pop()
-                    .unwrap_or_else(|| (self.template.clone_box(), TrainScratch::default()));
+                let mut trainee = lock().pop().unwrap_or_else(|| Trainee {
+                    model: self.template.clone_box(),
+                    scratch: TrainScratch::default(),
+                    drawn: self.empty_shard(),
+                });
+                let Trainee {
+                    model,
+                    scratch,
+                    drawn,
+                } = &mut trainee;
                 model.set_params(start);
                 // Borrow the materialized shard when cached (identity
-                // cohort); derive just this client's otherwise —
-                // per-round work stays O(cohort), not O(population).
-                let derived;
+                // cohort); draw just this client's otherwise, into the
+                // trainee's buffer — per-round work stays O(cohort),
+                // not O(population).
                 let shard = match &self.shard_cache {
                     Some(cache) => &cache[c],
                     None => {
-                        derived = self.derive_shard(c);
-                        &derived
+                        self.derive_shard_into(c, drawn);
+                        &*drawn
                     }
                 };
                 // Populations larger than the dataset leave tail
@@ -462,11 +503,11 @@ impl Experiment {
                         &cfg.sgd.at_round(round),
                         cfg.local_iters,
                         &mut rng,
-                        &mut scratch,
+                        scratch,
                     );
                 }
                 update[0].extend_from_slice(model.params());
-                lock().push((model, scratch));
+                lock().push(trainee);
             },
         );
 
@@ -1070,6 +1111,42 @@ mod tests {
         cfg.rounds = 25;
         cfg.eval_every = 25;
         cfg
+    }
+
+    /// A malformed `data` block is reported by the reporting entry
+    /// point, field by field, before the generator can assert on it (or
+    /// wrap 300 classes into `u8` labels, or train on NaN).
+    #[test]
+    fn malformed_data_config_is_an_err_not_a_panic() {
+        type Break = fn(&mut hfl_ml::synth::SynthConfig);
+        let cases: [(&str, Break); 10] = [
+            ("train_samples", |d| d.train_samples = 0),
+            ("test_samples", |d| d.test_samples = 0),
+            ("dim", |d| d.dim = 0),
+            ("num_classes", |d| d.num_classes = 1),
+            ("num_classes", |d| d.num_classes = 300),
+            ("noise_std", |d| d.noise_std = f32::NAN),
+            ("noise_std", |d| d.noise_std = f32::INFINITY),
+            ("noise_std", |d| d.noise_std = -1.0),
+            ("separation", |d| d.separation = f32::NAN),
+            ("separation", |d| d.separation = f32::NEG_INFINITY),
+        ];
+        for (field, break_it) in cases {
+            let mut cfg = quick(AttackCfg::None, 1);
+            break_it(&mut cfg.data);
+            match Experiment::try_prepare(&cfg) {
+                Err(ConfigError::DataOutOfRange { what, .. }) => {
+                    assert!(what.starts_with(field), "{field}: blamed {what}")
+                }
+                Err(other) => panic!("{field}: wrong error {other}"),
+                Ok(_) => panic!("{field}: accepted"),
+            }
+        }
+        // The edges that are legal stay legal.
+        let mut cfg = quick(AttackCfg::None, 1);
+        cfg.data.noise_std = 0.0;
+        cfg.data.num_classes = 2;
+        assert!(Experiment::try_prepare(&cfg).is_ok());
     }
 
     #[test]

@@ -2,6 +2,36 @@
 
 use std::ops::Range;
 
+/// What a partitioner reads of a training set: its labels, nothing of
+/// its features — so a set whose features are generated on demand
+/// ([`crate::synth::SynthPlan`]) partitions exactly as a dense one.
+pub trait Labelled {
+    /// Label of every sample, in sample order.
+    fn labels(&self) -> &[u8];
+
+    /// Number of classes the labels range over.
+    fn num_classes(&self) -> usize;
+
+    /// Indices of samples grouped by label.
+    fn indices_by_label(&self) -> Vec<Vec<usize>> {
+        let mut groups = vec![Vec::new(); self.num_classes()];
+        for (i, y) in self.labels().iter().enumerate() {
+            groups[*y as usize].push(i);
+        }
+        groups
+    }
+}
+
+impl Labelled for Dataset {
+    fn labels(&self) -> &[u8] {
+        &self.ys
+    }
+
+    fn num_classes(&self) -> usize {
+        self.num_classes
+    }
+}
+
 /// A labelled classification dataset.
 ///
 /// Features are stored row-major in one contiguous buffer (`n × dim`),
@@ -109,6 +139,29 @@ impl Dataset {
         self.ys.push(y);
     }
 
+    /// Appends one sample labelled `y` with all-zero features and
+    /// returns its feature row, for a producer that writes in place.
+    pub fn push_row(&mut self, y: u8) -> &mut [f32] {
+        assert!((y as usize) < self.num_classes, "label out of range");
+        self.ys.push(y);
+        let start = self.xs.len();
+        self.xs.resize(start + self.dim, 0.0);
+        &mut self.xs[start..]
+    }
+
+    /// Drops every sample and keeps the buffers, so a refill of no more
+    /// samples than the set has held allocates nothing.
+    pub fn clear(&mut self) {
+        self.xs.clear();
+        self.ys.clear();
+    }
+
+    /// Makes room for `additional` more samples.
+    pub fn reserve(&mut self, additional: usize) {
+        self.xs.reserve(additional * self.dim);
+        self.ys.reserve(additional);
+    }
+
     /// A new dataset containing the samples at `indices` (in order).
     pub fn subset(&self, indices: &[usize]) -> Self {
         let mut out = Self::empty(self.dim, self.num_classes);
@@ -163,15 +216,6 @@ impl Dataset {
             .filter(|(_, c)| **c > 0)
             .map(|(l, _)| l as u8)
             .collect()
-    }
-
-    /// Indices of samples grouped by label.
-    pub fn indices_by_label(&self) -> Vec<Vec<usize>> {
-        let mut groups = vec![Vec::new(); self.num_classes];
-        for (i, y) in self.ys.iter().enumerate() {
-            groups[*y as usize].push(i);
-        }
-        groups
     }
 }
 

@@ -36,7 +36,7 @@ pub mod rng;
 pub mod sgd;
 pub mod synth;
 
-pub use dataset::Dataset;
+pub use dataset::{Dataset, Labelled};
 pub use linear::LinearSoftmax;
 pub use population::{ClientPopulation, ShardPlan};
 pub use mlp::Mlp;

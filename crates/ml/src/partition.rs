@@ -14,7 +14,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, Labelled};
 use crate::rng::derive_seed;
 
 /// The IID *deal order*: per-label shuffle, concatenated in cursor order.
@@ -23,11 +23,12 @@ use crate::rng::derive_seed;
 /// client-count-independent description of every IID partition of `data`
 /// under `seed` — the lazy [`crate::population::ClientPopulation`] stores
 /// it once (O(dataset), not O(n·shard)) and derives any client's shard on
-/// demand.
-pub fn iid_deal_order(data: &Dataset, seed: u64) -> Vec<usize> {
-    assert!(!data.is_empty(), "cannot partition empty dataset");
+/// demand. Like every index-level partitioner here it reads labels
+/// only ([`Labelled`]), so `data` need not hold features.
+pub fn iid_deal_order<L: Labelled + ?Sized>(data: &L, seed: u64) -> Vec<usize> {
+    assert!(!data.labels().is_empty(), "cannot partition empty dataset");
     let mut rng = StdRng::seed_from_u64(derive_seed(seed, 0x11D));
-    let mut order = Vec::with_capacity(data.len());
+    let mut order = Vec::with_capacity(data.labels().len());
     for mut group in data.indices_by_label() {
         group.shuffle(&mut rng);
         order.extend(group);
@@ -81,8 +82,8 @@ pub fn noniid_partition(
 /// in materialization order (anchor shards first, then leftover pops).
 /// `noniid_partition` is exactly `subset` over these lists; the lazy
 /// population stores them in CSR form and derives shards on demand.
-pub fn noniid_assignments(
-    data: &Dataset,
+pub fn noniid_assignments<L: Labelled + ?Sized>(
+    data: &L,
     n_clients: usize,
     labels_per_client: usize,
     malicious: &[bool],
@@ -210,8 +211,8 @@ pub fn dirichlet_partition(
 /// indices in deal order. The usability check (all clients non-empty,
 /// honest label coverage) runs on the index lists, so the function is
 /// draw-for-draw identical to materializing and checking datasets.
-pub fn dirichlet_assignments(
-    data: &Dataset,
+pub fn dirichlet_assignments<L: Labelled + ?Sized>(
+    data: &L,
     n_clients: usize,
     alpha: f64,
     malicious: &[bool],
@@ -220,11 +221,12 @@ pub fn dirichlet_assignments(
     assert!(n_clients > 0, "need at least one client");
     assert!(alpha.is_finite() && alpha > 0.0, "alpha must be positive");
     assert_eq!(malicious.len(), n_clients, "malicious mask length mismatch");
-    assert!(!data.is_empty(), "cannot partition empty dataset");
+    let labels = data.labels();
+    assert!(!labels.is_empty(), "cannot partition empty dataset");
     assert!(
-        data.len() >= n_clients,
+        labels.len() >= n_clients,
         "fewer samples than clients ({} < {n_clients})",
-        data.len()
+        labels.len()
     );
     let k = data.num_classes();
     let honest: Vec<usize> = (0..n_clients).filter(|c| !malicious[*c]).collect();
@@ -248,7 +250,7 @@ pub fn dirichlet_assignments(
             let mut seen = vec![false; k];
             for &c in &honest {
                 for &i in &assignments[c] {
-                    seen[data.y(i) as usize] = true;
+                    seen[labels[i] as usize] = true;
                 }
             }
             seen.iter().all(|s| *s)
@@ -260,7 +262,7 @@ pub fn dirichlet_assignments(
     panic!(
         "no usable Dirichlet(α = {alpha}) draw in {DIRICHLET_MAX_ATTEMPTS} attempts \
          (n_clients = {n_clients}, samples = {})",
-        data.len()
+        labels.len()
     );
 }
 

@@ -25,8 +25,14 @@
 //! bytes the eager partitioner would have produced for client `c` — the
 //! unit tests below pin that equivalence for every distribution at
 //! n ≤ 64.
+//!
+//! A plan is built from labels alone ([`Labelled`]) and hands out
+//! indices ([`ClientPopulation::shard_indices`]), so the training set
+//! under it may itself be a function of the sample index
+//! ([`crate::synth::SynthPlan`]) with no feature in memory until a
+//! sampled client trains.
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, Labelled};
 use crate::partition::{dirichlet_assignments, iid_deal_order, noniid_assignments};
 
 /// The index-level description of a partition: how to find client `c`'s
@@ -72,7 +78,7 @@ fn csr_from_assignments(assignments: Vec<Vec<usize>>) -> ShardPlan {
 impl ClientPopulation {
     /// IID plan over `n_clients`, seeded identically to
     /// [`crate::partition::iid_partition`].
-    pub fn iid(data: &Dataset, n_clients: usize, seed: u64) -> Self {
+    pub fn iid<L: Labelled + ?Sized>(data: &L, n_clients: usize, seed: u64) -> Self {
         assert!(n_clients > 0, "need at least one client");
         let order = iid_deal_order(data, seed)
             .into_iter()
@@ -86,8 +92,8 @@ impl ClientPopulation {
 
     /// Extreme non-IID plan, seeded identically to
     /// [`crate::partition::noniid_partition`].
-    pub fn noniid(
-        data: &Dataset,
+    pub fn noniid<L: Labelled + ?Sized>(
+        data: &L,
         n_clients: usize,
         labels_per_client: usize,
         malicious: &[bool],
@@ -102,8 +108,8 @@ impl ClientPopulation {
 
     /// Dirichlet-α plan, seeded identically to
     /// [`crate::partition::dirichlet_partition`].
-    pub fn dirichlet(
-        data: &Dataset,
+    pub fn dirichlet<L: Labelled + ?Sized>(
+        data: &L,
         n_clients: usize,
         alpha: f64,
         malicious: &[bool],
@@ -127,22 +133,18 @@ impl ClientPopulation {
     }
 
     /// Client `client`'s sample indices, in the eager partitioner's
-    /// materialization order.
-    pub fn shard_indices(&self, client: usize) -> Vec<usize> {
+    /// materialization order, read off the plan without allocating.
+    pub fn shard_indices(&self, client: usize) -> impl Iterator<Item = usize> + '_ {
         assert!(client < self.n_clients, "client out of range");
-        match &self.plan {
-            ShardPlan::Iid { order } => order
-                .iter()
-                .skip(client)
-                .step_by(self.n_clients)
-                .map(|&i| i as usize)
-                .collect(),
-            ShardPlan::Csr { offsets, indices } => indices
-                [offsets[client] as usize..offsets[client + 1] as usize]
-                .iter()
-                .map(|&i| i as usize)
-                .collect(),
-        }
+        let (owned, stride) = match &self.plan {
+            // Clients past the end of the deal order hold nothing.
+            ShardPlan::Iid { order } => (order.get(client..).unwrap_or(&[]), self.n_clients),
+            ShardPlan::Csr { offsets, indices } => (
+                &indices[offsets[client] as usize..offsets[client + 1] as usize],
+                1,
+            ),
+        };
+        owned.iter().step_by(stride).map(|&i| i as usize)
     }
 
     /// Number of samples client `client` holds, without gathering them.
@@ -160,7 +162,7 @@ impl ClientPopulation {
     /// Derives client `client`'s shard: a pure ordered gather from
     /// `data`, byte-identical to the eager partitioner's output.
     pub fn shard(&self, data: &Dataset, client: usize) -> Dataset {
-        data.subset(&self.shard_indices(client))
+        data.subset(&self.shard_indices(client).collect::<Vec<_>>())
     }
 }
 
@@ -223,6 +225,47 @@ mod tests {
         for (c, e) in eager.iter().enumerate() {
             assert_same_dataset(e, &pop.shard(&t.train, c), c);
             assert_eq!(pop.shard_len(c), e.len());
+        }
+    }
+
+    /// A plan partitions as its dense form does (the partitioners read
+    /// labels only), and gathering by generating writes the rows a
+    /// gather from the dense set copies.
+    #[test]
+    fn planned_training_set_derives_the_dense_shards() {
+        use crate::synth::SynthTask;
+        let cfg = SynthConfig {
+            train_samples: 6_400,
+            test_samples: 100,
+            ..SynthConfig::tiny()
+        };
+        let plan = SynthTask::plan(&cfg).train;
+        let dense = plan.materialise();
+        let malicious = vec![false; 32];
+        for (on_plan, on_dense) in [
+            (
+                ClientPopulation::iid(&plan, 7, 42),
+                ClientPopulation::iid(&dense, 7, 42),
+            ),
+            (
+                ClientPopulation::noniid(&plan, 32, 2, &malicious, 7),
+                ClientPopulation::noniid(&dense, 32, 2, &malicious, 7),
+            ),
+            (
+                ClientPopulation::dirichlet(&plan, 32, 0.3, &malicious, 11),
+                ClientPopulation::dirichlet(&dense, 32, 0.3, &malicious, 11),
+            ),
+        ] {
+            let mut drawn = Dataset::empty(plan.dim(), plan.num_classes());
+            for c in 0..on_plan.num_clients() {
+                assert!(on_plan.shard_indices(c).eq(on_dense.shard_indices(c)));
+                // Refilled, not rebuilt: the buffer carries over.
+                drawn.clear();
+                for i in on_plan.shard_indices(c) {
+                    plan.push_sample(i, &mut drawn);
+                }
+                assert_same_dataset(&on_dense.shard(&dense, c), &drawn, c);
+            }
         }
     }
 

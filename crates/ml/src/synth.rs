@@ -7,15 +7,24 @@
 //! regression trained by SGD plateaus near the paper's ~90 % MNIST
 //! accuracy, and a fully poisoned model collapses to ~10 % — the two
 //! anchors the evaluation's shape depends on.
+//!
+//! A split is a **plan** ([`SynthPlan`]): the class means, the shuffled
+//! labels and a seekable noise stream parked behind the label shuffle.
+//! Every coordinate costs exactly two stream words (one Box–Muller
+//! draw, sine discarded, no rejection), so sample `i` starts at word
+//! `base + 2·dim·i` and [`SynthPlan::sample_into`] is a pure function
+//! of `i` — any order, any thread, the bytes a sequential pass over the
+//! stream would write (DESIGN.md §14). A dense [`Dataset`] is that
+//! function evaluated at every index ([`SynthPlan::materialise`]);
+//! nothing else in the module draws a sample.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use hfl_tensor::init;
 
-use crate::dataset::Dataset;
-use crate::rng::derive_seed;
+use crate::dataset::{Dataset, Labelled};
+use crate::rng::{derive_seed, ChaCha12};
 
 /// Configuration for the synthetic digits generator.
 #[derive(Clone, Debug)]
@@ -67,23 +76,128 @@ impl SynthConfig {
     }
 }
 
-/// The generated task: train set, test set, and the true class means
-/// (kept for diagnostics; the learners never see them).
+/// One split of the task as a function of the sample index.
 #[derive(Clone, Debug)]
-pub struct SyntheticDigits {
-    /// Training split.
-    pub train: Dataset,
-    /// Test split.
-    pub test: Dataset,
-    /// Ground-truth class means, row `c` = mean of class `c`.
-    pub class_means: Vec<Vec<f32>>,
+pub struct SynthPlan {
+    dim: usize,
+    noise_std: f32,
+    class_means: Vec<Vec<f32>>,
+    /// Balanced, then shuffled (the paper shuffles before distributing
+    /// to clients).
+    labels: Vec<u8>,
+    /// The split's stream where the label shuffle left it: its word
+    /// position is sample 0's first noise word.
+    noise: ChaCha12,
 }
 
-impl SyntheticDigits {
-    /// Generates the task from a configuration. Deterministic in
+/// Rows one worker claims at a time in [`SynthPlan::materialise`].
+const ROWS_PER_CLAIM: usize = 64;
+
+impl SynthPlan {
+    /// Plans `n` points with a balanced label distribution in shuffled
+    /// order. O(n) bytes: one label per sample.
+    fn new(cfg: &SynthConfig, class_means: Vec<Vec<f32>>, n: usize, seed: u64) -> Self {
+        let mut noise = ChaCha12::seed_from_u64(seed);
+        let k = cfg.num_classes;
+        // Balanced labels: n/k each, remainder spread over the first n%k.
+        let mut labels: Vec<u8> = (0..n).map(|i| (i % k) as u8).collect();
+        noise.shuffle(&mut labels);
+        Self {
+            dim: cfg.dim,
+            noise_std: cfg.noise_std,
+            class_means,
+            labels,
+            noise,
+        }
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// True when the split holds no samples.
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+
+    /// Feature dimension.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Ground-truth class means, row `c` = mean of class `c`.
+    pub fn class_means(&self) -> &[Vec<f32>] {
+        &self.class_means
+    }
+
+    /// Writes sample `i`'s features: its class mean plus noise read from
+    /// the stream at word `base + 2·dim·i`, two words per coordinate.
+    pub fn sample_into(&self, i: usize, out: &mut [f32]) {
+        assert_eq!(out.len(), self.dim, "sample buffer has wrong dimension");
+        let mean = &self.class_means[self.labels[i] as usize];
+        let mut noise = self.noise.clone();
+        noise.set_word_pos(self.noise.word_pos() + 2 * (self.dim * i) as u64);
+        for (x, m) in out.iter_mut().zip(mean) {
+            let w1 = noise.next_u32();
+            let w2 = noise.next_u32();
+            *x = *m + self.noise_std * init::standard_normal_from_words(w1, w2);
+        }
+    }
+
+    /// Appends sample `i`, drawn in place, to `out`.
+    pub fn push_sample(&self, i: usize, out: &mut Dataset) {
+        self.sample_into(i, out.push_row(self.labels[i]));
+    }
+
+    /// The split as a dense dataset: every sample drawn once, in
+    /// parallel, straight into its row.
+    pub fn materialise(&self) -> Dataset {
+        let mut xs = vec![0.0f32; self.len() * self.dim];
+        hfl_parallel::par_chunks_mut(
+            &mut xs,
+            ROWS_PER_CLAIM * self.dim,
+            hfl_parallel::default_threads(),
+            |base, rows| {
+                for (r, row) in rows.chunks_exact_mut(self.dim).enumerate() {
+                    self.sample_into(base / self.dim + r, row);
+                }
+            },
+        );
+        Dataset::from_parts(self.dim, self.num_classes(), xs, self.labels.clone())
+    }
+}
+
+impl Labelled for SynthPlan {
+    fn labels(&self) -> &[u8] {
+        &self.labels
+    }
+
+    fn num_classes(&self) -> usize {
+        self.class_means.len()
+    }
+}
+
+/// The task with its training split left as a plan — what a run holds,
+/// so memory and set-up time follow the samples it trains on, not the
+/// samples that exist. The test split is dense: every evaluation reads
+/// all of it.
+#[derive(Clone, Debug)]
+pub struct SynthTask {
+    /// Training split, drawn on demand.
+    pub train: SynthPlan,
+    /// Test split.
+    pub test: Dataset,
+}
+
+impl SynthTask {
+    /// Plans the task from a configuration. Deterministic in
     /// `cfg.seed`; train and test use independent derived streams.
-    pub fn generate(cfg: &SynthConfig) -> Self {
-        assert!(cfg.num_classes >= 2, "need at least two classes");
+    pub fn plan(cfg: &SynthConfig) -> Self {
+        assert!(
+            (2..=256).contains(&cfg.num_classes),
+            "need 2..=256 classes (labels are u8)"
+        );
         assert!(cfg.dim > 0 && cfg.train_samples > 0 && cfg.test_samples > 0);
 
         let mut mean_rng = StdRng::seed_from_u64(derive_seed(cfg.seed, 0xA11C));
@@ -99,54 +213,45 @@ impl SyntheticDigits {
             })
             .collect();
 
-        let train = Self::sample_split(
+        let test = SynthPlan::new(
             cfg,
-            &class_means,
+            class_means.clone(),
+            cfg.test_samples,
+            derive_seed(cfg.seed, 0x7E57),
+        )
+        .materialise();
+        let train = SynthPlan::new(
+            cfg,
+            class_means,
             cfg.train_samples,
             derive_seed(cfg.seed, 0x7124),
         );
-        let test = Self::sample_split(
-            cfg,
-            &class_means,
-            cfg.test_samples,
-            derive_seed(cfg.seed, 0x7E57),
-        );
-        Self {
-            train,
-            test,
-            class_means,
-        }
+        Self { train, test }
     }
+}
 
-    /// Samples `n` points with a balanced label distribution, then
-    /// shuffles sample order (the paper shuffles before distributing to
-    /// clients).
-    fn sample_split(
-        cfg: &SynthConfig,
-        means: &[Vec<f32>],
-        n: usize,
-        seed: u64,
-    ) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let k = cfg.num_classes;
-        // Balanced labels: n/k each, remainder spread over the first n%k.
-        let mut labels: Vec<u8> = (0..n).map(|i| (i % k) as u8).collect();
-        labels.shuffle(&mut rng);
+/// The generated task, dense: train set, test set, and the true class
+/// means (kept for diagnostics; the learners never see them).
+#[derive(Clone, Debug)]
+pub struct SyntheticDigits {
+    /// Training split.
+    pub train: Dataset,
+    /// Test split.
+    pub test: Dataset,
+    /// Ground-truth class means, row `c` = mean of class `c`.
+    pub class_means: Vec<Vec<f32>>,
+}
 
-        let mut ds = Dataset::empty(cfg.dim, k);
-        let mut x = vec![0.0f32; cfg.dim];
-        for y in labels {
-            let m = &means[y as usize];
-            for (xi, mi) in x.iter_mut().zip(m) {
-                xi.clone_from(mi);
-            }
-            // add noise
-            for xi in x.iter_mut() {
-                *xi += cfg.noise_std * init::standard_normal(&mut rng);
-            }
-            ds.push(&x, y);
+impl SyntheticDigits {
+    /// Generates the task from a configuration: [`SynthTask::plan`],
+    /// then the training split materialised too.
+    pub fn generate(cfg: &SynthConfig) -> Self {
+        let SynthTask { train, test } = SynthTask::plan(cfg);
+        Self {
+            train: train.materialise(),
+            test,
+            class_means: train.class_means,
         }
-        ds
     }
 
     /// Bayes-optimal prediction (nearest class mean) — an upper bound on
@@ -176,7 +281,7 @@ impl SyntheticDigits {
     }
 }
 
-/// Non-deterministic convenience: generate the default paper-scale task.
+/// The default paper-scale task, dense; deterministic in `seed`.
 pub fn paper_task(seed: u64) -> SyntheticDigits {
     SyntheticDigits::generate(&SynthConfig {
         seed,

@@ -37,18 +37,43 @@ pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, mean: f32, std: f32, buf: &mut [f3
     }
 }
 
-/// One Box–Muller draw: two independent standard normal samples.
+/// `Standard`'s `f32` of both `rand` resolutions: the top 24 bits of a
+/// raw word, in `[0, 1)`.
 #[inline]
-pub fn box_muller<R: Rng + ?Sized>(rng: &mut R) -> (f32, f32) {
-    // Avoid log(0) by sampling u1 from (0, 1].
-    let u1: f32 = 1.0 - rng.gen::<f32>();
-    let u2: f32 = rng.gen();
+pub fn unit_f32(word: u32) -> f32 {
+    (word >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
+}
+
+/// Box–Muller over two raw generator words — the one place its
+/// arithmetic is written, so a caller that seeks its own stream
+/// (`hfl_ml::synth`) gets the bits a caller handing in an `Rng` gets.
+#[inline]
+pub fn box_muller_from_words(w1: u32, w2: u32) -> (f32, f32) {
+    // Avoid log(0) by mapping u1 into (0, 1].
+    let u1 = 1.0 - unit_f32(w1);
+    let u2 = unit_f32(w2);
     let r = (-2.0 * u1.ln()).sqrt();
     let theta = 2.0 * std::f32::consts::PI * u2;
     (r * theta.cos(), r * theta.sin())
 }
 
-/// A single standard normal sample.
+/// The cosine branch of [`box_muller_from_words`]: one standard normal
+/// sample per two words, the sine discarded.
+#[inline]
+pub fn standard_normal_from_words(w1: u32, w2: u32) -> f32 {
+    box_muller_from_words(w1, w2).0
+}
+
+/// One Box–Muller draw: two independent standard normal samples from
+/// the generator's next two words.
+#[inline]
+pub fn box_muller<R: Rng + ?Sized>(rng: &mut R) -> (f32, f32) {
+    let w1 = rng.next_u32();
+    let w2 = rng.next_u32();
+    box_muller_from_words(w1, w2)
+}
+
+/// A single standard normal sample (two words, always).
 #[inline]
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
     box_muller(rng).0
@@ -89,6 +114,23 @@ mod tests {
             buf.iter().map(|x| (*x as f64 - mean).powi(2)).sum::<f64>() / buf.len() as f64;
         assert!((mean - 2.0).abs() < 0.1, "mean was {mean}");
         assert!((var.sqrt() - 3.0).abs() < 0.1, "std was {}", var.sqrt());
+    }
+
+    /// The word form is the `gen::<f32>()` form it replaced, bit for
+    /// bit, under whichever `rand` is linked.
+    #[test]
+    fn box_muller_words_are_two_f32_draws() {
+        let mut words = StdRng::seed_from_u64(5);
+        let mut draws = StdRng::seed_from_u64(5);
+        for _ in 0..1_000 {
+            let u1: f32 = 1.0 - draws.gen::<f32>();
+            let u2: f32 = draws.gen();
+            let r = (-2.0 * u1.ln()).sqrt();
+            let theta = 2.0 * std::f32::consts::PI * u2;
+            let (z0, z1) = box_muller(&mut words);
+            assert_eq!(z0.to_bits(), (r * theta.cos()).to_bits());
+            assert_eq!(z1.to_bits(), (r * theta.sin()).to_bits());
+        }
     }
 
     #[test]

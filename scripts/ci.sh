@@ -23,7 +23,12 @@ timeout 300 cargo test -p hfl-parallel --release -q
 #   width the host has — fused reductions, the feature-major
 #   panel kernel under the dense layer and the training and scoring
 #   paths over it, work-stealing parallel paths, the voter-parallel
-#   vote) must be byte-identical to its naive
+#   vote; the training set as a function of the sample index —
+#   synth_plan_matches_the_sequential_generator_it_replaced, every
+#   sample in descending and strided order and filled from 1/2/3/8
+#   threads, over hfl-ml's own rng::tests, which pin the seekable
+#   ChaCha12 stream to StdRng word for word, shuffle swap for swap, and
+#   to the published zero-key vector) must be byte-identical to its naive
 #   reference across thread counts 1/2/4/8 and adversarial values;
 #   evidence read from the aggregation must equal the stand-alone
 #   recompute; whole runs must be identical at 1/2/4/8 threads.
@@ -35,6 +40,10 @@ timeout 300 cargo test -p hfl-parallel --release -q
 #   and at 2. A single new Vec on the round path
 #   — or per buffer, or per fork-join — fails this. So does one in a
 #   warm 128 × 4,810 Multi-Krum (wide_multikrum_allocates_nothing_once_warm).
+#   Set-up memory rides on the same counters
+#   (prepare_holds_the_plan_not_the_training_set): a sampled population
+#   prepares in at most 32 B per training sample, the identity cohort
+#   holds its training rows once.
 # - Vote allocation ceiling (same file,
 #   vote_rounds_stay_under_the_allocation_ceiling): a paper_iid round,
 #   validation vote on top, performs at most 80 allocations, at 1
@@ -101,6 +110,15 @@ test "$(wc -l < crates/core/src/pipeline.rs)" -lt 300 \
 test "$(cat crates/tensor/src/*.rs | grep -c 'unsafe')" -eq 2 \
     && test "$(grep -h -B1 'unsafe' crates/tensor/src/*.rs | grep -c '// SAFETY:')" -eq 2 \
     || { echo "crates/tensor/src must hold exactly two unsafe tokens, each under a // SAFETY: line"; exit 1; }
+
+# One generator: a sample is a function of its index
+# (SynthPlan::sample_into over the seekable stream in hfl_ml::rng); the
+# sequential per-split loop lives on only as kernel_equivalence.rs's
+# reference. The stream is plain integer code: hfl-ml has no `unsafe`.
+! sed '/#\[cfg(test)\]/,$d' crates/ml/src/synth.rs | grep -n 'standard_normal(&mut rng)' \
+    || { echo "crates/ml/src/synth.rs draws samples off a sequential rng again"; exit 1; }
+! grep -rn 'unsafe' crates/ml/src \
+    || { echo "crates/ml/src must hold no unsafe"; exit 1; }
 
 # Snapshot-resume determinism gate: for every fixture class, 20 rounds
 # straight through must equal 10 rounds + resume(10 more) from the

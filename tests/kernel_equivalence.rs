@@ -926,6 +926,106 @@ proptest! {
     }
 }
 
+/// `hfl_ml::synth`'s retired sequential generator: one `StdRng` per
+/// split, the label shuffle and then every coordinate of every sample
+/// pulled off it in order.
+fn sample_split_sequential(cfg: &SynthConfig, means: &[Vec<f32>], n: usize, seed: u64) -> Dataset {
+    use rand::seq::SliceRandom;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let k = cfg.num_classes;
+    let mut labels: Vec<u8> = (0..n).map(|i| (i % k) as u8).collect();
+    labels.shuffle(&mut rng);
+    let mut ds = Dataset::empty(cfg.dim, k);
+    let mut x = vec![0.0f32; cfg.dim];
+    for y in labels {
+        x.copy_from_slice(&means[y as usize]);
+        for xi in x.iter_mut() {
+            *xi += cfg.noise_std * abd_hfl::tensor::init::standard_normal(&mut rng);
+        }
+        ds.push(&x, y);
+    }
+    ds
+}
+
+fn assert_rows_bitwise(got: &[f32], want: &[f32], what: &str) {
+    assert!(
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "{what}"
+    );
+}
+
+/// The training set as a function of the sample index == the sequential
+/// pass it replaced, bit for bit: `sample_into(i)` in descending and in
+/// strided order, and the parallel fill from 1 / 2 / 3 / 8 threads.
+/// Dimensions put a sample's first word on and off a ChaCha block
+/// boundary (two words per coordinate, sixteen per block) behind a
+/// label shuffle whose own word count varies with `n` and the seed.
+#[test]
+fn synth_plan_matches_the_sequential_generator_it_replaced() {
+    use abd_hfl::ml::rng::derive_seed;
+    use abd_hfl::ml::synth::{SynthTask, SyntheticDigits};
+    use abd_hfl::ml::Labelled;
+
+    for (d, dim) in [1usize, 7, 8, 63, 64, 65].into_iter().enumerate() {
+        for n in [1usize, 2, 257, 5_003] {
+            let cfg = SynthConfig {
+                dim,
+                train_samples: n,
+                test_samples: 3 + d,
+                seed: 0x5EED ^ ((n as u64) << 8) ^ dim as u64,
+                ..SynthConfig::default()
+            };
+            let plan = SynthTask::plan(&cfg).train;
+            let want =
+                sample_split_sequential(&cfg, plan.class_means(), n, derive_seed(cfg.seed, 0x7124));
+            assert_eq!(plan.labels(), want.labels(), "dim {dim} n {n} labels");
+
+            let mut row = vec![0.0f32; dim];
+            let descending = (0..n).rev();
+            let strided = (0..7).flat_map(|r| (r..n).step_by(7));
+            for i in descending.chain(strided) {
+                plan.sample_into(i, &mut row);
+                assert_rows_bitwise(&row, want.x(i), &format!("dim {dim} n {n} sample {i}"));
+            }
+
+            for threads in [1, 2, 3, 8] {
+                let dense = abd_hfl::parallel::with_threads(threads, || plan.materialise());
+                assert_eq!(dense.labels(), want.labels());
+                for i in 0..n {
+                    let what = format!("dim {dim} n {n} row {i} at {threads} threads");
+                    assert_rows_bitwise(dense.x(i), want.x(i), &what);
+                }
+            }
+
+            // `generate` is the same plan materialised, test split too.
+            let task = SyntheticDigits::generate(&cfg);
+            let test = sample_split_sequential(
+                &cfg,
+                &task.class_means,
+                cfg.test_samples,
+                derive_seed(cfg.seed, 0x7E57),
+            );
+            assert_eq!(task.test.labels(), test.labels());
+            for i in 0..test.len() {
+                assert_rows_bitwise(
+                    task.test.x(i),
+                    test.x(i),
+                    &format!("dim {dim} test row {i}"),
+                );
+            }
+            assert_rows_bitwise(
+                task.train.x(n - 1),
+                want.x(n - 1),
+                "generate's last train row",
+            );
+        }
+    }
+}
+
 /// Whole runs — clean, armed under deadline buffers, sampled, and the
 /// armed one again with a fault plan on the pipelined schedule — produce
 /// the identical manifest JSON and event log at 1/2/4/8 threads: the
