@@ -7,7 +7,7 @@
 //!
 //! The gate drives [`RoundEngine::run_round_into`] directly (the
 //! harness loop in `run_prepared` allocates for manifests and metrics
-//! by design) under the counting allocator, on five fixtures:
+//! by design) under the counting allocator, on six fixtures:
 //!
 //! * **clean** — the fault-free synchronous path;
 //! * **deadline** — the clean fixture under `AsyncRoundCfg::lan()`:
@@ -23,6 +23,13 @@
 //!   warmup rounds. Steady-state rounds then run the fault layer's
 //!   queries (crash masks, partition checks, straggle factors) without
 //!   any fault *activity*, which must stay allocation-free too.
+//! * **sampled** — `sampled_1m`'s shape at a population of 20,000: a
+//!   64-slot cohort drawn per round, `StreamingMedian` (P²) at the
+//!   bottom and `StreamingTrimmedMean` (reservoir) on top, both past
+//!   their exact threshold. The cohort draw makes a few small vectors a
+//!   round by design; what the ceiling keeps out is anything per
+//!   coordinate — P²'s markers and the reservoir live on the stack and
+//!   in the aggregator scratch ([`SAMPLED_CEILING`]).
 //! * **cba** — the paper's shape (`paper_iid`: validation vote on top
 //!   of two Multi-Krum levels). The vote builds its mechanism, its
 //!   evaluator and the `ConsensusOutcome` per decision by design, a
@@ -53,7 +60,9 @@
 //! test would bleed its allocations into the steady-state window: the
 //! `#[test]`s serialize on [`COUNTER`].
 
-use abd_hfl_core::config::{AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg, SamplingCfg};
+use abd_hfl_core::config::{
+    AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg, SamplingCfg, TopologyCfg,
+};
 use abd_hfl_core::engine::cost::CostCounters;
 use abd_hfl_core::engine::RoundEngine;
 use abd_hfl_core::pipeline::PipelineConfig;
@@ -109,6 +118,41 @@ fn cba_fixture(seed: u64) -> HflConfig {
     cfg
 }
 
+/// Most allocations, and most heap bytes above the round's start, a
+/// steady-state round of [`sampled_fixture`] may make. Measured: 2 and
+/// 1,168 B (the cohort draw). With P²'s d-long marker array and the
+/// reservoir's row vector on the heap it was 21 and 85,800 B (691,416 B
+/// allocated over the round).
+const SAMPLED_CEILING: (u64, u64) = (4, 8 << 10);
+
+/// The benchmark's `sampled_1m` at a population of 20,000: 8 clusters of
+/// 8 slots, both streaming rules past `exact_threshold: 4`.
+fn sampled_fixture(seed: u64) -> HflConfig {
+    let population = 20_000;
+    let mut cfg = HflConfig::quick(AttackCfg::None, seed);
+    cfg.topology = TopologyCfg::Ecsm {
+        total_levels: 2,
+        m: 8,
+        n_top: 8,
+    };
+    cfg.levels = vec![
+        LevelAgg::Bra(AggregatorKind::StreamingTrimmedMean {
+            ratio: 0.2,
+            exact_threshold: 4,
+        }),
+        LevelAgg::Bra(AggregatorKind::StreamingMedian { exact_threshold: 4 }),
+    ];
+    cfg.flag_level = 1;
+    cfg.rounds = WARMUP + STEADY;
+    cfg.data = SynthConfig {
+        train_samples: population,
+        test_samples: 500,
+        ..SynthConfig::default()
+    };
+    cfg.sampling = Some(SamplingCfg::uniform(population, 64));
+    cfg
+}
+
 /// The clean fixture with every barrier replaced by a deadline buffer.
 fn deadline_fixture(seed: u64) -> HflConfig {
     let mut cfg = bra_fixture(seed);
@@ -143,12 +187,17 @@ fn pipelined() -> Option<PipelineConfig> {
 }
 
 /// One fixture: its name, config, schedule (`None` is lockstep) and
-/// per-round allocation ceiling.
-type Fixture = (&'static str, HflConfig, Option<PipelineConfig>, u64);
+/// per-round ceilings — allocations, and heap bytes above the round's
+/// start.
+type Fixture = (&'static str, HflConfig, Option<PipelineConfig>, (u64, u64));
+
+/// Ceilings of a fixture whose steady rounds must not allocate.
+const NOTHING: (u64, u64) = (0, 0);
 
 /// Runs the fixture round by round and asserts every post-warmup round
-/// allocates at most `ceiling` times.
-fn assert_steady_rounds_alloc_at_most(name: &str, (_, cfg, timing, ceiling): &Fixture) {
+/// allocates at most `ceiling` times and peaks at most `bytes` above
+/// where it started.
+fn assert_steady_rounds_alloc_at_most(name: &str, (_, cfg, timing, (ceiling, bytes)): &Fixture) {
     let exp = Experiment::prepare(cfg);
     let telem = Telemetry::disabled();
     let mut engine = match timing {
@@ -163,6 +212,7 @@ fn assert_steady_rounds_alloc_at_most(name: &str, (_, cfg, timing, ceiling): &Fi
     for round in 0..cfg.rounds {
         fault_log.clear();
         let before = alloc_count();
+        let live = reset_peak();
         engine.run_round_into(
             &global,
             round,
@@ -173,12 +223,13 @@ fn assert_steady_rounds_alloc_at_most(name: &str, (_, cfg, timing, ceiling): &Fi
             &mut next_global,
         );
         std::mem::swap(&mut global, &mut next_global);
-        let allocs = alloc_count() - before;
+        let (allocs, peak) = (alloc_count() - before, peak_since(live));
         if round >= WARMUP {
             assert!(
-                allocs <= *ceiling,
+                allocs <= *ceiling && peak <= *bytes,
                 "{name}: steady-state round {round} performed {allocs} heap \
-                 allocations, ceiling {ceiling} (warmup = {WARMUP} rounds)"
+                 allocations peaking at {peak} B, ceilings {ceiling} and {bytes} B \
+                 (warmup = {WARMUP} rounds)"
             );
         }
     }
@@ -205,16 +256,21 @@ fn gate(fixtures: &[Fixture]) {
 #[test]
 fn steady_state_rounds_allocate_nothing() {
     gate(&[
-        ("clean", bra_fixture(11), None, 0),
-        ("faulted", faulted_fixture(12), None, 0),
-        ("deadline", deadline_fixture(14), None, 0),
-        ("pipelined", deadline_fixture(15), pipelined(), 0),
+        ("clean", bra_fixture(11), None, NOTHING),
+        ("faulted", faulted_fixture(12), None, NOTHING),
+        ("deadline", deadline_fixture(14), None, NOTHING),
+        ("pipelined", deadline_fixture(15), pipelined(), NOTHING),
     ]);
 }
 
 #[test]
 fn vote_rounds_stay_under_the_allocation_ceiling() {
-    gate(&[("cba", cba_fixture(13), None, CBA_CEILING)]);
+    gate(&[("cba", cba_fixture(13), None, (CBA_CEILING, u64::MAX))]);
+}
+
+#[test]
+fn sampled_streaming_rounds_keep_their_state_off_the_heap() {
+    gate(&[("sampled", sampled_fixture(18), None, SAMPLED_CEILING)]);
 }
 
 #[test]

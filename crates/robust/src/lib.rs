@@ -80,9 +80,11 @@ pub struct AggScratch {
     pub row: Vec<f64>,
     /// Per-update scores.
     pub scores: Vec<f64>,
-    /// Selection index buffer (Multi-Krum).
+    /// Index buffer (Multi-Krum's selection, the streaming trimmed
+    /// mean's row reservoir).
     pub idx: Vec<usize>,
-    /// Per-update `f32` buffer (Weiszfeld weights, coordinate columns).
+    /// Per-update `f32` buffer (Weiszfeld weights, coordinate columns
+    /// past the sorting network's row limit).
     pub col: Vec<f32>,
     /// Dimension-sized `f32` temporary (Weiszfeld next estimate).
     pub tmp: Vec<f32>,
@@ -191,7 +193,7 @@ pub enum AggregatorKind {
         inner: Box<AggregatorKind>,
     },
     /// One-pass coordinate-wise median: exact below `exact_threshold`
-    /// inputs, P² quantile markers (O(d) state) above. See
+    /// inputs, P² quantile markers (one tile's on the stack) above. See
     /// [`streaming::StreamingMedian`].
     StreamingMedian {
         /// Input count below which the exact batch kernel runs.

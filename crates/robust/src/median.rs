@@ -2,42 +2,87 @@
 //! partial-aggregation rule.
 
 use crate::{validate_updates, AggScratch, Aggregator};
+use hfl_tensor::stats::{column_stat_into, ColumnStat, NETWORK_MAX_ROWS, TILE_LANES};
 
 /// Input size, `n · d` elements, from which the coordinate loops of the
-/// median and the trimmed mean are split across threads. Measured on
-/// the parked worker set (2 cores, 2 threads, sequential ÷ parallel
-/// time): n × d = 4 × 650 → 0.3, 8 × 650 → 0.6–0.8 (25 µs of selection
-/// against one helper wake), 16 × 650 → 1.4, 8 × 1 300 → 1.6; 4 × 4 810
-/// read 0.8 and 2.2 in two sweeps (a wake takes 10 µs or 60 µs
-/// depending on how deeply the other core sleeps); from 32 × 1 024 up
-/// — 8 × 4 810, 128 × 650, 4 × 16 384, 128 × 16 384 — every cell read
-/// 1.5–2.0. The cut-off is the smallest size that won every time. `d`
-/// alone, the old criterion, is the wrong variable: 128 × 4 810 halves
-/// (7.9 → 4.2 ms). Results are identical on both sides of it.
-pub(crate) const PARALLEL_MIN_ELEMENTS: usize = 32_768;
+/// median and the trimmed mean are split across threads while the rows
+/// fit the sorting network (`n ≤ NETWORK_MAX_ROWS`). Measured on the
+/// parked worker set (2 cores, 2 threads, sequential ÷ parallel time,
+/// best and median of nine, two sweeps with the second core free): the
+/// network costs 0.55 ns an element at 8 rows and 1.8 ns at 256, so
+/// what decides is the sequential time — below ≈ 100 µs every shape
+/// lost (8 × 650 → 0.3, 16 × 4 810 → 0.65, 8 × 16 384 → 0.94–0.97),
+/// at 130–160 µs it is a toss-up (32 × 4 810 → 1.24 / 1.02 then 1.07 /
+/// 0.92; 4 × 65 536 → 1.46 / 1.03 then 0.85 / 0.76), from ≈ 250 µs up
+/// every shape won both times (256 × 650 → 1.73 / 1.34, 8 × 65 536 →
+/// 1.41 / 1.24, 128 × 4 810 → 1.67 / 1.22). The cut-off is the smallest
+/// `n · d` that won at every row count, i.e. at the cheapest rows; a
+/// 256-row input of a third that size stays sequential at a cost the
+/// network has already paid back. Results are identical on both sides.
+pub(crate) const PARALLEL_MIN_ELEMENTS: usize = 524_288;
 
-/// Coordinate-wise median over `rows`, parallelized over coordinate
-/// chunks: each worker owns a disjoint slice of `out` plus a private
-/// column scratch buffer, so the kernel is data-race-free by construction
-/// and scales linearly in the coordinate count.
-pub fn coordinate_median_parallel(rows: &[&[f32]], out: &mut [f32], threads: usize) {
+/// The same for more rows than the network takes, where each column is
+/// gathered and sorted (≈ 17 ns an element at 300 rows): the size PR 16
+/// fitted to that loop, 300 × 650 → 1.90–1.95.
+pub(crate) const PARALLEL_MIN_SORTED_ELEMENTS: usize = 32_768;
+
+/// `stat` of every coordinate of `rows`, the coordinates split into
+/// tile-aligned chunks claimed off the work-stealing scheduler: each
+/// worker runs [`column_stat_into`] on a disjoint slice of `out`, so
+/// per-coordinate values match the sequential kernel exactly at any
+/// thread count.
+pub(crate) fn column_stat_parallel(
+    stat: ColumnStat,
+    rows: &[&[f32]],
+    out: &mut [f32],
+    threads: usize,
+) {
     let d = out.len();
-    assert!(!rows.is_empty(), "coordinate_median: empty input");
+    assert!(!rows.is_empty(), "column statistic: empty input");
     assert!(
         rows.iter().all(|r| r.len() == d),
-        "coordinate_median: row length mismatch"
+        "column statistic: row length mismatch"
     );
-    let chunk = d.div_ceil(threads.max(1)).max(1);
+    let chunk = d
+        .div_ceil(threads.max(1))
+        .max(1)
+        .next_multiple_of(TILE_LANES);
     hfl_parallel::par_chunks_mut(out, chunk, threads, |base, slice| {
-        let mut col = vec![0.0f32; rows.len()];
-        for (off, o) in slice.iter_mut().enumerate() {
-            let j = base + off;
-            for (c, r) in col.iter_mut().zip(rows) {
-                *c = r[j];
-            }
-            *o = hfl_tensor::stats::median_in_place(&mut col);
-        }
+        // The column buffer is only grown past the network's row limit.
+        column_stat_into(stat, rows.iter().copied(), base, slice, &mut Vec::new());
     });
+}
+
+/// `stat` of every coordinate of `updates` into `out`, in parallel from
+/// [`PARALLEL_MIN_ELEMENTS`] (or [`PARALLEL_MIN_SORTED_ELEMENTS`])
+/// elements up — the body of both coordinate rules.
+pub(crate) fn column_stat(
+    stat: ColumnStat,
+    updates: &[&[f32]],
+    out: &mut Vec<f32>,
+    col: &mut Vec<f32>,
+) {
+    let d = validate_updates(updates);
+    out.clear();
+    out.resize(d, 0.0);
+    let cutoff = if updates.len() <= NETWORK_MAX_ROWS {
+        PARALLEL_MIN_ELEMENTS
+    } else {
+        PARALLEL_MIN_SORTED_ELEMENTS
+    };
+    if updates.len() * d >= cutoff {
+        column_stat_parallel(stat, updates, out, hfl_parallel::default_threads());
+    } else {
+        column_stat_into(stat, updates.iter().copied(), 0, out, col);
+    }
+}
+
+/// Coordinate-wise median over `rows`, parallelized over tile-aligned
+/// coordinate chunks claimed off the work-stealing scheduler: each
+/// worker runs the sequential kernel on a disjoint slice of `out`, so
+/// per-coordinate values match it exactly at any thread count.
+pub fn coordinate_median_parallel(rows: &[&[f32]], out: &mut [f32], threads: usize) {
+    column_stat_parallel(ColumnStat::Median, rows, out, threads);
 }
 
 /// Coordinate-wise median over updates.
@@ -49,14 +94,9 @@ impl Aggregator for CoordMedian {
         "median"
     }
 
-    fn aggregate(&self, updates: &[&[f32]], _weights: Option<&[f32]>) -> Vec<f32> {
-        let d = validate_updates(updates);
-        let mut out = vec![0.0f32; d];
-        if updates.len() * d >= PARALLEL_MIN_ELEMENTS {
-            coordinate_median_parallel(updates, &mut out, hfl_parallel::default_threads());
-        } else {
-            hfl_tensor::stats::coordinate_median(updates, &mut out);
-        }
+    fn aggregate(&self, updates: &[&[f32]], weights: Option<&[f32]>) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.aggregate_into(updates, weights, &mut out, &mut AggScratch::default());
         out
     }
 
@@ -67,14 +107,7 @@ impl Aggregator for CoordMedian {
         out: &mut Vec<f32>,
         scratch: &mut AggScratch,
     ) {
-        let d = validate_updates(updates);
-        out.clear();
-        out.resize(d, 0.0);
-        if updates.len() * d >= PARALLEL_MIN_ELEMENTS {
-            coordinate_median_parallel(updates, out, hfl_parallel::default_threads());
-        } else {
-            hfl_tensor::stats::coordinate_median_into(updates, out, &mut scratch.col);
-        }
+        column_stat(ColumnStat::Median, updates, out, &mut scratch.col);
     }
 
     fn max_byzantine(&self, n: usize) -> usize {
@@ -141,6 +174,25 @@ mod tests {
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
         let out = CoordMedian.aggregate(&refs, None);
         assert!(out.iter().all(|x| *x == 2.0));
+    }
+
+    /// An adversarial NaN update must not panic the aggregator (the
+    /// contract `krum.rs` states for the Krum family): a NaN minority
+    /// sorts to the tails and the median discards it.
+    #[test]
+    fn nan_minority_leaves_the_median_finite() {
+        for n in [3usize, 4, 8, 9] {
+            let mut updates = cluster_with_outliers(&[1.0, 2.0], 0.1, n - (n - 1) / 2, &[], 0);
+            for i in 0..(n - 1) / 2 {
+                updates.insert(i, vec![if i % 2 == 0 { f32::NAN } else { -f32::NAN }; 2]);
+            }
+            let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
+            let out = CoordMedian.aggregate(&refs, None);
+            assert!(
+                hfl_tensor::ops::dist(&out, &[1.0, 2.0]) < 0.5,
+                "n={n}: {out:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! set independently of the input count:
 //!
 //! * [`StreamingMedian`] — P² quantile estimation (Jain & Chlamtac,
-//!   CACM 1985) per coordinate: five markers per coordinate, one pass,
-//!   O(d) state.
+//!   CACM 1985) per coordinate: five markers per coordinate, one pass
+//!   over each cache line of the input, and the markers of one
+//!   sixteen-coordinate tile at a time as the only state — on the
+//!   stack, whatever `d` is.
 //! * [`StreamingTrimmedMean`] — a deterministic reservoir of whole rows
 //!   (Algorithm R with a splitmix64-hashed replacement slot, so the same
 //!   arrival order always yields the same reservoir), then the exact
@@ -25,7 +27,9 @@
 //! would dominate memory. The equivalence proptests in
 //! `crates/robust/tests/proptests.rs` pin the fallback regime.
 
-use crate::{validate_updates, Aggregator, Krum};
+use crate::{validate_updates, AggScratch, Aggregator, CoordMedian, Krum, TrimmedMean};
+use hfl_tensor::ops::at_widest;
+use hfl_tensor::stats::{column_stat_into, tile_lanes, ColumnStat, ColumnTile, TILE_LANES};
 
 /// Default input-count threshold below which the streaming rules run the
 /// exact batch kernel. Chosen well above every cluster size the paper's
@@ -33,115 +37,142 @@ use crate::{validate_updates, Aggregator, Krum};
 /// rule still aggregate exactly.
 pub const DEFAULT_EXACT_THRESHOLD: usize = 256;
 
-/// Single-quantile P² estimator (five markers). State is 15 `f64`s; one
-/// observation is O(1). The estimate is arrival-order dependent (it is
-/// an online approximation), but fully deterministic for a fixed order.
-#[derive(Clone, Debug)]
-struct P2Median {
-    /// Marker heights (estimated quantile values).
-    q: [f64; 5],
-    /// Marker positions (1-based observation ranks).
-    n: [f64; 5],
-    /// Desired marker positions.
-    np: [f64; 5],
-    /// Observations seen so far; the first five are buffered in `q`.
-    count: usize,
-}
-
-impl P2Median {
-    fn new() -> Self {
-        Self {
-            q: [0.0; 5],
-            n: [1.0, 2.0, 3.0, 4.0, 5.0],
-            np: [1.0, 2.0, 3.0, 4.0, 5.0],
-            count: 0,
+/// P² median estimates (Jain & Chlamtac, CACM 1985; five markers, p =
+/// 0.5) of coordinates `at..at + out.len()`, at most [`TILE_LANES`] of
+/// them, over `rows` in arrival order — fewer than five rows give the
+/// exact median of what there is, in `f64` as the markers are.
+///
+/// The estimators of a tile advance together, a row at a time: marker
+/// heights `q` and positions `n` are lane arrays on the stack, the
+/// desired positions `np` are one array for every lane, and both
+/// locating an observation's cell and moving a marker are compares and
+/// selects with no branch on one lane's data (a marker's arithmetic is
+/// skipped when no lane of the tile moves it). Each lane performs the
+/// operations of the textbook scalar estimator in its order, so the
+/// estimate is that estimator's bit for bit, NaN and ±∞ included.
+#[inline(always)]
+fn p2_tile(rows: &[&[f32]], at: usize, out: &mut [f32]) {
+    let lanes = out.len();
+    let (head, tail) = rows.split_at(rows.len().min(5));
+    let mut first = ColumnTile::<5>::new();
+    first.load(head.iter().copied(), at, lanes);
+    first.sort();
+    if let m @ 1..=4 = head.len() {
+        let (a, b) = (first.row((m - 1) / 2), first.row(m / 2));
+        for (w, o) in out.iter_mut().enumerate() {
+            let (a, b) = (a[w] as f64, b[w] as f64);
+            *o = if m % 2 == 1 { a } else { 0.5 * (a + b) } as f32;
         }
+        return;
     }
-
-    fn observe(&mut self, x: f64) {
-        if self.count < 5 {
-            self.q[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.q.sort_unstable_by(f64::total_cmp);
-            }
-            return;
+    // Marker `i` starts at the `i`-th smallest of the first five rows, at
+    // rank `i + 1`. (Spelt out: a loop over the markers is vectorised
+    // across them, with gathers.)
+    let mut q = [
+        widen(first.row(0)),
+        widen(first.row(1)),
+        widen(first.row(2)),
+        widen(first.row(3)),
+        widen(first.row(4)),
+    ];
+    let mut n = [
+        [1.0; TILE_LANES],
+        [2.0; TILE_LANES],
+        [3.0; TILE_LANES],
+        [4.0; TILE_LANES],
+        [5.0; TILE_LANES],
+    ];
+    let mut np = [1.0, 2.0, 3.0, 4.0, 5.0];
+    for row in tail {
+        let xs = tile_lanes(row, at, lanes);
+        for (want, step) in np.iter_mut().zip([0.0, 0.25, 0.5, 0.75, 1.0]) {
+            *want += step;
         }
-        self.count += 1;
-        // Locate the cell and stretch the extreme markers.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x >= self.q[4] {
-            self.q[4] = self.q[4].max(x);
-            3
-        } else {
-            let mut k = 0;
-            for i in 1..4 {
-                if x >= self.q[i] {
-                    k = i;
-                }
-            }
-            k
-        };
-        for i in (k + 1)..5 {
-            self.n[i] += 1.0;
+        for w in 0..TILE_LANES {
+            let x = xs[w] as f64;
+            // `x` stretches an extreme marker, or falls in the cell
+            // after the last interior marker it reaches. The markers
+            // that are not NaN never decrease from q₀ to q₄ (the sort
+            // starts them so, q₀ only falls, q₄ only rises, an interior
+            // one moves between its neighbours), so an `x` below q₀
+            // reaches none of them and needs no case of its own.
+            let lo = x < q[0][w];
+            let past3 = (x >= q[4][w]) | (x >= q[3][w]);
+            let past2 = past3 | (x >= q[2][w]);
+            let past1 = past2 | (x >= q[1][w]);
+            q[0][w] = if lo { x } else { q[0][w] };
+            q[4][w] = if x > q[4][w] { x } else { q[4][w] };
+            // Every marker above the cell moves up one rank.
+            n[1][w] += if past1 { 0.0 } else { 1.0 };
+            n[2][w] += if past2 { 0.0 } else { 1.0 };
+            n[3][w] += if past3 { 0.0 } else { 1.0 };
+            n[4][w] += 1.0;
         }
-        // Desired positions for p = 0.5: increments (0, 1/4, 1/2, 3/4, 1).
-        self.np[1] += 0.25;
-        self.np[2] += 0.5;
-        self.np[3] += 0.75;
-        self.np[4] += 1.0;
-        // Adjust the three interior markers toward their desired ranks.
+        // Interior markers move toward their desired positions, lowest
+        // first: each reads the one below it as just moved.
         for i in 1..4 {
-            let d = self.np[i] - self.n[i];
-            if (d >= 1.0 && self.n[i + 1] - self.n[i] > 1.0)
-                || (d <= -1.0 && self.n[i - 1] - self.n[i] < -1.0)
-            {
-                let s = d.signum();
-                let qp = self.parabolic(i, s);
-                self.q[i] = if self.q[i - 1] < qp && qp < self.q[i + 1] {
-                    qp
+            // +1 / −1 where the marker is a whole rank or more from its
+            // desired position and the neighbour on that side leaves
+            // room, 0 where it stays.
+            let mut step = [0.0f64; TILE_LANES];
+            for w in 0..TILE_LANES {
+                let d = np[i] - n[i][w];
+                let up = (d >= 1.0) & (n[i + 1][w] - n[i][w] > 1.0);
+                let down = (d <= -1.0) & (n[i - 1][w] - n[i][w] < -1.0);
+                step[w] = up as u8 as f64 - down as u8 as f64;
+            }
+            if step == [0.0; TILE_LANES] {
+                continue;
+            }
+            for w in 0..TILE_LANES {
+                let s = step[w];
+                let (q0, q1, q2) = (q[i - 1][w], q[i][w], q[i + 1][w]);
+                let (n0, n1, n2) = (n[i - 1][w], n[i][w], n[i + 1][w]);
+                // Piecewise-parabolic height, or linear toward the
+                // neighbour on the side of the move when that would
+                // leave the neighbours' range.
+                let parabolic = q1
+                    + s / (n2 - n0)
+                        * ((n1 - n0 + s) * (q2 - q1) / (n2 - n1)
+                            + (n2 - n1 - s) * (q1 - q0) / (n1 - n0));
+                let (qs, ns) = if s > 0.0 { (q2, n2) } else { (q0, n0) };
+                let linear = q1 + s * (qs - q1) / (ns - n1);
+                let moved = if (q0 < parabolic) & (parabolic < q2) {
+                    parabolic
                 } else {
-                    self.linear(i, s)
+                    linear
                 };
-                self.n[i] += s;
+                q[i][w] = if s != 0.0 { moved } else { q1 };
+                n[i][w] = n1 + s;
             }
         }
     }
-
-    fn parabolic(&self, i: usize, s: f64) -> f64 {
-        let (q, n) = (&self.q, &self.n);
-        q[i] + s / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + s) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - s) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, s: f64) -> f64 {
-        let j = (i as f64 + s) as usize;
-        self.q[i] + s * (self.q[j] - self.q[i]) / (self.n[j] - self.n[i])
-    }
-
-    fn estimate(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if self.count < 5 {
-            // Exact median of the buffered prefix.
-            let mut buf = self.q[..self.count].to_vec();
-            buf.sort_unstable_by(f64::total_cmp);
-            let m = self.count;
-            return if m % 2 == 1 {
-                buf[m / 2]
-            } else {
-                0.5 * (buf[m / 2 - 1] + buf[m / 2])
-            };
-        }
-        self.q[2]
+    for (o, m) in out.iter_mut().zip(q[2]) {
+        *o = m as f32;
     }
 }
 
-/// Coordinate-wise median with O(d) streaming state past
+/// One tile row as the `f64` the markers are.
+#[inline(always)]
+fn widen(row: [f32; TILE_LANES]) -> [f64; TILE_LANES] {
+    let mut wide = [0.0; TILE_LANES];
+    for (w, x) in wide.iter_mut().zip(row) {
+        *w = x as f64;
+    }
+    wide
+}
+
+/// [`p2_tile`] over every tile of `out` — the body [`StreamingMedian`]
+/// runs at the CPU's vector width.
+#[inline(always)]
+fn p2_tiles(rows: &[&[f32]], out: &mut [f32]) {
+    for (t, o) in out.chunks_mut(TILE_LANES).enumerate() {
+        p2_tile(rows, t * TILE_LANES, o);
+    }
+}
+
+/// Coordinate-wise median that keeps a fixed number of markers per
+/// coordinate, whatever the input count, past
 /// [`exact_threshold`](Self::exact_threshold) inputs.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamingMedian {
@@ -168,20 +199,32 @@ impl Aggregator for StreamingMedian {
         "streaming-median"
     }
 
-    fn aggregate(&self, updates: &[&[f32]], _weights: Option<&[f32]>) -> Vec<f32> {
-        let d = validate_updates(updates);
+    fn aggregate(&self, updates: &[&[f32]], weights: Option<&[f32]>) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.aggregate_into(updates, weights, &mut out, &mut AggScratch::default());
+        out
+    }
+
+    fn aggregate_into(
+        &self,
+        updates: &[&[f32]],
+        weights: Option<&[f32]>,
+        out: &mut Vec<f32>,
+        scratch: &mut AggScratch,
+    ) {
         if updates.len() < self.exact_threshold {
-            let mut out = vec![0.0f32; d];
-            hfl_tensor::stats::coordinate_median(updates, &mut out);
-            return out;
+            return CoordMedian.aggregate_into(updates, weights, out, scratch);
         }
-        let mut est: Vec<P2Median> = vec![P2Median::new(); d];
-        for row in updates {
-            for (e, &x) in est.iter_mut().zip(row.iter()) {
-                e.observe(x as f64);
-            }
-        }
-        est.iter().map(|e| e.estimate() as f32).collect()
+        let d = validate_updates(updates);
+        out.clear();
+        out.resize(d, 0.0);
+        at_widest(
+            #[inline(always)]
+            |rows, out, ()| p2_tiles(rows, out),
+            updates,
+            &mut out[..],
+            (),
+        );
     }
 
     fn max_byzantine(&self, n: usize) -> usize {
@@ -204,7 +247,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// [`exact_threshold`](Self::exact_threshold) inputs.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamingTrimmedMean {
-    ratio: f64,
+    exact: TrimmedMean,
     exact_threshold: usize,
 }
 
@@ -216,12 +259,8 @@ impl StreamingTrimmedMean {
     /// # Panics
     /// If `ratio` is outside `[0, 0.5)`.
     pub fn new(ratio: f64, exact_threshold: usize) -> Self {
-        assert!(
-            (0.0..0.5).contains(&ratio),
-            "trim ratio {ratio} outside [0, 0.5)"
-        );
         Self {
-            ratio,
+            exact: TrimmedMean::new(ratio),
             exact_threshold: exact_threshold.max(1),
         }
     }
@@ -230,15 +269,6 @@ impl StreamingTrimmedMean {
     pub fn exact_threshold(&self) -> usize {
         self.exact_threshold
     }
-
-    fn trim_count(&self, n: usize) -> usize {
-        let t = (self.ratio * n as f64).floor() as usize;
-        if 2 * t >= n {
-            n.saturating_sub(1) / 2
-        } else {
-            t
-        }
-    }
 }
 
 impl Aggregator for StreamingTrimmedMean {
@@ -246,42 +276,53 @@ impl Aggregator for StreamingTrimmedMean {
         "streaming-trimmed-mean"
     }
 
-    fn aggregate(&self, updates: &[&[f32]], _weights: Option<&[f32]>) -> Vec<f32> {
-        let d = validate_updates(updates);
-        let mut out = vec![0.0f32; d];
-        if updates.len() < self.exact_threshold {
-            hfl_tensor::stats::coordinate_trimmed_mean(
-                updates,
-                self.trim_count(updates.len()),
-                &mut out,
-            );
-            return out;
+    fn aggregate(&self, updates: &[&[f32]], weights: Option<&[f32]>) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.aggregate_into(updates, weights, &mut out, &mut AggScratch::default());
+        out
+    }
+
+    fn aggregate_into(
+        &self,
+        updates: &[&[f32]],
+        weights: Option<&[f32]>,
+        out: &mut Vec<f32>,
+        scratch: &mut AggScratch,
+    ) {
+        let cap = self.exact_threshold;
+        if updates.len() < cap {
+            return self.exact.aggregate_into(updates, weights, out, scratch);
         }
+        let d = validate_updates(updates);
         // Algorithm R over whole rows with a hash-derived slot: arrival
         // `i` replaces slot `splitmix64(i) mod (i + 1)` when that lands
         // inside the reservoir. Same arrival order ⇒ same reservoir.
-        let cap = self.exact_threshold;
-        let mut reservoir: Vec<&[f32]> = Vec::with_capacity(cap);
-        for (i, row) in updates.iter().enumerate() {
-            if i < cap {
-                reservoir.push(row);
-            } else {
-                let j = (splitmix64(i as u64) % (i as u64 + 1)) as usize;
-                if j < cap {
-                    reservoir[j] = row;
-                }
+        let reservoir = &mut scratch.idx;
+        reservoir.clear();
+        reservoir.extend(0..cap);
+        for i in cap..updates.len() {
+            let j = (splitmix64(i as u64) % (i as u64 + 1)) as usize;
+            if j < cap {
+                reservoir[j] = i;
             }
         }
-        let trim = self.trim_count(reservoir.len());
-        hfl_tensor::stats::coordinate_trimmed_mean(&reservoir, trim, &mut out);
-        out
+        let trim = self.exact.trim_count(cap);
+        out.clear();
+        out.resize(d, 0.0);
+        column_stat_into(
+            ColumnStat::TrimmedMean { trim },
+            reservoir.iter().map(|&i| updates[i]),
+            0,
+            out,
+            &mut scratch.col,
+        );
     }
 
     fn max_byzantine(&self, n: usize) -> usize {
         // The trim budget is what the rule absorbs per coordinate; past
         // the threshold it applies to the reservoir, which the adversary
         // does not control the membership of.
-        self.trim_count(n.min(self.exact_threshold))
+        self.exact.trim_count(n.min(self.exact_threshold))
     }
 }
 
@@ -401,6 +442,75 @@ mod tests {
     }
 
     #[test]
+    fn exact_fallback_survives_a_nan_minority() {
+        let mut updates = cluster_with_outliers(&[1.0, -2.0], 0.2, 7, &[f32::NAN, f32::NAN], 2);
+        updates.swap(0, 8);
+        let refs = refs(&updates);
+        let median = StreamingMedian::new(DEFAULT_EXACT_THRESHOLD).aggregate(&refs, None);
+        assert!(
+            hfl_tensor::ops::dist(&median, &[1.0, -2.0]) < 0.5,
+            "{median:?}"
+        );
+        let trimmed =
+            StreamingTrimmedMean::new(0.25, DEFAULT_EXACT_THRESHOLD).aggregate(&refs, None);
+        assert!(
+            hfl_tensor::ops::dist(&trimmed, &[1.0, -2.0]) < 0.5,
+            "{trimmed:?}"
+        );
+    }
+
+    /// Each compiled width the host has against the plain one, exact
+    /// bits: the prefix path, the first observation rows and a long
+    /// cohort; tiles short, exact and several; NaN and ±∞ among the
+    /// inputs.
+    #[test]
+    fn p2_reads_the_same_bits_at_every_width() {
+        use hfl_tensor::ops::Width;
+        let mut ran = Vec::new();
+        for n in [1usize, 4, 5, 6, 8, 9, 40, 300] {
+            for d in [1usize, 15, 16, 17, 100] {
+                let rows: Vec<Vec<f32>> = (0..n)
+                    .map(|r| {
+                        (0..d)
+                            .map(|c| {
+                                let h = splitmix64((r * 1000 + c) as u64) as u32;
+                                match h >> 27 {
+                                    0 => f32::from_bits(0x7fc0_0000 | (h & 0x8000_0000)),
+                                    1 => [f32::INFINITY, f32::NEG_INFINITY][c % 2],
+                                    2 | 3 => (h & 7) as f32 - 4.0,
+                                    _ => f32::from_bits((h & 0x80ff_ffff) | 0x3e00_0000),
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let rows = refs(&rows);
+                let run = |width: Width| {
+                    let mut out = vec![f32::NAN; d];
+                    width
+                        .run(
+                            #[inline(always)]
+                            |rows, out, ()| p2_tiles(rows, out),
+                            &rows[..],
+                            &mut out[..],
+                            (),
+                        )
+                        .map(|()| out.iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
+                };
+                let plain = run(Width::Plain).expect("runs anywhere");
+                for width in Width::ALL {
+                    let Some(got) = run(width) else { continue };
+                    assert_eq!(got, plain, "{width:?} n={n} d={d}");
+                    if !ran.contains(&width) {
+                        ran.push(width);
+                    }
+                }
+            }
+        }
+        println!("P² widths run on this host: {ran:?}");
+    }
+
+    #[test]
     fn p2_path_approximates_the_median() {
         // 1000 inputs, well past a threshold of 16: the P² estimate per
         // coordinate must land near the true median.
@@ -506,10 +616,10 @@ mod tests {
     fn p2_small_prefix_is_exact() {
         // Fewer than five observations: the estimator reports the exact
         // median of what it has seen.
-        let mut e = P2Median::new();
-        for x in [3.0, 1.0, 2.0] {
-            e.observe(x);
-        }
-        assert_eq!(e.estimate(), 2.0);
+        let rows = [[3.0f32, 4.0], [1.0, 1.0], [2.0, 2.0], [9.0, 3.0]];
+        let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+        let sm = StreamingMedian::new(1);
+        assert_eq!(sm.aggregate(&refs[..3], None), [2.0, 2.0]);
+        assert_eq!(sm.aggregate(&refs, None), [2.5, 2.5]);
     }
 }

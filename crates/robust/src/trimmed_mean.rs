@@ -1,36 +1,20 @@
 //! Coordinate-wise trimmed mean (Yin et al., ICML 2018).
 
-use crate::median::PARALLEL_MIN_ELEMENTS;
-use crate::{validate_updates, AggScratch, Aggregator};
+use crate::median::{column_stat, column_stat_parallel};
+use crate::{AggScratch, Aggregator};
+use hfl_tensor::stats::ColumnStat;
 
 /// Coordinate-wise trimmed mean over `rows`, parallelized over
-/// coordinate chunks claimed off the work-stealing scheduler: each
-/// worker owns a disjoint slice of `out` plus a private column scratch,
-/// so placement is deterministic and per-coordinate values match the
-/// sequential kernel exactly at any thread count.
+/// tile-aligned coordinate chunks as
+/// [`coordinate_median_parallel`](crate::median::coordinate_median_parallel)
+/// is.
 pub fn coordinate_trimmed_mean_parallel(
     rows: &[&[f32]],
     trim: usize,
     out: &mut [f32],
     threads: usize,
 ) {
-    let d = out.len();
-    assert!(!rows.is_empty(), "coordinate_trimmed_mean: empty input");
-    assert!(
-        rows.iter().all(|r| r.len() == d),
-        "coordinate_trimmed_mean: row length mismatch"
-    );
-    let chunk = d.div_ceil(threads.max(1)).max(1);
-    hfl_parallel::par_chunks_mut(out, chunk, threads, |base, slice| {
-        let mut col = vec![0.0f32; rows.len()];
-        for (off, o) in slice.iter_mut().enumerate() {
-            let j = base + off;
-            for (c, r) in col.iter_mut().zip(rows) {
-                *c = r[j];
-            }
-            *o = hfl_tensor::stats::trimmed_mean_in_place(&mut col, trim);
-        }
-    });
+    column_stat_parallel(ColumnStat::TrimmedMean { trim }, rows, out, threads);
 }
 
 /// Coordinate-wise `ratio`-trimmed mean: removes the `⌊ratio·n⌋` smallest
@@ -75,15 +59,9 @@ impl Aggregator for TrimmedMean {
         "trimmed-mean"
     }
 
-    fn aggregate(&self, updates: &[&[f32]], _weights: Option<&[f32]>) -> Vec<f32> {
-        let d = validate_updates(updates);
-        let trim = self.trim_count(updates.len());
-        let mut out = vec![0.0f32; d];
-        if updates.len() * d >= PARALLEL_MIN_ELEMENTS {
-            coordinate_trimmed_mean_parallel(updates, trim, &mut out, hfl_parallel::default_threads());
-        } else {
-            hfl_tensor::stats::coordinate_trimmed_mean(updates, trim, &mut out);
-        }
+    fn aggregate(&self, updates: &[&[f32]], weights: Option<&[f32]>) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.aggregate_into(updates, weights, &mut out, &mut AggScratch::default());
         out
     }
 
@@ -94,15 +72,13 @@ impl Aggregator for TrimmedMean {
         out: &mut Vec<f32>,
         scratch: &mut AggScratch,
     ) {
-        let d = validate_updates(updates);
         let trim = self.trim_count(updates.len());
-        out.clear();
-        out.resize(d, 0.0);
-        if updates.len() * d >= PARALLEL_MIN_ELEMENTS {
-            coordinate_trimmed_mean_parallel(updates, trim, out, hfl_parallel::default_threads());
-        } else {
-            hfl_tensor::stats::coordinate_trimmed_mean_into(updates, trim, out, &mut scratch.col);
-        }
+        column_stat(
+            ColumnStat::TrimmedMean { trim },
+            updates,
+            out,
+            &mut scratch.col,
+        );
     }
 
     fn max_byzantine(&self, n: usize) -> usize {
@@ -121,6 +97,20 @@ mod tests {
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
         let out = TrimmedMean::new(0.2).aggregate(&refs, None);
         assert!((out[0] - 2.0).abs() < 1e-3, "got {}", out[0]);
+    }
+
+    /// NaN rows sort to the tails, so a trim that covers their count
+    /// discards them (and nothing panics when it does not).
+    #[test]
+    fn nan_rows_within_the_trim_are_discarded() {
+        let mut updates = cluster_with_outliers(&[2.0], 0.1, 8, &[f32::NAN], 2);
+        updates[3] = vec![-f32::NAN];
+        let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
+        let rule = TrimmedMean::new(0.2);
+        assert_eq!(rule.trim_count(refs.len()), 2);
+        let out = rule.aggregate(&refs, None);
+        assert!((out[0] - 2.0).abs() < 0.1, "got {}", out[0]);
+        assert!(TrimmedMean::new(0.1).aggregate(&refs, None)[0].is_nan());
     }
 
     #[test]
@@ -168,7 +158,7 @@ mod tests {
     #[test]
     fn large_dimension_routes_through_parallel_path() {
         let rows: Vec<Vec<f32>> = (0..5)
-            .map(|i| vec![i as f32; super::PARALLEL_MIN_ELEMENTS / 5 + 3])
+            .map(|i| vec![i as f32; crate::median::PARALLEL_MIN_ELEMENTS / 5 + 3])
             .collect();
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
         let out = TrimmedMean::new(0.2).aggregate(&refs, None);

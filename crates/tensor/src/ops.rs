@@ -395,6 +395,97 @@ pub const PAIR_LANES: usize = 8;
 /// row streams past it.
 const PAIR_TILE: usize = 256;
 
+/// A vector width a kernel body can be compiled at. Lane `k` of a body
+/// performs the same IEEE operations at every width, so the width a
+/// kernel runs at cannot change a bit of its result — only how many
+/// lanes one instruction carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Width {
+    /// 512-bit vectors (`avx512f` + `avx512vl`).
+    Avx512,
+    /// 256-bit vectors (`avx2`).
+    Avx2,
+    /// The build's baseline target; runs anywhere, and is the only
+    /// width off x86.
+    Plain,
+}
+
+impl Width {
+    /// Every width, widest first.
+    pub const ALL: [Width; 3] = [Width::Avx512, Width::Avx2, Width::Plain];
+
+    /// Whether the running CPU has this width.
+    pub fn detected(self) -> bool {
+        match self {
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            Width::Avx512 => {
+                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl")
+            }
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            Width::Avx2 => is_x86_feature_detected!("avx2"),
+            Width::Plain => true,
+            #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+            _ => false,
+        }
+    }
+
+    /// Runs `kernel(a, b, c)` inside a function compiled for this width,
+    /// or returns `None` when the CPU lacks it. The kernel is vectorised
+    /// at the width only if it is inlined into that function: pass an
+    /// `#[inline(always)]` *closure* (a function item goes through a call
+    /// shim that carries no such mark and is left out of line, at the
+    /// baseline width) over `#[inline(always)]` functions.
+    ///
+    /// The closure takes its operands as three parameters — by
+    /// convention inputs, output, scratch; pass `()` for what a kernel
+    /// lacks — and captures nothing, because parameters are the wide
+    /// function's own: a `&mut` output keeps the `noalias` it has as a
+    /// parameter and loses in a closure's environment or a tuple, and
+    /// without it [`dist_sq_pairs`]' inner loop is vectorised with one
+    /// more shuffle a step (`agg_wide` −5 %). [`at_widest`] is the
+    /// dispatch; this is public so differential tests reach the widths
+    /// the dispatch passes over on the host.
+    #[inline]
+    pub fn run<A, B, C, R>(self, kernel: impl FnOnce(A, B, C) -> R, a: A, b: B, c: C) -> Option<R> {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        #[target_feature(enable = "avx2")]
+        fn avx2<A, B, C, R>(kernel: impl FnOnce(A, B, C) -> R, a: A, b: B, c: C) -> R {
+            kernel(a, b, c)
+        }
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        #[target_feature(enable = "avx512f,avx512vl")]
+        fn avx512<A, B, C, R>(kernel: impl FnOnce(A, B, C) -> R, a: A, b: B, c: C) -> R {
+            kernel(a, b, c)
+        }
+        if !self.detected() {
+            return None;
+        }
+        Some(match self {
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            // SAFETY: `detected` returned true for `avx512f` and `avx512vl` just above.
+            Width::Avx512 => unsafe { avx512(kernel, a, b, c) },
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            // SAFETY: `detected` returned true for `avx2` just above.
+            Width::Avx2 => unsafe { avx2(kernel, a, b, c) },
+            // Off x86 nothing but `Plain` is ever detected.
+            _ => kernel(a, b, c),
+        })
+    }
+}
+
+/// Runs `kernel(a, b, c)` compiled at the widest [`Width`] the running
+/// CPU has (see [`Width::run`]).
+#[inline]
+pub fn at_widest<A, B, C, R>(kernel: impl FnOnce(A, B, C) -> R, a: A, b: B, c: C) -> R {
+    let widest = Width::ALL
+        .into_iter()
+        .find(|w| w.detected())
+        .expect("the plain width runs anywhere");
+    widest
+        .run(kernel, a, b, c)
+        .expect("the width was just detected")
+}
+
 /// One block of the pairwise squared-distance matrix: for the partner
 /// rows `first..first + w` (`w = min(PAIR_LANES, n − first)`) and every
 /// row `j` after each of them, `chunk[k * n + j] = dist_sq(rows[first +
@@ -411,9 +502,7 @@ const PAIR_TILE: usize = 256;
 /// canonicalization), so each value is bitwise `dist_sq`'s — what the
 /// layout changes is that the lanes of one SIMD register are *pairs*.
 ///
-/// The body is compiled at three vector widths and the widest one the
-/// running CPU has is used; lane `k` performs the same IEEE operations
-/// at any width, so the choice cannot change a bit.
+/// The body is compiled at every [`Width`] and runs [`at_widest`].
 ///
 /// # Panics
 /// If a row's length differs from the first's, or `chunk.len() != w * n`.
@@ -428,64 +517,17 @@ pub fn dist_sq_pairs(rows: &[&[f32]], first: usize, chunk: &mut [f64]) {
     for r in rows {
         check_same_len(rows[0], r);
     }
-    let ran = DIST_SQ_PAIRS_ARMS
-        .iter()
-        .any(|(_, arm)| arm(rows, first, chunk));
-    assert!(ran, "the plain arm runs anywhere");
+    at_widest(
+        #[inline(always)]
+        |(rows, first), chunk, ()| pairs_body(rows, first, chunk),
+        (rows, first),
+        chunk,
+        (),
+    )
 }
 
-/// One compiled width of [`dist_sq_pairs`]: runs the block and returns
-/// `true`, or returns `false` untouched when the CPU lacks the width.
-#[doc(hidden)]
-pub type DistSqPairsArm = fn(&[&[f32]], usize, &mut [f64]) -> bool;
-
-/// Every compiled width of [`dist_sq_pairs`], widest first; the last
-/// runs anywhere (and is the only one off x86). Public so the
-/// differential tests reach the arms the dispatch passes over on the
-/// host.
-#[doc(hidden)]
-pub const DIST_SQ_PAIRS_ARMS: &[(&str, DistSqPairsArm)] = &[
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    ("avx512", pairs_avx512),
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    ("avx2", pairs_avx2),
-    ("plain", pairs_plain),
-];
-
-fn pairs_plain(rows: &[&[f32]], first: usize, chunk: &mut [f64]) -> bool {
-    pairs_body(rows, first, chunk);
-    true
-}
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-fn pairs_avx2(rows: &[&[f32]], first: usize, chunk: &mut [f64]) -> bool {
-    #[target_feature(enable = "avx2")]
-    fn wide(rows: &[&[f32]], first: usize, chunk: &mut [f64]) {
-        pairs_body(rows, first, chunk);
-    }
-    if !is_x86_feature_detected!("avx2") {
-        return false;
-    }
-    // SAFETY: the line above returned unless `avx2` was detected.
-    unsafe { wide(rows, first, chunk) };
-    true
-}
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-fn pairs_avx512(rows: &[&[f32]], first: usize, chunk: &mut [f64]) -> bool {
-    #[target_feature(enable = "avx512f,avx512vl")]
-    fn wide(rows: &[&[f32]], first: usize, chunk: &mut [f64]) {
-        pairs_body(rows, first, chunk);
-    }
-    if !(is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl")) {
-        return false;
-    }
-    // SAFETY: the line above returned unless both features were detected.
-    unsafe { wide(rows, first, chunk) };
-    true
-}
-
-/// The one body of [`dist_sq_pairs`], inlined into each width's arm.
+/// The one body of [`dist_sq_pairs`], inlined into the function of each
+/// [`Width`] it is run at.
 #[inline(always)]
 fn pairs_body(rows: &[&[f32]], first: usize, chunk: &mut [f64]) {
     let n = rows.len();
@@ -935,16 +977,12 @@ mod tests {
     }
 
     /// Every compiled width the host can run — the dispatch's choice and
-    /// the arms it passes over — against one `dist_sq` per pair, exact
+    /// the widths it passes over — against one `dist_sq` per pair, exact
     /// bits: blocks short, full and several (n), tiles short, exact and
     /// several (d). The buffer starts dirty, so a stale accumulator
     /// would show.
     #[test]
     fn dist_sq_pairs_bitwise_matches_dist_sq_on_every_arm() {
-        let dispatch: DistSqPairsArm = |rows, first, chunk| {
-            dist_sq_pairs(rows, first, chunk);
-            true
-        };
         let mut ran = Vec::new();
         for n in [1usize, 2, 3, 4, 7, 8, 9, 17, 33, 128] {
             for d in [1usize, 7, 255, 256, 257, 650, 1031] {
@@ -963,27 +1001,41 @@ mod tests {
                     assert!(count(|v| v.is_finite() && *v > 0.0) > n * n / 4);
                     assert!(count(|v| v.is_nan()) > 0 && count(|v| v.is_infinite()) > 0);
                 }
-                for (name, arm) in DIST_SQ_PAIRS_ARMS
-                    .iter()
-                    .copied()
-                    .chain([("dispatch", dispatch)])
-                {
+                // `None` is the dispatch.
+                for width in Width::ALL.into_iter().map(Some).chain([None]) {
                     let mut got = vec![f64::NAN; n * n];
                     let supported = got
                         .chunks_mut(PAIR_LANES * n)
                         .enumerate()
-                        .all(|(b, chunk)| arm(&refs, b * PAIR_LANES, chunk));
+                        .all(|(b, chunk)| {
+                            let first = b * PAIR_LANES;
+                            match width {
+                                Some(w) => w
+                                    .run(
+                                        #[inline(always)]
+                                        |(rows, first), chunk, ()| pairs_body(rows, first, chunk),
+                                        (&refs[..], first),
+                                        chunk,
+                                        (),
+                                    )
+                                    .is_some(),
+                                None => {
+                                    dist_sq_pairs(&refs, first, chunk);
+                                    true
+                                }
+                            }
+                        });
                     if !supported {
                         continue;
                     }
-                    if !ran.contains(&name) {
-                        ran.push(name);
+                    if !ran.contains(&width) {
+                        ran.push(width);
                     }
                     for (at, (g, w)) in got.iter().zip(&want).enumerate() {
                         assert_eq!(
                             g.to_bits(),
                             w.to_bits(),
-                            "{name} n={n} d={d} pair ({}, {}): {g} vs {w}",
+                            "{width:?} n={n} d={d} pair ({}, {}): {g} vs {w}",
                             at / n,
                             at % n
                         );
@@ -992,10 +1044,10 @@ mod tests {
             }
         }
         assert!(
-            ran.contains(&"plain") && ran.contains(&"dispatch"),
+            ran.contains(&Some(Width::Plain)) && ran.contains(&None),
             "{ran:?}"
         );
-        println!("dist_sq_pairs arms run on this host: {ran:?}");
+        println!("dist_sq_pairs widths run on this host: {ran:?}");
     }
 
     #[test]

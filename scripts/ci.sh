@@ -20,7 +20,15 @@ timeout 300 cargo test -p hfl-parallel --release -q
 #   nnm_matches_the_per_row_scan_it_replaced, over every block and tile
 #   shape; hfl-tensor's own
 #   dist_sq_pairs_bitwise_matches_dist_sq_on_every_arm runs each vector
-#   width the host has — fused reductions, the feature-major
+#   width the host has — the column-tile kernels under the coordinate
+#   rules: coordinate_kernels_match_the_retired_per_column_loops,
+#   streaming_rules_match_the_retired_scalar_estimator_and_reservoir,
+#   mixed_sign_zero_columns_compare_equal_to_the_retired_loops,
+#   trimmed_mean_sums_the_kept_values_ascending_in_f64 and
+#   coordinate_rules_match_across_the_parallel_cutoff, over
+#   hfl-tensor's column_stat_reads_the_same_bits_at_every_width and
+#   hfl-robust's p2_reads_the_same_bits_at_every_width — fused
+#   reductions, the feature-major
 #   panel kernel under the dense layer and the training and scoring
 #   paths over it, work-stealing parallel paths, the voter-parallel
 #   vote; the training set as a function of the sample index —
@@ -39,7 +47,11 @@ timeout 300 cargo test -p hfl-parallel --release -q
 #   the pipelined fixture (the same, on the round clock), at 1 thread
 #   and at 2. A single new Vec on the round path
 #   — or per buffer, or per fork-join — fails this. So does one in a
-#   warm 128 × 4,810 Multi-Krum (wide_multikrum_allocates_nothing_once_warm).
+#   warm 128 × 4,810 Multi-Krum (wide_multikrum_allocates_nothing_once_warm),
+#   and a d-long marker array or a row reservoir on the heap of a
+#   sampled round under the streaming rules
+#   (sampled_streaming_rounds_keep_their_state_off_the_heap: at most 4
+#   allocations and 8 KB a round).
 #   Set-up memory rides on the same counters
 #   (prepare_holds_the_plan_not_the_training_set): a sampled population
 #   prepares in at most 32 B per training sample, the identity cohort
@@ -102,14 +114,26 @@ test "$(wc -l < crates/core/src/pipeline.rs)" -lt 300 \
 
 # One pairwise-distance fill: the Krum family and NNM read the upper
 # triangle hfl_tensor::ops::dist_sq_pairs fills (dist_sq_block stays
-# only because the frozen ledger times it), and the kernel's two width
-# arms are the tensor crate's only `unsafe`, each a call made right
-# under the feature detection its SAFETY line cites.
+# only because the frozen ledger times it). Its body, the column-tile
+# kernel's and P²'s run at the CPU's vector width through one helper
+# (hfl_tensor::ops::Width::run), whose two calls are the tensor crate's
+# only `unsafe`, each made right under the feature detection its SAFETY
+# line cites; hfl-robust has none.
 ! grep -rq 'dist_sq_block' crates/robust/src \
     || { echo "crates/robust calls dist_sq_block beside the pairwise panel kernel again"; exit 1; }
 test "$(cat crates/tensor/src/*.rs | grep -c 'unsafe')" -eq 2 \
     && test "$(grep -h -B1 'unsafe' crates/tensor/src/*.rs | grep -c '// SAFETY:')" -eq 2 \
     || { echo "crates/tensor/src must hold exactly two unsafe tokens, each under a // SAFETY: line"; exit 1; }
+! grep -rn 'unsafe' crates/robust/src \
+    || { echo "crates/robust/src must hold no unsafe"; exit 1; }
+
+# One coordinate-wise kernel: the streaming rules keep their state in
+# column tiles on the stack and sort through hfl_tensor::stats, so
+# streaming.rs holds no per-coordinate estimator array and no sort of
+# its own (the scalar estimator lives on as kernel_equivalence.rs's
+# reference).
+! sed '/#\[cfg(test)\]/,$d' crates/robust/src/streaming.rs | grep -n 'vec!\[P2Median\|sort_unstable_by' \
+    || { echo "crates/robust/src/streaming.rs holds a d-long estimator array or its own sort again"; exit 1; }
 
 # One generator: a sample is a function of its index
 # (SynthPlan::sample_into over the seekable stream in hfl_ml::rng); the

@@ -1,11 +1,12 @@
 //! Differential kernel-equivalence suite — the hot-path overhaul's
 //! safety net. Every optimized kernel (the partner-major pairwise
-//! distance panel under Krum scoring and NNM, fused axpy/mean
-//! reductions, work-stealing parallel aggregation paths) is pinned
-//! **byte-identical** to a retained naive reference over random shapes
-//! — and, for the distance panel, a seeded grid of every block and tile
-//! shape — thread counts ∈ {1, 2, 4, 8}, and adversarial values (NaN,
-//! ±∞, subnormals, signed zeros).
+//! distance panel under Krum scoring and NNM, the column-tile kernels
+//! under median, trimmed mean and the P² streaming median, fused
+//! axpy/mean reductions, work-stealing parallel aggregation paths) is
+//! pinned **byte-identical** to a retained naive reference over random
+//! shapes — and, for the distance panel and the column tiles, a seeded
+//! grid of every block and tile shape — thread counts ∈ {1, 2, 4, 8},
+//! and adversarial values (NaN, ±∞, subnormals, signed zeros).
 //!
 //! "Byte-identical" is literal. f64 distances compare on `to_bits`
 //! even for NaN: `dist_sq` and the kernels pinned to it
@@ -1102,4 +1103,444 @@ fn whole_runs_identical_at_all_thread_counts() {
         }
     }
     abd_hfl::parallel::set_default_threads(0);
+}
+
+/// The code the column-tile kernels replaced, kept as their executable
+/// references: the per-column gather + `sort_unstable_by(partial_cmp)`
+/// loops of `hfl_tensor::stats`, the scalar P² estimator with its
+/// d-long array, and the reservoir of row references.
+mod retired {
+    pub fn median_in_place(buf: &mut [f32]) -> f32 {
+        buf.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in median input"));
+        let n = buf.len();
+        if n % 2 == 1 {
+            buf[n / 2]
+        } else {
+            0.5 * (buf[n / 2 - 1] + buf[n / 2])
+        }
+    }
+
+    pub fn trimmed_mean_in_place(buf: &mut [f32], trim: usize) -> f32 {
+        buf.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in trimmed-mean input"));
+        let kept = &buf[trim..buf.len() - trim];
+        kept.iter().map(|x| *x as f64).sum::<f64>() as f32 / kept.len() as f32
+    }
+
+    /// `trim: None` is the median.
+    pub fn coordinate(rows: &[&[f32]], trim: Option<usize>) -> Vec<f32> {
+        let mut col = vec![0.0f32; rows.len()];
+        (0..rows[0].len())
+            .map(|j| {
+                for (c, r) in col.iter_mut().zip(rows) {
+                    *c = r[j];
+                }
+                match trim {
+                    None => median_in_place(&mut col),
+                    Some(trim) => trimmed_mean_in_place(&mut col, trim),
+                }
+            })
+            .collect()
+    }
+
+    #[derive(Clone)]
+    pub struct P2Median {
+        q: [f64; 5],
+        n: [f64; 5],
+        np: [f64; 5],
+        count: usize,
+    }
+
+    impl P2Median {
+        pub fn new() -> Self {
+            Self {
+                q: [0.0; 5],
+                n: [1.0, 2.0, 3.0, 4.0, 5.0],
+                np: [1.0, 2.0, 3.0, 4.0, 5.0],
+                count: 0,
+            }
+        }
+
+        pub fn observe(&mut self, x: f64) {
+            if self.count < 5 {
+                self.q[self.count] = x;
+                self.count += 1;
+                if self.count == 5 {
+                    self.q.sort_unstable_by(f64::total_cmp);
+                }
+                return;
+            }
+            self.count += 1;
+            let k = if x < self.q[0] {
+                self.q[0] = x;
+                0
+            } else if x >= self.q[4] {
+                self.q[4] = self.q[4].max(x);
+                3
+            } else {
+                let mut k = 0;
+                for i in 1..4 {
+                    if x >= self.q[i] {
+                        k = i;
+                    }
+                }
+                k
+            };
+            for i in (k + 1)..5 {
+                self.n[i] += 1.0;
+            }
+            self.np[1] += 0.25;
+            self.np[2] += 0.5;
+            self.np[3] += 0.75;
+            self.np[4] += 1.0;
+            for i in 1..4 {
+                let d = self.np[i] - self.n[i];
+                if (d >= 1.0 && self.n[i + 1] - self.n[i] > 1.0)
+                    || (d <= -1.0 && self.n[i - 1] - self.n[i] < -1.0)
+                {
+                    let s = d.signum();
+                    let qp = self.parabolic(i, s);
+                    self.q[i] = if self.q[i - 1] < qp && qp < self.q[i + 1] {
+                        qp
+                    } else {
+                        self.linear(i, s)
+                    };
+                    self.n[i] += s;
+                }
+            }
+        }
+
+        fn parabolic(&self, i: usize, s: f64) -> f64 {
+            let (q, n) = (&self.q, &self.n);
+            q[i] + s / (n[i + 1] - n[i - 1])
+                * ((n[i] - n[i - 1] + s) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
+                    + (n[i + 1] - n[i] - s) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
+        }
+
+        fn linear(&self, i: usize, s: f64) -> f64 {
+            let j = (i as f64 + s) as usize;
+            self.q[i] + s * (self.q[j] - self.q[i]) / (self.n[j] - self.n[i])
+        }
+
+        pub fn estimate(&self) -> f64 {
+            if self.count < 5 {
+                let mut buf = self.q[..self.count].to_vec();
+                buf.sort_unstable_by(f64::total_cmp);
+                let m = self.count;
+                return if m % 2 == 1 {
+                    buf[m / 2]
+                } else {
+                    0.5 * (buf[m / 2 - 1] + buf[m / 2])
+                };
+            }
+            self.q[2]
+        }
+    }
+
+    pub fn streaming_median(updates: &[&[f32]], exact_threshold: usize) -> Vec<f32> {
+        if updates.len() < exact_threshold {
+            return coordinate(updates, None);
+        }
+        let mut est = vec![P2Median::new(); updates[0].len()];
+        for row in updates {
+            for (e, &x) in est.iter_mut().zip(row.iter()) {
+                e.observe(x as f64);
+            }
+        }
+        est.iter().map(|e| e.estimate() as f32).collect()
+    }
+
+    fn splitmix64(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `trim_of` is `TrimmedMean::trim_count` at the rule's ratio.
+    pub fn streaming_trimmed_mean(
+        updates: &[&[f32]],
+        trim_of: impl Fn(usize) -> usize,
+        cap: usize,
+    ) -> Vec<f32> {
+        if updates.len() < cap {
+            return coordinate(updates, Some(trim_of(updates.len())));
+        }
+        let mut reservoir: Vec<&[f32]> = Vec::with_capacity(cap);
+        for (i, row) in updates.iter().enumerate() {
+            if i < cap {
+                reservoir.push(row);
+            } else {
+                let j = (splitmix64(i as u64) % (i as u64 + 1)) as usize;
+                if j < cap {
+                    reservoir[j] = row;
+                }
+            }
+        }
+        coordinate(&reservoir, Some(trim_of(reservoir.len())))
+    }
+}
+
+/// Row counts and dimensions of the column-tile grid: every network
+/// size up to nine rows, sixteen ± 1, a pruned 64-network, the
+/// per-column sort past `NETWORK_MAX_ROWS`; tiles short, exact, one
+/// lane over, and the workloads' 650.
+const TILE_ROWS: [usize; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33, 300];
+const TILE_DIMS: [usize; 5] = [1, 15, 16, 17, 650];
+const TRIM_RATIOS: [f64; 6] = [0.0, 0.1, 0.2, 0.25, 0.4, 0.49];
+
+/// What the grid's inputs hold beside full-mantissa values over twelve
+/// binades and ties (a third of a column's values come from a pool of
+/// three) and ±∞.
+#[derive(Clone, Copy, PartialEq)]
+enum Zeros {
+    /// Zeros of one sign per column: every pair of values that compare
+    /// equal is bit-identical, so any correct sort gives the same bits.
+    OneSignPerColumn,
+    /// −0.0 and +0.0 in one column: `partial_cmp` ties them and the
+    /// retired unstable sort may leave either first.
+    Mixed,
+}
+
+fn tile_rows(n: usize, d: usize, seed: u64, zeros: Zeros, nan: bool) -> Vec<Vec<f32>> {
+    let mix = |a: u64, b: u64| {
+        let mut x = (seed ^ (a << 32) ^ b)
+            .wrapping_add(1)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^= x >> 29;
+        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x ^ (x >> 32)
+    };
+    let finite =
+        |h: u64| f32::from_bits(((h >> 20) as u32 & 0x807f_ffff) | (118 + (h % 12) as u32) << 23);
+    (0..n)
+        .map(|r| {
+            (0..d)
+                .map(|c| {
+                    let h = mix(r as u64, c as u64);
+                    // ±∞ and NaN keep to every fifth and seventh column,
+                    // so most columns stay finite whatever the row count.
+                    match h % 48 {
+                        0 if c % 5 == 0 => f32::INFINITY,
+                        1 if c % 5 == 0 => f32::NEG_INFINITY,
+                        2 | 3 => match zeros {
+                            Zeros::OneSignPerColumn => [0.0, -0.0][c % 2],
+                            Zeros::Mixed => [0.0, -0.0][(h >> 8) as usize % 2],
+                        },
+                        4 | 5 if nan && c % 7 == 3 => {
+                            f32::from_bits(0x7fc0_0000 | ((h >> 9) as u32 & 0x8000_0000))
+                        }
+                        6..=21 => finite(mix(u64::MAX, ((c as u64) << 2) | ((h >> 8) % 3))),
+                        _ => finite(h),
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Exact bits (any NaN equals any NaN), and the comparison is worth
+/// making: past a few coordinates, most of them are finite.
+fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    let finite = want.iter().filter(|w| w.is_finite()).count();
+    assert!(
+        want.len() < 15 || finite * 2 > want.len(),
+        "{what}: {finite} finite"
+    );
+    for (j, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(bits_eq_f32(*g, *w), "{what}, coordinate {j}: {g} vs {w}");
+    }
+}
+
+/// Median and trimmed mean through every entry point — the sequential
+/// kernel (fresh and dirty scratch), the tile-aligned parallel split at
+/// 1 / 2 / 3 threads, the rules' `aggregate` and `aggregate_into` —
+/// against the retired per-column loops, exact bits.
+#[test]
+fn coordinate_kernels_match_the_retired_per_column_loops() {
+    let mut scratch = AggScratch::default();
+    let mut out = Vec::new();
+    for n in TILE_ROWS {
+        for d in TILE_DIMS {
+            let rows = tile_rows(n, d, 22, Zeros::OneSignPerColumn, false);
+            let refs = as_refs(&rows);
+            let trims = TRIM_RATIOS.map(|ratio| (ratio, TrimmedMean::new(ratio).trim_count(n)));
+            for (ratio, trim) in [(None, None)]
+                .into_iter()
+                .chain(trims.map(|(r, t)| (Some(r), Some(t))))
+            {
+                let what = format!("n={n} d={d} trim={trim:?}");
+                let want = retired::coordinate(&refs, trim);
+                let mut got = vec![f32::NAN; d];
+                let mut col = vec![7.0f32; 3];
+                match trim {
+                    None => stats::coordinate_median(&refs, &mut got),
+                    Some(t) => stats::coordinate_trimmed_mean(&refs, t, &mut got),
+                }
+                assert_bits(&got, &want, &what);
+                got.fill(f32::NAN);
+                match trim {
+                    None => stats::coordinate_median_into(&refs, &mut got, &mut col),
+                    Some(t) => stats::coordinate_trimmed_mean_into(&refs, t, &mut got, &mut col),
+                }
+                assert_bits(&got, &want, &what);
+                for threads in [1, 2, 3] {
+                    got.fill(f32::NAN);
+                    match trim {
+                        None => median::coordinate_median_parallel(&refs, &mut got, threads),
+                        Some(t) => trimmed_mean::coordinate_trimmed_mean_parallel(
+                            &refs, t, &mut got, threads,
+                        ),
+                    }
+                    assert_bits(&got, &want, &format!("{what} at {threads} threads"));
+                }
+                let rule = match ratio {
+                    None => AggregatorKind::Median,
+                    Some(ratio) => AggregatorKind::TrimmedMean { ratio },
+                }
+                .build();
+                assert_bits(&rule.aggregate(&refs, None), &want, &what);
+                rule.aggregate_into(&refs, None, &mut out, &mut scratch);
+                assert_bits(&out, &want, &what);
+            }
+        }
+    }
+}
+
+/// The kept values are summed smallest first, in `f64`: four values of
+/// 2⁻⁵⁴ reach 2⁻⁵² before they meet 1 + 2⁻²⁴ and tip the `f32` rounding
+/// up, where largest-first loses each of them to the running sum and
+/// rounds the tie down. (On the grid's inputs every kept sum is exact in
+/// `f64`, so the order would not show there.)
+#[test]
+fn trimmed_mean_sums_the_kept_values_ascending_in_f64() {
+    let tiny = (-54f32).exp2();
+    let column = [1.0, tiny, (-24f32).exp2(), tiny, -3.0e9, tiny, 7.0e9, tiny];
+    // Every column holds the same values, each from another row first.
+    let rows: Vec<Vec<f32>> = (0..8)
+        .map(|r| (0..33).map(|c| column[(r + c) % 8]).collect())
+        .collect();
+    let refs = as_refs(&rows);
+    let want = retired::coordinate(&refs, Some(1));
+    assert_eq!(want[0], (1.0 + f32::EPSILON) / 6.0);
+    let mut got = vec![0.0f32; 33];
+    stats::coordinate_trimmed_mean(&refs, 1, &mut got);
+    assert_bits(&got, &want, "ascending sum");
+    let rule = AggregatorKind::StreamingTrimmedMean {
+        ratio: 0.125,
+        exact_threshold: 8,
+    };
+    assert_bits(&rule.build().aggregate(&refs, None), &want, "reservoir");
+}
+
+/// The rules past their parallel cut-offs, at 1 / 2 / 3 threads: 300
+/// rows (sorted a column at a time) and 557,056 elements under the
+/// network. Every shape of the grid above is below them.
+#[test]
+fn coordinate_rules_match_across_the_parallel_cutoff() {
+    for (n, d) in [(300, 650), (17, 32_768)] {
+        let rows = tile_rows(n, d, 23, Zeros::OneSignPerColumn, false);
+        let refs = as_refs(&rows);
+        for kind in [
+            AggregatorKind::Median,
+            AggregatorKind::TrimmedMean { ratio: 0.2 },
+        ] {
+            let trim = match kind {
+                AggregatorKind::TrimmedMean { ratio } => {
+                    Some(TrimmedMean::new(ratio).trim_count(n))
+                }
+                _ => None,
+            };
+            let want = retired::coordinate(&refs, trim);
+            let rule = kind.build();
+            for threads in [1, 2, 3] {
+                let got = abd_hfl::parallel::with_threads(threads, || rule.aggregate(&refs, None));
+                assert_bits(
+                    &got,
+                    &want,
+                    &format!("{kind:?} {n}×{d} at {threads} threads"),
+                );
+            }
+        }
+    }
+}
+
+/// A column holding both −0.0 and +0.0 is the one input on which the
+/// total order may read a different bit than the retired `partial_cmp`
+/// sort did: the values still compare equal.
+#[test]
+fn mixed_sign_zero_columns_compare_equal_to_the_retired_loops() {
+    for n in TILE_ROWS {
+        let rows = tile_rows(n, 650, 24, Zeros::Mixed, false);
+        let refs = as_refs(&rows);
+        for trim in [None, Some(0), Some((n - 1) / 3)] {
+            let want = retired::coordinate(&refs, trim);
+            let mut got = vec![f32::NAN; 650];
+            match trim {
+                None => stats::coordinate_median(&refs, &mut got),
+                Some(t) => stats::coordinate_trimmed_mean(&refs, t, &mut got),
+            }
+            for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    g == w || (g.is_nan() && w.is_nan()),
+                    "n={n} {trim:?} {j}: {g} vs {w}"
+                );
+            }
+        }
+    }
+}
+
+/// The streaming rules against the retired scalar estimator and the
+/// retired reservoir, exact bits, `aggregate` and `aggregate_into`:
+/// thresholds 1 and 4 put n < 5 on the exact-prefix path, 4 and 5 run
+/// P² and the reservoir from the first observation row on, 256 leaves
+/// all but n = 300 to the exact fallback. NaN rows (P² only — the
+/// retired exact path panicked on them) ride along wherever P² runs.
+#[test]
+fn streaming_rules_match_the_retired_scalar_estimator_and_reservoir() {
+    let mut scratch = AggScratch::default();
+    let mut out = Vec::new();
+    for n in TILE_ROWS {
+        for d in TILE_DIMS {
+            for exact_threshold in [1usize, 4, 5, 256] {
+                let what = format!("n={n} d={d} exact_threshold={exact_threshold}");
+                // The exact fallback sorts whole columns by the total
+                // order and the retired one panicked on NaN: it gets
+                // neither mixed-sign zeros nor NaN rows.
+                let exact = n < exact_threshold;
+                for nan in [false, true] {
+                    if nan && exact {
+                        continue;
+                    }
+                    let zeros = if exact {
+                        Zeros::OneSignPerColumn
+                    } else {
+                        Zeros::Mixed
+                    };
+                    let rows = tile_rows(n, d, 25, zeros, nan);
+                    let refs = as_refs(&rows);
+                    let rule = AggregatorKind::StreamingMedian { exact_threshold }.build();
+                    let want = retired::streaming_median(&refs, exact_threshold);
+                    assert_bits(&rule.aggregate(&refs, None), &want, &what);
+                    rule.aggregate_into(&refs, None, &mut out, &mut scratch);
+                    assert_bits(&out, &want, &what);
+                }
+                let rows = tile_rows(n, d, 26, Zeros::OneSignPerColumn, false);
+                let refs = as_refs(&rows);
+                for ratio in TRIM_RATIOS {
+                    let rule = AggregatorKind::StreamingTrimmedMean {
+                        ratio,
+                        exact_threshold,
+                    }
+                    .build();
+                    let trim_of = |n: usize| TrimmedMean::new(ratio).trim_count(n);
+                    let want = retired::streaming_trimmed_mean(&refs, trim_of, exact_threshold);
+                    let what = format!("{what} ratio={ratio}");
+                    assert_bits(&rule.aggregate(&refs, None), &want, &what);
+                    rule.aggregate_into(&refs, None, &mut out, &mut scratch);
+                    assert_bits(&out, &want, &what);
+                }
+            }
+        }
+    }
 }
