@@ -3,6 +3,7 @@
 use std::borrow::Cow;
 use std::ops::Range;
 
+use hfl_ml::model::BatchScratch;
 use hfl_ml::{Dataset, Model};
 
 /// Scores a proposal from one node's local perspective (higher = better).
@@ -93,16 +94,19 @@ impl ProposalEvaluator for AccuracyEvaluator<'_> {
         out[0]
     }
 
-    /// One model instance serves the whole ballot (`set_params`
-    /// overwrites every parameter, so reuse equals a fresh clone).
+    /// One model instance and one scratch serve the whole ballot
+    /// (`set_params` overwrites every parameter and every scoring
+    /// refills what it reads of the scratch, so reuse equals fresh
+    /// ones).
     fn score_all(&self, voter: usize, proposals: &[&[f32]], out: &mut [f64]) {
         assert!(voter < self.shards.len(), "voter index out of range");
         assert_eq!(proposals.len(), out.len(), "proposals/out length mismatch");
         let (data, rows) = &self.shards[voter];
         let mut model = self.template.clone_box();
+        let mut scratch = BatchScratch::default();
         for (o, p) in out.iter_mut().zip(proposals) {
             model.set_params(p);
-            *o = model.count_correct(data, rows.clone()) as f64 / rows.len() as f64;
+            *o = model.count_correct(data, rows.clone(), &mut scratch) as f64 / rows.len() as f64;
         }
     }
 }

@@ -7,6 +7,7 @@ use rand::SeedableRng;
 use hfl_attacks::{AdaptiveAttack, DataAttack, ModelAttack, Placement, ProtocolAttack};
 use hfl_consensus::ConsensusKind;
 use hfl_faults::{FaultPlan, FaultPlanError};
+use hfl_ml::sgd::LrSchedule;
 use hfl_ml::synth::SynthConfig;
 use hfl_ml::{LinearSoftmax, Mlp, Model, SgdConfig};
 use hfl_robust::{AggregatorKind, Krum, SuspicionConfig};
@@ -493,6 +494,9 @@ impl HflConfig {
         if let Some((what, value)) = invalid_data_param(&self.data) {
             return Err(ConfigError::DataOutOfRange { what, value });
         }
+        if let Some((what, value)) = invalid_training_param(&self.sgd, &self.model) {
+            return Err(ConfigError::TrainingOutOfRange { what, value });
+        }
         if !(self.quorum > 0.0 && self.quorum <= 1.0) {
             return Err(ConfigError::QuorumOutOfRange {
                 quorum: self.quorum,
@@ -712,6 +716,30 @@ impl HflConfig {
 /// mirroring the assertions `SynthTask::plan` makes (sizes, class count
 /// within `u8` labels) and adding what it cannot notice: a non-finite
 /// spread trains on NaN without a word.
+/// The first SGD hyper-parameter or model shape the training loop would
+/// assert on (`train_local_scratch`, `SgdConfig::lr_at`, `Mlp::new` —
+/// on a pool thread, where a panic takes the run down).
+fn invalid_training_param(sgd: &SgdConfig, model: &ModelCfg) -> Option<(&'static str, f64)> {
+    if !(sgd.lr.is_finite() && sgd.lr > 0.0) {
+        return Some(("sgd.lr (finite, > 0)", f64::from(sgd.lr)));
+    }
+    if sgd.batch_size == 0 {
+        return Some(("sgd.batch_size", 0.0));
+    }
+    if let LrSchedule::Step { every, factor } = sgd.schedule {
+        if every == 0 {
+            return Some(("sgd.schedule step interval", 0.0));
+        }
+        if !(factor > 0.0 && factor <= 1.0) {
+            return Some(("sgd.schedule step factor (in (0, 1])", f64::from(factor)));
+        }
+    }
+    if let ModelCfg::Mlp { hidden: 0 } = model {
+        return Some(("model hidden width", 0.0));
+    }
+    None
+}
+
 fn invalid_data_param(data: &SynthConfig) -> Option<(&'static str, f64)> {
     for (what, size) in [
         ("train_samples", data.train_samples),
@@ -875,6 +903,14 @@ pub enum ConfigError {
         /// The offending value.
         value: f64,
     },
+    /// An SGD hyper-parameter (`sgd`) or the model's shape (`model`) is
+    /// unusable.
+    TrainingOutOfRange {
+        /// Which parameter is bad.
+        what: &'static str,
+        /// The offending value.
+        value: f64,
+    },
     /// Churn leave probability outside `[0, 1)`.
     ChurnOutOfRange {
         /// The offending probability.
@@ -1017,6 +1053,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::DataOutOfRange { what, value } => {
                 write!(f, "data {what} out of range ({value})")
             }
+            ConfigError::TrainingOutOfRange { what, value } => {
+                write!(f, "training {what} out of range ({value})")
+            }
             ConfigError::ChurnOutOfRange { prob } => {
                 write!(f, "churn leave probability must be in [0, 1), got {prob}")
             }
@@ -1155,6 +1194,44 @@ mod tests {
         let err = cfg.try_validate(&h).unwrap_err();
         assert!(matches!(err, ConfigError::QuorumOutOfRange { .. }));
         assert!(err.to_string().contains("quorum must be in (0, 1]"));
+    }
+
+    #[test]
+    fn try_validate_rejects_what_the_training_loop_would_assert_on() {
+        fn step(every: usize, factor: f32) -> LrSchedule {
+            LrSchedule::Step { every, factor }
+        }
+        let base = HflConfig::paper_iid(AttackCfg::None, 0);
+        let h = base.topology.build(0);
+        type Spoil = fn(&mut HflConfig);
+        let spoiled: [(&str, Spoil); 9] = [
+            ("sgd.lr", |c| c.sgd.lr = 0.0),
+            ("sgd.lr", |c| c.sgd.lr = -0.5),
+            ("sgd.lr", |c| c.sgd.lr = f32::NAN),
+            ("sgd.lr", |c| c.sgd.lr = f32::INFINITY),
+            ("sgd.batch_size", |c| c.sgd.batch_size = 0),
+            ("step interval", |c| c.sgd.schedule = step(0, 0.5)),
+            ("step factor", |c| c.sgd.schedule = step(3, 0.0)),
+            ("step factor", |c| c.sgd.schedule = step(3, 1.5)),
+            ("hidden width", |c| c.model = ModelCfg::Mlp { hidden: 0 }),
+        ];
+        for (needle, spoil) in spoiled {
+            let mut cfg = base.clone();
+            spoil(&mut cfg);
+            let err = cfg.try_validate(&h).unwrap_err();
+            assert!(
+                matches!(err, ConfigError::TrainingOutOfRange { .. }),
+                "{err}"
+            );
+            assert!(err.to_string().contains(needle), "{needle}: {err}");
+        }
+        // The edges of each range are usable.
+        let mut cfg = base;
+        cfg.sgd.lr = f32::MIN_POSITIVE;
+        cfg.sgd.batch_size = 1;
+        cfg.sgd.schedule = step(1, 1.0);
+        cfg.model = ModelCfg::Mlp { hidden: 1 };
+        assert_eq!(cfg.try_validate(&h), Ok(()));
     }
 
     #[test]

@@ -6,12 +6,12 @@
 
 use std::ops::Range;
 
-use hfl_tensor::ops::Panel;
+use hfl_tensor::ops::{self, Panel};
 use rand::rngs::StdRng;
 
 use crate::dataset::Dataset;
-use crate::loss::{argmax, ce_grad_in_place, cross_entropy, softmax_in_place};
-use crate::model::{dense, BatchScratch, Model};
+use crate::loss::{ce_grad_in_place, cross_entropy, predict, softmax_in_place};
+use crate::model::{for_each_block, BatchScratch, Dense, Model, BLOCK};
 
 /// Softmax regression with weights `W (k×d)` and bias `b (k)`, stored
 /// flat as `[W row 0, W row 1, ..., b]`.
@@ -47,30 +47,14 @@ impl LinearSoftmax {
 
     /// Writes class probabilities for `x` into `probs`.
     pub fn forward(&self, x: &[f32], probs: &mut [f32]) {
-        self.forward_through(None, x, probs);
-    }
-
-    /// `panel` filled from this model's weights when a call applies
-    /// them to more than one input, `None` for a single input: a refill
-    /// costs more than the one forward pass it would speed up.
-    fn panel_for<'a>(&self, inputs: usize, panel: &'a mut Panel) -> Option<&'a Panel> {
-        (inputs > 1).then(|| {
-            panel.fill(
-                &self.theta[..self.classes * self.dim],
-                self.classes,
-                self.dim,
-            );
-            &*panel
-        })
-    }
-
-    /// The forward pass through [`Self::panel_for`]'s choice of kernel.
-    fn forward_through(&self, panel: Option<&Panel>, x: &[f32], probs: &mut [f32]) {
-        assert_eq!(x.len(), self.dim);
-        assert_eq!(probs.len(), self.classes);
-        let (w, bias) = self.theta.split_at(self.classes * self.dim);
-        dense(panel, w, bias, x, probs);
+        self.layer(&mut Panel::default(), 1).forward(&[x], probs);
         softmax_in_place(probs);
+    }
+
+    /// The model's one layer, bound to a call over `inputs` inputs.
+    fn layer<'a>(&'a self, panel: &'a mut Panel, inputs: usize) -> Dense<'a> {
+        let (w, bias) = self.theta.split_at(self.classes * self.dim);
+        Dense::new(w, bias, panel, inputs)
     }
 }
 
@@ -83,27 +67,39 @@ impl Model for LinearSoftmax {
         &self.theta
     }
 
+    fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.theta
+    }
+
     fn set_params(&mut self, p: &[f32]) {
         assert_eq!(p.len(), self.theta.len(), "parameter length mismatch");
         self.theta.copy_from_slice(p);
     }
 
     fn predict(&self, x: &[f32], scratch: &mut BatchScratch) -> u8 {
-        let probs = &mut scratch.probs;
+        let BatchScratch { probs, panels, .. } = scratch;
         probs.resize(self.classes, 0.0);
-        self.forward(x, probs);
-        argmax(probs) as u8
+        self.layer(&mut panels[0], 1).forward(&[x], probs);
+        predict(probs) as u8
     }
 
-    fn count_correct(&self, data: &Dataset, rows: Range<usize>) -> usize {
-        let mut panel = Panel::default();
-        let panel = self.panel_for(rows.len(), &mut panel);
-        let mut probs = vec![0.0f32; self.classes];
-        rows.filter(|&i| {
-            self.forward_through(panel, data.x(i), &mut probs);
-            argmax(&probs) as u8 == data.y(i)
-        })
-        .count()
+    fn count_correct(
+        &self,
+        data: &Dataset,
+        rows: Range<usize>,
+        scratch: &mut BatchScratch,
+    ) -> usize {
+        let BatchScratch { probs, panels, .. } = scratch;
+        probs.resize(BLOCK * self.classes, 0.0);
+        let layer = self.layer(&mut panels[0], rows.len());
+        let mut hits = 0;
+        for_each_block(data, rows, |xs, ys| {
+            let logits = &mut probs[..xs.len() * self.classes];
+            layer.forward(xs, logits);
+            let classes = logits.chunks_exact_mut(self.classes).map(predict);
+            hits += classes.zip(ys).filter(|(c, y)| *c as u8 == **y).count();
+        });
+        hits
     }
 
     fn loss_grad_batch_with(
@@ -117,27 +113,27 @@ impl Model for LinearSoftmax {
         assert!(!indices.is_empty(), "empty batch");
         assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
         let inv_n = 1.0 / indices.len() as f32;
-        let bias_off = self.classes * self.dim;
         let BatchScratch { probs, panels, .. } = scratch;
-        probs.clear();
-        probs.resize(self.classes, 0.0);
-        let panel = self.panel_for(indices.len(), &mut panels[0]);
+        probs.resize(BLOCK * self.classes, 0.0);
+        let layer = self.layer(&mut panels[0], indices.len());
+        let (grad_w, grad_b) = grad.split_at_mut(self.classes * self.dim);
         let mut loss = 0.0f64;
-        for &i in indices {
-            let x = data.x(i);
-            let y = data.y(i);
-            self.forward_through(panel, x, probs);
-            loss += cross_entropy(probs, y);
-            ce_grad_in_place(probs, y);
-            // dL/dW_c = err_c * x ; dL/db_c = err_c
-            for (c, err) in probs.iter().enumerate() {
-                let coeff = inv_n * *err;
-                if coeff != 0.0 {
-                    hfl_tensor::ops::axpy(coeff, x, &mut grad[c * self.dim..(c + 1) * self.dim]);
+        for_each_block(data, indices.iter().copied(), |xs, ys| {
+            let coeff = &mut probs[..xs.len() * self.classes];
+            layer.forward(xs, coeff);
+            for (err, y) in coeff.chunks_exact_mut(self.classes).zip(ys) {
+                softmax_in_place(err);
+                loss += cross_entropy(err, *y);
+                ce_grad_in_place(err, *y);
+                // dL/dW_c = err_c * x ; dL/db_c = err_c
+                for (e, b) in err.iter_mut().zip(grad_b.iter_mut()) {
+                    *e *= inv_n;
+                    *b += *e;
                 }
-                grad[bias_off + c] += coeff;
             }
-        }
+            // A class whose error is exactly zero leaves its row alone.
+            ops::rank_update(grad_w, coeff, xs, true);
+        });
         loss / indices.len() as f64
     }
 

@@ -47,6 +47,46 @@ pub fn argmax(xs: &[f32]) -> usize {
     best
 }
 
+/// How close an earlier logit may come to the maximum before
+/// [`predict`] computes the softmax: far more than the few ulps within
+/// which two probabilities can round to the same value.
+const NEAR_TIE: f32 = 1e-5;
+
+/// The class `argmax(softmax(logits))` names, mostly without the
+/// softmax: `logits` may be left as they are or turned into the
+/// probabilities.
+///
+/// [`softmax_in_place`] maps the first maximum `m` of finite logits to
+/// `exp(0) / sum = 1 / sum` and every other logit to `exp(≤ 0) / sum`,
+/// which is no larger: `exp` of a non-positive argument is at most 1
+/// and dividing by the one positive `sum` is monotone. So `m` is a
+/// maximum of the probabilities, and [`argmax`] — first maximum wins —
+/// names another class only if an *earlier* logit's probability rounds
+/// to the very same value, which takes a logit within a few ulps of
+/// the maximum. Only then, or when a logit is not finite (the softmax
+/// of `NaN` / `±∞` has rules of its own), are the probabilities
+/// computed and asked.
+pub fn predict(logits: &mut [f32]) -> usize {
+    assert!(!logits.is_empty(), "prediction from an empty vector");
+    // Three short loops without a data-dependent branch: the class is
+    // as good as random to a branch predictor.
+    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let finite = logits.iter().fold(true, |ok, l| ok & l.is_finite());
+    // The first logit within the guard of the maximum: the first
+    // maximum itself unless an earlier logit comes that close.
+    let mut near = 0;
+    for (i, l) in logits.iter().enumerate().rev() {
+        if max - *l <= NEAR_TIE {
+            near = i;
+        }
+    }
+    if finite && logits[near] == max {
+        return near;
+    }
+    softmax_in_place(logits);
+    argmax(logits)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,6 +136,23 @@ mod tests {
         ce_grad_in_place(&mut p, 1);
         assert!((p[1] - (-0.5)).abs() < 1e-6);
         assert!((p[0] - 0.2).abs() < 1e-6);
+    }
+
+    #[test]
+    fn predict_names_the_class_of_the_largest_probability() {
+        assert_eq!(predict(&mut [0.5, 2.0, -1.0, 2.0]), 1);
+        assert_eq!(predict(&mut [-3.0]), 0);
+        // Within the guard, and not finite: the softmax decides.
+        for logits in [
+            [1.0, 1.0 + f32::EPSILON, 0.0],
+            [f32::NAN, 1.0, 2.0],
+            [0.0, f32::INFINITY, 1.0],
+            [f32::NEG_INFINITY, 0.0, 1.0],
+        ] {
+            let mut probs = logits;
+            softmax_in_place(&mut probs);
+            assert_eq!(predict(&mut logits.clone()), argmax(&probs), "{logits:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@ use crate::model::{BatchScratch, Model};
 /// Fraction of test samples the model classifies correctly.
 pub fn accuracy(model: &dyn Model, data: &Dataset) -> f64 {
     assert!(!data.is_empty(), "accuracy over empty dataset");
-    model.count_correct(data, 0..data.len()) as f64 / data.len() as f64
+    let hits = model.count_correct(data, 0..data.len(), &mut BatchScratch::default());
+    hits as f64 / data.len() as f64
 }
 
 /// Accuracy computed in parallel, one contiguous row range per thread;
@@ -19,7 +20,10 @@ pub fn accuracy_parallel(model: &dyn Model, data: &Dataset, threads: usize) -> f
         chunks,
         chunks,
         || 0usize,
-        |c| model.count_correct(data, c * n / chunks..(c + 1) * n / chunks),
+        |c| {
+            let rows = c * n / chunks..(c + 1) * n / chunks;
+            model.count_correct(data, rows, &mut BatchScratch::default())
+        },
         |a, b| a + b,
     );
     hits as f64 / n as f64

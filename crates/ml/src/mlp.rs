@@ -6,11 +6,11 @@ use std::ops::Range;
 use rand::rngs::StdRng;
 
 use hfl_tensor::init;
-use hfl_tensor::ops::Panel;
+use hfl_tensor::ops::{self, Panel};
 
 use crate::dataset::Dataset;
-use crate::loss::{argmax, ce_grad_in_place, cross_entropy, softmax_in_place};
-use crate::model::{dense, BatchScratch, Model};
+use crate::loss::{ce_grad_in_place, cross_entropy, predict, softmax_in_place};
+use crate::model::{for_each_block, rows_of, BatchScratch, Dense, Model, BLOCK};
 
 /// MLP `dim → hidden (ReLU) → classes (softmax)`.
 ///
@@ -66,41 +66,30 @@ impl Mlp {
         self.off_w2() + self.classes * self.hidden
     }
 
-    /// `panels` filled from this model's two weight matrices when a
-    /// call applies them to more than one input, `None` for a single
-    /// input: a refill costs more than the one forward pass it would
-    /// speed up.
-    fn panels_for<'a>(&self, inputs: usize, panels: &'a mut [Panel; 2]) -> Option<&'a [Panel; 2]> {
-        (inputs > 1).then(|| {
-            let t = &self.theta;
-            panels[0].fill(&t[..self.off_b1()], self.hidden, self.dim);
-            panels[1].fill(&t[self.off_w2()..self.off_b2()], self.classes, self.hidden);
-            &*panels
-        })
-    }
-
-    /// Forward pass through [`Self::panels_for`]'s choice of kernel.
-    /// Writes hidden activations (post-ReLU) and class probabilities
-    /// into the provided buffers.
-    fn forward_through(
-        &self,
-        panels: Option<&[Panel; 2]>,
-        x: &[f32],
-        h: &mut [f32],
-        probs: &mut [f32],
-    ) {
+    /// The model's two layers, bound to a call over `inputs` inputs.
+    fn layers<'a>(&'a self, panels: &'a mut [Panel; 2], inputs: usize) -> [Dense<'a>; 2] {
         let (w1, rest) = self.theta.split_at(self.off_b1());
         let (b1, rest) = rest.split_at(self.hidden);
         let (w2, b2) = rest.split_at(self.classes * self.hidden);
-        // h = relu(W1 x + b1)
-        dense(panels.map(|p| &p[0]), w1, b1, x, h);
-        for z in h.iter_mut() {
-            *z = z.max(0.0);
-        }
-        // logits = W2 h + b2
-        dense(panels.map(|p| &p[1]), w2, b2, h, probs);
-        softmax_in_place(probs);
+        let [p1, p2] = panels;
+        [
+            Dense::new(w1, b1, p1, inputs),
+            Dense::new(w2, b2, p2, inputs),
+        ]
     }
+}
+
+/// Forward pass of one block: hidden activations (post-ReLU) into `h`,
+/// logits into `logits`.
+fn forward(layers: &[Dense; 2], xs: &[&[f32]], h: &mut [f32], logits: &mut [f32]) {
+    // h = relu(W1 x + b1)
+    layers[0].forward(xs, h);
+    for z in h.iter_mut() {
+        *z = z.max(0.0);
+    }
+    // logits = W2 h + b2
+    let hs = rows_of(h, h.len() / xs.len());
+    layers[1].forward(&hs[..xs.len()], logits);
 }
 
 impl Model for Mlp {
@@ -112,29 +101,51 @@ impl Model for Mlp {
         &self.theta
     }
 
+    fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.theta
+    }
+
     fn set_params(&mut self, p: &[f32]) {
         assert_eq!(p.len(), self.theta.len(), "parameter length mismatch");
         self.theta.copy_from_slice(p);
     }
 
     fn predict(&self, x: &[f32], scratch: &mut BatchScratch) -> u8 {
-        let BatchScratch { probs, hidden, .. } = scratch;
+        let BatchScratch {
+            probs,
+            hidden,
+            panels,
+            ..
+        } = scratch;
         hidden.resize(self.hidden, 0.0);
         probs.resize(self.classes, 0.0);
-        self.forward_through(None, x, hidden, probs);
-        argmax(probs) as u8
+        forward(&self.layers(panels, 1), &[x], hidden, probs);
+        predict(probs) as u8
     }
 
-    fn count_correct(&self, data: &Dataset, rows: Range<usize>) -> usize {
-        let mut panels = <[Panel; 2]>::default();
-        let panels = self.panels_for(rows.len(), &mut panels);
-        let mut h = vec![0.0f32; self.hidden];
-        let mut probs = vec![0.0f32; self.classes];
-        rows.filter(|&i| {
-            self.forward_through(panels, data.x(i), &mut h, &mut probs);
-            argmax(&probs) as u8 == data.y(i)
-        })
-        .count()
+    fn count_correct(
+        &self,
+        data: &Dataset,
+        rows: Range<usize>,
+        scratch: &mut BatchScratch,
+    ) -> usize {
+        let BatchScratch {
+            probs,
+            hidden,
+            panels,
+            ..
+        } = scratch;
+        hidden.resize(BLOCK * self.hidden, 0.0);
+        probs.resize(BLOCK * self.classes, 0.0);
+        let layers = self.layers(panels, rows.len());
+        let mut hits = 0;
+        for_each_block(data, rows, |xs, ys| {
+            let logits = &mut probs[..xs.len() * self.classes];
+            forward(&layers, xs, &mut hidden[..xs.len() * self.hidden], logits);
+            let classes = logits.chunks_exact_mut(self.classes).map(predict);
+            hits += classes.zip(ys).filter(|(c, y)| *c as u8 == **y).count();
+        });
+        hits
     }
 
     fn loss_grad_batch_with(
@@ -148,64 +159,58 @@ impl Model for Mlp {
         assert!(!indices.is_empty(), "empty batch");
         assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
         let inv_n = 1.0 / indices.len() as f32;
-        let (off_b1, off_w2, off_b2) = (self.off_b1(), self.off_w2(), self.off_b2());
+        let (hid, classes) = (self.hidden, self.classes);
         let BatchScratch {
             probs,
             hidden,
             dhidden,
+            errors_t,
             panels,
         } = scratch;
-        let (h, dh) = (hidden, dhidden);
-        h.clear();
-        h.resize(self.hidden, 0.0);
-        probs.clear();
-        probs.resize(self.classes, 0.0);
-        dh.clear();
-        dh.resize(self.hidden, 0.0);
-        let panels = self.panels_for(indices.len(), panels);
+        probs.resize(BLOCK * classes, 0.0);
+        hidden.resize(BLOCK * hid, 0.0);
+        dhidden.resize(BLOCK * hid, 0.0);
+        errors_t.resize(BLOCK * classes, 0.0);
+        let layers = self.layers(panels, indices.len());
+        let w2 = &self.theta[self.off_w2()..self.off_b2()];
+        let (grad_w1, rest) = grad.split_at_mut(self.off_b1());
+        let (grad_b1, rest) = rest.split_at_mut(hid);
+        let (grad_w2, grad_b2) = rest.split_at_mut(classes * hid);
         let mut loss = 0.0f64;
-        for &i in indices {
-            let x = data.x(i);
-            let y = data.y(i);
-            self.forward_through(panels, x, h, probs);
-            loss += cross_entropy(probs, y);
-            ce_grad_in_place(probs, y); // probs now holds dL/dlogits
-
-            // dL/dW2_c = err_c ⊗ h ; dL/db2_c = err_c
-            for (c, err) in probs.iter().enumerate() {
-                let coeff = inv_n * *err;
-                hfl_tensor::ops::axpy(
-                    coeff,
-                    h,
-                    &mut grad[off_w2 + c * self.hidden..off_w2 + (c + 1) * self.hidden],
-                );
-                grad[off_b2 + c] += coeff;
-            }
-            // dh = W2ᵀ err, gated by ReLU
-            hfl_tensor::ops::zero(dh);
-            for (c, err) in probs.iter().enumerate() {
-                let row =
-                    &self.theta[off_w2 + c * self.hidden..off_w2 + (c + 1) * self.hidden];
-                hfl_tensor::ops::axpy(*err, row, dh);
-            }
-            for (dj, hj) in dh.iter_mut().zip(h.iter()) {
-                if *hj <= 0.0 {
-                    *dj = 0.0;
+        for_each_block(data, indices.iter().copied(), |xs, ys| {
+            let n = xs.len();
+            let (h, coeff) = (&mut hidden[..n * hid], &mut probs[..n * classes]);
+            forward(&layers, xs, h, coeff);
+            let errors_t = &mut errors_t[..n * classes];
+            for (s, (err, y)) in coeff.chunks_exact_mut(classes).zip(ys).enumerate() {
+                softmax_in_place(err);
+                loss += cross_entropy(err, *y);
+                // err becomes dL/dlogits; dL/dW2_c = err_c ⊗ h, dL/db2_c = err_c
+                ce_grad_in_place(err, *y);
+                for (c, (e, b)) in err.iter_mut().zip(grad_b2.iter_mut()).enumerate() {
+                    errors_t[c * n + s] = *e;
+                    *e *= inv_n;
+                    *b += *e;
                 }
+            }
+            ops::rank_update(grad_w2, coeff, &rows_of(h, hid)[..n], false);
+            // dh = W2ᵀ err — sample s is row s, class c the c-th input —
+            // gated by ReLU
+            let dh = &mut dhidden[..n * hid];
+            ops::zero(dh);
+            for (w2, errors_t) in w2.chunks(BLOCK * hid).zip(errors_t.chunks(BLOCK * n)) {
+                ops::rank_update(dh, errors_t, &rows_of(w2, hid)[..w2.len() / hid], false);
             }
             // dL/dW1_j = dh_j ⊗ x ; dL/db1_j = dh_j
-            for (j, dj) in dh.iter().enumerate() {
-                let coeff = inv_n * *dj;
-                if coeff != 0.0 {
-                    hfl_tensor::ops::axpy(
-                        coeff,
-                        x,
-                        &mut grad[j * self.dim..(j + 1) * self.dim],
-                    );
+            for (dh, h) in dh.chunks_exact_mut(hid).zip(h.chunks_exact(hid)) {
+                for ((dj, hj), b) in dh.iter_mut().zip(h).zip(grad_b1.iter_mut()) {
+                    *dj = inv_n * if *hj <= 0.0 { 0.0 } else { *dj };
+                    *b += *dj;
                 }
-                grad[off_b1 + j] += coeff;
             }
-        }
+            // A unit the gate closed leaves its row alone.
+            ops::rank_update(grad_w1, dh, xs, true);
+        });
         loss / indices.len() as f64
     }
 

@@ -7,17 +7,26 @@ use rand::rngs::StdRng;
 
 use crate::dataset::Dataset;
 
+/// Most inputs the models carry through a dense layer at once — the
+/// paper's batch (Table V). Larger batches and row ranges go block by
+/// block, in order.
+pub(crate) const BLOCK: usize = 32;
+
 /// Reusable forward/backward buffers, so steady-state training rounds
-/// and per-sample scoring perform no heap allocation. Implementations
-/// resize what they need, which is free once capacity has grown.
+/// and scoring perform no heap allocation. Each holds one block of at
+/// most [`BLOCK`] inputs; implementations resize what they need, which
+/// is free once capacity has grown.
 #[derive(Clone, Debug, Default)]
 pub struct BatchScratch {
-    /// Class-probability / logit buffer (`classes` long).
+    /// Logits of a block, then its class probabilities and output
+    /// errors in place (`BLOCK × classes`).
     pub probs: Vec<f32>,
-    /// Hidden activations (MLP only).
+    /// Hidden activations of a block (MLP only).
     pub hidden: Vec<f32>,
-    /// Hidden-layer gradient (MLP only).
+    /// Hidden-layer gradient of a block (MLP only).
     pub dhidden: Vec<f32>,
+    /// Output errors of a block, class-major (MLP only).
+    pub(crate) errors_t: Vec<f32>,
     /// The model's weight matrices as [`Panel`]s, first layer first (the
     /// second is the MLP's output layer). Refilled by every call that
     /// applies one θ to more than one input and never read across
@@ -26,15 +35,72 @@ pub struct BatchScratch {
     pub(crate) panels: [Panel; 2],
 }
 
-/// One dense layer of a forward pass, `out = W x + bias`: through
-/// `panel` when the call filled one from `w` (several inputs share the
-/// weights), else over the stored rows `w` themselves. Both kernels
+/// One dense layer `out = W x + bias` bound to the inputs of one call:
+/// `panel` is filled from `w` when the call applies the weights to more
+/// than one input, and left alone for a single input — a refill costs
+/// more than the one forward pass it would speed up. Both kernels
 /// produce the same bits.
-pub(crate) fn dense(panel: Option<&Panel>, w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
-    match panel {
-        Some(panel) => ops::affine_panel(panel, bias, x, out),
-        None => ops::affine_rows(w, bias, x, out),
+pub(crate) struct Dense<'a> {
+    w: &'a [f32],
+    bias: &'a [f32],
+    panel: &'a Panel,
+    filled: bool,
+}
+
+impl<'a> Dense<'a> {
+    pub(crate) fn new(w: &'a [f32], bias: &'a [f32], panel: &'a mut Panel, inputs: usize) -> Self {
+        let filled = inputs > 1;
+        if filled {
+            panel.fill(w, bias.len(), w.len() / bias.len());
+        }
+        Self {
+            w,
+            bias,
+            panel,
+            filled,
+        }
     }
+
+    /// `out[s * rows + r] = dot(w_r, xs[s]) as f32 + bias[r]` for one
+    /// block of the call's inputs.
+    pub(crate) fn forward(&self, xs: &[&[f32]], out: &mut [f32]) {
+        if self.filled {
+            ops::forward_block(self.panel, self.bias, xs, out);
+        } else {
+            ops::affine_rows(self.w, self.bias, xs[0], out);
+        }
+    }
+}
+
+/// Calls `f(features, labels)` for each block of at most [`BLOCK`] of
+/// the samples `ids` names, in order.
+pub(crate) fn for_each_block<'a>(
+    data: &'a Dataset,
+    ids: impl IntoIterator<Item = usize>,
+    mut f: impl FnMut(&[&'a [f32]], &[u8]),
+) {
+    let (mut xs, mut ys, mut n) = ([&[][..]; BLOCK], [0u8; BLOCK], 0);
+    for i in ids {
+        (xs[n], ys[n]) = (data.x(i), data.y(i));
+        n += 1;
+        if n == BLOCK {
+            f(&xs, &ys);
+            n = 0;
+        }
+    }
+    if n > 0 {
+        f(&xs[..n], &ys[..n]);
+    }
+}
+
+/// The `width`-long rows of `flat`, at most [`BLOCK`] of them, as the
+/// inputs of a block kernel; the caller slices off the rows it has.
+pub(crate) fn rows_of(flat: &[f32], width: usize) -> [&[f32]; BLOCK] {
+    let mut rows = [&[][..]; BLOCK];
+    for (slot, row) in rows.iter_mut().zip(flat.chunks_exact(width)) {
+        *slot = row;
+    }
+    rows
 }
 
 /// A classification model whose parameters live in one contiguous buffer.
@@ -51,6 +117,10 @@ pub trait Model: Send + Sync {
     /// Borrow the flat parameter vector.
     fn params(&self) -> &[f32];
 
+    /// Borrow the flat parameter vector for an in-place update (the
+    /// SGD step).
+    fn params_mut(&mut self) -> &mut [f32];
+
     /// Overwrite the parameters from a flat vector of exactly
     /// [`Model::param_len`] elements.
     fn set_params(&mut self, p: &[f32]);
@@ -62,11 +132,16 @@ pub trait Model: Send + Sync {
 
     /// Number of samples in `data[rows]` the model classifies correctly
     /// — the scoring entry point of the accuracy metrics and the
-    /// validation vote: one virtual call and one scratch per row range,
-    /// not per sample.
-    fn count_correct(&self, data: &Dataset, rows: Range<usize>) -> usize {
-        let mut scratch = BatchScratch::default();
-        rows.filter(|&i| self.predict(data.x(i), &mut scratch) == data.y(i))
+    /// validation vote: one virtual call per row range, not per sample,
+    /// in the caller's `scratch`, so scoring many models over one
+    /// scratch allocates only while its buffers grow.
+    fn count_correct(
+        &self,
+        data: &Dataset,
+        rows: Range<usize>,
+        scratch: &mut BatchScratch,
+    ) -> usize {
+        rows.filter(|&i| self.predict(data.x(i), scratch) == data.y(i))
             .count()
     }
 
@@ -296,7 +371,7 @@ mod tests {
                 for rows in [0..41, 0..0, 9..9, 9..10, 40..41, 3..29, 17..41] {
                     let hits = rows.clone().filter(|&i| want[i] == data.y(i)).count();
                     assert_eq!(
-                        model.count_correct(&data, rows.clone()),
+                        model.count_correct(&data, rows.clone(), &mut scratch),
                         hits,
                         "rows {rows:?}"
                     );

@@ -13,7 +13,6 @@ use crate::model::{BatchScratch, Model};
 pub struct TrainScratch {
     grad: Vec<f32>,
     indices: Vec<usize>,
-    theta: Vec<f32>,
     batch: BatchScratch,
 }
 
@@ -101,7 +100,7 @@ pub fn train_local(
 /// [`train_local`] with caller-owned scratch — the allocation-free entry
 /// point the round runner uses. Numerically identical to `train_local`
 /// (same RNG draws, same arithmetic); the scratch only recycles the
-/// gradient, index, staging, and forward/backward buffers.
+/// gradient, index, and forward/backward buffers.
 pub fn train_local_scratch(
     model: &mut dyn Model,
     data: &Dataset,
@@ -117,7 +116,6 @@ pub fn train_local_scratch(
     let TrainScratch {
         grad,
         indices,
-        theta,
         batch: batch_scratch,
     } = scratch;
     grad.clear();
@@ -131,13 +129,8 @@ pub fn train_local_scratch(
         }
         hfl_tensor::ops::zero(grad);
         total_loss += model.loss_grad_batch_with(data, indices, grad, batch_scratch);
-        // θ ← θ − η ∇ℓ. Models expose params only as slices, so stage the
-        // update through a reusable copy; this keeps the Model trait
-        // minimal and safe while staying allocation-free in steady state.
-        theta.clear();
-        theta.extend_from_slice(model.params());
-        hfl_tensor::ops::axpy(-cfg.lr, grad, theta);
-        model.set_params(theta);
+        // θ ← θ − η ∇ℓ
+        hfl_tensor::ops::axpy(-cfg.lr, grad, model.params_mut());
     }
     if iters == 0 {
         0.0

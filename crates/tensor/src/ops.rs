@@ -72,7 +72,7 @@ const AFFINE_LANES: usize = 8;
 /// Dense layer `out[r] = dot(w_r, x) as f32 + bias[r]` for a single
 /// input, `w` row-major as the parameters are stored, one
 /// `x.len()`-long row per output. Several inputs under one `w` go
-/// through a [`Panel`] instead ([`affine_panel`]); one input has
+/// through a [`Panel`] instead ([`forward_block`]); one input has
 /// nothing to amortise a panel refill over.
 ///
 /// Rows are processed in lockstep blocks: every row keeps its own `f64`
@@ -142,21 +142,38 @@ fn affine_block<const L: usize>(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f
 }
 
 /// Most output rows one [`Panel`] tile holds: sixteen `f64`
-/// accumulators are eight SSE2 registers (four under AVX2), which
-/// leaves room for the broadcast `x` operand and the column load.
+/// accumulators for each of four inputs are eight AVX-512 registers,
+/// which leaves room for the broadcast inputs and the column load.
 const PANEL_LANES: usize = 16;
 
-/// A dense layer's weights prepared for [`affine_panel`]: widened to
+/// `n` as a sum of powers of two, largest first and none above `max`
+/// (a power of two itself): `(offset, size)` per term, in order — 10
+/// under 16 is 8 + 2, 64 is 4 × 16, 19 is 16 + 2 + 1. Fixed-size
+/// arrays of these sizes are what the tile kernels below hold in
+/// registers: a power of two always fills whole vectors of some width.
+fn binary_blocks(n: usize, max: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        (at < n).then(|| {
+            let size = max.min(1 << (n - at).ilog2());
+            at += size;
+            (at - size, size)
+        })
+    })
+}
+
+/// A dense layer's weights prepared for [`forward_block`]: widened to
 /// `f64` once and stored feature-major, so the operands of one
 /// coordinate step — the same coordinate of every output row — are
 /// adjacent in memory instead of one row length apart.
 ///
-/// Rows are split evenly into tiles of at most [`PANEL_LANES`] (10 rows
-/// → one tile of 10, 64 → 4 × 16, 33 → 3 × 11); the buffer is laid out
-/// `[tile][coordinate][lane]`, i.e. a tile of `L` rows starting at row
-/// `r` occupies `data[r * cols..(r + L) * cols]` as `cols` groups of
-/// `L` lanes. Widening is exact, so a panel holds the very values the
-/// `f32` rows do.
+/// Rows are split into tiles of a power-of-two lane count, at most
+/// [`PANEL_LANES`] ([`binary_blocks`]: 10 rows → 8 + 2, 64 → 4 × 16,
+/// 19 → 16 + 2 + 2, a single last row sharing its tile with a lane of
+/// zeros); the buffer is laid out `[tile][coordinate][lane]`, i.e. a
+/// tile of `L` lanes starting at row `r` occupies `data[r * cols..(r +
+/// L) * cols]` as `cols` groups of `L` lanes. Widening is exact, so a
+/// panel holds the very values the `f32` rows do.
 ///
 /// A panel is a pure function of the weights it was last
 /// [`fill`](Panel::fill)ed from; refilling reuses the buffer, so a
@@ -176,82 +193,306 @@ impl Panel {
         self.cols = cols;
         // No `clear`: every element is overwritten below, so only a
         // growing panel pays for a zero-fill, and only of its new tail.
-        self.data.resize(rows * cols, 0.0);
-        for (r, lanes) in even_blocks(rows, PANEL_LANES) {
+        self.data.resize(rows.next_multiple_of(2) * cols, 0.0);
+        for (r, lanes) in self.tiles() {
             let tile = &mut self.data[r * cols..(r + lanes) * cols];
             for l in 0..lanes {
-                let row = &w[(r + l) * cols..][..cols];
-                for (group, v) in tile.chunks_exact_mut(lanes).zip(row) {
-                    group[l] = *v as f64;
+                match w.get((r + l) * cols..(r + l + 1) * cols) {
+                    Some(row) => {
+                        for (group, v) in tile.chunks_exact_mut(lanes).zip(row) {
+                            group[l] = *v as f64;
+                        }
+                    }
+                    // The lane beside a single last row.
+                    None => tile
+                        .chunks_exact_mut(lanes)
+                        .for_each(|group| group[l] = 0.0),
                 }
+            }
+        }
+    }
+
+    /// `(first row, lanes)` per tile, in storage order.
+    fn tiles(&self) -> impl Iterator<Item = (usize, usize)> {
+        binary_blocks(self.rows, PANEL_LANES).map(|(r, lanes)| (r, lanes.max(2)))
+    }
+}
+
+/// Inputs one tile pass of [`forward_block`] carries in lock step.
+const BLOCK_INPUTS: usize = 4;
+
+/// Dense layer over a filled [`Panel`] for a block of inputs:
+/// `out[s * rows + r] = dot(w_r, xs[s]) as f32 + bias[r]` — the kernel
+/// for callers that apply one weight matrix to several inputs.
+///
+/// Per tile of `L` lanes the inner loop is `acc_k[l] += col[l] *
+/// x_k[c]` for [`BLOCK_INPUTS`] inputs `k` at once over one contiguous
+/// group of `L` lanes: every (input, row) pair keeps its own `f64`
+/// accumulator and visits coordinates in index order exactly as [`dot`]
+/// does (a multiply, then an add — nothing fused or reassociated), so
+/// each output is bitwise what the per-row `dot` loop produces. The
+/// lanes of one SIMD register are *rows*, as the panel lays them out;
+/// the four inputs give every coordinate step four times the
+/// independent add chains of a single input — whose one or two wait on
+/// the add latency at any width past SSE2 — and each column group is
+/// loaded once for four inputs. A last group of one to three inputs
+/// runs the same body with its last input repeated and the repeats
+/// dropped.
+///
+/// The body is compiled at every [`Width`] and runs at the widest.
+///
+/// # Panics
+/// If an input's length is not the panel's column count, or `bias` /
+/// `out` do not match its row count.
+pub fn forward_block(panel: &Panel, bias: &[f32], xs: &[&[f32]], out: &mut [f32]) {
+    forward_block_at(Width::widest(), panel, bias, xs, out).expect("the width was just detected")
+}
+
+/// [`forward_block`] compiled at `width`, or `None` when the CPU lacks
+/// it — for the differential tests, which reach the widths the
+/// dispatch passes over on the host.
+#[doc(hidden)]
+pub fn forward_block_at(
+    width: Width,
+    panel: &Panel,
+    bias: &[f32],
+    xs: &[&[f32]],
+    out: &mut [f32],
+) -> Option<()> {
+    assert_eq!(
+        bias.len(),
+        panel.rows,
+        "forward_block: bias length mismatch"
+    );
+    assert_eq!(
+        out.len(),
+        xs.len() * panel.rows,
+        "forward_block: output length mismatch"
+    );
+    for x in xs {
+        assert_eq!(x.len(), panel.cols, "forward_block: input length mismatch");
+    }
+    width.run(
+        #[inline(always)]
+        |(panel, bias, xs), out, ()| forward_body(panel, bias, xs, out),
+        (panel, bias, xs),
+        out,
+        (),
+    )
+}
+
+/// The one body of [`forward_block`], inlined into the function of each
+/// [`Width`] it is run at. Tiles outermost: a tile stays in L1 while
+/// every input group streams past it.
+#[inline(always)]
+fn forward_body(panel: &Panel, bias: &[f32], xs: &[&[f32]], out: &mut [f32]) {
+    let (rows, d) = (panel.rows, panel.cols);
+    for (r, lanes) in panel.tiles() {
+        let (tile, bias) = (&panel.data[r * d..(r + lanes) * d], &bias[r..]);
+        for (g, group) in xs.chunks(BLOCK_INPUTS).enumerate() {
+            let last = group.len() - 1;
+            let quad = [
+                group[0],
+                group[1.min(last)],
+                group[2.min(last)],
+                group[3.min(last)],
+            ];
+            let out = &mut out[g * BLOCK_INPUTS * rows + r..];
+            match lanes {
+                2 => panel_tile::<2>(tile, bias, quad, group.len(), rows, out),
+                4 => panel_tile::<4>(tile, bias, quad, group.len(), rows, out),
+                8 => panel_tile::<8>(tile, bias, quad, group.len(), rows, out),
+                _ => panel_tile::<PANEL_LANES>(tile, bias, quad, group.len(), rows, out),
             }
         }
     }
 }
 
-/// Dense layer `out[r] = dot(w_r, x) as f32 + bias[r]` over a filled
-/// [`Panel`] — the kernel for callers that apply one weight matrix to
-/// several inputs.
+/// One tile of [`forward_block`] under four inputs: `L` lanes, `4 · L`
+/// accumulators, one `[f64; L]` column group per coordinate. Input `k`
+/// of the first `live` writes its rows — as many of the `L` as `bias`
+/// and the `stride`-long output row still hold — to `out[k * stride..]`.
 ///
-/// Per tile the inner loop is `acc[l] += col[l] * x_c` over one
-/// contiguous group of `L` lanes: every output row keeps its own `f64`
-/// accumulator and visits coordinates in index order exactly as [`dot`]
-/// does (a multiply, then an add — nothing fused or reassociated), so
-/// each `out[r]` is bitwise what the per-row `dot` loop produces. What
-/// the layout changes is that the lanes of one SIMD register are
-/// *rows*: the compiler vectorises the group with packed multiplies and
-/// adds, where the row-major kernel needs one scalar convert, multiply
-/// and add per (row, coordinate).
-pub fn affine_panel(panel: &Panel, bias: &[f32], x: &[f32], out: &mut [f32]) {
-    assert_eq!(x.len(), panel.cols, "affine_panel: input length mismatch");
-    assert_eq!(bias.len(), panel.rows, "affine_panel: bias length mismatch");
-    assert_eq!(
-        out.len(),
-        panel.rows,
-        "affine_panel: output length mismatch"
-    );
-    let d = panel.cols;
-    for (r, lanes) in even_blocks(panel.rows, PANEL_LANES) {
-        let (tile, bias, out) = (
-            &panel.data[r * d..(r + lanes) * d],
-            &bias[r..r + lanes],
-            &mut out[r..r + lanes],
-        );
-        match lanes {
-            1 => panel_tile::<1>(tile, bias, x, out),
-            2 => panel_tile::<2>(tile, bias, x, out),
-            3 => panel_tile::<3>(tile, bias, x, out),
-            4 => panel_tile::<4>(tile, bias, x, out),
-            5 => panel_tile::<5>(tile, bias, x, out),
-            6 => panel_tile::<6>(tile, bias, x, out),
-            7 => panel_tile::<7>(tile, bias, x, out),
-            8 => panel_tile::<8>(tile, bias, x, out),
-            9 => panel_tile::<9>(tile, bias, x, out),
-            10 => panel_tile::<10>(tile, bias, x, out),
-            11 => panel_tile::<11>(tile, bias, x, out),
-            12 => panel_tile::<12>(tile, bias, x, out),
-            13 => panel_tile::<13>(tile, bias, x, out),
-            14 => panel_tile::<14>(tile, bias, x, out),
-            15 => panel_tile::<15>(tile, bias, x, out),
-            _ => panel_tile::<PANEL_LANES>(tile, bias, x, out),
+/// The accumulators are four *named* arrays on purpose: as one
+/// `[[f64; L]; 4]` under a loop over the inputs they are left in
+/// memory and the loop is scalar, or vectorised across the inputs with
+/// gathers (DESIGN.md §15).
+#[inline(always)]
+fn panel_tile<const L: usize>(
+    tile: &[f64],
+    bias: &[f32],
+    [x0, x1, x2, x3]: [&[f32]; BLOCK_INPUTS],
+    live: usize,
+    stride: usize,
+    out: &mut [f32],
+) {
+    let (mut a0, mut a1, mut a2, mut a3) = ([0.0f64; L], [0.0f64; L], [0.0f64; L], [0.0f64; L]);
+    let (cols, _) = tile.as_chunks::<L>();
+    for ((((col, v0), v1), v2), v3) in cols.iter().zip(x0).zip(x1).zip(x2).zip(x3) {
+        let (v0, v1, v2, v3) = (*v0 as f64, *v1 as f64, *v2 as f64, *v3 as f64);
+        for l in 0..L {
+            a0[l] += col[l] * v0;
+        }
+        for l in 0..L {
+            a1[l] += col[l] * v1;
+        }
+        for l in 0..L {
+            a2[l] += col[l] * v2;
+        }
+        for l in 0..L {
+            a3[l] += col[l] * v3;
+        }
+    }
+    for (k, acc) in [a0, a1, a2, a3].iter().enumerate().take(live) {
+        for ((o, a), b) in out[k * stride..].iter_mut().zip(acc).zip(bias) {
+            *o = *a as f32 + *b;
         }
     }
 }
 
-/// One tile of [`affine_panel`]: `L` rows, `L` accumulators, one
-/// `[f64; L]` column group per coordinate.
-#[inline]
-fn panel_tile<const L: usize>(tile: &[f64], bias: &[f32], x: &[f32], out: &mut [f32]) {
-    let mut acc = [0.0f64; L];
-    for (col, xc) in tile.chunks_exact(L).zip(x) {
-        let xc = *xc as f64;
-        for (a, w) in acc.iter_mut().zip(col) {
-            *a += *w * xc;
+/// Most columns of one gradient tile of [`rank_update`]: two rows of
+/// 32 `f32` are four AVX-512 registers, eight AVX2 or sixteen SSE2 —
+/// accumulators that rest in registers across a whole block of inputs
+/// at any of them, with enough independent add chains to hide the add
+/// latency.
+const RANK_COLS: usize = 32;
+
+/// Rank-`S` update of a row-major `rows × cols` gradient from a block
+/// of `S` inputs: `grad[r][c] += coeff[s * rows + r] * xs[s][c]` for
+/// `s` in order — what one [`axpy`] per (input, row) computes, bit for
+/// bit: each gradient entry sees the same `f32` multiply-then-add
+/// chain in the same input order. With `skip_zero`, a coefficient that
+/// is exactly zero adds nothing (the entry keeps its bits, `-0.0` and
+/// a non-finite input included), as a loop that skips the `axpy` does;
+/// without, the product is added like any other.
+///
+/// What changes is the traffic: a tile of two rows by at most
+/// [`RANK_COLS`] columns of `grad` is loaded once, updated by every
+/// input of the block and stored once, where the `axpy` loop loads and
+/// stores a gradient row per (input, row).
+///
+/// The body is compiled at every [`Width`] and runs at the widest; a
+/// single input takes the `axpy` loop itself.
+///
+/// # Panics
+/// If the inputs differ in length, or `coeff` / `grad` do not hold
+/// `xs.len() × rows` / `rows × cols` values.
+pub fn rank_update(grad: &mut [f32], coeff: &[f32], xs: &[&[f32]], skip_zero: bool) {
+    if let [x] = xs {
+        // A block of one keeps nothing resident across inputs: the
+        // definition is the kernel, without the dispatch (a sampled
+        // population's clients hold one sample each).
+        assert_eq!(
+            grad.len(),
+            coeff.len() * x.len(),
+            "rank_update: gradient shape mismatch"
+        );
+        for (row, a) in grad.chunks_exact_mut(x.len().max(1)).zip(coeff) {
+            if !(skip_zero && *a == 0.0) {
+                axpy(*a, x, row);
+            }
+        }
+        return;
+    }
+    rank_update_at(Width::widest(), grad, coeff, xs, skip_zero)
+        .expect("the width was just detected")
+}
+
+/// [`rank_update`] compiled at `width`, or `None` when the CPU lacks it
+/// (see [`forward_block_at`]).
+#[doc(hidden)]
+pub fn rank_update_at(
+    width: Width,
+    grad: &mut [f32],
+    coeff: &[f32],
+    xs: &[&[f32]],
+    skip_zero: bool,
+) -> Option<()> {
+    let Some(first) = xs.first() else {
+        assert!(coeff.is_empty(), "rank_update: coefficients without inputs");
+        return Some(());
+    };
+    for x in xs {
+        check_same_len(first, x);
+    }
+    assert_eq!(
+        coeff.len() % xs.len(),
+        0,
+        "rank_update: coefficient count is not a multiple of the inputs"
+    );
+    assert_eq!(
+        grad.len(),
+        coeff.len() / xs.len() * first.len(),
+        "rank_update: gradient shape mismatch"
+    );
+    width.run(
+        #[inline(always)]
+        |(coeff, xs, skip_zero), grad, ()| rank_body(coeff, xs, skip_zero, grad),
+        (coeff, xs, skip_zero),
+        grad,
+        (),
+    )
+}
+
+/// The one body of [`rank_update`], inlined into the function of each
+/// [`Width`] it is run at: two rows at a time (a single last row takes
+/// the place of both and is stored once), columns in power-of-two
+/// tiles, so no tile is ragged.
+#[inline(always)]
+fn rank_body(coeff: &[f32], xs: &[&[f32]], skip_zero: bool, grad: &mut [f32]) {
+    let (rows, cols) = (coeff.len() / xs.len(), xs[0].len());
+    for r in (0..rows).step_by(2) {
+        let pair = [r, (r + 1).min(rows - 1)];
+        for (c, w) in binary_blocks(cols, RANK_COLS) {
+            match w {
+                1 => rank_tile::<1>(coeff, rows, pair, xs, c, skip_zero, grad),
+                2 => rank_tile::<2>(coeff, rows, pair, xs, c, skip_zero, grad),
+                4 => rank_tile::<4>(coeff, rows, pair, xs, c, skip_zero, grad),
+                8 => rank_tile::<8>(coeff, rows, pair, xs, c, skip_zero, grad),
+                16 => rank_tile::<16>(coeff, rows, pair, xs, c, skip_zero, grad),
+                _ => rank_tile::<RANK_COLS>(coeff, rows, pair, xs, c, skip_zero, grad),
+            }
         }
     }
-    for ((o, a), b) in out.iter_mut().zip(acc).zip(bias) {
-        *o = a as f32 + *b;
+}
+
+/// One gradient tile of [`rank_update`]: columns `c..c + W` of the two
+/// rows `pair`, every input innermost.
+///
+/// Two *named* row accumulators, not an array of rows: `[[f32; W]; R]`
+/// under a loop over the rows is left in memory, and every input's
+/// update then waits on the store before it (DESIGN.md §15).
+#[inline(always)]
+fn rank_tile<const W: usize>(
+    coeff: &[f32],
+    rows: usize,
+    [r0, r1]: [usize; 2],
+    xs: &[&[f32]],
+    c: usize,
+    skip_zero: bool,
+    grad: &mut [f32],
+) {
+    let cols = xs[0].len();
+    let (at0, at1) = (r0 * cols + c, r1 * cols + c);
+    let (mut g0, mut g1) = ([0.0f32; W], [0.0f32; W]);
+    g0.copy_from_slice(&grad[at0..at0 + W]);
+    g1.copy_from_slice(&grad[at1..at1 + W]);
+    for (s, x) in xs.iter().enumerate() {
+        let x = &x[c..c + W];
+        let (a0, a1) = (coeff[s * rows + r0], coeff[s * rows + r1]);
+        if !(skip_zero && a0 == 0.0) {
+            for j in 0..W {
+                g0[j] += a0 * x[j];
+            }
+        }
+        if !(skip_zero && a1 == 0.0) {
+            for j in 0..W {
+                g1[j] += a1 * x[j];
+            }
+        }
     }
+    grad[at1..at1 + W].copy_from_slice(&g1);
+    grad[at0..at0 + W].copy_from_slice(&g0);
 }
 
 /// Squared Euclidean norm (f64 accumulator).
@@ -414,6 +655,14 @@ impl Width {
     /// Every width, widest first.
     pub const ALL: [Width; 3] = [Width::Avx512, Width::Avx2, Width::Plain];
 
+    /// The widest width the running CPU has.
+    pub fn widest() -> Width {
+        Width::ALL
+            .into_iter()
+            .find(|w| w.detected())
+            .expect("the plain width runs anywhere")
+    }
+
     /// Whether the running CPU has this width.
     pub fn detected(self) -> bool {
         match self {
@@ -477,11 +726,7 @@ impl Width {
 /// CPU has (see [`Width::run`]).
 #[inline]
 pub fn at_widest<A, B, C, R>(kernel: impl FnOnce(A, B, C) -> R, a: A, b: B, c: C) -> R {
-    let widest = Width::ALL
-        .into_iter()
-        .find(|w| w.detected())
-        .expect("the plain width runs anywhere");
-    widest
+    Width::widest()
         .run(kernel, a, b, c)
         .expect("the width was just detected")
 }
@@ -781,7 +1026,7 @@ pub mod reference {
     }
 
     /// The dense layer as one sequential `dot` per output row, then the
-    /// bias — what [`affine_rows`] and [`affine_panel`] must reproduce
+    /// bias — what [`affine_rows`] and [`forward_block`] must reproduce
     /// bit for bit.
     pub fn affine_naive(w: &[f32], bias: &[f32], x: &[f32]) -> Vec<f32> {
         assert_eq!(w.len(), bias.len() * x.len(), "weight shape mismatch");
@@ -1106,20 +1351,41 @@ mod tests {
     fn even_blocks_split_evenly_and_cover_every_row() {
         let split = |rows, max| even_blocks(rows, max).collect::<Vec<_>>();
         assert_eq!(split(10, AFFINE_LANES), [(0, 5), (5, 5)]);
-        assert_eq!(split(10, PANEL_LANES), [(0, 10)]);
+        assert_eq!(split(17, AFFINE_LANES), [(0, 6), (6, 6), (12, 5)]);
+        assert_eq!(split(8, AFFINE_LANES), [(0, 8)]);
+        assert!(split(0, AFFINE_LANES).is_empty());
+    }
+
+    #[test]
+    fn binary_blocks_are_powers_of_two_and_cover_every_row() {
+        let split = |n, max| binary_blocks(n, max).collect::<Vec<_>>();
+        assert_eq!(split(10, PANEL_LANES), [(0, 8), (8, 2)]);
         assert_eq!(
             split(64, PANEL_LANES),
             [(0, 16), (16, 16), (32, 16), (48, 16)]
         );
-        assert_eq!(split(33, PANEL_LANES), [(0, 11), (11, 11), (22, 11)]);
-        assert_eq!(split(17, PANEL_LANES), [(0, 9), (9, 8)]);
+        assert_eq!(split(19, PANEL_LANES), [(0, 16), (16, 2), (18, 1)]);
+        assert_eq!(split(65, RANK_COLS), [(0, 32), (32, 32), (64, 1)]);
+        assert_eq!(split(7, RANK_COLS), [(0, 4), (4, 2), (6, 1)]);
         assert!(split(0, PANEL_LANES).is_empty());
+        // A panel's single last row shares its tile with a lane of zeros.
+        let mut panel = Panel::default();
+        panel.fill(&[1.0; 19 * 3], 19, 3);
+        assert_eq!(
+            panel.tiles().collect::<Vec<_>>(),
+            [(0, 16), (16, 2), (18, 2)]
+        );
+        assert_eq!(panel.data.len(), 20 * 3);
+        assert_eq!(panel.data[18 * 3..], [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
     }
 
     /// Both dense kernels against `dot` + bias per row: every row count
     /// 1–33 (every tile width, every uneven split) at short, odd, paper
-    /// and long row lengths, over NaN, ±∞, subnormals and signed zeros.
-    /// One `Panel` is refilled across all shapes, larger and smaller.
+    /// and long row lengths, over NaN, ±∞, subnormals and signed zeros;
+    /// the block kernel under 1–6 inputs (a short, a full and a ragged
+    /// second group of four). One `Panel` is refilled across all
+    /// shapes, larger and smaller. The every-width grid is
+    /// `tests/kernel_equivalence.rs`'s.
     #[test]
     fn dense_kernels_bitwise_match_dot_per_row() {
         let mut panel = Panel::default();
@@ -1127,24 +1393,29 @@ mod tests {
             for rows in 1usize..=33 {
                 let data = synth_rows(rows + 2, d.max(rows));
                 let w: Vec<f32> = data[..rows].iter().flat_map(|r| &r[..d]).copied().collect();
-                let (bias, x) = (&data[rows][..rows], &data[rows + 1][..d]);
-                let naive = reference::affine_naive(&w, bias, x);
-                let mut single = vec![0.0f32; rows];
-                affine_rows(&w, bias, x, &mut single);
+                let bias = &data[rows][..rows];
+                let xs: Vec<&[f32]> = (0..1 + rows % 6)
+                    .map(|s| &data[(rows + 1 + s) % (rows + 2)][..d])
+                    .collect();
                 panel.fill(&w, rows, d);
-                let mut paneled = vec![0.0f32; rows];
-                affine_panel(&panel, bias, x, &mut paneled);
-                for (r, want) in naive.iter().enumerate() {
-                    assert!(
-                        bits_eq_f32(single[r], *want),
-                        "rows={rows} d={d} row {r}: {} vs {want}",
-                        single[r]
-                    );
-                    assert!(
-                        bits_eq_f32(paneled[r], *want),
-                        "rows={rows} d={d} row {r}: {} vs {want}",
-                        paneled[r]
-                    );
+                let mut block = vec![f32::NAN; xs.len() * rows];
+                forward_block(&panel, bias, &xs, &mut block);
+                for (s, x) in xs.iter().enumerate() {
+                    let naive = reference::affine_naive(&w, bias, x);
+                    let mut single = vec![0.0f32; rows];
+                    affine_rows(&w, bias, x, &mut single);
+                    for (r, want) in naive.iter().enumerate() {
+                        assert!(
+                            bits_eq_f32(single[r], *want),
+                            "rows={rows} d={d} input {s} row {r}: {} vs {want}",
+                            single[r]
+                        );
+                        let got = block[s * rows + r];
+                        assert!(
+                            bits_eq_f32(got, *want),
+                            "rows={rows} d={d} input {s} row {r}: {got} vs {want}"
+                        );
+                    }
                 }
             }
         }
@@ -1154,9 +1425,9 @@ mod tests {
     fn empty_rows_yield_the_bias() {
         let mut panel = Panel::default();
         panel.fill(&[], 3, 0);
-        let mut out = [9.0f32; 3];
-        affine_panel(&panel, &[1.0, -2.0, 0.5], &[], &mut out);
-        assert_eq!(out, [1.0, -2.0, 0.5]);
+        let mut out = [9.0f32; 6];
+        forward_block(&panel, &[1.0, -2.0, 0.5], &[&[], &[]], &mut out);
+        assert_eq!(out, [1.0, -2.0, 0.5, 1.0, -2.0, 0.5]);
     }
 
     #[test]
@@ -1167,18 +1438,71 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "input length mismatch")]
-    fn affine_panel_rejects_an_input_of_another_width() {
+    fn forward_block_rejects_an_input_of_another_width() {
         let mut panel = Panel::default();
         panel.fill(&[0.0; 8], 2, 4);
-        affine_panel(&panel, &[0.0; 2], &[0.0; 3], &mut [0.0; 2]);
+        forward_block(&panel, &[0.0; 2], &[&[0.0; 4], &[0.0; 3]], &mut [0.0; 4]);
     }
 
     #[test]
     #[should_panic(expected = "output length mismatch")]
-    fn affine_panel_rejects_an_output_of_another_height() {
+    fn forward_block_rejects_an_output_of_another_height() {
         let mut panel = Panel::default();
         panel.fill(&[0.0; 8], 2, 4);
-        affine_panel(&panel, &[0.0; 2], &[0.0; 4], &mut [0.0; 3]);
+        forward_block(&panel, &[0.0; 2], &[&[0.0; 4]], &mut [0.0; 3]);
+    }
+
+    /// The rank update against one `axpy` per (input, row), both skip
+    /// modes, on a gradient that starts dirty: tiles short, exact and
+    /// several in both directions, coefficients one in five exactly
+    /// zero, adversarial inputs.
+    #[test]
+    fn rank_update_bitwise_matches_axpy_per_row() {
+        for (n, rows, d) in [(1usize, 1, 1), (3, 10, 64), (5, 13, 33), (32, 25, 7)] {
+            let data = synth_rows(n + rows + 1, d.max(rows));
+            let xs: Vec<&[f32]> = data[..n].iter().map(|x| &x[..d]).collect();
+            let start: Vec<f32> = data[n..n + rows]
+                .iter()
+                .flat_map(|r| &r[..d])
+                .copied()
+                .collect();
+            let nonzero = |k: usize| data[n + rows][k % rows] + k as f32;
+            let coeff: Vec<f32> = (0..n * rows)
+                .map(|k| if k % 5 == 0 { 0.0 } else { nonzero(k) })
+                .collect();
+            for skip_zero in [true, false] {
+                let mut want = start.clone();
+                for (s, x) in xs.iter().enumerate() {
+                    for (r, row) in want.chunks_exact_mut(d).enumerate() {
+                        let a = coeff[s * rows + r];
+                        if !skip_zero || a != 0.0 {
+                            axpy(a, x, row);
+                        }
+                    }
+                }
+                let mut got = start.clone();
+                rank_update(&mut got, &coeff, &xs, skip_zero);
+                for (at, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        bits_eq_f32(*g, *w),
+                        "n={n} rows={rows} d={d} skip={skip_zero} entry {at}: {g} vs {w}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rank_update_without_inputs_changes_nothing() {
+        let mut grad = [1.0f32, -0.0];
+        rank_update(&mut grad, &[], &[], true);
+        assert_eq!(grad.map(f32::to_bits), [1.0f32, -0.0].map(f32::to_bits));
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient shape mismatch")]
+    fn rank_update_rejects_a_mis_shaped_gradient() {
+        rank_update(&mut [0.0; 7], &[1.0; 2], &[&[0.0; 4]], true);
     }
 
     #[test]

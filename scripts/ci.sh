@@ -28,9 +28,17 @@ timeout 300 cargo test -p hfl-parallel --release -q
 #   coordinate_rules_match_across_the_parallel_cutoff, over
 #   hfl-tensor's column_stat_reads_the_same_bits_at_every_width and
 #   hfl-robust's p2_reads_the_same_bits_at_every_width — fused
-#   reductions, the feature-major
-#   panel kernel under the dense layer and the training and scoring
-#   paths over it, work-stealing parallel paths, the voter-parallel
+#   reductions, the block kernels under the dense layer —
+#   block_forward_matches_dot_per_row_at_every_width and
+#   rank_update_matches_the_retired_axpy_loop_at_every_width over every
+#   tile shape, block size and vector width the host has,
+#   prediction_from_logits_matches_argmax_of_softmax over ties,
+#   near-ties and non-finite logits, and
+#   a_trained_model_predicts_as_argmax_of_softmax_on_the_test_split —
+#   the training and scoring paths over them (hfl-ml's
+#   loss_and_gradient_bits_match_the_per_row_reference_at_every_batch_size
+#   and count_correct_matches_per_sample_predict_on_the_set_and_on_sub_ranges),
+#   work-stealing parallel paths, the voter-parallel
 #   vote; the training set as a function of the sample index —
 #   synth_plan_matches_the_sequential_generator_it_replaced, every
 #   sample in descending and strided order and filled from 1/2/3/8
@@ -58,9 +66,10 @@ timeout 300 cargo test -p hfl-parallel --release -q
 #   holds its training rows once.
 # - Vote allocation ceiling (same file,
 #   vote_rounds_stay_under_the_allocation_ceiling): a paper_iid round,
-#   validation vote on top, performs at most 80 allocations, at 1
+#   validation vote on top, performs at most 55 allocations, at 1
 #   thread and at 2. A Vec per scored sample (3 200 of them on this
-#   fixture) fails this.
+#   fixture) fails this, and so does a weight panel per scoring (16
+#   of them) in place of one per ballot.
 cargo test --workspace -q
 
 tmp="$(mktemp -d)"
@@ -106,11 +115,20 @@ test "$(wc -l < crates/core/src/pipeline.rs)" -lt 300 \
     || { echo "crates/core/src/pipeline.rs grew past 300 lines"; exit 1; }
 
 # One dense layer for shared weights: several inputs under one θ go
-# through hfl_tensor::ops::Panel, a single input over the stored f32
-# rows; there is no widened row-major copy and no kernel generic over
-# the element type to keep in step with either.
-! grep -rqE 'fn widen|ops::widen|Into<f64>' crates/*/src \
+# through hfl_tensor::ops::Panel a block at a time, a single input over
+# the stored f32 rows; there is no widened row-major copy and no kernel
+# generic over the element type to keep in step with either, no
+# single-input panel kernel beside the block one and no per-input
+# choice between the two, and the batch gradient is the rank update,
+# not one axpy per (sample, row). (Scoped to the dense path's crates:
+# hfl-robust's streaming rule has a `fn widen` of its own, over tile
+# rows.)
+! grep -rqE 'fn widen|ops::widen|Into<f64>' crates/tensor/src crates/ml/src \
     || { echo "a widened-copy dense path is back beside the panel"; exit 1; }
+! grep -rnE 'fn affine_panel\(|Option<&Panel>' crates/tensor/src crates/ml/src \
+    || { echo "a single-input panel kernel or a per-input kernel switch is back beside forward_block"; exit 1; }
+! sed '/#\[cfg(test)\]/,$d' crates/ml/src/linear.rs crates/ml/src/mlp.rs | grep -n 'axpy' \
+    || { echo "linear.rs / mlp.rs accumulate a gradient by axpy again instead of ops::rank_update"; exit 1; }
 
 # One pairwise-distance fill: the Krum family and NNM read the upper
 # triangle hfl_tensor::ops::dist_sq_pairs fills (dist_sq_block stays

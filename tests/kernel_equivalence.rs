@@ -21,11 +21,14 @@
 //! (DESIGN.md §15): stealing only moves *which worker* computes a
 //! chunk, never what is computed or where it lands.
 //!
-//! The scoring path under the validation vote is pinned the same way:
-//! the panel kernel (`affine_panel`) and the single-input `affine_rows`
-//! against `dot` + bias per row, the models' forward passes against
-//! the per-row loops they replaced (kept here as executable
-//! references), `score_all` against
+//! The dense layer under training and the validation vote is pinned
+//! the same way: the block kernel (`forward_block`, four inputs in
+//! lock step under a panel) and the single-input `affine_rows` against
+//! `dot` + bias per row, the rank update against the per-(input, row)
+//! `axpy` loop it replaced, prediction from logits against
+//! `argmax(softmax)` — the first two at every vector width the host
+//! has — the models' forward passes against the per-row loops they
+//! replaced (kept here as executable references), `score_all` against
 //! per-proposal `score`, and the voter-parallel mechanisms against
 //! their own single-threaded outcome.
 //!
@@ -48,7 +51,7 @@ use abd_hfl::core::engine::RoundEngine;
 use abd_hfl::core::pipeline::PipelineConfig;
 use abd_hfl::core::runner::{run_engine, run_prepared_with, Experiment};
 use abd_hfl::faults::FaultPlan;
-use abd_hfl::ml::loss::{argmax, softmax_in_place};
+use abd_hfl::ml::loss::{argmax, predict, softmax_in_place};
 use abd_hfl::ml::model::BatchScratch;
 use abd_hfl::ml::synth::SynthConfig;
 use abd_hfl::ml::{Dataset, LinearSoftmax, Mlp, Model};
@@ -184,10 +187,13 @@ fn count_correct_matches(
     }
     let hits = |r: std::ops::Range<usize>| r.filter(|&i| naive[i] == data.y(i)).count();
     prop_assert_eq!(
-        model.count_correct(data, 0..data.len()),
+        model.count_correct(data, 0..data.len(), &mut scratch),
         hits(0..data.len())
     );
-    prop_assert_eq!(model.count_correct(data, rows.clone()), hits(rows));
+    prop_assert_eq!(
+        model.count_correct(data, rows.clone(), &mut scratch),
+        hits(rows)
+    );
     Ok(())
 }
 
@@ -491,14 +497,243 @@ fn nnm_matches_the_per_row_scan_it_replaced() {
     }
 }
 
+/// The vector widths this host can run, each named once per test run.
+fn widths_on_this_host(kernel: &str) -> Vec<ops::Width> {
+    let widths: Vec<_> = ops::Width::ALL
+        .into_iter()
+        .filter(|w| w.detected())
+        .collect();
+    assert!(widths.contains(&ops::Width::Plain));
+    println!("{kernel} widths run on this host: {widths:?}");
+    widths
+}
+
+/// The block forward — groups of four inputs in lock step, a last
+/// group of one to three, blocks of one group and of several — == one
+/// `dot` + bias per (input, row), exact bits, at every vector width the
+/// host has: every tile shape (one lane padded, 2, 8 + 2, 16, 16 + 1,
+/// 16 + 2 + 1, 4 × 16), row lengths short, odd, the paper's and one
+/// past it, over NaN, ±∞, subnormals and signed zeros. The output
+/// starts dirty, and a swapped pair of accumulators, a dropped input
+/// or a fused multiply-add would show in the last bits.
+#[test]
+fn block_forward_matches_dot_per_row_at_every_width() {
+    let widths = widths_on_this_host("forward_block");
+    let mut panel = ops::Panel::default();
+    for rows in [1usize, 10, 16, 17, 19, 64] {
+        for d in [1usize, 7, 64, 65] {
+            let w: Vec<f32> = grid_rows(rows, d).concat();
+            let bias = &grid_rows(1, rows)[0];
+            panel.fill(&w, rows, d);
+            let pool = grid_rows(33, d);
+            for block in [1usize, 2, 3, 4, 5, 7, 8, 31, 32, 33] {
+                // Distinct inputs, the poisoned rows of the grid among
+                // them, starting somewhere else for each block size.
+                let xs: Vec<&[f32]> = (0..block).map(|s| &pool[(s + block) % 33][..]).collect();
+                let want: Vec<f32> = xs
+                    .iter()
+                    .flat_map(|x| reference::affine_naive(&w, bias, x))
+                    .collect();
+                // `None` is the dispatch.
+                for width in widths.iter().copied().map(Some).chain([None]) {
+                    let mut got = vec![f32::NAN; block * rows];
+                    match width {
+                        Some(w) => {
+                            ops::forward_block_at(w, &panel, bias, &xs, &mut got).expect("detected")
+                        }
+                        None => ops::forward_block(&panel, bias, &xs, &mut got),
+                    }
+                    for (at, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            bits_eq_f32(*g, *w),
+                            "{width:?} rows={rows} d={d} block={block} input {} row {}: {g} vs {w}",
+                            at / rows,
+                            at % rows
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The rank update == the retired per-(input, row) `axpy` loop, exact
+/// bits, at every vector width the host has and in both skip modes:
+/// row counts odd and even, column counts that are one tile, several,
+/// and a tail of every power of two, a gradient that starts with `-0.0`
+/// entries (which `+ 0.0 · x` would turn into `+0.0` and a skipped
+/// `axpy` leaves alone), coefficients that are exactly `+0.0` and
+/// `-0.0`, inputs with NaN and ±∞ (which `0.0 · x` would turn into
+/// NaN), and batches that repeat an input, as a sample with
+/// replacement does. Walking the batch in another order shows in the
+/// last bits of nearly every entry.
+#[test]
+fn rank_update_matches_the_retired_axpy_loop_at_every_width() {
+    let widths = widths_on_this_host("rank_update");
+    for rows in [1usize, 2, 10, 19, 64] {
+        for d in [1usize, 7, 64, 65] {
+            let pool = grid_rows(9, d);
+            let start: Vec<f32> = grid_rows(rows, d)
+                .concat()
+                .iter()
+                .enumerate()
+                .map(|(at, g)| match at % 5 {
+                    0 => -0.0,
+                    _ if g.is_finite() => *g,
+                    _ => 1.5,
+                })
+                .collect();
+            for block in [1usize, 2, 5, 32, 33] {
+                // Nine distinct inputs at most: longer blocks repeat them.
+                let xs: Vec<&[f32]> = (0..block).map(|s| &pool[(s * 4) % 9][..]).collect();
+                let coeff: Vec<f32> = (0..block * rows)
+                    .map(|k| match k % 7 {
+                        0 => 0.0,
+                        3 => -0.0,
+                        _ => (k % 13) as f32 * 0.37 - 2.0,
+                    })
+                    .collect();
+                for skip_zero in [true, false] {
+                    let mut want = start.clone();
+                    retired::rank_update(&mut want, &coeff, &xs, skip_zero);
+                    for &width in &widths {
+                        let mut got = start.clone();
+                        ops::rank_update_at(width, &mut got, &coeff, &xs, skip_zero)
+                            .expect("detected");
+                        let what = format!(
+                            "{width:?} rows={rows} d={d} block={block} skip_zero={skip_zero}"
+                        );
+                        assert_bits(&got, &want, &what);
+                    }
+                    let mut got = start.clone();
+                    ops::rank_update(&mut got, &coeff, &xs, skip_zero);
+                    assert_bits(&got, &want, "rank_update at the dispatch's width");
+                }
+            }
+        }
+    }
+}
+
+/// `argmax(softmax(logits))` spelled out — what [`predict`] must name.
+fn argmax_of_softmax(logits: &[f32]) -> usize {
+    let mut probs = logits.to_vec();
+    softmax_in_place(&mut probs);
+    argmax(&probs)
+}
+
+/// Prediction from logits == `argmax(softmax)`: exact ties in every
+/// position, a runner-up 0–200 ulps under an *earlier* or *later*
+/// maximum at magnitudes from 1e-3 to 1e4 and softmax sums from barely
+/// over 1 to the class count (where the two probabilities do round to
+/// the same value, and the first of them wins), and logits that are
+/// not finite.
+#[test]
+fn prediction_from_logits_matches_argmax_of_softmax() {
+    let check = |logits: &[f32]| {
+        assert_eq!(
+            predict(&mut logits.to_vec()),
+            argmax_of_softmax(logits),
+            "{logits:?}"
+        );
+    };
+    for classes in [2usize, 3, 10] {
+        // Ties: every pair of positions holds the maximum.
+        for i in 0..classes {
+            for j in 0..classes {
+                let mut logits = vec![-1.0f32; classes];
+                (logits[i], logits[j]) = (2.5, 2.5);
+                check(&logits);
+            }
+        }
+        // Near-ties: the maximum at `at`, a runner-up `ulps` below it
+        // at `other`, the rest `gap` lower (the smaller the gap, the
+        // larger the sum both probabilities are divided by).
+        let mut rounded_together = 0;
+        for magnitude in [1.0e-3f32, 0.03, 0.5, 1.0, 7.0, 100.0, 1.0e4] {
+            for gap in [0.0f32, 1.0e-3, 1.0, 30.0] {
+                for ulps in 0..=200u32 {
+                    for (at, other) in [(0, classes - 1), (classes - 1, 0), (1, 0)] {
+                        let below = f32::from_bits(magnitude.to_bits() - ulps);
+                        for sign in [1.0f32, -1.0] {
+                            // Negated, the runner-up is the maximum.
+                            let mut logits = vec![sign * magnitude - gap; classes];
+                            logits[at] = sign * magnitude;
+                            logits[other] = sign * below;
+                            check(&logits);
+                            let mut probs = logits.clone();
+                            softmax_in_place(&mut probs);
+                            rounded_together += usize::from(ulps > 0 && probs[at] == probs[other]);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            rounded_together > 1_000,
+            "the grid holds {rounded_together} near-ties that round to one probability"
+        );
+        // Not finite: the softmax has rules of its own.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in 0..classes {
+                let mut logits: Vec<f32> = (0..classes).map(|c| c as f32 * 0.5 - 1.0).collect();
+                logits[at] = bad;
+                check(&logits);
+                logits[(at + 1) % classes] = bad;
+                check(&logits);
+            }
+            check(&vec![bad; classes]);
+        }
+    }
+}
+
+/// The same on the real thing: a linear model trained on the paper's
+/// task predicts every one of the 10,000 test samples as
+/// `argmax(softmax)` of its logits does, and `count_correct` — block
+/// kernel, prediction from logits — counts exactly those hits.
+#[test]
+fn a_trained_model_predicts_as_argmax_of_softmax_on_the_test_split() {
+    let task = abd_hfl::ml::synth::paper_task(7);
+    let (d, classes) = (task.train.dim(), task.train.num_classes());
+    let mut model = LinearSoftmax::new(d, classes);
+    let sgd = abd_hfl::ml::SgdConfig::default();
+    abd_hfl::ml::sgd::train_local(
+        &mut model,
+        &task.train,
+        &sgd,
+        400,
+        &mut StdRng::seed_from_u64(7),
+    );
+    let (w, bias) = model.params().split_at(classes * d);
+    let mut scratch = BatchScratch::default();
+    let mut hits = 0;
+    for i in 0..task.test.len() {
+        let mut logits = vec![0.0f32; classes];
+        ops::affine_rows(w, bias, task.test.x(i), &mut logits);
+        let want = argmax_of_softmax(&logits);
+        assert_eq!(predict(&mut logits), want, "sample {i}");
+        assert_eq!(
+            model.predict(task.test.x(i), &mut scratch) as usize,
+            want,
+            "sample {i}"
+        );
+        hits += usize::from(want == task.test.y(i) as usize);
+    }
+    assert!(hits > 8_000, "the model is trained: {hits} of 10,000");
+    assert_eq!(
+        model.count_correct(&task.test, 0..task.test.len(), &mut scratch),
+        hits
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The panel kernel and the single-input kernel == one `dot` + bias
-    /// per row, for every row count 1..=35 (each tile width and each
-    /// uneven split, up to three tiles) and d ≥ 0. One `Panel` serves
-    /// two shapes in a row, so a refill is shown to leave nothing of
-    /// the previous matrix behind.
+    /// The block kernel and the single-input kernel == one `dot` + bias
+    /// per row, for every row count 1..=35 (each tile width, a padded
+    /// last lane, up to four tiles) and d ≥ 0. One `Panel` serves two
+    /// shapes in a row, so a refill is shown to leave nothing of the
+    /// previous matrix behind. (Blocks of several inputs: the seeded
+    /// grid below.)
     #[test]
     fn affine_rows_matches_dot_per_row(
         rows in 1usize..=35,
@@ -515,7 +750,7 @@ proptest! {
         ops::affine_rows(w, bias, x, &mut lockstep);
         panel.fill(w, rows, d);
         let mut paneled = vec![0.0f32; rows];
-        ops::affine_panel(&panel, bias, x, &mut paneled);
+        ops::forward_block(&panel, bias, &[x], &mut paneled);
         for (r, ((a, p), b)) in lockstep.iter().zip(&paneled).zip(&naive).enumerate() {
             prop_assert!(bits_eq_f32(*a, *b), "row {} of {}: lockstep {} vs dot {}", r, rows, a, b);
             prop_assert!(bits_eq_f32(*p, *b), "row {} of {}: panel {} vs dot {}", r, rows, p, b);
@@ -1110,6 +1345,20 @@ fn whole_runs_identical_at_all_thread_counts() {
 /// loops of `hfl_tensor::stats`, the scalar P² estimator with its
 /// d-long array, and the reservoir of row references.
 mod retired {
+    /// The backward pass's per-(sample, row) loop: one `axpy` into the
+    /// gradient row per coefficient, skipped when the coefficient is
+    /// exactly zero (linear `W`, MLP `W1`) or not (MLP `W2`).
+    pub fn rank_update(grad: &mut [f32], coeff: &[f32], xs: &[&[f32]], skip_zero: bool) {
+        let rows = coeff.len() / xs.len();
+        for (x, coeff) in xs.iter().zip(coeff.chunks_exact(rows)) {
+            for (row, a) in grad.chunks_exact_mut(x.len()).zip(coeff) {
+                if !skip_zero || *a != 0.0 {
+                    abd_hfl::tensor::ops::axpy(*a, x, row);
+                }
+            }
+        }
+    }
+
     pub fn median_in_place(buf: &mut [f32]) -> f32 {
         buf.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in median input"));
         let n = buf.len();
