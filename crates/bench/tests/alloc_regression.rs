@@ -99,11 +99,11 @@ fn bra_fixture(seed: u64) -> HflConfig {
 }
 
 /// Most allocations a steady-state round of [`cba_fixture`] may make.
-/// Measured: 45 (mechanism box, evaluator, per voter one model and one
-/// scratch — weight panel and block logits — for the whole ballot,
-/// score rows, vote matrix, the outcome's vectors). A panel per
-/// scoring (70) fails this.
-const CBA_CEILING: u64 = 55;
+/// Measured: 37 (mechanism box, evaluator, per voter one hit count
+/// and one scratch — the ballot's stacked panel and its block of
+/// logits — and no model, one flat score matrix, vote matrix, the
+/// outcome's vectors). A panel per proposal (49) fails this.
+const CBA_CEILING: u64 = 45;
 
 /// `paper_iid` on a small task: the top level stays the validation
 /// vote over four proposals, so every round scores 16 (voter, proposal)

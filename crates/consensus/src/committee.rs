@@ -59,7 +59,7 @@ impl Consensus for CommitteeConsensus {
             .map(|p| {
                 let mut scores: Vec<f64> = committee
                     .iter()
-                    .zip(&rows)
+                    .zip(rows.chunks_exact(n))
                     .map(|(&m, row)| if byzantine[m] { -row[p] } else { row[p] })
                     .collect();
                 scores.sort_by(|a, b| a.partial_cmp(b).expect("NaN score"));

@@ -22,20 +22,22 @@ pub trait ProposalEvaluator: Sync {
     }
 }
 
-/// `rows[k][p] = eval.score(voters[k], proposals[p])`, voters scored in
-/// parallel. Slot `k` is filled by exactly one worker and each score is
-/// a pure function of `(voter, proposal)`, so the matrix is identical
-/// at every thread count (DESIGN.md §15).
+/// The `voters × proposals` score matrix, row-major: entry `k *
+/// proposals.len() + p` is `eval.score(voters[k], proposals[p])`,
+/// voters scored in parallel. Row `k` is filled by exactly one worker
+/// and each score is a pure function of `(voter, proposal)`, so the
+/// matrix is identical at every thread count (DESIGN.md §15).
 pub(crate) fn score_rows(
     voters: &[usize],
     proposals: &[&[f32]],
     eval: &dyn ProposalEvaluator,
-) -> Vec<Vec<f64>> {
-    hfl_parallel::par_map_indexed(voters.len(), hfl_parallel::default_threads(), |k| {
-        let mut row = vec![0.0f64; proposals.len()];
-        eval.score_all(voters[k], proposals, &mut row);
-        row
-    })
+) -> Vec<f64> {
+    let mut scores = vec![0.0f64; voters.len() * proposals.len()];
+    let threads = hfl_parallel::default_threads();
+    hfl_parallel::par_chunks_mut(&mut scores, proposals.len(), threads, |at, row| {
+        eval.score_all(voters[at / proposals.len()], proposals, row);
+    });
+    scores
 }
 
 /// Accuracy-based evaluator (the paper's top-level mechanism): node `i`
@@ -94,19 +96,18 @@ impl ProposalEvaluator for AccuracyEvaluator<'_> {
         out[0]
     }
 
-    /// One model instance and one scratch serve the whole ballot
-    /// (`set_params` overwrites every parameter and every scoring
-    /// refills what it reads of the scratch, so reuse equals fresh
-    /// ones).
+    /// The voter's shard goes past the whole ballot at once: the
+    /// template scores every proposal in one scratch, loading none.
     fn score_all(&self, voter: usize, proposals: &[&[f32]], out: &mut [f64]) {
         assert!(voter < self.shards.len(), "voter index out of range");
         assert_eq!(proposals.len(), out.len(), "proposals/out length mismatch");
         let (data, rows) = &self.shards[voter];
-        let mut model = self.template.clone_box();
+        let mut hits = vec![0; proposals.len()];
         let mut scratch = BatchScratch::default();
-        for (o, p) in out.iter_mut().zip(proposals) {
-            model.set_params(p);
-            *o = model.count_correct(data, rows.clone(), &mut scratch) as f64 / rows.len() as f64;
+        self.template
+            .count_correct_each(proposals, data, rows.clone(), &mut scratch, &mut hits);
+        for (o, h) in out.iter_mut().zip(hits) {
+            *o = h as f64 / rows.len() as f64;
         }
     }
 }

@@ -77,7 +77,7 @@ impl Consensus for StakeVote {
         let mut mass = vec![0.0f64; n];
         let voters: Vec<usize> = (0..n).collect();
         let rows = score_rows(&voters, proposals, eval);
-        for ((v, &bad), scores) in byzantine.iter().enumerate().zip(&rows) {
+        for ((v, &bad), scores) in byzantine.iter().enumerate().zip(rows.chunks_exact(n)) {
             let best = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             let worst = scores.iter().cloned().fold(f64::INFINITY, f64::min);
             let cut = best - self.rel_tol * (best - worst);

@@ -77,7 +77,7 @@ impl VoteConsensus {
     ) -> Vec<Vec<bool>> {
         let voters: Vec<usize> = (0..proposals.len()).collect();
         score_rows(&voters, proposals, eval)
-            .iter()
+            .chunks_exact(proposals.len())
             .enumerate()
             .map(|(v, scores)| {
                 let best = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);

@@ -508,6 +508,16 @@ impl HflConfig {
                 expected: hierarchy.num_levels(),
             });
         }
+        // A consensus top votes on validation accuracy: every member of
+        // the top cluster scores on its own non-empty shard of the test
+        // set.
+        let top = hierarchy.level(0).clusters.iter().map(|c| c.len()).max();
+        if matches!(self.levels[0], LevelAgg::Cba(_)) && Some(self.data.test_samples) < top {
+            return Err(ConfigError::DataOutOfRange {
+                what: "test_samples (below the top cluster's size: a validation shard per voter)",
+                value: self.data.test_samples as f64,
+            });
+        }
         if !(self.flag_level >= 1 && self.flag_level < hierarchy.num_levels()) {
             return Err(ConfigError::FlagLevelOutOfRange {
                 flag_level: self.flag_level,

@@ -1119,9 +1119,11 @@ mod tests {
     #[test]
     fn malformed_data_config_is_an_err_not_a_panic() {
         type Break = fn(&mut hfl_ml::synth::SynthConfig);
-        let cases: [(&str, Break); 10] = [
+        let cases: [(&str, Break); 11] = [
             ("train_samples", |d| d.train_samples = 0),
             ("test_samples", |d| d.test_samples = 0),
+            // One short of a validation shard per top-level voter.
+            ("test_samples", |d| d.test_samples = 3),
             ("dim", |d| d.dim = 0),
             ("num_classes", |d| d.num_classes = 1),
             ("num_classes", |d| d.num_classes = 300),

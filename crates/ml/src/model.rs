@@ -19,7 +19,8 @@ pub(crate) const BLOCK: usize = 32;
 #[derive(Clone, Debug, Default)]
 pub struct BatchScratch {
     /// Logits of a block, then its class probabilities and output
-    /// errors in place (`BLOCK × classes`).
+    /// errors in place (`BLOCK × classes`; scoring several θ at once,
+    /// their stacked logits, with the stacked biases behind the block).
     pub probs: Vec<f32>,
     /// Hidden activations of a block (MLP only).
     pub hidden: Vec<f32>,
@@ -51,7 +52,7 @@ impl<'a> Dense<'a> {
     pub(crate) fn new(w: &'a [f32], bias: &'a [f32], panel: &'a mut Panel, inputs: usize) -> Self {
         let filled = inputs > 1;
         if filled {
-            panel.fill(w, bias.len(), w.len() / bias.len());
+            panel.fill([w], bias.len(), w.len() / bias.len());
         }
         Self {
             w,
@@ -140,9 +141,27 @@ pub trait Model: Send + Sync {
         data: &Dataset,
         rows: Range<usize>,
         scratch: &mut BatchScratch,
-    ) -> usize {
-        rows.filter(|&i| self.predict(data.x(i), scratch) == data.y(i))
-            .count()
+    ) -> usize;
+
+    /// [`Model::count_correct`] under each of several parameter vectors
+    /// of this architecture — a validation voter's whole ballot:
+    /// `hits[p]` becomes the count under `thetas[p]`. The provided body
+    /// loads one vector after another into a clone; a model whose first
+    /// layer stacks into one [`Panel`] streams `data[rows]` past it once.
+    fn count_correct_each(
+        &self,
+        thetas: &[&[f32]],
+        data: &Dataset,
+        rows: Range<usize>,
+        scratch: &mut BatchScratch,
+        hits: &mut [usize],
+    ) {
+        assert_eq!(thetas.len(), hits.len(), "thetas/hits length mismatch");
+        let mut model = self.clone_box();
+        for (h, theta) in hits.iter_mut().zip(thetas) {
+            model.set_params(theta);
+            *h = model.count_correct(data, rows.clone(), scratch);
+        }
     }
 
     /// Computes the mean cross-entropy loss over the batch `indices` of

@@ -220,7 +220,7 @@ impl Aggregator for StreamingMedian {
         out.resize(d, 0.0);
         at_widest(
             #[inline(always)]
-            |rows, out, ()| p2_tiles(rows, out),
+            |rows, out, (), _| p2_tiles(rows, out),
             updates,
             &mut out[..],
             (),
@@ -490,7 +490,7 @@ mod tests {
                     width
                         .run(
                             #[inline(always)]
-                            |rows, out, ()| p2_tiles(rows, out),
+                            |rows, out, (), _| p2_tiles(rows, out),
                             &rows[..],
                             &mut out[..],
                             (),

@@ -142,9 +142,30 @@ fn affine_block<const L: usize>(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f
 }
 
 /// Most output rows one [`Panel`] tile holds: sixteen `f64`
-/// accumulators for each of four inputs are eight AVX-512 registers,
-/// which leaves room for the broadcast inputs and the column load.
+/// accumulators for each of four inputs are eight of AVX-512's 32
+/// registers, which leaves room for the broadcast inputs and the column
+/// load. Narrower widths have 16 registers, which sixteen lanes would
+/// fill or overflow: a panel filled for them stops at eight.
 const PANEL_LANES: usize = 16;
+
+/// `acc + a · b` for `a`, `b` widened from `f32` — the one place a
+/// product is fused into its sum. Two 24-bit significands multiply to at
+/// most 48 bits, with an exponent in [−298, 256]: the product is exact
+/// in `f64`, so `fl(fl(a·b) + acc)` and `fl(a·b + acc)` round the same
+/// real number once and agree in every bit for every non-NaN operand
+/// (subnormals, `f32::MAX²`, `±∞` and `∞ · 0` included; a NaN stays a
+/// NaN of unspecified payload). No other product in this crate is exact
+/// — [`axpy`] and [`rank_update`] multiply in `f32` — so nothing else
+/// may fuse. `fused` is [`Width::run`]'s flag: one `vfmadd` where `fma`
+/// is enabled (without it the fused form is a libm call).
+#[inline(always)]
+fn add_exact_product(fused: bool, acc: f64, a: f64, b: f64) -> f64 {
+    if fused {
+        a.mul_add(b, acc)
+    } else {
+        acc + a * b
+    }
+}
 
 /// `n` as a sum of powers of two, largest first and none above `max`
 /// (a power of two itself): `(offset, size)` per term, in order — 10
@@ -168,12 +189,13 @@ fn binary_blocks(n: usize, max: usize) -> impl Iterator<Item = (usize, usize)> {
 /// adjacent in memory instead of one row length apart.
 ///
 /// Rows are split into tiles of a power-of-two lane count, at most
-/// [`PANEL_LANES`] ([`binary_blocks`]: 10 rows → 8 + 2, 64 → 4 × 16,
-/// 19 → 16 + 2 + 2, a single last row sharing its tile with a lane of
-/// zeros); the buffer is laid out `[tile][coordinate][lane]`, i.e. a
-/// tile of `L` lanes starting at row `r` occupies `data[r * cols..(r +
-/// L) * cols]` as `cols` groups of `L` lanes. Widening is exact, so a
-/// panel holds the very values the `f32` rows do.
+/// [`PANEL_LANES`] ([`binary_blocks`]: 10 rows → 8 + 2, 40 → 16 + 16 +
+/// 8, 64 → 4 × 16, 19 → 16 + 2 + 2, a single last row sharing its tile
+/// with a lane of zeros); the buffer is laid out
+/// `[tile][coordinate][lane]`, i.e. a tile of `L` lanes starting at row
+/// `r` occupies `data[r * cols..(r + L) * cols]` as `cols` groups of
+/// `L` lanes. Widening is exact, so a panel holds the very values the
+/// `f32` rows do.
 ///
 /// A panel is a pure function of the weights it was last
 /// [`fill`](Panel::fill)ed from; refilling reuses the buffer, so a
@@ -182,22 +204,50 @@ fn binary_blocks(n: usize, max: usize) -> impl Iterator<Item = (usize, usize)> {
 pub struct Panel {
     rows: usize,
     cols: usize,
+    /// The tile cap of the last fill.
+    lanes: usize,
     data: Vec<f64>,
 }
 
 impl Panel {
-    /// Overwrites the panel with the row-major `rows × cols` matrix `w`.
-    pub fn fill(&mut self, w: &[f32], rows: usize, cols: usize) {
-        assert_eq!(w.len(), rows * cols, "Panel::fill: weight shape mismatch");
-        self.rows = rows;
-        self.cols = cols;
+    /// Overwrites the panel with the row-major `rows × cols` matrices
+    /// `mats` stacked in order — `mats.len() · rows` output rows, tiled
+    /// as one matrix, so several models' layers go through
+    /// [`forward_block`] in one pass over the inputs.
+    pub fn fill<'a, M>(&mut self, mats: M, rows: usize, cols: usize)
+    where
+        M: IntoIterator<Item = &'a [f32]>,
+        M::IntoIter: ExactSizeIterator,
+    {
+        self.fill_at(Width::widest(), mats, rows, cols)
+    }
+
+    /// [`Panel::fill`] tiled for `width` instead of the one
+    /// [`forward_block`] runs at (which runs tiles of any size) — for
+    /// the differential tests.
+    #[doc(hidden)]
+    pub fn fill_at<'a, M>(&mut self, width: Width, mats: M, rows: usize, cols: usize)
+    where
+        M: IntoIterator<Item = &'a [f32]>,
+        M::IntoIter: ExactSizeIterator,
+    {
+        let mats = mats.into_iter();
+        let wide = width == Width::Avx512;
+        (self.rows, self.cols) = (mats.len() * rows, cols);
+        self.lanes = if wide { PANEL_LANES } else { PANEL_LANES / 2 };
         // No `clear`: every element is overwritten below, so only a
         // growing panel pays for a zero-fill, and only of its new tail.
-        self.data.resize(rows.next_multiple_of(2) * cols, 0.0);
+        self.data.resize(self.rows.next_multiple_of(2) * cols, 0.0);
+        // Tiles and lanes are visited in row order, so the rows are
+        // taken as they come: no matrix is copied to sit beside the next.
+        let mut source = mats.flat_map(|m| {
+            assert_eq!(m.len(), rows * cols, "Panel::fill: weight shape mismatch");
+            (0..rows).map(move |r| &m[r * cols..(r + 1) * cols])
+        });
         for (r, lanes) in self.tiles() {
             let tile = &mut self.data[r * cols..(r + lanes) * cols];
             for l in 0..lanes {
-                match w.get((r + l) * cols..(r + l + 1) * cols) {
+                match source.next() {
                     Some(row) => {
                         for (group, v) in tile.chunks_exact_mut(lanes).zip(row) {
                             group[l] = *v as f64;
@@ -214,7 +264,7 @@ impl Panel {
 
     /// `(first row, lanes)` per tile, in storage order.
     fn tiles(&self) -> impl Iterator<Item = (usize, usize)> {
-        binary_blocks(self.rows, PANEL_LANES).map(|(r, lanes)| (r, lanes.max(2)))
+        binary_blocks(self.rows, self.lanes).map(|(r, lanes)| (r, lanes.max(2)))
     }
 }
 
@@ -229,8 +279,9 @@ const BLOCK_INPUTS: usize = 4;
 /// x_k[c]` for [`BLOCK_INPUTS`] inputs `k` at once over one contiguous
 /// group of `L` lanes: every (input, row) pair keeps its own `f64`
 /// accumulator and visits coordinates in index order exactly as [`dot`]
-/// does (a multiply, then an add — nothing fused or reassociated), so
-/// each output is bitwise what the per-row `dot` loop produces. The
+/// does (nothing reassociated; the product is exact, so fusing it into
+/// the add rounds the same — [`add_exact_product`]), so each output is
+/// bitwise what the per-row `dot` loop produces. The
 /// lanes of one SIMD register are *rows*, as the panel lays them out;
 /// the four inputs give every coordinate step four times the
 /// independent add chains of a single input — whose one or two wait on
@@ -274,7 +325,7 @@ pub fn forward_block_at(
     }
     width.run(
         #[inline(always)]
-        |(panel, bias, xs), out, ()| forward_body(panel, bias, xs, out),
+        |(panel, bias, xs), out, (), fused| forward_body(panel, bias, xs, out, fused),
         (panel, bias, xs),
         out,
         (),
@@ -285,7 +336,7 @@ pub fn forward_block_at(
 /// [`Width`] it is run at. Tiles outermost: a tile stays in L1 while
 /// every input group streams past it.
 #[inline(always)]
-fn forward_body(panel: &Panel, bias: &[f32], xs: &[&[f32]], out: &mut [f32]) {
+fn forward_body(panel: &Panel, bias: &[f32], xs: &[&[f32]], out: &mut [f32], fused: bool) {
     let (rows, d) = (panel.rows, panel.cols);
     for (r, lanes) in panel.tiles() {
         let (tile, bias) = (&panel.data[r * d..(r + lanes) * d], &bias[r..]);
@@ -299,10 +350,10 @@ fn forward_body(panel: &Panel, bias: &[f32], xs: &[&[f32]], out: &mut [f32]) {
             ];
             let out = &mut out[g * BLOCK_INPUTS * rows + r..];
             match lanes {
-                2 => panel_tile::<2>(tile, bias, quad, group.len(), rows, out),
-                4 => panel_tile::<4>(tile, bias, quad, group.len(), rows, out),
-                8 => panel_tile::<8>(tile, bias, quad, group.len(), rows, out),
-                _ => panel_tile::<PANEL_LANES>(tile, bias, quad, group.len(), rows, out),
+                2 => panel_tile::<2>(tile, bias, quad, group.len(), rows, out, fused),
+                4 => panel_tile::<4>(tile, bias, quad, group.len(), rows, out, fused),
+                8 => panel_tile::<8>(tile, bias, quad, group.len(), rows, out, fused),
+                _ => panel_tile::<PANEL_LANES>(tile, bias, quad, group.len(), rows, out, fused),
             }
         }
     }
@@ -325,22 +376,23 @@ fn panel_tile<const L: usize>(
     live: usize,
     stride: usize,
     out: &mut [f32],
+    fused: bool,
 ) {
     let (mut a0, mut a1, mut a2, mut a3) = ([0.0f64; L], [0.0f64; L], [0.0f64; L], [0.0f64; L]);
     let (cols, _) = tile.as_chunks::<L>();
     for ((((col, v0), v1), v2), v3) in cols.iter().zip(x0).zip(x1).zip(x2).zip(x3) {
         let (v0, v1, v2, v3) = (*v0 as f64, *v1 as f64, *v2 as f64, *v3 as f64);
         for l in 0..L {
-            a0[l] += col[l] * v0;
+            a0[l] = add_exact_product(fused, a0[l], col[l], v0);
         }
         for l in 0..L {
-            a1[l] += col[l] * v1;
+            a1[l] = add_exact_product(fused, a1[l], col[l], v1);
         }
         for l in 0..L {
-            a2[l] += col[l] * v2;
+            a2[l] = add_exact_product(fused, a2[l], col[l], v2);
         }
         for l in 0..L {
-            a3[l] += col[l] * v3;
+            a3[l] = add_exact_product(fused, a3[l], col[l], v3);
         }
     }
     for (k, acc) in [a0, a1, a2, a3].iter().enumerate().take(live) {
@@ -427,7 +479,7 @@ pub fn rank_update_at(
     );
     width.run(
         #[inline(always)]
-        |(coeff, xs, skip_zero), grad, ()| rank_body(coeff, xs, skip_zero, grad),
+        |(coeff, xs, skip_zero), grad, (), _| rank_body(coeff, xs, skip_zero, grad),
         (coeff, xs, skip_zero),
         grad,
         (),
@@ -637,14 +689,15 @@ pub const PAIR_LANES: usize = 8;
 const PAIR_TILE: usize = 256;
 
 /// A vector width a kernel body can be compiled at. Lane `k` of a body
-/// performs the same IEEE operations at every width, so the width a
-/// kernel runs at cannot change a bit of its result — only how many
-/// lanes one instruction carries.
+/// performs the same IEEE operations at every width — but for an exact
+/// product fused into its sum, which rounds the same
+/// ([`add_exact_product`]) — so the width a kernel runs at cannot change
+/// a bit of its result, only how many lanes one instruction carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Width {
-    /// 512-bit vectors (`avx512f` + `avx512vl`).
+    /// 512-bit vectors (`avx512f` + `avx512vl`, and the `fma` under them).
     Avx512,
-    /// 256-bit vectors (`avx2`).
+    /// 256-bit vectors (`avx2` + `fma`).
     Avx2,
     /// The build's baseline target; runs anywhere, and is the only
     /// width off x86.
@@ -668,18 +721,23 @@ impl Width {
         match self {
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             Width::Avx512 => {
-                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl")
+                is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512vl")
+                    && is_x86_feature_detected!("fma")
             }
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            Width::Avx2 => is_x86_feature_detected!("avx2"),
+            Width::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
             Width::Plain => true,
             #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
             _ => false,
         }
     }
 
-    /// Runs `kernel(a, b, c)` inside a function compiled for this width,
-    /// or returns `None` when the CPU lacks it. The kernel is vectorised
+    /// Runs `kernel(a, b, c, fused)` inside a function compiled for this
+    /// width, or returns `None` when the CPU lacks it. `fused` is whether
+    /// that function has `fma` — a literal in each, so
+    /// [`add_exact_product`]'s branch on it folds away; a kernel without
+    /// an exact product ignores it. The kernel is vectorised
     /// at the width only if it is inlined into that function: pass an
     /// `#[inline(always)]` *closure* (a function item goes through a call
     /// shim that carries no such mark and is left out of line, at the
@@ -695,37 +753,44 @@ impl Width {
     /// dispatch; this is public so differential tests reach the widths
     /// the dispatch passes over on the host.
     #[inline]
-    pub fn run<A, B, C, R>(self, kernel: impl FnOnce(A, B, C) -> R, a: A, b: B, c: C) -> Option<R> {
+    pub fn run<A, B, C, R>(
+        self,
+        kernel: impl FnOnce(A, B, C, bool) -> R,
+        a: A,
+        b: B,
+        c: C,
+    ) -> Option<R> {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        #[target_feature(enable = "avx2")]
-        fn avx2<A, B, C, R>(kernel: impl FnOnce(A, B, C) -> R, a: A, b: B, c: C) -> R {
-            kernel(a, b, c)
+        #[target_feature(enable = "avx2,fma")]
+        fn avx2<A, B, C, R>(kernel: impl FnOnce(A, B, C, bool) -> R, a: A, b: B, c: C) -> R {
+            kernel(a, b, c, true)
         }
+        // rustc's `avx512f` implies `fma`.
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         #[target_feature(enable = "avx512f,avx512vl")]
-        fn avx512<A, B, C, R>(kernel: impl FnOnce(A, B, C) -> R, a: A, b: B, c: C) -> R {
-            kernel(a, b, c)
+        fn avx512<A, B, C, R>(kernel: impl FnOnce(A, B, C, bool) -> R, a: A, b: B, c: C) -> R {
+            kernel(a, b, c, true)
         }
         if !self.detected() {
             return None;
         }
         Some(match self {
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            // SAFETY: `detected` returned true for `avx512f` and `avx512vl` just above.
+            // SAFETY: `detected` returned true for `avx512f`, `avx512vl` and the `fma` they imply just above.
             Width::Avx512 => unsafe { avx512(kernel, a, b, c) },
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            // SAFETY: `detected` returned true for `avx2` just above.
+            // SAFETY: `detected` returned true for `avx2` and `fma` just above.
             Width::Avx2 => unsafe { avx2(kernel, a, b, c) },
             // Off x86 nothing but `Plain` is ever detected.
-            _ => kernel(a, b, c),
+            _ => kernel(a, b, c, false),
         })
     }
 }
 
-/// Runs `kernel(a, b, c)` compiled at the widest [`Width`] the running
-/// CPU has (see [`Width::run`]).
+/// Runs `kernel(a, b, c, fused)` compiled at the widest [`Width`] the
+/// running CPU has (see [`Width::run`]).
 #[inline]
-pub fn at_widest<A, B, C, R>(kernel: impl FnOnce(A, B, C) -> R, a: A, b: B, c: C) -> R {
+pub fn at_widest<A, B, C, R>(kernel: impl FnOnce(A, B, C, bool) -> R, a: A, b: B, c: C) -> R {
     Width::widest()
         .run(kernel, a, b, c)
         .expect("the width was just detected")
@@ -742,10 +807,12 @@ pub fn at_widest<A, B, C, R>(kernel: impl FnOnce(A, B, C) -> R, a: A, b: B, c: C
 /// time, into a feature-major panel on the stack; later rows stream
 /// past it two at a time with `acc[k] += ((p[c][k] − x[c]) as f64)²`,
 /// and the accumulators rest in `chunk` between tiles. Every pair keeps
-/// its own accumulator and visits coordinates in index order with a
-/// multiply then an add, exactly as [`dist_sq`] does (same NaN
-/// canonicalization), so each value is bitwise `dist_sq`'s — what the
-/// layout changes is that the lanes of one SIMD register are *pairs*.
+/// its own accumulator and visits coordinates in index order exactly as
+/// [`dist_sq`] does (same NaN canonicalization; the difference is taken
+/// in `f32` and then widened, so its square is exact and fusing it into
+/// the add rounds the same — [`add_exact_product`]), so each value is
+/// bitwise `dist_sq`'s — what the layout changes is that the lanes of
+/// one SIMD register are *pairs*.
 ///
 /// The body is compiled at every [`Width`] and runs [`at_widest`].
 ///
@@ -764,7 +831,7 @@ pub fn dist_sq_pairs(rows: &[&[f32]], first: usize, chunk: &mut [f64]) {
     }
     at_widest(
         #[inline(always)]
-        |(rows, first), chunk, ()| pairs_body(rows, first, chunk),
+        |(rows, first), chunk, (), fused| pairs_body(rows, first, chunk, fused),
         (rows, first),
         chunk,
         (),
@@ -774,7 +841,7 @@ pub fn dist_sq_pairs(rows: &[&[f32]], first: usize, chunk: &mut [f64]) {
 /// The one body of [`dist_sq_pairs`], inlined into the function of each
 /// [`Width`] it is run at.
 #[inline(always)]
-fn pairs_body(rows: &[&[f32]], first: usize, chunk: &mut [f64]) {
+fn pairs_body(rows: &[&[f32]], first: usize, chunk: &mut [f64], fused: bool) {
     let n = rows.len();
     let partners = &rows[first..(first + PAIR_LANES).min(n)];
     // `later[s]` is row `first + 1 + s`; the partners before it are
@@ -798,12 +865,13 @@ fn pairs_body(rows: &[&[f32]], first: usize, chunk: &mut [f64]) {
         let mut s = 0;
         while s + 2 <= later.len() {
             let xs = [&later[s][c0..c0 + t], &later[s + 1][c0..c0 + t]];
-            stream_rows(panel, xs, [lanes(s), lanes(s + 1)], first + 1 + s, n, chunk);
+            let lanes = [lanes(s), lanes(s + 1)];
+            stream_rows(panel, xs, lanes, first + 1 + s, n, chunk, fused);
             s += 2;
         }
         if s < later.len() {
             let xs = [&later[s][c0..c0 + t]];
-            stream_rows(panel, xs, [lanes(s)], first + 1 + s, n, chunk);
+            stream_rows(panel, xs, [lanes(s)], first + 1 + s, n, chunk, fused);
         }
     }
     // NaN canonicalization, matching `dist_sq` (see its docs).
@@ -828,6 +896,7 @@ fn stream_rows<const R: usize>(
     j: usize,
     n: usize,
     chunk: &mut [f64],
+    fused: bool,
 ) {
     // `[..panel.len()]` pins every row's length to the tile's, so
     // `x[c]` below needs no bounds check.
@@ -845,7 +914,7 @@ fn stream_rows<const R: usize>(
             let xc = x[c];
             for (ak, pk) in a.iter_mut().zip(col) {
                 let diff = (*pk - xc) as f64;
-                *ak += diff * diff;
+                *ak = add_exact_product(fused, *ak, diff, diff);
             }
         }
     }
@@ -1258,7 +1327,9 @@ mod tests {
                                 Some(w) => w
                                     .run(
                                         #[inline(always)]
-                                        |(rows, first), chunk, ()| pairs_body(rows, first, chunk),
+                                        |(rows, first), chunk, (), fused| {
+                                            pairs_body(rows, first, chunk, fused)
+                                        },
                                         (&refs[..], first),
                                         chunk,
                                         (),
@@ -1293,6 +1364,75 @@ mod tests {
             "{ran:?}"
         );
         println!("dist_sq_pairs widths run on this host: {ran:?}");
+    }
+
+    /// The same at the edges of the exact-product argument
+    /// ([`add_exact_product`]; the rows are `tests/kernel_equivalence.rs`'s
+    /// `edge_rows`): differences at binades 2^±60, of subnormals, of
+    /// `±f32::MAX` (`∞` once taken) and of `±∞` and zeros, squared and
+    /// summed fused or not.
+    #[test]
+    fn dist_sq_pairs_bitwise_matches_dist_sq_at_the_edges_on_every_arm() {
+        let (n, d) = (25usize, 300usize);
+        let rows: Vec<Vec<f32>> = (0..n)
+            .map(|i| {
+                (0..d)
+                    .map(|c| {
+                        let mut x = ((i as u64) << 32 | c as u64)
+                            .wrapping_add(7)
+                            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                        x ^= x >> 29;
+                        let sign = ((x >> 63) as u32) << 31;
+                        let at = |exp: u32| {
+                            f32::from_bits(sign | exp << 23 | ((x >> 20) as u32 & 0x007f_ffff))
+                        };
+                        match i % 6 {
+                            0 => at(127 + 60),
+                            1 => at(127 - 60),
+                            2 => at(0),
+                            3 if x.is_multiple_of(4) => f32::from_bits(sign | f32::MAX.to_bits()),
+                            4 => {
+                                [f32::INFINITY, 0.0, -0.0, f32::NEG_INFINITY, 1.0][(x % 5) as usize]
+                            }
+                            _ => at(126 + (x % 3) as u32),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+        for width in Width::ALL.into_iter().filter(|w| w.detected()) {
+            let mut got = vec![f64::NAN; n * n];
+            for (b, chunk) in got.chunks_mut(PAIR_LANES * n).enumerate() {
+                width.run(
+                    #[inline(always)]
+                    |(rows, first), chunk, (), fused| pairs_body(rows, first, chunk, fused),
+                    (&refs[..], b * PAIR_LANES),
+                    chunk,
+                    (),
+                );
+            }
+            for i in 0..n {
+                for j in i + 1..n {
+                    let want = dist_sq(refs[i], refs[j]);
+                    assert_eq!(
+                        got[i * n + j].to_bits(),
+                        want.to_bits(),
+                        "{width:?} pair ({i}, {j}): {} vs {want}",
+                        got[i * n + j]
+                    );
+                }
+            }
+        }
+    }
+
+    /// `add_exact_product` is compiled to `vfmadd` inside the AVX2 arm,
+    /// so the arm may only be taken where the CPU has it.
+    #[test]
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    fn the_avx2_width_is_only_detected_with_fma() {
+        assert!(!Width::Avx2.detected() || is_x86_feature_detected!("fma"));
+        assert!(!Width::Avx512.detected() || is_x86_feature_detected!("fma"));
     }
 
     #[test]
@@ -1370,7 +1510,7 @@ mod tests {
         assert!(split(0, PANEL_LANES).is_empty());
         // A panel's single last row shares its tile with a lane of zeros.
         let mut panel = Panel::default();
-        panel.fill(&[1.0; 19 * 3], 19, 3);
+        panel.fill_at(Width::Avx512, [&[1.0; 19 * 3][..]], 19, 3);
         assert_eq!(
             panel.tiles().collect::<Vec<_>>(),
             [(0, 16), (16, 2), (18, 2)]
@@ -1397,7 +1537,7 @@ mod tests {
                 let xs: Vec<&[f32]> = (0..1 + rows % 6)
                     .map(|s| &data[(rows + 1 + s) % (rows + 2)][..d])
                     .collect();
-                panel.fill(&w, rows, d);
+                panel.fill([&w[..]], rows, d);
                 let mut block = vec![f32::NAN; xs.len() * rows];
                 forward_block(&panel, bias, &xs, &mut block);
                 for (s, x) in xs.iter().enumerate() {
@@ -1424,7 +1564,7 @@ mod tests {
     #[test]
     fn empty_rows_yield_the_bias() {
         let mut panel = Panel::default();
-        panel.fill(&[], 3, 0);
+        panel.fill([&[][..]], 3, 0);
         let mut out = [9.0f32; 6];
         forward_block(&panel, &[1.0, -2.0, 0.5], &[&[], &[]], &mut out);
         assert_eq!(out, [1.0, -2.0, 0.5, 1.0, -2.0, 0.5]);
@@ -1433,14 +1573,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "weight shape mismatch")]
     fn panel_fill_rejects_a_mis_shaped_matrix() {
-        Panel::default().fill(&[0.0; 7], 2, 4);
+        Panel::default().fill([&[0.0; 7][..]], 2, 4);
     }
 
     #[test]
     #[should_panic(expected = "input length mismatch")]
     fn forward_block_rejects_an_input_of_another_width() {
         let mut panel = Panel::default();
-        panel.fill(&[0.0; 8], 2, 4);
+        panel.fill([&[0.0; 8][..]], 2, 4);
         forward_block(&panel, &[0.0; 2], &[&[0.0; 4], &[0.0; 3]], &mut [0.0; 4]);
     }
 
@@ -1448,7 +1588,7 @@ mod tests {
     #[should_panic(expected = "output length mismatch")]
     fn forward_block_rejects_an_output_of_another_height() {
         let mut panel = Panel::default();
-        panel.fill(&[0.0; 8], 2, 4);
+        panel.fill([&[0.0; 8][..]], 2, 4);
         forward_block(&panel, &[0.0; 2], &[&[0.0; 4]], &mut [0.0; 3]);
     }
 

@@ -240,7 +240,7 @@ pub fn column_stat_into<'a, I>(
     }
     at_widest(
         #[inline(always)]
-        |(stat, rows, at), out, col| column_stat_body(stat, rows, at, out, col),
+        |(stat, rows, at), out, col, _| column_stat_body(stat, rows, at, out, col),
         (stat, rows, at),
         out,
         col,
@@ -554,7 +554,7 @@ mod tests {
                         width
                             .run(
                                 #[inline(always)]
-                                |(stat, rows, at), out, col| {
+                                |(stat, rows, at), out, col, _| {
                                     column_stat_body(stat, rows, at, out, col)
                                 },
                                 inputs,

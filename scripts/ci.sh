@@ -31,7 +31,15 @@ timeout 300 cargo test -p hfl-parallel --release -q
 #   reductions, the block kernels under the dense layer —
 #   block_forward_matches_dot_per_row_at_every_width and
 #   rank_update_matches_the_retired_axpy_loop_at_every_width over every
-#   tile shape, block size and vector width the host has,
+#   tile shape, both panel tile caps, block size and vector width the
+#   host has; the exact products the forward and the pair fill fuse,
+#   over operands at the edges of the exactness argument (the forward
+#   test's edge rows, pair_fill_matches_dist_sq_at_the_edges_of_exactness
+#   and hfl-tensor's
+#   dist_sq_pairs_bitwise_matches_dist_sq_at_the_edges_on_every_arm);
+#   a ballot through one stacked panel —
+#   a_panel_of_stacked_matrices_is_the_panel_of_their_concatenation and
+#   scoring_a_ballot_matches_scoring_each_proposal —
 #   prediction_from_logits_matches_argmax_of_softmax over ties,
 #   near-ties and non-finite logits, and
 #   a_trained_model_predicts_as_argmax_of_softmax_on_the_test_split —
@@ -66,10 +74,10 @@ timeout 300 cargo test -p hfl-parallel --release -q
 #   holds its training rows once.
 # - Vote allocation ceiling (same file,
 #   vote_rounds_stay_under_the_allocation_ceiling): a paper_iid round,
-#   validation vote on top, performs at most 55 allocations, at 1
+#   validation vote on top, performs at most 45 allocations, at 1
 #   thread and at 2. A Vec per scored sample (3 200 of them on this
-#   fixture) fails this, and so does a weight panel per scoring (16
-#   of them) in place of one per ballot.
+#   fixture) fails this, and so does a weight panel per proposal (16
+#   of them) in place of one stacked panel per voter.
 cargo test --workspace -q
 
 tmp="$(mktemp -d)"
@@ -130,13 +138,26 @@ test "$(wc -l < crates/core/src/pipeline.rs)" -lt 300 \
 ! sed '/#\[cfg(test)\]/,$d' crates/ml/src/linear.rs crates/ml/src/mlp.rs | grep -n 'axpy' \
     || { echo "linear.rs / mlp.rs accumulate a gradient by axpy again instead of ops::rank_update"; exit 1; }
 
+# One fused product: only a product of two widened f32s is exact in
+# f64 (DESIGN.md §15), so only hfl_tensor::ops::add_exact_product —
+# under forward_block and dist_sq_pairs — may fuse one into its sum;
+# rank_update and axpy multiply in f32 and P² divides. And one scoring
+# of a ballot: the accuracy evaluator hands the whole ballot to
+# Model::count_correct_each (one stacked panel per voter) and loads no
+# proposal into a model of its own.
+test "$(sed '/#\[cfg(test)\]/,$d' crates/tensor/src/ops.rs | grep -c 'mul_add')" -eq 1 \
+    && ! grep -rn 'mul_add' crates/ml/src crates/robust/src crates/consensus/src \
+    || { echo "mul_add outside hfl_tensor::ops::add_exact_product: no other product is exact"; exit 1; }
+! sed '/#\[cfg(test)\]/,$d' crates/consensus/src/eval.rs | grep -n 'clone_box\|set_params' \
+    || { echo "crates/consensus/src/eval.rs loads proposals into a model clone again instead of scoring the ballot at once"; exit 1; }
+
 # One pairwise-distance fill: the Krum family and NNM read the upper
 # triangle hfl_tensor::ops::dist_sq_pairs fills (dist_sq_block stays
 # only because the frozen ledger times it). Its body, the column-tile
 # kernel's and P²'s run at the CPU's vector width through one helper
 # (hfl_tensor::ops::Width::run), whose two calls are the tensor crate's
 # only `unsafe`, each made right under the feature detection its SAFETY
-# line cites; hfl-robust has none.
+# line cites (`fma` included: the wide arms fuse); hfl-robust has none.
 ! grep -rq 'dist_sq_block' crates/robust/src \
     || { echo "crates/robust calls dist_sq_block beside the pairwise panel kernel again"; exit 1; }
 test "$(cat crates/tensor/src/*.rs | grep -c 'unsafe')" -eq 2 \

@@ -28,9 +28,13 @@
 //! `axpy` loop it replaced, prediction from logits against
 //! `argmax(softmax)` — the first two at every vector width the host
 //! has — the models' forward passes against the per-row loops they
-//! replaced (kept here as executable references), `score_all` against
-//! per-proposal `score`, and the voter-parallel mechanisms against
-//! their own single-threaded outcome.
+//! replaced (kept here as executable references), a ballot scored
+//! through one stacked panel against one model load per proposal,
+//! `score_all` against per-proposal `score`, and the voter-parallel
+//! mechanisms against their own single-threaded outcome. The two
+//! kernels that fuse an exact product into its sum (`forward_block`,
+//! `dist_sq_pairs`) also run over operands at the edges of the
+//! exactness argument.
 //!
 //! The cluster step's evidence is pinned the same way: verdicts read
 //! from the aggregation that just ran (`judge_aggregated`) against the
@@ -416,6 +420,70 @@ fn grid_rows(n: usize, d: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
+/// Rows at the edges of the exact-product argument (DESIGN.md §15),
+/// one kind per row in turn: full-mantissa values at binade 2^60, at
+/// 2^-60, subnormals, `±f32::MAX` among values near 1, `±∞` among
+/// zeros and ones, and values near 1. As weights against inputs (or
+/// row against row) every kind meets every other: subnormal ×
+/// subnormal, `f32::MAX²`, `∞ · 0`, and sums that cancel to their last
+/// bit.
+fn edge_rows(n: usize, d: usize) -> Vec<Vec<f32>> {
+    (0..n)
+        .map(|i| {
+            (0..d)
+                .map(|c| {
+                    let mut x = ((i as u64) << 32 | c as u64)
+                        .wrapping_add(7)
+                        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    x ^= x >> 29;
+                    let sign = ((x >> 63) as u32) << 31;
+                    let at = |exp: u32| {
+                        f32::from_bits(sign | exp << 23 | ((x >> 20) as u32 & 0x007f_ffff))
+                    };
+                    match i % 6 {
+                        0 => at(127 + 60),
+                        1 => at(127 - 60),
+                        2 => at(0),
+                        3 if x.is_multiple_of(4) => f32::from_bits(sign | f32::MAX.to_bits()),
+                        4 => [f32::INFINITY, 0.0, -0.0, f32::NEG_INFINITY, 1.0][(x % 5) as usize],
+                        _ => at(126 + (x % 3) as u32),
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The pair fill over the edge rows == one `dist_sq` per pair, exact
+/// bits (`hfl-tensor`'s own test runs them at every width): the
+/// difference is taken in `f32`, so its square is exact whatever the
+/// operands were.
+#[test]
+fn pair_fill_matches_dist_sq_at_the_edges_of_exactness() {
+    for (n, d) in [(13usize, 1usize), (13, 64), (40, 257)] {
+        let rows = edge_rows(n, d);
+        let refs = as_refs(&rows);
+        let mut got = vec![f64::NAN; n * n];
+        for (b, chunk) in got.chunks_mut(ops::PAIR_LANES * n).enumerate() {
+            ops::dist_sq_pairs(&refs, b * ops::PAIR_LANES, chunk);
+        }
+        let mut finite = 0;
+        for i in 0..n {
+            for j in i + 1..n {
+                let want = ops::dist_sq(refs[i], refs[j]);
+                finite += usize::from(want.is_finite() && want > 0.0);
+                assert_eq!(
+                    got[i * n + j].to_bits(),
+                    want.to_bits(),
+                    "n={n} d={d} pair ({i}, {j}): {} vs {want}",
+                    got[i * n + j]
+                );
+            }
+        }
+        assert!(finite > n * n / 8, "n={n} d={d}: {finite} finite distances");
+    }
+}
+
 /// Krum scoring over the partner-major distance panel — every block
 /// and tile shape of the grid, at thread counts under, at and over the
 /// block count — == the retained full-matrix `dist_sq`-per-pair scorer,
@@ -508,47 +576,107 @@ fn widths_on_this_host(kernel: &str) -> Vec<ops::Width> {
     widths
 }
 
+/// Both tile caps a [`ops::Panel`] is filled under: sixteen lanes
+/// (what an AVX-512 host fills) and eight (any other).
+const PANEL_CAPS: [ops::Width; 2] = [ops::Width::Avx512, ops::Width::Avx2];
+
 /// The block forward — groups of four inputs in lock step, a last
 /// group of one to three, blocks of one group and of several — == one
 /// `dot` + bias per (input, row), exact bits, at every vector width the
-/// host has: every tile shape (one lane padded, 2, 8 + 2, 16, 16 + 1,
-/// 16 + 2 + 1, 4 × 16), row lengths short, odd, the paper's and one
-/// past it, over NaN, ±∞, subnormals and signed zeros. The output
-/// starts dirty, and a swapped pair of accumulators, a dropped input
-/// or a fused multiply-add would show in the last bits.
+/// host has over panels of both tile caps: every tile shape (one lane
+/// padded, 2, 8 + 2, 16, 16 + 1, 16 + 2 + 1, the stacked 16 + 8 + 4 + 2
+/// and 16 + 16 + 8, 4 × 16), row lengths short, odd, the paper's and
+/// one past it, over NaN, ±∞, subnormals and signed zeros, and over
+/// the edge rows. The output starts dirty, and a swapped pair of
+/// accumulators or a dropped input would show in the last bits. A
+/// fused multiply-add would not, and is there: the product of two
+/// widened `f32`s is exact in `f64`, so it rounds once either way
+/// (DESIGN.md §15) — at binades 2^±60, subnormal × subnormal,
+/// `f32::MAX²` and `∞ · 0` as anywhere else. What pins the line between
+/// that product and every other is the rank update: fusing
+/// `rank_tile`'s `f32` product fails
+/// `rank_update_matches_the_retired_axpy_loop_at_every_width`.
 #[test]
 fn block_forward_matches_dot_per_row_at_every_width() {
     let widths = widths_on_this_host("forward_block");
     let mut panel = ops::Panel::default();
-    for rows in [1usize, 10, 16, 17, 19, 64] {
-        for d in [1usize, 7, 64, 65] {
-            let w: Vec<f32> = grid_rows(rows, d).concat();
-            let bias = &grid_rows(1, rows)[0];
-            panel.fill(&w, rows, d);
-            let pool = grid_rows(33, d);
-            for block in [1usize, 2, 3, 4, 5, 7, 8, 31, 32, 33] {
-                // Distinct inputs, the poisoned rows of the grid among
-                // them, starting somewhere else for each block size.
-                let xs: Vec<&[f32]> = (0..block).map(|s| &pool[(s + block) % 33][..]).collect();
-                let want: Vec<f32> = xs
-                    .iter()
-                    .flat_map(|x| reference::affine_naive(&w, bias, x))
-                    .collect();
-                // `None` is the dispatch.
-                for width in widths.iter().copied().map(Some).chain([None]) {
-                    let mut got = vec![f32::NAN; block * rows];
-                    match width {
-                        Some(w) => {
-                            ops::forward_block_at(w, &panel, bias, &xs, &mut got).expect("detected")
+    type Rows = fn(usize, usize) -> Vec<Vec<f32>>;
+    for (kind, gen) in [("grid", grid_rows as Rows), ("edge", edge_rows)] {
+        for rows in [1usize, 10, 16, 17, 19, 30, 40, 64] {
+            for d in [1usize, 7, 64, 65] {
+                let w: Vec<f32> = gen(rows, d).concat();
+                let bias = &grid_rows(1, rows)[0];
+                let pool = gen(33, d);
+                for cap in PANEL_CAPS {
+                    panel.fill_at(cap, [&w[..]], rows, d);
+                    for block in [1usize, 2, 3, 4, 5, 7, 8, 31, 32, 33] {
+                        // Distinct inputs, the poisoned rows of the grid
+                        // among them, starting somewhere else for each
+                        // block size.
+                        let xs: Vec<&[f32]> =
+                            (0..block).map(|s| &pool[(s + block) % 33][..]).collect();
+                        let want: Vec<f32> = xs
+                            .iter()
+                            .flat_map(|x| reference::affine_naive(&w, bias, x))
+                            .collect();
+                        // `None` is the dispatch.
+                        for width in widths.iter().copied().map(Some).chain([None]) {
+                            let mut got = vec![f32::NAN; block * rows];
+                            match width {
+                                Some(w) => ops::forward_block_at(w, &panel, bias, &xs, &mut got)
+                                    .expect("detected"),
+                                None => ops::forward_block(&panel, bias, &xs, &mut got),
+                            }
+                            for (at, (g, w)) in got.iter().zip(&want).enumerate() {
+                                assert!(
+                                    bits_eq_f32(*g, *w),
+                                    "{kind} {width:?} on {cap:?}'s tiles rows={rows} d={d} \
+                                     block={block} input {} row {}: {g} vs {w}",
+                                    at / rows,
+                                    at % rows
+                                );
+                            }
                         }
-                        None => ops::forward_block(&panel, bias, &xs, &mut got),
                     }
+                }
+            }
+        }
+    }
+}
+
+/// A panel filled from K matrices handed over one by one is the panel
+/// filled from their concatenation — same tiles, same lanes, whatever
+/// tile a matrix starts or ends in — so every logit that comes out of
+/// it has the bits `dot` + bias gives its own matrix's row.
+#[test]
+fn a_panel_of_stacked_matrices_is_the_panel_of_their_concatenation() {
+    let (mut stacked, mut whole) = (ops::Panel::default(), ops::Panel::default());
+    for k in [1usize, 2, 4, 7] {
+        for (rows, d) in [(10usize, 64usize), (3, 7), (5, 1)] {
+            let mats: Vec<Vec<f32>> = grid_rows(k * rows, d)
+                .chunks(rows)
+                .map(|m| m.concat())
+                .collect();
+            let (w, bias) = (mats.concat(), &grid_rows(1, k * rows)[0]);
+            let pool = edge_rows(9, d);
+            let xs: Vec<&[f32]> = pool.iter().map(|x| &x[..]).collect();
+            let want: Vec<f32> = xs
+                .iter()
+                .flat_map(|x| reference::affine_naive(&w, bias, x))
+                .collect();
+            for cap in PANEL_CAPS {
+                stacked.fill_at(cap, mats.iter().map(|m| &m[..]), rows, d);
+                whole.fill_at(cap, [&w[..]], k * rows, d);
+                for panel in [&stacked, &whole] {
+                    let mut got = vec![f32::NAN; want.len()];
+                    ops::forward_block(panel, bias, &xs, &mut got);
                     for (at, (g, w)) in got.iter().zip(&want).enumerate() {
                         assert!(
                             bits_eq_f32(*g, *w),
-                            "{width:?} rows={rows} d={d} block={block} input {} row {}: {g} vs {w}",
-                            at / rows,
-                            at % rows
+                            "k={k} rows={rows} d={d} on {cap:?}'s tiles, input {} row {}: \
+                             {g} vs {w}",
+                            at / (k * rows),
+                            at % (k * rows)
                         );
                     }
                 }
@@ -725,6 +853,65 @@ fn a_trained_model_predicts_as_argmax_of_softmax_on_the_test_split() {
     );
 }
 
+/// A ballot scored at once — `LinearSoftmax`'s one stacked panel,
+/// `Mlp`'s provided loop — == one `set_params` + `count_correct` per
+/// proposal: K ∈ {0, 1, 2, 4, 7} proposals (40 stacked rows are tiles
+/// 16 + 16 + 8, 70 end in 4 + 2), over the whole set, an empty range,
+/// one row and a range that starts and ends mid-block, with a NaN
+/// proposal among the honest ones, in one scratch throughout. The
+/// counts differ from proposal to proposal, so one that lands on
+/// another's slot shows.
+#[test]
+fn scoring_a_ballot_matches_scoring_each_proposal() {
+    let (d, classes, n) = (9usize, 10usize, 75usize);
+    let values = |seed: u64, len: usize| -> Vec<f32> {
+        (0..len as u64)
+            .map(|j| {
+                let mut x = (seed << 32 | j).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                x ^= x >> 31;
+                (x % 2_000) as f32 / 300.0 - 3.0
+            })
+            .collect()
+    };
+    let ys = (0..n).map(|i| ((i * 7 + 3) % classes) as u8).collect();
+    let data = Dataset::from_parts(d, classes, values(1, n * d), ys);
+    let models: [Box<dyn Model>; 2] = [
+        Box::new(LinearSoftmax::new(d, classes)),
+        Box::new(Mlp::new(d, 19, classes, &mut StdRng::seed_from_u64(2))),
+    ];
+    let mut scratch = BatchScratch::default();
+    for (m, model) in models.iter().enumerate() {
+        for k in [0usize, 1, 2, 4, 7] {
+            let mut thetas: Vec<Vec<f32>> = (0..k as u64)
+                .map(|p| values(10 * p + 3, model.param_len()))
+                .collect();
+            if k > 1 {
+                thetas[1].iter_mut().step_by(5).for_each(|t| *t = f32::NAN);
+            }
+            let refs = as_refs(&thetas);
+            for rows in [0..n, 0..0, 33..33, 33..34, 20..61] {
+                let want: Vec<usize> = refs
+                    .iter()
+                    .map(|theta| {
+                        let mut one = model.clone_box();
+                        one.set_params(theta);
+                        one.count_correct(&data, rows.clone(), &mut BatchScratch::default())
+                    })
+                    .collect();
+                let mut got = vec![usize::MAX; k];
+                model.count_correct_each(&refs, &data, rows.clone(), &mut scratch, &mut got);
+                assert_eq!(got, want, "model {m}, {k} proposals, rows {rows:?}");
+                if k == 7 && rows.len() == n {
+                    let mut distinct = want.clone();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    assert!(distinct.len() >= 4, "model {m}: hit counts {want:?}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -743,12 +930,12 @@ proptest! {
         x in pvec(adversarial_f32(), 48),
     ) {
         let mut panel = ops::Panel::default();
-        panel.fill(&w, 35, 48);
+        panel.fill([&w[..]], 35, 48);
         let (w, bias, x) = (&w[..rows * d], &bias[..rows], &x[..d]);
         let naive = reference::affine_naive(w, bias, x);
         let mut lockstep = vec![0.0f32; rows];
         ops::affine_rows(w, bias, x, &mut lockstep);
-        panel.fill(w, rows, d);
+        panel.fill([w], rows, d);
         let mut paneled = vec![0.0f32; rows];
         ops::forward_block(&panel, bias, &[x], &mut paneled);
         for (r, ((a, p), b)) in lockstep.iter().zip(&paneled).zip(&naive).enumerate() {
