@@ -17,7 +17,6 @@
 //! Everything here is deterministic: the search consumes no RNG, so an
 //! adaptive run stays bit-reproducible from the seed.
 
-
 use crate::model_poison::ModelAttack;
 
 /// An adaptive attack family: which base attack to tune, its starting

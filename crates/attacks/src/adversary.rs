@@ -98,8 +98,14 @@ mod tests {
 
     #[test]
     fn zero_and_full_proportions() {
-        assert_eq!(count_malicious(&malicious_mask(8, 0.0, Placement::Random, 1)), 0);
-        assert_eq!(count_malicious(&malicious_mask(8, 1.0, Placement::Random, 1)), 8);
+        assert_eq!(
+            count_malicious(&malicious_mask(8, 0.0, Placement::Random, 1)),
+            0
+        );
+        assert_eq!(
+            count_malicious(&malicious_mask(8, 1.0, Placement::Random, 1)),
+            8
+        );
     }
 
     #[test]

@@ -91,9 +91,7 @@ impl Consensus for ApproxAgreement {
         let mut messages = 0u64;
         let mut bytes = 0u64;
         let mut rounds = 0usize;
-        while Self::honest_diameter(&values, byzantine) > self.epsilon
-            && rounds < self.max_rounds
-        {
+        while Self::honest_diameter(&values, byzantine) > self.epsilon && rounds < self.max_rounds {
             rounds += 1;
             // Byzantine nodes broadcast adversarial extremes this round.
             let mut sent: Vec<Vec<f32>> = values.clone();
@@ -101,7 +99,11 @@ impl Consensus for ApproxAgreement {
                 if *b {
                     // Alternate huge positive / negative values to maximize
                     // the chance of dragging trimmed statistics.
-                    let sign = if rand::Rng::gen_bool(rng, 0.5) { 1.0 } else { -1.0 };
+                    let sign = if rand::Rng::gen_bool(rng, 0.5) {
+                        1.0
+                    } else {
+                        -1.0
+                    };
                     sent[i] = vec![sign * 1e9; d];
                 }
             }
@@ -149,12 +151,7 @@ mod tests {
     use crate::eval::DistanceEvaluator;
     use rand::SeedableRng;
 
-    fn run(
-        proposals: &[Vec<f32>],
-        byz: &[bool],
-        epsilon: f64,
-        trim: usize,
-    ) -> ConsensusOutcome {
+    fn run(proposals: &[Vec<f32>], byz: &[bool], epsilon: f64, trim: usize) -> ConsensusOutcome {
         let refs: Vec<&[f32]> = proposals.iter().map(|p| p.as_slice()).collect();
         let eval = DistanceEvaluator::new(proposals);
         let mut rng = StdRng::seed_from_u64(2);

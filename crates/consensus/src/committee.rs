@@ -131,8 +131,7 @@ mod tests {
         let refs: Vec<&[f32]> = proposals.iter().map(|p| p.as_slice()).collect();
         let eval = DistanceEvaluator::new(&own);
         let mut rng = StdRng::seed_from_u64(3);
-        let out =
-            CommitteeConsensus::new(3, 1).decide(&refs, &[false; 4], &eval, &mut rng);
+        let out = CommitteeConsensus::new(3, 1).decide(&refs, &[false; 4], &eval, &mut rng);
         assert_eq!(out.excluded, vec![3]);
         assert!(hfl_tensor::ops::norm(&out.decided) < 1.0);
     }

@@ -86,8 +86,7 @@ impl Consensus for GossipAverage {
                 let next = (i + 1) % n;
                 let prev = (i + n - 1) % n;
                 for j in 0..d {
-                    values[i][j] =
-                        (snapshot[prev][j] + snapshot[i][j] + snapshot[next][j]) / 3.0;
+                    values[i][j] = (snapshot[prev][j] + snapshot[i][j] + snapshot[next][j]) / 3.0;
                 }
             }
             messages += 2 * n as u64; // each node sends to both neighbours
@@ -125,7 +124,11 @@ mod tests {
     fn honest_gossip_converges_to_mean() {
         let proposals = vec![vec![0.0f32], vec![4.0f32], vec![8.0f32], vec![4.0f32]];
         let out = run(&proposals, &[false; 4]);
-        assert!((out.decided[0] - 4.0).abs() < 1e-2, "got {}", out.decided[0]);
+        assert!(
+            (out.decided[0] - 4.0).abs() < 1e-2,
+            "got {}",
+            out.decided[0]
+        );
         assert!(out.rounds > 0);
     }
 

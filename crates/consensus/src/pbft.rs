@@ -99,8 +99,7 @@ impl Consensus for PbftConsensus {
             // validation envelope around the robust reference (a proposal
             // indistinguishable from honest is accepted — correct PBFT
             // behaviour: safety comes from the validation predicate).
-            let in_envelope =
-                hfl_tensor::ops::dist(&proposal, &reference) <= self.slack * spread;
+            let in_envelope = hfl_tensor::ops::dist(&proposal, &reference) <= self.slack * spread;
             let accepts = if in_envelope { honest_count } else { 0 };
             if accepts >= quorum.min(honest_count) {
                 return ConsensusOutcome {

@@ -16,7 +16,9 @@ use crate::ConsensusOutcome;
 /// * `consensus_messages_total` / `consensus_bytes_total` — cost.
 pub fn record_outcome(registry: &Registry, mechanism: &'static str, out: &ConsensusOutcome) {
     let labels = [("mechanism", mechanism)];
-    registry.counter("consensus_instances_total", &labels).inc(1);
+    registry
+        .counter("consensus_instances_total", &labels)
+        .inc(1);
     registry
         .counter("consensus_excluded_total", &labels)
         .inc(out.excluded.len() as u64);
@@ -26,7 +28,9 @@ pub fn record_outcome(registry: &Registry, mechanism: &'static str, out: &Consen
     registry
         .counter("consensus_messages_total", &labels)
         .inc(out.messages);
-    registry.counter("consensus_bytes_total", &labels).inc(out.bytes);
+    registry
+        .counter("consensus_bytes_total", &labels)
+        .inc(out.bytes);
 }
 
 #[cfg(test)]
@@ -48,12 +52,27 @@ mod tests {
         record_outcome(&registry, "pbft", &out);
 
         let labels = [("mechanism", "vote")];
-        assert_eq!(registry.counter("consensus_instances_total", &labels).get(), 2);
-        assert_eq!(registry.counter("consensus_excluded_total", &labels).get(), 4);
+        assert_eq!(
+            registry.counter("consensus_instances_total", &labels).get(),
+            2
+        );
+        assert_eq!(
+            registry.counter("consensus_excluded_total", &labels).get(),
+            4
+        );
         assert_eq!(registry.counter("consensus_rounds_total", &labels).get(), 6);
-        assert_eq!(registry.counter("consensus_messages_total", &labels).get(), 80);
-        assert_eq!(registry.counter("consensus_bytes_total", &labels).get(), 1280);
+        assert_eq!(
+            registry.counter("consensus_messages_total", &labels).get(),
+            80
+        );
+        assert_eq!(
+            registry.counter("consensus_bytes_total", &labels).get(),
+            1280
+        );
         let pbft = [("mechanism", "pbft")];
-        assert_eq!(registry.counter("consensus_instances_total", &pbft).get(), 1);
+        assert_eq!(
+            registry.counter("consensus_instances_total", &pbft).get(),
+            1
+        );
     }
 }

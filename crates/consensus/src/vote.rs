@@ -196,7 +196,12 @@ mod tests {
     #[test]
     fn excludes_the_poisoned_proposal() {
         let (proposals, own) = setup();
-        let out = decide(&proposals, &own, &[false; 4], VoteConsensus::paper_default());
+        let out = decide(
+            &proposals,
+            &own,
+            &[false; 4],
+            VoteConsensus::paper_default(),
+        );
         assert_eq!(out.excluded, vec![3]);
         assert!(hfl_tensor::ops::norm(&out.decided) < 1.0);
     }
@@ -213,7 +218,12 @@ mod tests {
             vec![51.0f32, 49.0],
         ];
         let own = vec![vec![0.0f32, 0.0]; 4];
-        let out = decide(&proposals, &own, &[false; 4], VoteConsensus::paper_default());
+        let out = decide(
+            &proposals,
+            &own,
+            &[false; 4],
+            VoteConsensus::paper_default(),
+        );
         assert_eq!(out.excluded, vec![1, 3]);
         assert!(hfl_tensor::ops::norm(&out.decided) < 1.0);
     }
@@ -228,7 +238,12 @@ mod tests {
             vec![51.0f32, 49.0],
         ];
         let own = vec![vec![0.0f32, 0.0]; 4];
-        let out = decide(&proposals, &own, &[false; 4], VoteConsensus::paper_default());
+        let out = decide(
+            &proposals,
+            &own,
+            &[false; 4],
+            VoteConsensus::paper_default(),
+        );
         assert_eq!(out.excluded, vec![0, 1, 3]);
         assert!(hfl_tensor::ops::norm(&out.decided) < 1.0);
     }
@@ -245,7 +260,12 @@ mod tests {
     fn all_identical_proposals_all_survive() {
         let proposals = vec![vec![1.0f32, 2.0]; 4];
         let own = proposals.clone();
-        let out = decide(&proposals, &own, &[false; 4], VoteConsensus::paper_default());
+        let out = decide(
+            &proposals,
+            &own,
+            &[false; 4],
+            VoteConsensus::paper_default(),
+        );
         assert!(out.excluded.is_empty());
         assert_eq!(out.decided, vec![1.0, 2.0]);
     }
@@ -274,7 +294,12 @@ mod tests {
     #[test]
     fn reports_quadratic_message_cost() {
         let (proposals, own) = setup();
-        let out = decide(&proposals, &own, &[false; 4], VoteConsensus::paper_default());
+        let out = decide(
+            &proposals,
+            &own,
+            &[false; 4],
+            VoteConsensus::paper_default(),
+        );
         assert_eq!(out.messages, (4 * 3 * 2) as u64);
         assert!(out.bytes > 4 * 3 * 8);
     }

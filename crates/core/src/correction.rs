@@ -10,7 +10,6 @@
 //!   the flag model already represents, the less new information θ_G
 //!   carries, so the smaller α.
 
-
 /// Policy computing α from the two paper-specified signals.
 #[derive(Clone, Copy, Debug)]
 pub struct CorrectionPolicy {

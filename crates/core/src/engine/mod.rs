@@ -258,7 +258,14 @@ impl<'e> RoundEngine<'e> {
         if let Some(clock) = &mut self.clock {
             clock.start_round(global, round, &mut train.starts);
         }
-        exp.train_round_into(global, round, attack.as_ref(), telem, &mut updates, &mut train);
+        exp.train_round_into(
+            global,
+            round,
+            attack.as_ref(),
+            telem,
+            &mut updates,
+            &mut train,
+        );
         self.workspace.train = train;
         self.aggregate_round_into(&updates, round, cost, telem, fault_log, susp_log, out);
         self.workspace.updates = updates;
@@ -384,8 +391,7 @@ impl<'e> RoundEngine<'e> {
                 // or withholding members remain.
                 ws.order.clear();
                 ws.order.extend(
-                    (0..cluster.len())
-                        .filter(|&mi| l != bottom || ws.active[cluster.members[mi]]),
+                    (0..cluster.len()).filter(|&mi| l != bottom || ws.active[cluster.members[mi]]),
                 );
                 for layer in self.layers_mut() {
                     layer.filter_members(&mut ctx, &cl, &mut ws.order);

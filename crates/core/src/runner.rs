@@ -40,7 +40,9 @@ use hfl_telemetry::{
     RunManifest, RunTotals, SuspicionRecord, SuspicionSection, Telemetry,
 };
 
-use crate::config::{AttackCfg, ConfigError, DataDistribution, HflConfig, LevelAgg, SamplingScheme};
+use crate::config::{
+    AttackCfg, ConfigError, DataDistribution, HflConfig, LevelAgg, SamplingScheme,
+};
 use crate::engine::RoundEngine;
 
 pub use crate::engine::CostCounters;

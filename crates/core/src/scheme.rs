@@ -1,7 +1,6 @@
 //! The four Byzantine-setting combinations of Table III, with the
 //! applicability guidance of Table IV.
 
-
 use hfl_consensus::ConsensusKind;
 use hfl_robust::AggregatorKind;
 

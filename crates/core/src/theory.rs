@@ -39,8 +39,7 @@ pub fn theorem2_max_byzantine_count(
     check_gamma(gamma2);
     let nt = n_top as f64;
     let mf = m as f64;
-    nt * mf.powi(level as i32)
-        - (1.0 - gamma1) * nt * ((1.0 - gamma2) * mf).powi(level as i32)
+    nt * mf.powi(level as i32) - (1.0 - gamma1) * nt * ((1.0 - gamma2) * mf).powi(level as i32)
 }
 
 /// Theorem 2 (proportion form) — the maximum tolerated Byzantine

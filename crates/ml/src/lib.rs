@@ -38,7 +38,7 @@ pub mod synth;
 
 pub use dataset::{Dataset, Labelled};
 pub use linear::LinearSoftmax;
-pub use population::{ClientPopulation, ShardPlan};
 pub use mlp::Mlp;
 pub use model::Model;
+pub use population::{ClientPopulation, ShardPlan};
 pub use sgd::SgdConfig;

@@ -43,7 +43,10 @@ pub fn backdoor_success_rate(
     target: u8,
 ) -> f64 {
     assert!(offset + width <= data.dim(), "trigger exceeds dimension");
-    assert!((target as usize) < data.num_classes(), "target out of range");
+    assert!(
+        (target as usize) < data.num_classes(),
+        "target out of range"
+    );
     let mut x = vec![0.0f32; data.dim()];
     let mut scratch = BatchScratch::default();
     let mut attacked = 0usize;
@@ -113,7 +116,7 @@ mod tests {
         d.push(&[3.0], 1); // true target class: not counted
         let rate = backdoor_success_rate(&m, &d, 0, 1, 5.0, 1);
         assert_eq!(rate, 1.0); // both class-0 samples flip to 1
-        // A trigger the model maps away from the target never succeeds.
+                               // A trigger the model maps away from the target never succeeds.
         let rate = backdoor_success_rate(&m, &d, 0, 1, -5.0, 1);
         assert_eq!(rate, 0.0);
     }

@@ -770,10 +770,7 @@ mod tests {
         use abd_hfl_core::config::SamplingScheme;
         let mut gen = ScenarioGen::new(17);
         let specs: Vec<_> = (0..150).map(|_| gen.draw()).collect();
-        let sampled: Vec<_> = specs
-            .iter()
-            .filter(|s| s.sampling_population > 0)
-            .collect();
+        let sampled: Vec<_> = specs.iter().filter(|s| s.sampling_population > 0).collect();
         assert!(!sampled.is_empty(), "the stream must draw sampled runs");
         assert!(specs.iter().any(|s| s.sampling_population == 0));
         assert!(sampled.iter().any(|s| s.sampling_stratified));

@@ -372,7 +372,8 @@ mod tests {
         // upper-triangle shape that starves static chunking; under
         // work stealing the result must still be position-exact for
         // every thread count.
-        let cost = |i: usize| -> u64 { (0..(i % 97) * 50).map(|k| k as u64).sum::<u64>() ^ i as u64 };
+        let cost =
+            |i: usize| -> u64 { (0..(i % 97) * 50).map(|k| k as u64).sum::<u64>() ^ i as u64 };
         let expected: Vec<u64> = (0..500).map(cost).collect();
         for threads in [1, 2, 4, 8] {
             let got = par_map_indexed(500, threads, cost);

@@ -88,7 +88,11 @@ pub fn krum_scores_into(updates: &[&[f32]], f: usize, threads: usize, scratch: &
     let f = f.min(n.saturating_sub(3));
     pairwise_dist_sq(updates, threads, dists, groups);
     // n ≥ 3 keeps n−f−2 ≥ 1 distances; degenerate n ∈ {1, 2} keeps all.
-    let keep = if n >= 3 { n - f - 2 } else { n.saturating_sub(1) };
+    let keep = if n >= 3 {
+        n - f - 2
+    } else {
+        n.saturating_sub(1)
+    };
     scores.clear();
     for i in 0..n {
         row.clear();
@@ -262,7 +266,11 @@ pub mod reference {
                 })
                 .collect()
         });
-        let keep = if n >= 3 { n - f - 2 } else { n.saturating_sub(1) };
+        let keep = if n >= 3 {
+            n - f - 2
+        } else {
+            n.saturating_sub(1)
+        };
         (0..n)
             .map(|i| {
                 let mut row: Vec<f64> = (0..n).filter(|j| *j != i).map(|j| dists[i][j]).collect();
@@ -375,7 +383,10 @@ mod tests {
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
 
         let out = Krum::new(1).aggregate(&refs, None);
-        assert!(out.iter().all(|x| x.is_finite()), "Krum picked NaN: {out:?}");
+        assert!(
+            out.iter().all(|x| x.is_finite()),
+            "Krum picked NaN: {out:?}"
+        );
         assert!(hfl_tensor::ops::dist(&out, &[1.0, 1.0]) < 0.5);
 
         let mk = MultiKrum::new(1, 4);

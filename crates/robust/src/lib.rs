@@ -50,7 +50,6 @@ pub mod streaming;
 pub mod suspicion;
 pub mod trimmed_mean;
 
-
 pub use autogm::AutoGm;
 pub use clipping::CenteredClip;
 pub use clustering::CosineClustering;

@@ -23,7 +23,6 @@
 //! state 2.5) within 7, while a client struck occasionally stays below
 //! threshold forever.
 
-
 /// Suspicion layer parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SuspicionConfig {

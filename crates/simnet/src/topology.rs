@@ -81,7 +81,10 @@ impl Hierarchy {
     /// If any argument is zero or `total_levels < 2`.
     pub fn ecsm(total_levels: usize, m: usize, n_top: usize) -> Self {
         assert!(total_levels >= 2, "need at least top + bottom levels");
-        assert!(m >= 1 && n_top >= 1, "cluster size and top count must be positive");
+        assert!(
+            m >= 1 && n_top >= 1,
+            "cluster size and top count must be positive"
+        );
         let depth = total_levels - 1; // the paper's L
         let mut levels = Vec::with_capacity(total_levels);
         // Level ℓ has n_top·m^ℓ nodes; node p at level ℓ is device
@@ -120,7 +123,10 @@ impl Hierarchy {
         seed: u64,
     ) -> Self {
         assert!(total_levels >= 2, "need at least top + bottom levels");
-        assert!(min_size >= 1 && min_size <= max_size, "bad cluster size range");
+        assert!(
+            min_size >= 1 && min_size <= max_size,
+            "bad cluster size range"
+        );
         assert!(n_bottom >= min_size, "not enough clients for one cluster");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut levels_rev: Vec<Level> = Vec::new(); // bottom first
@@ -208,7 +214,8 @@ impl Hierarchy {
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(
-                a, b,
+                a,
+                b,
                 "leaders of level {l} must form level {} exactly",
                 l - 1
             );
@@ -262,8 +269,7 @@ impl Hierarchy {
     /// the recipients of a flag model disseminated from that cluster.
     pub fn descendants(&self, l: usize, cluster: usize) -> Vec<DeviceId> {
         let bottom = self.bottom_level();
-        let mut frontier: Vec<DeviceId> =
-            self.levels[l].clusters[cluster].members.clone();
+        let mut frontier: Vec<DeviceId> = self.levels[l].clusters[cluster].members.clone();
         for cur in l..bottom {
             let mut next = Vec::new();
             for device in &frontier {

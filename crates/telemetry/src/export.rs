@@ -35,10 +35,7 @@ mod tests {
     use crate::manifest::{fnv1a_hex, RoundRecord, RunTotals};
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "hfl-telemetry-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("hfl-telemetry-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

@@ -87,7 +87,10 @@ impl Json {
 
     /// Looks up `key` in an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
-        self.as_obj()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.as_obj()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
     }
 
     fn write(&self, out: &mut String) {
@@ -369,13 +372,11 @@ impl<'a> Parser<'a> {
                                 if !(0xDC00..0xE000).contains(&low) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let combined =
-                                    0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                                let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
                                 char::from_u32(combined)
                                     .ok_or_else(|| self.err("invalid surrogate pair"))?
                             } else {
-                                char::from_u32(cp)
-                                    .ok_or_else(|| self.err("invalid \\u escape"))?
+                                char::from_u32(cp).ok_or_else(|| self.err("invalid \\u escape"))?
                             };
                             out.push(c);
                             continue; // hex4 already advanced pos
@@ -494,7 +495,9 @@ mod tests {
         ]);
         roundtrip(&v);
         assert_eq!(
-            v.get("nested").and_then(|n| n.get("k")).and_then(Json::as_str),
+            v.get("nested")
+                .and_then(|n| n.get("k"))
+                .and_then(Json::as_str),
             Some("v")
         );
     }

@@ -247,9 +247,7 @@ impl Registry {
     /// If the key is already registered as a different instrument kind.
     pub fn counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Counter {
         let key = MetricKey::new(name, labels);
-        match self.get_or_insert(key, || {
-            Slot::Counter(Counter(Arc::new(AtomicU64::new(0))))
-        }) {
+        match self.get_or_insert(key, || Slot::Counter(Counter(Arc::new(AtomicU64::new(0))))) {
             Slot::Counter(c) => c,
             other => panic!("metric {name} already registered as a {}", other.kind()),
         }

@@ -15,7 +15,12 @@ pub fn uniform<R: Rng + ?Sized>(rng: &mut R, a: f32, buf: &mut [f32]) {
 
 /// Xavier/Glorot uniform initialization for a dense layer with the given
 /// fan-in and fan-out: `U(-sqrt(6/(fan_in+fan_out)), +...)`.
-pub fn xavier_uniform<R: Rng + ?Sized>(rng: &mut R, fan_in: usize, fan_out: usize, buf: &mut [f32]) {
+pub fn xavier_uniform<R: Rng + ?Sized>(
+    rng: &mut R,
+    fan_in: usize,
+    fan_out: usize,
+    buf: &mut [f32],
+) {
     assert!(fan_in + fan_out > 0, "xavier init needs positive fan");
     let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
     uniform(rng, a, buf);

@@ -1450,12 +1450,7 @@ pub fn axpy_rows(weights: &[f32], rows: &[&[f32]], out: &mut [f32]) {
     let mut k = 0;
     while k + BLOCK_ROWS <= rows.len() {
         let (r0, r1, r2, r3) = (rows[k], rows[k + 1], rows[k + 2], rows[k + 3]);
-        let (w0, w1, w2, w3) = (
-            weights[k],
-            weights[k + 1],
-            weights[k + 2],
-            weights[k + 3],
-        );
+        let (w0, w1, w2, w3) = (weights[k], weights[k + 1], weights[k + 2], weights[k + 3]);
         check_same_len(r0, out);
         check_same_len(r1, out);
         check_same_len(r2, out);

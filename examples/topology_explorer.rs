@@ -44,9 +44,7 @@ fn main() {
     // --- Definition 4 worst-case placement ------------------------------
     let mask = theory::definition4_placement(&h, 1, 1);
     let bad = mask.iter().filter(|b| **b).count();
-    println!(
-        "\nDefinition 4 placement (1 Byzantine top subtree + 1 per honest cluster):"
-    );
+    println!("\nDefinition 4 placement (1 Byzantine top subtree + 1 per honest cluster):");
     println!(
         "  {bad}/{} bottom clients Byzantine = {:.4}% — exactly the Theorem 2 bound",
         mask.len(),
