@@ -1,5 +1,5 @@
 //! Validation-vote consensus — the paper's top-level mechanism
-//! (Appendix D.B, "inspired by Chen et al. [28]"):
+//! (Appendix D.B, "inspired by Chen et al. \[28\]"):
 //!
 //! 1. every top-level node broadcasts its partial aggregated model;
 //! 2. every node tests every received model on its private validation

@@ -138,7 +138,7 @@ pub trait RoundLayer {
     fn name(&self) -> &'static str;
 
     /// Round-open phase, before local training. Called once per round
-    /// by [`super::RoundEngine::run_round`] (not by the bare
+    /// by [`super::RoundEngine::run_round_into`] (not by the bare
     /// aggregation entry point): scheduled-fault activation is
     /// announced here.
     fn open_round(&mut self, ctx: &mut RoundCtx<'_>) {}

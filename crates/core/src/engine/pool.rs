@@ -18,7 +18,7 @@
 //!   [`AggScratch`].
 //! * [`Partials`] — one buffer per cluster leader plus a spare: the
 //!   only model rows the level loop writes. Every other row is read
-//!   where it is ([`Carried`]).
+//!   where it is (`Carried`).
 //! * [`RoundWorkspace`] — the engine's per-round state: the partials,
 //!   churn and cohort bindings, member-index scratch, the step scratch,
 //!   and the training-loop workspace.
@@ -92,7 +92,7 @@ pub struct RoundWorkspace {
 /// The partial aggregates of one round: `rows[slot]` holds the partial
 /// of the last cluster `slot` led this round, once `led[slot]`. A
 /// cluster's partial is computed into the spare and swapped into its
-/// leader's buffer ([`Self::land`]), so the leader's previous row —
+/// leader's buffer (`land`), so the leader's previous row —
 /// an input of that very cluster — is never written while it is read,
 /// and a round copies no row it only reads. Buffers of slots that never
 /// lead stay empty.

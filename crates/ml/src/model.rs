@@ -14,7 +14,7 @@ pub(crate) const BLOCK: usize = 32;
 
 /// Reusable forward/backward buffers, so steady-state training rounds
 /// and scoring perform no heap allocation. Each holds one block of at
-/// most [`BLOCK`] inputs; implementations resize what they need, which
+/// most `BLOCK` inputs; implementations resize what they need, which
 /// is free once capacity has grown.
 #[derive(Clone, Debug, Default)]
 pub struct BatchScratch {

@@ -188,7 +188,7 @@ const DIRICHLET_MAX_ATTEMPTS: u64 = 32;
 /// and the honest clients together cover all labels (the same guarantee
 /// [`noniid_partition`] enforces constructively). Unusable draws are
 /// re-drawn from a fresh attempt-salted RNG stream — the fallback
-/// re-draw — up to [`DIRICHLET_MAX_ATTEMPTS`] times; determinism is
+/// re-draw — up to `DIRICHLET_MAX_ATTEMPTS` times; determinism is
 /// preserved because the attempt index is part of the stream seed.
 ///
 /// # Panics

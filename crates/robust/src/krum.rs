@@ -18,12 +18,12 @@
 //! ascending order: block `b` pairs its rows with every row after them,
 //! so the first block is the heaviest and the claim order is
 //! heaviest-first; a cluster of up to eight rows is one block and never
-//! forks. [`pairwise_dist_sq`] is that fill, shared with NNM
+//! forks. `pairwise_dist_sq` is that fill, shared with NNM
 //! pre-aggregation. A coalition's bit-identical rows are measured once
 //! ([`hfl_tensor::ops::RowGroups`], kept in [`AggScratch::groups`]): the
 //! blocks run over the distinct rows and the result is expanded, each
 //! entry the bits it would have had. The original full-matrix loop is
-//! retained verbatim in [`reference`] and the differential suite pins
+//! retained verbatim in [`reference`](mod@reference) and the differential suite pins
 //! the two bitwise-equal.
 
 use crate::{validate_updates, AggScratch, Aggregator};

@@ -5,13 +5,13 @@
 //!
 //! Two transforms, each wrapping **any** [`Aggregator`]:
 //!
-//! * [`Bucketing`] — partition the inputs into buckets of `s` and hand
+//! * [`Bucketing`](PreAggregation::Bucketing) — partition the inputs into buckets of `s` and hand
 //!   the base rule the bucket means. Honest variance shrinks by ~`s`
 //!   while at most one bucket per Byzantine input is corrupted, so the
 //!   base rule sees a cleaner, smaller cohort (Karimireddy et al.,
 //!   "Byzantine-robust learning on heterogeneous datasets via
 //!   bucketing").
-//! * [`Nnm`] — replace every input by the mean of its `k` nearest
+//! * [`Nnm`](PreAggregation::Nnm) — replace every input by the mean of its `k` nearest
 //!   neighbours (itself included). Honest non-IID spread collapses
 //!   toward local cluster means, leaving genuinely adversarial vectors
 //!   exposed (Allouah et al., "Fixing by mixing").

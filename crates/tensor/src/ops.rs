@@ -194,7 +194,7 @@ fn binary_blocks(n: usize, max: usize) -> impl Iterator<Item = (usize, usize)> {
 /// loads it.
 ///
 /// Rows are split into tiles of a power-of-two lane count, at most
-/// [`PANEL_LANES`] ([`binary_blocks`]: 10 rows → 8 + 2, 40 → 16 + 16 +
+/// `PANEL_LANES` (`binary_blocks`: 10 rows → 8 + 2, 40 → 16 + 16 +
 /// 8, 64 → 4 × 16, 19 → 16 + 2 + 2, a single last row sharing its tile
 /// with a lane of zeros); the buffer is laid out
 /// `[tile][coordinate][lane]`, i.e. a tile of `L` lanes starting at row
@@ -288,11 +288,11 @@ const BLOCK_INPUTS: usize = 4;
 /// either way, so both read the same operands and produce the same bits.
 ///
 /// Per tile of `L` lanes the inner loop is `acc_k[l] += col[l] *
-/// x_k[c]` for [`BLOCK_INPUTS`] inputs `k` at once over one contiguous
+/// x_k[c]` for `BLOCK_INPUTS` inputs `k` at once over one contiguous
 /// group of `L` lanes: every (input, row) pair keeps its own `f64`
 /// accumulator and visits coordinates in index order exactly as [`dot`]
 /// does (nothing reassociated; the product is exact, so fusing it into
-/// the add rounds the same — [`add_exact_product`]), so each output is
+/// the add rounds the same — `add_exact_product`), so each output is
 /// bitwise what the per-row `dot` loop produces. The
 /// lanes of one SIMD register are *rows*, as the panel lays them out;
 /// the four inputs give every coordinate step four times the
@@ -616,7 +616,7 @@ const RANK_COLS: usize = 32;
 /// without, the product is added like any other.
 ///
 /// What changes is the traffic: a tile of two rows by at most
-/// [`RANK_COLS`] columns of `grad` is loaded once, updated by every
+/// `RANK_COLS` columns of `grad` is loaded once, updated by every
 /// input of the block and stored once, where the `axpy` loop loads and
 /// stores a gradient row per (input, row).
 ///
@@ -834,12 +834,12 @@ const BLOCK_ROWS: usize = 4;
 
 /// Blocked squared-distance kernel: `out[k] = dist_sq(a, rows[k])`.
 ///
-/// Rows are processed in register blocks of [`BLOCK_ROWS`], so `a` is
+/// Rows are processed in register blocks of `BLOCK_ROWS`, so `a` is
 /// streamed once per block instead of once per row — the cache-blocking
 /// half of the Krum distance-matrix optimization. Byte-stability: every
 /// pair keeps its *own* `f64` accumulator and visits coordinates in
 /// index order, so each `out[k]` is bitwise-equal to `dist_sq(a,
-/// rows[k])` (the naive reference retained in [`reference`]).
+/// rows[k])` (the naive reference retained in [`reference`](mod@reference)).
 ///
 /// The AGR crafts' bisection (`hfl_attacks::model_poison`) measures each
 /// candidate against the honest rows through it: the candidate changes
@@ -894,7 +894,7 @@ const PAIR_TILE: usize = 256;
 /// A vector width a kernel body can be compiled at. Lane `k` of a body
 /// performs the same IEEE operations at every width — but for an exact
 /// product fused into its sum, which rounds the same
-/// ([`add_exact_product`]) — so the width a kernel runs at cannot change
+/// (`add_exact_product`) — so the width a kernel runs at cannot change
 /// a bit of its result, only how many lanes one instruction carries.
 /// The exception is [`forward_approx`], whose values are a bound's
 /// input and differ from width to width by contract.
@@ -941,7 +941,7 @@ impl Width {
     /// Runs `kernel(a, b, c, fused)` inside a function compiled for this
     /// width, or returns `None` when the CPU lacks it. `fused` is whether
     /// that function has `fma` — a literal in each, so
-    /// [`add_exact_product`]'s branch on it folds away; a kernel without
+    /// `add_exact_product`'s branch on it folds away; a kernel without
     /// an exact product ignores it. The kernel is vectorised
     /// at the width only if it is inlined into that function: pass an
     /// `#[inline(always)]` *closure* (a function item goes through a call
@@ -1008,14 +1008,14 @@ pub fn at_widest<A, B, C, R>(kernel: impl FnOnce(A, B, C, bool) -> R, a: A, b: B
 /// `n × n` matrix, so the blocks together fill its upper triangle. The
 /// rest of `chunk` (diagonal and lower triangle) is zeroed.
 ///
-/// The partners are transposed, one [`PAIR_TILE`]-coordinate tile at a
+/// The partners are transposed, one `PAIR_TILE`-coordinate tile at a
 /// time, into a feature-major panel on the stack; later rows stream
 /// past it two at a time with `acc[k] += ((p[c][k] − x[c]) as f64)²`,
 /// and the accumulators rest in `chunk` between tiles. Every pair keeps
 /// its own accumulator and visits coordinates in index order exactly as
 /// [`dist_sq`] does (same NaN canonicalization; the difference is taken
 /// in `f32` and then widened, so its square is exact and fusing it into
-/// the add rounds the same — [`add_exact_product`]), so each value is
+/// the add rounds the same — `add_exact_product`), so each value is
 /// bitwise `dist_sq`'s — what the layout changes is that the lanes of
 /// one SIMD register are *pairs*.
 ///
@@ -1131,11 +1131,11 @@ const KEY_LANES: usize = 16;
 /// [`pairwise_dist_sq`] measures once — kept in caller-owned buffers so
 /// a warm fill allocates nothing.
 ///
-/// Detection first reads each row's first [`KEY_LANES`] coordinates:
+/// Detection first reads each row's first `KEY_LANES` coordinates:
 /// copies agree there too, so when no two rows agree there, there is no
 /// copy, and that is all a set of distinct rows costs. Otherwise it
 /// makes one pass over every row for its bucket key (a
-/// [`KEY_LANES`]-lane wrapping sum of its bits, folded into one word),
+/// `KEY_LANES`-lane wrapping sum of its bits, folded into one word),
 /// then *one* exact bit comparison of each row against the first row of
 /// its bucket; a mismatch makes the row distinct. So rows built to share
 /// a key cost at most one extra read each, and no two rows merge unless
@@ -1412,7 +1412,7 @@ fn stream_rows<const R: usize>(
 /// Fused multi-row accumulate: `out += r₀ + r₁ + …` in row order.
 ///
 /// Equivalent to calling [`add_assign`] once per row, but rows are
-/// fused in blocks of [`BLOCK_ROWS`] so `out` is read and written once
+/// fused in blocks of `BLOCK_ROWS` so `out` is read and written once
 /// per block instead of once per row. Byte-stability: for every
 /// coordinate the partial sums are added in exactly the row order the
 /// sequential `add_assign` chain would produce (`((out+r₀)+r₁)+…`,
@@ -1444,7 +1444,7 @@ pub fn add_rows(rows: &[&[f32]], out: &mut [f32]) {
 /// Fused multi-row axpy: `out += w₀·r₀ + w₁·r₁ + …` in row order, with
 /// the same left-associated per-coordinate add chain a sequence of
 /// [`axpy`] calls would produce — bitwise identical, one pass over
-/// `out` per block of [`BLOCK_ROWS`] rows.
+/// `out` per block of `BLOCK_ROWS` rows.
 pub fn axpy_rows(weights: &[f32], rows: &[&[f32]], out: &mut [f32]) {
     assert_eq!(rows.len(), weights.len(), "rows/weights length mismatch");
     let mut k = 0;

@@ -215,7 +215,7 @@ impl<const R: usize> Default for ColumnTile<R> {
 /// stack and leave `col` alone; more are gathered into `col` and sorted
 /// a column at a time, in the same total order. Either way a NaN cannot
 /// panic the kernel, and `out` does not depend on which path or which
-/// [`Width`](crate::ops::Width) ran.
+/// [`Width`] ran.
 ///
 /// # Panics
 /// If `rows` is empty, a row is shorter than `at + out.len()`, or
@@ -358,7 +358,7 @@ const VAR_ROWS: usize = 4;
 /// loop's bits.
 ///
 /// The lanes are coordinates: the rows are streamed row-major, twice per
-/// tile of up to [`VAR_TILE`] coordinates — `Σ x` into `f64` accumulators
+/// tile of up to `VAR_TILE` coordinates — `Σ x` into `f64` accumulators
 /// on the stack, then `Σ (x − μ)²` into `out` — and one SIMD add serves
 /// as many columns as the register holds, each column still adding its
 /// rows in order. No product is fused: `x − μ` is an inexact `f64`, so

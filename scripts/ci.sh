@@ -1,133 +1,27 @@
 #!/usr/bin/env bash
 # Local CI gate: run before opening a PR. Mirrors what reviewers check.
+# Source-shape rules are tests/architecture.rs, which `cargo test` runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Every dependency is a path in this checkout: a registry crate, or a
 # manifest change without its Cargo.lock, fails here first.
 cargo build --release --offline --locked
-
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-# Worker-set gate. It alone runs under a timeout: every suite below
-# fork-joins on hfl-parallel's parked worker set, and a wedged set hangs
-# instead of failing, so its lifecycle tests go first and get to say so.
+# Worker-set gate first, under a timeout: a wedged worker set hangs, not fails.
 timeout 300 cargo test -p hfl-parallel --release -q
-
-# `--workspace`, because the root package is only the facade: every
-# crate's unit tests, property tests and integration suites are members'.
-# Three gates inside this one line are worth naming:
-# - Kernel equivalence (tests/kernel_equivalence.rs): every optimized
-#   hot kernel (the partner-major distance panel under the Krum family
-#   and NNM — krum_scores_match_naive_across_blocks_and_tiles and
-#   nnm_matches_the_per_row_scan_it_replaced, over every block and tile
-#   shape; hfl-tensor's own
-#   dist_sq_pairs_bitwise_matches_dist_sq_on_every_arm runs each vector
-#   width the host has — the column-tile kernels under the coordinate
-#   rules: coordinate_kernels_match_the_retired_per_column_loops,
-#   streaming_rules_match_the_retired_scalar_estimator_and_reservoir,
-#   mixed_sign_zero_columns_compare_equal_to_the_retired_loops,
-#   trimmed_mean_sums_the_kept_values_ascending_in_f64 and
-#   coordinate_rules_match_across_the_parallel_cutoff, over
-#   hfl-tensor's column_stat_reads_the_same_bits_at_every_width and
-#   hfl-robust's p2_reads_the_same_bits_at_every_width — fused
-#   reductions, the block kernels under the dense layer —
-#   block_forward_matches_dot_per_row_at_every_width and
-#   rank_update_matches_the_retired_axpy_loop_at_every_width over every
-#   tile shape, both panel tile caps, block size and vector width the
-#   host has; the exact products the forward and the pair fill fuse,
-#   over operands at the edges of the exactness argument (the forward
-#   test's edge rows, pair_fill_matches_dist_sq_at_the_edges_of_exactness
-#   and hfl-tensor's
-#   dist_sq_pairs_bitwise_matches_dist_sq_at_the_edges_on_every_arm);
-#   a ballot through one stacked panel —
-#   a_panel_of_stacked_matrices_is_the_panel_of_their_concatenation and
-#   scoring_a_ballot_matches_scoring_each_proposal —
-#   prediction_from_logits_matches_argmax_of_softmax over ties,
-#   near-ties and non-finite logits, and
-#   a_trained_model_predicts_as_argmax_of_softmax_on_the_test_split —
-#   the training and scoring paths over them (hfl-ml's
-#   loss_and_gradient_bits_match_the_per_row_reference_at_every_batch_size
-#   and count_correct_matches_per_sample_predict_on_the_set_and_on_sub_ranges),
-#   work-stealing parallel paths, the voter-parallel
-#   vote; the training set as a function of the sample index —
-#   synth_plan_matches_the_sequential_generator_it_replaced, every
-#   sample in descending and strided order and filled from 1/2/3/8
-#   threads, over hfl-ml's own rng::tests, which pin the seekable
-#   ChaCha12 stream to StdRng word for word, shuffle swap for swap, and
-#   to the published zero-key vector; the lane-wise block body under
-#   that stream — chacha_blocks_match_the_retired_scalar_block_at_every_width
-#   over consecutive, high-word and scattered lane counters at every
-#   vector width the host has, stream_reads_match_the_retired_word_at_a_time_stream
-#   for next_u32 and the packed word read, and
-#   synth_draws_match_the_retired_per_word_sample_into for sample_into,
-#   materialise and the packed shard draw; the crafts' reads of the honest
-#   set — alie_matches_the_retired_per_column_loop_at_every_width (the
-#   coordinate-lane variance kernel at every vector width the host has
-#   and the whole craft, over hfl-tensor's
-#   column_var_reads_the_same_bits_at_every_width) and
-#   agr_crafts_match_the_retired_per_pair_loops (MinMax / MinSum crafted
-#   from the pair fill and bisections four rows at a time, over
-#   hfl-attacks' pair_budgets_match_dist_sq_per_ordered_pair); a
-#   coalition measured once —
-#   pair_fill_measures_a_coalition_once_and_reads_as_dist_sq_per_pair
-#   (the pair fill over repeated rows, NaN / ±∞ ones among them, and
-#   over rows that differ only in a zero's sign or share a bucket key,
-#   at every vector width the host has, with Krum, Multi-Krum and NNM
-#   over the same rows, over hfl-tensor's
-#   only_rows_equal_in_every_bit_merge) — crafted slots that do not
-#   train — crafted_slots_skip_training_and_the_round_reads_as_before
-#   (every static craft, the adaptive ALIE, a sampled cohort and a
-#   pipelined round with sit-outs, against the retired
-#   train-then-overwrite body) — and a level loop that reads rows in
-#   place — the_level_loop_reads_in_place_what_the_per_level_copy_held
-#   (against the retired per-level copy)) must be byte-identical to its naive
-#   reference across thread counts 1/2/4/8 and adversarial values;
-#   evidence read from the aggregation must equal the stand-alone
-#   recompute; whole runs must be identical at 1/2/4/8 threads.
-# - Allocation regression (crates/bench/tests/alloc_regression.rs,
-#   steady_state_rounds_allocate_nothing): after a 5-round warmup,
-#   BRA rounds perform exactly zero heap allocations on the clean, the
-#   faulted, the deadline (every cluster closing a deadline buffer) and
-#   the pipelined fixture (the same, on the round clock), at 1 thread
-#   and at 2. A single new Vec on the round path
-#   — or per buffer, or per fork-join — fails this. So does one in a
-#   warm 128 × 4,810 Multi-Krum, over distinct rows or a coalition of 51
-#   identical ones (wide_multikrum_allocates_nothing_once_warm),
-#   and a d-long marker array or a row reservoir on the heap of a
-#   sampled round under the streaming rules
-#   (sampled_streaming_rounds_keep_their_state_off_the_heap: at most 4
-#   allocations and 8 KB a round).
-#   Set-up memory rides on the same counters
-#   (prepare_holds_the_plan_not_the_training_set): a sampled population
-#   prepares in at most 32 B per training sample, the identity cohort
-#   holds its training rows once.
-# - Snapshot resume (tests/snapshot_resume.rs): for every fixture class,
-#   20 rounds straight through must equal 10 rounds + resume(10 more)
-#   from the round-10 snapshot (and 4 rounds must equal 2 + 2),
-#   byte-for-byte at the manifest level, with the snapshot pushed through
-#   both its byte and JSON codecs. See DESIGN.md §11.
-# - Vote allocation ceiling (same file,
-#   vote_rounds_stay_under_the_allocation_ceiling): a paper_iid round,
-#   validation vote on top, performs at most 41 allocations, at 1
-#   thread and at 2. A Vec per scored sample (3 200 of them on this
-#   fixture) fails this, and so does a weight panel per proposal (16
-#   of them) in place of one stacked panel per voter.
 cargo test --workspace -q
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-
-# One entry point: every experiment, the fuzzer and the bisector are
-# subcommands of crates/bench/src/bin/repro.rs, the crate's one binary.
-test "$(ls crates/bench/src/bin)" = "repro.rs" \
-    || { echo "crates/bench/src/bin must hold repro.rs alone"; exit 1; }
 cargo build --release -p hfl-bench
 repro="${CARGO_TARGET_DIR:-target}/release/repro"
 
-# Smoke + determinism gate: two same-seed runs of `repro <experiment>`
-# must produce a byte-identical <manifest-file>.
+# Same-seed runs write byte-identical manifests: faults, arms race, both, deadline
+# buffers (DESIGN.md §12), gallery (§13), pipeline, cohort sampling (§14).
 same_seed_gate() {
     local name="$1" manifests="$2"
     shift 2
@@ -138,166 +32,18 @@ same_seed_gate() {
         || { echo "repro $name manifests differ across same-seed runs"; exit 1; }
     echo "repro $name determinism gate passed"
 }
-# Injected faults, failovers and degraded quorums land in the manifest's fault log.
 same_seed_gate faults faults.manifests.jsonl --quick
-# The adaptive adversary, suspicion layer and protocol attacks keep state across rounds.
 same_seed_gate adaptive adaptive.manifests.jsonl --quick
-# Faults and the arms race in one run exercise every engine layer at once.
 same_seed_gate combined combined.manifests.jsonl --quick
-# Deadline buffers (DESIGN.md §12) synthesize arrivals from a dedicated RNG stream.
 same_seed_gate async async.manifests.jsonl --quick --filter deadline
-# The gallery grid (§13) has a seeded Dirichlet re-draw loop and AGR bisections.
 same_seed_gate gallery gallery.manifests.jsonl --quick
-# The pipelined schedule: the engine's round clock draws training, aggregation and link
-# delays from seeded streams; the last sweep runs it under faults, suspicion and an adversary.
 same_seed_gate efficiency efficiency.manifests.jsonl --quick
-# Per-round cohort sampling and lazy shard derivation (§14) at 10⁴ clients.
 same_seed_gate scale scale.manifests.jsonl --smoke
 test -s "$tmp/scale.a/scale.json" \
     || { echo "repro scale produced no scale.json"; exit 1; }
 
-# One scheduler: the pipeline is a schedule of the round engine, not a
-# second driver on the event simulator, and what is left of pipeline.rs
-# is a timing config plus the ν arithmetic.
-! grep -rq 'hfl_simnet::engine' crates/core/src crates/faults/src \
-    || { echo "crates/core or crates/faults drives the event simulator again"; exit 1; }
-test "$(wc -l < crates/core/src/pipeline.rs)" -lt 300 \
-    || { echo "crates/core/src/pipeline.rs grew past 300 lines"; exit 1; }
-
-# One dense layer for shared weights: several inputs under one θ go
-# through hfl_tensor::ops::Panel a block at a time, a single input over
-# the stored f32 rows; there is no widened row-major copy, no
-# single-input panel kernel beside the block one and no per-input
-# choice between the two, and the batch gradient is the rank update,
-# not one axpy per (sample, row). A panel's lane element is f64 (a
-# layer's, widened at the fill) or f32 (a ballot's, widened as the
-# exact forward loads it): one fill and one exact body serve both, and
-# the f32 approximation is a second body only because it is not exact.
-# (Scoped to the dense path's crates: hfl-robust's streaming rule has a
-# `fn widen` of its own, over tile rows.)
-! grep -rqE 'fn widen|ops::widen' crates/tensor/src crates/ml/src \
-    || { echo "a widened-copy dense path is back beside the panel"; exit 1; }
-! grep -rnE 'fn affine_panel\(|Option<&Panel>' crates/tensor/src crates/ml/src \
-    || { echo "a single-input panel kernel or a per-input kernel switch is back beside forward_block"; exit 1; }
-! sed '/#\[cfg(test)\]/,$d' crates/ml/src/linear.rs crates/ml/src/mlp.rs | grep -n 'axpy' \
-    || { echo "linear.rs / mlp.rs accumulate a gradient by axpy again instead of ops::rank_update"; exit 1; }
-
-# Two fused products: only a product of two widened f32s is exact in
-# f64 (DESIGN.md §15), so only hfl_tensor::ops::add_exact_product —
-# under forward_block and dist_sq_pairs — may fuse one into its sum and
-# keep its bits; rank_update and axpy multiply in f32, P² divides, and
-# the column variance kernel squares an inexact f64 difference. The one
-# other site is the f32 approximate tile (ops::approx_tile, under
-# forward_approx), whose output is an error bound's input and never a
-# value: it fuses at the wide widths and not at Plain, and no bit of a
-# result depends on it. And one scoring of a ballot: the accuracy
-# evaluator hands the whole ballot to Model::count_correct_each (one
-# stacked panel per voter) and loads no proposal into a model of its
-# own.
-fused="$(sed '/#\[cfg(test)\]/,$d' crates/tensor/src/ops.rs | awk '
-    match($0, /^(pub )?fn [a-z0-9_]+/) { item = substr($0, RSTART, RLENGTH) }
-    /mul_add/ && !/^ *\/\// { print item }')"
-test "$fused" = "$(printf 'fn add_exact_product\nfn approx_tile')" \
-    && ! grep -rn 'mul_add' crates/ml/src crates/robust/src crates/consensus/src \
-        crates/attacks/src crates/tensor/src/stats.rs \
-    || { echo "mul_add outside hfl_tensor::ops::add_exact_product and the f32 approximate tile (ops::approx_tile): no other product may fuse: $fused"; exit 1; }
-
-# One reader of the approximation: ops::forward_approx's values are
-# within a bound of the real dot and no closer, so its one non-test
-# caller outside hfl_tensor::ops is hfl_ml::linear's ballot, which
-# reads them only through the certificate (loss::decide) and
-# recomputes exactly what the certificate cannot decide.
-approx_calls="$(find crates src -path '*/src/*' -name '*.rs' -exec awk '
-    FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 }
-    live && /forward_approx(_at)?\(/ && !/^ *\/\// && !/fn forward_approx/ { print FILENAME }
-' {} + | sort -u | grep -v '^crates/tensor/src/ops.rs$')"
-test "$approx_calls" = "crates/ml/src/linear.rs" \
-    || { echo "ops::forward_approx is called outside hfl_ml::linear: $approx_calls"; exit 1; }
-! sed '/#\[cfg(test)\]/,$d' crates/consensus/src/eval.rs | grep -n 'clone_box\|set_params' \
-    || { echo "crates/consensus/src/eval.rs loads proposals into a model clone again instead of scoring the ballot at once"; exit 1; }
-
-# One pairwise-distance fill: the Krum family, NNM and the MinMax /
-# MinSum budgets read the upper triangle hfl_tensor::ops::dist_sq_pairs
-# fills; dist_sq_block measures a candidate that changes every step
-# (the AGR bisection), never a fixed set of pairs, so it has no caller in
-# hfl-robust. The fill's body, the column-tile kernel's, the column
-# variance kernel's, P²'s and hfl-ml's ChaCha12 block body run at the CPU's
-# vector width through one helper (hfl_tensor::ops::Width::run), whose
-# two calls are the tensor crate's only `unsafe`, each made right under
-# the feature detection its SAFETY line cites (`fma` included: the wide
-# arms fuse); hfl-robust and hfl-attacks have none (hfl-ml's gate is
-# below).
-! grep -rq 'dist_sq_block' crates/robust/src \
-    || { echo "crates/robust calls dist_sq_block beside the pairwise panel kernel again"; exit 1; }
-
-# One way into the pair kernel: dist_sq_pairs has one non-test caller,
-# hfl_tensor::ops::pairwise_dist_sq, so every fill goes through the
-# collapse that measures a repeated row once.
-pair_calls="$(find crates src -path '*/src/*' -name '*.rs' -exec awk '
-    FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 }
-    match($0, /^(pub )?fn [a-z0-9_]+/) { item = substr($0, RSTART, RLENGTH) }
-    live && /dist_sq_pairs\(/ && !/^ *\/\// && !/fn dist_sq_pairs\(/ { print FILENAME ": " item }
-' {} +)"
-test "$pair_calls" = "crates/tensor/src/ops.rs: pub fn pairwise_dist_sq_at" \
-    || { echo "dist_sq_pairs is called outside ops::pairwise_dist_sq: $pair_calls"; exit 1; }
-
-# No level copies a row it only reads: the level loop reads a slot's
-# update, or the partial it landed as a leader, in place
-# (engine::pool::Partials), so the round workspace holds no per-level
-# row set and nothing in the engine clone_froms one.
-! sed -n '/^pub struct RoundWorkspace/,/^}/p' crates/core/src/engine/pool.rs | grep -nE '^ *pub (next|carried):' \
-    && ! grep -rn 'clone_from' crates/core/src/engine \
-    || { echo "the round engine copies a row set per level again"; exit 1; }
-test "$(cat crates/tensor/src/*.rs | grep -c 'unsafe')" -eq 2 \
-    && test "$(grep -h -B1 'unsafe' crates/tensor/src/*.rs | grep -c '// SAFETY:')" -eq 2 \
-    || { echo "crates/tensor/src must hold exactly two unsafe tokens, each under a // SAFETY: line"; exit 1; }
-! grep -rn 'unsafe' crates/robust/src \
-    || { echo "crates/robust/src must hold no unsafe"; exit 1; }
-! grep -rn 'unsafe' crates/attacks/src \
-    || { echo "crates/attacks/src must hold no unsafe"; exit 1; }
-
-# An attack reads the honest set as a matrix: ALIE's variance is one
-# coordinate-lane pass (hfl_tensor::stats::column_var_into), and MinMax /
-# MinSum take their budgets from the pair fill, so model_poison.rs holds
-# no per-coordinate gather and no per-pair dist_sq outside its tests (the
-# retired loops live on as kernel_equivalence.rs's references).
-! sed '/#\[cfg(test)\]/,$d' crates/attacks/src/model_poison.rs | grep -nE 'for j in 0\.\.d|mean_var\(|flat_map' \
-    || { echo "crates/attacks/src/model_poison.rs gathers a column or computes a distance per pair again"; exit 1; }
-
-# One coordinate-wise kernel: the streaming rules keep their state in
-# column tiles on the stack and sort through hfl_tensor::stats, so
-# streaming.rs holds no per-coordinate estimator array and no sort of
-# its own (the scalar estimator lives on as kernel_equivalence.rs's
-# reference).
-! sed '/#\[cfg(test)\]/,$d' crates/robust/src/streaming.rs | grep -n 'vec!\[P2Median\|sort_unstable_by' \
-    || { echo "crates/robust/src/streaming.rs holds a d-long estimator array or its own sort again"; exit 1; }
-
-# One generator: a sample is a function of its index
-# (SynthPlan::sample_into over the seekable stream in hfl_ml::rng); the
-# sequential per-split loop lives on only as kernel_equivalence.rs's
-# reference, and so does the per-word read of a sample's noise: synth.rs
-# reads words through ChaCha12::words, never one next_u32() at a time.
-# The stream is plain integer code: hfl-ml has no `unsafe`.
-! sed '/#\[cfg(test)\]/,$d' crates/ml/src/synth.rs | grep -n 'standard_normal(&mut rng)\|next_u32()' \
-    || { echo "crates/ml/src/synth.rs draws samples off a sequential or per-word rng read again"; exit 1; }
-! grep -rn 'unsafe' crates/ml/src \
-    || { echo "crates/ml/src must hold no unsafe"; exit 1; }
-
-# One ChaCha12 block body: the lane-wise quarter round (its four
-# rotations) is written once in crates/ml/src/rng.rs, and the retired
-# one-block scalar refill lives on only as kernel_equivalence.rs's
-# reference.
-test "$(sed '/#\[cfg(test)\]/,$d' crates/ml/src/rng.rs | grep -c 'rotate_left(')" -eq 4 \
-    && ! grep -n 'fn fill(' crates/ml/src/rng.rs \
-    || { echo "crates/ml/src/rng.rs holds a second ChaCha quarter round or a scalar block fill"; exit 1; }
-
-# Benchmark gate: the ledger (ledger/, the repository's benchmark — see
-# BENCHMARK.json) is frozen and times the library through its public
-# surface only, so its own tests are the guard that this surface still
-# compiles for it; they also smoke-run all six workloads on two seeds.
-# Cargo may prune ledger/Cargo.lock while building, so the committed
-# lockfile is set aside first and put back after, pass or fail: the
-# gate leaves the tree as it found it.
+# Benchmark gate: the frozen ledger's tests smoke-run all six workloads; cargo
+# may prune ledger/Cargo.lock while building, so the committed one goes back.
 cp ledger/Cargo.lock "$tmp/ledger.Cargo.lock"
 ledger_status=0
 cargo test --offline --manifest-path ledger/Cargo.toml || ledger_status=$?
@@ -305,14 +51,8 @@ cp "$tmp/ledger.Cargo.lock" ledger/Cargo.lock
 test "$ledger_status" -eq 0 || { echo "ledger gate failed"; exit 1; }
 echo "ledger gate passed"
 
-# Oracle fuzz gate: a fixed-seed scenario-fuzzing budget (override the
-# iteration count with FUZZ_ITERS), then the five mutation self-checks
-# — deliberately corrupted observations must be caught by the matching
-# oracle and shrunk to a minimal repro (see DESIGN.md §10). Corpus
-# replay itself runs inside `cargo test` (tests/oracle_corpus.rs).
-# The fuzz pass runs with --snapshots (shrink candidates resume from
-# checkpoints); the mutation loop then proves cached and uncached
-# shrinking reach the *same* minimal TOML repro.
+# Oracle fuzz gate (FUZZ_ITERS overrides the budget), then five mutation checks,
+# each caught and shrunk (DESIGN.md §10) alike with and without --snapshots.
 "$repro" fuzz --iters "${FUZZ_ITERS:-200}" --seed 42 --snapshots
 for mutation in quorum conservation determinism staleness defense-bypass; do
     "$repro" fuzz --mutation "$mutation" --seed 42 --out "$tmp/oracle" >/dev/null \
