@@ -85,8 +85,7 @@ impl<'r> RunOptions<'r> {
     /// for `pcfg.rounds` rounds, telemetry disabled. Links, deadlines,
     /// loss and device heterogeneity are the config's own
     /// (`async_rounds`, `faults`, `heterogeneity`); a config without
-    /// `async_rounds` waits for every quorum on LAN links. The run
-    /// executes on the calling thread (see [`RunOptions::try_run`]).
+    /// `async_rounds` waits for every quorum on LAN links.
     #[must_use]
     pub fn pipeline(pcfg: &PipelineConfig) -> Self {
         Self {
@@ -136,19 +135,11 @@ impl<'r> RunOptions<'r> {
             link_delay: DelayModel::lan(),
             tier_deadlines: Vec::new(),
         });
-        // On the calling thread alone: a pipelined round is a few
-        // milliseconds of host work, and a fork-join that short is as
-        // fast as its slower thread — with a second core that is only
-        // sometimes free, the same run read anywhere between one
-        // thread's speed and 1.7× it. The engine itself is indifferent
-        // (`RoundEngine::pipelined` at any thread count, same bytes).
-        hfl_parallel::with_threads(1, || {
-            let exp = Experiment::try_prepare(&cfg)?;
-            let mut engine = RoundEngine::pipelined(&exp, pcfg);
-            let run = run_engine(&mut engine, telem);
-            let timing = engine.pipeline_result(&run.result);
-            Ok(RunOutput { run, timing })
-        })
+        let exp = Experiment::try_prepare(&cfg)?;
+        let mut engine = RoundEngine::pipelined(&exp, pcfg);
+        let run = run_engine(&mut engine, telem);
+        let timing = engine.pipeline_result(&run.result);
+        Ok(RunOutput { run, timing })
     }
 }
 

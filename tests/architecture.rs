@@ -59,6 +59,8 @@ const RULES: &[Rule] = &[
         fixture: "fn f() { ops::dist_sq_block(x, r, o); }", message: "crates/robust calls dist_sq_block beside the pairwise panel kernel again" },
     Rule { name: "one way into the pair kernel", design: 15, files: TREE, check: Count("dist_sq_pairs(", &[(OPS, "pairwise_dist_sq_at", 1)]),
         fixture: "fn krum() { dist_sq_pairs(w, r, 0, o); }", message: "dist_sq_pairs is called outside ops::pairwise_dist_sq" },
+    Rule { name: "no schedule pins the worker count", design: 9, files: &["crates/core/src/"], check: Forbid(&["with_threads(", "set_default_threads("]),
+        fixture: "fn f() { hfl_parallel::with_threads(1, || g()); }", message: "crates/core/src pins the hfl-parallel thread count instead of running at default_threads()" },
     Rule { name: "no level copies a row", design: 9, files: &["crates/core/src/engine/"], check: Forbid(&["clone_from", "pub next:", "pub carried:"]),
         fixture: "struct W {\n    pub next: Vec<f32>,\n}\n", message: "the round engine copies a row set per level again" },
     Rule { name: "unsafe has an allow-list", design: 15, files: TREE, fixture: "fn f() { unsafe { g() } }",

@@ -58,7 +58,8 @@ use abd_hfl::core::config::{
 };
 use abd_hfl::core::engine::{CostCounters, RoundEngine};
 use abd_hfl::core::pipeline::PipelineConfig;
-use abd_hfl::core::runner::{run_engine, run_prepared_with, Experiment, TrainWorkspace};
+use abd_hfl::core::run::RunOptions;
+use abd_hfl::core::runner::{run_prepared_with, Experiment, TrainWorkspace};
 use abd_hfl::faults::FaultPlan;
 use abd_hfl::ml::loss::{argmax, predict, softmax_in_place, NEAR_TIE};
 use abd_hfl::ml::model::BatchScratch;
@@ -2174,8 +2175,9 @@ fn synth_draws_match_the_retired_per_word_sample_into() {
 }
 
 /// Whole runs — clean, armed under deadline buffers, sampled, and the
-/// armed one again with a fault plan on the pipelined schedule — produce
-/// the identical manifest JSON and event log at 1/2/4/8 threads: the
+/// armed one again with a fault plan on the pipelined schedule, prepared
+/// and run through `RunOptions::pipeline` — produce the identical
+/// manifest JSON, event log and per-round ν at 1/2/4/8 threads: the
 /// training step hands cohort slots to however many workers there are,
 /// and which worker (and which parked trainee) served a slot cannot
 /// show in its update.
@@ -2233,15 +2235,22 @@ fn whole_runs_identical_at_all_thread_counts() {
         ("sampled", sampled, None),
         ("armed + faulted, pipelined", pipelined, Some(&timing)),
     ] {
-        let exp = Experiment::prepare(&cfg);
         let run = |threads: usize| {
             abd_hfl::parallel::set_default_threads(threads);
             let (telem, rec) = Telemetry::recording();
-            let run = match timing {
-                Some(pcfg) => run_engine(&mut RoundEngine::pipelined(&exp, pcfg), &telem),
-                None => run_prepared_with(&exp, &telem),
+            let (manifest, nu) = match timing {
+                Some(pcfg) => {
+                    let out = RunOptions::pipeline(pcfg).telemetry(&telem).try_run(&cfg);
+                    let (timing, manifest) = out.expect("a valid config").into_pipeline();
+                    let nu = timing.rounds.iter().map(|r| r.nu.to_bits()).collect();
+                    (manifest, nu)
+                }
+                None => {
+                    let exp = Experiment::prepare(&cfg);
+                    (run_prepared_with(&exp, &telem).manifest, vec![])
+                }
             };
-            (run.manifest.to_json(), rec.events())
+            (manifest.to_json(), rec.events(), nu)
         };
         let base = run(1);
         for &t in &THREADS[1..] {
