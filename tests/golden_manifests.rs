@@ -1,7 +1,8 @@
 //! Golden-manifest regression tests for the round engine.
 //!
 //! Each fixture freezes one round path — clean, faulted, armed,
-//! withholding, deadline-driven and sampled: the committed files under
+//! withholding, deadline-driven, sampled, and all three engine layers
+//! at once (combined): the committed files under
 //! `tests/golden/` hold the manifest JSON and the structured-event
 //! stream of a small same-seed run, and the test asserts the engine
 //! still reproduces them **byte-identically** — same RNG stream order,
@@ -9,11 +10,16 @@
 //!
 //! The fixtures are a function of the seeded streams (SGD, shuffles and
 //! consensus votes draw from them), which come from the in-tree `rand`
-//! stand-in every build links, so every build compares bytes. Regenerate
-//! only after an *intentional* change to round semantics, and say so in
-//! CHANGES.md:
+//! stand-in every build links, so every build compares bytes.
+//!
+//! `GOLDEN_UPDATE=1` writes only the golden files that are missing and
+//! still compares every file that exists, so adding a fixture never
+//! rewrites another one. To regenerate a fixture — only after an
+//! *intentional* change to round semantics, said so in CHANGES.md —
+//! delete its two files first:
 //!
 //! ```sh
+//! rm tests/golden/faulted.*
 //! GOLDEN_UPDATE=1 cargo test --test golden_manifests
 //! ```
 
@@ -25,7 +31,7 @@ use abd_hfl::core::config::{AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg, Sampl
 use abd_hfl::core::runner::{run_prepared_with, Experiment, InstrumentedRun};
 use abd_hfl::faults::FaultPlan;
 use abd_hfl::ml::synth::SynthConfig;
-use abd_hfl::robust::SuspicionConfig;
+use abd_hfl::robust::{AggregatorKind, SuspicionConfig};
 use abd_hfl::simnet::DelayModel;
 use abd_hfl::telemetry::Telemetry;
 
@@ -64,16 +70,19 @@ fn clean_fixture() -> HflConfig {
 fn faulted_fixture() -> HflConfig {
     let mut cfg = base(AttackCfg::None, 2025);
     cfg.quorum = 0.75;
+    cfg.faults = Some(fault_plan());
+    cfg
+}
+
+/// The faulted fixture's plan, shared with the combined fixture.
+fn fault_plan() -> FaultPlan {
     let split: Vec<usize> = (0..24).collect();
     let rest: Vec<usize> = (24..64).collect();
-    cfg.faults = Some(
-        FaultPlan::new()
-            .crash_stop(1, 2)
-            .kill_leader(1, 2, 1, None)
-            .partition(2, vec![split, rest], 3)
-            .straggler(1, 6, 8.0, None),
-    );
-    cfg
+    FaultPlan::new()
+        .crash_stop(1, 2)
+        .kill_leader(1, 2, 1, None)
+        .partition(2, vec![split, rest], 3)
+        .straggler(1, 6, 8.0, None)
 }
 
 /// The arms-race path: adaptive ALIE coalition, suspicion/quarantine
@@ -145,6 +154,30 @@ fn sampled_fixture() -> HflConfig {
     cfg
 }
 
+/// All three engine layers in one round — faults, then the defense,
+/// then the adversary — on the benchmark's `async_armed` shape at this
+/// file's size: adaptive ALIE with equivocating leaders against
+/// suspicion, all-Multi-Krum levels, deadline buffers at φ = 0.75, and
+/// the faulted fixture's plan. The only fixture that pins the order in
+/// which the layers filter members, observe verdicts and close rounds.
+fn combined_fixture() -> HflConfig {
+    let mut cfg = base(
+        AttackCfg::Adaptive {
+            attack: AdaptiveAttack::alie_default(),
+            proportion: 0.25,
+            placement: Placement::Prefix,
+        },
+        2030,
+    );
+    cfg.levels = vec![LevelAgg::Bra(AggregatorKind::MultiKrum { f: 1, m: 3 }); 3];
+    cfg.async_rounds = Some(AsyncRoundCfg::lan());
+    cfg.quorum = 0.75;
+    cfg.protocol_attack = Some(ProtocolAttack::Equivocate { flip_scale: 1.0 });
+    cfg.suspicion = Some(SuspicionConfig::default());
+    cfg.faults = Some(fault_plan());
+    cfg
+}
+
 /// Runs a fixture with a recording telemetry bundle, returning the run
 /// plus the rendered event stream (one debug-formatted event per line).
 fn run_fixture(cfg: &HflConfig) -> (InstrumentedRun, String) {
@@ -155,7 +188,31 @@ fn run_fixture(cfg: &HflConfig) -> (InstrumentedRun, String) {
     (run, events)
 }
 
-fn check_golden(name: &str, cfg: &HflConfig) {
+/// Compares `got` with the golden file at `path` byte for byte; under
+/// `GOLDEN_UPDATE` a missing file is written instead.
+fn check_file(name: &str, path: &Path, got: &str) {
+    if update_mode() && !path.exists() {
+        fs::create_dir_all(golden_dir()).unwrap();
+        fs::write(path, got).unwrap();
+        return;
+    }
+    let want = fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!(
+            "{name}: missing golden {} ({e}); run GOLDEN_UPDATE=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        got,
+        want,
+        "{name}: {} diverged from the golden",
+        path.display()
+    );
+}
+
+/// Runs a fixture twice and returns its event stream, after checking
+/// that both runs agree and match the fixture's golden files.
+fn check_golden(name: &str, cfg: &HflConfig) -> String {
     let (run, events) = run_fixture(cfg);
     let manifest = run.manifest.to_json();
 
@@ -172,27 +229,13 @@ fn check_golden(name: &str, cfg: &HflConfig) {
     );
 
     let dir = golden_dir();
-    let manifest_path = dir.join(format!("{name}.manifest.json"));
-    let events_path = dir.join(format!("{name}.events.txt"));
-    if update_mode() {
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(&manifest_path, manifest + "\n").unwrap();
-        fs::write(&events_path, events).unwrap();
-        return;
-    }
-    let want_manifest = fs::read_to_string(&manifest_path)
-        .unwrap_or_else(|e| panic!("{name}: missing golden manifest ({e}); run GOLDEN_UPDATE=1"));
-    let want_events = fs::read_to_string(&events_path)
-        .unwrap_or_else(|e| panic!("{name}: missing golden events ({e}); run GOLDEN_UPDATE=1"));
-    assert_eq!(
-        manifest,
-        want_manifest.trim_end_matches('\n'),
-        "{name}: manifest diverged from the golden"
+    check_file(
+        name,
+        &dir.join(format!("{name}.manifest.json")),
+        &(manifest + "\n"),
     );
-    assert_eq!(
-        events, want_events,
-        "{name}: event stream diverged from the golden"
-    );
+    check_file(name, &dir.join(format!("{name}.events.txt")), &events);
+    events
 }
 
 #[test]
@@ -223,4 +266,15 @@ fn async_round_path_matches_golden() {
 #[test]
 fn sampled_round_path_matches_golden() {
     check_golden("sampled", &sampled_fixture());
+}
+
+#[test]
+fn combined_round_path_matches_golden() {
+    let events = check_golden("combined", &combined_fixture());
+    for kind in ["FaultInjected", "BufferClosed", "EquivocationDetected"] {
+        assert!(
+            events.lines().any(|e| e.starts_with(kind)),
+            "combined: no {kind} event, so the fixture no longer runs all three layers"
+        );
+    }
 }

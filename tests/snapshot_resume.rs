@@ -1,18 +1,18 @@
 //! Resume-at-round-k integration tests for the snapshot subsystem.
 //!
-//! For every fixture class of `tests/golden_manifests.rs` (clean,
-//! faulted, armed, withholding) the engine is run straight through,
+//! For the golden fixture classes of `tests/golden_manifests.rs`
+//! (clean, faulted, armed, withholding, combined) the engine is run straight through,
 //! then re-run as capture-at-round-k + resume, and the two final
 //! manifests must be **byte-identical** — same RNG stream order, same
 //! cost accounting, same metric export — at two horizons: 4 rounds
 //! resumed from round 2, and 20 rounds resumed from round 10
 //! (DESIGN.md §11). The snapshot also crosses the
 //! binary and JSON codecs on the way, so the persisted form is what is
-//! proven, and the error paths (`version`, `base_hash`, truncation)
-//! are pinned.
+//! proven, and the error paths (`version`, `base_hash`, truncation, a
+//! layer list of another config) are pinned.
 
 use abd_hfl::attacks::{AdaptiveAttack, ModelAttack, Placement, ProtocolAttack};
-use abd_hfl::core::config::{AttackCfg, HflConfig, LevelAgg};
+use abd_hfl::core::config::{AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg};
 use abd_hfl::core::run::{resume, resume_with};
 use abd_hfl::core::runner::{
     base_config_hash, resume_prepared_with, run_prepared_snapshotting, run_prepared_with,
@@ -20,8 +20,8 @@ use abd_hfl::core::runner::{
 };
 use abd_hfl::faults::FaultPlan;
 use abd_hfl::ml::synth::SynthConfig;
-use abd_hfl::robust::SuspicionConfig;
-use abd_hfl::snapshot::{EngineSnapshot, SNAPSHOT_VERSION};
+use abd_hfl::robust::{AggregatorKind, SuspicionConfig};
+use abd_hfl::snapshot::{EngineSnapshot, LayerState, SNAPSHOT_VERSION};
 use abd_hfl::telemetry::Telemetry;
 
 /// The shared small task (mirrors the golden fixtures' base).
@@ -47,16 +47,18 @@ fn clean_fixture() -> HflConfig {
 fn faulted_fixture() -> HflConfig {
     let mut cfg = base(AttackCfg::None, 2025);
     cfg.quorum = 0.75;
+    cfg.faults = Some(fault_plan());
+    cfg
+}
+
+fn fault_plan() -> FaultPlan {
     let split: Vec<usize> = (0..24).collect();
     let rest: Vec<usize> = (24..64).collect();
-    cfg.faults = Some(
-        FaultPlan::new()
-            .crash_stop(1, 2)
-            .kill_leader(1, 2, 1, None)
-            .partition(2, vec![split, rest], 3)
-            .straggler(1, 6, 8.0, None),
-    );
-    cfg
+    FaultPlan::new()
+        .crash_stop(1, 2)
+        .kill_leader(1, 2, 1, None)
+        .partition(2, vec![split, rest], 3)
+        .straggler(1, 6, 8.0, None)
 }
 
 fn armed_fixture() -> HflConfig {
@@ -86,6 +88,25 @@ fn withhold_fixture() -> HflConfig {
     cfg.levels[2] = LevelAgg::Cba(abd_hfl::consensus::ConsensusKind::VoteMajority);
     cfg.suspicion = Some(SuspicionConfig::default());
     cfg.protocol_attack = Some(ProtocolAttack::Withhold);
+    cfg
+}
+
+/// All three engine layers at once (the golden `combined` fixture).
+fn combined_fixture() -> HflConfig {
+    let mut cfg = base(
+        AttackCfg::Adaptive {
+            attack: AdaptiveAttack::alie_default(),
+            proportion: 0.25,
+            placement: Placement::Prefix,
+        },
+        2030,
+    );
+    cfg.levels = vec![LevelAgg::Bra(AggregatorKind::MultiKrum { f: 1, m: 3 }); 3];
+    cfg.async_rounds = Some(AsyncRoundCfg::lan());
+    cfg.quorum = 0.75;
+    cfg.protocol_attack = Some(ProtocolAttack::Equivocate { flip_scale: 1.0 });
+    cfg.suspicion = Some(SuspicionConfig::default());
+    cfg.faults = Some(fault_plan());
     cfg
 }
 
@@ -154,6 +175,47 @@ fn armed_resume_is_byte_identical() {
 #[test]
 fn withholding_resume_is_byte_identical() {
     assert_resume_identical("withhold", &withhold_fixture());
+}
+
+#[test]
+fn combined_resume_is_byte_identical() {
+    assert_resume_identical("combined", &combined_fixture());
+}
+
+/// The `layers` section must pair with the engine's layers one to one,
+/// in the order fault, defense, adversary: every other list is a
+/// snapshot of another config and is refused, never half-applied.
+#[test]
+fn resume_rejects_a_mismatched_layer_list() {
+    let cfg = combined_fixture();
+    let (_, snap) = run_and_capture(&cfg, 2);
+    let kinds: Vec<&str> = snap.layers.iter().map(LayerState::layer_name).collect();
+    assert_eq!(kinds, ["faults", "defense", "adversary"]);
+
+    let mut dropped = snap.layers.clone();
+    dropped.remove(1);
+    let mut duplicated = snap.layers.clone();
+    duplicated.push(snap.layers[2].clone());
+    let mut swapped = snap.layers.clone();
+    swapped.swap(1, 2);
+    let mut refaulted = snap.layers.clone();
+    refaulted[0] = LayerState::Defense { tracker: None };
+
+    for (what, layers) in [
+        ("a dropped state", dropped),
+        ("a duplicate state", duplicated),
+        ("defense and adversary swapped", swapped),
+        ("another variant in the fault slot", refaulted),
+    ] {
+        let bad = EngineSnapshot {
+            layers,
+            ..snap.clone()
+        };
+        match resume(&bad, &cfg) {
+            Err(ResumeError::ConfigMismatch { .. }) => {}
+            other => panic!("{what}: expected a config mismatch, got {other:?}"),
+        }
+    }
 }
 
 /// The public `run::resume` entry continues a checkpoint under a
