@@ -317,10 +317,7 @@ fn run_one(cfg: &HflConfig, runner: &Runner, recording: bool) -> Result<Outcome,
                 .into_sync(),
             None,
         ),
-        Runner::Vanilla(rule) => {
-            cfg.try_validate(&cfg.topology.build(cfg.seed))?;
-            (run_vanilla_with(cfg, rule.clone(), &telem), None)
-        }
+        Runner::Vanilla(rule) => (run_vanilla_with(cfg, rule.clone(), &telem)?, None),
         Runner::Pipeline(pcfg) => {
             let out = RunOptions::pipeline(pcfg).telemetry(&telem).try_run(cfg)?;
             (out.clone().into_sync(), Some(out.into_pipeline().0))

@@ -7,13 +7,14 @@ use hfl_attacks::{AdaptiveAdversary, AttackFeedback, ModelAttack, ProtocolAttack
 use hfl_consensus::quorum_size;
 use hfl_robust::evidence::Acceptance;
 use hfl_snapshot::{LayerState, SearchState};
+use hfl_telemetry::Event;
 
-use super::layer::{ClusterCtx, RoundCtx, RoundLayer};
+use super::layer::{ClusterCtx, RoundCtx};
 use crate::config::AttackCfg;
 use crate::runner::Experiment;
 
 /// Adaptive-attack + protocol-attack semantics for the round engine.
-pub struct AdversaryLayer<'e> {
+pub(crate) struct AdversaryLayer<'e> {
     adversary: Option<AdaptiveAdversary>,
     /// `Some(flip_scale)` while malicious bottom leaders equivocate.
     equivocate: Option<f32>,
@@ -39,7 +40,7 @@ impl<'e> AdversaryLayer<'e> {
     /// the arms race (adaptive attack, protocol attack, or suspicion —
     /// the last so acceptance feedback stays observable symmetrically
     /// with the defense).
-    pub fn for_experiment(exp: &'e Experiment) -> Option<Self> {
+    pub(crate) fn for_experiment(exp: &'e Experiment) -> Option<Self> {
         let cfg = exp.config();
         if !cfg.arms_race() {
             return None;
@@ -67,41 +68,34 @@ impl<'e> AdversaryLayer<'e> {
     }
 
     /// The magnitude-search state, when the attack is adaptive.
-    pub fn adversary(&self) -> Option<&AdaptiveAdversary> {
+    pub(crate) fn adversary(&self) -> Option<&AdaptiveAdversary> {
         self.adversary.as_ref()
     }
 
     /// Device ids the echo audit has convicted of equivocation so far.
-    pub fn detected_equivocators(&self) -> Vec<usize> {
+    pub(crate) fn detected_equivocators(&self) -> Vec<usize> {
         (0..self.detected.len())
             .filter(|&d| self.detected[d])
             .collect()
     }
-}
 
-impl RoundLayer for AdversaryLayer<'_> {
-    fn name(&self) -> &'static str {
-        "adversary"
-    }
-
-    fn begin_aggregate(&mut self, _round: usize) {
+    /// The feedback accumulator is per aggregation.
+    pub(crate) fn begin_aggregate(&mut self) {
         self.feedback = AttackFeedback::default();
     }
 
-    fn training_attack(&self) -> Option<ModelAttack> {
+    /// The crafted model attack malicious clients substitute this
+    /// round: the adaptive search's current magnitude.
+    pub(crate) fn training_attack(&self) -> Option<ModelAttack> {
         self.adversary
             .as_ref()
             .map(AdaptiveAdversary::current_attack)
     }
 
-    fn wants_verdicts(&self) -> bool {
-        true
-    }
-
     /// Pivotal withholding: malicious members drop their update exactly
     /// when the cluster still forms its quorum without them (only
     /// possible at φ < 1).
-    fn filter_members(
+    pub(crate) fn filter_members(
         &mut self,
         ctx: &mut RoundCtx<'_>,
         cl: &ClusterCtx<'_>,
@@ -124,8 +118,10 @@ impl RoundLayer for AdversaryLayer<'_> {
         if !withholding.is_empty() && present.len() - withholding.len() >= quorum_all {
             ctx.cost.withheld += withholding.len() as u64;
             for &mi in &withholding {
-                ctx.telem
-                    .update_withheld(ctx.round, cl.global(cl.members[mi]));
+                ctx.telem.emit_with(|| Event::UpdateWithheld {
+                    round: ctx.round,
+                    client: cl.global(cl.members[mi]),
+                });
             }
             present.retain(|mi| !withholding.contains(mi));
         }
@@ -138,7 +134,7 @@ impl RoundLayer for AdversaryLayer<'_> {
     /// form the quorum, every buffer they touch ages toward its
     /// deadline, and their updates enter at the worst admitted
     /// discount.
-    fn stalls_until_stale(&self, _round: usize, cl: &ClusterCtx<'_>, slot: usize) -> bool {
+    pub(crate) fn stalls_until_stale(&self, cl: &ClusterCtx<'_>, slot: usize) -> bool {
         self.staleness_exploit
             && cl.at_bottom()
             && self.malicious[cl.global(slot)]
@@ -147,7 +143,7 @@ impl RoundLayer for AdversaryLayer<'_> {
 
     /// Acceptance feedback: did the coalition's crafted updates make it
     /// into the aggregate this round?
-    fn observe_verdict(&mut self, _cl: &ClusterCtx<'_>, kept: &[usize], verdict: &Acceptance) {
+    pub(crate) fn observe_verdict(&mut self, kept: &[usize], verdict: &Acceptance) {
         for (pos, &dev) in kept.iter().enumerate() {
             if self.malicious[dev] {
                 self.feedback.submitted += 1;
@@ -161,7 +157,7 @@ impl RoundLayer for AdversaryLayer<'_> {
     /// Equivocation: a malicious, undetected bottom leader sends
     /// `−flip_scale · partial` upward while echoing the true partial to
     /// its members.
-    fn upward_value(&self, cl: &ClusterCtx<'_>, partial: &[f32]) -> Option<Vec<f32>> {
+    pub(crate) fn upward_value(&self, cl: &ClusterCtx<'_>, partial: &[f32]) -> Option<Vec<f32>> {
         if !cl.at_bottom() {
             return None;
         }
@@ -174,20 +170,20 @@ impl RoundLayer for AdversaryLayer<'_> {
         }
     }
 
-    /// Round close, phase 3: consume the defense's convictions (repair
-    /// from next round), then feed the acceptance feedback to the
-    /// magnitude search.
-    fn close_round(&mut self, ctx: &mut RoundCtx<'_>) {
-        for &leader in &ctx.convicted {
+    /// Round close, phase 3: consume the defense's `convicted`
+    /// leaders (repair from next round), then feed the acceptance
+    /// feedback to the magnitude search.
+    pub(crate) fn close_round(&mut self, ctx: &mut RoundCtx<'_>, convicted: &[usize]) {
+        for &leader in convicted {
             self.detected[leader] = true;
         }
         if let Some(adv) = self.adversary.as_mut() {
-            ctx.telem.attack_adapted(
-                ctx.round,
-                f64::from(adv.magnitude()),
-                self.feedback.submitted,
-                self.feedback.accepted,
-            );
+            ctx.telem.emit_with(|| Event::AttackAdapted {
+                round: ctx.round,
+                magnitude: f64::from(adv.magnitude()),
+                submitted: self.feedback.submitted,
+                accepted: self.feedback.accepted,
+            });
             adv.observe(ctx.round, self.feedback);
         }
     }
@@ -196,8 +192,8 @@ impl RoundLayer for AdversaryLayer<'_> {
     /// only) and which coalition leaders know themselves convicted. The
     /// feedback accumulator is per-round and resets on every
     /// `begin_aggregate`.
-    fn snapshot_state(&self, _round: usize) -> Option<LayerState> {
-        Some(LayerState::Adversary {
+    pub(crate) fn snapshot_state(&self) -> LayerState {
+        LayerState::Adversary {
             search: self.adversary.as_ref().map(|adv| {
                 let (lo, hi, current, history) = adv.search_state();
                 SearchState {
@@ -208,10 +204,10 @@ impl RoundLayer for AdversaryLayer<'_> {
                 }
             }),
             detected: self.detected.clone(),
-        })
+        }
     }
 
-    fn restore_state(&mut self, _round: usize, state: &LayerState) -> Result<(), String> {
+    pub(crate) fn restore_state(&mut self, state: &LayerState) -> Result<(), String> {
         let LayerState::Adversary { search, detected } = state else {
             return Err(format!(
                 "adversary layer handed {} state",

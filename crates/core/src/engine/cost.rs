@@ -7,6 +7,7 @@
 
 use hfl_consensus::ConsensusOutcome;
 use hfl_simnet::topology::Hierarchy;
+use hfl_telemetry::Event;
 
 use super::layer::RoundCtx;
 use crate::config::{HflConfig, LevelAgg};
@@ -85,25 +86,44 @@ impl RoundCtx<'_> {
     /// Charges `count` model-bearing transfers at `level` (each
     /// `model_bytes` on the wire) and emits the `MessagesSent` event.
     /// Used for BRA collect+broadcast and for dissemination.
-    pub fn charge_transfers(&mut self, level: usize, count: u64) {
+    pub(crate) fn charge_transfers(&mut self, level: usize, count: u64) {
         let bytes = count * self.model_bytes;
         self.cost.messages += count;
         self.cost.bytes += bytes;
-        self.telem.messages_sent(self.round, level, count, bytes);
+        self.telem.emit_with(|| Event::MessagesSent {
+            round: self.round,
+            level,
+            count,
+            bytes,
+        });
     }
 
     /// Charges a consensus instance's own accounting (messages, bytes,
     /// exclusions), records its per-mechanism registry metrics, and
     /// emits the `MessagesSent` / `ProposalExcluded` events.
-    pub fn charge_consensus(
+    pub(crate) fn charge_consensus(
         &mut self,
         level: usize,
         cluster: usize,
         mechanism: &'static str,
         out: &ConsensusOutcome,
     ) {
-        self.telem
-            .consensus_outcome(self.round, level, cluster, mechanism, out);
+        hfl_consensus::telemetry::record_outcome(self.telem.registry(), mechanism, out);
+        let round = self.round;
+        self.telem.emit_with(|| Event::MessagesSent {
+            round,
+            level,
+            count: out.messages,
+            bytes: out.bytes,
+        });
+        for &proposal in &out.excluded {
+            self.telem.emit_with(|| Event::ProposalExcluded {
+                round,
+                level,
+                cluster,
+                proposal,
+            });
+        }
         self.cost.messages += out.messages;
         self.cost.bytes += out.bytes;
         self.cost.excluded += out.excluded.len() as u64;
@@ -111,7 +131,7 @@ impl RoundCtx<'_> {
 
     /// Charges a bottom cluster's echo-audit digests (8 bytes per
     /// member; cost-only, no event — digests ride on existing links).
-    pub fn charge_echo(&mut self, members: usize) {
+    pub(crate) fn charge_echo(&mut self, members: usize) {
         let (messages, bytes) = hfl_consensus::echo::echo_cost(members);
         self.cost.messages += messages;
         self.cost.bytes += bytes;

@@ -8,13 +8,13 @@
 use hfl_consensus::echo::{hash_update, EchoReport};
 use hfl_robust::{evidence, SuspicionChange, SuspicionTracker};
 use hfl_snapshot::{LayerState, TrackerState};
-use hfl_telemetry::SuspicionRecord;
+use hfl_telemetry::{Event, SuspicionRecord};
 
-use super::layer::{ClusterCtx, RoundCtx, RoundLayer};
+use super::layer::{ClusterCtx, RoundCtx};
 use crate::runner::Experiment;
 
 /// Quarantine + evidence + echo-audit semantics for the round engine.
-pub struct DefenseLayer {
+pub(crate) struct DefenseLayer {
     /// Suspicion over *global* client ids (the whole population under
     /// sampling): scores survive across rounds whatever cohort a client
     /// lands in.
@@ -29,7 +29,7 @@ pub struct DefenseLayer {
 impl DefenseLayer {
     /// The defense layer for an experiment, when its config engages the
     /// arms race (adaptive attack, protocol attack, or suspicion).
-    pub fn for_experiment(exp: &Experiment) -> Option<Self> {
+    pub(crate) fn for_experiment(exp: &Experiment) -> Option<Self> {
         let cfg = exp.config();
         if !cfg.arms_race() {
             return None;
@@ -44,28 +44,19 @@ impl DefenseLayer {
     }
 
     /// The suspicion tracker, when the config enables it.
-    pub fn tracker(&self) -> Option<&SuspicionTracker> {
+    pub(crate) fn tracker(&self) -> Option<&SuspicionTracker> {
         self.tracker.as_ref()
     }
-}
 
-impl RoundLayer for DefenseLayer {
-    fn name(&self) -> &'static str {
-        "defense"
-    }
-
-    fn begin_aggregate(&mut self, _round: usize) {
+    /// The audit accumulator is per aggregation.
+    pub(crate) fn begin_aggregate(&mut self) {
         self.audits.clear();
-    }
-
-    fn wants_verdicts(&self) -> bool {
-        true
     }
 
     /// Quarantined clients are excluded from their cluster's inputs —
     /// unless that would empty the cluster (the defense must not DoS
     /// itself).
-    fn filter_members(
+    pub(crate) fn filter_members(
         &mut self,
         ctx: &mut RoundCtx<'_>,
         cl: &ClusterCtx<'_>,
@@ -88,12 +79,7 @@ impl RoundLayer for DefenseLayer {
     }
 
     /// Strikes from the aggregation's evidence feed the tracker.
-    fn observe_verdict(
-        &mut self,
-        _cl: &ClusterCtx<'_>,
-        kept: &[usize],
-        verdict: &evidence::Acceptance,
-    ) {
+    pub(crate) fn observe_verdict(&mut self, kept: &[usize], verdict: &evidence::Acceptance) {
         let Some(tracker) = self.tracker.as_mut() else {
             return;
         };
@@ -107,7 +93,7 @@ impl RoundLayer for DefenseLayer {
     /// Every member echoes the digest of the partial it received; the
     /// parent collector digests the up-sent value. 8 bytes per member,
     /// negligible next to the model transfers.
-    fn audit_cluster(
+    pub(crate) fn audit_cluster(
         &mut self,
         ctx: &mut RoundCtx<'_>,
         cl: &ClusterCtx<'_>,
@@ -129,18 +115,27 @@ impl RoundLayer for DefenseLayer {
         ));
     }
 
-    /// Round close, phase 1: the echo audit convicts equivocators
-    /// (detection latency is one round by construction — the corrupt
-    /// partial already propagated; repair applies from the next round
-    /// via [`RoundCtx::convicted`]). Phase 2: the suspicion layer
-    /// closes its round.
-    fn close_round(&mut self, ctx: &mut RoundCtx<'_>) {
+    /// Round close, phase 1: the echo audit convicts equivocators and
+    /// returns them (detection latency is one round by construction —
+    /// the corrupt partial already propagated; the adversary repairs
+    /// them from the next round). Phase 2: the suspicion layer closes
+    /// its round.
+    pub(crate) fn close_round(&mut self, ctx: &mut RoundCtx<'_>) -> Vec<usize> {
         let round = ctx.round;
+        let mut convicted = Vec::new();
         for (ci, leader, report) in self.audits.drain(..) {
             if report.equivocated() {
-                ctx.convicted.push(leader);
+                convicted.push(leader);
                 ctx.telem
-                    .equivocation_detected(round, self.bottom, ci, leader);
+                    .registry()
+                    .counter("hfl_equivocations_total", &[])
+                    .inc(1);
+                ctx.telem.emit_with(|| Event::EquivocationDetected {
+                    round,
+                    level: self.bottom,
+                    cluster: ci,
+                    leader,
+                });
                 if let Some(t) = self.tracker.as_mut() {
                     t.strike(leader, 3.0 * evidence::STRIKE_WORST);
                 }
@@ -160,7 +155,11 @@ impl RoundLayer for DefenseLayer {
             for change in t.end_round() {
                 match change {
                     SuspicionChange::Quarantined { client, score } => {
-                        ctx.telem.client_quarantined(round, client, score);
+                        ctx.telem.emit_with(|| Event::ClientQuarantined {
+                            round,
+                            client,
+                            score,
+                        });
                         ctx.susp_log.push(SuspicionRecord {
                             round,
                             kind: "quarantined".into(),
@@ -169,7 +168,11 @@ impl RoundLayer for DefenseLayer {
                         });
                     }
                     SuspicionChange::Released { client, score } => {
-                        ctx.telem.client_released(round, client, score);
+                        ctx.telem.emit_with(|| Event::ClientReleased {
+                            round,
+                            client,
+                            score,
+                        });
                         ctx.susp_log.push(SuspicionRecord {
                             round,
                             kind: "released".into(),
@@ -180,21 +183,22 @@ impl RoundLayer for DefenseLayer {
                 }
             }
         }
+        convicted
     }
 
     /// The audit accumulator is per-round (cleared on every
     /// `begin_aggregate`), so only the tracker crosses rounds.
-    fn snapshot_state(&self, _round: usize) -> Option<LayerState> {
-        Some(LayerState::Defense {
+    pub(crate) fn snapshot_state(&self) -> LayerState {
+        LayerState::Defense {
             tracker: self.tracker.as_ref().map(|t| TrackerState {
                 scores: t.scores().to_vec(),
                 quarantined: t.quarantined_mask().to_vec(),
                 quarantine_events: t.quarantine_events(),
             }),
-        })
+        }
     }
 
-    fn restore_state(&mut self, _round: usize, state: &LayerState) -> Result<(), String> {
+    pub(crate) fn restore_state(&mut self, state: &LayerState) -> Result<(), String> {
         let LayerState::Defense { tracker } = state else {
             return Err(format!("defense layer handed {} state", state.layer_name()));
         };

@@ -7,13 +7,13 @@
 use hfl_faults::FaultInjector;
 use hfl_simnet::Hierarchy;
 use hfl_snapshot::LayerState;
-use hfl_telemetry::FaultRecord;
+use hfl_telemetry::{Event, FaultRecord, Telemetry};
 
-use super::layer::{ClusterCtx, CollectorChoice, RoundCtx, RoundLayer};
+use super::layer::{ClusterCtx, RoundCtx};
 use crate::runner::Experiment;
 
 /// Crash/partition/straggler semantics for the round engine.
-pub struct FaultLayer<'e> {
+pub(crate) struct FaultLayer<'e> {
     inj: &'e FaultInjector,
     hierarchy: &'e Hierarchy,
     /// `produced[slot]`: the slot's carried model is fresh this round.
@@ -26,7 +26,7 @@ pub struct FaultLayer<'e> {
 impl<'e> FaultLayer<'e> {
     /// The fault layer for an experiment, when its config carries a
     /// compiled fault plan.
-    pub fn for_experiment(exp: &'e Experiment) -> Option<Self> {
+    pub(crate) fn for_experiment(exp: &'e Experiment) -> Option<Self> {
         exp.injector().map(|inj| Self {
             inj,
             hierarchy: &exp.hierarchy,
@@ -34,28 +34,33 @@ impl<'e> FaultLayer<'e> {
             carrier: Vec::new(),
         })
     }
-}
 
-impl RoundLayer for FaultLayer<'_> {
-    fn name(&self) -> &'static str {
-        "faults"
-    }
-
-    fn open_round(&mut self, ctx: &mut RoundCtx<'_>) {
-        // Scheduled faults activating this round go into the log first;
-        // whatever the aggregation observes (failover, degraded
-        // quorums) is appended in order.
-        for ev in self.inj.faults_at(ctx.round) {
-            ctx.fault_log.push(FaultRecord {
-                round: ctx.round,
+    /// Round open, before training: the scheduled faults activating
+    /// this round go into the log first; whatever the aggregation
+    /// observes (failover, degraded quorums) is appended in order.
+    pub(crate) fn open_round(
+        &self,
+        round: usize,
+        telem: &Telemetry,
+        fault_log: &mut Vec<FaultRecord>,
+    ) {
+        for ev in self.inj.faults_at(round) {
+            fault_log.push(FaultRecord {
+                round,
                 kind: ev.kind.clone(),
                 detail: ev.detail.clone(),
             });
-            ctx.telem.fault_injected(ctx.round, &ev.kind, &ev.detail);
+            telem.emit_with(|| Event::FaultInjected {
+                round,
+                kind: ev.kind.clone(),
+                detail: ev.detail.clone(),
+            });
         }
     }
 
-    fn begin_aggregate(&mut self, round: usize) {
+    /// Every slot starts the aggregation fresh unless its device is
+    /// crashed, carried by its own device.
+    pub(crate) fn begin_aggregate(&mut self, round: usize) {
         let n = self.hierarchy.num_clients();
         self.produced.clear();
         self.produced
@@ -66,11 +71,13 @@ impl RoundLayer for FaultLayer<'_> {
 
     /// Failover: the collector is the first member whose physical
     /// carrier is alive (and, at the bottom, present under churn).
-    fn select_collector(
+    /// `None` when no member can collect: the cluster is skipped this
+    /// round, and the record says why.
+    pub(crate) fn select_collector(
         &mut self,
         ctx: &mut RoundCtx<'_>,
         cl: &ClusterCtx<'_>,
-    ) -> Option<CollectorChoice> {
+    ) -> Option<usize> {
         let round = ctx.round;
         let collector_slot = cl.members.iter().copied().find(|&m| {
             !self.inj.crashed(self.carrier[m], round) && (!cl.at_bottom() || cl.active[m])
@@ -87,9 +94,14 @@ impl RoundLayer for FaultLayer<'_> {
                     expected = cl.expected
                 ),
             });
-            ctx.telem
-                .degraded_quorum(round, cl.level, cl.index, 0, cl.expected);
-            return Some(CollectorChoice::SkipCluster);
+            ctx.telem.emit_with(|| Event::DegradedQuorum {
+                round,
+                level: cl.level,
+                cluster: cl.index,
+                alive: 0,
+                expected: cl.expected,
+            });
+            return None;
         };
         let collector = self.carrier[collector_slot];
         if collector_slot != cl.leader {
@@ -103,16 +115,21 @@ impl RoundLayer for FaultLayer<'_> {
                     leader = cl.leader
                 ),
             });
-            ctx.telem
-                .leader_failover(round, cl.level, cl.index, cl.leader, collector);
+            ctx.telem.emit_with(|| Event::LeaderFailover {
+                round,
+                level: cl.level,
+                cluster: cl.index,
+                failed: cl.leader,
+                promoted: collector,
+            });
         }
-        Some(CollectorChoice::Collect { device: collector })
+        Some(collector)
     }
 
     /// Members lost to crashes, partitions or loss bursts are simply
     /// missing; the engine's quorum then degrades to ⌈φ·alive⌉ over the
     /// survivors (Algorithm 4's timeout branch) instead of hanging.
-    fn filter_members(
+    pub(crate) fn filter_members(
         &mut self,
         ctx: &mut RoundCtx<'_>,
         cl: &ClusterCtx<'_>,
@@ -156,8 +173,13 @@ impl RoundLayer for FaultLayer<'_> {
                     expected = cl.expected
                 ),
             });
-            ctx.telem
-                .degraded_quorum(round, cl.level, cl.index, present.len(), cl.expected);
+            ctx.telem.emit_with(|| Event::DegradedQuorum {
+                round,
+                level: cl.level,
+                cluster: cl.index,
+                alive: present.len(),
+                expected: cl.expected,
+            });
         }
     }
 
@@ -165,13 +187,13 @@ impl RoundLayer for FaultLayer<'_> {
     /// their synthesized link delay stretches by the active
     /// `StragglerWindow` factor, so a slow enough device genuinely
     /// misses the close (and eventually the staleness bound).
-    fn arrival_delay_factor(&self, round: usize, slot: usize) -> Option<f64> {
-        Some(self.inj.straggle_factor(self.carrier[slot], round))
+    pub(crate) fn arrival_delay_factor(&self, round: usize, slot: usize) -> f64 {
+        self.inj.straggle_factor(self.carrier[slot], round)
     }
 
     /// Stragglers arrive last; the stable sort keeps the shuffled
     /// arrival order among equally-fast members.
-    fn reorder_arrivals(&self, round: usize, cl: &ClusterCtx<'_>, order: &mut Vec<usize>) {
+    pub(crate) fn reorder_arrivals(&self, round: usize, cl: &ClusterCtx<'_>, order: &mut [usize]) {
         order.sort_by(|&a, &b| {
             let fa = self.inj.straggle_factor(self.carrier[cl.members[a]], round);
             let fb = self.inj.straggle_factor(self.carrier[cl.members[b]], round);
@@ -180,34 +202,36 @@ impl RoundLayer for FaultLayer<'_> {
     }
 
     /// Broadcasts only reach members whose device is up.
-    fn broadcast_reach(&self, round: usize, cl: &ClusterCtx<'_>) -> Option<u64> {
-        Some(
-            cl.members
-                .iter()
-                .filter(|&&m| !self.inj.crashed(self.carrier[m], round))
-                .count() as u64,
-        )
+    pub(crate) fn broadcast_reach(&self, round: usize, cl: &ClusterCtx<'_>) -> u64 {
+        cl.members
+            .iter()
+            .filter(|&&m| !self.inj.crashed(self.carrier[m], round))
+            .count() as u64
     }
 
-    fn after_cluster(&mut self, _ctx: &mut RoundCtx<'_>, cl: &ClusterCtx<'_>) {
+    /// The cluster aggregated: its leader slot carries a fresh partial,
+    /// held by the device that collected it.
+    pub(crate) fn after_cluster(&mut self, cl: &ClusterCtx<'_>) {
         self.produced[cl.leader] = true;
         self.carrier[cl.leader] = cl.collector;
     }
 
-    fn cluster_skipped(&mut self, _ctx: &mut RoundCtx<'_>, cl: &ClusterCtx<'_>) {
+    /// The cluster produced nothing this round.
+    pub(crate) fn cluster_skipped(&mut self, cl: &ClusterCtx<'_>) {
         self.produced[cl.leader] = false;
     }
 
     /// Global aggregation runs over the slots that produced a partial
-    /// and can reach the top collector; with nothing produced anywhere
-    /// the engine falls back to the stale carried values rather than
-    /// crash — the run records the anomaly and continues.
-    fn select_top(
+    /// and can reach the top collector, filled into `out` (handed in
+    /// empty); with nothing produced anywhere the engine falls back to
+    /// the stale carried values rather than crash — the run records the
+    /// anomaly and continues.
+    pub(crate) fn select_top(
         &mut self,
         ctx: &mut RoundCtx<'_>,
         top: &ClusterCtx<'_>,
         out: &mut Vec<usize>,
-    ) -> bool {
+    ) {
         let round = ctx.round;
         out.extend(top.members.iter().copied().filter(|&m| self.produced[m]));
         let expected = top.members.len();
@@ -223,7 +247,13 @@ impl RoundLayer for FaultLayer<'_> {
                             top.leader
                         ),
                     });
-                    ctx.telem.leader_failover(round, 0, 0, top.leader, coll);
+                    ctx.telem.emit_with(|| Event::LeaderFailover {
+                        round,
+                        level: 0,
+                        cluster: 0,
+                        failed: top.leader,
+                        promoted: coll,
+                    });
                 }
                 // Same elements in the same order as the pre-workspace
                 // filter/collect (the first slot trivially survives:
@@ -241,15 +271,21 @@ impl RoundLayer for FaultLayer<'_> {
                     kind: "degraded_quorum".into(),
                     detail: "level 0 cluster 0: no fresh partials, using stale models".into(),
                 });
-                ctx.telem.anomaly(
-                    "global_aggregation_stalled",
-                    format!("round {round}: no fresh partials reached the top"),
-                );
+                ctx.telem.emit_with(|| Event::Anomaly {
+                    kind: "global_aggregation_stalled".into(),
+                    detail: format!("round {round}: no fresh partials reached the top"),
+                });
                 out.extend_from_slice(top.members);
             }
         }
         if out.len() < expected {
-            ctx.telem.degraded_quorum(round, 0, 0, out.len(), expected);
+            ctx.telem.emit_with(|| Event::DegradedQuorum {
+                round,
+                level: 0,
+                cluster: 0,
+                alive: out.len(),
+                expected,
+            });
             ctx.fault_log.push(FaultRecord {
                 round,
                 kind: "degraded_quorum".into(),
@@ -259,33 +295,30 @@ impl RoundLayer for FaultLayer<'_> {
                 ),
             });
         }
-        true
     }
 
     /// Dissemination reaches every device that is up (crashed nodes
     /// rejoin with the current global on recovery).
-    fn dissemination_reach(&self, round: usize, level: usize) -> Option<u64> {
-        Some(
-            self.hierarchy
-                .level(level)
-                .clusters
-                .iter()
-                .flat_map(|c| c.members.iter())
-                .filter(|&&m| !self.inj.crashed(m, round))
-                .count() as u64,
-        )
+    pub(crate) fn dissemination_reach(&self, round: usize, level: usize) -> u64 {
+        self.hierarchy
+            .level(level)
+            .clusters
+            .iter()
+            .flat_map(|c| c.members.iter())
+            .filter(|&&m| !self.inj.crashed(m, round))
+            .count() as u64
     }
 
     /// Everything here re-derives from the compiled schedule each
     /// round; the snapshot carries only the activation cursor so resume
     /// can detect a schedule that drifted from the captured run.
-    fn snapshot_state(&self, round: usize) -> Option<LayerState> {
-        Some(LayerState::Fault {
+    pub(crate) fn snapshot_state(&self, round: usize) -> LayerState {
+        LayerState::Fault {
             activated: self.inj.events_before(round),
-        })
+        }
     }
 
-    fn restore_state(&mut self, round: usize, state: &LayerState) -> Result<(), String> {
+    pub(crate) fn restore_state(&mut self, round: usize, state: &LayerState) -> Result<(), String> {
         let LayerState::Fault { activated } = state else {
             return Err(format!("fault layer handed {} state", state.layer_name()));
         };

@@ -1,13 +1,14 @@
 //! The round engine: **one** canonical execution of an ABD-HFL global
-//! round, expressed as explicit phases with pluggable layer hooks.
+//! round, expressed as explicit phases that call the config's layers
+//! directly.
 //!
 //! Phases (paper Algorithms 1–6):
 //!
 //! 1. **Round open** — scheduled faults activate
-//!    ([`RoundLayer::open_round`]).
+//!    (`FaultLayer::open_round`).
 //! 2. **Local training** (Algorithm 2) — every client trains in
 //!    parallel; the adversary layer may substitute this round's crafted
-//!    attack ([`RoundLayer::training_attack`]).
+//!    attack ([`RoundEngine::training_attack`]).
 //! 3. **Bottom-up aggregation** (Algorithms 3–4) — per cluster:
 //!    collector selection (failover), member filtering (crashes,
 //!    partitions, quarantine, withholding), seeded arrival shuffle +
@@ -16,52 +17,54 @@
 //! 4. **Global aggregation** (Algorithm 6) — top-slot selection
 //!    (fault fallback) and BRA or validation-voting consensus.
 //! 5. **Dissemination + round close** (Algorithm 5) — reach-aware
-//!    broadcast accounting, then the close hooks in stack order: echo
-//!    convictions, suspicion transitions, adversary adaptation.
+//!    broadcast accounting, then echo convictions, suspicion
+//!    transitions and adversary adaptation.
 //!
-//! The layer stack replaces what used to be three textually-separate
-//! copies of this round (`aggregate_round_clean` / `_faulted` /
-//! `_armed`): a clean run is the empty stack, a faulted run is
-//! `[faults]`, an arms-race run is `[defense, adversary]` — and, newly
-//! possible, a combined run is `[faults, defense, adversary]`. With a
-//! given stack the engine reproduces the corresponding pre-refactor
-//! path byte-for-byte: same RNG stream order, same cost accounting,
-//! same event sequence (pinned by `tests/golden_manifests.rs`).
+//! There are three layers, each present or absent by the config: the
+//! fault layer when a fault plan is compiled, and the defense and
+//! adversary layers together when the arms race is engaged. A clean run
+//! has none, a faulted run the fault layer, an arms-race run the other
+//! two, a combined run all three. The engine calls a present layer where
+//! it acts; each decision has exactly one layer that can make it, and
+//! where several layers act in one phase they run fault → defense →
+//! adversary (`engine/layer.rs`). `tests/golden_manifests.rs` pins each
+//! mode's round byte for byte — RNG stream order, cost accounting,
+//! event sequence — the combined mode included.
 
-pub mod adversary;
+mod adversary;
 mod clock;
 pub mod cost;
-pub mod defense;
-pub mod fault;
-pub mod layer;
+mod defense;
+mod fault;
+mod layer;
 pub mod pool;
 mod step;
-pub mod telemetry;
 
-pub use adversary::AdversaryLayer;
 pub use cost::CostCounters;
-pub use defense::DefenseLayer;
-pub use fault::FaultLayer;
-pub use layer::{ClusterCtx, CollectorChoice, CollectorPolicy, RoundCtx, RoundLayer};
 pub use pool::RoundWorkspace;
-pub use telemetry::TelemetryLayer;
 
 use rand::seq::SliceRandom;
 
 use hfl_attacks::{AdaptiveAdversary, ModelAttack};
 use hfl_ml::rng::rng_for_n;
 use hfl_robust::SuspicionTracker;
-use hfl_telemetry::{FaultRecord, SuspicionRecord, Telemetry};
+use hfl_snapshot::LayerState;
+use hfl_telemetry::{Event, FaultRecord, SuspicionRecord, Telemetry};
 
 use crate::pipeline::{PipelineConfig, PipelineResult, RoundTiming};
 use crate::runner::{Experiment, RunResult};
+use adversary::AdversaryLayer;
 use clock::Clock;
+use defense::DefenseLayer;
+use fault::FaultLayer;
+use layer::{ClusterCtx, RoundCtx};
 use step::LevelRule;
 
-/// Executes canonical rounds for one experiment through a stack of
-/// [`RoundLayer`]s. The engine owns no RNG state of its own — every
-/// stream is derived from `(seed, round, …)`, so a given `(config,
-/// seed)` is reproducible regardless of how many engines ran before.
+/// Executes canonical rounds for one experiment, calling its fault,
+/// defense and adversary layers. The engine owns no RNG state of its
+/// own — every stream is derived from `(seed, round, …)`, so a given
+/// `(config, seed)` is reproducible regardless of how many engines ran
+/// before.
 pub struct RoundEngine<'e> {
     exp: &'e Experiment,
     fault: Option<FaultLayer<'e>>,
@@ -81,10 +84,10 @@ pub struct RoundEngine<'e> {
 }
 
 impl<'e> RoundEngine<'e> {
-    /// The canonical stack for an experiment's config: the fault layer
-    /// when a fault plan is compiled, and the defense + adversary pair
-    /// when the arms race is engaged. All absent for a plain config,
-    /// which makes the engine the fault-free reference path.
+    /// The engine for an experiment's config: the fault layer when a
+    /// fault plan is compiled, and the defense + adversary pair when the
+    /// arms race is engaged. All absent for a plain config, which makes
+    /// the engine the fault-free reference path.
     pub fn for_experiment(exp: &'e Experiment) -> Self {
         Self {
             exp,
@@ -98,7 +101,7 @@ impl<'e> RoundEngine<'e> {
     }
 
     /// [`Self::for_experiment`] on the pipelined schedule (paper §III-D)
-    /// under `pcfg`'s timing model: the same layer stack, cluster step,
+    /// under `pcfg`'s timing model: the same layers, cluster step,
     /// training body and cost ledger, with the round clock deciding
     /// when — and from which model — every slot starts a round.
     pub fn pipelined(exp: &'e Experiment, pcfg: &PipelineConfig) -> Self {
@@ -125,26 +128,6 @@ impl<'e> RoundEngine<'e> {
         self.clock.as_ref().map(|c| c.result(run))
     }
 
-    fn layers(&self) -> impl Iterator<Item = &(dyn RoundLayer + 'e)> + '_ {
-        let f = self.fault.as_ref().map(|l| l as &(dyn RoundLayer + 'e));
-        let d = self.defense.as_ref().map(|l| l as &(dyn RoundLayer + 'e));
-        let a = self.adversary.as_ref().map(|l| l as &(dyn RoundLayer + 'e));
-        f.into_iter().chain(d).chain(a)
-    }
-
-    fn layers_mut(&mut self) -> impl Iterator<Item = &mut (dyn RoundLayer + 'e)> + '_ {
-        let f = self.fault.as_mut().map(|l| l as &mut (dyn RoundLayer + 'e));
-        let d = self
-            .defense
-            .as_mut()
-            .map(|l| l as &mut (dyn RoundLayer + 'e));
-        let a = self
-            .adversary
-            .as_mut()
-            .map(|l| l as &mut (dyn RoundLayer + 'e));
-        f.into_iter().chain(d).chain(a)
-    }
-
     /// The defense's suspicion tracker, when the config enables it.
     pub fn suspicion(&self) -> Option<&SuspicionTracker> {
         self.defense.as_ref().and_then(DefenseLayer::tracker)
@@ -165,58 +148,60 @@ impl<'e> RoundEngine<'e> {
     }
 
     /// The crafted model attack malicious clients substitute this
-    /// round (the adaptive adversary's current magnitude), if any layer
-    /// steers one.
+    /// round (the adaptive adversary's current magnitude), if the
+    /// adversary steers one.
     pub fn training_attack(&self) -> Option<ModelAttack> {
-        self.layers().find_map(RoundLayer::training_attack)
+        self.adversary
+            .as_ref()
+            .and_then(AdversaryLayer::training_attack)
     }
 
-    /// Every stateful layer's cross-round state at the top of `round`,
-    /// in stack order — the `layers` section of an
+    /// Every present layer's cross-round state at the top of `round`,
+    /// fault → defense → adversary — the `layers` section of an
     /// [`hfl_snapshot::EngineSnapshot`].
-    pub fn snapshot_layers(&self, round: usize) -> Vec<hfl_snapshot::LayerState> {
-        self.layers()
-            .filter_map(|l| l.snapshot_state(round))
-            .collect()
+    pub fn snapshot_layers(&self, round: usize) -> Vec<LayerState> {
+        [
+            self.fault.as_ref().map(|f| f.snapshot_state(round)),
+            self.defense.as_ref().map(DefenseLayer::snapshot_state),
+            self.adversary.as_ref().map(AdversaryLayer::snapshot_state),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
-    /// Restores the state captured by [`Self::snapshot_layers`] onto a
-    /// freshly built stack. The states must pair with this engine's
-    /// stateful layers one-to-one in stack order — a count or variant
+    /// Restores the states captured by [`Self::snapshot_layers`] onto a
+    /// freshly built engine. They must pair with this engine's layers
+    /// one to one, fault → defense → adversary — a count or variant
     /// mismatch means the snapshot was captured under a different
     /// config and is rejected.
-    pub fn restore_layers(
-        &mut self,
-        round: usize,
-        states: &[hfl_snapshot::LayerState],
-    ) -> Result<(), String> {
-        let stateful: Vec<&'static str> = self
-            .layers()
-            .filter(|l| l.snapshot_state(round).is_some())
-            .map(RoundLayer::name)
-            .collect();
-        if stateful.len() != states.len() {
+    pub fn restore_layers(&mut self, round: usize, states: &[LayerState]) -> Result<(), String> {
+        let present = [
+            self.fault.is_some(),
+            self.defense.is_some(),
+            self.adversary.is_some(),
+        ];
+        let layers = present.iter().filter(|&&p| p).count();
+        if states.len() != layers {
             return Err(format!(
-                "snapshot carries {} layer states but the engine stack [{}] has {} stateful layers",
-                states.len(),
-                stateful.join(", "),
-                stateful.len()
+                "snapshot carries {} layer states but this config runs {layers} layers",
+                states.len()
             ));
         }
-        let mut it = states.iter();
-        for layer in self.layers_mut() {
-            // Pair in stack order, skipping stateless layers the same
-            // way snapshot_layers' filter_map did.
-            if layer.snapshot_state(round).is_none() {
-                continue;
-            }
-            let state = it.next().expect("counted above");
-            layer.restore_state(round, state)?;
+        let mut states = states.iter();
+        if let Some(fault) = &mut self.fault {
+            fault.restore_state(round, states.next().expect("counted above"))?;
+        }
+        if let Some(defense) = &mut self.defense {
+            defense.restore_state(states.next().expect("counted above"))?;
+        }
+        if let Some(adversary) = &mut self.adversary {
+            adversary.restore_state(states.next().expect("counted above"))?;
         }
         Ok(())
     }
 
-    /// Executes one full round: round-open hooks (scheduled faults),
+    /// Executes one full round: round open (scheduled faults),
     /// local training with the current crafted attack, then bottom-up
     /// aggregation, writing the new global model into a caller-owned
     /// buffer. Training and aggregation both draw every buffer they
@@ -234,19 +219,8 @@ impl<'e> RoundEngine<'e> {
         susp_log: &mut Vec<SuspicionRecord>,
         out: &mut Vec<f32>,
     ) {
-        {
-            let mut ctx = RoundCtx {
-                round,
-                model_bytes: (self.exp.template.param_len() * 4) as u64,
-                cost: &mut *cost,
-                telem: TelemetryLayer::new(telem),
-                fault_log: &mut *fault_log,
-                susp_log: &mut *susp_log,
-                convicted: Vec::new(),
-            };
-            for layer in self.layers_mut() {
-                layer.open_round(&mut ctx);
-            }
+        if let Some(fault) = &self.fault {
+            fault.open_round(round, telem, fault_log);
         }
         let attack = self.training_attack();
         let exp = self.exp;
@@ -272,7 +246,7 @@ impl<'e> RoundEngine<'e> {
     }
 
     /// Phases 3–5: one round of bottom-up aggregation over per-client
-    /// updates, through the layer stack. Returns the new global model
+    /// updates, through the config's layers. Returns the new global model
     /// and accumulates cost counters and manifest logs.
     pub fn aggregate_round(
         &mut self,
@@ -312,7 +286,7 @@ impl<'e> RoundEngine<'e> {
         let bottom = h.bottom_level();
         let model_bytes = (updates[0].len() * 4) as u64;
         // The workspace leaves the engine for the duration of the round
-        // so layer hooks can borrow `self` freely; restored at the
+        // so the layers can borrow `self` freely; restored at the
         // single exit below. Disjoint-field borrows of `ws` (partials vs
         // scratch) coexist because it is a local.
         let mut ws = std::mem::take(&mut self.workspace);
@@ -332,18 +306,27 @@ impl<'e> RoundEngine<'e> {
             round,
             model_bytes,
             cost,
-            telem: TelemetryLayer::new(telem),
+            telem,
             fault_log,
             susp_log,
-            convicted: Vec::new(),
         };
-        for layer in self.layers_mut() {
-            layer.begin_aggregate(round);
+        if let Some(fault) = &mut self.fault {
+            fault.begin_aggregate(round);
         }
-        ctx.cost.absent += ws.active.iter().filter(|a| !**a).count() as u64;
-        ctx.telem.churn_absences(round, &ws.active);
-
-        let wants_verdicts = self.layers().any(RoundLayer::wants_verdicts);
+        if let Some(defense) = &mut self.defense {
+            defense.begin_aggregate();
+        }
+        if let Some(adversary) = &mut self.adversary {
+            adversary.begin_aggregate();
+        }
+        for (client, _) in ws.active.iter().enumerate().filter(|(_, a)| !**a) {
+            ctx.cost.absent += 1;
+            ctx.telem
+                .emit_with(|| Event::ChurnAbsence { round, client });
+        }
+        // The defense strikes on acceptance verdicts and the adversary
+        // reads them as feedback; a round without either judges nothing.
+        let verdicts = self.defense.is_some() || self.adversary.is_some();
 
         // The model a slot carries upward is read where it is: its
         // update until it leads a cluster, that cluster's partial after.
@@ -373,17 +356,11 @@ impl<'e> RoundEngine<'e> {
                     collector: leader,
                     cohort: &ws.cohort,
                 };
-                let mut choice = None;
-                for layer in self.layers_mut() {
-                    if let Some(c) = layer.select_collector(&mut ctx, &cl) {
-                        choice = Some(c);
-                        break;
+                if let Some(fault) = &mut self.fault {
+                    match fault.select_collector(&mut ctx, &cl) {
+                        Some(device) => cl.collector = device,
+                        None => continue,
                     }
-                }
-                match choice {
-                    Some(CollectorChoice::SkipCluster) => continue,
-                    Some(CollectorChoice::Collect { device }) => cl.collector = device,
-                    None => {}
                 }
 
                 // Churn removes absent bottom members; the layers then
@@ -393,12 +370,18 @@ impl<'e> RoundEngine<'e> {
                 ws.order.extend(
                     (0..cluster.len()).filter(|&mi| l != bottom || ws.active[cluster.members[mi]]),
                 );
-                for layer in self.layers_mut() {
-                    layer.filter_members(&mut ctx, &cl, &mut ws.order);
+                if let Some(fault) = &mut self.fault {
+                    fault.filter_members(&mut ctx, &cl, &mut ws.order);
+                }
+                if let Some(defense) = &mut self.defense {
+                    defense.filter_members(&mut ctx, &cl, &mut ws.order);
+                }
+                if let Some(adversary) = &mut self.adversary {
+                    adversary.filter_members(&mut ctx, &cl, &mut ws.order);
                 }
                 if ws.order.is_empty() {
-                    for layer in self.layers_mut() {
-                        layer.cluster_skipped(&mut ctx, &cl);
+                    if let Some(fault) = &mut self.fault {
+                        fault.cluster_skipped(&cl);
                     }
                     continue;
                 }
@@ -406,8 +389,8 @@ impl<'e> RoundEngine<'e> {
                 // Arrival order: a seeded shuffle, stragglers last.
                 let mut rng = rng_for_n(cfg.seed, &[round as u64, l as u64, ci as u64, 0xA221]);
                 ws.order.shuffle(&mut rng);
-                for layer in self.layers() {
-                    layer.reorder_arrivals(round, &cl, &mut ws.order);
+                if let Some(fault) = &self.fault {
+                    fault.reorder_arrivals(round, &cl, &mut ws.order);
                 }
                 for mi in ws.order.iter_mut() {
                     *mi = cluster.members[*mi];
@@ -423,7 +406,7 @@ impl<'e> RoundEngine<'e> {
                     ws.partials.over(updates),
                     &ws.ready_at,
                     &mut rng,
-                    wants_verdicts && l == bottom,
+                    verdicts && l == bottom,
                     &mut ws.step,
                     &mut partial,
                 );
@@ -437,25 +420,34 @@ impl<'e> RoundEngine<'e> {
                 ws.kept_devices
                     .extend(ws.step.kept.iter().map(|&slot| ws.cohort[slot]));
                 if let Some(v) = &verdict {
-                    for layer in self.layers_mut() {
-                        layer.observe_verdict(&cl, &ws.kept_devices, v);
+                    if let Some(defense) = &mut self.defense {
+                        defense.observe_verdict(&ws.kept_devices, v);
+                    }
+                    if let Some(adversary) = &mut self.adversary {
+                        adversary.observe_verdict(&ws.kept_devices, v);
                     }
                 }
-                ctx.telem
-                    .cluster_aggregated(round, l, ci, ws.kept_devices.len(), quorum);
+                ctx.telem.emit_with(|| Event::ClusterAggregated {
+                    round,
+                    level: l,
+                    cluster: ci,
+                    inputs: ws.kept_devices.len(),
+                    quorum,
+                });
 
                 // What goes upward may differ from what the members saw
                 // (equivocation); the audit sees both sides.
-                let up = self.layers().find_map(|ly| ly.upward_value(&cl, &partial));
-                {
-                    let up_ref: &[f32] = up.as_deref().unwrap_or(&partial);
-                    for layer in self.layers_mut() {
-                        layer.audit_cluster(&mut ctx, &cl, &partial, up_ref);
-                    }
+                let up = self
+                    .adversary
+                    .as_ref()
+                    .and_then(|a| a.upward_value(&cl, &partial));
+                if let Some(defense) = &mut self.defense {
+                    let up_ref = up.as_deref().unwrap_or(&partial);
+                    defense.audit_cluster(&mut ctx, &cl, &partial, up_ref);
                 }
                 ws.partials.land(leader, up.unwrap_or(partial));
-                for layer in self.layers_mut() {
-                    layer.after_cluster(&mut ctx, &cl);
+                if let Some(fault) = &mut self.fault {
+                    fault.after_cluster(&cl);
                 }
             }
         }
@@ -474,15 +466,9 @@ impl<'e> RoundEngine<'e> {
             cohort: &ws.cohort,
         };
         ws.final_slots.clear();
-        let mut top_decided = false;
-        for layer in self.layers_mut() {
-            if layer.select_top(&mut ctx, &top_cl, &mut ws.final_slots) {
-                top_decided = true;
-                break;
-            }
-        }
-        if !top_decided {
-            ws.final_slots.extend_from_slice(&top.members);
+        match &mut self.fault {
+            Some(fault) => fault.select_top(&mut ctx, &top_cl, &mut ws.final_slots),
+            None => ws.final_slots.extend_from_slice(&top.members),
         }
         // The same step closes the round (Algorithm 6): the surviving
         // top slots arrive in member order.
@@ -498,8 +484,13 @@ impl<'e> RoundEngine<'e> {
             &mut ws.step,
             out,
         );
-        ctx.telem
-            .cluster_aggregated(round, 0, 0, ws.step.kept.len(), top_quorum);
+        ctx.telem.emit_with(|| Event::ClusterAggregated {
+            round,
+            level: 0,
+            cluster: 0,
+            inputs: ws.step.kept.len(),
+            quorum: top_quorum,
+        });
         if let Some(clock) = &mut self.clock {
             let formed = clock.cluster_closed(round, (0, 0), &self.rules[0], &ws.step, out);
             clock.round_closed(round, formed, out);
@@ -508,17 +499,21 @@ impl<'e> RoundEngine<'e> {
         // Dissemination: the global model travels one model-transfer
         // per reachable node per level on its way down (Algorithm 5).
         for l in 1..=bottom {
-            let per_level = self
-                .layers()
-                .find_map(|ly| ly.dissemination_reach(round, l))
-                .unwrap_or(h.level(l).num_nodes() as u64);
+            let per_level = match &self.fault {
+                Some(fault) => fault.dissemination_reach(round, l),
+                None => h.level(l).num_nodes() as u64,
+            };
             ctx.charge_transfers(l, per_level);
         }
 
-        // Round close, in stack order: defense convictions and
-        // suspicion transitions first, then the adversary adapts.
-        for layer in self.layers_mut() {
-            layer.close_round(&mut ctx);
+        // Round close: defense convictions and suspicion transitions
+        // first, then the adversary repairs the convicted and adapts.
+        let convicted = match &mut self.defense {
+            Some(defense) => defense.close_round(&mut ctx),
+            None => Vec::new(),
+        };
+        if let Some(adversary) = &mut self.adversary {
+            adversary.close_round(&mut ctx, &convicted);
         }
 
         self.workspace = ws;

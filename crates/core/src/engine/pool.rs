@@ -60,7 +60,7 @@ pub struct StepScratch {
 /// All reusable state of one [`super::RoundEngine`]'s round execution.
 ///
 /// The engine `std::mem::take`s the workspace at the top of an
-/// aggregation (so layer hooks can borrow the engine freely) and puts
+/// aggregation (so the layers can borrow the engine freely) and puts
 /// it back at the single exit.
 #[derive(Default)]
 pub struct RoundWorkspace {

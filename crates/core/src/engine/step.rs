@@ -19,10 +19,10 @@ use hfl_ml::{Dataset, Model};
 use hfl_robust::evidence::{self, Acceptance};
 use hfl_robust::{AggScratch, Aggregator, AggregatorKind};
 use hfl_simnet::DelayModel;
-use hfl_telemetry::FaultRecord;
+use hfl_telemetry::{Event, FaultRecord};
 
 use super::pool::{Carried, StepScratch};
-use super::{ClusterCtx, CollectorPolicy, RoundCtx, RoundEngine};
+use super::{ClusterCtx, RoundCtx, RoundEngine};
 use crate::config::{HflConfig, LevelAgg};
 
 /// RNG stream tag for async arrival synthesis. Distinct from the
@@ -185,12 +185,10 @@ impl<'e> RoundEngine<'e> {
                 // `kept` is exactly the quorum on the synchronous path;
                 // a deadline buffer may admit more (τ-late) or fewer
                 // (degraded close).
-                let reach = if cl.level == 0 {
-                    kept.len() as u64
-                } else {
-                    self.layers()
-                        .find_map(|ly| ly.broadcast_reach(ctx.round, cl))
-                        .unwrap_or(cl.members.len() as u64)
+                let reach = match &self.fault {
+                    _ if cl.level == 0 => kept.len() as u64,
+                    Some(fault) => fault.broadcast_reach(ctx.round, cl),
+                    None => cl.members.len() as u64,
                 };
                 ctx.charge_transfers(cl.level, kept.len() as u64 + reach);
                 want_verdict.then(|| evidence::judge_aggregated(kind, &inputs, out, agg))
@@ -221,30 +219,31 @@ impl<'e> RoundEngine<'e> {
         (quorum, verdict)
     }
 
-    /// The collect step: resolves the cluster's [`CollectorPolicy`]
-    /// (layer hook, then the config's `async_rounds`) and fills
-    /// `ws.kept` with the admitted slots, ascending — which is member
-    /// order. Returns the quorum and whether a deadline buffer ran; if
-    /// so `ws.weights` / `ws.lateness` are aligned with `ws.kept`, and a
-    /// close below quorum has been sanctioned as a `degraded_quorum`
-    /// record.
+    /// The collect step: fills `ws.kept` with the admitted slots,
+    /// ascending — which is member order — by the config's
+    /// `async_rounds`. Returns the quorum and whether a deadline buffer
+    /// ran; if so `ws.weights` / `ws.lateness` are aligned with
+    /// `ws.kept`, and a close below quorum has been sanctioned as a
+    /// `degraded_quorum` record.
     ///
-    /// `WaitForQuorum` keeps the first ⌈φ·n⌉ of the arrival order
-    /// (Algorithm 4's wait-until-quorum); it opens no arrival stream
-    /// and emits no buffer telemetry, and closes when the last kept
-    /// slot is ready.
+    /// Without `async_rounds` the cluster waits for its quorum: it
+    /// keeps the first ⌈φ·n⌉ of the arrival order (Algorithm 4's
+    /// wait-until-quorum), opens no arrival stream, emits no buffer
+    /// telemetry, and closes when the last kept slot is ready.
     ///
-    /// `Deadline` (DESIGN.md §12) opens its buffer when the first
+    /// With it, a deadline buffer (DESIGN.md §12) opens when the first
     /// candidate is ready to send and draws one link delay per
     /// candidate from the [`ARRIVAL_STREAM`] RNG — unconditionally, so
     /// adversary decisions never shift another candidate's sample —
-    /// scaled by the [`super::RoundLayer::arrival_delay_factor`] hook
-    /// and the client's heterogeneity profile, in integer µs.
-    /// Candidates are ordered by `(ready_at + link delay, arrival
-    /// position)`, times counted from the buffer's opening. The buffer
-    /// closes at first-of `{quorum-th non-stalled arrival, deadline}`;
-    /// [`super::RoundLayer::stalls_until_stale`] candidates land at
-    /// `close + τ`, arrivals within τ of the close are admitted at a
+    /// scaled by the fault layer's straggler factor
+    /// ([`super::fault::FaultLayer::arrival_delay_factor`]) and the
+    /// client's heterogeneity profile, in integer µs. Candidates are
+    /// ordered by `(ready_at + link delay, arrival position)`, times
+    /// counted from the buffer's opening. The buffer closes at first-of
+    /// `{quorum-th non-stalled arrival, deadline}`; candidates the
+    /// adversary stalls
+    /// ([`super::adversary::AdversaryLayer::stalls_until_stale`]) land
+    /// at `close + τ`, arrivals within τ of the close are admitted at a
     /// discounted weight, later ones dropped. Liveness floor: when
     /// nobody stalls (stalled candidates are always admitted) and every
     /// arrival lands beyond `close + τ`, the close extends to the
@@ -260,22 +259,8 @@ impl<'e> RoundEngine<'e> {
         let cfg = self.exp.config();
         let round = ctx.round;
         let n = arrivals.len();
-        let policy = self
-            .layers()
-            .find_map(|ly| ly.collector_policy(round, cl))
-            .unwrap_or_else(|| match &cfg.async_rounds {
-                Some(a) => CollectorPolicy::Deadline {
-                    deadline_us: a.deadline_for(cl.level),
-                    staleness_bound_us: a.staleness_bound_us,
-                },
-                None => CollectorPolicy::WaitForQuorum,
-            });
         ws.kept.clear();
-        let CollectorPolicy::Deadline {
-            deadline_us,
-            staleness_bound_us: tau,
-        } = policy
-        else {
+        let Some(policy) = &cfg.async_rounds else {
             let quorum = if cl.level == 0 {
                 n
             } else {
@@ -289,8 +274,10 @@ impl<'e> RoundEngine<'e> {
             return (quorum, false);
         };
         let quorum = quorum_size(cfg.quorum, n);
+        let deadline_us = policy.deadline_for(cl.level);
+        let tau = policy.staleness_bound_us;
 
-        let delay = link_delay(cfg);
+        let delay = &policy.link_delay;
         let open = arrivals
             .iter()
             .map(|&slot| ready_at[slot])
@@ -310,9 +297,9 @@ impl<'e> RoundEngine<'e> {
         for (pos, &slot) in arrivals.iter().enumerate() {
             let raw = delay.sample(&mut rng);
             let factor = self
-                .layers()
-                .find_map(|ly| ly.arrival_delay_factor(round, slot))
-                .unwrap_or(1.0);
+                .fault
+                .as_ref()
+                .map_or(1.0, |f| f.arrival_delay_factor(round, slot));
             // Device heterogeneity stacks multiplicatively on top of any
             // straggler window: a slow device is slow every round.
             // Straggler windows are topological (slot); the profile is
@@ -322,8 +309,9 @@ impl<'e> RoundEngine<'e> {
             let link = raw.saturating_scale(factor).as_micros();
             ws.times.push((sent.saturating_add(link), pos));
             ws.stalled.push(
-                self.layers()
-                    .any(|ly| ly.stalls_until_stale(round, cl, slot)),
+                self.adversary
+                    .as_ref()
+                    .is_some_and(|a| a.stalls_until_stale(cl, slot)),
             );
         }
         ws.times.sort_unstable();
@@ -354,15 +342,24 @@ impl<'e> RoundEngine<'e> {
         ws.closed_at = open.saturating_add(close_us);
 
         let on_time = ws.times.partition_point(|a| a.0 <= close_us);
-        ctx.telem.buffer_closed(
+        let (cause, closes) = match deadline_fired {
+            true => ("deadline", "hfl_deadline_closes_total"),
+            false => ("quorum", "hfl_quorum_closes_total"),
+        };
+        let registry = ctx.telem.registry();
+        registry.counter(closes, &[]).inc(1);
+        registry
+            .gauge("hfl_buffer_occupancy", &[])
+            .set(on_time as f64);
+        ctx.telem.emit_with(|| Event::BufferClosed {
             round,
-            cl.level,
-            cl.index,
-            deadline_fired,
-            ws.closed_at,
-            on_time,
-            n,
-        );
+            level: cl.level,
+            cluster: cl.index,
+            cause: cause.to_string(),
+            close_us: ws.closed_at,
+            occupancy: on_time,
+            expected: n,
+        });
         ws.admitted.clear();
         for (i, &(t, pos)) in ws.times.iter().enumerate() {
             let slot = arrivals[pos];
@@ -372,11 +369,24 @@ impl<'e> RoundEngine<'e> {
             } else if late <= tau {
                 let w = cfg.correction.admission_weight(late, tau);
                 ws.admitted.push((slot, w, late as f64 / tau as f64));
-                ctx.telem
-                    .stale_admitted(round, cl.level, cl.index, slot, late, f64::from(w));
+                registry.counter("hfl_stale_admitted_total", &[]).inc(1);
+                ctx.telem.emit_with(|| Event::StaleUpdateAdmitted {
+                    round,
+                    level: cl.level,
+                    cluster: cl.index,
+                    device: slot,
+                    lateness_us: late,
+                    weight: f64::from(w),
+                });
             } else {
-                ctx.telem
-                    .stale_dropped(round, cl.level, cl.index, slot, late);
+                registry.counter("hfl_stale_dropped_total", &[]).inc(1);
+                ctx.telem.emit_with(|| Event::StaleUpdateDropped {
+                    round,
+                    level: cl.level,
+                    cluster: cl.index,
+                    device: slot,
+                    lateness_us: late,
+                });
             }
         }
         // Canonical order, with weights and staleness evidence aligned.
@@ -401,8 +411,13 @@ impl<'e> RoundEngine<'e> {
                     alive = ws.kept.len()
                 ),
             });
-            ctx.telem
-                .degraded_quorum(round, cl.level, cl.index, ws.kept.len(), cl.expected);
+            ctx.telem.emit_with(|| Event::DegradedQuorum {
+                round,
+                level: cl.level,
+                cluster: cl.index,
+                alive: ws.kept.len(),
+                expected: cl.expected,
+            });
         }
         (quorum, true)
     }

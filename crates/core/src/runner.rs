@@ -542,15 +542,13 @@ impl Experiment {
             let crafted = match attack.try_craft(&honest, &mut rng) {
                 Some(c) => c,
                 None => {
-                    if telem.enabled() {
-                        telem.emit(Event::Anomaly {
-                            kind: "attack_no_honest_updates".into(),
-                            detail: format!(
-                                "round {round}: no honest updates to craft from, \
-                                 degrading to the stale global model"
-                            ),
-                        });
-                    }
+                    telem.emit_with(|| Event::Anomaly {
+                        kind: "attack_no_honest_updates".into(),
+                        detail: format!(
+                            "round {round}: no honest updates to craft from, \
+                             degrading to the stale global model"
+                        ),
+                    });
                     global.to_vec()
                 }
             };
@@ -927,7 +925,7 @@ fn run_loop(
     // Outside strict mode, a Krum/Multi-Krum level whose smallest
     // cluster violates n ≥ 2f + 3 is allowed (the paper's own defaults
     // do this) but flagged once at run start.
-    if !cfg.strict_guarantees && telem.enabled() {
+    if !cfg.strict_guarantees {
         for (level, agg) in cfg.levels.iter().enumerate() {
             let f = match agg {
                 LevelAgg::Bra(AggregatorKind::Krum { f })
@@ -943,7 +941,7 @@ fn run_loop(
                 .min()
                 .unwrap_or(0);
             if !Krum::guarantee_holds(f, n_min) {
-                telem.emit(Event::Anomaly {
+                telem.emit_with(|| Event::Anomaly {
                     kind: "krum_guarantee_degraded".into(),
                     detail: format!(
                         "level {level}: Krum assumes n >= 2f + 3 but the smallest \
@@ -964,9 +962,7 @@ fn run_loop(
         .rounds
         .reserve(cfg.rounds.saturating_sub(first_round));
     for round in first_round..cfg.rounds {
-        if telem.enabled() {
-            telem.emit(Event::RoundStarted { round });
-        }
+        telem.emit_with(|| Event::RoundStarted { round });
         let before = cost;
         fault_log.clear();
         engine.run_round_into(
@@ -995,19 +991,15 @@ fn run_loop(
             accuracy.push((round + 1, a));
             accuracy_g.set(a);
             round_accuracy = Some(a);
-            if telem.enabled() {
-                telem.emit(Event::Evaluated { round, accuracy: a });
-            }
+            telem.emit_with(|| Event::Evaluated { round, accuracy: a });
         }
-        if telem.enabled() {
-            telem.emit(Event::RoundFinished {
-                round,
-                messages: delta.messages,
-                bytes: delta.bytes,
-                excluded: delta.excluded,
-                absent: delta.absent,
-            });
-        }
+        telem.emit_with(|| Event::RoundFinished {
+            round,
+            messages: delta.messages,
+            bytes: delta.bytes,
+            excluded: delta.excluded,
+            absent: delta.absent,
+        });
         manifest.rounds.push(RoundRecord {
             round: round + 1,
             accuracy: round_accuracy,

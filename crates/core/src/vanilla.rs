@@ -5,29 +5,34 @@
 use hfl_robust::AggregatorKind;
 use hfl_telemetry::{fnv1a_hex, Event, RoundRecord, RunManifest, RunTotals, Telemetry};
 
-use crate::config::HflConfig;
+use crate::config::{ConfigError, HflConfig};
 use crate::runner::{Experiment, InstrumentedRun, RunResult};
 
 /// Runs vanilla FL with the same task, clients, attack and training
 /// hyper-parameters as `cfg`, but a central server applying `aggregator`
 /// to all client updates each round.
 ///
-/// Reuses [`Experiment::prepare`], so the data, poisoning and per-round
-/// client updates are *identical* to the ABD-HFL run with the same seed —
-/// the comparison isolates the topology.
+/// Reuses [`Experiment::try_prepare`], so the data, poisoning and
+/// per-round client updates are *identical* to the ABD-HFL run with the
+/// same seed — the comparison isolates the topology. Panics on an
+/// inconsistent config, as [`crate::run::run`] does.
 pub fn run_vanilla(cfg: &HflConfig, aggregator: AggregatorKind) -> RunResult {
-    run_vanilla_with(cfg, aggregator, &Telemetry::disabled()).result
+    match run_vanilla_with(cfg, aggregator, &Telemetry::disabled()) {
+        Ok(run) => run.result,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// [`run_vanilla`] with telemetry: returns the result together with the
 /// run's [`RunManifest`] (label `"vanilla"`), so the baseline reports
-/// through the same manifest pipeline as ABD-HFL.
+/// through the same manifest pipeline as ABD-HFL, or the config
+/// inconsistency instead of panicking.
 pub fn run_vanilla_with(
     cfg: &HflConfig,
     aggregator: AggregatorKind,
     telem: &Telemetry,
-) -> InstrumentedRun {
-    let exp = Experiment::prepare(cfg);
+) -> Result<InstrumentedRun, ConfigError> {
+    let exp = Experiment::try_prepare(cfg)?;
     let agg = aggregator.build();
     let n = exp.hierarchy.num_clients();
     let mut global = exp.template.params().to_vec();
@@ -48,9 +53,7 @@ pub fn run_vanilla_with(
 
     let mut absent_total = 0u64;
     for round in 0..cfg.rounds {
-        if telem.enabled() {
-            telem.emit(Event::RoundStarted { round });
-        }
+        telem.emit_with(|| Event::RoundStarted { round });
         let updates = exp.train_round(&global, round);
         // Churn applies identically: absent clients' updates never reach
         // the server.
@@ -78,25 +81,21 @@ pub fn run_vanilla_with(
             accuracy.push((round + 1, a));
             accuracy_g.set(a);
             round_accuracy = Some(a);
-            if telem.enabled() {
-                telem.emit(Event::Evaluated { round, accuracy: a });
-            }
+            telem.emit_with(|| Event::Evaluated { round, accuracy: a });
         }
-        if telem.enabled() {
-            telem.emit(Event::MessagesSent {
-                round,
-                level: 0,
-                count: round_messages,
-                bytes: round_bytes,
-            });
-            telem.emit(Event::RoundFinished {
-                round,
-                messages: round_messages,
-                bytes: round_bytes,
-                excluded: 0,
-                absent,
-            });
-        }
+        telem.emit_with(|| Event::MessagesSent {
+            round,
+            level: 0,
+            count: round_messages,
+            bytes: round_bytes,
+        });
+        telem.emit_with(|| Event::RoundFinished {
+            round,
+            messages: round_messages,
+            bytes: round_bytes,
+            excluded: 0,
+            absent,
+        });
         manifest.rounds.push(RoundRecord {
             round: round + 1,
             accuracy: round_accuracy,
@@ -116,7 +115,7 @@ pub fn run_vanilla_with(
     manifest.final_accuracy = final_accuracy;
     manifest.metrics = telem.registry().snapshot();
 
-    InstrumentedRun {
+    Ok(InstrumentedRun {
         result: RunResult {
             accuracy,
             final_accuracy,
@@ -129,7 +128,7 @@ pub fn run_vanilla_with(
             withheld_total: 0,
         },
         manifest,
-    }
+    })
 }
 
 /// The paper's vanilla aggregation choices: Multi-Krum with an assumed
@@ -221,8 +220,9 @@ mod tests {
         let mut cfg = quick(AttackCfg::None, 5);
         cfg.rounds = 3;
         cfg.eval_every = 3;
-        let a = run_vanilla_with(&cfg, AggregatorKind::FedAvg, &Telemetry::disabled());
-        let b = run_vanilla_with(&cfg, AggregatorKind::FedAvg, &Telemetry::disabled());
+        let run =
+            || run_vanilla_with(&cfg, AggregatorKind::FedAvg, &Telemetry::disabled()).unwrap();
+        let (a, b) = (run(), run());
         assert_eq!(a.manifest.to_json(), b.manifest.to_json());
         assert_eq!(a.manifest.label, "vanilla");
         assert_eq!(a.manifest.totals.messages, a.result.messages);

@@ -15,8 +15,9 @@
 //!   with sorted metric snapshots, and identical seeds therefore produce
 //!   byte-identical manifests.
 //! * **Free when disabled.** The [`NullRecorder`] reports
-//!   `enabled() == false`, letting instrumented code skip event
-//!   construction entirely on hot paths.
+//!   `enabled() == false`, and [`Telemetry::emit_with`] builds its
+//!   event only while recording, so a disabled event site on a hot
+//!   path costs one check and constructs nothing.
 //! * **Safe from worker threads.** The [`Registry`] is sharded behind
 //!   cheap locks; [`Counter`]/[`Gauge`] handles are lock-free atomics and
 //!   may be cloned into `hfl-parallel` workers.
@@ -88,6 +89,15 @@ impl Telemetry {
         self.recorder.record(&event);
     }
 
+    /// Records the event `make` builds, running `make` only while the
+    /// recorder is enabled — the hot-path form of [`Telemetry::emit`]:
+    /// disabled, an event site costs the check and builds nothing.
+    pub fn emit_with(&self, make: impl FnOnce() -> Event) {
+        if self.enabled() {
+            self.recorder.record(&make());
+        }
+    }
+
     /// The shared recorder.
     pub fn recorder(&self) -> &Arc<dyn Recorder> {
         &self.recorder
@@ -131,6 +141,21 @@ mod tests {
         let events = rec.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0], Event::RoundStarted { round: 3 });
+    }
+
+    #[test]
+    fn emit_with_builds_only_while_recording() {
+        let built = std::cell::Cell::new(0);
+        let make = || {
+            built.set(built.get() + 1);
+            Event::RoundStarted { round: 7 }
+        };
+        Telemetry::disabled().emit_with(make);
+        assert_eq!(built.get(), 0, "a disabled bundle must not build the event");
+        let (t, rec) = Telemetry::recording();
+        t.emit_with(make);
+        assert_eq!(built.get(), 1);
+        assert_eq!(rec.events(), [Event::RoundStarted { round: 7 }]);
     }
 
     #[test]
