@@ -78,16 +78,16 @@ fn body(s: &mut Sweep) {
     for (name, attack) in attacks() {
         let cfg = paper(attack, derive_seed(s.args.seed, 0xA77C), rounds);
         s.row([name]);
-        let fedavg = Runner::Vanilla(AggregatorKind::FedAvg);
-        s.cell(name, cfg, fedavg, accuracy(name.to_string()));
+        let fedavg = cfg.star(AggregatorKind::FedAvg);
+        s.cell(name, fedavg, Runner::Engine, accuracy(name.to_string()));
     }
     backdoor_deep_dive(s, rounds);
 }
 
 /// Clean accuracy vs attack-success rate of the final global model,
-/// vanilla FedAvg against ABD-HFL. The rounds are driven by hand so the
-/// final parameters are in hand for the ASR probe (a run reports only
-/// accuracy).
+/// vanilla FedAvg (the star) against ABD-HFL. The engine's rounds are
+/// stepped by hand so the final parameters are in hand for the ASR probe
+/// (a run reports only accuracy).
 fn backdoor_deep_dive(s: &mut Sweep, rounds: usize) {
     let (offset, width, value, target) = TRIGGER;
     let attack = AttackCfg::Data {
@@ -101,24 +101,21 @@ fn backdoor_deep_dive(s: &mut Sweep, rounds: usize) {
         &["model", "clean accuracy", "attack-success rate"],
     );
     let mut rows = Vec::new();
-    for (name, abd) in [("vanilla FedAvg", false), ("ABD-HFL (scheme 1)", true)] {
+    let star = cfg.star(AggregatorKind::FedAvg);
+    for (name, cfg) in [("vanilla FedAvg", star), ("ABD-HFL (scheme 1)", cfg)] {
         if !s.args.matches(&format!("backdoor/{name}")) {
             continue;
         }
         let exp = Experiment::prepare(&cfg);
         let mut engine = RoundEngine::for_experiment(&exp);
-        let mut global = exp.template.params().to_vec();
-        let mut cost = CostCounters::default();
-        let telem = Telemetry::disabled();
+        let (mut global, mut next) = (exp.template.params().to_vec(), Vec::new());
+        let (mut cost, telem) = (CostCounters::default(), Telemetry::disabled());
+        let (faults, suspicion) = (&mut Vec::new(), &mut Vec::new());
         for round in 0..cfg.rounds {
-            let updates = exp.train_round(&global, round);
-            global = if abd {
-                let (faults, suspicion) = (&mut Vec::new(), &mut Vec::new());
-                engine.aggregate_round(&updates, round, &mut cost, &telem, faults, suspicion)
-            } else {
-                let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-                AggregatorKind::FedAvg.build().aggregate(&refs, None)
-            };
+            engine.run_round_into(
+                &global, round, &mut cost, &telem, faults, suspicion, &mut next,
+            );
+            std::mem::swap(&mut global, &mut next);
         }
         let clean = exp.evaluate(&global);
         let mut model = exp.template.clone_box();

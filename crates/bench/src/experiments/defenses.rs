@@ -64,8 +64,8 @@ fn body(s: &mut Sweep) {
             let label = format!("{defense}/{scenario}");
             s.cell(
                 &label,
-                cfg,
-                Runner::Vanilla(kind.clone()),
+                cfg.star(kind.clone()),
+                Runner::Engine,
                 accuracy(format!("{defense},{scenario}")),
             );
         }

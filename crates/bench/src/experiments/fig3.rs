@@ -51,13 +51,12 @@ fn body(s: &mut Sweep) {
                         }
                     })
                     .collect();
-                let on = |runner: Runner| -> Vec<(HflConfig, Runner)> {
-                    cfgs.iter().map(|c| (c.clone(), runner.clone())).collect()
-                };
-                let vanilla = Runner::Vanilla(paper_vanilla_aggregator(iid, 64));
+                let rule = paper_vanilla_aggregator(iid, 64);
+                let abd_runs = cfgs.iter().map(|c| (c.clone(), Runner::Engine));
+                let van_runs = cfgs.iter().map(|c| (c.star(rule.clone()), Runner::Engine));
                 let (Some(abd), Some(van)) = (
-                    s.outcomes(&format!("{label}/abd-hfl"), on(Runner::Engine), false),
-                    s.outcomes(&format!("{label}/vanilla"), on(vanilla), false),
+                    s.outcomes(&format!("{label}/abd-hfl"), abd_runs.collect(), false),
+                    s.outcomes(&format!("{label}/vanilla"), van_runs.collect(), false),
                 ) else {
                     continue;
                 };

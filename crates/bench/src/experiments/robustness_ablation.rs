@@ -146,20 +146,11 @@ fn body(s: &mut Sweep) {
             ..cfg(0.0, 0xAB5)
         };
         s.row([format!("{:.0}%", p * 100.0)]);
-        for (model, runner) in [
-            ("abd", Runner::Engine),
-            (
-                "vanilla",
-                Runner::Vanilla(paper_vanilla_aggregator(true, 64)),
-            ),
-        ] {
+        let vanilla = c.star(paper_vanilla_aggregator(true, 64));
+        for (model, cfg) in [("abd", c), ("vanilla", vanilla)] {
             let label = format!("modelattack/{model}/p{p}");
-            s.cell(
-                &label,
-                c.clone(),
-                runner,
-                accuracy(format!("modelattack,{model},{p}")),
-            );
+            let csv = format!("modelattack,{model},{p}");
+            s.cell(&label, cfg, Runner::Engine, accuracy(csv));
         }
     }
 }

@@ -64,11 +64,11 @@ fn body(s: &mut Sweep) {
                             eval_every: rounds, // final accuracy only
                             ..base
                         };
-                        let runner = match abd {
-                            true => Runner::Engine,
-                            false => Runner::Vanilla(paper_vanilla_aggregator(iid, 64)),
+                        let cfg = match abd {
+                            true => cfg,
+                            false => cfg.star(paper_vanilla_aggregator(iid, 64)),
                         };
-                        (cfg, runner)
+                        (cfg, Runner::Engine)
                     });
                     s.repeated(&format!("{dist}/{atk}/{model}/p{p}"), runs.collect(), |o| {
                         let csv = o.iter().enumerate().map(|(rep, o)| {

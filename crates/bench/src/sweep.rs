@@ -12,8 +12,6 @@ use abd_hfl_core::config::{ConfigError, HflConfig};
 use abd_hfl_core::pipeline::{PipelineConfig, PipelineResult};
 use abd_hfl_core::run::RunOptions;
 use abd_hfl_core::runner::RunResult;
-use abd_hfl_core::vanilla::run_vanilla_with;
-use hfl_robust::AggregatorKind;
 use hfl_telemetry::{RunManifest, Telemetry};
 
 use crate::report::{csv, markdown_table, pct, write_manifests_or_exit, write_or_exit};
@@ -22,11 +20,9 @@ use crate::Args;
 /// How a cell's config runs.
 #[derive(Clone)]
 pub enum Runner {
-    /// The round engine on the lockstep schedule.
+    /// The round engine on the lockstep schedule (vanilla FL too: a
+    /// cell runs `cfg.star(rule)` on it).
     Engine,
-    /// Vanilla FL: one central server aggregating every client with this
-    /// rule.
-    Vanilla(AggregatorKind),
     /// The round engine on the pipelined schedule, for the timing
     /// config's `rounds`.
     Pipeline(PipelineConfig),
@@ -61,7 +57,7 @@ impl Outcome {
 /// How the manifests an experiment keeps are labelled.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub enum Labels {
-    /// As the run labelled them (`abd-hfl`, `pipeline`, `vanilla`).
+    /// As the run labelled them (`abd-hfl`, `pipeline`).
     AsRun,
     /// `<experiment>/<cell label>`, plus `/rep<i>` for the runs of a
     /// [`Sweep::repeated`] cell.
@@ -317,7 +313,6 @@ fn run_one(cfg: &HflConfig, runner: &Runner, recording: bool) -> Result<Outcome,
                 .into_sync(),
             None,
         ),
-        Runner::Vanilla(rule) => (run_vanilla_with(cfg, rule.clone(), &telem)?, None),
         Runner::Pipeline(pcfg) => {
             let out = RunOptions::pipeline(pcfg).telemetry(&telem).try_run(cfg)?;
             (out.clone().into_sync(), Some(out.into_pipeline().0))

@@ -15,6 +15,12 @@ use hfl_simnet::{DelayModel, Hierarchy};
 
 use crate::correction::CorrectionPolicy;
 
+/// The most devices a hierarchy's levels may hold between them (a
+/// leader counts once per level it sits at). Far above any round that
+/// trains (every client trains a model each round), far below what
+/// building the levels would exhaust.
+const MAX_TOPOLOGY_NODES: usize = 1 << 20;
+
 /// Which hierarchy to build.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TopologyCfg {
@@ -49,6 +55,75 @@ impl TopologyCfg {
             m: 4,
             n_top: 4,
         }
+    }
+
+    /// The bottom level's client count: `n_top·m^L` for ECSM, `n_bottom`
+    /// for ACSM. `None` when the ECSM count overflows `usize` or there
+    /// is no level to count.
+    pub(crate) fn clients(&self) -> Option<usize> {
+        match *self {
+            TopologyCfg::Ecsm {
+                total_levels,
+                m,
+                n_top,
+            } => {
+                let depth = u32::try_from(total_levels.checked_sub(1)?).ok()?;
+                m.checked_pow(depth)?.checked_mul(n_top)
+            }
+            TopologyCfg::AcsmRandom { n_bottom, .. } => Some(n_bottom),
+        }
+    }
+
+    /// Refuses a shape [`TopologyCfg::build`] would panic on, or whose
+    /// levels hold more than [`MAX_TOPOLOGY_NODES`] devices between them.
+    pub(crate) fn try_validate(&self) -> Result<(), ConfigError> {
+        let levels = |n: usize| ("total_levels (below top + bottom)", n, n >= 2);
+        let (rows, nodes) = match *self {
+            TopologyCfg::Ecsm {
+                total_levels,
+                m,
+                n_top,
+            } => (
+                vec![
+                    levels(total_levels),
+                    ("m", m, m >= 1),
+                    ("n_top", n_top, n_top >= 1),
+                ],
+                // n_top·(1 + m + … + m^L): at most twice the clients
+                // when m ≥ 2, n_top a level when m = 1.
+                match m {
+                    1 => n_top.checked_mul(total_levels),
+                    _ => self.clients().and_then(|n| n.checked_mul(2)),
+                },
+            ),
+            TopologyCfg::AcsmRandom {
+                n_bottom,
+                total_levels,
+                min_size,
+                max_size,
+            } => (
+                vec![
+                    levels(total_levels),
+                    ("min_size", min_size, min_size >= 1),
+                    ("max_size (below min_size)", max_size, max_size >= min_size),
+                    ("n_bottom (below min_size)", n_bottom, n_bottom >= min_size),
+                ],
+                n_bottom.checked_mul(total_levels),
+            ),
+        };
+        let bad = rows
+            .into_iter()
+            .find(|row| !row.2)
+            .map(|(what, n, _)| (what, n as f64));
+        let (what, value) = match (bad, nodes) {
+            (Some(bad), _) => bad,
+            (None, Some(n)) if n <= MAX_TOPOLOGY_NODES => return Ok(()),
+            (None, n) => (
+                "devices over all levels",
+                n.map_or(f64::INFINITY, |n| n as f64),
+            ),
+        };
+        Err(ConfigError::TopologyOutOfRange { what, value })
     }
 
     /// Builds the hierarchy (ACSM uses `seed`).
@@ -880,6 +955,15 @@ pub enum ConfigError {
         /// The offending quorum.
         quorum: f64,
     },
+    /// The topology cannot be built: a zero size, fewer than two levels,
+    /// an ACSM size range that holds no cluster, or more devices over
+    /// all levels than a hierarchy may hold.
+    TopologyOutOfRange {
+        /// Which parameter is bad.
+        what: &'static str,
+        /// The offending value.
+        value: f64,
+    },
     /// `levels` length differs from the hierarchy's level count.
     LevelsLengthMismatch {
         /// Configured length.
@@ -1045,6 +1129,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::QuorumOutOfRange { quorum } => {
                 write!(f, "quorum must be in (0, 1], got {quorum}")
             }
+            ConfigError::TopologyOutOfRange { what, value } => {
+                write!(f, "topology {what} out of range ({value})")
+            }
             ConfigError::LevelsLengthMismatch { got, expected } => write!(
                 f,
                 "levels config length must match hierarchy depth (config has {got}, hierarchy has {expected})"
@@ -1193,6 +1280,85 @@ mod tests {
         cfg.quorum = 0.0;
         let h = cfg.topology.build(0);
         cfg.validate(&h);
+    }
+
+    /// A topology the hierarchy builders would panic on, or could not
+    /// allocate, is an `Err` from `try_prepare`: every field of both
+    /// models at 0, 1, 2 and `usize::MAX`, each config and its star.
+    #[test]
+    fn malformed_topology_is_an_err_not_a_panic() {
+        use crate::runner::Experiment;
+        const EDGES: [usize; 4] = [0, 1, 2, usize::MAX];
+        let mut topologies = Vec::new();
+        for a in EDGES {
+            for b in EDGES {
+                for c in EDGES {
+                    topologies.push(TopologyCfg::Ecsm {
+                        total_levels: a,
+                        m: b,
+                        n_top: c,
+                    });
+                    topologies.extend(EDGES.map(|d| TopologyCfg::AcsmRandom {
+                        n_bottom: a,
+                        total_levels: b,
+                        min_size: c,
+                        max_size: d,
+                    }));
+                }
+            }
+        }
+        let mut base = HflConfig::quick(AttackCfg::None, 0);
+        base.data.train_samples = 640;
+        base.data.test_samples = 100;
+        let prepares = |cfg: &HflConfig| {
+            let prepared = std::panic::catch_unwind(|| Experiment::try_prepare(cfg).err());
+            prepared.unwrap_or_else(|_| panic!("try_prepare panicked on {:?}", cfg.topology))
+        };
+        let mut ok = 0;
+        for (case, topology) in topologies.into_iter().enumerate() {
+            let cfg = HflConfig {
+                topology,
+                seed: case as u64,
+                ..base.clone()
+            };
+            ok += [prepares(&cfg.star(AggregatorKind::FedAvg)), prepares(&cfg)]
+                .iter()
+                .filter(|e| e.is_none())
+                .count();
+        }
+        assert!(ok > 0, "no edge topology prepared");
+
+        // The seven shapes that used to panic inside `Hierarchy`.
+        let ecsm = |total_levels, m, n_top| TopologyCfg::Ecsm {
+            total_levels,
+            m,
+            n_top,
+        };
+        let acsm = |total_levels, min_size, max_size, n_bottom| TopologyCfg::AcsmRandom {
+            n_bottom,
+            total_levels,
+            min_size,
+            max_size,
+        };
+        for topology in [
+            ecsm(1, 4, 4),
+            ecsm(3, 0, 4),
+            ecsm(3, 4, 0),
+            acsm(1, 2, 4, 64),
+            acsm(3, 0, 4, 64),
+            acsm(3, 5, 4, 64),
+            acsm(3, 4, 8, 3),
+        ] {
+            let cfg = HflConfig {
+                topology,
+                ..base.clone()
+            };
+            assert!(
+                matches!(prepares(&cfg), Some(ConfigError::TopologyOutOfRange { .. })),
+                "{:?}",
+                cfg.topology
+            );
+        }
     }
 
     #[test]

@@ -148,54 +148,55 @@ mod tests {
 
     /// Every transfer in an all-BRA round goes through
     /// `charge_transfers`, so the ledger must match the closed form of
-    /// Algorithms 3–5 exactly. Two bottom clusters of 3 under a top
-    /// cluster of 2, full quorum, no churn:
+    /// Algorithms 3–5 exactly, full quorum, no churn. Two bottom
+    /// clusters of 3 under a top cluster of 2:
     ///
     /// ```text
     /// bottom:        2 clusters × (3 uploads + 3 broadcasts) = 12
     /// top:           2 proposals × (upload + broadcast)      =  4
     /// dissemination: 6 bottom nodes                          =  6
     /// ```
+    ///
+    /// And vanilla FL's star, one cluster of 64 under a one-node top:
+    /// 64 uploads + 64 broadcasts + 2 at the top + 64 dissemination
+    /// transfers, 3n + 2.
     #[test]
     fn ledger_pins_the_closed_form_for_a_two_cluster_round() {
-        let mut cfg = HflConfig::quick(AttackCfg::None, 9);
-        cfg.topology = TopologyCfg::Ecsm {
+        let mut two = HflConfig::quick(AttackCfg::None, 9);
+        two.topology = TopologyCfg::Ecsm {
             total_levels: 2,
             m: 3,
             n_top: 2,
         };
-        cfg.levels = vec![LevelAgg::Bra(AggregatorKind::FedAvg); 2];
-        cfg.flag_level = 1;
-        cfg.quorum = 1.0;
-        cfg.churn_leave_prob = 0.0;
-        let exp = Experiment::prepare(&cfg);
-        let mut engine = RoundEngine::for_experiment(&exp);
+        two.levels = vec![LevelAgg::Bra(AggregatorKind::FedAvg); 2];
+        two.flag_level = 1;
+        let star = HflConfig::quick(AttackCfg::None, 9).star(AggregatorKind::Median);
+        for (mut cfg, n, want) in [(two, 6, 12 + 4 + 6), (star, 64, 3 * 64 + 2)] {
+            cfg.quorum = 1.0;
+            cfg.churn_leave_prob = 0.0;
+            let exp = Experiment::prepare(&cfg);
+            let mut engine = RoundEngine::for_experiment(&exp);
 
-        let dim = 10;
-        let updates = vec![vec![0.5f32; dim]; 6];
-        let telem = hfl_telemetry::Telemetry::disabled();
-        let mut cost = CostCounters::default();
-        engine.aggregate_round(
-            &updates,
-            0,
-            &mut cost,
-            &telem,
-            &mut Vec::new(),
-            &mut Vec::new(),
-        );
+            let dim = 10;
+            let updates = vec![vec![0.5f32; dim]; n];
+            let telem = hfl_telemetry::Telemetry::disabled();
+            let mut cost = CostCounters::default();
+            let (faults, suspicion, out) = (&mut Vec::new(), &mut Vec::new(), &mut Vec::new());
+            engine.aggregate_round_into(&updates, 0, &mut cost, &telem, faults, suspicion, out);
 
-        assert_eq!(cost.messages, 12 + 4 + 6);
-        assert_eq!(
-            clean_round_messages(&cfg, &exp.hierarchy),
-            Some(cost.messages),
-            "the closed-form predictor must match the ledger"
-        );
-        assert_eq!(cost.bytes, cost.messages * (dim as u64 * 4));
-        assert_eq!(cost.excluded, 0);
-        assert_eq!(cost.absent, 0);
-        assert_eq!(cost.faulted, 0);
-        assert_eq!(cost.quarantined, 0);
-        assert_eq!(cost.withheld, 0);
+            assert_eq!(cost.messages, want);
+            assert_eq!(
+                clean_round_messages(&cfg, &exp.hierarchy),
+                Some(cost.messages),
+                "the closed-form predictor must match the ledger"
+            );
+            assert_eq!(cost.bytes, cost.messages * (dim as u64 * 4));
+            assert_eq!(cost.excluded, 0);
+            assert_eq!(cost.absent, 0);
+            assert_eq!(cost.faulted, 0);
+            assert_eq!(cost.quarantined, 0);
+            assert_eq!(cost.withheld, 0);
+        }
     }
 
     /// The predictor follows the quorum fraction and refuses CBA levels.

@@ -246,29 +246,12 @@ impl<'e> RoundEngine<'e> {
     }
 
     /// Phases 3–5: one round of bottom-up aggregation over per-client
-    /// updates, through the config's layers. Returns the new global model
-    /// and accumulates cost counters and manifest logs.
-    pub fn aggregate_round(
-        &mut self,
-        updates: &[Vec<f32>],
-        round: usize,
-        cost: &mut CostCounters,
-        telem: &Telemetry,
-        fault_log: &mut Vec<FaultRecord>,
-        susp_log: &mut Vec<SuspicionRecord>,
-    ) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.aggregate_round_into(updates, round, cost, telem, fault_log, susp_log, &mut out);
-        out
-    }
-
-    /// [`Self::aggregate_round`] writing the new global model into a
-    /// caller-owned buffer. Byte-identical to the allocating path: same
-    /// RNG stream order, same cost accounting, same event sequence —
-    /// the only difference is that every intermediate buffer (the
-    /// leaders' partials, member-index scratch, aggregation inputs, the
-    /// per-rule scratch) comes from the engine's [`RoundWorkspace`]
-    /// arena, and that no row a level only reads is copied.
+    /// updates, through the config's layers, writing the new global
+    /// model into a caller-owned buffer and accumulating cost counters
+    /// and manifest logs. Every intermediate buffer (the leaders'
+    /// partials, member-index scratch, aggregation inputs, the per-rule
+    /// scratch) comes from the engine's [`RoundWorkspace`] arena, and no
+    /// row a level only reads is copied.
     #[allow(clippy::too_many_arguments)]
     pub fn aggregate_round_into(
         &mut self,

@@ -17,7 +17,8 @@
 //!   and a round clock for the pipelined schedule.
 //! * [`run`] — the unified entry point ([`run::RunOptions`]): one
 //!   engine, two schedules, optional telemetry.
-//! * [`vanilla`] — the star-topology vanilla-FL baseline.
+//! * [`vanilla`] — the vanilla-FL baseline as a config: the one-cluster
+//!   star ([`HflConfig::star`]) on the same engine.
 //! * [`pipeline`] — the pipeline learning workflow's timing model and
 //!   the efficiency indicator ν it measures.
 //!
@@ -68,4 +69,3 @@ pub use runner::{
     ResumeError, RunResult,
 };
 pub use scheme::Scheme;
-pub use vanilla::{run_vanilla, run_vanilla_with};

@@ -174,6 +174,7 @@ impl Experiment {
     /// any) instead of panicking — sweep harnesses report the offending
     /// cell and move on.
     pub fn try_prepare(cfg: &HflConfig) -> Result<Self, ConfigError> {
+        cfg.topology.try_validate()?;
         let hierarchy = cfg.topology.build(cfg.seed);
         cfg.try_validate(&hierarchy)?;
         let injector = match &cfg.faults {
@@ -406,25 +407,10 @@ impl Experiment {
         }
     }
 
-    /// Trains this round's cohort from `global`, in parallel. Returns
-    /// one update per cohort slot (crafted updates in place of
-    /// model-poisoning attackers', which do not train). Without sampling
-    /// the cohort is every client.
-    pub fn train_round(&self, global: &[f32], round: usize) -> Vec<Vec<f32>> {
-        let mut updates = Vec::new();
-        let mut ws = TrainWorkspace::default();
-        self.train_round_into(
-            global,
-            round,
-            None,
-            &Telemetry::disabled(),
-            &mut updates,
-            &mut ws,
-        );
-        updates
-    }
-
-    /// [`Self::train_round`] into caller-owned buffers, with an optional
+    /// Trains this round's cohort from `global`, in parallel, into
+    /// caller-owned buffers: one update per cohort slot (crafted updates
+    /// in place of model-poisoning attackers', which do not train),
+    /// every client when there is no sampling. An optional
     /// adaptive-attack override (the arms race's current crafted attack
     /// replaces the configured static one) and telemetry for anomalies.
     /// Every slot trains from `global` unless `ws` carries per-slot
@@ -573,18 +559,11 @@ impl Experiment {
         ) && self.malicious[device]
     }
 
-    /// Which clients participate this round under churn (Assumption 3).
-    /// Leaders always participate; others leave independently with
-    /// `churn_leave_prob` (or a fault plan's churn override while one is
-    /// active). All-present when churn is disabled.
-    pub fn active_mask(&self, round: usize) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.active_mask_into(round, &mut out);
-        out
-    }
-
-    /// [`Self::active_mask`] into a caller-owned buffer — allocation-free
-    /// when churn is disabled (the all-present fast path the engine's
+    /// Which clients participate this round under churn (Assumption 3),
+    /// into a caller-owned buffer. Leaders always participate; others
+    /// leave independently with `churn_leave_prob` (or a fault plan's
+    /// churn override while one is active). All-present when churn is
+    /// disabled — allocation-free then (the fast path the engine's
     /// steady-state rounds take).
     pub fn active_mask_into(&self, round: usize, out: &mut Vec<bool>) {
         let p = self
@@ -1248,8 +1227,9 @@ mod tests {
         cfg.churn_leave_prob = 0.9;
         let exp = Experiment::prepare(&cfg);
         let bottom = exp.hierarchy.bottom_level();
+        let mut active = Vec::new();
         for round in 0..5 {
-            let active = exp.active_mask(round);
+            exp.active_mask_into(round, &mut active);
             for cluster in &exp.hierarchy.level(bottom).clusters {
                 assert!(active[cluster.leader()], "leader churned out");
             }

@@ -9,7 +9,6 @@
 use abd_hfl::attacks::{DataAttack, ModelAttack, Placement};
 use abd_hfl::core::config::{AttackCfg, HflConfig};
 use abd_hfl::core::run::run;
-use abd_hfl::core::vanilla::run_vanilla;
 use abd_hfl::robust::AggregatorKind;
 
 fn main() {
@@ -98,7 +97,7 @@ fn main() {
         let mut cfg = HflConfig::quick(attack, 31);
         cfg.rounds = 20;
         cfg.eval_every = 20;
-        let vanilla = run_vanilla(&cfg, AggregatorKind::FedAvg);
+        let vanilla = run(&cfg.star(AggregatorKind::FedAvg));
         let abd = run(&cfg);
         println!(
             "{:<26}  {:>15.1}%  {:>9.1}%",

@@ -10,7 +10,7 @@ use abd_hfl::attacks::{DataAttack, Placement};
 use abd_hfl::core::config::{AttackCfg, HflConfig};
 use abd_hfl::core::run::run;
 use abd_hfl::core::theory;
-use abd_hfl::core::vanilla::{paper_vanilla_aggregator, run_vanilla};
+use abd_hfl::core::vanilla::paper_vanilla_aggregator;
 
 fn main() {
     let proportions = [0.0, 0.2, 0.4, 0.578, 0.65];
@@ -34,7 +34,7 @@ fn main() {
         cfg.rounds = 40;
         cfg.eval_every = 40;
         let abd = run(&cfg);
-        let vanilla = run_vanilla(&cfg, paper_vanilla_aggregator(true, 64));
+        let vanilla = run(&cfg.star(paper_vanilla_aggregator(true, 64)));
         let marker = if p > bound { " (beyond bound)" } else { "" };
         println!(
             "{:>9.1}%  {:>9.1}%  {:>9.1}%{marker}",

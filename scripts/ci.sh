@@ -21,7 +21,8 @@ cargo build --release -p hfl-bench
 repro="${CARGO_TARGET_DIR:-target}/release/repro"
 
 # Same-seed runs write byte-identical manifests: faults, arms race, both, deadline
-# buffers (DESIGN.md §12), gallery (§13), pipeline, cohort sampling (§14).
+# buffers (DESIGN.md §12), gallery (§13), pipeline, cohort sampling (§14), and the
+# vanilla star on the engine (§9; the filter matches IID and non-IID Type I).
 same_seed_gate() {
     local name="$1" manifests="$2"
     shift 2
@@ -38,6 +39,7 @@ same_seed_gate combined combined.manifests.jsonl --quick
 same_seed_gate async async.manifests.jsonl --quick --filter deadline
 same_seed_gate gallery gallery.manifests.jsonl --quick
 same_seed_gate efficiency efficiency.manifests.jsonl --quick
+same_seed_gate table5 table5.manifests.jsonl --quick --filter iid/type1/vanilla
 same_seed_gate scale scale.manifests.jsonl --smoke
 test -s "$tmp/scale.a/scale.json" \
     || { echo "repro scale produced no scale.json"; exit 1; }

@@ -61,6 +61,8 @@ const RULES: &[Rule] = &[
         fixture: "fn krum() { dist_sq_pairs(w, r, 0, o); }", message: "dist_sq_pairs is called outside ops::pairwise_dist_sq" },
     Rule { name: "no schedule pins the worker count", design: 9, files: &["crates/core/src/"], check: Forbid(&["with_threads(", "set_default_threads("]),
         fixture: "fn f() { hfl_parallel::with_threads(1, || g()); }", message: "crates/core/src pins the hfl-parallel thread count instead of running at default_threads()" },
+    Rule { name: "one aggregation site", design: 9, files: &["crates/core/src/", "crates/bench/src/"], check: Forbid(&[".aggregate("]),
+        fixture: "fn f() { agg.aggregate(&refs, None); }", message: "crates/core or crates/bench aggregates a round beside the engine's cluster step (aggregate_into)" },
     Rule { name: "no level copies a row", design: 9, files: &["crates/core/src/engine/"], check: Forbid(&["clone_from", "pub next:", "pub carried:"]),
         fixture: "struct W {\n    pub next: Vec<f32>,\n}\n", message: "the round engine copies a row set per level again" },
     Rule { name: "unsafe has an allow-list", design: 15, files: TREE, fixture: "fn f() { unsafe { g() } }",

@@ -6,10 +6,10 @@
 use abd_hfl::attacks::{DataAttack, ModelAttack, Placement};
 use abd_hfl::consensus::ConsensusKind;
 use abd_hfl::core::config::{AttackCfg, HflConfig, LevelAgg, TopologyCfg};
-use abd_hfl::core::run::run as run_abd_hfl;
+use abd_hfl::core::run::run;
 use abd_hfl::core::runner::{run_prepared_with, Experiment};
 use abd_hfl::core::theory;
-use abd_hfl::core::vanilla::{paper_vanilla_aggregator, run_vanilla};
+use abd_hfl::core::vanilla::paper_vanilla_aggregator;
 use abd_hfl::ml::synth::SynthConfig;
 use abd_hfl::robust::AggregatorKind;
 use abd_hfl::telemetry::Telemetry;
@@ -31,8 +31,8 @@ fn headline_result_abd_beats_vanilla_beyond_its_tolerance() {
         placement: Placement::Prefix,
     };
     let cfg = fast(attack, 101);
-    let abd = run_abd_hfl(&cfg);
-    let vanilla = run_vanilla(&cfg, paper_vanilla_aggregator(true, 64));
+    let abd = run(&cfg);
+    let vanilla = run(&cfg.star(paper_vanilla_aggregator(true, 64)));
     assert!(
         abd.final_accuracy > 0.8,
         "ABD-HFL degraded: {}",
@@ -50,8 +50,8 @@ fn headline_result_abd_beats_vanilla_beyond_its_tolerance() {
 fn clean_runs_match_between_topologies() {
     // Paper Table V at 0 %: ABD-HFL ≈ vanilla (hierarchy costs nothing).
     let cfg = fast(AttackCfg::None, 102);
-    let abd = run_abd_hfl(&cfg);
-    let vanilla = run_vanilla(&cfg, paper_vanilla_aggregator(true, 64));
+    let abd = run(&cfg);
+    let vanilla = run(&cfg.star(paper_vanilla_aggregator(true, 64)));
     assert!(
         (abd.final_accuracy - vanilla.final_accuracy).abs() < 0.05,
         "clean accuracies diverge: {} vs {}",
@@ -75,7 +75,7 @@ fn noniid_pipeline_works_end_to_end() {
         test_samples: 1_000,
         ..SynthConfig::default()
     };
-    let r = run_abd_hfl(&cfg);
+    let r = run(&cfg);
     assert!(
         r.final_accuracy > 0.5,
         "non-IID run too weak: {}",
@@ -93,7 +93,7 @@ fn model_poisoning_is_filtered_by_the_hierarchy() {
         placement: Placement::Spread,
     };
     let cfg = fast(attack, 104);
-    let r = run_abd_hfl(&cfg);
+    let r = run(&cfg);
     assert!(
         r.final_accuracy > 0.75,
         "sign-flip broke ABD-HFL: {}",
@@ -125,7 +125,7 @@ fn definition4_at_bound_holds_beyond_breaks() {
         );
         cfg.malicious_override = Some(mask);
         cfg.levels = scheme3_levels.clone();
-        run_abd_hfl(&cfg).final_accuracy
+        run(&cfg).final_accuracy
     };
 
     let at_bound = run_with(1, 105); // 57.8 % Byzantine, γ2 respected
@@ -148,7 +148,7 @@ fn acsm_topology_trains() {
         LevelAgg::Bra(AggregatorKind::Median),
         LevelAgg::Bra(AggregatorKind::Median),
     ];
-    let r = run_abd_hfl(&cfg);
+    let r = run(&cfg);
     assert!(r.final_accuracy > 0.7, "ACSM run: {}", r.final_accuracy);
 }
 
@@ -157,7 +157,7 @@ fn experiment_reuse_is_equivalent_to_fresh_runs() {
     let cfg = fast(AttackCfg::None, 107);
     let exp = Experiment::prepare(&cfg);
     let a = run_prepared_with(&exp, &Telemetry::disabled()).result;
-    let b = run_abd_hfl(&cfg);
+    let b = run(&cfg);
     assert_eq!(a.final_accuracy, b.final_accuracy);
     assert_eq!(a.messages, b.messages);
 }
@@ -181,7 +181,7 @@ fn all_consensus_backends_complete_a_round() {
         cfg.rounds = 5;
         cfg.eval_every = 5;
         cfg.levels[0] = LevelAgg::Cba(kind.clone());
-        let r = run_abd_hfl(&cfg);
+        let r = run(&cfg);
         assert!(
             r.final_accuracy > 0.3,
             "{kind:?} run failed: {}",
@@ -207,7 +207,7 @@ fn all_bra_rules_complete_a_round() {
         cfg.eval_every = 5;
         cfg.levels[1] = LevelAgg::Bra(kind.clone());
         cfg.levels[2] = LevelAgg::Bra(kind.clone());
-        let r = run_abd_hfl(&cfg);
+        let r = run(&cfg);
         assert!(
             r.final_accuracy > 0.3,
             "{kind:?} run failed: {}",
@@ -220,9 +220,9 @@ fn all_bra_rules_complete_a_round() {
 fn message_accounting_scales_with_rounds() {
     let mut cfg = fast(AttackCfg::None, 110);
     cfg.rounds = 4;
-    let four = run_abd_hfl(&cfg);
+    let four = run(&cfg);
     cfg.rounds = 8;
-    let eight = run_abd_hfl(&cfg);
+    let eight = run(&cfg);
     assert_eq!(eight.messages, 2 * four.messages);
     assert_eq!(eight.bytes, 2 * four.bytes);
 }

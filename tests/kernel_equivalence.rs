@@ -48,17 +48,17 @@
 //! whole runs against themselves across thread counts — the training
 //! step has one body at any worker count.
 
-use abd_hfl::attacks::{AdaptiveAttack, ModelAttack, Placement, ProtocolAttack};
+use abd_hfl::attacks::{AdaptiveAttack, DataAttack, ModelAttack, Placement, ProtocolAttack};
 use abd_hfl::consensus::eval::AccuracyEvaluator;
 use abd_hfl::consensus::{
     CommitteeConsensus, Consensus, DistanceEvaluator, ProposalEvaluator, StakeVote, VoteConsensus,
 };
 use abd_hfl::core::config::{
-    AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg, SamplingCfg, TopologyCfg,
+    AsyncRoundCfg, AttackCfg, DataDistribution, HflConfig, LevelAgg, SamplingCfg, TopologyCfg,
 };
 use abd_hfl::core::engine::{CostCounters, RoundEngine};
 use abd_hfl::core::pipeline::PipelineConfig;
-use abd_hfl::core::run::RunOptions;
+use abd_hfl::core::run::{run, RunOptions};
 use abd_hfl::core::runner::{run_prepared_with, Experiment, TrainWorkspace};
 use abd_hfl::faults::FaultPlan;
 use abd_hfl::ml::loss::{argmax, predict, softmax_in_place, NEAR_TIE};
@@ -2405,17 +2405,14 @@ fn the_level_loop_reads_in_place_what_the_per_level_copy_held() {
         let exp = Experiment::prepare(&cfg);
         let global = exp.template.params().to_vec();
         let mut engine = RoundEngine::for_experiment(&exp);
+        let (mut updates, mut ws, mut got) = (Vec::new(), TrainWorkspace::default(), Vec::new());
         for round in 0..2 {
-            let updates = exp.train_round(&global, round);
+            let telem = Telemetry::disabled();
+            exp.train_round_into(&global, round, None, &telem, &mut updates, &mut ws);
             let want = retired::aggregate_levels(&exp, &updates);
-            let got = engine.aggregate_round(
-                &updates,
-                round,
-                &mut CostCounters::default(),
-                &Telemetry::disabled(),
-                &mut Vec::new(),
-                &mut Vec::new(),
-            );
+            let (cost, faults, suspicion) =
+                (&mut CostCounters::default(), &mut vec![], &mut vec![]);
+            engine.aggregate_round_into(&updates, round, cost, &telem, faults, suspicion, &mut got);
             assert!(
                 got.len() == want.len()
                     && got
@@ -2424,6 +2421,82 @@ fn the_level_loop_reads_in_place_what_the_per_level_copy_held() {
                         .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "{name}: round {round}"
             );
+        }
+    }
+}
+
+/// Vanilla FL is the one-cluster star on the round engine: `run` of
+/// `cfg.star(rule)` reads, evaluation by evaluation, the accuracy bits
+/// of the retired star loop — the eight rules of the `defenses` grid ×
+/// ten attack settings × IID and non-IID, six rounds evaluated every two.
+#[test]
+fn the_star_on_the_engine_reads_as_the_retired_vanilla_loop() {
+    let n = 64;
+    let f = n / 4;
+    let rules = [
+        AggregatorKind::FedAvg,
+        AggregatorKind::Krum { f },
+        AggregatorKind::MultiKrum { f, m: n - f },
+        AggregatorKind::Median,
+        AggregatorKind::TrimmedMean { ratio: 0.3 },
+        AggregatorKind::GeoMed,
+        AggregatorKind::CenteredClip { tau: 1.0, iters: 3 },
+        AggregatorKind::CosineClustering { threshold: 0.0 },
+    ];
+    let data = |attack| AttackCfg::Data {
+        attack,
+        proportion: 0.3,
+        placement: Placement::Prefix,
+    };
+    let model = |attack, proportion, placement| AttackCfg::Model {
+        attack,
+        proportion,
+        placement,
+    };
+    let (prefix, sign_flip) = (Placement::Prefix, ModelAttack::SignFlip { scale: 4.0 });
+    let backdoor = DataAttack::BackdoorTrigger {
+        offset: 0,
+        width: 8,
+        value: 6.0,
+        target: 7,
+        fraction: 0.5,
+    };
+    let attacks = [
+        AttackCfg::None,
+        data(DataAttack::type_i()),
+        data(DataAttack::type_ii()),
+        data(DataAttack::FeatureNoise { std: 4.0 }),
+        data(backdoor),
+        model(sign_flip.clone(), 0.3, prefix),
+        model(ModelAttack::GaussianNoise { std: 2.0 }, 0.3, prefix),
+        model(ModelAttack::Alie { z: 2.0 }, 0.3, prefix),
+        model(ModelAttack::Ipm { epsilon: 0.8 }, 0.3, prefix),
+        model(sign_flip, 0.5, Placement::Spread),
+    ];
+    let noniid = DataDistribution::NonIid {
+        labels_per_client: 2,
+    };
+    let bits = |acc: &[(usize, f64)]| -> Vec<(usize, u64)> {
+        acc.iter().map(|&(r, a)| (r, a.to_bits())).collect()
+    };
+    for (a, attack) in attacks.iter().enumerate() {
+        for distribution in [DataDistribution::Iid, noniid.clone()] {
+            let cfg = HflConfig {
+                rounds: 6,
+                eval_every: 2,
+                distribution,
+                ..HflConfig::quick(attack.clone(), 100 + a as u64)
+            };
+            for rule in &rules {
+                let want = retired::vanilla(&cfg, rule);
+                let got = run(&cfg.star(rule.clone())).accuracy;
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{rule:?} under {attack:?}, {:?}",
+                    cfg.distribution
+                );
+            }
         }
     }
 }
@@ -2439,14 +2512,17 @@ fn the_level_loop_reads_in_place_what_the_per_level_copy_held() {
 /// and the bisection's fresh candidate per step. And the training step
 /// as it was before a crafted slot stopped training, and the level loop
 /// as it was before it read rows in place. And the ballot as it was
-/// before it was decided in `f32`.
+/// before it was decided in `f32`. And vanilla FL's own round loop, before
+/// the star ran on the round engine.
 mod retired {
-    use abd_hfl::core::config::{AttackCfg, LevelAgg};
-    use abd_hfl::core::runner::Experiment;
+    use abd_hfl::core::config::{AttackCfg, HflConfig, LevelAgg};
+    use abd_hfl::core::runner::{Experiment, TrainWorkspace};
     use abd_hfl::ml::loss::predict;
     use abd_hfl::ml::rng::rng_for_n;
     use abd_hfl::ml::sgd::{train_local_scratch, TrainScratch};
     use abd_hfl::ml::{Dataset, LinearSoftmax};
+    use abd_hfl::robust::AggregatorKind;
+    use abd_hfl::telemetry::Telemetry;
     use abd_hfl::tensor::ops;
 
     use super::ModelAttack;
@@ -2574,6 +2650,33 @@ mod retired {
         let top = &h.level(0).clusters[0];
         let inputs: Vec<&[f32]> = top.members.iter().map(|&m| carried[m].as_slice()).collect();
         rule(0).aggregate(&inputs, None)
+    }
+
+    /// Vanilla FL as its own round loop, before the star ran on the
+    /// round engine: each round trains the cohort, drops the slots churn
+    /// empties and aggregates the rest with `rule` in client order; the
+    /// accuracy at every evaluation point.
+    pub fn vanilla(cfg: &HflConfig, rule: &AggregatorKind) -> Vec<(usize, f64)> {
+        let exp = Experiment::prepare(cfg);
+        let agg = rule.build();
+        let mut global = exp.template.params().to_vec();
+        let (mut updates, mut ws, mut active) = (Vec::new(), TrainWorkspace::default(), vec![]);
+        let (mut accuracy, telem) = (Vec::new(), Telemetry::disabled());
+        for round in 0..cfg.rounds {
+            exp.train_round_into(&global, round, None, &telem, &mut updates, &mut ws);
+            exp.active_mask_into(round, &mut active);
+            let refs: Vec<&[f32]> = updates
+                .iter()
+                .zip(&active)
+                .filter(|(_, a)| **a)
+                .map(|(u, _)| u.as_slice())
+                .collect();
+            global = agg.aggregate(&refs, None);
+            if (round + 1) % cfg.eval_every == 0 || round + 1 == cfg.rounds {
+                accuracy.push((round + 1, exp.evaluate(&global)));
+            }
+        }
+        accuracy
     }
 
     /// `hfl_tensor::stats::mean_var`: sample mean and (population)
