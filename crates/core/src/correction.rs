@@ -10,6 +10,8 @@
 //!   the flag model already represents, the less new information θ_G
 //!   carries, so the smaller α.
 
+use hfl_tensor::math;
+
 /// Policy computing α from the two paper-specified signals.
 #[derive(Clone, Copy, Debug)]
 pub struct CorrectionPolicy {
@@ -52,7 +54,8 @@ impl CorrectionPolicy {
             (0.0..=1.0).contains(&flag_fraction),
             "flag_fraction must be a proportion"
         );
-        let latency_discount = (-staleness / self.latency_half_life * std::f64::consts::LN_2).exp();
+        let latency_discount =
+            math::exp_f64(-staleness / self.latency_half_life * std::f64::consts::LN_2);
         let info_gain = 1.0 - flag_fraction;
         let a = self.alpha_max as f64 * latency_discount * info_gain;
         (a as f32).clamp(self.alpha_min, self.alpha_max)
@@ -77,7 +80,7 @@ impl CorrectionPolicy {
             return self.alpha_min;
         }
         let halves = lateness_us as f64 / staleness_bound_us as f64;
-        let w = (-halves * std::f64::consts::LN_2).exp();
+        let w = math::exp_f64(-halves * std::f64::consts::LN_2);
         (w as f32).clamp(self.alpha_min, 1.0)
     }
 

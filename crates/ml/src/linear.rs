@@ -11,7 +11,8 @@ use rand::rngs::StdRng;
 
 use crate::dataset::Dataset;
 use crate::loss::{
-    ce_grad_in_place, cross_entropy, decide, norm, predict, softmax_in_place, Certificate,
+    ce_grad_in_place, cross_entropy, decide, norm, predict, softmax_in_place, softmax_rows,
+    Certificate,
 };
 use crate::model::{for_each_block, BatchScratch, Dense, Model, BLOCK};
 
@@ -314,8 +315,8 @@ impl Model for LinearSoftmax {
         for_each_block(data, indices.iter().copied(), |xs, ys| {
             let coeff = &mut probs[..xs.len() * self.classes];
             layer.forward(xs, coeff);
+            softmax_rows(coeff, self.classes);
             for (err, y) in coeff.chunks_exact_mut(self.classes).zip(ys) {
-                softmax_in_place(err);
                 loss += cross_entropy(err, *y);
                 ce_grad_in_place(err, *y);
                 // dL/dW_c = err_c * x ; dL/db_c = err_c

@@ -1,24 +1,44 @@
 //! Softmax and cross-entropy primitives shared by the models, and the
 //! prediction a ballot certifies from `f32` logits.
 
+use hfl_tensor::math;
+
 use crate::model::BLOCK;
 
 // A block's undecided samples are the bits of one `u32`.
 const _: () = assert!(BLOCK <= 32);
 
 /// Numerically-stable in-place softmax: `logits` becomes a probability
-/// vector.
+/// vector. [`softmax_rows`] over one row.
 pub fn softmax_in_place(logits: &mut [f32]) {
     assert!(!logits.is_empty(), "softmax of empty vector");
-    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for l in logits.iter_mut() {
-        *l = (*l - max).exp();
-        sum += *l;
+    softmax_rows(logits, logits.len());
+}
+
+/// [`softmax_in_place`] on each `classes`-long row of `logits`, in three
+/// passes over the block: each row's maximum taken off it, one
+/// lane-wise [`math::exp_in_place`] over every logit, then each row
+/// summed in class order and divided by its sum. A lane computes the
+/// scalar [`math::exp`]'s bits, so every row reads as if it were run
+/// alone.
+///
+/// # Panics
+/// If `classes` is 0 or does not divide `logits.len()`.
+pub fn softmax_rows(logits: &mut [f32], classes: usize) {
+    assert!(
+        classes > 0 && logits.len().is_multiple_of(classes),
+        "softmax rows of {classes} over {} logits",
+        logits.len()
+    );
+    for row in logits.chunks_exact_mut(classes) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        row.iter_mut().for_each(|l| *l -= max);
     }
-    // sum >= 1 because one exponent is exp(0) = 1.
-    for l in logits.iter_mut() {
-        *l /= sum;
+    math::exp_in_place(logits);
+    for row in logits.chunks_exact_mut(classes) {
+        // sum >= 1 because one exponent is exp(0) = 1.
+        let sum = row.iter().fold(0.0f32, |sum, e| sum + *e);
+        row.iter_mut().for_each(|l| *l /= sum);
     }
 }
 
@@ -27,7 +47,7 @@ pub fn softmax_in_place(logits: &mut [f32]) {
 #[inline]
 pub fn cross_entropy(probs: &[f32], y: u8) -> f64 {
     let p = probs[y as usize].max(1e-12);
-    -(p as f64).ln()
+    -math::ln_f64(p as f64)
 }
 
 /// Writes the softmax-cross-entropy output gradient `p − onehot(y)` into
@@ -158,12 +178,17 @@ pub(crate) struct Decided {
 /// decided when every `â_r` is finite (`f32::max` passes NaN over, so
 /// nothing else would notice one), `M + max|b| + E ≤ LIMIT` (which also
 /// fails for a non-finite `E` or `‖x‖`), and `(t1 − t2)(1 − 4u) > 2E +
-/// NEAR_TIE·(1 + 2u)`. Then the exact logits have one maximum, `t1`'s
-/// class, with every other logit more than [`NEAR_TIE`] below it even
-/// after `predict`'s own `f32` subtraction (half an ulp of `NEAR_TIE` is
-/// at most `u · NEAR_TIE`) — so [`predict`] names that class without the
-/// softmax. `w_norm` and `x_norms[s]` are the proposal's largest `‖w_r‖`
-/// and `‖x_s‖` within a relative `(n + 2)·2⁻⁵³` ([`norm`]; `γ₂ₙ` is
+/// NEAR_TIE`. Then the exact logits have one maximum, `t1`'s class, and
+/// every other logit lies `ℓ_c − ℓ_r ≥ t1 − t2 − 2E > (2E + NEAR_TIE)/(1
+/// − 4u) − 2E ≥ NEAR_TIE·(1 + 4u)` below it, less the few `f64`
+/// roundings of this test (parts in 2⁵³). `predict`'s own `f32`
+/// subtraction keeps at least `(1 − u)` of that normal difference, so
+/// it reads more than `NEAR_TIE·(1 + 3u − 4u²) > NEAR_TIE`: no other
+/// logit is near, and [`predict`] names that class without the softmax.
+/// (The margin's `(1 − 4u)` is what covers that subtraction; a further
+/// factor on `NEAR_TIE` would be redundant.) `w_norm` and `x_norms[s]`
+/// are the proposal's largest `‖w_r‖` and `‖x_s‖` within a relative
+/// `(n + 2)·2⁻⁵³` ([`norm`]; `γ₂ₙ` is
 /// twice what the two chains need, which absorbs that), and the bound's
 /// own arithmetic runs in `f64`.
 #[inline(always)]
@@ -195,7 +220,6 @@ pub(crate) fn decide(
         }
     }
     let b_max = bias.iter().fold(0.0f32, |m, b| m.max(b.abs())) as f64;
-    let guard = NEAR_TIE as f64 * (1.0 + 2.0 * U);
     let (mut hits, mut undecided) = (0, 0);
     let lanes = (t1[..n].iter().zip(&t2[..n]))
         .zip(class[..n].iter().zip(&max_abs[..n]))
@@ -205,7 +229,7 @@ pub(crate) fn decide(
         let m = *m as f64;
         let e = cert.gamma * (w_norm as f64 * x_norm) + 4.0 * U * (b_max + m) + cert.tiny;
         let margin = (*t1 as f64 - *t2 as f64) * (1.0 - 4.0 * U);
-        let ok = (*finite == 1) & (m + b_max + e <= LIMIT) & (margin > 2.0 * e + guard);
+        let ok = (*finite == 1) & (m + b_max + e <= LIMIT) & (margin > 2.0 * e + NEAR_TIE as f64);
         hits += usize::from(ok & (*class == u32::from(*y)));
         undecided |= u32::from(!ok) << s;
     }
@@ -264,6 +288,44 @@ mod tests {
         let mut l = [1000.0, 0.0];
         softmax_in_place(&mut l);
         assert!(l[0] > 0.999 && l.iter().all(|x| x.is_finite()));
+    }
+
+    /// A block's rows read as the retired per-row loop — maximum off,
+    /// `exp` as it goes, summed in class order, divided — run on each
+    /// row alone, with [`math::exp`] for libm's.
+    #[test]
+    fn softmax_rows_is_the_per_row_loop() {
+        let classes = 10;
+        let logits: Vec<f32> = (0..37 * classes)
+            .map(|i| ((i * 7_919 % 1_013) as f32 - 506.0) * 0.037 * (1 + i / classes) as f32)
+            .chain(
+                [f32::NEG_INFINITY, 0.0, f32::NAN, 1.0, f32::INFINITY]
+                    .into_iter()
+                    .cycle()
+                    .take(2 * classes),
+            )
+            .collect();
+        let mut block = logits.clone();
+        softmax_rows(&mut block, classes);
+        for (got, row) in block
+            .chunks_exact(classes)
+            .zip(logits.chunks_exact(classes))
+        {
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut want = row.to_vec();
+            let mut sum = 0.0f32;
+            for l in want.iter_mut() {
+                *l = math::exp(*l - max);
+                sum += *l;
+            }
+            want.iter_mut().for_each(|l| *l /= sum);
+            assert!(
+                got.iter()
+                    .zip(&want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits()),
+                "{row:?}"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use hfl_tensor::init;
 use hfl_tensor::ops::{self, Panel};
 
 use crate::dataset::Dataset;
-use crate::loss::{ce_grad_in_place, cross_entropy, predict, softmax_in_place};
+use crate::loss::{ce_grad_in_place, cross_entropy, predict, softmax_rows};
 use crate::model::{for_each_block, rows_of, BatchScratch, Dense, Model, BLOCK};
 
 /// MLP `dim → hidden (ReLU) → classes (softmax)`.
@@ -183,8 +183,8 @@ impl Model for Mlp {
             let (h, coeff) = (&mut hidden[..n * hid], &mut probs[..n * classes]);
             forward(&layers, xs, h, coeff);
             let errors_t = &mut errors_t[..n * classes];
+            softmax_rows(coeff, classes);
             for (s, (err, y)) in coeff.chunks_exact_mut(classes).zip(ys).enumerate() {
-                softmax_in_place(err);
                 loss += cross_entropy(err, *y);
                 // err becomes dL/dlogits; dL/dW2_c = err_c ⊗ h, dL/db2_c = err_c
                 ce_grad_in_place(err, *y);

@@ -14,6 +14,8 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 
+use hfl_tensor::{init, math};
+
 use crate::dataset::{Dataset, Labelled};
 use crate::rng::{derive_seed, ChaCha12};
 
@@ -289,28 +291,22 @@ fn dirichlet_shares(rng: &mut StdRng, alpha: f64, n: usize) -> Vec<f64> {
 fn gamma_sample(rng: &mut StdRng, shape: f64) -> f64 {
     if shape < 1.0 {
         let u: f64 = 1.0 - rng.gen::<f64>(); // (0, 1]
-        return gamma_sample(rng, shape + 1.0) * u.powf(1.0 / shape);
+        return gamma_sample(rng, shape + 1.0) * math::exp_f64(math::ln_f64(u) / shape);
     }
     let d = shape - 1.0 / 3.0;
     let c = 1.0 / (9.0 * d).sqrt();
     loop {
-        let x = standard_normal_f64(rng);
-        let v = (1.0 + c * x).powi(3);
+        let x = init::standard_normal_f64(rng);
+        let t = 1.0 + c * x;
+        let v = t * t * t;
         if v <= 0.0 {
             continue;
         }
         let u: f64 = 1.0 - rng.gen::<f64>(); // (0, 1]
-        if u.ln() < 0.5 * x * x + d - d * v + d * v.ln() {
+        if math::ln_f64(u) < 0.5 * x * x + d - d * v + d * math::ln_f64(v) {
             return d * v;
         }
     }
-}
-
-/// Standard normal via Box–Muller in f64 (the tensor helper is f32).
-fn standard_normal_f64(rng: &mut StdRng) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Integer apportionment of `total` by `shares` (largest remainder,

@@ -321,8 +321,8 @@ impl<R: Iterator<Item = Range<u64>>> Words<R> {
     /// the block holding the next word not yet packed, and the window of
     /// it the range covers — generates them, and closes the gaps between
     /// the windows. False once the ranges are spent. Kept out of line so
-    /// that [`Iterator::next`] — a compare and a load — inlines into the
-    /// loop that draws the words.
+    /// that [`Iterator::next`] — a compare and a load — and
+    /// [`Self::read_into`] — a compare and a copy — inline into their callers.
     #[inline(never)]
     fn refill(&mut self) -> bool {
         let mut ctr = [0u64; LANES];
@@ -358,6 +358,22 @@ impl<R: Iterator<Item = Range<u64>>> Words<R> {
             len += hi - lo;
         }
         (self.len, self.at) = (len, 0);
+        true
+    }
+
+    /// Fills `out` with the next words, a pass's run at a time; false
+    /// (and `out` written only in part) when the ranges end first.
+    pub fn read_into(&mut self, mut out: &mut [u32]) -> bool {
+        while !out.is_empty() {
+            if self.at == self.len && !self.refill() {
+                return false;
+            }
+            let n = (self.len - self.at).min(out.len());
+            let (head, rest) = out.split_at_mut(n);
+            head.copy_from_slice(&self.buf.as_flattened()[self.at..self.at + n]);
+            self.at += n;
+            out = rest;
+        }
         true
     }
 }

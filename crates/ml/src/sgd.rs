@@ -65,7 +65,10 @@ impl SgdConfig {
                     factor > 0.0 && factor <= 1.0,
                     "step factor must be in (0, 1]"
                 );
-                self.lr * factor.powi((round / every) as i32)
+                // `factorᵏ` as k multiplies in order: `powi`'s result is
+                // unspecified from one platform to the next.
+                let steps = round / every;
+                self.lr * (0..steps).fold(1.0f32, |f, _| f * factor)
             }
             LrSchedule::InvSqrt => self.lr / ((1 + round) as f32).sqrt(),
         }

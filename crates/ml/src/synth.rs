@@ -97,6 +97,11 @@ pub struct SynthPlan {
 /// Rows one worker claims at a time in [`SynthPlan::materialise`].
 const ROWS_PER_CLAIM: usize = 64;
 
+/// Coordinates one lane-wise Box–Muller pass of [`SynthPlan::draw`]
+/// transforms: the default 64-wide row in one pass, its words 1 KB on
+/// the stack.
+const DRAW_COORDS: usize = 128;
+
 impl SynthPlan {
     /// Plans `n` points with a balanced label distribution in shuffled
     /// order. O(n) bytes: one label per sample.
@@ -144,7 +149,9 @@ impl SynthPlan {
 
     /// Writes sample `i`'s features — its class mean plus one Box–Muller
     /// draw a coordinate — reading its noise words off `words`, which
-    /// stands at the sample's first.
+    /// stands at the sample's first: up to [`DRAW_COORDS`] coordinates'
+    /// words at a time into a buffer on the stack, then one lane-wise
+    /// pass ([`init::gaussians_from_words`]) over them.
     #[inline]
     fn draw<R: Iterator<Item = Range<u64>>>(
         &self,
@@ -153,10 +160,11 @@ impl SynthPlan {
         words: &mut Words<R>,
     ) {
         let mean = &self.class_means[self.labels[i] as usize];
-        let mut word = || words.next().expect("a sample's range holds its words");
-        for (x, m) in out.iter_mut().zip(mean) {
-            let (w1, w2) = (word(), word());
-            *x = *m + self.noise_std * init::standard_normal_from_words(w1, w2);
+        let mut buf = [0u32; 2 * DRAW_COORDS];
+        for (out, mean) in out.chunks_mut(DRAW_COORDS).zip(mean.chunks(DRAW_COORDS)) {
+            let buf = &mut buf[..2 * out.len()];
+            assert!(words.read_into(buf), "a sample's range holds its words");
+            init::gaussians_from_words(buf, mean, self.noise_std, out);
         }
     }
 

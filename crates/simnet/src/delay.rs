@@ -3,6 +3,8 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use hfl_tensor::{init, math};
+
 use crate::time::SimTime;
 
 /// A stochastic message-delay distribution.
@@ -91,12 +93,12 @@ impl DelayModel {
             DelayModel::Exponential { mean } => {
                 assert!(*mean > 0.0, "exponential mean must be positive");
                 let u: f64 = 1.0 - rng.gen::<f64>(); // (0, 1]
-                SimTime::from_micros((-mean * u.ln()) as u64)
+                SimTime::from_micros((-mean * math::ln_f64(u)) as u64)
             }
             DelayModel::LogNormal { mu, sigma } => {
                 assert!(*sigma >= 0.0, "lognormal sigma must be non-negative");
-                let z = hfl_tensor_normal(rng);
-                SimTime::from_micros((mu + sigma * z).exp() as u64)
+                let z = init::standard_normal_f64(rng);
+                SimTime::from_micros(math::exp_f64(mu + sigma * z) as u64)
             }
             DelayModel::Straggler { base, p, factor } => {
                 assert!((0.0..=1.0).contains(p), "straggler probability in [0,1]");
@@ -118,7 +120,7 @@ impl DelayModel {
             DelayModel::Constant { micros } => *micros as f64,
             DelayModel::Uniform { lo, hi } => (*lo + *hi) as f64 / 2.0,
             DelayModel::Exponential { mean } => *mean,
-            DelayModel::LogNormal { mu, sigma } => (mu + sigma * sigma / 2.0).exp(),
+            DelayModel::LogNormal { mu, sigma } => math::exp_f64(mu + sigma * sigma / 2.0),
             DelayModel::Straggler { base, p, factor } => {
                 base.mean_micros() * (1.0 - p + p * factor)
             }
@@ -151,18 +153,10 @@ impl DelayModel {
     /// A typical WAN link: log-normal centred near 40 ms with heavy tail.
     pub fn wan() -> Self {
         DelayModel::LogNormal {
-            mu: (40_000.0f64).ln(),
+            mu: math::ln_f64(40_000.0),
             sigma: 0.5,
         }
     }
-}
-
-/// Standard normal sample (local Box–Muller; avoids a tensor dependency
-/// for one helper).
-fn hfl_tensor_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

@@ -5,6 +5,9 @@
 
 use rand::Rng;
 
+use crate::math;
+use crate::ops::Width;
+
 /// Fill `buf` with samples from `U(-a, a)`.
 pub fn uniform<R: Rng + ?Sized>(rng: &mut R, a: f32, buf: &mut [f32]) {
     assert!(a >= 0.0, "uniform init bound must be non-negative");
@@ -52,21 +55,71 @@ pub fn unit_f32(word: u32) -> f32 {
 /// Box–Muller over two raw generator words — the one place its
 /// arithmetic is written, so a caller that seeks its own stream
 /// (`hfl_ml::synth`) gets the bits a caller handing in an `Rng` gets.
-#[inline]
+/// The logarithm and the angle are [`math`]'s, so the draw is the same
+/// on every host.
+#[inline(always)]
 pub fn box_muller_from_words(w1: u32, w2: u32) -> (f32, f32) {
     // Avoid log(0) by mapping u1 into (0, 1].
     let u1 = 1.0 - unit_f32(w1);
     let u2 = unit_f32(w2);
-    let r = (-2.0 * u1.ln()).sqrt();
-    let theta = 2.0 * std::f32::consts::PI * u2;
-    (r * theta.cos(), r * theta.sin())
+    let r = (-2.0 * math::ln(u1)).sqrt();
+    let (sin, cos) = math::sin_cos_2pi(u2);
+    (r * cos, r * sin)
 }
 
 /// The cosine branch of [`box_muller_from_words`]: one standard normal
 /// sample per two words, the sine discarded.
-#[inline]
+#[inline(always)]
 pub fn standard_normal_from_words(w1: u32, w2: u32) -> f32 {
     box_muller_from_words(w1, w2).0
+}
+
+/// `out[j] = means[j] + std · z_j`, `z_j` the
+/// [`standard_normal_from_words`] of `words[2j]`, `words[2j + 1]`: one
+/// lane-wise pass at the widest [`Width`] the CPU has, bit for bit the
+/// scalar form's.
+///
+/// # Panics
+/// If `means` and `out` differ in length or `words` is not twice it.
+pub fn gaussians_from_words(words: &[u32], means: &[f32], std: f32, out: &mut [f32]) {
+    gaussians_from_words_at(Width::widest(), words, means, std, out)
+        .expect("the width was just detected")
+}
+
+/// [`gaussians_from_words`] at `width`, or `None` when the CPU lacks it
+/// — for the differential tests.
+#[doc(hidden)]
+pub fn gaussians_from_words_at(
+    width: Width,
+    words: &[u32],
+    means: &[f32],
+    std: f32,
+    out: &mut [f32],
+) -> Option<()> {
+    assert_eq!(
+        means.len(),
+        out.len(),
+        "gaussians: means / out length mismatch"
+    );
+    assert_eq!(
+        words.len(),
+        2 * out.len(),
+        "gaussians: two words per output"
+    );
+    width.run(
+        #[inline(always)]
+        |(words, means, std), out, (), _| gaussians_body(words, means, std, out),
+        (words, means, std),
+        out,
+        (),
+    )
+}
+
+#[inline(always)]
+fn gaussians_body(words: &[u32], means: &[f32], std: f32, out: &mut [f32]) {
+    for ((x, m), w) in out.iter_mut().zip(means).zip(words.chunks_exact(2)) {
+        *x = *m + std * standard_normal_from_words(w[0], w[1]);
+    }
 }
 
 /// One Box–Muller draw: two independent standard normal samples from
@@ -76,6 +129,15 @@ pub fn box_muller<R: Rng + ?Sized>(rng: &mut R) -> (f32, f32) {
     let w1 = rng.next_u32();
     let w2 = rng.next_u32();
     box_muller_from_words(w1, w2)
+}
+
+/// A standard normal sample in `f64`: Box–Muller over two `gen::<f64>()`
+/// draws, through [`math`]'s `f64` forms (the link delays and the
+/// Dirichlet partition's Gamma draws).
+pub fn standard_normal_f64<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let u1: f64 = 1.0 - rng.gen::<f64>();
+    let u2: f64 = rng.gen();
+    (-2.0 * math::ln_f64(u1)).sqrt() * math::cos_2pi_f64(u2)
 }
 
 /// A single standard normal sample (two words, always).
@@ -130,12 +192,47 @@ mod tests {
         for _ in 0..1_000 {
             let u1: f32 = 1.0 - draws.gen::<f32>();
             let u2: f32 = draws.gen();
-            let r = (-2.0 * u1.ln()).sqrt();
-            let theta = 2.0 * std::f32::consts::PI * u2;
+            let r = (-2.0 * math::ln(u1)).sqrt();
+            let (sin, cos) = math::sin_cos_2pi(u2);
             let (z0, z1) = box_muller(&mut words);
-            assert_eq!(z0.to_bits(), (r * theta.cos()).to_bits());
-            assert_eq!(z1.to_bits(), (r * theta.sin()).to_bits());
+            assert_eq!(z0.to_bits(), (r * cos).to_bits());
+            assert_eq!(z1.to_bits(), (r * sin).to_bits());
         }
+    }
+
+    /// The lane-wise draw is the scalar one at every width the CPU has,
+    /// over every word at both ends of the unit interval and a spread
+    /// between, at lengths that leave every tail.
+    #[test]
+    fn gaussians_read_the_scalar_draw_at_every_width() {
+        let mut words: Vec<u32> = (0..1u32 << 12).flat_map(|k| [k << 8, !(k << 8)]).collect();
+        let mut rng = StdRng::seed_from_u64(9);
+        words.extend((0..1 << 14).map(|_| rng.gen::<u32>()));
+        words.extend([0, 0, u32::MAX, u32::MAX, 0, u32::MAX, u32::MAX, 0]);
+        let n = words.len() / 2;
+        let means: Vec<f32> = (0..n).map(|j| j as f32 * 0.01 - 3.0).collect();
+        let want: Vec<f32> = (0..n)
+            .map(|j| means[j] + 0.7 * standard_normal_from_words(words[2 * j], words[2 * j + 1]))
+            .collect();
+        for width in Width::ALL {
+            for len in (0..40).chain([n]) {
+                let mut got = vec![f32::NAN; len];
+                let Some(()) =
+                    gaussians_from_words_at(width, &words[..2 * len], &means[..len], 0.7, &mut got)
+                else {
+                    break;
+                };
+                for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{width:?} length {len} draw {j}");
+                }
+            }
+        }
+        let mut dispatched = vec![0.0; n];
+        gaussians_from_words(&words, &means, 0.7, &mut dispatched);
+        assert!(dispatched
+            .iter()
+            .zip(&want)
+            .all(|(g, w)| g.to_bits() == w.to_bits()));
     }
 
     #[test]

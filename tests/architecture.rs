@@ -9,6 +9,8 @@ use Check::*;
 enum Check {
     /// None of these substrings occurs.
     Forbid(&'static [&'static str]),
+    /// None of these substrings occurs outside the listed files.
+    ForbidBut(&'static [&'static str], &'static [&'static str]),
     /// So many uses in each listed (file, enclosing fn or ""), none elsewhere.
     Count(&'static str, &'static [(&'static str, &'static str, usize)]),
     /// Each line holding the pattern sits right under one holding the marker.
@@ -36,6 +38,9 @@ const RNG: &str = "crates/ml/src/rng.rs";
 const RULES: &[Rule] = &[
     Rule { name: "one entry point", design: 3, files: &["crates/bench/src/bin/"], check: Count("fn main(", &[("crates/bench/src/bin/repro.rs", "", 1)]),
         fixture: "fn main() {}", message: "crates/bench/src/bin must hold repro.rs alone" },
+    Rule { name: "transcendentals are ours", design: 9, files: TREE,
+        check: ForbidBut(&[".ln(", ".exp(", ".sin(", ".cos(", ".powf(", ".powi("], &["crates/core/src/theory.rs", "crates/bench/src/ci.rs"]),
+        fixture: "fn f() { x.ln(); }", message: "a libm transcendental outside crates/core/src/theory.rs and crates/bench/src/ci.rs: use hfl_tensor::math (exp, ln, cos_2pi and their f64 forms) or a counted multiply" },
     Rule { name: "one scheduler", design: 9, files: &["crates/core/src/", "crates/faults/src/"], check: Forbid(&["hfl_simnet::engine"]),
         fixture: "use hfl_simnet::engine::Sim;", message: "crates/core or crates/faults drives the event simulator again" },
     Rule { name: "the pipeline is a timing config", design: 9, files: &["crates/core/src/pipeline.rs"], check: MaxLines(299),
@@ -181,7 +186,12 @@ fn violations(check: &Check, files: &[&str], tree: &[Source]) -> Vec<String> {
         let lines: Vec<&str> = s.raw.lines().collect();
         let at = |line: usize| format!("{}:{line}", s.path);
         match *check {
-            Forbid(pats) => {
+            Forbid(pats) | ForbidBut(pats, _) => {
+                if let ForbidBut(_, except) = *check {
+                    if except.contains(&s.path.as_str()) {
+                        continue;
+                    }
+                }
                 for &pat in pats {
                     found.extend(s.uses(pat).iter().map(|u| at(u.0) + ": " + pat));
                 }
