@@ -321,8 +321,8 @@ impl<R: Iterator<Item = Range<u64>>> Words<R> {
     /// the block holding the next word not yet packed, and the window of
     /// it the range covers — generates them, and closes the gaps between
     /// the windows. False once the ranges are spent. Kept out of line so
-    /// that [`Iterator::next`] — a compare and a load — and
-    /// [`Self::read_into`] — a compare and a copy — inline into their callers.
+    /// that [`Self::read_into`] — a compare and a copy — inlines into its
+    /// callers.
     #[inline(never)]
     fn refill(&mut self) -> bool {
         let mut ctr = [0u64; LANES];
@@ -375,20 +375,6 @@ impl<R: Iterator<Item = Range<u64>>> Words<R> {
             out = rest;
         }
         true
-    }
-}
-
-impl<R: Iterator<Item = Range<u64>>> Iterator for Words<R> {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        if self.at == self.len && !self.refill() {
-            return None;
-        }
-        let word = self.buf.as_flattened()[self.at];
-        self.at += 1;
-        Some(word)
     }
 }
 

@@ -40,7 +40,7 @@ const RULES: &[Rule] = &[
         fixture: "fn main() {}", message: "crates/bench/src/bin must hold repro.rs alone" },
     Rule { name: "transcendentals are ours", design: 9, files: TREE,
         check: ForbidBut(&[".ln(", ".exp(", ".sin(", ".cos(", ".powf(", ".powi("], &["crates/core/src/theory.rs", "crates/bench/src/ci.rs"]),
-        fixture: "fn f() { x.ln(); }", message: "a libm transcendental outside crates/core/src/theory.rs and crates/bench/src/ci.rs: use hfl_tensor::math (exp, ln, cos_2pi and their f64 forms) or a counted multiply" },
+        fixture: "fn f() { x.ln(); }", message: "a libm transcendental outside crates/core/src/theory.rs and crates/bench/src/ci.rs: use hfl_tensor::math (exp, ln, sin_cos_2pi and the f64 forms) or a counted multiply" },
     Rule { name: "one scheduler", design: 9, files: &["crates/core/src/", "crates/faults/src/"], check: Forbid(&["hfl_simnet::engine"]),
         fixture: "use hfl_simnet::engine::Sim;", message: "crates/core or crates/faults drives the event simulator again" },
     Rule { name: "the pipeline is a timing config", design: 9, files: &["crates/core/src/pipeline.rs"], check: MaxLines(299),

@@ -2023,7 +2023,7 @@ fn chacha_blocks_match_the_retired_scalar_block_at_every_width() {
 }
 
 /// Both readers of the stream == the retired word-at-a-time stream:
-/// `next_u32` after a seek and `words` over one range, from every start
+/// `next_u32` after a seek and `words(…).read_into` over one range, from every start
 /// offset 0..=32 for every length 1..=600 (so reads start on and off a
 /// block boundary and straddle one or two 256-word passes), near the
 /// turn of the high counter word, and `words` over a run of short,
@@ -2032,6 +2032,22 @@ fn chacha_blocks_match_the_retired_scalar_block_at_every_width() {
 fn stream_reads_match_the_retired_word_at_a_time_stream() {
     use abd_hfl::ml::rng::{splitmix64, ChaCha12};
     use std::iter::once;
+    /// The `len` words the ranges span, read in one `read_into`, which
+    /// must fill them all and leave the ranges spent.
+    fn read_words<R: IntoIterator<Item = std::ops::Range<u64>>>(
+        stream: &ChaCha12,
+        ranges: R,
+        len: usize,
+    ) -> Vec<u32> {
+        let mut words = stream.words(ranges);
+        let mut got = vec![0; len];
+        assert!(words.read_into(&mut got), "the ranges hold {len} words");
+        assert!(
+            !words.read_into(&mut [0]),
+            "the ranges hold only {len} words"
+        );
+        got
+    }
     for seed in [0u64, 42, u64::MAX] {
         let mut reference = retired::WordStream::seed_from_u64(seed);
         let want: Vec<u32> = (0..6_000).map(|_| reference.next_u32()).collect();
@@ -2039,9 +2055,7 @@ fn stream_reads_match_the_retired_word_at_a_time_stream() {
         let mut sequential = stream.clone();
         for start in 0..=32usize {
             for len in 1..=600usize {
-                let got: Vec<u32> = stream
-                    .words(once(start as u64..(start + len) as u64))
-                    .collect();
+                let got = read_words(&stream, once(start as u64..(start + len) as u64), len);
                 assert!(
                     got == want[start..start + len],
                     "seed {seed} words at {start} + {len}"
@@ -2061,7 +2075,7 @@ fn stream_reads_match_the_retired_word_at_a_time_stream() {
         let far = ((1u64 << 32) - 1) * 16 - 37;
         reference.set_word_pos(far);
         let want_far: Vec<u32> = (0..600).map(|_| reference.next_u32()).collect();
-        let got: Vec<u32> = stream.words(once(far..far + 600)).collect();
+        let got = read_words(&stream, once(far..far + 600), 600);
         assert!(
             got == want_far,
             "seed {seed} words across the high counter word"
@@ -2088,11 +2102,11 @@ fn stream_reads_match_the_retired_word_at_a_time_stream() {
                 start..(start + len).min(6_000)
             })
             .collect();
-        let got: Vec<u32> = stream.words(ranges.iter().cloned()).collect();
         let packed: Vec<u32> = ranges
             .iter()
             .flat_map(|r| want[r.start as usize..r.end as usize].iter().copied())
             .collect();
+        let got = read_words(&stream, ranges.iter().cloned(), packed.len());
         assert!(got == packed, "seed {seed} packed ranges");
     }
 }
