@@ -78,6 +78,21 @@ impl AdaptiveAttack {
         }
     }
 
+    /// Checks the search interval: `Err((which bound, its value))` unless
+    /// the initial magnitude is finite and positive and the largest is
+    /// finite and at least the initial one.
+    pub fn validate(&self) -> Result<(), (&'static str, f64)> {
+        let (init, max) = self.bounds();
+        match (
+            init.is_finite() && init > 0.0,
+            max.is_finite() && max >= init,
+        ) {
+            (false, _) => Err(("init magnitude", f64::from(init))),
+            (true, false) => Err(("max magnitude", f64::from(max))),
+            (true, true) => Ok(()),
+        }
+    }
+
     /// `(init, max)` of the tuned magnitude.
     pub fn bounds(&self) -> (f32, f32) {
         match *self {
@@ -280,6 +295,17 @@ pub enum ProtocolAttack {
 }
 
 impl ProtocolAttack {
+    /// Checks the equivocation flip scale: `Err(("flip_scale", value))`
+    /// unless it is finite and positive.
+    pub fn validate(&self) -> Result<(), (&'static str, f64)> {
+        match *self {
+            ProtocolAttack::Equivocate { flip_scale: v } if !(v.is_finite() && v > 0.0) => {
+                Err(("flip_scale", f64::from(v)))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Stable label for reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -433,5 +459,47 @@ mod tests {
         );
         assert_eq!(ProtocolAttack::Withhold.name(), "withhold");
         assert_eq!(ProtocolAttack::StalenessExploit.name(), "staleness_exploit");
+    }
+
+    #[test]
+    fn validate_refuses_unusable_bounds_and_flip_scales() {
+        for attack in [
+            AdaptiveAttack::Alie {
+                z_init: 0.0,
+                z_max: 6.0,
+            },
+            AdaptiveAttack::Ipm {
+                eps_init: f32::NAN,
+                eps_max: 8.0,
+            },
+            AdaptiveAttack::Scaling {
+                factor_init: 2.0,
+                factor_max: 1.0,
+            },
+            AdaptiveAttack::Alie {
+                z_init: 1.0,
+                z_max: f32::INFINITY,
+            },
+        ] {
+            assert!(attack.validate().is_err(), "{attack:?} accepted");
+        }
+        for attack in [
+            AdaptiveAttack::alie_default(),
+            AdaptiveAttack::ipm_default(),
+            AdaptiveAttack::scaling_default(),
+        ] {
+            assert_eq!(attack.validate(), Ok(()));
+        }
+        for flip_scale in [0.0, -1.0, f32::NAN, f32::INFINITY] {
+            let attack = ProtocolAttack::Equivocate { flip_scale };
+            assert!(attack.validate().is_err(), "{flip_scale} accepted");
+        }
+        for attack in [
+            ProtocolAttack::Equivocate { flip_scale: 1.0 },
+            ProtocolAttack::Withhold,
+            ProtocolAttack::StalenessExploit,
+        ] {
+            assert_eq!(attack.validate(), Ok(()));
+        }
     }
 }

@@ -53,6 +53,39 @@ impl DataAttack {
         DataAttack::LabelFlipRandom
     }
 
+    /// Checks every parameter [`DataAttack::apply`] asserts on, for a
+    /// `dim`-dimensional `classes`-way task: `Err((which parameter, its
+    /// value))` for the first unusable one. A non-finite noise spread is
+    /// refused too.
+    pub fn validate(&self, dim: usize, classes: usize) -> Result<(), (&'static str, f64)> {
+        let usable = |ok: bool, what, value| if ok { Ok(()) } else { Err((what, value)) };
+        let target = |t: u8| usable(usize::from(t) < classes, "target label", f64::from(t));
+        match *self {
+            DataAttack::LabelFlipAll { target: t } => target(t),
+            // Random labels are drawn as `u8`s below the class count.
+            DataAttack::LabelFlipRandom => usable(classes < 256, "class count", classes as f64),
+            DataAttack::FeatureNoise { std } => {
+                usable(std.is_finite() && std >= 0.0, "noise std", f64::from(std))
+            }
+            DataAttack::BackdoorTrigger {
+                offset,
+                width,
+                target: t,
+                fraction,
+                ..
+            } => {
+                let end = offset.checked_add(width).filter(|end| *end <= dim);
+                usable(
+                    end.is_some(),
+                    "trigger window end",
+                    offset as f64 + width as f64,
+                )?;
+                target(t)?;
+                usable(fraction > 0.0 && fraction <= 1.0, "fraction", fraction)
+            }
+        }
+    }
+
     /// Poisons `data` in place. Deterministic given the RNG state.
     ///
     /// # Panics
@@ -229,5 +262,40 @@ mod tests {
             fraction: 1.0,
         }
         .apply(&mut d, &mut rng);
+    }
+
+    #[test]
+    fn validate_refuses_what_apply_would_panic_on() {
+        let backdoor = |offset, width, target, fraction| DataAttack::BackdoorTrigger {
+            offset,
+            width,
+            value: 3.0,
+            target,
+            fraction,
+        };
+        // The `toy` task: 4 features, 10 classes.
+        for attack in [
+            DataAttack::LabelFlipAll { target: 10 },
+            DataAttack::FeatureNoise { std: -1.0 },
+            DataAttack::FeatureNoise { std: f32::NAN },
+            backdoor(2, 3, 0, 0.5),
+            backdoor(usize::MAX, 1, 0, 0.5),
+            backdoor(0, 4, 10, 0.5),
+            backdoor(0, 4, 0, 0.0),
+            backdoor(0, 4, 0, f64::NAN),
+        ] {
+            assert!(attack.validate(4, 10).is_err(), "{attack:?} accepted");
+        }
+        assert!(DataAttack::LabelFlipRandom.validate(4, 256).is_err());
+        let mut rng = StdRng::seed_from_u64(0);
+        for attack in [
+            DataAttack::LabelFlipAll { target: 9 },
+            DataAttack::LabelFlipRandom,
+            DataAttack::FeatureNoise { std: 0.0 },
+            backdoor(0, 4, 9, 1.0),
+        ] {
+            assert_eq!(attack.validate(4, 10), Ok(()), "{attack:?}");
+            attack.apply(&mut toy(), &mut rng);
+        }
     }
 }

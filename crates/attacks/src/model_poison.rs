@@ -211,6 +211,24 @@ fn agr_direction(mean: &[f32]) -> Vec<f32> {
 }
 
 impl ModelAttack {
+    /// Checks every parameter [`ModelAttack::craft`] asserts on, and the
+    /// non-finite ones it would craft NaN from: `Err((which parameter,
+    /// its value))` for the first unusable one.
+    pub fn validate(&self) -> Result<(), (&'static str, f64)> {
+        let (ok, what, value) = match *self {
+            ModelAttack::SignFlip { scale: v } => (v > 0.0, "sign-flip scale", v),
+            ModelAttack::GaussianNoise { std: v } => (v >= 0.0, "noise std", v),
+            ModelAttack::Alie { z: v } => (true, "ALIE z", v),
+            ModelAttack::Ipm { epsilon: v } => (v > 0.0, "IPM epsilon", v),
+            ModelAttack::Scaling { factor: v } => (v != 0.0, "scaling factor", v),
+            ModelAttack::Mimic { .. } | ModelAttack::MinMax | ModelAttack::MinSum => return Ok(()),
+        };
+        match ok && value.is_finite() {
+            true => Ok(()),
+            false => Err((what, f64::from(value))),
+        }
+    }
+
     /// [`Self::craft`] that degrades instead of panicking: returns `None`
     /// when `honest` is empty (an all-malicious cluster has nothing to
     /// observe — the caller should fall back to a neutral update, e.g.
@@ -531,5 +549,36 @@ mod tests {
             .try_craft(&refs(&h), &mut rng)
             .expect("non-empty honest crafts");
         assert!(ops::approx_eq(&got, &[-1.0, -2.0, -3.0], 1e-6));
+    }
+
+    #[test]
+    fn validate_refuses_what_craft_would_panic_on() {
+        for attack in [
+            ModelAttack::SignFlip { scale: 0.0 },
+            ModelAttack::SignFlip { scale: f32::NAN },
+            ModelAttack::GaussianNoise { std: -1.0 },
+            ModelAttack::Alie { z: f32::INFINITY },
+            ModelAttack::Ipm { epsilon: 0.0 },
+            ModelAttack::Scaling { factor: 0.0 },
+            ModelAttack::Scaling {
+                factor: f32::NEG_INFINITY,
+            },
+        ] {
+            assert!(attack.validate().is_err(), "{attack:?} accepted");
+        }
+        let h = honest();
+        let mut rng = StdRng::seed_from_u64(0);
+        for attack in [
+            ModelAttack::SignFlip { scale: 1.0 },
+            ModelAttack::GaussianNoise { std: 0.0 },
+            ModelAttack::Alie { z: -1.0 },
+            ModelAttack::Ipm { epsilon: 0.5 },
+            ModelAttack::Scaling { factor: -1.5 },
+            ModelAttack::Mimic { victim: usize::MAX },
+            ModelAttack::MinMax,
+        ] {
+            assert_eq!(attack.validate(), Ok(()), "{attack:?}");
+            attack.craft(&refs(&h), &mut rng);
+        }
     }
 }

@@ -147,6 +147,34 @@ pub enum ConsensusKind {
 }
 
 impl ConsensusKind {
+    /// Checks every parameter [`ConsensusKind::build`]'s constructors
+    /// assert on, for a cluster of `members` nodes (stake voting holds
+    /// one stake per member): `Err((which parameter, its value))` for the
+    /// first unusable one. A non-finite ε is refused too.
+    pub fn validate(&self, members: usize) -> Result<(), (&'static str, f64)> {
+        let usable = |ok: bool, what, value| if ok { Ok(()) } else { Err((what, value)) };
+        let epsilon = |e: f64, what| usable(e.is_finite() && e > 0.0, what, e);
+        match self {
+            ConsensusKind::VoteMajority | ConsensusKind::Vote { .. } | ConsensusKind::Pbft => {
+                Ok(())
+            }
+            ConsensusKind::Committee { size, .. } => {
+                usable(*size >= 1, "committee size", *size as f64)
+            }
+            ConsensusKind::Approx { epsilon: e, .. } => epsilon(*e, "approx epsilon"),
+            ConsensusKind::Gossip { epsilon: e } => epsilon(*e, "gossip epsilon"),
+            ConsensusKind::StakeVote { stakes } => {
+                let n = stakes.len();
+                usable(n == members, "stake-vote stakes (one per member)", n as f64)?;
+                if let Some(bad) = stakes.iter().find(|s| s.is_nan() || **s < 0.0) {
+                    return Err(("stake-vote stake", *bad));
+                }
+                let total: f64 = stakes.iter().sum();
+                usable(total > 0.0, "stake-vote total stake", total)
+            }
+        }
+    }
+
     /// Instantiates the mechanism.
     pub fn build(&self) -> Box<dyn Consensus> {
         match self.clone() {
@@ -191,6 +219,51 @@ pub(crate) fn model_bytes(d: usize) -> u64 {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    #[test]
+    fn validate_refuses_what_build_would_panic_on() {
+        let stakes = |stakes: Vec<f64>| ConsensusKind::StakeVote { stakes };
+        for kind in [
+            ConsensusKind::Committee {
+                size: 0,
+                exclude: 1,
+            },
+            ConsensusKind::Approx {
+                epsilon: 0.0,
+                trim: 1,
+            },
+            ConsensusKind::Approx {
+                epsilon: f64::NAN,
+                trim: 1,
+            },
+            ConsensusKind::Gossip { epsilon: -1.0 },
+            ConsensusKind::Gossip {
+                epsilon: f64::INFINITY,
+            },
+            stakes(Vec::new()),
+            stakes(vec![1.0; 2]),
+            stakes(vec![-1.0, 1.0, 1.0, 1.0]),
+            stakes(vec![f64::NAN, 1.0, 1.0, 1.0]),
+            stakes(vec![0.0; 4]),
+        ] {
+            assert!(kind.validate(4).is_err(), "{kind:?} accepted");
+        }
+        for kind in [
+            ConsensusKind::Committee {
+                size: 1,
+                exclude: 0,
+            },
+            ConsensusKind::Approx {
+                epsilon: f64::MIN_POSITIVE,
+                trim: 1,
+            },
+            ConsensusKind::Gossip { epsilon: 1.0 },
+            stakes(vec![0.0, 0.0, 0.0, 1.0]),
+        ] {
+            assert_eq!(kind.validate(4), Ok(()), "{kind:?}");
+            kind.build();
+        }
+    }
 
     #[test]
     fn kind_builds_every_mechanism() {

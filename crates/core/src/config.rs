@@ -7,7 +7,6 @@ use rand::SeedableRng;
 use hfl_attacks::{AdaptiveAttack, DataAttack, ModelAttack, Placement, ProtocolAttack};
 use hfl_consensus::ConsensusKind;
 use hfl_faults::{FaultPlan, FaultPlanError};
-use hfl_ml::sgd::LrSchedule;
 use hfl_ml::synth::SynthConfig;
 use hfl_ml::{LinearSoftmax, Mlp, Model, SgdConfig};
 use hfl_robust::{AggregatorKind, Krum, SuspicionConfig};
@@ -20,6 +19,16 @@ use crate::correction::CorrectionPolicy;
 /// trains (every client trains a model each round), far below what
 /// building the levels would exhaust.
 const MAX_TOPOLOGY_NODES: usize = 1 << 20;
+
+/// The most parameters a model may hold. Far above any model the
+/// experiments train (the largest has 4,810), far below what the
+/// per-device copies would exhaust.
+const MAX_MODEL_PARAMS: usize = 1 << 24;
+
+/// The largest client population a run may sample from. Far above the
+/// 10⁶ of the scale study, far below what the per-client identity state
+/// (malicious flags, shard plans) would exhaust.
+const MAX_POPULATION: usize = 1 << 28;
 
 /// Which hierarchy to build.
 #[derive(Clone, Debug, PartialEq)]
@@ -123,7 +132,7 @@ impl TopologyCfg {
                 n.map_or(f64::INFINITY, |n| n as f64),
             ),
         };
-        Err(ConfigError::TopologyOutOfRange { what, value })
+        Err(ConfigError::at("topology", None)((what, value)))
     }
 
     /// Builds the hierarchy (ACSM uses `seed`).
@@ -157,6 +166,16 @@ pub enum ModelCfg {
 }
 
 impl ModelCfg {
+    /// The parameter count of the model [`ModelCfg::build`] makes for a
+    /// `dim`-dimensional `classes`-way task; `None` on overflow.
+    pub(crate) fn params(&self, dim: usize, classes: usize) -> Option<usize> {
+        let layer = |inputs: usize, outputs: usize| inputs.checked_add(1)?.checked_mul(outputs);
+        match *self {
+            ModelCfg::Linear => layer(dim, classes),
+            ModelCfg::Mlp { hidden } => layer(dim, hidden)?.checked_add(layer(hidden, classes)?),
+        }
+    }
+
     /// Instantiates the model for a `dim`-dimensional `classes`-way task.
     pub fn build(&self, dim: usize, classes: usize, seed: u64) -> Box<dyn Model> {
         match *self {
@@ -556,221 +575,244 @@ impl HflConfig {
     /// reporting the first inconsistency instead of panicking — the
     /// entry point for sweep harnesses where one bad cell must not
     /// abort the whole sweep.
+    ///
+    /// One ordered list of rows; the first that fails is the error. A
+    /// parameter whose type lives in another crate is checked by that
+    /// type's own `validate`, beside the asserts it mirrors; the rows
+    /// stated here are this config's own fields and the cross-field
+    /// rules only the config can state.
     pub fn try_validate(&self, hierarchy: &Hierarchy) -> Result<(), ConfigError> {
-        if self.rounds == 0 {
-            return Err(ConfigError::ZeroRounds);
+        let (levels, clients) = (hierarchy.num_levels(), hierarchy.num_clients());
+        let (data, at) = (&self.data, |section| ConfigError::at(section, None));
+        let count = |what, got, expected| match got == expected {
+            true => Ok(()),
+            false => Err(ConfigError::CountMismatch {
+                what,
+                got,
+                expected,
+            }),
+        };
+        let (rounds, iters, every) = (self.rounds, self.local_iters, self.eval_every);
+        let (quorum, flag, churn) = (self.quorum, self.flag_level, self.churn_leave_prob);
+        let proportion = self.attack.proportion();
+        for (section, what, value, ok) in [
+            ("rounds", "count (>= 1)", rounds as f64, rounds >= 1),
+            ("local_iters", "count (>= 1)", iters as f64, iters >= 1),
+            ("eval_every", "interval (>= 1)", every as f64, every >= 1),
+            (
+                "quorum",
+                "φ (in (0, 1])",
+                quorum,
+                quorum > 0.0 && quorum <= 1.0,
+            ),
+            (
+                "flag_level",
+                "level (in 1..levels)",
+                flag as f64,
+                (1..levels).contains(&flag),
+            ),
+            (
+                "attack",
+                "proportion (in [0, 1])",
+                proportion,
+                (0.0..=1.0).contains(&proportion),
+            ),
+            (
+                "churn_leave_prob",
+                "probability (in [0, 1))",
+                churn,
+                (0.0..1.0).contains(&churn),
+            ),
+        ] {
+            row(section, what, value, ok)?;
         }
-        if self.local_iters == 0 {
-            return Err(ConfigError::ZeroLocalIters);
+        data.validate().map_err(at("data"))?;
+        self.sgd.validate().map_err(at("sgd"))?;
+        if let ModelCfg::Mlp { hidden } = self.model {
+            row("model", "hidden width (>= 1)", hidden as f64, hidden >= 1)?;
         }
-        if self.eval_every == 0 {
-            return Err(ConfigError::ZeroEvalEvery);
+        let params = self.model.params(data.dim, data.num_classes);
+        let size = params.map_or(f64::INFINITY, |p| p as f64);
+        let what = "parameters (<= 2^24)";
+        row("model", what, size, size <= MAX_MODEL_PARAMS as f64)?;
+        match &self.attack {
+            AttackCfg::None => Ok(()),
+            AttackCfg::Data { attack, .. } => attack.validate(data.dim, data.num_classes),
+            AttackCfg::Model { attack, .. } => attack.validate(),
+            AttackCfg::Adaptive { attack, .. } => attack.validate(),
         }
-        if let Some((what, value)) = invalid_data_param(&self.data) {
-            return Err(ConfigError::DataOutOfRange { what, value });
+        .map_err(at("attack"))?;
+        match self.distribution {
+            DataDistribution::Iid => {}
+            DataDistribution::NonIid {
+                labels_per_client: n,
+            } => {
+                let what = "labels_per_client (in 1..=num_classes)";
+                row(
+                    "distribution",
+                    what,
+                    n as f64,
+                    (1..=data.num_classes).contains(&n),
+                )?;
+            }
+            DataDistribution::Dirichlet { alpha } => {
+                let what = "dirichlet alpha (finite, > 0)";
+                row(
+                    "distribution",
+                    what,
+                    alpha,
+                    alpha.is_finite() && alpha > 0.0,
+                )?;
+            }
         }
-        if let Some((what, value)) = invalid_training_param(&self.sgd, &self.model) {
-            return Err(ConfigError::TrainingOutOfRange { what, value });
+        if let Some(h) = &self.heterogeneity {
+            for (what, spread) in [
+                ("compute_spread (finite, >= 1)", h.compute_spread),
+                ("bandwidth_spread (finite, >= 1)", h.bandwidth_spread),
+            ] {
+                let ok = spread.is_finite() && spread >= 1.0;
+                row("heterogeneity", what, spread, ok)?;
+            }
         }
-        if !(self.quorum > 0.0 && self.quorum <= 1.0) {
-            return Err(ConfigError::QuorumOutOfRange {
-                quorum: self.quorum,
-            });
-        }
-        if self.levels.len() != hierarchy.num_levels() {
-            return Err(ConfigError::LevelsLengthMismatch {
-                got: self.levels.len(),
-                expected: hierarchy.num_levels(),
-            });
-        }
+        self.suspicion
+            .map_or(Ok(()), |s| s.validate())
+            .map_err(at("suspicion"))?;
+        self.protocol_attack
+            .as_ref()
+            .map_or(Ok(()), ProtocolAttack::validate)
+            .map_err(at("protocol_attack"))?;
+        self.correction.validate().map_err(at("correction"))?;
+
+        // The cross-field rows only the config can state.
+        let what = "levels (one per hierarchy level)";
+        count(what, self.levels.len(), levels)?;
         // A consensus top votes on validation accuracy: every member of
         // the top cluster scores on its own non-empty shard of the test
         // set.
-        let top = hierarchy.level(0).clusters.iter().map(|c| c.len()).max();
-        if matches!(self.levels[0], LevelAgg::Cba(_)) && Some(self.data.test_samples) < top {
-            return Err(ConfigError::DataOutOfRange {
-                what: "test_samples (below the top cluster's size: a validation shard per voter)",
-                value: self.data.test_samples as f64,
-            });
-        }
-        if !(self.flag_level >= 1 && self.flag_level < hierarchy.num_levels()) {
-            return Err(ConfigError::FlagLevelOutOfRange {
-                flag_level: self.flag_level,
-                levels: hierarchy.num_levels(),
-            });
-        }
-        if self.attack.proportion() > 1.0 {
-            return Err(ConfigError::AttackProportionOutOfRange {
-                proportion: self.attack.proportion(),
-            });
-        }
+        let voters = hierarchy.level(0).clusters.iter().map(|c| c.len()).max();
+        let test = data.test_samples;
+        let shards = matches!(self.levels[0], LevelAgg::Bra(_)) || Some(test) >= voters;
+        let what = "test_samples (>= the top cluster's size: a validation shard per voter)";
+        row("data", what, test as f64, shards)?;
         if let Some(s) = &self.sampling {
-            if s.cohort_size == 0 {
-                return Err(ConfigError::SamplingOutOfRange {
-                    what: "cohort_size",
-                    value: 0.0,
-                });
-            }
-            if s.population < s.cohort_size {
-                return Err(ConfigError::SamplingOutOfRange {
-                    what: "population (below cohort_size)",
-                    value: s.population as f64,
-                });
-            }
+            let (cohort, population) = (s.cohort_size, s.population);
+            row("sampling", "cohort_size (>= 1)", cohort as f64, cohort >= 1)?;
+            let fills = (cohort..=MAX_POPULATION).contains(&population);
+            let what = "population (in cohort_size..=2^28)";
+            row("sampling", what, population as f64, fills)?;
             // The hierarchy's bottom level *is* the cohort: every slot
             // must be bound to a sampled client each round.
-            if s.cohort_size != hierarchy.num_clients() {
-                return Err(ConfigError::SamplingCohortMismatch {
-                    cohort_size: s.cohort_size,
-                    clients: hierarchy.num_clients(),
-                });
-            }
+            count(
+                "sampling.cohort_size (the hierarchy's clients)",
+                cohort,
+                clients,
+            )?;
         }
         if let Some(mask) = &self.malicious_override {
             // Malicious flags are identity-bound: under sampling the mask
             // covers the whole population, not just one round's cohort.
-            let expected = self
-                .sampling
-                .as_ref()
-                .map_or(hierarchy.num_clients(), |s| s.population);
-            if mask.len() != expected {
-                return Err(ConfigError::MaliciousMaskLengthMismatch {
-                    got: mask.len(),
-                    expected,
-                });
-            }
-        }
-        if !(0.0..1.0).contains(&self.churn_leave_prob) {
-            return Err(ConfigError::ChurnOutOfRange {
-                prob: self.churn_leave_prob,
-            });
-        }
-        if let AttackCfg::Adaptive { attack, .. } = &self.attack {
-            let (init, max) = attack.bounds();
-            if !(init > 0.0 && init.is_finite()) {
-                return Err(ConfigError::AdaptiveAttackOutOfRange {
-                    what: "init magnitude",
-                    value: f64::from(init),
-                });
-            }
-            if !(max.is_finite() && max >= init) {
-                return Err(ConfigError::AdaptiveAttackOutOfRange {
-                    what: "max magnitude",
-                    value: f64::from(max),
-                });
-            }
-        }
-        if let AttackCfg::Model { attack, .. } = &self.attack {
-            if let Some((what, value)) = invalid_model_attack_param(attack) {
-                return Err(ConfigError::ModelAttackOutOfRange { what, value });
-            }
-        }
-        if let DataDistribution::Dirichlet { alpha } = self.distribution {
-            if !(alpha.is_finite() && alpha > 0.0) {
-                return Err(ConfigError::DirichletAlphaOutOfRange { alpha });
-            }
+            let population = self.sampling.map_or(clients, |s| s.population);
+            count(
+                "malicious_override (one flag per client)",
+                mask.len(),
+                population,
+            )?;
         }
         for (level, agg) in self.levels.iter().enumerate() {
-            if let LevelAgg::Bra(kind) = agg {
-                validate_aggregator(level, kind, false)?;
-            }
-        }
-        if let Some(het) = &self.heterogeneity {
-            for (what, value) in [
-                ("compute_spread", het.compute_spread),
-                ("bandwidth_spread", het.bandwidth_spread),
-            ] {
-                if !(value.is_finite() && value >= 1.0) {
-                    return Err(ConfigError::HeterogeneityOutOfRange { what, value });
+            let at = ConfigError::at("levels", Some(level));
+            match agg {
+                LevelAgg::Bra(kind) => {
+                    kind.validate().map_err(at)?;
+                    // The composition contract is single-layer
+                    // (DESIGN.md §13).
+                    use AggregatorKind::{Bucketing, Nnm};
+                    if let Bucketing { inner, .. } | Nnm { inner, .. } = kind {
+                        if let Bucketing { .. } | Nnm { .. } = **inner {
+                            return Err(ConfigError::Incompatible {
+                                level: Some(level),
+                                what: "a pre-aggregation nested in another (composition is single-layer)",
+                            });
+                        }
+                    }
                 }
-            }
-        }
-        if let Some(s) = &self.suspicion {
-            if let Some((what, value)) = s.invalid_param() {
-                return Err(ConfigError::SuspicionOutOfRange { what, value });
-            }
-        }
-        if let Some(ProtocolAttack::Equivocate { flip_scale }) = &self.protocol_attack {
-            if !(flip_scale.is_finite() && *flip_scale > 0.0) {
-                return Err(ConfigError::ProtocolAttackOutOfRange {
-                    value: f64::from(*flip_scale),
-                });
+                LevelAgg::Cba(kind) => {
+                    for cluster in &hierarchy.level(level).clusters {
+                        kind.validate(cluster.len()).map_err(&at)?;
+                    }
+                }
             }
         }
         if self.strict_guarantees {
-            for (level, agg) in self.levels.iter().enumerate() {
-                let (f, bucket_cap) = match agg {
-                    LevelAgg::Bra(AggregatorKind::Krum { f })
-                    | LevelAgg::Bra(AggregatorKind::MultiKrum { f, .. }) => (*f, usize::MAX),
-                    // SampledKrum runs Krum over at most `m` bucket
-                    // means, so `m` caps the effective input count the
-                    // guarantee sees.
-                    LevelAgg::Bra(AggregatorKind::SampledKrum { f, m }) => (*f, *m),
-                    _ => continue,
-                };
-                // The inputs a level-l cluster aggregates come from its
-                // own members (level-(l+1) leaders or bottom clients), so
-                // its own size bounds n.
-                let n_min = hierarchy
-                    .level(level)
-                    .clusters
-                    .iter()
-                    .map(|c| c.len())
-                    .min()
-                    .unwrap_or(0)
-                    .min(bucket_cap);
-                if !Krum::guarantee_holds(f, n_min) {
-                    return Err(ConfigError::KrumUnsound { level, f, n_min });
-                }
+            if let Some((level, f, n_min)) = self.krum_unsound_levels(hierarchy).next() {
+                return Err(ConfigError::KrumUnsound { level, f, n_min });
             }
         }
         if let Some(plan) = &self.faults {
             plan.validate(hierarchy).map_err(ConfigError::Faults)?;
         }
-        if let Some(a) = &self.async_rounds {
-            if a.deadline_us == 0 {
-                return Err(ConfigError::AsyncOutOfRange {
-                    what: "deadline_us",
-                    value: 0.0,
-                });
-            }
-            for &(level, d) in &a.tier_deadlines {
-                if level >= hierarchy.num_levels() {
-                    return Err(ConfigError::AsyncTierOutOfRange {
-                        level,
-                        levels: hierarchy.num_levels(),
-                    });
-                }
-                if d == 0 {
-                    return Err(ConfigError::AsyncOutOfRange {
-                        what: "tier deadline",
-                        value: level as f64,
-                    });
-                }
-            }
-            a.link_delay
-                .validate()
-                .map_err(|(what, value)| ConfigError::DelayOutOfRange {
-                    which: "link_delay",
-                    what,
-                    value,
-                })?;
-            if matches!(self.protocol_attack, Some(ProtocolAttack::StalenessExploit))
-                && a.staleness_bound_us == 0
-            {
-                // A staleness exploit stalls until *just inside* τ;
-                // with τ = 0 there is no inside and the attack
-                // degenerates to Withhold — reject the ambiguity.
-                return Err(ConfigError::AsyncOutOfRange {
-                    what: "staleness_bound_us under StalenessExploit",
-                    value: 0.0,
-                });
-            }
-        } else if matches!(self.protocol_attack, Some(ProtocolAttack::StalenessExploit)) {
-            // The exploit is defined relative to an async close time.
-            return Err(ConfigError::StalenessExploitNeedsAsync);
+        let exploit = matches!(self.protocol_attack, Some(ProtocolAttack::StalenessExploit));
+        let Some(a) = &self.async_rounds else {
+            return match exploit {
+                // The exploit is defined relative to an async close time.
+                true => Err(ConfigError::Incompatible {
+                    level: None,
+                    what: "StalenessExploit without async_rounds (it stalls relative to a buffer close)",
+                }),
+                false => Ok(()),
+            };
+        };
+        let deadline = a.deadline_us;
+        row(
+            "async_rounds",
+            "deadline_us (>= 1)",
+            deadline as f64,
+            deadline >= 1,
+        )?;
+        for &(level, d) in &a.tier_deadlines {
+            let what = "tier_deadlines level (below the level count)";
+            row("async_rounds", what, level as f64, level < levels)?;
+            row("async_rounds", "tier deadline (>= 1)", d as f64, d >= 1)?;
         }
-        Ok(())
+        a.link_delay
+            .validate()
+            .map_err(at("async_rounds.link_delay"))?;
+        // A staleness exploit stalls until *just inside* τ; with τ = 0
+        // there is no inside and the attack degenerates to Withhold —
+        // reject the ambiguity.
+        let (tau, what) = (
+            a.staleness_bound_us,
+            "staleness_bound_us under StalenessExploit (>= 1)",
+        );
+        row("async_rounds", what, tau as f64, !exploit || tau >= 1)
+    }
+
+    /// The Krum-family levels whose `n ≥ 2f + 3` guarantee does not hold,
+    /// as `(level, f, n_min)`: the assumed Byzantine count and the fewest
+    /// inputs a cluster at that level selects among — its smallest
+    /// cluster, capped by `SampledKrum`'s bucket budget. Strict mode
+    /// refuses the first; otherwise the run records each as an anomaly.
+    pub(crate) fn krum_unsound_levels<'a>(
+        &'a self,
+        hierarchy: &'a Hierarchy,
+    ) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
+        self.levels
+            .iter()
+            .enumerate()
+            .filter_map(move |(level, agg)| {
+                let (f, cap) = match agg {
+                    LevelAgg::Bra(
+                        AggregatorKind::Krum { f } | AggregatorKind::MultiKrum { f, .. },
+                    ) => (*f, usize::MAX),
+                    LevelAgg::Bra(AggregatorKind::SampledKrum { f, m }) => (*f, *m),
+                    _ => return None,
+                };
+                // The inputs a level-l cluster aggregates come from its own
+                // members (level-(l+1) leaders or bottom clients), so its own
+                // size bounds n.
+                let clusters = &hierarchy.level(level).clusters;
+                let n_min = clusters.iter().map(|c| c.len()).min().unwrap_or(0).min(cap);
+                (!Krum::guarantee_holds(f, n_min)).then_some((level, f, n_min))
+            })
     }
 
     /// True when this config engages the arms race: an adaptive attack,
@@ -783,322 +825,44 @@ impl HflConfig {
             || self.protocol_attack.is_some()
             || matches!(self.attack, AttackCfg::Adaptive { .. })
     }
-
-    /// Validates internal consistency against the built hierarchy.
-    ///
-    /// # Panics
-    /// On inconsistency (wrong `levels` length, flag level out of range,
-    /// quorum out of `(0, 1]`, zero rounds...). Use
-    /// [`HflConfig::try_validate`] where a bad config is recoverable.
-    pub fn validate(&self, hierarchy: &Hierarchy) {
-        if let Err(e) = self.try_validate(hierarchy) {
-            panic!("{e}");
-        }
-    }
 }
 
-/// Validation-time check of the task generator's configuration,
-/// mirroring the assertions `SynthTask::plan` makes (sizes, class count
-/// within `u8` labels) and adding what it cannot notice: a non-finite
-/// spread trains on NaN without a word.
-/// The first SGD hyper-parameter or model shape the training loop would
-/// assert on (`train_local_scratch`, `SgdConfig::lr_at`, `Mlp::new` —
-/// on a pool thread, where a panic takes the run down).
-fn invalid_training_param(sgd: &SgdConfig, model: &ModelCfg) -> Option<(&'static str, f64)> {
-    if !(sgd.lr.is_finite() && sgd.lr > 0.0) {
-        return Some(("sgd.lr (finite, > 0)", f64::from(sgd.lr)));
-    }
-    if sgd.batch_size == 0 {
-        return Some(("sgd.batch_size", 0.0));
-    }
-    if let LrSchedule::Step { every, factor } = sgd.schedule {
-        if every == 0 {
-            return Some(("sgd.schedule step interval", 0.0));
-        }
-        if !(factor > 0.0 && factor <= 1.0) {
-            return Some(("sgd.schedule step factor (in (0, 1])", f64::from(factor)));
-        }
-    }
-    if let ModelCfg::Mlp { hidden: 0 } = model {
-        return Some(("model hidden width", 0.0));
-    }
-    None
-}
-
-fn invalid_data_param(data: &SynthConfig) -> Option<(&'static str, f64)> {
-    for (what, size) in [
-        ("train_samples", data.train_samples),
-        ("test_samples", data.test_samples),
-        ("dim", data.dim),
-    ] {
-        if size == 0 {
-            return Some((what, 0.0));
-        }
-    }
-    if !(2..=256).contains(&data.num_classes) {
-        return Some((
-            "num_classes (labels are u8: 2..=256)",
-            data.num_classes as f64,
-        ));
-    }
-    if !(data.noise_std.is_finite() && data.noise_std >= 0.0) {
-        return Some(("noise_std", f64::from(data.noise_std)));
-    }
-    if !data.separation.is_finite() {
-        return Some(("separation", f64::from(data.separation)));
-    }
-    None
-}
-
-/// Validation-time parameter check for static model attacks, mirroring
-/// the assertions `ModelAttack::craft` makes at run time so a bad knob
-/// fails a sweep cell instead of panicking mid-run.
-fn invalid_model_attack_param(attack: &ModelAttack) -> Option<(&'static str, f64)> {
-    match attack {
-        ModelAttack::SignFlip { scale } if !(scale.is_finite() && *scale > 0.0) => {
-            Some(("sign-flip scale", f64::from(*scale)))
-        }
-        ModelAttack::GaussianNoise { std } if !(std.is_finite() && *std >= 0.0) => {
-            Some(("noise std", f64::from(*std)))
-        }
-        ModelAttack::Alie { z } if !z.is_finite() => Some(("ALIE z", f64::from(*z))),
-        ModelAttack::Ipm { epsilon } if !(epsilon.is_finite() && *epsilon > 0.0) => {
-            Some(("IPM epsilon", f64::from(*epsilon)))
-        }
-        ModelAttack::Scaling { factor } if !(factor.is_finite() && *factor != 0.0) => {
-            Some(("scaling factor", f64::from(*factor)))
-        }
-        _ => None,
-    }
-}
-
-/// Validates one configured aggregation rule's parameters (the checks
-/// the rule constructors enforce by panicking, surfaced as
-/// [`ConfigError`]s), recursing one layer into pre-aggregation
-/// compositions. `nested` marks the recursive call: a pre-aggregation
-/// inside a pre-aggregation is rejected — the composition contract is
-/// single-layer (DESIGN.md §13).
-fn validate_aggregator(
-    level: usize,
-    kind: &AggregatorKind,
-    nested: bool,
-) -> Result<(), ConfigError> {
-    let bad = |what: &'static str, value: f64| {
-        Err(ConfigError::AggregatorOutOfRange { level, what, value })
-    };
-    match kind {
-        AggregatorKind::CenteredClip { tau, iters } => {
-            if !(tau.is_finite() && *tau > 0.0) {
-                return bad("centered-clip tau", *tau);
-            }
-            if *iters == 0 {
-                return bad("centered-clip iters", 0.0);
-            }
-        }
-        AggregatorKind::TrimmedMean { ratio }
-            if !(ratio.is_finite() && (0.0..0.5).contains(ratio)) =>
-        {
-            return bad("trimmed-mean ratio", *ratio);
-        }
-        AggregatorKind::Bucketing { s, inner } => {
-            if nested {
-                return Err(ConfigError::NestedPreAggregation { level });
-            }
-            if *s == 0 {
-                return bad("bucketing s", 0.0);
-            }
-            validate_aggregator(level, inner, true)?;
-        }
-        AggregatorKind::Nnm { k, inner } => {
-            if nested {
-                return Err(ConfigError::NestedPreAggregation { level });
-            }
-            if *k == 0 {
-                return bad("nnm k", 0.0);
-            }
-            validate_aggregator(level, inner, true)?;
-        }
-        AggregatorKind::StreamingMedian { exact_threshold } if *exact_threshold == 0 => {
-            return bad("streaming-median exact_threshold", 0.0);
-        }
-        AggregatorKind::StreamingTrimmedMean {
-            ratio,
-            exact_threshold,
-        } => {
-            if !(ratio.is_finite() && (0.0..0.5).contains(ratio)) {
-                return bad("streaming-trimmed-mean ratio", *ratio);
-            }
-            if *exact_threshold == 0 {
-                return bad("streaming-trimmed-mean exact_threshold", 0.0);
-            }
-        }
-        AggregatorKind::SampledKrum { m, .. } if *m == 0 => {
-            return bad("sampled-krum m", 0.0);
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
-/// Why an [`HflConfig`] is internally inconsistent. `Display` renders
-/// the exact invariant messages `validate` panics with.
+/// Why an [`HflConfig`] (or a pipelined run's
+/// [`crate::pipeline::PipelineConfig`]) cannot run.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
-    /// `rounds` is zero.
-    ZeroRounds,
-    /// `local_iters` is zero.
-    ZeroLocalIters,
-    /// `eval_every` is zero.
-    ZeroEvalEvery,
-    /// `quorum` outside `(0, 1]`.
-    QuorumOutOfRange {
-        /// The offending quorum.
-        quorum: f64,
-    },
-    /// The topology cannot be built: a zero size, fewer than two levels,
-    /// an ACSM size range that holds no cluster, or more devices over
-    /// all levels than a hierarchy may hold.
-    TopologyOutOfRange {
-        /// Which parameter is bad.
+    /// A parameter outside the range its owner accepts.
+    OutOfRange {
+        /// Where the parameter sits: the config field (`"rounds"`,
+        /// `"data"`, `"levels"`, `"async_rounds.link_delay"`,
+        /// `"pipeline.train_delay"`, …).
+        section: &'static str,
+        /// The hierarchy level, for a per-level rule.
+        level: Option<usize>,
+        /// Which parameter, as its owner names it (a config field's own
+        /// row adds the range it must lie in).
         what: &'static str,
         /// The offending value.
         value: f64,
     },
-    /// `levels` length differs from the hierarchy's level count.
-    LevelsLengthMismatch {
-        /// Configured length.
+    /// A length that must match one of the hierarchy's counts.
+    CountMismatch {
+        /// What is counted, and what it must match.
+        what: &'static str,
+        /// The configured length.
         got: usize,
-        /// Hierarchy depth.
+        /// The hierarchy's count.
         expected: usize,
     },
-    /// `flag_level` is not an intermediate-or-bottom level.
-    FlagLevelOutOfRange {
-        /// The offending flag level.
-        flag_level: usize,
-        /// Hierarchy depth.
-        levels: usize,
-    },
-    /// Attack proportion above 1.
-    AttackProportionOutOfRange {
-        /// The offending proportion.
-        proportion: f64,
-    },
-    /// `malicious_override` length differs from the client count.
-    MaliciousMaskLengthMismatch {
-        /// Mask length.
-        got: usize,
-        /// Client count.
-        expected: usize,
-    },
-    /// A task-generator parameter (`data`) is unusable.
-    DataOutOfRange {
-        /// Which parameter is bad.
+    /// A combination the protocol does not define: a pre-aggregation
+    /// nested in another, or `StalenessExploit` without `async_rounds`.
+    Incompatible {
+        /// The hierarchy level, for a per-level rule.
+        level: Option<usize>,
+        /// What is combined.
         what: &'static str,
-        /// The offending value.
-        value: f64,
     },
-    /// An SGD hyper-parameter (`sgd`) or the model's shape (`model`) is
-    /// unusable.
-    TrainingOutOfRange {
-        /// Which parameter is bad.
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// Churn leave probability outside `[0, 1)`.
-    ChurnOutOfRange {
-        /// The offending probability.
-        prob: f64,
-    },
-    /// The fault plan doesn't fit the hierarchy.
-    Faults(FaultPlanError),
-    /// Adaptive attack magnitude bounds are unusable.
-    AdaptiveAttackOutOfRange {
-        /// Which bound is bad.
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// A suspicion-layer parameter is out of range.
-    SuspicionOutOfRange {
-        /// Which parameter is bad.
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// Equivocation flip scale must be finite and positive.
-    ProtocolAttackOutOfRange {
-        /// The offending flip scale.
-        value: f64,
-    },
-    /// An asynchronous-round parameter is unusable.
-    AsyncOutOfRange {
-        /// Which parameter is bad.
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// A per-tier deadline override names a level the hierarchy lacks.
-    AsyncTierOutOfRange {
-        /// The offending level.
-        level: usize,
-        /// Hierarchy depth.
-        levels: usize,
-    },
-    /// `ProtocolAttack::StalenessExploit` without `async_rounds`: the
-    /// attack stalls relative to an async buffer close, which the
-    /// synchronous barrier does not have.
-    StalenessExploitNeedsAsync,
-    /// A static model attack carries an unusable parameter.
-    ModelAttackOutOfRange {
-        /// Which parameter is bad.
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// Dirichlet concentration must be finite and positive.
-    DirichletAlphaOutOfRange {
-        /// The offending alpha.
-        alpha: f64,
-    },
-    /// A configured aggregation rule carries an unusable parameter.
-    AggregatorOutOfRange {
-        /// The offending level.
-        level: usize,
-        /// Which parameter is bad.
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// A pre-aggregation transform wraps another pre-aggregation — the
-    /// composition contract is single-layer.
-    NestedPreAggregation {
-        /// The offending level.
-        level: usize,
-    },
-    /// A heterogeneity spread is unusable (must be finite and ≥ 1).
-    HeterogeneityOutOfRange {
-        /// Which spread is bad.
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// A sampling parameter is unusable.
-    SamplingOutOfRange {
-        /// Which parameter is bad.
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// `sampling.cohort_size` differs from the hierarchy's client count —
-    /// the hierarchy's bottom level *is* the cohort.
-    SamplingCohortMismatch {
-        /// Configured cohort size.
-        cohort_size: usize,
-        /// Hierarchy client count.
-        clients: usize,
-    },
-    /// With `strict_guarantees`, a Krum/Multi-Krum level whose smallest
+    /// With `strict_guarantees`, a Krum-family level whose smallest
     /// cluster violates `n ≥ 2f + 3`.
     KrumUnsound {
         /// The offending level.
@@ -1108,107 +872,71 @@ pub enum ConfigError {
         /// Smallest cluster size at that level.
         n_min: usize,
     },
-    /// A delay model (a link, or a pipelined run's training or
-    /// aggregation duration) carries an unusable parameter.
-    DelayOutOfRange {
-        /// Which delay model is bad.
-        which: &'static str,
-        /// Which of its parameters.
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
+    /// The fault plan doesn't fit the hierarchy.
+    Faults(FaultPlanError),
+}
+
+impl ConfigError {
+    /// Places an owner's `(which parameter, its value)` verdict at the
+    /// config `section` (and `level`) it was found in.
+    pub(crate) fn at(
+        section: &'static str,
+        level: Option<usize>,
+    ) -> impl Fn((&'static str, f64)) -> Self {
+        move |(what, value)| ConfigError::OutOfRange {
+            section,
+            level,
+            what,
+            value,
+        }
+    }
+}
+
+/// One row of a range check: `section`'s `what` is out of range at
+/// `value` unless `ok`.
+pub(crate) fn row(
+    section: &'static str,
+    what: &'static str,
+    value: f64,
+    ok: bool,
+) -> Result<(), ConfigError> {
+    match ok {
+        true => Ok(()),
+        false => Err(ConfigError::at(section, None)((what, value))),
+    }
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::ZeroRounds => write!(f, "rounds must be positive"),
-            ConfigError::ZeroLocalIters => write!(f, "local_iters must be positive"),
-            ConfigError::ZeroEvalEvery => write!(f, "eval_every must be positive"),
-            ConfigError::QuorumOutOfRange { quorum } => {
-                write!(f, "quorum must be in (0, 1], got {quorum}")
-            }
-            ConfigError::TopologyOutOfRange { what, value } => {
-                write!(f, "topology {what} out of range ({value})")
-            }
-            ConfigError::LevelsLengthMismatch { got, expected } => write!(
-                f,
-                "levels config length must match hierarchy depth (config has {got}, hierarchy has {expected})"
-            ),
-            ConfigError::FlagLevelOutOfRange { flag_level, levels } => write!(
-                f,
-                "flag level must be an intermediate-or-bottom aggregation level (got {flag_level} of {levels} levels)"
-            ),
-            ConfigError::AttackProportionOutOfRange { proportion } => {
-                write!(f, "attack proportion out of range ({proportion})")
-            }
-            ConfigError::MaliciousMaskLengthMismatch { got, expected } => write!(
-                f,
-                "malicious override mask length must equal client count (mask has {got}, hierarchy has {expected})"
-            ),
-            ConfigError::DataOutOfRange { what, value } => {
-                write!(f, "data {what} out of range ({value})")
-            }
-            ConfigError::TrainingOutOfRange { what, value } => {
-                write!(f, "training {what} out of range ({value})")
-            }
-            ConfigError::ChurnOutOfRange { prob } => {
-                write!(f, "churn leave probability must be in [0, 1), got {prob}")
-            }
-            ConfigError::Faults(e) => write!(f, "{e}"),
-            ConfigError::AdaptiveAttackOutOfRange { what, value } => {
-                write!(f, "adaptive attack {what} out of range ({value})")
-            }
-            ConfigError::SuspicionOutOfRange { what, value } => {
-                write!(f, "suspicion {what} out of range ({value})")
-            }
-            ConfigError::ProtocolAttackOutOfRange { value } => {
-                write!(f, "equivocation flip scale must be finite and positive, got {value}")
-            }
-            ConfigError::AsyncOutOfRange { what, value } => {
-                write!(f, "async rounds {what} out of range ({value})")
-            }
-            ConfigError::AsyncTierOutOfRange { level, levels } => write!(
-                f,
-                "async tier deadline names level {level}, hierarchy has {levels} levels"
-            ),
-            ConfigError::DelayOutOfRange { which, what, value } => {
-                write!(f, "{which} {what} out of range ({value})")
-            }
-            ConfigError::StalenessExploitNeedsAsync => write!(
-                f,
-                "StalenessExploit requires async_rounds (it stalls relative to a buffer close)"
-            ),
-            ConfigError::ModelAttackOutOfRange { what, value } => {
-                write!(f, "model attack {what} out of range ({value})")
-            }
-            ConfigError::DirichletAlphaOutOfRange { alpha } => {
-                write!(f, "dirichlet alpha must be finite and positive, got {alpha}")
-            }
-            ConfigError::AggregatorOutOfRange { level, what, value } => {
-                write!(f, "aggregator {what} out of range at level {level} ({value})")
-            }
-            ConfigError::NestedPreAggregation { level } => write!(
-                f,
-                "pre-aggregation composition is single-layer: level {level} nests a \
-                 bucketing/nnm transform inside another"
-            ),
-            ConfigError::HeterogeneityOutOfRange { what, value } => {
-                write!(f, "heterogeneity {what} must be finite and >= 1, got {value}")
-            }
-            ConfigError::SamplingOutOfRange { what, value } => {
-                write!(f, "sampling {what} out of range ({value})")
-            }
-            ConfigError::SamplingCohortMismatch { cohort_size, clients } => write!(
-                f,
-                "sampling cohort_size must equal the hierarchy's client count (cohort is {cohort_size}, hierarchy has {clients})"
-            ),
+            ConfigError::OutOfRange {
+                section,
+                level: Some(level),
+                what,
+                value,
+            } => write!(f, "{section}[{level}]: {what} out of range ({value})"),
+            ConfigError::OutOfRange {
+                section,
+                level: None,
+                what,
+                value,
+            } => write!(f, "{section}: {what} out of range ({value})"),
+            ConfigError::CountMismatch {
+                what,
+                got,
+                expected,
+            } => write!(f, "{what}: config has {got}, hierarchy has {expected}"),
+            ConfigError::Incompatible {
+                level: Some(level),
+                what,
+            } => write!(f, "levels[{level}]: {what}"),
+            ConfigError::Incompatible { level: None, what } => write!(f, "{what}"),
             ConfigError::KrumUnsound { level, f: byz, n_min } => write!(
                 f,
                 "Krum guarantee n >= 2f + 3 violated at level {level}: f = {byz} needs clusters of at least {}, smallest has {n_min}",
-                2 * byz + 3
+                byz.saturating_mul(2).saturating_add(3)
             ),
+            ConfigError::Faults(e) => write!(f, "{e}"),
         }
     }
 }
@@ -1218,12 +946,15 @@ impl std::error::Error for ConfigError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::PipelineConfig;
+    use hfl_faults::FaultKind;
+    use hfl_ml::sgd::LrSchedule;
 
     #[test]
     fn paper_config_is_consistent() {
         let cfg = HflConfig::paper_iid(AttackCfg::None, 0);
         let h = cfg.topology.build(cfg.seed);
-        cfg.validate(&h);
+        assert_eq!(cfg.try_validate(&h), Ok(()));
         assert_eq!(h.num_clients(), 64);
         assert_eq!(cfg.rounds, 200);
         assert_eq!(cfg.local_iters, 5);
@@ -1265,21 +996,41 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "levels config length")]
-    fn wrong_levels_length_panics() {
+    fn wrong_levels_length_is_an_err() {
         let mut cfg = HflConfig::paper_iid(AttackCfg::None, 0);
         cfg.levels.pop();
         let h = cfg.topology.build(0);
-        cfg.validate(&h);
+        let err = cfg.try_validate(&h).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ConfigError::CountMismatch {
+                    got: 2,
+                    expected: 3,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("levels"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "quorum")]
-    fn zero_quorum_panics() {
+    fn zero_quorum_is_an_err() {
         let mut cfg = HflConfig::paper_iid(AttackCfg::None, 0);
         cfg.quorum = 0.0;
         let h = cfg.topology.build(0);
-        cfg.validate(&h);
+        let err = cfg.try_validate(&h).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ConfigError::OutOfRange {
+                    section: "quorum",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     /// A topology the hierarchy builders would panic on, or could not
@@ -1354,11 +1105,947 @@ mod tests {
                 ..base.clone()
             };
             assert!(
-                matches!(prepares(&cfg), Some(ConfigError::TopologyOutOfRange { .. })),
+                matches!(
+                    prepares(&cfg),
+                    Some(ConfigError::OutOfRange {
+                        section: "topology",
+                        ..
+                    })
+                ),
                 "{:?}",
                 cfg.topology
             );
         }
+    }
+
+    /// The edges of each numeric type, as [`no_config_field_panics`]
+    /// sets them.
+    const USIZE: [usize; 3] = [0, 1, usize::MAX];
+    const U64: [u64; 3] = [0, 1, u64::MAX];
+    const U8: [u8; 3] = [0, 1, u8::MAX];
+    const F64: [f64; 7] = [
+        0.0,
+        1.0,
+        -1.0,
+        f64::MAX,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    const F32: [f32; 7] = [
+        0.0,
+        1.0,
+        -1.0,
+        f32::MAX,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+
+    type Set = Box<dyn Fn(&mut HflConfig, &mut PipelineConfig)>;
+
+    /// Named one-field edits of a base config and its pipeline timing.
+    #[derive(Default)]
+    struct Cases(Vec<(String, Set)>);
+
+    impl Cases {
+        fn one(&mut self, name: &str, set: impl Fn(&mut HflConfig, &mut PipelineConfig) + 'static) {
+            self.0.push((name.to_string(), Box::new(set)));
+        }
+
+        /// One case per edge of `edges`, each written in by `set`.
+        fn edges<T: Copy + std::fmt::Debug + 'static>(
+            &mut self,
+            name: &str,
+            edges: &[T],
+            set: impl Fn(&mut HflConfig, &mut PipelineConfig, T) + Clone + 'static,
+        ) {
+            for &v in edges {
+                let set = set.clone();
+                self.0.push((
+                    format!("{name} = {v:?}"),
+                    Box::new(move |c, p| set(c, p, v)),
+                ));
+            }
+        }
+
+        /// A delay model's variants and each of their parameters.
+        fn delays(
+            &mut self,
+            name: &str,
+            set: impl Fn(&mut HflConfig, &mut PipelineConfig, DelayModel) + Clone + 'static,
+        ) {
+            let s = set.clone();
+            self.edges(
+                &format!("{name} Constant.micros"),
+                &U64,
+                move |c, p, micros| s(c, p, DelayModel::Constant { micros }),
+            );
+            let s = set.clone();
+            self.edges(&format!("{name} Uniform.lo"), &U64, move |c, p, lo| {
+                s(c, p, DelayModel::Uniform { lo, hi: 1_000 })
+            });
+            let s = set.clone();
+            self.edges(&format!("{name} Uniform.hi"), &U64, move |c, p, hi| {
+                s(c, p, DelayModel::Uniform { lo: 10, hi })
+            });
+            let s = set.clone();
+            self.edges(
+                &format!("{name} Exponential.mean"),
+                &F64,
+                move |c, p, mean| s(c, p, DelayModel::Exponential { mean }),
+            );
+            let s = set.clone();
+            self.edges(&format!("{name} LogNormal.mu"), &F64, move |c, p, mu| {
+                s(c, p, DelayModel::LogNormal { mu, sigma: 0.5 })
+            });
+            let s = set.clone();
+            self.edges(
+                &format!("{name} LogNormal.sigma"),
+                &F64,
+                move |c, p, sigma| s(c, p, DelayModel::LogNormal { mu: 7.0, sigma }),
+            );
+            let straggler = |p: f64, factor: f64| DelayModel::Straggler {
+                base: Box::new(DelayModel::lan()),
+                p,
+                factor,
+            };
+            let s = set.clone();
+            self.edges(&format!("{name} Straggler.p"), &F64, move |c, pc, p| {
+                s(c, pc, straggler(p, 4.0))
+            });
+            let s = set.clone();
+            self.edges(
+                &format!("{name} Straggler.factor"),
+                &F64,
+                move |c, p, factor| s(c, p, straggler(0.1, factor)),
+            );
+            self.edges(
+                &format!("{name} Straggler.base"),
+                &F64,
+                move |c, p, mean| {
+                    set(
+                        c,
+                        p,
+                        DelayModel::Straggler {
+                            base: Box::new(DelayModel::Exponential { mean }),
+                            p: 0.1,
+                            factor: 4.0,
+                        },
+                    )
+                },
+            );
+        }
+    }
+
+    /// Every edit [`no_config_field_panics`] tries: each field of
+    /// `HflConfig` and `PipelineConfig`, and each parameter of each
+    /// variant of the enums they hold.
+    fn field_edits() -> Cases {
+        let mut cases = Cases::default();
+        // Topology (the shapes `malformed_topology_is_an_err_not_a_panic`
+        // walks in full).
+        cases.edges("Ecsm.total_levels", &USIZE, |c, _, total_levels| {
+            c.topology = TopologyCfg::Ecsm {
+                total_levels,
+                m: 4,
+                n_top: 4,
+            }
+        });
+        cases.edges("Ecsm.m", &USIZE, |c, _, m| {
+            c.topology = TopologyCfg::Ecsm {
+                total_levels: 3,
+                m,
+                n_top: 4,
+            }
+        });
+        cases.edges("Ecsm.n_top", &USIZE, |c, _, n_top| {
+            c.topology = TopologyCfg::Ecsm {
+                total_levels: 3,
+                m: 4,
+                n_top,
+            }
+        });
+        let acsm = |n_bottom, total_levels, min_size, max_size| TopologyCfg::AcsmRandom {
+            n_bottom,
+            total_levels,
+            min_size,
+            max_size,
+        };
+        cases.edges("Acsm.n_bottom", &USIZE, move |c, _, v| {
+            c.topology = acsm(v, 3, 2, 6)
+        });
+        cases.edges("Acsm.total_levels", &USIZE, move |c, _, v| {
+            c.topology = acsm(64, v, 2, 6)
+        });
+        cases.edges("Acsm.min_size", &USIZE, move |c, _, v| {
+            c.topology = acsm(64, 3, v, 6)
+        });
+        cases.edges("Acsm.max_size", &USIZE, move |c, _, v| {
+            c.topology = acsm(64, 3, 2, v)
+        });
+
+        // The horizon: `usize::MAX` rounds or local iterations is a
+        // config that runs for ever, so only 0 and 1 (and the same for
+        // centered clipping's iteration count below).
+        cases.edges("rounds", &USIZE[..2], |c, _, v| c.rounds = v);
+        cases.edges("local_iters", &USIZE[..2], |c, _, v| c.local_iters = v);
+        cases.edges("pipeline.rounds", &USIZE[..2], |_, p, v| p.rounds = v);
+
+        cases.edges("sgd.lr", &F32, |c, _, v| c.sgd.lr = v);
+        cases.edges("sgd.batch_size", &USIZE, |c, _, v| c.sgd.batch_size = v);
+        cases.one("sgd.schedule = Constant", |c, _| {
+            c.sgd.schedule = LrSchedule::Constant
+        });
+        cases.one("sgd.schedule = InvSqrt", |c, _| {
+            c.sgd.schedule = LrSchedule::InvSqrt
+        });
+        cases.edges("sgd.schedule Step.every", &USIZE, |c, _, every| {
+            c.sgd.schedule = LrSchedule::Step { every, factor: 0.5 }
+        });
+        cases.edges("sgd.schedule Step.factor", &F32, |c, _, factor| {
+            c.sgd.schedule = LrSchedule::Step { every: 1, factor }
+        });
+        cases.edges("model Mlp.hidden", &USIZE, |c, _, hidden| {
+            c.model = ModelCfg::Mlp { hidden }
+        });
+
+        cases.edges("data.dim", &USIZE, |c, _, v| c.data.dim = v);
+        cases.edges("data.num_classes", &USIZE, |c, _, v| c.data.num_classes = v);
+        cases.edges("data.train_samples", &USIZE, |c, _, v| {
+            c.data.train_samples = v
+        });
+        cases.edges("data.test_samples", &USIZE, |c, _, v| {
+            c.data.test_samples = v
+        });
+        cases.edges("data.separation", &F32, |c, _, v| c.data.separation = v);
+        cases.edges("data.noise_std", &F32, |c, _, v| c.data.noise_std = v);
+        cases.edges("data.seed", &U64, |c, _, v| c.data.seed = v);
+
+        cases.one("distribution = Iid", |c, _| {
+            c.distribution = DataDistribution::Iid
+        });
+        cases.edges(
+            "distribution NonIid.labels_per_client",
+            &USIZE,
+            |c, _, v| {
+                c.distribution = DataDistribution::NonIid {
+                    labels_per_client: v,
+                }
+            },
+        );
+        cases.edges("distribution Dirichlet.alpha", &F64, |c, _, alpha| {
+            c.distribution = DataDistribution::Dirichlet { alpha }
+        });
+
+        // Every aggregation rule at the bottom level, every consensus
+        // mechanism at the top and one level below it.
+        let bra = |c: &mut HflConfig, kind| c.levels[2] = LevelAgg::Bra(kind);
+        for kind in [
+            AggregatorKind::FedAvg,
+            AggregatorKind::Median,
+            AggregatorKind::GeoMed,
+        ] {
+            cases.one(&format!("levels[2] = {kind:?}"), move |c, _| {
+                bra(c, kind.clone())
+            });
+        }
+        cases.edges("Krum.f", &USIZE, move |c, _, f| {
+            bra(c, AggregatorKind::Krum { f })
+        });
+        cases.edges("MultiKrum.f", &USIZE, move |c, _, f| {
+            bra(c, AggregatorKind::MultiKrum { f, m: 3 })
+        });
+        cases.edges("MultiKrum.m", &USIZE, move |c, _, m| {
+            bra(c, AggregatorKind::MultiKrum { f: 1, m })
+        });
+        cases.edges("TrimmedMean.ratio", &F64, move |c, _, ratio| {
+            bra(c, AggregatorKind::TrimmedMean { ratio })
+        });
+        cases.edges("CenteredClip.tau", &F64, move |c, _, tau| {
+            bra(c, AggregatorKind::CenteredClip { tau, iters: 3 })
+        });
+        cases.edges("CenteredClip.iters", &USIZE[..2], move |c, _, iters| {
+            bra(c, AggregatorKind::CenteredClip { tau: 1.0, iters })
+        });
+        cases.edges(
+            "CosineClustering.threshold",
+            &F64,
+            move |c, _, threshold| bra(c, AggregatorKind::CosineClustering { threshold }),
+        );
+        cases.edges("AutoGm.kappa", &F64, move |c, _, kappa| {
+            bra(c, AggregatorKind::AutoGm { kappa })
+        });
+        let median = || Box::new(AggregatorKind::Median);
+        cases.edges("Bucketing.s", &USIZE, move |c, _, s| {
+            bra(c, AggregatorKind::Bucketing { s, inner: median() })
+        });
+        cases.edges("Nnm.k", &USIZE, move |c, _, k| {
+            bra(c, AggregatorKind::Nnm { k, inner: median() })
+        });
+        cases.one("Bucketing.inner = Nnm", move |c, _| {
+            let inner = Box::new(AggregatorKind::Nnm {
+                k: 2,
+                inner: median(),
+            });
+            bra(c, AggregatorKind::Bucketing { s: 2, inner })
+        });
+        cases.edges(
+            "StreamingMedian.exact_threshold",
+            &USIZE,
+            move |c, _, exact_threshold| {
+                bra(c, AggregatorKind::StreamingMedian { exact_threshold })
+            },
+        );
+        cases.edges("StreamingTrimmedMean.ratio", &F64, move |c, _, ratio| {
+            bra(
+                c,
+                AggregatorKind::StreamingTrimmedMean {
+                    ratio,
+                    exact_threshold: 256,
+                },
+            )
+        });
+        cases.edges(
+            "StreamingTrimmedMean.exact_threshold",
+            &USIZE,
+            move |c, _, exact_threshold| {
+                bra(
+                    c,
+                    AggregatorKind::StreamingTrimmedMean {
+                        ratio: 0.2,
+                        exact_threshold,
+                    },
+                )
+            },
+        );
+        cases.edges("SampledKrum.f", &USIZE, move |c, _, f| {
+            bra(c, AggregatorKind::SampledKrum { f, m: 4 })
+        });
+        cases.edges("SampledKrum.m", &USIZE, move |c, _, m| {
+            bra(c, AggregatorKind::SampledKrum { f: 1, m })
+        });
+
+        for level in [0, 1] {
+            let cba = move |c: &mut HflConfig, kind| c.levels[level] = LevelAgg::Cba(kind);
+            let name = |what: &str| format!("levels[{level}] {what}");
+            cases.one(&name("VoteMajority"), move |c, _| {
+                cba(c, ConsensusKind::VoteMajority)
+            });
+            // PBFT is left out by name: whether it reaches its quorum
+            // turns on which nodes are malicious in a round, not on the
+            // config alone.
+            cases.edges(&name("Vote.exclude"), &USIZE, move |c, _, exclude| {
+                cba(c, ConsensusKind::Vote { exclude })
+            });
+            cases.edges(&name("Committee.size"), &USIZE, move |c, _, size| {
+                cba(c, ConsensusKind::Committee { size, exclude: 1 })
+            });
+            cases.edges(&name("Committee.exclude"), &USIZE, move |c, _, exclude| {
+                cba(c, ConsensusKind::Committee { size: 3, exclude })
+            });
+            cases.edges(&name("Approx.epsilon"), &F64, move |c, _, epsilon| {
+                cba(c, ConsensusKind::Approx { epsilon, trim: 1 })
+            });
+            cases.edges(&name("Approx.trim"), &USIZE, move |c, _, trim| {
+                cba(
+                    c,
+                    ConsensusKind::Approx {
+                        epsilon: 0.01,
+                        trim,
+                    },
+                )
+            });
+            cases.edges(&name("Gossip.epsilon"), &F64, move |c, _, epsilon| {
+                cba(c, ConsensusKind::Gossip { epsilon })
+            });
+        }
+        // Stake voting only at the top, which waits for every proposal:
+        // below it, how many of a cluster's members a vote sees under
+        // φ < 1 turns on a round's arrivals, as PBFT's quorum does.
+        let stake_vote = |c: &mut HflConfig, stakes| {
+            c.levels[0] = LevelAgg::Cba(ConsensusKind::StakeVote { stakes })
+        };
+        cases.one("StakeVote.stakes = []", move |c, _| {
+            stake_vote(c, Vec::new())
+        });
+        cases.one("StakeVote.stakes = [1; 2]", move |c, _| {
+            stake_vote(c, vec![1.0; 2])
+        });
+        cases.edges("StakeVote.stakes[0]", &F64, move |c, _, s| {
+            stake_vote(c, vec![s, 1.0, 1.0, 1.0])
+        });
+        cases.edges("StakeVote.stakes (all)", &F64, move |c, _, s| {
+            stake_vote(c, vec![s; 4])
+        });
+        cases.edges("quorum", &F64, |c, _, v| c.quorum = v);
+
+        // Attacks: every variant's parameters, each family's proportion
+        // and placement.
+        let data = |c: &mut HflConfig, attack| {
+            c.attack = AttackCfg::Data {
+                attack,
+                proportion: 0.25,
+                placement: Placement::Prefix,
+            }
+        };
+        cases.one("attack = None", |c, _| c.attack = AttackCfg::None);
+        cases.one("DataAttack LabelFlipRandom", move |c, _| {
+            data(c, DataAttack::LabelFlipRandom)
+        });
+        cases.edges(
+            "DataAttack LabelFlipAll.target",
+            &U8,
+            move |c, _, target| data(c, DataAttack::LabelFlipAll { target }),
+        );
+        cases.edges("DataAttack FeatureNoise.std", &F32, move |c, _, std| {
+            data(c, DataAttack::FeatureNoise { std })
+        });
+        let backdoor = |offset, width, value, target, fraction| DataAttack::BackdoorTrigger {
+            offset,
+            width,
+            value,
+            target,
+            fraction,
+        };
+        cases.edges("Backdoor.offset", &USIZE, move |c, _, v| {
+            data(c, backdoor(v, 4, 3.0, 0, 0.5))
+        });
+        cases.edges("Backdoor.width", &USIZE, move |c, _, v| {
+            data(c, backdoor(0, v, 3.0, 0, 0.5))
+        });
+        cases.edges("Backdoor.value", &F32, move |c, _, v| {
+            data(c, backdoor(0, 4, v, 0, 0.5))
+        });
+        cases.edges("Backdoor.target", &U8, move |c, _, v| {
+            data(c, backdoor(0, 4, 3.0, v, 0.5))
+        });
+        cases.edges("Backdoor.fraction", &F64, move |c, _, v| {
+            data(c, backdoor(0, 4, 3.0, 0, v))
+        });
+        let model = |c: &mut HflConfig, attack| {
+            c.attack = AttackCfg::Model {
+                attack,
+                proportion: 0.25,
+                placement: Placement::Prefix,
+            }
+        };
+        cases.one("ModelAttack MinMax", move |c, _| {
+            model(c, ModelAttack::MinMax)
+        });
+        cases.one("ModelAttack MinSum", move |c, _| {
+            model(c, ModelAttack::MinSum)
+        });
+        cases.edges("SignFlip.scale", &F32, move |c, _, scale| {
+            model(c, ModelAttack::SignFlip { scale })
+        });
+        cases.edges("GaussianNoise.std", &F32, move |c, _, std| {
+            model(c, ModelAttack::GaussianNoise { std })
+        });
+        cases.edges("Alie.z", &F32, move |c, _, z| {
+            model(c, ModelAttack::Alie { z })
+        });
+        cases.edges("Ipm.epsilon", &F32, move |c, _, epsilon| {
+            model(c, ModelAttack::Ipm { epsilon })
+        });
+        cases.edges("Mimic.victim", &USIZE, move |c, _, victim| {
+            model(c, ModelAttack::Mimic { victim })
+        });
+        cases.edges("Scaling.factor", &F32, move |c, _, factor| {
+            model(c, ModelAttack::Scaling { factor })
+        });
+        let adaptive = |c: &mut HflConfig, attack| {
+            c.attack = AttackCfg::Adaptive {
+                attack,
+                proportion: 0.25,
+                placement: Placement::Prefix,
+            }
+        };
+        cases.edges("Adaptive Alie.z_init", &F32, move |c, _, z_init| {
+            adaptive(c, AdaptiveAttack::Alie { z_init, z_max: 6.0 })
+        });
+        cases.edges("Adaptive Alie.z_max", &F32, move |c, _, z_max| {
+            adaptive(c, AdaptiveAttack::Alie { z_init: 1.0, z_max })
+        });
+        cases.edges("Adaptive Ipm.eps_init", &F32, move |c, _, eps_init| {
+            adaptive(
+                c,
+                AdaptiveAttack::Ipm {
+                    eps_init,
+                    eps_max: 8.0,
+                },
+            )
+        });
+        cases.edges("Adaptive Ipm.eps_max", &F32, move |c, _, eps_max| {
+            adaptive(
+                c,
+                AdaptiveAttack::Ipm {
+                    eps_init: 1.0,
+                    eps_max,
+                },
+            )
+        });
+        cases.edges(
+            "Adaptive Scaling.factor_init",
+            &F32,
+            move |c, _, factor_init| {
+                adaptive(
+                    c,
+                    AdaptiveAttack::Scaling {
+                        factor_init,
+                        factor_max: 10.0,
+                    },
+                )
+            },
+        );
+        cases.edges(
+            "Adaptive Scaling.factor_max",
+            &F32,
+            move |c, _, factor_max| {
+                adaptive(
+                    c,
+                    AdaptiveAttack::Scaling {
+                        factor_init: 1.0,
+                        factor_max,
+                    },
+                )
+            },
+        );
+        for (family, attack) in [
+            (
+                "Data",
+                AttackCfg::Data {
+                    attack: DataAttack::type_i(),
+                    proportion: 0.0,
+                    placement: Placement::Prefix,
+                },
+            ),
+            (
+                "Model",
+                AttackCfg::Model {
+                    attack: ModelAttack::Alie { z: 1.0 },
+                    proportion: 0.0,
+                    placement: Placement::Prefix,
+                },
+            ),
+            (
+                "Adaptive",
+                AttackCfg::Adaptive {
+                    attack: AdaptiveAttack::alie_default(),
+                    proportion: 0.0,
+                    placement: Placement::Prefix,
+                },
+            ),
+        ] {
+            let base = attack.clone();
+            cases.edges(&format!("{family}.proportion"), &F64, move |c, _, v| {
+                c.attack = base.clone();
+                let (AttackCfg::Data { proportion, .. }
+                | AttackCfg::Model { proportion, .. }
+                | AttackCfg::Adaptive { proportion, .. }) = &mut c.attack
+                else {
+                    unreachable!()
+                };
+                *proportion = v;
+            });
+            for placement in [Placement::Prefix, Placement::Random, Placement::Spread] {
+                let base = attack.clone();
+                cases.one(
+                    &format!("{family}.placement = {placement:?}"),
+                    move |c, _| {
+                        c.attack = base.clone();
+                        let (AttackCfg::Data {
+                            proportion,
+                            placement: p,
+                            ..
+                        }
+                        | AttackCfg::Model {
+                            proportion,
+                            placement: p,
+                            ..
+                        }
+                        | AttackCfg::Adaptive {
+                            proportion,
+                            placement: p,
+                            ..
+                        }) = &mut c.attack
+                        else {
+                            unreachable!()
+                        };
+                        (*proportion, *p) = (0.5, placement);
+                    },
+                );
+            }
+        }
+        cases.edges("Equivocate.flip_scale", &F32, |c, _, flip_scale| {
+            c.protocol_attack = Some(ProtocolAttack::Equivocate { flip_scale })
+        });
+        cases.one("protocol_attack = Withhold", |c, _| {
+            c.protocol_attack = Some(ProtocolAttack::Withhold)
+        });
+        cases.one("protocol_attack = StalenessExploit", |c, _| {
+            c.protocol_attack = Some(ProtocolAttack::StalenessExploit)
+        });
+
+        cases.edges("correction.alpha_max", &F32, |c, _, v| {
+            c.correction.alpha_max = v
+        });
+        cases.edges("correction.alpha_min", &F32, |c, _, v| {
+            c.correction.alpha_min = v
+        });
+        cases.edges("correction.latency_half_life", &F64, |c, _, v| {
+            c.correction.latency_half_life = v
+        });
+        cases.edges("flag_level", &USIZE, |c, _, v| c.flag_level = v);
+        cases.edges("eval_every", &USIZE, |c, _, v| c.eval_every = v);
+        cases.edges("seed", &U64, |c, _, v| c.seed = v);
+        cases.one("malicious_override = []", |c, _| {
+            c.malicious_override = Some(Vec::new())
+        });
+        cases.one("malicious_override = all", |c, _| {
+            c.malicious_override = Some(vec![true; 64])
+        });
+        cases.edges("churn_leave_prob", &F64, |c, _, v| c.churn_leave_prob = v);
+        cases.one("strict_guarantees", |c, _| c.strict_guarantees = true);
+
+        // Faults: each kind's parameters and its activation round.
+        let plan = |c: &mut HflConfig, at: usize, kind: FaultKind| {
+            c.faults = Some(FaultPlan {
+                specs: vec![hfl_faults::FaultSpec { at_round: at, kind }],
+            })
+        };
+        cases.one("faults = empty", |c, _| c.faults = Some(FaultPlan::new()));
+        cases.edges("fault at_round", &USIZE, move |c, _, at| {
+            plan(c, at, FaultKind::CrashStop { node: 5 })
+        });
+        cases.edges("CrashStop.node", &USIZE, move |c, _, node| {
+            plan(c, 0, FaultKind::CrashStop { node })
+        });
+        cases.edges("CrashRecover.node", &USIZE, move |c, _, node| {
+            plan(
+                c,
+                0,
+                FaultKind::CrashRecover {
+                    node,
+                    recover_round: 1,
+                },
+            )
+        });
+        cases.edges(
+            "CrashRecover.recover_round",
+            &USIZE,
+            move |c, _, recover_round| {
+                plan(
+                    c,
+                    0,
+                    FaultKind::CrashRecover {
+                        node: 5,
+                        recover_round,
+                    },
+                )
+            },
+        );
+        cases.edges("LeaderKill.level", &USIZE, move |c, _, level| {
+            plan(
+                c,
+                0,
+                FaultKind::LeaderKill {
+                    level,
+                    cluster: 0,
+                    recover_round: None,
+                },
+            )
+        });
+        cases.edges("LeaderKill.cluster", &USIZE, move |c, _, cluster| {
+            plan(
+                c,
+                0,
+                FaultKind::LeaderKill {
+                    level: 1,
+                    cluster,
+                    recover_round: None,
+                },
+            )
+        });
+        cases.edges("LeaderKill.recover_round", &USIZE, move |c, _, r| {
+            plan(
+                c,
+                0,
+                FaultKind::LeaderKill {
+                    level: 0,
+                    cluster: 0,
+                    recover_round: Some(r),
+                },
+            )
+        });
+        cases.edges("Straggler.node", &USIZE, move |c, _, node| {
+            plan(
+                c,
+                0,
+                FaultKind::Straggler {
+                    node,
+                    factor: 4.0,
+                    until_round: None,
+                },
+            )
+        });
+        cases.edges("Straggler.factor", &F64, move |c, _, factor| {
+            plan(
+                c,
+                0,
+                FaultKind::Straggler {
+                    node: 5,
+                    factor,
+                    until_round: None,
+                },
+            )
+        });
+        cases.edges("Straggler.until_round", &USIZE, move |c, _, r| {
+            plan(
+                c,
+                0,
+                FaultKind::Straggler {
+                    node: 5,
+                    factor: 4.0,
+                    until_round: Some(r),
+                },
+            )
+        });
+        cases.edges("LossBurst.prob", &F64, move |c, _, prob| {
+            plan(
+                c,
+                0,
+                FaultKind::LossBurst {
+                    prob,
+                    until_round: 2,
+                },
+            )
+        });
+        cases.edges("LossBurst.until_round", &USIZE, move |c, _, until_round| {
+            plan(
+                c,
+                0,
+                FaultKind::LossBurst {
+                    prob: 0.5,
+                    until_round,
+                },
+            )
+        });
+        cases.edges("Partition.heal_round", &USIZE, move |c, _, heal_round| {
+            plan(
+                c,
+                0,
+                FaultKind::Partition {
+                    groups: vec![vec![0, 1], vec![2]],
+                    heal_round,
+                },
+            )
+        });
+        cases.edges("Partition.groups node", &USIZE, move |c, _, node| {
+            plan(
+                c,
+                0,
+                FaultKind::Partition {
+                    groups: vec![vec![node], vec![2]],
+                    heal_round: 2,
+                },
+            )
+        });
+        cases.one("Partition.groups = []", move |c, _| {
+            plan(
+                c,
+                0,
+                FaultKind::Partition {
+                    groups: Vec::new(),
+                    heal_round: 2,
+                },
+            )
+        });
+        cases.one("Partition.groups = [[]]", move |c, _| {
+            plan(
+                c,
+                0,
+                FaultKind::Partition {
+                    groups: vec![Vec::new()],
+                    heal_round: 2,
+                },
+            )
+        });
+        cases.edges("Churn.leave_prob", &F64, move |c, _, leave_prob| {
+            plan(
+                c,
+                0,
+                FaultKind::Churn {
+                    leave_prob,
+                    until_round: None,
+                },
+            )
+        });
+        cases.edges("Churn.until_round", &USIZE, move |c, _, r| {
+            plan(
+                c,
+                0,
+                FaultKind::Churn {
+                    leave_prob: 0.5,
+                    until_round: Some(r),
+                },
+            )
+        });
+
+        cases.edges("suspicion.decay", &F64, |c, _, decay| {
+            c.suspicion = Some(SuspicionConfig {
+                decay,
+                ..SuspicionConfig::default()
+            })
+        });
+        cases.edges(
+            "suspicion.quarantine_threshold",
+            &F64,
+            |c, _, quarantine_threshold| {
+                c.suspicion = Some(SuspicionConfig {
+                    quarantine_threshold,
+                    ..SuspicionConfig::default()
+                })
+            },
+        );
+        cases.edges(
+            "suspicion.release_threshold",
+            &F64,
+            |c, _, release_threshold| {
+                c.suspicion = Some(SuspicionConfig {
+                    release_threshold,
+                    ..SuspicionConfig::default()
+                })
+            },
+        );
+
+        // Async collection: a lockstep base gains the LAN buffers first.
+        fn lan(c: &mut HflConfig) -> &mut AsyncRoundCfg {
+            c.async_rounds.get_or_insert_with(AsyncRoundCfg::lan)
+        }
+        cases.one("async_rounds = lan", move |c, _| {
+            lan(c);
+        });
+        cases.edges("async.deadline_us", &U64, move |c, _, v| {
+            lan(c).deadline_us = v
+        });
+        cases.edges("async.staleness_bound_us", &U64, move |c, _, v| {
+            lan(c).staleness_bound_us = v
+        });
+        cases.delays("async.link_delay", move |c, _, d| lan(c).link_delay = d);
+        cases.edges("async.tier_deadlines level", &USIZE, move |c, _, level| {
+            lan(c).tier_deadlines = vec![(level, 10_000)]
+        });
+        cases.edges("async.tier_deadlines deadline", &U64, move |c, _, d| {
+            lan(c).tier_deadlines = vec![(1, d)]
+        });
+
+        cases.edges(
+            "heterogeneity.compute_spread",
+            &F64,
+            |c, _, compute_spread| {
+                c.heterogeneity = Some(HeterogeneityCfg {
+                    compute_spread,
+                    bandwidth_spread: 2.0,
+                })
+            },
+        );
+        cases.edges(
+            "heterogeneity.bandwidth_spread",
+            &F64,
+            |c, _, bandwidth_spread| {
+                c.heterogeneity = Some(HeterogeneityCfg {
+                    compute_spread: 2.0,
+                    bandwidth_spread,
+                })
+            },
+        );
+
+        cases.edges("sampling.population", &USIZE, |c, _, population| {
+            c.sampling = Some(SamplingCfg::uniform(population, 64))
+        });
+        cases.edges("sampling.cohort_size", &USIZE, |c, _, cohort_size| {
+            c.sampling = Some(SamplingCfg::uniform(1_000, cohort_size))
+        });
+        cases.one("sampling.scheme = Stratified", |c, _| {
+            c.sampling = Some(SamplingCfg::stratified(1_000, 64))
+        });
+
+        cases.delays("pipeline.train_delay", |_, p, d| p.train_delay = d);
+        cases.delays("pipeline.agg_delay", |_, p, d| p.agg_delay = d);
+        cases.edges("pipeline.cba_delay_factor", &F64, |_, p, v| {
+            p.cba_delay_factor = v
+        });
+        cases
+    }
+
+    /// No config panics. Each edit of [`field_edits`] runs through
+    /// `RunOptions::try_run` on two bases — a tiny lockstep config, and
+    /// the same config pipelined under `async_rounds` at φ = 0.5 so the
+    /// delay, buffer and correction paths run — and must give `Ok` or
+    /// `Err`. The 1,422 runs take about 1.3 s under the test profile on a
+    /// 2-core x86-64 host.
+    #[test]
+    fn no_config_field_panics() {
+        use crate::run::RunOptions;
+
+        let mut lockstep = HflConfig::quick(
+            AttackCfg::Data {
+                attack: DataAttack::type_i(),
+                proportion: 0.25,
+                placement: Placement::Prefix,
+            },
+            0,
+        );
+        lockstep.rounds = 1;
+        lockstep.local_iters = 1;
+        lockstep.eval_every = 1;
+        lockstep.data.dim = 16;
+        lockstep.data.train_samples = 640;
+        lockstep.data.test_samples = 64;
+        let pipelined = HflConfig {
+            async_rounds: Some(AsyncRoundCfg::lan()),
+            quorum: 0.5,
+            ..lockstep.clone()
+        };
+        let pcfg = PipelineConfig {
+            rounds: 2,
+            ..PipelineConfig::default()
+        };
+
+        let mut panicked = Vec::new();
+        let (mut ok, mut err) = (0, 0);
+        for (case, (name, edit)) in field_edits().0.iter().enumerate() {
+            for (base, schedule) in [(&lockstep, None), (&pipelined, Some(&pcfg))] {
+                let (mut cfg, mut pcfg) = (base.clone(), pcfg.clone());
+                cfg.seed = case as u64;
+                edit(&mut cfg, &mut pcfg);
+                let run = std::panic::catch_unwind(|| match schedule {
+                    None => RunOptions::new().try_run(&cfg).is_ok(),
+                    Some(_) => RunOptions::pipeline(&pcfg).try_run(&cfg).is_ok(),
+                });
+                match run {
+                    Ok(true) => ok += 1,
+                    Ok(false) => err += 1,
+                    Err(_) => panicked.push(format!(
+                        "{name} ({})",
+                        if schedule.is_some() {
+                            "pipelined"
+                        } else {
+                            "lockstep"
+                        }
+                    )),
+                }
+            }
+        }
+        assert!(
+            panicked.is_empty(),
+            "{} of {} configs panicked:\n{}",
+            panicked.len(),
+            ok + err + panicked.len(),
+            panicked.join("\n")
+        );
+        assert!(ok > 0 && err > 0, "{ok} ran, {err} refused");
     }
 
     #[test]
@@ -1368,8 +2055,14 @@ mod tests {
         assert_eq!(cfg.try_validate(&h), Ok(()));
         cfg.quorum = 2.0;
         let err = cfg.try_validate(&h).unwrap_err();
-        assert!(matches!(err, ConfigError::QuorumOutOfRange { .. }));
-        assert!(err.to_string().contains("quorum must be in (0, 1]"));
+        assert!(matches!(
+            err,
+            ConfigError::OutOfRange {
+                section: "quorum",
+                ..
+            }
+        ));
+        assert!(err.to_string().contains("quorum: φ (in (0, 1])"), "{err}");
     }
 
     #[test]
@@ -1381,22 +2074,36 @@ mod tests {
         let h = base.topology.build(0);
         type Spoil = fn(&mut HflConfig);
         let spoiled: [(&str, Spoil); 9] = [
-            ("sgd.lr", |c| c.sgd.lr = 0.0),
-            ("sgd.lr", |c| c.sgd.lr = -0.5),
-            ("sgd.lr", |c| c.sgd.lr = f32::NAN),
-            ("sgd.lr", |c| c.sgd.lr = f32::INFINITY),
-            ("sgd.batch_size", |c| c.sgd.batch_size = 0),
-            ("step interval", |c| c.sgd.schedule = step(0, 0.5)),
-            ("step factor", |c| c.sgd.schedule = step(3, 0.0)),
-            ("step factor", |c| c.sgd.schedule = step(3, 1.5)),
-            ("hidden width", |c| c.model = ModelCfg::Mlp { hidden: 0 }),
+            ("sgd: lr", |c| c.sgd.lr = 0.0),
+            ("sgd: lr", |c| c.sgd.lr = -0.5),
+            ("sgd: lr", |c| c.sgd.lr = f32::NAN),
+            ("sgd: lr", |c| c.sgd.lr = f32::INFINITY),
+            ("sgd: batch_size", |c| c.sgd.batch_size = 0),
+            ("sgd: schedule step interval", |c| {
+                c.sgd.schedule = step(0, 0.5)
+            }),
+            ("sgd: schedule step factor", |c| {
+                c.sgd.schedule = step(3, 0.0)
+            }),
+            ("sgd: schedule step factor", |c| {
+                c.sgd.schedule = step(3, 1.5)
+            }),
+            ("model: hidden width", |c| {
+                c.model = ModelCfg::Mlp { hidden: 0 }
+            }),
         ];
         for (needle, spoil) in spoiled {
             let mut cfg = base.clone();
             spoil(&mut cfg);
             let err = cfg.try_validate(&h).unwrap_err();
             assert!(
-                matches!(err, ConfigError::TrainingOutOfRange { .. }),
+                matches!(
+                    err,
+                    ConfigError::OutOfRange {
+                        section: "sgd" | "model",
+                        ..
+                    }
+                ),
                 "{err}"
             );
             assert!(err.to_string().contains(needle), "{needle}: {err}");
@@ -1447,22 +2154,31 @@ mod tests {
         cfg.sampling = Some(SamplingCfg::uniform(100_000, 32));
         assert!(matches!(
             cfg.try_validate(&h).unwrap_err(),
-            ConfigError::SamplingCohortMismatch {
-                cohort_size: 32,
-                clients: 64
-            }
+            ConfigError::CountMismatch {
+                what,
+                got: 32,
+                expected: 64
+            } if what.starts_with("sampling.cohort_size")
         ));
         // Population below the cohort cannot fill a round.
         cfg.sampling = Some(SamplingCfg::uniform(10, h.num_clients()));
         assert!(matches!(
             cfg.try_validate(&h).unwrap_err(),
-            ConfigError::SamplingOutOfRange { .. }
+            ConfigError::OutOfRange {
+                section: "sampling",
+                what,
+                ..
+            } if what.starts_with("population")
         ));
         // Empty cohort is rejected before the mismatch check.
         cfg.sampling = Some(SamplingCfg::uniform(100, 0));
         assert!(matches!(
             cfg.try_validate(&h).unwrap_err(),
-            ConfigError::SamplingOutOfRange { .. }
+            ConfigError::OutOfRange {
+                section: "sampling",
+                what,
+                ..
+            } if what.starts_with("cohort_size")
         ));
     }
 
@@ -1475,10 +2191,11 @@ mod tests {
         cfg.malicious_override = Some(vec![false; h.num_clients()]);
         assert!(matches!(
             cfg.try_validate(&h).unwrap_err(),
-            ConfigError::MaliciousMaskLengthMismatch {
+            ConfigError::CountMismatch {
+                what,
                 got: 64,
                 expected: 1_000
-            }
+            } if what.starts_with("malicious_override")
         ));
         // ...a population-sized mask is right.
         cfg.malicious_override = Some(vec![false; 1_000]);
@@ -1504,7 +2221,11 @@ mod tests {
             cfg.levels[2] = LevelAgg::Bra(bad);
             assert!(matches!(
                 cfg.try_validate(&h).unwrap_err(),
-                ConfigError::AggregatorOutOfRange { level: 2, .. }
+                ConfigError::OutOfRange {
+                    section: "levels",
+                    level: Some(2),
+                    ..
+                }
             ));
         }
         cfg.levels[2] = LevelAgg::Bra(AggregatorKind::StreamingTrimmedMean {
@@ -1559,7 +2280,11 @@ mod tests {
         };
         assert!(matches!(
             cfg.try_validate(&h),
-            Err(ConfigError::AdaptiveAttackOutOfRange { .. })
+            Err(ConfigError::OutOfRange {
+                section: "attack",
+                what,
+                ..
+            }) if what.starts_with("max magnitude")
         ));
 
         cfg.attack = AttackCfg::None;
@@ -1569,7 +2294,11 @@ mod tests {
         });
         assert!(matches!(
             cfg.try_validate(&h),
-            Err(ConfigError::SuspicionOutOfRange { what: "decay", .. })
+            Err(ConfigError::OutOfRange {
+                section: "suspicion",
+                what: "decay",
+                ..
+            })
         ));
         cfg.suspicion = Some(SuspicionConfig::default());
         assert_eq!(cfg.try_validate(&h), Ok(()));
@@ -1577,7 +2306,10 @@ mod tests {
         cfg.protocol_attack = Some(ProtocolAttack::Equivocate { flip_scale: 0.0 });
         assert!(matches!(
             cfg.try_validate(&h),
-            Err(ConfigError::ProtocolAttackOutOfRange { .. })
+            Err(ConfigError::OutOfRange {
+                section: "protocol_attack",
+                ..
+            })
         ));
         cfg.protocol_attack = Some(ProtocolAttack::Withhold);
         assert_eq!(cfg.try_validate(&h), Ok(()));
@@ -1594,7 +2326,14 @@ mod tests {
         cfg.levels[1] = LevelAgg::Bra(AggregatorKind::CenteredClip { tau: 0.0, iters: 3 });
         let err = cfg.try_validate(&h).unwrap_err();
         assert!(
-            matches!(err, ConfigError::AggregatorOutOfRange { level: 1, .. }),
+            matches!(
+                err,
+                ConfigError::OutOfRange {
+                    section: "levels",
+                    level: Some(1),
+                    ..
+                }
+            ),
             "{err:?}"
         );
         assert!(err.to_string().contains("centered-clip tau"), "{err}");
@@ -1624,7 +2363,11 @@ mod tests {
         });
         assert!(matches!(
             cfg.try_validate(&h),
-            Err(ConfigError::AggregatorOutOfRange { level: 1, .. })
+            Err(ConfigError::OutOfRange {
+                section: "levels",
+                level: Some(1),
+                ..
+            })
         ));
 
         cfg.levels[1] = LevelAgg::Bra(AggregatorKind::Nnm {
@@ -1637,7 +2380,7 @@ mod tests {
         let err = cfg.try_validate(&h).unwrap_err();
         assert!(matches!(
             err,
-            ConfigError::NestedPreAggregation { level: 1 }
+            ConfigError::Incompatible { level: Some(1), .. }
         ));
         assert!(err.to_string().contains("single-layer"), "{err}");
     }
@@ -1651,7 +2394,11 @@ mod tests {
         cfg.distribution = DataDistribution::Dirichlet { alpha: 0.0 };
         assert!(matches!(
             cfg.try_validate(&h),
-            Err(ConfigError::DirichletAlphaOutOfRange { .. })
+            Err(ConfigError::OutOfRange {
+                section: "distribution",
+                what,
+                ..
+            }) if what.starts_with("dirichlet alpha")
         ));
         cfg.distribution = DataDistribution::Iid;
 
@@ -1665,10 +2412,11 @@ mod tests {
         assert!(
             matches!(
                 err,
-                ConfigError::HeterogeneityOutOfRange {
-                    what: "compute_spread",
+                ConfigError::OutOfRange {
+                    section: "heterogeneity",
+                    what,
                     ..
-                }
+                } if what.starts_with("compute_spread")
             ),
             "{err:?}"
         );
@@ -1692,7 +2440,13 @@ mod tests {
             placement: Placement::Prefix,
         };
         let err = cfg.try_validate(&h).unwrap_err();
-        assert!(matches!(err, ConfigError::ModelAttackOutOfRange { .. }));
+        assert!(matches!(
+            err,
+            ConfigError::OutOfRange {
+                section: "attack",
+                ..
+            }
+        ));
         assert!(err.to_string().contains("scaling factor"), "{err}");
         // The parameterless AGR attacks always validate.
         for attack in [ModelAttack::MinMax, ModelAttack::MinSum] {

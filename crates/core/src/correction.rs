@@ -36,6 +36,20 @@ impl Default for CorrectionPolicy {
 }
 
 impl CorrectionPolicy {
+    /// Checks the bounds [`CorrectionPolicy::alpha`] and
+    /// [`CorrectionPolicy::admission_weight`] clamp between, and the
+    /// range [`CorrectionPolicy::merge`] asserts on: `Err((which
+    /// parameter, its value))` unless `0 < alpha_min ≤ alpha_max ≤ 1`
+    /// and the half-life is finite and positive.
+    pub fn validate(&self) -> Result<(), (&'static str, f64)> {
+        let usable = |ok: bool, what, value| if ok { Ok(()) } else { Err((what, value)) };
+        let (max, min, half_life) = (self.alpha_max, self.alpha_min, self.latency_half_life);
+        usable(max > 0.0 && max <= 1.0, "alpha_max", f64::from(max))?;
+        usable(min > 0.0 && min <= max, "alpha_min", f64::from(min))?;
+        let ok = half_life.is_finite() && half_life > 0.0;
+        usable(ok, "latency_half_life", half_life)
+    }
+
     /// Computes α.
     ///
     /// * `staleness` — how late the global model is, measured in local
@@ -196,5 +210,31 @@ mod tests {
         let p = CorrectionPolicy::default();
         let mut local = [1.0f32];
         p.merge(0.0, &[1.0], &mut local);
+    }
+
+    #[test]
+    fn validate_refuses_what_alpha_would_clamp_or_merge_on() {
+        let with = |alpha_max, alpha_min, latency_half_life| CorrectionPolicy {
+            alpha_max,
+            alpha_min,
+            latency_half_life,
+        };
+        for p in [
+            with(0.0, 0.0, 10.0),
+            with(1.5, 0.05, 10.0),
+            with(f32::NAN, 0.05, 10.0),
+            with(0.8, 0.0, 10.0),
+            with(0.8, 0.9, 10.0),
+            with(0.8, f32::NAN, 10.0),
+            with(0.8, 0.05, 0.0),
+            with(0.8, 0.05, f64::NAN),
+            with(0.8, 0.05, f64::INFINITY),
+        ] {
+            assert!(p.validate().is_err(), "{p:?} accepted");
+        }
+        let p = with(1.0, 1.0, f64::MIN_POSITIVE);
+        assert_eq!(p.validate(), Ok(()));
+        assert_eq!(p.alpha(1.0, 0.5), 1.0);
+        assert_eq!(p.admission_weight(5, 1), 1.0);
     }
 }

@@ -27,7 +27,7 @@
 
 use hfl_simnet::DelayModel;
 
-use crate::config::ConfigError;
+use crate::config::{row, ConfigError};
 use crate::runner::RunResult;
 
 /// The timing model of a pipelined run: what the lockstep schedule sets
@@ -64,25 +64,26 @@ impl PipelineConfig {
     /// Reports the first unusable value instead of letting a delay draw
     /// panic mid-run.
     pub fn try_validate(&self) -> Result<(), ConfigError> {
-        if self.rounds == 0 {
-            return Err(ConfigError::ZeroRounds);
-        }
-        for (which, model) in [
-            ("train_delay", &self.train_delay),
-            ("agg_delay", &self.agg_delay),
-        ] {
-            model
-                .validate()
-                .map_err(|(what, value)| ConfigError::DelayOutOfRange { which, what, value })?;
-        }
-        if !(self.cba_delay_factor.is_finite() && self.cba_delay_factor >= 0.0) {
-            return Err(ConfigError::DelayOutOfRange {
-                which: "cba_delay_factor",
-                what: "factor (finite, >= 0)",
-                value: self.cba_delay_factor,
-            });
-        }
-        Ok(())
+        let (rounds, factor) = (self.rounds, self.cba_delay_factor);
+        row(
+            "pipeline.rounds",
+            "count (>= 1)",
+            rounds as f64,
+            rounds >= 1,
+        )?;
+        let at = |section| ConfigError::at(section, None);
+        self.train_delay
+            .validate()
+            .map_err(at("pipeline.train_delay"))?;
+        self.agg_delay
+            .validate()
+            .map_err(at("pipeline.agg_delay"))?;
+        row(
+            "pipeline.cba_delay_factor",
+            "factor (finite, >= 0)",
+            factor,
+            factor.is_finite() && factor >= 0.0,
+        )
     }
 }
 

@@ -21,7 +21,7 @@ use hfl_simnet::DelayModel;
 use hfl_snapshot::EngineSnapshot;
 use hfl_telemetry::{RunManifest, Telemetry};
 
-use crate::config::{AsyncRoundCfg, ConfigError, HflConfig};
+use crate::config::{row, AsyncRoundCfg, ConfigError, HflConfig};
 use crate::engine::RoundEngine;
 use crate::pipeline::{PipelineConfig, PipelineResult};
 use crate::runner::{
@@ -124,9 +124,7 @@ impl<'r> RunOptions<'r> {
             return Ok(RunOutput { run, timing: None });
         };
         pcfg.try_validate()?;
-        if cfg.rounds == 0 {
-            return Err(ConfigError::ZeroRounds);
-        }
+        row("rounds", "count (>= 1)", cfg.rounds as f64, cfg.rounds >= 1)?;
         let mut cfg = cfg.clone();
         cfg.rounds = pcfg.rounds;
         cfg.async_rounds.get_or_insert_with(|| AsyncRoundCfg {
@@ -197,13 +195,21 @@ mod tests {
     fn try_run_reports_bad_configs() {
         let mut cfg = tiny(33);
         cfg.rounds = 0;
-        assert_eq!(try_run(&cfg).unwrap_err(), ConfigError::ZeroRounds);
+        let zero = |field: &str, e: ConfigError| {
+            assert!(
+                matches!(e, ConfigError::OutOfRange { section, .. } if section == field),
+                "{field}: {e}"
+            )
+        };
+        zero("rounds", try_run(&cfg).unwrap_err());
         let pcfg = PipelineConfig {
             rounds: 1,
             ..PipelineConfig::default()
         };
-        let err = RunOptions::pipeline(&pcfg).try_run(&cfg).unwrap_err();
-        assert_eq!(err, ConfigError::ZeroRounds);
+        zero(
+            "rounds",
+            RunOptions::pipeline(&pcfg).try_run(&cfg).unwrap_err(),
+        );
         // A zero-round pipelined horizon under a valid config is reported
         // the same way.
         let pcfg = PipelineConfig {
@@ -211,7 +217,7 @@ mod tests {
             ..PipelineConfig::default()
         };
         let err = RunOptions::pipeline(&pcfg).try_run(&tiny(33)).unwrap_err();
-        assert_eq!(err, ConfigError::ZeroRounds);
+        zero("pipeline.rounds", err);
     }
 
     #[test]

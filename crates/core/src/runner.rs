@@ -32,7 +32,6 @@ use hfl_ml::rng::rng_for_n;
 use hfl_ml::sgd::{train_local_scratch, TrainScratch};
 use hfl_ml::synth::SynthTask;
 use hfl_ml::{ClientPopulation, Dataset, Labelled, Model};
-use hfl_robust::{AggregatorKind, Krum};
 use hfl_simnet::Hierarchy;
 use hfl_snapshot::{CostSnapshot, EngineSnapshot, SNAPSHOT_VERSION};
 use hfl_telemetry::{
@@ -40,9 +39,7 @@ use hfl_telemetry::{
     RunManifest, RunTotals, SuspicionRecord, SuspicionSection, Telemetry,
 };
 
-use crate::config::{
-    AttackCfg, ConfigError, DataDistribution, HflConfig, LevelAgg, SamplingScheme,
-};
+use crate::config::{AttackCfg, ConfigError, DataDistribution, HflConfig, SamplingScheme};
 use crate::engine::RoundEngine;
 
 pub use crate::engine::CostCounters;
@@ -905,30 +902,15 @@ fn run_loop(
     // cluster violates n ≥ 2f + 3 is allowed (the paper's own defaults
     // do this) but flagged once at run start.
     if !cfg.strict_guarantees {
-        for (level, agg) in cfg.levels.iter().enumerate() {
-            let f = match agg {
-                LevelAgg::Bra(AggregatorKind::Krum { f })
-                | LevelAgg::Bra(AggregatorKind::MultiKrum { f, .. }) => *f,
-                _ => continue,
-            };
-            let n_min = exp
-                .hierarchy
-                .level(level)
-                .clusters
-                .iter()
-                .map(|c| c.len())
-                .min()
-                .unwrap_or(0);
-            if !Krum::guarantee_holds(f, n_min) {
-                telem.emit_with(|| Event::Anomaly {
-                    kind: "krum_guarantee_degraded".into(),
-                    detail: format!(
-                        "level {level}: Krum assumes n >= 2f + 3 but the smallest \
-                         cluster has n = {n_min} with f = {f}; selection still runs \
-                         but its Byzantine guarantee does not hold"
-                    ),
-                });
-            }
+        for (level, f, n_min) in cfg.krum_unsound_levels(&exp.hierarchy) {
+            telem.emit_with(|| Event::Anomaly {
+                kind: "krum_guarantee_degraded".into(),
+                detail: format!(
+                    "level {level}: Krum assumes n >= 2f + 3 but the smallest \
+                     cluster has n = {n_min} with f = {f}; selection still runs \
+                     but its Byzantine guarantee does not hold"
+                ),
+            });
         }
     }
 
@@ -1119,7 +1101,11 @@ mod tests {
             let mut cfg = quick(AttackCfg::None, 1);
             break_it(&mut cfg.data);
             match Experiment::try_prepare(&cfg) {
-                Err(ConfigError::DataOutOfRange { what, .. }) => {
+                Err(ConfigError::OutOfRange {
+                    section: "data",
+                    what,
+                    ..
+                }) => {
                     assert!(what.starts_with(field), "{field}: blamed {what}")
                 }
                 Err(other) => panic!("{field}: wrong error {other}"),

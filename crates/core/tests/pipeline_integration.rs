@@ -479,7 +479,7 @@ fn malformed_delay_models_are_config_errors_on_both_schedules() {
     ];
     let delay_error = |which| {
         move |e: ConfigError| match e {
-            ConfigError::DelayOutOfRange { which: w, .. } => assert_eq!(w, which),
+            ConfigError::OutOfRange { section, .. } => assert_eq!(section, which),
             other => panic!("expected a {which} error, got {other}"),
         }
     };
@@ -491,9 +491,13 @@ fn malformed_delay_models_are_config_errors_on_both_schedules() {
             ..AsyncRoundCfg::lan()
         });
         let lockstep = RunOptions::new().try_run(&cfg).map(drop);
-        lockstep.map_err(delay_error("link_delay")).unwrap_err();
+        lockstep
+            .map_err(delay_error("async_rounds.link_delay"))
+            .unwrap_err();
         let pipelined = RunOptions::pipeline(&pcfg(2)).try_run(&cfg).map(drop);
-        pipelined.map_err(delay_error("link_delay")).unwrap_err();
+        pipelined
+            .map_err(delay_error("async_rounds.link_delay"))
+            .unwrap_err();
         // Training and aggregation durations are the pipelined run's.
         let train = PipelineConfig {
             train_delay: bad.clone(),
@@ -501,14 +505,16 @@ fn malformed_delay_models_are_config_errors_on_both_schedules() {
         };
         let run = RunOptions::pipeline(&train).try_run(&small_cfg(40));
         run.map(drop)
-            .map_err(delay_error("train_delay"))
+            .map_err(delay_error("pipeline.train_delay"))
             .unwrap_err();
         let agg = PipelineConfig {
             agg_delay: bad,
             ..pcfg(2)
         };
         let run = RunOptions::pipeline(&agg).try_run(&small_cfg(40));
-        run.map(drop).map_err(delay_error("agg_delay")).unwrap_err();
+        run.map(drop)
+            .map_err(delay_error("pipeline.agg_delay"))
+            .unwrap_err();
     }
     let factor = PipelineConfig {
         cba_delay_factor: f64::NAN,
@@ -516,7 +522,7 @@ fn malformed_delay_models_are_config_errors_on_both_schedules() {
     };
     let run = RunOptions::pipeline(&factor).try_run(&small_cfg(40));
     run.map(drop)
-        .map_err(delay_error("cba_delay_factor"))
+        .map_err(delay_error("pipeline.cba_delay_factor"))
         .unwrap_err();
 }
 

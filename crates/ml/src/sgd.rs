@@ -55,6 +55,24 @@ impl Default for SgdConfig {
 }
 
 impl SgdConfig {
+    /// Checks every hyper-parameter the training loop asserts on
+    /// ([`train_local_scratch`], [`SgdConfig::lr_at`]), and a non-finite
+    /// rate it would train NaN from: `Err((which parameter, its value))`
+    /// for the first unusable one.
+    pub fn validate(&self) -> Result<(), (&'static str, f64)> {
+        let usable = |ok: bool, what, value| if ok { Ok(()) } else { Err((what, value)) };
+        let lr = self.lr;
+        usable(lr.is_finite() && lr > 0.0, "lr", f64::from(lr))?;
+        let batch = self.batch_size;
+        usable(batch >= 1, "batch_size", batch as f64)?;
+        if let LrSchedule::Step { every, factor } = self.schedule {
+            usable(every >= 1, "schedule step interval", every as f64)?;
+            let ok = factor > 0.0 && factor <= 1.0;
+            usable(ok, "schedule step factor", f64::from(factor))?;
+        }
+        Ok(())
+    }
+
     /// The effective learning rate at a global round.
     pub fn lr_at(&self, round: usize) -> f32 {
         match self.schedule {
@@ -282,5 +300,35 @@ mod tests {
         let mut m = LinearSoftmax::new(2, 2);
         let mut rng = StdRng::seed_from_u64(1);
         train_local(&mut m, &data, &SgdConfig::default(), 1, &mut rng);
+    }
+
+    #[test]
+    fn validate_refuses_what_training_would_panic_on() {
+        let step = |every, factor| SgdConfig {
+            schedule: LrSchedule::Step { every, factor },
+            ..SgdConfig::default()
+        };
+        for cfg in [
+            SgdConfig {
+                lr: 0.0,
+                ..SgdConfig::default()
+            },
+            SgdConfig {
+                lr: f32::INFINITY,
+                ..SgdConfig::default()
+            },
+            SgdConfig {
+                batch_size: 0,
+                ..SgdConfig::default()
+            },
+            step(0, 0.5),
+            step(1, 0.0),
+            step(1, f32::NAN),
+        ] {
+            assert!(cfg.validate().is_err(), "{cfg:?} accepted");
+        }
+        let cfg = step(1, 1.0);
+        assert_eq!(cfg.validate(), Ok(()));
+        assert_eq!(cfg.lr_at(3), cfg.lr);
     }
 }

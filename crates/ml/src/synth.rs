@@ -50,6 +50,37 @@ pub struct SynthConfig {
     pub seed: u64,
 }
 
+/// The most feature values a task may hold between its two splits
+/// (`dim × (train_samples + test_samples)`): the test split is
+/// materialized, the training split is drawn on demand. Far above any
+/// task that trains (10⁶ samples of 64 features is 2²⁶), far below what
+/// materializing a split would exhaust.
+const MAX_TASK_VALUES: usize = 1 << 30;
+
+impl SynthConfig {
+    /// Checks every size [`SynthTask::plan`] asserts on, and the spreads
+    /// it would silently draw NaN from: `Err((which parameter, its
+    /// value))` for the first unusable one. A task over 2³⁰ feature
+    /// values (`dim × (train_samples + test_samples)`) is refused too.
+    pub fn validate(&self) -> Result<(), (&'static str, f64)> {
+        let usable = |ok: bool, what, value| if ok { Ok(()) } else { Err((what, value)) };
+        let (train, test, dim) = (self.train_samples, self.test_samples, self.dim);
+        usable(train >= 1, "train_samples", train as f64)?;
+        usable(test >= 1, "test_samples", test as f64)?;
+        usable(dim >= 1, "dim", dim as f64)?;
+        let values = train.checked_add(test).and_then(|n| n.checked_mul(dim));
+        let size = values.map_or(f64::INFINITY, |v| v as f64);
+        usable(size <= MAX_TASK_VALUES as f64, "dim x samples", size)?;
+        let classes = self.num_classes;
+        let what = "num_classes (labels are u8: 2..=256)";
+        usable((2..=256).contains(&classes), what, classes as f64)?;
+        let (noise, separation) = (self.noise_std, self.separation);
+        let noise_ok = noise.is_finite() && noise >= 0.0;
+        usable(noise_ok, "noise_std", f64::from(noise))?;
+        usable(separation.is_finite(), "separation", f64::from(separation))
+    }
+}
+
 impl Default for SynthConfig {
     fn default() -> Self {
         Self {
@@ -390,5 +421,37 @@ mod tests {
             let n = hfl_tensor::ops::norm(m);
             assert!((n - cfg.separation as f64).abs() < 1e-3);
         }
+    }
+
+    #[test]
+    fn validate_refuses_what_plan_would_panic_on() {
+        type Break = fn(&mut SynthConfig);
+        let cases: [(&str, Break); 9] = [
+            ("train_samples", |c| c.train_samples = 0),
+            ("test_samples", |c| c.test_samples = 0),
+            ("dim", |c| c.dim = 0),
+            ("dim x samples", |c| c.dim = usize::MAX),
+            ("dim x samples", |c| c.train_samples = usize::MAX),
+            ("num_classes", |c| c.num_classes = 1),
+            ("num_classes", |c| c.num_classes = 257),
+            ("noise_std", |c| c.noise_std = -1.0),
+            ("separation", |c| c.separation = f32::NAN),
+        ];
+        for (field, break_it) in cases {
+            let mut cfg = SynthConfig::default();
+            break_it(&mut cfg);
+            let (what, _) = cfg.validate().unwrap_err();
+            assert!(what.starts_with(field), "{field}: blamed {what}");
+        }
+        let cfg = SynthConfig {
+            train_samples: 1,
+            test_samples: 1,
+            dim: 1,
+            num_classes: 256,
+            noise_std: 0.0,
+            ..SynthConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
+        SynthTask::plan(&cfg);
     }
 }

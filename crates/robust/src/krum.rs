@@ -133,7 +133,9 @@ impl Krum {
     /// True when Blanchard et al.'s Byzantine-resilience guarantee
     /// (`n ≥ 2f + 3`) holds for `n` inputs.
     pub fn guarantee_holds(f: usize, n: usize) -> bool {
-        n >= 2 * f + 3
+        f.checked_mul(2)
+            .and_then(|two_f| two_f.checked_add(3))
+            .is_some_and(|needed| n >= needed)
     }
 }
 
@@ -370,6 +372,7 @@ mod tests {
         assert!((out[0] - 1.0).abs() < 0.5);
         assert!(!Krum::guarantee_holds(1, 4));
         assert!(Krum::guarantee_holds(1, 5));
+        assert!(!Krum::guarantee_holds(usize::MAX, usize::MAX));
     }
 
     #[test]

@@ -226,6 +226,52 @@ pub enum AggregatorKind {
 }
 
 impl AggregatorKind {
+    /// Checks every parameter [`AggregatorKind::build`]'s constructors
+    /// assert on, a pre-aggregation's inner rule included:
+    /// `Err((which parameter, its value))` for the first unusable one. A
+    /// streaming rule's zero exact threshold, which its constructor
+    /// clamps to one, is refused too.
+    pub fn validate(&self) -> Result<(), (&'static str, f64)> {
+        let usable = |ok: bool, what, value| if ok { Ok(()) } else { Err((what, value)) };
+        let positive = |n: usize, what| usable(n >= 1, what, n as f64);
+        let trim = |ratio: f64, what| usable((0.0..0.5).contains(&ratio), what, ratio);
+        match self {
+            AggregatorKind::FedAvg
+            | AggregatorKind::Krum { .. }
+            | AggregatorKind::Median
+            | AggregatorKind::GeoMed => Ok(()),
+            AggregatorKind::MultiKrum { m, .. } => positive(*m, "multi-krum m"),
+            AggregatorKind::SampledKrum { m, .. } => positive(*m, "sampled-krum m"),
+            AggregatorKind::TrimmedMean { ratio } => trim(*ratio, "trimmed-mean ratio"),
+            AggregatorKind::CenteredClip { tau, iters } => {
+                usable(tau.is_finite() && *tau > 0.0, "centered-clip tau", *tau)?;
+                positive(*iters, "centered-clip iters")
+            }
+            AggregatorKind::CosineClustering { threshold: t } => {
+                usable((-1.0..=1.0).contains(t), "cosine-clustering threshold", *t)
+            }
+            AggregatorKind::AutoGm { kappa } => usable(*kappa > 0.0, "autogm kappa", *kappa),
+            AggregatorKind::Bucketing { s, inner } => {
+                positive(*s, "bucketing s")?;
+                inner.validate()
+            }
+            AggregatorKind::Nnm { k, inner } => {
+                positive(*k, "nnm k")?;
+                inner.validate()
+            }
+            AggregatorKind::StreamingMedian { exact_threshold: n } => {
+                positive(*n, "streaming-median exact_threshold")
+            }
+            AggregatorKind::StreamingTrimmedMean {
+                ratio,
+                exact_threshold: n,
+            } => {
+                trim(*ratio, "streaming-trimmed-mean ratio")?;
+                positive(*n, "streaming-trimmed-mean exact_threshold")
+            }
+        }
+    }
+
     /// Instantiates the rule.
     pub fn build(&self) -> Box<dyn Aggregator> {
         match self {
@@ -300,6 +346,68 @@ mod tests {
             out.push(bad.to_vec());
         }
         out
+    }
+
+    #[test]
+    fn validate_refuses_what_build_would_panic_on() {
+        let median = || Box::new(AggregatorKind::Median);
+        let bad = [
+            AggregatorKind::MultiKrum { f: 1, m: 0 },
+            AggregatorKind::TrimmedMean { ratio: 0.5 },
+            AggregatorKind::TrimmedMean { ratio: f64::NAN },
+            AggregatorKind::CenteredClip { tau: 0.0, iters: 3 },
+            AggregatorKind::CenteredClip { tau: 1.0, iters: 0 },
+            AggregatorKind::CosineClustering { threshold: 1.5 },
+            AggregatorKind::CosineClustering {
+                threshold: f64::NAN,
+            },
+            AggregatorKind::AutoGm { kappa: 0.0 },
+            AggregatorKind::AutoGm { kappa: f64::NAN },
+            AggregatorKind::Bucketing {
+                s: 0,
+                inner: median(),
+            },
+            AggregatorKind::Nnm {
+                k: 0,
+                inner: median(),
+            },
+            AggregatorKind::Nnm {
+                k: 2,
+                inner: Box::new(AggregatorKind::MultiKrum { f: 1, m: 0 }),
+            },
+            AggregatorKind::StreamingMedian { exact_threshold: 0 },
+            AggregatorKind::StreamingTrimmedMean {
+                ratio: -0.1,
+                exact_threshold: 256,
+            },
+            AggregatorKind::StreamingTrimmedMean {
+                ratio: 0.2,
+                exact_threshold: 0,
+            },
+            AggregatorKind::SampledKrum { f: 1, m: 0 },
+        ];
+        for kind in bad {
+            assert!(kind.validate().is_err(), "{kind:?} accepted");
+        }
+        // The edges of each range build.
+        for kind in [
+            AggregatorKind::Krum { f: usize::MAX },
+            AggregatorKind::MultiKrum { f: 1, m: 1 },
+            AggregatorKind::TrimmedMean { ratio: 0.0 },
+            AggregatorKind::CosineClustering { threshold: -1.0 },
+            AggregatorKind::CosineClustering { threshold: 1.0 },
+            AggregatorKind::AutoGm {
+                kappa: f64::MIN_POSITIVE,
+            },
+            AggregatorKind::Bucketing {
+                s: 1,
+                inner: median(),
+            },
+            AggregatorKind::SampledKrum { f: 0, m: 1 },
+        ] {
+            assert_eq!(kind.validate(), Ok(()), "{kind:?}");
+            kind.build();
+        }
     }
 
     #[test]

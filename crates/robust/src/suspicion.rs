@@ -46,20 +46,20 @@ impl Default for SuspicionConfig {
 }
 
 impl SuspicionConfig {
-    /// First parameter out of range, if any (`None` = valid). The exact
-    /// invariants: `decay ∈ (0, 1)`, thresholds positive and finite,
-    /// `release_threshold < quarantine_threshold`.
-    pub fn invalid_param(&self) -> Option<(&'static str, f64)> {
+    /// `Err((which parameter, its value))` for the first out of range.
+    /// The exact invariants: `decay ∈ (0, 1)`, thresholds positive and
+    /// finite, `release_threshold < quarantine_threshold`.
+    pub fn validate(&self) -> Result<(), (&'static str, f64)> {
         if !(self.decay > 0.0 && self.decay < 1.0) {
-            return Some(("decay", self.decay));
+            return Err(("decay", self.decay));
         }
         if !(self.quarantine_threshold > 0.0 && self.quarantine_threshold.is_finite()) {
-            return Some(("quarantine_threshold", self.quarantine_threshold));
+            return Err(("quarantine_threshold", self.quarantine_threshold));
         }
         if !(self.release_threshold > 0.0 && self.release_threshold < self.quarantine_threshold) {
-            return Some(("release_threshold", self.release_threshold));
+            return Err(("release_threshold", self.release_threshold));
         }
-        None
+        Ok(())
     }
 }
 
@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn default_config_is_valid() {
-        assert_eq!(SuspicionConfig::default().invalid_param(), None);
+        assert_eq!(SuspicionConfig::default().validate(), Ok(()));
     }
 
     #[test]
@@ -197,13 +197,13 @@ mod tests {
             decay: 1.0,
             ..SuspicionConfig::default()
         };
-        assert_eq!(c.invalid_param(), Some(("decay", 1.0)));
+        assert_eq!(c.validate(), Err(("decay", 1.0)));
         c = SuspicionConfig::default();
         c.quarantine_threshold = 0.0;
-        assert!(c.invalid_param().is_some());
+        assert!(c.validate().is_err());
         c = SuspicionConfig::default();
         c.release_threshold = 3.0; // above quarantine
-        assert_eq!(c.invalid_param(), Some(("release_threshold", 3.0)));
+        assert_eq!(c.validate(), Err(("release_threshold", 3.0)));
     }
 
     #[test]

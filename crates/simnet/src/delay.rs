@@ -118,7 +118,7 @@ impl DelayModel {
     pub fn mean_micros(&self) -> f64 {
         match self {
             DelayModel::Constant { micros } => *micros as f64,
-            DelayModel::Uniform { lo, hi } => (*lo + *hi) as f64 / 2.0,
+            DelayModel::Uniform { lo, hi } => (*lo as f64 + *hi as f64) / 2.0,
             DelayModel::Exponential { mean } => *mean,
             DelayModel::LogNormal { mu, sigma } => math::exp_f64(mu + sigma * sigma / 2.0),
             DelayModel::Straggler { base, p, factor } => {
@@ -284,5 +284,14 @@ mod tests {
             (0..5).map(|_| m.sample(&mut rng).as_micros()).collect()
         };
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn uniform_mean_of_the_widest_range_does_not_overflow() {
+        let widest = DelayModel::Uniform {
+            lo: u64::MAX,
+            hi: u64::MAX,
+        };
+        assert_eq!(widest.mean_micros(), u64::MAX as f64);
     }
 }
