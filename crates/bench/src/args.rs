@@ -9,14 +9,7 @@ pub const EXPERIMENT_FLAGS: &[&str] = &[
     "--quick", "--smoke", "--rounds", "--reps", "--out", "--filter", "--seed",
 ];
 /// The flags `repro fuzz` accepts.
-pub const FUZZ_FLAGS: &[&str] = &[
-    "--iters",
-    "--seed",
-    "--mutation",
-    "--snapshots",
-    "--corpus-dir",
-    "--out",
-];
+pub const FUZZ_FLAGS: &[&str] = &["--iters", "--seed", "--mutation", "--corpus-dir", "--out"];
 /// The flags `repro bisect` accepts.
 pub const BISECT_FLAGS: &[&str] = &["--manifest-a", "--manifest-b", "--spec-a", "--spec-b"];
 
@@ -44,8 +37,6 @@ pub struct Args {
     pub iters: usize,
     /// `fuzz`: run against deliberately corrupted observations.
     pub mutation: Option<Mutation>,
-    /// `fuzz`: resume shrink candidates from snapshots.
-    pub snapshots: bool,
     /// `fuzz`: where a real violation's minimal repro is persisted.
     pub corpus_dir: Option<String>,
     /// `bisect`: two saved run manifests (JSON).
@@ -68,7 +59,6 @@ impl Default for Args {
             seed: 42,
             iters: 50,
             mutation: None,
-            snapshots: false,
             corpus_dir: None,
             manifests: [None, None],
             specs: [None, None],
@@ -87,7 +77,6 @@ impl Args {
             match flag.as_str() {
                 "--quick" => args.quick = true,
                 "--smoke" => args.smoke = true,
-                "--snapshots" => args.snapshots = true,
                 "--rounds" => args.rounds = Some(integer(&flag, value()?)?),
                 "--reps" => args.reps = Some(integer(&flag, value()?)?),
                 "--seed" => args.seed = integer(&flag, value()?)?,
@@ -198,10 +187,9 @@ mod tests {
 
     #[test]
     fn tool_flags() {
-        let a = parse("--iters 9 --mutation quorum --snapshots --spec-a a --spec-b b").unwrap();
+        let a = parse("--iters 9 --mutation quorum --spec-a a --spec-b b").unwrap();
         assert_eq!(a.iters, 9);
         assert_eq!(a.mutation, Some(Mutation::QuorumUndershoot));
-        assert!(a.snapshots);
         assert_eq!(a.specs, [Some("a".to_string()), Some("b".to_string())]);
     }
 

@@ -24,7 +24,7 @@ const USAGE: &str = "\
 usage: repro <experiment> [--quick] [--rounds N] [--reps N] [--seed S] [--filter SUBSTR] [--out DIR] [--smoke]
        repro all [experiment flags]    every experiment, in `repro list` order
        repro list                      the experiments and what each reproduces
-       repro fuzz [--iters N] [--seed S] [--snapshots] [--corpus-dir DIR] [--out DIR]
+       repro fuzz [--iters N] [--seed S] [--corpus-dir DIR] [--out DIR]
                   [--mutation quorum|conservation|determinism|staleness|defense-bypass]
        repro bisect --manifest-a A.json --manifest-b B.json
        repro bisect --spec-a A.toml --spec-b B.toml";

@@ -24,10 +24,9 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use abd_hfl_core::config::ConfigError;
-use hfl_oracle::harness::{check, check_cached, Mutation, SnapshotCache};
-use hfl_oracle::scenario::{AggSpec, AttackSpec, PreAggSpec, ScenarioGen, ScenarioSpec};
-use hfl_oracle::{shrink, toml, Observations, Violation};
+use hfl_oracle::harness::{check_cached, Mutation, SnapshotCache};
+use hfl_oracle::scenario::{ScenarioGen, ScenarioSpec};
+use hfl_oracle::{shrink, toml};
 
 use crate::report::write_or_exit;
 use crate::Args;
@@ -37,50 +36,27 @@ use crate::Args;
 /// stopped drawing would show up as a zero here).
 #[derive(Default)]
 struct Coverage {
-    families: BTreeMap<&'static str, usize>,
+    families: BTreeMap<String, usize>,
 }
 
 impl Coverage {
     fn record(&mut self, spec: &ScenarioSpec) {
-        let attack = match &spec.attack {
-            AttackSpec::None => "attack:none",
-            AttackSpec::SignFlip { .. } => "attack:signflip",
-            AttackSpec::Alie { .. } => "attack:alie",
-            AttackSpec::Ipm { .. } => "attack:ipm",
-            AttackSpec::LabelFlip => "attack:labelflip",
-            AttackSpec::Mimic { .. } => "attack:mimic",
-            AttackSpec::Scaling { .. } => "attack:scaling",
-            AttackSpec::MinMax => "attack:minmax",
-            AttackSpec::MinSum => "attack:minsum",
-            AttackSpec::AdaptiveAlie => "attack:adaptive_alie",
-            AttackSpec::AdaptiveIpm => "attack:adaptive_ipm",
-            AttackSpec::AdaptiveScaling => "attack:adaptive_scaling",
-        };
-        let agg = match &spec.agg {
-            AggSpec::FedAvg => "agg:fedavg",
-            AggSpec::Krum { .. } => "agg:krum",
-            AggSpec::MultiKrum { .. } => "agg:multikrum",
-            AggSpec::Median => "agg:median",
-            AggSpec::TrimmedMean { .. } => "agg:trimmed_mean",
-            AggSpec::GeoMed => "agg:geomed",
-            AggSpec::CenteredClip { .. } => "agg:centered_clip",
-        };
-        let pre = match &spec.pre_agg {
-            PreAggSpec::None => "pre_agg:none",
-            PreAggSpec::Bucketing { .. } => "pre_agg:bucketing",
-            PreAggSpec::Nnm { .. } => "pre_agg:nnm",
-        };
-        for family in [attack, agg, pre] {
+        let mut families = vec![
+            format!("attack:{}", spec.attack.name()),
+            format!("agg:{}", spec.agg.name()),
+            format!("pre_agg:{}", spec.pre_agg.name()),
+        ];
+        for (drawn, family) in [
+            (spec.dirichlet_alpha.is_some(), "data:dirichlet"),
+            (spec.heterogeneity, "net:heterogeneity"),
+            (spec.sampling_population > 0, "pop:sampled"),
+        ] {
+            if drawn {
+                families.push(family.to_string());
+            }
+        }
+        for family in families {
             *self.families.entry(family).or_insert(0) += 1;
-        }
-        if spec.dirichlet_alpha.is_some() {
-            *self.families.entry("data:dirichlet").or_insert(0) += 1;
-        }
-        if spec.heterogeneity {
-            *self.families.entry("net:heterogeneity").or_insert(0) += 1;
-        }
-        if spec.sampling_population > 0 {
-            *self.families.entry("pop:sampled").or_insert(0) += 1;
         }
     }
 
@@ -94,37 +70,10 @@ impl Coverage {
     }
 }
 
-/// One oracle check, through the snapshot cache when `--snapshots` is
-/// on so horizon-halving shrink candidates resume instead of replaying
-/// their prefix.
-fn run_check(
-    spec: &ScenarioSpec,
-    mutation: Option<Mutation>,
-    cache: &mut Option<SnapshotCache>,
-) -> Result<(Observations, Vec<Violation>), ConfigError> {
-    match cache.as_mut() {
-        Some(c) => check_cached(spec, mutation, c),
-        None => check(spec, mutation),
-    }
-}
-
 /// Re-runs a shrink candidate under the active mutation; invalid specs
 /// (a topology edit orphaning a fault) count as "does not fail".
-fn still_fails(
-    spec: &ScenarioSpec,
-    mutation: Option<Mutation>,
-    cache: &mut Option<SnapshotCache>,
-) -> bool {
-    matches!(run_check(spec, mutation, cache), Ok((_, v)) if !v.is_empty())
-}
-
-fn report_rounds(cache: &Option<SnapshotCache>) {
-    if let Some(c) = cache {
-        println!(
-            "rounds executed: {} (saved {} by snapshot resume)",
-            c.rounds_executed, c.rounds_saved
-        );
-    }
+fn still_fails(spec: &ScenarioSpec, mutation: Option<Mutation>, cache: &mut SnapshotCache) -> bool {
+    matches!(check_cached(spec, mutation, cache), Ok((_, v)) if !v.is_empty())
 }
 
 /// Runs the fuzzer: exit 0 when every scenario upholds the oracles (or
@@ -140,14 +89,14 @@ pub fn run(args: &Args) -> ExitCode {
         .as_ref()
         .map_or(workspace.join("target/oracle"), PathBuf::from);
     let mut gen = ScenarioGen::new(args.seed);
-    let mut cache = args.snapshots.then(SnapshotCache::new);
+    let mut cache = SnapshotCache::new();
 
     if let Some(mutation) = args.mutation {
         // Self-check mode: corrupted observations MUST trip an oracle.
         for i in 0..args.iters.max(1) {
             let spec = gen.draw();
-            let (_, violations) =
-                run_check(&spec, Some(mutation), &mut cache).expect("generated spec must be valid");
+            let (_, violations) = check_cached(&spec, Some(mutation), &mut cache)
+                .expect("generated spec must be valid");
             if violations.is_empty() {
                 continue;
             }
@@ -165,7 +114,7 @@ pub fn run(args: &Args) -> ExitCode {
                 minimal.rounds,
                 path.display()
             );
-            report_rounds(&cache);
+            println!("rounds executed: {}", cache.rounds_executed);
             return ExitCode::SUCCESS;
         }
         eprintln!(
@@ -181,7 +130,7 @@ pub fn run(args: &Args) -> ExitCode {
         let spec = gen.draw();
         coverage.record(&spec);
         let (_, violations) =
-            run_check(&spec, None, &mut cache).expect("generated spec must be valid");
+            check_cached(&spec, None, &mut cache).expect("generated spec must be valid");
         if violations.is_empty() {
             if (i + 1) % 25 == 0 {
                 println!("{}/{} scenarios clean", i + 1, args.iters);
@@ -203,7 +152,7 @@ pub fn run(args: &Args) -> ExitCode {
             minimal.rounds,
             path.display()
         );
-        report_rounds(&cache);
+        println!("rounds executed: {}", cache.rounds_executed);
         return ExitCode::FAILURE;
     }
     println!(
@@ -211,6 +160,6 @@ pub fn run(args: &Args) -> ExitCode {
         args.iters, args.seed
     );
     coverage.report();
-    report_rounds(&cache);
+    println!("rounds executed: {}", cache.rounds_executed);
     ExitCode::SUCCESS
 }

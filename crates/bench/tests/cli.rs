@@ -148,3 +148,19 @@ fn an_experiment_whose_cells_are_all_filtered_out_writes_a_header_only_csv() {
     assert_eq!(csv.lines().count(), 1, "only the header: {csv}");
     let _ = std::fs::remove_dir_all(dir);
 }
+
+#[test]
+fn a_caught_mutation_exits_0_and_writes_its_minimal_repro() {
+    let dir = scratch("mutation");
+    let out = dir.to_str().unwrap();
+    let (code, stdout, stderr) =
+        repro(&["fuzz", "--mutation", "quorum", "--seed", "42", "--out", out]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("mutation `quorum` caught"), "{stdout}");
+    let text = std::fs::read_to_string(dir.join("mutation_quorum.toml")).unwrap();
+    assert!(
+        hfl_oracle::toml::from_toml(&text).is_ok(),
+        "the repro parses back:\n{text}"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}

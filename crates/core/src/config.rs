@@ -84,8 +84,8 @@ impl TopologyCfg {
     }
 
     /// Refuses a shape [`TopologyCfg::build`] would panic on, or whose
-    /// levels hold more than [`MAX_TOPOLOGY_NODES`] devices between them.
-    pub(crate) fn try_validate(&self) -> Result<(), ConfigError> {
+    /// levels hold more than 2^20 devices between them.
+    pub fn try_validate(&self) -> Result<(), ConfigError> {
         let levels = |n: usize| ("total_levels (below top + bottom)", n, n >= 2);
         let (rows, nodes) = match *self {
             TopologyCfg::Ecsm {
@@ -707,6 +707,13 @@ impl HflConfig {
                 cohort,
                 clients,
             )?;
+        }
+        if let DataDistribution::Dirichlet { .. } = self.distribution {
+            // The Dirichlet deal leaves no client empty.
+            let population = self.sampling.map_or(clients, |s| s.population);
+            let samples = data.train_samples;
+            let what = "train_samples (>= the population under a Dirichlet partition)";
+            row("data", what, samples as f64, samples >= population)?;
         }
         if let Some(mask) = &self.malicious_override {
             // Malicious flags are identity-bound: under sampling the mask

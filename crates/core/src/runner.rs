@@ -199,6 +199,20 @@ impl Experiment {
             ),
         };
 
+        // The non-IID deals need honest clients that can hold every
+        // label between them; the mask is drawn here, so this is the
+        // first place the count is known.
+        let honest = malicious.iter().filter(|m| !**m).count();
+        let covered = match cfg.distribution {
+            DataDistribution::Iid => true,
+            DataDistribution::NonIid { labels_per_client } => {
+                honest.saturating_mul(labels_per_client) >= task.train.num_classes()
+            }
+            DataDistribution::Dirichlet { .. } => honest >= 1,
+        };
+        let what = "honest clients (enough to cover every label under a non-IID partition)";
+        crate::config::row("distribution", what, honest as f64, covered)?;
+
         // The lazy shard plan: O(dataset) state however large the
         // population, consuming exactly the RNG streams the eager
         // partition functions did (the equivalence the ml crate's

@@ -7,19 +7,14 @@
 //! applies, a third same-seed run with the attack stripped.
 //!
 //! [`Mutation`] injects deliberate corruptions *at the observation
-//! boundary* — the values a buggy engine would have produced — so CI
-//! can prove the oracles and the shrinker actually catch a broken
-//! quorum rule or a leaked message without compiling a broken engine
-//! (see `DESIGN.md` §10).
-
-use std::collections::HashMap;
+//! boundary* — the values a buggy engine would have produced — so
+//! `tests/oracle_corpus.rs` can prove the oracles and the shrinker
+//! actually catch a broken quorum rule or a leaked message without
+//! compiling a broken engine (see `DESIGN.md` §10).
 
 use abd_hfl_core::config::{ConfigError, HflConfig};
 use abd_hfl_core::engine::cost::clean_round_messages;
-use abd_hfl_core::runner::{
-    resume_prepared_with, run_prepared_snapshotting, run_prepared_with, Experiment, RunResult,
-};
-use hfl_snapshot::EngineSnapshot;
+use abd_hfl_core::runner::{run_prepared_with, Experiment, RunResult};
 use hfl_telemetry::{Event, RunManifest, Telemetry};
 
 use crate::scenario::{AttackSpec, ProtocolSpec, ScenarioSpec};
@@ -95,169 +90,60 @@ fn byzantine_bound_eligible(spec: &ScenarioSpec, malicious_per_cluster: &[usize]
         && spec.rounds >= 3
 }
 
-/// Reusable run state for snapshot-seeded replay: per-round
-/// [`EngineSnapshot`]s keyed by the scenario's *base* shape (everything
-/// but the horizon), plus memoized clean-twin accuracies. Shrink
-/// candidates that only shorten `rounds` — the shrinker's first and
-/// most frequent edit — resume from the deepest compatible snapshot
-/// instead of re-executing the prefix.
+/// What a sequence of [`check_cached`] calls has run: the fuzz loop and
+/// the shrinker thread one through every scenario they check. The
+/// benchmark calls it by this name, which no longer says what it holds.
 #[derive(Default)]
 pub struct SnapshotCache {
-    snapshots: HashMap<String, Vec<EngineSnapshot>>,
-    clean_accuracy: HashMap<String, f64>,
-    /// Rounds actually executed through runs under this cache.
+    /// Rounds executed by every run under this counter: the primary
+    /// run, its same-seed rerun and, when eligible, the clean twin.
     pub rounds_executed: u64,
-    /// Rounds skipped by resuming from a cached snapshot.
-    pub rounds_saved: u64,
 }
 
 impl SnapshotCache {
-    /// An empty cache.
+    /// A counter at zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Cache key: the spec with the horizon zeroed, so any
-    /// rounds-only variant of the same scenario shares snapshots
-    /// (matching [`abd_hfl_core::runner::base_config_hash`]'s
-    /// normalization — `ScenarioSpec::to_config` derives `eval_every`
-    /// from `rounds`, so zeroing `rounds` covers both).
-    fn base_key(spec: &ScenarioSpec) -> String {
-        let mut s = spec.clone();
-        s.rounds = 0;
-        format!("{s:?}")
-    }
-
-    /// The deepest cached snapshot strictly before `spec.rounds`.
-    fn best_for(&self, spec: &ScenarioSpec) -> Option<&EngineSnapshot> {
-        self.snapshots
-            .get(&Self::base_key(spec))?
-            .iter()
-            .filter(|s| s.round < spec.rounds)
-            .max_by_key(|s| s.round)
     }
 }
 
 /// Runs `spec` and gathers [`Observations`]. `Err` means the spec does
 /// not lower to a consistent config — a generator or corpus bug, never
 /// an engine bug, so the fuzz loop treats it as fatal.
-pub fn run_scenario(spec: &ScenarioSpec) -> Result<Observations, ConfigError> {
-    run_scenario_inner(spec, None)
-}
-
-/// [`run_scenario`] with snapshot-seeded replay: both instrumented
-/// runs resume from the deepest cached snapshot compatible with
-/// `spec`, and cache misses record per-round snapshots for later
-/// rounds-only variants (the shrinker's horizon-halving candidates).
-pub fn run_scenario_cached(
+fn run_scenario(
     spec: &ScenarioSpec,
     cache: &mut SnapshotCache,
 ) -> Result<Observations, ConfigError> {
-    run_scenario_inner(spec, Some(cache))
-}
-
-fn run_scenario_inner(
-    spec: &ScenarioSpec,
-    mut cache: Option<&mut SnapshotCache>,
-) -> Result<Observations, ConfigError> {
     let cfg = spec.to_config();
 
-    let resume_from: Option<EngineSnapshot> =
-        cache.as_deref().and_then(|c| c.best_for(spec)).cloned();
-
-    let (run, events, start_round) = {
+    let (run, events) = {
         let exp = Experiment::try_prepare(&cfg)?;
         let (telem, rec) = Telemetry::recording();
-        let (run, snaps, start) = match &resume_from {
-            Some(snap) => {
-                let run = resume_prepared_with(&exp, &telem, snap)
-                    .expect("cached snapshot must resume under its own base config");
-                (run, Vec::new(), snap.round)
-            }
-            None => {
-                if cache.is_some() {
-                    let (run, snaps) = run_prepared_snapshotting(&exp, &telem, 1);
-                    (run, snaps, 0)
-                } else {
-                    (run_prepared_with(&exp, &telem), Vec::new(), 0)
-                }
-            }
-        };
-        if let (Some(c), false) = (cache.as_mut(), snaps.is_empty()) {
-            c.snapshots
-                .entry(SnapshotCache::base_key(spec))
-                .or_insert(snaps);
-        }
-        // A resumed run never emitted events for the prefix rounds;
-        // reconstruct the one event kind the oracles *sum* —
-        // `RoundFinished` — from the snapshot's round records so
-        // accounting conservation still closes over the totals.
-        let mut events: Vec<Event> = run.manifest.rounds[..start]
-            .iter()
-            .map(|r| Event::RoundFinished {
-                round: r.round - 1,
-                messages: r.messages,
-                bytes: r.bytes,
-                excluded: r.excluded,
-                absent: r.absent,
-            })
-            .collect();
-        events.extend(rec.events());
-        (run, events, start)
+        let run = run_prepared_with(&exp, &telem);
+        (run, rec.take())
     };
 
     // Fully independent reproduction: fresh prepare, fresh telemetry.
-    // When resuming, the rerun restarts from the *same* snapshot, so
-    // the determinism oracle still compares two independent
-    // executions of every round past the checkpoint. What the oracles
-    // read off a prepared experiment rather than off a run is lifted out
-    // of this one before it drops, once its run is done: no experiment
-    // is prepared a third time, and nothing extra is alive while either
-    // run is at its heap peak.
+    // What the oracles read off a prepared experiment rather than off a
+    // run is lifted out of this one before it drops, once its run is
+    // done: no experiment is prepared a third time, and nothing extra is
+    // alive while either run is at its heap peak.
     let (rerun, facts) = {
         let rerun_exp = Experiment::try_prepare(&cfg)?;
         let (rerun_telem, _rerun_rec) = Telemetry::recording();
-        let rerun = match &resume_from {
-            Some(snap) => resume_prepared_with(&rerun_exp, &rerun_telem, snap)
-                .expect("cached snapshot must resume under its own base config"),
-            None => run_prepared_with(&rerun_exp, &rerun_telem),
-        };
+        let rerun = run_prepared_with(&rerun_exp, &rerun_telem);
         (rerun, ExperimentFacts::of(&rerun_exp, spec, &cfg))
     };
-
-    if let Some(c) = cache.as_mut() {
-        let executed = (spec.rounds - start_round) as u64;
-        c.rounds_executed += 2 * executed;
-        c.rounds_saved += 2 * start_round as u64;
-    }
+    cache.rounds_executed += 2 * spec.rounds as u64;
 
     let clean_final_accuracy = if byzantine_bound_eligible(spec, &facts.malicious_per_cluster) {
         let mut clean_spec = spec.clone();
         clean_spec.attack = AttackSpec::None;
         clean_spec.proportion = 0.0;
-        let clean_key = format!("{clean_spec:?}");
-        let cached = cache
-            .as_deref()
-            .and_then(|c| c.clean_accuracy.get(&clean_key).copied());
-        match cached {
-            Some(acc) => {
-                if let Some(c) = cache.as_mut() {
-                    c.rounds_saved += clean_spec.rounds as u64;
-                }
-                Some(acc)
-            }
-            None => {
-                let clean_cfg = clean_spec.to_config();
-                let clean_exp = Experiment::try_prepare(&clean_cfg)?;
-                let clean = run_prepared_with(&clean_exp, &Telemetry::disabled());
-                if let Some(c) = cache.as_mut() {
-                    c.rounds_executed += clean_spec.rounds as u64;
-                    c.clean_accuracy
-                        .insert(clean_key, clean.result.final_accuracy);
-                }
-                Some(clean.result.final_accuracy)
-            }
-        }
+        let clean_exp = Experiment::try_prepare(&clean_spec.to_config())?;
+        let clean = run_prepared_with(&clean_exp, &Telemetry::disabled());
+        cache.rounds_executed += clean_spec.rounds as u64;
+        Some(clean.result.final_accuracy)
     } else {
         None
     };
@@ -345,16 +231,18 @@ pub enum Mutation {
 }
 
 impl Mutation {
-    /// Parses the `--mutation` flag names.
+    /// Every mutation, in the order `repro fuzz`'s usage lists them.
+    pub const ALL: [Mutation; 5] = [
+        Mutation::QuorumUndershoot,
+        Mutation::InflateMessages,
+        Mutation::SkewRerun,
+        Mutation::OverdueAdmit,
+        Mutation::DefenseBypass,
+    ];
+
+    /// Parses a `--mutation` flag name.
     pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "quorum" => Some(Mutation::QuorumUndershoot),
-            "conservation" => Some(Mutation::InflateMessages),
-            "determinism" => Some(Mutation::SkewRerun),
-            "staleness" => Some(Mutation::OverdueAdmit),
-            "defense-bypass" => Some(Mutation::DefenseBypass),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|m| m.name() == name)
     }
 
     /// The `--mutation` flag name.
@@ -413,28 +301,14 @@ impl Mutation {
 }
 
 /// Runs `spec`, optionally applies a [`Mutation`], and checks every
-/// oracle: the fuzz loop's single step.
-pub fn check(
-    spec: &ScenarioSpec,
-    mutation: Option<Mutation>,
-) -> Result<(Observations, Vec<crate::oracles::Violation>), ConfigError> {
-    let mut obs = run_scenario(spec)?;
-    if let Some(m) = mutation {
-        m.apply(&mut obs);
-    }
-    let violations = crate::oracles::check_all(&obs);
-    Ok((obs, violations))
-}
-
-/// [`check`] with snapshot-seeded replay through `cache`: the fuzz
-/// loop's single step when `--snapshots` is on, and the shrinker's
-/// probe when it re-runs horizon-halved candidates.
+/// oracle, adding the rounds it ran to `cache`: the fuzz loop's single
+/// step, the shrinker's probe and the corpus replay.
 pub fn check_cached(
     spec: &ScenarioSpec,
     mutation: Option<Mutation>,
     cache: &mut SnapshotCache,
 ) -> Result<(Observations, Vec<crate::oracles::Violation>), ConfigError> {
-    let mut obs = run_scenario_cached(spec, cache)?;
+    let mut obs = run_scenario(spec, cache)?;
     if let Some(m) = mutation {
         m.apply(&mut obs);
     }
@@ -446,36 +320,6 @@ pub fn check_cached(
 mod tests {
     use super::*;
     use crate::scenario::ScenarioGen;
-
-    /// A horizon-halved spec resumes from the full run's snapshots and
-    /// still produces the exact observations an uncached run does —
-    /// manifests byte-identical, all oracles green, rounds saved.
-    #[test]
-    fn cached_horizon_shrink_matches_uncached() {
-        let mut gen = ScenarioGen::new(3);
-        let mut spec = gen.draw();
-        spec.rounds = 6;
-
-        let mut cache = SnapshotCache::new();
-        let full = run_scenario_cached(&spec, &mut cache).expect("spec must lower");
-        assert_eq!(cache.rounds_saved, 0, "nothing to resume from yet");
-        assert!(crate::oracles::check_all(&full).is_empty());
-
-        let mut half = spec.clone();
-        half.rounds = 3;
-        let uncached = run_scenario(&half).expect("spec must lower");
-        let cached = run_scenario_cached(&half, &mut cache).expect("spec must lower");
-        assert!(cache.rounds_saved > 0, "the halved horizon must resume");
-        assert_eq!(
-            cached.manifest_json, uncached.manifest_json,
-            "resumed primary run must match the uncached manifest byte-for-byte"
-        );
-        assert_eq!(
-            cached.rerun_manifest_json, uncached.rerun_manifest_json,
-            "resumed rerun must match too"
-        );
-        assert!(crate::oracles::check_all(&cached).is_empty());
-    }
 
     /// A sampled population re-binds cohort slots every round, so the
     /// Byzantine-bound eligibility must skip those scenarios — and the
@@ -490,33 +334,12 @@ mod tests {
             }
         };
         spec.rounds = spec.rounds.min(3);
-        let obs = run_scenario(&spec).expect("sampled spec must lower");
+        let obs = run_scenario(&spec, &mut SnapshotCache::new()).expect("sampled spec must lower");
         assert!(
             obs.clean_final_accuracy.is_none(),
             "sampled specs are Byzantine-bound ineligible: {spec:?}"
         );
         let violations = crate::oracles::check_all(&obs);
         assert!(violations.is_empty(), "{violations:?}");
-    }
-
-    /// Anything other than a rounds-only change is a different base
-    /// key: the cache must miss rather than resume a foreign run.
-    #[test]
-    fn non_horizon_edits_do_not_share_snapshots() {
-        let mut gen = ScenarioGen::new(4);
-        let mut spec = gen.draw();
-        spec.rounds = 4;
-
-        let mut cache = SnapshotCache::new();
-        run_scenario_cached(&spec, &mut cache).expect("spec must lower");
-        let mut other = spec.clone();
-        other.seed ^= 1;
-        other.rounds = 2;
-        let saved_before = cache.rounds_saved;
-        run_scenario_cached(&other, &mut cache).expect("spec must lower");
-        assert_eq!(
-            cache.rounds_saved, saved_before,
-            "a seed change must not hit the snapshot cache"
-        );
     }
 }

@@ -15,10 +15,11 @@
 //! * [`scenario::ScenarioGen`] — a seeded generator drawing valid
 //!   specs. Same generator seed ⇒ same scenario stream, so any fuzz
 //!   failure is replayable from two integers (`--seed`, iteration).
-//! * [`harness`] — runs a spec through the real entry point
+//! * [`harness`] — [`harness::check_cached`], the one check: runs a
+//!   spec through the real entry point
 //!   ([`abd_hfl_core::runner::run_prepared_with`], twice, plus a
-//!   same-seed clean twin when the Byzantine-bound oracle applies) and
-//!   collects [`harness::Observations`].
+//!   same-seed clean twin when the Byzantine-bound oracle applies),
+//!   collects [`harness::Observations`] and judges them.
 //! * [`oracles`] — the seven invariants checked on every run; see
 //!   [`oracles::check_all`].
 //! * [`harness::Mutation`] — deliberate observation-level corruptions
@@ -40,8 +41,6 @@ pub mod scenario;
 pub mod shrink;
 pub mod toml;
 
-pub use harness::{
-    check, check_cached, run_scenario, run_scenario_cached, Mutation, Observations, SnapshotCache,
-};
+pub use harness::{check_cached, Mutation, Observations, SnapshotCache};
 pub use oracles::{check_all, Violation};
 pub use scenario::{ScenarioGen, ScenarioSpec};

@@ -60,6 +60,20 @@ pub enum AggSpec {
 }
 
 impl AggSpec {
+    /// The rule's one name: its corpus `agg` value and its `agg:` coverage
+    /// family.
+    pub fn name(&self) -> &'static str {
+        match self {
+            AggSpec::FedAvg => "fedavg",
+            AggSpec::Krum { .. } => "krum",
+            AggSpec::MultiKrum { .. } => "multikrum",
+            AggSpec::Median => "median",
+            AggSpec::TrimmedMean { .. } => "trimmed_mean",
+            AggSpec::GeoMed => "geomed",
+            AggSpec::CenteredClip { .. } => "centered_clip",
+        }
+    }
+
     /// The concrete aggregator.
     pub fn kind(&self) -> AggregatorKind {
         match self {
@@ -114,6 +128,16 @@ pub enum PreAggSpec {
 }
 
 impl PreAggSpec {
+    /// The transform's one name: its corpus `pre_agg` value and its
+    /// `pre_agg:` coverage family.
+    pub fn name(&self) -> &'static str {
+        match self {
+            PreAggSpec::None => "none",
+            PreAggSpec::Bucketing { .. } => "bucketing",
+            PreAggSpec::Nnm { .. } => "nnm",
+        }
+    }
+
     /// Wraps `base` in the concrete composed aggregator kind.
     pub fn wrap(&self, base: AggregatorKind) -> AggregatorKind {
         match self {
@@ -186,6 +210,25 @@ pub enum AttackSpec {
 }
 
 impl AttackSpec {
+    /// The attack's one name: its corpus `attack` value and its `attack:`
+    /// coverage family.
+    pub fn name(&self) -> &'static str {
+        match self {
+            AttackSpec::None => "none",
+            AttackSpec::SignFlip { .. } => "signflip",
+            AttackSpec::Alie { .. } => "alie",
+            AttackSpec::Ipm { .. } => "ipm",
+            AttackSpec::LabelFlip => "labelflip",
+            AttackSpec::Mimic { .. } => "mimic",
+            AttackSpec::Scaling { .. } => "scaling",
+            AttackSpec::MinMax => "minmax",
+            AttackSpec::MinSum => "minsum",
+            AttackSpec::AdaptiveAlie => "adaptive_alie",
+            AttackSpec::AdaptiveIpm => "adaptive_ipm",
+            AttackSpec::AdaptiveScaling => "adaptive_scaling",
+        }
+    }
+
     /// True for the static (non-adaptive) attack families — the only
     /// ones the Byzantine-degradation oracle covers.
     pub fn is_static(&self) -> bool {
@@ -284,6 +327,26 @@ pub enum ProtocolSpec {
     StalenessExploit,
 }
 
+impl ProtocolSpec {
+    /// Every protocol attack, for parsing by name.
+    pub const ALL: [ProtocolSpec; 4] = [
+        ProtocolSpec::None,
+        ProtocolSpec::Equivocate,
+        ProtocolSpec::Withhold,
+        ProtocolSpec::StalenessExploit,
+    ];
+
+    /// The attack's one name: its corpus `protocol` value.
+    pub fn name(&self) -> &'static str {
+        match self {
+            ProtocolSpec::None => "none",
+            ProtocolSpec::Equivocate => "equivocate",
+            ProtocolSpec::Withhold => "withhold",
+            ProtocolSpec::StalenessExploit => "staleness_exploit",
+        }
+    }
+}
+
 /// One scheduled fault, flattened for TOML round-tripping.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultEvent {
@@ -328,6 +391,19 @@ pub enum FaultEvent {
         /// Healing round.
         until: usize,
     },
+}
+
+impl FaultEvent {
+    /// The fault's one name: its corpus `kind` value.
+    pub fn name(&self) -> &'static str {
+        match self {
+            FaultEvent::CrashStop { .. } => "crash_stop",
+            FaultEvent::CrashRecover { .. } => "crash_recover",
+            FaultEvent::KillLeader { .. } => "kill_leader",
+            FaultEvent::Straggler { .. } => "straggler",
+            FaultEvent::LossBurst { .. } => "loss_burst",
+        }
+    }
 }
 
 /// A complete, flat description of one fuzzed run.
@@ -405,12 +481,14 @@ impl ScenarioSpec {
         }
     }
 
-    /// Number of clients the spec's topology yields.
+    /// Number of clients the spec's topology yields (`usize::MAX` when
+    /// that overflows, a topology `try_prepare` refuses).
     pub fn num_clients(&self) -> usize {
-        match self.total_levels {
-            2 => self.m * self.n_top,
-            _ => self.m * self.m * self.n_top,
-        }
+        let bottom = match self.total_levels {
+            2 => self.m,
+            _ => self.m.saturating_mul(self.m),
+        };
+        bottom.saturating_mul(self.n_top)
     }
 
     /// Number of bottom-level clusters.
@@ -432,7 +510,13 @@ impl ScenarioSpec {
             m: self.m,
             n_top: self.n_top,
         };
-        cfg.levels = vec![LevelAgg::Bra(self.pre_agg.wrap(self.agg.kind())); self.total_levels];
+        // A topology `try_prepare` refuses gets no per-level list, so a
+        // hand-edited depth allocates nothing before it is refused.
+        let depth = match cfg.topology.try_validate() {
+            Ok(()) => self.total_levels,
+            Err(_) => 0,
+        };
+        cfg.levels = vec![LevelAgg::Bra(self.pre_agg.wrap(self.agg.kind())); depth];
         cfg.flag_level = 1;
         cfg.rounds = self.rounds;
         cfg.eval_every = self.rounds;
@@ -492,7 +576,7 @@ impl ScenarioSpec {
                         plan.crash_recover(at, node, recover)
                     }
                     FaultEvent::KillLeader { at, cluster } => {
-                        plan.kill_leader(at, self.total_levels - 1, cluster, None)
+                        plan.kill_leader(at, self.total_levels.saturating_sub(1), cluster, None)
                     }
                     FaultEvent::Straggler { at, node, factor } => {
                         plan.straggler(at, node, factor, None)

@@ -29,82 +29,50 @@ pub fn to_toml(spec: &ScenarioSpec) -> String {
     line("rounds", spec.rounds.to_string());
     line("local_iters", spec.local_iters.to_string());
     line("phi", spec.phi.to_string());
+    line("agg", quoted(spec.agg.name()));
     match &spec.agg {
-        AggSpec::FedAvg => line("agg", "\"fedavg\"".into()),
-        AggSpec::Krum { f } => {
-            line("agg", "\"krum\"".into());
-            line("agg_f", f.to_string());
-        }
+        AggSpec::FedAvg | AggSpec::Median | AggSpec::GeoMed => {}
+        AggSpec::Krum { f } => line("agg_f", f.to_string()),
         AggSpec::MultiKrum { f, m } => {
-            line("agg", "\"multikrum\"".into());
             line("agg_f", f.to_string());
             line("agg_m", m.to_string());
         }
-        AggSpec::Median => line("agg", "\"median\"".into()),
-        AggSpec::TrimmedMean { ratio } => {
-            line("agg", "\"trimmed_mean\"".into());
-            line("agg_ratio", ratio.to_string());
-        }
-        AggSpec::GeoMed => line("agg", "\"geomed\"".into()),
+        AggSpec::TrimmedMean { ratio } => line("agg_ratio", ratio.to_string()),
         AggSpec::CenteredClip { tau, iters } => {
-            line("agg", "\"centered_clip\"".into());
             line("agg_tau", tau.to_string());
             line("agg_iters", iters.to_string());
         }
     }
     // Pre-aggregation keys are only written when a transform is
     // composed, so pre-gallery corpus files keep their exact shape.
+    if spec.pre_agg != PreAggSpec::None {
+        line("pre_agg", quoted(spec.pre_agg.name()));
+    }
     match &spec.pre_agg {
         PreAggSpec::None => {}
-        PreAggSpec::Bucketing { s } => {
-            line("pre_agg", "\"bucketing\"".into());
-            line("pre_agg_s", s.to_string());
-        }
-        PreAggSpec::Nnm { k } => {
-            line("pre_agg", "\"nnm\"".into());
-            line("pre_agg_k", k.to_string());
-        }
+        PreAggSpec::Bucketing { s } => line("pre_agg_s", s.to_string()),
+        PreAggSpec::Nnm { k } => line("pre_agg_k", k.to_string()),
     }
+    line("attack", quoted(spec.attack.name()));
     match &spec.attack {
-        AttackSpec::None => line("attack", "\"none\"".into()),
-        AttackSpec::SignFlip { scale } => {
-            line("attack", "\"signflip\"".into());
-            line("attack_param", scale.to_string());
-        }
-        AttackSpec::Alie { z } => {
-            line("attack", "\"alie\"".into());
-            line("attack_param", z.to_string());
-        }
-        AttackSpec::Ipm { epsilon } => {
-            line("attack", "\"ipm\"".into());
-            line("attack_param", epsilon.to_string());
-        }
-        AttackSpec::LabelFlip => line("attack", "\"labelflip\"".into()),
-        AttackSpec::Mimic { victim } => {
-            line("attack", "\"mimic\"".into());
-            line("attack_victim", victim.to_string());
-        }
-        AttackSpec::Scaling { factor } => {
-            line("attack", "\"scaling\"".into());
-            line("attack_param", factor.to_string());
-        }
-        AttackSpec::MinMax => line("attack", "\"minmax\"".into()),
-        AttackSpec::MinSum => line("attack", "\"minsum\"".into()),
-        AttackSpec::AdaptiveAlie => line("attack", "\"adaptive_alie\"".into()),
-        AttackSpec::AdaptiveIpm => line("attack", "\"adaptive_ipm\"".into()),
-        AttackSpec::AdaptiveScaling => line("attack", "\"adaptive_scaling\"".into()),
+        AttackSpec::SignFlip { scale: x }
+        | AttackSpec::Alie { z: x }
+        | AttackSpec::Ipm { epsilon: x }
+        | AttackSpec::Scaling { factor: x } => line("attack_param", x.to_string()),
+        AttackSpec::Mimic { victim } => line("attack_victim", victim.to_string()),
+        AttackSpec::None
+        | AttackSpec::LabelFlip
+        | AttackSpec::MinMax
+        | AttackSpec::MinSum
+        | AttackSpec::AdaptiveAlie
+        | AttackSpec::AdaptiveIpm
+        | AttackSpec::AdaptiveScaling => {}
     }
     line("proportion", spec.proportion.to_string());
     line("random_placement", spec.random_placement.to_string());
     line("churn", spec.churn.to_string());
     line("suspicion", spec.suspicion.to_string());
-    let protocol = match spec.protocol {
-        ProtocolSpec::None => "none",
-        ProtocolSpec::Equivocate => "equivocate",
-        ProtocolSpec::Withhold => "withhold",
-        ProtocolSpec::StalenessExploit => "staleness_exploit",
-    };
-    line("protocol", format!("\"{protocol}\""));
+    line("protocol", quoted(spec.protocol.name()));
     // Async keys are only written when set, so pre-async corpus files
     // and synchronous cases keep their exact historical shape.
     if let Some(deadline) = spec.deadline_us {
@@ -136,31 +104,27 @@ pub fn to_toml(spec: &ScenarioSpec) -> String {
             out.push_str(&v);
             out.push('\n');
         };
+        fline("kind", quoted(fault.name()));
         match *fault {
             FaultEvent::CrashStop { at, node } => {
-                fline("kind", "\"crash_stop\"".into());
                 fline("at", at.to_string());
                 fline("node", node.to_string());
             }
             FaultEvent::CrashRecover { at, node, recover } => {
-                fline("kind", "\"crash_recover\"".into());
                 fline("at", at.to_string());
                 fline("node", node.to_string());
                 fline("recover", recover.to_string());
             }
             FaultEvent::KillLeader { at, cluster } => {
-                fline("kind", "\"kill_leader\"".into());
                 fline("at", at.to_string());
                 fline("cluster", cluster.to_string());
             }
             FaultEvent::Straggler { at, node, factor } => {
-                fline("kind", "\"straggler\"".into());
                 fline("at", at.to_string());
                 fline("node", node.to_string());
                 fline("factor", factor.to_string());
             }
             FaultEvent::LossBurst { at, prob, until } => {
-                fline("kind", "\"loss_burst\"".into());
                 fline("at", at.to_string());
                 fline("prob", prob.to_string());
                 fline("until", until.to_string());
@@ -168,6 +132,11 @@ pub fn to_toml(spec: &ScenarioSpec) -> String {
         }
     }
     out
+}
+
+/// A TOML string value.
+fn quoted(name: &str) -> String {
+    format!("\"{name}\"")
 }
 
 /// One parsed `key = value` map (the root table or one fault table).
@@ -318,13 +287,11 @@ pub fn from_toml(text: &str) -> Result<ScenarioSpec, String> {
         "adaptive_scaling" => AttackSpec::AdaptiveScaling,
         other => return Err(format!("unknown attack `{other}`")),
     };
-    let protocol = match root.string("protocol")?.as_str() {
-        "none" => ProtocolSpec::None,
-        "equivocate" => ProtocolSpec::Equivocate,
-        "withhold" => ProtocolSpec::Withhold,
-        "staleness_exploit" => ProtocolSpec::StalenessExploit,
-        other => return Err(format!("unknown protocol `{other}`")),
-    };
+    let protocol = root.string("protocol")?;
+    let protocol = ProtocolSpec::ALL
+        .into_iter()
+        .find(|p| p.name() == protocol)
+        .ok_or_else(|| format!("unknown protocol `{protocol}`"))?;
     let deadline_us = match root.get("deadline_us") {
         Some(_) => Some(root.u64("deadline_us")?),
         None => None,
@@ -483,5 +450,110 @@ mod tests {
         assert!(err.contains("seed"), "{err}");
         let err = from_toml("schema = 9\n").unwrap_err();
         assert!(err.contains("schema 9"), "{err}");
+    }
+
+    /// Seeded specs whose corpus text, together, holds every key of the
+    /// schema: each agg, pre-agg and attack parameter, the async,
+    /// Dirichlet, heterogeneity and sampling keys, and every fault kind,
+    /// on a 2-level and a 3-level topology.
+    fn specs_with_every_key() -> Vec<ScenarioSpec> {
+        let mut gen = ScenarioGen::new(19);
+        let mut full = gen.draw();
+        full.total_levels = 3;
+        full.agg = AggSpec::MultiKrum { f: 1, m: 2 };
+        full.pre_agg = PreAggSpec::Bucketing { s: 2 };
+        full.attack = AttackSpec::SignFlip { scale: 2.0 };
+        full.protocol = ProtocolSpec::StalenessExploit;
+        full.deadline_us = Some(4_000);
+        full.staleness_bound_us = 1_000;
+        full.noniid = false;
+        full.dirichlet_alpha = Some(1.0);
+        full.heterogeneity = true;
+        full.sampling_population = 2 * full.num_clients();
+        full.sampling_stratified = true;
+        full.faults = vec![
+            FaultEvent::CrashStop { at: 0, node: 1 },
+            FaultEvent::CrashRecover {
+                at: 0,
+                node: 2,
+                recover: 1,
+            },
+            FaultEvent::KillLeader { at: 1, cluster: 0 },
+            FaultEvent::Straggler {
+                at: 0,
+                node: 3,
+                factor: 4.0,
+            },
+            FaultEvent::LossBurst {
+                at: 0,
+                prob: 0.2,
+                until: 2,
+            },
+        ];
+        let mut two_level = full.clone();
+        two_level.total_levels = 2;
+        two_level.agg = AggSpec::TrimmedMean { ratio: 0.2 };
+        two_level.pre_agg = PreAggSpec::Nnm { k: 2 };
+        two_level.attack = AttackSpec::Mimic { victim: 1 };
+        two_level.sampling_population = 2 * two_level.num_clients();
+        let mut clipped = gen.draw();
+        clipped.agg = AggSpec::CenteredClip { tau: 2.0, iters: 3 };
+        vec![full, two_level, clipped]
+    }
+
+    /// A corpus case is a file someone may edit by hand: whatever one
+    /// value says, parsing, lowering and preparing it is `Ok` or `Err`,
+    /// never a panic. Every key is set, one at a time, to 0, 1, the
+    /// integer and float maxima, −1, NaN and ±∞ (values a key does not
+    /// parse are an `Err` from `from_toml`).
+    #[test]
+    fn no_corpus_value_panics_from_parse_to_prepare() {
+        use abd_hfl_core::runner::Experiment;
+        const VALUES: [&str; 8] = [
+            "0",
+            "1",
+            "18446744073709551615",
+            "1.7976931348623157e308",
+            "-1",
+            "NaN",
+            "inf",
+            "-inf",
+        ];
+        let mut panicked = Vec::new();
+        let (mut prepared, mut refused) = (0, 0);
+        for spec in specs_with_every_key() {
+            let text = to_toml(&spec);
+            let lines: Vec<&str> = text.lines().collect();
+            for (at, line) in lines.iter().enumerate() {
+                let Some((key, _)) = line.split_once(" = ") else {
+                    continue;
+                };
+                for value in VALUES {
+                    let mut edited = lines.clone();
+                    let replaced = format!("{key} = {value}");
+                    edited[at] = &replaced;
+                    let case = edited.join("\n");
+                    let outcome = std::panic::catch_unwind(|| {
+                        let spec = from_toml(&case).ok()?;
+                        Some(Experiment::try_prepare(&spec.to_config()).is_ok())
+                    });
+                    match outcome {
+                        Ok(Some(true)) => prepared += 1,
+                        Ok(_) => refused += 1,
+                        Err(_) => panicked.push(format!("line {at}: {replaced}\n{case}")),
+                    }
+                }
+            }
+        }
+        assert!(
+            panicked.is_empty(),
+            "{} cases panicked:\n{}",
+            panicked.len(),
+            panicked.join("\n\n")
+        );
+        assert!(
+            prepared > 0 && refused > 0,
+            "{prepared} prepared, {refused} refused"
+        );
     }
 }

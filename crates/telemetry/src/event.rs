@@ -1,7 +1,8 @@
 //! Structured, typed events for every observable action of the stack,
-//! plus the [`Recorder`] sink trait (SNIPPETS doctrine: "emit structured
-//! events for observable actions" — if a system mutates world state, an
-//! event lets a replay log assert behavior).
+//! plus [`MemoryRecorder`], the in-memory log they are pushed into
+//! (SNIPPETS doctrine: "emit structured events for observable actions"
+//! — if a system mutates world state, an event lets a replay log assert
+//! behavior).
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -229,33 +230,9 @@ pub enum Event {
     },
 }
 
-/// An event sink. Implementations must be cheap and thread-safe: events
-/// may be recorded from `hfl-parallel` worker threads.
-pub trait Recorder: Send + Sync {
-    /// Consumes one event.
-    fn record(&self, event: &Event);
-
-    /// False when events are discarded — callers should skip building
-    /// events (and their `String` payloads) on hot paths when disabled.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// Discards everything; `enabled()` is false so instrumentation is free.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&self, _event: &Event) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
 /// Keeps every event in memory, in record order — the assertion target
-/// for tests and the source for post-run analyses.
+/// for tests and the source for post-run analyses. Events may be
+/// recorded from `hfl-parallel` worker threads.
 #[derive(Debug, Default)]
 pub struct MemoryRecorder {
     events: Mutex<Vec<Event>>,
@@ -272,6 +249,11 @@ impl MemoryRecorder {
     /// guard so one failed worker cannot take the recorder down too.
     fn log(&self) -> MutexGuard<'_, Vec<Event>> {
         self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends one event.
+    pub fn record(&self, event: Event) {
+        self.log().push(event);
     }
 
     /// A copy of everything recorded so far.
@@ -295,28 +277,15 @@ impl MemoryRecorder {
     }
 }
 
-impl Recorder for MemoryRecorder {
-    fn record(&self, event: &Event) {
-        self.log().push(event.clone());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn null_recorder_is_disabled() {
-        let r = NullRecorder;
-        assert!(!r.enabled());
-        r.record(&Event::RoundStarted { round: 0 });
-    }
-
-    #[test]
     fn memory_recorder_keeps_order() {
         let r = MemoryRecorder::new();
         for round in 0..3 {
-            r.record(&Event::RoundStarted { round });
+            r.record(Event::RoundStarted { round });
         }
         let evs = r.events();
         assert_eq!(evs.len(), 3);
@@ -333,7 +302,7 @@ mod tests {
                 let r = std::sync::Arc::clone(&r);
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        r.record(&Event::RoundStarted { round: i });
+                        r.record(Event::RoundStarted { round: i });
                     }
                 })
             })

@@ -14,9 +14,9 @@
 //!   engine's clock computed, manifests serialize in a fixed field order
 //!   with sorted metric snapshots, and identical seeds therefore produce
 //!   byte-identical manifests.
-//! * **Free when disabled.** The [`NullRecorder`] reports
-//!   `enabled() == false`, and [`Telemetry::emit_with`] builds its
-//!   event only while recording, so a disabled event site on a hot
+//! * **Free when disabled.** [`Telemetry::disabled`] holds no log and
+//!   reports `enabled() == false`, and [`Telemetry::emit_with`] builds
+//!   its event only while recording, so a disabled event site on a hot
 //!   path costs one check and constructs nothing.
 //! * **Safe from worker threads.** The [`Registry`] is sharded behind
 //!   cheap locks; [`Counter`]/[`Gauge`] handles are lock-free atomics and
@@ -24,7 +24,7 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`event`] | [`Event`], the [`Recorder`] trait, [`NullRecorder`], [`MemoryRecorder`] |
+//! | [`event`] | [`Event`], [`MemoryRecorder`] |
 //! | [`metrics`] | [`Registry`], [`Counter`], [`Gauge`], [`Histogram`], snapshots |
 //! | [`manifest`] | [`RunManifest`] and its JSON round-trip |
 //! | [`json`] | the minimal self-contained JSON emitter/parser |
@@ -38,7 +38,7 @@ pub mod metrics;
 
 use std::sync::Arc;
 
-pub use event::{Event, MemoryRecorder, NullRecorder, Recorder};
+pub use event::{Event, MemoryRecorder};
 pub use json::{Json, JsonError};
 pub use manifest::{
     fnv1a_hex, BuildInfo, ClientScore, FaultRecord, RoundRecord, RunManifest, RunTotals,
@@ -46,61 +46,57 @@ pub use manifest::{
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramStats, MetricSample, MetricValue, Registry};
 
-/// The bundle instrumented code threads around: one event recorder plus
-/// one metrics registry. Cloning is cheap (two `Arc` bumps) and clones
-/// share the same sinks.
+/// The bundle instrumented code threads around: an optional event log
+/// plus one metrics registry. Cloning is cheap (at most two `Arc`
+/// bumps) and clones share the same sinks.
 #[derive(Clone)]
 pub struct Telemetry {
-    recorder: Arc<dyn Recorder>,
+    recorder: Option<Arc<MemoryRecorder>>,
     registry: Arc<Registry>,
 }
 
 impl Telemetry {
-    /// Telemetry with a custom recorder and a fresh registry.
-    pub fn new(recorder: Arc<dyn Recorder>) -> Self {
+    /// Disabled telemetry: no event log, and `enabled()` is false, so
+    /// instrumentation costs nothing beyond the branch. The registry
+    /// still works (counters keep totals).
+    pub fn disabled() -> Self {
         Self {
-            recorder,
+            recorder: None,
             registry: Arc::new(Registry::new()),
         }
     }
 
-    /// Disabled telemetry: events are dropped ([`NullRecorder`]) and
-    /// `enabled()` is false, so instrumentation costs nothing beyond the
-    /// branch. The registry still works (counters keep totals).
-    pub fn disabled() -> Self {
-        Self::new(Arc::new(NullRecorder))
-    }
-
-    /// Telemetry capturing every event in memory; returns the recorder
+    /// Telemetry capturing every event in memory; returns the log's
     /// handle for post-run inspection.
     pub fn recording() -> (Self, Arc<MemoryRecorder>) {
         let rec = Arc::new(MemoryRecorder::new());
-        (Self::new(Arc::clone(&rec) as Arc<dyn Recorder>), rec)
+        let telem = Self {
+            recorder: Some(Arc::clone(&rec)),
+            ..Self::disabled()
+        };
+        (telem, rec)
     }
 
-    /// True when the recorder consumes events — gate event construction
-    /// on this in hot paths.
+    /// True when events are kept — gate event construction on this in
+    /// hot paths.
     pub fn enabled(&self) -> bool {
-        self.recorder.enabled()
+        self.recorder.is_some()
     }
 
-    /// Records one event (no-op under [`NullRecorder`]).
+    /// Records one event (dropped when disabled).
     pub fn emit(&self, event: Event) {
-        self.recorder.record(&event);
-    }
-
-    /// Records the event `make` builds, running `make` only while the
-    /// recorder is enabled — the hot-path form of [`Telemetry::emit`]:
-    /// disabled, an event site costs the check and builds nothing.
-    pub fn emit_with(&self, make: impl FnOnce() -> Event) {
-        if self.enabled() {
-            self.recorder.record(&make());
+        if let Some(rec) = &self.recorder {
+            rec.record(event);
         }
     }
 
-    /// The shared recorder.
-    pub fn recorder(&self) -> &Arc<dyn Recorder> {
-        &self.recorder
+    /// Records the event `make` builds, running `make` only while
+    /// recording — the hot-path form of [`Telemetry::emit`]: disabled,
+    /// an event site costs the check and builds nothing.
+    pub fn emit_with(&self, make: impl FnOnce() -> Event) {
+        if let Some(rec) = &self.recorder {
+            rec.record(make());
+        }
     }
 
     /// The shared metrics registry.

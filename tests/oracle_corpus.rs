@@ -2,12 +2,15 @@
 //! oracles. Cases land here in two ways: seeded by hand as diverse
 //! regression anchors, or persisted automatically by `repro fuzz`
 //! when it shrinks a real violation — either way, once a case is in
-//! the corpus it must pass forever.
+//! the corpus it must pass forever. Also the harness's self-check:
+//! each deliberate [`Mutation`] must trip an oracle and shrink to a
+//! corpus case that still trips one.
 
 use std::path::PathBuf;
 
-use abd_hfl::oracle::harness::check;
-use abd_hfl::oracle::toml::from_toml;
+use abd_hfl::oracle::harness::{check_cached, Mutation, SnapshotCache};
+use abd_hfl::oracle::toml::{from_toml, to_toml};
+use abd_hfl::oracle::{shrink, ScenarioGen, ScenarioSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,7 +42,7 @@ fn every_corpus_case_upholds_all_seven_oracles() {
     for (path, text) in corpus() {
         let spec =
             from_toml(&text).unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
-        let (_, violations) = check(&spec, None)
+        let (_, violations) = check_cached(&spec, None, &mut SnapshotCache::new())
             .unwrap_or_else(|e| panic!("{} is not a valid scenario: {e}", path.display()));
         assert!(
             violations.is_empty(),
@@ -50,6 +53,41 @@ fn every_corpus_case_upholds_all_seven_oracles() {
                 .map(ToString::to_string)
                 .collect::<Vec<_>>()
                 .join("\n")
+        );
+    }
+}
+
+/// True when `spec`'s observations, corrupted by `mutation`, trip an
+/// oracle; an invalid spec (a shrink edit orphaning a fault) does not.
+fn trips(spec: &ScenarioSpec, mutation: Mutation, cache: &mut SnapshotCache) -> bool {
+    matches!(check_cached(spec, Some(mutation), cache), Ok((_, v)) if !v.is_empty())
+}
+
+/// `repro fuzz --mutation <name> --seed 42`, in process: the first
+/// scenario of `ScenarioGen::new(42)` whose corrupted observations trip
+/// an oracle, shrunk, must round-trip through the corpus format and
+/// still trip one. A mutation no oracle catches means the oracles are
+/// blind to that failure class (`DESIGN.md` §10).
+#[test]
+fn every_mutation_is_caught_and_shrinks_to_a_case_that_still_trips() {
+    let mut cache = SnapshotCache::new();
+    for mutation in Mutation::ALL {
+        let name = mutation.name();
+        let mut gen = ScenarioGen::new(42);
+        let caught = (0..50)
+            .map(|_| gen.draw())
+            .find(|spec| trips(spec, mutation, &mut cache))
+            .unwrap_or_else(|| panic!("mutation `{name}` was not caught in 50 scenarios"));
+        let minimal = shrink::shrink(&caught, |s| trips(s, mutation, &mut cache));
+        let text = to_toml(&minimal);
+        let back = from_toml(&text).unwrap_or_else(|e| panic!("`{name}`: {e}\n{text}"));
+        assert_eq!(
+            back, minimal,
+            "`{name}`'s repro changed in the round trip:\n{text}"
+        );
+        assert!(
+            trips(&back, mutation, &mut cache),
+            "`{name}`'s minimal repro no longer trips:\n{text}"
         );
     }
 }
