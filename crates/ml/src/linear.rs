@@ -11,8 +11,8 @@ use rand::rngs::StdRng;
 
 use crate::dataset::Dataset;
 use crate::loss::{
-    ce_grad_in_place, cross_entropy, decide, norm, predict, softmax_in_place, softmax_rows,
-    Certificate,
+    ce_grad_columns, cross_entropy, decide, norm, predict, scale_into_bias, softmax_columns,
+    softmax_in_place, softmax_rows, Certificate,
 };
 use crate::model::{for_each_block, BatchScratch, Dense, Model, BLOCK};
 
@@ -296,37 +296,55 @@ impl Model for LinearSoftmax {
             .expect("the width was just detected");
     }
 
-    fn loss_grad_batch_with(
+    /// One block at a time, class-major from the logits to the rank
+    /// update ([`ops::forward_class_major`], [`softmax_columns`], the
+    /// errors and bias gradient in place,
+    /// [`ops::rank_update_class_major`]); a block of one input takes
+    /// [`ops::affine_rows`], whose single output row is the same layout.
+    fn grad_batch_with(
         &self,
         data: &Dataset,
         indices: &[usize],
         grad: &mut [f32],
         scratch: &mut BatchScratch,
-    ) -> f64 {
+    ) {
         assert_eq!(grad.len(), self.theta.len(), "gradient buffer mismatch");
         assert!(!indices.is_empty(), "empty batch");
         assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
         let inv_n = 1.0 / indices.len() as f32;
+        let classes = self.classes;
+        let probs = &mut scratch.probs;
+        probs.resize(BLOCK * classes, 0.0);
+        let (w, bias) = self.theta.split_at(classes * self.dim);
+        let (grad_w, grad_b) = grad.split_at_mut(classes * self.dim);
+        for_each_block(data, indices.iter().copied(), |xs, ys| {
+            let n = xs.len();
+            let err = &mut probs[..n * classes];
+            match xs {
+                [x] => ops::affine_rows(w, bias, x, err),
+                _ => ops::forward_class_major(w, bias, xs, err),
+            }
+            softmax_columns(err, n);
+            ce_grad_columns(err, ys);
+            // dL/dW_c = err_c * x ; dL/db_c = err_c
+            scale_into_bias(err, n, inv_n, grad_b);
+            // A class whose error is exactly zero leaves its row alone.
+            ops::rank_update_class_major(grad_w, err, xs, true);
+        });
+    }
+
+    fn mean_loss(&self, data: &Dataset, indices: &[usize], scratch: &mut BatchScratch) -> f64 {
         let BatchScratch { probs, panels, .. } = scratch;
         probs.resize(BLOCK * self.classes, 0.0);
         let layer = self.layer(&mut panels[0], indices.len());
-        let (grad_w, grad_b) = grad.split_at_mut(self.classes * self.dim);
         let mut loss = 0.0f64;
         for_each_block(data, indices.iter().copied(), |xs, ys| {
-            let coeff = &mut probs[..xs.len() * self.classes];
-            layer.forward(xs, coeff);
-            softmax_rows(coeff, self.classes);
-            for (err, y) in coeff.chunks_exact_mut(self.classes).zip(ys) {
-                loss += cross_entropy(err, *y);
-                ce_grad_in_place(err, *y);
-                // dL/dW_c = err_c * x ; dL/db_c = err_c
-                for (e, b) in err.iter_mut().zip(grad_b.iter_mut()) {
-                    *e *= inv_n;
-                    *b += *e;
-                }
+            let probs = &mut probs[..xs.len() * self.classes];
+            layer.forward(xs, probs);
+            softmax_rows(probs, self.classes);
+            for (p, y) in probs.chunks_exact(self.classes).zip(ys) {
+                loss += cross_entropy(p, *y);
             }
-            // A class whose error is exactly zero leaves its row alone.
-            ops::rank_update(grad_w, coeff, xs, true);
         });
         loss / indices.len() as f64
     }
@@ -380,7 +398,8 @@ mod tests {
         let idx = [0usize, 1];
         let mut grad = vec![0.0f32; m.param_len()];
         let mut scratch = BatchScratch::default();
-        let loss0 = m.loss_grad_batch_with(&ds, &idx, &mut grad, &mut scratch);
+        m.grad_batch_with(&ds, &idx, &mut grad, &mut scratch);
+        let loss0 = m.mean_loss(&ds, &idx, &mut scratch);
 
         let eps = 1e-3f32;
         for j in [0usize, 4, 9, m.param_len() - 1] {
@@ -388,8 +407,7 @@ mod tests {
             p[j] += eps;
             let mut mp = LinearSoftmax::new(3, 3);
             mp.set_params(&p);
-            let mut unused = vec![0.0f32; m.param_len()];
-            let loss1 = mp.loss_grad_batch_with(&ds, &idx, &mut unused, &mut scratch);
+            let loss1 = mp.mean_loss(&ds, &idx, &mut scratch);
             let fd = (loss1 - loss0) / eps as f64;
             assert!(
                 (fd - grad[j] as f64).abs() < 2e-3,

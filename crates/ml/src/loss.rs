@@ -1,7 +1,7 @@
 //! Softmax and cross-entropy primitives shared by the models, and the
 //! prediction a ballot certifies from `f32` logits.
 
-use hfl_tensor::math;
+use hfl_tensor::{math, ops};
 
 use crate::model::BLOCK;
 
@@ -39,6 +39,82 @@ pub fn softmax_rows(logits: &mut [f32], classes: usize) {
         // sum >= 1 because one exponent is exp(0) = 1.
         let sum = row.iter().fold(0.0f32, |sum, e| sum + *e);
         row.iter_mut().for_each(|l| *l /= sum);
+    }
+}
+
+/// [`softmax_rows`] on a class-major block: `logits[r * n + s]` is
+/// class `r` of input `s`, so a class's values for the whole block are
+/// adjacent. One pass at the widest [`ops::Width`], lane-wise over the
+/// inputs: each input's maximum (folded in class order from `−∞` with
+/// `f32::max`, whose NaN rule it keeps), the subtraction, [`math::exp`],
+/// the sum in class order and the division — each input reads its
+/// `softmax_rows` bits. One input is one row either way, and takes
+/// `softmax_rows`, whose `exp` runs lane-wise over the classes.
+///
+/// # Panics
+/// If `n` is 0 or more than a block, or does not divide `logits.len()`.
+pub fn softmax_columns(logits: &mut [f32], n: usize) {
+    assert!(
+        n > 0 && n <= BLOCK && logits.len().is_multiple_of(n),
+        "softmax columns of {n} inputs over {} logits",
+        logits.len()
+    );
+    if n == 1 {
+        return softmax_rows(logits, logits.len());
+    }
+    ops::at_widest(
+        #[inline(always)]
+        |n, logits: &mut [f32], (), _| {
+            let (mut max, mut sum) = ([f32::NEG_INFINITY; BLOCK], [0.0f32; BLOCK]);
+            let (max, sum) = (&mut max[..n], &mut sum[..n]);
+            for class in logits.chunks_exact(n) {
+                for (m, l) in max.iter_mut().zip(class) {
+                    *m = m.max(*l);
+                }
+            }
+            for class in logits.chunks_exact_mut(n) {
+                for ((l, m), sum) in class.iter_mut().zip(&*max).zip(&mut *sum) {
+                    *l = math::exp(*l - *m);
+                    // sum >= 1 because one exponent is exp(0) = 1.
+                    *sum += *l;
+                }
+            }
+            for class in logits.chunks_exact_mut(n) {
+                for (l, sum) in class.iter_mut().zip(&*sum) {
+                    *l /= *sum;
+                }
+            }
+        },
+        n,
+        logits,
+        (),
+    )
+}
+
+/// [`ce_grad_in_place`] on each input of a class-major block of
+/// probabilities (`probs[r * ys.len() + s]`): the output errors
+/// `p − onehot(y)`, in place.
+pub(crate) fn ce_grad_columns(probs: &mut [f32], ys: &[u8]) {
+    let n = ys.len();
+    for (s, y) in ys.iter().enumerate() {
+        probs[*y as usize * n + s] -= 1.0;
+    }
+}
+
+/// Scales a class-major block of output errors by `inv_n` in place and
+/// adds each class's to its bias gradient, inputs in order — the
+/// additions a per-input loop makes, in the order it makes them. Inputs
+/// outermost: every class's chain of additions then advances a step per
+/// input, side by side, where a class at a time waits on each addition
+/// before the next.
+pub(crate) fn scale_into_bias(err: &mut [f32], n: usize, inv_n: f32, grad_b: &mut [f32]) {
+    for e in err.iter_mut() {
+        *e *= inv_n;
+    }
+    for s in 0..n {
+        for (b, class) in grad_b.iter_mut().zip(err.chunks_exact(n)) {
+            *b += class[s];
+        }
     }
 }
 
@@ -325,6 +401,50 @@ mod tests {
                     .all(|(g, w)| g.to_bits() == w.to_bits()),
                 "{row:?}"
             );
+        }
+    }
+
+    /// The class-major softmax reads, input by input, what
+    /// [`softmax_rows`] does on the same logits laid out row by row:
+    /// full-mantissa logits over a wide range, and inputs with NaN, `±∞`
+    /// and a row that is all `−∞`, at every block width the models use.
+    #[test]
+    fn softmax_columns_is_softmax_rows_per_input() {
+        for classes in [2usize, 3, 10, 17] {
+            for n in [1usize, 2, 7, 8, 9, 31, 32] {
+                let rows: Vec<f32> = (0..n * classes)
+                    .map(|i| {
+                        let (s, c) = (i / classes, i % classes);
+                        let mut x = (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                        x ^= x >> 29;
+                        let v = f32::from_bits((x >> 40) as u32 & 0x807f_ffff | 127 << 23)
+                            * (1 << (x % 7)) as f32;
+                        match (s % 5, c) {
+                            (3, 1) => f32::NAN,
+                            (4, 0) => f32::INFINITY,
+                            (4, 2) => f32::NEG_INFINITY,
+                            _ if s == 6 => f32::NEG_INFINITY,
+                            _ => v,
+                        }
+                    })
+                    .collect();
+                let mut want = rows.clone();
+                softmax_rows(&mut want, classes);
+                let mut got = vec![0.0f32; n * classes];
+                for (i, v) in rows.iter().enumerate() {
+                    got[(i % classes) * n + i / classes] = *v;
+                }
+                softmax_columns(&mut got, n);
+                for (i, w) in want.iter().enumerate() {
+                    let g = got[(i % classes) * n + i / classes];
+                    assert!(
+                        g.to_bits() == w.to_bits() || g.is_nan() && w.is_nan(),
+                        "classes {classes} n {n} input {} class {}: {g} vs {w}",
+                        i / classes,
+                        i % classes
+                    );
+                }
+            }
         }
     }
 

@@ -9,7 +9,9 @@ use hfl_tensor::init;
 use hfl_tensor::ops::{self, Panel};
 
 use crate::dataset::Dataset;
-use crate::loss::{ce_grad_in_place, cross_entropy, predict, softmax_rows};
+use crate::loss::{
+    ce_grad_columns, cross_entropy, predict, scale_into_bias, softmax_columns, softmax_rows,
+};
 use crate::model::{for_each_block, rows_of, BatchScratch, Dense, Model, BLOCK};
 
 /// MLP `dim → hidden (ReLU) → classes (softmax)`.
@@ -66,11 +68,17 @@ impl Mlp {
         self.off_w2() + self.classes * self.hidden
     }
 
-    /// The model's two layers, bound to a call over `inputs` inputs.
-    fn layers<'a>(&'a self, panels: &'a mut [Panel; 2], inputs: usize) -> [Dense<'a>; 2] {
+    /// `[W1, b1, W2, b2]`.
+    fn parts(&self) -> [&[f32]; 4] {
         let (w1, rest) = self.theta.split_at(self.off_b1());
         let (b1, rest) = rest.split_at(self.hidden);
         let (w2, b2) = rest.split_at(self.classes * self.hidden);
+        [w1, b1, w2, b2]
+    }
+
+    /// The model's two layers, bound to a call over `inputs` inputs.
+    fn layers<'a>(&'a self, panels: &'a mut [Panel; 2], inputs: usize) -> [Dense<'a>; 2] {
+        let [w1, b1, w2, b2] = self.parts();
         let [p1, p2] = panels;
         [
             Dense::new(w1, b1, p1, inputs),
@@ -148,13 +156,19 @@ impl Model for Mlp {
         hits
     }
 
-    fn loss_grad_batch_with(
+    /// The hidden layer through its panel ([`ops::forward_block`]), the
+    /// output layer class-major from its logits to its rank update
+    /// ([`ops::forward_class_major`], [`softmax_columns`], the errors
+    /// and bias gradient in place, [`ops::rank_update_class_major`]);
+    /// `dh = W2ᵀ·err` reads the same class-major errors as the
+    /// coefficients of a rank update with samples as rows.
+    fn grad_batch_with(
         &self,
         data: &Dataset,
         indices: &[usize],
         grad: &mut [f32],
         scratch: &mut BatchScratch,
-    ) -> f64 {
+    ) {
         assert_eq!(grad.len(), self.theta.len(), "gradient buffer mismatch");
         assert!(!indices.is_empty(), "empty batch");
         assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
@@ -164,44 +178,46 @@ impl Model for Mlp {
             probs,
             hidden,
             dhidden,
-            errors_t,
             panels,
             ..
         } = scratch;
         probs.resize(BLOCK * classes, 0.0);
         hidden.resize(BLOCK * hid, 0.0);
         dhidden.resize(BLOCK * hid, 0.0);
-        errors_t.resize(BLOCK * classes, 0.0);
-        let layers = self.layers(panels, indices.len());
-        let w2 = &self.theta[self.off_w2()..self.off_b2()];
+        let [w1, b1, w2, b2] = self.parts();
+        let layer1 = Dense::new(w1, b1, &mut panels[0], indices.len());
         let (grad_w1, rest) = grad.split_at_mut(self.off_b1());
         let (grad_b1, rest) = rest.split_at_mut(hid);
         let (grad_w2, grad_b2) = rest.split_at_mut(classes * hid);
-        let mut loss = 0.0f64;
         for_each_block(data, indices.iter().copied(), |xs, ys| {
             let n = xs.len();
-            let (h, coeff) = (&mut hidden[..n * hid], &mut probs[..n * classes]);
-            forward(&layers, xs, h, coeff);
-            let errors_t = &mut errors_t[..n * classes];
-            softmax_rows(coeff, classes);
-            for (s, (err, y)) in coeff.chunks_exact_mut(classes).zip(ys).enumerate() {
-                loss += cross_entropy(err, *y);
-                // err becomes dL/dlogits; dL/dW2_c = err_c ⊗ h, dL/db2_c = err_c
-                ce_grad_in_place(err, *y);
-                for (c, (e, b)) in err.iter_mut().zip(grad_b2.iter_mut()).enumerate() {
-                    errors_t[c * n + s] = *e;
-                    *e *= inv_n;
-                    *b += *e;
-                }
+            // h = relu(W1 x + b1)
+            let h = &mut hidden[..n * hid];
+            layer1.forward(xs, h);
+            for z in h.iter_mut() {
+                *z = z.max(0.0);
             }
-            ops::rank_update(grad_w2, coeff, &rows_of(h, hid)[..n], false);
+            let hs = rows_of(h, hid);
+            let hs = &hs[..n];
+            // logits = W2 h + b2, class-major
+            let err = &mut probs[..n * classes];
+            match hs {
+                [h] => ops::affine_rows(w2, b2, h, err),
+                _ => ops::forward_class_major(w2, b2, hs, err),
+            }
+            softmax_columns(err, n);
+            // err becomes dL/dlogits
+            ce_grad_columns(err, ys);
             // dh = W2ᵀ err — sample s is row s, class c the c-th input —
             // gated by ReLU
             let dh = &mut dhidden[..n * hid];
             ops::zero(dh);
-            for (w2, errors_t) in w2.chunks(BLOCK * hid).zip(errors_t.chunks(BLOCK * n)) {
-                ops::rank_update(dh, errors_t, &rows_of(w2, hid)[..w2.len() / hid], false);
+            for (w2, err) in w2.chunks(BLOCK * hid).zip(err.chunks(BLOCK * n)) {
+                ops::rank_update(dh, err, &rows_of(w2, hid)[..w2.len() / hid], false);
             }
+            // dL/dW2_c = err_c ⊗ h, dL/db2_c = err_c
+            scale_into_bias(err, n, inv_n, grad_b2);
+            ops::rank_update_class_major(grad_w2, err, hs, false);
             // dL/dW1_j = dh_j ⊗ x ; dL/db1_j = dh_j
             for (dh, h) in dh.chunks_exact_mut(hid).zip(h.chunks_exact(hid)) {
                 for ((dj, hj), b) in dh.iter_mut().zip(h).zip(grad_b1.iter_mut()) {
@@ -211,6 +227,28 @@ impl Model for Mlp {
             }
             // A unit the gate closed leaves its row alone.
             ops::rank_update(grad_w1, dh, xs, true);
+        });
+    }
+
+    fn mean_loss(&self, data: &Dataset, indices: &[usize], scratch: &mut BatchScratch) -> f64 {
+        let BatchScratch {
+            probs,
+            hidden,
+            panels,
+            ..
+        } = scratch;
+        hidden.resize(BLOCK * self.hidden, 0.0);
+        probs.resize(BLOCK * self.classes, 0.0);
+        let layers = self.layers(panels, indices.len());
+        let mut loss = 0.0f64;
+        for_each_block(data, indices.iter().copied(), |xs, ys| {
+            let (n, classes) = (xs.len(), self.classes);
+            let probs = &mut probs[..n * classes];
+            forward(&layers, xs, &mut hidden[..n * self.hidden], probs);
+            softmax_rows(probs, classes);
+            for (p, y) in probs.chunks_exact(classes).zip(ys) {
+                loss += cross_entropy(p, *y);
+            }
         });
         loss / indices.len() as f64
     }
@@ -267,7 +305,8 @@ mod tests {
         let p0 = m.params().to_vec();
         let mut grad = vec![0.0f32; m.param_len()];
         let mut scratch = BatchScratch::default();
-        let loss0 = m.loss_grad_batch_with(&ds, &idx, &mut grad, &mut scratch);
+        m.grad_batch_with(&ds, &idx, &mut grad, &mut scratch);
+        let loss0 = m.mean_loss(&ds, &idx, &mut scratch);
 
         let eps = 1e-3f32;
         // Sample coordinates across all four parameter blocks.
@@ -276,8 +315,7 @@ mod tests {
             p[j] += eps;
             let mut mp = small_mlp(2);
             mp.set_params(&p);
-            let mut unused = vec![0.0f32; m.param_len()];
-            let loss1 = mp.loss_grad_batch_with(&ds, &idx, &mut unused, &mut scratch);
+            let loss1 = mp.mean_loss(&ds, &idx, &mut scratch);
             let fd = (loss1 - loss0) / eps as f64;
             assert!(
                 (fd - grad[j] as f64).abs() < 5e-3,

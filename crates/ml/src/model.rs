@@ -19,17 +19,15 @@ pub(crate) const BLOCK: usize = 32;
 #[derive(Clone, Debug, Default)]
 pub struct BatchScratch {
     /// Logits of a block, then its class probabilities and output
-    /// errors in place (`BLOCK × classes`; scoring several θ at once,
-    /// their stacked approximate dots, the exact logits of the samples
-    /// with a pair left open, the stacked biases and each θ's largest
-    /// row norm).
+    /// errors in place (`BLOCK × classes`, class-major in a training
+    /// step; scoring several θ at once, their stacked approximate dots,
+    /// the exact logits of the samples with a pair left open, the
+    /// stacked biases and each θ's largest row norm).
     pub probs: Vec<f32>,
     /// Hidden activations of a block (MLP only).
     pub hidden: Vec<f32>,
     /// Hidden-layer gradient of a block (MLP only).
     pub dhidden: Vec<f32>,
-    /// Output errors of a block, class-major (MLP only).
-    pub(crate) errors_t: Vec<f32>,
     /// The model's weight matrices as [`Panel`]s, first layer first (the
     /// second is the MLP's output layer). Refilled by every call that
     /// applies one θ to more than one input and never read across
@@ -171,18 +169,22 @@ pub trait Model: Send + Sync {
         }
     }
 
-    /// Computes the mean cross-entropy loss over the batch `indices` of
-    /// `data` and *accumulates* the mean gradient into `grad` (callers
-    /// zero `grad` first). Returns the mean loss. The forward and
-    /// backward passes run in `scratch`, so the hot training loop
-    /// allocates nothing once its buffers have grown.
-    fn loss_grad_batch_with(
+    /// *Accumulates* the mean cross-entropy gradient over the batch
+    /// `indices` of `data` into `grad` (callers zero `grad` first); the
+    /// loss itself is not computed ([`Model::mean_loss`] is). The
+    /// forward and backward passes run in `scratch`, so the hot training
+    /// loop allocates nothing once its buffers have grown.
+    fn grad_batch_with(
         &self,
         data: &Dataset,
         indices: &[usize],
         grad: &mut [f32],
         scratch: &mut BatchScratch,
-    ) -> f64;
+    );
+
+    /// The mean cross-entropy loss over the batch `indices` of `data` —
+    /// for tests and diagnostics; no training step reads it.
+    fn mean_loss(&self, data: &Dataset, indices: &[usize], scratch: &mut BatchScratch) -> f64;
 
     /// Re-initializes the parameters from an RNG (fresh model, same
     /// architecture).
@@ -358,7 +360,8 @@ mod tests {
         scratch: &mut BatchScratch,
     ) -> (u64, Vec<u32>) {
         let mut grad = vec![0.0f32; model.param_len()];
-        let loss = model.loss_grad_batch_with(data, indices, &mut grad, scratch);
+        model.grad_batch_with(data, indices, &mut grad, scratch);
+        let loss = model.mean_loss(data, indices, scratch);
         (loss.to_bits(), grad.iter().map(|g| g.to_bits()).collect())
     }
 
@@ -379,6 +382,67 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A seeded property of the whole step: `train_local_scratch` — the
+    /// class-major block from the logits to the rank update — against a
+    /// per-sample reference SGD drawing the same indices (`Naive`: per-row
+    /// `dot`, `softmax_in_place`, one `axpy` per (sample, row), a zero
+    /// coefficient's skipped where the models skip it), final parameters
+    /// bit for bit, at batches on both sides of every block and lane-group
+    /// edge. The linear model's logits spread past `exp`'s range, so some
+    /// class's error is exactly zero and its rows are left alone.
+    #[test]
+    fn training_matches_a_per_sample_reference_sgd_bit_for_bit() {
+        use crate::sgd::{train_local_scratch, SgdConfig, TrainScratch};
+        use rand::{Rng, SeedableRng};
+        let (steps, lr) = (3, 0.05f32);
+        let mut zero_errors = 0;
+        for (seed, d) in [(6u64, 9usize), (7, 64)] {
+            let (linear, mlp) = models(seed, d);
+            let data = dataset(seed, 70, d, 10, false);
+            for x in (0..data.len()).map(|i| data.x(i)) {
+                let (_, probs) = naive_of(&linear, &mlp)[0].1.forward(x);
+                zero_errors += probs.iter().filter(|p| **p == 0.0).count();
+            }
+            let mut scratch = TrainScratch::default();
+            for batch in [1usize, 2, 7, 8, 9, 31, 32, 33, 64] {
+                let cfg = SgdConfig {
+                    lr,
+                    batch_size: batch,
+                    ..SgdConfig::default()
+                };
+                let trained: [Box<dyn Model>; 2] =
+                    [Box::new(linear.clone()), Box::new(mlp.clone())];
+                for (k, mut model) in trained.into_iter().enumerate() {
+                    let hidden = (k == 1).then(|| mlp.hidden());
+                    let mut theta = model.params().to_vec();
+                    let mut rng = StdRng::seed_from_u64(seed + batch as u64);
+                    for _ in 0..steps {
+                        let indices: Vec<usize> =
+                            (0..batch).map(|_| rng.gen_range(0..data.len())).collect();
+                        let naive = Naive {
+                            theta: &theta,
+                            hidden,
+                            classes: 10,
+                        };
+                        let (_, grad) = naive.loss_grad(&data, &indices);
+                        ops::axpy(-lr, &grad, &mut theta);
+                    }
+                    let mut rng = StdRng::seed_from_u64(seed + batch as u64);
+                    train_local_scratch(model.as_mut(), &data, &cfg, steps, &mut rng, &mut scratch);
+                    let same = |(a, b): (&f32, &f32)| a.to_bits() == b.to_bits();
+                    assert!(
+                        model.params().iter().zip(&theta).all(same),
+                        "model {k} seed {seed} d {d} batch {batch}"
+                    );
+                }
+            }
+        }
+        assert!(
+            zero_errors > 0,
+            "no class's probability underflowed to zero"
+        );
     }
 
     #[test]

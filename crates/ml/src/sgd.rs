@@ -104,7 +104,8 @@ impl SgdConfig {
 
 /// Performs `iters` SGD steps on `model` over `data` (Algorithm 2's inner
 /// `while t < T` loop): sample a batch, compute the mean gradient, take a
-/// step `θ ← θ − η∇ℓ`. Returns the mean loss across the performed steps.
+/// step `θ ← θ − η∇ℓ`. No loss is computed — nothing in a round reads
+/// one; [`Model::mean_loss`] computes it off this path.
 ///
 /// # Panics
 /// If the dataset is empty — a client with no data cannot train.
@@ -114,7 +115,7 @@ pub fn train_local(
     cfg: &SgdConfig,
     iters: usize,
     rng: &mut StdRng,
-) -> f64 {
+) {
     train_local_scratch(model, data, cfg, iters, rng, &mut TrainScratch::default())
 }
 
@@ -129,7 +130,7 @@ pub fn train_local_scratch(
     iters: usize,
     rng: &mut StdRng,
     scratch: &mut TrainScratch,
-) -> f64 {
+) {
     assert!(!data.is_empty(), "cannot train on an empty dataset");
     assert!(cfg.lr > 0.0, "learning rate must be positive");
     assert!(cfg.batch_size > 0, "batch size must be positive");
@@ -143,20 +144,14 @@ pub fn train_local_scratch(
     grad.resize(model.param_len(), 0.0);
     indices.clear();
     indices.resize(batch, 0);
-    let mut total_loss = 0.0;
     for _ in 0..iters {
         for slot in indices.iter_mut() {
             *slot = rng.gen_range(0..data.len());
         }
         hfl_tensor::ops::zero(grad);
-        total_loss += model.loss_grad_batch_with(data, indices, grad, batch_scratch);
+        model.grad_batch_with(data, indices, grad, batch_scratch);
         // θ ← θ − η ∇ℓ
         hfl_tensor::ops::axpy(-cfg.lr, grad, model.params_mut());
-    }
-    if iters == 0 {
-        0.0
-    } else {
-        total_loss / iters as f64
     }
 }
 
@@ -236,12 +231,10 @@ mod tests {
         .lr_at(1);
     }
 
-    /// Mean loss of `model` over all of `data`: one whole-set batch
-    /// through the gradient entry point, gradient discarded.
+    /// Mean loss of `model` over all of `data`.
     fn mean_loss(model: &dyn Model, data: &Dataset) -> f64 {
         let indices: Vec<usize> = (0..data.len()).collect();
-        let mut grad = vec![0.0f32; model.param_len()];
-        model.loss_grad_batch_with(data, &indices, &mut grad, &mut BatchScratch::default())
+        model.mean_loss(data, &indices, &mut BatchScratch::default())
     }
 
     #[test]
@@ -260,10 +253,11 @@ mod tests {
         let data = two_blob_data();
         let mut m = LinearSoftmax::new(2, 2);
         let p0 = m.params().to_vec();
+        let before = mean_loss(&m, &data);
         let mut rng = StdRng::seed_from_u64(5);
-        let loss = train_local(&mut m, &data, &SgdConfig::default(), 0, &mut rng);
-        assert_eq!(loss, 0.0);
+        train_local(&mut m, &data, &SgdConfig::default(), 0, &mut rng);
         assert_eq!(m.params(), p0.as_slice());
+        assert_eq!(mean_loss(&m, &data).to_bits(), before.to_bits());
     }
 
     #[test]

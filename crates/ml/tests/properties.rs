@@ -255,12 +255,12 @@ fn gradient_descends_loss() {
         let idx: Vec<usize> = (0..task.train.len()).collect();
         let mut grad = vec![0.0f32; m.param_len()];
         let mut scratch = hfl_ml::model::BatchScratch::default();
-        let loss0 = m.loss_grad_batch_with(&task.train, &idx, &mut grad, &mut scratch);
+        m.grad_batch_with(&task.train, &idx, &mut grad, &mut scratch);
+        let loss0 = m.mean_loss(&task.train, &idx, &mut scratch);
         let mut p1 = p0.clone();
         hfl_tensor::ops::axpy(-0.01, &grad, &mut p1);
         m.set_params(&p1);
-        let mut unused = vec![0.0f32; m.param_len()];
-        let loss1 = m.loss_grad_batch_with(&task.train, &idx, &mut unused, &mut scratch);
+        let loss1 = m.mean_loss(&task.train, &idx, &mut scratch);
         assert!(
             loss1 <= loss0 + 1e-6,
             "case {case}: loss rose: {loss0} -> {loss1}"

@@ -599,12 +599,22 @@ fn approx_tile<const L: usize>(
     }
 }
 
-/// Most columns of one gradient tile of [`rank_update`]: two rows of
-/// 32 `f32` are four AVX-512 registers, eight AVX2 or sixteen SSE2 —
-/// accumulators that rest in registers across a whole block of inputs
-/// at any of them, with enough independent add chains to hide the add
-/// latency.
-const RANK_COLS: usize = 32;
+/// Most columns of one gradient tile of [`rank_update`] where
+/// `Width::Avx512` runs it: two rows of 64 `f32` are eight registers,
+/// eight independent add chains. Narrower widths stop at half that —
+/// two rows of 32 are eight AVX2 registers or sixteen SSE2, which 64
+/// would overflow.
+const RANK_COLS: usize = 64;
+
+/// Where the coefficient of input `s` for gradient row `r` sits in a
+/// rank update's `coeff`: `s * rows + r` (an input's coefficients
+/// adjacent, as [`forward_block`] writes them) or `r * inputs + s` (a
+/// row's, as [`forward_class_major`] does).
+#[derive(Clone, Copy)]
+enum Coeff {
+    InputMajor,
+    RowMajor,
+}
 
 /// Rank-`S` update of a row-major `rows × cols` gradient from a block
 /// of `S` inputs: `grad[r][c] += coeff[s * rows + r] * xs[s][c]` for
@@ -657,6 +667,48 @@ pub fn rank_update_at(
     xs: &[&[f32]],
     skip_zero: bool,
 ) -> Option<()> {
+    rank_dispatch(width, grad, coeff, xs, skip_zero, Coeff::InputMajor)
+}
+
+/// [`rank_update`] over class-major coefficients: `grad[r][c] +=
+/// coeff[r * xs.len() + s] * xs[s][c]` for `s` in order, bit for bit
+/// one [`axpy`] per (input, row) — the backward of
+/// [`forward_class_major`], whose output block it reads in place. One
+/// input is the same layout either way and takes [`rank_update`]'s
+/// `axpy` loop.
+///
+/// # Panics
+/// As [`rank_update`].
+pub fn rank_update_class_major(grad: &mut [f32], coeff: &[f32], xs: &[&[f32]], skip_zero: bool) {
+    if xs.len() == 1 {
+        return rank_update(grad, coeff, xs, skip_zero);
+    }
+    rank_update_class_major_at(Width::widest(), grad, coeff, xs, skip_zero)
+        .expect("the width was just detected")
+}
+
+/// [`rank_update_class_major`] compiled at `width`, or `None` when the
+/// CPU lacks it (see [`forward_block_at`]).
+#[doc(hidden)]
+pub fn rank_update_class_major_at(
+    width: Width,
+    grad: &mut [f32],
+    coeff: &[f32],
+    xs: &[&[f32]],
+    skip_zero: bool,
+) -> Option<()> {
+    rank_dispatch(width, grad, coeff, xs, skip_zero, Coeff::RowMajor)
+}
+
+/// The checks and the dispatch of both rank updates.
+fn rank_dispatch(
+    width: Width,
+    grad: &mut [f32],
+    coeff: &[f32],
+    xs: &[&[f32]],
+    skip_zero: bool,
+    layout: Coeff,
+) -> Option<()> {
     let Some(first) = xs.first() else {
         assert!(coeff.is_empty(), "rank_update: coefficients without inputs");
         return Some(());
@@ -674,39 +726,62 @@ pub fn rank_update_at(
         coeff.len() / xs.len() * first.len(),
         "rank_update: gradient shape mismatch"
     );
+    let cap = if width == Width::Avx512 {
+        RANK_COLS
+    } else {
+        RANK_COLS / 2
+    };
     width.run(
         #[inline(always)]
-        |(coeff, xs, skip_zero), grad, (), _| rank_body(coeff, xs, skip_zero, grad),
-        (coeff, xs, skip_zero),
+        |(coeff, xs, skip_zero, layout), grad, cap, _| {
+            rank_body(coeff, xs, skip_zero, layout, cap, grad)
+        },
+        (coeff, xs, skip_zero, layout),
         grad,
-        (),
+        cap,
     )
 }
 
-/// The one body of [`rank_update`], inlined into the function of each
+/// The one body of both rank updates, inlined into the function of each
 /// [`Width`] it is run at: two rows at a time (a single last row takes
 /// the place of both and is stored once), columns in power-of-two
-/// tiles, so no tile is ragged.
+/// tiles of at most `cap`, so no tile is ragged.
 #[inline(always)]
-fn rank_body(coeff: &[f32], xs: &[&[f32]], skip_zero: bool, grad: &mut [f32]) {
-    let (rows, cols) = (coeff.len() / xs.len(), xs[0].len());
+fn rank_body(
+    coeff: &[f32],
+    xs: &[&[f32]],
+    skip_zero: bool,
+    layout: Coeff,
+    cap: usize,
+    grad: &mut [f32],
+) {
+    let (n, cols) = (xs.len(), xs[0].len());
+    let rows = coeff.len() / n;
+    // (stride between inputs, stride between rows) in `coeff`.
+    let strides = match layout {
+        Coeff::InputMajor => (rows, 1),
+        Coeff::RowMajor => (1, n),
+    };
     for r in (0..rows).step_by(2) {
         let pair = [r, (r + 1).min(rows - 1)];
-        for (c, w) in binary_blocks(cols, RANK_COLS) {
+        for (c, w) in binary_blocks(cols, cap) {
+            let tile = (pair, c, strides);
             match w {
-                1 => rank_tile::<1>(coeff, rows, pair, xs, c, skip_zero, grad),
-                2 => rank_tile::<2>(coeff, rows, pair, xs, c, skip_zero, grad),
-                4 => rank_tile::<4>(coeff, rows, pair, xs, c, skip_zero, grad),
-                8 => rank_tile::<8>(coeff, rows, pair, xs, c, skip_zero, grad),
-                16 => rank_tile::<16>(coeff, rows, pair, xs, c, skip_zero, grad),
-                _ => rank_tile::<RANK_COLS>(coeff, rows, pair, xs, c, skip_zero, grad),
+                1 => rank_tile::<1>(coeff, tile, xs, skip_zero, grad),
+                2 => rank_tile::<2>(coeff, tile, xs, skip_zero, grad),
+                4 => rank_tile::<4>(coeff, tile, xs, skip_zero, grad),
+                8 => rank_tile::<8>(coeff, tile, xs, skip_zero, grad),
+                16 => rank_tile::<16>(coeff, tile, xs, skip_zero, grad),
+                32 => rank_tile::<32>(coeff, tile, xs, skip_zero, grad),
+                _ => rank_tile::<RANK_COLS>(coeff, tile, xs, skip_zero, grad),
             }
         }
     }
 }
 
-/// One gradient tile of [`rank_update`]: columns `c..c + W` of the two
-/// rows `pair`, every input innermost.
+/// One gradient tile of a rank update: columns `c..c + W` of the two
+/// rows `pair`, every input innermost; input `s`'s coefficient for row
+/// `r` is `coeff[s * per_input + r * per_row]`.
 ///
 /// Two *named* row accumulators, not an array of rows: `[[f32; W]; R]`
 /// under a loop over the rows is left in memory, and every input's
@@ -714,10 +789,8 @@ fn rank_body(coeff: &[f32], xs: &[&[f32]], skip_zero: bool, grad: &mut [f32]) {
 #[inline(always)]
 fn rank_tile<const W: usize>(
     coeff: &[f32],
-    rows: usize,
-    [r0, r1]: [usize; 2],
+    ([r0, r1], c, (per_input, per_row)): ([usize; 2], usize, (usize, usize)),
     xs: &[&[f32]],
-    c: usize,
     skip_zero: bool,
     grad: &mut [f32],
 ) {
@@ -728,7 +801,10 @@ fn rank_tile<const W: usize>(
     g1.copy_from_slice(&grad[at1..at1 + W]);
     for (s, x) in xs.iter().enumerate() {
         let x = &x[c..c + W];
-        let (a0, a1) = (coeff[s * rows + r0], coeff[s * rows + r1]);
+        let (a0, a1) = (
+            coeff[s * per_input + r0 * per_row],
+            coeff[s * per_input + r1 * per_row],
+        );
         if !(skip_zero && a0 == 0.0) {
             for j in 0..W {
                 g0[j] += a0 * x[j];
@@ -742,6 +818,249 @@ fn rank_tile<const W: usize>(
     }
     grad[at1..at1 + W].copy_from_slice(&g1);
     grad[at0..at0 + W].copy_from_slice(&g0);
+}
+
+/// Most inputs one lane group of [`forward_class_major`] carries: the
+/// models' block of 32, four AVX-512 registers of `f64` per output row.
+const INPUT_LANES: usize = 32;
+
+/// Inputs one transpose step of [`forward_class_major`] moves, and the
+/// coordinates it moves of each: an 8 × 8 block of `f32`.
+const TRANSPOSE: usize = 8;
+
+/// Coordinates of one input tile of [`forward_class_major`]: `64 × 32`
+/// `f64` is 16 KB, on the stack and in L1.
+const INPUT_TILE: usize = 64;
+
+/// Dense layer for a block of inputs, written class-major:
+/// `out[r * xs.len() + s] = dot(w_r, xs[s]) as f32 + bias[r]`, `w`
+/// row-major `bias.len() × d` as the parameters are stored — the
+/// logits layer of a training step, whose softmax, error and rank
+/// update then read a class's values for the whole block as lanes.
+///
+/// The lanes of one SIMD register are *inputs*. Up to
+/// `INPUT_LANES` inputs are transposed, eight by eight coordinates at a
+/// time, into a feature-major tile on the stack — `tile[c][s]`,
+/// widened to `f64` once — and two output rows at a time run over it
+/// with `acc_r[s] += tile[c][s] · w_r[c]`, each weight widened and
+/// broadcast once per lane group. Every (input, row) pair keeps its own
+/// `f64` accumulator and visits coordinates in index order exactly as
+/// [`dot`] does (nothing reassociated; the product of two widened
+/// `f32`s is exact, so fusing it rounds the same —
+/// `add_exact_product`), so each value is bitwise the per-row `dot`
+/// loop's, at every [`Width`]. An input longer than the tile streams
+/// through it tile by tile, the chains continuing across tiles in
+/// their registers, never restarted. Lanes past the inputs (a group of
+/// fewer than 8, 16 or 32) compute on a copy of the last input and are
+/// dropped, as a single last row is.
+///
+/// Where [`forward_block`] converts and broadcasts each input coordinate
+/// once per tile pass of rows, this converts it once; what it pays
+/// instead is the transpose.
+///
+/// # Panics
+/// If an input's length is not `w.len() / bias.len()`, `w` does not
+/// hold whole rows, or `out.len() != xs.len() * bias.len()`.
+pub fn forward_class_major(w: &[f32], bias: &[f32], xs: &[&[f32]], out: &mut [f32]) {
+    forward_class_major_at(Width::widest(), w, bias, xs, out).expect("the width was just detected")
+}
+
+/// [`forward_class_major`] compiled at `width`, or `None` when the CPU
+/// lacks it (see [`forward_block_at`]). Kept out of line so that a
+/// disassembly names the call into its wide body (`scripts/ci.sh`
+/// checks that body holds packed fused products).
+#[doc(hidden)]
+#[inline(never)]
+pub fn forward_class_major_at(
+    width: Width,
+    w: &[f32],
+    bias: &[f32],
+    xs: &[&[f32]],
+    out: &mut [f32],
+) -> Option<()> {
+    let rows = bias.len();
+    assert!(
+        rows > 0 && w.len().is_multiple_of(rows),
+        "forward_class_major: weights are not whole rows"
+    );
+    let d = w.len() / rows;
+    assert_eq!(
+        out.len(),
+        xs.len() * rows,
+        "forward_class_major: output length mismatch"
+    );
+    for x in xs {
+        assert_eq!(x.len(), d, "forward_class_major: input length mismatch");
+    }
+    width.run(
+        #[inline(always)]
+        |(w, bias, xs), out, (), fused| class_major_body(w, bias, xs, out, fused),
+        (w, bias, xs),
+        out,
+        (),
+    )
+}
+
+/// The one body of [`forward_class_major`]: lane groups of at most
+/// `INPUT_LANES` inputs, each at the fewest lanes of 8, 16 or 32 that
+/// hold it.
+#[inline(always)]
+fn class_major_body(w: &[f32], bias: &[f32], xs: &[&[f32]], out: &mut [f32], fused: bool) {
+    let n = xs.len();
+    for (g, group) in xs.chunks(INPUT_LANES).enumerate() {
+        let at = (g * INPUT_LANES, n);
+        match group.len() {
+            1..=8 => class_major_group::<8>(w, bias, group, at, out, fused),
+            9..=16 => class_major_group::<16>(w, bias, group, at, out, fused),
+            _ => class_major_group::<INPUT_LANES>(w, bias, group, at, out, fused),
+        }
+    }
+}
+
+/// One lane group of [`forward_class_major`]: `xs` (at most `L`) are
+/// inputs `first..` of a block of `n`, so input `s` of the group writes
+/// row `r` to `out[r * n + first + s]`.
+///
+/// The two rows' accumulators are two *named* `[f64; L]` — `L / 8`
+/// registers each at AVX-512, so two rows are eight independent chains
+/// at 32 lanes — and stay in registers from the first coordinate to the
+/// last. An input of one tile is transposed once for every row; a
+/// longer one streams through the tile again for each pair of rows.
+#[inline(always)]
+fn class_major_group<const L: usize>(
+    w: &[f32],
+    bias: &[f32],
+    xs: &[&[f32]],
+    (first, n): (usize, usize),
+    out: &mut [f32],
+    fused: bool,
+) {
+    let (rows, live) = (bias.len(), xs.len());
+    let d = w.len() / rows;
+    let mut tile = [[0.0f64; L]; INPUT_TILE];
+    let one_tile = d <= INPUT_TILE;
+    if d == INPUT_TILE {
+        // A constant length: every loop of the transpose has a known
+        // trip count and no block is partial.
+        transpose_inputs(&mut tile, xs, 0, INPUT_TILE);
+    } else if one_tile {
+        transpose_inputs(&mut tile, xs, 0, d);
+    }
+    for r in (0..rows).step_by(2) {
+        let r1 = (r + 1).min(rows - 1);
+        let (mut a0, mut a1) = ([0.0f64; L], [0.0f64; L]);
+        for c0 in (0..d).step_by(INPUT_TILE) {
+            let t = INPUT_TILE.min(d - c0);
+            if !one_tile {
+                transpose_inputs(&mut tile, xs, c0, t);
+            }
+            let (w0, w1) = (&w[r * d + c0..][..t], &w[r1 * d + c0..][..t]);
+            for ((col, u0), u1) in tile[..t].iter().zip(w0).zip(w1) {
+                let (u0, u1) = (*u0 as f64, *u1 as f64);
+                for l in 0..L {
+                    a0[l] = add_exact_product(fused, a0[l], col[l], u0);
+                }
+                for l in 0..L {
+                    a1[l] = add_exact_product(fused, a1[l], col[l], u1);
+                }
+            }
+        }
+        for (o, a) in out[r * n + first..][..live].iter_mut().zip(&a0) {
+            *o = *a as f32 + bias[r];
+        }
+        for (o, a) in out[r1 * n + first..][..live].iter_mut().zip(&a1) {
+            *o = *a as f32 + bias[r1];
+        }
+    }
+}
+
+/// Coordinates `c0..c0 + t` of `xs` (at most `L` inputs) widened into
+/// `tile[c][s]`, eight inputs by eight coordinates at a time through
+/// [`transpose8`]. Lanes past the inputs repeat the last one; a last
+/// block of fewer than eight coordinates is read as zeros past `t`,
+/// and its columns past `t` are written and never read. Every store is
+/// a whole column of eight lanes, every load eight values or a
+/// fixed-trip loop: a loop of single-lane stores is vectorised across
+/// the coordinates into scatters, and a copy of a run-time length
+/// becomes a `memcpy` call.
+#[inline(always)]
+fn transpose_inputs<const L: usize>(
+    tile: &mut [[f64; L]; INPUT_TILE],
+    xs: &[&[f32]],
+    c0: usize,
+    t: usize,
+) {
+    let last = xs.len() - 1;
+    for k in (0..L).step_by(TRANSPOSE) {
+        let x = |j: usize| &xs[(k + j).min(last)][c0..c0 + t];
+        let [x0, x1, x2, x3, x4, x5, x6, x7] = [x(0), x(1), x(2), x(3), x(4), x(5), x(6), x(7)];
+        for c in (0..t).step_by(TRANSPOSE) {
+            let block = [
+                load8(x0, c),
+                load8(x1, c),
+                load8(x2, c),
+                load8(x3, c),
+                load8(x4, c),
+                load8(x5, c),
+                load8(x6, c),
+                load8(x7, c),
+            ];
+            for (dst, col) in tile[c..c + TRANSPOSE].iter_mut().zip(transpose8(block)) {
+                let mut wide = [0.0f64; TRANSPOSE];
+                for (v, u) in wide.iter_mut().zip(col) {
+                    *v = u as f64;
+                }
+                dst[k..k + TRANSPOSE].copy_from_slice(&wide);
+            }
+        }
+    }
+}
+
+/// `x[c..c + 8]`, zeros past the end of `x`.
+#[inline(always)]
+fn load8(x: &[f32], c: usize) -> [f32; TRANSPOSE] {
+    let mut v = [0.0f32; TRANSPOSE];
+    match x.get(c..c + TRANSPOSE) {
+        Some(whole) => v.copy_from_slice(whole),
+        None => {
+            for (i, v) in v.iter_mut().enumerate() {
+                *v = x.get(c + i).copied().unwrap_or(0.0);
+            }
+        }
+    }
+    v
+}
+
+/// An 8 × 8 transpose, `out[c][s] = rows[s][c]`, as three rounds of
+/// two-source interleaves — a shape the compiler turns into vector
+/// shuffles, where a loop of strided stores became scatters.
+#[inline(always)]
+fn transpose8(rows: [[f32; TRANSPOSE]; TRANSPOSE]) -> [[f32; TRANSPOSE]; TRANSPOSE] {
+    type V = [f32; TRANSPOSE];
+    // Within each half of `a` and `b`: their values 0, 1 (or 2, 3)
+    // alternately; their pairs 0 (or 1) in turn; their low (or high)
+    // halves.
+    let lo1 = |a: V, b: V| [a[0], b[0], a[1], b[1], a[4], b[4], a[5], b[5]];
+    let hi1 = |a: V, b: V| [a[2], b[2], a[3], b[3], a[6], b[6], a[7], b[7]];
+    let lo2 = |a: V, b: V| [a[0], a[1], b[0], b[1], a[4], a[5], b[4], b[5]];
+    let hi2 = |a: V, b: V| [a[2], a[3], b[2], b[3], a[6], a[7], b[6], b[7]];
+    let lo4 = |a: V, b: V| [a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3]];
+    let hi4 = |a: V, b: V| [a[4], a[5], a[6], a[7], b[4], b[5], b[6], b[7]];
+    let [r0, r1, r2, r3, r4, r5, r6, r7] = rows;
+    let (t0, t1, t2, t3) = (lo1(r0, r1), hi1(r0, r1), lo1(r2, r3), hi1(r2, r3));
+    let (t4, t5, t6, t7) = (lo1(r4, r5), hi1(r4, r5), lo1(r6, r7), hi1(r6, r7));
+    let (u0, u1, u2, u3) = (lo2(t0, t2), hi2(t0, t2), lo2(t1, t3), hi2(t1, t3));
+    let (u4, u5, u6, u7) = (lo2(t4, t6), hi2(t4, t6), lo2(t5, t7), hi2(t5, t7));
+    [
+        lo4(u0, u4),
+        lo4(u1, u5),
+        lo4(u2, u6),
+        lo4(u3, u7),
+        hi4(u0, u4),
+        hi4(u1, u5),
+        hi4(u2, u6),
+        hi4(u3, u7),
+    ]
 }
 
 /// Squared Euclidean norm (f64 accumulator).
@@ -2031,7 +2350,8 @@ mod tests {
             [(0, 16), (16, 16), (32, 16), (48, 16)]
         );
         assert_eq!(split(19, PANEL_LANES), [(0, 16), (16, 2), (18, 1)]);
-        assert_eq!(split(65, RANK_COLS), [(0, 32), (32, 32), (64, 1)]);
+        assert_eq!(split(65, RANK_COLS), [(0, 64), (64, 1)]);
+        assert_eq!(split(65, RANK_COLS / 2), [(0, 32), (32, 32), (64, 1)]);
         assert_eq!(split(7, RANK_COLS), [(0, 4), (4, 2), (6, 1)]);
         assert!(split(0, PANEL_LANES).is_empty());
         // A panel's single last row shares its tile with a lane of zeros.
@@ -2252,5 +2572,217 @@ mod tests {
                 assert_eq!(dist_sq(a, b).to_bits(), dist_sq(b, a).to_bits());
             }
         }
+    }
+
+    /// Values for the class-major kernels: full mantissas across 21
+    /// binades (a reordered or restarted chain shows in the last bits),
+    /// and with `edges` one in eight NaN, `±∞`, a subnormal, `±0` or
+    /// `±f32::MAX`.
+    fn class_major_values(seed: u64, n: usize, edges: bool) -> Vec<f32> {
+        (0..n as u64)
+            .map(|j| {
+                let mut x = (seed << 40 | j)
+                    .wrapping_add(3)
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                x ^= x >> 29;
+                let finite = f32::from_bits(
+                    ((x >> 20) as u32 & 0x807f_ffff) | (117 + (x % 21) as u32) << 23,
+                );
+                let edge = [
+                    f32::NAN,
+                    f32::INFINITY,
+                    f32::NEG_INFINITY,
+                    f32::MIN_POSITIVE / 2.0,
+                    -0.0,
+                    0.0,
+                    f32::MAX,
+                    -f32::MAX,
+                ];
+                match x % 64 {
+                    k if edges && k < 8 => edge[k as usize],
+                    _ => finite,
+                }
+            })
+            .collect()
+    }
+
+    /// Bits equal, or both NaN (a NaN's payload is unspecified).
+    fn same(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan()
+    }
+
+    /// `count` rows of `d` [`class_major_values`] (`edges` on every fourth,
+    /// from `edge_at`). On every other row, each coordinate `c ≡ 0 (mod
+    /// 4)` is repeated at `c + 2`, 2³⁰ times larger and negated there in
+    /// an input. Where two such rows meet, the products run big, small,
+    /// minus big, small, …: every small one after a big one is rounded at
+    /// the big one's scale and the big ones cancel exactly, so the `f32`
+    /// result shows a chain reordered (any two coordinates but the first
+    /// pair), restarted or reassociated — which a chain of like
+    /// magnitudes, rounded once more to `f32`, hides.
+    fn class_major_rows(
+        count: usize,
+        d: usize,
+        seed: u64,
+        edge_at: usize,
+        weights: bool,
+    ) -> Vec<f32> {
+        (0..count)
+            .flat_map(|i| {
+                let mut row = class_major_values(seed + i as u64, d, i % 4 == edge_at);
+                if i % 2 == 1 {
+                    for c in (0..d.saturating_sub(2)).step_by(4) {
+                        if !weights {
+                            row[c] *= (1u64 << 30) as f32;
+                        }
+                        row[c + 2] = if weights { row[c] } else { -row[c] };
+                    }
+                }
+                row
+            })
+            .collect()
+    }
+
+    /// Every compiled width the host can run, and the dispatch, against
+    /// one `dot` per (input, row) plus the bias: lane groups short, full
+    /// and several (n), tiles short, exact, one past and several (d),
+    /// row pairs whole and with a single last row. Every fourth input
+    /// and weight row holds edge values, and half of them cancel
+    /// ([`class_major_rows`]); the buffer starts dirty.
+    #[test]
+    fn forward_class_major_matches_dot_per_row_at_every_width() {
+        let mut ran = Vec::new();
+        let (mut finite, mut other) = (0usize, 0usize);
+        for d in [1usize, 7, 64, 65, 257] {
+            for rows in [2usize, 3, 8, 10, 16, 17] {
+                let w = class_major_rows(rows, d, 0, 3, true);
+                let bias = class_major_values(99, rows, false);
+                for n in (1..=9).chain([15, 16, 17, 31, 32, 33]) {
+                    let x = class_major_rows(n, d, 100, 2, false);
+                    let xs: Vec<&[f32]> = x.chunks_exact(d).collect();
+                    let mut want = vec![0.0f32; n * rows];
+                    for (s, x) in xs.iter().enumerate() {
+                        for r in 0..rows {
+                            want[r * n + s] = dot(&w[r * d..(r + 1) * d], x) as f32 + bias[r];
+                        }
+                    }
+                    finite += want.iter().filter(|v| v.is_finite()).count();
+                    other += want.iter().filter(|v| !v.is_finite()).count();
+                    // `None` is the dispatch.
+                    for width in Width::ALL.into_iter().map(Some).chain([None]) {
+                        let mut got = vec![f32::NAN; n * rows];
+                        match width {
+                            Some(at) => {
+                                if forward_class_major_at(at, &w, &bias, &xs, &mut got).is_none() {
+                                    continue;
+                                }
+                            }
+                            None => forward_class_major(&w, &bias, &xs, &mut got),
+                        }
+                        if !ran.contains(&width) {
+                            ran.push(width);
+                        }
+                        for (i, (g, e)) in got.iter().zip(&want).enumerate() {
+                            assert!(
+                                same(*g, *e),
+                                "{width:?} d={d} rows={rows} n={n} row {} input {}: {g} vs {e}",
+                                i / n,
+                                i % n
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // The grid is worth the comparison: most logits are finite.
+        assert!(finite > other && other > 0, "{finite} / {other}");
+        assert!(
+            ran.contains(&Some(Width::Plain)) && ran.contains(&None),
+            "{ran:?}"
+        );
+        println!("forward_class_major widths run on this host: {ran:?}");
+    }
+
+    #[test]
+    fn forward_class_major_of_no_inputs_writes_nothing_and_of_no_coordinates_the_bias() {
+        forward_class_major(&[], &[1.0, 2.0], &[], &mut []);
+        let mut out = [0.0f32; 6];
+        forward_class_major(&[], &[1.0, 2.0], &[&[], &[], &[]], &mut out);
+        assert_eq!(out, [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "input length mismatch")]
+    fn forward_class_major_rejects_a_short_input() {
+        forward_class_major(&[0.0; 8], &[0.0; 2], &[&[0.0; 4], &[0.0; 3]], &mut [0.0; 4]);
+    }
+
+    /// The class-major rank update at every compiled width the host can
+    /// run, and the dispatch, against one `axpy` per (input, row), inputs
+    /// in order, a zero coefficient's `axpy` skipped or not: columns in
+    /// one tile, several and ragged, at either tile cap; `±∞` among the
+    /// inputs and exact zeros (`±0`) among the coefficients, so a zero
+    /// that is not skipped turns a row NaN.
+    #[test]
+    fn rank_update_class_major_matches_the_axpy_loop_at_every_width() {
+        let mut ran = Vec::new();
+        for cols in [1usize, 7, 32, 64, 65, 130] {
+            for rows in [1usize, 2, 3, 10, 17] {
+                for n in [1usize, 2, 5, 32, 33] {
+                    let x: Vec<f32> = (0..n)
+                        .flat_map(|s| class_major_values(7 + s as u64, cols, s % 3 == 1))
+                        .map(|v| if v.is_nan() { f32::INFINITY } else { v })
+                        .collect();
+                    let xs: Vec<&[f32]> = x.chunks_exact(cols).collect();
+                    let coeff: Vec<f32> = class_major_values(5, rows * n, false)
+                        .iter()
+                        .enumerate()
+                        .map(|(i, v)| match i % 5 {
+                            0 => 0.0,
+                            3 => -0.0,
+                            _ => *v,
+                        })
+                        .collect();
+                    let start = class_major_values(6, rows * cols, false);
+                    for skip_zero in [true, false] {
+                        let mut want = start.clone();
+                        for (s, x) in xs.iter().enumerate() {
+                            for (r, row) in want.chunks_exact_mut(cols).enumerate() {
+                                let a = coeff[r * n + s];
+                                if !(skip_zero && a == 0.0) {
+                                    axpy(a, x, row);
+                                }
+                            }
+                        }
+                        for width in Width::ALL.into_iter().map(Some).chain([None]) {
+                            let mut got = start.clone();
+                            match width {
+                                Some(at) => {
+                                    let done = rank_update_class_major_at(
+                                        at, &mut got, &coeff, &xs, skip_zero,
+                                    );
+                                    if done.is_none() {
+                                        continue;
+                                    }
+                                }
+                                None => rank_update_class_major(&mut got, &coeff, &xs, skip_zero),
+                            }
+                            if !ran.contains(&width) {
+                                ran.push(width);
+                            }
+                            for (i, (g, e)) in got.iter().zip(&want).enumerate() {
+                                assert!(
+                                    same(*g, *e),
+                                    "{width:?} cols={cols} rows={rows} n={n} skip={skip_zero} \
+                                     entry {i}: {g} vs {e}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(ran.contains(&Some(Width::Plain)), "{ran:?}");
+        println!("rank_update_class_major widths run on this host: {ran:?}");
     }
 }

@@ -20,6 +20,31 @@ trap 'rm -rf "$tmp"' EXIT
 cargo build --release -p hfl-bench
 repro="${CARGO_TARGET_DIR:-target}/release/repro"
 
+# The class-major forward compiles wide (DESIGN.md §15): the AVX-512 body
+# that `forward_class_major_at` calls, directly or through `Width::run`,
+# holds packed `zmm` FMAs. A kernel that is not inlined into that body —
+# passed as a function item, say — runs at the baseline width and leaves
+# none. x86_64 only: elsewhere there is no AVX-512 body to read.
+wide_gate() {
+    local asm="$tmp/repro.s" calls run body fmas=0
+    objdump -d --no-show-raw-insn "$1" > "$asm"
+    calls="$(awk '/^[0-9a-f]+ <.*>:/{n=$2} /call/ && n ~ /forward_class_major_at/ {print $NF}' "$asm")"
+    run="$(grep -m1 'Width3run17h' <<< "$calls" || true)"
+    if [ -n "$run" ]; then
+        calls="$(awk -v r="$run:" '/^[0-9a-f]+ <.*>:/{f = ($2 == r)} f && /call/ {print $NF}' "$asm")"
+    fi
+    body="$(grep -m1 'Width3run6avx512' <<< "$calls" || true)"
+    if [ -n "$body" ]; then
+        fmas="$(awk -v h="$body:" '/^[0-9a-f]+ <.*>:/{f = ($2 == h)} f && /vfmadd[0-9]+pd.*zmm/' "$asm" | wc -l)"
+    fi
+    [ "$fmas" -gt 0 ] \
+        || { echo "forward_class_major's AVX-512 body holds no zmm vfmadd (${body:-no body found})"; exit 1; }
+    echo "class-major forward wide gate passed ($fmas zmm vfmadd)"
+}
+if [ "$(uname -m)" = x86_64 ]; then
+    wide_gate "$repro"
+fi
+
 # Same-seed runs write byte-identical manifests: faults, arms race, both, deadline
 # buffers (DESIGN.md §12), gallery (§13), pipeline, cohort sampling (§14), and the
 # vanilla star on the engine (§9; the filter matches IID and non-IID Type I).
