@@ -5,8 +5,7 @@
 //! attack-success rate exposes it, and the hierarchy suppresses it.
 
 use abd_hfl_core::config::AttackCfg;
-use abd_hfl_core::engine::{CostCounters, RoundEngine};
-use abd_hfl_core::runner::Experiment;
+use abd_hfl_core::runner::{run_prepared_with, Experiment};
 use hfl_attacks::{DataAttack, ModelAttack, Placement};
 use hfl_ml::metrics::backdoor_success_rate;
 use hfl_ml::rng::derive_seed;
@@ -84,10 +83,8 @@ fn body(s: &mut Sweep) {
     backdoor_deep_dive(s, rounds);
 }
 
-/// Clean accuracy vs attack-success rate of the final global model,
-/// vanilla FedAvg (the star) against ABD-HFL. The engine's rounds are
-/// stepped by hand so the final parameters are in hand for the ASR probe
-/// (a run reports only accuracy).
+/// Clean accuracy vs attack-success rate of a run's final global model,
+/// vanilla FedAvg (the star) against ABD-HFL.
 fn backdoor_deep_dive(s: &mut Sweep, rounds: usize) {
     let (offset, width, value, target) = TRIGGER;
     let attack = AttackCfg::Data {
@@ -107,19 +104,10 @@ fn backdoor_deep_dive(s: &mut Sweep, rounds: usize) {
             continue;
         }
         let exp = Experiment::prepare(&cfg);
-        let mut engine = RoundEngine::for_experiment(&exp);
-        let (mut global, mut next) = (exp.template.params().to_vec(), Vec::new());
-        let (mut cost, telem) = (CostCounters::default(), Telemetry::disabled());
-        let (faults, suspicion) = (&mut Vec::new(), &mut Vec::new());
-        for round in 0..cfg.rounds {
-            engine.run_round_into(
-                &global, round, &mut cost, &telem, faults, suspicion, &mut next,
-            );
-            std::mem::swap(&mut global, &mut next);
-        }
-        let clean = exp.evaluate(&global);
+        let run = run_prepared_with(&exp, &Telemetry::disabled());
+        let clean = run.result.final_accuracy;
         let mut model = exp.template.clone_box();
-        model.set_params(&global);
+        model.set_params(&run.model);
         let asr =
             backdoor_success_rate(model.as_ref(), &exp.task.test, offset, width, value, target);
         eprintln!("  backdoor/{name}: clean {} ASR {}", pct(clean), pct(asr));

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
 use crate::eval::{score_rows, ProposalEvaluator};
-use crate::{model_bytes, validate, Consensus, ConsensusOutcome};
+use crate::{model_bytes, survivor_mean, validate, Consensus, ConsensusOutcome};
 
 /// Committee consensus with `size` members excluding `exclude` proposals.
 #[derive(Clone, Copy, Debug)]
@@ -82,13 +82,6 @@ impl Consensus for CommitteeConsensus {
         let mut excluded: Vec<usize> = med_scores[..k].iter().map(|(_, p)| *p).collect();
         excluded.sort_unstable();
 
-        let survivors: Vec<&[f32]> = (0..n)
-            .filter(|p| !excluded.contains(p))
-            .map(|p| proposals[p])
-            .collect();
-        let mut decided = vec![0.0f32; d];
-        hfl_tensor::ops::mean_of(&survivors, &mut decided);
-
         // Cost: every node sends its model to each committee member
         // (n·size model transfers), each member broadcasts its score
         // vector to all nodes (size·n scalar messages), and the decided
@@ -98,7 +91,7 @@ impl Consensus for CommitteeConsensus {
         let bytes =
             (n * size) as u64 * model_bytes(d) + (size * n) as u64 * 8 + n as u64 * model_bytes(d);
         ConsensusOutcome {
-            decided,
+            decided: survivor_mean(proposals, &excluded),
             excluded,
             rounds: 3,
             messages,

@@ -5,12 +5,15 @@
 //! top-level cluster `C_{0,0}`) agrees on one aggregated model with no
 //! leader trusted for correctness:
 //!
-//! | Strategy | Mechanism | Module |
-//! |---|---|---|
-//! | Scalar consensus | validation voting (paper Appendix D.B) | [`vote`] |
-//! | Scalar consensus | committee-based consensus | [`committee`] |
-//! | Scalar consensus | PBFT-style three-phase agreement | [`pbft`] |
-//! | Multidimensional | approximate ε-agreement (trimmed-midpoint) | [`approx_agreement`] |
+//! | Strategy | Mechanism | [`ConsensusKind`] | Module |
+//! |---|---|---|---|
+//! | Scalar consensus | validation voting, majority survival (paper Appendix D.B) | `VoteMajority` | [`vote`] |
+//! | Scalar consensus | validation voting excluding the `k` fewest-voted (ablation) | `Vote` | [`vote`] |
+//! | Scalar consensus | validation voting weighted by stake (PoS-inspired) | `StakeVote` | [`vote`] |
+//! | Scalar consensus | committee-based consensus | `Committee` | [`committee`] |
+//! | Scalar consensus | PBFT-style three-phase agreement | `Pbft` | [`pbft`] |
+//! | Multidimensional | approximate ε-agreement (trimmed-midpoint) | `Approx` | [`approx_agreement`] |
+//! | Multidimensional | ring-gossip averaging (D2D baseline, not Byzantine-robust) | `Gossip` | [`gossip`] |
 //!
 //! Every mechanism implements [`Consensus`], reporting both the decided
 //! model *and* its communication cost (message/byte counts) so the
@@ -46,9 +49,7 @@ pub mod echo;
 pub mod eval;
 pub mod gossip;
 pub mod pbft;
-pub mod pos;
 pub mod quorum;
-pub mod telemetry;
 pub mod vote;
 
 use rand::rngs::StdRng;
@@ -59,7 +60,6 @@ pub use echo::{hash_update, EchoReport};
 pub use eval::{DistanceEvaluator, ProposalEvaluator};
 pub use gossip::GossipAverage;
 pub use pbft::PbftConsensus;
-pub use pos::StakeVote;
 pub use quorum::quorum_size;
 pub use vote::VoteConsensus;
 
@@ -187,7 +187,7 @@ impl ConsensusKind {
             ConsensusKind::Approx { epsilon, trim } => {
                 Box::new(ApproxAgreement::new(epsilon, trim))
             }
-            ConsensusKind::StakeVote { stakes } => Box::new(StakeVote::new(stakes)),
+            ConsensusKind::StakeVote { stakes } => Box::new(VoteConsensus::staked(stakes)),
             ConsensusKind::Gossip { epsilon } => Box::new(GossipAverage::new(epsilon)),
         }
     }
@@ -207,6 +207,18 @@ pub(crate) fn validate(proposals: &[&[f32]], byzantine: &[bool]) -> (usize, usiz
         "byzantine mask length mismatch"
     );
     (proposals.len(), d)
+}
+
+/// The mean of the proposals not in `excluded` (sorted, and leaving at
+/// least one).
+pub(crate) fn survivor_mean(proposals: &[&[f32]], excluded: &[usize]) -> Vec<f32> {
+    let survivors: Vec<&[f32]> = (0..proposals.len())
+        .filter(|p| excluded.binary_search(p).is_err())
+        .map(|p| proposals[p])
+        .collect();
+    let mut decided = vec![0.0f32; proposals[0].len()];
+    hfl_tensor::ops::mean_of(&survivors, &mut decided);
+    decided
 }
 
 /// Payload size in bytes of one model vector of dimension `d`.

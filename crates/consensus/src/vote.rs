@@ -20,88 +20,87 @@
 //! manipulation available inside this protocol. With `γ₁ = 25 %` (one
 //! adversarial voter among four) a poisoned proposal still fails the
 //! majority and an honest one still passes it.
+//!
+//! Stake weighting is Table II's PoS-inspired row (Chen et al.'s robust
+//! blockchained FL votes with stake-proportional weight): each voter's
+//! up-votes add its stake instead of 1 to a proposal's vote mass, and a
+//! proposal survives with a strict majority of the *total stake*. At
+//! unit stakes the staked vote decides exactly what the plain one does.
 
 use rand::rngs::StdRng;
 
 use crate::eval::{score_rows, ProposalEvaluator};
-use crate::{model_bytes, validate, Consensus, ConsensusOutcome};
+use crate::{model_bytes, survivor_mean, validate, Consensus, ConsensusOutcome};
+
+/// Relative tolerance for upvoting: a proposal is upvoted when its
+/// score ≥ best − `REL_TOL`·(best − worst).
+const REL_TOL: f64 = 0.2;
 
 /// Which proposals the vote excludes.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ExcludePolicy {
-    /// Exclude every proposal that fails a strict voter majority — the
-    /// paper's "fewest positive votes are considered malicious" read with
-    /// honest-majority voting (default).
+#[derive(Clone, Copy, Debug)]
+enum ExcludePolicy {
+    /// Exclude every proposal that fails a strict majority of the vote
+    /// mass — the paper's "fewest positive votes are considered
+    /// malicious" read with honest-majority voting (default).
     BelowMajority,
     /// Exclude exactly the `k` lowest-voted proposals (clamped so at
     /// least one survives). Useful for ablations.
     FewestK(usize),
 }
 
-/// Validation voting.
-#[derive(Clone, Copy, Debug)]
+/// Validation voting, unstaked or stake-weighted.
+#[derive(Clone, Debug)]
 pub struct VoteConsensus {
     policy: ExcludePolicy,
-    /// Relative tolerance for upvoting: a proposal is upvoted when its
-    /// score ≥ best − `rel_tol`·(best − worst).
-    rel_tol: f64,
+    /// One vote weight per voter; `None` weighs every voter 1.
+    stakes: Option<Vec<f64>>,
 }
 
 impl VoteConsensus {
-    /// Vote with the given exclusion policy and the default tolerance.
-    pub fn with_policy(policy: ExcludePolicy) -> Self {
-        Self {
-            policy,
-            rel_tol: 0.2,
-        }
-    }
-
     /// The paper's configuration: majority survival.
     pub fn paper_default() -> Self {
-        Self::with_policy(ExcludePolicy::BelowMajority)
+        Self {
+            policy: ExcludePolicy::BelowMajority,
+            stakes: None,
+        }
     }
 
     /// Fixed-k exclusion (ablation variant).
     pub fn new(exclude: usize) -> Self {
-        Self::with_policy(ExcludePolicy::FewestK(exclude))
+        Self {
+            policy: ExcludePolicy::FewestK(exclude),
+            stakes: None,
+        }
     }
 
-    /// Computes the vote matrix: `votes[v][p]` is voter `v`'s vote on
-    /// proposal `p` (`true` = upvote). Byzantine voters invert their
-    /// honest vote.
-    pub fn vote_matrix(
-        &self,
-        proposals: &[&[f32]],
-        byzantine: &[bool],
-        eval: &dyn ProposalEvaluator,
-    ) -> Vec<Vec<bool>> {
-        let voters: Vec<usize> = (0..proposals.len()).collect();
-        score_rows(&voters, proposals, eval)
-            .chunks_exact(proposals.len())
-            .enumerate()
-            .map(|(v, scores)| {
-                let best = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let worst = scores.iter().cloned().fold(f64::INFINITY, f64::min);
-                let cut = best - self.rel_tol * (best - worst);
-                scores
-                    .iter()
-                    .map(|s| {
-                        let honest_vote = *s >= cut;
-                        if byzantine[v] {
-                            !honest_vote
-                        } else {
-                            honest_vote
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
+    /// Majority survival by stake: voter `v`'s up-votes weigh
+    /// `stakes[v]` (any non-negative weights, not all zero).
+    ///
+    /// # Panics
+    /// If stakes are empty, negative, or sum to zero.
+    pub fn staked(stakes: Vec<f64>) -> Self {
+        assert!(!stakes.is_empty(), "need at least one stake");
+        assert!(
+            stakes.iter().all(|s| *s >= 0.0),
+            "stakes must be non-negative"
+        );
+        assert!(
+            stakes.iter().sum::<f64>() > 0.0,
+            "total stake must be positive"
+        );
+        Self {
+            policy: ExcludePolicy::BelowMajority,
+            stakes: Some(stakes),
+        }
     }
 }
 
 impl Consensus for VoteConsensus {
     fn name(&self) -> &'static str {
-        "validation-vote"
+        match self.stakes {
+            Some(_) => "stake-vote",
+            None => "validation-vote",
+        }
     }
 
     fn decide(
@@ -112,47 +111,57 @@ impl Consensus for VoteConsensus {
         _rng: &mut StdRng,
     ) -> ConsensusOutcome {
         let (n, d) = validate(proposals, byzantine);
-        let votes = self.vote_matrix(proposals, byzantine, eval);
-        let positives: Vec<usize> = (0..n)
-            .map(|p| (0..n).filter(|&v| votes[v][p]).count())
-            .collect();
-
-        let mut excluded: Vec<usize> = match self.policy {
-            ExcludePolicy::BelowMajority => {
-                let majority = n / 2 + 1;
-                (0..n).filter(|&p| positives[p] < majority).collect()
+        let total = match &self.stakes {
+            Some(stakes) => {
+                assert_eq!(stakes.len(), n, "stake vector length must match node count");
+                stakes.iter().sum()
             }
+            None => n as f64,
+        };
+
+        // The tally: each voter adds its stake to every proposal it
+        // upvotes. A Byzantine voter inverts its honest vote, so where
+        // a NaN score or cut fails `>=` it upvotes.
+        let voters: Vec<usize> = (0..n).collect();
+        let mut mass = vec![0.0f64; n];
+        let scores = score_rows(&voters, proposals, eval);
+        for (v, row) in scores.chunks_exact(n).enumerate() {
+            let stake = self.stakes.as_ref().map_or(1.0, |s| s[v]);
+            let best = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let worst = row.iter().copied().fold(f64::INFINITY, f64::min);
+            let cut = best - REL_TOL * (best - worst);
+            for (m, s) in mass.iter_mut().zip(row) {
+                if (*s >= cut) != byzantine[v] {
+                    *m += stake;
+                }
+            }
+        }
+
+        // Fewest votes first; ties rank the higher index lower.
+        let by_mass = |a: &usize, b: &usize| mass[*a].total_cmp(&mass[*b]).then(b.cmp(a));
+        let mut excluded: Vec<usize> = match self.policy {
+            ExcludePolicy::BelowMajority => (0..n).filter(|&p| mass[p] * 2.0 <= total).collect(),
             ExcludePolicy::FewestK(k) => {
                 let mut order: Vec<usize> = (0..n).collect();
-                // fewest positive votes first; ties exclude the higher
-                // index for determinism.
-                order.sort_by(|&a, &b| positives[a].cmp(&positives[b]).then(b.cmp(&a)));
-                order[..k.min(n - 1)].to_vec()
+                order.sort_by(by_mass);
+                order.truncate(k.min(n - 1));
+                order
             }
         };
         if excluded.len() == n {
-            // Nothing survived: keep the best-voted proposal (highest
-            // positives; ties keep the lowest index).
-            let keep = (0..n)
-                .max_by(|&a, &b| positives[a].cmp(&positives[b]).then(b.cmp(&a)))
-                .expect("non-empty proposals");
+            // Nothing survived: keep the best-voted proposal (ties keep
+            // the lowest index).
+            let keep = (0..n).max_by(by_mass).expect("non-empty proposals");
             excluded.retain(|&p| p != keep);
         }
         excluded.sort_unstable();
-
-        let survivors: Vec<&[f32]> = (0..n)
-            .filter(|p| !excluded.contains(p))
-            .map(|p| proposals[p])
-            .collect();
-        let mut decided = vec![0.0f32; d];
-        hfl_tensor::ops::mean_of(&survivors, &mut decided);
 
         // Cost: each node broadcasts its model to the n−1 others, then
         // broadcasts its vote vector (counted at 8 bytes).
         let messages = (n * (n - 1) * 2) as u64;
         let bytes = (n * (n - 1)) as u64 * model_bytes(d) + (n * (n - 1)) as u64 * 8;
         ConsensusOutcome {
-            decided,
+            decided: survivor_mean(proposals, &excluded),
             excluded,
             rounds: 2,
             messages,
@@ -302,5 +311,89 @@ mod tests {
         );
         assert_eq!(out.messages, (4 * 3 * 2) as u64);
         assert!(out.bytes > 4 * 3 * 8);
+    }
+
+    fn staked(stakes: Vec<f64>, byz: &[bool]) -> ConsensusOutcome {
+        let (proposals, own) = setup();
+        decide(&proposals, &own, byz, VoteConsensus::staked(stakes))
+    }
+
+    #[test]
+    fn high_stake_honest_voter_dominates() {
+        // One honest whale (stake 10) plus three Byzantine voters: the
+        // whale's upvotes carry a strict majority of the stake.
+        let out = staked(vec![10.0, 1.0, 1.0, 1.0], &[false, true, true, true]);
+        assert_eq!(
+            out.excluded,
+            vec![3],
+            "whale should protect honest proposals"
+        );
+    }
+
+    #[test]
+    fn byzantine_whale_forces_fallback_or_damage() {
+        // A Byzantine whale inverts votes with majority stake: everything
+        // honest fails the majority — the mechanism degrades (documented
+        // PoS failure mode when stake concentrates adversarially).
+        let out = staked(vec![10.0, 1.0, 1.0, 1.0], &[true, false, false, false]);
+        // The poisoned proposal survives the whale's upvote.
+        assert!(!out.excluded.contains(&3));
+    }
+
+    #[test]
+    fn zero_stake_voter_is_ignored() {
+        let a = staked(vec![1.0, 1.0, 1.0, 0.0], &[false, false, false, true]);
+        let b = staked(vec![1.0, 1.0, 1.0, 0.0], &[false; 4]);
+        assert_eq!(
+            a.excluded, b.excluded,
+            "zero-stake Byzantine flip changed outcome"
+        );
+    }
+
+    /// The one rule for what a comparison cannot decide: an honest voter
+    /// upvotes only where `score >= cut` holds, and a Byzantine voter
+    /// inverts that, so it upvotes a NaN score — and, when its own
+    /// reference is NaN and so is its cut, every proposal.
+    #[test]
+    fn a_byzantine_voter_inverts_a_nan_score_and_a_nan_cut() {
+        let (mut proposals, mut own) = setup();
+        own[1] = vec![f32::NAN, f32::NAN];
+        let byz = [false, true, false, false];
+        let whale = || VoteConsensus::staked(vec![1.0, 10.0, 1.0, 1.0]);
+        // Voter 1's cut is NaN: it upvotes all four, and with stake 10
+        // of 13 carries the poisoned proposal past the majority.
+        let out = decide(&proposals, &own, &byz, whale());
+        assert!(out.excluded.is_empty(), "{:?}", out.excluded);
+        // Unstaked, its one upvote leaves the poisoned proposal at 1 of 4.
+        let out = decide(&proposals, &own, &byz, VoteConsensus::paper_default());
+        assert_eq!(out.excluded, vec![3]);
+
+        // A NaN proposal scores NaN for everyone, under a finite cut:
+        // the honest voters downvote it and the Byzantine whale upvotes it.
+        own[1] = vec![0.0, 0.0];
+        proposals[3] = vec![f32::NAN, 0.0];
+        let out = decide(&proposals, &own, &byz, whale());
+        assert!(!out.excluded.contains(&3), "{:?}", out.excluded);
+        let out = decide(&proposals, &own, &byz, VoteConsensus::paper_default());
+        assert!(out.excluded.contains(&3), "{:?}", out.excluded);
+    }
+
+    #[test]
+    fn the_name_says_whether_the_vote_is_staked() {
+        assert_eq!(VoteConsensus::paper_default().name(), "validation-vote");
+        assert_eq!(VoteConsensus::new(1).name(), "validation-vote");
+        assert_eq!(VoteConsensus::staked(vec![1.0; 4]).name(), "stake-vote");
+    }
+
+    #[test]
+    #[should_panic(expected = "stake vector length")]
+    fn wrong_stake_length_panics() {
+        staked(vec![1.0; 3], &[false; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "total stake")]
+    fn all_zero_stakes_rejected() {
+        VoteConsensus::staked(vec![0.0; 4]);
     }
 }

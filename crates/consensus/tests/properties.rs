@@ -7,7 +7,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hfl_consensus::{ApproxAgreement, Consensus, DistanceEvaluator, PbftConsensus, VoteConsensus};
+use hfl_consensus::eval::AccuracyEvaluator;
+use hfl_consensus::{
+    ApproxAgreement, Consensus, DistanceEvaluator, PbftConsensus, ProposalEvaluator, VoteConsensus,
+};
+use hfl_ml::{Dataset, LinearSoftmax, Model};
 
 const CASES: u64 = 48;
 
@@ -149,4 +153,45 @@ fn approx_agreement_message_count_matches_rounds() {
         let out = ApproxAgreement::new(1e-2, 0).decide(&refs, &byz, &eval, &mut rng);
         assert_eq!(out.messages, out.rounds as u64 * n * (n - 1), "case {case}");
     }
+}
+
+/// Unit stakes are the unstaked vote. Each case draws n ∈ 1..=9
+/// proposals, a random Byzantine mask and finite scores — hit rates
+/// under the accuracy evaluator, negated distances under the distance
+/// evaluator — and the stake vote at one stake per voter must decide the
+/// unstaked vote's exact outcome: excluded set, decided bits, rounds,
+/// messages and bytes.
+#[test]
+fn unit_stakes_decide_as_the_unstaked_vote() {
+    let (d, classes) = (4usize, 3usize);
+    let template = LinearSoftmax::new(d, classes);
+    let (mut excluding, mut inverting) = (0, 0);
+    for (case, mut rng) in cases() {
+        let n = rng.gen_range(1usize..=9);
+        let byz: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.3)).collect();
+        let mut data = Dataset::empty(d, classes);
+        for i in 0..12 * n {
+            let x: Vec<f32> = (0..d).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            data.push(&x, (i % classes) as u8);
+        }
+        let proposals = uniform_rows(&mut rng, n, template.param_len(), -1.0, 1.0);
+        let own = uniform_rows(&mut rng, n, template.param_len(), -1.0, 1.0);
+        let refs: Vec<&[f32]> = proposals.iter().map(|p| p.as_slice()).collect();
+        let accuracy = AccuracyEvaluator::split_rows(Box::new(template.clone()), &data, n);
+        let distance = DistanceEvaluator::new(&own);
+        for eval in [&accuracy as &dyn ProposalEvaluator, &distance] {
+            let decide = |vote: &dyn Consensus| {
+                vote.decide(&refs, &byz, eval, &mut StdRng::seed_from_u64(case))
+            };
+            let plain = decide(&VoteConsensus::paper_default());
+            assert_eq!(
+                decide(&VoteConsensus::staked(vec![1.0; n])),
+                plain,
+                "case {case}: n = {n}, byzantine {byz:?}"
+            );
+            excluding += usize::from(!plain.excluded.is_empty());
+        }
+        inverting += usize::from(byz.contains(&true));
+    }
+    assert!(excluding > CASES as usize && inverting > CASES as usize / 2);
 }

@@ -12,6 +12,18 @@ use hfl_telemetry::Event;
 use super::layer::RoundCtx;
 use crate::config::{HflConfig, LevelAgg};
 
+/// The per-mechanism registry counters `RoundCtx::charge_consensus`
+/// keeps, each labelled `mechanism=<Consensus::name>`: decided
+/// instances, proposals excluded as suspicious, protocol rounds,
+/// messages and bytes. A snapshot's counters are restored by these names.
+pub(crate) const CONSENSUS_COUNTERS: [&str; 5] = [
+    "consensus_instances_total",
+    "consensus_excluded_total",
+    "consensus_rounds_total",
+    "consensus_messages_total",
+    "consensus_bytes_total",
+];
+
 /// Mutable cost accumulators threaded through a round of aggregation.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CostCounters {
@@ -108,7 +120,17 @@ impl RoundCtx<'_> {
         mechanism: &'static str,
         out: &ConsensusOutcome,
     ) {
-        hfl_consensus::telemetry::record_outcome(self.telem.registry(), mechanism, out);
+        let labels = [("mechanism", mechanism)];
+        let counts = [
+            1,
+            out.excluded.len() as u64,
+            out.rounds as u64,
+            out.messages,
+            out.bytes,
+        ];
+        for (name, count) in CONSENSUS_COUNTERS.into_iter().zip(counts) {
+            self.telem.registry().counter(name, &labels).inc(count);
+        }
         let round = self.round;
         self.telem.emit_with(|| Event::MessagesSent {
             round,

@@ -40,6 +40,7 @@ use hfl_telemetry::{
 };
 
 use crate::config::{AttackCfg, ConfigError, DataDistribution, HflConfig, SamplingScheme};
+use crate::engine::cost::CONSENSUS_COUNTERS;
 use crate::engine::RoundEngine;
 
 pub use crate::engine::CostCounters;
@@ -104,8 +105,9 @@ struct Trainee {
     drawn: Dataset,
 }
 
-/// A run's result plus its [`RunManifest`] — what the instrumented entry
-/// points ([`crate::run::RunOptions`], [`run_prepared_with`]) return.
+/// A run's result plus its [`RunManifest`] and final model — what the
+/// instrumented entry points ([`crate::run::RunOptions`],
+/// [`run_prepared_with`]) return.
 #[derive(Clone, Debug)]
 pub struct InstrumentedRun {
     /// The training outcome (same shape as the uninstrumented API).
@@ -113,6 +115,8 @@ pub struct InstrumentedRun {
     /// The self-describing record of the run: config hash, seed, build
     /// info, per-round time series, totals, metrics snapshot.
     pub manifest: RunManifest,
+    /// The final global model's parameters.
+    pub model: Vec<f32>,
 }
 
 /// Pre-built, reusable experiment state: the hierarchy, the task, the
@@ -770,13 +774,6 @@ fn restore_registry(reg: &Registry, samples: &[MetricSample]) -> Result<(), Stri
         "hfl_stale_admitted_total",
         "hfl_stale_dropped_total",
     ];
-    const MECHANISM_COUNTERS: &[&str] = &[
-        "consensus_instances_total",
-        "consensus_excluded_total",
-        "consensus_rounds_total",
-        "consensus_messages_total",
-        "consensus_bytes_total",
-    ];
     for s in samples {
         match &s.value {
             MetricValue::Counter(v) => {
@@ -788,7 +785,7 @@ fn restore_registry(reg: &Registry, samples: &[MetricSample]) -> Result<(), Stri
                         .ok_or_else(|| format!("unknown counter '{}' in snapshot", s.name))?;
                     reg.counter(name, &[]).inc(*v);
                 } else if s.labels.len() == 1 && s.labels[0].0 == "mechanism" {
-                    let name = MECHANISM_COUNTERS
+                    let name = CONSENSUS_COUNTERS
                         .iter()
                         .copied()
                         .find(|n| *n == s.name)
@@ -1068,6 +1065,7 @@ fn run_loop(
                 withheld_total: cost.withheld,
             },
             manifest,
+            model: global,
         },
         snapshots,
     ))

@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 
 use hfl_simnet::topology::Hierarchy;
+use hfl_tensor::splitmix64;
 
 use crate::plan::{FaultKind, FaultPlan, FaultPlanError};
 
@@ -70,18 +71,9 @@ pub struct FaultInjector {
     records: BTreeMap<usize, Vec<FaultEvent>>,
 }
 
-/// SplitMix64: the deterministic per-(seed, coordinates) hash behind
-/// burst-loss upload draws. Matches the constants of Steele et al.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Uniform draw in `[0, 1)` from a chain of SplitMix64 rounds over the
-/// given words.
+/// given words: the deterministic per-(seed, coordinates) hash behind
+/// burst-loss upload draws.
 fn hash_unit(words: &[u64]) -> f64 {
     let mut acc = 0xABD0_F417_5EED_0001u64;
     for &w in words {

@@ -23,14 +23,7 @@ use hfl_tensor::ops::{at_widest, Width};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// One SplitMix64 step: a high-quality 64-bit mixer.
-#[inline]
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use hfl_tensor::splitmix64;
 
 /// Derives a child seed from a base seed and a stream tag.
 ///

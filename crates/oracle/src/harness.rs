@@ -116,23 +116,24 @@ fn run_scenario(
 ) -> Result<Observations, ConfigError> {
     let cfg = spec.to_config();
 
-    let (run, events) = {
+    let (result, manifest, events) = {
         let exp = Experiment::try_prepare(&cfg)?;
         let (telem, rec) = Telemetry::recording();
         let run = run_prepared_with(&exp, &telem);
-        (run, rec.take())
+        (run.result, run.manifest, rec.take())
     };
 
     // Fully independent reproduction: fresh prepare, fresh telemetry.
     // What the oracles read off a prepared experiment rather than off a
     // run is lifted out of this one before it drops, once its run is
     // done: no experiment is prepared a third time, and nothing extra is
-    // alive while either run is at its heap peak.
-    let (rerun, facts) = {
+    // alive while either run is at its heap peak: each run's final
+    // model, which no oracle reads, drops with its block.
+    let (rerun_manifest, facts) = {
         let rerun_exp = Experiment::try_prepare(&cfg)?;
         let (rerun_telem, _rerun_rec) = Telemetry::recording();
         let rerun = run_prepared_with(&rerun_exp, &rerun_telem);
-        (rerun, ExperimentFacts::of(&rerun_exp, spec, &cfg))
+        (rerun.manifest, ExperimentFacts::of(&rerun_exp, spec, &cfg))
     };
     cache.rounds_executed += 2 * spec.rounds as u64;
 
@@ -148,14 +149,14 @@ fn run_scenario(
         None
     };
 
-    let manifest_json = run.manifest.to_json();
+    let manifest_json = manifest.to_json();
     Ok(Observations {
         expected_round_messages: facts.expected_round_messages,
         spec: spec.clone(),
-        result: run.result,
-        manifest: run.manifest,
+        result,
+        manifest,
         manifest_json,
-        rerun_manifest_json: rerun.manifest.to_json(),
+        rerun_manifest_json: rerun_manifest.to_json(),
         events,
         cluster_sizes: facts.cluster_sizes,
         malicious_per_cluster: facts.malicious_per_cluster,

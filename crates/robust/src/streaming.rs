@@ -29,6 +29,7 @@
 
 use crate::{validate_updates, AggScratch, Aggregator, CoordMedian, Krum, TrimmedMean};
 use hfl_tensor::ops::at_widest;
+use hfl_tensor::splitmix64;
 use hfl_tensor::stats::{column_stat_into, tile_lanes, ColumnStat, ColumnTile, TILE_LANES};
 
 /// Default input-count threshold below which the streaming rules run the
@@ -225,16 +226,6 @@ impl Aggregator for StreamingMedian {
         // Same breakdown point as the batch median.
         n.saturating_sub(1) / 2
     }
-}
-
-/// splitmix64 finalizer: the deterministic "coin" for reservoir slots.
-/// Inlined rather than pulled from `hfl-ml` to keep this crate's
-/// dependency set unchanged.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Coordinate-wise trimmed mean over a deterministic row reservoir past

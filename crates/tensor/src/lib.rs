@@ -23,6 +23,17 @@ pub mod math;
 pub mod ops;
 pub mod stats;
 
+/// One SplitMix64 step (Steele, Lea and Flood): a high-quality 64-bit
+/// mixer. The one copy behind every seed derivation, reservoir coin and
+/// fault-plan hash.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Asserts two slices have equal length, with a helpful message.
 ///
 /// Used by every binary kernel; keeping the check in one place makes the

@@ -85,6 +85,12 @@ const RULES: &[Rule] = &[
         fixture: "fn f() { d = d.rotate_left(16); }", message: "crates/ml/src/rng.rs holds a second ChaCha quarter round or a scalar block fill" },
     Rule { name: "no scalar block fill", design: 15, files: &[RNG], check: Forbid(&["fn fill("]),
         fixture: "fn fill(&mut self) {}", message: "crates/ml/src/rng.rs holds a second ChaCha quarter round or a scalar block fill" },
+    Rule { name: "one splitmix64", design: 15, files: TREE, check: ForbidBut(&["0x9E37_79B9_7F4A_7C15"], &["crates/tensor/src/lib.rs"]),
+        fixture: "fn mix(z: u64) -> u64 { z.wrapping_add(0x9E37_79B9_7F4A_7C15) }",
+        message: "a SplitMix64 step outside crates/tensor/src/lib.rs: call hfl_tensor::splitmix64" },
+    Rule { name: "consensus records no metrics", design: 5, files: &["crates/consensus/src/"], check: Forbid(&["hfl_telemetry"]),
+        fixture: "use hfl_telemetry::Registry;",
+        message: "crates/consensus/src names hfl_telemetry: the engine records a consensus outcome (engine::cost::charge_consensus)" },
 ];
 
 /// A file and its code: comments, literals and `#[cfg(test)]` items blanked, newlines kept.

@@ -3,10 +3,12 @@
 //! Each fixture freezes one round path — clean, faulted, armed,
 //! withholding, deadline-driven, sampled, and all three engine layers
 //! at once (combined): the committed files under
-//! `tests/golden/` hold the manifest JSON and the structured-event
-//! stream of a small same-seed run, and the test asserts the engine
-//! still reproduces them **byte-identically** — same RNG stream order,
-//! same cost accounting, same event sequence.
+//! `tests/golden/` hold the manifest JSON, the structured-event
+//! stream and the final model's fingerprint (parameter count and the
+//! FNV-1a hash of the parameters' bits) of a small same-seed run, and
+//! the test asserts the engine still reproduces them
+//! **byte-identically** — same RNG stream order, same cost accounting,
+//! same event sequence, same model bits.
 //!
 //! The fixtures are a function of the seeded streams (SGD, shuffles and
 //! consensus votes draw from them), which come from the in-tree `rand`
@@ -16,7 +18,7 @@
 //! still compares every file that exists, so adding a fixture never
 //! rewrites another one. To regenerate a fixture — only after an
 //! *intentional* change to round semantics, said so in CHANGES.md —
-//! delete its two files first:
+//! delete its three files first:
 //!
 //! ```sh
 //! rm tests/golden/faulted.*
@@ -33,7 +35,7 @@ use abd_hfl::faults::FaultPlan;
 use abd_hfl::ml::synth::SynthConfig;
 use abd_hfl::robust::{AggregatorKind, SuspicionConfig};
 use abd_hfl::simnet::DelayModel;
-use abd_hfl::telemetry::Telemetry;
+use abd_hfl::telemetry::{fnv1a_hex, Telemetry};
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -210,11 +212,23 @@ fn check_file(name: &str, path: &Path, got: &str) {
     );
 }
 
+/// The final model's fingerprint: its parameter count and the FNV-1a
+/// hash of the parameters' bit patterns, so a manifest that records only
+/// outcomes still pins every bit training produced.
+fn model_fingerprint(model: &[f32]) -> String {
+    let bits: Vec<u8> = model
+        .iter()
+        .flat_map(|p| p.to_bits().to_le_bytes())
+        .collect();
+    format!("params {}\nfnv1a {}\n", model.len(), fnv1a_hex(&bits))
+}
+
 /// Runs a fixture twice and returns its event stream, after checking
 /// that both runs agree and match the fixture's golden files.
 fn check_golden(name: &str, cfg: &HflConfig) -> String {
     let (run, events) = run_fixture(cfg);
     let manifest = run.manifest.to_json();
+    let model = model_fingerprint(&run.model);
 
     // A second in-process run must agree byte-for-byte.
     let (rerun, reevents) = run_fixture(cfg);
@@ -227,6 +241,11 @@ fn check_golden(name: &str, cfg: &HflConfig) -> String {
         events, reevents,
         "{name}: same-seed event streams differ within one build"
     );
+    assert_eq!(
+        model,
+        model_fingerprint(&rerun.model),
+        "{name}: same-seed models differ within one build"
+    );
 
     let dir = golden_dir();
     check_file(
@@ -235,6 +254,7 @@ fn check_golden(name: &str, cfg: &HflConfig) -> String {
         &(manifest + "\n"),
     );
     check_file(name, &dir.join(format!("{name}.events.txt")), &events);
+    check_file(name, &dir.join(format!("{name}.model.txt")), &model);
     events
 }
 

@@ -51,7 +51,7 @@
 use abd_hfl::attacks::{AdaptiveAttack, DataAttack, ModelAttack, Placement, ProtocolAttack};
 use abd_hfl::consensus::eval::AccuracyEvaluator;
 use abd_hfl::consensus::{
-    CommitteeConsensus, Consensus, DistanceEvaluator, ProposalEvaluator, StakeVote, VoteConsensus,
+    CommitteeConsensus, Consensus, DistanceEvaluator, ProposalEvaluator, VoteConsensus,
 };
 use abd_hfl::core::config::{
     AsyncRoundCfg, AttackCfg, DataDistribution, HflConfig, LevelAgg, SamplingCfg, TopologyCfg,
@@ -1546,7 +1546,7 @@ fn vote_outcomes_identical_at_all_thread_counts() {
             Box::new(VoteConsensus::paper_default()),
             Box::new(VoteConsensus::new(1)),
             Box::new(CommitteeConsensus::new(3, 1)),
-            Box::new(StakeVote::new(
+            Box::new(VoteConsensus::staked(
                 (0..n).map(|v| 1.0 + (v % 3) as f64).collect(),
             )),
         ];
@@ -1565,18 +1565,6 @@ fn vote_outcomes_identical_at_all_thread_counts() {
                         mech.name()
                     );
                 }
-            }
-            let votes = |threads: usize| {
-                abd_hfl::parallel::set_default_threads(threads);
-                VoteConsensus::paper_default().vote_matrix(&refs, &byz, eval)
-            };
-            let base = votes(1);
-            for &t in &THREADS[1..] {
-                assert_eq!(
-                    votes(t),
-                    base,
-                    "vote matrix over {n} proposals at {t} threads"
-                );
             }
         }
     }
@@ -2537,7 +2525,7 @@ mod retired {
     use abd_hfl::ml::{Dataset, LinearSoftmax};
     use abd_hfl::robust::AggregatorKind;
     use abd_hfl::telemetry::Telemetry;
-    use abd_hfl::tensor::ops;
+    use abd_hfl::tensor::{ops, splitmix64};
 
     use super::ModelAttack;
 
@@ -2962,13 +2950,6 @@ mod retired {
             }
         }
         est.iter().map(|e| e.estimate() as f32).collect()
-    }
-
-    fn splitmix64(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 
     /// `trim_of` is `TrimmedMean::trim_count` at the rule's ratio.
