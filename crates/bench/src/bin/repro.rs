@@ -1,5 +1,5 @@
 //! `repro`: every experiment of the paper's evaluation, the scenario
-//! fuzzer and the divergence bisector behind one entry point.
+//! fuzzer and the divergence search behind one entry point.
 //!
 //! ```sh
 //! cargo run --release -p hfl-bench --bin repro -- list

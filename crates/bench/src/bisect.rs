@@ -6,9 +6,9 @@
 //! repro bisect --manifest-a a.manifest.json --manifest-b b.manifest.json
 //!
 //! # Spec mode — run two scenario TOMLs (the corpus format) with
-//! # per-round snapshot capture and bisect the *full engine state*
-//! # (model bytes, layer state, accounting), which catches silent
-//! # divergences the manifest never surfaces:
+//! # per-round snapshot capture and compare the *full engine state*
+//! # (model bytes, layer state, accounting) round by round, which
+//! # catches silent divergences the manifest never surfaces:
 //! repro bisect --spec-a tests/corpus/a.toml --spec-b tests/corpus/b.toml
 //! ```
 //!
@@ -20,7 +20,7 @@ use std::process::ExitCode;
 
 use abd_hfl_core::runner::{run_prepared_snapshotting, Experiment};
 use hfl_oracle::toml;
-use hfl_snapshot::{bisect_first, first_divergence, Divergence, EngineSnapshot};
+use hfl_snapshot::{first_divergence, Divergence, EngineSnapshot};
 use hfl_telemetry::{RunManifest, Telemetry};
 
 /// What to compare.
@@ -31,7 +31,7 @@ pub enum Pair<'a> {
     Specs(&'a str, &'a str),
 }
 
-/// Runs the bisection. `Err` names the file that could not be read or
+/// Finds the first divergence. `Err` names the file that could not be read or
 /// parsed.
 pub fn run(pair: Pair) -> Result<ExitCode, String> {
     match pair {
@@ -74,12 +74,7 @@ fn summarize(s: &str) -> String {
 }
 
 fn manifest_mode(ma: &RunManifest, mb: &RunManifest) -> ExitCode {
-    match first_divergence(ma, mb, |round, diff| {
-        println!(
-            "probe round {round}: {}",
-            if diff { "diverged" } else { "agrees" }
-        );
-    }) {
+    match first_divergence(ma, mb) {
         Some(d) => {
             report(&d);
             ExitCode::FAILURE
@@ -105,7 +100,7 @@ fn capture(path: &str) -> Result<Vec<EngineSnapshot>, String> {
     let (run, mut snapshots) = run_prepared_snapshotting(&exp, &telem, 1);
     // The capture loop stops one short of the horizon (a final-round
     // snapshot has nothing left to resume); synthesize the terminal
-    // state from the finished run so the last round is bisectable too.
+    // state from the finished run so the last round is compared too.
     let last = snapshots.last().cloned().ok_or(format!(
         "{path}: spec must run at least 2 rounds to capture"
     ))?;
@@ -121,17 +116,9 @@ fn capture(path: &str) -> Result<Vec<EngineSnapshot>, String> {
 
 fn spec_mode(sa: &[EngineSnapshot], sb: &[EngineSnapshot]) -> ExitCode {
     let len = sa.len().max(sb.len());
-    let first = bisect_first(len, |i| {
-        let differs = match (sa.get(i), sb.get(i)) {
-            (Some(x), Some(y)) => x.to_bytes() != y.to_bytes(),
-            _ => true,
-        };
-        println!(
-            "probe round {}: {}",
-            i + 1,
-            if differs { "diverged" } else { "agrees" }
-        );
-        differs
+    let first = (0..len).find(|&i| match (sa.get(i), sb.get(i)) {
+        (Some(x), Some(y)) => x.to_bytes() != y.to_bytes(),
+        _ => true,
     });
     match first {
         Some(i) => {

@@ -10,6 +10,7 @@
 //! collapses beyond it.
 
 use abd_hfl_core::config::{AttackCfg, LevelAgg, TopologyCfg};
+use abd_hfl_core::run::RunOptions;
 use abd_hfl_core::theory;
 use hfl_attacks::{DataAttack, Placement};
 use hfl_consensus::ConsensusKind;
@@ -18,7 +19,7 @@ use hfl_robust::AggregatorKind;
 
 use super::{lines, mean, paper};
 use crate::report::pct;
-use crate::sweep::{Repro, Runner, Sweep};
+use crate::sweep::{Repro, Sweep};
 
 pub(super) const REPRO: Repro = Repro {
     name: "acsm",
@@ -85,7 +86,7 @@ fn body(s: &mut Sweep) {
                 LevelAgg::Bra(AggregatorKind::Median),
                 LevelAgg::Bra(AggregatorKind::Median),
             ];
-            runs.push((cfg, Runner::Engine));
+            runs.push((cfg, RunOptions::new()));
         }
         s.row([format!("{:.0}%", honest_cluster_frac * 100.0)]);
         s.repeated(&format!("honest{honest_cluster_frac}"), runs, |o| {
@@ -93,7 +94,7 @@ fn body(s: &mut Sweep) {
                 let (psi, proportion) = (psis[rep], props[rep]);
                 format!(
                     "{honest_cluster_frac},{psi:.4},{proportion:.4},{rep},{:.4}",
-                    o.acc()
+                    o.result.final_accuracy
                 )
             });
             let psi = mean(psis.iter().copied());
@@ -102,7 +103,7 @@ fn body(s: &mut Sweep) {
                 format!("{psi:.3}"),
                 format!("{:.1}%", bound * 100.0),
                 format!("{:.1}%", mean(props.iter().copied()) * 100.0),
-                pct(mean(o.iter().map(|o| o.acc()))),
+                pct(mean(o.iter().map(|o| o.result.final_accuracy))),
             ];
             (lines(csv), columns)
         });

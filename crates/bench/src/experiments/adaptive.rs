@@ -28,12 +28,14 @@
 //! CI checks by diffing.
 
 use abd_hfl_core::config::{AttackCfg, HflConfig, LevelAgg};
+use abd_hfl_core::run::RunOptions;
+use abd_hfl_core::runner::RunOutput;
 use hfl_attacks::{AdaptiveAttack, ModelAttack, Placement, ProtocolAttack};
 use hfl_robust::{AggregatorKind, SuspicionConfig};
 
 use super::paper;
 use crate::report::pct;
-use crate::sweep::{Labels, Outcome, Repro, Runner, Sweep};
+use crate::sweep::{Labels, Repro, Sweep};
 
 pub(super) const REPRO: Repro = Repro {
     name: "adaptive",
@@ -85,7 +87,7 @@ fn base_cfg(seed: u64, rounds: usize, agg: &AggregatorKind, attack: AttackCfg) -
 }
 
 /// The CSV line of one run: `<key>,<rounds>,<accuracy>,<quarantined>,<withheld>`.
-fn csv(key: String, rounds: usize, o: &Outcome) -> String {
+fn csv(key: String, rounds: usize, o: &RunOutput) -> String {
     let r = &o.result;
     format!(
         "{key},{rounds},{:.4},{},{}",
@@ -113,10 +115,10 @@ fn body(s: &mut Sweep) {
                 cfg.suspicion = suspicion.then(SuspicionConfig::default);
                 let susp = if suspicion { "on" } else { "off" };
                 let label = format!("{agg_name}/{atk_name}/susp-{susp}");
-                s.cell(&label, cfg, Runner::Engine, |o| {
-                    acc.push((label.clone(), o.acc()));
+                s.cell(&label, cfg, RunOptions::new(), |o| {
+                    acc.push((label.clone(), o.result.final_accuracy));
                     let key = format!("{agg_name},{atk_name},{susp}");
-                    (csv(key, rounds, o), [pct(o.acc())])
+                    (csv(key, rounds, o), [pct(o.result.final_accuracy)])
                 });
             }
         }
@@ -146,10 +148,10 @@ fn body(s: &mut Sweep) {
         }
         let label = format!("proto/{proto}");
         s.row([label.clone()]);
-        s.cell(&label, cfg, Runner::Engine, |o| {
+        s.cell(&label, cfg, RunOptions::new(), |o| {
             let (q, w) = (o.result.quarantined_total, o.result.withheld_total);
             let csv = csv(format!("proto,{proto},on"), rounds, o);
-            (csv, [pct(o.acc()), format!("q={q} w={w}")])
+            (csv, [pct(o.result.final_accuracy), format!("q={q} w={w}")])
         });
     }
 

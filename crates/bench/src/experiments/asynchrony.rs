@@ -18,13 +18,14 @@
 use abd_hfl_core::config::{AsyncRoundCfg, AttackCfg, HflConfig};
 use abd_hfl_core::correction::CorrectionPolicy;
 use abd_hfl_core::pipeline::PipelineConfig;
+use abd_hfl_core::run::RunOptions;
 use hfl_faults::FaultPlan;
 use hfl_simnet::DelayModel;
 use hfl_telemetry::{MetricValue, RunManifest};
 
 use super::{data, ms, pipeline};
 use crate::report::pct;
-use crate::sweep::{Labels, Repro, Runner, Sweep};
+use crate::sweep::{Labels, Repro, Sweep};
 
 pub(super) const REPRO: Repro = Repro {
     name: "async",
@@ -89,13 +90,13 @@ fn body(s: &mut Sweep) {
             ..base(seed)
         };
         s.row([name]);
-        let runner = Runner::Pipeline(PipelineConfig {
+        let options = RunOptions::pipeline(&PipelineConfig {
             rounds,
             train_delay: straggler_train.clone(),
             ..PipelineConfig::default()
         });
-        s.cell(&format!("straggler/{name}"), cfg, runner, |o| {
-            let t = o.timing();
+        s.cell(&format!("straggler/{name}"), cfg, options, |o| {
+            let t = o.timing.as_ref().expect("a pipelined cell");
             let csv = format!(
                 "straggler,{name},{:.6},{:.4}",
                 t.mean_period, t.final_accuracy
@@ -117,7 +118,7 @@ fn body(s: &mut Sweep) {
         };
         s.row([format!("{:.0}%", loss * 100.0)]);
         s.cell(&format!("loss/{loss}"), cfg, pipeline(rounds), |o| {
-            let t = o.timing();
+            let t = o.timing.as_ref().expect("a pipelined cell");
             let csv = format!("loss,{loss},{:.6},{:.4}", t.mean_period, t.final_accuracy);
             let complete = t.rounds.len().to_string();
             (csv, [ms(t.mean_period), pct(t.final_accuracy), complete])
@@ -168,7 +169,7 @@ fn body(s: &mut Sweep) {
         let runs = [8, (3 * rounds).max(24)].map(|horizon| (cfg.clone(), pipeline(horizon)));
         s.row([name]);
         s.repeated(&format!("correction/{name}"), runs.into(), |o| {
-            let (early, plateau) = (o[0].timing().final_accuracy, o[1].timing().final_accuracy);
+            let (early, plateau) = (o[0].result.final_accuracy, o[1].result.final_accuracy);
             let csv = format!("correction,{name},{early:.4},{plateau:.4}");
             (csv, [pct(early), pct(plateau)])
         });
@@ -207,16 +208,17 @@ fn body(s: &mut Sweep) {
                 format!("{factor}×"),
             ]);
             let label = format!("deadline/d{deadline_us}/t{tau_us}/x{factor}");
-            s.cell(&label, cfg, Runner::Engine, |o| {
+            s.cell(&label, cfg, RunOptions::new(), |o| {
                 let m = &o.manifest;
                 let quorum_closes = counter(m, "hfl_quorum_closes_total");
                 let deadline_closes = counter(m, "hfl_deadline_closes_total");
                 let admitted = counter(m, "hfl_stale_admitted_total");
                 let dropped = counter(m, "hfl_stale_dropped_total");
                 let setting = format!("{deadline_us}/{tau_us}/{factor}");
-                let csv = format!("deadline,{setting},{quorum_closes},{:.4}", o.acc());
+                let acc = o.result.final_accuracy;
+                let csv = format!("deadline,{setting},{quorum_closes},{acc:.4}");
                 let columns = [
-                    pct(o.acc()),
+                    pct(acc),
                     format!("{quorum_closes} / {deadline_closes}"),
                     format!("{admitted} / {dropped}"),
                 ];

@@ -5,6 +5,7 @@
 //! attack-success rate exposes it, and the hierarchy suppresses it.
 
 use abd_hfl_core::config::AttackCfg;
+use abd_hfl_core::run::RunOptions;
 use abd_hfl_core::runner::{run_prepared_with, Experiment};
 use hfl_attacks::{DataAttack, ModelAttack, Placement};
 use hfl_ml::metrics::backdoor_success_rate;
@@ -14,7 +15,7 @@ use hfl_telemetry::Telemetry;
 
 use super::{accuracy, label_flip, paper};
 use crate::report::{csv, pct, write_or_exit};
-use crate::sweep::{Repro, Runner, Sweep};
+use crate::sweep::{Repro, Sweep};
 
 pub(super) const REPRO: Repro = Repro {
     name: "attacks",
@@ -78,7 +79,7 @@ fn body(s: &mut Sweep) {
         let cfg = paper(attack, derive_seed(s.args.seed, 0xA77C), rounds);
         s.row([name]);
         let fedavg = cfg.star(AggregatorKind::FedAvg);
-        s.cell(name, fedavg, Runner::Engine, accuracy(name.to_string()));
+        s.cell(name, fedavg, RunOptions::new(), accuracy(name.to_string()));
     }
     backdoor_deep_dive(s, rounds);
 }
@@ -103,7 +104,7 @@ fn backdoor_deep_dive(s: &mut Sweep, rounds: usize) {
         if !s.args.matches(&format!("backdoor/{name}")) {
             continue;
         }
-        let exp = Experiment::prepare(&cfg);
+        let exp = Experiment::try_prepare(&cfg).expect("a valid config");
         let run = run_prepared_with(&exp, &Telemetry::disabled());
         let clean = run.result.final_accuracy;
         let mut model = exp.template.clone_box();

@@ -17,12 +17,13 @@
 //! determinism contract CI checks by diffing.
 
 use abd_hfl_core::config::{AttackCfg, LevelAgg};
+use abd_hfl_core::run::RunOptions;
 use hfl_attacks::{AdaptiveAttack, Placement, ProtocolAttack};
 use hfl_robust::{AggregatorKind, SuspicionConfig};
 
 use super::{availability, crash_plan, paper};
 use crate::report::pct;
-use crate::sweep::{Labels, Repro, Runner, Sweep};
+use crate::sweep::{Labels, Repro, Sweep};
 
 pub(super) const REPRO: Repro = Repro {
     name: "combined",
@@ -80,7 +81,7 @@ fn body(s: &mut Sweep) {
             s.cell(
                 &format!("{scenario}/susp-{susp}"),
                 cfg,
-                Runner::Engine,
+                RunOptions::new(),
                 |o| {
                     let avail = availability(o, clients, rounds);
                     let r = &o.result;
@@ -88,7 +89,10 @@ fn body(s: &mut Sweep) {
                         "{scenario},{susp},{rounds},{:.4},{avail:.4},{},{}",
                         r.final_accuracy, r.faulted_total, r.quarantined_total
                     );
-                    (csv, [format!("{} / {:.1}%", pct(o.acc()), avail * 100.0)])
+                    (
+                        csv,
+                        [format!("{} / {:.1}%", pct(r.final_accuracy), avail * 100.0)],
+                    )
                 },
             );
         }

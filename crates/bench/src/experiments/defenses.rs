@@ -4,12 +4,13 @@
 //! malicious, plus the clean baseline.
 
 use abd_hfl_core::config::AttackCfg;
+use abd_hfl_core::run::RunOptions;
 use hfl_attacks::{ModelAttack, Placement};
 use hfl_ml::rng::derive_seed;
 use hfl_robust::AggregatorKind;
 
 use super::{accuracy, label_flip, paper};
-use crate::sweep::{Repro, Runner, Sweep};
+use crate::sweep::{Repro, Sweep};
 
 pub(super) const REPRO: Repro = Repro {
     name: "defenses",
@@ -65,7 +66,7 @@ fn body(s: &mut Sweep) {
             s.cell(
                 &label,
                 cfg.star(kind.clone()),
-                Runner::Engine,
+                RunOptions::new(),
                 accuracy(format!("{defense},{scenario}")),
             );
         }

@@ -12,6 +12,7 @@
 
 use abd_hfl_core::config::{AsyncRoundCfg, AttackCfg, HflConfig};
 use abd_hfl_core::pipeline::{PipelineConfig, PipelineResult, RoundTiming};
+use abd_hfl_core::run::RunOptions;
 use hfl_attacks::{AdaptiveAttack, Placement, ProtocolAttack};
 use hfl_faults::FaultPlan;
 use hfl_robust::SuspicionConfig;
@@ -19,7 +20,7 @@ use hfl_simnet::DelayModel;
 
 use super::{data, lines, mean, ms, pipeline};
 use crate::report::pct;
-use crate::sweep::{Labels, Repro, Runner, Sweep};
+use crate::sweep::{Labels, Repro, Sweep};
 
 pub(super) const REPRO: Repro = Repro {
     name: "efficiency",
@@ -76,7 +77,7 @@ fn body(s: &mut Sweep) {
         };
         s.row([format!("ℓF = {flag}")]);
         s.cell(&format!("flag{flag}"), c, pipeline(rounds), |o| {
-            let t = o.timing();
+            let t = o.timing.as_ref().expect("a pipelined cell");
             let [sigma_w, nu, period] = columns(t);
             let sigma = ms(per_round(t, |r| r.sigma));
             let csv = round_lines(format!("flag,{flag},default"), t);
@@ -97,15 +98,15 @@ fn body(s: &mut Sweep) {
         ("big τ′ – small τg", big.clone(), 1.0),
         ("big τ′ – big τg", big, 4.0),
     ] {
-        let runner = Runner::Pipeline(PipelineConfig {
+        let options = RunOptions::pipeline(&PipelineConfig {
             agg_delay,
             cba_delay_factor,
             rounds,
             ..PipelineConfig::default()
         });
         s.row([name]);
-        s.cell(name, cfg.clone(), runner, |o| {
-            let t = o.timing();
+        s.cell(name, cfg.clone(), options, |o| {
+            let t = o.timing.as_ref().expect("a pipelined cell");
             (round_lines(format!("regime,{flag},{name}"), t), columns(t))
         });
     }
@@ -138,7 +139,7 @@ fn body(s: &mut Sweep) {
         });
         s.row([name]);
         s.cell(name, c, pipeline(rounds), |o| {
-            let t = o.timing();
+            let t = o.timing.as_ref().expect("a pipelined cell");
             (
                 round_lines(format!("bandwidth,{flag},{name}"), t),
                 columns(t),
@@ -208,7 +209,7 @@ fn body(s: &mut Sweep) {
         }
         s.row([name]);
         s.cell(&format!("armed/{name}"), c, pipeline(armed_rounds), |o| {
-            let t = o.timing();
+            let t = o.timing.as_ref().expect("a pipelined cell");
             let quarantines = o.manifest.suspicion.as_ref().map_or((0, 0), |susp| {
                 let hit = susp.events.iter().filter(|e| e.kind == "quarantined");
                 let (bad, good): (Vec<_>, Vec<_>) = hit.partition(|e| e.client < coalition);

@@ -12,10 +12,11 @@
 //! CI checks by diffing.
 
 use abd_hfl_core::config::AttackCfg;
+use abd_hfl_core::run::RunOptions;
 
 use super::{availability, crash_plan, paper};
 use crate::report::pct;
-use crate::sweep::{Labels, Repro, Runner, Sweep};
+use crate::sweep::{Labels, Repro, Sweep};
 
 pub(super) const REPRO: Repro = Repro {
     name: "faults",
@@ -56,15 +57,14 @@ fn body(s: &mut Sweep) {
             s.cell(
                 &format!("{scenario}/phi{quorum}"),
                 cfg,
-                Runner::Engine,
+                RunOptions::new(),
                 |o| {
-                    let avail = availability(o, clients, rounds);
+                    let (acc, avail) = (o.result.final_accuracy, availability(o, clients, rounds));
                     let (faulted, events) = (o.result.faulted_total, o.manifest.faults.len());
                     let csv = format!(
-                        "{scenario},{quorum},{rounds},{:.4},{avail:.4},{faulted},{events}",
-                        o.acc()
+                        "{scenario},{quorum},{rounds},{acc:.4},{avail:.4},{faulted},{events}"
                     );
-                    (csv, [format!("{} / {:.1}%", pct(o.acc()), avail * 100.0)])
+                    (csv, [format!("{} / {:.1}%", pct(acc), avail * 100.0)])
                 },
             );
         }

@@ -7,13 +7,15 @@
 //! `round,abd_mean,abd_lo,abd_hi,vanilla_mean,vanilla_lo,vanilla_hi`.
 
 use abd_hfl_core::config::HflConfig;
+use abd_hfl_core::run::RunOptions;
+use abd_hfl_core::runner::RunOutput;
 use abd_hfl_core::vanilla::paper_vanilla_aggregator;
 use hfl_ml::rng::derive_seed;
 
 use super::label_flip;
 use crate::ci::summarize_series;
 use crate::report::{csv, write_or_exit};
-use crate::sweep::{Outcome, Repro, Runner, Sweep};
+use crate::sweep::{Repro, Sweep};
 
 pub(super) const REPRO: Repro = Repro {
     name: "fig3",
@@ -52,16 +54,18 @@ fn body(s: &mut Sweep) {
                     })
                     .collect();
                 let rule = paper_vanilla_aggregator(iid, 64);
-                let abd_runs = cfgs.iter().map(|c| (c.clone(), Runner::Engine));
-                let van_runs = cfgs.iter().map(|c| (c.star(rule.clone()), Runner::Engine));
+                let abd_runs = cfgs.iter().map(|c| (c.clone(), RunOptions::new()));
+                let van_runs = cfgs
+                    .iter()
+                    .map(|c| (c.star(rule.clone()), RunOptions::new()));
                 let (Some(abd), Some(van)) = (
                     s.outcomes(&format!("{label}/abd-hfl"), abd_runs.collect(), false),
                     s.outcomes(&format!("{label}/vanilla"), van_runs.collect(), false),
                 ) else {
                     continue;
                 };
-                let curves = |runs: &[Outcome]| -> Vec<Vec<f64>> {
-                    let curve = |o: &Outcome| o.result.accuracy.iter().map(|(_, a)| *a).collect();
+                let curves = |runs: &[RunOutput]| -> Vec<Vec<f64>> {
+                    let curve = |o: &RunOutput| o.result.accuracy.iter().map(|(_, a)| *a).collect();
                     runs.iter().map(curve).collect()
                 };
                 let (abd_band, van_band) = (

@@ -10,11 +10,12 @@
 //! determinism contract CI diffs.
 
 use abd_hfl_core::config::{AttackCfg, DataDistribution, HflConfig, LevelAgg};
+use abd_hfl_core::run::RunOptions;
 use hfl_attacks::{ModelAttack, Placement};
 use hfl_robust::AggregatorKind;
 
 use super::{accuracy, data};
-use crate::sweep::{Labels, Repro, Runner, Sweep};
+use crate::sweep::{Labels, Repro, Sweep};
 
 pub(super) const REPRO: Repro = Repro {
     name: "gallery",
@@ -94,7 +95,7 @@ fn body(s: &mut Sweep) {
                 cfg.levels = vec![LevelAgg::Bra(kind.clone()); 3];
                 let key = format!("{attack_name},{defense_name},{dist_name}");
                 let label = format!("{attack_name}/{defense_name}/{dist_name}");
-                s.cell(&label, cfg, Runner::Engine, accuracy(key));
+                s.cell(&label, cfg, RunOptions::new(), accuracy(key));
             }
         }
     }

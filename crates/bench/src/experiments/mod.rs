@@ -1,17 +1,19 @@
 //! The experiment registry: one module per `repro` experiment, each a
-//! [`Repro`] declaring its cells, runners and columns over the shared
-//! [`crate::sweep`], plus the config and fault-plan builders several of
-//! them share.
+//! [`Repro`] declaring its cells, their run options and columns over
+//! the shared [`crate::sweep`], plus the config and fault-plan builders
+//! several of them share.
 
 use abd_hfl_core::config::{AttackCfg, HflConfig};
 use abd_hfl_core::pipeline::PipelineConfig;
+use abd_hfl_core::run::RunOptions;
+use abd_hfl_core::runner::RunOutput;
 use hfl_attacks::{DataAttack, Placement};
 use hfl_faults::FaultPlan;
 use hfl_ml::synth::SynthConfig;
 use hfl_simnet::Hierarchy;
 
 use crate::report::pct;
-use crate::sweep::{Outcome, Repro, Runner};
+use crate::sweep::Repro;
 
 mod acsm;
 mod adaptive;
@@ -123,14 +125,19 @@ fn crash_plan(scenario: &str, h: &Hierarchy, round: usize, leader: usize) -> Opt
 
 /// The fraction of expected bottom-level updates that reached their
 /// aggregation: `1 − faulted / (clients · rounds)`.
-fn availability(o: &Outcome, clients: usize, rounds: usize) -> f64 {
+fn availability(o: &RunOutput, clients: usize, rounds: usize) -> f64 {
     1.0 - o.result.faulted_total as f64 / (clients * rounds) as f64
 }
 
 /// The most common rendering: the CSV line `<key>,<accuracy>` and the
 /// accuracy as one column.
-fn accuracy(key: String) -> impl FnOnce(&Outcome) -> (String, [String; 1]) {
-    move |o| (format!("{key},{:.4}", o.acc()), [pct(o.acc())])
+fn accuracy(key: String) -> impl FnOnce(&RunOutput) -> (String, [String; 1]) {
+    move |o| {
+        (
+            format!("{key},{:.4}", o.result.final_accuracy),
+            [pct(o.result.final_accuracy)],
+        )
+    }
 }
 
 /// Arithmetic mean (0 for no values).
@@ -145,8 +152,8 @@ fn lines(rows: impl IntoIterator<Item = String>) -> String {
 }
 
 /// The pipelined schedule under the default timing model, for `rounds`.
-fn pipeline(rounds: usize) -> Runner {
-    Runner::Pipeline(PipelineConfig {
+fn pipeline(rounds: usize) -> RunOptions<'static> {
+    RunOptions::pipeline(&PipelineConfig {
         rounds,
         ..PipelineConfig::default()
     })

@@ -14,6 +14,7 @@
 //!    extension of Table V).
 
 use abd_hfl_core::config::{AttackCfg, HflConfig, LevelAgg};
+use abd_hfl_core::run::RunOptions;
 use abd_hfl_core::vanilla::paper_vanilla_aggregator;
 use hfl_attacks::{ModelAttack, Placement};
 use hfl_consensus::ConsensusKind;
@@ -22,7 +23,7 @@ use hfl_robust::AggregatorKind;
 
 use super::{accuracy, label_flip, paper};
 use crate::report::pct;
-use crate::sweep::{Repro, Runner, Sweep};
+use crate::sweep::{Repro, Sweep};
 
 pub(super) const REPRO: Repro = Repro {
     name: "robustness_ablation",
@@ -59,7 +60,7 @@ fn body(s: &mut Sweep) {
             s.cell(
                 &format!("vote/{name}/p{p}"),
                 c,
-                Runner::Engine,
+                RunOptions::new(),
                 accuracy(format!("vote,{name},{p}")),
             );
         }
@@ -79,7 +80,7 @@ fn body(s: &mut Sweep) {
             s.cell(
                 &format!("quorum/{quorum}/p{p}"),
                 c,
-                Runner::Engine,
+                RunOptions::new(),
                 accuracy(format!("quorum,{quorum},{p}")),
             );
         }
@@ -95,9 +96,15 @@ fn body(s: &mut Sweep) {
             ..cfg(0.0, 0xAB3)
         };
         s.row([format!("{:.0}%", leave * 100.0)]);
-        s.cell(&format!("churn/{leave}"), c, Runner::Engine, |o| {
-            let csv = format!("churn,{leave},0.0,{:.4}", o.acc());
-            (csv, [pct(o.acc()), o.result.absent_total.to_string()])
+        s.cell(&format!("churn/{leave}"), c, RunOptions::new(), |o| {
+            let csv = format!("churn,{leave},0.0,{:.4}", o.result.final_accuracy);
+            (
+                csv,
+                [
+                    pct(o.result.final_accuracy),
+                    o.result.absent_total.to_string(),
+                ],
+            )
         });
     }
 
@@ -127,7 +134,7 @@ fn body(s: &mut Sweep) {
         s.cell(
             &format!("bra/{name}"),
             c,
-            Runner::Engine,
+            RunOptions::new(),
             accuracy(format!("bra,{name},0.3")),
         );
     }
@@ -150,7 +157,7 @@ fn body(s: &mut Sweep) {
         for (model, cfg) in [("abd", c), ("vanilla", vanilla)] {
             let label = format!("modelattack/{model}/p{p}");
             let csv = format!("modelattack,{model},{p}");
-            s.cell(&label, cfg, Runner::Engine, accuracy(csv));
+            s.cell(&label, cfg, RunOptions::new(), accuracy(csv));
         }
     }
 }

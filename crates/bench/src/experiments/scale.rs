@@ -16,6 +16,7 @@
 //! [`crate::memprobe::CountingAlloc`], as `repro` does.
 
 use abd_hfl_core::config::{AttackCfg, HflConfig, LevelAgg, SamplingCfg, TopologyCfg};
+use abd_hfl_core::run::RunOptions;
 use abd_hfl_core::runner::Experiment;
 use hfl_robust::AggregatorKind;
 use hfl_telemetry::Json;
@@ -23,7 +24,7 @@ use hfl_telemetry::Json;
 use super::data;
 use crate::memprobe;
 use crate::report::write_or_exit;
-use crate::sweep::{Labels, Repro, Runner, Sweep};
+use crate::sweep::{Labels, Repro, Sweep};
 
 pub(super) const REPRO: Repro = Repro {
     name: "scale",
@@ -135,7 +136,7 @@ fn body(s: &mut Sweep) {
         assert!(point.peak_round_bytes > 0, "allocation probe saw nothing");
         let cfg = scale_config(population, seed, rounds);
         let label = format!("n{population}");
-        let run = s.outcomes(&label, vec![(cfg, Runner::Engine)], true);
+        let run = s.outcomes(&label, vec![(cfg, RunOptions::new())], true);
         assert!(
             run.is_some_and(|o| o[0].manifest.totals.messages > 0),
             "smoke run moved no messages"

@@ -6,6 +6,7 @@
 //! so the ranking can be checked (Scheme 4 most robust & most expensive,
 //! Scheme 3 cheapest).
 
+use abd_hfl_core::run::RunOptions;
 use abd_hfl_core::scheme::Scheme;
 use hfl_consensus::ConsensusKind;
 use hfl_ml::rng::derive_seed;
@@ -13,7 +14,7 @@ use hfl_robust::AggregatorKind;
 
 use super::{label_flip, lines, mean, paper};
 use crate::report::pct;
-use crate::sweep::{Repro, Runner, Sweep};
+use crate::sweep::{Repro, Sweep};
 
 pub(super) const REPRO: Repro = Repro {
     name: "schemes",
@@ -48,7 +49,7 @@ fn body(s: &mut Sweep) {
                 AggregatorKind::MultiKrum { f: 1, m: 3 },
                 ConsensusKind::VoteMajority,
             );
-            (cfg, Runner::Engine)
+            (cfg, RunOptions::new())
         });
         let runs = runs.collect();
         s.row([scheme.name()]);
@@ -60,7 +61,7 @@ fn body(s: &mut Sweep) {
                     r.final_accuracy, r.messages, r.bytes
                 )
             });
-            let accuracy = pct(mean(o.iter().map(|o| o.acc())));
+            let accuracy = pct(mean(o.iter().map(|o| o.result.final_accuracy)));
             let messages = mean(o.iter().map(|o| o.result.messages as f64));
             let bytes = mean(o.iter().map(|o| o.result.bytes as f64));
             let columns = [

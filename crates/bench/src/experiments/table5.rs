@@ -6,12 +6,13 @@
 //! repetitions each (the paper's protocol).
 
 use abd_hfl_core::config::HflConfig;
+use abd_hfl_core::run::RunOptions;
 use abd_hfl_core::vanilla::paper_vanilla_aggregator;
 use hfl_ml::rng::derive_seed;
 
 use super::{label_flip, lines, mean};
 use crate::report::pct;
-use crate::sweep::{Labels, Repro, Runner, Sweep};
+use crate::sweep::{Labels, Repro, Sweep};
 
 pub(super) const REPRO: Repro = Repro {
     name: "table5",
@@ -68,13 +69,19 @@ fn body(s: &mut Sweep) {
                             true => cfg,
                             false => cfg.star(paper_vanilla_aggregator(iid, 64)),
                         };
-                        (cfg, Runner::Engine)
+                        (cfg, RunOptions::new())
                     });
                     s.repeated(&format!("{dist}/{atk}/{model}/p{p}"), runs.collect(), |o| {
                         let csv = o.iter().enumerate().map(|(rep, o)| {
-                            format!("{dist},{atk},{model},{p},{rep},{:.4}", o.acc())
+                            format!(
+                                "{dist},{atk},{model},{p},{rep},{:.4}",
+                                o.result.final_accuracy
+                            )
                         });
-                        (lines(csv), [pct(mean(o.iter().map(|o| o.acc())))])
+                        (
+                            lines(csv),
+                            [pct(mean(o.iter().map(|o| o.result.final_accuracy)))],
+                        )
                     });
                 }
             }

@@ -5,6 +5,7 @@
 //! clients.
 
 use abd_hfl_core::config::{AttackCfg, LevelAgg, TopologyCfg};
+use abd_hfl_core::run::RunOptions;
 use abd_hfl_core::theory;
 use hfl_attacks::{DataAttack, Placement};
 use hfl_ml::rng::derive_seed;
@@ -12,7 +13,7 @@ use hfl_robust::AggregatorKind;
 
 use super::{lines, mean, paper};
 use crate::report::pct;
-use crate::sweep::{Repro, Runner, Sweep};
+use crate::sweep::{Repro, Sweep};
 
 pub(super) const REPRO: Repro = Repro {
     name: "tolerance",
@@ -112,17 +113,17 @@ fn body(s: &mut Sweep) {
                 .map(LevelAgg::Bra)
                 .collect();
                 cfg.flag_level = 1;
-                (cfg, Runner::Engine)
+                (cfg, RunOptions::new())
             });
             let runs = runs.collect();
             s.repeated(&format!("{levels}-level/{case}"), runs, |o| {
                 let csv = o.iter().enumerate().map(|(rep, o)| {
                     format!(
                         "{levels},{m},{n_top},{case},{proportion:.4},{rep},{:.4}",
-                        o.acc()
+                        o.result.final_accuracy
                     )
                 });
-                let accuracy = pct(mean(o.iter().map(|o| o.acc())));
+                let accuracy = pct(mean(o.iter().map(|o| o.result.final_accuracy)));
                 (
                     lines(csv),
                     [format!("{:.1}%", proportion * 100.0), accuracy],

@@ -2,57 +2,19 @@
 //!
 //! An experiment module declares a [`Repro`]: its name, its CSV columns
 //! and a body that lays out its tables. The body declares each cell (a
-//! label, the configs it runs and on which [`Runner`]) and how the
+//! label, the configs it runs and their [`RunOptions`]) and how the
 //! cell's outcome renders into CSV lines and table columns. The sweep
 //! owns everything else: the `--filter`, skipping a cell whose config
 //! is invalid, the telemetry and labels of the manifests a table keeps,
 //! and the CSV, markdown and manifest-JSONL output.
 
-use abd_hfl_core::config::{ConfigError, HflConfig};
-use abd_hfl_core::pipeline::{PipelineConfig, PipelineResult};
+use abd_hfl_core::config::HflConfig;
 use abd_hfl_core::run::RunOptions;
-use abd_hfl_core::runner::RunResult;
+use abd_hfl_core::runner::RunOutput;
 use hfl_telemetry::{RunManifest, Telemetry};
 
 use crate::report::{csv, markdown_table, pct, write_manifests_or_exit, write_or_exit};
 use crate::Args;
-
-/// How a cell's config runs.
-#[derive(Clone)]
-pub enum Runner {
-    /// The round engine on the lockstep schedule (vanilla FL too: a
-    /// cell runs `cfg.star(rule)` on it).
-    Engine,
-    /// The round engine on the pipelined schedule, for the timing
-    /// config's `rounds`.
-    Pipeline(PipelineConfig),
-}
-
-/// What one run produced.
-pub struct Outcome {
-    /// The training outcome.
-    pub result: RunResult,
-    /// The run's manifest.
-    pub manifest: RunManifest,
-    timing: Option<PipelineResult>,
-}
-
-impl Outcome {
-    /// Test accuracy of the final global model.
-    pub fn acc(&self) -> f64 {
-        self.result.final_accuracy
-    }
-
-    /// The pipelined schedule's timing decomposition.
-    ///
-    /// # Panics
-    /// When the run was not on [`Runner::Pipeline`].
-    pub fn timing(&self) -> &PipelineResult {
-        self.timing
-            .as_ref()
-            .expect("only a pipelined run has timings")
-    }
-}
 
 /// How the manifests an experiment keeps are labelled.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -186,7 +148,8 @@ impl Sweep<'_> {
         table.row.extend(head.into_iter().map(|s| s.to_string()));
     }
 
-    /// One cell of the open row: runs `cfg` on `runner` and appends what
+    /// One cell of the open row: runs `cfg` under `options` (its
+    /// schedule; the sweep attaches the telemetry) and appends what
     /// `render` makes of the outcome — CSV text (any number of lines)
     /// and `N` table columns. A filtered cell reads `—`, an invalid one
     /// `invalid`.
@@ -194,10 +157,10 @@ impl Sweep<'_> {
         &mut self,
         label: &str,
         cfg: HflConfig,
-        runner: Runner,
-        render: impl FnOnce(&Outcome) -> (String, [String; N]),
+        options: RunOptions<'static>,
+        render: impl FnOnce(&RunOutput) -> (String, [String; N]),
     ) {
-        self.fill(label, vec![(cfg, runner)], false, |o| render(&o[0]));
+        self.fill(label, vec![(cfg, options)], false, |o| render(&o[0]));
     }
 
     /// [`Sweep::cell`] over several runs (repetitions, or one config at
@@ -205,8 +168,8 @@ impl Sweep<'_> {
     pub fn repeated<const N: usize>(
         &mut self,
         label: &str,
-        runs: Vec<(HflConfig, Runner)>,
-        render: impl FnOnce(&[Outcome]) -> (String, [String; N]),
+        runs: Vec<(HflConfig, RunOptions<'static>)>,
+        render: impl FnOnce(&[RunOutput]) -> (String, [String; N]),
     ) {
         self.fill(label, runs, true, render);
     }
@@ -214,9 +177,9 @@ impl Sweep<'_> {
     fn fill<const N: usize>(
         &mut self,
         label: &str,
-        runs: Vec<(HflConfig, Runner)>,
+        runs: Vec<(HflConfig, RunOptions<'static>)>,
         numbered: bool,
-        render: impl FnOnce(&[Outcome]) -> (String, [String; N]),
+        render: impl FnOnce(&[RunOutput]) -> (String, [String; N]),
     ) {
         let keep = self.table.as_ref().is_some_and(|t| t.keep);
         let (ran, columns) = match self.run(label, runs, numbered, keep) {
@@ -243,9 +206,9 @@ impl Sweep<'_> {
     pub fn outcomes(
         &mut self,
         label: &str,
-        runs: Vec<(HflConfig, Runner)>,
+        runs: Vec<(HflConfig, RunOptions<'static>)>,
         keep: bool,
-    ) -> Option<Vec<Outcome>> {
+    ) -> Option<Vec<RunOutput>> {
         self.run(label, runs, false, keep).ok()
     }
 
@@ -254,24 +217,31 @@ impl Sweep<'_> {
     fn run(
         &mut self,
         label: &str,
-        runs: Vec<(HflConfig, Runner)>,
+        runs: Vec<(HflConfig, RunOptions<'static>)>,
         numbered: bool,
         keep: bool,
-    ) -> Result<Vec<Outcome>, &'static str> {
+    ) -> Result<Vec<RunOutput>, &'static str> {
         if !self.args.matches(label) {
             return Err(FILTERED);
         }
         let mut outcomes = Vec::with_capacity(runs.len());
-        for (rep, (cfg, runner)) in runs.iter().enumerate() {
+        for (rep, (cfg, options)) in runs.into_iter().enumerate() {
             let tag = match numbered {
                 true => format!("{label}/rep{rep}"),
                 false => label.to_string(),
             };
-            let mut outcome = run_one(cfg, runner, self.repro.recording).map_err(|e| {
+            // A fresh bundle per run keeps manifests per-run rather than
+            // cumulative across the sweep.
+            let telem = match self.repro.recording {
+                true => Telemetry::recording().0,
+                false => Telemetry::disabled(),
+            };
+            let run = options.telemetry(&telem).try_run(&cfg);
+            let mut outcome = run.map_err(|e| {
                 eprintln!("  {tag}: skipped ({e})");
                 "invalid"
             })?;
-            eprintln!("  {tag}: acc {}", pct(outcome.acc()));
+            eprintln!("  {tag}: acc {}", pct(outcome.result.final_accuracy));
             if self.repro.manifests == Some(Labels::Cell) {
                 outcome.manifest.label = format!("{}/{tag}", self.repro.name);
             }
@@ -296,31 +266,4 @@ impl Sweep<'_> {
             println!("{}", markdown_table(&headers, &table.rows));
         }
     }
-}
-
-/// Runs one config. Telemetry is a fresh bundle per run, so manifests
-/// stay per-run rather than cumulative across the sweep.
-fn run_one(cfg: &HflConfig, runner: &Runner, recording: bool) -> Result<Outcome, ConfigError> {
-    let telem = match recording {
-        true => Telemetry::recording().0,
-        false => Telemetry::disabled(),
-    };
-    let (run, timing) = match runner {
-        Runner::Engine => (
-            RunOptions::new()
-                .telemetry(&telem)
-                .try_run(cfg)?
-                .into_sync(),
-            None,
-        ),
-        Runner::Pipeline(pcfg) => {
-            let out = RunOptions::pipeline(pcfg).telemetry(&telem).try_run(cfg)?;
-            (out.clone().into_sync(), Some(out.into_pipeline().0))
-        }
-    };
-    Ok(Outcome {
-        result: run.result,
-        manifest: run.manifest,
-        timing,
-    })
 }

@@ -206,7 +206,7 @@ const NOTHING: (u64, u64) = (0, 0);
 /// allocates at most `ceiling` times and peaks at most `bytes` above
 /// where it started.
 fn assert_steady_rounds_alloc_at_most(name: &str, (_, cfg, timing, (ceiling, bytes)): &Fixture) {
-    let exp = Experiment::prepare(cfg);
+    let exp = Experiment::try_prepare(cfg).expect("a valid config");
     let telem = Telemetry::disabled();
     let mut engine = match timing {
         Some(pcfg) => RoundEngine::pipelined(&exp, pcfg),

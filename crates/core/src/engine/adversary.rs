@@ -67,18 +67,6 @@ impl<'e> AdversaryLayer<'e> {
         })
     }
 
-    /// The magnitude-search state, when the attack is adaptive.
-    pub(crate) fn adversary(&self) -> Option<&AdaptiveAdversary> {
-        self.adversary.as_ref()
-    }
-
-    /// Device ids the echo audit has convicted of equivocation so far.
-    pub(crate) fn detected_equivocators(&self) -> Vec<usize> {
-        (0..self.detected.len())
-            .filter(|&d| self.detected[d])
-            .collect()
-    }
-
     /// The feedback accumulator is per aggregation.
     pub(crate) fn begin_aggregate(&mut self) {
         self.feedback = AttackFeedback::default();

@@ -274,11 +274,6 @@ impl<'e> Clock<'e> {
         self.landings.push_back(landing);
     }
 
-    /// The per-round timing record so far.
-    pub(super) fn rounds(&self) -> &[RoundTiming] {
-        &self.rounds
-    }
-
     /// The clock's record folded with the run's result.
     pub(super) fn result(&self, run: &RunResult) -> PipelineResult {
         PipelineResult::summarize(

@@ -1,16 +1,21 @@
-//! The round cost ledger: the `CostCounters` accumulators plus the one
-//! shared set of charging helpers every transfer in a round goes
-//! through. Before the engine, the BRA/CBA/dissemination accounting
-//! blocks were copied into each of the three round paths; now a
-//! message is counted (and its `MessagesSent` event emitted) in exactly
-//! one place per kind.
+//! The round cost ledger: the `CostCounters` accumulators, the registry
+//! counters they feed, and the one shared set of charging helpers every
+//! transfer in a round goes through. Before the engine, the
+//! BRA/CBA/dissemination accounting blocks were copied into each of the
+//! three round paths; now a message is counted (and its `MessagesSent`
+//! event emitted) in exactly one place per kind.
 
 use hfl_consensus::ConsensusOutcome;
 use hfl_simnet::topology::Hierarchy;
-use hfl_telemetry::Event;
+use hfl_telemetry::{Event, MetricSample, MetricValue, Registry};
 
+pub use hfl_telemetry::CostCounters;
+
+use super::defense::EQUIVOCATIONS;
 use super::layer::RoundCtx;
+use super::step::{BUFFER_COUNTERS, OCCUPANCY_GAUGE};
 use crate::config::{HflConfig, LevelAgg};
+use crate::runner::ACCURACY_GAUGE;
 
 /// The per-mechanism registry counters `RoundCtx::charge_consensus`
 /// keeps, each labelled `mechanism=<Consensus::name>`: decided
@@ -24,39 +29,67 @@ pub(crate) const CONSENSUS_COUNTERS: [&str; 5] = [
     "consensus_bytes_total",
 ];
 
-/// Mutable cost accumulators threaded through a round of aggregation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CostCounters {
-    /// Model-bearing messages.
-    pub messages: u64,
-    /// Payload bytes.
-    pub bytes: u64,
-    /// Proposals excluded by consensus.
-    pub excluded: u64,
-    /// Client-round absences from churn.
-    pub absent: u64,
-    /// Bottom-level updates lost to injected faults.
-    pub faulted: u64,
-    /// Updates excluded by the suspicion layer's quarantine.
-    pub quarantined: u64,
-    /// Updates a withholding coalition kept back.
-    pub withheld: u64,
-}
+/// The plain registry counter each [`CostCounters`] field feeds, with
+/// the field it reads: `run_loop` adds every round's delta to them, and
+/// a snapshot's counters are restored by these names.
+pub(crate) const COST_COUNTERS: [(&str, CostField); 7] = [
+    ("hfl_messages_total", |c| c.messages),
+    ("hfl_bytes_total", |c| c.bytes),
+    ("hfl_excluded_total", |c| c.excluded),
+    ("hfl_absent_total", |c| c.absent),
+    ("hfl_faulted_total", |c| c.faulted),
+    ("hfl_quarantined_total", |c| c.quarantined),
+    ("hfl_withheld_total", |c| c.withheld),
+];
 
-impl CostCounters {
-    /// Per-round delta: this ledger minus a snapshot taken at round
-    /// start (counters are monotone, so plain subtraction is safe).
-    pub fn since(&self, before: &CostCounters) -> CostCounters {
-        CostCounters {
-            messages: self.messages - before.messages,
-            bytes: self.bytes - before.bytes,
-            excluded: self.excluded - before.excluded,
-            absent: self.absent - before.absent,
-            faulted: self.faulted - before.faulted,
-            quarantined: self.quarantined - before.quarantined,
-            withheld: self.withheld - before.withheld,
+/// Reads one field of a [`CostCounters`].
+type CostField = fn(&CostCounters) -> u64;
+
+/// Seeds a fresh registry from a snapshot's metric samples. Counter and
+/// gauge names are interned back to the `&'static str` the engine
+/// registers them under; an unknown name (or a histogram, which cannot
+/// be reconstructed from its stats) rejects the snapshot rather than
+/// silently dropping totals.
+pub(crate) fn restore_registry(reg: &Registry, samples: &[MetricSample]) -> Result<(), String> {
+    let plain: Vec<&'static str> = COST_COUNTERS.iter().map(|c| c.0).collect();
+    let plain = [&plain[..], &BUFFER_COUNTERS, &[EQUIVOCATIONS]].concat();
+    let intern = |names: &[&'static str], name: &str| names.iter().copied().find(|n| *n == name);
+    for s in samples {
+        match (&s.value, s.labels.as_slice()) {
+            (MetricValue::Counter(v), []) => {
+                let name = intern(&plain, &s.name)
+                    .ok_or_else(|| format!("unknown counter '{}' in snapshot", s.name))?;
+                reg.counter(name, &[]).inc(*v);
+            }
+            (MetricValue::Counter(v), [(key, mechanism)]) if key == "mechanism" => {
+                let name = intern(&CONSENSUS_COUNTERS, &s.name).ok_or_else(|| {
+                    format!("unknown per-mechanism counter '{}' in snapshot", s.name)
+                })?;
+                reg.counter(name, &[("mechanism", mechanism)]).inc(*v);
+            }
+            (MetricValue::Counter(_), _) => {
+                return Err(format!(
+                    "counter '{}' carries labels this engine never writes",
+                    s.name
+                ))
+            }
+            (MetricValue::Gauge(v), []) => {
+                let name = intern(&[ACCURACY_GAUGE, OCCUPANCY_GAUGE], &s.name)
+                    .ok_or_else(|| format!("unknown gauge '{}' in snapshot", s.name))?;
+                reg.gauge(name, &[]).set(*v);
+            }
+            (MetricValue::Gauge(_), _) => {
+                return Err(format!("unknown gauge '{}' in snapshot", s.name))
+            }
+            (MetricValue::Histogram(_), _) => {
+                return Err(format!(
+                    "histogram '{}' cannot be restored into a registry",
+                    s.name
+                ))
+            }
         }
     }
+    Ok(())
 }
 
 /// Closed-form message count of one fault-free round (Algorithms 3–5):
@@ -196,7 +229,7 @@ mod tests {
         for (mut cfg, n, want) in [(two, 6, 12 + 4 + 6), (star, 64, 3 * 64 + 2)] {
             cfg.quorum = 1.0;
             cfg.churn_leave_prob = 0.0;
-            let exp = Experiment::prepare(&cfg);
+            let exp = Experiment::try_prepare(&cfg).expect("a valid fixture");
             let mut engine = RoundEngine::for_experiment(&exp);
 
             let dim = 10;
@@ -239,28 +272,5 @@ mod tests {
 
         cfg.levels[1] = LevelAgg::Cba(hfl_consensus::ConsensusKind::VoteMajority);
         assert_eq!(clean_round_messages(&cfg, &h), None);
-    }
-
-    /// `since` reports the monotone delta between two snapshots.
-    #[test]
-    fn since_subtracts_fieldwise() {
-        let before = CostCounters {
-            messages: 10,
-            bytes: 400,
-            excluded: 1,
-            ..CostCounters::default()
-        };
-        let after = CostCounters {
-            messages: 25,
-            bytes: 1_000,
-            excluded: 3,
-            absent: 2,
-            ..CostCounters::default()
-        };
-        let d = after.since(&before);
-        assert_eq!(d.messages, 15);
-        assert_eq!(d.bytes, 600);
-        assert_eq!(d.excluded, 2);
-        assert_eq!(d.absent, 2);
     }
 }

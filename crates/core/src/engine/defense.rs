@@ -13,6 +13,9 @@ use hfl_telemetry::{Event, SuspicionRecord};
 use super::layer::{ClusterCtx, RoundCtx};
 use crate::runner::Experiment;
 
+/// The registry counter of leaders the echo audit convicted.
+pub(super) const EQUIVOCATIONS: &str = "hfl_equivocations_total";
+
 /// Quarantine + evidence + echo-audit semantics for the round engine.
 pub(crate) struct DefenseLayer {
     /// Suspicion over *global* client ids (the whole population under
@@ -126,10 +129,7 @@ impl DefenseLayer {
         for (ci, leader, report) in self.audits.drain(..) {
             if report.equivocated() {
                 convicted.push(leader);
-                ctx.telem
-                    .registry()
-                    .counter("hfl_equivocations_total", &[])
-                    .inc(1);
+                ctx.telem.registry().counter(EQUIVOCATIONS, &[]).inc(1);
                 ctx.telem.emit_with(|| Event::EquivocationDetected {
                     round,
                     level: self.bottom,

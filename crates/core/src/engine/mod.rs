@@ -45,13 +45,13 @@ pub use pool::RoundWorkspace;
 
 use rand::seq::SliceRandom;
 
-use hfl_attacks::{AdaptiveAdversary, ModelAttack};
+use hfl_attacks::ModelAttack;
 use hfl_ml::rng::rng_for_n;
 use hfl_robust::SuspicionTracker;
 use hfl_snapshot::LayerState;
 use hfl_telemetry::{Event, FaultRecord, SuspicionRecord, Telemetry};
 
-use crate::pipeline::{PipelineConfig, PipelineResult, RoundTiming};
+use crate::pipeline::{PipelineConfig, PipelineResult};
 use crate::runner::{Experiment, RunResult};
 use adversary::AdversaryLayer;
 use clock::Clock;
@@ -116,10 +116,10 @@ impl<'e> RoundEngine<'e> {
         self.exp
     }
 
-    /// The pipelined schedule's per-round timing record so far (`None`
-    /// under lockstep).
-    pub fn round_timings(&self) -> Option<&[RoundTiming]> {
-        self.clock.as_ref().map(Clock::rounds)
+    /// Whether the engine runs the pipelined schedule (has a round
+    /// clock).
+    pub(crate) fn is_pipelined(&self) -> bool {
+        self.clock.is_some()
     }
 
     /// What the pipelined schedule measured, folded with the run's
@@ -131,20 +131,6 @@ impl<'e> RoundEngine<'e> {
     /// The defense's suspicion tracker, when the config enables it.
     pub fn suspicion(&self) -> Option<&SuspicionTracker> {
         self.defense.as_ref().and_then(DefenseLayer::tracker)
-    }
-
-    /// The adversary's magnitude-search state, when the attack is
-    /// adaptive.
-    pub fn adversary(&self) -> Option<&AdaptiveAdversary> {
-        self.adversary.as_ref().and_then(AdversaryLayer::adversary)
-    }
-
-    /// Device ids the echo audit has convicted of equivocation so far.
-    pub fn detected_equivocators(&self) -> Vec<usize> {
-        self.adversary
-            .as_ref()
-            .map(AdversaryLayer::detected_equivocators)
-            .unwrap_or_default()
     }
 
     /// The crafted model attack malicious clients substitute this

@@ -31,6 +31,21 @@ use crate::config::{HflConfig, LevelAgg};
 /// only under a finite-deadline policy.
 const ARRIVAL_STREAM: u64 = 0xA57C;
 
+/// The registry counters a deadline buffer keeps: closes by cause, and
+/// late uploads admitted inside τ or dropped past it.
+const DEADLINE_CLOSES: &str = "hfl_deadline_closes_total";
+const QUORUM_CLOSES: &str = "hfl_quorum_closes_total";
+const STALE_ADMITTED: &str = "hfl_stale_admitted_total";
+const STALE_DROPPED: &str = "hfl_stale_dropped_total";
+pub(super) const BUFFER_COUNTERS: [&str; 4] = [
+    DEADLINE_CLOSES,
+    QUORUM_CLOSES,
+    STALE_ADMITTED,
+    STALE_DROPPED,
+];
+/// The gauge holding the last buffer's on-time occupancy.
+pub(super) const OCCUPANCY_GAUGE: &str = "hfl_buffer_occupancy";
+
 /// The link-delay model of every model transfer, up or down the tree:
 /// the config's `async_rounds.link_delay`; instantaneous without one.
 pub(super) fn link_delay(cfg: &HflConfig) -> &DelayModel {
@@ -343,14 +358,12 @@ impl<'e> RoundEngine<'e> {
 
         let on_time = ws.times.partition_point(|a| a.0 <= close_us);
         let (cause, closes) = match deadline_fired {
-            true => ("deadline", "hfl_deadline_closes_total"),
-            false => ("quorum", "hfl_quorum_closes_total"),
+            true => ("deadline", DEADLINE_CLOSES),
+            false => ("quorum", QUORUM_CLOSES),
         };
         let registry = ctx.telem.registry();
         registry.counter(closes, &[]).inc(1);
-        registry
-            .gauge("hfl_buffer_occupancy", &[])
-            .set(on_time as f64);
+        registry.gauge(OCCUPANCY_GAUGE, &[]).set(on_time as f64);
         ctx.telem.emit_with(|| Event::BufferClosed {
             round,
             level: cl.level,
@@ -369,7 +382,7 @@ impl<'e> RoundEngine<'e> {
             } else if late <= tau {
                 let w = cfg.correction.admission_weight(late, tau);
                 ws.admitted.push((slot, w, late as f64 / tau as f64));
-                registry.counter("hfl_stale_admitted_total", &[]).inc(1);
+                registry.counter(STALE_ADMITTED, &[]).inc(1);
                 ctx.telem.emit_with(|| Event::StaleUpdateAdmitted {
                     round,
                     level: cl.level,
@@ -379,7 +392,7 @@ impl<'e> RoundEngine<'e> {
                     weight: f64::from(w),
                 });
             } else {
-                registry.counter("hfl_stale_dropped_total", &[]).inc(1);
+                registry.counter(STALE_DROPPED, &[]).inc(1);
                 ctx.telem.emit_with(|| Event::StaleUpdateDropped {
                     round,
                     level: cl.level,

@@ -15,8 +15,8 @@
 //! * [`engine`] — the round engine: one canonical round as explicit
 //!   phases, with fault/defense/adversary semantics as pluggable layers
 //!   and a round clock for the pipelined schedule.
-//! * [`run`] — the unified entry point ([`run::RunOptions`]): one
-//!   engine, two schedules, optional telemetry.
+//! * [`run`] — the entry point for a config ([`run::RunOptions`]): one
+//!   engine, two schedules, optional telemetry, one [`RunOutput`].
 //! * [`vanilla`] — the vanilla-FL baseline as a config: the one-cluster
 //!   star ([`HflConfig::star`]) on the same engine.
 //! * [`pipeline`] — the pipeline learning workflow's timing model and
@@ -32,10 +32,11 @@
 //! Run the paper's Table V configuration under a 50 % Type I attack:
 //!
 //! ```no_run
-//! use abd_hfl_core::config::{AttackCfg, HflConfig};
-//! use abd_hfl_core::run::run;
+//! use abd_hfl_core::config::{AttackCfg, ConfigError, HflConfig};
+//! use abd_hfl_core::run::RunOptions;
 //! use hfl_attacks::{DataAttack, Placement};
 //!
+//! # fn main() -> Result<(), ConfigError> {
 //! let cfg = HflConfig::paper_iid(
 //!     AttackCfg::Data {
 //!         attack: DataAttack::type_i(),
@@ -44,8 +45,10 @@
 //!     },
 //!     42,
 //! );
-//! let result = run(&cfg);
+//! let result = RunOptions::new().try_run(&cfg)?.result;
 //! assert!(result.final_accuracy > 0.85); // vanilla FL sits at ~10 % here
+//! # Ok(())
+//! # }
 //! ```
 
 pub mod config;
@@ -63,9 +66,9 @@ pub use config::{
     TopologyCfg,
 };
 pub use correction::CorrectionPolicy;
-pub use run::{RunOptions, RunOutput};
+pub use run::RunOptions;
 pub use runner::{
-    base_config_hash, resume_prepared_with, run_prepared_snapshotting, InstrumentedRun,
-    ResumeError, RunResult,
+    base_config_hash, resume_prepared_with, run_prepared_snapshotting, ResumeError, RunOutput,
+    RunResult,
 };
 pub use scheme::Scheme;

@@ -1,33 +1,34 @@
-//! The unified run entry point: one options builder in front of the one
-//! round engine, on either schedule — the only way to start a run from
-//! a config.
+//! The run entry point for a config: one options builder in front of
+//! the one round engine, on either schedule. A prepared experiment runs
+//! through [`crate::runner::run_prepared_with`] (or
+//! [`crate::runner::run_prepared_snapshotting`]), and a checkpoint
+//! resumes through [`crate::runner::resume_prepared_with`].
 //!
 //! ```no_run
-//! use abd_hfl_core::config::{AttackCfg, HflConfig};
-//! use abd_hfl_core::run::{run, RunOptions};
+//! use abd_hfl_core::config::{AttackCfg, ConfigError, HflConfig};
+//! use abd_hfl_core::run::RunOptions;
 //! use hfl_telemetry::Telemetry;
 //!
+//! # fn main() -> Result<(), ConfigError> {
 //! let cfg = HflConfig::quick(AttackCfg::None, 42);
-//! // The common case: lockstep schedule, no telemetry.
-//! let result = run(&cfg);
+//! // Lockstep schedule, no telemetry.
+//! let out = RunOptions::new().try_run(&cfg)?;
 //!
 //! // Instrumented: same schedule, recording events and a manifest.
 //! let (telem, _rec) = Telemetry::recording();
-//! let out = RunOptions::new().telemetry(&telem).run(&cfg);
-//! assert_eq!(out.manifest().final_accuracy, result.final_accuracy);
+//! let recorded = RunOptions::new().telemetry(&telem).try_run(&cfg)?;
+//! assert_eq!(recorded.manifest.final_accuracy, out.result.final_accuracy);
+//! # Ok(())
+//! # }
 //! ```
 
 use hfl_simnet::DelayModel;
-use hfl_snapshot::EngineSnapshot;
-use hfl_telemetry::{RunManifest, Telemetry};
+use hfl_telemetry::Telemetry;
 
 use crate::config::{row, AsyncRoundCfg, ConfigError, HflConfig};
 use crate::engine::RoundEngine;
-use crate::pipeline::{PipelineConfig, PipelineResult};
-use crate::runner::{
-    resume_prepared_with, run_engine, run_prepared_with, Experiment, InstrumentedRun, ResumeError,
-    RunResult,
-};
+use crate::pipeline::PipelineConfig;
+use crate::runner::{run_engine, run_prepared_with, Experiment, RunOutput};
 
 /// Options for one training run: the schedule plus optional telemetry.
 #[derive(Clone, Default)]
@@ -35,43 +36,6 @@ pub struct RunOptions<'r> {
     /// The pipelined schedule's timing model; `None` is lockstep.
     pipeline: Option<PipelineConfig>,
     telem: Option<&'r Telemetry>,
-}
-
-/// What a run produced: the training outcome and its [`RunManifest`],
-/// plus the timing decomposition when the schedule was pipelined.
-#[derive(Clone, Debug)]
-pub struct RunOutput {
-    run: InstrumentedRun,
-    timing: Option<PipelineResult>,
-}
-
-impl RunOutput {
-    /// The run's manifest.
-    pub fn manifest(&self) -> &RunManifest {
-        &self.run.manifest
-    }
-
-    /// Test accuracy of the final global model.
-    pub fn final_accuracy(&self) -> f64 {
-        self.run.result.final_accuracy
-    }
-
-    /// The training outcome and manifest, on either schedule.
-    pub fn into_sync(self) -> InstrumentedRun {
-        self.run
-    }
-
-    /// The pipelined schedule's timing decomposition, with the manifest
-    /// (label `"pipeline"`).
-    ///
-    /// # Panics
-    /// When the run was lockstep: there is no timing to decompose.
-    pub fn into_pipeline(self) -> (PipelineResult, RunManifest) {
-        match self.timing {
-            Some(timing) => (timing, self.run.manifest),
-            None => panic!("run used the lockstep schedule; use into_sync()"),
-        }
-    }
 }
 
 impl<'r> RunOptions<'r> {
@@ -102,26 +66,13 @@ impl<'r> RunOptions<'r> {
         self
     }
 
-    /// Executes the run.
-    ///
-    /// # Panics
-    /// On an inconsistent config; [`RunOptions::try_run`] reports
-    /// instead.
-    pub fn run(&self, cfg: &HflConfig) -> RunOutput {
-        match self.try_run(cfg) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`RunOptions::run`] returning the config inconsistency (if any)
-    /// instead of panicking.
+    /// Executes the run, or reports the config inconsistency (a timing
+    /// model the pipelined schedule cannot use included).
     pub fn try_run(&self, cfg: &HflConfig) -> Result<RunOutput, ConfigError> {
         let disabled = Telemetry::disabled();
         let telem = self.telem.unwrap_or(&disabled);
         let Some(pcfg) = &self.pipeline else {
-            let run = run_prepared_with(&Experiment::try_prepare(cfg)?, telem);
-            return Ok(RunOutput { run, timing: None });
+            return Ok(run_prepared_with(&Experiment::try_prepare(cfg)?, telem));
         };
         pcfg.try_validate()?;
         row("rounds", "count (>= 1)", cfg.rounds as f64, cfg.rounds >= 1)?;
@@ -134,49 +85,8 @@ impl<'r> RunOptions<'r> {
             tier_deadlines: Vec::new(),
         });
         let exp = Experiment::try_prepare(&cfg)?;
-        let mut engine = RoundEngine::pipelined(&exp, pcfg);
-        let run = run_engine(&mut engine, telem);
-        let timing = engine.pipeline_result(&run.result);
-        Ok(RunOutput { run, timing })
+        Ok(run_engine(RoundEngine::pipelined(&exp, pcfg), telem))
     }
-}
-
-/// The common case in one call: lockstep schedule, telemetry disabled.
-///
-/// # Panics
-/// On an inconsistent config; see [`try_run`].
-pub fn run(cfg: &HflConfig) -> RunResult {
-    RunOptions::new().run(cfg).into_sync().result
-}
-
-/// [`run`] returning the config inconsistency (if any) instead of
-/// panicking.
-pub fn try_run(cfg: &HflConfig) -> Result<RunResult, ConfigError> {
-    Ok(RunOptions::new().try_run(cfg)?.into_sync().result)
-}
-
-/// Continues a checkpointed run through rounds
-/// `snapshot.round..cfg.rounds` on the lockstep schedule,
-/// byte-identically to straight-through execution of `cfg`. The config
-/// must be a horizon-extension of the one the snapshot was captured
-/// under (same [`crate::runner::base_config_hash`]; only `rounds` and
-/// `eval_every` may differ).
-pub fn resume(snapshot: &EngineSnapshot, cfg: &HflConfig) -> Result<RunResult, ResumeError> {
-    Ok(resume_with(snapshot, cfg, &Telemetry::disabled())?.result)
-}
-
-/// [`resume`] with telemetry: the snapshot's metric accumulators are
-/// seeded into the (fresh) bundle's registry, so the final manifest
-/// matches a straight-through instrumented run.
-pub fn resume_with(
-    snapshot: &EngineSnapshot,
-    cfg: &HflConfig,
-    telem: &Telemetry,
-) -> Result<InstrumentedRun, ResumeError> {
-    let exp = Experiment::try_prepare(cfg).map_err(|e| ResumeError::ConfigMismatch {
-        detail: e.to_string(),
-    })?;
-    resume_prepared_with(&exp, telem, snapshot)
 }
 
 #[cfg(test)]
@@ -201,7 +111,7 @@ mod tests {
                 "{field}: {e}"
             )
         };
-        zero("rounds", try_run(&cfg).unwrap_err());
+        zero("rounds", RunOptions::new().try_run(&cfg).unwrap_err());
         let pcfg = PipelineConfig {
             rounds: 1,
             ..PipelineConfig::default()
@@ -224,9 +134,11 @@ mod tests {
     fn instrumented_output_carries_a_manifest() {
         let cfg = tiny(34);
         let (telem, rec) = hfl_telemetry::Telemetry::recording();
-        let out = RunOptions::new().telemetry(&telem).run(&cfg);
-        assert_eq!(out.manifest().rounds.len(), 3);
-        assert!(out.final_accuracy() > 0.0);
+        let out = RunOptions::new().telemetry(&telem).try_run(&cfg);
+        let out = out.expect("a valid config");
+        assert_eq!(out.manifest.rounds.len(), 3);
+        assert!(out.result.final_accuracy > 0.0);
+        assert!(out.timing.is_none());
         assert!(!rec.events().is_empty());
     }
 }

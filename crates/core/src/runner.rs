@@ -24,6 +24,7 @@
 //! round with pluggable layers; this module owns experiment
 //! preparation, the training step and the run loop around it.
 
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use hfl_attacks::{malicious_mask, ModelAttack};
@@ -33,17 +34,19 @@ use hfl_ml::sgd::{train_local_scratch, TrainScratch};
 use hfl_ml::synth::SynthTask;
 use hfl_ml::{ClientPopulation, Dataset, Labelled, Model};
 use hfl_simnet::Hierarchy;
-use hfl_snapshot::{CostSnapshot, EngineSnapshot, SNAPSHOT_VERSION};
+use hfl_snapshot::{EngineSnapshot, SNAPSHOT_VERSION};
 use hfl_telemetry::{
-    fnv1a_hex, ClientScore, Event, FaultRecord, MetricSample, MetricValue, Registry, RoundRecord,
-    RunManifest, RunTotals, SuspicionRecord, SuspicionSection, Telemetry,
+    fnv1a_hex, ClientScore, CostCounters, Event, FaultRecord, RoundRecord, RunManifest, RunTotals,
+    SuspicionRecord, SuspicionSection, Telemetry,
 };
 
 use crate::config::{AttackCfg, ConfigError, DataDistribution, HflConfig, SamplingScheme};
-use crate::engine::cost::CONSENSUS_COUNTERS;
+use crate::engine::cost::{restore_registry, COST_COUNTERS};
 use crate::engine::RoundEngine;
+use crate::pipeline::PipelineResult;
 
-pub use crate::engine::CostCounters;
+/// The registry gauge holding the last evaluated test accuracy.
+pub(crate) const ACCURACY_GAUGE: &str = "hfl_accuracy";
 
 /// Outcome of one full training run.
 #[derive(Clone, Debug, PartialEq)]
@@ -73,20 +76,22 @@ pub struct RunResult {
 }
 
 /// Reusable buffers for the per-round training step, owned by the
-/// engine's round workspace. Each worker thread checks one trainee out
-/// of `parked` per cohort slot and parks it again afterwards, so a run
-/// creates as many trainees as it has workers and steady-state training
-/// allocates nothing. Which trainee serves a slot cannot show in the
-/// result: `set_params` overwrites every parameter, the SGD scratch
-/// is fully rewritten before it is read and the shard buffer is
-/// cleared before it is refilled, so reuse is indistinguishable from a
-/// fresh `clone_box` (DESIGN.md §15).
+/// engine's round workspace. `parked` holds one trainee per worker
+/// thread, built before the first fork-join; each worker checks the
+/// oldest one out per cohort slot and parks it again at the back, so
+/// every trainee has served (and grown its buffers) within the first
+/// round that trains as many slots, whichever thread claimed them, and
+/// steady-state training allocates nothing. Which trainee serves a slot
+/// cannot show in the result: `set_params` overwrites every parameter,
+/// the SGD scratch is fully rewritten before it is read and the shard
+/// buffer is cleared before it is refilled, so reuse is
+/// indistinguishable from a fresh `clone_box` (DESIGN.md §15).
 #[derive(Default)]
 pub struct TrainWorkspace {
     /// This round's cohort binding (global client per slot).
     cohort: Vec<usize>,
-    /// Idle trainees.
-    parked: Mutex<Vec<Trainee>>,
+    /// Idle trainees, oldest first.
+    parked: Mutex<VecDeque<Trainee>>,
     /// Pipelined schedule: `starts[slot]` is the model the slot trains
     /// from this round, written by the engine's round clock; an empty
     /// row sits the round out. Empty under lockstep, where every slot
@@ -96,7 +101,7 @@ pub struct TrainWorkspace {
 
 /// What one worker trains a cohort slot with.
 struct Trainee {
-    /// Cloned from the template on first use.
+    /// Cloned from the template.
     model: Box<dyn Model>,
     /// SGD gradient/index/staging buffers.
     scratch: TrainScratch,
@@ -105,18 +110,33 @@ struct Trainee {
     drawn: Dataset,
 }
 
-/// A run's result plus its [`RunManifest`] and final model — what the
-/// instrumented entry points ([`crate::run::RunOptions`],
-/// [`run_prepared_with`]) return.
+/// What a run produced, on either schedule — what every run entry
+/// point ([`crate::run::RunOptions::try_run`], [`run_prepared_with`],
+/// [`run_prepared_snapshotting`], [`resume_prepared_with`]) returns.
 #[derive(Clone, Debug)]
-pub struct InstrumentedRun {
-    /// The training outcome (same shape as the uninstrumented API).
+pub struct RunOutput {
+    /// The training outcome.
     pub result: RunResult,
     /// The self-describing record of the run: config hash, seed, build
     /// info, per-round time series, totals, metrics snapshot.
     pub manifest: RunManifest,
     /// The final global model's parameters.
     pub model: Vec<f32>,
+    /// The pipelined schedule's timing decomposition; `None` under
+    /// lockstep.
+    pub timing: Option<PipelineResult>,
+}
+
+impl RunOutput {
+    /// The pipelined schedule's timing decomposition, with the manifest
+    /// (label `"pipeline"`).
+    ///
+    /// # Panics
+    /// When the run was lockstep: there is no timing to decompose.
+    pub fn into_pipeline(self) -> (PipelineResult, RunManifest) {
+        let timing = self.timing.expect("a lockstep run has no timing");
+        (timing, self.manifest)
+    }
 }
 
 /// Pre-built, reusable experiment state: the hierarchy, the task, the
@@ -159,21 +179,9 @@ pub struct Experiment {
 
 impl Experiment {
     /// Builds everything deterministic-from-seed: hierarchy, task,
-    /// malicious mask, partition, data poisoning, model init.
-    ///
-    /// # Panics
-    /// On an inconsistent config; [`Experiment::try_prepare`] reports
-    /// instead.
-    pub fn prepare(cfg: &HflConfig) -> Self {
-        match Self::try_prepare(cfg) {
-            Ok(exp) => exp,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Experiment::prepare`] returning the config inconsistency (if
-    /// any) instead of panicking — sweep harnesses report the offending
-    /// cell and move on.
+    /// malicious mask, partition, data poisoning, model init — or
+    /// reports the config inconsistency, so sweep harnesses report the
+    /// offending cell and move on.
     pub fn try_prepare(cfg: &HflConfig) -> Result<Self, ConfigError> {
         cfg.topology.try_validate()?;
         let hierarchy = cfg.topology.build(cfg.seed);
@@ -327,20 +335,13 @@ impl Experiment {
     }
 
     /// The global client ids bound to the cohort's slots this round, in
-    /// ascending order (one per bottom-level hierarchy position).
-    /// Identity — slot `i` is client `i` — without sampling; otherwise a
-    /// per-round draw from a dedicated RNG stream, so enabling sampling
-    /// perturbs no other stream.
-    pub fn cohort(&self, round: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.cohort_into(round, &mut out);
-        out
-    }
-
-    /// [`Self::cohort`] into a caller-owned buffer — the identity
-    /// cohort (no sampling) fills it without allocating, which keeps
-    /// the engine's steady-state rounds heap-free. Sampled draws reuse
-    /// the buffer but still pay their own working memory.
+    /// ascending order (one per bottom-level hierarchy position), into
+    /// a caller-owned buffer. Identity — slot `i` is client `i` —
+    /// without sampling, filled without allocating, which keeps the
+    /// engine's steady-state rounds heap-free; otherwise a per-round
+    /// draw from a dedicated RNG stream, so enabling sampling perturbs
+    /// no other stream (the draw reuses the buffer but pays its own
+    /// working memory).
     pub fn cohort_into(&self, round: usize, out: &mut Vec<usize>) {
         out.clear();
         let m = self.hierarchy.num_clients();
@@ -431,9 +432,8 @@ impl Experiment {
     /// Every slot trains from `global` unless `ws` carries per-slot
     /// start models (the pipelined schedule's round clock writes them).
     /// Numerically identical (same RNG streams, same arithmetic) at any
-    /// thread count; the trainees parked in `ws` make the training step
-    /// allocation-free once capacities have grown (spawning worker
-    /// threads allocates, so exactly zero needs one thread).
+    /// thread count; the trainees parked in `ws`, one per worker, make
+    /// the training step allocation-free once capacities have grown.
     ///
     /// When the round crafts (`adaptive`, else a static model attack), a
     /// malicious slot gets the crafted vector and nothing else: no start
@@ -456,6 +456,18 @@ impl Experiment {
     ) {
         let cfg = &self.config;
         self.cohort_into(round, &mut ws.cohort);
+        // As many trainees as the fork-join below has workers, built
+        // before it: which thread claims a slot cannot decide whether a
+        // trainee is built after the first round.
+        let threads = hfl_parallel::default_threads();
+        let idle = ws.parked.get_mut().expect("a training worker panicked");
+        while idle.len() < threads.min(ws.cohort.len()) {
+            idle.push_back(Trainee {
+                model: self.template.clone_box(),
+                scratch: TrainScratch::default(),
+                drawn: self.empty_shard(),
+            });
+        }
         let TrainWorkspace {
             cohort,
             parked,
@@ -470,66 +482,57 @@ impl Experiment {
         updates.resize_with(cohort.len(), Vec::new);
         // One slot per claim: shard sizes differ per client, so workers
         // steal at the finest grain; one thread is simply one worker.
-        hfl_parallel::par_chunks_mut(
-            updates,
-            1,
-            hfl_parallel::default_threads(),
-            |slot, update| {
-                let c = cohort[slot];
-                if crafting.is_some() && self.malicious[c] {
-                    // The craft below overwrites whatever this slot
-                    // trained, reads only honest slots, and every
-                    // client's stream is its own: training it is waste.
-                    return;
+        hfl_parallel::par_chunks_mut(updates, 1, threads, |slot, update| {
+            let c = cohort[slot];
+            if crafting.is_some() && self.malicious[c] {
+                // The craft below overwrites whatever this slot
+                // trained, reads only honest slots, and every
+                // client's stream is its own: training it is waste.
+                return;
+            }
+            let start = start_of(slot);
+            update[0].clear();
+            if start.is_empty() {
+                // Sitting the round out: the slot is absent from the
+                // aggregation and carries the global model unchanged.
+                update[0].extend_from_slice(global);
+                return;
+            }
+            let mut trainee = lock().pop_front().expect("one parked trainee per worker");
+            let Trainee {
+                model,
+                scratch,
+                drawn,
+            } = &mut trainee;
+            model.set_params(start);
+            // Borrow the materialized shard when cached (identity
+            // cohort); draw just this client's otherwise, into the
+            // trainee's buffer — per-round work stays O(cohort),
+            // not O(population).
+            let shard = match &self.shard_cache {
+                Some(cache) => &cache[c],
+                None => {
+                    self.derive_shard_into(c, drawn);
+                    &*drawn
                 }
-                let start = start_of(slot);
-                update[0].clear();
-                if start.is_empty() {
-                    // Sitting the round out: the slot is absent from the
-                    // aggregation and carries the global model unchanged.
-                    update[0].extend_from_slice(global);
-                    return;
-                }
-                let mut trainee = lock().pop().unwrap_or_else(|| Trainee {
-                    model: self.template.clone_box(),
-                    scratch: TrainScratch::default(),
-                    drawn: self.empty_shard(),
-                });
-                let Trainee {
-                    model,
+            };
+            // Populations larger than the dataset leave tail
+            // clients with empty shards; they contribute the
+            // round's starting model unchanged.
+            if !shard.is_empty() {
+                let mut rng = rng_for_n(cfg.seed, &[round as u64, c as u64, 0x7247]);
+                train_local_scratch(
+                    model.as_mut(),
+                    shard,
+                    &cfg.sgd.at_round(round),
+                    cfg.local_iters,
+                    &mut rng,
                     scratch,
-                    drawn,
-                } = &mut trainee;
-                model.set_params(start);
-                // Borrow the materialized shard when cached (identity
-                // cohort); draw just this client's otherwise, into the
-                // trainee's buffer — per-round work stays O(cohort),
-                // not O(population).
-                let shard = match &self.shard_cache {
-                    Some(cache) => &cache[c],
-                    None => {
-                        self.derive_shard_into(c, drawn);
-                        &*drawn
-                    }
-                };
-                // Populations larger than the dataset leave tail
-                // clients with empty shards; they contribute the
-                // round's starting model unchanged.
-                if !shard.is_empty() {
-                    let mut rng = rng_for_n(cfg.seed, &[round as u64, c as u64, 0x7247]);
-                    train_local_scratch(
-                        model.as_mut(),
-                        shard,
-                        &cfg.sgd.at_round(round),
-                        cfg.local_iters,
-                        &mut rng,
-                        scratch,
-                    );
-                }
-                update[0].extend_from_slice(model.params());
-                lock().push(trainee);
-            },
-        );
+                );
+            }
+            update[0].extend_from_slice(model.params());
+            lock().push_back(trainee);
+        });
 
         if let Some(attack) = crafting {
             let honest: Vec<&[f32]> = updates
@@ -618,25 +621,24 @@ impl Experiment {
     }
 }
 
-/// Runs a prepared experiment (exposed so harnesses can reuse the
-/// preparation across repetitions) with telemetry: emits round lifecycle events, keeps
-/// the `hfl_*` counters, and assembles the run's [`RunManifest`]
-/// (per-round time series, totals, final registry snapshot).
+/// Runs a prepared experiment on the lockstep schedule (exposed so
+/// harnesses can reuse the preparation across repetitions) with
+/// telemetry: emits round lifecycle events, keeps the `hfl_*` counters,
+/// and assembles the run's [`RunManifest`] (per-round time series,
+/// totals, final registry snapshot).
 ///
 /// Determinism: the manifest is a pure function of the config —
 /// identical seeds give byte-identical `manifest.to_json()` output.
-pub fn run_prepared_with(exp: &Experiment, telem: &Telemetry) -> InstrumentedRun {
-    run_engine(&mut RoundEngine::for_experiment(exp), telem)
+pub fn run_prepared_with(exp: &Experiment, telem: &Telemetry) -> RunOutput {
+    run_engine(RoundEngine::for_experiment(exp), telem)
 }
 
 /// Runs `engine`'s experiment from round 0 on the engine's schedule —
 /// lockstep for [`RoundEngine::for_experiment`], pipelined for
-/// [`RoundEngine::pipelined`] — leaving the engine's end state (the
-/// suspicion scores, the pipelined timing record) for the caller to
-/// read.
-pub fn run_engine(engine: &mut RoundEngine<'_>, telem: &Telemetry) -> InstrumentedRun {
-    let (run, _) = run_loop(engine, telem, None, None).expect("a fresh run cannot fail to start");
-    run
+/// [`RoundEngine::pipelined`].
+pub(crate) fn run_engine(mut engine: RoundEngine<'_>, telem: &Telemetry) -> RunOutput {
+    let fresh = run_loop(&mut engine, telem, None, None);
+    fresh.expect("a fresh run cannot fail to start").0
 }
 
 /// Why a snapshot was refused by the resume entry points.
@@ -701,7 +703,7 @@ pub fn run_prepared_snapshotting(
     exp: &Experiment,
     telem: &Telemetry,
     capture_every: usize,
-) -> (InstrumentedRun, Vec<EngineSnapshot>) {
+) -> (RunOutput, Vec<EngineSnapshot>) {
     assert!(capture_every > 0, "capture_every must be positive");
     run_loop(
         &mut RoundEngine::for_experiment(exp),
@@ -725,111 +727,22 @@ pub fn resume_prepared_with(
     exp: &Experiment,
     telem: &Telemetry,
     snapshot: &EngineSnapshot,
-) -> Result<InstrumentedRun, ResumeError> {
+) -> Result<RunOutput, ResumeError> {
     let mut engine = RoundEngine::for_experiment(exp);
     Ok(run_loop(&mut engine, telem, Some(snapshot), None)?.0)
-}
-
-fn cost_to_snapshot(c: &CostCounters) -> CostSnapshot {
-    CostSnapshot {
-        messages: c.messages,
-        bytes: c.bytes,
-        excluded: c.excluded,
-        absent: c.absent,
-        faulted: c.faulted,
-        quarantined: c.quarantined,
-        withheld: c.withheld,
-    }
-}
-
-fn cost_from_snapshot(s: &CostSnapshot) -> CostCounters {
-    CostCounters {
-        messages: s.messages,
-        bytes: s.bytes,
-        excluded: s.excluded,
-        absent: s.absent,
-        faulted: s.faulted,
-        quarantined: s.quarantined,
-        withheld: s.withheld,
-    }
-}
-
-/// Seeds a fresh registry from a snapshot's metric samples. Counter and
-/// gauge names are interned back to the `&'static str` the engine
-/// registers them under; an unknown name (or a histogram, which cannot
-/// be reconstructed from its stats) rejects the snapshot rather than
-/// silently dropping totals.
-fn restore_registry(reg: &Registry, samples: &[MetricSample]) -> Result<(), String> {
-    const PLAIN_COUNTERS: &[&str] = &[
-        "hfl_messages_total",
-        "hfl_bytes_total",
-        "hfl_excluded_total",
-        "hfl_absent_total",
-        "hfl_faulted_total",
-        "hfl_quarantined_total",
-        "hfl_withheld_total",
-        "hfl_equivocations_total",
-        "hfl_deadline_closes_total",
-        "hfl_quorum_closes_total",
-        "hfl_stale_admitted_total",
-        "hfl_stale_dropped_total",
-    ];
-    for s in samples {
-        match &s.value {
-            MetricValue::Counter(v) => {
-                if s.labels.is_empty() {
-                    let name = PLAIN_COUNTERS
-                        .iter()
-                        .copied()
-                        .find(|n| *n == s.name)
-                        .ok_or_else(|| format!("unknown counter '{}' in snapshot", s.name))?;
-                    reg.counter(name, &[]).inc(*v);
-                } else if s.labels.len() == 1 && s.labels[0].0 == "mechanism" {
-                    let name = CONSENSUS_COUNTERS
-                        .iter()
-                        .copied()
-                        .find(|n| *n == s.name)
-                        .ok_or_else(|| {
-                            format!("unknown per-mechanism counter '{}' in snapshot", s.name)
-                        })?;
-                    reg.counter(name, &[("mechanism", &s.labels[0].1)]).inc(*v);
-                } else {
-                    return Err(format!(
-                        "counter '{}' carries labels this engine never writes",
-                        s.name
-                    ));
-                }
-            }
-            MetricValue::Gauge(v) => {
-                if s.name == "hfl_accuracy" && s.labels.is_empty() {
-                    reg.gauge("hfl_accuracy", &[]).set(*v);
-                } else if s.name == "hfl_buffer_occupancy" && s.labels.is_empty() {
-                    reg.gauge("hfl_buffer_occupancy", &[]).set(*v);
-                } else {
-                    return Err(format!("unknown gauge '{}' in snapshot", s.name));
-                }
-            }
-            MetricValue::Histogram(_) => {
-                return Err(format!(
-                    "histogram '{}' cannot be restored into a registry",
-                    s.name
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The one run loop behind [`run_engine`], [`run_prepared_snapshotting`]
 /// and [`resume_prepared_with`]: start state comes from round 0 or a
 /// snapshot, checkpoints are captured on the way when asked, and the
-/// schedule is the engine's.
+/// schedule is the engine's, whose timing record it folds into the
+/// output.
 fn run_loop(
     engine: &mut RoundEngine<'_>,
     telem: &Telemetry,
     start: Option<&EngineSnapshot>,
     capture_every: Option<usize>,
-) -> Result<(InstrumentedRun, Vec<EngineSnapshot>), ResumeError> {
+) -> Result<(RunOutput, Vec<EngineSnapshot>), ResumeError> {
     let exp = engine.experiment();
     let cfg = exp.config();
     let config_hash = fnv1a_hex(format!("{cfg:?}").as_bytes());
@@ -837,9 +750,10 @@ fn run_loop(
     let mut global = exp.template.params().to_vec();
     let mut cost = CostCounters::default();
     let mut accuracy = Vec::new();
-    let label = match engine.round_timings() {
-        Some(_) => "pipeline",
-        None => "abd-hfl",
+    let label = if engine.is_pipelined() {
+        "pipeline"
+    } else {
+        "abd-hfl"
     };
     let mut manifest = RunManifest::new(label, cfg.seed, config_hash.clone());
     let mut susp_records: Vec<SuspicionRecord> = Vec::new();
@@ -886,7 +800,7 @@ fn run_loop(
                 });
             }
             global.copy_from_slice(&s.model);
-            cost = cost_from_snapshot(&s.cost);
+            cost = s.cost;
             accuracy = s.accuracy.clone();
             manifest.rounds = s.rounds.clone();
             manifest.faults = s.faults.clone();
@@ -900,14 +814,8 @@ fn run_loop(
         }
     };
 
-    let messages_c = telem.registry().counter("hfl_messages_total", &[]);
-    let bytes_c = telem.registry().counter("hfl_bytes_total", &[]);
-    let excluded_c = telem.registry().counter("hfl_excluded_total", &[]);
-    let absent_c = telem.registry().counter("hfl_absent_total", &[]);
-    let faulted_c = telem.registry().counter("hfl_faulted_total", &[]);
-    let quarantined_c = telem.registry().counter("hfl_quarantined_total", &[]);
-    let withheld_c = telem.registry().counter("hfl_withheld_total", &[]);
-    let accuracy_g = telem.registry().gauge("hfl_accuracy", &[]);
+    let cost_c = COST_COUNTERS.map(|(name, field)| (telem.registry().counter(name, &[]), field));
+    let accuracy_g = telem.registry().gauge(ACCURACY_GAUGE, &[]);
 
     // Outside strict mode, a Krum/Multi-Krum level whose smallest
     // cluster violates n ≥ 2f + 3 is allowed (the paper's own defaults
@@ -948,13 +856,9 @@ fn run_loop(
         );
         std::mem::swap(&mut global, &mut next_global);
         let delta = cost.since(&before);
-        messages_c.inc(delta.messages);
-        bytes_c.inc(delta.bytes);
-        excluded_c.inc(delta.excluded);
-        absent_c.inc(delta.absent);
-        faulted_c.inc(delta.faulted);
-        quarantined_c.inc(delta.quarantined);
-        withheld_c.inc(delta.withheld);
+        for (counter, field) in &cost_c {
+            counter.inc(field(&delta));
+        }
         manifest.faults.append(&mut fault_log);
 
         let mut round_accuracy = None;
@@ -994,7 +898,7 @@ fn run_loop(
                     base_hash: base_hash.clone(),
                     round: done,
                     model: global.clone(),
-                    cost: cost_to_snapshot(&cost),
+                    cost,
                     accuracy: accuracy.clone(),
                     rounds: manifest.rounds.clone(),
                     faults: manifest.faults.clone(),
@@ -1037,49 +941,53 @@ fn run_loop(
             final_scores,
         });
     }
+    let result = RunResult {
+        accuracy,
+        final_accuracy,
+        messages: cost.messages,
+        bytes: cost.bytes,
+        excluded_total: cost.excluded,
+        absent_total: cost.absent,
+        faulted_total: cost.faulted,
+        quarantined_total: cost.quarantined,
+        withheld_total: cost.withheld,
+    };
+    let timing = engine.pipeline_result(&result);
     // The pipelined schedule's timing decomposition travels in the
     // manifest as three histograms.
-    if let Some(timings) = engine.round_timings() {
+    if let Some(timing) = &timing {
         let sigma_w = telem.registry().histogram("pipeline_sigma_w_seconds", &[]);
         let sigma = telem.registry().histogram("pipeline_sigma_seconds", &[]);
         let nu = telem.registry().histogram("pipeline_nu", &[]);
-        for rt in timings {
+        for rt in &timing.rounds {
             sigma_w.observe(rt.sigma_w);
             sigma.observe(rt.sigma);
             nu.observe(rt.nu);
         }
     }
     manifest.metrics = telem.registry().snapshot();
-
-    Ok((
-        InstrumentedRun {
-            result: RunResult {
-                accuracy,
-                final_accuracy,
-                messages: cost.messages,
-                bytes: cost.bytes,
-                excluded_total: cost.excluded,
-                absent_total: cost.absent,
-                faulted_total: cost.faulted,
-                quarantined_total: cost.quarantined,
-                withheld_total: cost.withheld,
-            },
-            manifest,
-            model: global,
-        },
-        snapshots,
-    ))
+    let out = RunOutput {
+        result,
+        manifest,
+        model: global,
+        timing,
+    };
+    Ok((out, snapshots))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::HflConfig;
-    use crate::run::run;
     use hfl_attacks::{DataAttack, Placement};
 
-    fn run_with(cfg: &HflConfig, telem: &Telemetry) -> InstrumentedRun {
-        run_prepared_with(&Experiment::prepare(cfg), telem)
+    fn run_with(cfg: &HflConfig, telem: &Telemetry) -> RunOutput {
+        let exp = Experiment::try_prepare(cfg).expect("a valid config");
+        run_prepared_with(&exp, telem)
+    }
+
+    fn run(cfg: &HflConfig) -> RunResult {
+        run_with(cfg, &Telemetry::disabled()).result
     }
 
     fn quick(attack: AttackCfg, seed: u64) -> HflConfig {
@@ -1223,7 +1131,7 @@ mod tests {
     fn leaders_never_churn() {
         let mut cfg = quick(AttackCfg::None, 13);
         cfg.churn_leave_prob = 0.9;
-        let exp = Experiment::prepare(&cfg);
+        let exp = Experiment::try_prepare(&cfg).expect("a valid config");
         let bottom = exp.hierarchy.bottom_level();
         let mut active = Vec::new();
         for round in 0..5 {
@@ -1331,9 +1239,9 @@ mod tests {
     }
 
     /// A crafted slot trains nothing: on one thread, a round in which
-    /// every slot is crafted checks out no trainee (and, with no honest
-    /// update to craft from, every slot re-sends the global model),
-    /// while a round with one honest slot checks out exactly one.
+    /// every slot is crafted leaves its one parked trainee untouched
+    /// (and, with no honest update to craft from, every slot re-sends
+    /// the global model), while a round with honest slots trains it.
     #[test]
     fn a_round_of_crafted_slots_checks_out_no_trainee() {
         for (proportion, trainees) in [(1.0, 0), (0.5, 1)] {
@@ -1345,7 +1253,7 @@ mod tests {
                 },
                 31,
             );
-            let exp = Experiment::prepare(&cfg);
+            let exp = Experiment::try_prepare(&cfg).expect("a valid config");
             let global = exp.template.params().to_vec();
             let (mut updates, mut ws) = (Vec::new(), TrainWorkspace::default());
             hfl_parallel::with_threads(1, || {
@@ -1358,8 +1266,10 @@ mod tests {
                     &mut ws,
                 )
             });
-            let parked = ws.parked.lock().expect("no worker panicked").len();
-            assert_eq!(parked, trainees, "malicious proportion {proportion}");
+            let parked = ws.parked.lock().expect("no worker panicked");
+            assert_eq!(parked.len(), 1, "one trainee per worker");
+            let trained = parked.iter().filter(|t| t.model.params() != global).count();
+            assert_eq!(trained, trainees, "malicious proportion {proportion}");
             if proportion == 1.0 {
                 assert!(updates.iter().all(|u| *u == global));
             }

@@ -52,8 +52,16 @@ pub fn paper_vanilla_aggregator(iid: bool, n_clients: usize) -> AggregatorKind {
 mod tests {
     use super::*;
     use crate::config::AttackCfg;
-    use crate::run::{run, RunOptions};
+    use crate::run::RunOptions;
+    use crate::runner::RunResult;
     use hfl_attacks::{DataAttack, Placement};
+
+    fn run(cfg: &HflConfig) -> RunResult {
+        RunOptions::new()
+            .try_run(cfg)
+            .expect("a valid config")
+            .result
+    }
 
     fn quick(attack: AttackCfg, seed: u64) -> HflConfig {
         let mut cfg = HflConfig::quick(attack, seed);
@@ -128,7 +136,7 @@ mod tests {
         cfg.rounds = 3;
         cfg.eval_every = 3;
         let star = cfg.star(AggregatorKind::FedAvg);
-        let run = || RunOptions::new().run(&star).into_sync();
+        let run = || RunOptions::new().try_run(&star).expect("a valid config");
         let (a, b) = (run(), run());
         assert_eq!(a.manifest.to_json(), b.manifest.to_json());
         assert_eq!(a.manifest.totals.messages, a.result.messages);

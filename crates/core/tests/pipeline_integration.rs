@@ -8,7 +8,7 @@ use abd_hfl_core::config::{
     AsyncRoundCfg, AttackCfg, ConfigError, HflConfig, LevelAgg, SamplingCfg, TopologyCfg,
 };
 use abd_hfl_core::pipeline::{PipelineConfig, PipelineResult};
-use abd_hfl_core::run::{run as run_lockstep, RunOptions};
+use abd_hfl_core::run::RunOptions;
 use hfl_consensus::ConsensusKind;
 use hfl_faults::FaultPlan;
 use hfl_ml::synth::SynthConfig;
@@ -17,7 +17,11 @@ use hfl_simnet::DelayModel;
 use hfl_telemetry::{Event, RunManifest, Telemetry};
 
 fn run_pipeline(cfg: &HflConfig, pcfg: &PipelineConfig) -> PipelineResult {
-    RunOptions::pipeline(pcfg).run(cfg).into_pipeline().0
+    RunOptions::pipeline(pcfg)
+        .try_run(cfg)
+        .expect("a valid config")
+        .into_pipeline()
+        .0
 }
 
 fn small_cfg(seed: u64) -> HflConfig {
@@ -94,7 +98,8 @@ fn pipeline_saves_time_vs_sequential() {
 fn same_seed_runs_are_identical() {
     let run = |seed| {
         RunOptions::pipeline(&pcfg(3))
-            .run(&small_cfg(seed))
+            .try_run(&small_cfg(seed))
+            .expect("a valid config")
             .into_pipeline()
     };
     let (a, ma) = run(3);
@@ -174,7 +179,10 @@ fn both_schedules_learn_comparable_models() {
     let mut cfg = small_cfg(5);
     cfg.rounds = 12;
     cfg.eval_every = 12;
-    let lockstep = run_lockstep(&cfg);
+    let lockstep = RunOptions::new()
+        .try_run(&cfg)
+        .expect("a valid config")
+        .result;
     let pipelined = run_pipeline(&cfg, &pcfg(12));
     assert!(
         pipelined.final_accuracy > 0.5,
@@ -193,7 +201,10 @@ fn both_schedules_learn_comparable_models() {
 fn final_accuracy_is_the_last_global_model_at_the_eval_cadence() {
     let mut cfg = small_cfg(6);
     cfg.eval_every = 2;
-    let (res, manifest) = RunOptions::pipeline(&pcfg(5)).run(&cfg).into_pipeline();
+    let (res, manifest) = RunOptions::pipeline(&pcfg(5))
+        .try_run(&cfg)
+        .expect("a valid config")
+        .into_pipeline();
     let evaluated: Vec<usize> = manifest
         .rounds
         .iter()
@@ -270,10 +281,16 @@ fn deadline_shortens_straggler_rounds() {
         ..pcfg(3)
     };
     let cfg = small_cfg(10);
-    let (slow, slow_manifest) = RunOptions::pipeline(&straggling).run(&cfg).into_pipeline();
+    let (slow, slow_manifest) = RunOptions::pipeline(&straggling)
+        .try_run(&cfg)
+        .expect("a valid config")
+        .into_pipeline();
     let mut cut = cfg.clone();
     cut.async_rounds = Some(lan_with_deadline(30_000));
-    let (fast, fast_manifest) = RunOptions::pipeline(&straggling).run(&cut).into_pipeline();
+    let (fast, fast_manifest) = RunOptions::pipeline(&straggling)
+        .try_run(&cut)
+        .expect("a valid config")
+        .into_pipeline();
     assert!(
         fast.mean_period < slow.mean_period,
         "deadline did not help: {} vs {}",
@@ -349,7 +366,8 @@ fn deadline_closed_cba_level_takes_the_cba_duration() {
         let (telem, rec) = Telemetry::recording();
         let (res, _) = RunOptions::pipeline(&pcfg)
             .telemetry(&telem)
-            .run(&cfg)
+            .try_run(&cfg)
+            .expect("a valid config")
             .into_pipeline();
         let top_close = rec.events().into_iter().find_map(|e| match e {
             Event::BufferClosed {
@@ -376,7 +394,8 @@ fn pipelined_manifest_carries_the_timing_and_the_round_series() {
     let (telem, rec) = Telemetry::recording();
     let (res, manifest) = RunOptions::pipeline(&pcfg(2))
         .telemetry(&telem)
-        .run(&cfg)
+        .try_run(&cfg)
+        .expect("a valid config")
         .into_pipeline();
     assert_eq!(manifest.label, "pipeline");
     assert_eq!(manifest.rounds.len(), 2);
@@ -532,8 +551,14 @@ fn sampled_cohorts_run_on_the_pipelined_schedule() {
     // malicious flags follow the client a round binds to the slot.
     let mut cfg = small_cfg(50);
     cfg.sampling = Some(SamplingCfg::uniform(640, 64));
-    let (a, ma) = RunOptions::pipeline(&pcfg(6)).run(&cfg).into_pipeline();
-    let (_, mb) = RunOptions::pipeline(&pcfg(6)).run(&cfg).into_pipeline();
+    let (a, ma) = RunOptions::pipeline(&pcfg(6))
+        .try_run(&cfg)
+        .expect("a valid config")
+        .into_pipeline();
+    let (_, mb) = RunOptions::pipeline(&pcfg(6))
+        .try_run(&cfg)
+        .expect("a valid config")
+        .into_pipeline();
     assert_eq!(a.rounds.len(), 6);
     assert!(a.final_accuracy > 0.3, "acc {}", a.final_accuracy);
     assert_eq!(ma.to_json(), mb.to_json());
@@ -574,12 +599,16 @@ fn schedules_charge_the_same_transfers_when_the_clock_cannot_reorder() {
         aggregated.collect()
     };
     let (telem, rec) = Telemetry::recording();
-    let lockstep = RunOptions::new().telemetry(&telem).run(&cfg).into_sync();
+    let lockstep = RunOptions::new()
+        .telemetry(&telem)
+        .try_run(&cfg)
+        .expect("a valid config");
     let lockstep_kept = kept(rec.events());
     let (telem, rec) = Telemetry::recording();
     let (_, pipelined) = RunOptions::pipeline(&instant)
         .telemetry(&telem)
-        .run(&cfg)
+        .try_run(&cfg)
+        .expect("a valid config")
         .into_pipeline();
     assert_eq!(kept(rec.events()), lockstep_kept);
     assert_eq!(pipelined.rounds.len(), 4);

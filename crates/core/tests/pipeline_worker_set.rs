@@ -25,7 +25,12 @@ fn a_pipelined_run_forks_onto_the_worker_set() {
         rounds: 2,
         ..PipelineConfig::default()
     };
-    let run = || RunOptions::pipeline(&pcfg).run(&cfg).into_pipeline();
+    let run = || {
+        RunOptions::pipeline(&pcfg)
+            .try_run(&cfg)
+            .expect("a valid config")
+            .into_pipeline()
+    };
 
     let before = tasks();
     let (one_timing, one_manifest) = hfl_parallel::with_threads(1, run);

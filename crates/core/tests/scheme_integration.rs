@@ -2,12 +2,20 @@
 //! running through the synchronous driver.
 
 use abd_hfl_core::config::{AttackCfg, HflConfig, ModelCfg};
-use abd_hfl_core::run::run;
+use abd_hfl_core::run::RunOptions;
+use abd_hfl_core::runner::RunResult;
 use abd_hfl_core::scheme::Scheme;
 use hfl_attacks::{DataAttack, Placement};
 use hfl_consensus::ConsensusKind;
 use hfl_ml::synth::SynthConfig;
 use hfl_robust::AggregatorKind;
+
+fn run(cfg: &HflConfig) -> RunResult {
+    RunOptions::new()
+        .try_run(cfg)
+        .expect("a valid config")
+        .result
+}
 
 fn fast(attack: AttackCfg, seed: u64) -> HflConfig {
     let mut cfg = HflConfig::quick(attack, seed);

@@ -8,12 +8,12 @@
 //! an error, as is any version other than [`SNAPSHOT_VERSION`].
 
 use hfl_telemetry::{
-    FaultRecord, HistogramStats, MetricSample, MetricValue, RoundRecord, SuspicionRecord,
+    CostCounters, FaultRecord, HistogramStats, MetricSample, MetricValue, RoundRecord,
+    SuspicionRecord,
 };
 
 use crate::{
-    CostSnapshot, EngineSnapshot, LayerState, SearchState, SnapshotError, TrackerState,
-    SNAPSHOT_VERSION,
+    EngineSnapshot, LayerState, SearchState, SnapshotError, TrackerState, SNAPSHOT_VERSION,
 };
 
 const MAGIC: &[u8; 4] = b"HFSN";
@@ -265,7 +265,7 @@ pub(crate) fn from_bytes(bytes: &[u8]) -> Result<EngineSnapshot, SnapshotError> 
         base_hash,
         round,
         model,
-        cost: CostSnapshot {
+        cost: CostCounters {
             messages: cost[0],
             bytes: cost[1],
             excluded: cost[2],

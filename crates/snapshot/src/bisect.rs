@@ -1,12 +1,11 @@
-//! Divergence bisection: given two runs that should agree, find the
-//! first round where they stop agreeing.
+//! Divergence search: given two runs that should agree, find the first
+//! round where they stop agreeing.
 //!
 //! Works over [`RunManifest`]s (per-round records, fault log, suspicion
-//! log) with a binary search on the prefix predicate "the first `k`
-//! rounds already differ" — which is monotone under determinism: once
-//! two runs diverge, the derived RNG streams keep them diverged. The
-//! same [`bisect_first`] primitive drives the snapshot-probing mode of
-//! `repro bisect`.
+//! log) with a scan from round 0. A round's record holds only counts and
+//! an optional accuracy, so two runs that differed at round `k` can
+//! agree again later: no prefix predicate is monotone, and only a scan
+//! names the first divergent round.
 
 use hfl_telemetry::RunManifest;
 
@@ -28,44 +27,15 @@ pub struct Divergence {
     pub b: String,
 }
 
-/// First index in `0..len` where `diverged` holds, assuming the
-/// predicate is monotone (false…false true…true); `None` when it never
-/// holds. Probes O(log len) indices — callers can log each probe from
-/// inside the closure.
-pub fn bisect_first(len: usize, mut diverged: impl FnMut(usize) -> bool) -> Option<usize> {
-    if len == 0 || !diverged(len - 1) {
-        return None;
-    }
-    let (mut lo, mut hi) = (0usize, len - 1);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if diverged(mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Some(lo)
-}
-
-/// Binary-searches two manifests for their first divergent round.
+/// Scans two manifests for their first divergent round.
 ///
 /// Returns `None` when the manifests describe byte-identical runs.
-/// `on_probe(round, diverged)` is called for every bisection probe, so
-/// tools can narrate the search.
-pub fn first_divergence(
-    a: &RunManifest,
-    b: &RunManifest,
-    mut on_probe: impl FnMut(usize, bool),
-) -> Option<Divergence> {
+pub fn first_divergence(a: &RunManifest, b: &RunManifest) -> Option<Divergence> {
     let rounds = a.rounds.len().max(b.rounds.len());
-    let first = bisect_first(rounds, |r| {
-        let differs = round_view(a, r) != round_view(b, r);
-        on_probe(r, differs);
-        differs
-    });
-    if let Some(round) = first {
-        let (va, vb) = (round_view(a, round), round_view(b, round));
+    let first = (0..rounds)
+        .map(|r| (r, round_view(a, r), round_view(b, r)))
+        .find(|(_, va, vb)| va != vb);
+    if let Some((round, va, vb)) = first {
         for (component, ra, rb) in [
             ("round_record", &va.record, &vb.record),
             ("faults", &va.faults, &vb.faults),
@@ -193,18 +163,28 @@ mod tests {
     fn identical_manifests_have_no_divergence() {
         let a = manifest(8, None);
         let b = manifest(8, None);
-        assert_eq!(first_divergence(&a, &b, |_, _| {}), None);
+        assert_eq!(first_divergence(&a, &b), None);
     }
 
     #[test]
     fn finds_the_first_divergent_round_with_log_probes() {
         let a = manifest(16, None);
         let b = manifest(16, Some(5));
-        let mut probes = Vec::new();
-        let d = first_divergence(&a, &b, |r, diff| probes.push((r, diff))).unwrap();
+        let d = first_divergence(&a, &b).unwrap();
         assert_eq!(d.round, 5);
         assert_eq!(d.component, "round_record");
-        assert!(probes.len() <= 6, "probed {} rounds of 16", probes.len());
+    }
+
+    /// Runs that differ in one round and agree again afterwards: the
+    /// first divergent round is still the one reported, not the totals.
+    #[test]
+    fn a_divergence_the_last_round_no_longer_shows_is_found() {
+        let a = manifest(8, None);
+        let mut b = manifest(8, None);
+        b.rounds[2].messages += 1;
+        b.totals.messages += 1;
+        let d = first_divergence(&a, &b).unwrap();
+        assert_eq!((d.round, d.component), (2, "round_record"));
     }
 
     #[test]
@@ -212,7 +192,7 @@ mod tests {
         let a = manifest(4, None);
         let mut b = manifest(4, None);
         b.totals.messages += 17;
-        let d = first_divergence(&a, &b, |_, _| {}).unwrap();
+        let d = first_divergence(&a, &b).unwrap();
         assert_eq!((d.round, d.component), (4, "totals"));
     }
 
@@ -220,20 +200,9 @@ mod tests {
     fn length_mismatch_diverges_at_the_missing_round() {
         let a = manifest(6, None);
         let b = manifest(4, None);
-        let d = first_divergence(&a, &b, |_, _| {}).unwrap();
+        let d = first_divergence(&a, &b).unwrap();
         assert_eq!(d.round, 4);
         assert_eq!(d.component, "round_record");
         assert_eq!(d.b, "<missing>");
-    }
-
-    #[test]
-    fn bisect_first_matches_linear_scan() {
-        for len in 0..20usize {
-            for flip in 0..=len {
-                let got = bisect_first(len, |i| i >= flip);
-                let want = (flip < len).then_some(flip);
-                assert_eq!(got, want, "len={len} flip={flip}");
-            }
-        }
     }
 }

@@ -7,12 +7,12 @@
 //! from these exact values.
 
 use hfl_telemetry::{
-    FaultRecord, HistogramStats, Json, MetricSample, MetricValue, RoundRecord, SuspicionRecord,
+    CostCounters, FaultRecord, HistogramStats, Json, MetricSample, MetricValue, RoundRecord,
+    SuspicionRecord,
 };
 
 use crate::{
-    CostSnapshot, EngineSnapshot, LayerState, SearchState, SnapshotError, TrackerState,
-    SNAPSHOT_VERSION,
+    EngineSnapshot, LayerState, SearchState, SnapshotError, TrackerState, SNAPSHOT_VERSION,
 };
 
 pub(crate) fn to_json(snap: &EngineSnapshot) -> String {
@@ -85,7 +85,7 @@ pub(crate) fn from_json(text: &str) -> Result<EngineSnapshot, SnapshotError> {
         base_hash: get_str(&root, "base_hash")?.to_string(),
         round: get_usize(&root, "round")?,
         model: model_from_hex(get_str(&root, "model")?)?,
-        cost: CostSnapshot {
+        cost: CostCounters {
             messages: get_u64(cost, "messages")?,
             bytes: get_u64(cost, "bytes")?,
             excluded: get_u64(cost, "excluded")?,

@@ -34,11 +34,11 @@ mod binary;
 mod bisect;
 mod json;
 
-pub use bisect::{bisect_first, first_divergence, Divergence};
+pub use bisect::{first_divergence, Divergence};
 
 use std::fmt;
 
-use hfl_telemetry::{FaultRecord, MetricSample, RoundRecord, SuspicionRecord};
+use hfl_telemetry::{CostCounters, FaultRecord, MetricSample, RoundRecord, SuspicionRecord};
 
 /// Version tag embedded in every snapshot; decoders reject others.
 pub const SNAPSHOT_VERSION: u64 = 1;
@@ -64,7 +64,7 @@ pub struct EngineSnapshot {
     /// The global model parameters (bit-exact).
     pub model: Vec<f32>,
     /// Cumulative cost accounting totals.
-    pub cost: CostSnapshot,
+    pub cost: CostCounters,
     /// Accuracy series so far: `(round, accuracy)` per evaluation.
     pub accuracy: Vec<(usize, f64)>,
     /// Manifest prefix: one record per completed round.
@@ -78,27 +78,6 @@ pub struct EngineSnapshot {
     pub layers: Vec<LayerState>,
     /// Metrics-registry accumulators at capture time.
     pub metrics: Vec<MetricSample>,
-}
-
-/// The seven cumulative [`CostCounters`] totals.
-///
-/// [`CostCounters`]: https://docs.rs/abd-hfl-core
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CostSnapshot {
-    /// Model-bearing messages sent.
-    pub messages: u64,
-    /// Payload bytes sent.
-    pub bytes: u64,
-    /// Proposals excluded by robust aggregation / consensus.
-    pub excluded: u64,
-    /// Client-round absences under churn.
-    pub absent: u64,
-    /// Uploads lost to injected faults.
-    pub faulted: u64,
-    /// Client-rounds spent quarantined.
-    pub quarantined: u64,
-    /// Updates withheld by the coalition.
-    pub withheld: u64,
 }
 
 /// One engine layer's cross-round state.
@@ -224,7 +203,7 @@ mod tests {
             base_hash: "cafef00dcafef00d".into(),
             round: 3,
             model: vec![0.5, -1.25, f32::NAN, 0.0, -0.0],
-            cost: CostSnapshot {
+            cost: CostCounters {
                 messages: 100,
                 bytes: 25_600,
                 excluded: 2,
@@ -522,7 +501,7 @@ mod tests {
             base_hash,
             round,
             model,
-            cost: CostSnapshot {
+            cost: CostCounters {
                 messages: costs.first().map_or(0, |c| c.0),
                 bytes: costs.first().map_or(0, |c| c.1),
                 excluded: costs.get(1).map_or(0, |c| c.0),

@@ -41,8 +41,8 @@ use std::sync::Arc;
 pub use event::{Event, MemoryRecorder};
 pub use json::{Json, JsonError};
 pub use manifest::{
-    fnv1a_hex, BuildInfo, ClientScore, FaultRecord, RoundRecord, RunManifest, RunTotals,
-    SuspicionRecord, SuspicionSection,
+    fnv1a_hex, BuildInfo, ClientScore, CostCounters, FaultRecord, RoundRecord, RunManifest,
+    RunTotals, SuspicionRecord, SuspicionSection,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramStats, MetricSample, MetricValue, Registry};
 

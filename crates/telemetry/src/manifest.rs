@@ -176,6 +176,43 @@ impl RunTotals {
     }
 }
 
+/// The round engine's cost accumulators, threaded through every round
+/// of aggregation and carried whole in an engine snapshot. The first
+/// four become a manifest's [`RunTotals`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CostCounters {
+    /// Model-bearing messages.
+    pub messages: u64,
+    /// Payload bytes.
+    pub bytes: u64,
+    /// Proposals excluded by consensus.
+    pub excluded: u64,
+    /// Client-round absences from churn.
+    pub absent: u64,
+    /// Bottom-level updates lost to injected faults.
+    pub faulted: u64,
+    /// Updates excluded by the suspicion layer's quarantine.
+    pub quarantined: u64,
+    /// Updates a withholding coalition kept back.
+    pub withheld: u64,
+}
+
+impl CostCounters {
+    /// Per-round delta: this ledger minus a snapshot taken at round
+    /// start (counters are monotone, so plain subtraction is safe).
+    pub fn since(&self, before: &CostCounters) -> CostCounters {
+        CostCounters {
+            messages: self.messages - before.messages,
+            bytes: self.bytes - before.bytes,
+            excluded: self.excluded - before.excluded,
+            absent: self.absent - before.absent,
+            faulted: self.faulted - before.faulted,
+            quarantined: self.quarantined - before.quarantined,
+            withheld: self.withheld - before.withheld,
+        }
+    }
+}
+
 /// One injected fault or recovery action, as recorded in the manifest's
 /// fault log (schema v2).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -743,5 +780,28 @@ mod tests {
         // Either the compile-time env var or the fixed fallback — never a
         // value sampled at run time.
         assert!(b == BuildInfo::current());
+    }
+
+    /// `since` reports the monotone delta between two snapshots.
+    #[test]
+    fn since_subtracts_fieldwise() {
+        let before = CostCounters {
+            messages: 10,
+            bytes: 400,
+            excluded: 1,
+            ..CostCounters::default()
+        };
+        let after = CostCounters {
+            messages: 25,
+            bytes: 1_000,
+            excluded: 3,
+            absent: 2,
+            ..CostCounters::default()
+        };
+        let d = after.since(&before);
+        assert_eq!(d.messages, 15);
+        assert_eq!(d.bytes, 600);
+        assert_eq!(d.excluded, 2);
+        assert_eq!(d.absent, 2);
     }
 }

@@ -7,11 +7,11 @@
 //! ```
 
 use abd_hfl::attacks::{DataAttack, ModelAttack, Placement};
-use abd_hfl::core::config::{AttackCfg, HflConfig};
-use abd_hfl::core::run::run;
+use abd_hfl::core::config::{AttackCfg, ConfigError, HflConfig};
+use abd_hfl::core::run::RunOptions;
 use abd_hfl::robust::AggregatorKind;
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
     let p = 0.3;
     let place = Placement::Prefix;
     let attacks: Vec<(&str, AttackCfg)> = vec![
@@ -97,15 +97,16 @@ fn main() {
         let mut cfg = HflConfig::quick(attack, 31);
         cfg.rounds = 20;
         cfg.eval_every = 20;
-        let vanilla = run(&cfg.star(AggregatorKind::FedAvg));
-        let abd = run(&cfg);
+        let vanilla = RunOptions::new().try_run(&cfg.star(AggregatorKind::FedAvg))?;
+        let abd = RunOptions::new().try_run(&cfg)?;
         println!(
             "{:<26}  {:>15.1}%  {:>9.1}%",
             name,
-            vanilla.final_accuracy * 100.0,
-            abd.final_accuracy * 100.0
+            vanilla.result.final_accuracy * 100.0,
+            abd.result.final_accuracy * 100.0
         );
     }
     println!("\nUndefended averaging is the damage meter; ABD-HFL's hierarchy");
     println!("(Multi-Krum clusters + validation-vote top) absorbs each attack.");
+    Ok(())
 }

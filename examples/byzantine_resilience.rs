@@ -7,12 +7,12 @@
 //! ```
 
 use abd_hfl::attacks::{DataAttack, Placement};
-use abd_hfl::core::config::{AttackCfg, HflConfig};
-use abd_hfl::core::run::run;
+use abd_hfl::core::config::{AttackCfg, ConfigError, HflConfig};
+use abd_hfl::core::run::RunOptions;
 use abd_hfl::core::theory;
 use abd_hfl::core::vanilla::paper_vanilla_aggregator;
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
     let proportions = [0.0, 0.2, 0.4, 0.578, 0.65];
     let bound = theory::paper_tolerance_bound();
 
@@ -33,16 +33,17 @@ fn main() {
         let mut cfg = HflConfig::quick(attack, 7);
         cfg.rounds = 40;
         cfg.eval_every = 40;
-        let abd = run(&cfg);
-        let vanilla = run(&cfg.star(paper_vanilla_aggregator(true, 64)));
+        let abd = RunOptions::new().try_run(&cfg)?.result;
+        let vanilla = RunOptions::new().try_run(&cfg.star(paper_vanilla_aggregator(true, 64)))?;
         let marker = if p > bound { " (beyond bound)" } else { "" };
         println!(
             "{:>9.1}%  {:>9.1}%  {:>9.1}%{marker}",
             p * 100.0,
             abd.final_accuracy * 100.0,
-            vanilla.final_accuracy * 100.0
+            vanilla.result.final_accuracy * 100.0
         );
     }
     println!("\nVanilla Multi-Krum assumes 25% malicious and collapses past it;");
     println!("ABD-HFL's layer-by-layer filtering plus top-level voting holds to the bound.");
+    Ok(())
 }

@@ -7,12 +7,12 @@
 //! cargo run --release --example pipeline_workflow
 //! ```
 
-use abd_hfl::core::config::{AttackCfg, HflConfig};
+use abd_hfl::core::config::{AttackCfg, ConfigError, HflConfig};
 use abd_hfl::core::pipeline::PipelineConfig;
 use abd_hfl::core::run::RunOptions;
 use abd_hfl::ml::synth::SynthConfig;
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
     let mut cfg = HflConfig::quick(AttackCfg::None, 3);
     cfg.data = SynthConfig {
         train_samples: 6_400,
@@ -26,7 +26,7 @@ fn main() {
 
     for flag_level in [1usize, 2] {
         cfg.flag_level = flag_level;
-        let res = RunOptions::pipeline(&pcfg).run(&cfg).into_pipeline().0;
+        let res = RunOptions::pipeline(&pcfg).try_run(&cfg)?.into_pipeline().0;
         println!(
             "\n=== flag level ℓF = {flag_level} ({} the top) ===",
             if flag_level == 1 {
@@ -59,4 +59,5 @@ fn main() {
     println!("\nν = (σp + σg)/σ — the share of aggregation time the pipeline hides");
     println!("(Eq. 3). A flag level closer to the bottom waits less (smaller σw) but");
     println!("relies more on the correction factor when the global model arrives.");
+    Ok(())
 }

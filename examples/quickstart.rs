@@ -6,11 +6,11 @@
 //! ```
 
 use abd_hfl::attacks::{DataAttack, Placement};
-use abd_hfl::core::config::{AttackCfg, HflConfig};
-use abd_hfl::core::run::run;
+use abd_hfl::core::config::{AttackCfg, ConfigError, HflConfig};
+use abd_hfl::core::run::RunOptions;
 use abd_hfl::core::theory;
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
     // The paper's topology: 3 levels, clusters of 4, 4 top nodes, 64
     // clients — with 30 % of clients flipping all their labels to "9".
     let attack = AttackCfg::Data {
@@ -30,7 +30,7 @@ fn main() {
         theory::paper_tolerance_bound() * 100.0
     );
 
-    let result = run(&cfg);
+    let result = RunOptions::new().try_run(&cfg)?.result;
     println!("\nround  test-accuracy");
     for (round, acc) in &result.accuracy {
         println!("{round:>5}  {:.1}%", acc * 100.0);
@@ -42,4 +42,5 @@ fn main() {
         result.bytes as f64 / (1024.0 * 1024.0),
         result.excluded_total,
     );
+    Ok(())
 }

@@ -7,12 +7,12 @@
 
 use abd_hfl::attacks::{DataAttack, Placement};
 use abd_hfl::consensus::ConsensusKind;
-use abd_hfl::core::config::{AttackCfg, HflConfig};
-use abd_hfl::core::run::run;
+use abd_hfl::core::config::{AttackCfg, ConfigError, HflConfig};
+use abd_hfl::core::run::RunOptions;
 use abd_hfl::core::scheme::Scheme;
 use abd_hfl::robust::AggregatorKind;
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
     let attack = AttackCfg::Data {
         attack: DataAttack::type_i(),
         proportion: 0.4,
@@ -34,7 +34,7 @@ fn main() {
             AggregatorKind::MultiKrum { f: 1, m: 3 },
             ConsensusKind::VoteMajority,
         );
-        let r = run(&cfg);
+        let r = RunOptions::new().try_run(&cfg)?.result;
         println!(
             "{:<38}  {:>8.1}%  {:>10}  {:>10.1}",
             scheme.name(),
@@ -45,4 +45,5 @@ fn main() {
     }
     println!("\nTable IV's qualitative ranking: scheme 4 most robust & most expensive,");
     println!("scheme 3 cheapest; schemes 1/2 balance the two (the paper evaluates 1).");
+    Ok(())
 }

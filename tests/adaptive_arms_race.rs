@@ -10,11 +10,11 @@ use abd_hfl::faults::FaultPlan;
 use abd_hfl::robust::{AggregatorKind, SuspicionConfig};
 use abd_hfl::telemetry::{Event, Telemetry};
 
-fn run_abd_hfl_with(
-    cfg: &abd_hfl::core::HflConfig,
-    telem: &Telemetry,
-) -> abd_hfl::core::InstrumentedRun {
-    RunOptions::new().telemetry(telem).run(cfg).into_sync()
+fn run_abd_hfl_with(cfg: &abd_hfl::core::HflConfig, telem: &Telemetry) -> abd_hfl::core::RunOutput {
+    RunOptions::new()
+        .telemetry(telem)
+        .try_run(cfg)
+        .expect("a valid config")
 }
 
 /// The quick topology (64 clients, bottom clusters of 4) with Multi-Krum
@@ -335,7 +335,12 @@ fn the_full_stack_runs_on_the_pipelined_schedule() {
         rounds: 30,
         ..PipelineConfig::default()
     };
-    let run = || RunOptions::pipeline(&pcfg).run(&build()).into_pipeline();
+    let run = || {
+        RunOptions::pipeline(&pcfg)
+            .try_run(&build())
+            .expect("a valid config")
+            .into_pipeline()
+    };
     let (res, manifest) = run();
     assert_eq!(res.rounds.len(), 30, "a round never closed");
     for rt in &res.rounds {

@@ -91,6 +91,13 @@ const RULES: &[Rule] = &[
     Rule { name: "consensus records no metrics", design: 5, files: &["crates/consensus/src/"], check: Forbid(&["hfl_telemetry"]),
         fixture: "use hfl_telemetry::Registry;",
         message: "crates/consensus/src names hfl_telemetry: the engine records a consensus outcome (engine::cost::charge_consensus)" },
+    Rule { name: "one run loop", design: 9, files: TREE,
+        check: Count(".run_round_into(", &[("crates/core/src/runner.rs", "run_loop", 1), ("crates/bench/src/memprobe.rs", "probe_rounds", 1)]),
+        fixture: "fn f() { engine.run_round_into(g, r, c, t, l, s, o); }",
+        message: "a round loop beside runner::run_loop (and memprobe::probe_rounds): run a config through RunOptions::try_run, run_prepared_with, run_prepared_snapshotting or resume_prepared_with" },
+    Rule { name: "no panicking twin", design: 9, files: &["crates/core/src/"], check: Forbid(&[" prepare(", " resume("]),
+        fixture: "pub fn resume(s: &EngineSnapshot, cfg: &HflConfig) -> RunResult { todo!() }",
+        message: "crates/core/src holds a prepare or resume beside Experiment::try_prepare and resume_prepared_with again" },
 ];
 
 /// A file and its code: comments, literals and `#[cfg(test)]` items blanked, newlines kept.

@@ -8,7 +8,7 @@
 use abd_hfl::attacks::{AdaptiveAttack, Placement, ProtocolAttack};
 use abd_hfl::core::config::{AsyncRoundCfg, AttackCfg, HflConfig};
 use abd_hfl::core::runner::{
-    resume_prepared_with, run_prepared_snapshotting, run_prepared_with, Experiment, InstrumentedRun,
+    resume_prepared_with, run_prepared_snapshotting, run_prepared_with, Experiment, RunOutput,
 };
 use abd_hfl::faults::FaultPlan;
 use abd_hfl::ml::synth::SynthConfig;
@@ -39,8 +39,8 @@ fn with_async(mut cfg: HflConfig, deadline_us: u64, staleness_bound_us: u64) -> 
     cfg
 }
 
-fn run_recording(cfg: &HflConfig) -> (InstrumentedRun, Vec<Event>, String) {
-    let exp = Experiment::prepare(cfg);
+fn run_recording(cfg: &HflConfig) -> (RunOutput, Vec<Event>, String) {
+    let exp = Experiment::try_prepare(cfg).expect("a valid config");
     let (telem, rec) = Telemetry::recording();
     let run = run_prepared_with(&exp, &telem);
     let events = rec.events().to_vec();
@@ -371,7 +371,7 @@ fn async_snapshot_resume_reproduces_the_straight_run() {
     cfg.quorum = 0.75;
     cfg.faults = Some(FaultPlan::new().straggler(0, 1, 50.0, None));
     let cfg = with_async(cfg, 3_000, 1_500);
-    let exp = Experiment::prepare(&cfg);
+    let exp = Experiment::try_prepare(&cfg).expect("a valid config");
     let (telem, _rec) = Telemetry::recording();
     let (straight, snapshots) = run_prepared_snapshotting(&exp, &telem, 2);
     let snap = snapshots

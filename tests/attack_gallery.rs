@@ -33,7 +33,7 @@ fn final_accuracy(attack: AttackCfg, kind: AggregatorKind, dist: DataDistributio
     };
     cfg.distribution = dist;
     cfg.levels = vec![LevelAgg::Bra(kind); 3];
-    let exp = Experiment::prepare(&cfg);
+    let exp = Experiment::try_prepare(&cfg).expect("a valid config");
     let (telem, _rec) = Telemetry::recording();
     run_prepared_with(&exp, &telem).result.final_accuracy
 }

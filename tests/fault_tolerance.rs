@@ -11,11 +11,11 @@ use abd_hfl::faults::FaultPlan;
 use abd_hfl::robust::{AggregatorKind, SuspicionConfig};
 use abd_hfl::telemetry::Telemetry;
 
-fn run_abd_hfl_with(
-    cfg: &abd_hfl::core::HflConfig,
-    telem: &Telemetry,
-) -> abd_hfl::core::InstrumentedRun {
-    RunOptions::new().telemetry(telem).run(cfg).into_sync()
+fn run_abd_hfl_with(cfg: &abd_hfl::core::HflConfig, telem: &Telemetry) -> abd_hfl::core::RunOutput {
+    RunOptions::new()
+        .telemetry(telem)
+        .try_run(cfg)
+        .expect("a valid config")
 }
 
 fn fast(seed: u64) -> HflConfig {
@@ -304,8 +304,9 @@ fn suspicion_strikes_only_sampled_cohort_members() {
         .filter(|e| e.kind == "quarantined" || e.kind == "equivocation")
         .collect();
     assert!(!strikes.is_empty(), "the attack must produce quarantines");
+    let mut cohort = Vec::new();
     for e in &strikes {
-        let cohort = exp.cohort(e.round);
+        exp.cohort_into(e.round, &mut cohort);
         assert!(
             cohort.binary_search(&e.client).is_ok(),
             "round {}: client {} was {} without being in the sampled cohort {:?}",

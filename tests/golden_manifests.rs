@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 
 use abd_hfl::attacks::{AdaptiveAttack, ModelAttack, Placement, ProtocolAttack};
 use abd_hfl::core::config::{AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg, SamplingCfg};
-use abd_hfl::core::runner::{run_prepared_with, Experiment, InstrumentedRun};
+use abd_hfl::core::runner::{run_prepared_with, Experiment, RunOutput};
 use abd_hfl::faults::FaultPlan;
 use abd_hfl::ml::synth::SynthConfig;
 use abd_hfl::robust::{AggregatorKind, SuspicionConfig};
@@ -182,8 +182,8 @@ fn combined_fixture() -> HflConfig {
 
 /// Runs a fixture with a recording telemetry bundle, returning the run
 /// plus the rendered event stream (one debug-formatted event per line).
-fn run_fixture(cfg: &HflConfig) -> (InstrumentedRun, String) {
-    let exp = Experiment::prepare(cfg);
+fn run_fixture(cfg: &HflConfig) -> (RunOutput, String) {
+    let exp = Experiment::try_prepare(cfg).expect("a valid config");
     let (telem, rec) = Telemetry::recording();
     let run = run_prepared_with(&exp, &telem);
     let events: String = rec.events().iter().map(|e| format!("{e:?}\n")).collect();

@@ -6,13 +6,20 @@
 use abd_hfl::attacks::{DataAttack, ModelAttack, Placement};
 use abd_hfl::consensus::ConsensusKind;
 use abd_hfl::core::config::{AttackCfg, HflConfig, LevelAgg, TopologyCfg};
-use abd_hfl::core::run::run;
-use abd_hfl::core::runner::{run_prepared_with, Experiment};
+use abd_hfl::core::run::RunOptions;
+use abd_hfl::core::runner::{run_prepared_with, Experiment, RunResult};
 use abd_hfl::core::theory;
 use abd_hfl::core::vanilla::paper_vanilla_aggregator;
 use abd_hfl::ml::synth::SynthConfig;
 use abd_hfl::robust::AggregatorKind;
 use abd_hfl::telemetry::Telemetry;
+
+fn run(cfg: &HflConfig) -> RunResult {
+    RunOptions::new()
+        .try_run(cfg)
+        .expect("a valid config")
+        .result
+}
 
 fn fast(attack: AttackCfg, seed: u64) -> HflConfig {
     let mut cfg = HflConfig::quick(attack, seed);
@@ -155,7 +162,7 @@ fn acsm_topology_trains() {
 #[test]
 fn experiment_reuse_is_equivalent_to_fresh_runs() {
     let cfg = fast(AttackCfg::None, 107);
-    let exp = Experiment::prepare(&cfg);
+    let exp = Experiment::try_prepare(&cfg).expect("a valid config");
     let a = run_prepared_with(&exp, &Telemetry::disabled()).result;
     let b = run(&cfg);
     assert_eq!(a.final_accuracy, b.final_accuracy);

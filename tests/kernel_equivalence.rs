@@ -58,7 +58,7 @@ use abd_hfl::core::config::{
 };
 use abd_hfl::core::engine::{CostCounters, RoundEngine};
 use abd_hfl::core::pipeline::PipelineConfig;
-use abd_hfl::core::run::{run, RunOptions};
+use abd_hfl::core::run::RunOptions;
 use abd_hfl::core::runner::{run_prepared_with, Experiment, TrainWorkspace};
 use abd_hfl::faults::FaultPlan;
 use abd_hfl::ml::loss::{argmax, predict, softmax_in_place, NEAR_TIE};
@@ -2248,7 +2248,7 @@ fn whole_runs_identical_at_all_thread_counts() {
                     (manifest, nu)
                 }
                 None => {
-                    let exp = Experiment::prepare(&cfg);
+                    let exp = Experiment::try_prepare(&cfg).expect("a valid config");
                     (run_prepared_with(&exp, &telem).manifest, vec![])
                 }
             };
@@ -2323,9 +2323,9 @@ fn crafted_slots_skip_training_and_the_round_reads_as_before() {
 
     let round = 2;
     for (name, cfg, adaptive, pipelined) in cases {
-        let exp = Experiment::prepare(&cfg);
+        let exp = Experiment::try_prepare(&cfg).expect("a valid config");
         let global = exp.template.params().to_vec();
-        let slots = exp.cohort(round).len();
+        let slots = exp.hierarchy.num_clients();
         // Every fifth slot sits out (slots 0, 5, 10, 15 are malicious
         // under the prefix placement), every fifth after it starts from
         // an older model.
@@ -2404,7 +2404,7 @@ fn the_level_loop_reads_in_place_what_the_per_level_copy_held() {
     ];
     wide.flag_level = 1;
     for (name, cfg) in [("clusters of 4", paper), ("clusters of 16", wide)] {
-        let exp = Experiment::prepare(&cfg);
+        let exp = Experiment::try_prepare(&cfg).expect("a valid config");
         let global = exp.template.params().to_vec();
         let mut engine = RoundEngine::for_experiment(&exp);
         let (mut updates, mut ws, mut got) = (Vec::new(), TrainWorkspace::default(), Vec::new());
@@ -2491,7 +2491,8 @@ fn the_star_on_the_engine_reads_as_the_retired_vanilla_loop() {
             };
             for rule in &rules {
                 let want = retired::vanilla(&cfg, rule);
-                let got = run(&cfg.star(rule.clone())).accuracy;
+                let got = RunOptions::new().try_run(&cfg.star(rule.clone()));
+                let got = got.expect("a valid config").result.accuracy;
                 assert_eq!(
                     bits(&got),
                     bits(&want),
@@ -2573,7 +2574,8 @@ mod retired {
         starts: &[Vec<f32>],
     ) -> Vec<Vec<f32>> {
         let cfg = exp.config();
-        let cohort = exp.cohort(round);
+        let mut cohort = Vec::new();
+        exp.cohort_into(round, &mut cohort);
         let start_of = |slot: usize| starts.get(slot).map_or(global, Vec::as_slice);
         let mut updates: Vec<Vec<f32>> = cohort
             .iter()
@@ -2659,7 +2661,7 @@ mod retired {
     /// empties and aggregates the rest with `rule` in client order; the
     /// accuracy at every evaluation point.
     pub fn vanilla(cfg: &HflConfig, rule: &AggregatorKind) -> Vec<(usize, f64)> {
-        let exp = Experiment::prepare(cfg);
+        let exp = Experiment::try_prepare(cfg).expect("a valid config");
         let agg = rule.build();
         let mut global = exp.template.params().to_vec();
         let (mut updates, mut ws, mut active) = (Vec::new(), TrainWorkspace::default(), vec![]);

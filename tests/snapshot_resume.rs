@@ -13,10 +13,9 @@
 
 use abd_hfl::attacks::{AdaptiveAttack, ModelAttack, Placement, ProtocolAttack};
 use abd_hfl::core::config::{AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg};
-use abd_hfl::core::run::{resume, resume_with};
 use abd_hfl::core::runner::{
     base_config_hash, resume_prepared_with, run_prepared_snapshotting, run_prepared_with,
-    Experiment, ResumeError,
+    Experiment, ResumeError, RunOutput,
 };
 use abd_hfl::faults::FaultPlan;
 use abd_hfl::ml::synth::SynthConfig;
@@ -115,7 +114,7 @@ const HORIZONS: [(usize, usize); 2] = [(4, 2), (20, 10)];
 
 /// Straight-through run + the snapshot captured at round `at`.
 fn run_and_capture(cfg: &HflConfig, at: usize) -> (String, EngineSnapshot) {
-    let exp = Experiment::prepare(cfg);
+    let exp = Experiment::try_prepare(cfg).expect("a valid fixture");
     let (telem, _rec) = Telemetry::recording();
     let (straight, snapshots) = run_prepared_snapshotting(&exp, &telem, at);
     let snap = snapshots
@@ -128,10 +127,16 @@ fn run_and_capture(cfg: &HflConfig, at: usize) -> (String, EngineSnapshot) {
 /// Resumes `snap` under `cfg` (fresh preparation, fresh telemetry) and
 /// returns the final manifest JSON.
 fn resume_manifest(cfg: &HflConfig, snap: &EngineSnapshot) -> String {
-    let exp = Experiment::prepare(cfg);
+    let exp = Experiment::try_prepare(cfg).expect("a valid fixture");
     let (telem, _rec) = Telemetry::recording();
     let run = resume_prepared_with(&exp, &telem, snap).expect("resume must be accepted");
     run.manifest.to_json()
+}
+
+/// Resumes `snap` under a fresh preparation of `cfg`, telemetry off.
+fn resume_under(cfg: &HflConfig, snap: &EngineSnapshot) -> Result<RunOutput, ResumeError> {
+    let exp = Experiment::try_prepare(cfg).expect("a valid fixture");
+    resume_prepared_with(&exp, &Telemetry::disabled(), snap)
 }
 
 fn assert_resume_identical(name: &str, cfg: &HflConfig) {
@@ -211,15 +216,14 @@ fn resume_rejects_a_mismatched_layer_list() {
             layers,
             ..snap.clone()
         };
-        match resume(&bad, &cfg) {
+        match resume_under(&cfg, &bad) {
             Err(ResumeError::ConfigMismatch { .. }) => {}
             other => panic!("{what}: expected a config mismatch, got {other:?}"),
         }
     }
 }
 
-/// The public `run::resume` entry continues a checkpoint under a
-/// horizon-*extended* config: only `rounds`/`eval_every` may differ
+/// Resume continues a checkpoint under a horizon-*extended* config: only `rounds`/`eval_every` may differ
 /// from the capture config (same `base_config_hash`).
 #[test]
 fn resume_extends_the_horizon() {
@@ -230,15 +234,17 @@ fn resume_extends_the_horizon() {
     longer.rounds = 6;
     assert_eq!(base_config_hash(&cfg), base_config_hash(&longer));
 
-    let extended = resume(&snap, &longer).expect("horizon extension must resume");
+    let extended = resume_under(&longer, &snap).expect("horizon extension must resume");
     let (telem, _rec) = Telemetry::recording();
-    let straight = run_prepared_with(&Experiment::prepare(&longer), &telem);
+    let exp = Experiment::try_prepare(&longer).expect("a valid fixture");
+    let straight = run_prepared_with(&exp, &telem).result;
+    let extended = extended.result;
     assert_eq!(
-        extended.final_accuracy, straight.result.final_accuracy,
+        extended.final_accuracy, straight.final_accuracy,
         "extended resume must land where the straight 6-round run lands"
     );
-    assert_eq!(extended.messages, straight.result.messages);
-    assert_eq!(extended.bytes, straight.result.bytes);
+    assert_eq!(extended.messages, straight.messages);
+    assert_eq!(extended.bytes, straight.bytes);
 }
 
 #[test]
@@ -246,7 +252,7 @@ fn resume_rejects_a_version_skew() {
     let cfg = clean_fixture();
     let (_, mut snap) = run_and_capture(&cfg, 2);
     snap.version = SNAPSHOT_VERSION + 1;
-    match resume(&snap, &cfg) {
+    match resume_under(&cfg, &snap) {
         Err(ResumeError::Version { found }) => assert_eq!(found, SNAPSHOT_VERSION + 1),
         other => panic!("expected a version error, got {other:?}"),
     }
@@ -260,7 +266,7 @@ fn resume_rejects_a_foreign_config() {
     let mut other = cfg.clone();
     other.seed = 999;
     assert!(matches!(
-        resume(&snap, &other),
+        resume_under(&other, &snap),
         Err(ResumeError::ConfigMismatch { .. })
     ));
 }
@@ -271,19 +277,17 @@ fn resume_rejects_a_truncated_model() {
     let (_, mut snap) = run_and_capture(&cfg, 2);
     snap.model.truncate(snap.model.len() / 2);
     assert!(matches!(
-        resume(&snap, &cfg),
+        resume_under(&cfg, &snap),
         Err(ResumeError::Corrupt { .. })
     ));
 }
 
-/// `resume_with` seeds the snapshot's metric accumulators into a fresh
+/// Resume seeds the snapshot's metric accumulators into a fresh
 /// registry: the resumed manifest's metric rows equal the straight
 /// run's, not just the model/accounting fields.
 #[test]
 fn resumed_metrics_match_straight_through() {
     let cfg = armed_fixture();
     let (straight_json, snap) = run_and_capture(&cfg, 2);
-    let (telem, _rec) = Telemetry::recording();
-    let run = resume_with(&snap, &cfg, &telem).expect("resume must be accepted");
-    assert_eq!(straight_json, run.manifest.to_json());
+    assert_eq!(straight_json, resume_manifest(&cfg, &snap));
 }

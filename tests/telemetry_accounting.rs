@@ -15,11 +15,11 @@ use abd_hfl::core::run::RunOptions;
 use abd_hfl::robust::AggregatorKind;
 use abd_hfl::telemetry::{Event, Telemetry};
 
-fn run_abd_hfl_with(
-    cfg: &abd_hfl::core::HflConfig,
-    telem: &Telemetry,
-) -> abd_hfl::core::InstrumentedRun {
-    RunOptions::new().telemetry(telem).run(cfg).into_sync()
+fn run_abd_hfl_with(cfg: &abd_hfl::core::HflConfig, telem: &Telemetry) -> abd_hfl::core::RunOutput {
+    RunOptions::new()
+        .telemetry(telem)
+        .try_run(cfg)
+        .expect("a valid config")
 }
 
 /// An all-BRA configuration where every message is countable exactly:
