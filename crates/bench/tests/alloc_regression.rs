@@ -63,7 +63,7 @@
 //! `#[test]`s serialize on [`COUNTER`].
 
 use abd_hfl_core::config::{
-    AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg, SamplingCfg, TopologyCfg,
+    AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg, ModelCfg, SamplingCfg, TopologyCfg,
 };
 use abd_hfl_core::engine::cost::CostCounters;
 use abd_hfl_core::engine::RoundEngine;
@@ -97,6 +97,15 @@ fn bra_fixture(seed: u64) -> HflConfig {
     for level in cfg.levels.iter_mut() {
         *level = LevelAgg::Bra(AggregatorKind::MultiKrum { f: 1, m: 3 });
     }
+    cfg
+}
+
+/// [`bra_fixture`] training and scoring `agg_wide`'s MLP: the hidden
+/// layer's class-major block and its gather into sample rows run in the
+/// scratch the linear model's step leaves unused.
+fn mlp_fixture(seed: u64) -> HflConfig {
+    let mut cfg = bra_fixture(seed);
+    cfg.model = ModelCfg::Mlp { hidden: 64 };
     cfg
 }
 
@@ -268,6 +277,7 @@ fn steady_state_rounds_allocate_nothing() {
         ("faulted", faulted_fixture(12), None, NOTHING),
         ("deadline", deadline_fixture(14), None, NOTHING),
         ("pipelined", deadline_fixture(15), pipelined(), NOTHING),
+        ("mlp", mlp_fixture(19), None, NOTHING),
     ]);
 }
 

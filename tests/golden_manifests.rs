@@ -1,8 +1,9 @@
 //! Golden-manifest regression tests for the round engine.
 //!
 //! Each fixture freezes one round path — clean, faulted, armed,
-//! withholding, deadline-driven, sampled, and all three engine layers
-//! at once (combined): the committed files under
+//! withholding, deadline-driven, sampled, all three engine layers at
+//! once (combined), and the MLP's training and scoring (mlp): the
+//! committed files under
 //! `tests/golden/` hold the manifest JSON, the structured-event
 //! stream and the final model's fingerprint (parameter count and the
 //! FNV-1a hash of the parameters' bits) of a small same-seed run, and
@@ -29,7 +30,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use abd_hfl::attacks::{AdaptiveAttack, ModelAttack, Placement, ProtocolAttack};
-use abd_hfl::core::config::{AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg, SamplingCfg};
+use abd_hfl::core::config::{AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg, ModelCfg, SamplingCfg};
 use abd_hfl::core::runner::{run_prepared_with, Experiment, RunOutput};
 use abd_hfl::faults::FaultPlan;
 use abd_hfl::ml::synth::SynthConfig;
@@ -180,6 +181,25 @@ fn combined_fixture() -> HflConfig {
     cfg
 }
 
+/// The "DNN model" path: `agg_wide`'s one-hidden-layer MLP (64 units),
+/// all-Multi-Krum levels and ALIE at 20 %, at this file's size. The only
+/// fixture whose `model.txt` pins the hidden layer's forward, the
+/// output layer's and the backward pass through both.
+fn mlp_fixture() -> HflConfig {
+    let mut cfg = base(
+        AttackCfg::Model {
+            attack: ModelAttack::Alie { z: 1.0 },
+            proportion: 0.2,
+            placement: Placement::Prefix,
+        },
+        2031,
+    );
+    cfg.model = ModelCfg::Mlp { hidden: 64 };
+    cfg.levels = vec![LevelAgg::Bra(AggregatorKind::MultiKrum { f: 1, m: 3 }); 3];
+    cfg.sgd.lr = 0.25;
+    cfg
+}
+
 /// Runs a fixture with a recording telemetry bundle, returning the run
 /// plus the rendered event stream (one debug-formatted event per line).
 fn run_fixture(cfg: &HflConfig) -> (RunOutput, String) {
@@ -286,6 +306,11 @@ fn async_round_path_matches_golden() {
 #[test]
 fn sampled_round_path_matches_golden() {
     check_golden("sampled", &sampled_fixture());
+}
+
+#[test]
+fn mlp_round_path_matches_golden() {
+    check_golden("mlp", &mlp_fixture());
 }
 
 #[test]
