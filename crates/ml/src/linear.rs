@@ -6,7 +6,7 @@
 
 use std::ops::Range;
 
-use hfl_tensor::ops::{self, Panel, Width};
+use hfl_tensor::ops::{self, Width};
 use rand::rngs::StdRng;
 
 use crate::dataset::Dataset;
@@ -14,7 +14,7 @@ use crate::loss::{
     ce_grad_columns, cross_entropy, decide, norm, predict, scale_into_bias, softmax_columns,
     softmax_in_place, softmax_rows, Certificate,
 };
-use crate::model::{for_each_block, BatchScratch, Dense, Model, BLOCK};
+use crate::model::{for_each_block, sample_rows, BatchScratch, Model, BLOCK};
 
 /// Softmax regression with weights `W (k×d)` and bias `b (k)`, stored
 /// flat as `[W row 0, W row 1, ..., b]`.
@@ -50,14 +50,14 @@ impl LinearSoftmax {
 
     /// Writes class probabilities for `x` into `probs`.
     pub fn forward(&self, x: &[f32], probs: &mut [f32]) {
-        self.layer(&mut Panel::default(), 1).forward(&[x], probs);
+        let (w, bias) = self.parts();
+        ops::affine_rows(w, bias, x, probs);
         softmax_in_place(probs);
     }
 
-    /// The model's one layer, bound to a call over `inputs` inputs.
-    fn layer<'a>(&'a self, panel: &'a mut Panel, inputs: usize) -> Dense<'a> {
-        let (w, bias) = self.theta.split_at(self.classes * self.dim);
-        Dense::new(w, bias, panel, inputs)
+    /// `(W, b)`.
+    fn parts(&self) -> (&[f32], &[f32]) {
+        self.theta.split_at(self.classes * self.dim)
     }
 
     /// [`Model::count_correct_each`] with every kernel at `width` and
@@ -96,10 +96,9 @@ impl LinearSoftmax {
 
     /// The ballot: stage 1, the stacked `f32` panel's approximate dot
     /// products ([`ops::forward_approx`]); stage 2, [`decide`] per
-    /// proposal; then the block's samples with a pair left open through
-    /// the exact forward over the same panel (the `f32` weights widened
-    /// as they are loaded, bit for bit the `f64` panel's logits) and
-    /// [`predict`] on each open pair.
+    /// proposal; then, per proposal, the block's samples it left open
+    /// through the exact forward ([`ops::forward_class_major_at`])
+    /// straight from its borrowed θ, and [`predict`] on each.
     #[allow(clippy::too_many_arguments)]
     fn score_ballot(
         &self,
@@ -123,13 +122,14 @@ impl LinearSoftmax {
         let (classes, weights) = (self.classes, self.classes * self.dim);
         let stacked = k * classes;
         let BatchScratch { probs, ballot, .. } = scratch;
-        // The block's approximate dots, the exact logits of its samples
-        // with an open pair, the stacked biases, each proposal's largest
-        // row norm.
-        probs.resize(2 * BLOCK * stacked + stacked + k, 0.0);
+        // The block's approximate dots, the stacked biases, each
+        // proposal's largest row norm, one proposal's exact logits of the
+        // samples it left open (class-major) and one sample's.
+        probs.resize(BLOCK * stacked + stacked + k + (BLOCK + 1) * classes, 0.0);
         let (dots, rest) = probs.split_at_mut(BLOCK * stacked);
-        let (exact, rest) = rest.split_at_mut(BLOCK * stacked);
-        let (bias, w_norms) = rest.split_at_mut(stacked);
+        let (bias, rest) = rest.split_at_mut(stacked);
+        let (w_norms, exact) = rest.split_at_mut(k);
+        let (exact, row) = exact.split_at_mut(BLOCK * classes);
         for ((b, w_norm), theta) in bias
             .chunks_exact_mut(classes)
             .zip(&mut *w_norms)
@@ -166,8 +166,8 @@ impl LinearSoftmax {
                     (),
                 )
                 .expect("the width is detected");
-            let decide_at = |p: usize| {
-                width
+            for (p, (h, theta)) in hits.iter_mut().zip(thetas).enumerate() {
+                let decided = width
                     .run(
                         #[inline(always)]
                         |(dots, bias, w_norm), (x_norms, ys), cert, _| {
@@ -181,48 +181,38 @@ impl LinearSoftmax {
                         (&x_norms, ys),
                         cert,
                     )
-                    .expect("the width is detected")
-            };
-            // Samples with a pair the certificate leaves open.
-            let mut open = 0;
-            for (p, h) in hits.iter_mut().enumerate() {
-                let decided = decide_at(p);
+                    .expect("the width is detected");
                 *h += decided.hits;
-                open |= decided.undecided;
                 if let Some(certified) = certified.as_deref_mut() {
                     for s in 0..n {
                         certified[(done + s) * k + p] =
                             (decided.undecided >> s & 1 == 0).then_some(decided.class[s] as u8);
                     }
                 }
-            }
-            done += n;
-            if open == 0 {
-                return;
-            }
-            let (mut some, mut at, mut m) = ([&[][..]; BLOCK], [0; BLOCK], 0);
-            for (s, x) in xs.iter().enumerate() {
-                if open >> s & 1 == 1 {
-                    (some[m], at[m]) = (*x, s);
-                    m += 1;
+                if decided.undecided == 0 {
+                    continue;
                 }
-            }
-            let exact = &mut exact[..m * stacked];
-            ops::forward_block_at(width, ballot, bias, &some[..m], exact)
-                .expect("the width is detected");
-            // Which of a sample's pairs are open is decided again, not
-            // kept: a block with an open pair is rare, and the masks of
-            // every proposal would need a buffer of the ballot's length.
-            for (p, h) in hits.iter_mut().enumerate() {
-                let undecided = decide_at(p).undecided;
-                for (sample, s) in exact.chunks_exact_mut(stacked).zip(&at[..m]) {
-                    if undecided >> s & 1 == 1 {
-                        let logits = &mut sample[p * classes..(p + 1) * classes];
-                        *h += usize::from(predict(logits) as u8 == ys[*s]);
-                        fallbacks += 1;
+                // The samples the certificate leaves open, made exactly.
+                let (mut open, mut at, mut m) = ([&[][..]; BLOCK], [0; BLOCK], 0);
+                for (s, x) in xs.iter().enumerate() {
+                    if decided.undecided >> s & 1 == 1 {
+                        (open[m], at[m]) = (*x, s);
+                        m += 1;
                     }
                 }
+                let (w, b) = theta.split_at(weights);
+                let logits = &mut exact[..m * classes];
+                ops::forward_class_major_at(width, w, b, &open[..m], logits)
+                    .expect("the width is detected");
+                for (i, s) in at[..m].iter().enumerate() {
+                    for (v, class) in row.iter_mut().zip(logits.chunks_exact(m)) {
+                        *v = class[i];
+                    }
+                    *h += usize::from(predict(row) as u8 == ys[*s]);
+                }
+                fallbacks += m;
             }
+            done += n;
         });
         Some(fallbacks)
     }
@@ -262,9 +252,10 @@ impl Model for LinearSoftmax {
     }
 
     fn predict(&self, x: &[f32], scratch: &mut BatchScratch) -> u8 {
-        let BatchScratch { probs, panels, .. } = scratch;
+        let (w, bias) = self.parts();
+        let probs = &mut scratch.probs;
         probs.resize(self.classes, 0.0);
-        self.layer(&mut panels[0], 1).forward(&[x], probs);
+        ops::affine_rows(w, bias, x, probs);
         predict(probs) as u8
     }
 
@@ -282,7 +273,7 @@ impl Model for LinearSoftmax {
     /// One `f32` panel of all the weight matrices stacked (four
     /// proposals of ten classes: 40 rows) and one approximate pass per
     /// block of rows, which decides nearly every prediction; the rest
-    /// are made exactly, over the same panel (DESIGN.md §15, "A ballot
+    /// are made exactly, proposal by proposal (DESIGN.md §15, "A ballot
     /// is decided in f32").
     fn count_correct_each(
         &self,
@@ -299,8 +290,7 @@ impl Model for LinearSoftmax {
     /// One block at a time, class-major from the logits to the rank
     /// update ([`ops::forward_class_major`], [`softmax_columns`], the
     /// errors and bias gradient in place,
-    /// [`ops::rank_update_class_major`]); a block of one input takes
-    /// [`ops::affine_rows`], whose single output row is the same layout.
+    /// [`ops::rank_update_class_major`]).
     fn grad_batch_with(
         &self,
         data: &Dataset,
@@ -315,15 +305,12 @@ impl Model for LinearSoftmax {
         let classes = self.classes;
         let probs = &mut scratch.probs;
         probs.resize(BLOCK * classes, 0.0);
-        let (w, bias) = self.theta.split_at(classes * self.dim);
+        let (w, bias) = self.parts();
         let (grad_w, grad_b) = grad.split_at_mut(classes * self.dim);
         for_each_block(data, indices.iter().copied(), |xs, ys| {
             let n = xs.len();
             let err = &mut probs[..n * classes];
-            match xs {
-                [x] => ops::affine_rows(w, bias, x, err),
-                _ => ops::forward_class_major(w, bias, xs, err),
-            }
+            ops::forward_class_major(w, bias, xs, err);
             softmax_columns(err, n);
             ce_grad_columns(err, ys);
             // dL/dW_c = err_c * x ; dL/db_c = err_c
@@ -334,15 +321,18 @@ impl Model for LinearSoftmax {
     }
 
     fn mean_loss(&self, data: &Dataset, indices: &[usize], scratch: &mut BatchScratch) -> f64 {
-        let BatchScratch { probs, panels, .. } = scratch;
-        probs.resize(BLOCK * self.classes, 0.0);
-        let layer = self.layer(&mut panels[0], indices.len());
+        let ((w, bias), classes) = (self.parts(), self.classes);
+        let probs = &mut scratch.probs;
+        probs.resize(2 * BLOCK * classes, 0.0);
+        let (logits, by_sample) = probs.split_at_mut(BLOCK * classes);
         let mut loss = 0.0f64;
         for_each_block(data, indices.iter().copied(), |xs, ys| {
-            let probs = &mut probs[..xs.len() * self.classes];
-            layer.forward(xs, probs);
-            softmax_rows(probs, self.classes);
-            for (p, y) in probs.chunks_exact(self.classes).zip(ys) {
+            let n = xs.len();
+            let (logits, probs) = (&mut logits[..n * classes], &mut by_sample[..n * classes]);
+            ops::forward_class_major(w, bias, xs, logits);
+            sample_rows(logits, n, probs);
+            softmax_rows(probs, classes);
+            for (p, y) in probs.chunks_exact(classes).zip(ys) {
                 loss += cross_entropy(p, *y);
             }
         });

@@ -6,13 +6,13 @@ use std::ops::Range;
 use rand::rngs::StdRng;
 
 use hfl_tensor::init;
-use hfl_tensor::ops::{self, Panel};
+use hfl_tensor::ops;
 
 use crate::dataset::Dataset;
 use crate::loss::{
     ce_grad_columns, cross_entropy, predict, scale_into_bias, softmax_columns, softmax_rows,
 };
-use crate::model::{for_each_block, rows_of, BatchScratch, Dense, Model, BLOCK};
+use crate::model::{for_each_block, rows_of, sample_rows, BatchScratch, Model, BLOCK};
 
 /// MLP `dim → hidden (ReLU) → classes (softmax)`.
 ///
@@ -76,28 +76,21 @@ impl Mlp {
         [w1, b1, w2, b2]
     }
 
-    /// The model's two layers, bound to a call over `inputs` inputs.
-    fn layers<'a>(&'a self, panels: &'a mut [Panel; 2], inputs: usize) -> [Dense<'a>; 2] {
+    /// Forward pass of one block: the hidden layer class-major into
+    /// `units`, its activations (post-ReLU) gathered into sample rows
+    /// `h`, and the logits class-major into `logits`.
+    fn forward(&self, xs: &[&[f32]], units: &mut [f32], h: &mut [f32], logits: &mut [f32]) {
         let [w1, b1, w2, b2] = self.parts();
-        let [p1, p2] = panels;
-        [
-            Dense::new(w1, b1, p1, inputs),
-            Dense::new(w2, b2, p2, inputs),
-        ]
+        // h = relu(W1 x + b1)
+        ops::forward_class_major(w1, b1, xs, units);
+        for z in units.iter_mut() {
+            *z = z.max(0.0);
+        }
+        sample_rows(units, xs.len(), h);
+        // logits = W2 h + b2
+        let hs = rows_of(h, self.hidden);
+        ops::forward_class_major(w2, b2, &hs[..xs.len()], logits);
     }
-}
-
-/// Forward pass of one block: hidden activations (post-ReLU) into `h`,
-/// logits into `logits`.
-fn forward(layers: &[Dense; 2], xs: &[&[f32]], h: &mut [f32], logits: &mut [f32]) {
-    // h = relu(W1 x + b1)
-    layers[0].forward(xs, h);
-    for z in h.iter_mut() {
-        *z = z.max(0.0);
-    }
-    // logits = W2 h + b2
-    let hs = rows_of(h, h.len() / xs.len());
-    layers[1].forward(&hs[..xs.len()], logits);
 }
 
 impl Model for Mlp {
@@ -122,12 +115,13 @@ impl Model for Mlp {
         let BatchScratch {
             probs,
             hidden,
-            panels,
+            dhidden,
             ..
         } = scratch;
         hidden.resize(self.hidden, 0.0);
+        dhidden.resize(self.hidden, 0.0);
         probs.resize(self.classes, 0.0);
-        forward(&self.layers(panels, 1), &[x], hidden, probs);
+        self.forward(&[x], dhidden, hidden, probs);
         predict(probs) as u8
     }
 
@@ -137,31 +131,36 @@ impl Model for Mlp {
         rows: Range<usize>,
         scratch: &mut BatchScratch,
     ) -> usize {
+        let (hid, classes) = (self.hidden, self.classes);
         let BatchScratch {
             probs,
             hidden,
-            panels,
+            dhidden,
             ..
         } = scratch;
-        hidden.resize(BLOCK * self.hidden, 0.0);
-        probs.resize(BLOCK * self.classes, 0.0);
-        let layers = self.layers(panels, rows.len());
+        hidden.resize(BLOCK * hid, 0.0);
+        dhidden.resize(BLOCK * hid, 0.0);
+        probs.resize(2 * BLOCK * classes, 0.0);
+        let (logits, by_sample) = probs.split_at_mut(BLOCK * classes);
         let mut hits = 0;
         for_each_block(data, rows, |xs, ys| {
-            let logits = &mut probs[..xs.len() * self.classes];
-            forward(&layers, xs, &mut hidden[..xs.len() * self.hidden], logits);
-            let classes = logits.chunks_exact_mut(self.classes).map(predict);
-            hits += classes.zip(ys).filter(|(c, y)| *c as u8 == **y).count();
+            let n = xs.len();
+            let (logits, by_sample) = (&mut logits[..n * classes], &mut by_sample[..n * classes]);
+            self.forward(xs, &mut dhidden[..n * hid], &mut hidden[..n * hid], logits);
+            sample_rows(logits, n, by_sample);
+            let predicted = by_sample.chunks_exact_mut(classes).map(predict);
+            hits += predicted.zip(ys).filter(|(c, y)| *c as u8 == **y).count();
         });
         hits
     }
 
-    /// The hidden layer through its panel ([`ops::forward_block`]), the
-    /// output layer class-major from its logits to its rank update
-    /// ([`ops::forward_class_major`], [`softmax_columns`], the errors
-    /// and bias gradient in place, [`ops::rank_update_class_major`]);
-    /// `dh = W2ᵀ·err` reads the same class-major errors as the
-    /// coefficients of a rank update with samples as rows.
+    /// Both layers through [`ops::forward_class_major`], the hidden
+    /// activations gathered into sample rows once per block; the output
+    /// layer class-major from its logits to its rank update
+    /// ([`softmax_columns`], the errors and bias gradient in place,
+    /// [`ops::rank_update_class_major`]); `dh = W2ᵀ·err` reads the same
+    /// class-major errors as the coefficients of a rank update with
+    /// samples as rows.
     fn grad_batch_with(
         &self,
         data: &Dataset,
@@ -178,46 +177,32 @@ impl Model for Mlp {
             probs,
             hidden,
             dhidden,
-            panels,
             ..
         } = scratch;
         probs.resize(BLOCK * classes, 0.0);
         hidden.resize(BLOCK * hid, 0.0);
         dhidden.resize(BLOCK * hid, 0.0);
-        let [w1, b1, w2, b2] = self.parts();
-        let layer1 = Dense::new(w1, b1, &mut panels[0], indices.len());
+        let w2 = self.parts()[2];
         let (grad_w1, rest) = grad.split_at_mut(self.off_b1());
         let (grad_b1, rest) = rest.split_at_mut(hid);
         let (grad_w2, grad_b2) = rest.split_at_mut(classes * hid);
         for_each_block(data, indices.iter().copied(), |xs, ys| {
             let n = xs.len();
-            // h = relu(W1 x + b1)
-            let h = &mut hidden[..n * hid];
-            layer1.forward(xs, h);
-            for z in h.iter_mut() {
-                *z = z.max(0.0);
-            }
-            let hs = rows_of(h, hid);
-            let hs = &hs[..n];
-            // logits = W2 h + b2, class-major
+            let (h, dh) = (&mut hidden[..n * hid], &mut dhidden[..n * hid]);
             let err = &mut probs[..n * classes];
-            match hs {
-                [h] => ops::affine_rows(w2, b2, h, err),
-                _ => ops::forward_class_major(w2, b2, hs, err),
-            }
+            self.forward(xs, dh, h, err);
             softmax_columns(err, n);
             // err becomes dL/dlogits
             ce_grad_columns(err, ys);
             // dh = W2ᵀ err — sample s is row s, class c the c-th input —
             // gated by ReLU
-            let dh = &mut dhidden[..n * hid];
             ops::zero(dh);
             for (w2, err) in w2.chunks(BLOCK * hid).zip(err.chunks(BLOCK * n)) {
                 ops::rank_update(dh, err, &rows_of(w2, hid)[..w2.len() / hid], false);
             }
             // dL/dW2_c = err_c ⊗ h, dL/db2_c = err_c
             scale_into_bias(err, n, inv_n, grad_b2);
-            ops::rank_update_class_major(grad_w2, err, hs, false);
+            ops::rank_update_class_major(grad_w2, err, &rows_of(h, hid)[..n], false);
             // dL/dW1_j = dh_j ⊗ x ; dL/db1_j = dh_j
             for (dh, h) in dh.chunks_exact_mut(hid).zip(h.chunks_exact(hid)) {
                 for ((dj, hj), b) in dh.iter_mut().zip(h).zip(grad_b1.iter_mut()) {
@@ -231,20 +216,23 @@ impl Model for Mlp {
     }
 
     fn mean_loss(&self, data: &Dataset, indices: &[usize], scratch: &mut BatchScratch) -> f64 {
+        let (hid, classes) = (self.hidden, self.classes);
         let BatchScratch {
             probs,
             hidden,
-            panels,
+            dhidden,
             ..
         } = scratch;
-        hidden.resize(BLOCK * self.hidden, 0.0);
-        probs.resize(BLOCK * self.classes, 0.0);
-        let layers = self.layers(panels, indices.len());
+        hidden.resize(BLOCK * hid, 0.0);
+        dhidden.resize(BLOCK * hid, 0.0);
+        probs.resize(2 * BLOCK * classes, 0.0);
+        let (logits, by_sample) = probs.split_at_mut(BLOCK * classes);
         let mut loss = 0.0f64;
         for_each_block(data, indices.iter().copied(), |xs, ys| {
-            let (n, classes) = (xs.len(), self.classes);
-            let probs = &mut probs[..n * classes];
-            forward(&layers, xs, &mut hidden[..n * self.hidden], probs);
+            let n = xs.len();
+            let (logits, probs) = (&mut logits[..n * classes], &mut by_sample[..n * classes]);
+            self.forward(xs, &mut dhidden[..n * hid], &mut hidden[..n * hid], logits);
+            sample_rows(logits, n, probs);
             softmax_rows(probs, classes);
             for (p, y) in probs.chunks_exact(classes).zip(ys) {
                 loss += cross_entropy(p, *y);

@@ -2,7 +2,7 @@
 
 use std::ops::Range;
 
-use hfl_tensor::ops::{self, Panel};
+use hfl_tensor::ops::Panel;
 use rand::rngs::StdRng;
 
 use crate::dataset::Dataset;
@@ -18,64 +18,25 @@ pub(crate) const BLOCK: usize = 32;
 /// is free once capacity has grown.
 #[derive(Clone, Debug, Default)]
 pub struct BatchScratch {
-    /// Logits of a block, then its class probabilities and output
-    /// errors in place (`BLOCK × classes`, class-major in a training
-    /// step; scoring several θ at once, their stacked approximate dots,
-    /// the exact logits of the samples with a pair left open, the
-    /// stacked biases and each θ's largest row norm).
+    /// Logits of a block, class-major, then its class probabilities and
+    /// output errors in place (`BLOCK × classes`), followed where a
+    /// prediction or a loss reads them by input by the same block in
+    /// sample rows. Scoring several θ at once: their stacked approximate
+    /// dots, the stacked biases, each θ's largest row norm, one θ's exact
+    /// logits of the samples its pass left open (class-major) and one
+    /// sample's.
     pub probs: Vec<f32>,
-    /// Hidden activations of a block (MLP only).
+    /// Hidden activations of a block in sample rows, the output layer's
+    /// inputs (MLP only).
     pub hidden: Vec<f32>,
-    /// Hidden-layer gradient of a block (MLP only).
+    /// The hidden layer's class-major block before it is gathered into
+    /// `hidden`, then the block's hidden-layer gradient (MLP only).
     pub dhidden: Vec<f32>,
-    /// The model's weight matrices as [`Panel`]s, first layer first (the
-    /// second is the MLP's output layer). Refilled by every call that
-    /// applies one θ to more than one input and never read across
-    /// calls, so whatever an earlier call — or another model — left
-    /// here is never seen.
-    pub(crate) panels: [Panel; 2],
     /// A ballot's weight matrices stacked in `f32`, read by its
-    /// approximate pass and, for the pairs that pass leaves open, by the
-    /// exact one (`LinearSoftmax::count_correct_each`); refilled like the
-    /// others.
-    pub(crate) ballot: Panel<f32>,
-}
-
-/// One dense layer `out = W x + bias` bound to the inputs of one call:
-/// `panel` is filled from `w` when the call applies the weights to more
-/// than one input, and left alone for a single input — a refill costs
-/// more than the one forward pass it would speed up. Both kernels
-/// produce the same bits.
-pub(crate) struct Dense<'a> {
-    w: &'a [f32],
-    bias: &'a [f32],
-    panel: &'a Panel,
-    filled: bool,
-}
-
-impl<'a> Dense<'a> {
-    pub(crate) fn new(w: &'a [f32], bias: &'a [f32], panel: &'a mut Panel, inputs: usize) -> Self {
-        let filled = inputs > 1;
-        if filled {
-            panel.fill([w], bias.len(), w.len() / bias.len());
-        }
-        Self {
-            w,
-            bias,
-            panel,
-            filled,
-        }
-    }
-
-    /// `out[s * rows + r] = dot(w_r, xs[s]) as f32 + bias[r]` for one
-    /// block of the call's inputs.
-    pub(crate) fn forward(&self, xs: &[&[f32]], out: &mut [f32]) {
-        if self.filled {
-            ops::forward_block(self.panel, self.bias, xs, out);
-        } else {
-            ops::affine_rows(self.w, self.bias, xs[0], out);
-        }
-    }
+    /// approximate pass (`LinearSoftmax::count_correct_each`). Refilled
+    /// by every ballot and never read across calls, so whatever an
+    /// earlier call — or another model — left here is never seen.
+    pub(crate) ballot: Panel,
 }
 
 /// Calls `f(features, labels)` for each block of at most [`BLOCK`] of
@@ -96,6 +57,19 @@ pub(crate) fn for_each_block<'a>(
     }
     if n > 0 {
         f(&xs[..n], &ys[..n]);
+    }
+}
+
+/// A class-major block of `n` inputs (`block[r * n + s]`) gathered into
+/// sample rows (`rows[s * k + r]` for `k = block.len() / n`): the
+/// layout in which a prediction, a loss or the next layer reads one
+/// input's values.
+pub(crate) fn sample_rows(block: &[f32], n: usize, rows: &mut [f32]) {
+    let k = block.len() / n;
+    for (s, row) in rows.chunks_exact_mut(k).enumerate() {
+        for (v, class) in row.iter_mut().zip(block.chunks_exact(n)) {
+            *v = class[s];
+        }
     }
 }
 
@@ -151,8 +125,9 @@ pub trait Model: Send + Sync {
     /// [`Model::count_correct`] under each of several parameter vectors
     /// of this architecture — a validation voter's whole ballot:
     /// `hits[p]` becomes the count under `thetas[p]`. The provided body
-    /// loads one vector after another into a clone; a model whose first
-    /// layer stacks into one [`Panel`] streams `data[rows]` past it once.
+    /// loads one vector after another into a clone; a model whose weights
+    /// stack into one `f32` [`Panel`] streams `data[rows]` past it once
+    /// and makes exactly only the predictions that pass leaves open.
     fn count_correct_each(
         &self,
         thetas: &[&[f32]],
@@ -202,7 +177,7 @@ impl Clone for Box<dyn Model> {
 
 #[cfg(test)]
 mod tests {
-    //! The panel path of both models pinned, bit for bit, against a
+    //! The block path of both models pinned, bit for bit, against a
     //! per-sample reference that computes every dense layer as one
     //! sequential `dot` per output row — seeded loops, so the pin runs
     //! wherever `cargo test` does.
@@ -211,10 +186,10 @@ mod tests {
     use crate::linear::LinearSoftmax;
     use crate::loss::{argmax, ce_grad_in_place, cross_entropy, softmax_in_place};
     use crate::mlp::Mlp;
-    use hfl_tensor::ops::reference::affine_naive;
+    use hfl_tensor::ops::{self, reference::affine_naive};
 
     /// Batch sizes on both sides of the kernel selection: 1 takes the
-    /// single-input kernel, the rest refill a panel.
+    /// single-input kernel, the rest the class-major block.
     const BATCHES: [usize; 4] = [1, 2, 8, 32];
 
     /// `n` deterministic values in `[-3, 3.67)`; with `adversarial`,
@@ -327,7 +302,8 @@ mod tests {
     }
 
     /// A linear model at the paper's output width and an MLP whose
-    /// hidden layer spans two uneven panel tiles, with seeded parameters.
+    /// hidden layer ends in a single row (19: nine pairs and one), with
+    /// seeded parameters.
     fn models(seed: u64, d: usize) -> (LinearSoftmax, Mlp) {
         use rand::SeedableRng;
         let mut linear = LinearSoftmax::new(d, 10);
@@ -470,10 +446,10 @@ mod tests {
         }
     }
 
-    /// A panel is refilled by every call that reads one, so a scratch
+    /// Every call overwrites what it reads of a scratch, so a scratch
     /// carries nothing from one θ — or one model — to the next.
     #[test]
-    fn a_reused_scratch_never_serves_a_stale_or_foreign_panel() {
+    fn a_reused_scratch_carries_nothing_from_one_model_to_the_next() {
         let (mut linear, mlp) = models(5, 12);
         let data = dataset(5, 16, 12, 10, false);
         let indices: Vec<usize> = (0..8).collect();

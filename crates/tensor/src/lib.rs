@@ -5,11 +5,12 @@
 //! Everything in the federated-learning stack reduces to operations on flat
 //! `f32` parameter vectors: SGD steps are `axpy`, robust aggregation rules
 //! need pairwise squared distances and coordinate-wise order statistics,
-//! and the dense layers run a block of inputs through a weight panel.
+//! and the dense layers run a block of inputs through one class-major
+//! kernel.
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`ops`] | vector kernels, the dense layer's `Panel` / `forward_block` / `rank_update`, the training step's class-major `forward_class_major` / `rank_update_class_major` (lanes = inputs), the `f32` approximation `forward_approx` a ballot is decided from, the pairwise-distance fill `pairwise_dist_sq` over the block kernel `dist_sq_pairs` (a repeated row measured once, `RowGroups`), the ref-vector recycler `RefPool`, and the `Width` dispatch that runs them at the CPU's vector width |
+//! | [`ops`] | vector kernels, the one exact dense block forward `forward_class_major` (lanes = inputs; a single input through `affine_rows`) and the rank updates `rank_update` / `rank_update_class_major`, a ballot's stacked `f32` `Panel` and the approximation `forward_approx` it is decided from, the pairwise-distance fill `pairwise_dist_sq` over the block kernel `dist_sq_pairs` (a repeated row measured once, `RowGroups`), the ref-vector recycler `RefPool`, and the `Width` dispatch that runs them at the CPU's vector width |
 //! | [`stats`] | coordinate-wise median / trimmed mean on column tiles, scalar order statistics, the coordinate-wise variance `column_var_into` |
 //! | [`init`] | seeded parameter initializers, Box–Muller over raw words (scalar and lane-wise `gaussians_from_words`) |
 //! | [`math`] | `exp`, `ln` and the Box–Muller angle `cos 2πu` / `sin 2πu` in plain `+ − × ÷` (no libm, no FMA), `f32` and scalar `f64`, and the lane-wise `exp_in_place` |

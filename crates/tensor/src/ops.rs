@@ -72,8 +72,7 @@ const AFFINE_LANES: usize = 8;
 /// Dense layer `out[r] = dot(w_r, x) as f32 + bias[r]` for a single
 /// input, `w` row-major as the parameters are stored, one
 /// `x.len()`-long row per output. Several inputs under one `w` go
-/// through a [`Panel`] instead ([`forward_block`]); one input has
-/// nothing to amortise a panel refill over.
+/// through [`forward_class_major`], which hands a single input here.
 ///
 /// Rows are processed in lockstep blocks: every row keeps its own `f64`
 /// accumulator and visits coordinates in index order exactly as [`dot`]
@@ -141,11 +140,12 @@ fn affine_block<const L: usize>(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f
     }
 }
 
-/// Most output rows one [`Panel`] tile holds: sixteen `f64`
-/// accumulators for each of four inputs are eight of AVX-512's 32
-/// registers, which leaves room for the broadcast inputs and the column
-/// load. Narrower widths have 16 registers, which sixteen lanes would
-/// fill or overflow: a panel filled for them stops at eight.
+/// Most output rows one [`Panel`] tile holds: sixteen `f32` lanes are
+/// one AVX-512 register, so a full tile's two chains for each of four
+/// inputs are eight of its 32 registers, which leaves room for the
+/// broadcast inputs and the column load. Narrower widths have 16
+/// registers, which sixteen lanes would fill or overflow: a panel
+/// filled for them stops at eight.
 const PANEL_LANES: usize = 16;
 
 /// `acc + a · b` for `a`, `b` widened from `f32` — the one place a
@@ -185,13 +185,10 @@ fn binary_blocks(n: usize, max: usize) -> impl Iterator<Item = (usize, usize)> {
     })
 }
 
-/// A dense layer's weights prepared for [`forward_block`]: widened to
-/// `f64` once and stored feature-major, so the operands of one
-/// coordinate step — the same coordinate of every output row — are
-/// adjacent in memory instead of one row length apart. A `Panel<f32>`
-/// is the same layout over the `f32` values themselves: the operand of
-/// [`forward_approx`], and of [`forward_block`], which widens it as it
-/// loads it.
+/// A ballot's weight matrices prepared for [`forward_approx`]: stored
+/// feature-major, so the operands of one coordinate step — the same
+/// coordinate of every output row — are adjacent in memory instead of
+/// one row length apart.
 ///
 /// Rows are split into tiles of a power-of-two lane count, at most
 /// `PANEL_LANES` (`binary_blocks`: 10 rows → 8 + 2, 40 → 16 + 16 +
@@ -199,26 +196,25 @@ fn binary_blocks(n: usize, max: usize) -> impl Iterator<Item = (usize, usize)> {
 /// with a lane of zeros); the buffer is laid out
 /// `[tile][coordinate][lane]`, i.e. a tile of `L` lanes starting at row
 /// `r` occupies `data[r * cols..(r + L) * cols]` as `cols` groups of
-/// `L` lanes. Widening is exact, so a panel holds the very values the
-/// `f32` rows do.
+/// `L` lanes.
 ///
 /// A panel is a pure function of the weights it was last
 /// [`fill`](Panel::fill)ed from; refilling reuses the buffer, so a
-/// panel that has grown to its layer's size allocates nothing.
+/// panel that has grown to its ballot's size allocates nothing.
 #[derive(Clone, Debug, Default)]
-pub struct Panel<T = f64> {
+pub struct Panel {
     rows: usize,
     cols: usize,
     /// The tile cap of the last fill.
     lanes: usize,
-    data: Vec<T>,
+    data: Vec<f32>,
 }
 
-impl<T: From<f32> + Copy + Default> Panel<T> {
+impl Panel {
     /// Overwrites the panel with the row-major `rows × cols` matrices
     /// `mats` stacked in order — `mats.len() · rows` output rows, tiled
     /// as one matrix, so several models' layers go through
-    /// [`forward_block`] in one pass over the inputs.
+    /// [`forward_approx`] in one pass over the inputs.
     pub fn fill<'a, M>(&mut self, mats: M, rows: usize, cols: usize)
     where
         M: IntoIterator<Item = &'a [f32]>,
@@ -227,10 +223,9 @@ impl<T: From<f32> + Copy + Default> Panel<T> {
         self.fill_at(Width::widest(), mats, rows, cols)
     }
 
-    /// [`Panel::fill`] tiled for `width` instead of the one
-    /// [`forward_block`] runs at (which runs tiles of any size) — for
-    /// the differential tests, and for a caller that runs its kernels at
-    /// a width it was handed.
+    /// [`Panel::fill`] tiled for `width` instead of the widest the CPU
+    /// has — for the differential tests, and for a caller that runs its
+    /// kernels at a width it was handed.
     #[doc(hidden)]
     pub fn fill_at<'a, M>(&mut self, width: Width, mats: M, rows: usize, cols: usize)
     where
@@ -243,8 +238,7 @@ impl<T: From<f32> + Copy + Default> Panel<T> {
         self.lanes = if wide { PANEL_LANES } else { PANEL_LANES / 2 };
         // No `clear`: every element is overwritten below, so only a
         // growing panel pays for a zero-fill, and only of its new tail.
-        self.data
-            .resize(self.rows.next_multiple_of(2) * cols, T::default());
+        self.data.resize(self.rows.next_multiple_of(2) * cols, 0.0);
         // Tiles and lanes are visited in row order, so the rows are
         // taken as they come: no matrix is copied to sit beside the next.
         let mut source = mats.flat_map(|m| {
@@ -257,178 +251,26 @@ impl<T: From<f32> + Copy + Default> Panel<T> {
                 match source.next() {
                     Some(row) => {
                         for (group, v) in tile.chunks_exact_mut(lanes).zip(row) {
-                            group[l] = T::from(*v);
+                            group[l] = *v;
                         }
                     }
                     // The lane beside a single last row.
                     None => tile
                         .chunks_exact_mut(lanes)
-                        .for_each(|group| group[l] = T::default()),
+                        .for_each(|group| group[l] = 0.0),
                 }
             }
         }
     }
-}
 
-impl<T> Panel<T> {
     /// `(first row, lanes)` per tile, in storage order.
     fn tiles(&self) -> impl Iterator<Item = (usize, usize)> {
         binary_blocks(self.rows, self.lanes).map(|(r, lanes)| (r, lanes.max(2)))
     }
 }
 
-/// Inputs one tile pass of [`forward_block`] carries in lock step.
+/// Inputs one tile pass of [`forward_approx`] carries in lock step.
 const BLOCK_INPUTS: usize = 4;
-
-/// Dense layer over a filled [`Panel`] for a block of inputs:
-/// `out[s * rows + r] = dot(w_r, xs[s]) as f32 + bias[r]` — the kernel
-/// for callers that apply one weight matrix to several inputs. The panel
-/// holds `f64` (a layer's, widened once at the fill) or `f32` (a
-/// ballot's, widened as each column group is loaded): widening is exact
-/// either way, so both read the same operands and produce the same bits.
-///
-/// Per tile of `L` lanes the inner loop is `acc_k[l] += col[l] *
-/// x_k[c]` for `BLOCK_INPUTS` inputs `k` at once over one contiguous
-/// group of `L` lanes: every (input, row) pair keeps its own `f64`
-/// accumulator and visits coordinates in index order exactly as [`dot`]
-/// does (nothing reassociated; the product is exact, so fusing it into
-/// the add rounds the same — `add_exact_product`), so each output is
-/// bitwise what the per-row `dot` loop produces. The
-/// lanes of one SIMD register are *rows*, as the panel lays them out;
-/// the four inputs give every coordinate step four times the
-/// independent add chains of a single input — whose one or two wait on
-/// the add latency at any width past SSE2 — and each column group is
-/// loaded once for four inputs. A last group of one to three inputs
-/// runs the same body with its last input repeated and the repeats
-/// dropped.
-///
-/// The body is compiled at every [`Width`] and runs at the widest.
-///
-/// # Panics
-/// If an input's length is not the panel's column count, or `bias` /
-/// `out` do not match its row count.
-pub fn forward_block<T: Copy + Into<f64>>(
-    panel: &Panel<T>,
-    bias: &[f32],
-    xs: &[&[f32]],
-    out: &mut [f32],
-) {
-    forward_block_at(Width::widest(), panel, bias, xs, out).expect("the width was just detected")
-}
-
-/// [`forward_block`] compiled at `width`, or `None` when the CPU lacks
-/// it — for the differential tests, which reach the widths the
-/// dispatch passes over on the host.
-#[doc(hidden)]
-pub fn forward_block_at<T: Copy + Into<f64>>(
-    width: Width,
-    panel: &Panel<T>,
-    bias: &[f32],
-    xs: &[&[f32]],
-    out: &mut [f32],
-) -> Option<()> {
-    assert_eq!(
-        bias.len(),
-        panel.rows,
-        "forward_block: bias length mismatch"
-    );
-    assert_eq!(
-        out.len(),
-        xs.len() * panel.rows,
-        "forward_block: output length mismatch"
-    );
-    for x in xs {
-        assert_eq!(x.len(), panel.cols, "forward_block: input length mismatch");
-    }
-    width.run(
-        #[inline(always)]
-        |(panel, bias, xs), out, (), fused| forward_body(panel, bias, xs, out, fused),
-        (panel, bias, xs),
-        out,
-        (),
-    )
-}
-
-/// The one body of [`forward_block`], inlined into the function of each
-/// [`Width`] it is run at. Tiles outermost: a tile stays in L1 while
-/// every input group streams past it.
-#[inline(always)]
-fn forward_body<T: Copy + Into<f64>>(
-    panel: &Panel<T>,
-    bias: &[f32],
-    xs: &[&[f32]],
-    out: &mut [f32],
-    fused: bool,
-) {
-    let (rows, d) = (panel.rows, panel.cols);
-    for (r, lanes) in panel.tiles() {
-        let (tile, bias) = (&panel.data[r * d..(r + lanes) * d], &bias[r..]);
-        for (g, group) in xs.chunks(BLOCK_INPUTS).enumerate() {
-            let last = group.len() - 1;
-            let quad = [
-                group[0],
-                group[1.min(last)],
-                group[2.min(last)],
-                group[3.min(last)],
-            ];
-            let out = &mut out[g * BLOCK_INPUTS * rows + r..];
-            match lanes {
-                2 => panel_tile::<2, T>(tile, bias, quad, group.len(), rows, out, fused),
-                4 => panel_tile::<4, T>(tile, bias, quad, group.len(), rows, out, fused),
-                8 => panel_tile::<8, T>(tile, bias, quad, group.len(), rows, out, fused),
-                _ => panel_tile::<PANEL_LANES, T>(tile, bias, quad, group.len(), rows, out, fused),
-            }
-        }
-    }
-}
-
-/// One tile of [`forward_block`] under four inputs: `L` lanes, `4 · L`
-/// accumulators, one column group per coordinate, widened to `[f64; L]`
-/// as it is loaded (a copy, for an `f64` panel). Input `k`
-/// of the first `live` writes its rows — as many of the `L` as `bias`
-/// and the `stride`-long output row still hold — to `out[k * stride..]`.
-///
-/// The accumulators are four *named* arrays on purpose: as one
-/// `[[f64; L]; 4]` under a loop over the inputs they are left in
-/// memory and the loop is scalar, or vectorised across the inputs with
-/// gathers (DESIGN.md §15).
-#[inline(always)]
-fn panel_tile<const L: usize, T: Copy + Into<f64>>(
-    tile: &[T],
-    bias: &[f32],
-    [x0, x1, x2, x3]: [&[f32]; BLOCK_INPUTS],
-    live: usize,
-    stride: usize,
-    out: &mut [f32],
-    fused: bool,
-) {
-    let (mut a0, mut a1, mut a2, mut a3) = ([0.0f64; L], [0.0f64; L], [0.0f64; L], [0.0f64; L]);
-    let (cols, _) = tile.as_chunks::<L>();
-    for ((((col, v0), v1), v2), v3) in cols.iter().zip(x0).zip(x1).zip(x2).zip(x3) {
-        let (v0, v1, v2, v3) = (*v0 as f64, *v1 as f64, *v2 as f64, *v3 as f64);
-        let mut w = [0.0f64; L];
-        for l in 0..L {
-            w[l] = col[l].into();
-        }
-        for l in 0..L {
-            a0[l] = add_exact_product(fused, a0[l], w[l], v0);
-        }
-        for l in 0..L {
-            a1[l] = add_exact_product(fused, a1[l], w[l], v1);
-        }
-        for l in 0..L {
-            a2[l] = add_exact_product(fused, a2[l], w[l], v2);
-        }
-        for l in 0..L {
-            a3[l] = add_exact_product(fused, a3[l], w[l], v3);
-        }
-    }
-    for (k, acc) in [a0, a1, a2, a3].iter().enumerate().take(live) {
-        for ((o, a), b) in out[k * stride..].iter_mut().zip(acc).zip(bias) {
-            *o = *a as f32 + *b;
-        }
-    }
-}
 
 /// The dense layer's dot products approximated in `f32`, without the
 /// bias: `out[r * xs.len() + s]` is `dot(w_r, xs[s])` accumulated in
@@ -441,29 +283,34 @@ fn panel_tile<const L: usize, T: Copy + Into<f64>>(
 /// product and its add, or one fused step, per coordinate; a full tile
 /// sums even and odd coordinates apart and adds the two once — each by
 /// at most `u` of its result or half a subnormal, and `Σ|w_c·x_c| ≤
-/// ‖w‖·‖x‖`. That bound is all a value is good for. The step is fused at the wide widths and not at
-/// `Plain`, so the bits differ from width to width and from
-/// [`forward_block`]'s; `hfl_ml::linear` adds the exact path's own
-/// error to it (the `γ₂ₙ` bound of its certificate) and shows no value
-/// of this kernel to anyone.
+/// ‖w‖·‖x‖`. That bound is all a value is good for. The step is fused
+/// at the wide widths and not at `Plain`, so the bits differ from width
+/// to width and from the exact [`forward_class_major`]'s;
+/// `hfl_ml::linear` adds the exact path's own error to it (the `γ₂ₙ`
+/// bound of its certificate) and shows no value of this kernel to
+/// anyone.
 ///
-/// The tile structure is [`forward_block`]'s: tiles outermost, four
-/// inputs in lock step, compiled at every [`Width`] and run at the
-/// widest.
+/// The lanes of one SIMD register are *rows*, as the panel lays them
+/// out: tiles outermost, so a tile stays in L1 while every input group
+/// streams past it, and `BLOCK_INPUTS` inputs in lock step, so each
+/// column group is loaded once for four inputs. A last group of one to
+/// three inputs runs the same body with its last input repeated and
+/// the repeats dropped. The body is compiled at every [`Width`] and
+/// runs at the widest.
 ///
 /// # Panics
 /// If an input's length is not the panel's column count, or `out` does
 /// not hold `xs.len()` values per panel row.
-pub fn forward_approx(panel: &Panel<f32>, xs: &[&[f32]], out: &mut [f32]) {
+pub fn forward_approx(panel: &Panel, xs: &[&[f32]], out: &mut [f32]) {
     forward_approx_at(Width::widest(), panel, xs, out).expect("the width was just detected")
 }
 
 /// [`forward_approx`] compiled at `width`, or `None` when the CPU lacks
-/// it (see [`forward_block_at`]).
+/// it (see [`forward_class_major_at`]).
 #[doc(hidden)]
 pub fn forward_approx_at(
     width: Width,
-    panel: &Panel<f32>,
+    panel: &Panel,
     xs: &[&[f32]],
     out: &mut [f32],
 ) -> Option<()> {
@@ -484,9 +331,10 @@ pub fn forward_approx_at(
     )
 }
 
-/// The one body of [`forward_approx`] (see [`forward_body`]).
+/// The one body of [`forward_approx`], inlined into the function of
+/// each [`Width`] it is run at.
 #[inline(always)]
-fn approx_body(panel: &Panel<f32>, xs: &[&[f32]], out: &mut [f32], fused: bool) {
+fn approx_body(panel: &Panel, xs: &[&[f32]], out: &mut [f32], fused: bool) {
     let (rows, d, n) = (panel.rows, panel.cols, xs.len());
     for (r, lanes) in panel.tiles() {
         let tile = &panel.data[r * d..(r + lanes) * d];
@@ -512,12 +360,18 @@ fn approx_body(panel: &Panel<f32>, xs: &[&[f32]], out: &mut [f32], fused: bool) 
     }
 }
 
-/// One tile of [`forward_approx`] under four inputs: [`panel_tile`] in
-/// `f32`, `acc + w · x` a step — one rounding fused, two not. Input `k`
-/// of the first `inputs` writes lane `l` of the first `rows` to
-/// `out[l * stride + k]`, through the tile on the stack: a direct
-/// strided store of each lane costs the compiler's vectoriser an extract
-/// a lane, and it then leaves the accumulation scalar.
+/// One tile of [`forward_approx`] under four inputs: `L` lanes, one
+/// column group per coordinate, `acc + w · x` a step — one rounding
+/// fused, two not. Input `k` of the first `inputs` writes lane `l` of
+/// the first `rows` to `out[l * stride + k]`, through the tile on the
+/// stack: a direct strided store of each lane costs the compiler's
+/// vectoriser an extract a lane, and it then leaves the accumulation
+/// scalar.
+///
+/// The accumulators are *named* arrays on purpose: as one `[[f32; L];
+/// 4]` under a loop over the inputs they are left in memory and the
+/// loop is scalar, or vectorised across the inputs with gathers
+/// (DESIGN.md §15).
 #[inline(always)]
 fn approx_tile<const L: usize>(
     tile: &[f32],
@@ -608,8 +462,8 @@ const RANK_COLS: usize = 64;
 
 /// Where the coefficient of input `s` for gradient row `r` sits in a
 /// rank update's `coeff`: `s * rows + r` (an input's coefficients
-/// adjacent, as [`forward_block`] writes them) or `r * inputs + s` (a
-/// row's, as [`forward_class_major`] does).
+/// adjacent) or `r * inputs + s` (a row's, as [`forward_class_major`]
+/// writes them).
 #[derive(Clone, Copy)]
 enum Coeff {
     InputMajor,
@@ -658,7 +512,7 @@ pub fn rank_update(grad: &mut [f32], coeff: &[f32], xs: &[&[f32]], skip_zero: bo
 }
 
 /// [`rank_update`] compiled at `width`, or `None` when the CPU lacks it
-/// (see [`forward_block_at`]).
+/// (see [`forward_class_major_at`]).
 #[doc(hidden)]
 pub fn rank_update_at(
     width: Width,
@@ -688,7 +542,7 @@ pub fn rank_update_class_major(grad: &mut [f32], coeff: &[f32], xs: &[&[f32]], s
 }
 
 /// [`rank_update_class_major`] compiled at `width`, or `None` when the
-/// CPU lacks it (see [`forward_block_at`]).
+/// CPU lacks it (see [`forward_class_major_at`]).
 #[doc(hidden)]
 pub fn rank_update_class_major_at(
     width: Width,
@@ -852,21 +706,23 @@ const INPUT_TILE: usize = 64;
 /// through it tile by tile, the chains continuing across tiles in
 /// their registers, never restarted. Lanes past the inputs (a group of
 /// fewer than 8, 16 or 32) compute on a copy of the last input and are
-/// dropped, as a single last row is.
-///
-/// Where [`forward_block`] converts and broadcasts each input coordinate
-/// once per tile pass of rows, this converts it once; what it pays
-/// instead is the transpose.
+/// dropped, as a single last row is. A block of one input has nothing
+/// to transpose and takes [`affine_rows`], whose single output row is
+/// the same layout.
 ///
 /// # Panics
 /// If an input's length is not `w.len() / bias.len()`, `w` does not
 /// hold whole rows, or `out.len() != xs.len() * bias.len()`.
 pub fn forward_class_major(w: &[f32], bias: &[f32], xs: &[&[f32]], out: &mut [f32]) {
+    if let [x] = xs {
+        return affine_rows(w, bias, x, out);
+    }
     forward_class_major_at(Width::widest(), w, bias, xs, out).expect("the width was just detected")
 }
 
 /// [`forward_class_major`] compiled at `width`, or `None` when the CPU
-/// lacks it (see [`forward_block_at`]). Kept out of line so that a
+/// lacks it — for the differential tests, which reach the widths the
+/// dispatch passes over on the host. Kept out of line so that a
 /// disassembly names the call into its wide body (`scripts/ci.sh`
 /// checks that body holds packed fused products).
 #[doc(hidden)]
@@ -903,16 +759,16 @@ pub fn forward_class_major_at(
 
 /// The one body of [`forward_class_major`]: lane groups of at most
 /// `INPUT_LANES` inputs, each at the fewest lanes of 8, 16 or 32 that
-/// hold it.
+/// hold it: four rows at a time at 8 lanes, two at 16 and 32.
 #[inline(always)]
 fn class_major_body(w: &[f32], bias: &[f32], xs: &[&[f32]], out: &mut [f32], fused: bool) {
     let n = xs.len();
     for (g, group) in xs.chunks(INPUT_LANES).enumerate() {
         let at = (g * INPUT_LANES, n);
         match group.len() {
-            1..=8 => class_major_group::<8>(w, bias, group, at, out, fused),
-            9..=16 => class_major_group::<16>(w, bias, group, at, out, fused),
-            _ => class_major_group::<INPUT_LANES>(w, bias, group, at, out, fused),
+            1..=8 => class_major_group::<8, 4>(w, bias, group, at, out, fused),
+            9..=16 => class_major_group::<16, 2>(w, bias, group, at, out, fused),
+            _ => class_major_group::<INPUT_LANES, 2>(w, bias, group, at, out, fused),
         }
     }
 }
@@ -921,13 +777,17 @@ fn class_major_body(w: &[f32], bias: &[f32], xs: &[&[f32]], out: &mut [f32], fus
 /// inputs `first..` of a block of `n`, so input `s` of the group writes
 /// row `r` to `out[r * n + first + s]`.
 ///
-/// The two rows' accumulators are two *named* `[f64; L]` — `L / 8`
-/// registers each at AVX-512, so two rows are eight independent chains
-/// at 32 lanes — and stay in registers from the first coordinate to the
-/// last. An input of one tile is transposed once for every row; a
-/// longer one streams through the tile again for each pair of rows.
+/// `R` (2 or 4) rows run at a time, rows past the last repeating it.
+/// Their accumulators are *named* `[f64; L]` — `L / 8` registers each
+/// at AVX-512, so two rows of 32 lanes are eight independent chains and
+/// four rows of 8 are four, where two rows of 8 wait on the add latency
+/// (a 64 × 64 layer over 8 inputs: 6.2–7.4 → 4.2–5.0 µs on an AVX-512
+/// host; four rows of 16 read slower than two) — and stay in registers
+/// from the first coordinate to the last. An input of one tile is
+/// transposed once for every row; a longer one streams through the tile
+/// again for each group of rows.
 #[inline(always)]
-fn class_major_group<const L: usize>(
+fn class_major_group<const L: usize, const R: usize>(
     w: &[f32],
     bias: &[f32],
     xs: &[&[f32]],
@@ -946,16 +806,17 @@ fn class_major_group<const L: usize>(
     } else if one_tile {
         transpose_inputs(&mut tile, xs, 0, d);
     }
-    for r in (0..rows).step_by(2) {
-        let r1 = (r + 1).min(rows - 1);
+    for r in (0..rows).step_by(R) {
+        let at: [usize; 4] = std::array::from_fn(|k| (r + k).min(rows - 1));
         let (mut a0, mut a1) = ([0.0f64; L], [0.0f64; L]);
+        let (mut a2, mut a3) = ([0.0f64; L], [0.0f64; L]);
         for c0 in (0..d).step_by(INPUT_TILE) {
             let t = INPUT_TILE.min(d - c0);
             if !one_tile {
                 transpose_inputs(&mut tile, xs, c0, t);
             }
-            let (w0, w1) = (&w[r * d + c0..][..t], &w[r1 * d + c0..][..t]);
-            for ((col, u0), u1) in tile[..t].iter().zip(w0).zip(w1) {
+            let [w0, w1, w2, w3] = at.map(|r| &w[r * d + c0..][..t]);
+            for ((((col, u0), u1), u2), u3) in tile[..t].iter().zip(w0).zip(w1).zip(w2).zip(w3) {
                 let (u0, u1) = (*u0 as f64, *u1 as f64);
                 for l in 0..L {
                     a0[l] = add_exact_product(fused, a0[l], col[l], u0);
@@ -963,13 +824,21 @@ fn class_major_group<const L: usize>(
                 for l in 0..L {
                     a1[l] = add_exact_product(fused, a1[l], col[l], u1);
                 }
+                if R == 4 {
+                    let (u2, u3) = (*u2 as f64, *u3 as f64);
+                    for l in 0..L {
+                        a2[l] = add_exact_product(fused, a2[l], col[l], u2);
+                    }
+                    for l in 0..L {
+                        a3[l] = add_exact_product(fused, a3[l], col[l], u3);
+                    }
+                }
             }
         }
-        for (o, a) in out[r * n + first..][..live].iter_mut().zip(&a0) {
-            *o = *a as f32 + bias[r];
-        }
-        for (o, a) in out[r1 * n + first..][..live].iter_mut().zip(&a1) {
-            *o = *a as f32 + bias[r1];
+        for (r, acc) in at.iter().zip([a0, a1, a2, a3]).take(R) {
+            for (o, a) in out[r * n + first..][..live].iter_mut().zip(&acc) {
+                *o = *a as f32 + bias[*r];
+            }
         }
     }
 }
@@ -1891,8 +1760,8 @@ pub mod reference {
     }
 
     /// The dense layer as one sequential `dot` per output row, then the
-    /// bias — what [`affine_rows`] and [`forward_block`] must reproduce
-    /// bit for bit.
+    /// bias — what [`affine_rows`] and [`forward_class_major`] must
+    /// reproduce bit for bit.
     pub fn affine_naive(w: &[f32], bias: &[f32], x: &[f32]) -> Vec<f32> {
         assert_eq!(w.len(), bias.len() * x.len(), "weight shape mismatch");
         bias.iter()
@@ -2366,15 +2235,14 @@ mod tests {
     }
 
     /// Both dense kernels against `dot` + bias per row: every row count
-    /// 1–33 (every tile width, every uneven split) at short, odd, paper
-    /// and long row lengths, over NaN, ±∞, subnormals and signed zeros;
-    /// the block kernel under 1–6 inputs (a short, a full and a ragged
-    /// second group of four). One `Panel` is refilled across all
-    /// shapes, larger and smaller. The every-width grid is
+    /// 1–33 (every lockstep block of `affine_rows`, row pairs whole and
+    /// with a single last row) at short, odd, paper and long row
+    /// lengths, over NaN, ±∞, subnormals and signed zeros; the block
+    /// kernel under 1–6 inputs, one of them the single input it hands
+    /// to `affine_rows`. The every-width grid is
     /// `tests/kernel_equivalence.rs`'s.
     #[test]
     fn dense_kernels_bitwise_match_dot_per_row() {
-        let mut panel = Panel::<f64>::default();
         for d in [1usize, 7, 64, 129] {
             for rows in 1usize..=33 {
                 let data = synth_rows(rows + 2, d.max(rows));
@@ -2383,9 +2251,8 @@ mod tests {
                 let xs: Vec<&[f32]> = (0..1 + rows % 6)
                     .map(|s| &data[(rows + 1 + s) % (rows + 2)][..d])
                     .collect();
-                panel.fill([&w[..]], rows, d);
                 let mut block = vec![f32::NAN; xs.len() * rows];
-                forward_block(&panel, bias, &xs, &mut block);
+                forward_class_major(&w, bias, &xs, &mut block);
                 for (s, x) in xs.iter().enumerate() {
                     let naive = reference::affine_naive(&w, bias, x);
                     let mut single = vec![0.0f32; rows];
@@ -2396,7 +2263,7 @@ mod tests {
                             "rows={rows} d={d} input {s} row {r}: {} vs {want}",
                             single[r]
                         );
-                        let got = block[s * rows + r];
+                        let got = block[r * xs.len() + s];
                         assert!(
                             bits_eq_f32(got, *want),
                             "rows={rows} d={d} input {s} row {r}: {got} vs {want}"
@@ -2408,30 +2275,21 @@ mod tests {
     }
 
     #[test]
-    fn empty_rows_yield_the_bias() {
-        let mut panel = Panel::<f64>::default();
-        panel.fill([&[][..]], 3, 0);
-        let mut out = [9.0f32; 6];
-        forward_block(&panel, &[1.0, -2.0, 0.5], &[&[], &[]], &mut out);
-        assert_eq!(out, [1.0, -2.0, 0.5, 1.0, -2.0, 0.5]);
-    }
-
-    #[test]
     #[should_panic(expected = "weight shape mismatch")]
     fn panel_fill_rejects_a_mis_shaped_matrix() {
-        Panel::<f64>::default().fill([&[0.0; 7][..]], 2, 4);
+        Panel::default().fill([&[0.0; 7][..]], 2, 4);
     }
 
-    /// An `f32` panel is the `f64` one's layout over the same values,
-    /// and the approximate pass over it, at every width the host has,
-    /// writes row `r` of input `s` to `out[r * n + s]`: exactly `dot`
+    /// The approximate pass over a panel, at every width the host has
+    /// and under both tile caps, writes row `r` of input `s` to `out[r *
+    /// n + s]`: exactly `dot`
     /// where every partial sum is exact (small integers), and within
     /// `γₙ·‖w_r‖·‖x‖ + n·2⁻¹⁴⁹` of it over full-mantissa values. Rows
     /// 1–33 cover every tile shape, a padded last lane among them;
     /// inputs 1–6 a short, a full and a ragged second group of four.
     #[test]
     fn approximate_pass_is_the_dot_within_its_bound_at_every_width() {
-        let (mut wide, mut narrow) = (Panel::<f64>::default(), Panel::<f32>::default());
+        let mut narrow = Panel::default();
         let u = f32::EPSILON as f64 / 2.0;
         for d in [1usize, 7, 64, 129] {
             for rows in 1usize..=33 {
@@ -2451,17 +2309,7 @@ mod tests {
                 let widths = || Width::ALL.into_iter().filter(|w| w.detected());
                 let mut out = vec![f32::NAN; xs.len() * rows];
                 for cap in [Width::Avx512, Width::Plain] {
-                    wide.fill_at(cap, [&w[..]], rows, d);
                     narrow.fill_at(cap, [&w[..]], rows, d);
-                    assert_eq!(
-                        (wide.rows, wide.cols, wide.lanes),
-                        (narrow.rows, narrow.cols, narrow.lanes)
-                    );
-                    assert!(wide
-                        .data
-                        .iter()
-                        .zip(&narrow.data)
-                        .all(|(a, b)| *a == *b as f64));
                     for width in widths() {
                         forward_approx_at(width, &narrow, &xs, &mut out).expect("detected");
                         for (r, row) in w.chunks_exact(d).enumerate() {
@@ -2490,22 +2338,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "input length mismatch")]
-    fn forward_block_rejects_an_input_of_another_width() {
-        let mut panel = Panel::<f64>::default();
-        panel.fill([&[0.0; 8][..]], 2, 4);
-        forward_block(&panel, &[0.0; 2], &[&[0.0; 4], &[0.0; 3]], &mut [0.0; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "output length mismatch")]
-    fn forward_block_rejects_an_output_of_another_height() {
-        let mut panel = Panel::<f64>::default();
-        panel.fill([&[0.0; 8][..]], 2, 4);
-        forward_block(&panel, &[0.0; 2], &[&[0.0; 4]], &mut [0.0; 3]);
     }
 
     /// The rank update against one `axpy` per (input, row), both skip
@@ -2715,6 +2547,12 @@ mod tests {
     #[should_panic(expected = "input length mismatch")]
     fn forward_class_major_rejects_a_short_input() {
         forward_class_major(&[0.0; 8], &[0.0; 2], &[&[0.0; 4], &[0.0; 3]], &mut [0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "output length mismatch")]
+    fn forward_class_major_rejects_an_output_of_another_height() {
+        forward_class_major(&[0.0; 8], &[0.0; 2], &[&[0.0; 4], &[0.0; 4]], &mut [0.0; 3]);
     }
 
     /// The class-major rank update at every compiled width the host can

@@ -46,9 +46,11 @@ const RULES: &[Rule] = &[
     Rule { name: "the pipeline is a timing config", design: 9, files: &["crates/core/src/pipeline.rs"], check: MaxLines(299),
         fixture: "const X: u8 = 0;\n", message: "crates/core/src/pipeline.rs grew past 300 lines" },
     Rule { name: "no widened copy", design: 15, files: &["crates/tensor/src/", "crates/ml/src/"], check: Forbid(&["fn widen", "ops::widen"]),
-        fixture: "fn f() { ops::widen(t); }", message: "a widened-copy dense path is back beside the panel" },
-    Rule { name: "one dense kernel", design: 15, files: &["crates/tensor/src/", "crates/ml/src/"], check: Forbid(&["fn affine_panel(", "Option<&Panel>"]),
-        fixture: "fn f(p: Option<&Panel>) {}", message: "a single-input panel kernel or a per-input kernel switch is back beside forward_block" },
+        fixture: "fn f() { ops::widen(t); }", message: "a widened-copy dense path is back beside ops::forward_class_major" },
+    Rule { name: "one dense kernel", design: 15, files: &["crates/tensor/src/", "crates/ml/src/"],
+        check: Forbid(&["fn affine_panel(", "Option<&Panel>", "fn forward_block", "Panel<f64>", "struct Dense"]),
+        fixture: "struct Dense<'a> { panel: &'a Panel<f64> }",
+        message: "a second exact dense kernel (forward_block, an f64 Panel, a Dense layer wrapper) or a per-input kernel switch is back beside ops::forward_class_major" },
     Rule { name: "a gradient is a rank update", design: 15, files: &["crates/ml/src/linear.rs", "crates/ml/src/mlp.rs"], check: Forbid(&["axpy"]),
         fixture: "fn grad() { ops::axpy(g, c, x); }", message: "linear.rs / mlp.rs accumulate a gradient by axpy again instead of ops::rank_update" },
     Rule { name: "two fused products", design: 15, files: TREE, check: Count("mul_add", &[(OPS, "add_exact_product", 1), (OPS, "approx_tile", 1)]),

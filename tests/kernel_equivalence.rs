@@ -22,17 +22,17 @@
 //! chunk, never what is computed or where it lands.
 //!
 //! The dense layer under training and the validation vote is pinned
-//! the same way: the block kernel (`forward_block`, four inputs in
-//! lock step under a panel) and the single-input `affine_rows` against
-//! `dot` + bias per row, the rank update against the per-(input, row)
-//! `axpy` loop it replaced, prediction from logits against
-//! `argmax(softmax)` — the first two at every vector width the host
-//! has — the models' forward passes against the per-row loops they
-//! replaced (kept here as executable references), a ballot scored
-//! through one stacked panel against one model load per proposal,
-//! `score_all` against per-proposal `score`, and the voter-parallel
-//! mechanisms against their own single-threaded outcome. The two
-//! kernels that fuse an exact product into its sum (`forward_block`,
+//! the same way: the block kernel (`forward_class_major`, inputs as
+//! lanes) and the single-input `affine_rows` against `dot` + bias per
+//! row, the rank update against the per-(input, row) `axpy` loop it
+//! replaced, prediction from logits against `argmax(softmax)` — the
+//! first two at every vector width the host has — the models' forward
+//! passes against the per-row loops they replaced (kept here as
+//! executable references), a ballot scored through one stacked panel
+//! against one model load per proposal, `score_all` against
+//! per-proposal `score`, and the voter-parallel mechanisms against
+//! their own single-threaded outcome. The two kernels that fuse an
+//! exact product into its sum (`forward_class_major`,
 //! `dist_sq_pairs`) also run over operands at the edges of the
 //! exactness argument.
 //!
@@ -778,21 +778,53 @@ fn widths_on_this_host(kernel: &str) -> Vec<ops::Width> {
     widths
 }
 
-/// Both tile caps a [`ops::Panel`] is filled under: sixteen lanes
-/// (what an AVX-512 host fills) and eight (any other).
-const PANEL_CAPS: [ops::Width; 2] = [ops::Width::Avx512, ops::Width::Avx2];
+/// Rows whose large products cancel: values near 1 on even rows; on
+/// odd rows each coordinate `c ≡ 0 (mod 4)` repeated at `c + 2`, as is
+/// in a weight row and 2⁴⁰ times larger in an input, negated at `c + 2`.
+/// Where two odd rows meet, the products run big, small, minus big,
+/// small, …: each small one after a big one is rounded at the big one's
+/// scale and the big ones cancel exactly, so a chain that visits two
+/// coordinates out of order, restarts or reassociates leaves a
+/// difference in the `f32` result that a chain of like magnitudes,
+/// rounded once more to `f32`, hides.
+fn cancel_rows(n: usize, d: usize, weights: bool) -> Vec<Vec<f32>> {
+    (0..n)
+        .map(|i| {
+            let mut row: Vec<f32> = (0..d)
+                .map(|c| {
+                    let mut x = ((i as u64) << 32 | c as u64)
+                        .wrapping_add(u64::from(weights) + 11)
+                        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    x ^= x >> 29;
+                    let (sign, exp) = (((x >> 63) as u32) << 31, 126 + (x % 2) as u32);
+                    f32::from_bits(sign | exp << 23 | ((x >> 20) as u32 & 0x007f_ffff))
+                })
+                .collect();
+            if i % 2 == 1 {
+                for c in (0..d.saturating_sub(2)).step_by(4) {
+                    if !weights {
+                        row[c] *= (1u64 << 40) as f32;
+                    }
+                    row[c + 2] = if weights { row[c] } else { -row[c] };
+                }
+            }
+            row
+        })
+        .collect()
+}
 
-/// The block forward — groups of four inputs in lock step, a last
-/// group of one to three, blocks of one group and of several — == one
-/// `dot` + bias per (input, row), exact bits, at every vector width the
-/// host has over panels of both tile caps and both lane elements (an
-/// `f32` panel is widened as its columns load): every tile shape (one lane
-/// padded, 2, 8 + 2, 16, 16 + 1, 16 + 2 + 1, the stacked 16 + 8 + 4 + 2
-/// and 16 + 16 + 8, 4 × 16), row lengths short, odd, the paper's and
-/// one past it, over NaN, ±∞, subnormals and signed zeros, and over
-/// the edge rows. The output starts dirty, and a swapped pair of
-/// accumulators or a dropped input would show in the last bits. A
-/// fused multiply-add would not, and is there: the product of two
+/// The block forward — lane groups of 8, 16 and 32 inputs, a ragged
+/// last group, blocks of one group and of several — == one `dot` + bias
+/// per (input, row), exact bits, at every vector width the host has and
+/// through the dispatch (which hands a block of one to `affine_rows`):
+/// row counts that end in a whole group of rows (two or four run at a
+/// time) and in a partial one,
+/// row lengths short, odd, one input tile (64), one past it and two, over
+/// the grid rows (NaN, ±∞, subnormals, signed zeros), the edge rows and
+/// rows whose large products cancel ([`cancel_rows`]), which show a
+/// chain visited out of order. The output starts dirty, and a swapped
+/// pair of accumulators or a dropped input would show in the last bits.
+/// A fused multiply-add would not, and is there: the product of two
 /// widened `f32`s is exact in `f64`, so it rounds once either way
 /// (DESIGN.md §15) — at binades 2^±60, subnormal × subnormal,
 /// `f32::MAX²` and `∞ · 0` as anywhere else. What pins the line between
@@ -801,60 +833,49 @@ const PANEL_CAPS: [ops::Width; 2] = [ops::Width::Avx512, ops::Width::Avx2];
 /// `rank_update_matches_the_retired_axpy_loop_at_every_width`.
 #[test]
 fn block_forward_matches_dot_per_row_at_every_width() {
-    let widths = widths_on_this_host("forward_block");
-    let (mut panel, mut narrow) = (ops::Panel::<f64>::default(), ops::Panel::<f32>::default());
+    let widths = widths_on_this_host("forward_class_major");
     type Rows = fn(usize, usize) -> Vec<Vec<f32>>;
-    for (kind, gen) in [("grid", grid_rows as Rows), ("edge", edge_rows)] {
-        for rows in [1usize, 10, 16, 17, 19, 30, 40, 64] {
-            for d in [1usize, 7, 64, 65] {
-                let w: Vec<f32> = gen(rows, d).concat();
+    let (cancel_w, cancel_x): (Rows, Rows) = (
+        |n, d| cancel_rows(n, d, true),
+        |n, d| cancel_rows(n, d, false),
+    );
+    for (kind, weights, inputs) in [
+        ("grid", grid_rows as Rows, grid_rows as Rows),
+        ("edge", edge_rows, edge_rows),
+        ("cancel", cancel_w, cancel_x),
+    ] {
+        for rows in [1usize, 2, 3, 10, 16, 17] {
+            for d in [1usize, 7, 64, 65, 130] {
+                let w: Vec<f32> = weights(rows, d).concat();
                 let bias = &grid_rows(1, rows)[0];
-                let pool = gen(33, d);
-                for cap in PANEL_CAPS {
-                    panel.fill_at(cap, [&w[..]], rows, d);
-                    narrow.fill_at(cap, [&w[..]], rows, d);
-                    for block in [1usize, 2, 3, 4, 5, 7, 8, 31, 32, 33] {
-                        // Distinct inputs, the poisoned rows of the grid
-                        // among them, starting somewhere else for each
-                        // block size.
-                        let xs: Vec<&[f32]> =
-                            (0..block).map(|s| &pool[(s + block) % 33][..]).collect();
-                        let want: Vec<f32> = xs
-                            .iter()
-                            .flat_map(|x| reference::affine_naive(&w, bias, x))
-                            .collect();
-                        // `None` is the dispatch; `f32` the panel that
-                        // widens each column group as it loads it.
-                        for width in widths.iter().copied().map(Some).chain([None]) {
-                            for f32_panel in [false, true] {
-                                let mut got = vec![f32::NAN; block * rows];
-                                match (width, f32_panel) {
-                                    (Some(w), false) => {
-                                        ops::forward_block_at(w, &panel, bias, &xs, &mut got)
-                                            .expect("detected")
-                                    }
-                                    (Some(w), true) => {
-                                        ops::forward_block_at(w, &narrow, bias, &xs, &mut got)
-                                            .expect("detected")
-                                    }
-                                    (None, false) => {
-                                        ops::forward_block(&panel, bias, &xs, &mut got)
-                                    }
-                                    (None, true) => {
-                                        ops::forward_block(&narrow, bias, &xs, &mut got)
-                                    }
-                                }
-                                for (at, (g, w)) in got.iter().zip(&want).enumerate() {
-                                    assert!(
-                                        bits_eq_f32(*g, *w),
-                                        "{kind} {width:?} (f32 panel: {f32_panel}) on {cap:?}'s \
-                                         tiles rows={rows} d={d} block={block} input {} row {}: \
-                                         {g} vs {w}",
-                                        at / rows,
-                                        at % rows
-                                    );
-                                }
-                            }
+                let pool = inputs(33, d);
+                for block in [1usize, 2, 3, 7, 8, 9, 16, 17, 31, 32, 33] {
+                    // Distinct inputs, the poisoned rows of the grid
+                    // among them, starting somewhere else for each
+                    // block size.
+                    let xs: Vec<&[f32]> = (0..block).map(|s| &pool[(s + block) % 33][..]).collect();
+                    let mut want = vec![0.0f32; block * rows];
+                    for (s, x) in xs.iter().enumerate() {
+                        for (r, v) in reference::affine_naive(&w, bias, x).into_iter().enumerate() {
+                            want[r * block + s] = v;
+                        }
+                    }
+                    // `None` is the dispatch.
+                    for width in widths.iter().copied().map(Some).chain([None]) {
+                        let mut got = vec![f32::NAN; block * rows];
+                        match width {
+                            Some(at) => ops::forward_class_major_at(at, &w, bias, &xs, &mut got)
+                                .expect("detected"),
+                            None => ops::forward_class_major(&w, bias, &xs, &mut got),
+                        }
+                        for (at, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert!(
+                                bits_eq_f32(*g, *w),
+                                "{kind} {width:?} rows={rows} d={d} block={block} row {} \
+                                 input {}: {g} vs {w}",
+                                at / block,
+                                at % block
+                            );
                         }
                     }
                 }
@@ -863,47 +884,43 @@ fn block_forward_matches_dot_per_row_at_every_width() {
     }
 }
 
+/// Both tile caps a [`ops::Panel`] is filled under: sixteen lanes
+/// (what an AVX-512 host fills) and eight (any other).
+const PANEL_CAPS: [ops::Width; 2] = [ops::Width::Avx512, ops::Width::Avx2];
+
 /// A panel filled from K matrices handed over one by one is the panel
 /// filled from their concatenation — same tiles, same lanes, whatever
-/// tile a matrix starts or ends in — so every logit that comes out of
-/// it has the bits `dot` + bias gives its own matrix's row; so does the
-/// stacked `f32` panel a ballot's exact pass reads.
+/// tile a matrix starts or ends in — so the approximate pass a ballot is
+/// decided from reads the same value for every (row, input) from
+/// either, bit for bit at one width under both tile caps.
 #[test]
 fn a_panel_of_stacked_matrices_is_the_panel_of_their_concatenation() {
-    let (mut stacked, mut whole) = (ops::Panel::<f64>::default(), ops::Panel::<f64>::default());
-    let mut stacked_f32 = ops::Panel::<f32>::default();
+    let width = ops::Width::widest();
+    let (mut stacked, mut whole) = (ops::Panel::default(), ops::Panel::default());
     for k in [1usize, 2, 4, 7] {
         for (rows, d) in [(10usize, 64usize), (3, 7), (5, 1)] {
             let mats: Vec<Vec<f32>> = grid_rows(k * rows, d)
                 .chunks(rows)
                 .map(|m| m.concat())
                 .collect();
-            let (w, bias) = (mats.concat(), &grid_rows(1, k * rows)[0]);
+            let w = mats.concat();
             let pool = edge_rows(9, d);
             let xs: Vec<&[f32]> = pool.iter().map(|x| &x[..]).collect();
-            let want: Vec<f32> = xs
-                .iter()
-                .flat_map(|x| reference::affine_naive(&w, bias, x))
-                .collect();
             for cap in PANEL_CAPS {
                 stacked.fill_at(cap, mats.iter().map(|m| &m[..]), rows, d);
                 whole.fill_at(cap, [&w[..]], k * rows, d);
-                stacked_f32.fill_at(cap, mats.iter().map(|m| &m[..]), rows, d);
-                for panel in [Some(&stacked), Some(&whole), None] {
-                    let mut got = vec![f32::NAN; want.len()];
-                    match panel {
-                        Some(panel) => ops::forward_block(panel, bias, &xs, &mut got),
-                        None => ops::forward_block(&stacked_f32, bias, &xs, &mut got),
-                    }
-                    for (at, (g, w)) in got.iter().zip(&want).enumerate() {
-                        assert!(
-                            bits_eq_f32(*g, *w),
-                            "k={k} rows={rows} d={d} on {cap:?}'s tiles, input {} row {}: \
-                             {g} vs {w}",
-                            at / (k * rows),
-                            at % (k * rows)
-                        );
-                    }
+                let mut want = vec![f32::NAN; k * rows * xs.len()];
+                ops::forward_approx_at(width, &whole, &xs, &mut want).expect("detected");
+                let mut got = vec![0.0f32; want.len()];
+                ops::forward_approx_at(width, &stacked, &xs, &mut got).expect("detected");
+                for (at, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        bits_eq_f32(*g, *w),
+                        "k={k} rows={rows} d={d} on {cap:?}'s tiles, row {} input {}: \
+                         {g} vs {w}",
+                        at / xs.len(),
+                        at % xs.len()
+                    );
                 }
             }
         }
@@ -1295,7 +1312,7 @@ fn ballot_proposal(q: usize, d: usize, classes: usize) -> Vec<f32> {
 fn a_ballot_decided_in_f32_counts_the_retired_ballot_s_hits_at_every_width() {
     let widths = widths_on_this_host("count_correct_each");
     let (mut certified, mut fell_back, mut unguarded_wrong) = (0usize, 0usize, 0usize);
-    let mut panel = ops::Panel::<f32>::default();
+    let mut panel = ops::Panel::default();
     for d in [1usize, 7, 64, 65, 650] {
         let mut q = 0;
         for classes in [2usize, 3, 10, 17] {
@@ -1379,12 +1396,12 @@ fn a_ballot_decided_in_f32_counts_the_retired_ballot_s_hits_at_every_width() {
     assert!(unguarded_wrong > 0 && certified > 0 && fell_back > 0);
 }
 
-/// The block kernel and the single-input kernel == one `dot` + bias
-/// per row, for every row count 1..=35 (each tile width, a padded
-/// last lane, up to four tiles) and d ≥ 0. One `Panel` serves two
-/// shapes in a row, so a refill is shown to leave nothing of the
-/// previous matrix behind. (Blocks of several inputs: the seeded
-/// grid below.)
+/// The single-input kernel == one `dot` + bias per row, for every row
+/// count 1..=35 (each lockstep block size, even and uneven splits) and
+/// d ≥ 0 — and so does the block kernel handed that one input, through
+/// its dispatch (which takes `affine_rows`) and at the widest width
+/// (one lane group of eight, seven of them copies dropped). (Blocks of
+/// several inputs: the seeded grid above.)
 #[test]
 fn affine_rows_matches_dot_per_row() {
     for (case, mut rng) in cases(KERNEL_CASES) {
@@ -1393,24 +1410,26 @@ fn affine_rows_matches_dot_per_row() {
         let w = vec_of(&mut rng, 35 * 48, adversarial_f32);
         let bias = vec_of(&mut rng, 35, adversarial_f32);
         let x = vec_of(&mut rng, 48, adversarial_f32);
-        let mut panel = ops::Panel::<f64>::default();
-        panel.fill([&w[..]], 35, 48);
         let (w, bias, x) = (&w[..rows * d], &bias[..rows], &x[..d]);
         let naive = reference::affine_naive(w, bias, x);
         let mut lockstep = vec![0.0f32; rows];
         ops::affine_rows(w, bias, x, &mut lockstep);
-        panel.fill([w], rows, d);
-        let mut paneled = vec![0.0f32; rows];
-        ops::forward_block(&panel, bias, &[x], &mut paneled);
-        for (r, ((a, p), b)) in lockstep.iter().zip(&paneled).zip(&naive).enumerate() {
-            assert!(
-                bits_eq_f32(*a, *b),
-                "case {case}: row {r} of {rows}: lockstep {a} vs dot {b}"
-            );
-            assert!(
-                bits_eq_f32(*p, *b),
-                "case {case}: row {r} of {rows}: panel {p} vs dot {b}"
-            );
+        let mut dispatched = vec![f32::NAN; rows];
+        ops::forward_class_major(w, bias, &[x], &mut dispatched);
+        let mut lanes = vec![f32::NAN; rows];
+        ops::forward_class_major_at(ops::Width::widest(), w, bias, &[x], &mut lanes)
+            .expect("the widest width is detected");
+        for (r, b) in naive.iter().enumerate() {
+            for (what, got) in [
+                ("lockstep", lockstep[r]),
+                ("dispatched block", dispatched[r]),
+                ("lane group", lanes[r]),
+            ] {
+                assert!(
+                    bits_eq_f32(got, *b),
+                    "case {case}: row {r} of {rows}: {what} {got} vs dot {b}"
+                );
+            }
         }
     }
 }
@@ -2530,34 +2549,29 @@ mod retired {
 
     use super::ModelAttack;
 
-    /// `LinearSoftmax::count_correct_each` as it was: one stacked `f64`
-    /// panel, the exact forward of every (sample, proposal) pair in
-    /// blocks of 32, and `predict` on each.
+    /// `LinearSoftmax::count_correct_each` as it was before the `f32`
+    /// pass: the exact logits of every (sample, proposal) pair — here
+    /// one `dot` per row ([`ops::reference::affine_naive`]) — and
+    /// `predict` on each.
     pub fn count_correct_each(
         model: &LinearSoftmax,
         thetas: &[&[f32]],
         data: &Dataset,
         rows: std::ops::Range<usize>,
     ) -> Vec<usize> {
-        let (classes, dim) = (model.classes(), model.dim());
-        let weights = classes * dim;
-        let stacked = thetas.len() * classes;
-        let bias: Vec<f32> = thetas.iter().flat_map(|t| t[weights..].to_vec()).collect();
-        let mut panel = ops::Panel::<f64>::default();
-        panel.fill(thetas.iter().map(|t| &t[..weights]), classes, dim);
-        let mut hits = vec![0; thetas.len()];
-        let ids: Vec<usize> = rows.collect();
-        for block in ids.chunks(32) {
-            let xs: Vec<&[f32]> = block.iter().map(|&i| data.x(i)).collect();
-            let mut logits = vec![0.0f32; xs.len() * stacked];
-            ops::forward_block(&panel, &bias, &xs, &mut logits);
-            for (sample, &i) in logits.chunks_exact_mut(stacked).zip(block) {
-                for (h, logits) in hits.iter_mut().zip(sample.chunks_exact_mut(classes)) {
-                    *h += usize::from(predict(logits) as u8 == data.y(i));
-                }
-            }
-        }
-        hits
+        let weights = model.classes() * model.dim();
+        thetas
+            .iter()
+            .map(|theta| {
+                let (w, bias) = theta.split_at(weights);
+                rows.clone()
+                    .filter(|&i| {
+                        let mut logits = ops::reference::affine_naive(w, bias, data.x(i));
+                        predict(&mut logits) as u8 == data.y(i)
+                    })
+                    .count()
+            })
+            .collect()
     }
 
     /// `Experiment::train_round_into`'s body, one fresh model per slot:
