@@ -89,35 +89,34 @@ fn manifest_mode(ma: &RunManifest, mb: &RunManifest) -> ExitCode {
     }
 }
 
-/// Runs one spec capturing a snapshot after every round; the snapshot
-/// stream is the run's full state trajectory.
+/// Runs one spec capturing a snapshot after every round, the last
+/// included; the snapshot stream is the run's full state trajectory.
 fn capture(path: &str) -> Result<Vec<EngineSnapshot>, String> {
     let spec =
         toml::from_toml(&read(path)?).map_err(|e| format!("{path} is not a scenario spec: {e}"))?;
-    let cfg = spec.to_config();
-    let exp = Experiment::try_prepare(&cfg).map_err(|e| format!("{path}: {e}"))?;
+    let exp = Experiment::try_prepare(&spec.to_config()).map_err(|e| format!("{path}: {e}"))?;
     let (telem, _rec) = Telemetry::recording();
-    let (run, mut snapshots) = run_prepared_snapshotting(&exp, &telem, 1);
-    // The capture loop stops one short of the horizon (a final-round
-    // snapshot has nothing left to resume); synthesize the terminal
-    // state from the finished run so the last round is compared too.
-    let last = snapshots.last().cloned().ok_or(format!(
-        "{path}: spec must run at least 2 rounds to capture"
-    ))?;
-    snapshots.push(EngineSnapshot {
-        round: cfg.rounds,
-        rounds: run.manifest.rounds.clone(),
-        faults: run.manifest.faults.clone(),
-        metrics: run.manifest.metrics.clone(),
-        ..last
-    });
-    Ok(snapshots)
+    Ok(run_prepared_snapshotting(&exp, &telem, 1).1)
+}
+
+/// The snapshot's engine state: its bytes with the header (version,
+/// seed and config hashes) blanked, so two specs that differ only in
+/// config agree until their state does.
+fn state_bytes(s: &EngineSnapshot) -> Vec<u8> {
+    EngineSnapshot {
+        version: 0,
+        seed: 0,
+        config_hash: String::new(),
+        base_hash: String::new(),
+        ..s.clone()
+    }
+    .to_bytes()
 }
 
 fn spec_mode(sa: &[EngineSnapshot], sb: &[EngineSnapshot]) -> ExitCode {
     let len = sa.len().max(sb.len());
     let first = (0..len).find(|&i| match (sa.get(i), sb.get(i)) {
-        (Some(x), Some(y)) => x.to_bytes() != y.to_bytes(),
+        (Some(x), Some(y)) => state_bytes(x) != state_bytes(y),
         _ => true,
     });
     match first {

@@ -60,7 +60,8 @@
 //!
 //! The allocation counter is process-global, so a concurrently running
 //! test would bleed its allocations into the steady-state window: the
-//! `#[test]`s serialize on [`COUNTER`].
+//! `#[test]`s serialize on [`COUNTER`], and each then waits for the
+//! test harness to fall quiet (see [`alone`]).
 
 use abd_hfl_core::config::{
     AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg, ModelCfg, SamplingCfg, TopologyCfg,
@@ -74,7 +75,8 @@ use hfl_faults::FaultPlan;
 use hfl_ml::synth::SynthConfig;
 use hfl_robust::{AggScratch, Aggregator, AggregatorKind, MultiKrum};
 use hfl_telemetry::Telemetry;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -255,11 +257,36 @@ fn assert_steady_rounds_alloc_at_most(name: &str, (_, cfg, timing, (ceiling, byt
 /// Held by each test for its whole run (see the module docs).
 static COUNTER: Mutex<()> = Mutex::new(());
 
+/// How long the allocation counter must stand still before a test
+/// measures, and how long [`alone`] waits for that at most.
+const QUIET: Duration = Duration::from_millis(50);
+const QUIET_MAX: Duration = Duration::from_secs(2);
+
+/// Takes [`COUNTER`], then waits until no thread has allocated for
+/// [`QUIET`]. When a test finishes, the harness's main thread reports
+/// it and spawns the next queued test (a dozen or two allocations),
+/// just as the test that took the lock next starts measuring; the
+/// wait lets that land before the first fixture instead of inside a
+/// measured round.
+fn alone() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock but leaves nothing half-done.
+    let guard = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let start = Instant::now();
+    let (mut seen, mut still_since) = (alloc_count(), start);
+    while still_since.elapsed() < QUIET && start.elapsed() < QUIET_MAX {
+        std::thread::sleep(Duration::from_millis(1));
+        let now = alloc_count();
+        if now != seen {
+            (seen, still_since) = (now, Instant::now());
+        }
+    }
+    guard
+}
+
 /// Runs `fixtures` one after the other at one thread and at two, alone
 /// on the allocation counter.
 fn gate(fixtures: &[Fixture]) {
-    // A failed sibling poisons the lock but leaves nothing half-done.
-    let _alone = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let _alone = alone();
     for threads in [1, 2] {
         hfl_parallel::set_default_threads(threads);
         for fixture in fixtures {
@@ -293,7 +320,7 @@ fn sampled_streaming_rounds_keep_their_state_off_the_heap() {
 
 #[test]
 fn wide_multikrum_allocates_nothing_once_warm() {
-    let _alone = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let _alone = alone();
     let (n, d) = (128usize, 4_810usize);
     let rows: Vec<Vec<f32>> = (0..n)
         .map(|i| {
@@ -346,7 +373,7 @@ const PLAN_BYTES_PER_SAMPLE: u64 = 32;
 
 #[test]
 fn prepare_holds_the_plan_not_the_training_set() {
-    let _alone = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let _alone = alone();
 
     // Sampled: population = training samples, so a client holds one.
     let samples = 200_000usize;

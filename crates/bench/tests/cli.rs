@@ -108,6 +108,34 @@ fn bisect_names_an_unreadable_or_unparsable_file_and_exits_2() {
 }
 
 #[test]
+fn spec_bisect_compares_engine_state_through_the_final_round() {
+    let base = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/corpus/seed_clean_baseline.toml"
+    );
+    let (code, stdout, stderr) = repro(&["bisect", "--spec-a", base, "--spec-b", base]);
+    assert_eq!(code, 0, "{stdout}{stderr}");
+    assert!(
+        stdout.contains("identical after every one of 3 rounds"),
+        "{stdout}"
+    );
+
+    // One more round: the config hash differs from round 1 on, but the
+    // engine state agrees until round 3, where the shorter run's final
+    // evaluation lands in its round record.
+    let dir = scratch("spec_bisect");
+    let longer = dir.join("four_rounds.toml");
+    let spec = std::fs::read_to_string(base).unwrap();
+    assert!(spec.contains("\nrounds = 3\n"), "the corpus spec changed");
+    std::fs::write(&longer, spec.replace("\nrounds = 3\n", "\nrounds = 4\n")).unwrap();
+    let longer = longer.to_str().unwrap();
+    let (code, stdout, stderr) = repro(&["bisect", "--spec-a", base, "--spec-b", longer]);
+    assert_eq!(code, 1, "{stdout}{stderr}");
+    assert!(stdout.contains("round 3 (round records)"), "{stdout}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn a_failed_write_of_scale_json_exits_1_naming_the_path() {
     let dir = scratch("scale");
     // A directory where the file should go.

@@ -693,9 +693,9 @@ pub fn base_config_hash(cfg: &HflConfig) -> String {
 }
 
 /// [`run_prepared_with`] that also captures an [`EngineSnapshot`] after
-/// every `capture_every`-th completed round (never after the last — a
-/// finished run has nothing to resume). The run itself is unaffected:
-/// capture only reads state.
+/// every `capture_every`-th completed round and after the last one (its
+/// snapshot is the run's terminal state; resuming it runs no rounds).
+/// The run itself is unaffected: capture only reads state.
 ///
 /// # Panics
 /// When `capture_every` is zero.
@@ -749,7 +749,6 @@ fn run_loop(
     let base_hash = base_config_hash(cfg);
     let mut global = exp.template.params().to_vec();
     let mut cost = CostCounters::default();
-    let mut accuracy = Vec::new();
     let label = if engine.is_pipelined() {
         "pipeline"
     } else {
@@ -801,7 +800,6 @@ fn run_loop(
             }
             global.copy_from_slice(&s.model);
             cost = s.cost;
-            accuracy = s.accuracy.clone();
             manifest.rounds = s.rounds.clone();
             manifest.faults = s.faults.clone();
             susp_records = s.susp_log.clone();
@@ -864,7 +862,6 @@ fn run_loop(
         let mut round_accuracy = None;
         if (round + 1) % cfg.eval_every == 0 || round + 1 == cfg.rounds {
             let a = exp.evaluate(&global);
-            accuracy.push((round + 1, a));
             accuracy_g.set(a);
             round_accuracy = Some(a);
             telem.emit_with(|| Event::Evaluated { round, accuracy: a });
@@ -885,12 +882,13 @@ fn run_loop(
             absent: delta.absent,
         });
 
-        // Checkpoint the completed round (never the last: a finished
-        // run has nothing left to resume). Capture only reads state, so
-        // the run's own trajectory is unaffected.
+        // Checkpoint the completed round, and always the last one: the
+        // terminal state is what a divergence search compares last.
+        // Capture only reads state, so the run's own trajectory is
+        // unaffected.
         let done = round + 1;
         if let Some(every) = capture_every {
-            if done < cfg.rounds && done % every == 0 {
+            if done % every == 0 || done == cfg.rounds {
                 snapshots.push(EngineSnapshot {
                     version: SNAPSHOT_VERSION,
                     seed: cfg.seed,
@@ -899,7 +897,6 @@ fn run_loop(
                     round: done,
                     model: global.clone(),
                     cost,
-                    accuracy: accuracy.clone(),
                     rounds: manifest.rounds.clone(),
                     faults: manifest.faults.clone(),
                     susp_log: susp_records.clone(),
@@ -909,6 +906,11 @@ fn run_loop(
             }
         }
     }
+    let accuracy: Vec<(usize, f64)> = manifest
+        .rounds
+        .iter()
+        .filter_map(|r| r.accuracy.map(|a| (r.round, a)))
+        .collect();
     let final_accuracy = accuracy.last().map(|(_, a)| *a).unwrap_or(0.0);
     manifest.totals = RunTotals {
         messages: cost.messages,

@@ -1,7 +1,7 @@
-//! The binary codec: a length-prefixed little-endian layout behind a
-//! 4-byte magic, for bulk snapshot storage.
+//! The binary codec, the one snapshot codec: a length-prefixed
+//! little-endian layout behind a 4-byte magic.
 //!
-//! The layout mirrors the JSON field order exactly; every vector is
+//! Fields follow [`EngineSnapshot`]'s declaration order; every vector is
 //! prefixed by a `u64` element count, every string by a `u64` byte
 //! length, and floats are raw IEEE-754 bit patterns (bit-exact
 //! round-trip, NaN payloads included). Truncated or trailing input is
@@ -49,11 +49,6 @@ pub(crate) fn to_bytes(snap: &EngineSnapshot) -> Vec<u8> {
         c.withheld,
     ] {
         w.u64(v);
-    }
-    w.u64(snap.accuracy.len() as u64);
-    for &(round, acc) in &snap.accuracy {
-        w.u64(round as u64);
-        w.f64(acc);
     }
     w.u64(snap.rounds.len() as u64);
     for r in &snap.rounds {
@@ -169,7 +164,6 @@ pub(crate) fn from_bytes(bytes: &[u8]) -> Result<EngineSnapshot, SnapshotError> 
     for slot in &mut cost {
         *slot = r.u64()?;
     }
-    let accuracy = r.vec(|r| Ok((r.u64()? as usize, r.f64()?)))?;
     let rounds = r.vec(|r| {
         Ok(RoundRecord {
             round: r.u64()? as usize,
@@ -274,7 +268,6 @@ pub(crate) fn from_bytes(bytes: &[u8]) -> Result<EngineSnapshot, SnapshotError> 
             quarantined: cost[5],
             withheld: cost[6],
         },
-        accuracy,
         rounds,
         faults,
         susp_log,

@@ -12,16 +12,16 @@
 //! quarantine set, the adaptive adversary's bisection window, the fault
 //! schedule cursor), and the metrics-registry accumulators.
 //!
-//! Two codecs are provided, both hand-rolled in the same
+//! There is one codec, hand-rolled in the same
 //! no-serialization-dependency discipline as the telemetry manifest:
+//! [`EngineSnapshot::to_bytes`] / [`EngineSnapshot::from_bytes`], a
+//! length-prefixed little-endian binary form. It round-trips
+//! bit-exactly: `f32`/`f64` payloads are carried as raw bit patterns, so
+//! NaN payloads and signed zeros survive.
 //!
-//! * [`EngineSnapshot::to_json`] / [`EngineSnapshot::from_json`] — one
-//!   compact JSON line, human-greppable, used by the CI gates;
-//! * [`EngineSnapshot::to_bytes`] / [`EngineSnapshot::from_bytes`] — a
-//!   length-prefixed little-endian binary form for bulk storage.
-//!
-//! Both round-trip bit-exactly: `f32`/`f64` payloads are carried as raw
-//! bit patterns, so NaN payloads and signed zeros survive.
+//! [`EngineSnapshot::to_json`] / [`EngineSnapshot::from_json`] wrap the
+//! same bytes, hex-encoded, in a one-key JSON object; they carry no
+//! field codec of their own.
 //!
 //! ## Versioning rules
 //!
@@ -41,7 +41,7 @@ use std::fmt;
 use hfl_telemetry::{CostCounters, FaultRecord, MetricSample, RoundRecord, SuspicionRecord};
 
 /// Version tag embedded in every snapshot; decoders reject others.
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// Full engine state at the top of round [`EngineSnapshot::round`]
 /// (that many rounds completed, none in flight).
@@ -65,9 +65,8 @@ pub struct EngineSnapshot {
     pub model: Vec<f32>,
     /// Cumulative cost accounting totals.
     pub cost: CostCounters,
-    /// Accuracy series so far: `(round, accuracy)` per evaluation.
-    pub accuracy: Vec<(usize, f64)>,
-    /// Manifest prefix: one record per completed round.
+    /// Manifest prefix: one record per completed round (the accuracy
+    /// series is its evaluated records).
     pub rounds: Vec<RoundRecord>,
     /// Manifest prefix: fault activations so far.
     pub faults: Vec<FaultRecord>,
@@ -165,13 +164,14 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 impl EngineSnapshot {
-    /// Serializes as one compact JSON line (deterministic key order).
+    /// Serializes as one JSON line: an object whose one key holds the
+    /// lowercase hex of [`Self::to_bytes`].
     pub fn to_json(&self) -> String {
         json::to_json(self)
     }
 
-    /// Parses a snapshot from [`Self::to_json`] output, rejecting other
-    /// [`SNAPSHOT_VERSION`]s.
+    /// Parses a snapshot from [`Self::to_json`] output: malformed JSON or
+    /// hex is an error, and the bytes go through [`Self::from_bytes`].
     pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
         json::from_json(text)
     }
@@ -212,7 +212,6 @@ mod tests {
                 quarantined: 4,
                 withheld: 5,
             },
-            accuracy: vec![(2, 0.75)],
             rounds: vec![
                 RoundRecord {
                     round: 1,
@@ -333,6 +332,22 @@ mod tests {
         assert!(EngineSnapshot::from_json("[]").is_err());
         // Nesting past the parser's cap is an error, not a stack overflow.
         assert!(EngineSnapshot::from_json(&"[".repeat(1 << 20)).is_err());
+    }
+
+    #[test]
+    fn json_envelope_rejects_malformed_hex() {
+        let json = sample_snapshot().to_json();
+        let hex = json
+            .strip_prefix("{\"snapshot\":\"")
+            .and_then(|rest| rest.strip_suffix("\"}"))
+            .expect("one key holding the hex");
+        let envelope = |hex: &str| format!("{{\"snapshot\":\"{hex}\"}}");
+        assert!(EngineSnapshot::from_json(&envelope(hex)).is_ok());
+        // `u8::from_str_radix` would take a sign and upper case.
+        for bad in [&hex[1..], &hex.to_uppercase(), &format!("+{}", &hex[1..])] {
+            let err = EngineSnapshot::from_json(&envelope(bad)).unwrap_err();
+            assert!(err.detail.contains("hex"), "{err}");
+        }
     }
 
     /// Bit-exact equality: `PartialEq` on floats treats NaN ≠ NaN, so
@@ -469,7 +484,6 @@ mod tests {
         let round = rng.gen_range(0usize..64);
         let model = arb_vec(rng, 0..32, arb_f32);
         let costs: Vec<(u64, u64)> = arb_vec(rng, 0..4, |rng| (rng.gen(), rng.gen()));
-        let accuracy = arb_vec(rng, 0..4, |rng| (rng.gen_range(0usize..64), arb_f64(rng)));
         let rounds = arb_vec(rng, 0..4, |rng| {
             let round = rng.gen_range(0usize..64);
             let accuracy = arb_option(rng, arb_f64);
@@ -510,7 +524,6 @@ mod tests {
                 quarantined: costs.get(2).map_or(0, |c| c.1),
                 withheld: costs.get(3).map_or(0, |c| c.0),
             },
-            accuracy,
             rounds,
             faults,
             susp_log,

@@ -100,6 +100,10 @@ const RULES: &[Rule] = &[
     Rule { name: "no panicking twin", design: 9, files: &["crates/core/src/"], check: Forbid(&[" prepare(", " resume("]),
         fixture: "pub fn resume(s: &EngineSnapshot, cfg: &HflConfig) -> RunResult { todo!() }",
         message: "crates/core/src holds a prepare or resume beside Experiment::try_prepare and resume_prepared_with again" },
+    Rule { name: "one snapshot codec", design: 11, files: &["crates/snapshot/src/json.rs"],
+        check: Forbid(&["RoundRecord", "FaultRecord", "SuspicionRecord", "LayerState", "TrackerState", "SearchState", "MetricSample", "MetricValue", "HistogramStats", "CostCounters"]),
+        fixture: "use hfl_telemetry::{CostCounters, RoundRecord};",
+        message: "crates/snapshot/src/json.rs encodes snapshot fields itself again: it is a hex envelope over binary.rs, the one snapshot codec" },
 ];
 
 /// A file and its code: comments, literals and `#[cfg(test)]` items blanked, newlines kept.

@@ -150,7 +150,7 @@ fn assert_resume_identical(name: &str, cfg: &HflConfig) {
         // Through the binary codec (the on-disk format).
         let snap = EngineSnapshot::from_bytes(&snap.to_bytes())
             .unwrap_or_else(|e| panic!("{name}: binary round-trip failed: {e}"));
-        // And through the JSON codec for good measure.
+        // And through its JSON envelope.
         let snap = EngineSnapshot::from_json(&snap.to_json())
             .unwrap_or_else(|e| panic!("{name}: json round-trip failed: {e}"));
 
