@@ -6,8 +6,7 @@
 
 use std::ops::Range;
 
-use hfl_tensor::ops::{self, Width};
-use rand::rngs::StdRng;
+use hfl_tensor::ops;
 
 use crate::dataset::Dataset;
 use crate::loss::{
@@ -60,64 +59,50 @@ impl LinearSoftmax {
         self.theta.split_at(self.classes * self.dim)
     }
 
-    /// [`Model::count_correct_each`] with every kernel at `width` and
-    /// every panel tiled for it, or `None` when the CPU lacks it — for
-    /// the differential tests.
+    /// [`Model::count_correct_each`] that also shows its certificate —
+    /// a probe for the differential tests.
     /// `certified[i * thetas.len() + p]` becomes the class the `f32`
     /// pass certified for row `rows.start + i` under `thetas[p]`, or
     /// `None` where it fell back; returns how many pairs fell back.
     /// Which pairs fall back depends on the width; no hit does.
     #[doc(hidden)]
-    pub fn count_correct_each_at(
+    pub fn count_correct_each_certified(
         &self,
-        width: Width,
         thetas: &[&[f32]],
         data: &Dataset,
         rows: Range<usize>,
         hits: &mut [usize],
         certified: &mut [Option<u8>],
-    ) -> Option<usize> {
+    ) -> usize {
         assert_eq!(
             certified.len(),
             rows.len() * thetas.len(),
             "certified length mismatch"
         );
         let mut scratch = BatchScratch::default();
-        self.score_ballot(
-            width,
-            thetas,
-            data,
-            rows,
-            &mut scratch,
-            hits,
-            Some(certified),
-        )
+        self.score_ballot(thetas, data, rows, &mut scratch, hits, Some(certified))
     }
 
     /// The ballot: stage 1, the stacked `f32` panel's approximate dot
     /// products ([`ops::forward_approx`]); stage 2, [`decide`] per
     /// proposal; then, per proposal, the block's samples it left open
-    /// through the exact forward ([`ops::forward_class_major_at`])
-    /// straight from its borrowed θ, and [`predict`] on each.
-    #[allow(clippy::too_many_arguments)]
+    /// through the exact forward ([`ops::forward_class_major`])
+    /// straight from its borrowed θ, and [`predict`] on each. Every
+    /// stage runs at [`ops::Width::current`], on the calling thread.
     fn score_ballot(
         &self,
-        width: Width,
         thetas: &[&[f32]],
         data: &Dataset,
         rows: Range<usize>,
         scratch: &mut BatchScratch,
         hits: &mut [usize],
         mut certified: Option<&mut [Option<u8>]>,
-    ) -> Option<usize> {
+    ) -> usize {
         assert_eq!(thetas.len(), hits.len(), "thetas/hits length mismatch");
-        if !width.detected() {
-            return None;
-        }
         hits.fill(0);
         let k = thetas.len();
         if k == 0 {
-            return Some(0);
+            return 0;
         }
         let (classes, weights) = (self.classes, self.classes * self.dim);
         let stacked = k * classes;
@@ -139,49 +124,40 @@ impl LinearSoftmax {
             b.copy_from_slice(&theta[weights..]);
             *w_norm = row_norm_bound(&theta[..weights], self.dim);
         }
-        ballot.fill_at(
-            width,
-            thetas.iter().map(|t| &t[..weights]),
-            classes,
-            self.dim,
-        );
+        ballot.fill(thetas.iter().map(|t| &t[..weights]), classes, self.dim);
         let cert = Certificate::new(self.dim);
         let (mut fallbacks, mut done) = (0, 0);
         for_each_block(data, rows, |xs, ys| {
             let n = xs.len();
             let dots = &mut dots[..n * stacked];
-            ops::forward_approx_at(width, ballot, xs, dots).expect("the width is detected");
-            let x_norms = width
-                .run(
-                    #[inline(always)]
-                    |xs: &[&[f32]], (), (), _| {
-                        let mut x_norms = [0.0f64; BLOCK];
-                        for (v, x) in x_norms.iter_mut().zip(xs) {
-                            *v = norm(x);
-                        }
-                        x_norms
-                    },
-                    xs,
-                    (),
-                    (),
-                )
-                .expect("the width is detected");
+            ops::forward_approx(ballot, xs, dots);
+            let x_norms = ops::at_current(
+                #[inline(always)]
+                |xs: &[&[f32]], (), (), _| {
+                    let mut x_norms = [0.0f64; BLOCK];
+                    for (v, x) in x_norms.iter_mut().zip(xs) {
+                        *v = norm(x);
+                    }
+                    x_norms
+                },
+                xs,
+                (),
+                (),
+            );
             for (p, (h, theta)) in hits.iter_mut().zip(thetas).enumerate() {
-                let decided = width
-                    .run(
-                        #[inline(always)]
-                        |(dots, bias, w_norm), (x_norms, ys), cert, _| {
-                            decide(dots, bias, w_norm, cert, x_norms, ys)
-                        },
-                        (
-                            &dots[p * classes * n..][..classes * n],
-                            &bias[p * classes..][..classes],
-                            w_norms[p],
-                        ),
-                        (&x_norms, ys),
-                        cert,
-                    )
-                    .expect("the width is detected");
+                let decided = ops::at_current(
+                    #[inline(always)]
+                    |(dots, bias, w_norm), (x_norms, ys), cert, _| {
+                        decide(dots, bias, w_norm, cert, x_norms, ys)
+                    },
+                    (
+                        &dots[p * classes * n..][..classes * n],
+                        &bias[p * classes..][..classes],
+                        w_norms[p],
+                    ),
+                    (&x_norms, ys),
+                    cert,
+                );
                 *h += decided.hits;
                 if let Some(certified) = certified.as_deref_mut() {
                     for s in 0..n {
@@ -202,8 +178,7 @@ impl LinearSoftmax {
                 }
                 let (w, b) = theta.split_at(weights);
                 let logits = &mut exact[..m * classes];
-                ops::forward_class_major_at(width, w, b, &open[..m], logits)
-                    .expect("the width is detected");
+                ops::forward_class_major(w, b, &open[..m], logits);
                 for (i, s) in at[..m].iter().enumerate() {
                     for (v, class) in row.iter_mut().zip(logits.chunks_exact(m)) {
                         *v = class[i];
@@ -214,7 +189,7 @@ impl LinearSoftmax {
             }
             done += n;
         });
-        Some(fallbacks)
+        fallbacks
     }
 }
 
@@ -283,8 +258,7 @@ impl Model for LinearSoftmax {
         scratch: &mut BatchScratch,
         hits: &mut [usize],
     ) {
-        self.score_ballot(Width::widest(), thetas, data, rows, scratch, hits, None)
-            .expect("the width was just detected");
+        self.score_ballot(thetas, data, rows, scratch, hits, None);
     }
 
     /// One block at a time, class-major from the logits to the rank
@@ -339,11 +313,6 @@ impl Model for LinearSoftmax {
         loss / indices.len() as f64
     }
 
-    fn reinit(&mut self, _rng: &mut StdRng) {
-        // Zero init is canonical (and symmetric) for softmax regression.
-        self.theta.iter_mut().for_each(|t| *t = 0.0);
-    }
-
     fn clone_box(&self) -> Box<dyn Model> {
         Box::new(self.clone())
     }
@@ -354,6 +323,7 @@ mod tests {
     use super::*;
     use crate::sgd::{train_local, SgdConfig};
     use crate::synth::{SynthConfig, SyntheticDigits};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]

@@ -44,7 +44,7 @@ pub fn softmax_rows(logits: &mut [f32], classes: usize) {
 
 /// [`softmax_rows`] on a class-major block: `logits[r * n + s]` is
 /// class `r` of input `s`, so a class's values for the whole block are
-/// adjacent. One pass at the widest [`ops::Width`], lane-wise over the
+/// adjacent. One pass at [`ops::Width::current`], lane-wise over the
 /// inputs: each input's maximum (folded in class order from `−∞` with
 /// `f32::max`, whose NaN rule it keeps), the subtraction, [`math::exp`],
 /// the sum in class order and the division — each input reads its
@@ -62,7 +62,7 @@ pub fn softmax_columns(logits: &mut [f32], n: usize) {
     if n == 1 {
         return softmax_rows(logits, logits.len());
     }
-    ops::at_widest(
+    ops::at_current(
         #[inline(always)]
         |n, logits: &mut [f32], (), _| {
             let (mut max, mut sum) = ([f32::NEG_INFINITY; BLOCK], [0.0f32; BLOCK]);

@@ -39,6 +39,15 @@ impl Mlp {
         m
     }
 
+    /// Xavier-initializes both weight matrices from `rng`, first layer
+    /// first; the biases keep the zeros [`Mlp::new`] gave them.
+    fn reinit(&mut self, rng: &mut StdRng) {
+        let (dim, hidden, classes) = (self.dim, self.hidden, self.classes);
+        let (off_b1, off_w2, off_b2) = (self.off_b1(), self.off_w2(), self.off_b2());
+        init::xavier_uniform(rng, dim, hidden, &mut self.theta[..off_b1]);
+        init::xavier_uniform(rng, hidden, classes, &mut self.theta[off_w2..off_b2]);
+    }
+
     /// Feature dimension.
     pub fn dim(&self) -> usize {
         self.dim
@@ -239,16 +248,6 @@ impl Model for Mlp {
             }
         });
         loss / indices.len() as f64
-    }
-
-    fn reinit(&mut self, rng: &mut StdRng) {
-        let (dim, hidden, classes) = (self.dim, self.hidden, self.classes);
-        let (off_b1, off_w2, off_b2) = (self.off_b1(), self.off_w2(), self.off_b2());
-        init::xavier_uniform(rng, dim, hidden, &mut self.theta[..off_b1]);
-        self.theta[off_b1..off_w2].iter_mut().for_each(|t| *t = 0.0);
-        let end_w2 = off_b2;
-        init::xavier_uniform(rng, hidden, classes, &mut self.theta[off_w2..end_w2]);
-        self.theta[off_b2..].iter_mut().for_each(|t| *t = 0.0);
     }
 
     fn clone_box(&self) -> Box<dyn Model> {

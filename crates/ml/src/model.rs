@@ -3,7 +3,6 @@
 use std::ops::Range;
 
 use hfl_tensor::ops::Panel;
-use rand::rngs::StdRng;
 
 use crate::dataset::Dataset;
 
@@ -161,10 +160,6 @@ pub trait Model: Send + Sync {
     /// for tests and diagnostics; no training step reads it.
     fn mean_loss(&self, data: &Dataset, indices: &[usize], scratch: &mut BatchScratch) -> f64;
 
-    /// Re-initializes the parameters from an RNG (fresh model, same
-    /// architecture).
-    fn reinit(&mut self, rng: &mut StdRng);
-
     /// Clones the model behind the trait object.
     fn clone_box(&self) -> Box<dyn Model>;
 }
@@ -187,6 +182,7 @@ mod tests {
     use crate::loss::{argmax, ce_grad_in_place, cross_entropy, softmax_in_place};
     use crate::mlp::Mlp;
     use hfl_tensor::ops::{self, reference::affine_naive};
+    use rand::rngs::StdRng;
 
     /// Batch sizes on both sides of the kernel selection: 1 takes the
     /// single-input kernel, the rest the class-major block.

@@ -19,7 +19,7 @@
 
 use std::ops::Range;
 
-use hfl_tensor::ops::{at_widest, Width};
+use hfl_tensor::ops::at_current;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -111,12 +111,12 @@ fn quarter_round(
     }
 }
 
-/// The one block body, inlined into the function of each [`Width`] it
-/// is run at: `out[l]` = block `ctr[l]` of the key stream (zero stream
-/// id). The state is sixteen rows of sixteen lanes — row `w` is word `w`
-/// of every block — so each step of a quarter round is one lane-wise
-/// operation on whole rows, and the blocks never interact until `out`
-/// takes them apart.
+/// The one block body, inlined into the function of each
+/// [`Width`](hfl_tensor::ops::Width) it is run at: `out[l]` = block
+/// `ctr[l]` of the key stream (zero stream id). The state is sixteen
+/// rows of sixteen lanes — row `w` is word `w` of every block — so each
+/// step of a quarter round is one lane-wise operation on whole rows,
+/// and the blocks never interact until `out` takes them apart.
 #[inline(always)]
 fn blocks_body(key: &[u32; 8], ctr: &[u64; LANES], out: &mut Pass) {
     let mut init = [[0u32; LANES]; 16];
@@ -147,28 +147,11 @@ fn blocks_body(key: &[u32; 8], ctr: &[u64; LANES], out: &mut Pass) {
 }
 
 /// Fills `out` with the blocks at counters `ctr`, lane `l` holding
-/// block `ctr[l]`, at the widest [`Width`] the running CPU has.
-fn blocks(key: &[u32; 8], ctr: &[u64; LANES], out: &mut Pass) {
-    at_widest(
-        #[inline(always)]
-        |(key, ctr), out, (), _| blocks_body(key, ctr, out),
-        (key, ctr),
-        out,
-        (),
-    )
-}
-
-/// [`blocks`] at a given [`Width`]; `None` when the CPU lacks it. For
-/// the differential tests, which reach the widths the dispatch passes
-/// over.
+/// block `ctr[l]`, at [`Width::current`](hfl_tensor::ops::Width::current).
+/// Public for the differential tests, which run it at every width.
 #[doc(hidden)]
-pub fn blocks_at(
-    width: Width,
-    key: &[u32; 8],
-    ctr: &[u64; LANES],
-    out: &mut [[u32; 16]; LANES],
-) -> Option<()> {
-    width.run(
+pub fn blocks(key: &[u32; 8], ctr: &[u64; LANES], out: &mut [[u32; 16]; LANES]) {
+    at_current(
         #[inline(always)]
         |(key, ctr), out, (), _| blocks_body(key, ctr, out),
         (key, ctr),

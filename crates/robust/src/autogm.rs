@@ -88,10 +88,6 @@ impl Aggregator for AutoGm {
         out.resize(d, 0.0);
         hfl_tensor::ops::mean_of(&selected, out);
     }
-
-    fn max_byzantine(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 2
-    }
 }
 
 #[cfg(test)]

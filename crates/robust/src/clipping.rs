@@ -62,10 +62,6 @@ impl Aggregator for CenteredClip {
             hfl_tensor::ops::axpy(inv_n, &delta, v);
         }
     }
-
-    fn max_byzantine(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 2
-    }
 }
 
 #[cfg(test)]

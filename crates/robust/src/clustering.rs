@@ -95,11 +95,6 @@ impl Aggregator for CosineClustering {
         out.resize(d, 0.0);
         hfl_tensor::ops::mean_of(&selected, out);
     }
-
-    fn max_byzantine(&self, n: usize) -> usize {
-        // Sound while benign updates form the strict-majority cluster.
-        n.saturating_sub(1) / 2
-    }
 }
 
 #[cfg(test)]

@@ -106,10 +106,6 @@ impl Aggregator for GeoMed {
     ) {
         self.compute_into(updates, hfl_parallel::default_threads(), out, scratch);
     }
-
-    fn max_byzantine(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 2
-    }
 }
 
 #[cfg(test)]

@@ -163,11 +163,6 @@ impl Aggregator for Krum {
         out.clear();
         out.extend_from_slice(updates[best]);
     }
-
-    fn max_byzantine(&self, n: usize) -> usize {
-        // n >= 2f+3  =>  f <= (n-3)/2
-        n.saturating_sub(3) / 2
-    }
 }
 
 /// Multi-Krum: average the `m` best-scoring updates (m=1 degenerates to
@@ -239,10 +234,6 @@ impl Aggregator for MultiKrum {
         out.resize(d, 0.0);
         hfl_tensor::ops::mean_of_indexed(updates, &idx, out);
         scratch.idx = idx;
-    }
-
-    fn max_byzantine(&self, n: usize) -> usize {
-        n.saturating_sub(3) / 2
     }
 }
 
@@ -439,12 +430,5 @@ mod tests {
             k.aggregate_into(&refs, None, &mut out, &mut scratch);
             assert_eq!(out, k.aggregate(&refs, None));
         }
-    }
-
-    #[test]
-    fn tolerance_formula() {
-        assert_eq!(Krum::new(1).max_byzantine(16), 6);
-        assert_eq!(Krum::new(1).max_byzantine(3), 0);
-        assert_eq!(Krum::new(1).max_byzantine(2), 0);
     }
 }

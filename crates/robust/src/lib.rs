@@ -124,10 +124,6 @@ pub trait Aggregator: Send + Sync {
         self.aggregate_into(updates, weights, &mut out, &mut AggScratch::default());
         out
     }
-
-    /// The largest number of Byzantine inputs among `n` this rule is
-    /// designed to tolerate (`0` for plain averaging).
-    fn max_byzantine(&self, n: usize) -> usize;
 }
 
 /// Serializable aggregator selector for experiment configuration files.

@@ -30,10 +30,6 @@ impl Aggregator for FedAvg {
             None => hfl_tensor::ops::mean_of(updates, out),
         }
     }
-
-    fn max_byzantine(&self, _n: usize) -> usize {
-        0
-    }
 }
 
 #[cfg(test)]
@@ -63,7 +59,6 @@ mod tests {
         let attacker = [1e9f32];
         let out = FedAvg.aggregate(&[&honest, &honest, &honest, &attacker], None);
         assert!(out[0] > 1e8);
-        assert_eq!(FedAvg.max_byzantine(100), 0);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! partial-aggregation rule.
 
 use crate::{validate_updates, AggScratch, Aggregator};
+use hfl_tensor::ops::{with_width, Width};
 use hfl_tensor::stats::{column_stat_into, ColumnStat, NETWORK_MAX_ROWS, TILE_LANES};
 
 /// Input size, `n · d` elements, from which the coordinate loops of the
@@ -28,9 +29,9 @@ pub(crate) const PARALLEL_MIN_SORTED_ELEMENTS: usize = 32_768;
 
 /// `stat` of every coordinate of `rows`, the coordinates split into
 /// tile-aligned chunks claimed off the work-stealing scheduler: each
-/// worker runs [`column_stat_into`] on a disjoint slice of `out`, so
-/// per-coordinate values match the sequential kernel exactly at any
-/// thread count.
+/// worker runs [`column_stat_into`] on a disjoint slice of `out`, at the
+/// caller's [`Width::current`], so per-coordinate values match the
+/// sequential kernel exactly at any thread count.
 pub(crate) fn column_stat_parallel(
     stat: ColumnStat,
     rows: &[&[f32]],
@@ -47,9 +48,13 @@ pub(crate) fn column_stat_parallel(
         .div_ceil(threads.max(1))
         .max(1)
         .next_multiple_of(TILE_LANES);
+    let width = Width::current();
     hfl_parallel::par_chunks_mut(out, chunk, threads, |base, slice| {
         // The column buffer is only grown past the network's row limit.
-        column_stat_into(stat, rows.iter().copied(), base, slice, &mut Vec::new());
+        with_width(width, || {
+            column_stat_into(stat, rows.iter().copied(), base, slice, &mut Vec::new())
+        })
+        .expect("the caller's width is detected");
     });
 }
 
@@ -102,12 +107,6 @@ impl Aggregator for CoordMedian {
         scratch: &mut AggScratch,
     ) {
         column_stat(ColumnStat::Median, updates, out, &mut scratch.col);
-    }
-
-    fn max_byzantine(&self, n: usize) -> usize {
-        // The median moves outside the honest range once the adversary
-        // controls half the inputs.
-        n.saturating_sub(1) / 2
     }
 }
 
@@ -187,12 +186,5 @@ mod tests {
                 "n={n}: {out:?}"
             );
         }
-    }
-
-    #[test]
-    fn tolerance_is_minority() {
-        assert_eq!(CoordMedian.max_byzantine(5), 2);
-        assert_eq!(CoordMedian.max_byzantine(4), 1);
-        assert_eq!(CoordMedian.max_byzantine(1), 0);
     }
 }

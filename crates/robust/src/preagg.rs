@@ -115,17 +115,6 @@ impl PreAggregation {
             }
         }
     }
-
-    /// How many Byzantine *inputs* the composition tolerates, given the
-    /// base rule's own tolerance: `f` Byzantine inputs corrupt at most
-    /// `f` buckets (so bucketing defers to the base rule over `⌈n/s⌉`
-    /// cohort members), while NNM preserves the cohort size.
-    pub fn composed_max_byzantine(&self, base: &dyn Aggregator, n: usize) -> usize {
-        match *self {
-            PreAggregation::Bucketing { s } => base.max_byzantine(n.div_ceil(s.max(1))),
-            PreAggregation::Nnm { .. } => base.max_byzantine(n),
-        }
-    }
 }
 
 /// A base rule behind a pre-aggregation transform — itself an
@@ -178,10 +167,6 @@ impl Aggregator for PreAggregated {
         // no longer correspond to single datasets, and every robust base
         // rule ignores weights anyway.
         self.base.aggregate_into(&refs, None, out, scratch);
-    }
-
-    fn max_byzantine(&self, n: usize) -> usize {
-        self.pre.composed_max_byzantine(self.base.as_ref(), n)
     }
 }
 
@@ -268,20 +253,6 @@ mod tests {
         let composed = PreAggregated::new(PreAggregation::Nnm { k: 3 }, Box::new(CoordMedian));
         let out = composed.aggregate(&refs(&updates), None);
         assert!(out.iter().all(|x| x.abs() < 3.0), "got {out:?}");
-    }
-
-    #[test]
-    fn composed_tolerance_bucketing_shrinks_cohort() {
-        let composed =
-            PreAggregated::new(PreAggregation::Bucketing { s: 2 }, Box::new(Krum::new(2)));
-        // 10 inputs → 5 buckets; Krum over 5 tolerates (5-3)/2 = 1.
-        assert_eq!(composed.max_byzantine(10), 1);
-        let nnm = PreAggregated::new(PreAggregation::Nnm { k: 3 }, Box::new(Krum::new(2)));
-        assert_eq!(
-            nnm.max_byzantine(10),
-            Krum::new(2).max_byzantine(10),
-            "NNM keeps the cohort size"
-        );
     }
 
     #[test]

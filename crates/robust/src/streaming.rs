@@ -28,7 +28,7 @@
 //! `crates/robust/tests/properties.rs` pin the fallback regime.
 
 use crate::{validate_updates, AggScratch, Aggregator, CoordMedian, Krum, TrimmedMean};
-use hfl_tensor::ops::at_widest;
+use hfl_tensor::ops::at_current;
 use hfl_tensor::splitmix64;
 use hfl_tensor::stats::{column_stat_into, tile_lanes, ColumnStat, ColumnTile, TILE_LANES};
 
@@ -213,18 +213,13 @@ impl Aggregator for StreamingMedian {
         let d = validate_updates(updates);
         out.clear();
         out.resize(d, 0.0);
-        at_widest(
+        at_current(
             #[inline(always)]
             |rows, out, (), _| p2_tiles(rows, out),
             updates,
             &mut out[..],
             (),
         );
-    }
-
-    fn max_byzantine(&self, n: usize) -> usize {
-        // Same breakdown point as the batch median.
-        n.saturating_sub(1) / 2
     }
 }
 
@@ -296,13 +291,6 @@ impl Aggregator for StreamingTrimmedMean {
             &mut scratch.col,
         );
     }
-
-    fn max_byzantine(&self, n: usize) -> usize {
-        // The trim budget is what the rule absorbs per coordinate; past
-        // the threshold it applies to the reservoir, which the adversary
-        // does not control the membership of.
-        self.exact.trim_count(n.min(self.exact_threshold))
-    }
 }
 
 /// Krum over `m` arrival-order bucket means: bounds the pairwise
@@ -371,12 +359,6 @@ impl Aggregator for SampledKrum {
         }
         let refs: Vec<&[f32]> = means.iter().map(|v| v.as_slice()).collect();
         Krum::new(self.f).aggregate_into(&refs, None, out, scratch);
-    }
-
-    fn max_byzantine(&self, n: usize) -> usize {
-        // Krum's bound evaluated at the effective input count (buckets
-        // past the cut, raw inputs below it).
-        self.m.min(n).saturating_sub(3) / 2
     }
 }
 
@@ -450,7 +432,7 @@ mod tests {
     /// inputs.
     #[test]
     fn p2_reads_the_same_bits_at_every_width() {
-        use hfl_tensor::ops::Width;
+        use hfl_tensor::ops::{with_width, Width};
         let mut ran = Vec::new();
         for n in [1usize, 4, 5, 6, 8, 9, 40, 300] {
             for d in [1usize, 15, 16, 17, 100] {
@@ -470,17 +452,10 @@ mod tests {
                     })
                     .collect();
                 let rows = refs(&rows);
+                // A threshold of one sends every cohort through P².
                 let run = |width: Width| {
-                    let mut out = vec![f32::NAN; d];
-                    width
-                        .run(
-                            #[inline(always)]
-                            |rows, out, (), _| p2_tiles(rows, out),
-                            &rows[..],
-                            &mut out[..],
-                            (),
-                        )
-                        .map(|()| out.iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
+                    with_width(width, || StreamingMedian::new(1).aggregate(&rows, None))
+                        .map(|out| out.iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
                 };
                 let plain = run(Width::Plain).expect("runs anywhere");
                 for width in Width::ALL {
@@ -580,13 +555,6 @@ mod tests {
                 "corrupted bucket selected at shuffle {seed}: {out:?}"
             );
         }
-    }
-
-    #[test]
-    fn sampled_krum_bounds_tolerance_by_buckets() {
-        let sk = SampledKrum::new(2, 11);
-        assert_eq!(sk.max_byzantine(1000), 4); // (11 − 3) / 2
-        assert_eq!(sk.max_byzantine(9), 3); // below the cut: (9 − 3) / 2
     }
 
     #[test]

@@ -74,10 +74,6 @@ impl Aggregator for TrimmedMean {
             &mut scratch.col,
         );
     }
-
-    fn max_byzantine(&self, n: usize) -> usize {
-        self.trim_count(n)
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 use rand::Rng;
 
 use crate::math;
-use crate::ops::Width;
+use crate::ops::at_current;
 
 /// Fill `buf` with samples from `U(-a, a)`.
 pub fn uniform<R: Rng + ?Sized>(rng: &mut R, a: f32, buf: &mut [f32]) {
@@ -76,26 +76,12 @@ pub fn standard_normal_from_words(w1: u32, w2: u32) -> f32 {
 
 /// `out[j] = means[j] + std · z_j`, `z_j` the
 /// [`standard_normal_from_words`] of `words[2j]`, `words[2j + 1]`: one
-/// lane-wise pass at the widest [`Width`] the CPU has, bit for bit the
-/// scalar form's.
+/// lane-wise pass at [`Width::current`](crate::ops::Width::current), bit
+/// for bit the scalar form's.
 ///
 /// # Panics
 /// If `means` and `out` differ in length or `words` is not twice it.
 pub fn gaussians_from_words(words: &[u32], means: &[f32], std: f32, out: &mut [f32]) {
-    gaussians_from_words_at(Width::widest(), words, means, std, out)
-        .expect("the width was just detected")
-}
-
-/// [`gaussians_from_words`] at `width`, or `None` when the CPU lacks it
-/// — for the differential tests.
-#[doc(hidden)]
-pub fn gaussians_from_words_at(
-    width: Width,
-    words: &[u32],
-    means: &[f32],
-    std: f32,
-    out: &mut [f32],
-) -> Option<()> {
     assert_eq!(
         means.len(),
         out.len(),
@@ -106,7 +92,7 @@ pub fn gaussians_from_words_at(
         2 * out.len(),
         "gaussians: two words per output"
     );
-    width.run(
+    at_current(
         #[inline(always)]
         |(words, means, std), out, (), _| gaussians_body(words, means, std, out),
         (words, means, std),
@@ -149,6 +135,7 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{with_width, Width};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -217,9 +204,8 @@ mod tests {
         for width in Width::ALL {
             for len in (0..40).chain([n]) {
                 let mut got = vec![f32::NAN; len];
-                let Some(()) =
-                    gaussians_from_words_at(width, &words[..2 * len], &means[..len], 0.7, &mut got)
-                else {
+                let draw = || gaussians_from_words(&words[..2 * len], &means[..len], 0.7, &mut got);
+                let Some(()) = with_width(width, draw) else {
                     break;
                 };
                 for (j, (g, w)) in got.iter().zip(&want).enumerate() {

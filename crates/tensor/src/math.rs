@@ -8,8 +8,8 @@
 //! libm. And a function inlined into a lane of a SIMD loop performs the
 //! same IEEE operations as its scalar call, so a slice kernel
 //! ([`exp_in_place`]) computes exactly the scalar form's bits at every
-//! [`Width`] — what lets the softmax and the Box–Muller draw run
-//! lane-wise without a golden moving.
+//! [`Width`](crate::ops::Width) — what lets the softmax and the
+//! Box–Muller draw run lane-wise without a golden moving.
 //!
 //! Every function evaluates in `f64` on fdlibm's reductions and
 //! polynomials (Sun Microsystems' freely distributable libm: `e_exp.c`,
@@ -29,7 +29,7 @@
 //! is an exact subtraction on `u` itself, and only the final
 //! `|θ| ≤ π/4` is rounded.
 
-use crate::ops::Width;
+use crate::ops::at_current;
 
 /// `1.5·2⁵²`: adding it to an `f64` of magnitude below 2⁵¹ rounds it to
 /// an integer (ties to even), held in the low bits of the sum.
@@ -243,17 +243,11 @@ pub fn cos_2pi_f64(u: f64) -> f64 {
     sin_cos_2pi_core(v).1
 }
 
-/// `xs[j] = exp(xs[j])` for every `j`, lane-wise at the widest [`Width`]
-/// the CPU has: bit for bit [`exp`] of each.
+/// `xs[j] = exp(xs[j])` for every `j`, lane-wise at
+/// [`Width::current`](crate::ops::Width::current): bit for bit [`exp`]
+/// of each.
 pub fn exp_in_place(xs: &mut [f32]) {
-    exp_in_place_at(Width::widest(), xs).expect("the width was just detected")
-}
-
-/// [`exp_in_place`] at `width`, or `None` when the CPU lacks it — for
-/// the differential tests.
-#[doc(hidden)]
-pub fn exp_in_place_at(width: Width, xs: &mut [f32]) -> Option<()> {
-    width.run(
+    at_current(
         #[inline(always)]
         |(), xs: &mut [f32], (), _| {
             for x in xs.iter_mut() {
@@ -269,6 +263,7 @@ pub fn exp_in_place_at(width: Width, xs: &mut [f32]) -> Option<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{with_width, Width};
 
     /// Steps between two `f32`s on the line of all of them: `±0` are
     /// one point, NaN is only at NaN.
@@ -531,7 +526,7 @@ mod tests {
         let xs = exp_sample();
         for width in Width::ALL {
             let mut got = xs.clone();
-            if exp_in_place_at(width, &mut got).is_none() {
+            if with_width(width, || exp_in_place(&mut got)).is_none() {
                 println!("{width:?}: not on this CPU");
                 continue;
             }
@@ -539,7 +534,7 @@ mod tests {
             // Every length's tail too: the last partial vector is scalar code.
             for len in 0..40 {
                 let mut short = xs[..len].to_vec();
-                exp_in_place_at(width, &mut short).unwrap();
+                with_width(width, || exp_in_place(&mut short)).unwrap();
                 assert!(short
                     .iter()
                     .zip(&xs)

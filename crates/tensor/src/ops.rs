@@ -3,6 +3,8 @@
 //! All functions operate on `&[f32]` / `&mut [f32]` so they can be applied
 //! to model parameter vectors, gradients, and matrix rows alike.
 
+use std::cell::Cell;
+
 use crate::check_same_len;
 
 /// `y += alpha * x` (the classic BLAS `axpy`). This is the SGD update and
@@ -158,7 +160,7 @@ const PANEL_LANES: usize = 16;
 /// — [`axpy`] and [`rank_update`] multiply in `f32` — so nothing else
 /// may fuse and keep its bits; the one other fused step,
 /// [`forward_approx`]'s, is an approximation by contract. `fused` is
-/// [`Width::run`]'s flag: one `vfmadd` where `fma` is enabled (without
+/// [`at_current`]'s flag: one `vfmadd` where `fma` is enabled (without
 /// it the fused form is a libm call).
 #[inline(always)]
 fn add_exact_product(fused: bool, acc: f64, a: f64, b: f64) -> f64 {
@@ -214,26 +216,16 @@ impl Panel {
     /// Overwrites the panel with the row-major `rows × cols` matrices
     /// `mats` stacked in order — `mats.len() · rows` output rows, tiled
     /// as one matrix, so several models' layers go through
-    /// [`forward_approx`] in one pass over the inputs.
+    /// [`forward_approx`] in one pass over the inputs. The tiles are
+    /// cut for [`Width::current`]: `PANEL_LANES` lanes at
+    /// [`Width::Avx512`], half that at the narrower widths.
     pub fn fill<'a, M>(&mut self, mats: M, rows: usize, cols: usize)
     where
         M: IntoIterator<Item = &'a [f32]>,
         M::IntoIter: ExactSizeIterator,
     {
-        self.fill_at(Width::widest(), mats, rows, cols)
-    }
-
-    /// [`Panel::fill`] tiled for `width` instead of the widest the CPU
-    /// has — for the differential tests, and for a caller that runs its
-    /// kernels at a width it was handed.
-    #[doc(hidden)]
-    pub fn fill_at<'a, M>(&mut self, width: Width, mats: M, rows: usize, cols: usize)
-    where
-        M: IntoIterator<Item = &'a [f32]>,
-        M::IntoIter: ExactSizeIterator,
-    {
         let mats = mats.into_iter();
-        let wide = width == Width::Avx512;
+        let wide = Width::current() == Width::Avx512;
         (self.rows, self.cols) = (mats.len() * rows, cols);
         self.lanes = if wide { PANEL_LANES } else { PANEL_LANES / 2 };
         // No `clear`: every element is overwritten below, so only a
@@ -296,24 +288,12 @@ const BLOCK_INPUTS: usize = 4;
 /// column group is loaded once for four inputs. A last group of one to
 /// three inputs runs the same body with its last input repeated and
 /// the repeats dropped. The body is compiled at every [`Width`] and
-/// runs at the widest.
+/// runs at [`Width::current`].
 ///
 /// # Panics
 /// If an input's length is not the panel's column count, or `out` does
 /// not hold `xs.len()` values per panel row.
 pub fn forward_approx(panel: &Panel, xs: &[&[f32]], out: &mut [f32]) {
-    forward_approx_at(Width::widest(), panel, xs, out).expect("the width was just detected")
-}
-
-/// [`forward_approx`] compiled at `width`, or `None` when the CPU lacks
-/// it (see [`forward_class_major_at`]).
-#[doc(hidden)]
-pub fn forward_approx_at(
-    width: Width,
-    panel: &Panel,
-    xs: &[&[f32]],
-    out: &mut [f32],
-) -> Option<()> {
     assert_eq!(
         out.len(),
         xs.len() * panel.rows,
@@ -322,7 +302,7 @@ pub fn forward_approx_at(
     for x in xs {
         assert_eq!(x.len(), panel.cols, "forward_approx: input length mismatch");
     }
-    width.run(
+    at_current(
         #[inline(always)]
         |(panel, xs), out, (), fused| approx_body(panel, xs, out, fused),
         (panel, xs),
@@ -484,8 +464,8 @@ enum Coeff {
 /// input of the block and stored once, where the `axpy` loop loads and
 /// stores a gradient row per (input, row).
 ///
-/// The body is compiled at every [`Width`] and runs at the widest; a
-/// single input takes the `axpy` loop itself.
+/// The body is compiled at every [`Width`] and runs at
+/// [`Width::current`]; a single input takes the `axpy` loop itself.
 ///
 /// # Panics
 /// If the inputs differ in length, or `coeff` / `grad` do not hold
@@ -507,21 +487,7 @@ pub fn rank_update(grad: &mut [f32], coeff: &[f32], xs: &[&[f32]], skip_zero: bo
         }
         return;
     }
-    rank_update_at(Width::widest(), grad, coeff, xs, skip_zero)
-        .expect("the width was just detected")
-}
-
-/// [`rank_update`] compiled at `width`, or `None` when the CPU lacks it
-/// (see [`forward_class_major_at`]).
-#[doc(hidden)]
-pub fn rank_update_at(
-    width: Width,
-    grad: &mut [f32],
-    coeff: &[f32],
-    xs: &[&[f32]],
-    skip_zero: bool,
-) -> Option<()> {
-    rank_dispatch(width, grad, coeff, xs, skip_zero, Coeff::InputMajor)
+    rank_dispatch(grad, coeff, xs, skip_zero, Coeff::InputMajor)
 }
 
 /// [`rank_update`] over class-major coefficients: `grad[r][c] +=
@@ -537,35 +503,15 @@ pub fn rank_update_class_major(grad: &mut [f32], coeff: &[f32], xs: &[&[f32]], s
     if xs.len() == 1 {
         return rank_update(grad, coeff, xs, skip_zero);
     }
-    rank_update_class_major_at(Width::widest(), grad, coeff, xs, skip_zero)
-        .expect("the width was just detected")
+    rank_dispatch(grad, coeff, xs, skip_zero, Coeff::RowMajor)
 }
 
-/// [`rank_update_class_major`] compiled at `width`, or `None` when the
-/// CPU lacks it (see [`forward_class_major_at`]).
-#[doc(hidden)]
-pub fn rank_update_class_major_at(
-    width: Width,
-    grad: &mut [f32],
-    coeff: &[f32],
-    xs: &[&[f32]],
-    skip_zero: bool,
-) -> Option<()> {
-    rank_dispatch(width, grad, coeff, xs, skip_zero, Coeff::RowMajor)
-}
-
-/// The checks and the dispatch of both rank updates.
-fn rank_dispatch(
-    width: Width,
-    grad: &mut [f32],
-    coeff: &[f32],
-    xs: &[&[f32]],
-    skip_zero: bool,
-    layout: Coeff,
-) -> Option<()> {
+/// The checks and the dispatch of both rank updates, at
+/// [`Width::current`], which also sets the column tile's cap.
+fn rank_dispatch(grad: &mut [f32], coeff: &[f32], xs: &[&[f32]], skip_zero: bool, layout: Coeff) {
     let Some(first) = xs.first() else {
         assert!(coeff.is_empty(), "rank_update: coefficients without inputs");
-        return Some(());
+        return;
     };
     for x in xs {
         check_same_len(first, x);
@@ -580,20 +526,23 @@ fn rank_dispatch(
         coeff.len() / xs.len() * first.len(),
         "rank_update: gradient shape mismatch"
     );
+    let width = Width::current();
     let cap = if width == Width::Avx512 {
         RANK_COLS
     } else {
         RANK_COLS / 2
     };
-    width.run(
-        #[inline(always)]
-        |(coeff, xs, skip_zero, layout), grad, cap, _| {
-            rank_body(coeff, xs, skip_zero, layout, cap, grad)
-        },
-        (coeff, xs, skip_zero, layout),
-        grad,
-        cap,
-    )
+    width
+        .run(
+            #[inline(always)]
+            |(coeff, xs, skip_zero, layout), grad, cap, _| {
+                rank_body(coeff, xs, skip_zero, layout, cap, grad)
+            },
+            (coeff, xs, skip_zero, layout),
+            grad,
+            cap,
+        )
+        .expect("the current width is detected")
 }
 
 /// The one body of both rank updates, inlined into the function of each
@@ -708,32 +657,18 @@ const INPUT_TILE: usize = 64;
 /// fewer than 8, 16 or 32) compute on a copy of the last input and are
 /// dropped, as a single last row is. A block of one input has nothing
 /// to transpose and takes [`affine_rows`], whose single output row is
-/// the same layout.
+/// the same layout. Several run at [`Width::current`], from a function
+/// kept out of line so that a disassembly names the call into its wide
+/// body (`scripts/ci.sh` checks that body holds packed fused products).
 ///
 /// # Panics
 /// If an input's length is not `w.len() / bias.len()`, `w` does not
 /// hold whole rows, or `out.len() != xs.len() * bias.len()`.
+#[inline(never)]
 pub fn forward_class_major(w: &[f32], bias: &[f32], xs: &[&[f32]], out: &mut [f32]) {
     if let [x] = xs {
         return affine_rows(w, bias, x, out);
     }
-    forward_class_major_at(Width::widest(), w, bias, xs, out).expect("the width was just detected")
-}
-
-/// [`forward_class_major`] compiled at `width`, or `None` when the CPU
-/// lacks it — for the differential tests, which reach the widths the
-/// dispatch passes over on the host. Kept out of line so that a
-/// disassembly names the call into its wide body (`scripts/ci.sh`
-/// checks that body holds packed fused products).
-#[doc(hidden)]
-#[inline(never)]
-pub fn forward_class_major_at(
-    width: Width,
-    w: &[f32],
-    bias: &[f32],
-    xs: &[&[f32]],
-    out: &mut [f32],
-) -> Option<()> {
     let rows = bias.len();
     assert!(
         rows > 0 && w.len().is_multiple_of(rows),
@@ -748,7 +683,7 @@ pub fn forward_class_major_at(
     for x in xs {
         assert_eq!(x.len(), d, "forward_class_major: input length mismatch");
     }
-    width.run(
+    at_current(
         #[inline(always)]
         |(w, bias, xs), out, (), fused| class_major_body(w, bias, xs, out, fused),
         (w, bias, xs),
@@ -1097,20 +1032,37 @@ pub enum Width {
     Plain,
 }
 
+thread_local! {
+    /// The width an enclosing [`with_width`] holds this thread's kernels
+    /// at; `None` outside every scope.
+    static SCOPED_WIDTH: Cell<Option<Width>> = const { Cell::new(None) };
+}
+
 impl Width {
     /// Every width, widest first.
     pub const ALL: [Width; 3] = [Width::Avx512, Width::Avx2, Width::Plain];
 
     /// The widest width the running CPU has.
-    pub fn widest() -> Width {
+    fn widest() -> Width {
         Width::ALL
             .into_iter()
             .find(|w| w.detected())
             .expect("the plain width runs anywhere")
     }
 
+    /// The width a kernel called now on this thread runs at: an
+    /// enclosing [`with_width`]'s, or else the widest the CPU has — the
+    /// one width decision. Every kernel reads it once, when it is
+    /// called, and hands it to the work it splits across threads.
+    pub fn current() -> Width {
+        match SCOPED_WIDTH.with(Cell::get) {
+            Some(scoped) => scoped,
+            None => Width::widest(),
+        }
+    }
+
     /// Whether the running CPU has this width.
-    pub fn detected(self) -> bool {
+    fn detected(self) -> bool {
         match self {
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             Width::Avx512 => {
@@ -1126,27 +1078,11 @@ impl Width {
         }
     }
 
-    /// Runs `kernel(a, b, c, fused)` inside a function compiled for this
-    /// width, or returns `None` when the CPU lacks it. `fused` is whether
-    /// that function has `fma` — a literal in each, so
-    /// `add_exact_product`'s branch on it folds away; a kernel without
-    /// an exact product ignores it. The kernel is vectorised
-    /// at the width only if it is inlined into that function: pass an
-    /// `#[inline(always)]` *closure* (a function item goes through a call
-    /// shim that carries no such mark and is left out of line, at the
-    /// baseline width) over `#[inline(always)]` functions.
-    ///
-    /// The closure takes its operands as three parameters — by
-    /// convention inputs, output, scratch; pass `()` for what a kernel
-    /// lacks — and captures nothing, because parameters are the wide
-    /// function's own: a `&mut` output keeps the `noalias` it has as a
-    /// parameter and loses in a closure's environment or a tuple, and
-    /// without it [`dist_sq_pairs`]' inner loop is vectorised with one
-    /// more shuffle a step (`agg_wide` −5 %). [`at_widest`] is the
-    /// dispatch; this is public so differential tests reach the widths
-    /// the dispatch passes over on the host.
+    /// [`at_current`] at this width, or `None` when the CPU lacks it —
+    /// for a kernel that also needs the width for itself (a tile cap),
+    /// which reads [`Width::current`] once and calls this.
     #[inline]
-    pub fn run<A, B, C, R>(
+    pub(crate) fn run<A, B, C, R>(
         self,
         kernel: impl FnOnce(A, B, C, bool) -> R,
         a: A,
@@ -1180,13 +1116,50 @@ impl Width {
     }
 }
 
-/// Runs `kernel(a, b, c, fused)` compiled at the widest [`Width`] the
-/// running CPU has (see [`Width::run`]).
+/// Runs `f` with every kernel it calls on this thread at `width`
+/// ([`Width::current`] returns it for the length of the call), and puts
+/// back the width in force before when `f` returns or unwinds; `None`,
+/// without running `f`, when the CPU lacks `width`. A kernel hands the
+/// width it read to the work it splits across threads itself; a job
+/// that `f` forks onto `hfl_parallel`'s workers runs at their own
+/// [`Width::current`]. Modelled on `hfl_parallel::with_threads`; no
+/// production path opens a scope, and the differential tests run each
+/// public kernel under every width the host has.
+pub fn with_width<R>(width: Width, f: impl FnOnce() -> R) -> Option<R> {
+    struct Restore(Option<Width>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED_WIDTH.with(|s| s.set(self.0));
+        }
+    }
+    if !width.detected() {
+        return None;
+    }
+    let _restore = Restore(SCOPED_WIDTH.with(|s| s.replace(Some(width))));
+    Some(f())
+}
+
+/// Runs `kernel(a, b, c, fused)` inside a function compiled for
+/// [`Width::current`]. `fused` is whether that function has `fma` — a
+/// literal in each, so `add_exact_product`'s branch on it folds away; a
+/// kernel without an exact product ignores it. The kernel is vectorised
+/// at the width only if it is inlined into that function: pass an
+/// `#[inline(always)]` *closure* (a function item goes through a call
+/// shim that carries no such mark and is left out of line, at the
+/// baseline width) over `#[inline(always)]` functions.
+///
+/// The closure takes its operands as three parameters — by convention
+/// inputs, output, scratch; pass `()` for what a kernel lacks — and
+/// captures nothing, because parameters are the wide function's own: a
+/// `&mut` output keeps the `noalias` it has as a parameter and loses in
+/// a closure's environment or a tuple, and without it
+/// [`dist_sq_pairs`]' inner loop is vectorised with one more shuffle a
+/// step (`agg_wide` −5 %).
 #[inline]
-pub fn at_widest<A, B, C, R>(kernel: impl FnOnce(A, B, C, bool) -> R, a: A, b: B, c: C) -> R {
-    Width::widest()
+pub fn at_current<A, B, C, R>(kernel: impl FnOnce(A, B, C, bool) -> R, a: A, b: B, c: C) -> R {
+    Width::current()
         .run(kernel, a, b, c)
-        .expect("the width was just detected")
+        .expect("the current width is detected")
 }
 
 /// One block of the pairwise squared-distance matrix: for the partner
@@ -1207,14 +1180,13 @@ pub fn at_widest<A, B, C, R>(kernel: impl FnOnce(A, B, C, bool) -> R, a: A, b: B
 /// bitwise `dist_sq`'s — what the layout changes is that the lanes of
 /// one SIMD register are *pairs*.
 ///
-/// The body is compiled at every [`Width`]; this runs it at `width`, or
-/// returns `None` when the CPU lacks it. Its one caller is
-/// [`pairwise_dist_sq`], so no fill bypasses the collapse of repeated
-/// rows.
+/// The body is compiled at every [`Width`] and runs at
+/// [`Width::current`]. Its one caller is [`pairwise_dist_sq`], so no
+/// fill bypasses the collapse of repeated rows.
 ///
 /// # Panics
 /// If a row's length differs from the first's, or `chunk.len() != w * n`.
-pub fn dist_sq_pairs(width: Width, rows: &[&[f32]], first: usize, chunk: &mut [f64]) -> Option<()> {
+pub fn dist_sq_pairs(rows: &[&[f32]], first: usize, chunk: &mut [f64]) {
     let n = rows.len();
     assert!(first < n, "dist_sq_pairs: block starts past the last row");
     assert_eq!(
@@ -1225,7 +1197,7 @@ pub fn dist_sq_pairs(width: Width, rows: &[&[f32]], first: usize, chunk: &mut [f
     for r in rows {
         check_same_len(rows[0], r);
     }
-    width.run(
+    at_current(
         #[inline(always)]
         |(rows, first), chunk, (), fused| pairs_body(rows, first, chunk, fused),
         (rows, first),
@@ -1236,10 +1208,11 @@ pub fn dist_sq_pairs(width: Width, rows: &[&[f32]], first: usize, chunk: &mut [f
 
 /// The whole matrix [`dist_sq_pairs`] fills a block of: `dists` resized
 /// to `n × n`, `dists[lo * n + hi] = dist_sq(rows[lo], rows[hi])` for
-/// `lo < hi`, zero elsewhere, at the widest [`Width`] the CPU has. The
-/// matrix is cut into its blocks' rows, `PAIR_LANES · n` elements each,
-/// and `split(dists, len, fill)` must hand every `len`-element chunk to
-/// `fill(offset, chunk)` once — in any order, on any thread
+/// `lo < hi`, zero elsewhere, at [`Width::current`] — read once, and
+/// every block runs at it on whichever thread. The matrix is cut into
+/// its blocks' rows, `PAIR_LANES · n` elements each, and `split(dists,
+/// len, fill)` must hand every `len`-element chunk to `fill(offset,
+/// chunk)` once — in any order, on any thread
 /// (`hfl_parallel::par_chunks_mut` has this shape), which cannot change
 /// a value. Block 0 pairs its rows with the most rows after them, so
 /// ascending claim order is heaviest-first; up to [`PAIR_LANES`] rows is
@@ -1261,24 +1234,7 @@ pub fn pairwise_dist_sq(
     groups: &mut RowGroups,
     split: impl FnOnce(&mut [f64], usize, &(dyn Fn(usize, &mut [f64]) + Sync)),
 ) {
-    pairwise_dist_sq_at(Width::widest(), rows, dists, groups, split)
-        .expect("the widest width is detected")
-}
-
-/// [`pairwise_dist_sq`] at `width`, or `None` when the CPU lacks it —
-/// for the differential tests, which reach the widths the dispatch
-/// passes over on the host.
-#[doc(hidden)]
-pub fn pairwise_dist_sq_at(
-    width: Width,
-    rows: &[&[f32]],
-    dists: &mut Vec<f64>,
-    groups: &mut RowGroups,
-    split: impl FnOnce(&mut [f64], usize, &(dyn Fn(usize, &mut [f64]) + Sync)),
-) -> Option<()> {
-    if !width.detected() {
-        return None;
-    }
+    let width = Width::current();
     let n = rows.len();
     for r in rows {
         check_same_len(rows[0], r);
@@ -1288,7 +1244,7 @@ pub fn pairwise_dist_sq_at(
     // One block already streams every row past one panel: nothing to
     // save, so nothing is looked for.
     let m = if n > PAIR_LANES {
-        groups.detect(width, rows)
+        groups.detect(rows)
     } else {
         n
     };
@@ -1301,14 +1257,14 @@ pub fn pairwise_dist_sq_at(
     };
     if m > 0 {
         split(&mut dists[..m * m], PAIR_LANES * m, &|base, chunk| {
-            dist_sq_pairs(width, measured, base / m, chunk).expect("the width is detected")
+            with_width(width, || dist_sq_pairs(measured, base / m, chunk))
+                .expect("the caller's width is detected")
         });
     }
     groups.distinct.put(distinct);
     if m < n {
         groups.expand(rows, dists);
     }
-    Some(())
 }
 
 /// Lanes of a row's bucket key ([`RowGroups`]): coordinate `c` adds its
@@ -1352,18 +1308,16 @@ struct Group {
 }
 
 impl RowGroups {
-    /// Groups `rows` (equal lengths) at `width`; returns how many are
-    /// distinct.
-    fn detect(&mut self, width: Width, rows: &[&[f32]]) -> usize {
-        width
-            .run(
-                #[inline(always)]
-                |rows, groups: &mut Self, (), _| groups.detect_body(rows),
-                rows,
-                &mut *self,
-                (),
-            )
-            .expect("the width is detected");
+    /// Groups `rows` (equal lengths) at [`Width::current`]; returns how
+    /// many are distinct.
+    fn detect(&mut self, rows: &[&[f32]]) -> usize {
+        at_current(
+            #[inline(always)]
+            |rows, groups: &mut Self, (), _| groups.detect_body(rows),
+            rows,
+            &mut *self,
+            (),
+        );
         self.groups.len()
     }
 
@@ -1789,6 +1743,15 @@ pub fn approx_eq(a: &[f32], b: &[f32], tol: f32) -> bool {
 mod tests {
     use super::*;
 
+    /// `f` under `with_width(w, f)`, or as called for `None` (the
+    /// dispatch); `None` when the CPU lacks `w`.
+    fn at<R>(width: Option<Width>, f: impl FnOnce() -> R) -> Option<R> {
+        match width {
+            Some(w) => with_width(w, f),
+            None => Some(f()),
+        }
+    }
+
     #[test]
     fn axpy_adds_scaled() {
         let x = [1.0, 2.0, 3.0];
@@ -1983,14 +1946,12 @@ mod tests {
                 // `None` is the dispatch.
                 for width in Width::ALL.into_iter().map(Some).chain([None]) {
                     let mut got = vec![f64::NAN; n * n];
-                    let supported = got
-                        .chunks_mut(PAIR_LANES * n)
-                        .enumerate()
-                        .all(|(b, chunk)| {
-                            let at = width.unwrap_or_else(Width::widest);
-                            dist_sq_pairs(at, &refs, b * PAIR_LANES, chunk).is_some()
-                        });
-                    if !supported {
+                    let fill = || {
+                        for (b, chunk) in got.chunks_mut(PAIR_LANES * n).enumerate() {
+                            dist_sq_pairs(&refs, b * PAIR_LANES, chunk);
+                        }
+                    };
+                    if at(width, fill).is_none() {
                         continue;
                     }
                     if !ran.contains(&width) {
@@ -2050,10 +2011,15 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-        for width in Width::ALL.into_iter().filter(|w| w.detected()) {
+        for width in Width::ALL {
             let mut got = vec![f64::NAN; n * n];
-            for (b, chunk) in got.chunks_mut(PAIR_LANES * n).enumerate() {
-                dist_sq_pairs(width, &refs, b * PAIR_LANES, chunk).expect("detected");
+            let fill = || {
+                for (b, chunk) in got.chunks_mut(PAIR_LANES * n).enumerate() {
+                    dist_sq_pairs(&refs, b * PAIR_LANES, chunk);
+                }
+            };
+            if with_width(width, fill).is_none() {
+                continue;
             }
             for i in 0..n {
                 for j in i + 1..n {
@@ -2078,11 +2044,56 @@ mod tests {
         assert!(!Width::Avx512.detected() || is_x86_feature_detected!("fma"));
     }
 
+    /// A scope holds `Width::current` for the length of the call only:
+    /// a nested scope puts back the outer width, the outermost puts back
+    /// none, and so does a scope that unwinds — removing the restore
+    /// leaves `Plain` in force past both.
+    #[test]
+    fn a_width_scope_restores_the_outer_width_on_return_and_on_unwind() {
+        let scoped = || SCOPED_WIDTH.with(Cell::get);
+        assert_eq!(scoped(), None);
+        let widest = Width::current();
+        with_width(Width::Plain, || {
+            assert_eq!(Width::current(), Width::Plain);
+            for width in Width::ALL {
+                with_width(width, || assert_eq!(Width::current(), width));
+                assert_eq!(scoped(), Some(Width::Plain), "{width:?}");
+            }
+        })
+        .expect("the plain width runs anywhere");
+        assert_eq!((scoped(), Width::current()), (None, widest));
+        let unwound = std::panic::catch_unwind(|| {
+            with_width(Width::Plain, || panic!("inside the scope"));
+        });
+        assert!(unwound.is_err());
+        assert_eq!((scoped(), Width::current()), (None, widest));
+    }
+
+    /// A width the CPU lacks runs nothing and answers `None`; one it has
+    /// runs `f` once.
+    #[test]
+    fn a_width_the_cpu_lacks_runs_nothing() {
+        for width in Width::ALL {
+            let mut runs = 0;
+            let got = with_width(width, || runs += 1);
+            assert_eq!(got.is_some(), width.detected(), "{width:?}");
+            assert_eq!(runs, usize::from(width.detected()), "{width:?}");
+            println!(
+                "{width:?}: {}",
+                if got.is_some() {
+                    "ran"
+                } else {
+                    "not on this CPU"
+                }
+            );
+        }
+    }
+
     #[test]
     fn dist_sq_pairs_of_empty_rows_is_zero() {
         let rows: [&[f32]; 3] = [&[], &[], &[]];
         let mut chunk = [7.0f64; 9];
-        dist_sq_pairs(Width::Plain, &rows, 0, &mut chunk);
+        dist_sq_pairs(&rows, 0, &mut chunk);
         assert_eq!(chunk, [0.0; 9]);
     }
 
@@ -2090,14 +2101,14 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn dist_sq_pairs_rejects_a_ragged_row() {
         let rows: [&[f32]; 3] = [&[0.0; 4], &[0.0; 4], &[0.0; 3]];
-        dist_sq_pairs(Width::Plain, &rows, 0, &mut [0.0; 9]);
+        dist_sq_pairs(&rows, 0, &mut [0.0; 9]);
     }
 
     #[test]
     #[should_panic(expected = "chunk is not the block's rows")]
     fn dist_sq_pairs_rejects_a_mis_sized_chunk() {
         let rows: [&[f32]; 3] = [&[0.0; 4], &[0.0; 4], &[0.0; 4]];
-        dist_sq_pairs(Width::Plain, &rows, 0, &mut [0.0; 6]);
+        dist_sq_pairs(&rows, 0, &mut [0.0; 6]);
     }
 
     /// Rows that share a bucket key but not every bit stay apart — one
@@ -2136,9 +2147,9 @@ mod tests {
         let mut groups = RowGroups::default();
         // First tiles that differ settle it; equal ones send the rows
         // through the key pass and the comparison.
-        assert_eq!(groups.detect(Width::Plain, &[&a, &zero]), 2);
-        assert_eq!(groups.detect(Width::Plain, &[&a, &shifted]), 2);
-        assert_eq!(groups.detect(Width::Plain, &refs), 6);
+        assert_eq!(groups.detect(&[&a, &zero]), 2);
+        assert_eq!(groups.detect(&[&a, &shifted]), 2);
+        assert_eq!(groups.detect(&refs), 6);
         assert_eq!(groups.of, [0, 1, 2, 3, 4, 5, 0, 4, 2]);
         let mut got = Vec::new();
         pairwise_dist_sq(&refs, &mut got, &mut groups, |dists, len, fill| {
@@ -2225,10 +2236,14 @@ mod tests {
         assert!(split(0, PANEL_LANES).is_empty());
         // A panel's single last row shares its tile with a lane of zeros.
         let mut panel: Panel = Panel::default();
-        panel.fill_at(Width::Avx512, [&[1.0; 19 * 3][..]], 19, 3);
+        panel.fill([&[1.0; 19 * 3][..]], 19, 3);
+        let full: Vec<_> = (0..16)
+            .step_by(panel.lanes)
+            .map(|r| (r, panel.lanes))
+            .collect();
         assert_eq!(
             panel.tiles().collect::<Vec<_>>(),
-            [(0, 16), (16, 2), (18, 2)]
+            [&full[..], &[(16, 2), (18, 2)]].concat()
         );
         assert_eq!(panel.data.len(), 20 * 3);
         assert_eq!(panel.data[18 * 3..], [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
@@ -2306,12 +2321,16 @@ mod tests {
                     .map(|x| x.iter().map(|v| v.round() % 5.0).collect())
                     .collect();
                 let small: Vec<&[f32]> = small.iter().map(|x| &x[..]).collect();
-                let widths = || Width::ALL.into_iter().filter(|w| w.detected());
                 let mut out = vec![f32::NAN; xs.len() * rows];
                 for cap in [Width::Avx512, Width::Plain] {
-                    narrow.fill_at(cap, [&w[..]], rows, d);
-                    for width in widths() {
-                        forward_approx_at(width, &narrow, &xs, &mut out).expect("detected");
+                    if with_width(cap, || narrow.fill([&w[..]], rows, d)).is_none() {
+                        continue;
+                    }
+                    for width in Width::ALL {
+                        let pass = || forward_approx(&narrow, &xs, &mut out);
+                        if with_width(width, pass).is_none() {
+                            continue;
+                        }
                         for (r, row) in w.chunks_exact(d).enumerate() {
                             for (s, x) in xs.iter().enumerate() {
                                 let (got, real) = (out[r * xs.len() + s] as f64, dot(row, x));
@@ -2325,9 +2344,12 @@ mod tests {
                             }
                         }
                     }
-                    narrow.fill_at(cap, [&ints[..]], rows, d);
-                    for width in widths() {
-                        forward_approx_at(width, &narrow, &small, &mut out).expect("detected");
+                    with_width(cap, || narrow.fill([&ints[..]], rows, d));
+                    for width in Width::ALL {
+                        let pass = || forward_approx(&narrow, &small, &mut out);
+                        if with_width(width, pass).is_none() {
+                            continue;
+                        }
                         for (r, row) in ints.chunks_exact(d).enumerate() {
                             for (s, x) in small.iter().enumerate() {
                                 let got = out[r * small.len() + s];
@@ -2503,13 +2525,8 @@ mod tests {
                     // `None` is the dispatch.
                     for width in Width::ALL.into_iter().map(Some).chain([None]) {
                         let mut got = vec![f32::NAN; n * rows];
-                        match width {
-                            Some(at) => {
-                                if forward_class_major_at(at, &w, &bias, &xs, &mut got).is_none() {
-                                    continue;
-                                }
-                            }
-                            None => forward_class_major(&w, &bias, &xs, &mut got),
+                        if at(width, || forward_class_major(&w, &bias, &xs, &mut got)).is_none() {
+                            continue;
                         }
                         if !ran.contains(&width) {
                             ran.push(width);
@@ -2594,16 +2611,10 @@ mod tests {
                         }
                         for width in Width::ALL.into_iter().map(Some).chain([None]) {
                             let mut got = start.clone();
-                            match width {
-                                Some(at) => {
-                                    let done = rank_update_class_major_at(
-                                        at, &mut got, &coeff, &xs, skip_zero,
-                                    );
-                                    if done.is_none() {
-                                        continue;
-                                    }
-                                }
-                                None => rank_update_class_major(&mut got, &coeff, &xs, skip_zero),
+                            let update =
+                                || rank_update_class_major(&mut got, &coeff, &xs, skip_zero);
+                            if at(width, update).is_none() {
+                                continue;
                             }
                             if !ran.contains(&width) {
                                 ran.push(width);

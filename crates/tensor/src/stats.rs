@@ -5,7 +5,7 @@
 //! model updates of dimension `d`, compute a per-coordinate statistic
 //! across the `n` values of each of the `d` coordinates.
 
-use crate::ops::{at_widest, Width};
+use crate::ops::at_current;
 
 /// Coordinates per [`ColumnTile`] — the SIMD lanes of the coordinate-wise
 /// kernels. Sixteen `i32` keys are one AVX-512 register, two AVX2
@@ -215,7 +215,7 @@ impl<const R: usize> Default for ColumnTile<R> {
 /// stack and leave `col` alone; more are gathered into `col` and sorted
 /// a column at a time, in the same total order. Either way a NaN cannot
 /// panic the kernel, and `out` does not depend on which path or which
-/// [`Width`] ran.
+/// [`Width`](crate::ops::Width) ran.
 ///
 /// # Panics
 /// If `rows` is empty, a row is shorter than `at + out.len()`, or
@@ -238,7 +238,7 @@ pub fn column_stat_into<'a, I>(
     if let ColumnStat::TrimmedMean { trim } = stat {
         assert!(2 * trim < n, "trim {trim} too large for {n} values");
     }
-    at_widest(
+    at_current(
         #[inline(always)]
         |(stat, rows, at), out, col, _| column_stat_body(stat, rows, at, out, col),
         (stat, rows, at),
@@ -362,46 +362,28 @@ const VAR_ROWS: usize = 4;
 /// on the stack, then `Σ (x − μ)²` into `out` — and one SIMD add serves
 /// as many columns as the register holds, each column still adding its
 /// rows in order. No product is fused: `x − μ` is an inexact `f64`, so
-/// its square rounds. The body runs at the widest [`Width`] the CPU has.
+/// its square rounds. The body runs at
+/// [`Width::current`](crate::ops::Width::current).
 ///
 /// # Panics
 /// If `rows` is empty or a row is shorter than `at + out.len()`.
 pub fn column_var_into(rows: &[&[f32]], at: usize, out: &mut [f64]) {
-    check_column_var(rows, at, out);
-    at_widest(
-        #[inline(always)]
-        |(rows, at), out, (), _| column_var_body(rows, at, out),
-        (rows, at),
-        out,
-        (),
-    )
-}
-
-/// [`column_var_into`] compiled at `width`, or `None` when the CPU
-/// lacks it — for the differential tests, which reach the widths the
-/// dispatch passes over on the host.
-#[doc(hidden)]
-pub fn column_var_at(width: Width, rows: &[&[f32]], at: usize, out: &mut [f64]) -> Option<()> {
-    check_column_var(rows, at, out);
-    width.run(
-        #[inline(always)]
-        |(rows, at), out, (), _| column_var_body(rows, at, out),
-        (rows, at),
-        out,
-        (),
-    )
-}
-
-fn check_column_var(rows: &[&[f32]], at: usize, out: &[f64]) {
     assert!(!rows.is_empty(), "column variance of no rows");
     assert!(
         rows.iter().all(|r| r.len() >= at + out.len()),
         "column variance: row length mismatch"
     );
+    at_current(
+        #[inline(always)]
+        |(rows, at), out, (), _| column_var_body(rows, at, out),
+        (rows, at),
+        out,
+        (),
+    )
 }
 
 /// The one body of [`column_var_into`], inlined into the function of
-/// each [`Width`] it is run at.
+/// each [`Width`](crate::ops::Width) it is run at.
 #[inline(always)]
 fn column_var_body(rows: &[&[f32]], at: usize, out: &mut [f64]) {
     let n = rows.len() as f64;
@@ -466,6 +448,7 @@ fn column_var_body(rows: &[&[f32]], at: usize, out: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{with_width, Width};
 
     #[test]
     fn median_odd_and_even() {
@@ -628,7 +611,6 @@ mod tests {
     /// network and the per-column sort, both statistics.
     #[test]
     fn column_stat_reads_the_same_bits_at_every_width() {
-        use crate::ops::Width;
         let mut ran = Vec::new();
         for n in [1usize, 2, 5, 8, 33, NETWORK_MAX_ROWS + 1] {
             for d in [1usize, 15, 16, 17, 100] {
@@ -654,18 +636,10 @@ mod tests {
                 ] {
                     let run = |width: Width| {
                         let mut out = vec![f32::NAN; d];
-                        let inputs = (stat, rows.clone(), 0);
-                        width
-                            .run(
-                                #[inline(always)]
-                                |(stat, rows, at), out, col, _| {
-                                    column_stat_body(stat, rows, at, out, col)
-                                },
-                                inputs,
-                                &mut out[..],
-                                &mut Vec::new(),
-                            )
-                            .map(|()| out.iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
+                        with_width(width, || {
+                            column_stat_into(stat, rows.clone(), 0, &mut out, &mut Vec::new())
+                        })
+                        .map(|()| out.iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
                     };
                     let plain = run(Width::Plain).expect("runs anywhere");
                     for width in Width::ALL {
@@ -714,7 +688,7 @@ mod tests {
                 let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
                 let run = |width: Width| {
                     let mut out = vec![f64::NAN; d];
-                    column_var_at(width, &refs, 3, &mut out)
+                    with_width(width, || column_var_into(&refs, 3, &mut out))
                         .map(|()| out.iter().map(|x| x.to_bits()).collect::<Vec<u64>>())
                 };
                 let plain = run(Width::Plain).expect("runs anywhere");

@@ -21,14 +21,14 @@ cargo build --release -p hfl-bench
 repro="${CARGO_TARGET_DIR:-target}/release/repro"
 
 # The class-major forward compiles wide (DESIGN.md §15): the AVX-512 body
-# that `forward_class_major_at` calls, directly or through `Width::run`,
-# holds packed `zmm` FMAs. A kernel that is not inlined into that body —
-# passed as a function item, say — runs at the baseline width and leaves
-# none. x86_64 only: elsewhere there is no AVX-512 body to read.
+# that `forward_class_major` (kept out of line) calls, directly or through
+# `Width::run`, holds packed `zmm` FMAs. A kernel that is not inlined into
+# that body — passed as a function item, say — runs at the baseline width
+# and leaves none. x86_64 only: elsewhere there is no AVX-512 body to read.
 wide_gate() {
     local asm="$tmp/repro.s" calls run body fmas=0
     objdump -d --no-show-raw-insn "$1" > "$asm"
-    calls="$(awk '/^[0-9a-f]+ <.*>:/{n=$2} /call/ && n ~ /forward_class_major_at/ {print $NF}' "$asm")"
+    calls="$(awk '/^[0-9a-f]+ <.*>:/{n=$2} /call/ && n ~ /19forward_class_major17h/ {print $NF}' "$asm")"
     run="$(grep -m1 'Width3run17h' <<< "$calls" || true)"
     if [ -n "$run" ]; then
         calls="$(awk -v r="$run:" '/^[0-9a-f]+ <.*>:/{f = ($2 == r)} f && /call/ {print $NF}' "$asm")"

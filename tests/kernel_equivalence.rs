@@ -524,8 +524,7 @@ fn pair_fill_matches_dist_sq_at_the_edges_of_exactness() {
         let refs = as_refs(&rows);
         let mut got = vec![f64::NAN; n * n];
         for (b, chunk) in got.chunks_mut(ops::PAIR_LANES * n).enumerate() {
-            ops::dist_sq_pairs(ops::Width::widest(), &refs, b * ops::PAIR_LANES, chunk)
-                .expect("the widest width is detected");
+            ops::dist_sq_pairs(&refs, b * ops::PAIR_LANES, chunk);
         }
         let mut finite = 0;
         for i in 0..n {
@@ -709,8 +708,10 @@ fn pair_fill_measures_a_coalition_once_and_reads_as_dist_sq_per_pair() {
         let d = refs[0].len();
         for &width in &widths {
             for threads in THREADS {
-                ops::pairwise_dist_sq_at(width, &refs, &mut dists, &mut groups, |m, len, fill| {
-                    abd_hfl::parallel::par_chunks_mut(m, len, threads, fill)
+                ops::with_width(width, || {
+                    ops::pairwise_dist_sq(&refs, &mut dists, &mut groups, |m, len, fill| {
+                        abd_hfl::parallel::par_chunks_mut(m, len, threads, fill)
+                    })
                 })
                 .expect("a detected width");
                 for i in 0..n {
@@ -771,7 +772,7 @@ fn pair_fill_measures_a_coalition_once_and_reads_as_dist_sq_per_pair() {
 fn widths_on_this_host(kernel: &str) -> Vec<ops::Width> {
     let widths: Vec<_> = ops::Width::ALL
         .into_iter()
-        .filter(|w| w.detected())
+        .filter(|w| ops::with_width(*w, || ()).is_some())
         .collect();
     assert!(widths.contains(&ops::Width::Plain));
     println!("{kernel} widths run on this host: {widths:?}");
@@ -864,8 +865,10 @@ fn block_forward_matches_dot_per_row_at_every_width() {
                     for width in widths.iter().copied().map(Some).chain([None]) {
                         let mut got = vec![f32::NAN; block * rows];
                         match width {
-                            Some(at) => ops::forward_class_major_at(at, &w, bias, &xs, &mut got)
-                                .expect("detected"),
+                            Some(at) => ops::with_width(at, || {
+                                ops::forward_class_major(&w, bias, &xs, &mut got)
+                            })
+                            .expect("detected"),
                             None => ops::forward_class_major(&w, bias, &xs, &mut got),
                         }
                         for (at, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -892,10 +895,9 @@ const PANEL_CAPS: [ops::Width; 2] = [ops::Width::Avx512, ops::Width::Avx2];
 /// filled from their concatenation — same tiles, same lanes, whatever
 /// tile a matrix starts or ends in — so the approximate pass a ballot is
 /// decided from reads the same value for every (row, input) from
-/// either, bit for bit at one width under both tile caps.
+/// either, bit for bit at one width under each tile cap the host has.
 #[test]
 fn a_panel_of_stacked_matrices_is_the_panel_of_their_concatenation() {
-    let width = ops::Width::widest();
     let (mut stacked, mut whole) = (ops::Panel::default(), ops::Panel::default());
     for k in [1usize, 2, 4, 7] {
         for (rows, d) in [(10usize, 64usize), (3, 7), (5, 1)] {
@@ -907,12 +909,17 @@ fn a_panel_of_stacked_matrices_is_the_panel_of_their_concatenation() {
             let pool = edge_rows(9, d);
             let xs: Vec<&[f32]> = pool.iter().map(|x| &x[..]).collect();
             for cap in PANEL_CAPS {
-                stacked.fill_at(cap, mats.iter().map(|m| &m[..]), rows, d);
-                whole.fill_at(cap, [&w[..]], k * rows, d);
+                let filled = ops::with_width(cap, || {
+                    stacked.fill(mats.iter().map(|m| &m[..]), rows, d);
+                    whole.fill([&w[..]], k * rows, d);
+                });
+                if filled.is_none() {
+                    continue;
+                }
                 let mut want = vec![f32::NAN; k * rows * xs.len()];
-                ops::forward_approx_at(width, &whole, &xs, &mut want).expect("detected");
+                ops::forward_approx(&whole, &xs, &mut want);
                 let mut got = vec![0.0f32; want.len()];
-                ops::forward_approx_at(width, &stacked, &xs, &mut got).expect("detected");
+                ops::forward_approx(&stacked, &xs, &mut got);
                 for (at, (g, w)) in got.iter().zip(&want).enumerate() {
                     assert!(
                         bits_eq_f32(*g, *w),
@@ -968,8 +975,10 @@ fn rank_update_matches_the_retired_axpy_loop_at_every_width() {
                     retired::rank_update(&mut want, &coeff, &xs, skip_zero);
                     for &width in &widths {
                         let mut got = start.clone();
-                        ops::rank_update_at(width, &mut got, &coeff, &xs, skip_zero)
-                            .expect("detected");
+                        ops::with_width(width, || {
+                            ops::rank_update(&mut got, &coeff, &xs, skip_zero)
+                        })
+                        .expect("detected");
                         let what = format!(
                             "{width:?} rows={rows} d={d} block={block} skip_zero={skip_zero}"
                         );
@@ -1338,9 +1347,10 @@ fn a_ballot_decided_in_f32_counts_the_retired_ballot_s_hits_at_every_width() {
                 };
                 for &width in &widths {
                     let (mut hits, mut cert) = (vec![usize::MAX; k], vec![None; n * k]);
-                    let fallbacks = model
-                        .count_correct_each_at(width, &refs, &data, 0..n, &mut hits, &mut cert)
-                        .expect("detected");
+                    let fallbacks = ops::with_width(width, || {
+                        model.count_correct_each_certified(&refs, &data, 0..n, &mut hits, &mut cert)
+                    })
+                    .expect("detected");
                     assert_eq!(hits, want, "{}", what(&width));
                     assert_eq!(fallbacks, cert.iter().filter(|c| c.is_none()).count());
                     (certified, fell_back) = (certified + n * k - fallbacks, fell_back + fallbacks);
@@ -1360,7 +1370,8 @@ fn a_ballot_decided_in_f32_counts_the_retired_ballot_s_hits_at_every_width() {
                     let xs: Vec<&[f32]> = (0..n).map(|i| data.x(i)).collect();
                     let mut dots = vec![0.0f32; n * k * classes];
                     panel.fill(refs.iter().map(|t| &t[..classes * d]), classes, d);
-                    ops::forward_approx_at(width, &panel, &xs, &mut dots).expect("detected");
+                    ops::with_width(width, || ops::forward_approx(&panel, &xs, &mut dots))
+                        .expect("detected");
                     for (at, logits) in exact.iter().enumerate() {
                         let (s, p) = (at / k, at % k);
                         let bias = &refs[p][classes * d..];
@@ -1399,8 +1410,8 @@ fn a_ballot_decided_in_f32_counts_the_retired_ballot_s_hits_at_every_width() {
 /// The single-input kernel == one `dot` + bias per row, for every row
 /// count 1..=35 (each lockstep block size, even and uneven splits) and
 /// d ≥ 0 — and so does the block kernel handed that one input, through
-/// its dispatch (which takes `affine_rows`) and at the widest width
-/// (one lane group of eight, seven of them copies dropped). (Blocks of
+/// its dispatch (which takes `affine_rows`) and twice over (one lane
+/// group of eight, six of them copies dropped). (Blocks of
 /// several inputs: the seeded grid above.)
 #[test]
 fn affine_rows_matches_dot_per_row() {
@@ -1416,14 +1427,13 @@ fn affine_rows_matches_dot_per_row() {
         ops::affine_rows(w, bias, x, &mut lockstep);
         let mut dispatched = vec![f32::NAN; rows];
         ops::forward_class_major(w, bias, &[x], &mut dispatched);
-        let mut lanes = vec![f32::NAN; rows];
-        ops::forward_class_major_at(ops::Width::widest(), w, bias, &[x], &mut lanes)
-            .expect("the widest width is detected");
+        let mut lanes = vec![f32::NAN; 2 * rows];
+        ops::forward_class_major(w, bias, &[x, x], &mut lanes);
         for (r, b) in naive.iter().enumerate() {
             for (what, got) in [
                 ("lockstep", lockstep[r]),
                 ("dispatched block", dispatched[r]),
-                ("lane group", lanes[r]),
+                ("lane group", lanes[2 * r]),
             ] {
                 assert!(
                     bits_eq_f32(got, *b),
@@ -1984,7 +1994,7 @@ fn synth_plan_matches_the_sequential_generator_it_replaced() {
 /// rotation out of place or a dropped high counter word fails here.
 #[test]
 fn chacha_blocks_match_the_retired_scalar_block_at_every_width() {
-    use abd_hfl::ml::rng::{blocks_at, splitmix64};
+    use abd_hfl::ml::rng::{blocks, splitmix64};
     let widths = widths_on_this_host("ChaCha12 blocks");
     let keys: [[u32; 8]; 3] = [
         [0; 8],
@@ -2019,7 +2029,7 @@ fn chacha_blocks_match_the_retired_scalar_block_at_every_width() {
             let want: Vec<[u32; 16]> = ctr.iter().map(|&c| retired::chacha_block(key, c)).collect();
             for &width in &widths {
                 let mut got = [[0xDEAD_BEEF; 16]; 16];
-                blocks_at(width, key, ctr, &mut got).expect("detected");
+                ops::with_width(width, || blocks(key, ctr, &mut got)).expect("detected");
                 assert!(
                     got[..] == want[..],
                     "{width:?} key {key:?} counters {ctr:?}"
@@ -3482,7 +3492,8 @@ fn alie_matches_the_retired_per_column_loop_at_every_width() {
                 }
                 for &width in &widths {
                     let mut got = vec![f64::NAN; d];
-                    stats::column_var_at(width, &refs, 0, &mut got).expect("detected");
+                    ops::with_width(width, || stats::column_var_into(&refs, 0, &mut got))
+                        .expect("detected");
                     assert_same_bits(&got, &want, &format!("{what} variance at {width:?}"));
                 }
                 for z in [0.0f32, 1.0, -1.5] {
