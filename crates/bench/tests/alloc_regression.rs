@@ -44,7 +44,7 @@
 //! contract, DESIGN.md §15).
 //!
 //! One kernel is gated on its own, at the shape the fixtures are too
-//! small to reach: `MultiKrum::aggregate_into` over 128 rows of 4,810
+//! small to reach: Multi-Krum's `aggregate_into` over 128 rows of 4,810
 //! coordinates (`agg_wide`'s cluster — sixteen partner blocks, nineteen
 //! panel tiles) allocates nothing once its scratch has grown, at 1
 //! thread and at 2, over distinct rows and over a coalition of 51
@@ -73,7 +73,7 @@ use abd_hfl_core::runner::Experiment;
 use hfl_bench::memprobe::{alloc_count, peak_since, reset_peak, CountingAlloc};
 use hfl_faults::FaultPlan;
 use hfl_ml::synth::SynthConfig;
-use hfl_robust::{AggScratch, Aggregator, AggregatorKind, MultiKrum};
+use hfl_robust::{AggScratch, Aggregator, AggregatorKind};
 use hfl_telemetry::Telemetry;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -334,7 +334,7 @@ fn wide_multikrum_allocates_nothing_once_warm() {
     for slot in (0..n).rev().step_by(2).take(51) {
         coalition[slot].clone_from(&rows[0]);
     }
-    let rule = MultiKrum::new(31, 64);
+    let rule = AggregatorKind::MultiKrum { f: 31, m: 64 };
     let mut scratch = AggScratch::default();
     let mut out = Vec::new();
     for (name, rows) in [("distinct rows", &rows), ("a coalition of 51", &coalition)] {

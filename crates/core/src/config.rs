@@ -9,7 +9,7 @@ use hfl_consensus::ConsensusKind;
 use hfl_faults::{FaultPlan, FaultPlanError};
 use hfl_ml::synth::SynthConfig;
 use hfl_ml::{LinearSoftmax, Mlp, Model, SgdConfig};
-use hfl_robust::{AggregatorKind, Krum, SuspicionConfig};
+use hfl_robust::{krum, AggregatorKind, SuspicionConfig};
 use hfl_simnet::{DelayModel, Hierarchy};
 
 use crate::correction::CorrectionPolicy;
@@ -818,7 +818,7 @@ impl HflConfig {
                 // size bounds n.
                 let clusters = &hierarchy.level(level).clusters;
                 let n_min = clusters.iter().map(|c| c.len()).min().unwrap_or(0).min(cap);
-                (!Krum::guarantee_holds(f, n_min)).then_some((level, f, n_min))
+                (!krum::guarantee_holds(f, n_min)).then_some((level, f, n_min))
             })
     }
 

@@ -53,11 +53,12 @@ pub(super) fn link_delay(cfg: &HflConfig) -> &DelayModel {
     cfg.async_rounds.as_ref().map_or(&NONE, |a| &a.link_delay)
 }
 
-/// One level's aggregation rule, boxed once per run from its
+/// One level's aggregation rule, built once per run from its
 /// [`LevelAgg`] rather than per cluster per round.
 pub(super) enum LevelRule {
-    /// A BRA rule, with the selector the judge step dispatches on.
-    Bra(AggregatorKind, Box<dyn Aggregator>),
+    /// A BRA rule — its kind, which aggregates and which the judge step
+    /// dispatches on.
+    Bra(AggregatorKind),
     /// A CBA mechanism.
     Cba(Box<dyn Consensus>),
 }
@@ -76,7 +77,7 @@ impl LevelRule {
         levels
             .iter()
             .map(|l| match l {
-                LevelAgg::Bra(kind) => LevelRule::Bra(kind.clone(), kind.build()),
+                LevelAgg::Bra(kind) => LevelRule::Bra(kind.clone()),
                 LevelAgg::Cba(kind) => LevelRule::Cba(kind.build()),
             })
             .collect()
@@ -94,7 +95,7 @@ enum Scoring<'a> {
 }
 
 /// The aggregate step: `inputs` → `out` under `rule`. BRA runs the
-/// level's prebuilt rule in `scratch` (which afterwards holds the
+/// level's rule in `scratch` (which afterwards holds the
 /// rule's by-products for the judge step); CBA runs the mechanism
 /// once. `byzantine(i)` says whether input `i`'s node misbehaves inside
 /// the consensus protocol.
@@ -110,8 +111,8 @@ fn aggregate<'r>(
     scratch: &mut AggScratch,
 ) -> Aggregated<'r> {
     match rule {
-        LevelRule::Bra(kind, rule) => {
-            rule.aggregate_into(inputs, weights, out, scratch);
+        LevelRule::Bra(kind) => {
+            kind.aggregate_into(inputs, weights, out, scratch);
             Aggregated::Bra(kind)
         }
         LevelRule::Cba(mech) => {

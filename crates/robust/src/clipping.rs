@@ -5,75 +5,51 @@
 //! arbitrarily-placed updates can move the result by at most `f·τ/n` per
 //! iteration. We start from the coordinate-wise median for a robust seed.
 
-use crate::{validate_updates, AggScratch, Aggregator};
+use crate::validate_updates;
 
-/// Centered-clipping aggregation.
-#[derive(Clone, Copy, Debug)]
-pub struct CenteredClip {
+/// Centered clipping with radius `tau` and `iters` refinement passes
+/// into `v`; `col` is the median seed's column buffer.
+pub(crate) fn centered_clip(
+    updates: &[&[f32]],
     tau: f64,
     iters: usize,
-}
-
-impl CenteredClip {
-    /// Centered clipping with radius `tau` and `iters` refinement passes.
-    ///
-    /// # Panics
-    /// If `tau <= 0` or `iters == 0`.
-    pub fn new(tau: f64, iters: usize) -> Self {
-        assert!(tau > 0.0, "clip radius must be positive");
-        assert!(iters > 0, "need at least one iteration");
-        Self { tau, iters }
-    }
-
-    /// The clipping radius τ.
-    pub fn tau(&self) -> f64 {
-        self.tau
-    }
-}
-
-impl Aggregator for CenteredClip {
-    fn name(&self) -> &'static str {
-        "centered-clip"
-    }
-
-    fn aggregate_into(
-        &self,
-        updates: &[&[f32]],
-        _weights: Option<&[f32]>,
-        v: &mut Vec<f32>,
-        scratch: &mut AggScratch,
-    ) {
-        let d = validate_updates(updates);
-        // Robust seed: coordinate-wise median.
-        v.clear();
-        v.resize(d, 0.0);
-        hfl_tensor::stats::coordinate_median_into(updates, v, &mut scratch.col);
-        let inv_n = 1.0 / updates.len() as f32;
-        let mut delta = vec![0.0f32; d];
-        let mut diff = vec![0.0f32; d];
-        for _ in 0..self.iters {
-            hfl_tensor::ops::zero(&mut delta);
-            for u in updates {
-                diff.copy_from_slice(u);
-                hfl_tensor::ops::sub_assign(v, &mut diff); // diff = u - v
-                hfl_tensor::ops::clip_norm(&mut diff, self.tau);
-                hfl_tensor::ops::add_assign(&diff, &mut delta);
-            }
-            hfl_tensor::ops::axpy(inv_n, &delta, v);
+    v: &mut Vec<f32>,
+    col: &mut Vec<f32>,
+) {
+    let d = validate_updates(updates);
+    // Robust seed: coordinate-wise median.
+    v.clear();
+    v.resize(d, 0.0);
+    hfl_tensor::stats::coordinate_median_into(updates, v, col);
+    let inv_n = 1.0 / updates.len() as f32;
+    let mut delta = vec![0.0f32; d];
+    let mut diff = vec![0.0f32; d];
+    for _ in 0..iters {
+        hfl_tensor::ops::zero(&mut delta);
+        for u in updates {
+            diff.copy_from_slice(u);
+            hfl_tensor::ops::sub_assign(v, &mut diff); // diff = u - v
+            hfl_tensor::ops::clip_norm(&mut diff, tau);
+            hfl_tensor::ops::add_assign(&diff, &mut delta);
         }
+        hfl_tensor::ops::axpy(inv_n, &delta, v);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::tests::cluster_with_outliers;
+    use crate::{Aggregator, AggregatorKind};
+
+    fn cc(tau: f64, iters: usize) -> AggregatorKind {
+        AggregatorKind::CenteredClip { tau, iters }
+    }
 
     #[test]
     fn clip_bounds_outlier_influence() {
         let updates = cluster_with_outliers(&[1.0, 1.0], 0.05, 9, &[1e6, 1e6], 1);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let out = CenteredClip::new(1.0, 5).aggregate(&refs, None);
+        let out = cc(1.0, 5).aggregate(&refs, None);
         // One outlier can shift the estimate by at most iters·τ/n = 0.5.
         assert!(
             hfl_tensor::ops::dist(&out, &[1.0, 1.0]) < 0.8,
@@ -85,7 +61,7 @@ mod tests {
     fn no_attack_converges_to_mean_neighborhood() {
         let updates = [vec![0.0f32, 0.0], vec![2.0f32, 2.0]];
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let out = CenteredClip::new(10.0, 20).aggregate(&refs, None);
+        let out = cc(10.0, 20).aggregate(&refs, None);
         assert!(
             hfl_tensor::ops::dist(&out, &[1.0, 1.0]) < 1e-3,
             "got {out:?}"
@@ -96,13 +72,13 @@ mod tests {
     fn tiny_tau_stays_at_median_seed() {
         let updates = cluster_with_outliers(&[5.0], 0.0, 5, &[5.0], 0);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let out = CenteredClip::new(1e-6, 1).aggregate(&refs, None);
+        let out = cc(1e-6, 1).aggregate(&refs, None);
         assert!((out[0] - 5.0).abs() < 1e-3);
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
+    #[should_panic(expected = "centered-clip tau")]
     fn zero_tau_panics() {
-        CenteredClip::new(0.0, 1);
+        cc(0.0, 1).aggregate(&[&[1.0]], None);
     }
 }

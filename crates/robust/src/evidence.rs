@@ -34,8 +34,8 @@
 //! | Median / GeoMed / others | residual ≤ 1.5 × median residual | worst residual 1.0, runner-up 0.5 (when > 2 × median) |
 //! | FedAvg | everything | none (no robustness signal) |
 
-use crate::trimmed_mean::TrimmedMean;
-use crate::{AggScratch, AggregatorKind};
+use crate::trimmed_mean::trim_count;
+use crate::{AggScratch, Aggregator, AggregatorKind};
 
 /// Strike weight for the single most suspicious input of a round.
 pub const STRIKE_WORST: f64 = 1.0;
@@ -110,7 +110,7 @@ pub fn judge_aggregated(
         // input i), so the base rule's own evidence runs on the mixed
         // cohort and its verdicts map straight back to the inputs.
         AggregatorKind::Nnm { k, inner } => {
-            let mixed = crate::PreAggregation::Nnm { k: *k }.transform(updates);
+            let mixed = crate::preagg::nnm(updates, *k);
             let refs: Vec<&[f32]> = mixed.iter().map(|v| v.as_slice()).collect();
             let mut acc = judge(inner, &refs);
             // Mixing compresses the cohort, so the inner rule's
@@ -142,8 +142,7 @@ pub fn judge(kind: &AggregatorKind, updates: &[&[f32]]) -> Acceptance {
     }
     let mut scratch = AggScratch::default();
     let mut aggregate = Vec::new();
-    kind.build()
-        .aggregate_into(updates, None, &mut aggregate, &mut scratch);
+    kind.aggregate_into(updates, None, &mut aggregate, &mut scratch);
     judge_aggregated(kind, updates, &aggregate, &scratch)
 }
 
@@ -223,7 +222,7 @@ fn gate_krum_strikes(acc: &mut Acceptance, scores: &[f64]) {
 fn judge_trimmed(updates: &[&[f32]], ratio: f64) -> Acceptance {
     let n = updates.len();
     let d = updates[0].len();
-    let t = TrimmedMean::new(ratio).trim_count(n);
+    let t = trim_count(ratio, n);
     if t == 0 || d == 0 {
         return Acceptance::all_accepted(n);
     }

@@ -5,113 +5,71 @@
 //! with weights `1/dist`; each iteration is O(n·d) and parallelizes over
 //! inputs.
 
-use crate::{validate_updates, AggScratch, Aggregator};
+use crate::{validate_updates, AggScratch};
 
-/// Geometric-median aggregation.
-#[derive(Clone, Copy, Debug)]
-pub struct GeoMed {
-    /// Maximum Weiszfeld iterations.
-    pub max_iters: usize,
-    /// Convergence threshold on the step length.
-    pub tol: f64,
-}
+/// Maximum Weiszfeld iterations.
+const MAX_ITERS: usize = 100;
+/// Convergence threshold on the step length.
+const TOL: f64 = 1e-7;
 
-impl Default for GeoMed {
-    fn default() -> Self {
-        Self {
-            max_iters: 100,
-            tol: 1e-7,
-        }
+/// Weiszfeld from the coordinate-wise mean: writes the estimate into
+/// `est`, reusing `scratch` buffers (distance row, weight row,
+/// next-estimate temporary) across iterations *and* across calls, and
+/// returns the iteration count. The distance fill forks over
+/// [`hfl_parallel::default_threads`] workers, placed by index, so the
+/// estimate is identical at any thread count.
+pub(crate) fn weiszfeld(updates: &[&[f32]], est: &mut Vec<f32>, scratch: &mut AggScratch) -> usize {
+    let d = validate_updates(updates);
+    est.clear();
+    est.resize(d, 0.0);
+    hfl_tensor::ops::mean_of(updates, est);
+    if updates.len() == 1 {
+        return 0;
     }
-}
-
-impl GeoMed {
-    /// Runs Weiszfeld from the coordinate-wise mean. Returns the estimate
-    /// and the number of iterations used.
-    pub fn compute(&self, updates: &[&[f32]]) -> (Vec<f32>, usize) {
-        let mut est = Vec::new();
-        let iters = self.compute_into(
-            updates,
-            hfl_parallel::default_threads(),
-            &mut est,
-            &mut AggScratch::default(),
-        );
-        (est, iters)
-    }
-
-    /// Allocation-free Weiszfeld core: writes the estimate into `est`,
-    /// reusing `scratch` buffers (distance row, weight row, next-estimate
-    /// temporary) across iterations *and* across calls. Returns the
-    /// iteration count. Values are identical to [`GeoMed::compute`] —
-    /// per-input distances and the fused weighted mean are computed the
-    /// same way, only buffer lifetimes change.
-    pub fn compute_into(
-        &self,
-        updates: &[&[f32]],
-        threads: usize,
-        est: &mut Vec<f32>,
-        scratch: &mut AggScratch,
-    ) -> usize {
-        let d = validate_updates(updates);
-        est.clear();
-        est.resize(d, 0.0);
-        hfl_tensor::ops::mean_of(updates, est);
-        if updates.len() == 1 {
-            return 0;
-        }
-        let n = updates.len();
-        let AggScratch { row, col, tmp, .. } = scratch;
-        let (dists, weights, next) = (row, col, tmp);
-        dists.clear();
-        dists.resize(n, 0.0);
-        next.clear();
-        next.resize(d, 0.0);
-        let chunk = n.div_ceil(threads.max(1)).max(1);
-        for it in 0..self.max_iters {
-            // Weights 1/max(dist, eps); a point sitting exactly on an
-            // input gets a huge weight, effectively snapping to it —
-            // the standard Weiszfeld regularization. The fill is
-            // work-stealing over row chunks but placement is by index,
-            // so the row is identical at any thread count.
-            let est_ro = &est[..];
-            hfl_parallel::par_chunks_mut(dists, chunk, threads, |base, slice| {
-                for (off, o) in slice.iter_mut().enumerate() {
-                    *o = hfl_tensor::ops::dist(est_ro, updates[base + off]).max(1e-12);
-                }
-            });
-            weights.clear();
-            weights.extend(dists.iter().map(|d| (1.0 / d) as f32));
-            hfl_tensor::ops::weighted_mean_of(updates, weights, next);
-            let step = hfl_tensor::ops::dist(est, next);
-            est.copy_from_slice(next);
-            if step < self.tol {
-                return it + 1;
+    let n = updates.len();
+    let AggScratch { row, col, tmp, .. } = scratch;
+    let (dists, weights, next) = (row, col, tmp);
+    dists.clear();
+    dists.resize(n, 0.0);
+    next.clear();
+    next.resize(d, 0.0);
+    let threads = hfl_parallel::default_threads();
+    let chunk = n.div_ceil(threads).max(1);
+    for it in 0..MAX_ITERS {
+        // Weights 1/max(dist, eps); a point sitting exactly on an
+        // input gets a huge weight, effectively snapping to it —
+        // the standard Weiszfeld regularization. The fill is
+        // work-stealing over row chunks but placement is by index,
+        // so the row is identical at any thread count.
+        let est_ro = &est[..];
+        hfl_parallel::par_chunks_mut(dists, chunk, threads, |base, slice| {
+            for (off, o) in slice.iter_mut().enumerate() {
+                *o = hfl_tensor::ops::dist(est_ro, updates[base + off]).max(1e-12);
             }
+        });
+        weights.clear();
+        weights.extend(dists.iter().map(|d| (1.0 / d) as f32));
+        hfl_tensor::ops::weighted_mean_of(updates, weights, next);
+        let step = hfl_tensor::ops::dist(est, next);
+        est.copy_from_slice(next);
+        if step < TOL {
+            return it + 1;
         }
-        self.max_iters
     }
-}
-
-impl Aggregator for GeoMed {
-    fn name(&self) -> &'static str {
-        "geomed"
-    }
-
-    fn aggregate_into(
-        &self,
-        updates: &[&[f32]],
-        _weights: Option<&[f32]>,
-        out: &mut Vec<f32>,
-        scratch: &mut AggScratch,
-    ) {
-        self.compute_into(updates, hfl_parallel::default_threads(), out, scratch);
-    }
+    MAX_ITERS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::cluster_with_outliers;
+    use crate::{Aggregator, AggregatorKind};
+
+    fn compute(updates: &[&[f32]]) -> (Vec<f32>, usize) {
+        let mut est = Vec::new();
+        let iters = weiszfeld(updates, &mut est, &mut AggScratch::default());
+        (est, iters)
+    }
 
     #[test]
     fn geomed_of_symmetric_points_is_center() {
@@ -122,7 +80,7 @@ mod tests {
             vec![0.0f32, -1.0],
         ];
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let out = GeoMed::default().aggregate(&refs, None);
+        let out = AggregatorKind::GeoMed.aggregate(&refs, None);
         assert!(hfl_tensor::ops::norm(&out) < 1e-4, "got {out:?}");
     }
 
@@ -130,7 +88,7 @@ mod tests {
     fn geomed_resists_minority_outliers() {
         let updates = cluster_with_outliers(&[1.0, 1.0], 0.05, 7, &[1e4, 1e4], 3);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let out = GeoMed::default().aggregate(&refs, None);
+        let out = AggregatorKind::GeoMed.aggregate(&refs, None);
         assert!(
             hfl_tensor::ops::dist(&out, &[1.0, 1.0]) < 0.5,
             "got {out:?}"
@@ -141,27 +99,28 @@ mod tests {
     fn mean_would_fail_where_geomed_holds() {
         let updates = cluster_with_outliers(&[1.0, 1.0], 0.05, 7, &[1e4, 1e4], 3);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let mean = crate::FedAvg.aggregate(&refs, None);
+        let mean = AggregatorKind::FedAvg.aggregate(&refs, None);
         assert!(hfl_tensor::ops::dist(&mean, &[1.0, 1.0]) > 100.0);
     }
 
     #[test]
     fn single_point_is_identity() {
         let u = [5.0f32, -3.0];
-        let (out, iters) = GeoMed::default().compute(&[&u]);
+        let (out, iters) = compute(&[&u]);
         assert_eq!(out, vec![5.0, -3.0]);
         assert_eq!(iters, 0);
     }
 
     #[test]
-    fn compute_into_bitwise_matches_compute_across_threads() {
+    fn weiszfeld_reads_the_same_bits_at_every_thread_count() {
         let updates = cluster_with_outliers(&[1.0, 1.0, -0.5], 0.3, 9, &[50.0, -50.0, 2.0], 2);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let (baseline, base_iters) = GeoMed::default().compute(&refs);
+        let (baseline, base_iters) = hfl_parallel::with_threads(1, || compute(&refs));
         let mut scratch = AggScratch::default();
         let mut est = Vec::new();
         for threads in [1usize, 2, 4, 8] {
-            let iters = GeoMed::default().compute_into(&refs, threads, &mut est, &mut scratch);
+            let iters =
+                hfl_parallel::with_threads(threads, || weiszfeld(&refs, &mut est, &mut scratch));
             assert_eq!(iters, base_iters, "threads={threads}");
             for (a, b) in est.iter().zip(&baseline) {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
@@ -173,7 +132,7 @@ mod tests {
     fn converges_quickly_on_tight_cluster() {
         let updates = cluster_with_outliers(&[0.0, 0.0], 0.01, 10, &[0.0, 0.0], 0);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let (_, iters) = GeoMed::default().compute(&refs);
-        assert!(iters < 100, "did not converge: {iters}");
+        let (_, iters) = compute(&refs);
+        assert!(iters < MAX_ITERS, "did not converge: {iters}");
     }
 }

@@ -23,54 +23,47 @@
 //! ([`hfl_tensor::ops::RowGroups`], kept in [`AggScratch::groups`]): the
 //! blocks run over the distinct rows and the result is expanded, each
 //! entry the bits it would have had. The original full-matrix loop is
-//! retained verbatim in [`reference`](mod@reference) and the differential suite pins
+//! retained in [`reference`](mod@reference) and the differential suite pins
 //! the two bitwise-equal.
 
-use crate::{validate_updates, AggScratch, Aggregator};
+use crate::{validate_updates, AggScratch};
 use hfl_tensor::ops;
 
-/// Computes the Krum score of every update: score(i) = Σ of the
-/// `n − f − 2` smallest squared distances from update `i` to the others.
-///
-/// Exposed for the consensus crate (validated agreement uses Krum scores
-/// as an acceptance predicate) and for benchmarks.
-pub fn krum_scores(updates: &[&[f32]], f: usize) -> Vec<f64> {
-    krum_scores_with_threads(updates, f, hfl_parallel::default_threads())
-}
-
-/// [`krum_scores`] with an explicit worker count (the differential suite
-/// sweeps 1–8 threads; results are identical at any count).
-pub fn krum_scores_with_threads(updates: &[&[f32]], f: usize, threads: usize) -> Vec<f64> {
-    let mut scratch = AggScratch::default();
-    krum_scores_into(updates, f, threads, &mut scratch);
-    scratch.scores
+/// True when Blanchard et al.'s Byzantine-resilience guarantee
+/// (`n ≥ 2f + 3`) holds for `n` inputs.
+pub fn guarantee_holds(f: usize, n: usize) -> bool {
+    f.checked_mul(2)
+        .and_then(|two_f| two_f.checked_add(3))
+        .is_some_and(|needed| n >= needed)
 }
 
 /// Upper-triangle pairwise squared distances, `dists[lo * n + hi] =
 /// dist_sq(updates[lo], updates[hi])` for `lo < hi`, in a flat n×n
 /// buffer (the rest is zero) — the crate's one O(n²·d) fill:
 /// [`ops::pairwise_dist_sq`] with its blocks of partner rows claimed
-/// across `threads` workers (a cluster of up to eight rows is one block
-/// and forks nothing), each distinct row measured once (`groups`).
+/// across [`hfl_parallel::default_threads`] workers (a cluster of up to
+/// eight rows is one block and forks nothing), each distinct row
+/// measured once (`groups`).
 ///
 /// # Panics
 /// With "length mismatch" if the rows are not all one length.
 pub(crate) fn pairwise_dist_sq(
     updates: &[&[f32]],
-    threads: usize,
     dists: &mut Vec<f64>,
     groups: &mut ops::RowGroups,
 ) {
+    let threads = hfl_parallel::default_threads();
     ops::pairwise_dist_sq(updates, dists, groups, |dists, len, fill| {
         hfl_parallel::par_chunks_mut(dists, len, threads, fill)
     });
 }
 
-/// Allocation-free scoring core: fills `scratch.scores`, reusing the
-/// scratch's distance matrix, row groups and row buffer. Once the
-/// buffers reach their high-water mark, steady-state calls perform no
-/// heap allocation at any thread count.
-pub fn krum_scores_into(updates: &[&[f32]], f: usize, threads: usize, scratch: &mut AggScratch) {
+/// Computes the Krum score of every update into `scratch.scores`:
+/// score(i) = Σ of the `n − f − 2` smallest squared distances from
+/// update `i` to the others, reusing the scratch's distance matrix, row
+/// groups and row buffer. Once the buffers reach their high-water mark,
+/// steady-state calls perform no heap allocation at any thread count.
+pub fn krum_scores_into(updates: &[&[f32]], f: usize, scratch: &mut AggScratch) {
     let AggScratch {
         dists,
         groups,
@@ -86,7 +79,7 @@ pub fn krum_scores_into(updates: &[&[f32]], f: usize, threads: usize, scratch: &
     // scoring supports rather than rejected: small clusters degrade toward
     // nearest-neighbour scoring.
     let f = f.min(n.saturating_sub(3));
-    pairwise_dist_sq(updates, threads, dists, groups);
+    pairwise_dist_sq(updates, dists, groups);
     // n ≥ 3 keeps n−f−2 ≥ 1 distances; degenerate n ∈ {1, 2} keeps all.
     let keep = if n >= 3 {
         n - f - 2
@@ -113,152 +106,71 @@ pub fn krum_scores_into(updates: &[&[f32]], f: usize, threads: usize, scratch: &
     }
 }
 
-/// Classic Krum: select the single lowest-scoring update.
-#[derive(Clone, Copy, Debug)]
-pub struct Krum {
-    f: usize,
+/// Classic Krum: the single lowest-scoring update.
+pub(crate) fn krum(updates: &[&[f32]], f: usize, out: &mut Vec<f32>, scratch: &mut AggScratch) {
+    validate_updates(updates);
+    krum_scores_into(updates, f, scratch);
+    let best = scratch
+        .scores
+        .iter()
+        .enumerate()
+        .min_by(|a, b| a.1.total_cmp(b.1))
+        .expect("non-empty scores")
+        .0;
+    out.clear();
+    out.extend_from_slice(updates[best]);
 }
 
-impl Krum {
-    /// Krum assuming at most `f` Byzantine inputs.
-    pub fn new(f: usize) -> Self {
-        Self { f }
-    }
-
-    /// The assumed Byzantine count.
-    pub fn f(&self) -> usize {
-        self.f
-    }
-
-    /// True when Blanchard et al.'s Byzantine-resilience guarantee
-    /// (`n ≥ 2f + 3`) holds for `n` inputs.
-    pub fn guarantee_holds(f: usize, n: usize) -> bool {
-        f.checked_mul(2)
-            .and_then(|two_f| two_f.checked_add(3))
-            .is_some_and(|needed| n >= needed)
-    }
-}
-
-impl Aggregator for Krum {
-    fn name(&self) -> &'static str {
-        "krum"
-    }
-
-    fn aggregate_into(
-        &self,
-        updates: &[&[f32]],
-        _weights: Option<&[f32]>,
-        out: &mut Vec<f32>,
-        scratch: &mut AggScratch,
-    ) {
-        validate_updates(updates);
-        krum_scores_into(updates, self.f, hfl_parallel::default_threads(), scratch);
-        let best = scratch
-            .scores
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .expect("non-empty scores")
-            .0;
-        out.clear();
-        out.extend_from_slice(updates[best]);
-    }
-}
-
-/// Multi-Krum: average the `m` best-scoring updates (m=1 degenerates to
-/// Krum; m=n degenerates to FedAvg).
-#[derive(Clone, Copy, Debug)]
-pub struct MultiKrum {
+/// Multi-Krum: the mean of the `m` best-scoring updates (m = 1
+/// degenerates to Krum, m = n to FedAvg). The selection, lowest score
+/// first, stays in `scratch.idx` for the evidence step; the stable index
+/// sort's scratch is a 4 KiB stack buffer (512 indices), so only a
+/// larger cohort sends it to the heap.
+pub(crate) fn multi_krum(
+    updates: &[&[f32]],
     f: usize,
     m: usize,
+    out: &mut Vec<f32>,
+    scratch: &mut AggScratch,
+) {
+    let d = validate_updates(updates);
+    krum_scores_into(updates, f, scratch);
+    let AggScratch { scores, idx, .. } = scratch;
+    idx.clear();
+    idx.extend(0..updates.len());
+    // Stable sort: equal scores keep input order, matching the
+    // original selection semantics the golden manifests pin.
+    idx.sort_by(|a, b| scores[*a].total_cmp(&scores[*b]));
+    idx.truncate(m.min(updates.len()));
+    out.clear();
+    out.resize(d, 0.0);
+    ops::mean_of_indexed(updates, idx, out);
 }
 
-impl MultiKrum {
-    /// Multi-Krum with assumed Byzantine count `f`, averaging the `m`
-    /// best updates.
-    ///
-    /// # Panics
-    /// If `m == 0`.
-    pub fn new(f: usize, m: usize) -> Self {
-        assert!(m > 0, "Multi-Krum must select at least one update");
-        Self { f, m }
-    }
-
-    /// The paper's evaluation setting: assumed malicious proportion of
-    /// 25 %, selecting the complement.
-    pub fn paper_default(n: usize) -> Self {
-        let f = n / 4;
-        Self::new(f, n - f)
-    }
-
-    /// Indices of the `m` selected updates, lowest score first.
-    pub fn select(&self, updates: &[&[f32]]) -> Vec<usize> {
-        let mut scratch = AggScratch::default();
-        let mut idx = Vec::new();
-        self.select_into(updates, &mut scratch, &mut idx);
-        idx
-    }
-
-    /// [`MultiKrum::select`] into caller-owned buffers (allocation-free
-    /// at steady state for the cohort sizes the engine runs: the stable
-    /// index sort's scratch is a 4 KiB stack buffer, 512 indices, and
-    /// only a larger cohort sends it to the heap).
-    pub fn select_into(&self, updates: &[&[f32]], scratch: &mut AggScratch, idx: &mut Vec<usize>) {
-        krum_scores_into(updates, self.f, hfl_parallel::default_threads(), scratch);
-        let scores = &scratch.scores;
-        idx.clear();
-        idx.extend(0..updates.len());
-        // Stable sort: equal scores keep input order, matching the
-        // original selection semantics the golden manifests pin.
-        idx.sort_by(|a, b| scores[*a].total_cmp(&scores[*b]));
-        idx.truncate(self.m.min(updates.len()));
-    }
-}
-
-impl Aggregator for MultiKrum {
-    fn name(&self) -> &'static str {
-        "multi-krum"
-    }
-
-    fn aggregate_into(
-        &self,
-        updates: &[&[f32]],
-        _weights: Option<&[f32]>,
-        out: &mut Vec<f32>,
-        scratch: &mut AggScratch,
-    ) {
-        let d = validate_updates(updates);
-        let mut idx = std::mem::take(&mut scratch.idx);
-        self.select_into(updates, scratch, &mut idx);
-        out.clear();
-        out.resize(d, 0.0);
-        hfl_tensor::ops::mean_of_indexed(updates, &idx, out);
-        scratch.idx = idx;
-    }
-}
-
-/// The original, unoptimized scoring loop, retained verbatim so the
+/// The original, unoptimized scoring loop, retained so the
 /// differential suite (`tests/kernel_equivalence.rs`) can pin the
 /// symmetry-halved/blocked kernel bitwise against it. Not part of the
 /// supported API.
 #[doc(hidden)]
 pub mod reference {
     /// Pre-overhaul `krum_scores`: full (both-triangle) distance matrix,
-    /// one `dist_sq` pass per pair, statically-placed parallel rows.
-    pub fn krum_scores_naive(updates: &[&[f32]], f: usize, threads: usize) -> Vec<f64> {
+    /// one `dist_sq` pass per pair, row by row.
+    pub fn krum_scores_naive(updates: &[&[f32]], f: usize) -> Vec<f64> {
         let n = updates.len();
         let f = f.min(n.saturating_sub(3));
-        let dists: Vec<Vec<f64>> = hfl_parallel::par_map_indexed(n, threads, |i| {
-            (0..n)
-                .map(|j| {
-                    if i == j {
-                        0.0
-                    } else {
-                        hfl_tensor::ops::dist_sq(updates[i], updates[j])
-                    }
-                })
-                .collect()
-        });
+        let dists: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        if i == j {
+                            0.0
+                        } else {
+                            hfl_tensor::ops::dist_sq(updates[i], updates[j])
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
         let keep = if n >= 3 {
             n - f - 2
         } else {
@@ -278,12 +190,26 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::tests::cluster_with_outliers;
+    use crate::{Aggregator, AggregatorKind};
+
+    fn scores(updates: &[&[f32]], f: usize) -> Vec<f64> {
+        let mut scratch = AggScratch::default();
+        krum_scores_into(updates, f, &mut scratch);
+        scratch.scores
+    }
+
+    /// Multi-Krum's aggregate and its selection.
+    fn multi(updates: &[&[f32]], f: usize, m: usize) -> (Vec<f32>, Vec<usize>) {
+        let (mut out, mut scratch) = (Vec::new(), AggScratch::default());
+        AggregatorKind::MultiKrum { f, m }.aggregate_into(updates, None, &mut out, &mut scratch);
+        (out, scratch.idx)
+    }
 
     #[test]
     fn krum_picks_from_honest_cluster() {
         let updates = cluster_with_outliers(&[1.0, 1.0, 1.0], 0.1, 7, &[100.0, 100.0, 100.0], 2);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let out = Krum::new(2).aggregate(&refs, None);
+        let out = AggregatorKind::Krum { f: 2 }.aggregate(&refs, None);
         assert!(hfl_tensor::ops::dist(&out, &[1.0, 1.0, 1.0]) < 0.5);
     }
 
@@ -291,7 +217,7 @@ mod tests {
     fn krum_returns_an_actual_input() {
         let updates = cluster_with_outliers(&[0.0, 0.0], 0.2, 6, &[50.0, 50.0], 1);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let out = Krum::new(1).aggregate(&refs, None);
+        let out = AggregatorKind::Krum { f: 1 }.aggregate(&refs, None);
         assert!(updates.iter().any(|u| u.as_slice() == out.as_slice()));
     }
 
@@ -301,11 +227,9 @@ mod tests {
         let f = 2;
         let updates = cluster_with_outliers(&[1.0, -1.0], 0.1, n - f, &[30.0, -30.0], f);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let mk = MultiKrum::new(f, n - f);
-        let sel = mk.select(&refs);
+        let (out, sel) = multi(&refs, f, n - f);
         // selected indices must all be honest (honest occupy 0..n-f)
         assert!(sel.iter().all(|&i| i < n - f), "selected {sel:?}");
-        let out = mk.aggregate(&refs, None);
         assert!(hfl_tensor::ops::dist(&out, &[1.0, -1.0]) < 0.5);
     }
 
@@ -319,22 +243,15 @@ mod tests {
             vec![1.0f32, 1.0],
         ];
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let out = MultiKrum::new(1, 5).aggregate(&refs, None);
+        let out = AggregatorKind::MultiKrum { f: 1, m: 5 }.aggregate(&refs, None);
         assert!(hfl_tensor::ops::approx_eq(&out, &[1.0, 1.0], 1e-6));
-    }
-
-    #[test]
-    fn paper_default_is_quarter() {
-        let mk = MultiKrum::paper_default(16);
-        assert_eq!(mk.f, 4);
-        assert_eq!(mk.m, 12);
     }
 
     #[test]
     fn scores_are_lower_for_central_updates() {
         let updates = cluster_with_outliers(&[0.0], 0.1, 5, &[10.0], 1);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let scores = krum_scores(&refs, 1);
+        let scores = scores(&refs, 1);
         let outlier_score = scores[5];
         assert!(scores[..5].iter().all(|s| *s < outlier_score));
     }
@@ -346,11 +263,11 @@ mod tests {
         // returns one of them.
         let u = [vec![1.0f32], vec![1.1f32], vec![0.9f32]];
         let refs: Vec<&[f32]> = u.iter().map(|x| x.as_slice()).collect();
-        let out = Krum::new(5).aggregate(&refs, None);
+        let out = AggregatorKind::Krum { f: 5 }.aggregate(&refs, None);
         assert!((out[0] - 1.0).abs() <= 0.11);
         // Singleton input is returned unchanged.
         let one = [7.0f32];
-        let out = Krum::new(1).aggregate(&[&one], None);
+        let out = AggregatorKind::Krum { f: 1 }.aggregate(&[&one], None);
         assert_eq!(out, vec![7.0]);
     }
 
@@ -359,11 +276,11 @@ mod tests {
         // The paper's partial-aggregation setting: 4 updates, f = 1.
         let updates = cluster_with_outliers(&[1.0], 0.05, 3, &[100.0], 1);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let out = MultiKrum::new(1, 3).aggregate(&refs, None);
+        let out = AggregatorKind::MultiKrum { f: 1, m: 3 }.aggregate(&refs, None);
         assert!((out[0] - 1.0).abs() < 0.5);
-        assert!(!Krum::guarantee_holds(1, 4));
-        assert!(Krum::guarantee_holds(1, 5));
-        assert!(!Krum::guarantee_holds(usize::MAX, usize::MAX));
+        assert!(!guarantee_holds(1, 4));
+        assert!(guarantee_holds(1, 5));
+        assert!(!guarantee_holds(usize::MAX, usize::MAX));
     }
 
     #[test]
@@ -376,20 +293,18 @@ mod tests {
         updates.push(vec![f32::NAN, f32::INFINITY]);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
 
-        let out = Krum::new(1).aggregate(&refs, None);
+        let out = AggregatorKind::Krum { f: 1 }.aggregate(&refs, None);
         assert!(
             out.iter().all(|x| x.is_finite()),
             "Krum picked NaN: {out:?}"
         );
         assert!(hfl_tensor::ops::dist(&out, &[1.0, 1.0]) < 0.5);
 
-        let mk = MultiKrum::new(1, 4);
-        let sel = mk.select(&refs);
+        let (out, sel) = multi(&refs, 1, 4);
         assert!(sel.iter().all(|&i| i < 6), "NaN input selected: {sel:?}");
-        let out = mk.aggregate(&refs, None);
         assert!(out.iter().all(|x| x.is_finite()));
 
-        let scores = krum_scores(&refs, 1);
+        let scores = scores(&refs, 1);
         assert!(
             scores[..6].iter().all(|s| s.is_finite()),
             "honest scores must exclude the NaN tail: {scores:?}"
@@ -405,9 +320,9 @@ mod tests {
         updates.push(vec![f32::NAN, f32::INFINITY, -0.0]);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
         for f in [0usize, 1, 3] {
+            let naive = reference::krum_scores_naive(&refs, f);
             for threads in [1usize, 2, 4, 8] {
-                let opt = krum_scores_with_threads(&refs, f, threads);
-                let naive = reference::krum_scores_naive(&refs, f, threads);
+                let opt = hfl_parallel::with_threads(threads, || scores(&refs, f));
                 assert_eq!(opt.len(), naive.len());
                 for (a, b) in opt.iter().zip(&naive) {
                     assert_eq!(a.to_bits(), b.to_bits(), "f={f} threads={threads}");
@@ -423,12 +338,13 @@ mod tests {
         let mut scratch = AggScratch::default();
         let mut out = Vec::new();
         for _ in 0..3 {
-            let mk = MultiKrum::new(2, 4);
-            mk.aggregate_into(&refs, None, &mut out, &mut scratch);
-            assert_eq!(out, mk.aggregate(&refs, None));
-            let k = Krum::new(2);
-            k.aggregate_into(&refs, None, &mut out, &mut scratch);
-            assert_eq!(out, k.aggregate(&refs, None));
+            for kind in [
+                AggregatorKind::MultiKrum { f: 2, m: 4 },
+                AggregatorKind::Krum { f: 2 },
+            ] {
+                kind.aggregate_into(&refs, None, &mut out, &mut scratch);
+                assert_eq!(out, kind.aggregate(&refs, None), "{kind:?}");
+            }
         }
     }
 }

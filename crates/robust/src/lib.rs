@@ -13,14 +13,14 @@
 //! | Clipping | Centered Clipping (CC) | [`clipping`] |
 //! | Cosine similarity | largest-cluster aggregation | [`clustering`] |
 //!
-//! All rules implement [`Aggregator`] over flat `f32` parameter vectors,
-//! so any rule can be plugged into any level of the ABD-HFL hierarchy
-//! (Algorithm 3's per-level `BRA` choice).
+//! A rule is its [`AggregatorKind`], and the kind aggregates flat `f32`
+//! vectors ([`Aggregator`]), so any rule can be plugged into any level of
+//! the ABD-HFL hierarchy (Algorithm 3's per-level `BRA` choice).
 //!
 //! # Example
 //!
 //! ```
-//! use hfl_robust::{Aggregator, CoordMedian, FedAvg};
+//! use hfl_robust::{Aggregator, AggregatorKind};
 //!
 //! let honest = [[1.0f32, 2.0], [1.1, 2.1], [0.9, 1.9]];
 //! let poisoned = [1e9f32, -1e9];
@@ -30,10 +30,10 @@
 //!     .chain(std::iter::once(poisoned.as_slice()))
 //!     .collect();
 //!
-//! let robust = CoordMedian.aggregate(&updates, None);
+//! let robust = AggregatorKind::Median.aggregate(&updates, None);
 //! assert!((robust[0] - 1.0).abs() < 0.2); // median ignores the outlier
 //!
-//! let broken = FedAvg.aggregate(&updates, None);
+//! let broken = AggregatorKind::FedAvg.aggregate(&updates, None);
 //! assert!(broken[0] > 1e8); // plain averaging does not
 //! ```
 
@@ -50,20 +50,12 @@ pub mod streaming;
 pub mod suspicion;
 pub mod trimmed_mean;
 
-pub use autogm::AutoGm;
-pub use clipping::CenteredClip;
-pub use clustering::CosineClustering;
 pub use evidence::Acceptance;
-pub use geomed::GeoMed;
-pub use krum::{Krum, MultiKrum};
-pub use mean::FedAvg;
-pub use median::CoordMedian;
-pub use preagg::{PreAggregated, PreAggregation};
-pub use streaming::{SampledKrum, StreamingMedian, StreamingTrimmedMean, DEFAULT_EXACT_THRESHOLD};
+pub use streaming::DEFAULT_EXACT_THRESHOLD;
 pub use suspicion::{SuspicionChange, SuspicionConfig, SuspicionTracker};
-pub use trimmed_mean::TrimmedMean;
 
 use hfl_tensor::ops::RowGroups;
+use hfl_tensor::stats::ColumnStat;
 
 /// Reusable scratch buffers for allocation-free aggregation through
 /// [`Aggregator::aggregate_into`].
@@ -95,16 +87,16 @@ pub struct AggScratch {
 }
 
 /// A Byzantine-robust aggregation rule over flat parameter vectors.
+/// [`AggregatorKind`] is its one implementation; the trait stays only
+/// because `ledger/` holds its rules as `Box<dyn Aggregator>` (see
+/// [`AggregatorKind::build`]).
 pub trait Aggregator: Send + Sync {
-    /// Human-readable rule name (used in experiment reports).
-    fn name(&self) -> &'static str;
-
     /// Aggregates `updates` (all the same length) into `out`, replacing
     /// its contents — the rule's one body.
     ///
     /// `weights`, when given, are relative dataset sizes; rules that have
-    /// no weighted form (all the robust ones) may ignore them. Rules must
-    /// panic on an empty input — aggregating nothing is a protocol bug
+    /// no weighted form (all the robust ones) ignore them. Rules panic
+    /// on an empty input — aggregating nothing is a protocol bug
     /// upstream, not a recoverable condition. `scratch` is reused across
     /// calls, so the rules that keep their temporaries there perform no
     /// heap allocation once its buffers reach their high-water mark; the
@@ -126,7 +118,8 @@ pub trait Aggregator: Send + Sync {
     }
 }
 
-/// Serializable aggregator selector for experiment configuration files.
+/// A BRA rule: the selector experiment configuration files name, and
+/// the rule itself ([`Aggregator`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum AggregatorKind {
     /// Plain (weighted) averaging — the FedAvg baseline.
@@ -173,7 +166,7 @@ pub enum AggregatorKind {
     },
     /// Pre-aggregation composition: bucket the inputs (groups of `s`
     /// averaged) before running `inner` on the bucket means. See
-    /// [`preagg::PreAggregation::Bucketing`].
+    /// [`preagg`].
     Bucketing {
         /// Bucket size, ≥ 1.
         s: usize,
@@ -184,7 +177,7 @@ pub enum AggregatorKind {
     },
     /// Pre-aggregation composition: nearest-neighbour mixing (each input
     /// replaced by the mean of its `k` nearest, itself included) before
-    /// running `inner`. See [`preagg::PreAggregation::Nnm`].
+    /// running `inner`. See [`preagg::nnm`].
     Nnm {
         /// Neighbourhood size, ≥ 1.
         k: usize,
@@ -194,15 +187,14 @@ pub enum AggregatorKind {
     },
     /// One-pass coordinate-wise median: exact below `exact_threshold`
     /// inputs, P² quantile markers (one tile's on the stack) above. See
-    /// [`streaming::StreamingMedian`].
+    /// [`streaming`].
     StreamingMedian {
         /// Input count below which the exact batch kernel runs.
         exact_threshold: usize,
     },
     /// One-pass coordinate-wise trimmed mean: exact below
     /// `exact_threshold` inputs, deterministic row reservoir (capacity
-    /// `exact_threshold`) plus exact trim above. See
-    /// [`streaming::StreamingTrimmedMean`].
+    /// `exact_threshold`) plus exact trim above. See [`streaming`].
     StreamingTrimmedMean {
         /// Fraction trimmed from each tail, in `[0, 0.5)`.
         ratio: f64,
@@ -212,7 +204,7 @@ pub enum AggregatorKind {
     },
     /// Krum over `m` arrival-order bucket means, bounding the distance
     /// matrix to O(m²·d); exact Krum at or below `m` inputs. See
-    /// [`streaming::SampledKrum`].
+    /// [`streaming`].
     SampledKrum {
         /// Assumed number of Byzantine inputs.
         f: usize,
@@ -222,11 +214,9 @@ pub enum AggregatorKind {
 }
 
 impl AggregatorKind {
-    /// Checks every parameter [`AggregatorKind::build`]'s constructors
-    /// assert on, a pre-aggregation's inner rule included:
-    /// `Err((which parameter, its value))` for the first unusable one. A
-    /// streaming rule's zero exact threshold, which its constructor
-    /// clamps to one, is refused too.
+    /// Checks every parameter, a pre-aggregation's inner rule included:
+    /// `Err((which parameter, its value))` for the first unusable one.
+    /// [`Aggregator::aggregate_into`] panics with this message.
     pub fn validate(&self) -> Result<(), (&'static str, f64)> {
         let usable = |ok: bool, what, value| if ok { Ok(()) } else { Err((what, value)) };
         let positive = |n: usize, what| usable(n >= 1, what, n as f64);
@@ -268,38 +258,59 @@ impl AggregatorKind {
         }
     }
 
-    /// Instantiates the rule.
+    /// The rule as a boxed [`Aggregator`] — a clone of the kind, for
+    /// `ledger/`, which holds its rules that way.
     pub fn build(&self) -> Box<dyn Aggregator> {
+        Box::new(self.clone())
+    }
+}
+
+impl Aggregator for AggregatorKind {
+    fn aggregate_into(
+        &self,
+        updates: &[&[f32]],
+        weights: Option<&[f32]>,
+        out: &mut Vec<f32>,
+        scratch: &mut AggScratch,
+    ) {
+        if let Err((what, value)) = self.validate() {
+            panic!("unusable {what}: {value}");
+        }
+        let col = &mut scratch.col;
         match self {
-            AggregatorKind::FedAvg => Box::new(FedAvg),
-            AggregatorKind::Krum { f } => Box::new(Krum::new(*f)),
-            AggregatorKind::MultiKrum { f, m } => Box::new(MultiKrum::new(*f, *m)),
-            AggregatorKind::Median => Box::new(CoordMedian),
-            AggregatorKind::TrimmedMean { ratio } => Box::new(TrimmedMean::new(*ratio)),
-            AggregatorKind::GeoMed => Box::new(GeoMed::default()),
+            AggregatorKind::FedAvg => mean::fedavg(updates, weights, out),
+            AggregatorKind::Krum { f } => krum::krum(updates, *f, out, scratch),
+            AggregatorKind::MultiKrum { f, m } => krum::multi_krum(updates, *f, *m, out, scratch),
+            AggregatorKind::Median => median::column_stat(ColumnStat::Median, updates, out, col),
+            AggregatorKind::TrimmedMean { ratio } => {
+                trimmed_mean::trimmed_mean(updates, *ratio, out, col)
+            }
+            AggregatorKind::GeoMed => {
+                geomed::weiszfeld(updates, out, scratch);
+            }
             AggregatorKind::CenteredClip { tau, iters } => {
-                Box::new(CenteredClip::new(*tau, *iters))
+                clipping::centered_clip(updates, *tau, *iters, out, col)
             }
             AggregatorKind::CosineClustering { threshold } => {
-                Box::new(CosineClustering::new(*threshold))
+                clustering::largest_cluster_mean(updates, *threshold, out)
             }
-            AggregatorKind::AutoGm { kappa } => Box::new(AutoGm::new(*kappa)),
-            AggregatorKind::Bucketing { s, inner } => Box::new(PreAggregated::new(
-                PreAggregation::Bucketing { s: *s },
-                inner.build(),
-            )),
-            AggregatorKind::Nnm { k, inner } => Box::new(PreAggregated::new(
-                PreAggregation::Nnm { k: *k },
-                inner.build(),
-            )),
+            AggregatorKind::AutoGm { kappa } => autogm::autogm(updates, *kappa, out, scratch),
+            AggregatorKind::Bucketing { s, inner } => {
+                preagg::aggregate_derived(&preagg::bucket_means(updates, *s), inner, out, scratch)
+            }
+            AggregatorKind::Nnm { k, inner } => {
+                preagg::aggregate_derived(&preagg::nnm(updates, *k), inner, out, scratch)
+            }
             AggregatorKind::StreamingMedian { exact_threshold } => {
-                Box::new(StreamingMedian::new(*exact_threshold))
+                streaming::p2_median(updates, *exact_threshold, out, col)
             }
             AggregatorKind::StreamingTrimmedMean {
                 ratio,
                 exact_threshold,
-            } => Box::new(StreamingTrimmedMean::new(*ratio, *exact_threshold)),
-            AggregatorKind::SampledKrum { f, m } => Box::new(SampledKrum::new(*f, *m)),
+            } => streaming::reservoir_trimmed_mean(updates, *ratio, *exact_threshold, out, scratch),
+            AggregatorKind::SampledKrum { f, m } => {
+                streaming::sampled_krum(updates, *f, *m, out, scratch)
+            }
         }
     }
 }
@@ -344,8 +355,39 @@ mod tests {
         out
     }
 
+    /// One kind of every variant, compositions included.
+    fn every_kind() -> [AggregatorKind; 14] {
+        [
+            AggregatorKind::FedAvg,
+            AggregatorKind::Krum { f: 1 },
+            AggregatorKind::MultiKrum { f: 1, m: 2 },
+            AggregatorKind::Median,
+            AggregatorKind::TrimmedMean { ratio: 0.2 },
+            AggregatorKind::GeoMed,
+            AggregatorKind::CenteredClip { tau: 1.0, iters: 3 },
+            AggregatorKind::CosineClustering { threshold: 0.5 },
+            AggregatorKind::AutoGm { kappa: 3.0 },
+            AggregatorKind::Bucketing {
+                s: 2,
+                inner: Box::new(AggregatorKind::Median),
+            },
+            AggregatorKind::Nnm {
+                k: 3,
+                inner: Box::new(AggregatorKind::Krum { f: 1 }),
+            },
+            AggregatorKind::StreamingMedian {
+                exact_threshold: 256,
+            },
+            AggregatorKind::StreamingTrimmedMean {
+                ratio: 0.2,
+                exact_threshold: 256,
+            },
+            AggregatorKind::SampledKrum { f: 1, m: 4 },
+        ]
+    }
+
     #[test]
-    fn validate_refuses_what_build_would_panic_on() {
+    fn validate_refuses_what_aggregate_would_panic_on() {
         let median = || Box::new(AggregatorKind::Median);
         let bad = [
             AggregatorKind::MultiKrum { f: 1, m: 0 },
@@ -382,10 +424,16 @@ mod tests {
             },
             AggregatorKind::SampledKrum { f: 1, m: 0 },
         ];
+        let updates = cluster_with_outliers(&[1.0, 1.0], 0.1, 6, &[-9.0, 9.0], 1);
+        let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
         for kind in bad {
-            assert!(kind.validate().is_err(), "{kind:?} accepted");
+            let (what, _) = kind.validate().expect_err(&format!("{kind:?} accepted"));
+            let run = std::panic::catch_unwind(|| kind.aggregate(&refs, None));
+            let payload = run.expect_err(&format!("{kind:?} aggregated"));
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.contains(what), "{kind:?}: {message}");
         }
-        // The edges of each range build.
+        // The edges of each range aggregate.
         for kind in [
             AggregatorKind::Krum { f: usize::MAX },
             AggregatorKind::MultiKrum { f: 1, m: 1 },
@@ -399,45 +447,35 @@ mod tests {
                 s: 1,
                 inner: median(),
             },
+            AggregatorKind::StreamingMedian { exact_threshold: 1 },
             AggregatorKind::SampledKrum { f: 0, m: 1 },
         ] {
             assert_eq!(kind.validate(), Ok(()), "{kind:?}");
-            kind.build();
+            assert_eq!(kind.aggregate(&refs, None).len(), 2, "{kind:?}");
         }
     }
 
     #[test]
     fn kind_builds_every_rule() {
-        let kinds = [
-            AggregatorKind::FedAvg,
-            AggregatorKind::Krum { f: 1 },
-            AggregatorKind::MultiKrum { f: 1, m: 2 },
-            AggregatorKind::Median,
-            AggregatorKind::TrimmedMean { ratio: 0.2 },
-            AggregatorKind::GeoMed,
-            AggregatorKind::CenteredClip { tau: 1.0, iters: 3 },
-            AggregatorKind::CosineClustering { threshold: 0.5 },
-            AggregatorKind::AutoGm { kappa: 3.0 },
-            AggregatorKind::StreamingMedian {
-                exact_threshold: 256,
-            },
-            AggregatorKind::StreamingTrimmedMean {
-                ratio: 0.2,
-                exact_threshold: 256,
-            },
-            AggregatorKind::SampledKrum { f: 1, m: 4 },
-        ];
         let updates = cluster_with_outliers(&[1.0, 1.0], 0.1, 6, &[-9.0, 9.0], 1);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        for k in kinds {
-            let agg = k.build();
-            let out = agg.aggregate(&refs, None);
-            assert_eq!(out.len(), 2, "{} wrong dim", agg.name());
-            assert!(
-                out.iter().all(|x| x.is_finite()),
-                "{} non-finite",
-                agg.name()
-            );
+        for kind in every_kind() {
+            let out = kind.build().aggregate(&refs, None);
+            assert_eq!(out.len(), 2, "{kind:?} wrong dim");
+            assert!(out.iter().all(|x| x.is_finite()), "{kind:?} non-finite");
+        }
+    }
+
+    /// An adversarial NaN update panics no rule (what each makes of it
+    /// is the rule's own business).
+    #[test]
+    fn no_kind_panics_on_a_nan_row() {
+        let mut updates = cluster_with_outliers(&[1.0, 1.0], 0.1, 4, &[], 0);
+        updates.push(vec![f32::NAN, 0.0]);
+        let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
+        for kind in every_kind() {
+            let run = std::panic::catch_unwind(|| kind.aggregate(&refs, None));
+            assert_eq!(run.map(|out| out.len()).ok(), Some(2), "{kind:?}");
         }
     }
 }

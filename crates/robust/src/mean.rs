@@ -4,37 +4,22 @@
 //! Byzantine worker; it is included as the vanilla-FL baseline and as the
 //! final combining step inside Multi-Krum / clustering.
 
-use crate::{validate_updates, AggScratch, Aggregator};
+use crate::validate_updates;
 
-/// Plain or dataset-size-weighted averaging.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FedAvg;
-
-impl Aggregator for FedAvg {
-    fn name(&self) -> &'static str {
-        "fedavg"
-    }
-
-    fn aggregate_into(
-        &self,
-        updates: &[&[f32]],
-        weights: Option<&[f32]>,
-        out: &mut Vec<f32>,
-        _scratch: &mut AggScratch,
-    ) {
-        let d = validate_updates(updates);
-        out.clear();
-        out.resize(d, 0.0);
-        match weights {
-            Some(w) => hfl_tensor::ops::weighted_mean_of(updates, w, out),
-            None => hfl_tensor::ops::mean_of(updates, out),
-        }
+/// Plain or dataset-size-weighted averaging into `out`.
+pub(crate) fn fedavg(updates: &[&[f32]], weights: Option<&[f32]>, out: &mut Vec<f32>) {
+    let d = validate_updates(updates);
+    out.clear();
+    out.resize(d, 0.0);
+    match weights {
+        Some(w) => hfl_tensor::ops::weighted_mean_of(updates, w, out),
+        None => hfl_tensor::ops::mean_of(updates, out),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Aggregator, AggregatorKind::FedAvg};
 
     #[test]
     fn unweighted_mean() {

@@ -1,7 +1,7 @@
 //! Coordinate-wise median (Yin et al., ICML 2018) — the paper's non-IID
 //! partial-aggregation rule.
 
-use crate::{validate_updates, AggScratch, Aggregator};
+use crate::validate_updates;
 use hfl_tensor::ops::{with_width, Width};
 use hfl_tensor::stats::{column_stat_into, ColumnStat, NETWORK_MAX_ROWS, TILE_LANES};
 
@@ -28,26 +28,20 @@ pub(crate) const PARALLEL_MIN_ELEMENTS: usize = 524_288;
 pub(crate) const PARALLEL_MIN_SORTED_ELEMENTS: usize = 32_768;
 
 /// `stat` of every coordinate of `rows`, the coordinates split into
-/// tile-aligned chunks claimed off the work-stealing scheduler: each
-/// worker runs [`column_stat_into`] on a disjoint slice of `out`, at the
-/// caller's [`Width::current`], so per-coordinate values match the
-/// sequential kernel exactly at any thread count.
-pub(crate) fn column_stat_parallel(
-    stat: ColumnStat,
-    rows: &[&[f32]],
-    out: &mut [f32],
-    threads: usize,
-) {
+/// tile-aligned chunks claimed off the work-stealing scheduler by
+/// [`hfl_parallel::default_threads`] workers: each runs
+/// [`column_stat_into`] on a disjoint slice of `out`, at the caller's
+/// [`Width::current`], so per-coordinate values match the sequential
+/// kernel exactly at any thread count.
+pub fn column_stat_parallel(stat: ColumnStat, rows: &[&[f32]], out: &mut [f32]) {
     let d = out.len();
     assert!(!rows.is_empty(), "column statistic: empty input");
     assert!(
         rows.iter().all(|r| r.len() == d),
         "column statistic: row length mismatch"
     );
-    let chunk = d
-        .div_ceil(threads.max(1))
-        .max(1)
-        .next_multiple_of(TILE_LANES);
+    let threads = hfl_parallel::default_threads();
+    let chunk = d.div_ceil(threads).max(1).next_multiple_of(TILE_LANES);
     let width = Width::current();
     hfl_parallel::par_chunks_mut(out, chunk, threads, |base, slice| {
         // The column buffer is only grown past the network's row limit.
@@ -60,7 +54,8 @@ pub(crate) fn column_stat_parallel(
 
 /// `stat` of every coordinate of `updates` into `out`, in parallel from
 /// [`PARALLEL_MIN_ELEMENTS`] (or [`PARALLEL_MIN_SORTED_ELEMENTS`])
-/// elements up — the body of both coordinate rules.
+/// elements up — the body of every coordinate-wise rule (the median
+/// itself, and the trimmed mean's).
 pub(crate) fn column_stat(
     stat: ColumnStat,
     updates: &[&[f32]],
@@ -76,37 +71,9 @@ pub(crate) fn column_stat(
         PARALLEL_MIN_SORTED_ELEMENTS
     };
     if updates.len() * d >= cutoff {
-        column_stat_parallel(stat, updates, out, hfl_parallel::default_threads());
+        column_stat_parallel(stat, updates, out);
     } else {
         column_stat_into(stat, updates.iter().copied(), 0, out, col);
-    }
-}
-
-/// Coordinate-wise median over `rows`, parallelized over tile-aligned
-/// coordinate chunks claimed off the work-stealing scheduler: each
-/// worker runs the sequential kernel on a disjoint slice of `out`, so
-/// per-coordinate values match it exactly at any thread count.
-pub fn coordinate_median_parallel(rows: &[&[f32]], out: &mut [f32], threads: usize) {
-    column_stat_parallel(ColumnStat::Median, rows, out, threads);
-}
-
-/// Coordinate-wise median over updates.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CoordMedian;
-
-impl Aggregator for CoordMedian {
-    fn name(&self) -> &'static str {
-        "median"
-    }
-
-    fn aggregate_into(
-        &self,
-        updates: &[&[f32]],
-        _weights: Option<&[f32]>,
-        out: &mut Vec<f32>,
-        scratch: &mut AggScratch,
-    ) {
-        column_stat(ColumnStat::Median, updates, out, &mut scratch.col);
     }
 }
 
@@ -114,12 +81,13 @@ impl Aggregator for CoordMedian {
 mod tests {
     use super::*;
     use crate::tests::cluster_with_outliers;
+    use crate::{Aggregator, AggregatorKind::Median};
 
     #[test]
     fn median_resists_minority_outliers() {
         let updates = cluster_with_outliers(&[1.0, 2.0], 0.1, 5, &[1e6, -1e6], 2);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let out = CoordMedian.aggregate(&refs, None);
+        let out = Median.aggregate(&refs, None);
         assert!(hfl_tensor::ops::dist(&out, &[1.0, 2.0]) < 0.5);
     }
 
@@ -127,14 +95,14 @@ mod tests {
     fn median_breaks_at_majority() {
         let updates = cluster_with_outliers(&[0.0], 0.0, 2, &[100.0], 3);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-        let out = CoordMedian.aggregate(&refs, None);
+        let out = Median.aggregate(&refs, None);
         assert_eq!(out[0], 100.0);
     }
 
     #[test]
     fn single_update_is_identity() {
         let u = [3.0f32, -2.0];
-        let out = CoordMedian.aggregate(&[&u], None);
+        let out = Median.aggregate(&[&u], None);
         assert_eq!(out, vec![3.0, -2.0]);
     }
 
@@ -153,7 +121,9 @@ mod tests {
         hfl_tensor::stats::coordinate_median(&refs, &mut seq);
         for threads in [1, 2, 4, 7] {
             let mut par = vec![0.0f32; 1000];
-            coordinate_median_parallel(&refs, &mut par, threads);
+            hfl_parallel::with_threads(threads, || {
+                column_stat_parallel(ColumnStat::Median, &refs, &mut par)
+            });
             assert_eq!(par, seq, "mismatch at {threads} threads");
         }
     }
@@ -165,7 +135,7 @@ mod tests {
             .map(|i| vec![i as f32; super::PARALLEL_MIN_ELEMENTS / 5 + 3])
             .collect();
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let out = CoordMedian.aggregate(&refs, None);
+        let out = Median.aggregate(&refs, None);
         assert!(out.iter().all(|x| *x == 2.0));
     }
 
@@ -180,7 +150,7 @@ mod tests {
                 updates.insert(i, vec![if i % 2 == 0 { f32::NAN } else { -f32::NAN }; 2]);
             }
             let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
-            let out = CoordMedian.aggregate(&refs, None);
+            let out = Median.aggregate(&refs, None);
             assert!(
                 hfl_tensor::ops::dist(&out, &[1.0, 2.0]) < 0.5,
                 "n={n}: {out:?}"

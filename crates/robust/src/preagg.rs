@@ -3,15 +3,16 @@
 //! heterogeneous (non-IID) clients stops depending on the base rule's
 //! distance assumptions.
 //!
-//! Two transforms, each wrapping **any** [`Aggregator`]:
+//! Two transforms, each in front of **any** base rule
+//! ([`AggregatorKind::Bucketing`], [`AggregatorKind::Nnm`]):
 //!
-//! * [`Bucketing`](PreAggregation::Bucketing) — partition the inputs into buckets of `s` and hand
+//! * Bucketing — partition the inputs into buckets of `s` and hand
 //!   the base rule the bucket means. Honest variance shrinks by ~`s`
 //!   while at most one bucket per Byzantine input is corrupted, so the
 //!   base rule sees a cleaner, smaller cohort (Karimireddy et al.,
 //!   "Byzantine-robust learning on heterogeneous datasets via
 //!   bucketing").
-//! * [`Nnm`](PreAggregation::Nnm) — replace every input by the mean of its `k` nearest
+//! * [`nnm`] — replace every input by the mean of its `k` nearest
 //!   neighbours (itself included). Honest non-IID spread collapses
 //!   toward local cluster means, leaving genuinely adversarial vectors
 //!   exposed (Allouah et al., "Fixing by mixing").
@@ -23,158 +24,82 @@
 //! through the [`Aggregator`] trait.
 
 use crate::krum::pairwise_dist_sq;
-use crate::{validate_updates, AggScratch, Aggregator};
+use crate::{validate_updates, AggScratch, Aggregator, AggregatorKind};
 use hfl_tensor::ops::RowGroups;
 
-/// Which pre-aggregation transform to apply. See the module docs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PreAggregation {
-    /// Average disjoint buckets of `s` consecutive inputs (the final
-    /// bucket may be smaller). `s = 1` is the identity.
-    Bucketing {
-        /// Bucket size, ≥ 1.
-        s: usize,
-    },
-    /// Replace each input by the mean of its `k` nearest neighbours in
-    /// Euclidean distance, the input itself included. `k = 1` is the
-    /// identity; `k` is clamped to the cohort size.
-    Nnm {
-        /// Neighbourhood size, ≥ 1.
-        k: usize,
-    },
+/// Bucketing's transform: the means of disjoint buckets of `s`
+/// consecutive inputs, ⌈n/s⌉ rows (the final bucket may be smaller;
+/// `s = 1` is the identity).
+pub(crate) fn bucket_means(updates: &[&[f32]], s: usize) -> Vec<Vec<f32>> {
+    let d = validate_updates(updates);
+    updates
+        .chunks(s)
+        .map(|bucket| {
+            let mut mean = vec![0.0f32; d];
+            hfl_tensor::ops::mean_of(bucket, &mut mean);
+            mean
+        })
+        .collect()
 }
 
-impl PreAggregation {
-    /// Stable label for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PreAggregation::Bucketing { .. } => "bucketing",
-            PreAggregation::Nnm { .. } => "nnm",
-        }
+/// NNM's transform: each input replaced by the mean of its `k` nearest
+/// neighbours in Euclidean distance, the input itself included (`k = 1`
+/// is the identity; `k` is clamped to the cohort size). `out[i]` derives
+/// from input `i` — the index correspondence acceptance evidence relies
+/// on.
+pub fn nnm(updates: &[&[f32]], k: usize) -> Vec<Vec<f32>> {
+    let d = validate_updates(updates);
+    let n = updates.len();
+    let k = k.min(n);
+    let mut out = Vec::with_capacity(n);
+    // The shared triangle fill; each value is bitwise the per-pair
+    // `dist_sq` the original scan computed, in either argument order.
+    let mut matrix = Vec::new();
+    pairwise_dist_sq(updates, &mut matrix, &mut RowGroups::default());
+    let mut dists: Vec<(f64, usize)> = Vec::with_capacity(n);
+    let mut idx: Vec<usize> = Vec::with_capacity(k);
+    for (i, u) in updates.iter().enumerate() {
+        dists.clear();
+        dists.extend((0..n).map(|j| {
+            // A row's distance to itself is 0, or NaN when it holds a
+            // non-finite coordinate — a poisoned row sorts itself last.
+            let dv = if i == j {
+                hfl_tensor::ops::dist_sq(u, u)
+            } else {
+                matrix[i.min(j) * n + i.max(j)]
+            };
+            (dv, j)
+        }));
+        // Ties (equal distances) resolve by index — total order,
+        // deterministic across platforms.
+        dists.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        idx.clear();
+        idx.extend(dists.iter().take(k).map(|&(_, j)| j));
+        let mut mean = vec![0.0f32; d];
+        hfl_tensor::ops::mean_of_indexed(updates, &idx, &mut mean);
+        out.push(mean);
     }
-
-    /// Applies the transform, returning the derived update set the base
-    /// rule aggregates. Bucketing returns `⌈n/s⌉` vectors; NNM returns
-    /// `n` vectors with `out[i]` derived from input `i` (index
-    /// correspondence is preserved, which acceptance evidence relies
-    /// on).
-    pub fn transform(&self, updates: &[&[f32]]) -> Vec<Vec<f32>> {
-        let d = validate_updates(updates);
-        match *self {
-            PreAggregation::Bucketing { s } => {
-                assert!(s >= 1, "bucket size must be >= 1");
-                updates
-                    .chunks(s)
-                    .map(|bucket| {
-                        let mut mean = vec![0.0f32; d];
-                        hfl_tensor::ops::mean_of(bucket, &mut mean);
-                        mean
-                    })
-                    .collect()
-            }
-            PreAggregation::Nnm { k } => {
-                assert!(k >= 1, "neighbourhood size must be >= 1");
-                let n = updates.len();
-                let k = k.min(n);
-                let mut out = Vec::with_capacity(n);
-                // The shared triangle fill; each value is bitwise the
-                // per-pair `dist_sq` the original scan computed, in
-                // either argument order.
-                let mut matrix = Vec::new();
-                pairwise_dist_sq(
-                    updates,
-                    hfl_parallel::default_threads(),
-                    &mut matrix,
-                    &mut RowGroups::default(),
-                );
-                let mut dists: Vec<(f64, usize)> = Vec::with_capacity(n);
-                let mut idx: Vec<usize> = Vec::with_capacity(k);
-                for (i, u) in updates.iter().enumerate() {
-                    dists.clear();
-                    dists.extend((0..n).map(|j| {
-                        // A row's distance to itself is 0, or NaN when it
-                        // holds a non-finite coordinate — a poisoned row
-                        // sorts itself last.
-                        let dv = if i == j {
-                            hfl_tensor::ops::dist_sq(u, u)
-                        } else {
-                            matrix[i.min(j) * n + i.max(j)]
-                        };
-                        (dv, j)
-                    }));
-                    // Ties (equal distances) resolve by index — total
-                    // order, deterministic across platforms.
-                    dists.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                    idx.clear();
-                    idx.extend(dists.iter().take(k).map(|&(_, j)| j));
-                    let mut mean = vec![0.0f32; d];
-                    hfl_tensor::ops::mean_of_indexed(updates, &idx, &mut mean);
-                    out.push(mean);
-                }
-                out
-            }
-        }
-    }
+    out
 }
 
-/// A base rule behind a pre-aggregation transform — itself an
-/// [`Aggregator`], so the composition plugs in anywhere a plain rule
-/// does (any hierarchy level, the evidence layer, the bench grids).
-pub struct PreAggregated {
-    pre: PreAggregation,
-    base: Box<dyn Aggregator>,
-}
-
-impl PreAggregated {
-    /// Composes `pre ∘ base`.
-    pub fn new(pre: PreAggregation, base: Box<dyn Aggregator>) -> Self {
-        match pre {
-            PreAggregation::Bucketing { s } => assert!(s >= 1, "bucket size must be >= 1"),
-            PreAggregation::Nnm { k } => assert!(k >= 1, "neighbourhood size must be >= 1"),
-        }
-        Self { pre, base }
-    }
-
-    /// The transform in front of the base rule.
-    pub fn pre(&self) -> PreAggregation {
-        self.pre
-    }
-
-    /// The wrapped base rule.
-    pub fn base(&self) -> &dyn Aggregator {
-        self.base.as_ref()
-    }
-}
-
-impl Aggregator for PreAggregated {
-    fn name(&self) -> &'static str {
-        // The composed name cannot be allocated here (&'static); the
-        // transform name is the discriminating part — configuration
-        // carries the full structure.
-        self.pre.name()
-    }
-
-    fn aggregate_into(
-        &self,
-        updates: &[&[f32]],
-        _weights: Option<&[f32]>,
-        out: &mut Vec<f32>,
-        scratch: &mut AggScratch,
-    ) {
-        let derived = self.pre.transform(updates);
-        let refs: Vec<&[f32]> = derived.iter().map(|v| v.as_slice()).collect();
-        // Weights are deliberately dropped: bucket means / NNM mixtures
-        // no longer correspond to single datasets, and every robust base
-        // rule ignores weights anyway.
-        self.base.aggregate_into(&refs, None, out, scratch);
-    }
+/// `inner` over the rows a transform derived.
+pub(crate) fn aggregate_derived(
+    derived: &[Vec<f32>],
+    inner: &AggregatorKind,
+    out: &mut Vec<f32>,
+    scratch: &mut AggScratch,
+) {
+    let refs: Vec<&[f32]> = derived.iter().map(|v| v.as_slice()).collect();
+    // Weights are deliberately dropped: bucket means / NNM mixtures no
+    // longer correspond to single datasets, and every robust base rule
+    // ignores weights anyway.
+    inner.aggregate_into(&refs, None, out, scratch);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::cluster_with_outliers;
-    use crate::{AggregatorKind, CoordMedian, FedAvg, Krum};
 
     fn refs(v: &[Vec<f32>]) -> Vec<&[f32]> {
         v.iter().map(|x| x.as_slice()).collect()
@@ -183,8 +108,7 @@ mod tests {
     #[test]
     fn bucketing_identity_at_s1() {
         let updates = cluster_with_outliers(&[1.0, 2.0], 0.2, 5, &[9.0, 9.0], 1);
-        let t = PreAggregation::Bucketing { s: 1 }.transform(&refs(&updates));
-        assert_eq!(t, updates);
+        assert_eq!(bucket_means(&refs(&updates), 1), updates);
     }
 
     #[test]
@@ -196,7 +120,7 @@ mod tests {
             vec![6.0, 12.0],
             vec![100.0, 100.0],
         ];
-        let t = PreAggregation::Bucketing { s: 2 }.transform(&refs(&updates));
+        let t = bucket_means(&refs(&updates), 2);
         assert_eq!(t.len(), 3, "ceil(5/2) buckets");
         assert_eq!(t[0], vec![1.0, 2.0]);
         assert_eq!(t[1], vec![5.0, 10.0]);
@@ -206,14 +130,14 @@ mod tests {
     #[test]
     fn nnm_identity_at_k1() {
         let updates = cluster_with_outliers(&[0.0, 1.0], 0.3, 4, &[5.0, 5.0], 1);
-        let t = PreAggregation::Nnm { k: 1 }.transform(&refs(&updates));
+        let t = nnm(&refs(&updates), 1);
         assert_eq!(t, updates, "nearest neighbour of each input is itself");
     }
 
     #[test]
     fn nnm_pulls_honest_updates_together() {
         let updates = cluster_with_outliers(&[1.0, 1.0], 1.0, 6, &[40.0, -40.0], 1);
-        let t = PreAggregation::Nnm { k: 3 }.transform(&refs(&updates));
+        let t = nnm(&refs(&updates), 3);
         let spread = |rows: &[Vec<f32>], upto: usize| -> f64 {
             let refs: Vec<&[f32]> = rows[..upto].iter().map(|v| v.as_slice()).collect();
             let mut mean = vec![0.0f32; 2];
@@ -235,8 +159,10 @@ mod tests {
         // One Byzantine among 8: plain Krum with f=1 already survives,
         // but the composed rule must land near the honest centre too.
         let updates = cluster_with_outliers(&[1.0, -2.0], 0.2, 8, &[80.0, 80.0], 1);
-        let composed =
-            PreAggregated::new(PreAggregation::Bucketing { s: 3 }, Box::new(Krum::new(1)));
+        let composed = AggregatorKind::Bucketing {
+            s: 3,
+            inner: Box::new(AggregatorKind::Krum { f: 1 }),
+        };
         let out = composed.aggregate(&refs(&updates), None);
         assert!((out[0] - 1.0).abs() < 1.5, "got {out:?}");
         assert!((out[1] + 2.0).abs() < 1.5, "got {out:?}");
@@ -250,7 +176,10 @@ mod tests {
         for _ in 0..3 {
             updates.push(updates[0].clone());
         }
-        let composed = PreAggregated::new(PreAggregation::Nnm { k: 3 }, Box::new(CoordMedian));
+        let composed = AggregatorKind::Nnm {
+            k: 3,
+            inner: Box::new(AggregatorKind::Median),
+        };
         let out = composed.aggregate(&refs(&updates), None);
         assert!(out.iter().all(|x| x.abs() < 3.0), "got {out:?}");
     }
@@ -258,14 +187,9 @@ mod tests {
     #[test]
     fn transform_is_deterministic_and_order_stable() {
         let updates = cluster_with_outliers(&[3.0, -1.0], 0.7, 7, &[-20.0, 20.0], 2);
-        for pre in [
-            PreAggregation::Bucketing { s: 3 },
-            PreAggregation::Nnm { k: 4 },
-        ] {
-            let a = pre.transform(&refs(&updates));
-            let b = pre.transform(&refs(&updates));
-            assert_eq!(a, b, "{pre:?}");
-        }
+        let rows = refs(&updates);
+        assert_eq!(bucket_means(&rows, 3), bucket_means(&rows, 3));
+        assert_eq!(nnm(&rows, 4), nnm(&rows, 4));
     }
 
     #[test]
@@ -287,8 +211,7 @@ mod tests {
         let updates = cluster_with_outliers(&[1.0, 1.0], 0.1, 7, &[-9.0, 9.0], 1);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
         for k in kinds {
-            let agg = k.build();
-            let out = agg.aggregate(&refs, None);
+            let out = k.aggregate(&refs, None);
             assert_eq!(out.len(), 2);
             assert!(out.iter().all(|x| x.is_finite()));
             assert!((out[0] - 1.0).abs() < 1.0, "{k:?} dragged: {out:?}");
@@ -304,7 +227,10 @@ mod tests {
             vec![5.0, 7.0],
             vec![7.0, 9.0],
         ];
-        let composed = PreAggregated::new(PreAggregation::Bucketing { s: 2 }, Box::new(FedAvg));
+        let composed = AggregatorKind::Bucketing {
+            s: 2,
+            inner: Box::new(AggregatorKind::FedAvg),
+        };
         let out = composed.aggregate(&refs(&updates), None);
         assert!(hfl_tensor::ops::approx_eq(&out, &[4.0, 6.0], 1e-6));
     }

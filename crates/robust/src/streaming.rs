@@ -7,27 +7,32 @@
 //! order* and the cohort can be large; these variants bound the working
 //! set independently of the input count:
 //!
-//! * [`StreamingMedian`] — P² quantile estimation (Jain & Chlamtac,
-//!   CACM 1985) per coordinate: five markers per coordinate, one pass
-//!   over each cache line of the input, and the markers of one
-//!   sixteen-coordinate tile at a time as the only state — on the
-//!   stack, whatever `d` is.
-//! * [`StreamingTrimmedMean`] — a deterministic reservoir of whole rows
-//!   (Algorithm R with a splitmix64-hashed replacement slot, so the same
-//!   arrival order always yields the same reservoir), then the exact
-//!   trimmed mean over the reservoir: O(R·d) state with R fixed.
-//! * [`SampledKrum`] — arrival-order bucketing to `m` bucket means, then
-//!   exact Krum over the means: the distance matrix shrinks from
-//!   O(n²·d) to O(m²·d).
+//! * [`StreamingMedian`](crate::AggregatorKind::StreamingMedian) — P²
+//!   quantile estimation (Jain & Chlamtac, CACM 1985) per coordinate:
+//!   five markers per coordinate, one pass over each cache line of the
+//!   input, and the markers of one sixteen-coordinate tile at a time as
+//!   the only state — on the stack, whatever `d` is.
+//! * [`StreamingTrimmedMean`](crate::AggregatorKind::StreamingTrimmedMean)
+//!   — a deterministic reservoir of whole rows (Algorithm R with a
+//!   splitmix64-hashed replacement slot, so the same arrival order
+//!   always yields the same reservoir), then the exact trimmed mean over
+//!   the reservoir: O(R·d) state with R fixed.
+//! * [`SampledKrum`](crate::AggregatorKind::SampledKrum) — arrival-order
+//!   bucketing to `m` bucket means, then exact Krum over the means: the
+//!   distance matrix shrinks from O(n²·d) to O(m²·d).
 //!
-//! Every rule falls back to the exact batch kernel below a configurable
-//! input-count threshold, so small-cohort rounds — everything the paper's
-//! evaluation actually runs — are bit-identical to the batch rules; the
-//! approximations only engage past the threshold where the batch kernels
-//! would dominate memory. The equivalence properties in
-//! `crates/robust/tests/properties.rs` pin the fallback regime.
+//! Every rule falls back to the exact batch rule's function below a
+//! configurable input-count threshold, so small-cohort rounds —
+//! everything the paper's evaluation actually runs — are bit-identical
+//! to the batch rules; the approximations only engage past the threshold
+//! where the batch kernels would dominate memory. The equivalence
+//! properties in `crates/robust/tests/properties.rs` pin the fallback
+//! regime.
 
-use crate::{validate_updates, AggScratch, Aggregator, CoordMedian, Krum, TrimmedMean};
+use crate::krum::krum;
+use crate::median::column_stat;
+use crate::trimmed_mean::{trim_count, trimmed_mean};
+use crate::{validate_updates, AggScratch};
 use hfl_tensor::ops::at_current;
 use hfl_tensor::splitmix64;
 use hfl_tensor::stats::{column_stat_into, tile_lanes, ColumnStat, ColumnTile, TILE_LANES};
@@ -163,7 +168,7 @@ fn widen(row: [f32; TILE_LANES]) -> [f64; TILE_LANES] {
     wide
 }
 
-/// [`p2_tile`] over every tile of `out` — the body [`StreamingMedian`]
+/// [`p2_tile`] over every tile of `out` — the body the streaming median
 /// runs at the CPU's vector width.
 #[inline(always)]
 fn p2_tiles(rows: &[&[f32]], out: &mut [f32]) {
@@ -173,200 +178,121 @@ fn p2_tiles(rows: &[&[f32]], out: &mut [f32]) {
 }
 
 /// Coordinate-wise median that keeps a fixed number of markers per
-/// coordinate, whatever the input count, past
-/// [`exact_threshold`](Self::exact_threshold) inputs.
-#[derive(Clone, Copy, Debug)]
-pub struct StreamingMedian {
+/// coordinate, whatever the input count: the exact median below
+/// `exact_threshold` inputs, P² from there on.
+pub(crate) fn p2_median(
+    updates: &[&[f32]],
     exact_threshold: usize,
+    out: &mut Vec<f32>,
+    col: &mut Vec<f32>,
+) {
+    if updates.len() < exact_threshold {
+        return column_stat(ColumnStat::Median, updates, out, col);
+    }
+    let d = validate_updates(updates);
+    out.clear();
+    out.resize(d, 0.0);
+    at_current(
+        #[inline(always)]
+        |rows, out, (), _| p2_tiles(rows, out),
+        updates,
+        &mut out[..],
+        (),
+    );
 }
 
-impl StreamingMedian {
-    /// Streaming median that runs the exact batch kernel below
-    /// `exact_threshold` inputs and P² above.
-    pub fn new(exact_threshold: usize) -> Self {
-        Self {
-            exact_threshold: exact_threshold.max(1),
+/// Coordinate-wise `ratio`-trimmed mean: exact below `cap` inputs, over
+/// a deterministic reservoir of `cap` rows from there on.
+pub(crate) fn reservoir_trimmed_mean(
+    updates: &[&[f32]],
+    ratio: f64,
+    cap: usize,
+    out: &mut Vec<f32>,
+    scratch: &mut AggScratch,
+) {
+    if updates.len() < cap {
+        return trimmed_mean(updates, ratio, out, &mut scratch.col);
+    }
+    let d = validate_updates(updates);
+    // Algorithm R over whole rows with a hash-derived slot: arrival
+    // `i` replaces slot `splitmix64(i) mod (i + 1)` when that lands
+    // inside the reservoir. Same arrival order ⇒ same reservoir.
+    let reservoir = &mut scratch.idx;
+    reservoir.clear();
+    reservoir.extend(0..cap);
+    for i in cap..updates.len() {
+        let j = (splitmix64(i as u64) % (i as u64 + 1)) as usize;
+        if j < cap {
+            reservoir[j] = i;
         }
     }
-
-    /// The exact-fallback threshold.
-    pub fn exact_threshold(&self) -> usize {
-        self.exact_threshold
-    }
-}
-
-impl Aggregator for StreamingMedian {
-    fn name(&self) -> &'static str {
-        "streaming-median"
-    }
-
-    fn aggregate_into(
-        &self,
-        updates: &[&[f32]],
-        weights: Option<&[f32]>,
-        out: &mut Vec<f32>,
-        scratch: &mut AggScratch,
-    ) {
-        if updates.len() < self.exact_threshold {
-            return CoordMedian.aggregate_into(updates, weights, out, scratch);
-        }
-        let d = validate_updates(updates);
-        out.clear();
-        out.resize(d, 0.0);
-        at_current(
-            #[inline(always)]
-            |rows, out, (), _| p2_tiles(rows, out),
-            updates,
-            &mut out[..],
-            (),
-        );
-    }
-}
-
-/// Coordinate-wise trimmed mean over a deterministic row reservoir past
-/// [`exact_threshold`](Self::exact_threshold) inputs.
-#[derive(Clone, Copy, Debug)]
-pub struct StreamingTrimmedMean {
-    exact: TrimmedMean,
-    exact_threshold: usize,
-}
-
-impl StreamingTrimmedMean {
-    /// Streaming trimmed mean removing a `ratio` fraction from each tail,
-    /// exact below `exact_threshold` inputs and reservoir-based above
-    /// (the reservoir holds `exact_threshold` rows).
-    ///
-    /// # Panics
-    /// If `ratio` is outside `[0, 0.5)`.
-    pub fn new(ratio: f64, exact_threshold: usize) -> Self {
-        Self {
-            exact: TrimmedMean::new(ratio),
-            exact_threshold: exact_threshold.max(1),
-        }
-    }
-
-    /// The exact-fallback threshold (also the reservoir capacity).
-    pub fn exact_threshold(&self) -> usize {
-        self.exact_threshold
-    }
-}
-
-impl Aggregator for StreamingTrimmedMean {
-    fn name(&self) -> &'static str {
-        "streaming-trimmed-mean"
-    }
-
-    fn aggregate_into(
-        &self,
-        updates: &[&[f32]],
-        weights: Option<&[f32]>,
-        out: &mut Vec<f32>,
-        scratch: &mut AggScratch,
-    ) {
-        let cap = self.exact_threshold;
-        if updates.len() < cap {
-            return self.exact.aggregate_into(updates, weights, out, scratch);
-        }
-        let d = validate_updates(updates);
-        // Algorithm R over whole rows with a hash-derived slot: arrival
-        // `i` replaces slot `splitmix64(i) mod (i + 1)` when that lands
-        // inside the reservoir. Same arrival order ⇒ same reservoir.
-        let reservoir = &mut scratch.idx;
-        reservoir.clear();
-        reservoir.extend(0..cap);
-        for i in cap..updates.len() {
-            let j = (splitmix64(i as u64) % (i as u64 + 1)) as usize;
-            if j < cap {
-                reservoir[j] = i;
-            }
-        }
-        let trim = self.exact.trim_count(cap);
-        out.clear();
-        out.resize(d, 0.0);
-        column_stat_into(
-            ColumnStat::TrimmedMean { trim },
-            reservoir.iter().map(|&i| updates[i]),
-            0,
-            out,
-            &mut scratch.col,
-        );
-    }
+    let trim = trim_count(ratio, cap);
+    out.clear();
+    out.resize(d, 0.0);
+    column_stat_into(
+        ColumnStat::TrimmedMean { trim },
+        reservoir.iter().map(|&i| updates[i]),
+        0,
+        out,
+        &mut scratch.col,
+    );
 }
 
 /// Krum over `m` arrival-order bucket means: bounds the pairwise
 /// distance matrix to O(m²·d) regardless of the input count. Exact Krum
-/// below `m` inputs.
-#[derive(Clone, Copy, Debug)]
-pub struct SampledKrum {
+/// at or below `m` inputs.
+pub(crate) fn sampled_krum(
+    updates: &[&[f32]],
     f: usize,
     m: usize,
-}
-
-impl SampledKrum {
-    /// Sampled Krum assuming at most `f` Byzantine inputs, bucketing to
-    /// at most `m` bucket means.
-    ///
-    /// # Panics
-    /// If `m == 0`.
-    pub fn new(f: usize, m: usize) -> Self {
-        assert!(m > 0, "sampled Krum needs at least one bucket");
-        Self { f, m }
+    out: &mut Vec<f32>,
+    scratch: &mut AggScratch,
+) {
+    let d = validate_updates(updates);
+    let n = updates.len();
+    if n <= m {
+        return krum(updates, f, out, scratch);
     }
-
-    /// The assumed Byzantine count.
-    pub fn f(&self) -> usize {
-        self.f
+    // Contiguous arrival-order buckets, near-equal sizes. One
+    // Byzantine input corrupts at most its own bucket mean, so `f`
+    // Byzantine inputs corrupt at most `f` of the `m` means and the
+    // usual Krum resilience argument applies at the bucket level.
+    let per = n / m;
+    let extra = n % m;
+    let mut means: Vec<Vec<f32>> = Vec::with_capacity(m);
+    let mut start = 0;
+    for b in 0..m {
+        let size = per + usize::from(b < extra);
+        let bucket = &updates[start..start + size];
+        let mut mean = vec![0.0f32; d];
+        hfl_tensor::ops::mean_of(bucket, &mut mean);
+        means.push(mean);
+        start += size;
     }
-
-    /// The bucket budget.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-}
-
-impl Aggregator for SampledKrum {
-    fn name(&self) -> &'static str {
-        "sampled-krum"
-    }
-
-    fn aggregate_into(
-        &self,
-        updates: &[&[f32]],
-        weights: Option<&[f32]>,
-        out: &mut Vec<f32>,
-        scratch: &mut AggScratch,
-    ) {
-        let d = validate_updates(updates);
-        let n = updates.len();
-        if n <= self.m {
-            return Krum::new(self.f).aggregate_into(updates, weights, out, scratch);
-        }
-        // Contiguous arrival-order buckets, near-equal sizes. One
-        // Byzantine input corrupts at most its own bucket mean, so `f`
-        // Byzantine inputs corrupt at most `f` of the `m` means and the
-        // usual Krum resilience argument applies at the bucket level.
-        let per = n / self.m;
-        let extra = n % self.m;
-        let mut means: Vec<Vec<f32>> = Vec::with_capacity(self.m);
-        let mut start = 0;
-        for b in 0..self.m {
-            let size = per + usize::from(b < extra);
-            let bucket = &updates[start..start + size];
-            let mut mean = vec![0.0f32; d];
-            hfl_tensor::ops::mean_of(bucket, &mut mean);
-            means.push(mean);
-            start += size;
-        }
-        let refs: Vec<&[f32]> = means.iter().map(|v| v.as_slice()).collect();
-        Krum::new(self.f).aggregate_into(&refs, None, out, scratch);
-    }
+    let refs: Vec<&[f32]> = means.iter().map(|v| v.as_slice()).collect();
+    krum(&refs, f, out, scratch);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::cluster_with_outliers;
-    use crate::{CoordMedian, TrimmedMean};
+    use crate::{Aggregator, AggregatorKind};
+
+    fn median(exact_threshold: usize) -> AggregatorKind {
+        AggregatorKind::StreamingMedian { exact_threshold }
+    }
+
+    fn trimmed(ratio: f64, exact_threshold: usize) -> AggregatorKind {
+        AggregatorKind::StreamingTrimmedMean {
+            ratio,
+            exact_threshold,
+        }
+    }
+
+    fn sampled(f: usize, m: usize) -> AggregatorKind {
+        AggregatorKind::SampledKrum { f, m }
+    }
 
     fn refs(v: &[Vec<f32>]) -> Vec<&[f32]> {
         v.iter().map(|x| x.as_slice()).collect()
@@ -386,11 +312,11 @@ mod tests {
     #[test]
     fn exact_fallback_matches_batch_median_any_order() {
         let updates = cluster_with_outliers(&[1.0, -2.0, 0.5], 0.4, 9, &[40.0, -40.0, 0.0], 2);
-        let sm = StreamingMedian::new(DEFAULT_EXACT_THRESHOLD);
+        let sm = median(DEFAULT_EXACT_THRESHOLD);
         for seed in 0..5u64 {
             let perm = shuffled(&updates, seed);
             let got = sm.aggregate(&refs(&perm), None);
-            let want = CoordMedian.aggregate(&refs(&perm), None);
+            let want = AggregatorKind::Median.aggregate(&refs(&perm), None);
             assert_eq!(got, want, "fallback must be bit-identical");
         }
     }
@@ -398,8 +324,8 @@ mod tests {
     #[test]
     fn exact_fallback_matches_batch_trimmed_mean_any_order() {
         let updates = cluster_with_outliers(&[2.0, 2.0], 0.3, 10, &[-25.0, 25.0], 2);
-        let st = StreamingTrimmedMean::new(0.2, DEFAULT_EXACT_THRESHOLD);
-        let bt = TrimmedMean::new(0.2);
+        let st = trimmed(0.2, DEFAULT_EXACT_THRESHOLD);
+        let bt = AggregatorKind::TrimmedMean { ratio: 0.2 };
         for seed in 0..5u64 {
             let perm = shuffled(&updates, seed);
             let got = st.aggregate(&refs(&perm), None);
@@ -413,13 +339,12 @@ mod tests {
         let mut updates = cluster_with_outliers(&[1.0, -2.0], 0.2, 7, &[f32::NAN, f32::NAN], 2);
         updates.swap(0, 8);
         let refs = refs(&updates);
-        let median = StreamingMedian::new(DEFAULT_EXACT_THRESHOLD).aggregate(&refs, None);
+        let median = median(DEFAULT_EXACT_THRESHOLD).aggregate(&refs, None);
         assert!(
             hfl_tensor::ops::dist(&median, &[1.0, -2.0]) < 0.5,
             "{median:?}"
         );
-        let trimmed =
-            StreamingTrimmedMean::new(0.25, DEFAULT_EXACT_THRESHOLD).aggregate(&refs, None);
+        let trimmed = trimmed(0.25, DEFAULT_EXACT_THRESHOLD).aggregate(&refs, None);
         assert!(
             hfl_tensor::ops::dist(&trimmed, &[1.0, -2.0]) < 0.5,
             "{trimmed:?}"
@@ -454,7 +379,7 @@ mod tests {
                 let rows = refs(&rows);
                 // A threshold of one sends every cohort through P².
                 let run = |width: Width| {
-                    with_width(width, || StreamingMedian::new(1).aggregate(&rows, None))
+                    with_width(width, || median(1).aggregate(&rows, None))
                         .map(|out| out.iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
                 };
                 let plain = run(Width::Plain).expect("runs anywhere");
@@ -481,8 +406,8 @@ mod tests {
                 vec![x, 3.0 + x * 0.5]
             })
             .collect();
-        let out = StreamingMedian::new(16).aggregate(&refs(&updates), None);
-        let exact = CoordMedian.aggregate(&refs(&updates), None);
+        let out = median(16).aggregate(&refs(&updates), None);
+        let exact = AggregatorKind::Median.aggregate(&refs(&updates), None);
         for (o, e) in out.iter().zip(&exact) {
             assert!((o - e).abs() < 0.05, "P² estimate {o} vs exact {e}");
         }
@@ -501,7 +426,7 @@ mod tests {
                 &cluster_with_outliers(&[1.0, 2.0], 0.1, 60, &[50.0, -50.0], 12),
                 seed,
             );
-            let out = StreamingMedian::new(16).aggregate(&refs(&updates), None);
+            let out = median(16).aggregate(&refs(&updates), None);
             assert!(
                 hfl_tensor::ops::dist(&out, &[1.0, 2.0]) < 5.0,
                 "P² dragged by outliers at shuffle {seed}: {out:?}"
@@ -512,7 +437,7 @@ mod tests {
     #[test]
     fn reservoir_path_resists_minority_outliers() {
         let updates = cluster_with_outliers(&[0.0, 1.0], 0.2, 500, &[1e5, -1e5], 50);
-        let st = StreamingTrimmedMean::new(0.2, 64);
+        let st = trimmed(0.2, 64);
         for seed in 0..3u64 {
             let perm = shuffled(&updates, seed);
             let out = st.aggregate(&refs(&perm), None);
@@ -526,7 +451,7 @@ mod tests {
     #[test]
     fn reservoir_is_deterministic_per_arrival_order() {
         let updates = cluster_with_outliers(&[5.0], 1.0, 300, &[9.0], 0);
-        let st = StreamingTrimmedMean::new(0.1, 32);
+        let st = trimmed(0.1, 32);
         let a = st.aggregate(&refs(&updates), None);
         let b = st.aggregate(&refs(&updates), None);
         assert_eq!(a, b);
@@ -535,8 +460,8 @@ mod tests {
     #[test]
     fn sampled_krum_is_exact_below_the_cut() {
         let updates = cluster_with_outliers(&[1.0, 1.0], 0.1, 6, &[80.0, 80.0], 1);
-        let got = SampledKrum::new(1, 16).aggregate(&refs(&updates), None);
-        let want = Krum::new(1).aggregate(&refs(&updates), None);
+        let got = sampled(1, 16).aggregate(&refs(&updates), None);
+        let want = AggregatorKind::Krum { f: 1 }.aggregate(&refs(&updates), None);
         assert_eq!(got, want);
     }
 
@@ -549,7 +474,7 @@ mod tests {
         let updates = cluster_with_outliers(&[2.0, -2.0], 0.2, 97, &[500.0, -500.0], 3);
         for seed in 0..3u64 {
             let perm = shuffled(&updates, seed);
-            let out = SampledKrum::new(3, 10).aggregate(&refs(&perm), None);
+            let out = sampled(3, 10).aggregate(&refs(&perm), None);
             assert!(
                 hfl_tensor::ops::dist(&out, &[2.0, -2.0]) < 5.0,
                 "corrupted bucket selected at shuffle {seed}: {out:?}"
@@ -558,20 +483,12 @@ mod tests {
     }
 
     #[test]
-    fn streaming_thresholds_are_clamped_positive() {
-        let sm = StreamingMedian::new(0);
-        assert_eq!(sm.exact_threshold(), 1);
-        let st = StreamingTrimmedMean::new(0.0, 0);
-        assert_eq!(st.exact_threshold(), 1);
-    }
-
-    #[test]
     fn p2_small_prefix_is_exact() {
         // Fewer than five observations: the estimator reports the exact
         // median of what it has seen.
         let rows = [[3.0f32, 4.0], [1.0, 1.0], [2.0, 2.0], [9.0, 3.0]];
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let sm = StreamingMedian::new(1);
+        let sm = median(1);
         assert_eq!(sm.aggregate(&refs[..3], None), [2.0, 2.0]);
         assert_eq!(sm.aggregate(&refs, None), [2.5, 2.5]);
     }

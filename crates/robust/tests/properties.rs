@@ -7,10 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hfl_robust::{
-    Aggregator, CenteredClip, CoordMedian, FedAvg, GeoMed, Krum, MultiKrum, SampledKrum,
-    StreamingMedian, StreamingTrimmedMean, TrimmedMean, DEFAULT_EXACT_THRESHOLD,
-};
+use hfl_robust::{AggScratch, Aggregator, AggregatorKind, DEFAULT_EXACT_THRESHOLD};
 
 const CASES: u64 = 64;
 
@@ -31,6 +28,13 @@ fn draw_where<T>(
         .map(|_| draw(rng))
         .find(|x| keep(x))
         .unwrap_or_else(|| panic!("case {case}: no input met the precondition"))
+}
+
+/// The inputs Multi-Krum averages, lowest score first.
+fn multikrum_selection(updates: &[&[f32]], f: usize, m: usize) -> Vec<usize> {
+    let (mut out, mut scratch) = (Vec::new(), AggScratch::default());
+    AggregatorKind::MultiKrum { f, m }.aggregate_into(updates, None, &mut out, &mut scratch);
+    scratch.idx
 }
 
 fn uniform_vec(rng: &mut StdRng, len: usize, lo: f32, hi: f32) -> Vec<f32> {
@@ -157,7 +161,7 @@ fn median_stays_in_honest_box() {
     for (case, mut rng) in cases() {
         let (honest, n_bad, bad) = scenario(&mut rng);
         let refs = all_inputs(&honest, &bad, n_bad);
-        let out = CoordMedian.aggregate(&refs, None);
+        let out = AggregatorKind::Median.aggregate(&refs, None);
         assert_in_box(case, "median", &out, honest_box(&honest, 1e-3));
     }
 }
@@ -169,7 +173,7 @@ fn trimmed_mean_stays_in_honest_box() {
         let refs = all_inputs(&honest, &bad, n_bad);
         // Trim exactly the adversarial mass from each tail.
         let ratio = (n_bad as f64 / refs.len() as f64).min(0.49);
-        let out = TrimmedMean::new(ratio).aggregate(&refs, None);
+        let out = AggregatorKind::TrimmedMean { ratio }.aggregate(&refs, None);
         // Trimmed mean with exact-trim stays within the honest range per
         // coordinate (each tail removes at least the bad copies on that
         // side).
@@ -182,7 +186,7 @@ fn krum_selects_a_real_input() {
     for (case, mut rng) in cases() {
         let (honest, n_bad, bad) = scenario(&mut rng);
         let refs = all_inputs(&honest, &bad, n_bad);
-        let out = Krum::new(n_bad).aggregate(&refs, None);
+        let out = AggregatorKind::Krum { f: n_bad }.aggregate(&refs, None);
         assert!(refs.contains(&out.as_slice()), "case {case}");
     }
 }
@@ -192,7 +196,7 @@ fn krum_picks_honest_when_adversary_is_far() {
     for (case, mut rng) in cases() {
         let (honest, n_bad, bad) = far_scenario(case, &mut rng);
         let refs = all_inputs(&honest, &bad, n_bad);
-        let out = Krum::new(n_bad).aggregate(&refs, None);
+        let out = AggregatorKind::Krum { f: n_bad }.aggregate(&refs, None);
         assert!(
             honest.iter().any(|h| h.as_slice() == out.as_slice()),
             "case {case}: Krum selected the adversarial point"
@@ -205,8 +209,7 @@ fn multikrum_excludes_far_adversaries() {
     for (case, mut rng) in cases() {
         let (honest, n_bad, bad) = far_scenario(case, &mut rng);
         let refs = all_inputs(&honest, &bad, n_bad);
-        let mk = MultiKrum::new(n_bad, honest.len());
-        let selected = mk.select(&refs);
+        let selected = multikrum_selection(&refs, n_bad, honest.len());
         assert!(
             selected.iter().all(|&i| i < honest.len()),
             "case {case}: Multi-Krum selected adversarial index in {selected:?}"
@@ -219,7 +222,7 @@ fn geomed_bounded_displacement() {
     for (case, mut rng) in cases() {
         let (honest, n_bad, bad) = scenario(&mut rng);
         let refs = all_inputs(&honest, &bad, n_bad);
-        let out = GeoMed::default().aggregate(&refs, None);
+        let out = AggregatorKind::GeoMed.aggregate(&refs, None);
         // Geometric median with minority outliers stays within a modest
         // multiple of the honest diameter of the honest centroid.
         let mut centroid = vec![0.0f32; 4];
@@ -242,7 +245,7 @@ fn centered_clip_bounded_displacement() {
     for (case, mut rng) in cases() {
         let (honest, n_bad, bad) = scenario(&mut rng);
         let refs = all_inputs(&honest, &bad, n_bad);
-        let cc = CenteredClip::new(1.0, 3);
+        let cc = AggregatorKind::CenteredClip { tau: 1.0, iters: 3 };
         let out = cc.aggregate(&refs, None);
         // Each of 3 iterations moves the estimate by at most τ; seeded at
         // the coordinate-median (inside the honest box), displacement is
@@ -259,7 +262,7 @@ fn fedavg_equals_manual_mean() {
             .map(|_| uniform_vec(&mut rng, 4, -10.0, 10.0))
             .collect();
         let refs: Vec<&[f32]> = honest.iter().map(|h| h.as_slice()).collect();
-        let out = FedAvg.aggregate(&refs, None);
+        let out = AggregatorKind::FedAvg.aggregate(&refs, None);
         for j in 0..4 {
             let want: f32 = honest.iter().map(|h| h[j]).sum::<f32>() / honest.len() as f32;
             assert!(
@@ -284,7 +287,7 @@ fn median_resists_unanimous_sign_flip() {
         let (honest, n_bad, kappa) = signflip_scenario(&mut rng);
         let bad = signflip_point(&honest, kappa);
         let refs = all_inputs(&honest, &bad, n_bad);
-        let out = CoordMedian.aggregate(&refs, None);
+        let out = AggregatorKind::Median.aggregate(&refs, None);
         assert_in_box(case, "median", &out, honest_box(&honest, 1e-3));
     }
 }
@@ -296,7 +299,7 @@ fn trimmed_mean_resists_unanimous_sign_flip() {
         let bad = signflip_point(&honest, kappa);
         let refs = all_inputs(&honest, &bad, n_bad);
         let ratio = (n_bad as f64 / refs.len() as f64).min(0.49);
-        let out = TrimmedMean::new(ratio).aggregate(&refs, None);
+        let out = AggregatorKind::TrimmedMean { ratio }.aggregate(&refs, None);
         assert_in_box(case, "trimmed mean", &out, honest_box(&honest, 1e-3));
     }
 }
@@ -310,12 +313,12 @@ fn krum_family_rejects_unanimous_sign_flip() {
         });
         let bad = signflip_point(&honest, kappa);
         let refs = all_inputs(&honest, &bad, n_bad);
-        let out = Krum::new(n_bad).aggregate(&refs, None);
+        let out = AggregatorKind::Krum { f: n_bad }.aggregate(&refs, None);
         assert!(
             honest.iter().any(|h| h.as_slice() == out.as_slice()),
             "case {case}: Krum picked the coalition's point"
         );
-        let selected = MultiKrum::new(n_bad, honest.len()).select(&refs);
+        let selected = multikrum_selection(&refs, n_bad, honest.len());
         assert!(
             selected.iter().all(|&i| i < honest.len()),
             "case {case}: Multi-Krum selected coalition index in {selected:?}"
@@ -332,7 +335,7 @@ fn geomed_sides_with_the_honest_majority() {
             });
         let bad = signflip_point(&honest, kappa);
         let refs = all_inputs(&honest, &bad, n_bad);
-        let out = GeoMed::default().aggregate(&refs, None);
+        let out = AggregatorKind::GeoMed.aggregate(&refs, None);
         let mut centroid = vec![0.0f32; 4];
         let hrefs: Vec<&[f32]> = honest.iter().map(|h| h.as_slice()).collect();
         hfl_tensor::ops::mean_of(&hrefs, &mut centroid);
@@ -349,7 +352,7 @@ fn centered_clip_resists_unanimous_sign_flip() {
         let (honest, n_bad, kappa) = signflip_scenario(&mut rng);
         let bad = signflip_point(&honest, kappa);
         let refs = all_inputs(&honest, &bad, n_bad);
-        let out = CenteredClip::new(1.0, 3).aggregate(&refs, None);
+        let out = AggregatorKind::CenteredClip { tau: 1.0, iters: 3 }.aggregate(&refs, None);
         assert_in_box(case, "centered clip", &out, honest_box(&honest, 3.0 + 1e-3));
     }
 }
@@ -364,8 +367,11 @@ fn streaming_median_matches_exact_on_any_arrival_order() {
         let (honest, n_bad, bad) = scenario(&mut rng);
         let mut refs = all_inputs(&honest, &bad, n_bad);
         arrival_order(&mut refs, rng.gen_range(0usize..1000), 31, 17);
-        let exact = CoordMedian.aggregate(&refs, None);
-        let streamed = StreamingMedian::new(DEFAULT_EXACT_THRESHOLD).aggregate(&refs, None);
+        let exact = AggregatorKind::Median.aggregate(&refs, None);
+        let streamed = AggregatorKind::StreamingMedian {
+            exact_threshold: DEFAULT_EXACT_THRESHOLD,
+        }
+        .aggregate(&refs, None);
         for (j, (e, s)) in exact.iter().zip(&streamed).enumerate() {
             assert!(
                 ulp_gap(*e, *s) <= 1,
@@ -382,9 +388,12 @@ fn streaming_trimmed_mean_matches_exact_on_any_arrival_order() {
         let ratio = rng.gen_range(0u32..50) as f64 / 100.0;
         let mut refs = all_inputs(&honest, &bad, n_bad);
         arrival_order(&mut refs, rng.gen_range(0usize..1000), 37, 13);
-        let exact = TrimmedMean::new(ratio).aggregate(&refs, None);
-        let streamed =
-            StreamingTrimmedMean::new(ratio, DEFAULT_EXACT_THRESHOLD).aggregate(&refs, None);
+        let exact = AggregatorKind::TrimmedMean { ratio }.aggregate(&refs, None);
+        let streamed = AggregatorKind::StreamingTrimmedMean {
+            ratio,
+            exact_threshold: DEFAULT_EXACT_THRESHOLD,
+        }
+        .aggregate(&refs, None);
         for (j, (e, s)) in exact.iter().zip(&streamed).enumerate() {
             assert!(
                 ulp_gap(*e, *s) <= 1,
@@ -399,8 +408,12 @@ fn sampled_krum_is_exact_krum_below_the_bucket_cut() {
     for (case, mut rng) in cases() {
         let (honest, n_bad, bad) = scenario(&mut rng);
         let refs = all_inputs(&honest, &bad, n_bad);
-        let exact = Krum::new(n_bad).aggregate(&refs, None);
-        let sampled = SampledKrum::new(n_bad, refs.len()).aggregate(&refs, None);
+        let exact = AggregatorKind::Krum { f: n_bad }.aggregate(&refs, None);
+        let sampled = AggregatorKind::SampledKrum {
+            f: n_bad,
+            m: refs.len(),
+        }
+        .aggregate(&refs, None);
         assert_eq!(exact, sampled, "case {case}");
     }
 }
@@ -411,9 +424,9 @@ fn aggregators_are_permutation_insensitive_median() {
         // Coordinate-wise median must not depend on input order.
         let (honest, n_bad, bad) = scenario(&mut rng);
         let mut refs = all_inputs(&honest, &bad, n_bad);
-        let a = CoordMedian.aggregate(&refs, None);
+        let a = AggregatorKind::Median.aggregate(&refs, None);
         arrival_order(&mut refs, rng.gen_range(0usize..1000), 31, 17);
-        let b = CoordMedian.aggregate(&refs, None);
+        let b = AggregatorKind::Median.aggregate(&refs, None);
         assert_eq!(a, b, "case {case}");
     }
 }

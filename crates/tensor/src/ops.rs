@@ -1560,9 +1560,17 @@ fn stream_rows<const R: usize>(
 /// sequential `add_assign` chain would produce (`((out+r₀)+r₁)+…`,
 /// left-associated), so the result is bitwise identical.
 pub fn add_rows(rows: &[&[f32]], out: &mut [f32]) {
+    add_rows_by(rows.len(), |k| rows[k], out);
+}
+
+/// `out += row(0) + row(1) + … + row(n − 1)`: the blocked body of
+/// [`add_rows`] and [`mean_of_indexed`], `BLOCK_ROWS` rows a pass over
+/// `out`, each coordinate's adds left-associated in row order.
+#[inline(always)]
+fn add_rows_by<'r>(n: usize, row: impl Fn(usize) -> &'r [f32], out: &mut [f32]) {
     let mut k = 0;
-    while k + BLOCK_ROWS <= rows.len() {
-        let (r0, r1, r2, r3) = (rows[k], rows[k + 1], rows[k + 2], rows[k + 3]);
+    while k + BLOCK_ROWS <= n {
+        let (r0, r1, r2, r3) = (row(k), row(k + 1), row(k + 2), row(k + 3));
         check_same_len(r0, out);
         check_same_len(r1, out);
         check_same_len(r2, out);
@@ -1577,8 +1585,8 @@ pub fn add_rows(rows: &[&[f32]], out: &mut [f32]) {
         }
         k += BLOCK_ROWS;
     }
-    while k < rows.len() {
-        add_assign(rows[k], out);
+    while k < n {
+        add_assign(row(k), out);
         k += 1;
     }
 }
@@ -1645,37 +1653,12 @@ pub fn weighted_mean_of(rows: &[&[f32]], weights: &[f32], out: &mut [f32]) {
 
 /// `out = mean of rows[idx[0]], rows[idx[1]], …` — a selection mean
 /// (Multi-Krum) without materializing a selected-refs vector. Bitwise
-/// identical to [`mean_of`] over the gathered rows: same block
-/// structure, same left-associated per-coordinate add order.
+/// identical to [`mean_of`] over the gathered rows: the same blocked
+/// body, reading its rows through `idx`.
 pub fn mean_of_indexed(rows: &[&[f32]], idx: &[usize], out: &mut [f32]) {
     assert!(!idx.is_empty(), "mean_of: empty input");
     zero(out);
-    let mut k = 0;
-    while k + BLOCK_ROWS <= idx.len() {
-        let (r0, r1, r2, r3) = (
-            rows[idx[k]],
-            rows[idx[k + 1]],
-            rows[idx[k + 2]],
-            rows[idx[k + 3]],
-        );
-        check_same_len(r0, out);
-        check_same_len(r1, out);
-        check_same_len(r2, out);
-        check_same_len(r3, out);
-        for (c, o) in out.iter_mut().enumerate() {
-            let mut acc = *o;
-            acc += r0[c];
-            acc += r1[c];
-            acc += r2[c];
-            acc += r3[c];
-            *o = acc;
-        }
-        k += BLOCK_ROWS;
-    }
-    while k < idx.len() {
-        add_assign(rows[idx[k]], out);
-        k += 1;
-    }
+    add_rows_by(idx.len(), |k| rows[idx[k]], out);
     scale(1.0 / idx.len() as f32, out);
 }
 

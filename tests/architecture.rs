@@ -82,6 +82,12 @@ const RULES: &[Rule] = &[
         fixture: "fn f() {\n    unsafe { g() }\n}\n", message: "crates/tensor/src must hold exactly two unsafe tokens, each under a // SAFETY: line" },
     Rule { name: "an attack reads a matrix", design: 13, files: &["crates/attacks/src/model_poison.rs"], check: Forbid(&["for j in 0..d", "mean_var(", "flat_map"]),
         fixture: "fn f() { v.flat_map(g); }", message: "crates/attacks/src/model_poison.rs gathers a column or computes a distance per pair again" },
+    Rule { name: "a rule is its kind", design: 2, files: TREE, check: Count("impl Aggregator for", &[("crates/robust/src/lib.rs", "", 1)]),
+        fixture: "impl Aggregator for Krum {}",
+        message: "a second impl of hfl_robust::Aggregator: a BRA rule is an AggregatorKind variant, and AggregatorKind's impl in crates/robust/src/lib.rs is the trait's one" },
+    Rule { name: "a rule takes no thread count", design: 15, files: &["crates/robust/src/"], check: Forbid(&["threads: usize"]),
+        fixture: "fn krum_scores_into(u: &[&[f32]], threads: usize) {}",
+        message: "a crates/robust/src function takes a thread count: read hfl_parallel::default_threads() where it forks, and sweep thread counts in tests under hfl_parallel::with_threads" },
     Rule { name: "one coordinate-wise kernel", design: 14, files: &["crates/robust/src/streaming.rs"], check: Forbid(&["vec![P2Median", "sort_unstable_by"]),
         fixture: "fn f() { v.sort_unstable_by(g); }", message: "crates/robust/src/streaming.rs holds a d-long estimator array or its own sort again" },
     Rule { name: "a sample is a function of its index", design: 15, files: &["crates/ml/src/synth.rs"], check: Forbid(&["standard_normal(&mut rng)", "next_u32()"]),

@@ -68,15 +68,14 @@ use abd_hfl::ml::{Dataset, LinearSoftmax, Mlp, Model};
 use abd_hfl::robust::evidence::{
     self, Acceptance, KRUM_STRIKE_GATE, STRIKE_RUNNER_UP, STRIKE_WORST,
 };
-use abd_hfl::robust::geomed::GeoMed;
 use abd_hfl::robust::krum::{self, reference as krum_reference};
-use abd_hfl::robust::{
-    median, trimmed_mean, AggScratch, Aggregator, AggregatorKind, MultiKrum, PreAggregation,
-    SuspicionConfig, TrimmedMean,
-};
+use abd_hfl::robust::median::column_stat_parallel;
+use abd_hfl::robust::preagg::nnm;
+use abd_hfl::robust::trimmed_mean::trim_count;
+use abd_hfl::robust::{AggScratch, Aggregator, AggregatorKind, SuspicionConfig};
 use abd_hfl::telemetry::Telemetry;
 use abd_hfl::tensor::ops::{self, reference};
-use abd_hfl::tensor::stats;
+use abd_hfl::tensor::stats::{self, ColumnStat};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
@@ -157,6 +156,13 @@ fn rows_of(rng: &mut StdRng, elem: Elem, max_n: usize, max_d: usize) -> Vec<Vec<
 
 fn as_refs(rows: &[Vec<f32>]) -> Vec<&[f32]> {
     rows.iter().map(|r| r.as_slice()).collect()
+}
+
+/// Krum scores at `hfl_parallel::default_threads()` workers.
+fn krum_scores(updates: &[&[f32]], f: usize) -> Vec<f64> {
+    let mut scratch = AggScratch::default();
+    krum::krum_scores_into(updates, f, &mut scratch);
+    scratch.scores
 }
 
 /// Softmax-then-argmax over naive logits — `LinearSoftmax::predict`'s
@@ -259,9 +265,9 @@ fn krum_scores_match_naive_at_all_thread_counts() {
         let rows = rows_of(&mut rng, adversarial_f32, 12, 32);
         let f = rng.gen_range(0usize..4);
         let refs = as_refs(&rows);
-        let naive = krum_reference::krum_scores_naive(&refs, f, 1);
+        let naive = krum_reference::krum_scores_naive(&refs, f);
         for &t in &THREADS {
-            let fast = krum::krum_scores_with_threads(&refs, f, t);
+            let fast = abd_hfl::parallel::with_threads(t, || krum_scores(&refs, f));
             assert_eq!(fast.len(), naive.len(), "case {case}");
             for (i, (a, b)) in fast.iter().zip(&naive).enumerate() {
                 assert_eq!(
@@ -377,7 +383,9 @@ fn coordinate_median_parallel_matches_sequential() {
         stats::coordinate_median(&refs, &mut seq);
         for &t in &THREADS {
             let mut par = vec![0.0f32; d];
-            median::coordinate_median_parallel(&refs, &mut par, t);
+            abd_hfl::parallel::with_threads(t, || {
+                column_stat_parallel(ColumnStat::Median, &refs, &mut par)
+            });
             for (i, (a, b)) in par.iter().zip(&seq).enumerate() {
                 assert!(
                     bits_eq_f32(*a, *b),
@@ -402,7 +410,9 @@ fn coordinate_trimmed_mean_parallel_matches_sequential() {
         stats::coordinate_trimmed_mean(&refs, trim, &mut seq);
         for &t in &THREADS {
             let mut par = vec![0.0f32; d];
-            trimmed_mean::coordinate_trimmed_mean_parallel(&refs, trim, &mut par, t);
+            abd_hfl::parallel::with_threads(t, || {
+                column_stat_parallel(ColumnStat::TrimmedMean { trim }, &refs, &mut par)
+            });
             for (i, (a, b)) in par.iter().zip(&seq).enumerate() {
                 assert!(
                     bits_eq_f32(*a, *b),
@@ -414,22 +424,18 @@ fn coordinate_trimmed_mean_parallel_matches_sequential() {
 }
 
 /// The Weiszfeld loop's work-stealing distance fill at every thread
-/// count == its single-threaded run, iteration count included.
+/// count == its single-threaded run.
 #[test]
 fn geomed_identical_at_all_thread_counts() {
     for (case, mut rng) in cases(KERNEL_CASES) {
         let rows = rows_of(&mut rng, adversarial_f32, 9, 32);
         let refs = as_refs(&rows);
-        let gm = GeoMed::default();
-        let mut base = Vec::new();
-        let base_iters = gm.compute_into(&refs, 1, &mut base, &mut AggScratch::default());
+        let geomed = |t| {
+            abd_hfl::parallel::with_threads(t, || AggregatorKind::GeoMed.aggregate(&refs, None))
+        };
+        let base = geomed(1);
         for &t in &THREADS[1..] {
-            let mut est = Vec::new();
-            let iters = gm.compute_into(&refs, t, &mut est, &mut AggScratch::default());
-            assert_eq!(
-                iters, base_iters,
-                "case {case}: iteration count diverged at {t} threads"
-            );
+            let est = geomed(t);
             for (i, (a, b)) in est.iter().zip(&base).enumerate() {
                 assert!(
                     bits_eq_f32(*a, *b),
@@ -554,9 +560,9 @@ fn krum_scores_match_naive_across_blocks_and_tiles() {
             let rows = grid_rows(n, d);
             let refs = as_refs(&rows);
             let f = n / 4;
-            let naive = krum_reference::krum_scores_naive(&refs, f, 1);
+            let naive = krum_reference::krum_scores_naive(&refs, f);
             for threads in [1, 2, 3, 8] {
-                let fast = krum::krum_scores_with_threads(&refs, f, threads);
+                let fast = abd_hfl::parallel::with_threads(threads, || krum_scores(&refs, f));
                 assert_eq!(fast.len(), naive.len());
                 for (i, (a, b)) in fast.iter().zip(&naive).enumerate() {
                     assert_eq!(
@@ -570,7 +576,7 @@ fn krum_scores_match_naive_across_blocks_and_tiles() {
     }
 }
 
-/// `PreAggregation::Nnm`'s retired distance scan: one blocked row of
+/// `preagg::nnm`'s retired distance scan: one blocked row of
 /// all `n` distances per input, diagonal included, then the k nearest
 /// by `(distance, index)`.
 fn nnm_naive(updates: &[&[f32]], k: usize) -> Vec<Vec<f32>> {
@@ -608,9 +614,7 @@ fn nnm_matches_the_per_row_scan_it_replaced() {
             for k in [1, 2, n.div_ceil(2), n] {
                 let want = nnm_naive(&refs, k);
                 for threads in [1, 2, 8] {
-                    let got = abd_hfl::parallel::with_threads(threads, || {
-                        PreAggregation::Nnm { k }.transform(&refs)
-                    });
+                    let got = abd_hfl::parallel::with_threads(threads, || nnm(&refs, k));
                     assert_eq!(got.len(), want.len());
                     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                         assert!(
@@ -731,16 +735,16 @@ fn pair_fill_measures_a_coalition_once_and_reads_as_dist_sq_per_pair() {
             }
         }
         let f = n / 4;
-        let naive = krum_reference::krum_scores_naive(&refs, f, 1);
+        let naive = krum_reference::krum_scores_naive(&refs, f);
         let (m, k) = (n - f, n.div_ceil(3));
         let mut idx: Vec<usize> = (0..n).collect();
         idx.sort_by(|a, b| naive[*a].total_cmp(&naive[*b]));
         idx.truncate(m);
         let mut mean = vec![0.0f32; d];
         ops::mean_of_indexed(&refs, &idx, &mut mean);
-        let nnm = nnm_naive(&refs, k);
+        let mixed_naive = nnm_naive(&refs, k);
         for threads in [1, 2, 8] {
-            let scores = krum::krum_scores_with_threads(&refs, f, threads);
+            let scores = abd_hfl::parallel::with_threads(threads, || krum_scores(&refs, f));
             assert!(
                 scores
                     .iter()
@@ -750,15 +754,15 @@ fn pair_fill_measures_a_coalition_once_and_reads_as_dist_sq_per_pair() {
             );
             let (got, mixed) = abd_hfl::parallel::with_threads(threads, || {
                 (
-                    MultiKrum::new(f, m).aggregate(&refs, None),
-                    PreAggregation::Nnm { k }.transform(&refs),
+                    AggregatorKind::MultiKrum { f, m }.aggregate(&refs, None),
+                    nnm(&refs, k),
                 )
             });
             assert!(
                 got.iter().zip(&mean).all(|(a, b)| bits_eq_f32(*a, *b)),
                 "{name}, d={d}: Multi-Krum at {threads} threads"
             );
-            for (i, (g, w)) in mixed.iter().zip(&nnm).enumerate() {
+            for (i, (g, w)) in mixed.iter().zip(&mixed_naive).enumerate() {
                 assert!(
                     g.iter().zip(w).all(|(a, b)| bits_eq_f32(*a, *b)),
                     "{name}, d={d}: NNM row {i} at {threads} threads"
@@ -1638,14 +1642,16 @@ mod judge_reference {
         match kind {
             AggregatorKind::FedAvg => all_accepted(n),
             AggregatorKind::Krum { f } => {
-                let scores = krum::krum_scores(updates, *f);
+                let scores = krum_scores(updates, *f);
                 let mut acc = by_scores(&scores, 1);
                 gate_krum(&mut acc, &scores);
                 acc
             }
             AggregatorKind::MultiKrum { f, m } => {
-                let scores = krum::krum_scores(updates, *f);
-                let selected = MultiKrum::new(*f, (*m).max(1)).select(updates);
+                let scores = krum_scores(updates, *f);
+                let mut selected: Vec<usize> = (0..n).collect();
+                selected.sort_by(|a, b| scores[*a].total_cmp(&scores[*b]));
+                selected.truncate((*m).max(1).min(n));
                 let mut acc = by_scores(&scores, selected.len());
                 gate_krum(&mut acc, &scores);
                 acc.accepted = vec![false; n];
@@ -1656,7 +1662,7 @@ mod judge_reference {
             }
             AggregatorKind::TrimmedMean { ratio } => trimmed(updates, *ratio),
             AggregatorKind::Nnm { k, inner } => {
-                let mixed = PreAggregation::Nnm { k: *k }.transform(updates);
+                let mixed = nnm(updates, *k);
                 let mut acc = judge(inner, &as_refs(&mixed));
                 let raw = by_residual(kind, updates);
                 for (s, r) in acc.strikes.iter_mut().zip(&raw.strikes) {
@@ -1706,7 +1712,7 @@ mod judge_reference {
     fn trimmed(updates: &[&[f32]], ratio: f64) -> Acceptance {
         let n = updates.len();
         let d = updates[0].len();
-        let t = TrimmedMean::new(ratio).trim_count(n);
+        let t = trim_count(ratio, n);
         if t == 0 || d == 0 {
             return all_accepted(n);
         }
@@ -1733,7 +1739,7 @@ mod judge_reference {
 
     fn by_residual(kind: &AggregatorKind, updates: &[&[f32]]) -> Acceptance {
         let n = updates.len();
-        let agg = kind.build().aggregate(updates, None);
+        let agg = kind.aggregate(updates, None);
         let res: Vec<f64> = updates.iter().map(|u| ops::dist(u, &agg)).collect();
         let mut sorted = res.clone();
         sorted.sort_by(f64::total_cmp);
@@ -1763,12 +1769,11 @@ fn evidence_matches_reference(
     let doubled: Vec<&[f32]> = refs.iter().chain(&refs).copied().collect();
     for kind in kinds {
         let want = judge_reference::judge(kind, &refs);
-        let rule = kind.build();
         let mut scratch = AggScratch::default();
         let mut out = Vec::new();
-        rule.aggregate_into(&doubled, None, &mut out, &mut scratch);
+        kind.aggregate_into(&doubled, None, &mut out, &mut scratch);
         for w in [None, Some(&weights[..refs.len()])] {
-            rule.aggregate_into(&refs, w, &mut out, &mut scratch);
+            kind.aggregate_into(&refs, w, &mut out, &mut scratch);
             let got = evidence::judge_aggregated(kind, &refs, &out, &scratch);
             assert_eq!(
                 &got.accepted, &want.accepted,
@@ -2553,7 +2558,7 @@ mod retired {
     use abd_hfl::ml::rng::rng_for_n;
     use abd_hfl::ml::sgd::{train_local_scratch, TrainScratch};
     use abd_hfl::ml::{Dataset, LinearSoftmax};
-    use abd_hfl::robust::AggregatorKind;
+    use abd_hfl::robust::{Aggregator, AggregatorKind};
     use abd_hfl::telemetry::Telemetry;
     use abd_hfl::tensor::{ops, splitmix64};
 
@@ -2658,7 +2663,7 @@ mod retired {
     pub fn aggregate_levels(exp: &Experiment, updates: &[Vec<f32>]) -> Vec<f32> {
         let h = &exp.hierarchy;
         let rule = |l: usize| match &exp.config().levels[l] {
-            LevelAgg::Bra(kind) => kind.build(),
+            LevelAgg::Bra(kind) => kind,
             LevelAgg::Cba(_) => unreachable!("an all-BRA fixture"),
         };
         let mut carried = updates.to_vec();
@@ -2686,7 +2691,6 @@ mod retired {
     /// accuracy at every evaluation point.
     pub fn vanilla(cfg: &HflConfig, rule: &AggregatorKind) -> Vec<(usize, f64)> {
         let exp = Experiment::try_prepare(cfg).expect("a valid config");
-        let agg = rule.build();
         let mut global = exp.template.params().to_vec();
         let (mut updates, mut ws, mut active) = (Vec::new(), TrainWorkspace::default(), vec![]);
         let (mut accuracy, telem) = (Vec::new(), Telemetry::disabled());
@@ -2699,7 +2703,7 @@ mod retired {
                 .filter(|(_, a)| **a)
                 .map(|(u, _)| u.as_slice())
                 .collect();
-            global = agg.aggregate(&refs, None);
+            global = rule.aggregate(&refs, None);
             if (round + 1) % cfg.eval_every == 0 || round + 1 == cfg.rounds {
                 accuracy.push((round + 1, exp.evaluate(&global)));
             }
@@ -3206,7 +3210,7 @@ fn coordinate_kernels_match_the_retired_per_column_loops() {
         for d in TILE_DIMS {
             let rows = tile_rows(n, d, 22, Zeros::OneSignPerColumn, false);
             let refs = as_refs(&rows);
-            let trims = TRIM_RATIOS.map(|ratio| (ratio, TrimmedMean::new(ratio).trim_count(n)));
+            let trims = TRIM_RATIOS.map(|ratio| (ratio, trim_count(ratio, n)));
             for (ratio, trim) in [(None, None)]
                 .into_iter()
                 .chain(trims.map(|(r, t)| (Some(r), Some(t))))
@@ -3229,18 +3233,19 @@ fn coordinate_kernels_match_the_retired_per_column_loops() {
                 for threads in [1, 2, 3] {
                     got.fill(f32::NAN);
                     match trim {
-                        None => median::coordinate_median_parallel(&refs, &mut got, threads),
-                        Some(t) => trimmed_mean::coordinate_trimmed_mean_parallel(
-                            &refs, t, &mut got, threads,
-                        ),
+                        None => abd_hfl::parallel::with_threads(threads, || {
+                            column_stat_parallel(ColumnStat::Median, &refs, &mut got)
+                        }),
+                        Some(trim) => abd_hfl::parallel::with_threads(threads, || {
+                            column_stat_parallel(ColumnStat::TrimmedMean { trim }, &refs, &mut got)
+                        }),
                     }
                     assert_bits(&got, &want, &format!("{what} at {threads} threads"));
                 }
                 let rule = match ratio {
                     None => AggregatorKind::Median,
                     Some(ratio) => AggregatorKind::TrimmedMean { ratio },
-                }
-                .build();
+                };
                 assert_bits(&rule.aggregate(&refs, None), &want, &what);
                 rule.aggregate_into(&refs, None, &mut out, &mut scratch);
                 assert_bits(&out, &want, &what);
@@ -3272,7 +3277,7 @@ fn trimmed_mean_sums_the_kept_values_ascending_in_f64() {
         ratio: 0.125,
         exact_threshold: 8,
     };
-    assert_bits(&rule.build().aggregate(&refs, None), &want, "reservoir");
+    assert_bits(&rule.aggregate(&refs, None), &want, "reservoir");
 }
 
 /// The rules past their parallel cut-offs, at 1 / 2 / 3 threads: 300
@@ -3288,15 +3293,12 @@ fn coordinate_rules_match_across_the_parallel_cutoff() {
             AggregatorKind::TrimmedMean { ratio: 0.2 },
         ] {
             let trim = match kind {
-                AggregatorKind::TrimmedMean { ratio } => {
-                    Some(TrimmedMean::new(ratio).trim_count(n))
-                }
+                AggregatorKind::TrimmedMean { ratio } => Some(trim_count(ratio, n)),
                 _ => None,
             };
             let want = retired::coordinate(&refs, trim);
-            let rule = kind.build();
             for threads in [1, 2, 3] {
-                let got = abd_hfl::parallel::with_threads(threads, || rule.aggregate(&refs, None));
+                let got = abd_hfl::parallel::with_threads(threads, || kind.aggregate(&refs, None));
                 assert_bits(
                     &got,
                     &want,
@@ -3361,7 +3363,7 @@ fn streaming_rules_match_the_retired_scalar_estimator_and_reservoir() {
                     };
                     let rows = tile_rows(n, d, 25, zeros, nan);
                     let refs = as_refs(&rows);
-                    let rule = AggregatorKind::StreamingMedian { exact_threshold }.build();
+                    let rule = AggregatorKind::StreamingMedian { exact_threshold };
                     let want = retired::streaming_median(&refs, exact_threshold);
                     assert_bits(&rule.aggregate(&refs, None), &want, &what);
                     rule.aggregate_into(&refs, None, &mut out, &mut scratch);
@@ -3373,9 +3375,8 @@ fn streaming_rules_match_the_retired_scalar_estimator_and_reservoir() {
                     let rule = AggregatorKind::StreamingTrimmedMean {
                         ratio,
                         exact_threshold,
-                    }
-                    .build();
-                    let trim_of = |n: usize| TrimmedMean::new(ratio).trim_count(n);
+                    };
+                    let trim_of = |n: usize| trim_count(ratio, n);
                     let want = retired::streaming_trimmed_mean(&refs, trim_of, exact_threshold);
                     let what = format!("{what} ratio={ratio}");
                     assert_bits(&rule.aggregate(&refs, None), &want, &what);
