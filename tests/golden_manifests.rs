@@ -2,7 +2,8 @@
 //!
 //! Each fixture freezes one round path — clean, faulted, armed,
 //! withholding, deadline-driven, sampled, all three engine layers at
-//! once (combined), and the MLP's training and scoring (mlp): the
+//! once (combined), the MLP's training and scoring (mlp), and every
+//! consensus mechanism at the top and below it (cba_a, cba_b): the
 //! committed files under
 //! `tests/golden/` hold the manifest JSON, the structured-event
 //! stream and the final model's fingerprint (parameter count and the
@@ -32,6 +33,7 @@ use std::path::{Path, PathBuf};
 use abd_hfl::attacks::{AdaptiveAttack, ModelAttack, Placement, ProtocolAttack};
 use abd_hfl::core::config::{AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg, ModelCfg, SamplingCfg};
 use abd_hfl::core::runner::{run_prepared_with, Experiment, RunOutput};
+use abd_hfl::consensus::ConsensusKind;
 use abd_hfl::faults::FaultPlan;
 use abd_hfl::ml::synth::SynthConfig;
 use abd_hfl::robust::{AggregatorKind, SuspicionConfig};
@@ -117,7 +119,7 @@ fn withhold_fixture() -> HflConfig {
         2027,
     );
     cfg.quorum = 0.75;
-    cfg.levels[2] = LevelAgg::Cba(abd_hfl::consensus::ConsensusKind::VoteMajority);
+    cfg.levels[2] = LevelAgg::Cba(ConsensusKind::VoteMajority);
     cfg.suspicion = Some(SuspicionConfig::default());
     cfg.protocol_attack = Some(ProtocolAttack::Withhold);
     cfg
@@ -197,6 +199,57 @@ fn mlp_fixture() -> HflConfig {
     cfg.model = ModelCfg::Mlp { hidden: 64 };
     cfg.levels = vec![LevelAgg::Bra(AggregatorKind::MultiKrum { f: 1, m: 3 }); 3];
     cfg.sgd.lr = 0.25;
+    cfg
+}
+
+/// Three consensus mechanisms on the round path: PBFT at the top
+/// (scored by validation accuracy), a committee at level 1 and the
+/// fixed-k vote at the bottom (scored by distance), under a sign-flip
+/// coalition that stays inside PBFT's f < n/3, so the committee's and
+/// the vote's exclusions land in the event stream.
+fn cba_a_fixture() -> HflConfig {
+    let mut cfg = base(
+        AttackCfg::Model {
+            attack: ModelAttack::SignFlip { scale: 2.0 },
+            proportion: 0.25,
+            placement: Placement::Random,
+        },
+        2032,
+    );
+    cfg.levels = vec![
+        LevelAgg::Cba(ConsensusKind::Pbft),
+        LevelAgg::Cba(ConsensusKind::Committee {
+            size: 3,
+            exclude: 1,
+        }),
+        LevelAgg::Cba(ConsensusKind::Vote { exclude: 1 }),
+    ];
+    cfg
+}
+
+/// The other three: the stake vote at the top, approximate agreement at
+/// level 1 and ring gossip at the bottom, under the same kind of
+/// coalition, so Byzantine members vote, inject extremes and refuse to
+/// average.
+fn cba_b_fixture() -> HflConfig {
+    let mut cfg = base(
+        AttackCfg::Model {
+            attack: ModelAttack::SignFlip { scale: 2.0 },
+            proportion: 0.25,
+            placement: Placement::Random,
+        },
+        2033,
+    );
+    cfg.levels = vec![
+        LevelAgg::Cba(ConsensusKind::StakeVote {
+            stakes: vec![1.0, 2.0, 3.0, 4.0],
+        }),
+        LevelAgg::Cba(ConsensusKind::Approx {
+            epsilon: 1e-3,
+            trim: 1,
+        }),
+        LevelAgg::Cba(ConsensusKind::Gossip { epsilon: 1e-4 }),
+    ];
     cfg
 }
 
@@ -311,6 +364,16 @@ fn sampled_round_path_matches_golden() {
 #[test]
 fn mlp_round_path_matches_golden() {
     check_golden("mlp", &mlp_fixture());
+}
+
+#[test]
+fn consensus_round_paths_match_golden() {
+    let events = check_golden("cba_a", &cba_a_fixture());
+    assert!(
+        events.lines().any(|e| e.starts_with("ProposalExcluded")),
+        "cba_a: no ProposalExcluded event, so no mechanism excluded an input"
+    );
+    check_golden("cba_b", &cba_b_fixture());
 }
 
 #[test]

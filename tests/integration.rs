@@ -183,6 +183,10 @@ fn all_consensus_backends_complete_a_round() {
             epsilon: 1e-3,
             trim: 1,
         },
+        ConsensusKind::StakeVote {
+            stakes: vec![1.0, 2.0, 3.0, 4.0],
+        },
+        ConsensusKind::Gossip { epsilon: 1e-4 },
     ] {
         let mut cfg = fast(AttackCfg::None, 108);
         cfg.rounds = 5;
