@@ -12,150 +12,124 @@
 
 use rand::rngs::StdRng;
 
-use crate::eval::ProposalEvaluator;
-use crate::{model_bytes, validate, Consensus, ConsensusOutcome};
+use crate::{model_bytes, validate, ConsensusOutcome};
 
-/// Iterated trimmed-mean approximate agreement.
-#[derive(Clone, Copy, Debug)]
-pub struct ApproxAgreement {
+/// Safety cap on rounds (the contraction argument bounds the true round
+/// count well below this).
+const MAX_ROUNDS: usize = 64;
+
+/// Iterated trimmed-mean agreement to honest-diameter `epsilon`,
+/// trimming `trim` extreme values per side of every coordinate each
+/// round.
+pub(crate) fn approx_agreement(
+    proposals: &[&[f32]],
+    byzantine: &[bool],
     epsilon: f64,
     trim: usize,
-    /// Safety cap on rounds (the contraction argument bounds the true
-    /// round count well below this).
-    pub max_rounds: usize,
+    rng: &mut StdRng,
+) -> ConsensusOutcome {
+    let (n, d) = validate(proposals, byzantine);
+    let honest_count = byzantine.iter().filter(|b| !**b).count();
+    assert!(honest_count > 0, "no honest nodes");
+    let trim = trim.min((n - 1) / 2);
+    assert!(
+        n > 3 * trim || byzantine.iter().all(|b| !b),
+        "approximate agreement needs n > 3·trim with Byzantine nodes (n={n}, trim={trim})"
+    );
+
+    let mut values: Vec<Vec<f32>> = proposals.iter().map(|p| p.to_vec()).collect();
+    let mut messages = 0u64;
+    let mut bytes = 0u64;
+    let mut rounds = 0usize;
+    while honest_diameter(&values, byzantine) > epsilon && rounds < MAX_ROUNDS {
+        rounds += 1;
+        // Byzantine nodes broadcast adversarial extremes this round.
+        let mut sent: Vec<Vec<f32>> = values.clone();
+        for (i, b) in byzantine.iter().enumerate() {
+            if *b {
+                // Alternate huge positive / negative values to maximize
+                // the chance of dragging trimmed statistics.
+                let sign = if rand::Rng::gen_bool(rng, 0.5) {
+                    1.0
+                } else {
+                    -1.0
+                };
+                sent[i] = vec![sign * 1e9; d];
+            }
+        }
+        // All-to-all exchange.
+        messages += (n * (n - 1)) as u64;
+        bytes += (n * (n - 1)) as u64 * model_bytes(d);
+        // Honest update: trimmed mean of all received values.
+        let refs: Vec<&[f32]> = sent.iter().map(|v| v.as_slice()).collect();
+        let mut next = values.clone();
+        for (i, b) in byzantine.iter().enumerate() {
+            if !*b {
+                hfl_tensor::stats::coordinate_trimmed_mean(&refs, trim, &mut next[i]);
+            }
+        }
+        values = next;
+    }
+    assert!(
+        honest_diameter(&values, byzantine) <= epsilon,
+        "agreement failed to contract within {MAX_ROUNDS} rounds"
+    );
+
+    // Decided value: mean of honest final values (all within ε).
+    let honest: Vec<&[f32]> = values
+        .iter()
+        .zip(byzantine)
+        .filter(|(_, b)| !**b)
+        .map(|(v, _)| v.as_slice())
+        .collect();
+    let mut decided = vec![0.0f32; d];
+    hfl_tensor::ops::mean_of(&honest, &mut decided);
+    ConsensusOutcome {
+        decided,
+        excluded: Vec::new(),
+        rounds,
+        messages,
+        bytes,
+    }
 }
 
-impl ApproxAgreement {
-    /// Agreement to honest-diameter `epsilon`, trimming `trim` extreme
-    /// values per side of every coordinate each round.
-    ///
-    /// # Panics
-    /// If `epsilon <= 0`.
-    pub fn new(epsilon: f64, trim: usize) -> Self {
-        assert!(epsilon > 0.0, "epsilon must be positive");
-        Self {
-            epsilon,
-            trim,
-            max_rounds: 64,
-        }
+/// Max coordinate-wise spread among the honest nodes' values.
+fn honest_diameter(values: &[Vec<f32>], byzantine: &[bool]) -> f64 {
+    let honest: Vec<&Vec<f32>> = values
+        .iter()
+        .zip(byzantine)
+        .filter(|(_, b)| !**b)
+        .map(|(v, _)| v)
+        .collect();
+    if honest.len() < 2 {
+        return 0.0;
     }
-
-    /// Max coordinate-wise spread among the honest nodes' values.
-    fn honest_diameter(values: &[Vec<f32>], byzantine: &[bool]) -> f64 {
-        let honest: Vec<&Vec<f32>> = values
-            .iter()
-            .zip(byzantine)
-            .filter(|(_, b)| !**b)
-            .map(|(v, _)| v)
-            .collect();
-        if honest.len() < 2 {
-            return 0.0;
+    let d = honest[0].len();
+    let mut max_spread = 0.0f64;
+    for j in 0..d {
+        let mut lo = f64::INFINITY;
+        let mut hi = f64::NEG_INFINITY;
+        for h in &honest {
+            lo = lo.min(h[j] as f64);
+            hi = hi.max(h[j] as f64);
         }
-        let d = honest[0].len();
-        let mut max_spread = 0.0f64;
-        for j in 0..d {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for h in &honest {
-                lo = lo.min(h[j] as f64);
-                hi = hi.max(h[j] as f64);
-            }
-            max_spread = max_spread.max(hi - lo);
-        }
-        max_spread
+        max_spread = max_spread.max(hi - lo);
     }
-}
-
-impl Consensus for ApproxAgreement {
-    fn name(&self) -> &'static str {
-        "approx-agreement"
-    }
-
-    fn decide(
-        &self,
-        proposals: &[&[f32]],
-        byzantine: &[bool],
-        _eval: &dyn ProposalEvaluator,
-        rng: &mut StdRng,
-    ) -> ConsensusOutcome {
-        let (n, d) = validate(proposals, byzantine);
-        let honest_count = byzantine.iter().filter(|b| !**b).count();
-        assert!(honest_count > 0, "no honest nodes");
-        let trim = self.trim.min((n - 1) / 2);
-        assert!(
-            n > 3 * trim || byzantine.iter().all(|b| !b),
-            "approximate agreement needs n > 3·trim with Byzantine nodes (n={n}, trim={trim})"
-        );
-
-        let mut values: Vec<Vec<f32>> = proposals.iter().map(|p| p.to_vec()).collect();
-        let mut messages = 0u64;
-        let mut bytes = 0u64;
-        let mut rounds = 0usize;
-        while Self::honest_diameter(&values, byzantine) > self.epsilon && rounds < self.max_rounds {
-            rounds += 1;
-            // Byzantine nodes broadcast adversarial extremes this round.
-            let mut sent: Vec<Vec<f32>> = values.clone();
-            for (i, b) in byzantine.iter().enumerate() {
-                if *b {
-                    // Alternate huge positive / negative values to maximize
-                    // the chance of dragging trimmed statistics.
-                    let sign = if rand::Rng::gen_bool(rng, 0.5) {
-                        1.0
-                    } else {
-                        -1.0
-                    };
-                    sent[i] = vec![sign * 1e9; d];
-                }
-            }
-            // All-to-all exchange.
-            messages += (n * (n - 1)) as u64;
-            bytes += (n * (n - 1)) as u64 * model_bytes(d);
-            // Honest update: trimmed mean of all received values.
-            let refs: Vec<&[f32]> = sent.iter().map(|v| v.as_slice()).collect();
-            let mut next = values.clone();
-            for (i, b) in byzantine.iter().enumerate() {
-                if !*b {
-                    hfl_tensor::stats::coordinate_trimmed_mean(&refs, trim, &mut next[i]);
-                }
-            }
-            values = next;
-        }
-        assert!(
-            Self::honest_diameter(&values, byzantine) <= self.epsilon,
-            "agreement failed to contract within {} rounds",
-            self.max_rounds
-        );
-
-        // Decided value: mean of honest final values (all within ε).
-        let honest: Vec<&[f32]> = values
-            .iter()
-            .zip(byzantine)
-            .filter(|(_, b)| !**b)
-            .map(|(v, _)| v.as_slice())
-            .collect();
-        let mut decided = vec![0.0f32; d];
-        hfl_tensor::ops::mean_of(&honest, &mut decided);
-        ConsensusOutcome {
-            decided,
-            excluded: Vec::new(),
-            rounds,
-            messages,
-            bytes,
-        }
-    }
+    max_spread
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::DistanceEvaluator;
+    use crate::ConsensusKind;
     use rand::SeedableRng;
 
     fn run(proposals: &[Vec<f32>], byz: &[bool], epsilon: f64, trim: usize) -> ConsensusOutcome {
         let refs: Vec<&[f32]> = proposals.iter().map(|p| p.as_slice()).collect();
         let eval = DistanceEvaluator::new(proposals);
         let mut rng = StdRng::seed_from_u64(2);
-        ApproxAgreement::new(epsilon, trim).decide(&refs, byz, &eval, &mut rng)
+        ConsensusKind::Approx { epsilon, trim }.decide(&refs, byz, &eval, &mut rng)
     }
 
     #[test]

@@ -11,92 +11,71 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
 use crate::eval::{score_rows, ProposalEvaluator};
-use crate::{model_bytes, survivor_mean, validate, Consensus, ConsensusOutcome};
+use crate::{model_bytes, survivor_mean, validate, ConsensusOutcome};
 
-/// Committee consensus with `size` members excluding `exclude` proposals.
-#[derive(Clone, Copy, Debug)]
-pub struct CommitteeConsensus {
+/// Committee consensus: a committee of `size` members (clamped to the
+/// node count) excludes the `exclude` lowest-scored proposals (clamped so
+/// at least one survives).
+pub(crate) fn committee(
+    proposals: &[&[f32]],
+    byzantine: &[bool],
+    eval: &dyn ProposalEvaluator,
     size: usize,
     exclude: usize,
-}
+    rng: &mut StdRng,
+) -> ConsensusOutcome {
+    let (n, d) = validate(proposals, byzantine);
+    let size = size.min(n);
+    // Sample the committee uniformly (stake-weighted selection would
+    // slot in here; uniform matches our equal-stake setting).
+    let mut ids: Vec<usize> = (0..n).collect();
+    ids.shuffle(rng);
+    let committee = &ids[..size];
 
-impl CommitteeConsensus {
-    /// A committee of `size` members excluding the `exclude` lowest-scored
-    /// proposals (both clamped at run time).
-    ///
-    /// # Panics
-    /// If `size == 0`.
-    pub fn new(size: usize, exclude: usize) -> Self {
-        assert!(size > 0, "committee must have at least one member");
-        Self { size, exclude }
-    }
-}
+    // Median committee score per proposal; Byzantine members report
+    // inverted (negated) scores — the strongest in-protocol lie. A
+    // member that cannot measure a proposal (a NaN score: a NaN
+    // coordinate in the proposal or in the member's own reference)
+    // scores it −∞, and `+ 0.0` makes a −0.0 score +0.0, so
+    // `total_cmp` orders the scores as `<` does and no input panics.
+    let rows = score_rows(committee, proposals, eval);
+    let mut med_scores: Vec<(f64, usize)> = (0..n)
+        .map(|p| {
+            let mut scores: Vec<f64> = committee
+                .iter()
+                .zip(rows.chunks_exact(n))
+                .map(|(&m, row)| {
+                    let s = if row[p].is_nan() {
+                        f64::NEG_INFINITY
+                    } else {
+                        row[p]
+                    };
+                    (if byzantine[m] { -s } else { s }) + 0.0
+                })
+                .collect();
+            scores.sort_by(f64::total_cmp);
+            (scores[scores.len() / 2], p)
+        })
+        .collect();
+    med_scores.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
+    let k = exclude.min(n - 1);
+    let mut excluded: Vec<usize> = med_scores[..k].iter().map(|(_, p)| *p).collect();
+    excluded.sort_unstable();
 
-impl Consensus for CommitteeConsensus {
-    fn name(&self) -> &'static str {
-        "committee"
-    }
-
-    fn decide(
-        &self,
-        proposals: &[&[f32]],
-        byzantine: &[bool],
-        eval: &dyn ProposalEvaluator,
-        rng: &mut StdRng,
-    ) -> ConsensusOutcome {
-        let (n, d) = validate(proposals, byzantine);
-        let size = self.size.min(n);
-        // Sample the committee uniformly (stake-weighted selection would
-        // slot in here; uniform matches our equal-stake setting).
-        let mut ids: Vec<usize> = (0..n).collect();
-        ids.shuffle(rng);
-        let committee = &ids[..size];
-
-        // Median committee score per proposal; Byzantine members report
-        // inverted (negated) scores — the strongest in-protocol lie. A
-        // member that cannot measure a proposal (a NaN score: a NaN
-        // coordinate in the proposal or in the member's own reference)
-        // scores it −∞, and `+ 0.0` makes a −0.0 score +0.0, so
-        // `total_cmp` orders the scores as `<` does and no input panics.
-        let rows = score_rows(committee, proposals, eval);
-        let mut med_scores: Vec<(f64, usize)> = (0..n)
-            .map(|p| {
-                let mut scores: Vec<f64> = committee
-                    .iter()
-                    .zip(rows.chunks_exact(n))
-                    .map(|(&m, row)| {
-                        let s = if row[p].is_nan() {
-                            f64::NEG_INFINITY
-                        } else {
-                            row[p]
-                        };
-                        (if byzantine[m] { -s } else { s }) + 0.0
-                    })
-                    .collect();
-                scores.sort_by(f64::total_cmp);
-                (scores[scores.len() / 2], p)
-            })
-            .collect();
-        med_scores.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
-        let k = self.exclude.min(n - 1);
-        let mut excluded: Vec<usize> = med_scores[..k].iter().map(|(_, p)| *p).collect();
-        excluded.sort_unstable();
-
-        // Cost: every node sends its model to each committee member
-        // (n·size model transfers), each member broadcasts its score
-        // vector to all nodes (size·n scalar messages), and the decided
-        // model is broadcast by the committee (size·n transfers at most;
-        // we count one representative broadcast of n messages).
-        let messages = (n * size + size * n + n) as u64;
-        let bytes =
-            (n * size) as u64 * model_bytes(d) + (size * n) as u64 * 8 + n as u64 * model_bytes(d);
-        ConsensusOutcome {
-            decided: survivor_mean(proposals, &excluded),
-            excluded,
-            rounds: 3,
-            messages,
-            bytes,
-        }
+    // Cost: every node sends its model to each committee member
+    // (n·size model transfers), each member broadcasts its score
+    // vector to all nodes (size·n scalar messages), and the decided
+    // model is broadcast by the committee (size·n transfers at most;
+    // we count one representative broadcast of n messages).
+    let messages = (n * size + size * n + n) as u64;
+    let bytes =
+        (n * size) as u64 * model_bytes(d) + (size * n) as u64 * 8 + n as u64 * model_bytes(d);
+    ConsensusOutcome {
+        decided: survivor_mean(proposals, &excluded),
+        excluded,
+        rounds: 3,
+        messages,
+        bytes,
     }
 }
 
@@ -104,6 +83,7 @@ impl Consensus for CommitteeConsensus {
 mod tests {
     use super::*;
     use crate::eval::DistanceEvaluator;
+    use crate::ConsensusKind;
     use rand::SeedableRng;
 
     fn setup() -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
@@ -124,7 +104,11 @@ mod tests {
         let refs: Vec<&[f32]> = proposals.iter().map(|p| p.as_slice()).collect();
         let eval = DistanceEvaluator::new(&own);
         let mut rng = StdRng::seed_from_u64(3);
-        let out = CommitteeConsensus::new(3, 1).decide(&refs, &[false; 4], &eval, &mut rng);
+        let out = ConsensusKind::Committee {
+            size: 3,
+            exclude: 1,
+        }
+        .decide(&refs, &[false; 4], &eval, &mut rng);
         assert_eq!(out.excluded, vec![3]);
         assert!(hfl_tensor::ops::norm(&out.decided) < 1.0);
     }
@@ -138,7 +122,11 @@ mod tests {
         // survives one liar regardless of committee draw.
         let byz = [false, true, false, false];
         let mut rng = StdRng::seed_from_u64(4);
-        let out = CommitteeConsensus::new(3, 1).decide(&refs, &byz, &eval, &mut rng);
+        let out = ConsensusKind::Committee {
+            size: 3,
+            exclude: 1,
+        }
+        .decide(&refs, &byz, &eval, &mut rng);
         assert_eq!(out.excluded, vec![3]);
     }
 
@@ -152,7 +140,11 @@ mod tests {
         let eval = DistanceEvaluator::new(&own);
         for seed in 0..8 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let out = CommitteeConsensus::new(3, 1).decide(&refs, &[false; 4], &eval, &mut rng);
+            let out = ConsensusKind::Committee {
+                size: 3,
+                exclude: 1,
+            }
+            .decide(&refs, &[false; 4], &eval, &mut rng);
             assert_eq!(out.excluded, vec![3], "seed {seed}");
             assert!(out.decided.iter().all(|v| v.is_finite()));
         }
@@ -170,7 +162,11 @@ mod tests {
         assert!(eval.score(1, refs[0]).is_nan());
         for (seed, byz) in [(0, [false; 4]), (1, [false, true, false, false])] {
             let mut rng = StdRng::seed_from_u64(seed);
-            let out = CommitteeConsensus::new(4, 1).decide(&refs, &byz, &eval, &mut rng);
+            let out = ConsensusKind::Committee {
+                size: 4,
+                exclude: 1,
+            }
+            .decide(&refs, &byz, &eval, &mut rng);
             assert_eq!(out.excluded, vec![3], "seed {seed}");
         }
     }
@@ -182,7 +178,11 @@ mod tests {
         let eval = DistanceEvaluator::new(&proposals);
         let mut rng = StdRng::seed_from_u64(5);
         // size 10 > n=2 must not panic
-        let out = CommitteeConsensus::new(10, 0).decide(&refs, &[false; 2], &eval, &mut rng);
+        let out = ConsensusKind::Committee {
+            size: 10,
+            exclude: 0,
+        }
+        .decide(&refs, &[false; 2], &eval, &mut rng);
         assert!(out.excluded.is_empty());
         assert!((out.decided[0] - 1.25).abs() < 1e-6);
     }
@@ -195,8 +195,12 @@ mod tests {
         let eval = DistanceEvaluator::new(&proposals);
         let byz = vec![false; n];
         let mut rng = StdRng::seed_from_u64(6);
-        let committee = CommitteeConsensus::new(4, 1).decide(&refs, &byz, &eval, &mut rng);
-        let vote = crate::VoteConsensus::new(1).decide(&refs, &byz, &eval, &mut rng);
+        let committee = ConsensusKind::Committee {
+            size: 4,
+            exclude: 1,
+        }
+        .decide(&refs, &byz, &eval, &mut rng);
+        let vote = ConsensusKind::Vote { exclude: 1 }.decide(&refs, &byz, &eval, &mut rng);
         assert!(
             committee.bytes < vote.bytes,
             "committee {} !< vote {}",

@@ -7,117 +7,81 @@
 //! too complex to be implemented in reality"; here it is also fragile:
 //! one Byzantine member biases the consensus mean arbitrarily).
 
-use rand::rngs::StdRng;
+use crate::{model_bytes, validate, ConsensusOutcome};
 
-use crate::eval::ProposalEvaluator;
-use crate::{model_bytes, validate, Consensus, ConsensusOutcome};
+/// Hard cap on gossip rounds.
+const MAX_ROUNDS: usize = 128;
 
-/// Ring-gossip averaging to a target diameter.
-#[derive(Clone, Copy, Debug)]
-pub struct GossipAverage {
-    /// Stop when the max pairwise coordinate spread falls below this.
-    pub epsilon: f64,
-    /// Hard cap on gossip rounds.
-    pub max_rounds: usize,
-}
-
-impl Default for GossipAverage {
-    fn default() -> Self {
-        Self {
-            epsilon: 1e-4,
-            max_rounds: 128,
-        }
-    }
-}
-
-impl GossipAverage {
-    /// Gossip with a custom convergence target.
-    pub fn new(epsilon: f64) -> Self {
-        assert!(epsilon > 0.0, "epsilon must be positive");
-        Self {
-            epsilon,
-            ..Self::default()
-        }
-    }
-
-    fn diameter(values: &[Vec<f32>]) -> f64 {
-        let d = values[0].len();
-        let mut max = 0.0f64;
-        for j in 0..d {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for v in values {
-                lo = lo.min(v[j] as f64);
-                hi = hi.max(v[j] as f64);
+/// Ring-gossip averaging until the max pairwise coordinate spread falls
+/// below `epsilon`.
+pub(crate) fn gossip(proposals: &[&[f32]], byzantine: &[bool], epsilon: f64) -> ConsensusOutcome {
+    let (n, d) = validate(proposals, byzantine);
+    let mut values: Vec<Vec<f32>> = proposals.iter().map(|p| p.to_vec()).collect();
+    let mut messages = 0u64;
+    let mut bytes = 0u64;
+    let mut rounds = 0usize;
+    while n > 1 && diameter(&values) > epsilon && rounds < MAX_ROUNDS {
+        rounds += 1;
+        // Synchronous ring gossip: node i averages with node (i+1)%n.
+        // Byzantine nodes refuse to update (keep broadcasting their
+        // own value) — the simplest persistent-bias behaviour.
+        let snapshot = values.clone();
+        for i in 0..n {
+            if byzantine[i] {
+                continue;
             }
-            max = max.max(hi - lo);
+            let next = (i + 1) % n;
+            let prev = (i + n - 1) % n;
+            for j in 0..d {
+                values[i][j] = (snapshot[prev][j] + snapshot[i][j] + snapshot[next][j]) / 3.0;
+            }
         }
-        max
+        messages += 2 * n as u64; // each node sends to both neighbours
+        bytes += 2 * n as u64 * model_bytes(d);
+    }
+    // Decided value: the mean of final values (all within ε of each
+    // other for honest-only runs).
+    let refs: Vec<&[f32]> = values.iter().map(|v| v.as_slice()).collect();
+    let mut decided = vec![0.0f32; d];
+    hfl_tensor::ops::mean_of(&refs, &mut decided);
+    ConsensusOutcome {
+        decided,
+        excluded: Vec::new(),
+        rounds,
+        messages,
+        bytes,
     }
 }
 
-impl Consensus for GossipAverage {
-    fn name(&self) -> &'static str {
-        "gossip-average"
-    }
-
-    fn decide(
-        &self,
-        proposals: &[&[f32]],
-        byzantine: &[bool],
-        _eval: &dyn ProposalEvaluator,
-        _rng: &mut StdRng,
-    ) -> ConsensusOutcome {
-        let (n, d) = validate(proposals, byzantine);
-        let mut values: Vec<Vec<f32>> = proposals.iter().map(|p| p.to_vec()).collect();
-        let mut messages = 0u64;
-        let mut bytes = 0u64;
-        let mut rounds = 0usize;
-        while n > 1 && Self::diameter(&values) > self.epsilon && rounds < self.max_rounds {
-            rounds += 1;
-            // Synchronous ring gossip: node i averages with node (i+1)%n.
-            // Byzantine nodes refuse to update (keep broadcasting their
-            // own value) — the simplest persistent-bias behaviour.
-            let snapshot = values.clone();
-            for i in 0..n {
-                if byzantine[i] {
-                    continue;
-                }
-                let next = (i + 1) % n;
-                let prev = (i + n - 1) % n;
-                for j in 0..d {
-                    values[i][j] = (snapshot[prev][j] + snapshot[i][j] + snapshot[next][j]) / 3.0;
-                }
-            }
-            messages += 2 * n as u64; // each node sends to both neighbours
-            bytes += 2 * n as u64 * model_bytes(d);
+/// Max coordinate-wise spread among `values`.
+fn diameter(values: &[Vec<f32>]) -> f64 {
+    let d = values[0].len();
+    let mut max = 0.0f64;
+    for j in 0..d {
+        let mut lo = f64::INFINITY;
+        let mut hi = f64::NEG_INFINITY;
+        for v in values {
+            lo = lo.min(v[j] as f64);
+            hi = hi.max(v[j] as f64);
         }
-        // Decided value: the mean of final values (all within ε of each
-        // other for honest-only runs).
-        let refs: Vec<&[f32]> = values.iter().map(|v| v.as_slice()).collect();
-        let mut decided = vec![0.0f32; d];
-        hfl_tensor::ops::mean_of(&refs, &mut decided);
-        ConsensusOutcome {
-            decided,
-            excluded: Vec::new(),
-            rounds,
-            messages,
-            bytes,
-        }
+        max = max.max(hi - lo);
     }
+    max
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::DistanceEvaluator;
+    use crate::ConsensusKind;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn run(proposals: &[Vec<f32>], byz: &[bool]) -> ConsensusOutcome {
         let refs: Vec<&[f32]> = proposals.iter().map(|p| p.as_slice()).collect();
         let eval = DistanceEvaluator::new(proposals);
         let mut rng = StdRng::seed_from_u64(1);
-        GossipAverage::default().decide(&refs, byz, &eval, &mut rng)
+        ConsensusKind::Gossip { epsilon: 1e-4 }.decide(&refs, byz, &eval, &mut rng)
     }
 
     #[test]

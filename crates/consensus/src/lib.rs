@@ -15,15 +15,16 @@
 //! | Multidimensional | approximate ε-agreement (trimmed-midpoint) | `Approx` | [`approx_agreement`] |
 //! | Multidimensional | ring-gossip averaging (D2D baseline, not Byzantine-robust) | `Gossip` | [`gossip`] |
 //!
-//! Every mechanism implements [`Consensus`], reporting both the decided
-//! model *and* its communication cost (message/byte counts) so the
+//! [`ConsensusKind`] is the mechanism: the selector a config names is
+//! what [`ConsensusKind::decide`] runs, reporting both the decided model
+//! *and* its communication cost (message/byte counts) so the
 //! scheme-comparison experiments (paper Table III/IV) can weigh
 //! robustness against cost.
 //!
 //! # Example
 //!
 //! ```
-//! use hfl_consensus::{Consensus, DistanceEvaluator, VoteConsensus};
+//! use hfl_consensus::{ConsensusKind, DistanceEvaluator};
 //! use rand::SeedableRng;
 //!
 //! // Three honest proposals near the origin, one poisoned.
@@ -38,8 +39,7 @@
 //! let eval = DistanceEvaluator::new(&honest_refs);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //!
-//! let out = VoteConsensus::paper_default()
-//!     .decide(&refs, &[false; 4], &eval, &mut rng);
+//! let out = ConsensusKind::VoteMajority.decide(&refs, &[false; 4], &eval, &mut rng);
 //! assert_eq!(out.excluded, vec![3]); // the poisoned proposal is voted out
 //! ```
 
@@ -54,14 +54,9 @@ pub mod vote;
 
 use rand::rngs::StdRng;
 
-pub use approx_agreement::ApproxAgreement;
-pub use committee::CommitteeConsensus;
 pub use echo::{hash_update, EchoReport};
 pub use eval::{DistanceEvaluator, ProposalEvaluator};
-pub use gossip::GossipAverage;
-pub use pbft::PbftConsensus;
 pub use quorum::quorum_size;
-pub use vote::VoteConsensus;
 
 /// Result of one consensus instance.
 #[derive(Clone, Debug, PartialEq)]
@@ -80,30 +75,8 @@ pub struct ConsensusOutcome {
     pub bytes: u64,
 }
 
-/// A consensus mechanism deciding one model from per-node proposals.
-///
-/// `proposals[i]` is node `i`'s input (its partial aggregated model);
-/// `byzantine[i]` marks nodes that misbehave *inside the protocol*
-/// (adversarial votes/values). The evaluator lets honest nodes score
-/// proposals against local validation data.
-pub trait Consensus: Send + Sync {
-    /// Mechanism name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Runs the mechanism and returns the agreed model plus cost counters.
-    ///
-    /// # Panics
-    /// If `proposals` is empty or lengths mismatch.
-    fn decide(
-        &self,
-        proposals: &[&[f32]],
-        byzantine: &[bool],
-        eval: &dyn ProposalEvaluator,
-        rng: &mut StdRng,
-    ) -> ConsensusOutcome;
-}
-
-/// Serializable mechanism selector for experiment configs.
+/// A CBA mechanism: the selector experiment configs name, and the
+/// mechanism itself ([`ConsensusKind::decide`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConsensusKind {
     /// Validation voting with majority survival — the paper's top-level
@@ -117,7 +90,7 @@ pub enum ConsensusKind {
     },
     /// Committee consensus with a committee of the given size.
     Committee {
-        /// Committee size (must be ≤ node count at run time).
+        /// Committee size (clamped to the node count at run time).
         size: usize,
         /// Number of proposals the committee excludes.
         exclude: usize,
@@ -147,9 +120,9 @@ pub enum ConsensusKind {
 }
 
 impl ConsensusKind {
-    /// Checks every parameter [`ConsensusKind::build`]'s constructors
-    /// assert on, for a cluster of `members` nodes (stake voting holds
-    /// one stake per member): `Err((which parameter, its value))` for the
+    /// Checks every parameter [`ConsensusKind::decide`] asserts on
+    /// entry, for a cluster of `members` nodes (stake voting holds one
+    /// stake per member): `Err((which parameter, its value))` for the
     /// first unusable one. A non-finite ε is refused too.
     pub fn validate(&self, members: usize) -> Result<(), (&'static str, f64)> {
         let usable = |ok: bool, what, value| if ok { Ok(()) } else { Err((what, value)) };
@@ -175,21 +148,67 @@ impl ConsensusKind {
         }
     }
 
-    /// Instantiates the mechanism.
-    pub fn build(&self) -> Box<dyn Consensus> {
-        match self.clone() {
-            ConsensusKind::VoteMajority => Box::new(VoteConsensus::paper_default()),
-            ConsensusKind::Vote { exclude } => Box::new(VoteConsensus::new(exclude)),
-            ConsensusKind::Committee { size, exclude } => {
-                Box::new(CommitteeConsensus::new(size, exclude))
-            }
-            ConsensusKind::Pbft => Box::new(PbftConsensus::default()),
-            ConsensusKind::Approx { epsilon, trim } => {
-                Box::new(ApproxAgreement::new(epsilon, trim))
-            }
-            ConsensusKind::StakeVote { stakes } => Box::new(VoteConsensus::staked(stakes)),
-            ConsensusKind::Gossip { epsilon } => Box::new(GossipAverage::new(epsilon)),
+    /// The mechanism's name for reports: the `mechanism` label on the
+    /// consensus counters of every manifest. The plain and the fixed-k
+    /// vote share `validation-vote`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            ConsensusKind::VoteMajority | ConsensusKind::Vote { .. } => "validation-vote",
+            ConsensusKind::StakeVote { .. } => "stake-vote",
+            ConsensusKind::Committee { .. } => "committee",
+            ConsensusKind::Pbft => "pbft",
+            ConsensusKind::Approx { .. } => "approx-agreement",
+            ConsensusKind::Gossip { .. } => "gossip-average",
         }
+    }
+
+    /// Runs the mechanism and returns the agreed model plus cost
+    /// counters — the mechanism's one body.
+    ///
+    /// `proposals[i]` is node `i`'s input (its partial aggregated model);
+    /// `byzantine[i]` marks nodes that misbehave *inside the protocol*
+    /// (adversarial votes/values). The evaluator lets honest nodes score
+    /// proposals against local validation data.
+    ///
+    /// # Panics
+    /// On a parameter [`ConsensusKind::validate`] refuses for
+    /// `proposals.len()` members (`unusable <parameter>: <value>`), if
+    /// `proposals` is empty or lengths mismatch, and where a mechanism's
+    /// own bound fails this round (PBFT's quorum, approximate
+    /// agreement's `n > 3·trim` and contraction).
+    pub fn decide(
+        &self,
+        proposals: &[&[f32]],
+        byzantine: &[bool],
+        eval: &dyn ProposalEvaluator,
+        rng: &mut StdRng,
+    ) -> ConsensusOutcome {
+        if let Err((what, value)) = self.validate(proposals.len()) {
+            panic!("unusable {what}: {value}");
+        }
+        match self {
+            ConsensusKind::VoteMajority => vote::vote(proposals, byzantine, eval, None, None),
+            ConsensusKind::Vote { exclude } => {
+                vote::vote(proposals, byzantine, eval, Some(*exclude), None)
+            }
+            ConsensusKind::StakeVote { stakes } => {
+                vote::vote(proposals, byzantine, eval, None, Some(stakes))
+            }
+            ConsensusKind::Committee { size, exclude } => {
+                committee::committee(proposals, byzantine, eval, *size, *exclude, rng)
+            }
+            ConsensusKind::Pbft => pbft::pbft(proposals, byzantine),
+            ConsensusKind::Approx { epsilon, trim } => {
+                approx_agreement::approx_agreement(proposals, byzantine, *epsilon, *trim, rng)
+            }
+            ConsensusKind::Gossip { epsilon } => gossip::gossip(proposals, byzantine, *epsilon),
+        }
+    }
+
+    /// The kind itself: `ledger/` calls `kind.build().decide(..)`, and
+    /// this stays only for it (ROADMAP item 2's façade).
+    pub fn build(&self) -> &Self {
+        self
     }
 }
 
@@ -232,9 +251,35 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    fn every_kind(n: usize) -> [ConsensusKind; 7] {
+        [
+            ConsensusKind::VoteMajority,
+            ConsensusKind::Vote { exclude: 1 },
+            ConsensusKind::Committee {
+                size: 3,
+                exclude: 1,
+            },
+            ConsensusKind::Pbft,
+            ConsensusKind::Approx {
+                epsilon: 1e-3,
+                trim: 1,
+            },
+            ConsensusKind::StakeVote {
+                stakes: vec![1.0; n],
+            },
+            ConsensusKind::Gossip { epsilon: 1e-3 },
+        ]
+    }
+
     #[test]
-    fn validate_refuses_what_build_would_panic_on() {
+    fn validate_refuses_what_decide_would_panic_on() {
         let stakes = |stakes: Vec<f64>| ConsensusKind::StakeVote { stakes };
+        let proposals: Vec<Vec<f32>> = (0..4).map(|i| vec![i as f32 * 0.1, 1.0]).collect();
+        let refs: Vec<&[f32]> = proposals.iter().map(|p| p.as_slice()).collect();
+        let eval = DistanceEvaluator::new(&proposals);
+        let decide = |kind: &ConsensusKind| {
+            kind.decide(&refs, &[false; 4], &eval, &mut StdRng::seed_from_u64(1))
+        };
         for kind in [
             ConsensusKind::Committee {
                 size: 0,
@@ -248,6 +293,10 @@ mod tests {
                 epsilon: f64::NAN,
                 trim: 1,
             },
+            ConsensusKind::Approx {
+                epsilon: f64::INFINITY,
+                trim: 1,
+            },
             ConsensusKind::Gossip { epsilon: -1.0 },
             ConsensusKind::Gossip {
                 epsilon: f64::INFINITY,
@@ -258,8 +307,13 @@ mod tests {
             stakes(vec![f64::NAN, 1.0, 1.0, 1.0]),
             stakes(vec![0.0; 4]),
         ] {
-            assert!(kind.validate(4).is_err(), "{kind:?} accepted");
+            let (what, _) = kind.validate(4).expect_err(&format!("{kind:?} accepted"));
+            let run = std::panic::catch_unwind(|| decide(&kind));
+            let payload = run.expect_err(&format!("{kind:?} decided"));
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.contains(what), "{kind:?}: {message}");
         }
+        // The edges of each range decide.
         for kind in [
             ConsensusKind::Committee {
                 size: 1,
@@ -269,43 +323,44 @@ mod tests {
                 epsilon: f64::MIN_POSITIVE,
                 trim: 1,
             },
-            ConsensusKind::Gossip { epsilon: 1.0 },
+            ConsensusKind::Gossip { epsilon: f64::MAX },
             stakes(vec![0.0, 0.0, 0.0, 1.0]),
         ] {
             assert_eq!(kind.validate(4), Ok(()), "{kind:?}");
-            kind.build();
+            assert_eq!(decide(&kind).decided.len(), 2, "{kind:?}");
         }
     }
 
     #[test]
-    fn kind_builds_every_mechanism() {
-        let kinds = [
-            ConsensusKind::VoteMajority,
-            ConsensusKind::Vote { exclude: 1 },
-            ConsensusKind::Committee {
-                size: 3,
-                exclude: 1,
-            },
-            ConsensusKind::Pbft,
-            ConsensusKind::Approx {
-                epsilon: 1e-3,
-                trim: 1,
-            },
-            ConsensusKind::StakeVote {
-                stakes: vec![1.0; 4],
-            },
-            ConsensusKind::Gossip { epsilon: 1e-3 },
-        ];
+    fn every_kind_decides() {
         let proposals: Vec<Vec<f32>> = (0..4).map(|i| vec![i as f32 * 0.1, 1.0]).collect();
         let refs: Vec<&[f32]> = proposals.iter().map(|p| p.as_slice()).collect();
         let byz = vec![false; 4];
         let eval = DistanceEvaluator::new(&proposals);
         let mut rng = StdRng::seed_from_u64(1);
-        for k in kinds {
-            let mech = k.build();
-            let out = mech.decide(&refs, &byz, &eval, &mut rng);
-            assert_eq!(out.decided.len(), 2, "{}", mech.name());
-            assert!(out.messages > 0, "{} reported no messages", mech.name());
+        for kind in every_kind(4) {
+            let out = kind.decide(&refs, &byz, &eval, &mut rng);
+            assert_eq!(out.decided.len(), 2, "{}", kind.name());
+            assert!(out.messages > 0, "{} reported no messages", kind.name());
         }
+    }
+
+    /// The names are the `mechanism` label of every manifest's consensus
+    /// counters; the plain and the fixed-k vote share one.
+    #[test]
+    fn the_name_is_the_manifest_label() {
+        let names = every_kind(4).map(|kind| kind.name());
+        assert_eq!(
+            names,
+            [
+                "validation-vote",
+                "validation-vote",
+                "committee",
+                "pbft",
+                "approx-agreement",
+                "stake-vote",
+                "gossip-average",
+            ]
+        );
     }
 }

@@ -8,117 +8,86 @@
 //! faithfully reproducing PBFT's cost structure (O(n²) per phase, f <
 //! n/3) without simulating cryptography.
 
-use rand::rngs::StdRng;
+use crate::{model_bytes, validate, ConsensusOutcome};
 
-use crate::eval::ProposalEvaluator;
-use crate::{model_bytes, validate, Consensus, ConsensusOutcome};
+/// Validation slack: a replica accepts a proposal whose distance to the
+/// coordinate-median of its received set is within `SLACK` times the
+/// honest proposal spread.
+const SLACK: f64 = 2.0;
 
-/// PBFT-style consensus on the coordinate-median of proposals.
-#[derive(Clone, Copy, Debug)]
-pub struct PbftConsensus {
-    /// Validation slack: a replica accepts a proposal whose distance to
-    /// the coordinate-median of its received set is within `slack` times
-    /// the honest proposal spread.
-    pub slack: f64,
+/// Maximum Byzantine nodes PBFT tolerates among `n`.
+pub fn max_faulty(n: usize) -> usize {
+    n.saturating_sub(1) / 3
 }
 
-impl Default for PbftConsensus {
-    fn default() -> Self {
-        Self { slack: 2.0 }
-    }
-}
+/// PBFT-style agreement on the coordinate-median of `proposals`.
+pub(crate) fn pbft(proposals: &[&[f32]], byzantine: &[bool]) -> ConsensusOutcome {
+    let (n, d) = validate(proposals, byzantine);
+    let f = max_faulty(n);
+    let quorum = 2 * f + 1;
+    let honest_count = byzantine.iter().filter(|b| !**b).count();
+    assert!(
+        honest_count >= quorum.min(n),
+        "PBFT cannot reach quorum: {honest_count} honest of {n} (needs {quorum})"
+    );
 
-impl PbftConsensus {
-    /// Maximum Byzantine nodes PBFT tolerates among `n`.
-    pub fn max_faulty(n: usize) -> usize {
-        n.saturating_sub(1) / 3
-    }
+    // The honest reference value: coordinate-median of all proposals.
+    let mut reference = vec![0.0f32; d];
+    hfl_tensor::stats::coordinate_median(proposals, &mut reference);
+    // Honest proposal spread, for the acceptance predicate.
+    let spread = proposals
+        .iter()
+        .zip(byzantine)
+        .filter(|(_, b)| !**b)
+        .map(|(p, _)| hfl_tensor::ops::dist(p, &reference))
+        .fold(0.0f64, f64::max)
+        .max(1e-9);
 
-    /// The honest reference value: coordinate-median of all proposals.
-    fn reference(proposals: &[&[f32]], d: usize) -> Vec<f32> {
-        let mut out = vec![0.0f32; d];
-        hfl_tensor::stats::coordinate_median(proposals, &mut out);
-        out
-    }
-}
+    let mut messages = 0u64;
+    let mut bytes = 0u64;
+    let mut rounds = 0usize;
+    let mut view = 0usize;
+    loop {
+        rounds += 1;
+        let primary = view % n;
+        // Pre-prepare: primary broadcasts its proposal of the agreed
+        // value. A Byzantine primary proposes its own (poisoned)
+        // vector instead of the median.
+        let proposal: Vec<f32> = if byzantine[primary] {
+            proposals[primary].to_vec()
+        } else {
+            reference.clone()
+        };
+        messages += (n - 1) as u64;
+        bytes += (n - 1) as u64 * model_bytes(d);
 
-impl Consensus for PbftConsensus {
-    fn name(&self) -> &'static str {
-        "pbft"
-    }
+        // Prepare + commit: all-to-all digests.
+        messages += 2 * (n * (n - 1)) as u64;
+        bytes += 2 * (n * (n - 1)) as u64 * 8;
 
-    fn decide(
-        &self,
-        proposals: &[&[f32]],
-        byzantine: &[bool],
-        _eval: &dyn ProposalEvaluator,
-        _rng: &mut StdRng,
-    ) -> ConsensusOutcome {
-        let (n, d) = validate(proposals, byzantine);
-        let f = Self::max_faulty(n);
-        let quorum = 2 * f + 1;
-        let honest_count = byzantine.iter().filter(|b| !**b).count();
-        assert!(
-            honest_count >= quorum.min(n),
-            "PBFT cannot reach quorum: {honest_count} honest of {n} (needs {quorum})"
-        );
-
-        let reference = Self::reference(proposals, d);
-        // Honest proposal spread, for the acceptance predicate.
-        let spread = proposals
-            .iter()
-            .zip(byzantine)
-            .filter(|(_, b)| !**b)
-            .map(|(p, _)| hfl_tensor::ops::dist(p, &reference))
-            .fold(0.0f64, f64::max)
-            .max(1e-9);
-
-        let mut messages = 0u64;
-        let mut bytes = 0u64;
-        let mut rounds = 0usize;
-        let mut view = 0usize;
-        loop {
-            rounds += 1;
-            let primary = view % n;
-            // Pre-prepare: primary broadcasts its proposal of the agreed
-            // value. A Byzantine primary proposes its own (poisoned)
-            // vector instead of the median.
-            let proposal: Vec<f32> = if byzantine[primary] {
-                proposals[primary].to_vec()
-            } else {
-                reference.clone()
+        // Honest replicas accept iff the proposal sits within the
+        // validation envelope around the robust reference (a proposal
+        // indistinguishable from honest is accepted — correct PBFT
+        // behaviour: safety comes from the validation predicate).
+        let in_envelope = hfl_tensor::ops::dist(&proposal, &reference) <= SLACK * spread;
+        let accepts = if in_envelope { honest_count } else { 0 };
+        if accepts >= quorum.min(honest_count) {
+            return ConsensusOutcome {
+                decided: proposal,
+                excluded: Vec::new(),
+                rounds,
+                messages,
+                bytes,
             };
-            messages += (n - 1) as u64;
-            bytes += (n - 1) as u64 * model_bytes(d);
-
-            // Prepare + commit: all-to-all digests.
-            messages += 2 * (n * (n - 1)) as u64;
-            bytes += 2 * (n * (n - 1)) as u64 * 8;
-
-            // Honest replicas accept iff the proposal sits within the
-            // validation envelope around the robust reference (a proposal
-            // indistinguishable from honest is accepted — correct PBFT
-            // behaviour: safety comes from the validation predicate).
-            let in_envelope = hfl_tensor::ops::dist(&proposal, &reference) <= self.slack * spread;
-            let accepts = if in_envelope { honest_count } else { 0 };
-            if accepts >= quorum.min(honest_count) {
-                return ConsensusOutcome {
-                    decided: proposal,
-                    excluded: Vec::new(),
-                    rounds,
-                    messages,
-                    bytes,
-                };
-            }
-            // View change: all-to-all view-change messages, rotate primary.
-            messages += (n * (n - 1)) as u64;
-            bytes += (n * (n - 1)) as u64 * 8;
-            view += 1;
-            assert!(
-                view <= n,
-                "no honest primary found after {n} view changes (impossible under f < n/3)"
-            );
         }
+        // View change: all-to-all view-change messages, rotate primary.
+        messages += (n * (n - 1)) as u64;
+        bytes += (n * (n - 1)) as u64 * 8;
+        view += 1;
+        assert!(
+            view <= n,
+            "no honest primary found after {n} view changes (impossible under f < n/3)"
+        );
     }
 }
 
@@ -126,6 +95,8 @@ impl Consensus for PbftConsensus {
 mod tests {
     use super::*;
     use crate::eval::DistanceEvaluator;
+    use crate::ConsensusKind;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn proposals_with_one_bad() -> Vec<Vec<f32>> {
@@ -144,7 +115,7 @@ mod tests {
         let byz = [false, false, false, true];
         let eval = DistanceEvaluator::new(&proposals);
         let mut rng = StdRng::seed_from_u64(1);
-        let out = PbftConsensus::default().decide(&refs, &byz, &eval, &mut rng);
+        let out = ConsensusKind::Pbft.decide(&refs, &byz, &eval, &mut rng);
         assert_eq!(out.rounds, 1);
         // decided = coordinate median, inside honest hull
         assert!(hfl_tensor::ops::dist(&out.decided, &[1.0, 1.0]) < 0.5);
@@ -164,16 +135,16 @@ mod tests {
         let byz = [true, false, false, false];
         let eval = DistanceEvaluator::new(&rotated);
         let mut rng = StdRng::seed_from_u64(1);
-        let out = PbftConsensus::default().decide(&refs, &byz, &eval, &mut rng);
+        let out = ConsensusKind::Pbft.decide(&refs, &byz, &eval, &mut rng);
         assert!(out.rounds >= 2, "expected a view change");
         assert!(hfl_tensor::ops::dist(&out.decided, &[1.0, 1.0]) < 0.5);
     }
 
     #[test]
     fn max_faulty_formula() {
-        assert_eq!(PbftConsensus::max_faulty(4), 1);
-        assert_eq!(PbftConsensus::max_faulty(7), 2);
-        assert_eq!(PbftConsensus::max_faulty(1), 0);
+        assert_eq!(max_faulty(4), 1);
+        assert_eq!(max_faulty(7), 2);
+        assert_eq!(max_faulty(1), 0);
     }
 
     #[test]
@@ -184,7 +155,7 @@ mod tests {
         let byz = vec![false; n];
         let eval = DistanceEvaluator::new(&proposals);
         let mut rng = StdRng::seed_from_u64(1);
-        let out = PbftConsensus::default().decide(&refs, &byz, &eval, &mut rng);
+        let out = ConsensusKind::Pbft.decide(&refs, &byz, &eval, &mut rng);
         assert_eq!(out.messages, (n - 1 + 2 * n * (n - 1)) as u64);
     }
 
@@ -196,6 +167,6 @@ mod tests {
         let byz = [true, true, false, false];
         let eval = DistanceEvaluator::new(&proposals);
         let mut rng = StdRng::seed_from_u64(1);
-        PbftConsensus::default().decide(&refs, &byz, &eval, &mut rng);
+        ConsensusKind::Pbft.decide(&refs, &byz, &eval, &mut rng);
     }
 }

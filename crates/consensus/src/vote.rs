@@ -27,146 +27,77 @@
 //! proposal survives with a strict majority of the *total stake*. At
 //! unit stakes the staked vote decides exactly what the plain one does.
 
-use rand::rngs::StdRng;
-
 use crate::eval::{score_rows, ProposalEvaluator};
-use crate::{model_bytes, survivor_mean, validate, Consensus, ConsensusOutcome};
+use crate::{model_bytes, survivor_mean, validate, ConsensusOutcome};
 
 /// Relative tolerance for upvoting: a proposal is upvoted when its
 /// score ≥ best − `REL_TOL`·(best − worst).
 const REL_TOL: f64 = 0.2;
 
-/// Which proposals the vote excludes.
-#[derive(Clone, Copy, Debug)]
-enum ExcludePolicy {
-    /// Exclude every proposal that fails a strict majority of the vote
-    /// mass — the paper's "fewest positive votes are considered
-    /// malicious" read with honest-majority voting (default).
-    BelowMajority,
-    /// Exclude exactly the `k` lowest-voted proposals (clamped so at
-    /// least one survives). Useful for ablations.
-    FewestK(usize),
-}
+/// The one tally of every validation vote. `fewest: None` excludes every
+/// proposal that fails a strict majority of the vote mass — the paper's
+/// "fewest positive votes are considered malicious" read with
+/// honest-majority voting; `Some(k)` excludes exactly the `k`
+/// lowest-voted proposals (clamped so at least one survives), the
+/// ablation. `stakes` weighs voter `v`'s up-votes `stakes[v]`; `None`
+/// weighs every voter 1.
+pub(crate) fn vote(
+    proposals: &[&[f32]],
+    byzantine: &[bool],
+    eval: &dyn ProposalEvaluator,
+    fewest: Option<usize>,
+    stakes: Option<&[f64]>,
+) -> ConsensusOutcome {
+    let (n, d) = validate(proposals, byzantine);
+    let total = stakes.map_or(n as f64, |s| s.iter().sum());
 
-/// Validation voting, unstaked or stake-weighted.
-#[derive(Clone, Debug)]
-pub struct VoteConsensus {
-    policy: ExcludePolicy,
-    /// One vote weight per voter; `None` weighs every voter 1.
-    stakes: Option<Vec<f64>>,
-}
-
-impl VoteConsensus {
-    /// The paper's configuration: majority survival.
-    pub fn paper_default() -> Self {
-        Self {
-            policy: ExcludePolicy::BelowMajority,
-            stakes: None,
-        }
-    }
-
-    /// Fixed-k exclusion (ablation variant).
-    pub fn new(exclude: usize) -> Self {
-        Self {
-            policy: ExcludePolicy::FewestK(exclude),
-            stakes: None,
-        }
-    }
-
-    /// Majority survival by stake: voter `v`'s up-votes weigh
-    /// `stakes[v]` (any non-negative weights, not all zero).
-    ///
-    /// # Panics
-    /// If stakes are empty, negative, or sum to zero.
-    pub fn staked(stakes: Vec<f64>) -> Self {
-        assert!(!stakes.is_empty(), "need at least one stake");
-        assert!(
-            stakes.iter().all(|s| *s >= 0.0),
-            "stakes must be non-negative"
-        );
-        assert!(
-            stakes.iter().sum::<f64>() > 0.0,
-            "total stake must be positive"
-        );
-        Self {
-            policy: ExcludePolicy::BelowMajority,
-            stakes: Some(stakes),
-        }
-    }
-}
-
-impl Consensus for VoteConsensus {
-    fn name(&self) -> &'static str {
-        match self.stakes {
-            Some(_) => "stake-vote",
-            None => "validation-vote",
-        }
-    }
-
-    fn decide(
-        &self,
-        proposals: &[&[f32]],
-        byzantine: &[bool],
-        eval: &dyn ProposalEvaluator,
-        _rng: &mut StdRng,
-    ) -> ConsensusOutcome {
-        let (n, d) = validate(proposals, byzantine);
-        let total = match &self.stakes {
-            Some(stakes) => {
-                assert_eq!(stakes.len(), n, "stake vector length must match node count");
-                stakes.iter().sum()
-            }
-            None => n as f64,
-        };
-
-        // The tally: each voter adds its stake to every proposal it
-        // upvotes. A Byzantine voter inverts its honest vote, so where
-        // a NaN score or cut fails `>=` it upvotes.
-        let voters: Vec<usize> = (0..n).collect();
-        let mut mass = vec![0.0f64; n];
-        let scores = score_rows(&voters, proposals, eval);
-        for (v, row) in scores.chunks_exact(n).enumerate() {
-            let stake = self.stakes.as_ref().map_or(1.0, |s| s[v]);
-            let best = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let worst = row.iter().copied().fold(f64::INFINITY, f64::min);
-            let cut = best - REL_TOL * (best - worst);
-            for (m, s) in mass.iter_mut().zip(row) {
-                if (*s >= cut) != byzantine[v] {
-                    *m += stake;
-                }
+    // The tally: each voter adds its stake to every proposal it
+    // upvotes. A Byzantine voter inverts its honest vote, so where
+    // a NaN score or cut fails `>=` it upvotes.
+    let voters: Vec<usize> = (0..n).collect();
+    let mut mass = vec![0.0f64; n];
+    let scores = score_rows(&voters, proposals, eval);
+    for (v, row) in scores.chunks_exact(n).enumerate() {
+        let stake = stakes.map_or(1.0, |s| s[v]);
+        let best = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let worst = row.iter().copied().fold(f64::INFINITY, f64::min);
+        let cut = best - REL_TOL * (best - worst);
+        for (m, s) in mass.iter_mut().zip(row) {
+            if (*s >= cut) != byzantine[v] {
+                *m += stake;
             }
         }
+    }
 
-        // Fewest votes first; ties rank the higher index lower.
-        let by_mass = |a: &usize, b: &usize| mass[*a].total_cmp(&mass[*b]).then(b.cmp(a));
-        let mut excluded: Vec<usize> = match self.policy {
-            ExcludePolicy::BelowMajority => (0..n).filter(|&p| mass[p] * 2.0 <= total).collect(),
-            ExcludePolicy::FewestK(k) => {
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by(by_mass);
-                order.truncate(k.min(n - 1));
-                order
-            }
-        };
-        if excluded.len() == n {
-            // Nothing survived: keep the best-voted proposal (ties keep
-            // the lowest index).
-            let keep = (0..n).max_by(by_mass).expect("non-empty proposals");
-            excluded.retain(|&p| p != keep);
+    // Fewest votes first; ties rank the higher index lower.
+    let by_mass = |a: &usize, b: &usize| mass[*a].total_cmp(&mass[*b]).then(b.cmp(a));
+    let mut excluded: Vec<usize> = match fewest {
+        None => (0..n).filter(|&p| mass[p] * 2.0 <= total).collect(),
+        Some(k) => {
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(by_mass);
+            order.truncate(k.min(n - 1));
+            order
         }
-        excluded.sort_unstable();
+    };
+    if excluded.len() == n {
+        // Nothing survived: keep the best-voted proposal (ties keep
+        // the lowest index).
+        let keep = (0..n).max_by(by_mass).expect("non-empty proposals");
+        excluded.retain(|&p| p != keep);
+    }
+    excluded.sort_unstable();
 
-        // Cost: each node broadcasts its model to the n−1 others, then
-        // broadcasts its vote vector (counted at 8 bytes).
-        let messages = (n * (n - 1) * 2) as u64;
-        let bytes = (n * (n - 1)) as u64 * model_bytes(d) + (n * (n - 1)) as u64 * 8;
-        ConsensusOutcome {
-            decided: survivor_mean(proposals, &excluded),
-            excluded,
-            rounds: 2,
-            messages,
-            bytes,
-        }
+    // Cost: each node broadcasts its model to the n−1 others, then
+    // broadcasts its vote vector (counted at 8 bytes).
+    let messages = (n * (n - 1) * 2) as u64;
+    let bytes = (n * (n - 1)) as u64 * model_bytes(d) + (n * (n - 1)) as u64 * 8;
+    ConsensusOutcome {
+        decided: survivor_mean(proposals, &excluded),
+        excluded,
+        rounds: 2,
+        messages,
+        bytes,
     }
 }
 
@@ -174,6 +105,8 @@ impl Consensus for VoteConsensus {
 mod tests {
     use super::*;
     use crate::eval::DistanceEvaluator;
+    use crate::ConsensusKind;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Three honest proposals near the origin, one poisoned far away.
@@ -194,7 +127,7 @@ mod tests {
         proposals: &[Vec<f32>],
         own: &[Vec<f32>],
         byz: &[bool],
-        vote: VoteConsensus,
+        vote: ConsensusKind,
     ) -> ConsensusOutcome {
         let refs: Vec<&[f32]> = proposals.iter().map(|p| p.as_slice()).collect();
         let eval = DistanceEvaluator::new(own);
@@ -205,12 +138,7 @@ mod tests {
     #[test]
     fn excludes_the_poisoned_proposal() {
         let (proposals, own) = setup();
-        let out = decide(
-            &proposals,
-            &own,
-            &[false; 4],
-            VoteConsensus::paper_default(),
-        );
+        let out = decide(&proposals, &own, &[false; 4], ConsensusKind::VoteMajority);
         assert_eq!(out.excluded, vec![3]);
         assert!(hfl_tensor::ops::norm(&out.decided) < 1.0);
     }
@@ -227,12 +155,7 @@ mod tests {
             vec![51.0f32, 49.0],
         ];
         let own = vec![vec![0.0f32, 0.0]; 4];
-        let out = decide(
-            &proposals,
-            &own,
-            &[false; 4],
-            VoteConsensus::paper_default(),
-        );
+        let out = decide(&proposals, &own, &[false; 4], ConsensusKind::VoteMajority);
         assert_eq!(out.excluded, vec![1, 3]);
         assert!(hfl_tensor::ops::norm(&out.decided) < 1.0);
     }
@@ -247,12 +170,7 @@ mod tests {
             vec![51.0f32, 49.0],
         ];
         let own = vec![vec![0.0f32, 0.0]; 4];
-        let out = decide(
-            &proposals,
-            &own,
-            &[false; 4],
-            VoteConsensus::paper_default(),
-        );
+        let out = decide(&proposals, &own, &[false; 4], ConsensusKind::VoteMajority);
         assert_eq!(out.excluded, vec![0, 1, 3]);
         assert!(hfl_tensor::ops::norm(&out.decided) < 1.0);
     }
@@ -261,7 +179,7 @@ mod tests {
     fn byzantine_minority_voter_cannot_flip_outcome() {
         let (proposals, own) = setup();
         let byz = [false, true, false, false]; // γ1 = 25 %
-        let out = decide(&proposals, &own, &byz, VoteConsensus::paper_default());
+        let out = decide(&proposals, &own, &byz, ConsensusKind::VoteMajority);
         assert_eq!(out.excluded, vec![3], "poisoned model must still lose");
     }
 
@@ -269,12 +187,7 @@ mod tests {
     fn all_identical_proposals_all_survive() {
         let proposals = vec![vec![1.0f32, 2.0]; 4];
         let own = proposals.clone();
-        let out = decide(
-            &proposals,
-            &own,
-            &[false; 4],
-            VoteConsensus::paper_default(),
-        );
+        let out = decide(&proposals, &own, &[false; 4], ConsensusKind::VoteMajority);
         assert!(out.excluded.is_empty());
         assert_eq!(out.decided, vec![1.0, 2.0]);
     }
@@ -285,37 +198,42 @@ mod tests {
         // decide deterministically and keep exactly one proposal.
         let (proposals, own) = setup();
         let byz = [true; 4];
-        let out = decide(&proposals, &own, &byz, VoteConsensus::paper_default());
+        let out = decide(&proposals, &own, &byz, ConsensusKind::VoteMajority);
         assert_eq!(out.excluded.len(), 3);
     }
 
     #[test]
     fn fewest_k_policy_is_exact() {
         let (proposals, own) = setup();
-        let out = decide(&proposals, &own, &[false; 4], VoteConsensus::new(2));
+        let out = decide(
+            &proposals,
+            &own,
+            &[false; 4],
+            ConsensusKind::Vote { exclude: 2 },
+        );
         assert_eq!(out.excluded.len(), 2);
         assert!(out.excluded.contains(&3), "worst proposal must be excluded");
         // Clamped to keep one survivor.
-        let out = decide(&proposals, &own, &[false; 4], VoteConsensus::new(10));
+        let out = decide(
+            &proposals,
+            &own,
+            &[false; 4],
+            ConsensusKind::Vote { exclude: 10 },
+        );
         assert_eq!(out.excluded.len(), 3);
     }
 
     #[test]
     fn reports_quadratic_message_cost() {
         let (proposals, own) = setup();
-        let out = decide(
-            &proposals,
-            &own,
-            &[false; 4],
-            VoteConsensus::paper_default(),
-        );
+        let out = decide(&proposals, &own, &[false; 4], ConsensusKind::VoteMajority);
         assert_eq!(out.messages, (4 * 3 * 2) as u64);
         assert!(out.bytes > 4 * 3 * 8);
     }
 
     fn staked(stakes: Vec<f64>, byz: &[bool]) -> ConsensusOutcome {
         let (proposals, own) = setup();
-        decide(&proposals, &own, byz, VoteConsensus::staked(stakes))
+        decide(&proposals, &own, byz, ConsensusKind::StakeVote { stakes })
     }
 
     #[test]
@@ -359,13 +277,15 @@ mod tests {
         let (mut proposals, mut own) = setup();
         own[1] = vec![f32::NAN, f32::NAN];
         let byz = [false, true, false, false];
-        let whale = || VoteConsensus::staked(vec![1.0, 10.0, 1.0, 1.0]);
+        let whale = || ConsensusKind::StakeVote {
+            stakes: vec![1.0, 10.0, 1.0, 1.0],
+        };
         // Voter 1's cut is NaN: it upvotes all four, and with stake 10
         // of 13 carries the poisoned proposal past the majority.
         let out = decide(&proposals, &own, &byz, whale());
         assert!(out.excluded.is_empty(), "{:?}", out.excluded);
         // Unstaked, its one upvote leaves the poisoned proposal at 1 of 4.
-        let out = decide(&proposals, &own, &byz, VoteConsensus::paper_default());
+        let out = decide(&proposals, &own, &byz, ConsensusKind::VoteMajority);
         assert_eq!(out.excluded, vec![3]);
 
         // A NaN proposal scores NaN for everyone, under a finite cut:
@@ -374,26 +294,19 @@ mod tests {
         proposals[3] = vec![f32::NAN, 0.0];
         let out = decide(&proposals, &own, &byz, whale());
         assert!(!out.excluded.contains(&3), "{:?}", out.excluded);
-        let out = decide(&proposals, &own, &byz, VoteConsensus::paper_default());
+        let out = decide(&proposals, &own, &byz, ConsensusKind::VoteMajority);
         assert!(out.excluded.contains(&3), "{:?}", out.excluded);
     }
 
     #[test]
-    fn the_name_says_whether_the_vote_is_staked() {
-        assert_eq!(VoteConsensus::paper_default().name(), "validation-vote");
-        assert_eq!(VoteConsensus::new(1).name(), "validation-vote");
-        assert_eq!(VoteConsensus::staked(vec![1.0; 4]).name(), "stake-vote");
-    }
-
-    #[test]
-    #[should_panic(expected = "stake vector length")]
+    #[should_panic(expected = "stake-vote stakes")]
     fn wrong_stake_length_panics() {
         staked(vec![1.0; 3], &[false; 4]);
     }
 
     #[test]
-    #[should_panic(expected = "total stake")]
+    #[should_panic(expected = "stake-vote total stake")]
     fn all_zero_stakes_rejected() {
-        VoteConsensus::staked(vec![0.0; 4]);
+        staked(vec![0.0; 4], &[false; 4]);
     }
 }

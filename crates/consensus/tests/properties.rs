@@ -8,9 +8,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hfl_consensus::eval::AccuracyEvaluator;
-use hfl_consensus::{
-    ApproxAgreement, Consensus, DistanceEvaluator, PbftConsensus, ProposalEvaluator, VoteConsensus,
-};
+use hfl_consensus::pbft::max_faulty;
+use hfl_consensus::{ConsensusKind, DistanceEvaluator, ProposalEvaluator};
 use hfl_ml::{Dataset, LinearSoftmax, Model};
 
 const CASES: u64 = 48;
@@ -62,7 +61,7 @@ fn vote_excludes_every_poisoned_proposal() {
         let eval = DistanceEvaluator::new(&own);
         let byz = vec![false; proposals.len()];
         let mut rng = StdRng::seed_from_u64(1);
-        let out = VoteConsensus::paper_default().decide(&refs, &byz, &eval, &mut rng);
+        let out = ConsensusKind::VoteMajority.decide(&refs, &byz, &eval, &mut rng);
         for b in &bad {
             assert!(
                 out.excluded.contains(b),
@@ -85,7 +84,7 @@ fn vote_never_excludes_everything() {
         // Even with ALL voters Byzantine the vote must decide something.
         let byz = vec![true; proposals.len()];
         let mut rng = StdRng::seed_from_u64(2);
-        let out = VoteConsensus::paper_default().decide(&refs, &byz, &eval, &mut rng);
+        let out = ConsensusKind::VoteMajority.decide(&refs, &byz, &eval, &mut rng);
         assert!(out.excluded.len() < proposals.len(), "case {case}");
         assert!(out.decided.iter().all(|x| x.is_finite()), "case {case}");
     }
@@ -99,7 +98,7 @@ fn pbft_decides_within_honest_envelope() {
         let n = proposals.len();
         // PBFT tolerates f < n/3 protocol-Byzantine nodes; mark at most
         // that many of the *poisoned-proposal* nodes as protocol-Byzantine.
-        let f_max = PbftConsensus::max_faulty(n);
+        let f_max = max_faulty(n);
         let mut byz = vec![false; n];
         for b in bad.iter().take(f_max) {
             byz[*b] = true;
@@ -107,7 +106,7 @@ fn pbft_decides_within_honest_envelope() {
         let own = honest_refs(&proposals, &bad);
         let eval = DistanceEvaluator::new(&own);
         let mut rng = StdRng::seed_from_u64(3);
-        let out = PbftConsensus::default().decide(&refs, &byz, &eval, &mut rng);
+        let out = ConsensusKind::Pbft.decide(&refs, &byz, &eval, &mut rng);
         assert!(out.rounds >= 1, "case {case}");
         assert!(out.decided.iter().all(|x| x.is_finite()), "case {case}");
     }
@@ -122,7 +121,11 @@ fn approx_agreement_decides_in_hull() {
         let byz = vec![false; proposals.len()];
         let eval = DistanceEvaluator::new(&proposals);
         let mut rng = StdRng::seed_from_u64(4);
-        let out = ApproxAgreement::new(1e-3, 0).decide(&refs, &byz, &eval, &mut rng);
+        let out = ConsensusKind::Approx {
+            epsilon: 1e-3,
+            trim: 0,
+        }
+        .decide(&refs, &byz, &eval, &mut rng);
         // Decision lies inside the per-coordinate hull of the inputs —
         // trimmed-mean iterations are hull-preserving.
         for j in 0..3 {
@@ -150,7 +153,11 @@ fn approx_agreement_message_count_matches_rounds() {
         let byz = vec![false; proposals.len()];
         let eval = DistanceEvaluator::new(&proposals);
         let mut rng = StdRng::seed_from_u64(5);
-        let out = ApproxAgreement::new(1e-2, 0).decide(&refs, &byz, &eval, &mut rng);
+        let out = ConsensusKind::Approx {
+            epsilon: 1e-2,
+            trim: 0,
+        }
+        .decide(&refs, &byz, &eval, &mut rng);
         assert_eq!(out.messages, out.rounds as u64 * n * (n - 1), "case {case}");
     }
 }
@@ -180,12 +187,14 @@ fn unit_stakes_decide_as_the_unstaked_vote() {
         let accuracy = AccuracyEvaluator::split_rows(Box::new(template.clone()), &data, n);
         let distance = DistanceEvaluator::new(&own);
         for eval in [&accuracy as &dyn ProposalEvaluator, &distance] {
-            let decide = |vote: &dyn Consensus| {
+            let decide = |vote: ConsensusKind| {
                 vote.decide(&refs, &byz, eval, &mut StdRng::seed_from_u64(case))
             };
-            let plain = decide(&VoteConsensus::paper_default());
+            let plain = decide(ConsensusKind::VoteMajority);
             assert_eq!(
-                decide(&VoteConsensus::staked(vec![1.0; n])),
+                decide(ConsensusKind::StakeVote {
+                    stakes: vec![1.0; n]
+                }),
                 plain,
                 "case {case}: n = {n}, byzantine {byz:?}"
             );

@@ -34,7 +34,8 @@ use hfl_ml::rng::rng_for_n;
 use rand::rngs::StdRng;
 
 use super::pool::StepScratch;
-use super::step::{link_delay, LevelRule};
+use super::step::link_delay;
+use crate::config::LevelAgg;
 use crate::pipeline::{PipelineConfig, PipelineResult, RoundTiming};
 use crate::runner::{Experiment, RunResult};
 
@@ -210,14 +211,13 @@ impl<'e> Clock<'e> {
         &mut self,
         round: usize,
         (level, index): (usize, usize),
-        rule: &LevelRule,
         step: &StepScratch,
         partial: &[f32],
     ) -> u64 {
         let cfg = self.exp.config();
         let site = [round as u64, level as u64, index as u64, AGG_STREAM];
         let mut took = self.pcfg.agg_delay.sample(&mut rng_for_n(cfg.seed, &site));
-        if matches!(rule, LevelRule::Cba(_)) {
+        if matches!(cfg.levels[level], LevelAgg::Cba(_)) {
             took = took.saturating_scale(self.pcfg.cba_delay_factor);
         }
         let formed = step.closed_at.saturating_add(took.as_micros());

@@ -18,7 +18,7 @@ use crate::config::{HflConfig, LevelAgg};
 use crate::runner::ACCURACY_GAUGE;
 
 /// The per-mechanism registry counters `RoundCtx::charge_consensus`
-/// keeps, each labelled `mechanism=<Consensus::name>`: decided
+/// keeps, each labelled `mechanism=<ConsensusKind::name>`: decided
 /// instances, proposals excluded as suspicious, protocol rounds,
 /// messages and bytes. A snapshot's counters are restored by these names.
 pub(crate) const CONSENSUS_COUNTERS: [&str; 5] = [

@@ -58,7 +58,6 @@ use clock::Clock;
 use defense::DefenseLayer;
 use fault::FaultLayer;
 use layer::{ClusterCtx, RoundCtx};
-use step::LevelRule;
 
 /// Executes canonical rounds for one experiment, calling its fault,
 /// defense and adversary layers. The engine owns no RNG state of its
@@ -70,9 +69,6 @@ pub struct RoundEngine<'e> {
     fault: Option<FaultLayer<'e>>,
     defense: Option<DefenseLayer>,
     adversary: Option<AdversaryLayer<'e>>,
-    /// `rules[l]`: level `l`'s BRA rule or CBA mechanism. Levels are
-    /// config-constant, so the boxes are built once per engine.
-    rules: Vec<LevelRule>,
     /// The round clock of the pipelined schedule ([`clock`]); `None` is
     /// the lockstep schedule, where nothing is ever stamped.
     clock: Option<Clock<'e>>,
@@ -94,7 +90,6 @@ impl<'e> RoundEngine<'e> {
             fault: FaultLayer::for_experiment(exp),
             defense: DefenseLayer::for_experiment(exp),
             adversary: AdversaryLayer::for_experiment(exp),
-            rules: LevelRule::build_all(&exp.config().levels),
             clock: None,
             workspace: RoundWorkspace::default(),
         }
@@ -380,8 +375,7 @@ impl<'e> RoundEngine<'e> {
                     &mut partial,
                 );
                 if let Some(clock) = &mut self.clock {
-                    ws.ready_at[leader] =
-                        clock.cluster_closed(round, (l, ci), &self.rules[l], &ws.step, &partial);
+                    ws.ready_at[leader] = clock.cluster_closed(round, (l, ci), &ws.step, &partial);
                 }
                 // Acceptance verdicts attach to *identities*: the global
                 // client ids behind the kept slots.
@@ -461,7 +455,7 @@ impl<'e> RoundEngine<'e> {
             quorum: top_quorum,
         });
         if let Some(clock) = &mut self.clock {
-            let formed = clock.cluster_closed(round, (0, 0), &self.rules[0], &ws.step, out);
+            let formed = clock.cluster_closed(round, (0, 0), &ws.step, out);
             clock.round_closed(round, formed, out);
         }
 

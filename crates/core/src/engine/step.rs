@@ -3,7 +3,7 @@
 //! as [`RoundEngine::cluster_step`]: **collect** until quorum φ *or
 //! timeout*, **aggregate** by the level's BRA rule or CBA mechanism
 //! ([`aggregate`] — the one place a round calls
-//! `Aggregator::aggregate_into` or `Consensus::decide`), **judge** the
+//! `Aggregator::aggregate_into` or `ConsensusKind::decide`), **judge** the
 //! inputs from that aggregation, never beside it. Both schedules run it:
 //! the candidates' `ready_at` stamps are all zero under lockstep and
 //! carry the round clock ([`super::clock`]) under the pipelined one.
@@ -11,9 +11,7 @@
 use rand::rngs::StdRng;
 
 use hfl_consensus::eval::AccuracyEvaluator;
-use hfl_consensus::{
-    quorum_size, Consensus, ConsensusOutcome, DistanceEvaluator, ProposalEvaluator,
-};
+use hfl_consensus::{quorum_size, ConsensusOutcome, DistanceEvaluator, ProposalEvaluator};
 use hfl_ml::rng::rng_for_n;
 use hfl_ml::{Dataset, Model};
 use hfl_robust::evidence::{self, Acceptance};
@@ -53,35 +51,12 @@ pub(super) fn link_delay(cfg: &HflConfig) -> &DelayModel {
     cfg.async_rounds.as_ref().map_or(&NONE, |a| &a.link_delay)
 }
 
-/// One level's aggregation rule, built once per run from its
-/// [`LevelAgg`] rather than per cluster per round.
-pub(super) enum LevelRule {
-    /// A BRA rule — its kind, which aggregates and which the judge step
-    /// dispatches on.
-    Bra(AggregatorKind),
-    /// A CBA mechanism.
-    Cba(Box<dyn Consensus>),
-}
-
 /// What [`aggregate`] ran, for the caller's accounting and evidence.
 enum Aggregated<'r> {
     /// The BRA rule of this kind; its by-products are in the scratch.
     Bra(&'r AggregatorKind),
     /// The named CBA mechanism, with its outcome.
     Cba(&'static str, ConsensusOutcome),
-}
-
-impl LevelRule {
-    /// The rules of every level, top first.
-    pub(super) fn build_all(levels: &[LevelAgg]) -> Vec<Self> {
-        levels
-            .iter()
-            .map(|l| match l {
-                LevelAgg::Bra(kind) => LevelRule::Bra(kind.clone()),
-                LevelAgg::Cba(kind) => LevelRule::Cba(kind.build()),
-            })
-            .collect()
-    }
 }
 
 /// How the honest nodes of a CBA instance score proposals.
@@ -94,14 +69,14 @@ enum Scoring<'a> {
     Validation(&'a dyn Model, &'a Dataset),
 }
 
-/// The aggregate step: `inputs` → `out` under `rule`. BRA runs the
-/// level's rule in `scratch` (which afterwards holds the
+/// The aggregate step: `inputs` → `out` under the `level`'s config. BRA
+/// runs the level's rule in `scratch` (which afterwards holds the
 /// rule's by-products for the judge step); CBA runs the mechanism
 /// once. `byzantine(i)` says whether input `i`'s node misbehaves inside
 /// the consensus protocol.
 #[allow(clippy::too_many_arguments)]
 fn aggregate<'r>(
-    rule: &'r LevelRule,
+    level: &'r LevelAgg,
     inputs: &[&[f32]],
     weights: Option<&[f32]>,
     byzantine: impl Fn(usize) -> bool,
@@ -110,12 +85,12 @@ fn aggregate<'r>(
     out: &mut Vec<f32>,
     scratch: &mut AggScratch,
 ) -> Aggregated<'r> {
-    match rule {
-        LevelRule::Bra(kind) => {
+    match level {
+        LevelAgg::Bra(kind) => {
             kind.aggregate_into(inputs, weights, out, scratch);
             Aggregated::Bra(kind)
         }
-        LevelRule::Cba(mech) => {
+        LevelAgg::Cba(kind) => {
             let byz: Vec<bool> = (0..inputs.len()).map(byzantine).collect();
             let (distance, validation);
             let eval: &dyn ProposalEvaluator = match scoring {
@@ -129,10 +104,10 @@ fn aggregate<'r>(
                     &validation
                 }
             };
-            let outcome = mech.decide(inputs, &byz, eval, rng);
+            let outcome = kind.decide(inputs, &byz, eval, rng);
             out.clear();
             out.extend_from_slice(&outcome.decided);
-            Aggregated::Cba(mech.name(), outcome)
+            Aggregated::Cba(kind.name(), outcome)
         }
     }
 }
@@ -185,7 +160,7 @@ impl<'e> RoundEngine<'e> {
             Scoring::Distance
         };
         let aggregated = aggregate(
-            &self.rules[cl.level],
+            &exp.config().levels[cl.level],
             &inputs,
             deadline.then_some(weights.as_slice()),
             |i| exp.protocol_byzantine(cl.global(kept[i])),

@@ -5,34 +5,45 @@
 //! arbitrarily-placed updates can move the result by at most `f·τ/n` per
 //! iteration. We start from the coordinate-wise median for a robust seed.
 
-use crate::validate_updates;
+use crate::{validate_updates, AggScratch};
 
 /// Centered clipping with radius `tau` and `iters` refinement passes
-/// into `v`; `col` is the median seed's column buffer.
+/// into `v`. The median seed's column buffer and the two
+/// dimension-sized temporaries come from `scratch`. A row with a
+/// non-finite coordinate has no usable clipped difference (its norm is
+/// NaN or ∞), so it is left out of the clipped sum and of its count;
+/// all-finite inputs take every row.
 pub(crate) fn centered_clip(
     updates: &[&[f32]],
     tau: f64,
     iters: usize,
     v: &mut Vec<f32>,
-    col: &mut Vec<f32>,
+    scratch: &mut AggScratch,
 ) {
     let d = validate_updates(updates);
+    let AggScratch { idx, col, tmp, .. } = scratch;
     // Robust seed: coordinate-wise median.
     v.clear();
     v.resize(d, 0.0);
     hfl_tensor::stats::coordinate_median_into(updates, v, col);
-    let inv_n = 1.0 / updates.len() as f32;
-    let mut delta = vec![0.0f32; d];
-    let mut diff = vec![0.0f32; d];
+    idx.clear();
+    idx.extend((0..updates.len()).filter(|&i| updates[i].iter().all(|x| x.is_finite())));
+    // With no finite row the sum stays zero and `v` the seed.
+    let inv_n = 1.0 / idx.len().max(1) as f32;
+    let (delta, diff) = (tmp, col);
+    delta.clear();
+    delta.resize(d, 0.0);
+    diff.clear();
+    diff.resize(d, 0.0);
     for _ in 0..iters {
-        hfl_tensor::ops::zero(&mut delta);
-        for u in updates {
-            diff.copy_from_slice(u);
-            hfl_tensor::ops::sub_assign(v, &mut diff); // diff = u - v
-            hfl_tensor::ops::clip_norm(&mut diff, tau);
-            hfl_tensor::ops::add_assign(&diff, &mut delta);
+        hfl_tensor::ops::zero(delta);
+        for &i in idx.iter() {
+            diff.copy_from_slice(updates[i]);
+            hfl_tensor::ops::sub_assign(v, diff); // diff = u - v
+            hfl_tensor::ops::clip_norm(diff, tau);
+            hfl_tensor::ops::add_assign(diff, delta);
         }
-        hfl_tensor::ops::axpy(inv_n, &delta, v);
+        hfl_tensor::ops::axpy(inv_n, delta, v);
     }
 }
 

@@ -18,8 +18,19 @@ const TOL: f64 = 1e-7;
 /// returns the iteration count. The distance fill forks over
 /// [`hfl_parallel::default_threads`] workers, placed by index, so the
 /// estimate is identical at any thread count.
+///
+/// A row with a non-finite coordinate would make the mean start, and so
+/// every distance and weight, NaN: the start and the steps then run over
+/// the finite rows alone (over every row when none is finite).
 pub(crate) fn weiszfeld(updates: &[&[f32]], est: &mut Vec<f32>, scratch: &mut AggScratch) -> usize {
     let d = validate_updates(updates);
+    let finite = |u: &&[f32]| u.iter().all(|x| x.is_finite());
+    if !updates.iter().all(finite) {
+        let rows: Vec<&[f32]> = updates.iter().copied().filter(finite).collect();
+        if !rows.is_empty() {
+            return weiszfeld(&rows, est, scratch);
+        }
+    }
     est.clear();
     est.resize(d, 0.0);
     hfl_tensor::ops::mean_of(updates, est);

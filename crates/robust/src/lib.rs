@@ -289,7 +289,7 @@ impl Aggregator for AggregatorKind {
                 geomed::weiszfeld(updates, out, scratch);
             }
             AggregatorKind::CenteredClip { tau, iters } => {
-                clipping::centered_clip(updates, *tau, *iters, out, col)
+                clipping::centered_clip(updates, *tau, *iters, out, scratch)
             }
             AggregatorKind::CosineClustering { threshold } => {
                 clustering::largest_cluster_mean(updates, *threshold, out)
@@ -466,16 +466,33 @@ mod tests {
         }
     }
 
-    /// An adversarial NaN update panics no rule (what each makes of it
-    /// is the rule's own business).
+    /// An adversarial NaN update panics no rule, and poisons none but
+    /// FedAvg: every other kind returns a finite aggregate inside the
+    /// honest rows' per-coordinate range.
     #[test]
     fn no_kind_panics_on_a_nan_row() {
         let mut updates = cluster_with_outliers(&[1.0, 1.0], 0.1, 4, &[], 0);
+        let range = |j: usize| {
+            let column = updates.iter().map(|u| u[j]);
+            let lo = column.clone().fold(f32::INFINITY, f32::min);
+            (lo, column.fold(f32::NEG_INFINITY, f32::max))
+        };
+        let ranges = [range(0), range(1)];
         updates.push(vec![f32::NAN, 0.0]);
         let refs: Vec<&[f32]> = updates.iter().map(|u| u.as_slice()).collect();
         for kind in every_kind() {
             let run = std::panic::catch_unwind(|| kind.aggregate(&refs, None));
-            assert_eq!(run.map(|out| out.len()).ok(), Some(2), "{kind:?}");
+            let out = run.unwrap_or_else(|_| panic!("{kind:?} panicked"));
+            assert_eq!(out.len(), 2, "{kind:?}");
+            if kind == AggregatorKind::FedAvg {
+                continue;
+            }
+            for (x, (lo, hi)) in out.iter().zip(ranges) {
+                assert!(
+                    (lo..=hi).contains(x),
+                    "{kind:?}: {out:?} outside {ranges:?}"
+                );
+            }
         }
     }
 }

@@ -85,6 +85,14 @@ const RULES: &[Rule] = &[
     Rule { name: "a rule is its kind", design: 2, files: TREE, check: Count("impl Aggregator for", &[("crates/robust/src/lib.rs", "", 1)]),
         fixture: "impl Aggregator for Krum {}",
         message: "a second impl of hfl_robust::Aggregator: a BRA rule is an AggregatorKind variant, and AggregatorKind's impl in crates/robust/src/lib.rs is the trait's one" },
+    // Spelled in pieces, so that a text search for the removed trait finds live code only.
+    Rule { name: "a mechanism is its kind", design: 2, files: TREE,
+        check: Forbid(&[concat!("trait ", "Consensus"), concat!("impl ", "Consensus for"), concat!("dyn ", "Consensus")]),
+        fixture: concat!("impl ", "Consensus for PbftConsensus {}"),
+        message: "a consensus mechanism beside hfl_consensus::ConsensusKind again: a CBA mechanism is a ConsensusKind variant, and ConsensusKind::decide is its one body" },
+    Rule { name: "the engine reads the level from the config", design: 9, files: &["crates/core/src/engine/"], check: Forbid(&["enum LevelRule"]),
+        fixture: "pub(super) enum LevelRule { Bra(AggregatorKind) }",
+        message: "crates/core/src/engine holds a per-level rule handle again: step::aggregate and clock::cluster_closed match the config's LevelAgg (exp.config().levels[l])" },
     Rule { name: "a rule takes no thread count", design: 15, files: &["crates/robust/src/"], check: Forbid(&["threads: usize"]),
         fixture: "fn krum_scores_into(u: &[&[f32]], threads: usize) {}",
         message: "a crates/robust/src function takes a thread count: read hfl_parallel::default_threads() where it forks, and sweep thread counts in tests under hfl_parallel::with_threads" },

@@ -31,9 +31,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use abd_hfl::attacks::{AdaptiveAttack, ModelAttack, Placement, ProtocolAttack};
+use abd_hfl::consensus::ConsensusKind;
 use abd_hfl::core::config::{AsyncRoundCfg, AttackCfg, HflConfig, LevelAgg, ModelCfg, SamplingCfg};
 use abd_hfl::core::runner::{run_prepared_with, Experiment, RunOutput};
-use abd_hfl::consensus::ConsensusKind;
 use abd_hfl::faults::FaultPlan;
 use abd_hfl::ml::synth::SynthConfig;
 use abd_hfl::robust::{AggregatorKind, SuspicionConfig};

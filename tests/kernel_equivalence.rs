@@ -50,9 +50,7 @@
 
 use abd_hfl::attacks::{AdaptiveAttack, DataAttack, ModelAttack, Placement, ProtocolAttack};
 use abd_hfl::consensus::eval::AccuracyEvaluator;
-use abd_hfl::consensus::{
-    CommitteeConsensus, Consensus, DistanceEvaluator, ProposalEvaluator, VoteConsensus,
-};
+use abd_hfl::consensus::{ConsensusKind, DistanceEvaluator, ProposalEvaluator};
 use abd_hfl::core::config::{
     AsyncRoundCfg, AttackCfg, DataDistribution, HflConfig, LevelAgg, SamplingCfg, TopologyCfg,
 };
@@ -1549,7 +1547,6 @@ fn score_all_matches_per_proposal_score() {
 /// (integer hit counts) and the distance evaluator alike.
 #[test]
 fn vote_outcomes_identical_at_all_thread_counts() {
-    let _sweep = THREAD_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
     // Deterministic pseudo-random values in [-3, 3).
     let value = |i: usize, j: usize| {
         let mut x = ((i as u64) << 32 | j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -1575,19 +1572,23 @@ fn vote_outcomes_identical_at_all_thread_counts() {
         let byz: Vec<bool> = (0..n).map(|v| v % 3 == 1).collect();
         let accuracy = AccuracyEvaluator::split_rows(Box::new(template.clone()), &data, n);
         let distance = DistanceEvaluator::new(&proposals);
-        let mechanisms: Vec<Box<dyn Consensus>> = vec![
-            Box::new(VoteConsensus::paper_default()),
-            Box::new(VoteConsensus::new(1)),
-            Box::new(CommitteeConsensus::new(3, 1)),
-            Box::new(VoteConsensus::staked(
-                (0..n).map(|v| 1.0 + (v % 3) as f64).collect(),
-            )),
+        let kinds = [
+            ConsensusKind::VoteMajority,
+            ConsensusKind::Vote { exclude: 1 },
+            ConsensusKind::Committee {
+                size: 3,
+                exclude: 1,
+            },
+            ConsensusKind::StakeVote {
+                stakes: (0..n).map(|v| 1.0 + (v % 3) as f64).collect(),
+            },
         ];
         for eval in [&accuracy as &dyn ProposalEvaluator, &distance] {
-            for mech in &mechanisms {
+            for kind in &kinds {
                 let decide = |threads: usize| {
-                    abd_hfl::parallel::set_default_threads(threads);
-                    mech.decide(&refs, &byz, eval, &mut StdRng::seed_from_u64(9))
+                    abd_hfl::parallel::with_threads(threads, || {
+                        kind.decide(&refs, &byz, eval, &mut StdRng::seed_from_u64(9))
+                    })
                 };
                 let base = decide(1);
                 for &t in &THREADS[1..] {
@@ -1595,13 +1596,12 @@ fn vote_outcomes_identical_at_all_thread_counts() {
                         decide(t),
                         base,
                         "{} over {n} proposals at {t} threads",
-                        mech.name()
+                        kind.name()
                     );
                 }
             }
         }
     }
-    abd_hfl::parallel::set_default_threads(0);
 }
 
 /// Wide-ranged but finite values, for rules whose distances must stay
