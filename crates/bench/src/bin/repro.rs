@@ -23,6 +23,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const USAGE: &str = "\
 usage: repro <experiment> [--quick] [--rounds N] [--reps N] [--seed S] [--filter SUBSTR] [--out DIR] [--smoke]
        repro all [experiment flags]    every experiment, in `repro list` order
+       repro profile <experiment> [experiment flags]
+                                       its first cell's run: each phase's share of the loop's wall time
        repro list                      the experiments and what each reproduces
        repro fuzz [--iters N] [--seed S] [--corpus-dir DIR] [--out DIR]
                   [--mutation quorum|conservation|determinism|staleness|defense-bypass]
@@ -39,7 +41,12 @@ fn main() -> ExitCode {
         .collect();
     let outcome = argv.and_then(|argv| {
         let (command, flags) = argv.split_first().map_or(("", &[][..]), |(c, f)| (c, f));
-        dispatch(command, &Args::parse_from(flags.to_vec())?)
+        // `profile` names its experiment before the flags.
+        let (target, flags) = match (command, flags.split_first()) {
+            ("profile", Some((name, rest))) => (name.as_str(), rest),
+            _ => ("", flags),
+        };
+        dispatch(command, target, &Args::parse_from(flags.to_vec())?)
     });
     match outcome {
         Ok(code) => code,
@@ -50,8 +57,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs `command`; `Err` is a usage error.
-fn dispatch(command: &str, args: &Args) -> Result<ExitCode, String> {
+/// Runs `command` (on experiment `target`, for `profile`); `Err` is a
+/// usage error.
+fn dispatch(command: &str, target: &str, args: &Args) -> Result<ExitCode, String> {
     match command {
         "list" => {
             args.only(&[])?;
@@ -64,6 +72,15 @@ fn dispatch(command: &str, args: &Args) -> Result<ExitCode, String> {
             for r in experiments::ALL {
                 eprintln!("=== {} ===", r.name);
                 r.run(args);
+            }
+        }
+        "profile" => {
+            let repro = experiments::find(target)
+                .ok_or_else(|| format!("profile: unknown experiment `{target}`"))?;
+            args.only(EXPERIMENT_FLAGS)?;
+            if let Err(e) = repro.profile(args) {
+                eprintln!("error: {e}");
+                return Ok(ExitCode::FAILURE);
             }
         }
         "fuzz" => {

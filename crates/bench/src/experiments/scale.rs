@@ -126,11 +126,22 @@ fn bench_doc(seed: u64, rounds: usize, points: &[Point]) -> Json {
 fn body(s: &mut Sweep) {
     let rounds = s.args.effective_rounds(8, 4);
     let seed = s.args.seed;
+    let population = 10_000;
+    if s.profiling() {
+        // `repro profile scale` times the smoke run; the sweep's points
+        // are the allocation probe's.
+        let cfg = scale_config(population, seed, rounds);
+        s.outcomes(
+            &format!("n{population}"),
+            vec![(cfg, RunOptions::new())],
+            false,
+        );
+        return;
+    }
 
     if s.args.smoke {
         // CI mode: one mid-size population, instrumented end to end so
         // the manifest log exists for the same-seed determinism diff.
-        let population = 10_000;
         eprintln!("scale smoke: n = {population}, cohort {COHORT}, {rounds} rounds");
         let point = measure(population, seed, rounds);
         assert!(point.peak_round_bytes > 0, "allocation probe saw nothing");

@@ -6,7 +6,9 @@
 //! cell's outcome renders into CSV lines and table columns. The sweep
 //! owns everything else: the `--filter`, skipping a cell whose config
 //! is invalid, the telemetry and labels of the manifests a table keeps,
-//! and the CSV, markdown and manifest-JSONL output.
+//! and the CSV, markdown and manifest-JSONL output. Under `repro
+//! profile` it runs the first cell alone instead and prints where that
+//! run's loop spent its wall time ([`Repro::profile`]).
 
 use abd_hfl_core::config::HflConfig;
 use abd_hfl_core::run::RunOptions;
@@ -54,6 +56,7 @@ impl Repro {
             csv: Vec::new(),
             manifests: Vec::new(),
             table: None,
+            first: None,
         };
         (self.body)(&mut sweep);
         sweep.flush();
@@ -65,6 +68,54 @@ impl Repro {
             write_manifests_or_exit(out, self.name, &sweep.manifests);
         }
     }
+
+    /// `repro profile`: runs the first run of the experiment's first
+    /// cell that passes the `--filter`, alone, and prints each round
+    /// phase's share of its run loop's wall time. The body lays its
+    /// cells out as usual but runs none of them, prints nothing and
+    /// writes no file; it sees a filter no label passes, so work it
+    /// does outside a cell behind that filter (`attacks`' backdoor
+    /// deep-dive) is skipped, and `scale` asks [`Sweep::profiling`].
+    pub fn profile(&self, args: &Args) -> Result<(), String> {
+        let mut body_args = args.clone();
+        body_args.filter = Some(NO_LABEL.to_string());
+        let mut sweep = Sweep {
+            args: &body_args,
+            repro: self,
+            csv: Vec::new(),
+            manifests: Vec::new(),
+            table: None,
+            first: Some(Profile { args, cell: None }),
+        };
+        (self.body)(&mut sweep);
+        let first = sweep.first.and_then(|p| p.cell);
+        let Some((label, cfg, options)) = first else {
+            return Err(format!("`{}` has no cell to profile", self.name));
+        };
+        let out = options.try_run(&cfg).map_err(|e| format!("{label}: {e}"))?;
+        let total = out.phases.total();
+        println!(
+            "{} / {label}: {} rounds, loop wall {:.1} ms, accuracy {}",
+            self.name,
+            out.manifest.rounds.len(),
+            total as f64 / 1e6,
+            pct(out.result.final_accuracy)
+        );
+        for (phase, share) in out.phases.shares() {
+            println!("  {phase:<16} {:>6.2} %", 100.0 * share);
+        }
+        Ok(())
+    }
+}
+
+/// A filter no cell label passes (labels are printable).
+const NO_LABEL: &str = "\u{0}";
+
+/// What `repro profile` keeps of a sweep: the command line's own
+/// arguments (their `--filter`) and the first cell that passes it.
+struct Profile<'a> {
+    args: &'a Args,
+    cell: Option<(String, HflConfig, RunOptions<'static>)>,
 }
 
 /// What a cell whose label the `--filter` excludes reads.
@@ -104,13 +155,23 @@ pub struct Sweep<'a> {
     csv: Vec<String>,
     manifests: Vec<RunManifest>,
     table: Option<Table>,
+    /// Set under `repro profile`: no cell runs.
+    first: Option<Profile<'a>>,
 }
 
 impl Sweep<'_> {
+    /// Whether this is `repro profile`, where no cell runs: a body that
+    /// measures outside its cells lays out one cell and returns.
+    pub fn profiling(&self) -> bool {
+        self.first.is_some()
+    }
+
     /// Prints `text` as a line of its own, after the table being filled.
     pub fn say(&mut self, text: impl std::fmt::Display) {
         self.flush();
-        println!("{text}");
+        if self.first.is_none() {
+            println!("{text}");
+        }
     }
 
     /// Starts a markdown table, printed under `title` (verbatim) unless
@@ -221,6 +282,12 @@ impl Sweep<'_> {
         numbered: bool,
         keep: bool,
     ) -> Result<Vec<RunOutput>, &'static str> {
+        if let Some(profile) = &mut self.first {
+            if profile.cell.is_none() && profile.args.matches(label) {
+                profile.cell = (runs.into_iter().next()).map(|(c, o)| (label.to_string(), c, o));
+            }
+            return Err(FILTERED);
+        }
         if !self.args.matches(label) {
             return Err(FILTERED);
         }

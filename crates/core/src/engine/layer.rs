@@ -19,9 +19,11 @@
 use hfl_telemetry::{FaultRecord, SuspicionRecord, Telemetry};
 
 use super::cost::CostCounters;
+use super::phase::PhaseClock;
 
 /// Mutable per-round context shared by the engine and its layers: the
-/// cost ledger, the telemetry bundle, and the manifest logs.
+/// cost ledger, the telemetry bundle, the manifest logs and the phase
+/// clock.
 pub(crate) struct RoundCtx<'r> {
     /// The global round index.
     pub round: usize,
@@ -36,6 +38,8 @@ pub(crate) struct RoundCtx<'r> {
     pub fault_log: &'r mut Vec<FaultRecord>,
     /// Manifest suspicion log for the run.
     pub susp_log: &'r mut Vec<SuspicionRecord>,
+    /// The engine's phase clock (write-only: nothing reads it back).
+    pub phases: &'r mut PhaseClock,
 }
 
 /// One cluster aggregation site, as the layers see it.

@@ -37,10 +37,12 @@ pub mod cost;
 mod defense;
 mod fault;
 mod layer;
+mod phase;
 pub mod pool;
 mod step;
 
 pub use cost::CostCounters;
+pub use phase::{LevelTimes, PhaseTimes};
 pub use pool::RoundWorkspace;
 
 use rand::seq::SliceRandom;
@@ -58,6 +60,8 @@ use clock::Clock;
 use defense::DefenseLayer;
 use fault::FaultLayer;
 use layer::{ClusterCtx, RoundCtx};
+pub(crate) use phase::Phase;
+use phase::PhaseClock;
 
 /// Executes canonical rounds for one experiment, calling its fault,
 /// defense and adversary layers. The engine owns no RNG state of its
@@ -77,6 +81,8 @@ pub struct RoundEngine<'e> {
     /// Taken out for the duration of each aggregation and restored at
     /// its exit, so steady-state rounds allocate nothing.
     workspace: RoundWorkspace,
+    /// Wall time per round phase ([`phase`]), write-only.
+    phases: PhaseClock,
 }
 
 impl<'e> RoundEngine<'e> {
@@ -92,6 +98,7 @@ impl<'e> RoundEngine<'e> {
             adversary: AdversaryLayer::for_experiment(exp),
             clock: None,
             workspace: RoundWorkspace::default(),
+            phases: PhaseClock::new(exp.hierarchy.bottom_level() + 1),
         }
     }
 
@@ -121,6 +128,17 @@ impl<'e> RoundEngine<'e> {
     /// outcome (`None` under lockstep).
     pub(crate) fn pipeline_result(&self, run: &RunResult) -> Option<PipelineResult> {
         self.clock.as_ref().map(|c| c.result(run))
+    }
+
+    /// Charges the wall time since the previous lap to `phase` (the run
+    /// loop's own phases: evaluation and the rest).
+    pub(crate) fn lap(&mut self, phase: Phase) {
+        self.phases.lap(phase);
+    }
+
+    /// The phase totals so far; the clock starts over.
+    pub(crate) fn take_phases(&mut self) -> PhaseTimes {
+        self.phases.take()
     }
 
     /// The defense's suspicion tracker, when the config enables it.
@@ -200,10 +218,12 @@ impl<'e> RoundEngine<'e> {
         susp_log: &mut Vec<SuspicionRecord>,
         out: &mut Vec<f32>,
     ) {
+        self.phases.lap(Phase::Other);
         if let Some(fault) = &self.fault {
             fault.open_round(round, telem, fault_log);
         }
         let attack = self.training_attack();
+        self.phases.lap(Phase::Open);
         let exp = self.exp;
         // The training buffers leave the workspace for the duration of
         // the round: `updates` must outlive the aggregation call, and
@@ -221,6 +241,7 @@ impl<'e> RoundEngine<'e> {
             &mut updates,
             &mut train,
         );
+        self.phases.lap(Phase::Train);
         self.workspace.train = train;
         self.aggregate_round_into(&updates, round, cost, telem, fault_log, susp_log, out);
         self.workspace.updates = updates;
@@ -252,8 +273,10 @@ impl<'e> RoundEngine<'e> {
         // The workspace leaves the engine for the duration of the round
         // so the layers can borrow `self` freely; restored at the
         // single exit below. Disjoint-field borrows of `ws` (partials vs
-        // scratch) coexist because it is a local.
+        // scratch) coexist because it is a local. The phase clock leaves
+        // with it, into the context the cluster step laps through.
         let mut ws = std::mem::take(&mut self.workspace);
+        let mut phases = std::mem::take(&mut self.phases);
         exp.active_mask_into(round, &mut ws.active);
         // Which global client each cohort slot is bound to this round
         // (identity without sampling). All topological work below stays
@@ -273,6 +296,7 @@ impl<'e> RoundEngine<'e> {
             telem,
             fault_log,
             susp_log,
+            phases: &mut phases,
         };
         if let Some(fault) = &mut self.fault {
             fault.begin_aggregate(round);
@@ -291,6 +315,7 @@ impl<'e> RoundEngine<'e> {
         // The defense strikes on acceptance verdicts and the adversary
         // reads them as feedback; a round without either judges nothing.
         let verdicts = self.defense.is_some() || self.adversary.is_some();
+        ctx.phases.lap(Phase::Open);
 
         // The model a slot carries upward is read where it is: its
         // update until it leads a cluster, that cluster's partial after.
@@ -413,6 +438,7 @@ impl<'e> RoundEngine<'e> {
                     fault.after_cluster(&cl);
                 }
             }
+            ctx.phases.lap(Phase::Engine(l));
         }
 
         // Global aggregation at the top cluster (Algorithm 6).
@@ -458,6 +484,7 @@ impl<'e> RoundEngine<'e> {
             let formed = clock.cluster_closed(round, (0, 0), &ws.step, out);
             clock.round_closed(round, formed, out);
         }
+        ctx.phases.lap(Phase::Engine(0));
 
         // Dissemination: the global model travels one model-transfer
         // per reachable node per level on its way down (Algorithm 5).
@@ -478,7 +505,9 @@ impl<'e> RoundEngine<'e> {
         if let Some(adversary) = &mut self.adversary {
             adversary.close_round(&mut ctx, &convicted);
         }
+        ctx.phases.lap(Phase::Close);
 
         self.workspace = ws;
+        self.phases = phases;
     }
 }

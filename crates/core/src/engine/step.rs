@@ -20,7 +20,7 @@ use hfl_simnet::DelayModel;
 use hfl_telemetry::{Event, FaultRecord};
 
 use super::pool::{Carried, StepScratch};
-use super::{ClusterCtx, RoundCtx, RoundEngine};
+use super::{ClusterCtx, Phase, RoundCtx, RoundEngine};
 use crate::config::{HflConfig, LevelAgg};
 
 /// RNG stream tag for async arrival synthesis. Distinct from the
@@ -159,6 +159,7 @@ impl<'e> RoundEngine<'e> {
         } else {
             Scoring::Distance
         };
+        ctx.phases.lap(Phase::Engine(cl.level));
         let aggregated = aggregate(
             &exp.config().levels[cl.level],
             &inputs,
@@ -169,6 +170,7 @@ impl<'e> RoundEngine<'e> {
             out,
             agg,
         );
+        ctx.phases.lap(Phase::Rule(cl.level));
         let mut verdict = match aggregated {
             Aggregated::Bra(kind) => {
                 // Members upload to the collector; the partial

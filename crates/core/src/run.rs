@@ -131,6 +131,50 @@ mod tests {
     }
 
     #[test]
+    fn phase_shares_split_the_loop_on_every_schedule() {
+        use crate::config::{LevelAgg, SamplingCfg, TopologyCfg};
+        use hfl_robust::AggregatorKind;
+
+        let lockstep = tiny(35);
+        let mut deadline = tiny(36);
+        deadline.async_rounds = Some(AsyncRoundCfg::lan());
+        // A 64-slot cohort from 2,000 clients, one sample each.
+        let mut sampled = tiny(37);
+        sampled.topology = TopologyCfg::Ecsm {
+            total_levels: 2,
+            m: 8,
+            n_top: 8,
+        };
+        sampled.levels = vec![LevelAgg::Bra(AggregatorKind::Median); 2];
+        sampled.flag_level = 1;
+        sampled.data.train_samples = 2_000;
+        sampled.sampling = Some(SamplingCfg::uniform(2_000, 64));
+        let pcfg = PipelineConfig {
+            rounds: 3,
+            ..PipelineConfig::default()
+        };
+        for (name, cfg, options) in [
+            ("lockstep", lockstep, RunOptions::new()),
+            ("deadline", deadline, RunOptions::new()),
+            ("sampled", sampled, RunOptions::new()),
+            ("pipelined", tiny(38), RunOptions::pipeline(&pcfg)),
+        ] {
+            let out = options.try_run(&cfg).expect("a valid config");
+            let shares = out.phases.shares();
+            assert!(out.phases.total() > 0, "{name}: nothing timed");
+            assert!(shares.iter().all(|s| s.1 >= 0.0), "{name}: {shares:?}");
+            let sum: f64 = shares.iter().map(|s| s.1).sum();
+            assert!((sum - 1.0).abs() <= 0.01, "{name}: shares sum to {sum}");
+            let levels = out.phases.levels.iter();
+            assert!(
+                levels.map(|l| l.rule).all(|ns| ns > 0),
+                "{name}: a level never ran"
+            );
+            assert!(out.phases.train > 0 && out.phases.evaluate > 0, "{name}");
+        }
+    }
+
+    #[test]
     fn instrumented_output_carries_a_manifest() {
         let cfg = tiny(34);
         let (telem, rec) = hfl_telemetry::Telemetry::recording();

@@ -42,7 +42,7 @@ use hfl_telemetry::{
 
 use crate::config::{AttackCfg, ConfigError, DataDistribution, HflConfig, SamplingScheme};
 use crate::engine::cost::{restore_registry, COST_COUNTERS};
-use crate::engine::RoundEngine;
+use crate::engine::{Phase, PhaseTimes, RoundEngine};
 use crate::pipeline::PipelineResult;
 
 /// The registry gauge holding the last evaluated test accuracy.
@@ -125,6 +125,10 @@ pub struct RunOutput {
     /// The pipelined schedule's timing decomposition; `None` under
     /// lockstep.
     pub timing: Option<PipelineResult>,
+    /// Host wall time the run loop spent in each round phase. It is
+    /// the one part of a run that differs between two runs of a config,
+    /// and it is in no manifest, event or registry metric.
+    pub phases: PhaseTimes,
 }
 
 impl RunOutput {
@@ -839,6 +843,7 @@ fn run_loop(
     manifest
         .rounds
         .reserve(cfg.rounds.saturating_sub(first_round));
+    engine.lap(Phase::Other);
     for round in first_round..cfg.rounds {
         telem.emit_with(|| Event::RoundStarted { round });
         let before = cost;
@@ -861,7 +866,9 @@ fn run_loop(
 
         let mut round_accuracy = None;
         if (round + 1) % cfg.eval_every == 0 || round + 1 == cfg.rounds {
+            engine.lap(Phase::Other);
             let a = exp.evaluate(&global);
+            engine.lap(Phase::Evaluate);
             accuracy_g.set(a);
             round_accuracy = Some(a);
             telem.emit_with(|| Event::Evaluated { round, accuracy: a });
@@ -906,6 +913,7 @@ fn run_loop(
             }
         }
     }
+    engine.lap(Phase::Other);
     let accuracy: Vec<(usize, f64)> = manifest
         .rounds
         .iter()
@@ -973,6 +981,7 @@ fn run_loop(
         manifest,
         model: global,
         timing,
+        phases: engine.take_phases(),
     };
     Ok((out, snapshots))
 }

@@ -31,6 +31,22 @@ struct Rule {
 }
 
 const TREE: &[&str] = &["crates/", "src/"];
+/// The library crates: every crate but `bench`, whose harness times itself.
+const LIBRARY: &[&str] = &[
+    "crates/core/src/",
+    "crates/attacks/src/",
+    "crates/consensus/src/",
+    "crates/faults/src/",
+    "crates/ml/src/",
+    "crates/oracle/src/",
+    "crates/parallel/src/",
+    "crates/robust/src/",
+    "crates/simnet/src/",
+    "crates/snapshot/src/",
+    "crates/telemetry/src/",
+    "crates/tensor/src/",
+    "src/",
+];
 const OPS: &str = "crates/tensor/src/ops.rs";
 const RNG: &str = "crates/ml/src/rng.rs";
 
@@ -117,6 +133,10 @@ const RULES: &[Rule] = &[
     Rule { name: "no panicking twin", design: 9, files: &["crates/core/src/"], check: Forbid(&[" prepare(", " resume("]),
         fixture: "pub fn resume(s: &EngineSnapshot, cfg: &HflConfig) -> RunResult { todo!() }",
         message: "crates/core/src holds a prepare or resume beside Experiment::try_prepare and resume_prepared_with again" },
+    Rule { name: "the clock has one reader", design: 9, files: LIBRARY,
+        check: Count("Instant::now", &[("crates/core/src/engine/phase.rs", "lap", 1)]),
+        fixture: "fn deadline() -> bool { std::time::Instant::now() > t }",
+        message: "host time is read outside hfl_core's PhaseClock::lap: the library's one clock read only adds to the write-only phase totals, and no decision reads host time" },
     Rule { name: "one snapshot codec", design: 11, files: &["crates/snapshot/src/json.rs"],
         check: Forbid(&["RoundRecord", "FaultRecord", "SuspicionRecord", "LayerState", "TrackerState", "SearchState", "MetricSample", "MetricValue", "HistogramStats", "CostCounters"]),
         fixture: "use hfl_telemetry::{CostCounters, RoundRecord};",
