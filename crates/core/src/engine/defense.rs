@@ -94,26 +94,29 @@ impl DefenseLayer {
     }
 
     /// Every member echoes the digest of the partial it received; the
-    /// parent collector digests the up-sent value. 8 bytes per member,
+    /// parent collector digests the up-sent value — `up`, when the
+    /// leader sent a vector other than the partial, else the partial's
+    /// own digest, which is computed once. 8 bytes per member,
     /// negligible next to the model transfers.
     pub(crate) fn audit_cluster(
         &mut self,
         ctx: &mut RoundCtx<'_>,
         cl: &ClusterCtx<'_>,
         partial: &[f32],
-        up: &[f32],
+        up: Option<&[f32]>,
     ) {
         if !cl.at_bottom() {
             return;
         }
         ctx.charge_echo(cl.members.len());
+        let echoed = hash_update(partial);
         self.audits.push((
             cl.index,
             // Convictions bind to the *identity* behind the leader slot.
             cl.global(cl.leader),
             EchoReport {
-                up_digest: hash_update(up),
-                member_digests: vec![hash_update(partial); cl.members.len()],
+                up_digest: up.map_or(echoed, hash_update),
+                member_digests: vec![echoed; cl.members.len()],
             },
         ));
     }

@@ -430,8 +430,7 @@ impl<'e> RoundEngine<'e> {
                     .as_ref()
                     .and_then(|a| a.upward_value(&cl, &partial));
                 if let Some(defense) = &mut self.defense {
-                    let up_ref = up.as_deref().unwrap_or(&partial);
-                    defense.audit_cluster(&mut ctx, &cl, &partial, up_ref);
+                    defense.audit_cluster(&mut ctx, &cl, &partial, up.as_deref());
                 }
                 ws.partials.land(leader, up.unwrap_or(partial));
                 if let Some(fault) = &mut self.fault {
