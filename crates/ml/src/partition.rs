@@ -29,13 +29,40 @@ use crate::rng::{derive_seed, ChaCha12};
 /// only ([`Labelled`]), so `data` need not hold features. The shuffles
 /// draw from [`ChaCha12`], `StdRng`'s stream swap for swap, so its
 /// refill runs sixteen blocks a pass.
-pub fn iid_deal_order<L: Labelled + ?Sized>(data: &L, seed: u64) -> Vec<usize> {
-    assert!(!data.labels().is_empty(), "cannot partition empty dataset");
+///
+/// The order is built in place, as the `u32` indices the population
+/// keeps: the labels are counted, every index is placed in its label's
+/// range of one exact-size vector, and each range is shuffled in label
+/// order — the draws that shuffling each label's group of indices
+/// would make, and the same order.
+pub fn iid_deal_order<L: Labelled + ?Sized>(data: &L, seed: u64) -> Vec<u32> {
+    let labels = data.labels();
+    assert!(!labels.is_empty(), "cannot partition empty dataset");
+    assert!(
+        u32::try_from(labels.len()).is_ok(),
+        "the deal order indexes samples in u32"
+    );
+    // `ends[y]`: one past label y's range, once every index is placed.
+    let mut ends = vec![0usize; data.num_classes()];
+    for &y in labels {
+        ends[usize::from(y)] += 1;
+    }
+    let mut start = 0;
+    for end in ends.iter_mut() {
+        start += *end;
+        *end = start - *end;
+    }
+    let mut order = vec![0u32; labels.len()];
+    for (i, &y) in labels.iter().enumerate() {
+        let at = &mut ends[usize::from(y)];
+        order[*at] = i as u32;
+        *at += 1;
+    }
     let mut rng = ChaCha12::seed_from_u64(derive_seed(seed, 0x11D));
-    let mut order = Vec::with_capacity(data.labels().len());
-    for mut group in data.indices_by_label() {
-        rng.shuffle(&mut group);
-        order.extend(group);
+    let mut start = 0;
+    for end in ends {
+        rng.shuffle(&mut order[start..end]);
+        start = end;
     }
     order
 }
@@ -47,7 +74,7 @@ pub fn iid_partition(data: &Dataset, n_clients: usize, seed: u64) -> Vec<Dataset
     let order = iid_deal_order(data, seed);
     let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); n_clients];
     for (cursor, idx) in order.into_iter().enumerate() {
-        assignments[cursor % n_clients].push(idx);
+        assignments[cursor % n_clients].push(idx as usize);
     }
     assignments.iter().map(|a| data.subset(a)).collect()
 }
@@ -348,6 +375,57 @@ mod tests {
             test_samples: 100,
             ..SynthConfig::tiny()
         })
+    }
+
+    /// Labels only, for the index-level partitioners.
+    struct Labels(Vec<u8>, usize);
+
+    impl Labelled for Labels {
+        fn labels(&self) -> &[u8] {
+            &self.0
+        }
+
+        fn num_classes(&self) -> usize {
+            self.1
+        }
+    }
+
+    #[test]
+    fn deal_order_is_the_shuffled_label_groups_concatenated() {
+        // The order as it was first written: group the indices by
+        // label with `push`, shuffle each group, concatenate.
+        let grouped = |data: &Labels, seed: u64| -> Vec<u32> {
+            let mut rng = ChaCha12::seed_from_u64(derive_seed(seed, 0x11D));
+            let mut order = Vec::new();
+            for mut group in data.indices_by_label() {
+                rng.shuffle(&mut group);
+                order.extend(group.into_iter().map(|i| i as u32));
+            }
+            order
+        };
+        let mut draw = ChaCha12::seed_from_u64(7);
+        let uniform: Vec<u8> = (0..5_000).map(|_| draw.next_up_to(9) as u8).collect();
+        let skewed: Vec<u8> = (0..3_001)
+            .map(|_| (draw.next_up_to(99) / 30) as u8)
+            .collect();
+        let mixes = [
+            Labels(uniform, 10),
+            // Classes 4..10 hold nothing.
+            Labels(skewed, 10),
+            Labels(vec![3; 257], 10),
+            Labels(vec![9], 10),
+            Labels((0..2_000).map(|i| (i % 2) as u8).collect(), 2),
+        ];
+        for data in &mixes {
+            for seed in [0, 1, 42, 0xDEAD_BEEF] {
+                assert_eq!(
+                    iid_deal_order(data, seed),
+                    grouped(data, seed),
+                    "{} samples, seed {seed}",
+                    data.0.len()
+                );
+            }
+        }
     }
 
     #[test]

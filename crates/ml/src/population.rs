@@ -80,10 +80,7 @@ impl ClientPopulation {
     /// [`crate::partition::iid_partition`].
     pub fn iid<L: Labelled + ?Sized>(data: &L, n_clients: usize, seed: u64) -> Self {
         assert!(n_clients > 0, "need at least one client");
-        let order = iid_deal_order(data, seed)
-            .into_iter()
-            .map(|i| i as u32)
-            .collect();
+        let order = iid_deal_order(data, seed);
         Self {
             n_clients,
             plan: ShardPlan::Iid { order },
