@@ -52,6 +52,11 @@
 //! accumulators are `scratch.dists`, and the coalition's group map and
 //! distinct-row refs are `scratch.groups`.
 //!
+//! Iterated consensus is gated per decide: a gossip decide allocates
+//! as often at ε = 10⁻³ (about 40 protocol rounds) as at ε = 0.3 (about
+//! 10), because its rounds swap two buffer sets instead of cloning the
+//! values.
+//!
 //! Set-up memory is gated on the same counters
 //! (`prepare_holds_the_plan_not_the_training_set`): a sampled
 //! population prepares in O(1 label + 1 deal-order entry) bytes per
@@ -71,6 +76,7 @@ use abd_hfl_core::engine::RoundEngine;
 use abd_hfl_core::pipeline::PipelineConfig;
 use abd_hfl_core::runner::Experiment;
 use hfl_bench::memprobe::{alloc_count, peak_since, reset_peak, CountingAlloc};
+use hfl_consensus::{ConsensusKind, DistanceEvaluator};
 use hfl_faults::FaultPlan;
 use hfl_ml::synth::SynthConfig;
 use hfl_robust::{AggScratch, Aggregator, AggregatorKind};
@@ -354,6 +360,40 @@ fn wide_multikrum_allocates_nothing_once_warm() {
     }
 }
 
+/// Heap allocations of one `kind.decide` over eight distance-scored
+/// proposals of 650 coordinates, and the protocol rounds it ran.
+fn decide_allocations(kind: &ConsensusKind) -> (u64, usize) {
+    let rows: Vec<Vec<f32>> = (0..8)
+        .map(|i| (0..650).map(|c| ((i * 7 + c * 3) % 11) as f32).collect())
+        .collect();
+    let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+    let eval = DistanceEvaluator::new(&refs);
+    let mut rng = hfl_ml::rng::rng_for_n(3, &[0xDEC1DE]);
+    let before = alloc_count();
+    let outcome = kind.decide(&refs, &[false; 8], &eval, &mut rng);
+    let allocs = alloc_count() - before;
+    (allocs, outcome.rounds)
+}
+
+/// Gossip averages a ring of eight until its diameter falls below ε:
+/// about 10 protocol rounds at ε = 0.3 and 40 at ε = 10⁻³. (Approximate
+/// agreement cannot be driven this way: every honest node trims the
+/// same received multiset, so one round agrees.)
+#[test]
+fn gossip_allocates_per_decide_not_per_round() {
+    let _alone = alone();
+    let (few, short) = decide_allocations(&ConsensusKind::Gossip { epsilon: 0.3 });
+    let (many, long) = decide_allocations(&ConsensusKind::Gossip { epsilon: 1e-3 });
+    assert!(
+        (8..=16).contains(&short) && (35..=50).contains(&long),
+        "{short} and {long} protocol rounds"
+    );
+    assert_eq!(
+        few, many,
+        "gossip allocated {few} times in {short} protocol rounds, {many} in {long}"
+    );
+}
+
 /// Heap high-water mark of `Experiment::try_prepare(cfg)` above what
 /// was live before it, in bytes.
 fn prepare_peak_bytes(cfg: &HflConfig) -> u64 {
@@ -365,11 +405,11 @@ fn prepare_peak_bytes(cfg: &HflConfig) -> u64 {
 }
 
 /// Most set-up bytes per training sample a sampled population may peak
-/// at. Measured: 23.1 at 200,000 samples (1 B label, 1 B malicious
-/// flag, 4 B deal-order entry, and while the deal order is built its
-/// `usize` form and the per-label index groups). One feature row is
-/// 256 B.
-const PLAN_BYTES_PER_SAMPLE: u64 = 32;
+/// at. Measured: 6.0 at 200,000 samples (1 B label, 1 B malicious
+/// flag, 4 B deal-order entry, built in place), and 9.7 for the dense
+/// fixture beside its rows; 23.1 while the deal order was built as
+/// `usize` per-label groups and copied. One feature row is 256 B.
+const PLAN_BYTES_PER_SAMPLE: u64 = 16;
 
 #[test]
 fn prepare_holds_the_plan_not_the_training_set() {

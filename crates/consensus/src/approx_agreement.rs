@@ -12,6 +12,8 @@
 
 use rand::rngs::StdRng;
 
+use hfl_tensor::stats::{column_stat_into, ColumnStat};
+
 use crate::{model_bytes, validate, ConsensusOutcome};
 
 /// Safety cap on rounds (the contraction argument bounds the true round
@@ -20,7 +22,10 @@ const MAX_ROUNDS: usize = 64;
 
 /// Iterated trimmed-mean agreement to honest-diameter `epsilon`,
 /// trimming `trim` extreme values per side of every coordinate each
-/// round.
+/// round. A protocol round reads the values of the last one and the
+/// Byzantine extremes in place and writes the next values into a second
+/// set of buffers, and the two swap: nothing is allocated past the
+/// first round.
 pub(crate) fn approx_agreement(
     proposals: &[&[f32]],
     byzantine: &[bool],
@@ -38,37 +43,41 @@ pub(crate) fn approx_agreement(
     );
 
     let mut values: Vec<Vec<f32>> = proposals.iter().map(|p| p.to_vec()).collect();
+    // Byzantine rows never change, so both sets hold them from here on.
+    let mut next = values.clone();
+    // The two extremes a Byzantine node broadcasts, and which one each
+    // node sent this round.
+    let extremes = [vec![1e9f32; d], vec![-1e9f32; d]];
+    let mut sent_negative = vec![false; n];
+    let mut column = Vec::with_capacity(n);
     let mut messages = 0u64;
     let mut bytes = 0u64;
     let mut rounds = 0usize;
     while honest_diameter(&values, byzantine) > epsilon && rounds < MAX_ROUNDS {
         rounds += 1;
-        // Byzantine nodes broadcast adversarial extremes this round.
-        let mut sent: Vec<Vec<f32>> = values.clone();
-        for (i, b) in byzantine.iter().enumerate() {
+        // Byzantine nodes broadcast adversarial extremes this round,
+        // alternating huge positive / negative values to maximize the
+        // chance of dragging trimmed statistics.
+        for (negative, b) in sent_negative.iter_mut().zip(byzantine) {
             if *b {
-                // Alternate huge positive / negative values to maximize
-                // the chance of dragging trimmed statistics.
-                let sign = if rand::Rng::gen_bool(rng, 0.5) {
-                    1.0
-                } else {
-                    -1.0
-                };
-                sent[i] = vec![sign * 1e9; d];
+                *negative = !rand::Rng::gen_bool(rng, 0.5);
             }
         }
         // All-to-all exchange.
         messages += (n * (n - 1)) as u64;
         bytes += (n * (n - 1)) as u64 * model_bytes(d);
         // Honest update: trimmed mean of all received values.
-        let refs: Vec<&[f32]> = sent.iter().map(|v| v.as_slice()).collect();
-        let mut next = values.clone();
+        let received = (0..n).map(|i| match byzantine[i] {
+            true => extremes[usize::from(sent_negative[i])].as_slice(),
+            false => values[i].as_slice(),
+        });
         for (i, b) in byzantine.iter().enumerate() {
             if !*b {
-                hfl_tensor::stats::coordinate_trimmed_mean(&refs, trim, &mut next[i]);
+                let stat = ColumnStat::TrimmedMean { trim };
+                column_stat_into(stat, received.clone(), 0, &mut next[i], &mut column);
             }
         }
-        values = next;
+        std::mem::swap(&mut values, &mut next);
     }
     assert!(
         honest_diameter(&values, byzantine) <= epsilon,
@@ -95,21 +104,16 @@ pub(crate) fn approx_agreement(
 
 /// Max coordinate-wise spread among the honest nodes' values.
 fn honest_diameter(values: &[Vec<f32>], byzantine: &[bool]) -> f64 {
-    let honest: Vec<&Vec<f32>> = values
-        .iter()
-        .zip(byzantine)
-        .filter(|(_, b)| !**b)
-        .map(|(v, _)| v)
-        .collect();
-    if honest.len() < 2 {
+    let honest = || values.iter().zip(byzantine).filter(|(_, b)| !**b);
+    if honest().nth(1).is_none() {
         return 0.0;
     }
-    let d = honest[0].len();
+    let d = values[0].len();
     let mut max_spread = 0.0f64;
     for j in 0..d {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for h in &honest {
+        for (h, _) in honest() {
             lo = lo.min(h[j] as f64);
             hi = hi.max(h[j] as f64);
         }

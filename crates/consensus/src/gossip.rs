@@ -13,10 +13,14 @@ use crate::{model_bytes, validate, ConsensusOutcome};
 const MAX_ROUNDS: usize = 128;
 
 /// Ring-gossip averaging until the max pairwise coordinate spread falls
-/// below `epsilon`.
+/// below `epsilon`. A protocol round reads the values of the last one
+/// and writes the next into a second set of buffers, and the two swap:
+/// nothing is allocated past the first round.
 pub(crate) fn gossip(proposals: &[&[f32]], byzantine: &[bool], epsilon: f64) -> ConsensusOutcome {
     let (n, d) = validate(proposals, byzantine);
     let mut values: Vec<Vec<f32>> = proposals.iter().map(|p| p.to_vec()).collect();
+    // Byzantine rows never change, so both sets hold them from here on.
+    let mut last = values.clone();
     let mut messages = 0u64;
     let mut bytes = 0u64;
     let mut rounds = 0usize;
@@ -25,7 +29,7 @@ pub(crate) fn gossip(proposals: &[&[f32]], byzantine: &[bool], epsilon: f64) -> 
         // Synchronous ring gossip: node i averages with node (i+1)%n.
         // Byzantine nodes refuse to update (keep broadcasting their
         // own value) — the simplest persistent-bias behaviour.
-        let snapshot = values.clone();
+        std::mem::swap(&mut values, &mut last);
         for i in 0..n {
             if byzantine[i] {
                 continue;
@@ -33,7 +37,7 @@ pub(crate) fn gossip(proposals: &[&[f32]], byzantine: &[bool], epsilon: f64) -> 
             let next = (i + 1) % n;
             let prev = (i + n - 1) % n;
             for j in 0..d {
-                values[i][j] = (snapshot[prev][j] + snapshot[i][j] + snapshot[next][j]) / 3.0;
+                values[i][j] = (last[prev][j] + last[i][j] + last[next][j]) / 3.0;
             }
         }
         messages += 2 * n as u64; // each node sends to both neighbours
