@@ -22,6 +22,7 @@
 //! | `repro gallery` | Attack × composed-defense × distribution accuracy grid |
 //! | `repro scale` | Population sweep 10³–10⁶ at a fixed cohort: per-round heap stays flat |
 //! | `repro all` | Every experiment above, in this order (`repro list` prints it) |
+//! | `repro profile <experiment>` | Each round phase's share of the wall time of the experiment's first cell |
 //! | `repro fuzz` | Seeded scenario fuzzer held to the seven `hfl-oracle` invariants |
 //! | `repro bisect` | First round at which two runs that should agree stop agreeing |
 //!

@@ -166,7 +166,8 @@ impl Sweep<'_> {
         self.first.is_some()
     }
 
-    /// Prints `text` as a line of its own, after the table being filled.
+    /// Prints `text` as a line of its own, after the table being filled
+    /// (neither, under `repro profile`).
     pub fn say(&mut self, text: impl std::fmt::Display) {
         self.flush();
         if self.first.is_none() {
@@ -321,13 +322,14 @@ impl Sweep<'_> {
         Ok(outcomes)
     }
 
-    /// Prints the table being filled, if it has a row.
+    /// Prints the table being filled, if it has a row and this is not
+    /// `repro profile`.
     fn flush(&mut self) {
         let Some(mut table) = self.table.take() else {
             return;
         };
         table.close_row();
-        if !table.rows.is_empty() {
+        if !table.rows.is_empty() && self.first.is_none() {
             let headers: Vec<&str> = table.headers.iter().map(String::as_str).collect();
             println!("{}", table.title);
             println!("{}", markdown_table(&headers, &table.rows));

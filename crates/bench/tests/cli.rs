@@ -49,6 +49,9 @@ fn malformed_command_lines_print_the_usage_and_exit_2() {
         &["bisect"],
         &["bisect", "--manifest-a", "a.json"],
         &["bisect", "--manifest-a", "a.json", "--spec-b", "b.toml"],
+        &["profile"],
+        &["profile", "nonsense"],
+        &["profile", "gallery", "--iters", "3"],
     ] {
         let (code, _, stderr) = repro(args);
         assert_eq!(code, 2, "repro {args:?}:\n{stderr}");
@@ -148,6 +151,43 @@ fn a_failed_write_of_scale_json_exits_1_naming_the_path() {
         "{stderr}"
     );
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn profile_prints_the_phase_shares_of_the_first_cell_and_writes_nothing() {
+    let out = scratch("profile");
+    let dir = out.join("results");
+    let args = [
+        "profile",
+        "gallery",
+        "--quick",
+        "--out",
+        dir.to_str().unwrap(),
+    ];
+    let (code, stdout, stderr) = repro(&args);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(
+        stdout.starts_with("gallery / none/fedavg/iid: "),
+        "{stdout}"
+    );
+    let shares: Vec<f64> = stdout
+        .lines()
+        .skip(1)
+        .map(|l| l.trim_end_matches('%').split_whitespace().last().unwrap())
+        .map(|v| v.parse().expect("a share in percent"))
+        .collect();
+    assert_eq!(
+        shares.len(),
+        11,
+        "open, train, 3 × 2 levels, close, evaluate, other"
+    );
+    let sum: f64 = shares.iter().sum();
+    assert!((sum - 100.0).abs() < 0.1, "shares sum to {sum} %");
+    assert!(!dir.exists(), "profile wrote {}", dir.display());
+    let filtered = ["profile", "gallery", "--quick", "--filter", "no such cell"];
+    let (code, _, stderr) = repro(&filtered);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("has no cell to profile"), "{stderr}");
 }
 
 #[test]

@@ -30,6 +30,10 @@
 //! adversary (`engine/layer.rs`). `tests/golden_manifests.rs` pins each
 //! mode's round byte for byte — RNG stream order, cost accounting,
 //! event sequence — the combined mode included.
+//!
+//! The engine also clocks its phases ([`PhaseTimes`]): host wall time,
+//! written and never read by a decision, returned beside a run's
+//! manifest and never in it.
 
 mod adversary;
 mod clock;
