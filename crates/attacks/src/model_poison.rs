@@ -101,8 +101,9 @@ fn alie_shift(honest: &[&[f32]], z: f32, mean: &mut [f32]) {
 const BUDGET_BLOCK: usize = 4;
 
 /// The AGR-tailored attacks' budgets, read off the upper triangle
-/// [`ops::pairwise_dist_sq`] fills on one thread (every entry
-/// `dist_sq`'s bits, and `dist_sq(a, b)` is `dist_sq(b, a)`'s). MinMax's
+/// [`ops::pairwise_dist_sq`] fills (an honest set of up to eight rows is
+/// one block and forks nothing; every entry `dist_sq`'s bits, and
+/// `dist_sq(a, b)` is `dist_sq(b, a)`'s). MinMax's
 /// is the largest honest pairwise squared distance: the diagonal, 0 or
 /// NaN, cannot raise a maximum that starts at 0 and passes over NaN.
 /// MinSum's is the largest honest row sum, each row summed in index
@@ -112,12 +113,7 @@ const BUDGET_BLOCK: usize = 4;
 fn pair_budget(min_sum: bool, honest: &[&[f32]]) -> f64 {
     let n = honest.len();
     let mut pairs = Vec::new();
-    let mut groups = ops::RowGroups::default();
-    ops::pairwise_dist_sq(honest, &mut pairs, &mut groups, |pairs, len, fill| {
-        for (b, chunk) in pairs.chunks_mut(len).enumerate() {
-            fill(b * len, chunk);
-        }
-    });
+    ops::pairwise_dist_sq(honest, &mut pairs, &mut ops::RowGroups::default());
     if !min_sum {
         return pairs.iter().fold(0.0f64, |m, d| m.max(*d));
     }

@@ -294,13 +294,13 @@ fn alone() -> MutexGuard<'static, ()> {
 fn gate(fixtures: &[Fixture]) {
     let _alone = alone();
     for threads in [1, 2] {
-        hfl_parallel::set_default_threads(threads);
-        for fixture in fixtures {
-            let name = format!("{} at {threads} thread(s)", fixture.0);
-            assert_steady_rounds_alloc_at_most(&name, fixture);
-        }
+        hfl_parallel::with_threads(threads, || {
+            for fixture in fixtures {
+                let name = format!("{} at {threads} thread(s)", fixture.0);
+                assert_steady_rounds_alloc_at_most(&name, fixture);
+            }
+        });
     }
-    hfl_parallel::set_default_threads(0);
 }
 
 #[test]

@@ -617,11 +617,7 @@ impl Experiment {
     pub fn evaluate(&self, params: &[f32]) -> f64 {
         let mut model = self.template.clone_box();
         model.set_params(params);
-        hfl_ml::metrics::accuracy_parallel(
-            model.as_ref(),
-            &self.task.test,
-            hfl_parallel::default_threads(),
-        )
+        hfl_ml::metrics::accuracy_parallel(model.as_ref(), &self.task.test)
     }
 }
 

@@ -18,7 +18,6 @@ fn tasks() -> usize {
 
 #[test]
 fn a_pipelined_run_forks_onto_the_worker_set() {
-    hfl_parallel::set_default_threads(4);
     let mut cfg = HflConfig::quick(AttackCfg::None, 7);
     cfg.rounds = 2;
     let pcfg = PipelineConfig {
@@ -36,7 +35,7 @@ fn a_pipelined_run_forks_onto_the_worker_set() {
     let (one_timing, one_manifest) = hfl_parallel::with_threads(1, run);
     assert_eq!(tasks(), before, "a one-thread run forked onto helpers");
 
-    let (timing, manifest) = run();
+    let (timing, manifest) = hfl_parallel::with_threads(4, run);
     assert!(tasks() > before, "four threads asked for, none woken");
     assert_eq!(timing.rounds.len(), 2);
     assert_eq!(manifest.to_json(), one_manifest.to_json());

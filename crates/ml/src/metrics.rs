@@ -10,12 +10,12 @@ pub fn accuracy(model: &dyn Model, data: &Dataset) -> f64 {
     hits as f64 / data.len() as f64
 }
 
-/// Accuracy computed in parallel, one contiguous row range per thread;
-/// identical result to [`accuracy`] (integer sum, no float reordering).
-pub fn accuracy_parallel(model: &dyn Model, data: &Dataset, threads: usize) -> f64 {
+/// Accuracy over one contiguous row range per `default_threads()`
+/// thread; identical to [`accuracy`] (integer sum, no float reordering).
+pub fn accuracy_parallel(model: &dyn Model, data: &Dataset) -> f64 {
     assert!(!data.is_empty(), "accuracy over empty dataset");
     let n = data.len();
-    let chunks = threads.clamp(1, n);
+    let chunks = hfl_parallel::default_threads().clamp(1, n);
     let hits = hfl_parallel::par_reduce(
         chunks,
         chunks,
@@ -103,7 +103,8 @@ mod tests {
     fn parallel_accuracy_matches_sequential() {
         let m = sign_model();
         let d = sign_data();
-        assert_eq!(accuracy(&m, &d), accuracy_parallel(&m, &d, 4));
+        let parallel = hfl_parallel::with_threads(4, || accuracy_parallel(&m, &d));
+        assert_eq!(accuracy(&m, &d), parallel);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! A fork-join runs on the calling thread plus a process-wide set of
 //! helper threads that are created on first need and parked in between
 //! (see [`par_chunks_mut`] and DESIGN.md §15), so a call costs one
-//! wake, not the creation of two OS threads.
+//! wake, not the creation of two OS threads. The caller's scope — its
+//! [`with_threads`] count and [`with_width_cap`] — is posted with the
+//! job, so a helper runs its share as the caller would have.
 //!
 //! ## Determinism contract (DESIGN.md §15)
 //!
@@ -44,7 +46,7 @@ use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Most threads any entry point runs a call on, whatever it is asked
 /// for: our largest fan-out, a 64-client round, saturates well before
@@ -55,60 +57,94 @@ const MAX_THREADS: usize = 16;
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Forces `default_threads()` to return `n` process-wide; pass 0 to
-/// restore autodetection. Intended for harnesses that must pin the
-/// execution mode — e.g. the allocation-regression gate runs every
-/// fixture at 1 and at 2 threads (a fork-join on the parked worker set
-/// allocates nothing, so the gate holds at both). Results are
-/// byte-identical at any thread count (see the determinism contract
-/// above); only the execution strategy changes.
+/// restore autodetection. Its one caller left is the frozen benchmark
+/// ledger's pin: tests use [`with_threads`], put back on unwind. Results
+/// are byte-identical at any thread count (the determinism contract).
 pub fn set_default_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
-thread_local! {
-    /// [`with_threads`]' count on this thread; 0 means "none in force".
-    static SCOPED_THREADS: Cell<usize> = const { Cell::new(0) };
+/// A thread's execution scope: an enclosing [`with_threads`]' count and
+/// [`with_width_cap`]'s cap, 0 for "none". A fork-join posts its
+/// caller's scope with the job, and every helper runs its share under it.
+#[derive(Clone, Copy)]
+struct Scope {
+    threads: usize,
+    width_cap: usize,
 }
 
-/// Runs `f` with `default_threads()` returning `n` on the calling
-/// thread, whatever [`set_default_threads`] pinned process-wide, and
-/// puts back what was in force before when `f` returns or unwinds
-/// (0 lifts an enclosing scope for the length of `f`).
+const NO_SCOPE: Scope = Scope {
+    threads: 0,
+    width_cap: 0,
+};
+
+thread_local! {
+    /// The scope in force on this thread.
+    static SCOPE: Cell<Scope> = const { Cell::new(NO_SCOPE) };
+}
+
+/// Runs `f` under this thread's scope as `set` changes it, and puts the
+/// scope in force before back when `f` returns or unwinds.
+fn scoped<R>(set: impl FnOnce(&mut Scope), f: impl FnOnce() -> R) -> R {
+    struct Restore(Scope);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPE.with(|s| s.set(self.0));
+        }
+    }
+    let mut scope = SCOPE.with(Cell::get);
+    let _restore = Restore(scope);
+    set(&mut scope);
+    SCOPE.with(|s| s.set(scope));
+    f()
+}
+
+/// Runs `f` with `default_threads()` returning `n` on the calling thread
+/// and on every helper running a share of a job `f` forks, whatever
+/// [`set_default_threads`] pinned, and puts back what was in force before
+/// when `f` returns or unwinds (0 lifts an enclosing scope inside `f`).
 /// `with_threads(1, f)` keeps every fork-join `f` makes on the calling
 /// thread: no helper is woken and nothing is waited for, so how long
 /// `f` takes does not depend on whether a second core is free. Same
 /// bytes, by the determinism contract.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SCOPED_THREADS.with(|s| s.set(self.0));
-        }
-    }
-    let _restore = Restore(SCOPED_THREADS.with(|s| s.replace(n)));
-    f()
+    scoped(|s| s.threads = n, f)
 }
 
-/// Number of worker threads to use by default: the available
-/// parallelism, or the value pinned via [`set_default_threads`], or —
-/// ahead of both — the count of an enclosing [`with_threads`] on this
-/// thread, capped at 16 in every case — the cap every entry point
-/// applies to its `threads` argument.
+/// Runs `f` with [`width_cap`] returning `cap`, with the reach and the
+/// restore of [`with_threads`]. The cap is opaque here:
+/// `hfl_tensor::ops::with_width` sets it and `Width::current` reads it.
+pub fn with_width_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
+    scoped(|s| s.width_cap = cap, f)
+}
+
+/// The width cap in force on this thread (or where the job it helps
+/// was forked): an enclosing [`with_width_cap`]'s, else 0.
+#[inline]
+pub fn width_cap() -> usize {
+    SCOPE.with(Cell::get).width_cap
+}
+
+/// Number of worker threads to use by default: the count of an
+/// enclosing [`with_threads`] on this thread (or where the job it helps
+/// was forked), else the value pinned via [`set_default_threads`], else
+/// the host's available parallelism — capped at 16 in every case, the
+/// cap every entry point applies to its `threads` argument. The host is
+/// read once per process: one whose affinity or cgroup quota changes
+/// later keeps its first reading.
 pub fn default_threads() -> usize {
-    let scoped = SCOPED_THREADS.with(Cell::get);
-    let forced = if scoped > 0 {
-        scoped
-    } else {
-        THREAD_OVERRIDE.load(Ordering::SeqCst)
-    };
-    let threads = if forced > 0 {
-        forced
-    } else {
-        std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
-    };
-    threads.min(MAX_THREADS)
+    let scoped = SCOPE.with(Cell::get).threads;
+    match (scoped, THREAD_OVERRIDE.load(Ordering::SeqCst)) {
+        (0, 0) => host_threads(),
+        (0, pinned) | (pinned, _) => pinned,
+    }
+    .min(MAX_THREADS)
+}
+
+/// The host's available parallelism, read on the first call.
+fn host_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Blocks handed out per worker on average. More blocks per worker means
@@ -141,6 +177,9 @@ struct SetState {
     /// The job in flight, its lifetime erased; `Some` exactly while a
     /// caller is between posting and [`WorkerSet::retire`].
     job: Option<Job<'static>>,
+    /// The scope of the job's caller, which every helper runs its
+    /// share under.
+    scope: Scope,
     /// Helpers still invited into the job.
     invited: usize,
     /// Helpers inside the job right now.
@@ -154,6 +193,7 @@ struct SetState {
 static SET: WorkerSet = WorkerSet {
     state: Mutex::new(SetState {
         job: None,
+        scope: NO_SCOPE,
         invited: 0,
         inside: 0,
         helpers: 0,
@@ -213,6 +253,7 @@ impl WorkerSet {
         // before the borrow `job` came from can end. Pinned by
         // `tests/worker_set.rs::caller_outlives_every_helper`.
         st.job = Some(unsafe { std::mem::transmute::<Job<'_>, Job<'static>>(job) });
+        st.scope = SCOPE.with(Cell::get);
         st.invited = invited;
         drop(st);
         for _ in 0..invited {
@@ -239,8 +280,9 @@ impl WorkerSet {
     }
 
     /// A helper thread's whole life: park until invited, run the job's
-    /// claiming loop, report, park again. A helper that wakes after the
-    /// caller retired the job finds no invitation and parks at once.
+    /// claiming loop under its caller's scope, report, park again with
+    /// no scope. A helper that wakes after the caller retired the job
+    /// finds no invitation and parks at once.
     fn help(&self) {
         let mut st = self.lock();
         loop {
@@ -250,8 +292,10 @@ impl WorkerSet {
             };
             st.invited -= 1;
             st.inside += 1;
+            SCOPE.with(|s| s.set(st.scope));
             drop(st);
             let outcome = catch_unwind(AssertUnwindSafe(job));
+            SCOPE.with(|s| s.set(NO_SCOPE));
             st = self.lock();
             if let Err(payload) = outcome {
                 st.panic.get_or_insert(payload);

@@ -16,7 +16,10 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::thread::ThreadId;
 use std::time::Duration;
 
-use hfl_parallel::{par_chunks_mut, par_map_indexed, par_reduce};
+use hfl_parallel::{
+    default_threads, par_chunks_mut, par_map_indexed, par_reduce, width_cap, with_threads,
+    with_width_cap,
+};
 
 static ALONE: Mutex<()> = Mutex::new(());
 
@@ -56,13 +59,14 @@ impl Meet {
 }
 
 /// Runs a two-chunk job at two threads whose chunks meet each other,
-/// and returns which thread ran each chunk.
-fn two_threads_meet() -> [Option<ThreadId>; 2] {
+/// and returns which thread ran each chunk and what `read` returned
+/// there.
+fn two_threads_meet<T: Send>(read: impl Fn() -> T + Sync) -> [Option<(ThreadId, T)>; 2] {
     let meet = Meet::new(2);
     let mut ran_on = [None, None];
     par_chunks_mut(&mut ran_on, 1, 2, |_base, slot| {
         meet.wait();
-        slot[0] = Some(std::thread::current().id());
+        slot[0] = Some((std::thread::current().id(), read()));
     });
     ran_on
 }
@@ -94,7 +98,7 @@ fn helpers_survive_a_propagated_panic() {
 
     // The helper that caught it is parked again, not dead, and the set
     // is not wedged: the same job shape still gets its second thread.
-    let ran_on = two_threads_meet();
+    let ran_on = two_threads_meet(|| ()).map(|slot| slot.map(|(t, ())| t));
     assert!(ran_on.contains(&Some(me)));
     assert!(ran_on.iter().any(|t| t.is_some() && *t != Some(me)));
 
@@ -202,4 +206,28 @@ fn caller_outlives_every_helper() {
         );
     }
     assert_eq!(seen, [0xABCD * 64; 2]);
+}
+
+/// A scope travels with the job: the helper that takes a chunk of a
+/// two-thread job made under `with_threads(3, ..)` and a width cap reads
+/// the caller's count and cap, and the next unscoped job reads the
+/// unscoped ones on both threads — a parked helper keeps no scope.
+#[test]
+fn a_helper_runs_its_share_under_the_callers_scope() {
+    let _alone = alone();
+    let me = std::thread::current().id();
+    let read = || (default_threads(), width_cap());
+    let unscoped = read();
+    let scoped = with_threads(3, || with_width_cap(7, || two_threads_meet(read)));
+    let after = two_threads_meet(read);
+    for (ran_on, want) in [(scoped, (3, 7)), (after, unscoped)] {
+        assert!(
+            ran_on.iter().flatten().any(|(t, _)| *t != me),
+            "no helper took a chunk"
+        );
+        assert_eq!(
+            ran_on.map(|slot| slot.map(|(_, seen)| seen)),
+            [Some(want); 2]
+        );
+    }
 }

@@ -18,8 +18,9 @@
 //! ascending order: block `b` pairs its rows with every row after them,
 //! so the first block is the heaviest and the claim order is
 //! heaviest-first; a cluster of up to eight rows is one block and never
-//! forks. `pairwise_dist_sq` is that fill, shared with NNM
-//! pre-aggregation. A coalition's bit-identical rows are measured once
+//! forks. [`hfl_tensor::ops::pairwise_dist_sq`] is that fill, shared
+//! with NNM: it forks its blocks itself, each at the caller's width. A
+//! coalition's bit-identical rows are measured once
 //! ([`hfl_tensor::ops::RowGroups`], kept in [`AggScratch::groups`]): the
 //! blocks run over the distinct rows and the result is expanded, each
 //! entry the bits it would have had. The original full-matrix loop is
@@ -35,27 +36,6 @@ pub fn guarantee_holds(f: usize, n: usize) -> bool {
     f.checked_mul(2)
         .and_then(|two_f| two_f.checked_add(3))
         .is_some_and(|needed| n >= needed)
-}
-
-/// Upper-triangle pairwise squared distances, `dists[lo * n + hi] =
-/// dist_sq(updates[lo], updates[hi])` for `lo < hi`, in a flat n×n
-/// buffer (the rest is zero) — the crate's one O(n²·d) fill:
-/// [`ops::pairwise_dist_sq`] with its blocks of partner rows claimed
-/// across [`hfl_parallel::default_threads`] workers (a cluster of up to
-/// eight rows is one block and forks nothing), each distinct row
-/// measured once (`groups`).
-///
-/// # Panics
-/// With "length mismatch" if the rows are not all one length.
-pub(crate) fn pairwise_dist_sq(
-    updates: &[&[f32]],
-    dists: &mut Vec<f64>,
-    groups: &mut ops::RowGroups,
-) {
-    let threads = hfl_parallel::default_threads();
-    ops::pairwise_dist_sq(updates, dists, groups, |dists, len, fill| {
-        hfl_parallel::par_chunks_mut(dists, len, threads, fill)
-    });
 }
 
 /// Computes the Krum score of every update into `scratch.scores`:
@@ -79,7 +59,7 @@ pub fn krum_scores_into(updates: &[&[f32]], f: usize, scratch: &mut AggScratch) 
     // scoring supports rather than rejected: small clusters degrade toward
     // nearest-neighbour scoring.
     let f = f.min(n.saturating_sub(3));
-    pairwise_dist_sq(updates, dists, groups);
+    ops::pairwise_dist_sq(updates, dists, groups);
     // n ≥ 3 keeps n−f−2 ≥ 1 distances; degenerate n ∈ {1, 2} keeps all.
     let keep = if n >= 3 {
         n - f - 2

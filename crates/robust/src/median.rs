@@ -2,7 +2,6 @@
 //! partial-aggregation rule.
 
 use crate::validate_updates;
-use hfl_tensor::ops::{with_width, Width};
 use hfl_tensor::stats::{column_stat_into, ColumnStat, NETWORK_MAX_ROWS, TILE_LANES};
 
 /// Input size, `n · d` elements, from which the coordinate loops of the
@@ -30,9 +29,9 @@ pub(crate) const PARALLEL_MIN_SORTED_ELEMENTS: usize = 32_768;
 /// `stat` of every coordinate of `rows`, the coordinates split into
 /// tile-aligned chunks claimed off the work-stealing scheduler by
 /// [`hfl_parallel::default_threads`] workers: each runs
-/// [`column_stat_into`] on a disjoint slice of `out`, at the caller's
-/// [`Width::current`], so per-coordinate values match the sequential
-/// kernel exactly at any thread count.
+/// [`column_stat_into`] on a disjoint slice of `out` at the caller's
+/// width (the fork-join carries it to every helper), so per-coordinate
+/// values match the sequential kernel exactly at any thread count.
 pub fn column_stat_parallel(stat: ColumnStat, rows: &[&[f32]], out: &mut [f32]) {
     let d = out.len();
     assert!(!rows.is_empty(), "column statistic: empty input");
@@ -42,13 +41,9 @@ pub fn column_stat_parallel(stat: ColumnStat, rows: &[&[f32]], out: &mut [f32]) 
     );
     let threads = hfl_parallel::default_threads();
     let chunk = d.div_ceil(threads).max(1).next_multiple_of(TILE_LANES);
-    let width = Width::current();
     hfl_parallel::par_chunks_mut(out, chunk, threads, |base, slice| {
         // The column buffer is only grown past the network's row limit.
-        with_width(width, || {
-            column_stat_into(stat, rows.iter().copied(), base, slice, &mut Vec::new())
-        })
-        .expect("the caller's width is detected");
+        column_stat_into(stat, rows.iter().copied(), base, slice, &mut Vec::new())
     });
 }
 

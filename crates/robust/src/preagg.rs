@@ -23,9 +23,8 @@
 //! `aggregate` therefore stays bit-reproducible with no RNG plumbed
 //! through the [`Aggregator`] trait.
 
-use crate::krum::pairwise_dist_sq;
 use crate::{validate_updates, AggScratch, Aggregator, AggregatorKind};
-use hfl_tensor::ops::RowGroups;
+use hfl_tensor::ops::{pairwise_dist_sq, RowGroups};
 
 /// Bucketing's transform: the means of disjoint buckets of `s`
 /// consecutive inputs, ⌈n/s⌉ rows (the final bucket may be smaller;

@@ -3,8 +3,6 @@
 //! All functions operate on `&[f32]` / `&mut [f32]` so they can be applied
 //! to model parameter vectors, gradients, and matrix rows alike.
 
-use std::cell::Cell;
-
 use crate::check_same_len;
 
 /// `y += alpha * x` (the classic BLAS `axpy`). This is the SGD update and
@@ -1021,21 +1019,18 @@ const PAIR_TILE: usize = 256;
 /// a bit of its result, only how many lanes one instruction carries.
 /// The exception is [`forward_approx`], whose values are a bound's
 /// input and differ from width to width by contract.
+///
+/// The discriminant is the width's `hfl_parallel` width cap, so that
+/// 0 is left for "no cap".
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Width {
     /// 512-bit vectors (`avx512f` + `avx512vl`, and the `fma` under them).
-    Avx512,
+    Avx512 = 1,
     /// 256-bit vectors (`avx2` + `fma`).
-    Avx2,
+    Avx2 = 2,
     /// The build's baseline target; runs anywhere, and is the only
     /// width off x86.
-    Plain,
-}
-
-thread_local! {
-    /// The width an enclosing [`with_width`] holds this thread's kernels
-    /// at; `None` outside every scope.
-    static SCOPED_WIDTH: Cell<Option<Width>> = const { Cell::new(None) };
+    Plain = 3,
 }
 
 impl Width {
@@ -1051,11 +1046,13 @@ impl Width {
     }
 
     /// The width a kernel called now on this thread runs at: an
-    /// enclosing [`with_width`]'s, or else the widest the CPU has — the
-    /// one width decision. Every kernel reads it once, when it is
-    /// called, and hands it to the work it splits across threads.
+    /// enclosing [`with_width`]'s — on a helper thread, the one in force
+    /// where the fork-join was made — or else the widest the CPU has:
+    /// the one width decision. Every kernel reads it once, when it is
+    /// called; work it splits across threads reads the same.
     pub fn current() -> Width {
-        match SCOPED_WIDTH.with(Cell::get) {
+        let cap = hfl_parallel::width_cap();
+        match Width::ALL.into_iter().find(|w| *w as usize == cap) {
             Some(scoped) => scoped,
             None => Width::widest(),
         }
@@ -1116,27 +1113,18 @@ impl Width {
     }
 }
 
-/// Runs `f` with every kernel it calls on this thread at `width`
-/// ([`Width::current`] returns it for the length of the call), and puts
-/// back the width in force before when `f` returns or unwinds; `None`,
-/// without running `f`, when the CPU lacks `width`. A kernel hands the
-/// width it read to the work it splits across threads itself; a job
-/// that `f` forks onto `hfl_parallel`'s workers runs at their own
-/// [`Width::current`]. Modelled on `hfl_parallel::with_threads`; no
-/// production path opens a scope, and the differential tests run each
-/// public kernel under every width the host has.
+/// Runs `f` with every kernel it calls at `width` ([`Width::current`]
+/// returns it for the length of the call), and puts back the width in
+/// force before when `f` returns or unwinds; `None`, without running
+/// `f`, when the CPU lacks `width`. The width is
+/// `hfl_parallel::with_width_cap`'s cap, so it reaches every helper
+/// that runs a share of a fork-join `f` makes, as `with_threads`'
+/// count does. No production path opens a scope; the differential
+/// tests run each public kernel under every width the host has.
 pub fn with_width<R>(width: Width, f: impl FnOnce() -> R) -> Option<R> {
-    struct Restore(Option<Width>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SCOPED_WIDTH.with(|s| s.set(self.0));
-        }
-    }
-    if !width.detected() {
-        return None;
-    }
-    let _restore = Restore(SCOPED_WIDTH.with(|s| s.replace(Some(width))));
-    Some(f())
+    width
+        .detected()
+        .then(|| hfl_parallel::with_width_cap(width as usize, f))
 }
 
 /// Runs `kernel(a, b, c, fused)` inside a function compiled for
@@ -1208,15 +1196,14 @@ pub fn dist_sq_pairs(rows: &[&[f32]], first: usize, chunk: &mut [f64]) {
 
 /// The whole matrix [`dist_sq_pairs`] fills a block of: `dists` resized
 /// to `n × n`, `dists[lo * n + hi] = dist_sq(rows[lo], rows[hi])` for
-/// `lo < hi`, zero elsewhere, at [`Width::current`] — read once, and
-/// every block runs at it on whichever thread. The matrix is cut into
-/// its blocks' rows, `PAIR_LANES · n` elements each, and `split(dists,
-/// len, fill)` must hand every `len`-element chunk to `fill(offset,
-/// chunk)` once — in any order, on any thread
-/// (`hfl_parallel::par_chunks_mut` has this shape), which cannot change
-/// a value. Block 0 pairs its rows with the most rows after them, so
-/// ascending claim order is heaviest-first; up to [`PAIR_LANES`] rows is
-/// one chunk.
+/// `lo < hi`, zero elsewhere, at [`Width::current`]. The matrix is cut
+/// into its blocks' rows, `PAIR_LANES · n` elements each, claimed by
+/// `hfl_parallel::default_threads()` threads with
+/// `hfl_parallel::par_chunks_mut` — each runs at the caller's width, and
+/// which thread fills a block cannot change a value. Block 0 pairs its
+/// rows with the most rows after them, so ascending claim order is
+/// heaviest-first; up to [`PAIR_LANES`] rows is one block and forks
+/// nothing.
 ///
 /// A row that is a bitwise copy of an earlier one is measured once
 /// ([`RowGroups`]): past one block, the blocks run over the `m` distinct
@@ -1228,13 +1215,7 @@ pub fn dist_sq_pairs(rows: &[&[f32]], first: usize, chunk: &mut [f64]) {
 ///
 /// # Panics
 /// If a row's length differs from the first's.
-pub fn pairwise_dist_sq(
-    rows: &[&[f32]],
-    dists: &mut Vec<f64>,
-    groups: &mut RowGroups,
-    split: impl FnOnce(&mut [f64], usize, &(dyn Fn(usize, &mut [f64]) + Sync)),
-) {
-    let width = Width::current();
+pub fn pairwise_dist_sq(rows: &[&[f32]], dists: &mut Vec<f64>, groups: &mut RowGroups) {
     let n = rows.len();
     for r in rows {
         check_same_len(rows[0], r);
@@ -1256,10 +1237,13 @@ pub fn pairwise_dist_sq(
         rows
     };
     if m > 0 {
-        split(&mut dists[..m * m], PAIR_LANES * m, &|base, chunk| {
-            with_width(width, || dist_sq_pairs(measured, base / m, chunk))
-                .expect("the caller's width is detected")
-        });
+        let threads = hfl_parallel::default_threads();
+        hfl_parallel::par_chunks_mut(
+            &mut dists[..m * m],
+            PAIR_LANES * m,
+            threads,
+            |base, chunk| dist_sq_pairs(measured, base / m, chunk),
+        );
     }
     groups.distinct.put(distinct);
     if m < n {
@@ -2033,23 +2017,23 @@ mod tests {
     /// leaves `Plain` in force past both.
     #[test]
     fn a_width_scope_restores_the_outer_width_on_return_and_on_unwind() {
-        let scoped = || SCOPED_WIDTH.with(Cell::get);
-        assert_eq!(scoped(), None);
+        let scoped = hfl_parallel::width_cap;
+        assert_eq!(scoped(), 0);
         let widest = Width::current();
         with_width(Width::Plain, || {
             assert_eq!(Width::current(), Width::Plain);
             for width in Width::ALL {
                 with_width(width, || assert_eq!(Width::current(), width));
-                assert_eq!(scoped(), Some(Width::Plain), "{width:?}");
+                assert_eq!(scoped(), Width::Plain as usize, "{width:?}");
             }
         })
         .expect("the plain width runs anywhere");
-        assert_eq!((scoped(), Width::current()), (None, widest));
+        assert_eq!((scoped(), Width::current()), (0, widest));
         let unwound = std::panic::catch_unwind(|| {
             with_width(Width::Plain, || panic!("inside the scope"));
         });
         assert!(unwound.is_err());
-        assert_eq!((scoped(), Width::current()), (None, widest));
+        assert_eq!((scoped(), Width::current()), (0, widest));
     }
 
     /// A width the CPU lacks runs nothing and answers `None`; one it has
@@ -2135,11 +2119,7 @@ mod tests {
         assert_eq!(groups.detect(&refs), 6);
         assert_eq!(groups.of, [0, 1, 2, 3, 4, 5, 0, 4, 2]);
         let mut got = Vec::new();
-        pairwise_dist_sq(&refs, &mut got, &mut groups, |dists, len, fill| {
-            for (b, chunk) in dists.chunks_mut(len).enumerate() {
-                fill(b * len, chunk);
-            }
-        });
+        pairwise_dist_sq(&refs, &mut got, &mut groups);
         let n = refs.len();
         for i in 0..n {
             for j in i + 1..n {

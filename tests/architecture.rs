@@ -109,9 +109,16 @@ const RULES: &[Rule] = &[
     Rule { name: "the engine reads the level from the config", design: 9, files: &["crates/core/src/engine/"], check: Forbid(&["enum LevelRule"]),
         fixture: "pub(super) enum LevelRule { Bra(AggregatorKind) }",
         message: "crates/core/src/engine holds a per-level rule handle again: step::aggregate and clock::cluster_closed match the config's LevelAgg (exp.config().levels[l])" },
-    Rule { name: "a rule takes no thread count", design: 15, files: &["crates/robust/src/"], check: Forbid(&["threads: usize"]),
+    Rule { name: "a rule takes no thread count", design: 15, files: &["crates/robust/src/", "crates/ml/src/"], check: Forbid(&["threads: usize"]),
         fixture: "fn krum_scores_into(u: &[&[f32]], threads: usize) {}",
-        message: "a crates/robust/src function takes a thread count: read hfl_parallel::default_threads() where it forks, and sweep thread counts in tests under hfl_parallel::with_threads" },
+        message: "a crates/robust/src or crates/ml/src function takes a thread count: read hfl_parallel::default_threads() where it forks, and sweep thread counts in tests under hfl_parallel::with_threads" },
+    Rule { name: "the host is read once", design: 15, files: LIBRARY,
+        check: Count("available_parallelism", &[("crates/parallel/src/lib.rs", "host_threads", 1)]),
+        fixture: "fn threads() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }",
+        message: "the host's parallelism is read outside hfl_parallel's host_threads: call hfl_parallel::default_threads(), which reads it once per process" },
+    Rule { name: "a scope follows the fork", design: 15, files: LIBRARY, check: Forbid(&["with_width("]),
+        fixture: "fn fill() { par_chunks_mut(o, l, t, |b, c| { with_width(w, || k(b, c)); }); }",
+        message: "library code opens a width scope: a fork-join carries its caller's width to every helper, so a job needs none of its own, and only tests sweep widths" },
     Rule { name: "one coordinate-wise kernel", design: 14, files: &["crates/robust/src/streaming.rs"], check: Forbid(&["vec![P2Median", "sort_unstable_by"]),
         fixture: "fn f() { v.sort_unstable_by(g); }", message: "crates/robust/src/streaming.rs holds a d-long estimator array or its own sort again" },
     Rule { name: "a sample is a function of its index", design: 15, files: &["crates/ml/src/synth.rs"], check: Forbid(&["standard_normal(&mut rng)", "next_u32()"]),

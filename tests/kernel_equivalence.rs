@@ -710,9 +710,9 @@ fn pair_fill_measures_a_coalition_once_and_reads_as_dist_sq_per_pair() {
         let d = refs[0].len();
         for &width in &widths {
             for threads in THREADS {
-                ops::with_width(width, || {
-                    ops::pairwise_dist_sq(&refs, &mut dists, &mut groups, |m, len, fill| {
-                        abd_hfl::parallel::par_chunks_mut(m, len, threads, fill)
+                abd_hfl::parallel::with_threads(threads, || {
+                    ops::with_width(width, || {
+                        ops::pairwise_dist_sq(&refs, &mut dists, &mut groups)
                     })
                 })
                 .expect("a detected width");
@@ -2272,28 +2272,28 @@ fn whole_runs_identical_at_all_thread_counts() {
         ("armed + faulted, pipelined", pipelined, Some(&timing)),
     ] {
         let run = |threads: usize| {
-            abd_hfl::parallel::set_default_threads(threads);
-            let (telem, rec) = Telemetry::recording();
-            let (manifest, nu) = match timing {
-                Some(pcfg) => {
-                    let out = RunOptions::pipeline(pcfg).telemetry(&telem).try_run(&cfg);
-                    let (timing, manifest) = out.expect("a valid config").into_pipeline();
-                    let nu = timing.rounds.iter().map(|r| r.nu.to_bits()).collect();
-                    (manifest, nu)
-                }
-                None => {
-                    let exp = Experiment::try_prepare(&cfg).expect("a valid config");
-                    (run_prepared_with(&exp, &telem).manifest, vec![])
-                }
-            };
-            (manifest.to_json(), rec.events(), nu)
+            abd_hfl::parallel::with_threads(threads, || {
+                let (telem, rec) = Telemetry::recording();
+                let (manifest, nu) = match timing {
+                    Some(pcfg) => {
+                        let out = RunOptions::pipeline(pcfg).telemetry(&telem).try_run(&cfg);
+                        let (timing, manifest) = out.expect("a valid config").into_pipeline();
+                        let nu = timing.rounds.iter().map(|r| r.nu.to_bits()).collect();
+                        (manifest, nu)
+                    }
+                    None => {
+                        let exp = Experiment::try_prepare(&cfg).expect("a valid config");
+                        (run_prepared_with(&exp, &telem).manifest, vec![])
+                    }
+                };
+                (manifest.to_json(), rec.events(), nu)
+            })
         };
         let base = run(1);
         for &t in &THREADS[1..] {
             assert!(run(t) == base, "{name} run differs at {t} threads");
         }
     }
-    abd_hfl::parallel::set_default_threads(0);
 }
 
 /// A crafted slot does not train, and the round reads as when it did:
